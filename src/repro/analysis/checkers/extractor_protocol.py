@@ -25,11 +25,21 @@ Coherence rules over the set of overridden names:
   extractors (it parameterizes views over the raw sweep);
 * a subclass overriding neither ``extract`` nor ``raw_states`` has no
   extraction path at all.
+
+The hypothesis side of the protocol has one rule.  A
+:class:`repro.hypotheses.base.HypothesisFunction` subclass either
+implements per-record ``behavior`` or overrides ``extract`` with a block
+kernel, and a block kernel is only trusted against a per-record
+reference: every such subclass under ``src/`` must be named in the
+``KERNEL_CLASSES`` table of ``tests/test_hypothesis_kernels.py``, the
+differential oracle.  (Files outside ``src/`` opt in with
+``# analysis-scope: hypothesis-kernels``.)
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 from repro.analysis.astutil import classes, dotted_name, last_part, methods
 from repro.analysis.driver import Checker, FileContext
@@ -39,9 +49,32 @@ _RAW_ONLY = ("finalize_rows", "raw_rows", "raw_key", "view_states",
              "raw_width", "view_columns")
 
 
-def _is_extractor_subclass(cls: ast.ClassDef) -> bool:
-    return any(last_part(dotted_name(base)) == "Extractor"
+#: the differential oracle and the class table it keeps
+ORACLE_TEST = Path("tests") / "test_hypothesis_kernels.py"
+ORACLE_TABLE = "KERNEL_CLASSES"
+
+
+def _is_subclass_of(cls: ast.ClassDef, base_name: str) -> bool:
+    return any(last_part(dotted_name(base)) == base_name
                for base in cls.bases)
+
+
+def _oracle_classes(path: Path) -> set[str] | None:
+    """Names in the oracle's class table, read from the nearest ancestor
+    of ``path`` that holds the oracle; None when there is no oracle."""
+    for parent in path.resolve().parents:
+        oracle = parent / ORACLE_TEST
+        if not oracle.is_file():
+            continue
+        names: set[str] = set()
+        for node in ast.parse(oracle.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                    dotted_name(t) == ORACLE_TABLE for t in node.targets):
+                names.update(last_part(dotted_name(ref))
+                             for ref in ast.walk(node.value)
+                             if isinstance(ref, (ast.Name, ast.Attribute)))
+        return names
+    return None
 
 
 @register
@@ -49,14 +82,16 @@ class ExtractorProtocolChecker(Checker):
     id = "REP008"
     name = "extractor-protocol"
     description = ("Extractor subclasses must override a coherent set of "
-                   "the raw-sweep protocol methods")
+                   "the raw-sweep protocol methods; hypothesis block "
+                   "kernels must be listed in the differential oracle")
     hint = ("raw-capable extractors override raw_states (plus raw_width + "
             "view_columns together when the sweep is wider); opaque ones "
             "override only extract")
 
     def visit_file(self, ctx: FileContext):
+        yield from self._unlisted_kernels(ctx)
         for cls in classes(ctx.tree):
-            if not _is_extractor_subclass(cls):
+            if not _is_subclass_of(cls, "Extractor"):
                 continue
             named = {fn.name: fn for fn in methods(cls)}
             over = set(named)
@@ -110,6 +145,29 @@ class ExtractorProtocolChecker(Checker):
                     ctx, cls,
                     f"{cls.name} overrides neither extract() nor "
                     f"raw_states(); it has no extraction path")
+
+    def _unlisted_kernels(self, ctx: FileContext):
+        """Hypothesis block kernels the differential oracle does not list."""
+        if not ctx.in_scope("src/", "hypothesis-kernels"):
+            return
+        kernels = [(cls, fn) for cls in classes(ctx.tree)
+                   if _is_subclass_of(cls, "HypothesisFunction")
+                   for fn in methods(cls) if fn.name == "extract"]
+        if not kernels:
+            return
+        listed = _oracle_classes(ctx.path)
+        for cls, fn in kernels:
+            if listed is not None and cls.name in listed:
+                continue
+            where = (f"missing from {ORACLE_TABLE} in {ORACLE_TEST}"
+                     if listed is not None
+                     else f"and no {ORACLE_TEST} was found above it")
+            yield self.finding(
+                ctx, fn,
+                f"{cls.name} overrides extract() with a block kernel "
+                f"but is {where}",
+                hint=f"keep the per-record body as the reference in "
+                     f"{ORACLE_TEST} and add the class to {ORACLE_TABLE}")
 
     @staticmethod
     def _targets(stmt: ast.stmt) -> set[str]:

@@ -952,7 +952,8 @@ class InspectionPlan:
         return "\n".join(lines)
 
     def execute(self) -> list[GroupMeasureOutcome]:
-        for _ in self.execute_blocks():
+        # nobody can abandon a run between blocks: prefetch a block ahead
+        for _ in self._execute_blocks(prefetch_ahead=True):
             pass
         return self.outcomes()
 
@@ -1011,7 +1012,14 @@ class InspectionPlan:
         instead of racing a duplicate forward pass (the server's
         cross-client dedup).  The lease is released — and waiters woken —
         even when the consumer abandons this generator mid-run.
+
+        A consumer of this generator may stop after any block, so block
+        t+1's sweep is launched only once the consumer has asked for it:
+        abandoning the run costs exactly the blocks delivered.
         """
+        return self._execute_blocks(prefetch_ahead=False)
+
+    def _execute_blocks(self, prefetch_ahead: bool):
         scheduler, owned = _resolve_scheduler(self.config.scheduler)
         store_scope = (self.config.store.deferred_commits()
                        if self.config.store is not None
@@ -1021,7 +1029,7 @@ class InspectionPlan:
                       if gate is not None else contextlib.nullcontext())
         try:
             with gate_scope, store_scope:
-                yield from self._block_steps(scheduler)
+                yield from self._block_steps(scheduler, prefetch_ahead)
         finally:
             if owned:
                 scheduler.shutdown()
@@ -1047,7 +1055,7 @@ class InspectionPlan:
         names = [h.name for h in self.hypotheses]
         return [task.outcome(names) for task in self.tasks]
 
-    def _block_steps(self, scheduler: Scheduler):
+    def _block_steps(self, scheduler: Scheduler, prefetch_ahead: bool):
         """The executor loop; yields once after each processed block.
 
         With a shard-executing scheduler, cold extraction is dispatched
@@ -1067,19 +1075,25 @@ class InspectionPlan:
                     exchange.dispatch()
                 if self.source.materialize:
                     exchange.ensure_all(watch)
-            yield from self._run_blocks(scheduler, exchange, watch, n_hyps)
+            yield from self._run_blocks(scheduler, exchange, watch, n_hyps,
+                                        prefetch_ahead)
         finally:
             if exchange is not None:
                 exchange.close()
 
     def _run_blocks(self, scheduler: Scheduler, exchange, watch,
-                    n_hyps: int):
+                    n_hyps: int, prefetch_ahead: bool):
         """The per-block loop, double-buffered on overlapping schedulers.
 
         With ``config.prefetch`` on and a scheduler whose :meth:`Scheduler
-        .submit` runs concurrently, block t+1's raw unit sweep is submitted
-        before block t's scoring starts, so extraction BLAS and measure
-        BLAS overlap.  Invariants:
+        .submit` runs concurrently, a block's raw unit sweep runs in the
+        background.  ``prefetch_ahead`` (a run that drains itself,
+        :meth:`execute`) submits block t+1's sweep before block t's scoring
+        starts, so extraction BLAS and measure BLAS overlap.  A streamed
+        run submits a block's sweep only once its consumer has asked for
+        that block, overlapping it with the block's hypothesis extraction:
+        a stream abandoned after block t has swept exactly t blocks.
+        Invariants:
 
         * **Frames are bit-identical** to serial execution: block order,
           per-block record slices and the per-group behavior values are
@@ -1090,10 +1104,11 @@ class InspectionPlan:
         * **Counters are exact** while every prefetched block is consumed:
           the consumed future *is* the block's extraction (the loop does
           not re-probe the caches), so cache hit/miss/extraction and model
-          forward counts match serial execution.  Only a run whose tasks
-          all converge exactly at a block boundary pays one speculative
-          sweep serial execution would have skipped — the same surplus the
-          process scheduler's up-front shard dispatch already accepts.
+          forward counts match serial execution.  Only a ``prefetch_ahead``
+          run whose tasks all converge exactly at a block boundary pays
+          one speculative sweep serial execution would have skipped — the
+          same surplus the process scheduler's up-front shard dispatch
+          already accepts.
         * Shard-exchange runs keep their own overlap (``exchange`` already
           dispatched all cold work to worker processes), and materialized
           runs extracted everything in :meth:`BehaviorSource.prepare`, so
@@ -1109,7 +1124,12 @@ class InspectionPlan:
                         and scheduler.supports_prefetch
                         and not self.source.materialize
                         and exchange is None)
-        prefetched: tuple[int, Future] | None = None
+
+        def sweep_in_background(sl, items) -> Future:
+            return scheduler.submit(lambda: self.source.unit_blocks(
+                sl, items, SerialScheduler(), Stopwatch()))
+
+        prefetched: Future | None = None    # the next block to consume
         try:
             for bi, sl in enumerate(slices):
                 pending = [t for t in self.tasks if not t.done]
@@ -1117,6 +1137,13 @@ class InspectionPlan:
                     break
                 if exchange is not None:
                     exchange.ensure(sl, watch)
+                needed: dict[int, UnitGroup] = {}
+                for task in pending:
+                    needed.setdefault(task.gi, task.group)
+                needed_items = sorted(needed.items())
+                if use_prefetch and not prefetch_ahead:
+                    # streamed: the consumer has just asked for this block
+                    prefetched = sweep_in_background(sl, needed_items)
                 # hypothesis columns frozen in *every* pending task need no
                 # further extraction (streaming only; materialized already
                 # paid)
@@ -1141,24 +1168,16 @@ class InspectionPlan:
                         return h_block
                     return h_block[:, local]
 
-                needed: dict[int, UnitGroup] = {}
-                for task in pending:
-                    needed.setdefault(task.gi, task.group)
-                needed_items = sorted(needed.items())
-                if prefetched is not None and prefetched[0] == bi:
-                    future = prefetched[1]
-                    prefetched = None
+                if prefetched is not None:
+                    future, prefetched = prefetched, None
                     with watch.charge("unit_extraction"):
                         u_blocks = future.result()
                 else:
                     u_blocks = self.source.unit_blocks(
                         sl, needed_items, scheduler, watch)
-                if use_prefetch and bi + 1 < len(slices):
-                    nxt = slices[bi + 1]
-                    prefetched = (bi + 1, scheduler.submit(
-                        lambda sl=nxt, items=needed_items:
-                            self.source.unit_blocks(
-                                sl, items, SerialScheduler(), Stopwatch())))
+                if use_prefetch and prefetch_ahead and bi + 1 < len(slices):
+                    prefetched = sweep_in_background(slices[bi + 1],
+                                                     needed_items)
                 n_records = sl.stop - sl.start
                 with watch.charge("inspection"):
                     scheduler.map(
@@ -1168,12 +1187,11 @@ class InspectionPlan:
                 yield sl
         finally:
             if prefetched is not None:
-                future = prefetched[1]
                 # a sweep already in flight must finish before the run's
                 # store scope closes (it may write through the caches);
                 # swallow its error — nobody consumes the result
-                if not future.cancel():
-                    future.exception()
+                if not prefetched.cancel():
+                    prefetched.exception()
 
 
 def run_inspection(groups: list[UnitGroup], dataset: Dataset,

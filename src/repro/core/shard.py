@@ -124,7 +124,8 @@ class ShardTask:
     dataset) and persist the flat raw rows under ``store_key``.
 
     ``kind == "hyp"``: evaluate a bundle of hypothesis columns
-    (``items``) over the pickled dataset.
+    (``items``, with the hypotheses themselves in ``hypotheses_blob``)
+    over the pickled dataset.
     """
 
     kind: str                       # "unit" | "hyp"
@@ -137,9 +138,13 @@ class ShardTask:
     extractor_blob: bytes | None = None
     indices: np.ndarray | None = None   # record ids to extract
     symbols: np.ndarray | None = None   # dataset.symbols[indices]
-    # hypothesis tasks: [(store_key, hypothesis_blob, record ids), ...]
+    # hypothesis tasks: items = [(store_key, record ids), ...], aligned
+    # with the list pickled *as one value* in hypotheses_blob, so objects
+    # the bundle's hypotheses share (a ParseProvider and its trees) cross
+    # the process boundary, and are rebuilt in the worker, once
     dataset_key: str | None = None
     dataset_blob: bytes | None = None
+    hypotheses_blob: bytes | None = None
     items: list = field(default_factory=list)
 
 
@@ -212,8 +217,8 @@ def _run_hyp_task(task: ShardTask) -> dict:
         dataset = pickle.loads(task.dataset_blob)
         _WORKER_OBJECTS[ds_key] = dataset
     descriptors = []
-    for store_key, blob, indices in task.items:
-        hypothesis = pickle.loads(blob)
+    hypotheses = pickle.loads(task.hypotheses_blob)
+    for (store_key, indices), hypothesis in zip(task.items, hypotheses):
         rows = np.asarray(hypothesis.extract(dataset, indices))
         descriptors.append(_write_worker_shard(
             task.store_root, store_key, indices, rows, task.n_records))
@@ -402,9 +407,7 @@ class ShardExchange:
         if config.cache is None or not source.hypotheses:
             return []
         dataset = source.dataset
-        items = []
-        fills: dict = {}
-        dataset_blob = None
+        items = []      # (store_key, hypothesis, missing record ids)
         for hyp in source.hypotheses:
             identity = HypothesisCache._hypothesis_identity(hyp)
             store_key = hyp_store_key(dataset.cache_key(), identity)
@@ -412,19 +415,13 @@ class ShardExchange:
                                                    hypothesis=hyp)
             missing = _store_missing(self.store, store_key, missing,
                                      dataset.n_symbols)
-            if missing.shape[0] == 0:
-                continue
-            blob = _pickle_or_none(hyp)
-            if blob is None:
-                continue  # e.g. a lambda hypothesis: extracts inline
-            if dataset_blob is None:
-                dataset_blob = _pickle_or_none(dataset)
-                if dataset_blob is None:
-                    return []  # dataset can't travel: all hyps stay inline
-            items.append((store_key, blob, missing))
-            fills[store_key] = ("hyp", hyp)
+            if missing.shape[0]:
+                items.append((store_key, hyp, missing))
         if not items:
             return []
+        dataset_blob = _pickle_or_none(dataset)
+        if dataset_blob is None:
+            return []  # dataset can't travel: all hyps stay inline
         workers = self.scheduler.shard_workers()
         described = []
         n_tasks = max(1, min(len(items), workers))
@@ -432,17 +429,27 @@ class ShardExchange:
         # spans the whole run: the first ensure() waits for all of them
         span = (0, source.n_records)
         for bundle_idx in np.array_split(np.arange(len(items)), n_tasks):
-            if bundle_idx.shape[0] == 0:
-                continue
             bundle = [items[int(i)] for i in bundle_idx]
+            try:
+                blob = pickle.dumps([hyp for _, hyp, _ in bundle])
+            except Exception:  # repro: allow[REP005]
+                # some member can't travel (e.g. a lambda hypothesis): it
+                # extracts inline — _pickle_or_none reports each one as
+                # degraded — and the rest of the bundle still ships
+                bundle = [item for item in bundle
+                          if _pickle_or_none(item[1]) is not None]
+                blob = pickle.dumps([hyp for _, hyp, _ in bundle])
+            if not bundle:
+                continue
             task = ShardTask(
                 kind="hyp", store_root=str(self.store.root),
                 n_records=dataset.n_records, n_symbols=dataset.n_symbols,
                 dataset_key=dataset.cache_key(), dataset_blob=dataset_blob,
-                items=bundle)
+                hypotheses_blob=blob,
+                items=[(key, missing) for key, _, missing in bundle])
             described.append(
                 (span, task,
-                 {key: fills[key] for key, _, _ in bundle}, None))
+                 {key: ("hyp", hyp) for key, hyp, _ in bundle}, None))
         return described
 
     # -- integration -----------------------------------------------------

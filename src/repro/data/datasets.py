@@ -10,6 +10,7 @@ the full underlying string.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,6 +46,19 @@ class Vocab:
 
     def char(self, idx: int) -> str:
         return self._char_of[idx]
+
+    def member_mask(self, chars: Iterable[str]) -> np.ndarray:
+        """Lookup table over symbol ids: True at the ids of ``chars``.
+
+        ``mask[symbols]`` is the block form of ``char in chars``;
+        characters outside the vocab occur in no record and are skipped.
+        """
+        mask = np.zeros(len(self), dtype=bool)
+        for char in chars:
+            idx = self._id_of.get(char)
+            if idx is not None:
+                mask[idx] = True
+        return mask
 
     def to_dict(self) -> dict:
         return {"chars": self._char_of[1:], "pad": self.pad_char}
@@ -94,6 +108,27 @@ class Dataset:
         if meta_text is not None:
             return meta_text
         return self.vocab.decode(self.symbols[i])
+
+    def window_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``meta``'s ``source_id`` and ``offset`` as two int64 columns.
+
+        Derived once from ``meta`` (which is treated as immutable) so block
+        kernels can gather by window instead of reading one dict per
+        record; private to this object — neither pickled nor inherited by
+        :meth:`subset`.
+        """
+        columns = getattr(self, "_window_columns", None)
+        if columns is None:
+            columns = (
+                np.array([m["source_id"] for m in self.meta], dtype=np.int64),
+                np.array([m["offset"] for m in self.meta], dtype=np.int64))
+            self._window_columns = columns
+        return columns
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_window_columns", None)
+        return state
 
     def subset(self, indices: np.ndarray | list[int] | slice) -> "Dataset":
         if isinstance(indices, slice):

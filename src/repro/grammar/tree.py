@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class ParseNode:
@@ -69,11 +71,14 @@ class ParseNode:
         """Per-character nesting depth of ``symbol`` nodes (composite h1)."""
         if length is None:
             length = self.end
-        depth = [0] * length
-        for s, e in self.spans_of(symbol):
-            for i in range(s, min(e, length)):
-                depth[i] += 1
-        return depth
+        # difference array: +1 at every start, -1 at every (clipped) end
+        spans = np.array(self.spans_of(symbol), dtype=np.int64).reshape(-1, 2)
+        ends = np.minimum(spans[:, 1], length)
+        live = ends > spans[:, 0]
+        diff = np.zeros(length + 1, dtype=np.int64)
+        np.add.at(diff, spans[live, 0], 1)
+        np.add.at(diff, ends[live], -1)
+        return np.cumsum(diff[:length]).tolist()
 
     def pretty(self, indent: int = 0) -> str:
         pad = "  " * indent

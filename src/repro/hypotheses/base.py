@@ -8,6 +8,7 @@ does for arbitrary user Python functions.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 
 import numpy as np
@@ -32,8 +33,55 @@ def validate_hypothesis_output(name: str, behavior: np.ndarray,
     return arr.astype(np.float64)
 
 
+def validate_hypothesis_block(name: str, block: np.ndarray, n_records: int,
+                              n_symbols: int) -> np.ndarray:
+    """The output spec applied to a whole block: a float64 matrix."""
+    arr = np.asarray(block)
+    if arr.ndim != 2:
+        raise ValueError(
+            f"hypothesis {name!r} must return a 2-D block, got shape {arr.shape}")
+    if arr.shape != (n_records, n_symbols):
+        raise ValueError(
+            f"hypothesis {name!r} returned a {arr.shape} block for "
+            f"{n_records} records of {n_symbols} symbols")
+    if not np.issubdtype(arr.dtype, np.number):
+        raise ValueError(f"hypothesis {name!r} must return numeric values")
+    return arr.astype(np.float64, copy=False)
+
+
+def block_indices(dataset: Dataset,
+                  indices: np.ndarray | list[int] | None) -> np.ndarray:
+    """Record ids of a block as an index array (``None`` = every record)."""
+    if indices is None:
+        return np.arange(dataset.n_records)
+    return np.asarray(indices, dtype=np.intp)
+
+
+def symbol_kernel(label):
+    """Make ``label(self, symbols, vocab)`` a hypothesis's ``extract``.
+
+    ``label`` maps an ``(n, ns)`` block of symbol ids to same-shape labels
+    (``dataset.symbols`` is the record content; ``meta["text"]`` is the
+    same characters, decoded).  The wrapper slices the block out of the
+    dataset and applies the output spec to what ``label`` returns.
+    """
+    @functools.wraps(label)
+    def extract(self, dataset: Dataset,
+                indices: np.ndarray | list[int] | None = None) -> np.ndarray:
+        symbols = dataset.symbols[block_indices(dataset, indices)]
+        return validate_hypothesis_block(
+            self.name, label(self, symbols, dataset.vocab), *symbols.shape)
+    return extract
+
+
 class HypothesisFunction:
-    """Base class; subclasses implement :meth:`behavior` per record.
+    """Base class; subclasses implement :meth:`behavior` *or* :meth:`extract`.
+
+    :meth:`behavior` is the per-record entry point for arbitrary logic;
+    :meth:`extract` is the block kernel the engine calls.  Each defaults to
+    the other — a per-record hypothesis is looped over the block, a block
+    kernel serves one record as a one-row block — so a hypothesis has
+    exactly one implementation.
 
     ``categorical`` marks hypotheses whose values are class ids rather than
     magnitudes (e.g. POS tags); joint measures one-hot them internally.
@@ -45,7 +93,10 @@ class HypothesisFunction:
 
     def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
         """Behavior vector (length ``ns``) for record ``index``."""
-        raise NotImplementedError
+        if type(self).extract is HypothesisFunction.extract:
+            raise NotImplementedError(
+                f"{type(self).__name__} must implement behavior() or extract()")
+        return self.extract(dataset, [index])[0]
 
     def cache_key(self) -> str:
         """Stable *content* identity of the behaviors this hypothesis emits.
@@ -69,7 +120,12 @@ class HypothesisFunction:
 
     def extract(self, dataset: Dataset,
                 indices: np.ndarray | list[int] | None = None) -> np.ndarray:
-        """Behavior matrix (n_records, ns) for the given record indices."""
+        """Behavior matrix (n_records, ns) for the given record indices.
+
+        The default is the per-record path: one validated :meth:`behavior`
+        call per record.  Block kernels override it and check what they
+        return with :func:`validate_hypothesis_block`.
+        """
         if indices is None:
             indices = range(dataset.n_records)
         rows = [validate_hypothesis_output(
@@ -111,9 +167,6 @@ class PrecomputedHypothesis(HypothesisFunction):
         self.matrix = np.asarray(matrix, dtype=np.float64)
         if self.matrix.ndim != 2:
             raise ValueError("precomputed behavior matrix must be 2-D")
-
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        return self.matrix[index]
 
     def extract(self, dataset: Dataset,
                 indices: np.ndarray | list[int] | None = None) -> np.ndarray:

@@ -11,8 +11,8 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from repro.data.datasets import Dataset
-from repro.hypotheses.base import HypothesisFunction
+from repro.data.datasets import Vocab
+from repro.hypotheses.base import HypothesisFunction, symbol_kernel
 
 
 class FSM:
@@ -33,15 +33,36 @@ class FSM:
             states.update(table.values())
         states.add(initial)
         self.n_states = n_states if n_states is not None else max(states) + 1
+        self._states = sorted(states)
 
     def run(self, text: str) -> np.ndarray:
         """State id *after* reading each character."""
         state = self.initial
         out = np.empty(len(text), dtype=np.int64)
         for i, ch in enumerate(text):
-            table = self.transitions.get(state, {})
-            state = table.get(ch, table.get(None, state))
+            state = self._step(state, ch)
             out[i] = state
+        return out
+
+    def _step(self, state: int, char: str) -> int:
+        table = self.transitions.get(state, {})
+        return table.get(char, table.get(None, state))
+
+    def run_block(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        """:meth:`run` over an ``(n, ns)`` block of symbol ids at once.
+
+        The transitions are tabulated over (state, symbol id) and the
+        whole block steps through the table one column at a time.
+        """
+        ids = np.array(self._states, dtype=np.int64)
+        row_of = {int(state): row for row, state in enumerate(ids)}
+        step = np.array([[row_of[self._step(int(state), vocab.char(sym))]
+                          for sym in range(len(vocab))] for state in ids])
+        out = np.empty(symbols.shape, dtype=np.int64)
+        rows = np.full(symbols.shape[0], row_of[self.initial])
+        for t in range(symbols.shape[1]):
+            rows = step[rows, symbols[:, t]]
+            out[:, t] = ids[rows]
         return out
 
 
@@ -53,11 +74,12 @@ class FsmHypothesis(HypothesisFunction):
         self.fsm = fsm
         self.state = state
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        states = self.fsm.run(dataset.record_text(index))
-        if self.state is None:
-            return states.astype(np.float64)
-        return (states == self.state).astype(np.float64)
+    @symbol_kernel
+    def extract(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        states = self.fsm.run_block(symbols, vocab)
+        if self.state is not None:
+            states = states == self.state
+        return states.astype(np.float64)
 
 
 def keyword_fsm(keyword: str) -> FSM:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.datasets import PAD_CHAR, Dataset
-from repro.hypotheses.base import HypothesisFunction
+from repro.data.datasets import PAD_CHAR, Vocab
+from repro.hypotheses.base import HypothesisFunction, symbol_kernel
 
 
 class KeywordHypothesis(HypothesisFunction):
@@ -23,14 +23,19 @@ class KeywordHypothesis(HypothesisFunction):
             raise ValueError("keyword must be non-empty")
         self.keyword = keyword
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        text = dataset.record_text(index)
-        out = np.zeros(len(text))
-        start = text.find(self.keyword)
-        while start != -1:
-            out[start:start + len(self.keyword)] = 1.0
-            start = text.find(self.keyword, start + 1)
-        return out
+    @symbol_kernel
+    def extract(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        inside = np.zeros(symbols.shape, dtype=bool)
+        k = len(self.keyword)
+        n_starts = symbols.shape[1] - k + 1
+        if n_starts > 0 and all(c in vocab for c in self.keyword):
+            # starts[r, j]: the keyword occurs at j (overlaps included)
+            starts = np.ones((symbols.shape[0], n_starts), dtype=bool)
+            for i, symbol in enumerate(vocab.encode(self.keyword)):
+                starts &= symbols[:, i:i + n_starts] == symbol
+            for i in range(k):
+                inside[:, i:i + n_starts] |= starts
+        return inside.astype(np.float64)
 
 
 class CharSetHypothesis(HypothesisFunction):
@@ -40,10 +45,9 @@ class CharSetHypothesis(HypothesisFunction):
         super().__init__(name)
         self.chars = frozenset(chars)
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        text = dataset.record_text(index)
-        return np.fromiter((1.0 if c in self.chars else 0.0 for c in text),
-                           dtype=np.float64, count=len(text))
+    @symbol_kernel
+    def extract(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        return vocab.member_mask(self.chars)[symbols].astype(np.float64)
 
 
 class PositionCounterHypothesis(HypothesisFunction):
@@ -52,8 +56,10 @@ class PositionCounterHypothesis(HypothesisFunction):
     def __init__(self, name: str = "position"):
         super().__init__(name)
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        return np.arange(dataset.n_symbols, dtype=np.float64)
+    @symbol_kernel
+    def extract(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        return np.tile(np.arange(symbols.shape[1], dtype=np.float64),
+                       (symbols.shape[0], 1))
 
 
 class PrefixLengthHypothesis(HypothesisFunction):
@@ -62,15 +68,10 @@ class PrefixLengthHypothesis(HypothesisFunction):
     def __init__(self, name: str = "prefix_length"):
         super().__init__(name)
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        text = dataset.record_text(index)
-        count = 0
-        out = np.empty(len(text))
-        for i, ch in enumerate(text):
-            if ch != PAD_CHAR:
-                count += 1
-            out[i] = count
-        return out
+    @symbol_kernel
+    def extract(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        padding = vocab.member_mask(PAD_CHAR)[symbols]
+        return np.cumsum(~padding, axis=1, dtype=np.float64)
 
 
 class NestingDepthHypothesis(HypothesisFunction):
@@ -85,22 +86,16 @@ class NestingDepthHypothesis(HypothesisFunction):
         super().__init__(name or label)
         self.level = level
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        text = dataset.record_text(index)
-        depth = 0
-        out = np.empty(len(text))
-        for i, ch in enumerate(text):
-            if ch == "(":
-                out[i] = depth
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                out[i] = depth
-            else:
-                out[i] = depth
-        if self.level is None:
-            return out
-        return (out == self.level).astype(np.float64)
+    @symbol_kernel
+    def extract(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        opens = vocab.member_mask("(")[symbols].astype(np.int64)
+        closes = vocab.member_mask(")")[symbols].astype(np.int64)
+        # an opening bracket still sits at the outer level, a closing one
+        # is already back on it
+        depth = np.cumsum(opens - closes, axis=1) - opens
+        if self.level is not None:
+            depth = depth == self.level
+        return depth.astype(np.float64)
 
 
 class CurrentCharHypothesis(HypothesisFunction):
@@ -116,10 +111,9 @@ class CurrentCharHypothesis(HypothesisFunction):
             raise ValueError("char must be a single character")
         self.char = char
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        text = dataset.record_text(index)
-        return np.fromiter((1.0 if c == self.char else 0.0 for c in text),
-                           dtype=np.float64, count=len(text))
+    @symbol_kernel
+    def extract(self, symbols: np.ndarray, vocab: Vocab) -> np.ndarray:
+        return vocab.member_mask(self.char)[symbols].astype(np.float64)
 
 
 def sql_keyword_hypotheses(keywords: tuple[str, ...] | None = None

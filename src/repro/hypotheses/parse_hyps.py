@@ -11,14 +11,27 @@ produced (matching the benchmark setup in Section 6.2):
 plus optionally the **composite** ``depth:<rule>`` encoding that counts rule
 nesting depth (``h1`` in Figure 3).
 
-Parsing is shared: a :class:`ParseProvider` parses each source string at most
-once per inspection run, amortizing the (expensive, Earley) parse across all
-hypotheses derived from it.  When the workload retains derivation trees from
-sampling, the provider reuses them instead (``mode="derivation"``), which is
-the cached-hypothesis setting of Figure 9.
+Parsing *and span extraction* are shared: a :class:`ParseProvider` parses
+each source string at most once per inspection run, and walks each tree
+once to build that source's **span index** (rule -> clipped, non-empty
+character spans).  Every (rule, encoding) hypothesis derived from the
+provider reads the index instead of re-walking the tree.  When the workload
+retains derivation trees from sampling, the provider reuses them instead of
+parsing (``mode="derivation"``), which is the cached-hypothesis setting of
+Figure 9.
+
+A :class:`ParseTreeHypothesis` renders its spans into one zero-padded
+(sources x longest source) label table, one row per source on first touch,
+and answers a block of windowed records with a single gather over the
+dataset's ``(source_id, offset)`` columns.  Span index and label tables are
+derived state: private, filled lazily (whole rows at a time, so concurrent
+readers never see a half-built one), left out of pickles and rebuilt on
+demand.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -26,14 +39,16 @@ from repro.data.datasets import Dataset
 from repro.grammar.cfg import Grammar
 from repro.grammar.earley import EarleyParser
 from repro.grammar.tree import ParseNode
-from repro.hypotheses.base import HypothesisFunction
+from repro.hypotheses.base import (HypothesisFunction, block_indices,
+                                   validate_hypothesis_block)
+from repro.util.identity import attr_identity
 
 #: start symbols span the whole string and would yield always-on hypotheses
 _SKIP_NODE_TYPES = {"query", "r0"}
 
 
 class ParseProvider:
-    """Parses source strings on demand and caches the trees.
+    """Parses source strings on demand; caches trees and their span index.
 
     ``mode="reparse"`` runs the Earley parser (the realistic, slow path that
     dominates hypothesis-extraction cost in the paper);
@@ -56,8 +71,49 @@ class ParseProvider:
         self._parser = EarleyParser(grammar)
         self._cache: dict[int, ParseNode] = {}
         self.parse_count = 0
+        self._init_derived()
+
+    def _init_derived(self) -> None:
+        self._spans: dict[int, dict[str, np.ndarray]] = {}
+        self._cache_key_memo: str | None = None
+        # one parse and one tree walk per source, whichever thread asks
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        for derived in ("_spans", "_cache_key_memo", "_lock"):
+            del state[derived]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._init_derived()
+
+    def cache_key(self) -> str:
+        """Content identity, rendered once for every hypothesis sharing
+        this provider.
+
+        Byte-for-byte what :func:`repro.util.identity.attr_identity`'s
+        attribute walk rendered for a never-used provider nested in a
+        hypothesis (so stores written before the memo keep serving), with
+        ``parse_count`` pinned at its initial 0: a counter is not content.
+        Depth 2 is what that walk has left one level below the hypothesis.
+        """
+        key = self._cache_key_memo
+        if key is None:
+            content = {"grammar": self.grammar, "mode": self.mode,
+                       "parse_count": 0, "sources": self.sources}
+            inner = ", ".join(f"{name}={attr_identity(value, 2)}"
+                              for name, value in sorted(content.items()))
+            key = self._cache_key_memo = f"obj:ParseProvider({inner})"
+        return key
 
     def tree_for(self, source_id: int) -> ParseNode:
+        with self._lock:
+            return self._tree_for(source_id)
+
+    def _tree_for(self, source_id: int) -> ParseNode:
+        """:meth:`tree_for`, for callers that hold the lock."""
         if source_id in self._cache:
             return self._cache[source_id]
         if self.mode == "derivation":
@@ -69,9 +125,36 @@ class ParseProvider:
         self._cache[source_id] = tree
         return tree
 
+    def spans_for(self, source_id: int) -> dict[str, np.ndarray]:
+        """The source's span index: rule -> ``(k, 2)`` array of ``[start,
+        end)`` spans, clipped to the source length, empty spans dropped.
+
+        Built by one walk over the source's tree and shared by every rule
+        and encoding.
+        """
+        with self._lock:
+            index = self._spans.get(source_id)
+            if index is None:
+                length = len(self.sources[source_id])
+                by_rule: dict[str, list[tuple[int, int]]] = {}
+                for node in self._tree_for(source_id).iter_nodes():
+                    end = min(node.end, length)
+                    if not node.terminal and end > node.start:
+                        by_rule.setdefault(node.symbol, []).append(
+                            (node.start, end))
+                index = {rule: np.array(spans, dtype=np.int64)
+                         for rule, spans in by_rule.items()}
+                self._spans[source_id] = index
+            return index
+
     def clear_cache(self) -> None:
-        self._cache.clear()
-        self.parse_count = 0
+        with self._lock:
+            self._cache.clear()
+            self._spans.clear()
+            self.parse_count = 0
+
+
+_NO_SPANS = np.empty((0, 2), dtype=np.int64)
 
 
 class ParseTreeHypothesis(HypothesisFunction):
@@ -84,44 +167,71 @@ class ParseTreeHypothesis(HypothesisFunction):
         self.rule = rule
         self.encoding = encoding
         self.provider = provider
-        self._labels_cache: dict[int, np.ndarray] = {}
+        self._init_derived()
+
+    def _init_derived(self) -> None:
+        # per-character labels, one row per source; the extra last column
+        # stays zero and is where out-of-source window positions are read
+        width = max(map(len, self.provider.sources), default=0) + 1
+        self._labels = np.zeros(
+            (len(self.provider.sources), width),
+            dtype=np.int32 if self.encoding == "depth" else np.uint8)
+        self._filled = np.zeros(len(self.provider.sources), dtype=bool)
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        del state["_labels"], state["_filled"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._init_derived()
 
     # ------------------------------------------------------------------
-    def _source_labels(self, source_id: int) -> np.ndarray:
-        """Per-character labels over the raw (unpadded) source string."""
-        cached = self._labels_cache.get(source_id)
-        if cached is not None:
-            return cached
-        tree = self.provider.tree_for(source_id)
-        length = len(self.provider.sources[source_id])
-        if self.encoding == "depth":
-            labels = np.asarray(
-                tree.depth_profile(self.rule, length), dtype=np.float64)
-        else:
-            labels = np.zeros(length)
-            for start, end in tree.spans_of(self.rule):
-                end = min(end, length)
-                if end <= start:
-                    continue
-                if self.encoding == "time":
-                    labels[start:end] = 1.0
-                else:  # signal
-                    labels[start] = 1.0
-                    labels[end - 1] = 1.0
-        self._labels_cache[source_id] = labels
-        return labels
+    def _fill(self, source_ids: np.ndarray) -> None:
+        """Render the label rows of ``source_ids`` from the span index.
 
-    def behavior(self, dataset: Dataset, index: int) -> np.ndarray:
-        meta = dataset.meta[index]
-        labels = self._source_labels(meta["source_id"])
-        offset = meta["offset"]
-        ns = dataset.n_symbols
-        out = np.zeros(ns)
-        lo = max(0, -offset)          # skip padding positions
-        hi = min(ns, labels.shape[0] - offset)
-        if hi > lo:
-            out[lo:hi] = labels[offset + lo:offset + hi]
-        return out
+        Rows are computed aside and assigned whole before they are marked
+        filled, so a concurrent fill writes the same values and a
+        concurrent gather never reads a partial row.
+        """
+        found = [self.provider.spans_for(int(sid)).get(self.rule, _NO_SPANS)
+                 for sid in source_ids]
+        spans = np.concatenate(found)
+        rows = np.repeat(np.arange(len(found)), [len(sp) for sp in found])
+        starts, ends = spans[:, 0], spans[:, 1]
+        block = np.zeros((len(found), self._labels.shape[1]), dtype=np.int32)
+        if self.encoding == "signal":
+            block[rows, starts] = 1
+            block[rows, ends - 1] = 1
+        else:
+            # difference array per row: ends never exceed the source
+            # length, so the last column nets out to zero again
+            np.add.at(block, (rows, starts), 1)
+            np.add.at(block, (rows, ends), -1)
+            np.cumsum(block, axis=1, out=block)
+            if self.encoding == "time":
+                block = block > 0
+        self._labels[source_ids] = block
+        self._filled[source_ids] = True
+
+    def extract(self, dataset: Dataset,
+                indices: np.ndarray | list[int] | None = None) -> np.ndarray:
+        indices = block_indices(dataset, indices)
+        source_ids, offsets = dataset.window_columns()
+        source_ids, offsets = source_ids[indices], offsets[indices]
+        touched = np.unique(source_ids)
+        missing = touched[~self._filled[touched]]
+        if missing.shape[0]:
+            self._fill(missing)
+        # window position -> source position; -1 and ``last`` both land on
+        # the zero column, positions past a shorter source on its padding
+        last = self._labels.shape[1] - 1
+        positions = offsets[:, None] + np.arange(dataset.n_symbols)
+        np.clip(positions, -1, last, out=positions)
+        return validate_hypothesis_block(
+            self.name, self._labels[source_ids[:, None], positions],
+            indices.shape[0], dataset.n_symbols)
 
 
 def grammar_hypotheses(grammar: Grammar, sources: list[str],

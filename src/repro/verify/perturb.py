@@ -56,7 +56,7 @@ class GenericPerturber(Perturber):
         self.atol = atol
 
     def _behavior_at(self, text: str, pos: int) -> float:
-        probe = _TextDataset(text, self.dataset)
+        probe = _text_dataset(text, self.dataset)
         return float(self.hypothesis.behavior(probe, 0)[pos])
 
     def candidates(self, text: str, pos: int) -> tuple[list[str], list[str]]:
@@ -82,16 +82,7 @@ class GenericPerturber(Perturber):
         return baseline, treatment
 
 
-class _TextDataset:
-    """A one-record view over a raw string, for hypothesis evaluation."""
-
-    def __init__(self, text: str, template: Dataset):
-        self.vocab = template.vocab
-        self.n_symbols = len(text)
-        self.n_records = 1
-        self._text = text
-        self.meta = [{"text": text, "source_id": 0, "offset": 0}]
-
-    def record_text(self, index: int) -> str:
-        assert index == 0
-        return self._text
+def _text_dataset(text: str, template: Dataset) -> Dataset:
+    """A one-record dataset over a raw string, for hypothesis evaluation."""
+    return Dataset(template.vocab.encode(text)[None, :], template.vocab,
+                   [{"text": text, "source_id": 0, "offset": 0}])

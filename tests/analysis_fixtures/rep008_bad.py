@@ -1,6 +1,9 @@
-"""Bad: incoherent Extractor override sets."""
+"""Bad: incoherent Extractor override sets, and a hypothesis block kernel
+without a per-record reference in the differential oracle."""
+# analysis-scope: hypothesis-kernels
 
 from repro.extract.base import Extractor
+from repro.hypotheses.base import HypothesisFunction
 
 
 class BadWidthExtractor(Extractor):
@@ -33,4 +36,11 @@ class BadMixedExtractor(Extractor):
         return None
 
     def extract(self, model, records, hid_units=None):  # expect[REP008]
+        return None
+
+
+class UnlistedKernelHypothesis(HypothesisFunction):
+    """Overrides extract() but no oracle compares it to anything."""
+
+    def extract(self, dataset, indices=None):  # expect[REP008]
         return None

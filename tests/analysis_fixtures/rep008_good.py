@@ -1,6 +1,9 @@
-"""Good: the three legitimate extractor shapes."""
+"""Good: the three legitimate extractor shapes, and the two legitimate
+hypothesis shapes (a per-record body; a block kernel the oracle lists)."""
+# analysis-scope: hypothesis-kernels
 
 from repro.extract.base import Extractor
+from repro.hypotheses.base import HypothesisFunction
 
 
 class PlainRawExtractor(Extractor):
@@ -41,4 +44,18 @@ class OpaqueExtractor(Extractor):
         return 4
 
     def extract(self, model, records, hid_units=None):
+        return None
+
+
+class PerRecordHypothesis(HypothesisFunction):
+    """Arbitrary per-record logic: the base class loops it over a block."""
+
+    def behavior(self, dataset, index):
+        return None
+
+
+class KeywordHypothesis(HypothesisFunction):
+    """A block kernel named in tests/test_hypothesis_kernels.py."""
+
+    def extract(self, dataset, indices=None):
         return None

@@ -8,6 +8,8 @@ realistic scales.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,16 @@ from repro.util.rng import new_rng
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running end-to-end tests (subprocess runs)")
+
+
+@pytest.fixture
+def fake_cpu_count(monkeypatch):
+    """Make host shape a test parameter: ``fake_cpu_count(n)`` pins
+    ``os.cpu_count()`` — and with it ``default_scheduler()``'s choice,
+    unless ``REPRO_SCHEDULER`` forces one — for the rest of the test."""
+    def fake(n: int) -> None:
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+    return fake
 
 
 @pytest.fixture(scope="session")

@@ -191,11 +191,13 @@ class TestParseHypotheses:
                                   encodings=("signal",), mode="derivation")
         by_name = {h.name: h for h in hyps}
         hyp = by_name["signal:table_name"]
-        provider = hyp.provider
-        labels = hyp._source_labels(0)
-        tree = provider.tree_for(0)
-        n_spans = len(tree.spans_of("table_name"))
-        assert labels.sum() <= 2 * n_spans
+        # one record that covers source 0 end to end
+        vocab = workload.dataset.vocab
+        whole = Dataset(vocab.encode(workload.queries[0])[None, :], vocab,
+                        [{"source_id": 0, "offset": 0}])
+        labels = hyp.extract(whole)[0]
+        n_spans = len(hyp.provider.tree_for(0).spans_of("table_name"))
+        assert 0 < labels.sum() <= 2 * n_spans
 
     def test_padding_positions_are_zero(self, workload):
         hyps = grammar_hypotheses(workload.grammar, workload.queries,

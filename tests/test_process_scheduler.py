@@ -14,12 +14,16 @@ import multiprocessing
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro import (DiskBehaviorStore, InspectConfig, ProcessPoolScheduler,
                    SerialScheduler, Session, ThreadPoolScheduler)
 from repro.core.pipeline import default_scheduler
+from repro.core.shard import ShardTask, run_shard_task
+from repro.hypotheses import grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
+from repro.util.debuglog import degradation_counts, reset_degradation_counts
 from repro.util.testing import CountingForwardModel
 
 MAX_RECORDS = 60
@@ -251,6 +255,57 @@ class TestGracefulDegradation:
         assert serial == procs
 
 
+    def test_mixed_bundle_ships_its_picklable_members(
+            self, trained_sql_model, sql_workload, tmp_path):
+        """One worker, so one bundle holding both kinds: the wrapped
+        hypothesis extracts inline (one degraded event, as ever), the
+        grammar hypotheses beside it still travel — as one pickle."""
+        grammar = grammar_hypotheses(sql_workload.grammar,
+                                     sql_workload.queries,
+                                     sql_workload.trees,
+                                     mode="derivation")[:5]
+        hyps = grammar + [_UnpicklableHypothesis(
+            sql_keyword_hypotheses(("FROM",))[0])]
+        serial = run_frame(trained_sql_model, sql_workload, hyps,
+                           scheduler=SerialScheduler())
+        reset_degradation_counts()
+        with make_session(trained_sql_model, sql_workload, hyps,
+                          store=DiskBehaviorStore(tmp_path / "store"),
+                          scheduler=ProcessPoolScheduler(max_workers=1)
+                          ) as session:
+            procs = (session.inspect("m0", "d0").hypotheses(hyps)
+                     .using("corr").run())
+            stats = session.stats()["hypothesis_cache"]
+        assert serial == procs
+        assert degradation_counts().get("shard.unpicklable") == 1
+        # five folded from the worker's bundle, one extracted inline
+        assert stats["extractions"] == len(hyps)
+        assert stats["disk_hits"] == MAX_RECORDS * len(grammar)
+
+
+class TestHypothesisBundle:
+    def test_bundle_task_runs_from_one_pickle(self, sql_workload, tmp_path):
+        ds = sql_workload.dataset
+        hyps = grammar_hypotheses(sql_workload.grammar, sql_workload.queries,
+                                  sql_workload.trees, mode="derivation")[:6]
+        indices = np.array([40, 3, 17])
+        task = ShardTask(
+            kind="hyp", store_root=str(tmp_path), n_records=ds.n_records,
+            n_symbols=ds.n_symbols, dataset_key="bundle-test",
+            dataset_blob=pickle.dumps(ds),
+            hypotheses_blob=pickle.dumps(hyps),
+            items=[(f"hyp/test/{i}", indices) for i in range(len(hyps))])
+        shipped = pickle.loads(task.hypotheses_blob)
+        assert all(h.provider is shipped[0].provider for h in shipped)
+        result = run_shard_task(task)
+        assert result["extractions"] == len(task.items) == len(hyps)
+        assert [d["key"] for d in result["descriptors"]] \
+            == [key for key, _ in task.items]
+        for desc, hyp in zip(result["descriptors"], hyps):
+            rows = np.load(tmp_path / "shards" / desc["data"])
+            assert np.array_equal(rows, hyp.extract(ds, indices))
+
+
 # ----------------------------------------------------------------------
 # default_scheduler selection rules
 # ----------------------------------------------------------------------
@@ -261,24 +316,27 @@ class TestDefaultScheduler:
         assert isinstance(scheduler, ThreadPoolScheduler)
         scheduler.shutdown()
 
-    def test_single_core_picks_serial(self, monkeypatch, tmp_path):
+    def test_single_core_picks_serial(self, monkeypatch, tmp_path,
+                                      fake_cpu_count):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        fake_cpu_count(1)
         assert isinstance(default_scheduler(), SerialScheduler)
         store = DiskBehaviorStore(tmp_path / "store")
         assert isinstance(default_scheduler(store=store), SerialScheduler)
 
-    def test_multicore_store_picks_processes(self, monkeypatch, tmp_path):
+    def test_multicore_store_picks_processes(self, monkeypatch, tmp_path,
+                                             fake_cpu_count):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        fake_cpu_count(4)
         store = DiskBehaviorStore(tmp_path / "store")
         scheduler = default_scheduler(store=store)
         assert isinstance(scheduler, ProcessPoolScheduler)
         scheduler.shutdown()
 
-    def test_multicore_without_store_picks_threads(self, monkeypatch):
+    def test_multicore_without_store_picks_threads(self, monkeypatch,
+                                                   fake_cpu_count):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        fake_cpu_count(4)
         scheduler = default_scheduler()
         assert isinstance(scheduler, ThreadPoolScheduler)
         scheduler.shutdown()

@@ -231,8 +231,13 @@ class TestStream:
         reason="process scheduler prefetches blocks ahead of the stream; "
                "its abandonment semantics are covered by "
                "test_process_scheduler.py::TestLifecycle")
+    @pytest.mark.parametrize("cores", [1, 4])
     def test_stream_abandoned_early_stops_extraction(
-            self, trained_sql_model, sql_workload, hyps):
+            self, trained_sql_model, sql_workload, hyps, fake_cpu_count,
+            cores):
+        # 1 core resolves the serial scheduler, 4 the prefetching thread
+        # pool: a stream sweeps a block only once its consumer asks for it
+        fake_cpu_count(cores)
         counting = CountingForwardModel(trained_sql_model)
         config = InspectConfig(mode="streaming", block_size=20,
                                early_stop=False, max_records=MAX_RECORDS)
