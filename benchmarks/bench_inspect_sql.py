@@ -29,14 +29,15 @@ from __future__ import annotations
 import json
 import time
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.core.groups import UnitGroup
-from repro.core.pipeline import InspectConfig, run_inspection
+from repro.core.pipeline import InspectConfig, InspectionPlan
 from repro.db import Database
-from repro.db.inspect_clause import InspectQuery, run_inspect_sql
 from repro.db.sqlparser import parse_sql
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import grammar_hypotheses
@@ -115,8 +116,9 @@ def _seed_inspect_one_group(context, spec, measures, group_envs):
                         name=f"mid={mid}")
               for mid, uids in units_by_model.items()]
     # one fully independent, cache-less, serial inspection per group
-    outcomes = run_inspection(groups, dataset, measures, hyp_objs,
-                              context.extractor, context.config)
+    outcomes = InspectionPlan.build(groups, dataset, measures, hyp_objs,
+                                    context.extractor,
+                                    context.config).execute()
     rows = []
     for outcome in outcomes:
         mid = next(m for m, g in zip(units_by_model, groups)
@@ -131,7 +133,7 @@ def _seed_inspect_one_group(context, spec, measures, group_envs):
     return rows
 
 
-def seed_run_inspect_sql(context, sql):
+def seed_inspect_sql(context, sql):
     """The pre-plan frontend: per-group loop over the cross product."""
     spec = parse_sql(sql)
     envs = _seed_catalog_rows(context.db, spec.tables, spec.where)
@@ -184,7 +186,8 @@ def sweep_snapshots(bench_workload):
     return snaps
 
 
-def _make_context(snapshots, workload, hyps, **kwargs):
+def _make_catalog(snapshots, workload, hyps):
+    """The hand-built catalog + the live objects its rows name."""
     ordered = [snapshots[e] for e in sorted(snapshots)]
     db = Database()
     db.create_table("models", ["mid", "epoch"],
@@ -195,12 +198,24 @@ def _make_context(snapshots, workload, hyps, **kwargs):
     db.create_table("hypotheses", ["h", "name"],
                     [[h.name, "bench"] for h in hyps])
     db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
-    kwargs.setdefault("config",
-                      InspectConfig(mode="full", max_records=MAX_RECORDS))
-    return InspectQuery(db=db, models={m.model_id: m for m in ordered},
-                        hypotheses={h.name: h for h in hyps},
-                        datasets={"d0": workload.dataset},
-                        extractor=RnnActivationExtractor(), **kwargs)
+    return SimpleNamespace(
+        db=db, models={m.model_id: m for m in ordered},
+        hypotheses={h.name: h for h in hyps},
+        datasets={"d0": workload.dataset},
+        extractor=RnnActivationExtractor(),
+        config=InspectConfig(mode="full", max_records=MAX_RECORDS))
+
+
+def _make_session(catalog) -> Session:
+    session = Session(db=catalog.db, extractor=catalog.extractor,
+                      config=catalog.config)
+    for mid, model in catalog.models.items():
+        session.register_model(mid, model, catalog=False)
+    session.register_hypotheses(list(catalog.hypotheses.values()),
+                                catalog=False)
+    for did, dataset in catalog.datasets.items():
+        session.register_dataset(did, dataset, catalog=False)
+    return session
 
 
 def _score_set(rows):
@@ -213,18 +228,18 @@ def test_inspect_sql_shared_plan(benchmark, bench_workload,
     def _report():
         hyps = sweep_hypotheses
 
-        seed_ctx = _make_context(sweep_snapshots, bench_workload, hyps,
-                                 session_defaults=False)
+        seed_ctx = _make_catalog(sweep_snapshots, bench_workload, hyps)
         t0 = time.perf_counter()
-        seed_rows = seed_run_inspect_sql(seed_ctx, SQL)
+        seed_rows = seed_inspect_sql(seed_ctx, SQL)
         t_seed = time.perf_counter() - t0
 
-        ctx = _make_context(sweep_snapshots, bench_workload, hyps)
+        ctx = _make_session(
+            _make_catalog(sweep_snapshots, bench_workload, hyps))
         t0 = time.perf_counter()
-        cold_frame = run_inspect_sql(ctx, SQL)
+        cold_frame = ctx.sql(SQL)
         t_cold = time.perf_counter() - t0
         t0 = time.perf_counter()
-        warm_frame = run_inspect_sql(ctx, SQL)
+        warm_frame = ctx.sql(SQL)
         t_warm = time.perf_counter() - t0
 
         timings = {"seed_frontend": t_seed, "shared_plan_cold": t_cold,

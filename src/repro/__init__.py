@@ -26,8 +26,8 @@ Quick start (the connection-style Session API)::
                  .hypotheses(hyps)
                  .run())
 
-The one-shot :func:`inspect` free function remains and is a thin shim over
-an ephemeral session.
+The stateless one-shot :func:`inspect` free function runs the same plan
+engine with the config exactly as given (no session resources).
 """
 
 from repro.core.cache import HypothesisCache, UnitBehaviorCache
@@ -36,13 +36,12 @@ from repro.core.inspect import InspectConfig, inspect, top_units
 from repro.core.pipeline import (InspectionPlan, ProcessPoolScheduler,
                                  Scheduler, SerialScheduler,
                                  ThreadPoolScheduler)
-from repro.core.progressive import inspect_progressive
 from repro.core.saliency import saliency_frame, top_symbols
 from repro.session import InspectionQuery, Session
 from repro.store import DiskBehaviorStore
 from repro.util.frame import Frame
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "DiskBehaviorStore",
@@ -61,7 +60,6 @@ __all__ = [
     "__version__",
     "all_units_group",
     "inspect",
-    "inspect_progressive",
     "layer_groups",
     "saliency_frame",
     "top_symbols",

@@ -61,6 +61,25 @@ def all_units_group(model, extractor: Extractor | None = None,
                      extractor=extractor)
 
 
+def model_groups(models, extractor: Extractor | None, unit_ids=None,
+                 resolve=None) -> list[UnitGroup]:
+    """One group per model: every unit, or ``unit_ids`` of each.
+
+    ``models`` is one model or a list of them; ``resolve`` maps each entry
+    to a live model first (a session resolving registered names).
+    """
+    if models is None:
+        raise ValueError("provide models or explicit unit_groups")
+    if not isinstance(models, (list, tuple)):
+        models = [models]
+    if resolve is not None:
+        models = [resolve(m) for m in models]
+    if unit_ids is None:
+        return [all_units_group(m, extractor) for m in models]
+    return [UnitGroup(model=m, unit_ids=unit_ids, name="selected")
+            for m in models]
+
+
 def layer_groups(model, layer_extractors: dict[str, Extractor]) -> list[UnitGroup]:
     """One group per named extractor (e.g. {'layer0': ..., 'layer1': ...})."""
     groups = []

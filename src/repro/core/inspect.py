@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.groups import UnitGroup
-from repro.core.pipeline import GroupMeasureOutcome, InspectConfig
+from repro.core.groups import UnitGroup, model_groups
+from repro.core.pipeline import (GroupMeasureOutcome, InspectConfig,
+                                 InspectionPlan)
 from repro.data.datasets import Dataset
 from repro.extract.base import Extractor
+from repro.extract.rnn import RnnActivationExtractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import Measure
 from repro.util.frame import Frame
@@ -63,25 +65,25 @@ def inspect(models, dataset: Dataset, scores, hypotheses,
         :class:`GroupMeasureOutcome` instead of a result frame (cheaper for
         large unit counts).
 
-    This is a thin shim over an ephemeral :class:`repro.session.Session`
-    (``session_defaults=False``, so no caches or pools are created behind
-    the caller's back): one call builds one fluent query and runs it.
-    Long-lived workloads should hold a ``Session`` instead — repeated
-    queries then share extraction through its caches.
+    Stateless: the call compiles one
+    :class:`~repro.core.pipeline.InspectionPlan` from ``config`` exactly as
+    given and executes it — no caches or pools are created behind the
+    caller's back.  Long-lived workloads should hold a
+    :class:`repro.session.Session` instead — repeated queries then share
+    extraction through its caches.
     """
-    from repro.session import Session  # session builds on this module
     if isinstance(scores, Measure):
         scores = [scores]
     if isinstance(hypotheses, HypothesisFunction):
         hypotheses = [hypotheses]
-    with Session(extractor=extractor, config=config,
-                 session_defaults=False) as session:
-        query = (session.inspect(models, dataset)
-                 .using(list(scores))
-                 .hypotheses(list(hypotheses)))
-        if unit_groups is not None:
-            query.where(groups=unit_groups)
-        return query.run(as_frame=as_frame)
+    if extractor is None:
+        extractor = RnnActivationExtractor()
+    if unit_groups is None:
+        unit_groups = model_groups(models, extractor)
+    outcomes = InspectionPlan.build(
+        list(unit_groups), dataset, list(scores), list(hypotheses),
+        extractor, config or InspectConfig()).execute()
+    return outcomes_to_frame(outcomes) if as_frame else outcomes
 
 
 def outcomes_to_frame(outcomes: list[GroupMeasureOutcome]) -> Frame:

@@ -332,7 +332,6 @@ class InspectConfig:
     store: DiskBehaviorStore | None = None   # persistent disk tier
     scheduler: Scheduler | str | None = None  # None -> serial
     partition: bool = True      # per-hypothesis-column early stopping
-    partition_min_rows: int = 0  # rows a state must see before freezing
     #: double-buffered extraction: while block t scores, block t+1's raw
     #: sweep runs on the scheduler (overlapping schedulers only; frames
     #: stay bit-identical — see InspectionPlan._run_blocks)
@@ -379,7 +378,7 @@ class InspectConfig:
         if self.stopwatch is None:
             self.stopwatch = Stopwatch()
 
-    def with_session_defaults(
+    def with_defaults(
             self, cache: HypothesisCache | None = None,
             unit_cache: UnitBehaviorCache | None = None,
             scheduler: Scheduler | str | None = None,
@@ -756,7 +755,6 @@ class ScoreTask:
                            and not self.single_shot)
         self.partition = (self.early_stop and config.partition
                           and measure.supports_partition)
-        self.partition_min_rows = config.partition_min_rows
         self.state = (None if self.single_shot
                       else measure.new_state(group.n_units, n_hyps))
         self.active_cols = np.arange(n_hyps)
@@ -802,8 +800,6 @@ class ScoreTask:
             self.done = True
 
     def _freeze_converged(self) -> None:
-        if self.state.n_rows < self.partition_min_rows:
-            return
         errors = self.state.column_errors()
         if errors is None:  # state opted out at runtime: scalar fallback
             if self.state.error() <= self.threshold:
@@ -1034,22 +1030,6 @@ class InspectionPlan:
             if owned:
                 scheduler.shutdown()
 
-    def execute_progressive(self):
-        """Generator over per-block result snapshots (Section 5.2.3).
-
-        Yields the full outcome list after every processed block, so
-        interactive callers watch scores refine as blocks arrive; the final
-        snapshot is exactly :meth:`execute`'s return value (same loop, same
-        states, same order).  Abandoning the generator stops the run
-        cleanly: the store scope flushes and an owned scheduler shuts down
-        on ``close()``, and no further extraction happens.
-        """
-        # closing(): GeneratorExit at our yield must still run the inner
-        # generator's cleanup promptly (store flush, owned-pool shutdown)
-        with contextlib.closing(self.execute_blocks()) as steps:
-            for _ in steps:
-                yield self.outcomes()
-
     def outcomes(self) -> list[GroupMeasureOutcome]:
         """Current (possibly partial) outcome snapshot of every task."""
         names = [h.name for h in self.hypotheses]
@@ -1192,14 +1172,3 @@ class InspectionPlan:
                 # swallow its error — nobody consumes the result
                 if not prefetched.cancel():
                     prefetched.exception()
-
-
-def run_inspection(groups: list[UnitGroup], dataset: Dataset,
-                   measures: list[Measure],
-                   hypotheses: list[HypothesisFunction],
-                   extractor: Extractor,
-                   config: InspectConfig) -> list[GroupMeasureOutcome]:
-    """Execute DNI-General and return one outcome per (group, measure)."""
-    plan = InspectionPlan.build(groups, dataset, measures, hypotheses,
-                                extractor, config)
-    return plan.execute()

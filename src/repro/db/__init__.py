@@ -19,8 +19,7 @@ from repro.db.engine import Database, Table
 from repro.db.executor import (DEFAULT_ENGINE, ENGINES, SelectQuery,
                                execute_select)
 from repro.db.expr import AmbiguousColumnError
-from repro.db.inspect_clause import (InspectQuery, run_inspect_spec,
-                                     run_inspect_sql)
+from repro.db.inspect_clause import run_inspect_spec
 from repro.db.madlib import logregr_predict, logregr_train
 from repro.db.planner import plan_scan
 from repro.db.sqlparser import parse_sql
@@ -32,7 +31,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
     "Database",
-    "InspectQuery",
     "SelectQuery",
     "Table",
     "TableStorage",
@@ -42,5 +40,4 @@ __all__ = [
     "logregr_train",
     "parse_sql",
     "run_inspect_spec",
-    "run_inspect_sql",
 ]

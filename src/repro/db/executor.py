@@ -36,7 +36,7 @@ import numpy as np
 from repro.db.aggregates import get_aggregate
 from repro.db.engine import MAX_EXPRESSIONS, Database
 from repro.db.expr import AggregateRef, Expr
-from repro.db.planner import plan_scan
+from repro.db.planner import plan_scan, predicate_mask
 
 Row = dict[str, Any]
 
@@ -91,13 +91,13 @@ def execute_select(db: Database, query: SelectQuery,
         rows, presorted = _execute_columnar(db, query)
     rows = _finalize(rows, query, skip_order=presorted)
     if query.into:
-        _materialize_into(db, query.into,
-                          [it.alias for it in query.items], rows)
+        materialize_into(db, query.into,
+                         [it.alias for it in query.items], rows)
     return rows
 
 
-def _materialize_into(db: Database, name: str, columns: list[str],
-                      rows: list[Row]) -> None:
+def materialize_into(db: Database, name: str, columns: list[str],
+                     rows: list[Row]) -> None:
     """SELECT INTO: persist the result rows as a (committed) table."""
     table = db.create_table(name, columns, replace=True)
     table.insert_many([tuple(r[c] for c in columns) for r in rows])
@@ -339,10 +339,7 @@ def _execute_columnar(db: Database,
             cols, n = _join_columnar(db, cols, join)
 
         if query.where is not None:
-            mask = np.asarray(query.where.eval_batch(cols))
-            if mask.ndim == 0:
-                mask = np.full(n, bool(mask))
-            mask = mask.astype(bool)
+            mask = predicate_mask(query.where, cols, n)
             cols = gather(cols, mask)
             n = int(mask.sum())
 

@@ -29,7 +29,7 @@ engine rather than interpreted row-at-a-time:
 2. **Shared inspection plan** -- GROUP BY keys are factorized over the
    joined relation, the per-group (model, unit-set, hypothesis) workloads
    are deduplicated across groups, and ONE plan-engine run
-   (:func:`repro.core.pipeline.run_inspection`) scores everything, wired to
+   (:class:`repro.core.pipeline.InspectionPlan`) scores everything, wired to
    the session's :class:`~repro.core.cache.HypothesisCache` /
    :class:`~repro.core.cache.UnitBehaviorCache` and scheduler.  The
    scheduler is resolved once per statement and shared across the
@@ -51,111 +51,33 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.cache import HypothesisCache, UnitBehaviorCache
 from repro.core.groups import UnitGroup
-from repro.core.pipeline import (InspectConfig, InspectionPlan, Scheduler,
-                                 _resolve_scheduler, run_inspection)
-from repro.data.datasets import Dataset
+from repro.core.pipeline import InspectionPlan, _resolve_scheduler
 from repro.db.engine import Database, Table
 from repro.db.executor import (SelectItem, SelectQuery, _broadcast,
-                               equi_match, execute_select, gather, group_ids)
+                               equi_match, execute_select, gather, group_ids,
+                               materialize_into)
 from repro.db.expr import (AggregateRef, AmbiguousColumnError, Arith, BoolOp,
                            Column, Compare, Expr)
-from repro.db.sqlparser import InspectSpec, parse_sql
-from repro.extract.base import Extractor
+from repro.db.planner import flatten_and, predicate_mask
+from repro.db.sqlparser import InspectSpec
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.registry import get_measure
-from repro.store import DiskBehaviorStore
 from repro.util.frame import Frame
+
+if TYPE_CHECKING:  # repro.session imports this module
+    from repro.session import Session
 
 #: schema of the temporary score relation produced by the INSPECT clause
 S_COLUMNS = ("uid", "hid", "mid", "score_id", "group_score", "unit_score")
 
 _TMP_TABLE = "__inspect_s__"
-
-
-@dataclass
-class InspectQuery:
-    """Binding context: catalog database + live Python objects.
-
-    Since PR 5 this is a thin shim over :class:`repro.session.Session` —
-    the context creates one session that owns the resource lifecycle
-    (shared caches, an optional persistent store, one scheduler pool), and
-    mirrors the session's resources onto its public fields.  Unless the
-    supplied :class:`InspectConfig` pins them, queries share a
-    hypothesis-behavior cache, a unit-behavior cache and a thread-pool
-    scheduler across calls, so a repeated or refined query only pays for
-    what changed.  Point ``store_path`` (or ``store``) at a directory and
-    the session caches become memory tiers over a persistent
-    :class:`~repro.store.DiskBehaviorStore`: a new process opening a
-    context on the same path serves previously-inspected queries without
-    re-running any model.
-    """
-
-    db: Database
-    models: dict[str, Any]                       # mid -> model object
-    hypotheses: dict[str, HypothesisFunction]    # h -> hypothesis object
-    datasets: dict[str, Dataset]                 # did -> dataset object
-    extractor: Extractor
-    config: InspectConfig = field(default_factory=InspectConfig)
-    hyp_cache: HypothesisCache | None = None
-    unit_cache: UnitBehaviorCache | None = None
-    scheduler: Scheduler | str | None = None
-    store: DiskBehaviorStore | None = None
-    store_path: str | None = None
-    session_defaults: bool = True   # False: run with config exactly as given
-
-    def __post_init__(self) -> None:
-        from repro.session import Session  # session builds on this module
-        self._session = Session(
-            db=self.db, models=self.models, hypotheses=self.hypotheses,
-            datasets=self.datasets, extractor=self.extractor,
-            config=self.config, hyp_cache=self.hyp_cache,
-            unit_cache=self.unit_cache, scheduler=self.scheduler,
-            store=self.store, store_path=self.store_path,
-            session_defaults=self.session_defaults)
-        # the registries are shared by reference; mirror the resources the
-        # session resolved/created so the public fields stay live
-        self.store = self._session.store
-        self.hyp_cache = self._session.hyp_cache
-        self.unit_cache = self._session.unit_cache
-        self.scheduler = self._session.scheduler
-
-    @property
-    def session(self):
-        """The owning :class:`repro.session.Session`."""
-        return self._session
-
-    def effective_config(self) -> InspectConfig:
-        """The per-run config with session defaults filled in."""
-        return self._session.effective_config()
-
-    def close(self) -> None:
-        """Flush the session store and release the scheduler's pool."""
-        self._session.close()
-
-    def __enter__(self) -> "InspectQuery":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def register_model(self, mid: str, model, **attrs) -> None:
-        # seed-exact behavior: a models catalog row only (no implicit
-        # units rows), and *any* attr name is a column — including names
-        # Session.register_model reserves as keywords (units, layer, ...)
-        self.models[mid] = model
-        table = self.db.tables.get("models")
-        if table is None:
-            table = self.db.create_table(
-                "models", ["mid"] + sorted(attrs))
-        table.insert([mid] + [attrs[c] for c in table.columns[1:]])
 
 
 # ----------------------------------------------------------------------
@@ -254,22 +176,13 @@ class CatalogPlan:
         return "\n".join(lines + [")"])
 
 
-def _flatten_and(pred: Expr) -> list[Expr]:
-    if isinstance(pred, BoolOp) and pred.op == "and":
-        out: list[Expr] = []
-        for operand in pred.operands:
-            out += _flatten_and(operand)
-        return out
-    return [pred]
-
-
 def plan_catalog(tables: list[tuple[str, str]],
                  where: Expr | None) -> CatalogPlan:
     """Classify the (resolved) WHERE conjunction for pushdown and joins."""
     pushed: dict[str, list[Expr]] = {}
     edges: list[tuple[str, str]] = []
     residual: list[Expr] = []
-    for conj in (_flatten_and(where) if where is not None else []):
+    for conj in (flatten_and(where) if where is not None else []):
         aliases = {c.split(".")[0] for c in conj.columns()}
         if len(aliases) == 1:
             pushed.setdefault(aliases.pop(), []).append(conj)
@@ -287,10 +200,7 @@ def _and_mask(preds: list[Expr], cols: dict[str, np.ndarray],
               n: int) -> np.ndarray:
     mask = np.ones(n, dtype=bool)
     for pred in preds:
-        m = np.asarray(pred.eval_batch(cols))
-        if m.ndim == 0:
-            m = np.full(n, bool(m))
-        mask &= m.astype(bool)
+        mask &= predicate_mask(pred, cols, n)
     return mask
 
 
@@ -423,7 +333,7 @@ def _model_column(spec: InspectSpec, schema: Schema) -> str:
     return schema.resolve("mid")
 
 
-def _group_datasets(context: InspectQuery, spec: InspectSpec,
+def _group_datasets(session: Session, spec: InspectSpec,
                     schema: Schema, cols: dict[str, np.ndarray],
                     gids: np.ndarray, n_groups: int) -> list[str]:
     """The dataset id each GROUP BY group targets.
@@ -440,39 +350,25 @@ def _group_datasets(context: InspectQuery, spec: InspectSpec,
     if did_col is None and "did" in schema.owners:
         did_col = cols[schema.resolve("did")]  # ambiguity raises here
     if did_col is None:
-        if len(context.datasets) != 1:
+        if len(session.datasets) != 1:
             raise ValueError(
                 "cannot determine the INSPECT dataset: no catalog relation "
-                "exposes a 'did' column and the context registers "
-                f"{len(context.datasets)} datasets")
-        return [next(iter(context.datasets))] * n_groups
+                "exposes a 'did' column and the session registers "
+                f"{len(session.datasets)} datasets")
+        return [next(iter(session.datasets))] * n_groups
     dids: list[str] = []
     for g in range(n_groups):
         group_dids = set(np.unique(did_col[gids == g]).tolist())
         if len(group_dids) != 1:
             raise ValueError("INSPECT must target one dataset per group, "
                              f"got {sorted(group_dids)}")
-        dids.append(group_dids.pop())
+        dids.append(str(group_dids.pop()))
     return dids
 
 
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def run_inspect_sql(context, sql: str) -> Frame:
-    """Parse and execute a SQL statement with an INSPECT clause.
-
-    ``context`` is anything exposing the binding surface — ``db``,
-    ``models``, ``hypotheses``, ``datasets``, ``extractor`` and
-    ``effective_config()`` — i.e. an :class:`InspectQuery` or a
-    :class:`repro.session.Session`.
-    """
-    spec = parse_sql(sql)
-    if not isinstance(spec, InspectSpec):
-        raise ValueError("query has no INSPECT clause; use execute_select")
-    return run_inspect_spec(context, spec)
-
-
 @dataclass
 class _CompiledInspect:
     """An INSPECT statement compiled up to (but excluding) execution.
@@ -486,7 +382,7 @@ class _CompiledInspect:
     frames are bit-identical by construction.
     """
 
-    context: Any
+    db: Database
     spec: InspectSpec
     out_columns: list[str]
     select_items: list[SelectItem] = field(default_factory=list)
@@ -502,55 +398,82 @@ class _CompiledInspect:
     hyp_objs: list[HypothesisFunction] = field(default_factory=list)
     empty: bool = False   # catalog plan produced zero rows
 
-    def dataset(self, did: str) -> Dataset:
-        try:
-            return self.context.datasets[did]
-        except KeyError:
-            raise KeyError(f"dataset {did!r} is not registered with the "
-                           "InspectQuery context") from None
-
-    def empty_frame(self) -> Frame:
-        return Frame.from_records([], columns=self.out_columns)
-
     def assemble(self, outcomes_by_did: dict[str, list]) -> Frame:
         """Materialize S from outcome snapshots and finish columnar."""
+        if self.empty:
+            return Frame.from_records([], columns=self.out_columns)
         s_cols = _materialize_s(self.catalog_keep, self.workloads,
                                 outcomes_by_did, self.plan_index,
                                 self.hyp_col_of, len(self.measures),
                                 self.spec.inspect_alias)
-        return _finish_columnar(self.context.db, s_cols, self.select_items,
+        return _finish_columnar(self.db, s_cols, self.select_items,
                                 self.having, self.spec, self.out_schema,
                                 self.out_columns)
 
-    def persist(self, frame: Frame) -> Frame:
-        return _persist_into(self.context.db, self.spec, frame)
+
+@dataclass
+class _Statement:
+    """One INSPECT statement in flight (see :func:`_open_statement`)."""
+
+    compiled: _CompiledInspect
+    plans: dict[str, InspectionPlan]           # did -> that dataset's plan
+    outcomes_by_did: dict[str, list] = field(default_factory=dict)
+    frame: Frame | None = None                 # latest assembled output
+
+    def assemble(self) -> Frame:
+        self.frame = self.compiled.assemble(self.outcomes_by_did)
+        return self.frame
 
 
-def run_inspect_spec(context, spec: InspectSpec) -> Frame:
-    compiled = _compile_inspect(context, spec)
-    if compiled.empty:
-        return compiled.persist(compiled.empty_frame())
+@contextlib.contextmanager
+def _open_statement(session: Session,
+                    spec: InspectSpec) -> Iterator[_Statement]:
+    """The statement lifecycle both executors share.
 
-    # resolve the scheduler once for the whole statement (a GROUP BY D.did
-    # sweep runs one plan per dataset) and release its worker pool before
-    # returning when this statement created it — repeated queries must not
-    # leak pools, nor rebuild one per dataset
-    config = context.effective_config()
+    Compiles the catalog stages, resolves the scheduler once for the whole
+    statement (a GROUP BY D.did sweep runs one plan per dataset) and
+    builds every per-dataset plan on it; the caller drains the plans and
+    assembles.  On exit a pool this statement created is shut down —
+    repeated queries must not leak pools, nor rebuild one per dataset —
+    and, only when the caller completed (no error, not abandoned: a
+    cancelled query must not commit a half-scored table), ``INTO``
+    persists the last assembled frame.
+    """
+    config = session.effective_config()   # raises on a closed session
+    compiled = _compile_inspect(session, spec)
     scheduler, owned = _resolve_scheduler(config.scheduler)
-    outcomes_by_did: dict[str, list] = {}
     try:
         run_config = dataclasses.replace(config, scheduler=scheduler)
-        for did, groups_d in compiled.runs.items():
-            outcomes_by_did[did] = run_inspection(
-                groups_d, compiled.dataset(did), compiled.measures,
-                compiled.hyp_objs, context.extractor, run_config)
+        statement = _Statement(compiled, {
+            did: InspectionPlan.build(
+                groups_d, session.dataset(did), compiled.measures,
+                compiled.hyp_objs, session.extractor, run_config)
+            for did, groups_d in compiled.runs.items()})
+        yield statement
     finally:
         if owned:
             scheduler.shutdown()
-    return compiled.persist(compiled.assemble(outcomes_by_did))
+    if spec.into:
+        # on a persistent database the committed table gets automatic
+        # B-tree indexes on its hot columns, so later SELECTs over the
+        # saved scores run index-backed — and a reopened session answers
+        # them with zero extraction or re-scoring
+        frame = statement.frame
+        materialize_into(session.db, spec.into, frame.columns, frame.rows())
 
 
-def stream_inspect_spec(context, spec: InspectSpec):
+def run_inspect_spec(session: Session, spec: InspectSpec) -> Frame:
+    """One-shot INSPECT execution: each per-dataset plan drains itself
+    (``plan.execute()`` prefetches a block ahead), one assembly at the
+    end."""
+    with _open_statement(session, spec) as statement:
+        for did, plan in statement.plans.items():
+            statement.outcomes_by_did[did] = plan.execute()
+        return statement.assemble()
+
+
+def stream_inspect_spec(session: Session,
+                        spec: InspectSpec) -> Iterator[Frame]:
     """Progressive INSPECT execution: one result frame per processed block.
 
     Compiles the statement exactly like :func:`run_inspect_spec`, then
@@ -565,31 +488,17 @@ def stream_inspect_spec(context, spec: InspectSpec):
     for progress reporting.  Abandoning the generator stops the run
     cleanly — pending store scopes flush, owned scheduler pools shut
     down, sweep-gate leases release — and skips the ``INTO`` persist
-    step (a cancelled query must not commit a half-scored table).
+    step.
     """
-    compiled = _compile_inspect(context, spec)
-    if compiled.empty:
-        frame = compiled.persist(compiled.empty_frame())
-        frame.records_processed = 0
-        frame.converged = True
-        yield frame
-        return
-
-    config = context.effective_config()
-    scheduler, owned = _resolve_scheduler(config.scheduler)
-    try:
-        run_config = dataclasses.replace(config, scheduler=scheduler)
-        plans = {did: InspectionPlan.build(
-                     groups_d, compiled.dataset(did), compiled.measures,
-                     compiled.hyp_objs, context.extractor, run_config)
-                 for did, groups_d in compiled.runs.items()}
+    with _open_statement(session, spec) as statement:
+        plans, outcomes_by_did = statement.plans, statement.outcomes_by_did
         # zero-snapshot every dataset up front: partial frames keep the
         # full output shape while earlier datasets are still running
-        outcomes_by_did = {did: plan.outcomes()
-                           for did, plan in plans.items()}
+        outcomes_by_did.update(
+            (did, plan.outcomes()) for did, plan in plans.items())
 
         def snapshot() -> Frame:
-            frame = compiled.assemble(outcomes_by_did)
+            frame = statement.assemble()
             frame.records_processed = max(
                 (o.records_processed
                  for outs in outcomes_by_did.values() for o in outs),
@@ -599,28 +508,21 @@ def stream_inspect_spec(context, spec: InspectSpec):
                 for plan in plans.values() for task in plan.tasks)
             return frame
 
-        last: Frame | None = None
         for did, plan in plans.items():
             # closing(): GeneratorExit at our yield still runs the block
             # generator's cleanup promptly (store flush, lease release)
             with contextlib.closing(plan.execute_blocks()) as steps:
                 for _ in steps:
                     outcomes_by_did[did] = plan.outcomes()
-                    last = snapshot()
-                    yield last
-        if last is None:   # zero-block run (empty dataset): still one frame
-            last = snapshot()
-            compiled.persist(last)
-            yield last
-        else:
-            compiled.persist(last)
-    finally:
-        if owned:
-            scheduler.shutdown()
+                    yield snapshot()
+        if statement.frame is None:
+            # zero-block run (empty catalog or dataset): still one frame
+            yield snapshot()
 
 
-def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
-    db = context.db
+def _compile_inspect(session: Session,
+                     spec: InspectSpec) -> _CompiledInspect:
+    db = session.db
     if any(alias == spec.inspect_alias for _, alias in spec.tables):
         raise ValueError(f"INSPECT alias {spec.inspect_alias!r} collides "
                          "with a FROM table alias")
@@ -642,8 +544,8 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
     out_columns = [item.alias for item in select_items]
     cols, n = execute_catalog_plan(db, plan_catalog(spec.tables, where))
     if n == 0:
-        return _CompiledInspect(context=context, spec=spec,
-                                out_columns=out_columns, empty=True)
+        return _CompiledInspect(db=db, spec=spec, out_columns=out_columns,
+                                empty=True)
 
     # factorize GROUP BY keys over the joined relation
     if group_by:
@@ -655,7 +557,7 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
     mid_arr = cols[_model_column(spec, catalog_schema)]
     uid_arr = cols[catalog_schema.resolve(spec.unit_ref)]
     hyp_arr = cols[catalog_schema.resolve(spec.hyp_ref)]
-    group_dids = _group_datasets(context, spec, catalog_schema, cols,
+    group_dids = _group_datasets(session, spec, catalog_schema, cols,
                                  gids, n_groups)
     measures = [get_measure(name) for name in spec.measures]
     workloads = _collect_workloads(gids, n_groups, mid_arr, uid_arr, hyp_arr)
@@ -676,20 +578,11 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
             key = (workload.did, mid, uids.tobytes())
             if key in plan_index:
                 continue
-            try:
-                model = context.models[mid]
-            except KeyError:
-                raise KeyError(f"model {mid!r} is not registered with the "
-                               "InspectQuery context") from None
             groups_d = runs.setdefault(workload.did, [])
             plan_index[key] = len(groups_d)
-            groups_d.append(UnitGroup(model=model, unit_ids=uids,
-                                      name=f"mid={mid}"))
-    try:
-        hyp_objs = [context.hypotheses[name] for name in hyp_names]
-    except KeyError as exc:
-        raise KeyError(f"hypothesis {exc.args[0]!r} is not registered with "
-                       "the InspectQuery context") from None
+            groups_d.append(UnitGroup(model=session.model(mid),
+                                      unit_ids=uids, name=f"mid={mid}"))
+    hyp_objs = [session.hypothesis(name) for name in hyp_names]
     hyp_col_of = {name: j for j, name in enumerate(hyp_names)}
 
     # only catalog columns the SELECT/HAVING/ORDER BY actually reference
@@ -704,27 +597,11 @@ def _compile_inspect(context, spec: InspectSpec) -> _CompiledInspect:
     catalog_keep = {q: arr for q, arr in cols.items() if q in needed}
 
     return _CompiledInspect(
-        context=context, spec=spec, out_columns=out_columns,
+        db=db, spec=spec, out_columns=out_columns,
         select_items=select_items, having=having, out_schema=out_schema,
         catalog_keep=catalog_keep, workloads=workloads, runs=runs,
         plan_index=plan_index, hyp_col_of=hyp_col_of, measures=measures,
         hyp_objs=hyp_objs)
-
-
-def _persist_into(db: Database, spec: InspectSpec, frame: Frame) -> Frame:
-    """SELECT ... INTO t INSPECT ...: keep the score frame as a table.
-
-    On a persistent database the committed table gets automatic B-tree
-    indexes on its hot columns, so later ``SELECT``s over the saved
-    scores run index-backed — and a reopened session answers them with
-    zero extraction or re-scoring.
-    """
-    if spec.into:
-        table = db.create_table(spec.into, frame.columns, replace=True)
-        table.insert_many([tuple(row[c] for c in frame.columns)
-                           for row in frame.rows()])
-        db.commit()  # no-op for in-memory databases
-    return frame
 
 
 def _materialize_s(cols: dict[str, np.ndarray],

@@ -44,12 +44,12 @@ _IMIN = np.iinfo(np.int64).min
 _EMPTY = object()
 
 
-def _flatten_and(expr: Expr) -> list[Expr]:
+def flatten_and(expr: Expr) -> list[Expr]:
     """Conjuncts of an AND chain (the expression itself when not AND)."""
     if isinstance(expr, BoolOp) and expr.op == "and":
         out: list[Expr] = []
         for operand in expr.operands:
-            out.extend(_flatten_and(operand))
+            out.extend(flatten_and(operand))
         return out
     return [expr]
 
@@ -281,11 +281,11 @@ def _collect_bounds(scope: _TableScope, conjuncts: list[Expr],
     return bounds, residual
 
 
-def _residual_mask(residual: Expr | None, cols: dict[str, np.ndarray],
-                   n: int) -> np.ndarray | None:
-    if residual is None:
-        return None
-    mask = np.asarray(residual.eval_batch(cols))
+def predicate_mask(pred: Expr, cols: dict[str, np.ndarray],
+                   n: int) -> np.ndarray:
+    """One predicate over ``n`` rows as a boolean mask (a scalar result
+    broadcasts)."""
+    mask = np.asarray(pred.eval_batch(cols))
     if mask.ndim == 0:
         mask = np.full(n, bool(mask))
     return mask.astype(bool)
@@ -325,7 +325,7 @@ def plan_scan(db: Database, query):
         if bare not in bare_needed:
             bare_needed.append(bare)
 
-    conjuncts = _flatten_and(query.where) if query.where is not None else []
+    conjuncts = flatten_and(query.where) if query.where is not None else []
 
     plan = _plan_topk(db, query, scope, conjuncts, bare_needed)
     if plan is not None:
@@ -376,7 +376,7 @@ def _plan_topk(db: Database, query, scope: _TableScope,
                                bounds.hi_incl, descending=query.descending):
             if residual is not None:
                 rcols = scope.gather(batch, residual_cols)
-                mask = _residual_mask(residual, rcols, batch.shape[0])
+                mask = predicate_mask(residual, rcols, batch.shape[0])
                 batch = batch[mask]
             if batch.size:
                 parts.append(batch)
@@ -439,12 +439,12 @@ def _plan_range(db: Database, query, scope: _TableScope,
                 gather_cols.append(bare)
     cols = scope.gather(rids, gather_cols)
     n = int(rids.shape[0])
-    mask = _residual_mask(residual, cols, n)
-    if mask is not None:
+    if residual is not None:
+        mask = predicate_mask(residual, cols, n)
         cols = {name: arr[mask] for name, arr in cols.items()}
         n = int(mask.sum())
     db.index_scans += 1
     return cols, n, False
 
 
-__all__ = ["plan_scan"]
+__all__ = ["flatten_and", "plan_scan", "predicate_mask"]

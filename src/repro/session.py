@@ -39,9 +39,9 @@ both query surfaces:
   one model share a single forward pass and one store commit per run.
 
 ``close()`` (or leaving the ``with`` block) flushes the store and shuts
-the scheduler pool down.  The seed APIs remain: :func:`repro.inspect` and
-:class:`repro.db.inspect_clause.InspectQuery` are thin shims over an
-ephemeral ``Session``.
+the scheduler pool down.  A session is the only stateful way in;
+:func:`repro.inspect` is the stateless one-liner over the same
+:class:`~repro.core.pipeline.InspectionPlan` engine.
 """
 
 from __future__ import annotations
@@ -57,19 +57,23 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from repro.core.cache import HypothesisCache, UnitBehaviorCache
-from repro.core.groups import UnitGroup, all_units_group
+from repro.core.groups import UnitGroup, model_groups
 from repro.core.inspect import outcomes_to_frame
 from repro.core.pipeline import (InspectConfig, InspectionPlan,
                                  ProcessPoolScheduler, Scheduler,
                                  _resolve_scheduler, default_scheduler)
 from repro.data.datasets import Dataset
 from repro.db.engine import Database
+from repro.db.executor import execute_select
+from repro.db.inspect_clause import run_inspect_spec, stream_inspect_spec
 from repro.db.sqlparser import InspectSpec, parse_sql
 from repro.extract.base import Extractor
+from repro.extract.rnn import RnnActivationExtractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import Measure
 from repro.measures.registry import get_measure
 from repro.store import DiskBehaviorStore
+from repro.util.debuglog import degradation_counts
 from repro.util.frame import Frame
 
 
@@ -85,37 +89,32 @@ class Session:
     db:
         Catalog database for the SQL frontend; created empty on first use
         when omitted (``register_*`` fills it).
-    models / hypotheses / datasets:
-        Pre-filled registries (shared by reference — the
-        :class:`~repro.db.inspect_clause.InspectQuery` shim relies on
-        this); usually left to :meth:`register_model` & friends.
+    db_path:
+        Directory of a persistent paged catalog instead (see :attr:`db`).
     extractor:
         Default unit-behavior extractor for both query surfaces; defaults
         to :class:`~repro.extract.rnn.RnnActivationExtractor`.
     config:
         Base :class:`InspectConfig` every query derives from.  Fields it
         pins (an explicit cache, scheduler, store...) override the
-        session's resources for every query, exactly like the seed APIs.
-    session_defaults:
-        When False the session creates *no* resources of its own and
-        :meth:`effective_config` returns ``config`` untouched — the mode
-        the ephemeral-``Session`` shims run in, preserving seed behavior.
+        session's resources for every query.
+    scheduler:
+        A :class:`Scheduler` or scheduler name for every query;
+        :func:`~repro.core.pipeline.default_scheduler` picks one when
+        neither this nor ``config.scheduler`` is set.
+    sweep_gate:
+        Cross-query single-flight gate over cold raw sweeps (see
+        :attr:`InspectConfig.sweep_gate`).
     """
 
     def __init__(self, store_path=None, *,
                  store: DiskBehaviorStore | None = None,
                  db: Database | None = None,
                  db_path: str | None = None,
-                 models: dict | None = None,
-                 hypotheses: dict[str, HypothesisFunction] | None = None,
-                 datasets: dict[str, Dataset] | None = None,
                  extractor: Extractor | None = None,
                  config: InspectConfig | None = None,
-                 hyp_cache: HypothesisCache | None = None,
-                 unit_cache: UnitBehaviorCache | None = None,
                  scheduler: Scheduler | str | None = None,
-                 sweep_gate=None,
-                 session_defaults: bool = True):
+                 sweep_gate=None):
         self.config = config or InspectConfig()
         #: cross-query single-flight gate over cold raw sweeps (the
         #: inspection server installs a SweepRegistry here); threaded into
@@ -141,49 +140,41 @@ class Session:
                 "DiskBehaviorStore and config.store names another; pass a "
                 "single store object (or drop one of them)")
         self.store = store
-        self.models: dict = models if models is not None else {}
-        self.hypotheses: dict[str, HypothesisFunction] = (
-            hypotheses if hypotheses is not None else {})
-        self.datasets: dict[str, Dataset] = (
-            datasets if datasets is not None else {})
+        self.models: dict = {}
+        self.hypotheses: dict[str, HypothesisFunction] = {}
+        self.datasets: dict[str, Dataset] = {}
         if db is not None and db_path is not None:
             raise ValueError("pass either db= or db_path=, not both")
         self._db = db
         self._db_path = db_path
-        if extractor is None:
-            from repro.extract.rnn import RnnActivationExtractor
-            extractor = RnnActivationExtractor()
-        self.extractor = extractor
-        self.session_defaults = session_defaults
-        self.hyp_cache = hyp_cache
-        self.unit_cache = unit_cache
+        self.extractor = extractor or RnnActivationExtractor()
         self.scheduler = scheduler
         self._closed = False
-        if session_defaults:
-            if self.scheduler is None and self.config.scheduler is None:
-                self.scheduler = default_scheduler(store=self.store)
-                # the session owns this scheduler: release its worker pool
-                # when the session is collected, not only on close()
-                weakref.finalize(self, self.scheduler.shutdown)
-            elif isinstance(self.scheduler, str):
-                # resolve name specs to one session-owned instance, so
-                # every query (Python and SQL) shares a single pool
-                # instead of building an ephemeral one per statement
-                self.scheduler, _ = _resolve_scheduler(self.scheduler)
-                weakref.finalize(self, self.scheduler.shutdown)
-            # a store-less session running the process scheduler still
-            # needs an exchange medium for worker shards: back the caches
-            # with the scheduler's temp-dir scratch store (removed on
-            # scheduler shutdown), so shard-parallel extraction works —
-            # and stays warm across queries — without a store_path
-            backing = self.store
-            if backing is None and isinstance(self.scheduler,
-                                              ProcessPoolScheduler):
-                backing = self.scheduler.scratch_store()
-            if self.hyp_cache is None and self.config.cache is None:
-                self.hyp_cache = HypothesisCache(store=backing)
-            if self.unit_cache is None and self.config.unit_cache is None:
-                self.unit_cache = UnitBehaviorCache(store=backing)
+        if self.scheduler is None and self.config.scheduler is None:
+            self.scheduler = default_scheduler(store=self.store)
+            # the session owns this scheduler: release its worker pool
+            # when the session is collected, not only on close()
+            weakref.finalize(self, self.scheduler.shutdown)
+        elif isinstance(self.scheduler, str):
+            # resolve name specs to one session-owned instance, so
+            # every query (Python and SQL) shares a single pool
+            # instead of building an ephemeral one per statement
+            self.scheduler, _ = _resolve_scheduler(self.scheduler)
+            weakref.finalize(self, self.scheduler.shutdown)
+        # a store-less session running the process scheduler still
+        # needs an exchange medium for worker shards: back the caches
+        # with the scheduler's temp-dir scratch store (removed on
+        # scheduler shutdown), so shard-parallel extraction works —
+        # and stays warm across queries — without a store_path
+        backing = self.store
+        if backing is None and isinstance(self.scheduler,
+                                          ProcessPoolScheduler):
+            backing = self.scheduler.scratch_store()
+        # a cache pinned on config= serves every query instead
+        self.hyp_cache = (HypothesisCache(store=backing)
+                          if self.config.cache is None else None)
+        self.unit_cache = (UnitBehaviorCache(store=backing)
+                           if self.config.unit_cache is None else None)
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -218,9 +209,9 @@ class Session:
         Idempotent; after closing, issuing queries through this session
         raises :class:`RuntimeError` (a shut-down pool would otherwise
         silently respawn its worker threads).  The held scheduler is shut
-        down even when the caller supplied it — the seed ``InspectQuery``
-        contract; a scheduler shared with another *live* session stays
-        usable there, lazily respawning its pool on next use.
+        down even when the caller supplied it; a scheduler shared with
+        another *live* session stays usable there, lazily respawning its
+        pool on next use.
         """
         if self._closed:
             return
@@ -421,13 +412,11 @@ class Session:
 
         Raises once the session is closed — every query path (builder,
         ``sql()``, and the lower-level ``run_inspect_spec`` entry points
-        that take the session as their context) resolves its config here,
-        so none of them can silently respawn a shut-down pool.
+        that take the session) resolves its config here, so none of them
+        can silently respawn a shut-down pool.
         """
         self._check_open()
-        if not self.session_defaults:
-            return self.config
-        return self.config.with_session_defaults(
+        return self.config.with_defaults(
             cache=self.hyp_cache, unit_cache=self.unit_cache,
             scheduler=self.scheduler, store=self.store,
             sweep_gate=self.sweep_gate)
@@ -457,8 +446,6 @@ class Session:
             return self._sql(statement)
 
     def _sql(self, statement: str) -> Frame:
-        from repro.db.executor import execute_select
-        from repro.db.inspect_clause import run_inspect_spec
         parsed = parse_sql(statement)
         if isinstance(parsed, InspectSpec):
             return run_inspect_spec(self, parsed)
@@ -480,7 +467,6 @@ class Session:
         cancellation rides on exactly this.
         """
         self._check_open()
-        from repro.db.inspect_clause import stream_inspect_spec
         parsed = parse_sql(statement)
         if isinstance(parsed, InspectSpec):
             inner = stream_inspect_spec(self, parsed)
@@ -535,7 +521,9 @@ class Session:
         (:meth:`sql`, :meth:`stream_sql`, the fluent builder): started,
         completed, failed, cancelled (abandoned streams included), plus
         ``streams_abandoned`` specifically — the numbers the server's
-        ``/stats`` endpoint reports per deployment.
+        ``/stats`` endpoint reports per deployment.  ``degraded`` is the
+        process-wide count of graceful-degradation fallbacks per event
+        (:func:`repro.util.debuglog.degradation_counts`).
         """
         out: dict = {}
         if self.hyp_cache is not None:
@@ -546,6 +534,7 @@ class Session:
             out["store"] = self.store.stats()
         with self._query_lock:
             out["queries"] = dict(self._query_counts)
+        out["degraded"] = degradation_counts()
         return out
 
     def reset_counters(self) -> None:
@@ -654,17 +643,8 @@ class InspectionQuery:
             raise ValueError("no hypotheses: call .hypotheses(...) first")
         groups = self._groups
         if groups is None:
-            models = self._models
-            if models is None:
-                raise ValueError("provide models or explicit unit_groups")
-            if not isinstance(models, (list, tuple)):
-                models = [models]
-            resolved = [session.model(m) for m in models]
-            if self._units is None:
-                groups = [all_units_group(m, extractor) for m in resolved]
-            else:
-                groups = [UnitGroup(model=m, unit_ids=self._units,
-                                    name="selected") for m in resolved]
+            groups = model_groups(self._models, extractor, self._units,
+                                  resolve=session.model)
         dataset = session.dataset(self._dataset)
         config = session.effective_config()
         if self._overrides:
@@ -712,8 +692,9 @@ class InspectionQuery:
         plan = self.plan()
         # closing(): the run's store scope flushes and owned pools stop
         # deterministically even if the consumer abandons the iterator
-        with contextlib.closing(plan.execute_progressive()) as snapshots:
-            for outcomes in snapshots:
+        with contextlib.closing(plan.execute_blocks()) as steps:
+            for _ in steps:
+                outcomes = plan.outcomes()
                 frame = self._postprocess(outcomes_to_frame(outcomes))
                 frame.records_processed = max(
                     (o.records_processed for o in outcomes), default=0)

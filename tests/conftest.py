@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.data import generate_parens_workload, generate_sql_workload
 from repro.hypotheses import CharSetHypothesis
 from repro.nn import CharLSTMModel, SpecializedLSTMModel, TrainConfig, train_model
@@ -32,6 +33,30 @@ def fake_cpu_count(monkeypatch):
     def fake(n: int) -> None:
         monkeypatch.setattr(os, "cpu_count", lambda: n)
     return fake
+
+
+@pytest.fixture
+def hand_built_session():
+    """``hand_built_session(db, models, hypotheses, datasets, **kwargs)``:
+    a :class:`Session` over a hand-built catalog ``db``.  The live objects
+    (``models`` / ``datasets`` by name, ``hypotheses`` as a list) register
+    with ``catalog=False``, so SQL statements join exactly the rows the
+    test created.  Every session built is closed at teardown."""
+    opened: list[Session] = []
+
+    def build(db, models, hypotheses, datasets, **kwargs) -> Session:
+        session = Session(db=db, **kwargs)
+        opened.append(session)
+        for mid, model in models.items():
+            session.register_model(mid, model, catalog=False)
+        session.register_hypotheses(hypotheses, catalog=False)
+        for did, dataset in datasets.items():
+            session.register_dataset(did, dataset, catalog=False)
+        return session
+
+    yield build
+    for session in opened:
+        session.close()
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 
 from repro import (HypothesisCache, InspectConfig, UnitGroup,
                    all_units_group, inspect, top_units)
-from repro.core.pipeline import run_inspection
+from repro.core.pipeline import InspectionPlan
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
 from repro.measures import (CorrelationScore, DiffMeansScore,
@@ -111,17 +111,17 @@ class TestStreamingNarrowExtraction:
                   UnitGroup(model=trained_sql_model, unit_ids=[3, 5], name="b")]
         config = InspectConfig(mode="streaming", block_size=32,
                                early_stop=False, max_records=40)
-        outcomes = run_inspection(groups, sql_workload.dataset,
-                                  [CorrelationScore()], hyps, extractor,
-                                  config)
+        outcomes = InspectionPlan.build(
+            groups, sql_workload.dataset, [CorrelationScore()], hyps,
+            extractor, config).execute()
         assert extractor.hid_units_calls  # extraction happened
         assert all(call == [1, 3, 5] for call in extractor.hid_units_calls)
 
         # scores must match the full-width extraction path exactly
-        full = run_inspection(groups, sql_workload.dataset,
-                              [CorrelationScore()], hyps,
-                              RnnActivationExtractor(),
-                              InspectConfig(mode="full", max_records=40))
+        full = InspectionPlan.build(
+            groups, sql_workload.dataset, [CorrelationScore()], hyps,
+            RnnActivationExtractor(),
+            InspectConfig(mode="full", max_records=40)).execute()
         for narrow, wide in zip(outcomes, full):
             assert np.allclose(narrow.result.unit_scores,
                                wide.result.unit_scores, atol=1e-9)
@@ -132,9 +132,37 @@ class TestStreamingNarrowExtraction:
         groups = [all_units_group(trained_sql_model)]
         config = InspectConfig(mode="streaming", block_size=32,
                                early_stop=False, max_records=20)
-        run_inspection(groups, sql_workload.dataset, [CorrelationScore()],
-                       hyps, extractor, config)
+        InspectionPlan.build(groups, sql_workload.dataset,
+                             [CorrelationScore()], hyps, extractor,
+                             config).execute()
         assert all(call is None for call in extractor.hid_units_calls)
+
+
+    def test_inspect_one_liner_is_the_plan_exactly(self, trained_sql_model,
+                                                   sql_workload, hyps):
+        """``inspect()`` runs the config as given: no cache appears behind
+        the caller's back, so extraction narrows to the requested units,
+        and its frame equals the plan's outcomes."""
+        extractor = _RecordingExtractor()
+        groups = [UnitGroup(model=trained_sql_model, unit_ids=[1, 3],
+                            name="a")]
+        config = InspectConfig(mode="streaming", block_size=32,
+                               early_stop=False, max_records=40)
+        outcomes = inspect(None, sql_workload.dataset, CorrelationScore(),
+                           hyps, unit_groups=groups, extractor=extractor,
+                           config=config, as_frame=False)
+        assert config.cache is None and config.unit_cache is None
+        assert all(call == [1, 3] for call in extractor.hid_units_calls)
+        plan = InspectionPlan.build(groups, sql_workload.dataset,
+                                    [CorrelationScore()], hyps,
+                                    RnnActivationExtractor(), config)
+        assert np.array_equal(outcomes[0].result.unit_scores,
+                              plan.execute()[0].result.unit_scores)
+        # models= (one model, no explicit groups) covers every unit
+        frame = inspect(trained_sql_model, sql_workload.dataset,
+                        [CorrelationScore()], hyps, config=config)
+        assert set(frame["h_unit_id"]) == set(range(
+            trained_sql_model.n_units))
 
 
 class TestInspectConfig:

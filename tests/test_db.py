@@ -321,10 +321,8 @@ class TestSqlParser:
 
 class TestInspectClause:
     @pytest.fixture
-    def context(self, trained_sql_model, sql_workload):
+    def session(self, hand_built_session, trained_sql_model, sql_workload):
         from repro.core.pipeline import InspectConfig
-        from repro.db.inspect_clause import InspectQuery
-        from repro.extract import RnnActivationExtractor
         from repro.hypotheses import KeywordHypothesis
 
         hyps = [KeywordHypothesis("SELECT"), KeywordHypothesis("FROM")]
@@ -336,16 +334,13 @@ class TestInspectClause:
         db.create_table("hypotheses", ["h", "name"],
                         [[h.name, "keywords"] for h in hyps])
         db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
-        return InspectQuery(
-            db=db, models={"sqlparser": trained_sql_model},
-            hypotheses={h.name: h for h in hyps},
+        return hand_built_session(
+            db, models={"sqlparser": trained_sql_model}, hypotheses=hyps,
             datasets={"d0": sql_workload.dataset},
-            extractor=RnnActivationExtractor(),
             config=InspectConfig(mode="full", max_records=40))
 
-    def test_paper_query_shape(self, context):
-        from repro.db.inspect_clause import run_inspect_sql
-        frame = run_inspect_sql(context, """
+    def test_paper_query_shape(self, session):
+        frame = session.sql("""
             SELECT M.epoch, S.uid, S.hid, S.unit_score
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -355,9 +350,8 @@ class TestInspectClause:
         assert len(frame) == 8 * 2  # layer-0 units x hypotheses
         assert set(frame["M.epoch"]) == {3}
 
-    def test_layer_filter_changes_units(self, context):
-        from repro.db.inspect_clause import run_inspect_sql
-        frame = run_inspect_sql(context, """
+    def test_layer_filter_changes_units(self, session):
+        frame = session.sql("""
             SELECT S.uid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -365,9 +359,8 @@ class TestInspectClause:
         """)
         assert set(frame["S.uid"]) == set(range(8, 16))
 
-    def test_having_filters_scores(self, context):
-        from repro.db.inspect_clause import run_inspect_sql
-        frame = run_inspect_sql(context, """
+    def test_having_filters_scores(self, session):
+        frame = session.sql("""
             SELECT S.uid, S.unit_score
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -376,7 +369,6 @@ class TestInspectClause:
         """)
         assert all(v > 0.1 for v in frame["S.unit_score"])
 
-    def test_plain_query_rejected(self, context):
-        from repro.db.inspect_clause import run_inspect_sql
-        with pytest.raises(ValueError, match="no INSPECT"):
-            run_inspect_sql(context, "SELECT x FROM t")
+    def test_plain_query_runs_on_select_engine(self, session):
+        frame = session.sql("SELECT mid, epoch FROM models")
+        assert frame.rows() == [{"mid": "sqlparser", "epoch": 3}]

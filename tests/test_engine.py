@@ -216,24 +216,6 @@ class TestPerHypothesisFreezing:
                         extractor=_SynthExtractor(space_id), config=cfg)
         assert len(set(frame["n_rows_seen"])) == 1
 
-    def test_partition_min_rows_delays_freezing(self, synth_setup):
-        dataset, space_id, hyps, group = synth_setup
-        base = dict(mode="streaming", early_stop=True, error_threshold=0.1,
-                    block_size=4, shuffle=False)
-        eager = inspect(None, dataset, [CorrelationScore()], hyps,
-                        unit_groups=[group],
-                        extractor=_SynthExtractor(space_id),
-                        config=InspectConfig(**base))
-        floor = 10 * dataset.n_symbols
-        delayed = inspect(None, dataset, [CorrelationScore()], hyps,
-                          unit_groups=[group],
-                          extractor=_SynthExtractor(space_id),
-                          config=InspectConfig(partition_min_rows=floor,
-                                               **base))
-        fast_eager = eager.where(hyp_id="fast:space")["n_rows_seen"][0]
-        fast_delayed = delayed.where(hyp_id="fast:space")["n_rows_seen"][0]
-        assert fast_eager < floor <= fast_delayed
-
     def test_late_firing_hypothesis_is_not_frozen_at_zero(self, synth_setup):
         """A hypothesis with no contrast yet is vacuous, not converged:
         while any informative column keeps the task alive, the engine must
@@ -515,21 +497,3 @@ class TestPlanIntrospection:
         assert "scheduler=threads" in text
         assert "per-column" in text   # correlation partitions
         assert "scalar" in text       # logreg falls back to scalar stopping
-
-    def test_plan_execute_matches_run_inspection(self, trained_sql_model,
-                                                 sql_workload, hyps):
-        from repro.core.groups import all_units_group
-        from repro.core.pipeline import run_inspection
-        ext = RnnActivationExtractor()
-        groups = [all_units_group(trained_sql_model, ext)]
-        cfg = InspectConfig(mode="streaming", early_stop=False, seed=0,
-                            max_records=40)
-        plan = InspectionPlan.build(groups, sql_workload.dataset,
-                                    [CorrelationScore()], hyps, ext, cfg)
-        direct = plan.execute()
-        cfg2 = InspectConfig(mode="streaming", early_stop=False, seed=0,
-                             max_records=40)
-        via_fn = run_inspection(groups, sql_workload.dataset,
-                                [CorrelationScore()], hyps, ext, cfg2)
-        for a, b in zip(direct, via_fn):
-            assert np.allclose(a.result.unit_scores, b.result.unit_scores)

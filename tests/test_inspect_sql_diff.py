@@ -17,7 +17,6 @@ import pytest
 from repro import InspectConfig, UnitGroup, inspect
 from repro.db import Database
 from repro.db.expr import AmbiguousColumnError
-from repro.db.inspect_clause import InspectQuery, run_inspect_sql
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import KeywordHypothesis
 from repro.measures import get_measure
@@ -53,31 +52,33 @@ def hyps():
     return [KeywordHypothesis(k) for k in ("SELECT", "FROM", "WHERE")]
 
 
-def make_context(snapshots, workload, hyps, **kwargs) -> InspectQuery:
-    ordered = [snapshots[e] for e in sorted(snapshots)]
-    db = Database()
-    db.create_table("models", ["mid", "epoch"],
-                    [[m.model_id, e] for e, m in sorted(snapshots.items())])
-    db.create_table("units", ["mid", "uid", "layer"],
-                    [[m.model_id, u, 0 if u in LAYER0 else 1]
-                     for m in ordered for u in range(N_UNITS)])
-    db.create_table("hypotheses", ["h", "name"],
-                    [[h.name, "keywords"] for h in hyps])
-    db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
-    kwargs.setdefault("config",
-                      InspectConfig(mode="full", max_records=MAX_RECORDS))
-    return InspectQuery(
-        db=db, models={m.model_id: m for m in ordered},
-        hypotheses={h.name: h for h in hyps},
-        datasets={"d0": workload.dataset},
-        extractor=RnnActivationExtractor(), **kwargs)
+@pytest.fixture
+def make_session(hand_built_session, snapshots, sql_workload, hyps):
+    """``make_session(**session_kwargs)``: a session over a hand-built
+    catalog of the four snapshots (closed at teardown)."""
+    def make(**kwargs):
+        ordered = [snapshots[e] for e in sorted(snapshots)]
+        db = Database()
+        db.create_table("models", ["mid", "epoch"],
+                        [[m.model_id, e]
+                         for e, m in sorted(snapshots.items())])
+        db.create_table("units", ["mid", "uid", "layer"],
+                        [[m.model_id, u, 0 if u in LAYER0 else 1]
+                         for m in ordered for u in range(N_UNITS)])
+        db.create_table("hypotheses", ["h", "name"],
+                        [[h.name, "keywords"] for h in hyps])
+        db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
+        kwargs.setdefault("config", InspectConfig(mode="full",
+                                                  max_records=MAX_RECORDS))
+        return hand_built_session(
+            db, models={m.model_id: m for m in ordered}, hypotheses=hyps,
+            datasets={"d0": sql_workload.dataset}, **kwargs)
+    return make
 
 
 @pytest.fixture
-def context(snapshots, sql_workload, hyps):
-    ctx = make_context(snapshots, sql_workload, hyps)
-    yield ctx
-    ctx.close()
+def session(make_session):
+    return make_session()
 
 
 def api_scores(snapshots, workload, hyps, measures,
@@ -111,18 +112,17 @@ SQL_ALL = """
 
 
 class TestSqlVsApi:
-    def test_corr_bit_identical(self, context, snapshots, sql_workload,
+    def test_corr_bit_identical(self, session, snapshots, sql_workload,
                                 hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(measures="corr",
-                                                        tail=""))
+        frame = session.sql(SQL_ALL.format(measures="corr", tail=""))
         expected = api_scores(snapshots, sql_workload, hyps, ["corr"])
         got = sql_scores(frame)
         assert set(got) == set(expected)
         assert all(got[k] == expected[k] for k in expected)  # bit-identical
 
-    def test_multi_measure_bit_identical(self, context, snapshots,
+    def test_multi_measure_bit_identical(self, session, snapshots,
                                          sql_workload, hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr, mutual_info", tail=""))
         expected = api_scores(snapshots, sql_workload, hyps,
                               ["corr", "mutual_info"])
@@ -131,18 +131,18 @@ class TestSqlVsApi:
         assert all(got[k] == expected[k] for k in expected)
         assert {k[3] for k in got} == {"corr:pearson", "mutual_info"}
 
-    def test_group_by_epoch_bit_identical(self, context, snapshots,
+    def test_group_by_epoch_bit_identical(self, session, snapshots,
                                           sql_workload, hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="GROUP BY M.epoch"))
         expected = api_scores(snapshots, sql_workload, hyps, ["corr"])
         got = sql_scores(frame)
         assert set(got) == set(expected)
         assert all(got[k] == expected[k] for k in expected)
 
-    def test_having_matches_api_filter(self, context, snapshots,
+    def test_having_matches_api_filter(self, session, snapshots,
                                        sql_workload, hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="HAVING S.unit_score > 0.05"))
         expected = {k: v for k, v in
                     api_scores(snapshots, sql_workload, hyps,
@@ -152,22 +152,22 @@ class TestSqlVsApi:
 
 
 class TestOrderByLimit:
-    def test_order_by_desc_limit(self, context, snapshots, sql_workload,
+    def test_order_by_desc_limit(self, session, snapshots, sql_workload,
                                  hyps):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="ORDER BY S.unit_score DESC LIMIT 5"))
         expected = sorted(api_scores(snapshots, sql_workload, hyps,
                                      ["corr"]).values(), reverse=True)[:5]
         assert len(frame) == 5
         assert frame["S.unit_score"] == expected
 
-    def test_order_by_ascending_no_limit(self, context):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+    def test_order_by_ascending_no_limit(self, session):
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="ORDER BY S.unit_score"))
         vals = frame["S.unit_score"]
         assert vals == sorted(vals)
 
-    def test_order_by_unprojected_column(self, context):
+    def test_order_by_unprojected_column(self, session):
         sql = """
             SELECT S.uid, S.hid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
@@ -175,38 +175,38 @@ class TestOrderByLimit:
             WHERE M.mid = U.mid AND U.layer = 0
             ORDER BY S.unit_score DESC LIMIT 3
         """
-        frame = run_inspect_sql(context, sql)
+        frame = session.sql(sql)
         assert frame.columns == ["S.uid", "S.hid"]  # hidden key dropped
         assert len(frame) == 3
 
-    def test_limit_alone(self, context):
-        frame = run_inspect_sql(context, SQL_ALL.format(
+    def test_limit_alone(self, session):
+        frame = session.sql(SQL_ALL.format(
             measures="corr", tail="LIMIT 4"))
         assert len(frame) == 4
 
 
 class TestAmbiguity:
-    def test_ambiguous_where_reference_raises(self, context):
+    def test_ambiguous_where_reference_raises(self, session):
         with pytest.raises(AmbiguousColumnError, match="mid"):
-            run_inspect_sql(context, """
+            session.sql("""
                 SELECT S.uid
                 INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                 FROM models M, units U, hypotheses H, inputs D
                 WHERE mid = 'sweep_e0'
             """)
 
-    def test_ambiguous_select_reference_raises(self, context):
+    def test_ambiguous_select_reference_raises(self, session):
         # "uid" lives in both the units table and the S relation
         with pytest.raises(AmbiguousColumnError, match="uid"):
-            run_inspect_sql(context, """
+            session.sql("""
                 SELECT uid
                 INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                 FROM models M, units U, hypotheses H, inputs D
                 WHERE M.mid = U.mid
             """)
 
-    def test_qualified_references_work(self, context):
-        frame = run_inspect_sql(context, """
+    def test_qualified_references_work(self, session):
+        frame = session.sql("""
             SELECT S.uid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -214,9 +214,9 @@ class TestAmbiguity:
         """)
         assert set(frame["S.uid"]) == set(LAYER0)
 
-    def test_unique_unqualified_reference_works(self, context):
+    def test_unique_unqualified_reference_works(self, session):
         # "layer" exists only in units; "epoch" only in models
-        frame = run_inspect_sql(context, """
+        frame = session.sql("""
             SELECT epoch, S.uid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -225,10 +225,10 @@ class TestAmbiguity:
         assert set(frame["S.uid"]) == set(range(5, N_UNITS))
         assert set(frame["epoch"]) == {0}
 
-    def test_hypothesis_columns_track_s_hid(self, context, hyps):
+    def test_hypothesis_columns_track_s_hid(self, session, hyps):
         # each S row's representative catalog row is keyed per
         # (model, unit, hypothesis): H.h must agree with S.hid on every row
-        frame = run_inspect_sql(context, """
+        frame = session.sql("""
             SELECT S.hid, H.h
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -238,8 +238,8 @@ class TestAmbiguity:
         assert frame["S.hid"] == frame["H.h"]
         assert set(frame["H.h"]) == {h.name for h in hyps}
 
-    def test_having_on_hypothesis_column(self, context, hyps):
-        frame = run_inspect_sql(context, """
+    def test_having_on_hypothesis_column(self, session, hyps):
+        frame = session.sql("""
             SELECT S.uid, H.h
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
             FROM models M, units U, hypotheses H, inputs D
@@ -249,65 +249,59 @@ class TestAmbiguity:
         assert set(frame["H.h"]) == {"kw:FROM"}
         assert len(frame) == 4 * len(LAYER0)  # 4 snapshots x layer-0 units
 
-    def test_multi_dataset_group_by_did(self, snapshots, sql_workload,
-                                        hyps):
+    def test_multi_dataset_group_by_did(self, make_session, snapshots,
+                                        sql_workload, hyps):
         """GROUP BY D.did sweeps two datasets: one plan per dataset, and
         the d0 group's scores match the single-dataset query exactly."""
-        ctx = make_context(snapshots, sql_workload, hyps)
+        ctx = make_session()
         ctx.datasets["d1"] = sql_workload.dataset.head(30)
         ctx.db.table("inputs").insert(["d1", "seq"])
-        try:
-            frame = run_inspect_sql(ctx, """
-                SELECT D.did, S.mid, S.uid, S.hid, S.unit_score
-                INSPECT U.uid AND H.h USING corr OVER D.seq AS S
-                FROM models M, units U, hypotheses H, inputs D
-                WHERE M.mid = U.mid AND U.layer = 0
-                GROUP BY D.did
-            """)
-            assert set(frame["D.did"]) == {"d0", "d1"}
-            per_did = len(snapshots) * len(LAYER0) * len(hyps)
-            assert len(frame) == 2 * per_did
-            d0_scores = {(r["S.mid"], r["S.uid"], r["S.hid"]):
-                         r["S.unit_score"] for r in frame.rows()
-                         if r["D.did"] == "d0"}
-            expected = {(k[0], k[1], k[2]): v for k, v in
-                        api_scores(snapshots, sql_workload, hyps,
-                                   ["corr"]).items()}
-            assert d0_scores == expected
-            # extraction once per (model, dataset): 4 models x 2 datasets
-            assert ctx.unit_cache.stats()["extractions"] == \
-                2 * len(snapshots)
-        finally:
-            ctx.close()
+        frame = ctx.sql("""
+            SELECT D.did, S.mid, S.uid, S.hid, S.unit_score
+            INSPECT U.uid AND H.h USING corr OVER D.seq AS S
+            FROM models M, units U, hypotheses H, inputs D
+            WHERE M.mid = U.mid AND U.layer = 0
+            GROUP BY D.did
+        """)
+        assert set(frame["D.did"]) == {"d0", "d1"}
+        per_did = len(snapshots) * len(LAYER0) * len(hyps)
+        assert len(frame) == 2 * per_did
+        d0_scores = {(r["S.mid"], r["S.uid"], r["S.hid"]):
+                     r["S.unit_score"] for r in frame.rows()
+                     if r["D.did"] == "d0"}
+        expected = {(k[0], k[1], k[2]): v for k, v in
+                    api_scores(snapshots, sql_workload, hyps,
+                               ["corr"]).items()}
+        assert d0_scores == expected
+        # extraction once per (model, dataset): 4 models x 2 datasets
+        assert ctx.unit_cache.stats()["extractions"] == \
+            2 * len(snapshots)
 
-    def test_undeterminable_dataset_raises(self, snapshots, sql_workload,
-                                           hyps):
-        ctx = make_context(snapshots, sql_workload, hyps)
+    def test_undeterminable_dataset_raises(self, make_session,
+                                           sql_workload):
+        ctx = make_session()
         ctx.datasets["d1"] = sql_workload.dataset  # second dataset
-        try:
-            with pytest.raises(ValueError, match="dataset"):
-                run_inspect_sql(ctx, """
-                    SELECT S.uid
-                    INSPECT U.uid AND H.h USING corr OVER D.seq AS S
-                    FROM models M, units U, hypotheses H
-                    WHERE M.mid = U.mid
-                """)
-        finally:
-            ctx.close()
+        with pytest.raises(ValueError, match="dataset"):
+            ctx.sql("""
+                SELECT S.uid
+                INSPECT U.uid AND H.h USING corr OVER D.seq AS S
+                FROM models M, units U, hypotheses H
+                WHERE M.mid = U.mid
+            """)
 
-    def test_user_table_named_like_temp_survives(self, context):
+    def test_user_table_named_like_temp_survives(self, session):
         # the S relation runs in a throwaway catalog; a user table with
         # the same name must neither be read nor dropped
-        context.db.create_table("__inspect_s__", ["x"], [[1]])
-        frame = run_inspect_sql(context, SQL_ALL.format(measures="corr",
-                                                        tail="LIMIT 2"))
+        session.db.create_table("__inspect_s__", ["x"], [[1]])
+        frame = session.sql(SQL_ALL.format(measures="corr",
+                                           tail="LIMIT 2"))
         assert len(frame) == 2
-        assert "__inspect_s__" in context.db.tables
-        assert len(context.db.table("__inspect_s__")) == 1
+        assert "__inspect_s__" in session.db.tables
+        assert len(session.db.table("__inspect_s__")) == 1
 
-    def test_unbound_column_raises(self, context):
+    def test_unbound_column_raises(self, session):
         with pytest.raises(KeyError, match="unbound"):
-            run_inspect_sql(context, """
+            session.sql("""
                 SELECT S.uid
                 INSPECT U.uid AND H.h USING corr OVER D.seq AS S
                 FROM models M, units U, hypotheses H, inputs D
@@ -316,89 +310,72 @@ class TestAmbiguity:
 
 
 class TestSharedExtraction:
-    def test_group_by_sweep_extracts_once_per_model(self, snapshots,
-                                                    sql_workload, hyps):
+    def test_group_by_sweep_extracts_once_per_model(self, make_session,
+                                                    snapshots, hyps):
         """The acceptance check: a GROUP BY M.epoch sweep over 4 snapshots
         runs unit extraction once per (model, dataset) and hypothesis
         extraction once per hypothesis, across ALL groups."""
-        ctx = make_context(snapshots, sql_workload, hyps)
-        try:
-            frame = run_inspect_sql(ctx, SQL_ALL.format(
-                measures="corr", tail="GROUP BY M.epoch"))
-            assert len(frame) == len(snapshots) * len(LAYER0) * len(hyps)
-            assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
-            assert ctx.hyp_cache.stats()["extractions"] == len(hyps)
-            # every record cold exactly once per model / hypothesis: a
-            # serial run counts them as misses, a shard-parallel run as
-            # disk_hits (workers fill the cache through the store)
-            unit_stats = ctx.unit_cache.stats()
-            assert unit_stats["misses"] + unit_stats["disk_hits"] == \
-                len(snapshots) * MAX_RECORDS
-            hyp_stats = ctx.hyp_cache.stats()
-            assert hyp_stats["misses"] + hyp_stats["disk_hits"] == \
-                len(hyps) * MAX_RECORDS
+        ctx = make_session()
+        frame = ctx.sql(SQL_ALL.format(
+            measures="corr", tail="GROUP BY M.epoch"))
+        assert len(frame) == len(snapshots) * len(LAYER0) * len(hyps)
+        assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
+        assert ctx.hyp_cache.stats()["extractions"] == len(hyps)
+        # every record cold exactly once per model / hypothesis: a
+        # serial run counts them as misses, a shard-parallel run as
+        # disk_hits (workers fill the cache through the store)
+        unit_stats = ctx.unit_cache.stats()
+        assert unit_stats["misses"] + unit_stats["disk_hits"] == \
+            len(snapshots) * MAX_RECORDS
+        hyp_stats = ctx.hyp_cache.stats()
+        assert hyp_stats["misses"] + hyp_stats["disk_hits"] == \
+            len(hyps) * MAX_RECORDS
 
-            # a warm re-run touches the extractors zero further times
-            run_inspect_sql(ctx, SQL_ALL.format(measures="corr",
-                                                tail="GROUP BY M.epoch"))
-            assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
-            assert ctx.hyp_cache.stats()["extractions"] == len(hyps)
-            assert ctx.unit_cache.stats()["hits"] >= \
-                len(snapshots) * MAX_RECORDS
-        finally:
-            ctx.close()
+        # a warm re-run touches the extractors zero further times
+        ctx.sql(SQL_ALL.format(measures="corr",
+                               tail="GROUP BY M.epoch"))
+        assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
+        assert ctx.hyp_cache.stats()["extractions"] == len(hyps)
+        assert ctx.unit_cache.stats()["hits"] >= \
+            len(snapshots) * MAX_RECORDS
 
-    def test_identical_unit_sets_deduped_across_groups(self, snapshots,
-                                                       sql_workload, hyps):
+    def test_identical_unit_sets_deduped_across_groups(self, make_session,
+                                                       hyps):
         """GROUP BY H.name puts the same (model, unit-set) in every group;
         the shared plan must score it once, not once per group."""
-        ctx = make_context(snapshots, sql_workload, hyps)
-        try:
-            frame = run_inspect_sql(ctx, """
-                SELECT S.mid, S.uid, S.hid, S.unit_score
-                INSPECT U.uid AND H.h USING corr OVER D.seq AS S
-                FROM models M, units U, hypotheses H, inputs D
-                WHERE M.mid = U.mid AND M.mid = 'sweep_e0' AND U.layer = 0
-                GROUP BY H.h
-            """)
-            # each group only carries its own hypothesis
-            assert len(frame) == len(hyps) * len(LAYER0)
-            assert ctx.unit_cache.stats()["extractions"] == 1
-        finally:
-            ctx.close()
+        ctx = make_session()
+        frame = ctx.sql("""
+            SELECT S.mid, S.uid, S.hid, S.unit_score
+            INSPECT U.uid AND H.h USING corr OVER D.seq AS S
+            FROM models M, units U, hypotheses H, inputs D
+            WHERE M.mid = U.mid AND M.mid = 'sweep_e0' AND U.layer = 0
+            GROUP BY H.h
+        """)
+        # each group only carries its own hypothesis
+        assert len(frame) == len(hyps) * len(LAYER0)
+        assert ctx.unit_cache.stats()["extractions"] == 1
 
-    def test_store_path_session_serves_fresh_process(self, snapshots,
-                                                     sql_workload, hyps,
-                                                     tmp_path):
+    def test_store_path_session_serves_fresh_process(self, make_session,
+                                                     snapshots, tmp_path):
         """A session opened on a store path persists the epoch sweep; a
         second context (fresh caches, fresh store handle — a restarted
         process) serves the same sweep from the disk tier with zero
         extractor invocations and identical scores."""
         sql = SQL_ALL.format(measures="corr", tail="GROUP BY M.epoch")
-        with make_context(snapshots, sql_workload, hyps,
-                          store_path=str(tmp_path)) as ctx:
-            cold = run_inspect_sql(ctx, sql)
+        with make_session(store_path=str(tmp_path)) as ctx:
+            cold = ctx.sql(sql)
             assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
-        with make_context(snapshots, sql_workload, hyps,
-                          store_path=str(tmp_path)) as ctx2:
-            warm = run_inspect_sql(ctx2, sql)
+        with make_session(store_path=str(tmp_path)) as ctx2:
+            warm = ctx2.sql(sql)
             unit_stats = ctx2.unit_cache.stats()
             assert unit_stats["extractions"] == 0
             assert unit_stats["disk_hits"] == len(snapshots) * MAX_RECORDS
             assert ctx2.hyp_cache.stats()["extractions"] == 0
         assert cold.rows() == warm.rows()
 
-    def test_explicit_config_still_respected(self, snapshots, sql_workload,
-                                             hyps):
+    def test_explicit_config_still_respected(self, make_session):
         """A pinned scheduler/cache config bypasses session defaults."""
         cfg = InspectConfig(mode="full", max_records=MAX_RECORDS,
                             scheduler="serial")
-        ctx = make_context(snapshots, sql_workload, hyps, config=cfg)
-        try:
-            assert ctx.effective_config().scheduler == "serial"
-            ctx2 = make_context(snapshots, sql_workload, hyps,
-                                session_defaults=False)
-            assert ctx2.effective_config() is ctx2.config
-            assert ctx2.hyp_cache is None and ctx2.unit_cache is None
-        finally:
-            ctx.close()
+        session = make_session(config=cfg)
+        assert session.effective_config().scheduler == "serial"

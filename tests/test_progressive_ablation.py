@@ -3,12 +3,26 @@
 import numpy as np
 import pytest
 
-from repro import InspectConfig
-from repro.core.progressive import inspect_progressive
+from repro import (InspectConfig, InspectionPlan, Session, all_units_group,
+                   inspect)
+from repro.extract import RnnActivationExtractor
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
 from repro.util.rng import new_rng
 from repro.verify.ablation import ablate_units
+
+
+def build_plan(model, dataset, hyps, config) -> InspectionPlan:
+    ext = RnnActivationExtractor()
+    return InspectionPlan.build([all_units_group(model, ext)], dataset,
+                                [CorrelationScore()], hyps, ext, config)
+
+
+def stream(model, dataset, hyps, config):
+    """Partial frames of one correlation query, via ``.stream()``."""
+    with Session(config=config) as session:
+        return list(session.inspect(model, dataset)
+                    .using(CorrelationScore()).hypotheses(hyps).stream())
 
 
 class TestProgressive:
@@ -16,87 +30,56 @@ class TestProgressive:
         hyps = sql_keyword_hypotheses(("SELECT",))
         config = InspectConfig(mode="streaming", block_size=50,
                                early_stop=False, max_records=150)
-        updates = list(inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config))
-        assert len(updates) == 3  # 150 records / 50 per block
-        assert updates[-1][0].records_processed == 150
+        partials = stream(trained_sql_model, sql_workload.dataset, hyps,
+                          config)
+        # 150 records / 50 per block
+        assert [p.records_processed for p in partials] == [50, 100, 150]
 
     def test_error_decreases_across_blocks(self, trained_sql_model,
                                            sql_workload):
         hyps = sql_keyword_hypotheses(("SELECT", "FROM"))
         config = InspectConfig(mode="streaming", block_size=40,
                                early_stop=False, max_records=160)
-        errors = [ups[0].error for ups in inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config)]
+        plan = build_plan(trained_sql_model, sql_workload.dataset, hyps,
+                          config)
+        errors = [plan.tasks[0].last_error for _ in plan.execute_blocks()]
+        assert len(errors) == 4
         assert errors[-1] < errors[0]
 
     def test_stops_on_convergence(self, trained_sql_model, sql_workload):
         hyps = sql_keyword_hypotheses(("SELECT",))
         config = InspectConfig(mode="streaming", block_size=40,
                                early_stop=True, error_threshold=0.2)
-        updates = list(inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config))
-        assert updates[-1][0].converged
-        processed = updates[-1][0].records_processed
-        assert processed < sql_workload.dataset.n_records
+        partials = stream(trained_sql_model, sql_workload.dataset, hyps,
+                          config)
+        assert partials[-1].converged
+        assert partials[-1].records_processed < \
+            sql_workload.dataset.n_records
 
     def test_early_break_is_clean(self, trained_sql_model, sql_workload):
         """Abandoning the generator mid-stream must be safe."""
         hyps = sql_keyword_hypotheses(("SELECT",))
         config = InspectConfig(mode="streaming", block_size=30,
                                early_stop=False)
-        gen = inspect_progressive(trained_sql_model, sql_workload.dataset,
-                                  CorrelationScore(), hyps, config=config)
-        first = next(gen)
-        gen.close()
-        assert first[0].records_processed == 30
-        assert np.isfinite(first[0].result.unit_scores).all()
-
-    def test_converged_reported_without_early_stop(self, trained_sql_model,
-                                                   sql_workload):
-        """converged reflects the criterion even when early_stop is off."""
-        hyps = sql_keyword_hypotheses(("SELECT",))
-        config = InspectConfig(mode="streaming", block_size=40,
-                               early_stop=False, error_threshold=0.2)
-        updates = list(inspect_progressive(
-            trained_sql_model, sql_workload.dataset, CorrelationScore(),
-            hyps, config=config))
-        # processing ran to the end (no early stop)...
-        assert updates[-1][0].records_processed == \
-            sql_workload.dataset.n_records
-        # ...but the caller was told once the error bound was met
-        assert updates[-1][0].converged
-
-    def test_done_tasks_drop_out_of_later_updates(self, trained_sql_model,
-                                                  sql_workload):
-        """A task converged on an earlier block stops appearing (seed
-        semantics): corr converges fast, logreg keeps streaming."""
-        from repro.measures import LogRegressionScore
-        hyps = sql_keyword_hypotheses(("SELECT",))
-        config = InspectConfig(mode="streaming", block_size=40,
-                               early_stop=True, error_threshold=0.5,
-                               max_records=160)
-        sizes = [len(ups) for ups in inspect_progressive(
-            trained_sql_model, sql_workload.dataset,
-            [CorrelationScore(), LogRegressionScore(epochs=1, cv_folds=2)],
-            hyps, config=config)]
-        assert sizes[0] == 2
-        assert sizes[-1] == 1  # corr finished earlier and dropped out
+        plan = build_plan(trained_sql_model, sql_workload.dataset, hyps,
+                          config)
+        steps = plan.execute_blocks()
+        next(steps)
+        steps.close()
+        (first,) = plan.outcomes()
+        assert first.records_processed == 30
+        assert np.isfinite(first.result.unit_scores).all()
 
     def test_final_scores_match_batch_inspection(self, trained_sql_model,
                                                  sql_workload):
-        from repro import inspect
         hyps = sql_keyword_hypotheses(("SELECT",))
         config = InspectConfig(mode="streaming", block_size=64,
                                early_stop=False, seed=3)
-        last = None
-        for updates in inspect_progressive(
-                trained_sql_model, sql_workload.dataset,
-                CorrelationScore(), hyps, config=config):
-            last = updates[0]
+        plan = build_plan(trained_sql_model, sql_workload.dataset, hyps,
+                          config)
+        for _ in plan.execute_blocks():
+            pass
+        (last,) = plan.outcomes()
         batch_cfg = InspectConfig(mode="streaming", block_size=64,
                                   early_stop=False, seed=3)
         out = inspect([trained_sql_model], sql_workload.dataset,

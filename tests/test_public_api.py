@@ -47,3 +47,17 @@ def test_all_is_sorted_and_unique():
     assert len(set(repro.__all__)) == len(repro.__all__)
     assert repro.__all__ == sorted(repro.__all__), \
         "keep repro.__all__ sorted so diffs stay reviewable"
+
+
+def test_one_way_in_surface_is_pinned():
+    """`Session` is the only stateful entry point and its knobs are
+    counted: growing either signature is a deliberate, reviewed change."""
+    import dataclasses
+    import inspect as pyinspect
+    params = list(pyinspect.signature(repro.Session.__init__).parameters)
+    assert params[1:] == ["store_path", "store", "db", "db_path",
+                          "extractor", "config", "scheduler", "sweep_gate"]
+    fields = [f.name for f in dataclasses.fields(repro.InspectConfig)
+              if not f.name.startswith("_")]
+    assert len(fields) == 15
+    assert len(repro.__all__) == 20

@@ -400,6 +400,7 @@ class TestServerEndToEnd:
             stats = client.stats()
         assert {"server", "session", "admission", "dedup"} <= stats.keys()
         assert "queries" in stats["session"]
+        assert "degraded" in stats["session"]
         per_client = stats["admission"]["per_client"]["observer"]
         assert per_client["submitted"] == 1
         assert per_client["completed"] == 1

@@ -18,8 +18,8 @@ import pytest
 from repro import (HypothesisCache, InspectConfig, Session,
                    ThreadPoolScheduler, UnitBehaviorCache, inspect)
 from repro.db import Database
-from repro.db.inspect_clause import InspectQuery, run_inspect_sql
-from repro.extract import RnnActivationExtractor
+from repro.db.inspect_clause import run_inspect_spec
+from repro.db.sqlparser import parse_sql
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
 from repro.store import DiskBehaviorStore
@@ -77,7 +77,7 @@ class TestSharedResources:
             assert len(sql_frame) > 0
 
     def test_results_bit_identical_to_standalone_paths(
-            self, trained_sql_model, sql_workload, hyps):
+            self, hand_built_session, trained_sql_model, sql_workload, hyps):
         config = InspectConfig(mode="full", max_records=MAX_RECORDS)
         with make_session(trained_sql_model, sql_workload,
                           hyps) as session:
@@ -97,12 +97,11 @@ class TestSharedResources:
         db.create_table("hypotheses", ["h", "name"],
                         [[h.name, "keywords"] for h in hyps])
         db.create_table("inputs", ["did", "seq"], [["d0", "seq"]])
-        with InspectQuery(db=db, models={"m0": trained_sql_model},
-                          hypotheses={h.name: h for h in hyps},
-                          datasets={"d0": sql_workload.dataset},
-                          extractor=RnnActivationExtractor(),
-                          config=config) as ctx:
-            assert run_inspect_sql(ctx, INSPECT_SQL).rows() == sql_rows
+        # registered catalog == hand-built catalog
+        hand_built = hand_built_session(
+            db, models={"m0": trained_sql_model}, hypotheses=hyps,
+            datasets={"d0": sql_workload.dataset}, config=config)
+        assert hand_built.sql(INSPECT_SQL).rows() == sql_rows
 
     def test_name_resolution_errors(self, trained_sql_model, sql_workload,
                                     hyps):
@@ -183,20 +182,6 @@ class TestSharedResources:
             session.register_hypotheses(hyps[:1])
             with pytest.raises(ValueError, match="hypothesis attributes"):
                 session.register_hypotheses(hyps[1:], family="kw")
-
-    def test_inspectquery_register_model_keeps_seed_attr_surface(
-            self, trained_sql_model, sql_workload, hyps):
-        """Seed API: ANY attr name is a catalog column — including names
-        Session.register_model reserves as keywords."""
-        db = Database()
-        with InspectQuery(db=db, models={}, hypotheses={}, datasets={},
-                          extractor=RnnActivationExtractor()) as ctx:
-            ctx.register_model("m0", trained_sql_model, units=3, layer=2)
-            table = db.table("models")
-            assert table.columns == ["mid", "layer", "units"]
-            assert table.rows == [("m0", 2, 3)]
-            assert ctx.models["m0"] is trained_sql_model
-            assert "units" not in db.tables  # no implicit units rows
 
 
 # ----------------------------------------------------------------------
@@ -300,10 +285,10 @@ class TestLifecycle:
             stale.run()
         with pytest.raises(RuntimeError, match="closed"):
             next(stale.stream())
-        # the lower-level entry point that takes the session as its
-        # context resolves its config through the same guard
+        # the lower-level entry point that takes the session resolves its
+        # config through the same guard
         with pytest.raises(RuntimeError, match="closed"):
-            run_inspect_sql(session, INSPECT_SQL)
+            run_inspect_spec(session, parse_sql(INSPECT_SQL))
 
     def test_store_commits_exactly_once_per_run(self, tmp_path,
                                                 trained_sql_model,
@@ -350,11 +335,93 @@ class TestLifecycle:
             assert warm_session.unit_cache.stats()["extractions"] == 0
         assert warm == cold
 
+    def test_stats_report_degradation_fallbacks(self, tmp_path):
+        """A fallback taken anywhere in the process (here: an
+        unserializable table kept memory-only) is visible in stats()."""
+        with Session(db_path=str(tmp_path / "db")) as session:
+            before = session.stats()["degraded"].get(
+                "db.table-memory-only", 0)
+            session.db.create_table("funcs", ["fn"], [(lambda x: x,)])
+            session.db.commit()
+            assert session.stats()["degraded"]["db.table-memory-only"] == \
+                before + 1
+
     def test_conflicting_store_settings_raise(self, tmp_path):
         s1 = DiskBehaviorStore(tmp_path / "a")
         s2 = DiskBehaviorStore(tmp_path / "b")
         with pytest.raises(ValueError, match="conflicting store"):
             Session(store=s1, config=InspectConfig(store=s2))
+
+
+# ----------------------------------------------------------------------
+# the SQL statement lifecycle: one pool per statement, INTO on completion
+# ----------------------------------------------------------------------
+SWEEP_INTO_SQL = """
+    SELECT D.did AS did, S.uid AS uid, S.hid AS hid,
+           S.unit_score AS unit_score INTO saved
+    INSPECT U.uid AND H.h USING corr OVER D.seq AS S
+    FROM models M, units U, hypotheses H, inputs D
+    WHERE M.mid = U.mid
+    GROUP BY D.did
+"""
+
+
+class TestStatementLifecycle:
+    @pytest.fixture
+    def session(self, trained_sql_model, sql_workload, hyps):
+        # scheduler pinned by *name* on the config: the session holds no
+        # pool of its own, every statement resolves (and owns) one
+        config = InspectConfig(mode="streaming", block_size=20,
+                               early_stop=False, max_records=MAX_RECORDS,
+                               scheduler="threads")
+        with make_session(trained_sql_model, sql_workload, hyps,
+                          config=config) as session:
+            session.register_dataset("d1", sql_workload.dataset.head(40))
+            yield session
+
+    def test_into_persists_once_and_only_when_completed(self, session,
+                                                        monkeypatch):
+        from repro.db import inspect_clause
+        persisted = []
+        real = inspect_clause.materialize_into
+        monkeypatch.setattr(
+            inspect_clause, "materialize_into",
+            lambda db, name, columns, rows: (
+                persisted.append(name), real(db, name, columns, rows)))
+        stream = session.stream_sql(SWEEP_INTO_SQL)
+        next(stream)
+        stream.close()                    # abandoned: nothing committed
+        assert persisted == [] and "saved" not in session.db.tables
+        partials = list(session.stream_sql(SWEEP_INTO_SQL))
+        assert len(partials) == 3 + 2     # 60 and 40 records / 20 per block
+        assert persisted == ["saved"]
+        saved = session.sql("SELECT did, uid, hid, unit_score FROM saved")
+        assert saved == partials[-1]
+        assert session.sql(SWEEP_INTO_SQL) == partials[-1]
+        assert persisted == ["saved", "saved"]
+
+    def test_named_scheduler_builds_one_pool_per_statement(
+            self, session, monkeypatch):
+        from repro.core import pipeline
+        events = []
+
+        class Counting(ThreadPoolScheduler):
+            def __init__(self):
+                super().__init__()
+                events.append("built")
+
+            def shutdown(self):
+                events.append("shutdown")
+                super().shutdown()
+
+        monkeypatch.setitem(pipeline._SCHEDULERS, "threads", Counting)
+        assert session.scheduler is None
+        session.sql(SWEEP_INTO_SQL)       # two datasets, one pool
+        assert events == ["built", "shutdown"]
+        stream = session.stream_sql(SWEEP_INTO_SQL)
+        next(stream)
+        stream.close()                    # abandoned: pool still released
+        assert events == ["built", "shutdown"] * 2
 
 
 # ----------------------------------------------------------------------
@@ -372,25 +439,24 @@ class TestConfigIdempotency:
         # fully-tiered configs pass through untouched
         assert first.with_store_tiers() is first
 
-    def test_with_session_defaults_is_idempotent(self):
+    def test_with_defaults_is_idempotent(self):
         hyp_cache, unit_cache = HypothesisCache(), UnitBehaviorCache()
         config = InspectConfig()
-        filled = config.with_session_defaults(cache=hyp_cache,
-                                              unit_cache=unit_cache,
-                                              scheduler="serial")
-        other = filled.with_session_defaults(cache=HypothesisCache(),
-                                             unit_cache=UnitBehaviorCache(),
-                                             scheduler="threads")
+        filled = config.with_defaults(cache=hyp_cache, unit_cache=unit_cache,
+                                      scheduler="serial")
+        other = filled.with_defaults(cache=HypothesisCache(),
+                                     unit_cache=UnitBehaviorCache(),
+                                     scheduler="threads")
         assert other is filled  # everything already pinned: no copy
         assert other.cache is hyp_cache
         assert other.unit_cache is unit_cache
         assert other.scheduler == "serial"
 
-    def test_pinned_fields_survive_session_defaults(self):
+    def test_pinned_fields_survive_defaults(self):
         mine = HypothesisCache()
         config = InspectConfig(cache=mine)
-        filled = config.with_session_defaults(cache=HypothesisCache(),
-                                              scheduler="threads")
+        filled = config.with_defaults(cache=HypothesisCache(),
+                                      scheduler="threads")
         assert filled.cache is mine
         assert filled.scheduler == "threads"
 

@@ -579,12 +579,11 @@ class TestSchedulerLifecycle:
                     config=InspectConfig(scheduler="threads", **cfg_kwargs))
         assert threading.active_count() <= settled
 
-    def test_inspect_query_context_manager_shuts_down_session_pool(self):
+    def test_session_context_manager_shuts_down_session_pool(
+            self, hand_built_session):
         from repro.db.engine import Database
-        from repro.db.inspect_clause import InspectQuery
-        with InspectQuery(db=Database(), models={}, hypotheses={},
-                          datasets={}, extractor=RnnActivationExtractor()
-                          ) as ctx:
+        with hand_built_session(Database(), models={}, hypotheses=[],
+                                datasets={}) as ctx:
             if isinstance(ctx.scheduler, ThreadPoolScheduler):
                 ctx.scheduler.map(lambda x: x, [1, 2])
         if isinstance(ctx.scheduler, ThreadPoolScheduler):
