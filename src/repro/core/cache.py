@@ -6,7 +6,16 @@ across inspection runs:
 
 * :class:`HypothesisCache` — the hypothesis library is fixed while models
   are retrained.  Entries are keyed by (dataset content hash, hypothesis
-  name).
+  content identity — ``cache_key()``).  Everything cached for one dataset
+  sits in one symbol-major **arena** (row ``r * ns + t`` = record ``r``,
+  symbol ``t``; one column per hypothesis, plus a per-column fill mask) —
+  Section 5.2's "all hypotheses in one matrix", kept between statements —
+  so a block of the hypothesis matrix is one row gather under the lock
+  (:meth:`HypothesisCache.extract_block`): from a column slice when the
+  request is an ascending run of the arena's columns, plus one ``take``
+  when it is a scattered subset or a permutation.  Reads are owned arrays,
+  never views into the arena; a block's freshly extracted columns commit
+  as one stacked write; the LRU and the byte budget work on columns.
 * :class:`UnitBehaviorCache` — the model is fixed while hypotheses, measures
   or thresholds change (interactive debugging).  Entries hold the **raw**
   (untransformed, full-width) activations keyed by (model parameter
@@ -132,17 +141,87 @@ def model_fingerprint(model) -> str:
     return token
 
 
-class _Entry:
-    """Per-record behavior rows plus a fill mask."""
+def _column_nbytes(n_records: int, n_symbols: int) -> int:
+    """Bytes one cached hypothesis accounts for: a float64 arena column
+    plus its row of the fill mask."""
+    return n_records * n_symbols * 8 + n_records
 
-    def __init__(self, n_records: int, n_symbols: int):
-        self.matrix: np.ndarray | None = np.zeros((n_records, n_symbols))
-        self.filled = np.zeros(n_records, dtype=bool)
 
-    @property
-    def nbytes(self) -> int:
-        matrix_bytes = 0 if self.matrix is None else self.matrix.nbytes
-        return matrix_bytes + self.filled.nbytes
+class _Arena:
+    """One dataset's hypothesis behaviors, laid side by side (Section 5.2).
+
+    A float64 symbol-major matrix — row ``r * ns + t`` is record ``r``,
+    symbol ``t``, the row order every extractor emits; one column per
+    cached hypothesis — held as ``(n_records, ns, capacity)`` so a record's
+    ``ns`` rows move as one run, plus a ``(capacity, n_records)`` fill
+    mask.  Columns are recycled: ``free`` lists the ones no hypothesis
+    owns.  Not thread-safe — the owning tier calls every method under its
+    lock.
+    """
+
+    def __init__(self, dataset_key: str, n_records: int, n_symbols: int):
+        self.dataset_key = dataset_key
+        self.cells = np.zeros((n_records, n_symbols, 0))
+        self.filled = np.zeros((0, n_records), dtype=bool)
+        self.free: list[int] = []
+        self.live = 0  # hypotheses holding (or about to claim) a column
+
+    def claim(self, n: int, ceiling: int) -> list[int]:
+        """Take ``n`` unowned columns, lowest first (so a hypothesis list
+        declared together lands on one ascending run), growing the matrix
+        when the free list runs short: to exactly what is asked for, or by
+        half — single-column callers must not regrow per call — while that
+        stays under ``ceiling`` columns."""
+        short = n - len(self.free)
+        if short > 0:
+            n_records, n_symbols, old = self.cells.shape
+            new = max(old + short, min(old + old // 2, ceiling))
+            cells = np.zeros((n_records, n_symbols, new))
+            cells[:, :, :old] = self.cells
+            filled = np.zeros((new, n_records), dtype=bool)
+            filled[:old] = self.filled
+            self.cells, self.filled = cells, filled
+            self.free.extend(range(old, new))
+        self.free.sort()
+        taken = self.free[:n]
+        del self.free[:n]
+        return taken
+
+    def release(self, col: int) -> None:
+        """Return a column; its fill mask is cleared so the next owner
+        never sees this one's rows."""
+        self.filled[col] = False
+        self.free.append(col)
+        self.live -= 1
+
+    def _window(self, cols: np.ndarray):
+        """The narrowest contiguous column window holding ``cols`` (a view)
+        and their positions inside it — ``None`` when ``cols`` *is* the
+        window, left to right."""
+        lo, hi = int(cols.min()), int(cols.max()) + 1
+        window = self.cells[:, :, lo:hi]
+        if hi - lo == cols.shape[0] and (np.diff(cols) == 1).all():
+            return window, None
+        return window, cols - lo
+
+    def gather(self, records: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Owned ``(len(records) * ns, len(cols))`` block: one row gather,
+        plus one ``take`` when ``cols`` is not an ascending run."""
+        window, local = self._window(cols)
+        block = window[records]
+        block = block.reshape(block.shape[0] * block.shape[1], block.shape[2])
+        return block if local is None else block.take(local, axis=1)
+
+    def scatter(self, records: np.ndarray, cols: np.ndarray,
+                values: np.ndarray) -> None:
+        """One stacked write of ``values`` ``(len(records), ns, len(cols))``
+        and the matching fill-mask cells."""
+        window, local = self._window(cols)
+        if local is None:
+            window[records] = values
+        else:
+            window[records[:, None], :, local] = values.transpose(0, 2, 1)
+        self.filled[cols[:, None], records] = True
 
 
 class _ByteBoundedLRU:
@@ -164,101 +243,37 @@ class _ByteBoundedLRU:
         self.disk_misses = 0  # records absent from both tiers
         self.extractions = 0  # underlying extractor invocations
 
-    def _get_or_create(self, key, factory):
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = factory()
-            self._entries[key] = entry
-            self._bytes += entry.nbytes
-            self._evict()
-        self._entries.move_to_end(key)
-        return entry
-
     def _evict(self) -> None:
         while self._bytes > self.max_bytes and len(self._entries) > 1:
             _, evicted = self._entries.popitem(last=False)
             self._bytes -= evicted.nbytes
+            self._release(evicted)
 
-    def _commit_rows(self, key, entry, rows_idx: np.ndarray,
-                     rows: np.ndarray) -> None:
-        """Write per-record rows into an entry, re-accounting bytes.
+    def _release(self, entry) -> None:
+        """An entry left the map (eviction): free what it held."""
 
-        The entry may have been evicted (or even displaced) by a concurrent
-        insert while rows were produced without the lock, so bytes are
-        re-accounted against the map's actual contents.
+    def _read_store(self, store_key: str, missing: np.ndarray,
+                    row_width: int | None):
+        """What the disk tier holds of ``missing``: a mask over it and the
+        rows of the masked records (``None`` when there are none).
+
+        Counts every consulted record as a disk hit or miss; a width
+        mismatch (stale or foreign entry) is treated as wholly absent
+        rather than served.  Runs outside the lock.
         """
-        mapped = self._entries.get(key) is entry
-        if mapped:
-            self._bytes -= entry.nbytes
-        if entry.matrix is None:
-            entry.matrix = np.zeros((entry.filled.shape[0], rows.shape[1]),
-                                    dtype=rows.dtype)
-        entry.matrix[rows_idx] = rows
-        entry.filled[rows_idx] = True
-        if not mapped:
-            displaced = self._entries.get(key)
-            if displaced is not None:
-                self._bytes -= displaced.nbytes
-            self._entries[key] = entry
-        self._bytes += entry.nbytes
-        self._entries.move_to_end(key)
-        self._evict()
-
-    def _fill_from_store(self, store_key: str, key, entry,
-                         missing: np.ndarray,
-                         row_width: int | None = None) -> np.ndarray:
-        """Serve ``missing`` records from the disk tier where possible.
-
-        Returns the still-missing indices.  Counts every consulted record
-        as a disk hit or miss; a width mismatch (stale or foreign entry)
-        is treated as wholly absent rather than served.
-        """
-        if self.store is None or missing.shape[0] == 0:
-            return missing
         reader = self.store.reader(store_key)
+        have = np.zeros(missing.shape[0], dtype=bool)
+        rows = None
         if reader is not None and (row_width is None
                                    or reader.row_width == row_width):
             have = reader.filled_mask(missing)
             if have.any():
                 rows = reader.rows(missing[have])
-                with self._lock:
-                    self.disk_hits += int(have.sum())
-                    self._commit_rows(key, entry, missing[have], rows)
-                missing = missing[~have]
+        n_hit = int(np.count_nonzero(have))
         with self._lock:
-            self.disk_misses += int(missing.shape[0])
-        return missing
-
-    def _write_through(self, store_key: str, indices: np.ndarray,
-                       rows: np.ndarray, n_records: int) -> None:
-        if self.store is not None:
-            self.store.append(store_key, indices, rows, n_records)
-
-    def _missing_in_entry(self, key, indices) -> np.ndarray:
-        """Indices without memory-tier rows (a planning probe: no entry is
-        created and no hit/miss counters move)."""
-        indices = np.asarray(indices, dtype=int)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return indices
-            return indices[~entry.filled[indices]]
-
-    def _fill_rows(self, key, factory, indices: np.ndarray,
-                   rows: np.ndarray) -> None:
-        """Commit externally-extracted rows (coordinator-side fill).
-
-        The shard exchange calls this with worker-produced, mmap'd rows;
-        they count as disk hits — the records were served from shard
-        files, not extracted by this tier.
-        """
-        indices = np.asarray(indices, dtype=int)
-        if indices.shape[0] == 0:
-            return
-        with self._lock:
-            entry = self._get_or_create(key, factory)
-            self.disk_hits += int(indices.shape[0])
-            self._commit_rows(key, entry, indices, np.asarray(rows))
+            self.disk_hits += n_hit
+            self.disk_misses += int(missing.shape[0]) - n_hit
+        return have, rows
 
     def fold_counts(self, *, extractions: int = 0, hits: int = 0,
                     misses: int = 0, disk_hits: int = 0,
@@ -303,20 +318,59 @@ class _ByteBoundedLRU:
         with self._lock:
             self._reset_counters_locked()
 
+    def _clear_locked(self) -> None:
+        self._entries.clear()
+        self._bytes = 0
+        self._reset_counters_locked()
+
     def clear(self) -> None:
         """Drop the memory tier (the disk tier, if any, is untouched)."""
         with self._lock:
-            self._entries.clear()
-            self._bytes = 0
-            self._reset_counters_locked()
+            self._clear_locked()
+
+
+class _Column:
+    """A cached hypothesis: the handle of one column of its dataset's
+    arena.  Keeps the compacted store key, so a store-backed session
+    digests each identity once rather than once per block."""
+
+    __slots__ = ("arena", "identity", "col", "_store_key")
+
+    def __init__(self, arena: _Arena, identity: str):
+        self.arena = arena
+        self.identity = identity
+        self.col: int | None = None  # claimed right after creation
+        self._store_key: str | None = None
+
+    @property
+    def nbytes(self) -> int:
+        n_records, n_symbols, _ = self.arena.cells.shape
+        return _column_nbytes(n_records, n_symbols)
+
+    def store_key(self) -> str:
+        if self._store_key is None:
+            self._store_key = hyp_store_key(self.arena.dataset_key,
+                                            self.identity)
+        return self._store_key
 
 
 class HypothesisCache(_ByteBoundedLRU):
-    """Byte-bounded LRU over (dataset, hypothesis) behavior matrices."""
+    """Byte-bounded LRU over hypothesis behaviors, one arena per dataset.
+
+    All hypotheses cached for a dataset share one symbol-major matrix
+    (:class:`_Arena`), so a block of the hypothesis matrix ``H`` is one
+    row gather (:meth:`extract_block`) instead of a per-hypothesis loop.
+    ``_entries`` maps ``(dataset hash, hypothesis content identity)`` to a
+    column handle: the LRU order, the byte budget and
+    ``stats()["entries"]`` / ``["bytes"]`` are per hypothesis.  Eviction
+    frees a column for the next hypothesis to reuse (the matrix keeps its
+    width); an arena whose last column goes is dropped.
+    """
 
     def __init__(self, max_bytes: int = 512 * 1024 * 1024,
                  store: DiskBehaviorStore | None = None):
         super().__init__(max_bytes, store=store)
+        self._arenas: dict[str, _Arena] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -331,42 +385,202 @@ class HypothesisCache(_ByteBoundedLRU):
             return key_of()
         return getattr(hypothesis, "name", type(hypothesis).__name__)
 
+    def _release(self, column: _Column) -> None:
+        arena = column.arena
+        arena.release(column.col)
+        if arena.live == 0:
+            del self._arenas[arena.dataset_key]
+
+    def _clear_locked(self) -> None:
+        super()._clear_locked()
+        self._arenas.clear()
+
+    def _panel_width(self, dataset: Dataset) -> int:
+        """Columns of this dataset the byte budget holds at once."""
+        return max(1, self.max_bytes // _column_nbytes(dataset.n_records,
+                                                       dataset.n_symbols))
+
+    def _keys(self, dataset: Dataset, hypotheses: list) -> list[tuple]:
+        """``_entries`` keys of ``hypotheses``; computed outside the lock
+        (an identity may be a first-time content walk)."""
+        dataset_key = dataset.cache_key()
+        return [(dataset_key, self._hypothesis_identity(hypothesis))
+                for hypothesis in hypotheses]
+
+    def _columns(self, dataset: Dataset, keys: list[tuple]
+                 ) -> tuple[_Arena, list[_Column], np.ndarray]:
+        """The arena, column handles and column ids behind ``keys`` (at
+        most a panel of them), most recently used last.
+
+        Hypotheses the tier does not hold (never seen, or evicted since)
+        are given columns: least-recently-used ones are evicted first, so
+        freed columns are reused before the matrix grows.
+        """
+        dataset_key = keys[0][0]
+        arena = self._arenas.get(dataset_key)
+        if arena is None:
+            arena = self._arenas[dataset_key] = _Arena(
+                dataset_key, dataset.n_records, dataset.n_symbols)
+        columns, fresh = [], []
+        for key in keys:
+            column = self._entries.get(key)
+            if column is None:
+                column = self._entries[key] = _Column(arena, key[1])
+                self._bytes += column.nbytes
+                arena.live += 1
+                fresh.append(column)
+            self._entries.move_to_end(key)
+            columns.append(column)
+        if fresh:
+            self._evict()
+            taken = arena.claim(len(fresh), self._panel_width(dataset))
+            for column, col in zip(fresh, taken):
+                column.col = col
+        return arena, columns, np.array([c.col for c in columns], dtype=int)
+
+    # ------------------------------------------------------------------
+    def reserve(self, dataset: Dataset, hypotheses: list) -> None:
+        """Declare the hypotheses a run is about to fill, so the arena is
+        allocated once at that width instead of regrown fill by fill.
+        No counter moves."""
+        keys = self._keys(dataset,
+                          list(hypotheses)[:self._panel_width(dataset)])
+        if keys:
+            with self._lock:
+                self._columns(dataset, keys)
+
     def missing_records(self, dataset: Dataset, indices: np.ndarray, *,
                         hypothesis) -> np.ndarray:
-        """Records without memory-tier rows for this hypothesis (probe)."""
+        """Records without memory-tier rows for this hypothesis (a planning
+        probe: no column is claimed and no hit/miss counters move)."""
+        indices = np.asarray(indices, dtype=int)
         key = (dataset.cache_key(), self._hypothesis_identity(hypothesis))
-        return self._missing_in_entry(key, indices)
+        with self._lock:
+            column = self._entries.get(key)
+            if column is None:
+                return indices
+            return indices[~column.arena.filled[column.col, indices]]
 
     def fill_rows(self, dataset: Dataset, indices: np.ndarray,
                   rows: np.ndarray, *, hypothesis) -> None:
         """Commit worker-extracted hypothesis rows (counted as disk hits)."""
-        key = (dataset.cache_key(), self._hypothesis_identity(hypothesis))
-        self._fill_rows(key,
-                        lambda: _Entry(dataset.n_records, dataset.n_symbols),
-                        indices, rows)
+        self.fill_block(dataset, [(hypothesis, indices, rows)])
+
+    def fill_block(self, dataset: Dataset, fills: list) -> None:
+        """Commit externally-extracted ``(hypothesis, indices, rows)``
+        triples together (coordinator-side fill).
+
+        The shard exchange calls this with a worker bundle's mmap'd rows;
+        they count as disk hits — the records were served from shard
+        files, not extracted by this tier.  Hypotheses filled over the
+        same records land in one stacked write.
+        """
+        fills = [(hypothesis, np.asarray(indices, dtype=int), rows)
+                 for hypothesis, indices, rows in fills if len(indices)]
+        panel = self._panel_width(dataset)
+        for start in range(0, len(fills), panel):
+            chunk = fills[start:start + panel]
+            together: dict[bytes, list[int]] = {}
+            for j, (_, indices, _) in enumerate(chunk):
+                together.setdefault(indices.tobytes(), []).append(j)
+            writes = [(chunk[js[0]][1], np.array(js),
+                       np.stack([chunk[j][2] for j in js], axis=2))
+                      for js in together.values()]
+            keys = self._keys(dataset, [hypothesis for hypothesis, _, _
+                                        in chunk])
+            with self._lock:
+                arena, _, cols = self._columns(dataset, keys)
+                for indices, js, values in writes:
+                    self.disk_hits += int(js.shape[0] * indices.shape[0])
+                    arena.scatter(indices, cols[js], values)
 
     def extract(self, hypothesis: HypothesisFunction, dataset: Dataset,
                 indices: np.ndarray) -> np.ndarray:
-        """Behavior rows for ``indices``, computing only the missing ones."""
+        """Behavior rows for ``indices``, computing only the missing ones:
+        the one-column case of :meth:`extract_block`."""
+        block = self.extract_block([hypothesis], dataset, indices)
+        return block.reshape(-1, dataset.n_symbols)
+
+    def extract_block(self, hypotheses: list, dataset: Dataset,
+                      indices: np.ndarray) -> np.ndarray:
+        """The ``(len(indices) * ns, len(hypotheses))`` block of the
+        hypothesis matrix, computing only the missing cells.
+
+        Byte for byte ``np.stack([h.extract(dataset, indices).reshape(-1)
+        for h in hypotheses], axis=1)`` as float64.  The block is owned by
+        the caller — gathered under the lock, never a view into the arena
+        — so a column evicted and recycled later cannot alias it.  A
+        request wider than the byte budget is served panel by panel, so the
+        tier never holds more than ``max_bytes`` beside the block returned.
+        """
         indices = np.asarray(indices, dtype=int)
-        key = (dataset.cache_key(), self._hypothesis_identity(hypothesis))
-        store_key = hyp_store_key(key[0], key[1])
+        hypotheses = list(hypotheses)
+        panel = self._panel_width(dataset)
+        if len(hypotheses) <= panel:
+            return self._read_panel(hypotheses, dataset, indices)
+        block = np.empty((indices.shape[0] * dataset.n_symbols,
+                          len(hypotheses)))
+        for start in range(0, len(hypotheses), panel):
+            block[:, start:start + panel] = self._read_panel(
+                hypotheses[start:start + panel], dataset, indices)
+        return block
+
+    def _read_panel(self, hypotheses: list, dataset: Dataset,
+                    indices: np.ndarray) -> np.ndarray:
+        n, ns, k = indices.shape[0], dataset.n_symbols, len(hypotheses)
+        if k == 0:
+            return np.empty((n * ns, 0))
+        keys = self._keys(dataset, hypotheses)
         with self._lock:
-            entry = self._get_or_create(
-                key, lambda: _Entry(dataset.n_records, dataset.n_symbols))
-            missing = indices[~entry.filled[indices]]
-            self.hits += int(indices.shape[0] - missing.shape[0])
-            self.misses += int(missing.shape[0])
-        missing = self._fill_from_store(store_key, key, entry, missing,
-                                        row_width=dataset.n_symbols)
-        if missing.shape[0]:
-            rows = np.asarray(hypothesis.extract(dataset, missing))
+            arena, columns, cols = self._columns(dataset, keys)
+            have = arena.filled[cols].take(indices, axis=1)
+            n_hit = int(np.count_nonzero(have))
+            self.hits += n_hit
+            self.misses += have.size - n_hit
+            block = arena.gather(indices, cols)
+        if n_hit == have.size:
+            return block
+        # cold cells: fill the caller's block outside the lock, then commit
+        # columns missing the same records with one stacked write
+        cells = block.reshape(n, ns, k)
+        together: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+        for j in np.flatnonzero(~have.all(axis=1)):
+            at = np.flatnonzero(~have[j])
+            cells[at, :, j] = self._cold_rows(hypotheses[j], columns[j],
+                                              dataset, indices[at])
+            together.setdefault(have[j].tobytes(), (at, []))[1].append(j)
+        with self._lock:
+            # resolved again: a concurrent insert may have recycled columns
+            arena, _, cols = self._columns(dataset, keys)
+            for at, js in together.values():
+                values = cells if at.shape[0] == n else cells[at]
+                if len(js) < k:
+                    values = values[:, :, js]
+                arena.scatter(indices[at], cols[js], values)
+        return block
+
+    def _cold_rows(self, hypothesis: HypothesisFunction, column: _Column,
+                   dataset: Dataset, records: np.ndarray) -> np.ndarray:
+        """Rows the memory tier lacks: the disk tier first, then one
+        ``hypothesis.extract`` over the rest, written through."""
+        rows = np.empty((records.shape[0], dataset.n_symbols))
+        cold = np.ones(records.shape[0], dtype=bool)
+        if self.store is not None:
+            have, served = self._read_store(column.store_key(), records,
+                                            row_width=dataset.n_symbols)
+            if served is not None:
+                rows[have] = served
+                cold = ~have
+        if cold.any():
+            missing = records[cold]
+            fresh = np.asarray(hypothesis.extract(dataset, missing))
             with self._lock:
                 self.extractions += 1
-                self._commit_rows(key, entry, missing, rows)
-            self._write_through(store_key, missing, rows, dataset.n_records)
-        with self._lock:
-            return entry.matrix[indices]
+            rows[cold] = fresh
+            if self.store is not None:
+                self.store.append(column.store_key(), missing, fresh,
+                                  dataset.n_records)
+        return rows
 
 
 class _UnitEntry:
@@ -377,6 +591,7 @@ class _UnitEntry:
         self.n_symbols = n_symbols
         self.matrix: np.ndarray | None = None  # allocated on first fill
         self.filled = np.zeros(n_records, dtype=bool)
+        self.store_key: str | None = None  # compacted once, on first use
 
     @property
     def nbytes(self) -> int:
@@ -408,20 +623,76 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         super().__init__(max_bytes, store=store)
 
     # ------------------------------------------------------------------
+    def _get_or_create(self, key, dataset: Dataset) -> _UnitEntry:
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = _UnitEntry(dataset.n_records, dataset.n_symbols)
+            self._entries[key] = entry
+            self._bytes += entry.nbytes
+            self._evict()
+        self._entries.move_to_end(key)
+        return entry
+
+    def _commit_rows(self, key, entry: _UnitEntry, rows_idx: np.ndarray,
+                     rows: np.ndarray) -> None:
+        """Write per-record rows into an entry, re-accounting bytes.
+
+        The entry may have been evicted (or even displaced) by a concurrent
+        insert while rows were produced without the lock, so bytes are
+        re-accounted against the map's actual contents.
+        """
+        mapped = self._entries.get(key) is entry
+        if mapped:
+            self._bytes -= entry.nbytes
+        if entry.matrix is None:
+            entry.matrix = np.zeros((entry.filled.shape[0], rows.shape[1]),
+                                    dtype=rows.dtype)
+        entry.matrix[rows_idx] = rows
+        entry.filled[rows_idx] = True
+        if not mapped:
+            displaced = self._entries.get(key)
+            if displaced is not None:
+                self._bytes -= displaced.nbytes
+            self._entries[key] = entry
+        self._bytes += entry.nbytes
+        self._entries.move_to_end(key)
+        self._evict()
+
+    @staticmethod
+    def _store_key(key, entry: _UnitEntry) -> str:
+        if entry.store_key is None:
+            entry.store_key = unit_store_key(*key)
+        return entry.store_key
+
     def missing_records(self, dataset: Dataset, indices: np.ndarray, *,
                         model_key: str, raw_key: str) -> np.ndarray:
-        """Records without memory-tier raw rows for this pair (probe)."""
-        key = (model_key, raw_key, dataset.cache_key())
-        return self._missing_in_entry(key, indices)
+        """Records without memory-tier raw rows for this pair (a planning
+        probe: no entry is created and no hit/miss counters move)."""
+        indices = np.asarray(indices, dtype=int)
+        with self._lock:
+            entry = self._entries.get((model_key, raw_key,
+                                       dataset.cache_key()))
+            if entry is None:
+                return indices
+            return indices[~entry.filled[indices]]
 
     def fill_rows(self, dataset: Dataset, indices: np.ndarray,
                   rows: np.ndarray, *, model_key: str,
                   raw_key: str) -> None:
-        """Commit worker-extracted raw rows (counted as disk hits)."""
+        """Commit worker-extracted raw rows (coordinator-side fill).
+
+        The shard exchange calls this with worker-produced, mmap'd rows;
+        they count as disk hits — the records were served from shard
+        files, not extracted by this tier.
+        """
+        indices = np.asarray(indices, dtype=int)
+        if indices.shape[0] == 0:
+            return
         key = (model_key, raw_key, dataset.cache_key())
-        self._fill_rows(
-            key, lambda: _UnitEntry(dataset.n_records, dataset.n_symbols),
-            indices, rows)
+        with self._lock:
+            entry = self._get_or_create(key, dataset)
+            self.disk_hits += int(indices.shape[0])
+            self._commit_rows(key, entry, indices, np.asarray(rows))
 
     def extract(self, model, extractor: Extractor, dataset: Dataset,
                 indices: np.ndarray,
@@ -444,16 +715,19 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             raw_key = raw_key_of(extractor)
         ns = dataset.n_symbols
         key = (model_key, raw_key, dataset.cache_key())
-        store_key = unit_store_key(key[0], key[1], key[2])
         with self._lock:
-            entry = self._get_or_create(
-                key, lambda: _UnitEntry(dataset.n_records, ns))
+            entry = self._get_or_create(key, dataset)
             missing = indices[~entry.filled[indices]]
             self.hits += int(indices.shape[0] - missing.shape[0])
             self.misses += int(missing.shape[0])
-        missing = self._fill_from_store(
-            store_key, key, entry, missing,
-            row_width=self._expected_width(extractor, model, entry, ns))
+        if self.store is not None and missing.shape[0]:
+            have, rows = self._read_store(
+                self._store_key(key, entry), missing,
+                row_width=self._expected_width(extractor, model, entry, ns))
+            if rows is not None:
+                with self._lock:
+                    self._commit_rows(key, entry, missing[have], rows)
+                missing = missing[~have]
         if missing.shape[0]:
             block = raw_rows_of(extractor, model, dataset.symbols[missing])
             if block.shape[0] != missing.shape[0] * ns:
@@ -466,7 +740,9 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             with self._lock:
                 self.extractions += 1
                 self._commit_rows(key, entry, missing, flat)
-            self._write_through(store_key, missing, flat, dataset.n_records)
+            if self.store is not None:
+                self.store.append(self._store_key(key, entry), missing,
+                                  flat, dataset.n_records)
         if entry.matrix is None:
             # only reachable for an empty index set (nothing was ever
             # filled); let the extractor produce the correctly-shaped

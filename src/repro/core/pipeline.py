@@ -473,9 +473,7 @@ def _extract_hypotheses(hypotheses: list[HypothesisFunction],
                         dataset: Dataset, indices: np.ndarray,
                         cache: HypothesisCache | None) -> np.ndarray:
     if cache is not None:
-        columns = [cache.extract(h, dataset, indices).reshape(-1)
-                   for h in hypotheses]
-        return np.stack(columns, axis=1)
+        return cache.extract_block(hypotheses, dataset, indices)
     return HypothesisExtractor(hypotheses).extract(dataset, indices)
 
 
@@ -573,12 +571,20 @@ class BehaviorSource:
                 ext = group.extractor or self.default_extractor
                 by_ext.setdefault(id(ext), (ext, []))[1].append((gi, group))
             for ext, ext_members in by_ext.values():
+                # members reading the same units (the one group every SQL
+                # statement compiles to) have the read-time view select
+                # them once, before the transform; members that differ
+                # share one full-width read
+                ids = ext_members[0][1].unit_ids
+                shared = all(np.array_equal(group.unit_ids, ids)
+                             for _, group in ext_members[1:])
                 block = self.config.unit_cache.extract(
-                    model, ext, self.dataset, indices, hid_units=None,
+                    model, ext, self.dataset, indices,
+                    hid_units=ids if shared else None,
                     model_key=self._model_key(model),
                     raw_key=self._raw_key(ext))
                 for gi, group in ext_members:
-                    out[gi] = block[:, group.unit_ids]
+                    out[gi] = block if shared else block[:, group.unit_ids]
             return out
         extractors = {}
         for _, group in members:

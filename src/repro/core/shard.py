@@ -407,6 +407,9 @@ class ShardExchange:
         if config.cache is None or not source.hypotheses:
             return []
         dataset = source.dataset
+        # every hypothesis is about to be filled (by a worker bundle, from
+        # the store, or inline): size the tier's arena once, up front
+        config.cache.reserve(dataset, source.hypotheses)
         items = []      # (store_key, hypothesis, missing record ids)
         for hyp in source.hypotheses:
             identity = HypothesisCache._hypothesis_identity(hyp)
@@ -481,6 +484,7 @@ class ShardExchange:
         config = self.source.config
         dataset = self.source.dataset
         shard_dir = self.store.root / SHARD_DIR
+        hyp_fills = []  # a bundle's hypotheses commit together
         for desc in result["descriptors"]:
             fill = dispatch.fills.get(desc["key"])
             try:
@@ -495,8 +499,7 @@ class ShardExchange:
                                             model_key=fill[1],
                                             raw_key=fill[2])
             elif fill is not None:
-                config.cache.fill_rows(dataset, indices, rows,
-                                       hypothesis=fill[1])
+                hyp_fills.append((fill[1], indices, rows))
             # adopted shards join the run's pending queue and become
             # visible in its one manifest commit
             self.store.adopt_shard(
@@ -506,6 +509,8 @@ class ShardExchange:
                 index_bytes=desc["index_bytes"],
                 n_records=desc["n_records"], row_width=desc["row_width"],
                 dtype=desc["dtype"])
+        if hyp_fills:
+            config.cache.fill_block(dataset, hyp_fills)
         tier = (config.unit_cache if dispatch.kind == "unit"
                 else config.cache)
         if tier is not None:

@@ -222,11 +222,18 @@ class Extractor:
 
     def _apply_views(self, states: np.ndarray,
                      hid_units: np.ndarray | None) -> np.ndarray:
-        """Transform + unit selection over already-view-sliced states."""
-        states = apply_transform(states,
-                                 getattr(self, "transform", "activation"))
+        """Unit selection + transform over already-view-sliced states.
+
+        Every transform is per unit, so selecting first yields the same
+        bytes and transforms only the columns that are kept.  The
+        selection stays a fancy index (not ``take``): it lays the block
+        out unit-major, and a measure's summation order — a score's last
+        bits — follows that layout.
+        """
         if hid_units is not None:
             states = states[:, :, hid_units]
+        states = apply_transform(states,
+                                 getattr(self, "transform", "activation"))
         return states.reshape(-1, states.shape[-1])
 
 

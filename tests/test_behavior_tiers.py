@@ -1,0 +1,533 @@
+"""Differential and lifecycle suite for the behavior memory tiers.
+
+The hypothesis tier keeps one symbol-major arena per dataset and serves a
+block of the hypothesis matrix with one gather; everything here compares it
+against the stacked per-hypothesis reference —
+``np.stack([h.extract(dataset, indices).reshape(-1) for h in hyps], axis=1)``
+— byte for byte, and pins the counters to what the per-hypothesis loop it
+replaced reported.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import repro.core.cache as cache_module
+from repro import (DiskBehaviorStore, HypothesisCache, InspectConfig,
+                   Session, UnitBehaviorCache, UnitGroup, inspect)
+from repro.core.cache import hyp_store_key, unit_store_key
+from repro.core.pipeline import InspectionPlan, ScoreTask
+from repro.extract import RnnActivationExtractor
+from repro.extract.base import raw_key_of
+from repro.hypotheses import grammar_hypotheses
+from repro.hypotheses.library import sql_keyword_hypotheses
+from repro.measures import CorrelationScore
+
+
+@pytest.fixture(scope="module")
+def hyps72(sql_workload):
+    """The SQL workload's whole hypothesis library (as the benchmark's)."""
+    wl = sql_workload
+    hyps = grammar_hypotheses(wl.grammar, wl.queries, wl.trees,
+                              mode="derivation") + sql_keyword_hypotheses()
+    assert len(hyps) == 72
+    return hyps
+
+
+def reference(hypotheses, dataset, indices) -> np.ndarray:
+    """The uncached hypothesis matrix block the tier must reproduce."""
+    if not hypotheses:
+        return np.empty((len(indices) * dataset.n_symbols, 0))
+    return np.stack([h.extract(dataset, indices).reshape(-1)
+                     for h in hypotheses], axis=1)
+
+
+def assert_same_block(block: np.ndarray, expected: np.ndarray) -> None:
+    assert block.dtype == np.float64 and expected.dtype == np.float64
+    assert block.shape == expected.shape
+    assert block.flags["C_CONTIGUOUS"]
+    assert block.tobytes() == expected.tobytes()
+
+
+def column_bytes(dataset) -> int:
+    return 8 * dataset.n_records * dataset.n_symbols + dataset.n_records
+
+
+def index_sets(n: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(3)
+    return {"all": np.arange(n),
+            "shuffled": rng.permutation(n),          # shuffle=True order
+            "duplicate": np.array([5, 5, 0, n - 1, 5, 0]),
+            "empty": np.array([], dtype=int),
+            "strided": np.arange(n - 1, 0, -7)}      # and out of order
+
+
+def hypothesis_lists() -> dict[str, list[int]]:
+    rng = np.random.default_rng(4)
+    return {"all": list(range(72)),
+            "subset": list(range(10, 40, 3)),
+            "permuted": [int(i) for i in rng.permutation(72)],
+            "one": [17],
+            "none": []}
+
+
+# ----------------------------------------------------------------------
+# (a) block read == stacked reference
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("with_store", [False, True],
+                         ids=["memory", "store"])
+@pytest.mark.parametrize("state", ["cold", "half", "warm"])
+def test_block_read_matches_stacked_reference(state, with_store, tmp_path,
+                                              sql_workload, hyps72):
+    dataset = sql_workload.dataset
+    n = dataset.n_records
+    order = np.random.default_rng(0).permutation(n)
+    warm_to = {"cold": 0, "half": n // 2, "warm": n}[state]
+    combos = [(iname, lname) for iname in index_sets(n)
+              for lname in hypothesis_lists()]
+    if with_store:      # a shard per hypothesis per combo: the diagonal
+        combos = list(zip(index_sets(n), hypothesis_lists()))
+    for iname, lname in combos:
+        indices, picks = index_sets(n)[iname], hypothesis_lists()[lname]
+        hyps = [hyps72[i] for i in picks]
+        cells = len(hyps) * len(indices)
+        store = (DiskBehaviorStore(tmp_path / f"{iname}-{lname}")
+                 if with_store else None)
+        cache = HypothesisCache(store=store)
+        with (store.deferred_commits() if with_store
+              else contextlib.nullcontext()):
+            if warm_to:     # what an earlier statement left behind
+                cache.extract_block(hyps72, dataset, order[:warm_to])
+            before = cache.stats()
+            block = cache.extract_block(hyps, dataset, indices)
+        assert_same_block(block, reference(hyps, dataset, indices))
+        after = cache.stats()
+        assert (after["hits"] - before["hits"]
+                + after["misses"] - before["misses"]) == cells
+        if state == "warm":
+            assert after["misses"] == before["misses"]
+            assert after["extractions"] == before["extractions"]
+        if with_store:
+            # what was written through serves a new tier untouched
+            again = HypothesisCache(store=DiskBehaviorStore(store.root))
+            assert_same_block(again.extract_block(hyps, dataset, indices),
+                              block)
+            assert again.stats()["extractions"] == 0
+            assert again.stats()["disk_hits"] == cells
+
+
+def test_one_column_calls_are_the_block_read(sql_workload, hyps72):
+    dataset = sql_workload.dataset
+    cache = HypothesisCache()
+    idx = np.array([9, 2, 2, 1])
+    rows = cache.extract(hyps72[3], dataset, idx)
+    assert rows.shape == (4, dataset.n_symbols)
+    assert rows.tobytes() == hyps72[3].extract(dataset, idx).tobytes()
+    assert cache.missing_records(dataset, np.arange(5),
+                                 hypothesis=hyps72[3]).tolist() == [0, 3, 4]
+    assert cache.missing_records(dataset, np.arange(3),
+                                 hypothesis=hyps72[4]).tolist() == [0, 1, 2]
+    assert cache.stats()["entries"] == 1        # a probe claims nothing
+    cache.fill_rows(dataset, np.array([0, 1]),
+                    hyps72[4].extract(dataset, [0, 1]), hypothesis=hyps72[4])
+    assert cache.stats()["disk_hits"] == 2
+    block = cache.extract_block([hyps72[4], hyps72[3]], dataset,
+                                np.array([1, 2]))
+    assert_same_block(block, reference([hyps72[4], hyps72[3]], dataset,
+                                       np.array([1, 2])))
+    assert cache.stats()["extractions"] == 2    # only h4's record 2 was cold
+
+
+# ----------------------------------------------------------------------
+# (b) growth
+# ----------------------------------------------------------------------
+def test_hypothesis_seen_after_the_arena_exists(sql_workload, hyps72,
+                                                trained_sql_model):
+    dataset = sql_workload.dataset
+    everything = np.arange(dataset.n_records)
+    cache = HypothesisCache()
+    cache.extract_block(hyps72[:5], dataset, everything)
+    cache.reset_counters()
+    block = cache.extract_block(hyps72[:8], dataset, everything)
+    assert_same_block(block, reference(hyps72[:8], dataset, everything))
+    stats = cache.stats()
+    assert stats["hits"] == 5 * dataset.n_records     # kept across growth
+    assert stats["misses"] == 3 * dataset.n_records
+    assert stats["extractions"] == 3 and stats["entries"] == 8
+    assert stats["bytes"] == 8 * column_bytes(dataset)
+
+    def frame(hyps, hyp_cache):
+        out = inspect([trained_sql_model], dataset, [CorrelationScore()],
+                      hyps, config=InspectConfig(early_stop=False,
+                                                 block_size=128,
+                                                 cache=hyp_cache))
+        return list(zip(out["hyp_id"], out["h_unit_id"], out["val"]))
+
+    shared = HypothesisCache()
+    assert frame(hyps72[:5], shared) == frame(hyps72[:5], None)
+    assert frame(hyps72[2:9], shared) == frame(hyps72[2:9], None)
+    assert frame(hyps72[:5], shared) == frame(hyps72[:5], None)
+
+
+# ----------------------------------------------------------------------
+# (c) eviction recycles columns, (d) requests wider than the budget
+# ----------------------------------------------------------------------
+def test_two_column_budget_with_three_hypotheses(sql_workload, hyps72):
+    dataset = sql_workload.dataset
+    everything = np.arange(dataset.n_records)
+    h0, h1, h2 = hyps72[60], hyps72[61], hyps72[62]
+    cache = HypothesisCache(max_bytes=2 * column_bytes(dataset))
+    handed_out = cache.extract_block([h0, h1], dataset, everything)
+    snapshot = handed_out.copy()
+    assert cache.stats()["extractions"] == 2
+
+    few = np.array([3, 4])
+    cache.extract_block([h2], dataset, few)       # evicts h0, the LRU one
+    stats = cache.stats()
+    assert stats["entries"] == 2
+    assert stats["bytes"] == 2 * column_bytes(dataset) <= cache.max_bytes
+    assert len(cache._arenas) == 1
+    assert next(iter(cache._arenas.values())).cells.shape[2] == 2  # recycled
+    # the recycled column does not carry h0's rows: only `few` is filled
+    assert cache.missing_records(dataset, everything, hypothesis=h2) \
+        .tolist() == [i for i in everything if i not in few]
+    assert cache.missing_records(dataset, few, hypothesis=h0).tolist() \
+        == few.tolist()
+    assert_same_block(cache.extract_block([h2], dataset, everything),
+                      reference([h2], dataset, everything))
+    # a block handed out before the eviction still holds its bytes
+    assert handed_out.tobytes() == snapshot.tobytes()
+    # the evicted hypothesis re-extracts (and now evicts h1)
+    before = cache.stats()["extractions"]
+    assert_same_block(cache.extract_block([h0], dataset, everything),
+                      reference([h0], dataset, everything))
+    assert cache.stats()["extractions"] == before + 1
+    assert cache.stats()["entries"] == 2
+    assert cache.missing_records(dataset, few, hypothesis=h1).tolist() \
+        == few.tolist()
+
+
+def test_last_column_out_drops_the_arena(sql_workload, small_sql_workload,
+                                         hyps72):
+    hyp = hyps72[70]       # a keyword hypothesis: any dataset will do
+    cache = HypothesisCache(max_bytes=1)
+    cache.extract_block([hyp], sql_workload.dataset, np.arange(4))
+    cache.extract_block([hyp], small_sql_workload.dataset, np.arange(4))
+    assert cache.stats()["entries"] == 1
+    assert list(cache._arenas) == [small_sql_workload.dataset.cache_key()]
+    cache.clear()
+    assert cache._arenas == {} and cache.stats()["bytes"] == 0
+
+
+def test_request_wider_than_the_budget(sql_workload, hyps72):
+    dataset = sql_workload.dataset
+    indices = np.random.default_rng(1).permutation(dataset.n_records)[:200]
+    cache = HypothesisCache(max_bytes=2 * column_bytes(dataset) + 17)
+    picks = hyps72[5:12]
+    for _ in range(2):
+        block = cache.extract_block(picks, dataset, indices)
+        assert_same_block(block, reference(picks, dataset, indices))
+        stats = cache.stats()
+        assert stats["bytes"] <= cache.max_bytes and stats["entries"] == 2
+        arena = next(iter(cache._arenas.values()))
+        assert arena.cells.shape[2] == 2      # never wider than the budget
+    assert cache.stats()["hits"] + cache.stats()["misses"] == 2 * 7 * 200
+    # a budget below one column keeps exactly one
+    tiny = HypothesisCache(max_bytes=1)
+    assert_same_block(tiny.extract_block(picks, dataset, indices),
+                      reference(picks, dataset, indices))
+    assert tiny.stats()["entries"] == 1
+
+
+# ----------------------------------------------------------------------
+# (e) threads
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("budget_columns", [None, 6])
+def test_threads_yield_serial_bytes_and_exact_counts(sql_workload, hyps72,
+                                                     budget_columns):
+    dataset = sql_workload.dataset
+    n, ns = dataset.n_records, dataset.n_symbols
+    hyps = hyps72[40:60]
+    full = reference(hyps, dataset, np.arange(n)).reshape(n, ns, len(hyps))
+    cache = HypothesisCache() if budget_columns is None else \
+        HypothesisCache(max_bytes=budget_columns * column_bytes(dataset))
+    def worker(seed: int) -> tuple[int, int]:
+        rng = np.random.default_rng(seed)
+        read = filled = 0
+        for _ in range(30):
+            idx = rng.integers(0, n, size=int(rng.integers(1, 60)))
+            op = rng.integers(0, 3)
+            if op == 0:
+                picks = rng.permutation(len(hyps))[:rng.integers(1, 7)]
+                block = cache.extract_block(
+                    [hyps[i] for i in picks], dataset, idx)
+                want = full[idx][:, :, picks].reshape(-1, len(picks))
+                assert block.tobytes() == want.tobytes()
+                read += len(picks) * len(idx)
+            elif op == 1:
+                j = int(rng.integers(0, len(hyps)))
+                rows = cache.extract(hyps[j], dataset, idx)
+                assert rows.tobytes() == full[idx, :, j].tobytes()
+                read += len(idx)
+            else:
+                j = int(rng.integers(0, len(hyps)))
+                cache.fill_rows(dataset, idx, full[idx, :, j],
+                                hypothesis=hyps[j])
+                filled += len(idx)
+        return read, filled
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(8)]
+            # .result() re-raises a worker's assertion on this thread
+            totals = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    cells = {"read": sum(read for read, _ in totals),
+             "filled": sum(filled for _, filled in totals)}
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] == cells["read"]
+    assert stats["disk_hits"] == cells["filled"]
+    assert stats["bytes"] == stats["entries"] * column_bytes(dataset)
+    if budget_columns is not None:
+        assert stats["entries"] <= budget_columns
+    # and the tier still serves the serial bytes afterwards
+    assert_same_block(cache.extract_block(hyps[:5], dataset, np.arange(n)),
+                      full[:, :, :5].reshape(-1, 5))
+
+
+# ----------------------------------------------------------------------
+# (f) counter parity with the per-hypothesis loop this tier replaced
+# ----------------------------------------------------------------------
+def test_counter_parity_with_the_per_hypothesis_loop(tmp_path, sql_workload,
+                                                     hyps72):
+    """Literal numbers: what ``[cache.extract(h, ...) for h in hyps]``
+    reported at the parent commit for this cold-then-warm two-block run."""
+    dataset = sql_workload.dataset
+    assert dataset.n_records == 444
+    order = np.random.default_rng(0).permutation(444)
+    blocks = [order[:256], order[256:]]
+
+    def run(cache):
+        for _ in range(2):
+            for block in blocks:
+                cache.extract_block(hyps72, dataset, block)
+        return cache.stats()
+
+    size = {"entries": 72, "bytes": 7704288}
+    assert run(HypothesisCache()) == {
+        "hits": 31968, "misses": 31968, "disk_hits": 0, "disk_misses": 0,
+        "extractions": 144, **size}
+    store = DiskBehaviorStore(tmp_path)
+    assert run(HypothesisCache(store=store)) == {
+        "hits": 31968, "misses": 31968, "disk_hits": 0,
+        "disk_misses": 31968, "extractions": 144, **size}
+    fresh = HypothesisCache(store=DiskBehaviorStore(tmp_path))
+    for block in blocks:
+        fresh.extract_block(hyps72, dataset, block)
+    assert fresh.stats() == {
+        "hits": 0, "misses": 31968, "disk_hits": 31968, "disk_misses": 0,
+        "extractions": 0, **size}
+
+
+# ----------------------------------------------------------------------
+# (g) call counts on the warm path, (h) owned reads
+# ----------------------------------------------------------------------
+def test_warm_statement_reads_the_tier_once_per_block(monkeypatch,
+                                                      sql_workload, hyps72,
+                                                      trained_sql_model):
+    calls = {"tier": 0, "hypothesis": 0, "scored": 0}
+
+    def counting(owner, name, bucket):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[bucket] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    with Session(config=InspectConfig(early_stop=False,
+                                      block_size=128)) as session:
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps72)
+        session.register_model("m", trained_sql_model, epoch=0)
+        topk = ("SELECT S.uid AS uid, S.hid AS hid, S.unit_score AS score "
+                "INSPECT U.uid AND H.h USING corr OVER D.seq AS S "
+                "FROM models M, units U, hypotheses H, inputs D "
+                "WHERE M.mid = U.mid AND U.uid < 8 "
+                "ORDER BY S.unit_score DESC LIMIT 20")
+        cold = session.sql(topk)
+        counting(HypothesisCache, "extract_block", "tier")
+        counting(ScoreTask, "process", "scored")
+        for cls in {type(h) for h in hyps72}:
+            counting(cls, "extract", "hypothesis")
+        warm = session.sql(topk)
+    assert warm.rows() == cold.rows()
+    assert calls["scored"] == 4                # 444 records, 128 a block
+    assert calls["tier"] == calls["scored"]    # one read per scored block
+    assert calls["hypothesis"] == 0
+
+
+def test_reads_are_owned_never_views_of_the_arena(sql_workload, hyps72):
+    dataset = sql_workload.dataset
+    cache = HypothesisCache()
+    everything = np.arange(dataset.n_records)
+    reads = {"whole arena": cache.extract_block(hyps72[:6], dataset,
+                                                everything),
+             "warm": cache.extract_block(hyps72[:6], dataset, everything),
+             "slice": cache.extract_block(hyps72[2:5], dataset, everything),
+             "take": cache.extract_block([hyps72[4], hyps72[1]], dataset,
+                                         everything),
+             "one": cache.extract(hyps72[0], dataset, everything)}
+    arena = next(iter(cache._arenas.values()))
+    for name, block in reads.items():
+        assert not np.shares_memory(block, arena.cells), name
+        block[:] = -1.0      # scribbling on a read cannot reach the tier
+    assert_same_block(cache.extract_block(hyps72[:6], dataset, everything),
+                      reference(hyps72[:6], dataset, everything))
+
+
+# ----------------------------------------------------------------------
+# store keys: format pinned, compacted only where a store is consulted
+# ----------------------------------------------------------------------
+def test_store_written_through_the_public_path_is_interchangeable(
+        tmp_path, sql_workload, hyps72):
+    """The per-hypothesis loop wrote ``append(hyp_store_key(...), records,
+    h.extract(...))`` per block; a store built that way serves this tier
+    with zero extractions, and what this tier writes reads back the same
+    way — same keys, same rows."""
+    dataset = sql_workload.dataset
+    order = np.random.default_rng(0).permutation(dataset.n_records)
+    blocks = [order[:256], order[256:]]
+    theirs = DiskBehaviorStore(tmp_path / "per-hypothesis")
+    with theirs.deferred_commits():
+        for block in blocks:
+            for hyp in hyps72:
+                theirs.append(
+                    hyp_store_key(dataset.cache_key(), hyp.cache_key()),
+                    block, hyp.extract(dataset, block), dataset.n_records)
+    cache = HypothesisCache(store=DiskBehaviorStore(theirs.root))
+    assert_same_block(cache.extract_block(hyps72, dataset, order),
+                      reference(hyps72, dataset, order))
+    assert cache.stats()["extractions"] == 0
+    assert cache.stats()["disk_hits"] == 72 * dataset.n_records
+
+    ours = DiskBehaviorStore(tmp_path / "arena")
+    writer = HypothesisCache(store=ours)
+    with ours.deferred_commits():
+        for block in blocks:
+            writer.extract_block(hyps72, dataset, block)
+    reopened = DiskBehaviorStore(ours.root)
+    assert sorted(reopened.keys()) == sorted(theirs.keys())
+    everything = np.arange(dataset.n_records)
+    for key in theirs.keys():
+        mine, other = reopened.reader(key), theirs.reader(key)
+        assert mine.row_width == other.row_width == dataset.n_symbols
+        assert mine.filled_mask(everything).all()
+        assert mine.rows(everything).tobytes() \
+            == other.rows(everything).tobytes()
+
+
+def test_store_keys_compacted_only_where_a_store_is_consulted(
+        monkeypatch, tmp_path, sql_workload, hyps72, trained_sql_model):
+    digests = []
+    original = cache_module._compact
+
+    def counting(identity, *args):
+        digests.append(identity)
+        return original(identity, *args)
+    monkeypatch.setattr(cache_module, "_compact", counting)
+
+    dataset = sql_workload.dataset
+    extractor = RnnActivationExtractor()
+    blocks = [np.arange(0, 200), np.arange(200, dataset.n_records)]
+
+    def run(hyp_cache, unit_cache):
+        for _ in range(2):          # cold, then warm
+            for block in blocks:
+                hyp_cache.extract_block(hyps72, dataset, block)
+                unit_cache.extract(trained_sql_model, extractor, dataset,
+                                   block)
+
+    run(HypothesisCache(), UnitBehaviorCache())
+    assert digests == []            # no store: no key is ever built
+    store = DiskBehaviorStore(tmp_path)
+    with store.deferred_commits():
+        run(HypothesisCache(store=store), UnitBehaviorCache(store=store))
+    # once per identity for the session, not once per block
+    assert sorted(digests) == sorted(
+        [h.cache_key() for h in hyps72] + [raw_key_of(extractor)])
+    monkeypatch.setattr(cache_module, "_compact", original)
+    from repro.core.cache import model_fingerprint
+    assert sorted(store.keys()) == sorted(
+        [hyp_store_key(dataset.cache_key(), h.cache_key()) for h in hyps72]
+        + [unit_store_key(model_fingerprint(trained_sql_model),
+                          raw_key_of(extractor), dataset.cache_key())])
+
+
+# ----------------------------------------------------------------------
+# unit tier: one selection at the group's width
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("transform", ["activation", "abs", "gradient"])
+def test_unit_selection_commutes_with_the_transform(transform, sql_workload,
+                                                    trained_sql_model):
+    dataset = sql_workload.dataset
+    extractor = RnnActivationExtractor(transform=transform)
+    cache = UnitBehaviorCache()
+    indices = np.random.default_rng(2).permutation(dataset.n_records)[:97]
+    ids = np.array([0, 3, 4, 9, 2])
+    two_step = cache.extract(trained_sql_model, extractor, dataset,
+                             indices)[:, ids]
+    one_step = cache.extract(trained_sql_model, extractor, dataset, indices,
+                             hid_units=ids)
+    assert one_step.dtype == two_step.dtype
+    assert one_step.tobytes() == two_step.tobytes()
+    # same memory layout too: a measure's summation order follows it
+    assert one_step.strides == two_step.strides
+    direct = extractor.extract(trained_sql_model, dataset.symbols[indices],
+                               hid_units=ids)
+    assert direct.tobytes() == two_step.tobytes()
+    assert direct.strides == two_step.strides
+
+
+def test_plan_passes_a_shared_unit_selection_to_the_tier(
+        monkeypatch, sql_workload, hyps72, trained_sql_model):
+    seen = []
+    original = UnitBehaviorCache.extract
+
+    def recording(self, model, extractor, dataset, indices, hid_units=None,
+                  **kwargs):
+        seen.append(None if hid_units is None
+                    else np.asarray(hid_units).tolist())
+        return original(self, model, extractor, dataset, indices,
+                        hid_units=hid_units, **kwargs)
+    monkeypatch.setattr(UnitBehaviorCache, "extract", recording)
+
+    def scores(groups, **caches):
+        plan = InspectionPlan.build(
+            groups, sql_workload.dataset, [CorrelationScore()], hyps72[60:],
+            RnnActivationExtractor(),
+            InspectConfig(early_stop=False, max_records=200, **caches))
+        return [o.result.unit_scores.tobytes() for o in plan.execute()]
+
+    def group(ids, name):
+        return UnitGroup(model=trained_sql_model, unit_ids=ids, name=name)
+
+    one = [group([1, 5, 6], "a")]
+    assert scores(one, unit_cache=UnitBehaviorCache()) == scores(one)
+    assert seen == [[1, 5, 6]]              # selected once, inside the tier
+    seen.clear()
+    same = [group([1, 5, 6], "a"), group([1, 5, 6], "b")]
+    assert scores(same, unit_cache=UnitBehaviorCache()) == scores(same)
+    assert seen == [[1, 5, 6]]
+    seen.clear()
+    differ = [group([1, 5, 6], "a"), group([2, 5], "b")]
+    assert scores(differ, unit_cache=UnitBehaviorCache()) == scores(differ)
+    assert seen == [None]                   # full-width read, sliced per group
