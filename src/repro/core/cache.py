@@ -54,8 +54,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.extract.base import (Extractor, finalize_rows_of, raw_key_of,
-                                raw_rows_of)
+from repro.extract.base import Extractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.store import DiskBehaviorStore
 from repro.util.debuglog import degraded
@@ -253,7 +252,7 @@ class _ByteBoundedLRU:
         """An entry left the map (eviction): free what it held."""
 
     def _read_store(self, store_key: str, missing: np.ndarray,
-                    row_width: int | None):
+                    row_width: int):
         """What the disk tier holds of ``missing``: a mask over it and the
         rows of the masked records (``None`` when there are none).
 
@@ -264,8 +263,7 @@ class _ByteBoundedLRU:
         reader = self.store.reader(store_key)
         have = np.zeros(missing.shape[0], dtype=bool)
         rows = None
-        if reader is not None and (row_width is None
-                                   or reader.row_width == row_width):
+        if reader is not None and reader.row_width == row_width:
             have = reader.filled_mask(missing)
             if have.any():
                 rows = reader.rows(missing[have])
@@ -712,7 +710,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         if model_key is None:
             model_key = model_fingerprint(model)
         if raw_key is None:
-            raw_key = raw_key_of(extractor)
+            raw_key = extractor.raw_key()
         ns = dataset.n_symbols
         key = (model_key, raw_key, dataset.cache_key())
         with self._lock:
@@ -729,7 +727,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
                     self._commit_rows(key, entry, missing[have], rows)
                 missing = missing[~have]
         if missing.shape[0]:
-            block = raw_rows_of(extractor, model, dataset.symbols[missing])
+            block = extractor.raw_rows(model, dataset.symbols[missing])
             if block.shape[0] != missing.shape[0] * ns:
                 raise ValueError(
                     "extractor row mismatch: expected "
@@ -753,19 +751,12 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             # explicit width: -1 cannot be inferred for an empty index set
             width = entry.matrix.shape[1] // ns
             raw = entry.matrix[indices].reshape(indices.shape[0] * ns, width)
-        return finalize_rows_of(extractor, model, raw, ns,
-                                hid_units=hid_units)
+        return extractor.finalize_rows(model, raw, ns, hid_units=hid_units)
 
     @staticmethod
-    def _expected_width(extractor, model, entry: _UnitEntry,
-                        ns: int) -> int | None:
-        """Disk-tier row width the entry must carry, when knowable."""
+    def _expected_width(extractor: Extractor, model, entry: _UnitEntry,
+                        ns: int) -> int:
+        """Disk-tier row width the entry must carry."""
         if entry.matrix is not None:
             return int(entry.matrix.shape[1])
-        width_of = getattr(extractor, "raw_width", None)
-        if callable(width_of):
-            try:
-                return int(width_of(model)) * ns
-            except (NotImplementedError, AttributeError, TypeError):
-                return None
-        return None
+        return extractor.raw_width(model) * ns

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.extract.base import Extractor
+from repro.extract.base import Extractor, require_extractor
 
 
 @dataclass
@@ -36,6 +36,13 @@ class UnitGroup:
             raise ValueError("unit_ids must be a flat index vector")
         if self.unit_ids.shape[0] == 0:
             raise ValueError(f"unit group {self.name!r} has no units")
+        if self.unit_ids.min() < 0:
+            # numpy would wrap the index and score unit n_units + id
+            raise ValueError(f"unit group {self.name!r} has negative unit "
+                             f"ids: {self.unit_ids[self.unit_ids < 0]}")
+        if self.extractor is not None:
+            require_extractor(self.extractor,
+                              f"unit group {self.name!r}: extractor")
 
     @property
     def model_id(self) -> str:
@@ -70,6 +77,8 @@ def model_groups(models, extractor: Extractor | None, unit_ids=None,
     """
     if models is None:
         raise ValueError("provide models or explicit unit_groups")
+    if extractor is not None:
+        require_extractor(extractor, "extractor")
     if not isinstance(models, (list, tuple)):
         models = [models]
     if resolve is not None:

@@ -50,8 +50,7 @@ from repro.core.cache import (HypothesisCache, UnitBehaviorCache,
 from repro.core.groups import UnitGroup
 from repro.data.datasets import Dataset
 from repro.extract.base import (Extractor, HypothesisExtractor,
-                                apply_transform, finalize_rows_of,
-                                raw_key_of, raw_rows_of)
+                                apply_transform, require_extractor)
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import Measure, MeasureResult
 from repro.store import DiskBehaviorStore
@@ -462,13 +461,6 @@ class GroupMeasureOutcome:
 # ----------------------------------------------------------------------
 # operators
 # ----------------------------------------------------------------------
-def _total_units(extractor: Extractor, model) -> int | None:
-    try:
-        return int(extractor.n_units(model))
-    except (AttributeError, NotImplementedError):
-        return None
-
-
 def _extract_hypotheses(hypotheses: list[HypothesisFunction],
                         dataset: Dataset, indices: np.ndarray,
                         cache: HypothesisCache | None) -> np.ndarray:
@@ -483,9 +475,9 @@ class BehaviorSource:
     ``materialize=False`` (streaming) extracts lazily per request;
     ``materialize=True`` extracts everything on :meth:`prepare` and then
     serves row slices.  Either way unit extraction runs once per distinct
-    (model, extractor) pair and — when the requesting groups cover a strict
-    subset of a model's units — is narrowed to the union of their unit ids
-    via ``hid_units``, so behaviors nobody asked for are never materialized.
+    (model, raw sweep) pair and — when the requesting groups cover a strict
+    subset of the sweep's columns — is narrowed to the union of the columns
+    they read, so behaviors nobody asked for are never materialized.
     With a :class:`UnitBehaviorCache` configured, extraction instead runs at
     full width and slices columns on read: cache entries then reuse across
     runs regardless of which groups were active when they were filled.
@@ -510,7 +502,7 @@ class BehaviorSource:
         # entry pins its referent so the address cannot be recycled and
         # handed to a different object while the memo lives
         self._model_keys: dict[int, tuple[object, str]] = {}
-        self._raw_keys: dict[int, tuple[object, str | None]] = {}
+        self._raw_keys: dict[int, tuple[object, str]] = {}
 
     def _model_key(self, model) -> str:
         entry = self._model_keys.get(id(model))  # repro: allow[REP003]
@@ -519,20 +511,10 @@ class BehaviorSource:
             self._model_keys[id(model)] = entry  # repro: allow[REP003]
         return entry[1]
 
-    def _raw_key(self, extractor) -> str | None:
-        """Stable raw identity, or None when the extractor has none.
-
-        None keeps the extractor groupable per-instance; attempting to
-        *cache or persist* under it still fails loudly downstream, exactly
-        as calling ``extractor.cache_key()`` always did.
-        """
+    def _raw_key(self, extractor: Extractor) -> str:
         entry = self._raw_keys.get(id(extractor))  # repro: allow[REP003]
         if entry is None or entry[0] is not extractor:
-            try:
-                key = raw_key_of(extractor)
-            except AttributeError:
-                key = None
-            entry = (extractor, key)
+            entry = (extractor, extractor.raw_key())
             self._raw_keys[id(extractor)] = entry  # repro: allow[REP003]
         return entry[1]
 
@@ -586,66 +568,32 @@ class BehaviorSource:
                 for gi, group in ext_members:
                     out[gi] = block if shared else block[:, group.unit_ids]
             return out
-        extractors = {}
-        for _, group in members:
-            ext = group.extractor or self.default_extractor
-            extractors.setdefault(id(ext), ext)
-        if len(extractors) == 1:
-            # single behavior definition: narrow extraction to the union of
-            # requested units, so behaviors nobody asked for are never
-            # materialized
-            ext = next(iter(extractors.values()))
-            union = np.unique(
-                np.concatenate([g.unit_ids for _, g in members]))
-            total = _total_units(ext, model)
-            narrow = total is not None and union.shape[0] < total
-            block = ext.extract(model, self.dataset.symbols[indices],
-                                hid_units=union if narrow else None)
-            for gi, group in members:
-                cols = (np.searchsorted(union, group.unit_ids) if narrow
-                        else group.unit_ids)
-                out[gi] = block[:, cols]
-            return out
-        # several views over one sweep, no cache to share through: extract
-        # raw once and finalize per member
-        rep = next(iter(extractors.values()))
+        # no cache to share through: one sweep narrowed to the union of
+        # *raw* columns the members read (each member's unit ids mapped
+        # through its layer view), so behaviors nobody asked for are never
+        # materialized; each member's block is a read-time view over it
+        rep = first.extractor or self.default_extractor
         ns = self.dataset.n_symbols
-        if not all(getattr(ext, "supports_raw", False)
-                   for ext in extractors.values()):
-            # duck-typed members: full-width sweep, plain column views
-            raw = raw_rows_of(rep, model, self.dataset.symbols[indices])
-            for gi, group in members:
-                ext = group.extractor or self.default_extractor
-                out[gi] = finalize_rows_of(ext, model, raw, ns,
-                                           hid_units=group.unit_ids)
-            return out
-        # narrow the shared sweep to the union of *raw* columns the
-        # members read (each member's unit ids mapped through its layer
-        # view), so behaviors nobody asked for are never materialized —
-        # the fused mirror of the single-extractor union path above
-        raw_cols: dict[int, np.ndarray] = {}
+        views = []      # (gi, extractor, the raw columns its group reads)
         for gi, group in members:
             ext = group.extractor or self.default_extractor
             view = ext.view_columns(model)
-            raw_cols[gi] = (np.asarray(view)[group.unit_ids]
-                            if view is not None
-                            else np.asarray(group.unit_ids))
-        union = np.unique(np.concatenate(list(raw_cols.values())))
-        try:
-            total = int(rep.raw_width(model))
-        except (AttributeError, NotImplementedError, TypeError):
-            total = None
-        narrow = total is not None and union.shape[0] < total
-        raw = raw_rows_of(rep, model, self.dataset.symbols[indices],
-                          columns=union if narrow else None)
+            views.append((gi, ext, group.unit_ids if view is None
+                          else np.asarray(view)[group.unit_ids]))
+        union = np.unique(np.concatenate([cols for _, _, cols in views]))
+        narrow = union.shape[0] < rep.raw_width(model)
+        raw = rep.raw_rows(model, self.dataset.symbols[indices],
+                           columns=union if narrow else None)
+        if raw.shape[0] != indices.shape[0] * ns:
+            raise ValueError(
+                "extractor row mismatch: expected "
+                f"{indices.shape[0] * ns} rows ({indices.shape[0]} records "
+                f"x {ns} symbols), got {raw.shape[0]}")
         states = raw.reshape(-1, ns, raw.shape[-1])
-        for gi, group in members:
-            ext = group.extractor or self.default_extractor
-            cols = (np.searchsorted(union, raw_cols[gi]) if narrow
-                    else raw_cols[gi])
-            block = apply_transform(
-                states[:, :, cols],
-                getattr(ext, "transform", "activation"))
+        for gi, ext, cols in views:
+            if narrow:
+                cols = np.searchsorted(union, cols)
+            block = apply_transform(states[:, :, cols], ext.transform)
             out[gi] = block.reshape(-1, block.shape[-1])
         return out
 
@@ -666,10 +614,7 @@ class BehaviorSource:
         by_pair: dict[tuple[int, str], list[tuple[int, UnitGroup]]] = {}
         for gi, group in groups:
             ext = group.extractor or self.default_extractor
-            # identity-less extractors group per instance: they can still
-            # run, they just never fuse (or cache) with anything else
-            raw_key = self._raw_key(ext) or f"@{id(ext):x}"
-            by_pair.setdefault((id(group.model), raw_key),
+            by_pair.setdefault((id(group.model), self._raw_key(ext)),
                                []).append((gi, group))
         return by_pair
 
@@ -922,6 +867,14 @@ class InspectionPlan:
             raise ValueError("need at least one measure")
         if not hypotheses:
             raise ValueError("need at least one hypothesis function")
+        require_extractor(extractor, "extractor")
+        for group in groups:
+            n_units = (group.extractor or extractor).n_units(group.model)
+            if group.unit_ids.max() >= n_units:
+                raise ValueError(
+                    f"unit group {group.name!r} names unit "
+                    f"{group.unit_ids.max()}, but its extractor exposes "
+                    f"{n_units} units of {group.model_id}")
         config = config.with_store_tiers()
         rng = new_rng(config.seed)
         n_records = dataset.n_records
@@ -967,8 +920,7 @@ class InspectionPlan:
         per fused extraction pair — the exact granularity the
         :class:`~repro.core.cache.UnitBehaviorCache` and the disk store
         key entries by, so two plans that would fill the same cache entry
-        report the same key.  Extractors without a raw identity get a
-        process-local token (they can never share a sweep anyway).
+        report the same key.
         """
         dataset_key = self.dataset.cache_key()
         keys: set[tuple[str, str, str]] = set()

@@ -27,11 +27,11 @@ Scoring and convergence never leave the coordinator: once the caches are
 filled, the unchanged serial executor loop reads behaviors out of them,
 which is what keeps process-scheduler frames bit-identical to serial.
 
-Anything that cannot be described — an unpicklable model or hypothesis,
-an extractor without a stable raw identity, a failed worker — simply
-stays out of the task list (or is dropped on collect): the records are
-then extracted inline by the executor exactly as under the serial
-scheduler, so degradation is graceful and never changes results.
+Anything that cannot be described — an unpicklable model, extractor or
+hypothesis, a failed worker — simply stays out of the task list (or is
+dropped on collect): the records are then extracted inline by the
+executor exactly as under the serial scheduler, so degradation is graceful
+and never changes results.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cache import (HypothesisCache, hyp_store_key, unit_store_key)
-from repro.extract.base import raw_rows_of
 from repro.store.disk import SHARD_DIR, _save_array
 from repro.util.debuglog import degraded
 from repro.util.timing import Stopwatch
@@ -197,7 +196,7 @@ def _run_unit_task(task: ShardTask) -> dict:
     model, extractor = cached
     counter = _SweepCounter(model)
     ns = task.n_symbols
-    block = raw_rows_of(extractor, counter, task.symbols)
+    block = extractor.raw_rows(counter, task.symbols)
     if block.shape[0] != task.indices.shape[0] * ns:
         raise ValueError(
             f"extractor row mismatch: expected {task.indices.shape[0] * ns} "
@@ -230,14 +229,13 @@ def _run_hyp_task(task: ShardTask) -> dict:
 # task description (pure: no execution, no side effects beyond probing)
 # ----------------------------------------------------------------------
 def _store_missing(store, store_key: str, missing: np.ndarray,
-                   row_width: int | None) -> np.ndarray:
+                   row_width: int) -> np.ndarray:
     """Drop records the committed store already holds (warm runs dispatch
     nothing)."""
     if missing.shape[0] == 0:
         return missing
     reader = store.reader(store_key)
-    if reader is None or (row_width is not None
-                          and reader.row_width != row_width):
+    if reader is None or reader.row_width != row_width:
         return missing
     return missing[~reader.filled_mask(missing)]
 
@@ -353,8 +351,6 @@ class ShardExchange:
         workers = self.scheduler.shard_workers()
         described = []
         for (_, raw_key), members in source.extraction_pairs().items():
-            if raw_key.startswith("@"):
-                continue  # identity-less extractor: no stable store key
             _, first = members[0]
             model = first.model
             ext = first.extractor or source.default_extractor
@@ -363,14 +359,8 @@ class ShardExchange:
                                        dataset.cache_key())
             missing = config.unit_cache.missing_records(
                 dataset, source.order, model_key=model_key, raw_key=raw_key)
-            width = None
-            raw_width = getattr(ext, "raw_width", None)
-            if callable(raw_width):
-                try:
-                    width = int(raw_width(model)) * ns
-                except (NotImplementedError, AttributeError, TypeError):
-                    width = None
-            missing = _store_missing(self.store, store_key, missing, width)
+            missing = _store_missing(self.store, store_key, missing,
+                                     ext.raw_width(model) * ns)
             if missing.shape[0] == 0:
                 continue
             try:

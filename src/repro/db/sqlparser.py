@@ -163,6 +163,9 @@ class _Parser:
             tok = self.next()
             if tok.kind != "number":
                 raise SqlSyntaxError("LIMIT expects a number")
+            if not float(tok.value).is_integer():
+                raise SqlSyntaxError(
+                    f"LIMIT expects an integer, got {tok.value}")
             limit = int(float(tok.value))
         if self.peek() is not None:
             raise SqlSyntaxError(f"trailing tokens at {self.peek().value!r}")

@@ -67,7 +67,7 @@ from repro.db.engine import Database
 from repro.db.executor import execute_select
 from repro.db.inspect_clause import run_inspect_spec, stream_inspect_spec
 from repro.db.sqlparser import InspectSpec, parse_sql
-from repro.extract.base import Extractor
+from repro.extract.base import Extractor, require_extractor
 from repro.extract.rnn import RnnActivationExtractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import Measure
@@ -148,6 +148,7 @@ class Session:
         self._db = db
         self._db_path = db_path
         self.extractor = extractor or RnnActivationExtractor()
+        require_extractor(self.extractor, "extractor")
         self.scheduler = scheduler
         self._closed = False
         if self.scheduler is None and self.config.scheduler is None:

@@ -8,6 +8,7 @@ breakdown without profiling machinery.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 
@@ -30,10 +31,15 @@ class Timer:
 
 
 class Stopwatch:
-    """Accumulates wall-clock time into named buckets."""
+    """Accumulates wall-clock time into named buckets.
+
+    One stopwatch is shared by every query of a served session, so the
+    read-modify-write of a bucket is locked.
+    """
 
     def __init__(self) -> None:
         self.buckets: dict[str, float] = {}
+        self._lock = threading.Lock()
 
     @contextmanager
     def charge(self, bucket: str):
@@ -41,8 +47,9 @@ class Stopwatch:
         try:
             yield
         finally:
-            self.buckets[bucket] = (
-                self.buckets.get(bucket, 0.0) + time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            with self._lock:
+                self.buckets[bucket] = self.buckets.get(bucket, 0.0) + elapsed
 
     def total(self) -> float:
         return sum(self.buckets.values())

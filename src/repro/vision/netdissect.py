@@ -15,7 +15,8 @@ import numpy as np
 
 from repro.extract.base import Extractor
 from repro.util.rng import new_rng
-from repro.vision.cnn_model import ShapeCnn, pixel_behaviors
+from repro.vision.cnn_model import (ShapeCnn, pixel_behaviors,
+                                    upsample_nearest)
 from repro.vision.shapes import ShapeDataset
 
 
@@ -67,9 +68,8 @@ class CnnPixelExtractor(Extractor):
     Subclasses :class:`repro.extract.base.Extractor` so the standard
     Jaccard measure can score CNN channels against mask hypotheses and the
     behavior caches can key its output (the image tensor is content-hashed
-    into the cache key).  It overrides :meth:`extract` wholesale, so it is
-    an *opaque* extractor: behaviors cache at full width per instance key,
-    without a shared raw sweep.
+    into the key).  One ``activation_maps`` sweep per batch serves every
+    channel subset and transform.
     """
 
     def __init__(self, images: np.ndarray, batch_size: int = 64):
@@ -79,12 +79,9 @@ class CnnPixelExtractor(Extractor):
     def n_units(self, model) -> int:
         return model.n_units
 
-    def extract(self, model, records: np.ndarray,
-                hid_units=None) -> np.ndarray:
+    def raw_states(self, model, records: np.ndarray) -> np.ndarray:
         # ``records`` carries image indices in its first column
         idx = np.asarray(records[:, 0], dtype=int)
-        behaviors = pixel_behaviors(model, self.images[idx],
-                                    batch_size=self.batch_size)
-        if hid_units is not None:
-            behaviors = behaviors[:, :, np.asarray(hid_units, dtype=int)]
-        return behaviors.reshape(-1, behaviors.shape[-1])
+        up = upsample_nearest(model.activation_maps(self.images[idx]),
+                              self.images.shape[1])
+        return up.reshape(up.shape[0], -1, up.shape[-1])

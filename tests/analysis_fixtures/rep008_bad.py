@@ -20,14 +20,25 @@ class BadWidthExtractor(Extractor):
 
 
 class BadViewExtractor(Extractor):  # expect[REP008]
-    """Raw-protocol method without a raw sweep: it never runs."""
+    """Replaces a derived view and has no sweep to derive it from."""
 
     def finalize_rows(self, model, raw, n_symbols, hid_units=None):  # expect[REP008]
         return raw
 
 
+class OpaqueExtractor(Extractor):  # expect[REP008]
+    """Overrides extract() wholesale: the caches never see its sweep."""
+
+    def n_units(self, model):
+        return 4
+
+    def extract(self, model, records, hid_units=None):  # expect[REP008]
+        return None
+
+
 class BadMixedExtractor(Extractor):
-    """Opaque extract() on a raw-capable extractor bypasses the views."""
+    """Its own extract() and raw_key() beside the sweep: the direct path,
+    the cache path and the store key no longer describe one thing."""
 
     def n_units(self, model):
         return 4
@@ -37,6 +48,9 @@ class BadMixedExtractor(Extractor):
 
     def extract(self, model, records, hid_units=None):  # expect[REP008]
         return None
+
+    def raw_key(self):  # expect[REP008]
+        return "mine"
 
 
 class UnlistedKernelHypothesis(HypothesisFunction):

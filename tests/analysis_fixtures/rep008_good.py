@@ -1,4 +1,4 @@
-"""Good: the three legitimate extractor shapes, and the two legitimate
+"""Good: the two legitimate extractor shapes, and the two legitimate
 hypothesis shapes (a per-record body; a block kernel the oracle lists)."""
 # analysis-scope: hypothesis-kernels
 
@@ -7,7 +7,7 @@ from repro.hypotheses.base import HypothesisFunction
 
 
 class PlainRawExtractor(Extractor):
-    """Raw-capable at its own width (the RNN shape)."""
+    """A sweep at its own width (the RNN and CNN-pixel shape)."""
 
     def n_units(self, model):
         return 4
@@ -34,16 +34,6 @@ class LayeredRawExtractor(Extractor):
         return None
 
     def view_states(self, model, records):
-        return None
-
-
-class OpaqueExtractor(Extractor):
-    """Overrides extract() wholesale (the CNN-pixel shape)."""
-
-    def n_units(self, model):
-        return 4
-
-    def extract(self, model, records, hid_units=None):
         return None
 
 

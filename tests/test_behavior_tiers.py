@@ -23,7 +23,6 @@ from repro import (DiskBehaviorStore, HypothesisCache, InspectConfig,
 from repro.core.cache import hyp_store_key, unit_store_key
 from repro.core.pipeline import InspectionPlan, ScoreTask
 from repro.extract import RnnActivationExtractor
-from repro.extract.base import raw_key_of
 from repro.hypotheses import grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
@@ -463,13 +462,13 @@ def test_store_keys_compacted_only_where_a_store_is_consulted(
         run(HypothesisCache(store=store), UnitBehaviorCache(store=store))
     # once per identity for the session, not once per block
     assert sorted(digests) == sorted(
-        [h.cache_key() for h in hyps72] + [raw_key_of(extractor)])
+        [h.cache_key() for h in hyps72] + [extractor.raw_key()])
     monkeypatch.setattr(cache_module, "_compact", original)
     from repro.core.cache import model_fingerprint
     assert sorted(store.keys()) == sorted(
         [hyp_store_key(dataset.cache_key(), h.cache_key()) for h in hyps72]
         + [unit_store_key(model_fingerprint(trained_sql_model),
-                          raw_key_of(extractor), dataset.cache_key())])
+                          extractor.raw_key(), dataset.cache_key())])
 
 
 # ----------------------------------------------------------------------

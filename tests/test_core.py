@@ -91,16 +91,16 @@ class TestHypothesisCache:
 
 
 class _RecordingExtractor(RnnActivationExtractor):
-    """Records the ``hid_units`` argument of every extract call."""
+    """Spies on the ``columns`` argument of every raw sweep."""
 
     def __init__(self):
         super().__init__()
-        self.hid_units_calls = []
+        self._columns_calls = []
 
-    def extract(self, model, records, hid_units=None):
-        self.hid_units_calls.append(
-            None if hid_units is None else np.asarray(hid_units).tolist())
-        return super().extract(model, records, hid_units=hid_units)
+    def raw_rows(self, model, records, columns=None):
+        self._columns_calls.append(
+            None if columns is None else np.asarray(columns).tolist())
+        return super().raw_rows(model, records, columns=columns)
 
 
 class TestStreamingNarrowExtraction:
@@ -114,8 +114,8 @@ class TestStreamingNarrowExtraction:
         outcomes = InspectionPlan.build(
             groups, sql_workload.dataset, [CorrelationScore()], hyps,
             extractor, config).execute()
-        assert extractor.hid_units_calls  # extraction happened
-        assert all(call == [1, 3, 5] for call in extractor.hid_units_calls)
+        assert extractor._columns_calls  # extraction happened
+        assert all(call == [1, 3, 5] for call in extractor._columns_calls)
 
         # scores must match the full-width extraction path exactly
         full = InspectionPlan.build(
@@ -135,7 +135,7 @@ class TestStreamingNarrowExtraction:
         InspectionPlan.build(groups, sql_workload.dataset,
                              [CorrelationScore()], hyps, extractor,
                              config).execute()
-        assert all(call is None for call in extractor.hid_units_calls)
+        assert all(call is None for call in extractor._columns_calls)
 
 
     def test_inspect_one_liner_is_the_plan_exactly(self, trained_sql_model,
@@ -152,7 +152,7 @@ class TestStreamingNarrowExtraction:
                            hyps, unit_groups=groups, extractor=extractor,
                            config=config, as_frame=False)
         assert config.cache is None and config.unit_cache is None
-        assert all(call == [1, 3] for call in extractor.hid_units_calls)
+        assert all(call == [1, 3] for call in extractor._columns_calls)
         plan = InspectionPlan.build(groups, sql_workload.dataset,
                                     [CorrelationScore()], hyps,
                                     RnnActivationExtractor(), config)

@@ -318,6 +318,12 @@ class TestSqlParser:
         with pytest.raises(SqlSyntaxError):
             parse_sql("SELECT x WHERE y = 1")
 
+    def test_non_integral_limit_rejected(self):
+        with pytest.raises(SqlSyntaxError, match="LIMIT expects an integer"):
+            parse_sql("SELECT x FROM t LIMIT 2.7")
+        assert parse_sql("SELECT x FROM t LIMIT 0").limit == 0
+        assert parse_sql("SELECT x FROM t LIMIT 20").limit == 20
+
 
 class TestInspectClause:
     @pytest.fixture

@@ -117,7 +117,7 @@ class _SynthExtractor(Extractor):
     def n_units(self, model) -> int:
         return 4
 
-    def extract(self, model, records, hid_units=None):
+    def raw_states(self, model, records):
         self.calls += 1
         flat = records.reshape(-1).astype(np.float64)
         pos = np.tile(np.arange(records.shape[1]), records.shape[0])
@@ -126,9 +126,7 @@ class _SynthExtractor(Extractor):
             [space + 0.05 * _hash_noise(flat, pos, phase)
              for phase in (0.0, 1.0, 2.0, 3.0)], axis=1)
         units[:, 1] *= -2.0  # sign/scale variety; |corr| is unaffected
-        if hid_units is not None:
-            units = units[:, np.asarray(hid_units, dtype=int)]
-        return units
+        return units.reshape(records.shape[0], records.shape[1], 4)
 
 
 def _hash_noise(flat, pos, phase):

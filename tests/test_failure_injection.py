@@ -4,13 +4,16 @@ malformed inputs and stay numerically sane on degenerate data."""
 import numpy as np
 import pytest
 
-from repro import InspectConfig, UnitGroup, inspect
+from repro import (InspectConfig, InspectionPlan, Session, UnitGroup,
+                   inspect)
+from repro.extract import RnnActivationExtractor
 from repro.extract.base import Extractor
 from repro.hypotheses import FunctionHypothesis
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import (CorrelationScore, DiffMeansScore, JaccardScore,
                             LinearProbeScore, LogRegressionScore,
                             MutualInfoScore)
+from repro.util.testing import CountingForwardModel
 
 
 class _BrokenExtractor(Extractor):
@@ -19,9 +22,9 @@ class _BrokenExtractor(Extractor):
     def n_units(self, model) -> int:
         return model.n_units
 
-    def extract(self, model, records, hid_units=None):
-        width = model.n_units if hid_units is None else len(hid_units)
-        return np.zeros((3, width))  # wrong: must be n_records * ns rows
+    def raw_states(self, model, records):
+        # wrong: must be (n_records, ns, n_units)
+        return np.zeros((3, 1, model.n_units))
 
 
 class TestMalformedInputs:
@@ -34,6 +37,36 @@ class TestMalformedInputs:
                     extractor=_BrokenExtractor(),
                     config=InspectConfig(mode="streaming",
                                          max_records=20))
+
+    def test_negative_unit_ids_rejected(self, trained_sql_model):
+        # numpy would wrap -1 to the last unit and report h_unit_id = -1
+        with pytest.raises(ValueError, match="'wrapped'.*negative"):
+            UnitGroup(model=trained_sql_model, unit_ids=[-1, 0],
+                      name="wrapped")
+
+    def test_unit_ids_past_the_extractor_width_rejected(
+            self, trained_sql_model, sql_workload):
+        model = CountingForwardModel(trained_sql_model)
+        group = UnitGroup(model=model, unit_ids=[0, model.n_units],
+                          name="too_wide")
+        with pytest.raises(ValueError, match="'too_wide'.*16 units"):
+            InspectionPlan.build(
+                [group], sql_workload.dataset, [CorrelationScore()],
+                sql_keyword_hypotheses(("SELECT",)),
+                RnnActivationExtractor(), InspectConfig(max_records=20))
+        assert model.forward_calls == 0
+
+    def test_session_query_rejects_negative_units_before_extraction(
+            self, trained_sql_model, sql_workload):
+        model = CountingForwardModel(trained_sql_model)
+        with Session() as session:
+            query = (session.inspect(model, sql_workload.dataset)
+                     .using("corr")
+                     .hypotheses(sql_keyword_hypotheses(("SELECT",)))
+                     .where(units=[-1]))
+            with pytest.raises(ValueError, match="negative"):
+                query.run()
+        assert model.forward_calls == 0
 
     def test_hypothesis_wrong_length_rejected(self, trained_sql_model,
                                               sql_workload):

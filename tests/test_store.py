@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro import (DiskBehaviorStore, HypothesisCache, InspectConfig,
-                   ThreadPoolScheduler, UnitBehaviorCache, UnitGroup, inspect)
+                   InspectionPlan, Session, ThreadPoolScheduler,
+                   UnitBehaviorCache, UnitGroup, inspect)
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
 from repro.measures import CorrelationScore, DiffMeansScore
@@ -455,31 +456,38 @@ class TestSharedForwardPass:
             mine = frame.where(group_id=group.name).sort("val")
             assert mine["val"] == solo.sort("val")["val"]
 
-    def test_identityless_extractor_runs_uncached_but_fails_caching(
+    def test_non_extractor_is_rejected_at_the_boundary(
             self, trained_sql_model, sql_workload, hyps):
-        """A bare-protocol extractor (no cache_key/raw_key) still executes
-        through the plan engine, but caching under it fails loudly instead
-        of inventing an address-based (recyclable, persistable) key."""
+        """A duck-typed object with extract()/n_units() is not an
+        extractor: every entry point says so with one TypeError, before
+        the model runs."""
 
-        class _Keyless:
+        class _Duck:
             def n_units(self, model):
                 return model.n_units
 
             def extract(self, model, records, hid_units=None):
                 out = model.hidden_states(records)
-                if hid_units is not None:
-                    out = out[:, :, np.asarray(hid_units, dtype=int)]
                 return out.reshape(-1, out.shape[-1])
 
-        group = UnitGroup(model=trained_sql_model, unit_ids=np.arange(4),
-                          name="keyless", extractor=_Keyless())
-        frame = inspect(None, sql_workload.dataset, [CorrelationScore()],
-                        hyps, unit_groups=[group],
-                        config=InspectConfig(mode="full", max_records=30))
-        assert len(frame)
-        with pytest.raises(AttributeError, match="neither raw_key"):
-            UnitBehaviorCache().extract(trained_sql_model, _Keyless(),
-                                        sql_workload.dataset, np.arange(3))
+        model = _CountingForwardModel(trained_sql_model)
+        dataset = sql_workload.dataset
+        measures = [CorrelationScore()]
+        entry_points = [
+            lambda: UnitGroup(model=model, unit_ids=np.arange(4),
+                              extractor=_Duck()),
+            lambda: InspectionPlan.build(
+                [UnitGroup(model=model, unit_ids=np.arange(4))], dataset,
+                measures, hyps, _Duck(), InspectConfig(max_records=30)),
+            lambda: inspect(model, dataset, measures, hyps,
+                            extractor=_Duck(),
+                            config=InspectConfig(max_records=30)),
+            lambda: Session(extractor=_Duck()),
+        ]
+        for enter in entry_points:
+            with pytest.raises(TypeError, match="repro.extract.Extractor"):
+                enter()
+        assert model.forward_calls == 0
 
     def test_seq2seq_layers_share_one_sweep(self):
         from repro.extract import EncoderActivationExtractor

@@ -1,6 +1,9 @@
 """Tests for block iteration, RNG management and the stopwatch."""
 
+import sys
+import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -98,6 +101,52 @@ class TestTiming:
             pass
         watch.reset()
         assert watch.breakdown() == {}
+
+    def test_stopwatch_charge_is_exact_under_threads(self, monkeypatch):
+        """One Stopwatch serves every query of a served session: 8 threads
+        x 2,000 charges must all land.  A per-thread tick clock makes each
+        charge worth exactly 1.0, so a lost update shows in the sum."""
+        from repro.util import timing
+        ticks = threading.local()
+
+        def tick():
+            ticks.now = getattr(ticks, "now", 0.0) + 1.0
+            return ticks.now
+
+        watch = Stopwatch()
+        n_threads, n_charges, nap = 8, 2000, 0.001
+
+        def worker():
+            for _ in range(n_charges):
+                with watch.charge("ticks"):
+                    pass
+
+        def napper():
+            for _ in range(5):
+                with watch.charge("naps"):
+                    time.sleep(nap)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(timing, "time",
+                                types.SimpleNamespace(perf_counter=tick))
+                self._run_threads(worker, n_threads)
+            self._run_threads(napper, n_threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert watch.buckets["ticks"] == n_threads * n_charges
+        assert watch.buckets["naps"] >= n_threads * 5 * nap
+
+    @staticmethod
+    def _run_threads(target, n_threads):
+        threads = [threading.Thread(target=target) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
 
     def test_stopwatch_charges_on_exception(self):
         watch = Stopwatch()
