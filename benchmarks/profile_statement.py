@@ -2,16 +2,20 @@
 
     PYTHONPATH=src python -m benchmarks.profile_statement --regime warm \
         --statement 'inspect_topk[1,16,20]' [--scale smoke|base] \
-        [--repeat 10] [--top 40]
+        [--repeat 10] [--top 40] [--rollup]
 
 Prepares the regime as ``benchmarks/e2e/workloads.py`` does (warm: one
 session, the statement run once untimed first; disk: a store populated
 first, then fresh objects and a new session per run; cold: fresh objects and
 a store-less session per run), times the statement ``--repeat`` times
 plainly and again under cProfile, and prints ms per statement both ways plus
-the top cumulative rows under ``src/repro``.  cProfile taxes Python calls,
-not numpy's inner loops: read the rows as proportions, take timings from
-``benchmarks/e2e``.
+the top cumulative rows under ``src/repro``.  ``--rollup`` prints one line
+per lifecycle layer instead (the cumulative time of the function each layer
+hangs from, plus the unattributed rest), so a before/after reads without
+eyeballing 40 rows.  cProfile taxes Python calls, not numpy's inner loops,
+and sees the calling thread only (a prefetched sweep, or score tasks fanned
+over a pool, show as waiting): read the rows as proportions, take timings
+from ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,35 @@ from repro import InspectConfig, Session
 
 from .e2e import inputs, spec
 from .e2e.spans import SpanRecorder
+
+
+#: lifecycle layer -> (file, function) whose cumulative time is the layer's
+_LAYERS = (("parse", "sqlparser.py", "parse_sql"),
+           ("compile + catalog join", "inspect_clause.py", "_compile_inspect"),
+           ("plan build", "pipeline.py", "build"),
+           ("hypothesis block", "pipeline.py", "hypothesis_block"),
+           ("unit block", "pipeline.py", "unit_blocks"),
+           ("scoring", "pipeline.py", "process"),
+           ("assemble + select", "inspect_clause.py", "assemble"))
+
+
+def _rollup(stats: dict, per: float) -> None:
+    """One line per lifecycle layer, ms per statement."""
+    cum: dict[tuple[str, str], float] = {}
+    for (path, _, name), (_, _, _, ct, _) in stats.items():
+        if "src/repro" in path:
+            # same-named wrappers nest (_Statement.assemble calls
+            # _CompiledInspect.assemble): the outer one covers both
+            key = (Path(path).name, name)
+            cum[key] = max(cum.get(key, 0.0), ct)
+    whole = cum.get(("session.py", "sql"), 0.0) * per
+    rest = whole
+    print("   cum ms  layer (per statement)")
+    for layer, file, name in _LAYERS:
+        ms = cum.get((file, name), 0.0) * per
+        rest -= ms
+        print(f"{ms:9.3f}  {layer}")
+    print(f"{rest:9.3f}  everything else\n{whole:9.3f}  whole statement")
 
 
 def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int):
@@ -72,6 +105,8 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--scale", choices=tuple(spec.SCALES), default="base")
     parser.add_argument("--repeat", type=int, default=10)
     parser.add_argument("--top", type=int, default=40)
+    parser.add_argument("--rollup", action="store_true",
+                        help="one line per lifecycle layer, not the rows")
     args = parser.parse_args(argv)
     scale = spec.SCALES[args.scale]
     sql = spec.statements(scale)[args.statement]
@@ -87,9 +122,13 @@ def main(argv: list[str] | None = None) -> None:
     print(f"{args.statement} [{args.regime}, {args.scale}, "
           f"{args.repeat} runs]: {plain:.2f} ms per statement, "
           f"{profiled:.2f} ms under cProfile")
+    stats = pstats.Stats(profiler).stats
+    if args.rollup:
+        _rollup(stats, per)
+        return
     rows = [(cum, tot, calls, f"{Path(path).name}:{line}({name})")
             for (path, line, name), (_, calls, tot, cum, _)
-            in pstats.Stats(profiler).stats.items() if "src/repro" in path]
+            in stats.items() if "src/repro" in path]
     print("   cum ms   self ms    calls  function (per statement)")
     for cum, tot, calls, where in sorted(rows, reverse=True)[:args.top]:
         print(f"{cum * per:9.3f} {tot * per:9.3f} "

@@ -352,6 +352,10 @@ class _Column:
         return self._store_key
 
 
+#: block moments a hypothesis tier keeps (about 5 KB each at 72 columns)
+_MOMENT_SLOTS = 256
+
+
 class HypothesisCache(_ByteBoundedLRU):
     """Byte-bounded LRU over hypothesis behaviors, one arena per dataset.
 
@@ -369,6 +373,11 @@ class HypothesisCache(_ByteBoundedLRU):
                  store: DiskBehaviorStore | None = None):
         super().__init__(max_bytes, store=store)
         self._arenas: dict[str, _Arena] = {}
+        # (column identities, records digest) -> (sums, sums of squares):
+        # by content, so a recycled arena column cannot serve its last owner's
+        self._moment_memo: OrderedDict = OrderedDict()
+        self.moment_hits = 0    # blocks whose moments were served
+        self.moment_misses = 0  # blocks whose moments were computed
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -392,6 +401,12 @@ class HypothesisCache(_ByteBoundedLRU):
     def _clear_locked(self) -> None:
         super()._clear_locked()
         self._arenas.clear()
+        self._moment_memo.clear()
+
+    def _reset_counters_locked(self) -> None:
+        super()._reset_counters_locked()
+        self.moment_hits = 0
+        self.moment_misses = 0
 
     def _panel_width(self, dataset: Dataset) -> int:
         """Columns of this dataset the byte budget holds at once."""
@@ -523,6 +538,46 @@ class HypothesisCache(_ByteBoundedLRU):
                 hypotheses[start:start + panel], dataset, indices)
         return block
 
+    def block_moments(self, hypotheses: list, dataset: Dataset,
+                      indices: np.ndarray, block: np.ndarray):
+        """A thunk for the column sums and sums of squares of ``block``
+        (what :meth:`extract_block` returned for these arguments), or
+        ``None`` where sharing them is unsafe.
+
+        They depend on no statement, so the tier keeps them: summed on the
+        first call (a statement's score tasks may call together), served
+        to every later gather of the same cells.  Layout decides a sum's
+        last bits — two or more C-ordered columns sum row by row whichever
+        other columns are present, one column or a column slice pairwise —
+        so the thunk holds for this very array, never for a slice of it.
+        """
+        if block.shape[1] < 2 or not block.flags.c_contiguous:
+            return None
+        lock, got = threading.Lock(), []
+
+        def moments() -> tuple[np.ndarray, np.ndarray]:
+            with lock:
+                if got:
+                    return got[0]
+                records = np.asarray(indices, dtype=int).tobytes()
+                key = (tuple(self._keys(dataset, hypotheses)),
+                       hashlib.sha1(records).digest())
+                with self._lock:
+                    value = self._moment_memo.get(key)
+                    self.moment_hits += value is not None
+                    self.moment_misses += value is None
+                if value is None:  # summed outside the tier's lock
+                    value = (block.sum(axis=0), (block**2).sum(axis=0))
+                    for part in value:  # shared by every later statement
+                        part.setflags(write=False)
+                    with self._lock:
+                        self._moment_memo[key] = value
+                        if len(self._moment_memo) > _MOMENT_SLOTS:
+                            self._moment_memo.popitem(last=False)
+                got.append(value)
+                return value
+        return moments
+
     def _read_panel(self, hypotheses: list, dataset: Dataset,
                     indices: np.ndarray) -> np.ndarray:
         n, ns, k = indices.shape[0], dataset.n_symbols, len(hypotheses)
@@ -582,8 +637,10 @@ class HypothesisCache(_ByteBoundedLRU):
 
 
 class _UnitEntry:
-    """Record-major raw unit behaviors: row r is the (ns * raw_width)
-    block; dtype follows the first committed rows (the model's dtype)."""
+    """Unit-major raw unit behaviors, ``(raw_width, n_records, ns)``: the
+    layout scoring reads, so a read is one gather and the record-major
+    rows of extractors and store are transposed once, on fill; dtype
+    follows the first committed rows (the model's dtype)."""
 
     def __init__(self, n_records: int, n_symbols: int):
         self.n_symbols = n_symbols
@@ -595,6 +652,16 @@ class _UnitEntry:
     def nbytes(self) -> int:
         matrix_bytes = 0 if self.matrix is None else self.matrix.nbytes
         return matrix_bytes + self.filled.nbytes
+
+    def states(self, records: np.ndarray,
+               columns: np.ndarray | None) -> np.ndarray:
+        """Array for array what ``raw[:, :, columns]`` selects from the
+        record-major ``(len(records), ns, width)`` sweep: a fancy index
+        lays its result out unit-major; ``None`` is the sweep as emitted."""
+        if columns is None:
+            return np.ascontiguousarray(
+                self.matrix[:, records].transpose(1, 2, 0))
+        return self.matrix[columns[:, None], records].transpose(1, 2, 0)
 
 
 class UnitBehaviorCache(_ByteBoundedLRU):
@@ -642,10 +709,13 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         mapped = self._entries.get(key) is entry
         if mapped:
             self._bytes -= entry.nbytes
+        ns = entry.n_symbols
         if entry.matrix is None:
-            entry.matrix = np.zeros((entry.filled.shape[0], rows.shape[1]),
-                                    dtype=rows.dtype)
-        entry.matrix[rows_idx] = rows
+            entry.matrix = np.zeros(
+                (rows.shape[1] // ns, entry.filled.shape[0], ns),
+                dtype=rows.dtype)
+        entry.matrix[:, rows_idx] = rows.reshape(
+            rows.shape[0], ns, -1).transpose(2, 0, 1)
         entry.filled[rows_idx] = True
         if not mapped:
             displaced = self._entries.get(key)
@@ -721,7 +791,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         if self.store is not None and missing.shape[0]:
             have, rows = self._read_store(
                 self._store_key(key, entry), missing,
-                row_width=self._expected_width(extractor, model, entry, ns))
+                row_width=extractor.raw_width(model) * ns)
             if rows is not None:
                 with self._lock:
                     self._commit_rows(key, entry, missing[have], rows)
@@ -747,16 +817,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             # (0, width) result instead of guessing the width
             return extractor.extract(model, dataset.symbols[indices],
                                      hid_units=hid_units)
+        columns = extractor.raw_columns(model, hid_units)
         with self._lock:
-            # explicit width: -1 cannot be inferred for an empty index set
-            width = entry.matrix.shape[1] // ns
-            raw = entry.matrix[indices].reshape(indices.shape[0] * ns, width)
-        return extractor.finalize_rows(model, raw, ns, hid_units=hid_units)
-
-    @staticmethod
-    def _expected_width(extractor: Extractor, model, entry: _UnitEntry,
-                        ns: int) -> int:
-        """Disk-tier row width the entry must carry."""
-        if entry.matrix is not None:
-            return int(entry.matrix.shape[1])
-        return extractor.raw_width(model) * ns
+            states = entry.states(indices, columns)
+        return extractor.finalize_states(states)

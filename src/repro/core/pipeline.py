@@ -50,7 +50,7 @@ from repro.core.cache import (HypothesisCache, UnitBehaviorCache,
 from repro.core.groups import UnitGroup
 from repro.data.datasets import Dataset
 from repro.extract.base import (Extractor, HypothesisExtractor,
-                                apply_transform, require_extractor)
+                                require_extractor)
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import Measure, MeasureResult
 from repro.store import DiskBehaviorStore
@@ -463,10 +463,12 @@ class GroupMeasureOutcome:
 # ----------------------------------------------------------------------
 def _extract_hypotheses(hypotheses: list[HypothesisFunction],
                         dataset: Dataset, indices: np.ndarray,
-                        cache: HypothesisCache | None) -> np.ndarray:
-    if cache is not None:
-        return cache.extract_block(hypotheses, dataset, indices)
-    return HypothesisExtractor(hypotheses).extract(dataset, indices)
+                        cache: HypothesisCache | None) -> tuple:
+    """The hypothesis block and its moments thunk (None without a cache)."""
+    if cache is None:
+        return HypothesisExtractor(hypotheses).extract(dataset, indices), None
+    block = cache.extract_block(hypotheses, dataset, indices)
+    return block, cache.block_moments(hypotheses, dataset, indices, block)
 
 
 class BehaviorSource:
@@ -495,28 +497,18 @@ class BehaviorSource:
         self.materialize = config.mode in ("materialized", "full")
         self._h_all: np.ndarray | None = None
         self._u_all: dict[int, np.ndarray] | None = None
-        # fingerprints and raw keys are stable for the lifetime of one plan
-        # execution; memoize so warm cache hits don't re-hash model
-        # parameters (or large extractor attributes) on every block.
-        # id() is only the memo *index*, never part of the key — each
-        # entry pins its referent so the address cannot be recycled and
-        # handed to a different object while the memo lives
-        self._model_keys: dict[int, tuple[object, str]] = {}
-        self._raw_keys: dict[int, tuple[object, str]] = {}
+        self._keys: list[tuple[object, str]] = []
 
-    def _model_key(self, model) -> str:
-        entry = self._model_keys.get(id(model))  # repro: allow[REP003]
-        if entry is None or entry[0] is not model:
-            entry = (model, model_fingerprint(model))
-            self._model_keys[id(model)] = entry  # repro: allow[REP003]
-        return entry[1]
-
-    def _raw_key(self, extractor: Extractor) -> str:
-        entry = self._raw_keys.get(id(extractor))  # repro: allow[REP003]
-        if entry is None or entry[0] is not extractor:
-            entry = (extractor, extractor.raw_key())
-            self._raw_keys[id(extractor)] = entry  # repro: allow[REP003]
-        return entry[1]
+    def key_of(self, obj, compute) -> str:
+        """``compute(obj)`` — a model's fingerprint, an extractor's raw key
+        — once per plan execution, so warm cache hits don't re-hash model
+        parameters (or large extractor attributes) on every block.  Found
+        by identity: each entry pins its referent, an address is no key."""
+        for pinned, key in self._keys:
+            if pinned is obj:
+                return key
+        self._keys.append((obj, compute(obj)))
+        return self._keys[-1][1]
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -563,8 +555,8 @@ class BehaviorSource:
                 block = self.config.unit_cache.extract(
                     model, ext, self.dataset, indices,
                     hid_units=ids if shared else None,
-                    model_key=self._model_key(model),
-                    raw_key=self._raw_key(ext))
+                    model_key=self.key_of(model, model_fingerprint),
+                    raw_key=self.key_of(ext, Extractor.raw_key))
                 for gi, group in ext_members:
                     out[gi] = block if shared else block[:, group.unit_ids]
             return out
@@ -577,9 +569,7 @@ class BehaviorSource:
         views = []      # (gi, extractor, the raw columns its group reads)
         for gi, group in members:
             ext = group.extractor or self.default_extractor
-            view = ext.view_columns(model)
-            views.append((gi, ext, group.unit_ids if view is None
-                          else np.asarray(view)[group.unit_ids]))
+            views.append((gi, ext, ext.raw_columns(model, group.unit_ids)))
         union = np.unique(np.concatenate([cols for _, _, cols in views]))
         narrow = union.shape[0] < rep.raw_width(model)
         raw = rep.raw_rows(model, self.dataset.symbols[indices],
@@ -593,8 +583,7 @@ class BehaviorSource:
         for gi, ext, cols in views:
             if narrow:
                 cols = np.searchsorted(union, cols)
-            block = apply_transform(states[:, :, cols], ext.transform)
-            out[gi] = block.reshape(-1, block.shape[-1])
+            out[gi] = ext.finalize_states(states, cols)
         return out
 
     def extraction_pairs(self, groups: list[tuple[int, UnitGroup]] | None
@@ -614,7 +603,8 @@ class BehaviorSource:
         by_pair: dict[tuple[int, str], list[tuple[int, UnitGroup]]] = {}
         for gi, group in groups:
             ext = group.extractor or self.default_extractor
-            by_pair.setdefault((id(group.model), self._raw_key(ext)),
+            raw_key = self.key_of(ext, Extractor.raw_key)
+            by_pair.setdefault((id(group.model), raw_key),
                                []).append((gi, group))
         return by_pair
 
@@ -635,15 +625,16 @@ class BehaviorSource:
         if not self.materialize:
             return
         with watch.charge("hypothesis_extraction"):
-            self._h_all = _extract_hypotheses(self.hypotheses, self.dataset,
-                                              self.order, self.config.cache)
+            self._h_all, _ = _extract_hypotheses(
+                self.hypotheses, self.dataset, self.order, self.config.cache)
         with watch.charge("unit_extraction"):
             self._u_all = self._extract_unit_blocks(
                 list(enumerate(self.groups)), self.order, scheduler)
 
     def hypothesis_block(self, sl: slice, watch: Stopwatch,
-                         columns: np.ndarray | None = None) -> np.ndarray:
-        """Hypothesis behaviors for the slice.
+                         columns: np.ndarray | None = None) -> tuple:
+        """Hypothesis behaviors for the slice, and their moments thunk
+        (``None`` unless a hypothesis cache gathered the block).
 
         ``columns`` narrows lazy extraction to the still-active hypothesis
         columns (the hypothesis-side mirror of ``hid_units``): frozen
@@ -653,7 +644,7 @@ class BehaviorSource:
         ns = self.dataset.n_symbols
         if self.materialize:
             assert self._h_all is not None
-            return self._h_all[sl.start * ns:sl.stop * ns]
+            return self._h_all[sl.start * ns:sl.stop * ns], None
         hyps = (self.hypotheses if columns is None
                 else [self.hypotheses[int(c)] for c in columns])
         with watch.charge("hypothesis_extraction"):
@@ -720,12 +711,13 @@ class ScoreTask:
 
     # ------------------------------------------------------------------
     def process(self, u_block: np.ndarray, h_block: np.ndarray,
-                n_records: int) -> None:
+                n_records: int, h_moments=None) -> None:
         """Consume one aligned block.
 
         ``h_block`` must already be restricted to this task's active
         hypothesis columns (the executor slices once per task, which lets
-        the source skip extracting globally-frozen columns altogether).
+        the source skip extracting globally-frozen columns altogether);
+        ``h_moments`` are the moments of exactly that array, if kept.
         """
         if self.single_shot:
             self._last = self.measure.compute(u_block, h_block)
@@ -736,7 +728,7 @@ class ScoreTask:
             self.done = True
             return
         result, err = self.measure.process_block(self.state, u_block,
-                                                 h_block)
+                                                 h_block, h_moments)
         self._last = result
         self.last_error = float(err)
         self.records_processed += n_records
@@ -926,8 +918,8 @@ class InspectionPlan:
         keys: set[tuple[str, str, str]] = set()
         for (_, raw_key), members in self.source.extraction_pairs().items():
             _, group = members[0]
-            keys.add((self.source._model_key(group.model), raw_key,
-                      dataset_key))
+            keys.add((self.source.key_of(group.model, model_fingerprint),
+                      raw_key, dataset_key))
         return sorted(keys)
 
     def sweep_is_cold(self, key: tuple[str, str, str]) -> bool:
@@ -1092,19 +1084,8 @@ class InspectionPlan:
                             [t.active_cols for t in pending]))
                         if cols_union.shape[0] == n_hyps:
                             cols_union = None
-                h_block = self.source.hypothesis_block(sl, watch,
-                                                       columns=cols_union)
-
-                def h_for(task):
-                    """This task's active columns, within h_block."""
-                    if cols_union is None:
-                        if task.active_cols.shape[0] == n_hyps:
-                            return h_block
-                        return h_block[:, task.active_cols]
-                    local = np.searchsorted(cols_union, task.active_cols)
-                    if local.shape[0] == h_block.shape[1]:
-                        return h_block
-                    return h_block[:, local]
+                h_block, h_moments = self.source.hypothesis_block(
+                    sl, watch, columns=cols_union)
 
                 if prefetched is not None:
                     future, prefetched = prefetched, None
@@ -1117,11 +1098,22 @@ class InspectionPlan:
                     prefetched = sweep_in_background(slices[bi + 1],
                                                      needed_items)
                 n_records = sl.stop - sl.start
+
+                def score(task):
+                    """Feed the task its active columns of h_block; its
+                    moments go along (shared) only with the whole block —
+                    a column slice sums in another order."""
+                    local = (task.active_cols if cols_union is None else
+                             np.searchsorted(cols_union, task.active_cols))
+                    if local.shape[0] == h_block.shape[1]:
+                        task.process(u_blocks[task.gi], h_block, n_records,
+                                     h_moments)
+                    else:
+                        task.process(u_blocks[task.gi], h_block[:, local],
+                                     n_records)
+
                 with watch.charge("inspection"):
-                    scheduler.map(
-                        lambda task: task.process(u_blocks[task.gi],
-                                                  h_for(task), n_records),
-                        pending)
+                    scheduler.map(score, pending)
                 yield sl
         finally:
             if prefetched is not None:

@@ -45,7 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.cache import (HypothesisCache, hyp_store_key, unit_store_key)
+from repro.core.cache import (HypothesisCache, hyp_store_key,
+                              model_fingerprint, unit_store_key)
 from repro.store.disk import SHARD_DIR, _save_array
 from repro.util.debuglog import degraded
 from repro.util.timing import Stopwatch
@@ -74,7 +75,11 @@ def encode_model(model) -> dict:
     """
     arch = getattr(model, "architecture", None)
     named = getattr(model, "named_parameters", None)
-    if callable(arch) and callable(named):
+    # an instance shadowing a class attribute with a callable (a patched
+    # method) is not the model its arch spec rebuilds: by value or inline
+    patched = any(callable(value) and hasattr(type(model), name)
+                  for name, value in getattr(model, "__dict__", {}).items())
+    if callable(arch) and callable(named) and not patched:
         try:
             from repro.nn.serialize import model_to_spec
             return {"kind": "spec", "spec": model_to_spec(model)}
@@ -354,7 +359,7 @@ class ShardExchange:
             _, first = members[0]
             model = first.model
             ext = first.extractor or source.default_extractor
-            model_key = source._model_key(model)
+            model_key = source.key_of(model, model_fingerprint)
             store_key = unit_store_key(model_key, raw_key,
                                        dataset.cache_key())
             missing = config.unit_cache.missing_records(

@@ -29,6 +29,7 @@ describes.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
@@ -36,6 +37,11 @@ import numpy as np
 
 #: PostgreSQL's default limit on columns / target-list entries.
 MAX_EXPRESSIONS = 1600
+
+#: process-wide content stamps (``Table.version``, a session's registry
+#: generation), drawn on every creation and mutation: equal stamps mean the
+#: same object in the same state, also across a drop and re-create
+next_version = itertools.count().__next__
 
 
 def _as_column(values: list) -> np.ndarray:
@@ -93,6 +99,8 @@ class Table:
         self._n_stored = 0
         self._buffer: list[tuple] = []
         self._rows_cache: list[tuple] | None = None
+        #: content stamp (compiled statements are valid while it holds)
+        self.version = next_version()
         # lazily-loaded persistent tables know their row count up front but
         # defer decoding the column arrays until something touches them
         self._loader = loader
@@ -186,6 +194,7 @@ class Table:
                 f"row arity {len(row)} != table arity {len(self.columns)}")
         self._buffer.append(tuple(row))
         self._rows_cache = None
+        self.version = next_version()
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
         for row in rows:

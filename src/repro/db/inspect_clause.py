@@ -379,11 +379,13 @@ class _CompiledInspect:
     (:func:`run_inspect_spec`) and progressive
     (:func:`stream_inspect_spec`) executors then differ only in *when*
     they call :meth:`assemble` on outcome snapshots, so their final
-    frames are bit-identical by construction.
+    frames are bit-identical by construction.  Kept on its spec from run
+    to run (:meth:`repro.session.Session.compiled`): read-only once built,
+    and never referring back to the spec — a cycle would hold a dropped
+    session's models until the cycle collector runs.
     """
 
     db: Database
-    spec: InspectSpec
     out_columns: list[str]
     select_items: list[SelectItem] = field(default_factory=list)
     having: Expr | None = None
@@ -398,16 +400,17 @@ class _CompiledInspect:
     hyp_objs: list[HypothesisFunction] = field(default_factory=list)
     empty: bool = False   # catalog plan produced zero rows
 
-    def assemble(self, outcomes_by_did: dict[str, list]) -> Frame:
+    def assemble(self, spec: InspectSpec,
+                 outcomes_by_did: dict[str, list]) -> Frame:
         """Materialize S from outcome snapshots and finish columnar."""
         if self.empty:
             return Frame.from_records([], columns=self.out_columns)
         s_cols = _materialize_s(self.catalog_keep, self.workloads,
                                 outcomes_by_did, self.plan_index,
                                 self.hyp_col_of, len(self.measures),
-                                self.spec.inspect_alias)
+                                spec.inspect_alias)
         return _finish_columnar(self.db, s_cols, self.select_items,
-                                self.having, self.spec, self.out_schema,
+                                self.having, spec, self.out_schema,
                                 self.out_columns)
 
 
@@ -415,13 +418,14 @@ class _CompiledInspect:
 class _Statement:
     """One INSPECT statement in flight (see :func:`_open_statement`)."""
 
+    spec: InspectSpec
     compiled: _CompiledInspect
     plans: dict[str, InspectionPlan]           # did -> that dataset's plan
     outcomes_by_did: dict[str, list] = field(default_factory=dict)
     frame: Frame | None = None                 # latest assembled output
 
     def assemble(self) -> Frame:
-        self.frame = self.compiled.assemble(self.outcomes_by_did)
+        self.frame = self.compiled.assemble(self.spec, self.outcomes_by_did)
         return self.frame
 
 
@@ -440,11 +444,11 @@ def _open_statement(session: Session,
     persists the last assembled frame.
     """
     config = session.effective_config()   # raises on a closed session
-    compiled = _compile_inspect(session, spec)
+    compiled = session.compiled(spec)
     scheduler, owned = _resolve_scheduler(config.scheduler)
     try:
         run_config = dataclasses.replace(config, scheduler=scheduler)
-        statement = _Statement(compiled, {
+        statement = _Statement(spec, compiled, {
             did: InspectionPlan.build(
                 groups_d, session.dataset(did), compiled.measures,
                 compiled.hyp_objs, session.extractor, run_config)
@@ -544,8 +548,7 @@ def _compile_inspect(session: Session,
     out_columns = [item.alias for item in select_items]
     cols, n = execute_catalog_plan(db, plan_catalog(spec.tables, where))
     if n == 0:
-        return _CompiledInspect(db=db, spec=spec, out_columns=out_columns,
-                                empty=True)
+        return _CompiledInspect(db=db, out_columns=out_columns, empty=True)
 
     # factorize GROUP BY keys over the joined relation
     if group_by:
@@ -597,7 +600,7 @@ def _compile_inspect(session: Session,
     catalog_keep = {q: arr for q, arr in cols.items() if q in needed}
 
     return _CompiledInspect(
-        db=db, spec=spec, out_columns=out_columns,
+        db=db, out_columns=out_columns,
         select_items=select_items, having=having, out_schema=out_schema,
         catalog_keep=catalog_keep, workloads=workloads, runs=runs,
         plan_index=plan_index, hyp_col_of=hyp_col_of, measures=measures,

@@ -86,6 +86,8 @@ class InspectSpec:
     descending: bool = False
     limit: int | None = None
     into: str | None = None                  # persist the result (INTO t)
+    #: (validity token, compilation) of the last run (``Session.compiled``)
+    compiled: tuple | None = field(default=None, repr=False, compare=False)
 
 
 class _Parser:

@@ -120,7 +120,7 @@ class Extractor:
                  else hid_units.shape[0])
         return self._sweep_batches(
             model, records, width,
-            lambda batch: self._apply_views(
+            lambda batch: self.finalize_states(
                 self.view_states(model, batch), hid_units))
 
     def raw_rows(self, model, records: np.ndarray,
@@ -142,6 +142,16 @@ class Extractor:
 
         return self._sweep_batches(model, records, width, flat_raw)
 
+    def raw_columns(self, model, hid_units: np.ndarray | list[int] | None
+                    = None) -> np.ndarray | None:
+        """Raw-sweep columns behind ``hid_units`` of this extractor's view
+        (None = the whole sweep, in sweep order)."""
+        view = self.view_columns(model)
+        if hid_units is None:
+            return view
+        hid_units = np.asarray(hid_units, dtype=int)
+        return hid_units if view is None else np.asarray(view)[hid_units]
+
     def finalize_rows(self, model, raw: np.ndarray, n_symbols: int,
                       hid_units: np.ndarray | list[int] | None = None
                       ) -> np.ndarray:
@@ -151,13 +161,26 @@ class Extractor:
         ``hid_units`` selection without touching the model, so K extractors
         differing only in those attributes share one stored sweep.
         """
-        if hid_units is not None:
-            hid_units = np.asarray(hid_units, dtype=int)
-        states = raw.reshape(-1, n_symbols, raw.shape[-1])
-        cols = self.view_columns(model)
-        if cols is not None:
-            states = states[:, :, cols]
-        return self._apply_views(states, hid_units)
+        return self.finalize_states(
+            raw.reshape(-1, n_symbols, raw.shape[-1]),
+            self.raw_columns(model, hid_units))
+
+    def finalize_states(self, states: np.ndarray,
+                        columns: np.ndarray | None = None) -> np.ndarray:
+        """Column selection + transform over (batch, ns, width) states,
+        flattened to rows — the one read-time view every path ends in.
+
+        Every transform is per unit, so selecting first yields the same
+        bytes and transforms only the columns that are kept.  The
+        selection stays a fancy index (not ``take``): it lays the block
+        out unit-major, and a measure's summation order — a score's last
+        bits — follows that layout (the unit cache holds its entries so,
+        and hands in states already selected).
+        """
+        if columns is not None:
+            states = states[:, :, columns]
+        states = apply_transform(states, self.transform)
+        return states.reshape(-1, states.shape[-1])
 
     def raw_key(self) -> str:
         """Stable identity of the *raw sweep* this extractor runs.
@@ -197,21 +220,6 @@ class Extractor:
         if not chunks:
             return np.empty((0, empty_width), dtype=model_dtype(model))
         return np.concatenate(chunks, axis=0)
-
-    def _apply_views(self, states: np.ndarray,
-                     hid_units: np.ndarray | None) -> np.ndarray:
-        """Unit selection + transform over already-view-sliced states.
-
-        Every transform is per unit, so selecting first yields the same
-        bytes and transforms only the columns that are kept.  The
-        selection stays a fancy index (not ``take``): it lays the block
-        out unit-major, and a measure's summation order — a score's last
-        bits — follows that layout.
-        """
-        if hid_units is not None:
-            states = states[:, :, hid_units]
-        states = apply_transform(states, self.transform)
-        return states.reshape(-1, states.shape[-1])
 
 
 def require_extractor(value, where: str) -> None:

@@ -42,6 +42,10 @@ class MeasureResult:
 class MeasureState:
     """Incremental computation state; subclasses accumulate sufficient stats."""
 
+    #: whether ``update`` takes the hypothesis block's (column sums, sums
+    #: of squares) as a third argument instead of reducing the block again
+    takes_h_moments = False
+
     def __init__(self, n_units: int, n_hyps: int):
         self.n_units = n_units
         self.n_hyps = n_hyps
@@ -131,15 +135,20 @@ class Measure:
         raise NotImplementedError
 
     def process_block(self, state: MeasureState, units: np.ndarray,
-                      hyps: np.ndarray) -> tuple[MeasureResult, float]:
-        """Consume one block; returns (current scores, current error)."""
+                      hyps: np.ndarray, h_moments=None
+                      ) -> tuple[MeasureResult, float]:
+        """Consume one block; returns (current scores, current error).
+        ``h_moments``: a ``block_moments`` thunk for exactly ``hyps``."""
         units = np.asarray(units, dtype=np.float64)
         hyps = np.asarray(hyps, dtype=np.float64)
         if units.shape[0] != hyps.shape[0]:
             raise ValueError(
                 f"block row mismatch: units {units.shape[0]} vs "
                 f"hyps {hyps.shape[0]}")
-        state.update(units, hyps)
+        if h_moments is not None and state.takes_h_moments:
+            state.update(units, hyps, h_moments())
+        else:
+            state.update(units, hyps)
         state.n_rows += units.shape[0]
         return state.result(), state.error()
 

@@ -19,6 +19,7 @@ class _CorrState(MeasureState):
     def __init__(self, n_units: int, n_hyps: int, rank_transform: bool):
         super().__init__(n_units, n_hyps)
         self.rank_transform = rank_transform
+        self.takes_h_moments = not rank_transform  # ranks sum differently
         self.sum_u = np.zeros(n_units)
         self.sum_uu = np.zeros(n_units)
         self.sum_h = np.zeros(n_hyps)
@@ -69,14 +70,17 @@ class _CorrState(MeasureState):
         # the same memory layout (and thus the same bits) as before
         return np.ascontiguousarray(ranks_t.T)
 
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+    def update(self, units: np.ndarray, hyps: np.ndarray,
+               h_moments: tuple | None = None) -> None:
         if self.rank_transform:
             units = self._rank(units)
             hyps = self._rank(hyps)
+        if h_moments is None:
+            h_moments = hyps.sum(axis=0), (hyps**2).sum(axis=0)
         self.sum_u += units.sum(axis=0)
         self.sum_uu += (units**2).sum(axis=0)
-        self.sum_h += hyps.sum(axis=0)
-        self.sum_hh += (hyps**2).sum(axis=0)
+        self.sum_h += h_moments[0]
+        self.sum_hh += h_moments[1]
         self.sum_uh += units.T @ hyps
 
     def unit_scores(self) -> np.ndarray:

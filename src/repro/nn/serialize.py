@@ -47,6 +47,11 @@ def _build_from_arch(arch: dict):
                             arch["n_units"], rng, n_layers=arch["n_layers"],
                             emb_dim=arch["emb_dim"], pad_id=arch["pad_id"],
                             model_id=arch["model_id"])
+    if kind == "shape_cnn":
+        from repro.vision.cnn_model import ShapeCnn
+        return ShapeCnn(arch["n_classes"], rng, channels1=arch["channels1"],
+                        channels2=arch["channels2"],
+                        model_id=arch["model_id"])
     raise ValueError(f"unknown model kind {kind!r}")
 
 

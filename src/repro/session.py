@@ -52,6 +52,7 @@ import os
 import tempfile
 import threading
 import weakref
+from collections import OrderedDict
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -63,9 +64,10 @@ from repro.core.pipeline import (InspectConfig, InspectionPlan,
                                  ProcessPoolScheduler, Scheduler,
                                  _resolve_scheduler, default_scheduler)
 from repro.data.datasets import Dataset
-from repro.db.engine import Database
+from repro.db.engine import Database, next_version
 from repro.db.executor import execute_select
-from repro.db.inspect_clause import run_inspect_spec, stream_inspect_spec
+from repro.db.inspect_clause import (_compile_inspect, run_inspect_spec,
+                                     stream_inspect_spec)
 from repro.db.sqlparser import InspectSpec, parse_sql
 from repro.extract.base import Extractor, require_extractor
 from repro.extract.rnn import RnnActivationExtractor
@@ -75,6 +77,9 @@ from repro.measures.registry import get_measure
 from repro.store import DiskBehaviorStore
 from repro.util.debuglog import degradation_counts
 from repro.util.frame import Frame
+
+#: statements a session keeps parsed (and, INSPECTs, compiled)
+_STATEMENT_SLOTS = 256
 
 
 class Session:
@@ -130,6 +135,12 @@ class Session:
         self._query_lock = threading.Lock()
         self._query_counts = {"started": 0, "completed": 0, "failed": 0,
                               "cancelled": 0, "streams_abandoned": 0}
+        # SQL text -> parsed statement, in LRU order (under _query_lock);
+        # counts: text found / parsed afresh / found, compilation stale
+        self._statements: OrderedDict = OrderedDict()
+        self._statement_counts = {"hits": 0, "misses": 0, "invalidated": 0}
+        # redrawn by every register_*: compilations hold resolved objects
+        self._registry_version = next_version()
         if store is None and store_path is not None:
             store = DiskBehaviorStore(store_path)
         if store is None:
@@ -282,6 +293,7 @@ class Session:
         """
         self._check_open()
         with self._reg_lock:
+            self._registry_version = next_version()
             self.models[mid] = model
             if not catalog:
                 return
@@ -323,6 +335,7 @@ class Session:
         re-registering a ``did`` replaces its row."""
         self._check_open()
         with self._reg_lock:
+            self._registry_version = next_version()
             self.datasets[did] = dataset
             if not catalog:
                 return
@@ -353,6 +366,7 @@ class Session:
         by_name = {hyp.name: hyp for hyp in hypotheses}
         hypotheses = list(by_name.values())
         with self._reg_lock:
+            self._registry_version = next_version()
             for hyp in hypotheses:
                 if catalog:
                     self._drop_catalog_rows("hypotheses", "h", hyp.name)
@@ -444,10 +458,42 @@ class Session:
         """
         self._check_open()
         with self._track_query():
-            return self._sql(statement)
+            return self._run(self._parsed(statement))
 
-    def _sql(self, statement: str) -> Frame:
-        parsed = parse_sql(statement)
+    def _parsed(self, statement: str):
+        """The parsed statement, from the session's bounded statement
+        cache: a parse depends on the text alone, and an INSPECT spec
+        carries its compilation from run to run (:meth:`compiled`)."""
+        with self._query_lock:
+            parsed = self._statements.get(statement)
+            self._statement_counts["misses" if parsed is None else "hits"] += 1
+            if parsed is None:
+                parsed = self._statements[statement] = parse_sql(statement)
+                if len(self._statements) > _STATEMENT_SLOTS:
+                    self._statements.popitem(last=False)
+            else:
+                self._statements.move_to_end(statement)
+        return parsed
+
+    def compiled(self, spec: InspectSpec):
+        """``spec``'s compilation, reused from its last run while what it
+        read is unchanged: the registry generation and the content stamps
+        of exactly its FROM tables (``INTO scores`` leaves statements that
+        never read ``scores`` compiled).  Stamps are taken before compiling:
+        a concurrent change can only force a recompile, never a stale join."""
+        with self._reg_lock:
+            token = (self._registry_version,
+                     *(getattr(self.db.tables.get(name), "version", None)
+                       for name, _ in spec.tables))
+        cached = spec.compiled
+        if cached is None or cached[0] != token:
+            if cached is not None:
+                with self._query_lock:
+                    self._statement_counts["invalidated"] += 1
+            cached = spec.compiled = (token, _compile_inspect(self, spec))
+        return cached[1]
+
+    def _run(self, parsed) -> Frame:
         if isinstance(parsed, InspectSpec):
             return run_inspect_spec(self, parsed)
         rows = execute_select(self.db, parsed)
@@ -468,15 +514,15 @@ class Session:
         cancellation rides on exactly this.
         """
         self._check_open()
-        parsed = parse_sql(statement)
+        parsed = self._parsed(statement)
         if isinstance(parsed, InspectSpec):
             inner = stream_inspect_spec(self, parsed)
         else:
-            inner = self._select_frames(statement)
+            inner = self._select_frames(parsed)
         return self._tracked_stream(inner)
 
-    def _select_frames(self, statement: str) -> Iterator[Frame]:
-        yield self._sql(statement)
+    def _select_frames(self, parsed) -> Iterator[Frame]:
+        yield self._run(parsed)
 
     # -- query accounting ----------------------------------------------
     def _count_query(self, *keys: str) -> None:
@@ -528,13 +574,18 @@ class Session:
         """
         out: dict = {}
         if self.hyp_cache is not None:
-            out["hypothesis_cache"] = self.hyp_cache.stats()
+            out["hypothesis_cache"] = {
+                **self.hyp_cache.stats(),
+                "moment_hits": self.hyp_cache.moment_hits,
+                "moment_misses": self.hyp_cache.moment_misses}
         if self.unit_cache is not None:
             out["unit_cache"] = self.unit_cache.stats()
         if self.store is not None:
             out["store"] = self.store.stats()
         with self._query_lock:
             out["queries"] = dict(self._query_counts)
+            out["statement_cache"] = {"entries": len(self._statements),
+                                      **self._statement_counts}
         out["degraded"] = degradation_counts()
         return out
 

@@ -69,7 +69,8 @@ class ShapeCnn(Module):
 
     def architecture(self) -> dict:
         return {"kind": "shape_cnn", "n_classes": self.n_classes,
-                "model_id": self.model_id}
+                "channels1": self.conv1.out_channels,
+                "channels2": self.n_units, "model_id": self.model_id}
 
 
 def train_shape_cnn(dataset: ShapeDataset, epochs: int = 6,

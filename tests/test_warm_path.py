@@ -1,0 +1,369 @@
+"""What a warm statement may skip, and when it may not.
+
+A warm statement recomputes nothing that does not depend on the statement:
+the hypothesis block's moments are kept by the hypothesis tier, the unit
+tier holds its entries in the layout scoring reads, and the session reuses
+a statement's parse and compilation.  Everything here pins the two halves
+of that bargain — the counters that show the work was skipped, and the
+frames that show skipping it changed nothing — and the invalidation rules
+that decide when it must not be skipped.
+"""
+
+from __future__ import annotations
+
+import gc
+import threading
+import weakref
+
+import numpy as np
+import pytest
+
+from repro import (HypothesisCache, InspectConfig, Session, UnitGroup,
+                   inspect)
+from repro.data.datasets import Dataset, Vocab
+from repro.hypotheses import PrecomputedHypothesis, grammar_hypotheses
+from repro.hypotheses.annotations import mask_hypotheses
+from repro.hypotheses.library import sql_keyword_hypotheses
+from repro.measures import (CorrelationScore, JaccardScore,
+                            SpearmanCorrelationScore)
+from repro.nn import CharLSTMModel
+from repro.nn.serialize import load_model, save_model
+from repro.util.debuglog import degradation_counts
+from repro.util.rng import new_rng
+from repro.vision import generate_shape_dataset, train_shape_cnn
+from repro.vision.netdissect import CnnPixelExtractor
+
+TOPK = ("SELECT S.uid AS uid, S.hid AS hid, S.unit_score AS score "
+        "INSPECT U.uid AND H.h USING corr OVER D.seq AS S "
+        "FROM models M, units U, hypotheses H, inputs D "
+        "WHERE M.mid = U.mid AND U.uid < 8 "
+        "ORDER BY S.unit_score DESC LIMIT 20")
+
+
+@pytest.fixture(scope="module")
+def hyps72(sql_workload):
+    wl = sql_workload
+    return grammar_hypotheses(wl.grammar, wl.queries, wl.trees,
+                              mode="derivation") + sql_keyword_hypotheses()
+
+
+# ----------------------------------------------------------------------
+# the counts behind the timing claim
+# ----------------------------------------------------------------------
+def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
+                                             trained_sql_model):
+    with Session(config=InspectConfig(block_size=128)) as session:
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps72)
+        session.register_model("m", trained_sql_model, epoch=0)
+        session.sql(TOPK)                       # warms every tier
+        first = session.sql(TOPK)
+        before = session.stats()
+        second = session.sql(TOPK)
+        after = session.stats()
+    assert second == first
+
+    def moved(tier: str, counter: str) -> int:
+        return after[tier][counter] - before[tier][counter]
+
+    assert moved("hypothesis_cache", "moment_misses") == 0
+    assert moved("hypothesis_cache", "moment_hits") >= 1
+    assert moved("hypothesis_cache", "extractions") == 0
+    assert moved("unit_cache", "extractions") == 0
+    assert moved("statement_cache", "misses") == 0
+    assert moved("statement_cache", "invalidated") == 0
+    assert moved("statement_cache", "hits") == 1
+    assert after["statement_cache"]["entries"] == 1
+
+
+# ----------------------------------------------------------------------
+# served moments: layout-aware bit-identity
+# ----------------------------------------------------------------------
+SHAPES = ("72 columns", "2 columns", "1 column", "frozen slice", "spearman")
+
+
+def _shape(name: str, hyps72, dataset, model):
+    """(hypotheses, measure, unit groups, config knobs, whether the tier
+    may serve moments at all) of one block shape."""
+    everything = [UnitGroup(model=model, unit_ids=np.arange(16), name="all")]
+    exhaustive = dict(early_stop=False)
+    if name == "frozen slice":
+        # each single-unit group freezes its own unit's trace at once and
+        # the rest later: from the second block on both tasks read a
+        # column slice of the gathered block, a different one each
+        states = model.hidden_states(dataset.symbols)
+        noise = np.random.default_rng(5).random(states.shape[:2])
+        hyps = [PrecomputedHypothesis("unit0", states[:, :, 0]),
+                PrecomputedHypothesis("unit3", states[:, :, 3]),
+                PrecomputedHypothesis("noise", (noise > 0.5).astype(float)),
+                hyps72[60]]
+        groups = [UnitGroup(model=model, unit_ids=np.array([u]),
+                            name=f"unit{u}") for u in (0, 3)]
+        return (hyps, CorrelationScore, groups,
+                dict(early_stop=True, error_threshold=0.03), True)
+    return {
+        "72 columns": (hyps72, CorrelationScore, everything, exhaustive, True),
+        "2 columns": (hyps72[3:5], CorrelationScore, everything, exhaustive,
+                      True),
+        "1 column": (hyps72[3:4], CorrelationScore, everything, exhaustive,
+                     False),
+        "spearman": (hyps72[:6], SpearmanCorrelationScore, everything,
+                     exhaustive, False),
+    }[name]
+
+
+@pytest.mark.parametrize("tier", ["memory", "store"])
+@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_served_moments_keep_every_frame_bit_identical(
+        shape, scheduler, tier, sql_workload, hyps72, trained_sql_model,
+        tmp_path):
+    dataset = sql_workload.dataset
+    hyps, measure, groups, knobs, served = _shape(
+        shape, hyps72, dataset, trained_sql_model)
+    knobs = dict(block_size=64, shuffle=True, **knobs)
+    reference = inspect(None, dataset, measure(), hyps, unit_groups=groups,
+                        config=InspectConfig(cache=None, unit_cache=None,
+                                             scheduler="serial", **knobs))
+    if shape == "frozen slice":   # the case must freeze columns unevenly
+        seen = {(g, h): rows for g, h, rows in zip(
+            reference["group_id"], reference["hyp_id"],
+            reference["n_rows_seen"])}
+        assert seen["unit0", "unit0"] < seen["unit0", "unit3"]
+        assert seen["unit3", "unit3"] < seen["unit3", "unit0"]
+
+    store = tmp_path if tier == "store" else None
+    with Session(store, scheduler=scheduler,
+                 config=InspectConfig(**knobs)) as session:
+        def run():
+            return (session.inspect(dataset=dataset).using(measure())
+                    .hypotheses(hyps).where(groups=groups).run())
+        cold = run()
+        warm = run()
+        moments = {key: count for key, count in
+                   session.stats()["hypothesis_cache"].items()
+                   if key.startswith("moment_")}
+    assert cold == reference
+    assert warm == reference
+    if served:
+        assert moments["moment_hits"] > 0
+    else:
+        assert moments == {"moment_hits": 0, "moment_misses": 0}
+
+
+def test_recycled_arena_column_never_serves_its_old_moments(
+        sql_workload, hyps72, trained_sql_model):
+    dataset = sql_workload.dataset
+    column_bytes = 8 * dataset.n_records * dataset.n_symbols \
+        + dataset.n_records
+    h0, h1, h2 = hyps72[3], hyps72[4], hyps72[40]
+    knobs = dict(early_stop=False, block_size=128)
+
+    def fresh(hyps):
+        return inspect(trained_sql_model, dataset, CorrelationScore(), hyps,
+                       config=InspectConfig(**knobs))
+
+    cache = HypothesisCache(max_bytes=2 * column_bytes)   # two columns
+    with Session(config=InspectConfig(cache=cache, **knobs)) as session:
+        def run(hyps):
+            return (session.inspect(trained_sql_model, dataset)
+                    .using("corr").hypotheses(hyps).run())
+
+        def column_of(hyp) -> int:
+            return cache._entries[(dataset.cache_key(), hyp.cache_key())].col
+
+        first = run([h0, h1])
+        blocks = cache.moment_misses
+        assert blocks == 4                       # 444 records, 128 a block
+        freed = column_of(h0)
+        recycled = run([h2, h1])                 # h0 is evicted for h2
+        assert column_of(h2) == freed
+        assert (dataset.cache_key(), h0.cache_key()) not in cache._entries
+        # the blocks over the recycled column were summed afresh
+        assert (cache.moment_hits, cache.moment_misses) == (0, 2 * blocks)
+        again = run([h0, h1])
+    assert first == fresh([h0, h1]) == again
+    assert recycled == fresh([h2, h1])
+    assert recycled != first
+
+
+# ----------------------------------------------------------------------
+# compiled statements: the invalidation matrix
+# ----------------------------------------------------------------------
+_SCORES = ("SELECT S.uid AS uid, S.hid AS hid, S.unit_score AS unit_score "
+           "{into} INSPECT U.uid AND H.h USING corr OVER D.seq AS S "
+           "FROM models M, units U, hypotheses H, inputs D")
+#: the statement under test joins the user table ``picks``
+JOINED = (_SCORES.format(into="") + ", picks P "
+          "WHERE M.mid = U.mid AND U.uid = P.uid")
+INTO_PICKS = _SCORES.format(into="INTO picks") \
+    + " WHERE M.mid = U.mid AND U.uid < 3"
+INTO_OTHER = _SCORES.format(into="INTO other") \
+    + " WHERE M.mid = U.mid AND U.uid < 3"
+
+
+def _mutations(sql_workload, trained_sql_model):
+    """name -> (mutation, whether JOINED must recompile after it)."""
+    def recreate_picks(session):
+        session.db.drop_table("picks")
+        session.db.create_table("picks", ["uid"], [(1,), (2,), (6,)])
+
+    extra = sql_keyword_hypotheses(("WHERE",))
+    untrained = CharLSTMModel(len(sql_workload.vocab), n_units=16,
+                              rng=new_rng(7), model_id="untrained")
+    return {
+        # the catalog is untouched: only the registry generation can tell
+        "swap a model object": (lambda s: s.register_model(
+            "m0", untrained, catalog=False), True),
+        "register_model": (lambda s: s.register_model(
+            "m1", trained_sql_model, units=4, epoch=1), True),
+        "register_hypotheses": (lambda s: s.register_hypotheses(
+            extra, name="keywords"), True),
+        "register_dataset": (lambda s: s.register_dataset(
+            "d0", sql_workload.dataset.head(50)), True),
+        "insert into units": (lambda s: s.db.table("units").insert(
+            ["m0", 5, 0]), True),
+        "drop + re-create picks": (recreate_picks, True),
+        "INTO a joined table": (lambda s: s.sql(INTO_PICKS), True),
+        "INTO an unjoined table": (lambda s: s.sql(INTO_OTHER), False),
+    }
+
+
+def _base_session(sql_workload, trained_sql_model) -> Session:
+    session = Session(config=InspectConfig(max_records=60, block_size=16,
+                                           early_stop=False))
+    session.register_model("m0", trained_sql_model, units=5, epoch=0)
+    session.register_dataset("d0", sql_workload.dataset)
+    session.register_hypotheses(sql_keyword_hypotheses(("SELECT", "FROM")),
+                                name="keywords")
+    session.db.create_table("picks", ["uid"], [(0,), (2,), (5,)])
+    return session
+
+
+def test_statement_cache_invalidation_matrix(sql_workload, trained_sql_model):
+    mutations = _mutations(sql_workload, trained_sql_model)
+    applied = []
+    with _base_session(sql_workload, trained_sql_model) as session:
+        previous = session.sql(JOINED)
+        for name, (mutate, recompiles) in mutations.items():
+            before = session.stats()["statement_cache"]
+            mutate(session)
+            applied.append(mutate)
+            ran = session.stats()["statement_cache"]   # INTOs are statements
+            frame = session.sql(JOINED)
+            after = session.stats()["statement_cache"]
+            with _base_session(sql_workload, trained_sql_model) as replay:
+                for again in applied:
+                    again(replay)
+                expected = replay.sql(JOINED)
+            assert frame == expected, name
+            assert after["hits"] - ran["hits"] == 1, name
+            assert after["misses"] == ran["misses"], name
+            assert after["invalidated"] - before["invalidated"] \
+                == int(recompiles), name
+            # a stale compilation would have shown: the frame moved
+            assert (frame != previous) == recompiles, name
+            previous = frame
+
+
+def test_concurrent_identical_statements_share_one_compilation(
+        sql_workload, trained_sql_model):
+    with _base_session(sql_workload, trained_sql_model) as session:
+        n = 6
+        frames: list = [None] * n
+        errors: list = []
+        start = threading.Barrier(n)
+
+        def go(i):
+            try:
+                start.wait(30)
+                frames[i] = session.sql(JOINED)
+            except Exception as exc:   # repro: allow[REP005]
+                errors.append(exc)
+
+        threads = [threading.Thread(target=go, args=(i,)) for i in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        baseline = session.sql(JOINED)
+        stats = session.stats()["statement_cache"]
+    assert all(frame == baseline for frame in frames)
+    assert stats["entries"] == 1 and stats["invalidated"] == 0
+    assert stats["hits"] + stats["misses"] == n + 1
+
+
+def test_statement_cache_is_bounded(sql_workload, trained_sql_model):
+    from repro.session import _STATEMENT_SLOTS
+    with _base_session(sql_workload, trained_sql_model) as session:
+        for i in range(_STATEMENT_SLOTS + 10):
+            session.sql(f"SELECT uid FROM picks WHERE uid < {i}")
+        assert session.stats()["statement_cache"]["entries"] \
+            == _STATEMENT_SLOTS
+
+
+# ----------------------------------------------------------------------
+# ShapeCnn crosses the process boundary
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def shapes_and_cnn():
+    shapes = generate_shape_dataset(n_images=12, image_size=8, seed=1)
+    return shapes, train_shape_cnn(shapes, epochs=1, seed=0)
+
+
+def test_shape_cnn_save_load_round_trip(shapes_and_cnn, tmp_path):
+    shapes, model = shapes_and_cnn
+    save_model(model, str(tmp_path / "cnn"))
+    loaded = load_model(str(tmp_path / "cnn"))
+    assert loaded.architecture() == model.architecture()
+    assert np.array_equal(loaded.activation_maps(shapes.images),
+                          model.activation_maps(shapes.images))
+
+
+def test_cnn_shards_run_in_worker_processes(shapes_and_cnn):
+    shapes, model = shapes_and_cnn
+    n_pixels = shapes.images.shape[1] * shapes.images.shape[2]
+    symbols = np.repeat(np.arange(shapes.n_images)[:, None], n_pixels, axis=1)
+    dataset = Dataset(symbols, Vocab(["x"]),
+                      meta=[{"image": i} for i in range(shapes.n_images)])
+    hyps = mask_hypotheses(shapes.flat_masks())
+
+    def run(scheduler):
+        with Session(scheduler=scheduler) as session:
+            return (session.inspect(model, dataset,
+                                    extractor=CnnPixelExtractor(
+                                        shapes.images, batch_size=5))
+                    .using(JaccardScore(quantile=0.9, calibration_rows=64))
+                    .hypotheses(hyps).with_config(mode="full").run())
+
+    serial = run("serial")
+    before = degradation_counts()
+    pooled = run("processes")
+    after = degradation_counts()
+    assert pooled == serial
+    for event in ("shard.worker-failed", "shard.model-spec-fallback",
+                  "shard.model-unpicklable"):
+        assert after.get(event, 0) == before.get(event, 0), event
+
+
+def test_kept_compilation_forms_no_reference_cycle(sql_workload):
+    """A dropped session frees its models by reference count: a cycle
+    through the kept compilation would hold them (and the activations
+    they cache) until the cycle collector runs — `cold_sweep`'s peak RSS
+    grew by half when there was one."""
+    model = CharLSTMModel(len(sql_workload.vocab), n_units=16,
+                          rng=new_rng(7), model_id="short-lived")
+    alive = weakref.ref(model)
+    gc.collect()
+    gc.disable()
+    try:
+        session = _base_session(sql_workload, model)
+        session.sql(JOINED)
+        session.sql(JOINED)
+        session.close()
+        del session, model
+        assert alive() is None
+    finally:
+        gc.enable()
