@@ -16,7 +16,7 @@ the paper's baseline cost profile.
 
 from repro.db.aggregates import AGGREGATES
 from repro.db.engine import Database, Table
-from repro.db.executor import (DEFAULT_ENGINE, ENGINES, SelectQuery,
+from repro.db.executor import (DEFAULT_ENGINE, ENGINES, SelectQuery, bind,
                                execute_select)
 from repro.db.expr import AmbiguousColumnError
 from repro.db.inspect_clause import run_inspect_spec
@@ -34,6 +34,7 @@ __all__ = [
     "SelectQuery",
     "Table",
     "TableStorage",
+    "bind",
     "execute_select",
     "plan_scan",
     "logregr_predict",

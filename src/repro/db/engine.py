@@ -116,26 +116,6 @@ class Table:
             self._flush()
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_columns(cls, name: str,
-                     columns: dict[str, np.ndarray]) -> "Table":
-        """Build a table directly from column arrays (no row transpose).
-
-        The INSPECT frontend materializes its temporary score relation this
-        way: arrays produced by the inspection plan become a first-class
-        relation the columnar executor can filter, project and sort without
-        ever constructing row tuples.
-        """
-        table = cls(name, list(columns))
-        arrays = [np.asarray(a) for a in columns.values()]
-        lengths = {a.shape[0] for a in arrays}
-        if len(lengths) > 1:
-            raise ValueError(f"column lengths differ in {name!r}: {lengths}")
-        table._cols = arrays
-        table._n_stored = arrays[0].shape[0] if arrays else 0
-        return table
-
-    # ------------------------------------------------------------------
     def _ensure_loaded(self) -> None:
         if self._loader is not None:
             # clear the loader only on success: a failed load (e.g. a

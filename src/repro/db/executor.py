@@ -1,15 +1,31 @@
-"""SELECT execution: scan -> join -> filter -> group/aggregate -> project.
+"""SELECT execution: bind -> relation -> select -> rows.
 
-Two engines share the same logical plan, ``SelectQuery`` API and dict-row
-output format:
+Every statement runs the same three stages, each implemented once:
 
-* ``columnar`` (the default) -- operates on the numpy column arrays stored
-  by :class:`repro.db.engine.Table`: predicates evaluate to boolean masks,
-  equality joins gather matching index vectors, group-by keys are factorized
-  with ``np.unique`` and aggregates fold whole column segments through their
-  vectorized ``step_batch`` implementations.
+* **bind** (:func:`bind`) -- every column reference is resolved against
+  the FROM schema (:func:`repro.db.expr.resolve_expr`), duplicate output
+  names are rejected, and an ``ORDER BY`` key the SELECT list does not
+  project is carried as a hidden trailing item.  The bound form is kept on
+  the query, so a repeated statement binds once.
+* **relation** -- the FROM list and WHERE become column arrays: from the
+  B-tree indexes of a single clean persistent table when
+  :func:`repro.db.planner.plan_scan` can, else through
+  :mod:`repro.db.relation` (pushed predicates, equi-joins, cross products).
+* **select** (:func:`select_columnar`) -- group/aggregate or project,
+  HAVING over the projected rows, ORDER BY + LIMIT.  The INSPECT frontend
+  calls this stage directly on its score relation.
+
+Two engines share the bound query, the ``SelectQuery`` API and the
+dict-row output format:
+
+* ``columnar`` (the default) -- the stages above over the numpy column
+  arrays stored by :class:`repro.db.engine.Table`: predicates evaluate to
+  boolean masks, equality joins gather matching index vectors, group-by
+  keys are factorized with ``np.unique`` and aggregates fold whole column
+  segments through their vectorized ``step_batch`` implementations.
 * ``row`` -- the original Volcano-style interpreter over per-row dict
-  environments with per-row aggregate stepping.  Retained for differential
+  environments (hash join for ``JOIN ... ON``, nested loops for a comma
+  join) with per-row aggregate stepping.  Retained for differential
   testing and because the MADLib baseline's cost profile (Section 5.1.1) is
   precisely this row-at-a-time dispatch.
 
@@ -23,11 +39,13 @@ SQL semantics shared by both engines:
 * an aggregate query with no ``GROUP BY`` over zero input rows yields one
   row (``COUNT`` = 0, all other aggregates NULL);
 * ``ORDER BY`` tolerates NULL values (NULLS LAST ascending, NULLS FIRST
-  descending -- PostgreSQL's defaults).
+  descending -- PostgreSQL's defaults);
+* without an ``ORDER BY``, rows come in FROM-major order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -35,13 +53,19 @@ import numpy as np
 
 from repro.db.aggregates import get_aggregate
 from repro.db.engine import MAX_EXPRESSIONS, Database
-from repro.db.expr import AggregateRef, Expr
-from repro.db.planner import plan_scan, predicate_mask
+from repro.db.expr import (AggregateRef, BoolOp, Column, Compare, Expr,
+                           Schema, resolve_expr)
+from repro.db.planner import plan_scan
+from repro.db.relation import (CatalogPlan, execute_catalog_plan,
+                               nan_positions, plan_catalog)
 
 Row = dict[str, Any]
 
 ENGINES = ("columnar", "row")
 DEFAULT_ENGINE = "columnar"
+
+#: output name of the hidden ORDER BY key (no parsed alias can spell it)
+ORDER_KEY = "#order"
 
 
 @dataclass
@@ -52,10 +76,13 @@ class SelectItem:
 
 @dataclass
 class JoinSpec:
+    """One more FROM entry: ``JOIN table alias ON left_col = right_col``,
+    or a comma join (``FROM a, table alias``) when the columns are None."""
+
     table: str
     alias: str
-    left_col: str    # qualified column from tables already in scope
-    right_col: str   # qualified column of the joined table
+    left_col: str | None = None   # column from tables already in scope
+    right_col: str | None = None  # column of the joined table
 
 
 @dataclass
@@ -73,6 +100,100 @@ class SelectQuery:
     descending: bool = False
     limit: int | None = None
     into: str | None = None  # persist the result as a table (SELECT INTO)
+    #: last execution's bound form (:func:`bind`), checked against the
+    #: statement and the FROM tables' columns before every reuse
+    bound: "BoundSelect | None" = field(default=None, init=False,
+                                        repr=False, compare=False)
+
+    @property
+    def tables(self) -> list[tuple[str, str]]:
+        """The FROM list as (table, alias) pairs."""
+        return [(self.table, self.alias or self.table)] \
+            + [(join.table, join.alias) for join in self.joins]
+
+
+@dataclass
+class BoundSelect:
+    """A :class:`SelectQuery` after name binding."""
+
+    statement: tuple        # the fields it was bound from (_statement)
+    columns: list           # the FROM tables' column lists it is valid for
+    query: SelectQuery      # every reference qualified, ORDER_KEY appended
+    plan: CatalogPlan       # its relation stage, ON columns as equi-edges
+
+
+def _statement(query: SelectQuery) -> tuple:
+    """Every field the bound query copies or rewrites, lists by value: a
+    query edited between runs (``q.limit = 5``, ``q.items.append(...)``)
+    compares unequal; an untouched one compares by identity, node by node
+    (item and expression nodes are values: an edit *inside* one is unseen)."""
+    return (tuple(query.items), query.table, query.alias, tuple(query.joins),
+            query.where, tuple(query.group_by), query.having, query.order_by,
+            query.descending, query.limit)
+
+
+def from_schema(db: Database, tables: list[tuple[str, str]]) -> Schema:
+    """The column namespace of a FROM list (unknown table: ``KeyError``)."""
+    schema = Schema()
+    for name, alias in tables:
+        schema.add(alias, db.table(name).columns)
+    return schema
+
+
+def bind_select_list(items: list[SelectItem], order_by: str | None,
+                     schema: Schema) -> tuple[list[SelectItem], str | None]:
+    """The SELECT list and ORDER BY name bound against ``schema``.
+
+    Output names must be distinct (dict rows would collapse two columns
+    into one).  ``order_by`` names an output column or, failing that, a
+    schema column: carried as a hidden trailing item :data:`ORDER_KEY`,
+    which either engine sorts on and :func:`_finalize` drops.
+    """
+    bound = [SelectItem(resolve_expr(item.expr, schema), item.alias)
+             for item in items]
+    names: set[str] = set()
+    for item in items:
+        if item.alias in names:
+            raise ValueError(f"duplicate output column {item.alias!r} in "
+                             "SELECT; give each item its own AS alias")
+        names.add(item.alias)
+    if order_by is not None and order_by not in names:
+        bound.append(SelectItem(Column(schema.resolve(order_by)), ORDER_KEY))
+        order_by = ORDER_KEY
+    return bound, order_by
+
+
+def bind(db: Database, query: SelectQuery) -> BoundSelect:
+    """``query`` with every name resolved, kept on it from run to run.
+
+    A binding depends on the statement and on which columns its FROM
+    tables have, not on their contents (``INTO`` replacing a table with
+    the same columns keeps it); both are compared before it is reused.
+    """
+    bound, statement = query.bound, _statement(query)
+    if bound is not None and bound.statement == statement \
+            and bound.columns == [db.table(name).columns
+                                  for name, _ in bound.plan.tables]:
+        return bound
+    tables = query.tables
+    schema = from_schema(db, tables)
+    items, order_by = bind_select_list(query.items, query.order_by, schema)
+    joins = [join if join.left_col is None else JoinSpec(
+        join.table, join.alias, schema.resolve(join.left_col),
+        schema.resolve(join.right_col)) for join in query.joins]
+    where = None if query.where is None else resolve_expr(query.where, schema)
+    conjuncts = [Compare("=", Column(join.left_col), Column(join.right_col))
+                 for join in joins if join.left_col is not None] \
+        + ([] if where is None else [where])
+    bound = query.bound = BoundSelect(
+        statement=statement,
+        columns=[list(db.table(name).columns) for name, _ in tables],
+        query=dataclasses.replace(
+            query, items=items, joins=joins, where=where,
+            group_by=[resolve_expr(e, schema) for e in query.group_by],
+            order_by=order_by),
+        plan=plan_catalog(tables, BoolOp("and", conjuncts)))
+    return bound
 
 
 def execute_select(db: Database, query: SelectQuery,
@@ -85,11 +206,11 @@ def execute_select(db: Database, query: SelectQuery,
         raise ValueError(
             f"target list has {len(query.items)} expressions; the engine "
             f"limit is {MAX_EXPRESSIONS} (batch your query)")
+    bound = bind(db, query)
     if engine == "row":
-        rows, presorted = _execute_row(db, query), False
+        rows = _finalize(_execute_row(db, bound.query), bound.query)
     else:
-        rows, presorted = _execute_columnar(db, query)
-    rows = _finalize(rows, query, skip_order=presorted)
+        rows = _execute_columnar(db, bound)
     if query.into:
         materialize_into(db, query.into,
                          [it.alias for it in query.items], rows)
@@ -149,13 +270,15 @@ def _finalize(rows: list[Row], query: SelectQuery,
         rows = [_empty_aggregate_row(query)]
     if query.having is not None:
         rows = [r for r in rows if _having_passes(query.having, r)]
-    if skip_order:  # the columnar engine already ordered + limited
-        return rows
-    if query.order_by is not None:
-        rows.sort(key=_null_safe_key(query.order_by),
-                  reverse=query.descending)
-    if query.limit is not None:
-        rows = rows[:query.limit]
+    if not skip_order:  # else: already ordered + limited
+        if query.order_by is not None:
+            rows.sort(key=_null_safe_key(query.order_by),
+                      reverse=query.descending)
+        if query.limit is not None:
+            rows = rows[:query.limit]
+    if query.order_by == ORDER_KEY:  # the one place the hidden key goes
+        for row in rows:
+            del row[ORDER_KEY]
     return rows
 
 
@@ -167,92 +290,6 @@ def _pyval(value):
 # ----------------------------------------------------------------------
 # columnar engine
 # ----------------------------------------------------------------------
-def _scan_cols(db: Database, table_name: str,
-               alias: str) -> tuple[dict[str, np.ndarray], int]:
-    table = db.table(table_name)
-    db.full_scans += 1
-    cols: dict[str, np.ndarray] = {}
-    for name, arr in zip(table.columns, table.column_arrays()):
-        cols[f"{alias}.{name}"] = arr
-        cols.setdefault(name, arr)
-    return cols, len(table)
-
-
-def _nan_positions(values: np.ndarray) -> np.ndarray | None:
-    if values.dtype.kind != "f":
-        return None
-    nan = np.isnan(values)
-    return nan if nan.any() else None
-
-
-def equi_match(lvals: np.ndarray,
-                rvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (li, ri) with lvals[li] == rvals[ri], left-major order.
-
-    NaN keys never match (SQL equality): np.unique would otherwise collapse
-    NaNs together, so NaN rows are dropped before code assignment.
-    """
-    l_nan = _nan_positions(lvals)
-    r_nan = _nan_positions(rvals)
-    if l_nan is not None or r_nan is not None:
-        l_keep = np.flatnonzero(~l_nan) if l_nan is not None \
-            else np.arange(lvals.shape[0])
-        r_keep = np.flatnonzero(~r_nan) if r_nan is not None \
-            else np.arange(rvals.shape[0])
-        li, ri = equi_match(lvals[l_keep], rvals[r_keep])
-        return l_keep[li], r_keep[ri]
-    try:
-        allv = np.concatenate([lvals, rvals])
-        _, inv = np.unique(allv, return_inverse=True)
-    except TypeError:  # incomparable mixed types: hash-based fallback
-        index: dict[Any, list[int]] = {}
-        for j, v in enumerate(rvals.tolist()):
-            index.setdefault(v, []).append(j)
-        li: list[int] = []
-        ri: list[int] = []
-        for i, v in enumerate(lvals.tolist()):
-            for j in index.get(v, ()):
-                li.append(i)
-                ri.append(j)
-        return (np.asarray(li, dtype=np.int64),
-                np.asarray(ri, dtype=np.int64))
-    lcodes = inv[:lvals.shape[0]]
-    rcodes = inv[lvals.shape[0]:]
-    order = np.argsort(rcodes, kind="stable")
-    sorted_r = rcodes[order]
-    starts = np.searchsorted(sorted_r, lcodes, side="left")
-    ends = np.searchsorted(sorted_r, lcodes, side="right")
-    counts = ends - starts
-    left_idx = np.repeat(np.arange(lcodes.shape[0]), counts)
-    offsets = np.cumsum(counts) - counts
-    within = np.arange(int(counts.sum())) - np.repeat(offsets, counts)
-    right_idx = order[np.repeat(starts, counts) + within]
-    return left_idx, right_idx
-
-
-def gather(cols: dict[str, np.ndarray], idx) -> dict[str, np.ndarray]:
-    """Apply one index/mask to every column, deduplicating shared arrays."""
-    memo: dict[int, np.ndarray] = {}
-    return {k: memo.setdefault(id(v), v[idx]) for k, v in cols.items()}
-
-
-def _join_columnar(db: Database, cols: dict[str, np.ndarray],
-                   join: JoinSpec) -> tuple[dict[str, np.ndarray], int]:
-    right = db.table(join.table)
-    db.full_scans += 1
-    lvals = cols.get(join.left_col)
-    if lvals is None:
-        lvals = cols[join.left_col.split(".")[-1]]
-    rvals = right.column(join.right_col.split(".")[-1])
-    left_idx, right_idx = equi_match(lvals, rvals)
-    out = gather(cols, left_idx)
-    for name, arr in zip(right.columns, right.column_arrays()):
-        gathered = arr[right_idx]
-        out[f"{join.alias}.{name}"] = gathered
-        out.setdefault(name, gathered)
-    return out, int(left_idx.shape[0])
-
-
 def _broadcast(value, n: int) -> np.ndarray:
     arr = np.asarray(value)
     if arr.ndim == 0:
@@ -275,7 +312,7 @@ def sort_indices(values: np.ndarray,
     arr = np.asarray(values)
     if arr.dtype == object:
         return None
-    if _nan_positions(arr) is not None:
+    if nan_positions(arr) is not None:
         return None
     if descending:
         # stable descending = ascending stable argsort of the negated
@@ -309,7 +346,7 @@ def topk_indices(values: np.ndarray, k: int,
     n = arr.shape[0]
     if arr.dtype.kind not in "iuf" or k <= 0 or k >= n or k * 4 >= n:
         return None
-    if _nan_positions(arr) is not None:
+    if nan_positions(arr) is not None:
         return None
     if descending:
         boundary = arr[np.argpartition(arr, n - k)[n - k]]
@@ -325,26 +362,27 @@ def topk_indices(values: np.ndarray, k: int,
     return cand[np.lexsort((cand, key))]
 
 
-def _execute_columnar(db: Database,
-                      query: SelectQuery) -> tuple[list[Row], bool]:
+def _execute_columnar(db: Database, bound: BoundSelect) -> list[Row]:
     # planner step: a clean persistent table may answer scan + WHERE
     # (and ORDER BY + LIMIT) from its B-tree indexes
-    planned = plan_scan(db, query) if not query.joins else None
-    if planned is not None:
-        cols, n, index_ordered = planned
-    else:
-        index_ordered = False
-        cols, n = _scan_cols(db, query.table, query.alias or query.table)
-        for join in query.joins:
-            cols, n = _join_columnar(db, cols, join)
+    planned = plan_scan(db, bound.query)
+    if planned is None:
+        planned = (*execute_catalog_plan(db, bound.plan), False)
+    cols, n, ordered = planned
+    return select_columnar(cols, n, bound.query, presorted=ordered)
 
-        if query.where is not None:
-            mask = predicate_mask(query.where, cols, n)
-            cols = gather(cols, mask)
-            n = int(mask.sum())
 
+def select_columnar(cols: dict[str, np.ndarray], n: int,
+                    query: SelectQuery, presorted: bool = False) -> list[Row]:
+    """The select stage over ``n`` rows of a bound relation.
+
+    Group/aggregate or project ``query.items`` (bound: see
+    :func:`bind_select_list`), then HAVING, ORDER BY and LIMIT;
+    ``presorted``: the rows already sit in final ORDER BY + LIMIT order.
+    ``query.where`` is the relation stage's and is not read here.
+    """
     if query.group_by or _has_aggregates(query):
-        return _group_aggregate_columnar(cols, n, query), False
+        return _finalize(_group_aggregate_columnar(cols, n, query), query)
 
     aliases = [it.alias for it in query.items]
     out_arrays = [_broadcast(it.expr.eval_batch(cols), n)
@@ -354,9 +392,8 @@ def _execute_columnar(db: Database,
     # arrays and slice before materializing dict rows, so a LIMIT k query
     # builds k rows instead of n.  HAVING (applied to projected rows in
     # _finalize) must run first, so the push-down is skipped when present.
-    presorted = index_ordered
     if not presorted and query.order_by is not None \
-            and query.having is None and query.order_by in aliases:
+            and query.having is None:
         key_array = out_arrays[aliases.index(query.order_by)]
         order = None
         if query.limit is not None:
@@ -370,7 +407,8 @@ def _execute_columnar(db: Database,
             presorted = True
 
     out_lists = [a.tolist() for a in out_arrays]
-    return [dict(zip(aliases, vals)) for vals in zip(*out_lists)], presorted
+    rows = [dict(zip(aliases, vals)) for vals in zip(*out_lists)]
+    return _finalize(rows, query, skip_order=presorted)
 
 
 def group_ids(key_cols: list[np.ndarray], n: int) -> tuple[np.ndarray, int]:
@@ -391,7 +429,7 @@ def group_ids(key_cols: list[np.ndarray], n: int) -> tuple[np.ndarray, int]:
             for i, v in enumerate(col.tolist()):
                 c[i] = seen.setdefault(v, len(seen))
             k = len(seen)
-        nan = _nan_positions(col)
+        nan = nan_positions(col)
         if nan is not None:
             c[nan] = k + np.arange(int(nan.sum()))
             k += int(nan.sum())
@@ -461,41 +499,24 @@ def _group_aggregate_columnar(cols: dict[str, np.ndarray], n: int,
 # ----------------------------------------------------------------------
 # row engine (the original Volcano interpreter)
 # ----------------------------------------------------------------------
-def _env_from_row(alias: str, columns: list[str], row: tuple) -> Row:
-    env: Row = {}
-    for col, val in zip(columns, row):
-        env[f"{alias}.{col}"] = val
-        env.setdefault(col, val)
-    return env
-
-
-def _merge_env(base: Row, extra: Row) -> Row:
-    merged = dict(base)
-    for key, val in extra.items():
-        if "." in key or key not in merged:
-            merged[key] = val
-    return merged
+def _envs(db: Database, name: str, alias: str) -> list[Row]:
+    columns = [f"{alias}.{col}" for col in db.table(name).columns]
+    return [dict(zip(columns, row)) for row in db.scan(name)]
 
 
 def _execute_row(db: Database, query: SelectQuery) -> list[Row]:
-    # 1. scan + joins (hash join on single-column equality)
-    base = db.table(query.table)
-    alias = query.alias or query.table
-    envs = [_env_from_row(alias, base.columns, row)
-            for row in db.scan(query.table)]
+    # 1. scan + joins: hash join on the ON equality, nested loops without
+    envs = _envs(db, query.table, query.alias or query.table)
     for join in query.joins:
-        right = db.table(join.table)
+        right = _envs(db, join.table, join.alias)
+        if join.left_col is None:
+            envs = [{**env, **match} for env in envs for match in right]
+            continue
         index: dict[Any, list[Row]] = {}
-        right_key = join.right_col.split(".")[-1]
-        for row in db.scan(join.table):
-            env = _env_from_row(join.alias, right.columns, row)
-            index.setdefault(env[f"{join.alias}.{right_key}"], []).append(env)
-        joined: list[Row] = []
-        for env in envs:
-            key = env.get(join.left_col, env.get(join.left_col.split(".")[-1]))
-            for match in index.get(key, []):
-                joined.append(_merge_env(env, match))
-        envs = joined
+        for env in right:
+            index.setdefault(env[join.right_col], []).append(env)
+        envs = [{**env, **match} for env in envs
+                for match in index.get(env[join.left_col], [])]
 
     # 2. filter
     if query.where is not None:

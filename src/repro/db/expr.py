@@ -42,9 +42,10 @@ _ARITHMETIC = {
 class AmbiguousColumnError(ValueError):
     """An unqualified column reference matches more than one relation.
 
-    Raised during name resolution (the INSPECT frontend resolves every
-    column to its owning relation before execution) instead of silently
-    binding the reference to whichever FROM table happens to come first.
+    Raised during name resolution (every statement, SELECT or INSPECT,
+    resolves each column to its owning relation before execution) instead
+    of silently binding the reference to whichever FROM table happens to
+    come first.
     """
 
 
@@ -58,9 +59,16 @@ class Expr:
         """Vectorized evaluation over column arrays (broadcasts scalars)."""
         raise NotImplementedError
 
+    def children(self) -> list["Expr"]:
+        """Direct sub-expressions."""
+        return []
+
     def columns(self) -> set[str]:
         """Referenced column names (for projection pruning / validation)."""
-        return set()
+        out: set[str] = set()
+        for child in self.children():
+            out |= child.columns()
+        return out
 
 
 @dataclass
@@ -115,8 +123,8 @@ class Compare(Expr):
         return _COMPARATORS[self.op](self.left.eval_batch(cols),
                                      self.right.eval_batch(cols))
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def children(self) -> list[Expr]:
+        return [self.left, self.right]
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -139,8 +147,8 @@ class Arith(Expr):
         return _ARITHMETIC[self.op](self.left.eval_batch(cols),
                                     self.right.eval_batch(cols))
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def children(self) -> list[Expr]:
+        return [self.left, self.right]
 
 
 @dataclass
@@ -173,11 +181,8 @@ class BoolOp(Expr):
             return np.logical_not(batches[0])
         raise ValueError(f"unknown boolean op {self.op!r}")
 
-    def columns(self) -> set[str]:
-        out: set[str] = set()
-        for operand in self.operands:
-            out |= operand.columns()
-        return out
+    def children(self) -> list[Expr]:
+        return self.operands
 
 
 @dataclass
@@ -197,11 +202,62 @@ class AggregateRef(Expr):
     def eval_batch(self, cols: dict[str, np.ndarray]) -> Any:
         raise RuntimeError("aggregates are evaluated by the group-by executor")
 
-    def columns(self) -> set[str]:
-        out: set[str] = set()
-        for arg in self.args:
-            out |= arg.columns()
-        return out
+    def children(self) -> list[Expr]:
+        return self.args
 
     def __str__(self) -> str:
         return f"{self.func}({', '.join(map(str, self.args))})"
+
+
+# ----------------------------------------------------------------------
+# bind: name resolution, the first stage of every statement
+# ----------------------------------------------------------------------
+class Schema:
+    """Column namespace over a FROM list (alias -> column names)."""
+
+    def __init__(self) -> None:
+        self.aliases: list[str] = []
+        self.qualified: set[str] = set()
+        self.owners: dict[str, list[str]] = {}  # unqualified name -> aliases
+
+    def add(self, alias: str, columns: list[str]) -> None:
+        if alias in self.aliases:
+            raise ValueError(f"duplicate table alias {alias!r} in FROM")
+        self.aliases.append(alias)
+        for col in columns:
+            self.qualified.add(f"{alias}.{col}")
+            self.owners.setdefault(col, []).append(alias)
+
+    def resolve(self, name: str) -> str:
+        """Qualified form of a reference; ambiguity is an error."""
+        if "." in name:
+            if name not in self.qualified:
+                raise KeyError(f"unbound column {name!r}")
+            return name
+        owners = self.owners.get(name)
+        if not owners:
+            raise KeyError(f"unbound column {name!r}")
+        if len(owners) > 1:
+            raise AmbiguousColumnError(
+                f"column reference {name!r} is ambiguous: it appears in "
+                f"{sorted(owners)}; qualify it, e.g. {owners[0]}.{name}")
+        return f"{owners[0]}.{name}"
+
+
+def resolve_expr(expr: Expr, schema: Schema) -> Expr:
+    """Rewrite an expression so every column reference is qualified."""
+    if isinstance(expr, Column):
+        return Column(schema.resolve(expr.name))
+    if isinstance(expr, Compare):
+        return Compare(expr.op, resolve_expr(expr.left, schema),
+                       resolve_expr(expr.right, schema))
+    if isinstance(expr, Arith):
+        return Arith(expr.op, resolve_expr(expr.left, schema),
+                     resolve_expr(expr.right, schema))
+    if isinstance(expr, BoolOp):
+        return BoolOp(expr.op, [resolve_expr(o, schema)
+                                for o in expr.operands])
+    if isinstance(expr, AggregateRef):
+        return AggregateRef(expr.func, [resolve_expr(a, schema)
+                                        for a in expr.args])
+    return expr

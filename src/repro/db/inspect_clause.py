@@ -17,40 +17,36 @@ A query like the paper's::
     HAVING S.unit_score > 0.8
     ORDER BY S.unit_score DESC LIMIT 20
 
-compiles through three planning stages, each executed by the columnar
-engine rather than interpreted row-at-a-time:
+runs the pipeline every statement runs — bind, relation, select (see
+:mod:`repro.db.executor`) — with the inspection between the last two:
 
-1. **Catalog plan** -- every column reference is resolved against the FROM
-   schema (ambiguous unqualified names raise
-   :class:`~repro.db.expr.AmbiguousColumnError`), the WHERE conjunction is
-   split into per-table predicates (pushed into the scans), equi-join edges
-   (executed as vectorized hash joins) and residual predicates; unjoined
-   relations fall back to a columnar cross product.
+1. **Catalog relation** -- every column reference is resolved against the
+   FROM schema plus the ``S`` columns (:func:`repro.db.expr.resolve_expr`)
+   and the FROM list and WHERE become the joined catalog relation through
+   the relation stage every SELECT uses (:mod:`repro.db.relation`).
 2. **Shared inspection plan** -- GROUP BY keys are factorized over the
    joined relation, the per-group (model, unit-set, hypothesis) workloads
    are deduplicated across groups, and ONE plan-engine run
    (:class:`repro.core.pipeline.InspectionPlan`) scores everything, wired to
    the session's :class:`~repro.core.cache.HypothesisCache` /
    :class:`~repro.core.cache.UnitBehaviorCache` and scheduler.  The
-   scheduler is resolved once per statement and shared across the
-   per-dataset runs a GROUP BY sweep fans into — a session-owned pool
-   (thread or process) is reused as-is, so an INSPECT statement on a
+   per-dataset runs a GROUP BY sweep fans into share the session's one
+   pool (thread or process), so an INSPECT statement on a
    process-scheduler session exchanges shards through the same worker
    pool and store as the Python builder, and its frames stay
    bit-identical to serial execution.  A ``GROUP BY M.epoch`` sweep
    therefore extracts each model's behavior once, and the hypothesis
    behaviors once in total.
-3. **Columnar S relation** -- scores are materialized as a temporary
-   columnar table ``S(uid, hid, mid, score_id, group_score, unit_score)``
-   joined with the surviving catalog columns, and HAVING, the SELECT
-   projection, ORDER BY and LIMIT run through
-   :func:`repro.db.executor.execute_select`.
+3. **Columnar S relation** -- scores are materialized as column arrays
+   ``S(uid, hid, mid, score_id, group_score, unit_score)`` beside the
+   surviving catalog columns; HAVING filters that relation and the SELECT
+   projection, ORDER BY and LIMIT are the select stage every SELECT uses
+   (:func:`repro.db.executor.select_columnar`).
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -58,14 +54,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.groups import UnitGroup
-from repro.core.pipeline import InspectionPlan, _resolve_scheduler
-from repro.db.engine import Database, Table
-from repro.db.executor import (SelectItem, SelectQuery, _broadcast,
-                               equi_match, execute_select, gather, group_ids,
-                               materialize_into)
-from repro.db.expr import (AggregateRef, AmbiguousColumnError, Arith, BoolOp,
-                           Column, Compare, Expr)
-from repro.db.planner import flatten_and, predicate_mask
+from repro.core.pipeline import InspectionPlan
+from repro.db.executor import (SelectQuery, _broadcast, bind_select_list,
+                               from_schema, group_ids, materialize_into,
+                               select_columnar)
+from repro.db.expr import AggregateRef, Expr, Schema, resolve_expr
+from repro.db.relation import execute_catalog_plan, keep_where, plan_catalog
 from repro.db.sqlparser import InspectSpec
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.registry import get_measure
@@ -76,201 +70,6 @@ if TYPE_CHECKING:  # repro.session imports this module
 
 #: schema of the temporary score relation produced by the INSPECT clause
 S_COLUMNS = ("uid", "hid", "mid", "score_id", "group_score", "unit_score")
-
-_TMP_TABLE = "__inspect_s__"
-
-
-# ----------------------------------------------------------------------
-# stage 1a: name resolution
-# ----------------------------------------------------------------------
-class Schema:
-    """Column namespace over a set of relations (alias -> column names)."""
-
-    def __init__(self) -> None:
-        self.qualified: set[str] = set()
-        self.owners: dict[str, list[str]] = {}  # unqualified name -> aliases
-
-    def add(self, alias: str, columns: list[str]) -> None:
-        for col in columns:
-            self.qualified.add(f"{alias}.{col}")
-            owners = self.owners.setdefault(col, [])
-            if alias not in owners:
-                owners.append(alias)
-
-    def copy(self) -> "Schema":
-        out = Schema()
-        out.qualified = set(self.qualified)
-        out.owners = {name: list(aliases)
-                      for name, aliases in self.owners.items()}
-        return out
-
-    def resolve(self, name: str) -> str:
-        """Qualified form of a reference; ambiguity is an error."""
-        if "." in name:
-            if name not in self.qualified:
-                raise KeyError(f"unbound column {name!r}")
-            return name
-        owners = self.owners.get(name)
-        if not owners:
-            raise KeyError(f"unbound column {name!r}")
-        if len(owners) > 1:
-            raise AmbiguousColumnError(
-                f"column reference {name!r} is ambiguous: it appears in "
-                f"{sorted(owners)}; qualify it, e.g. {owners[0]}.{name}")
-        return f"{owners[0]}.{name}"
-
-
-def resolve_expr(expr: Expr, schema: Schema) -> Expr:
-    """Rewrite an expression so every column reference is qualified."""
-    if isinstance(expr, Column):
-        return Column(schema.resolve(expr.name))
-    if isinstance(expr, Compare):
-        return Compare(expr.op, resolve_expr(expr.left, schema),
-                       resolve_expr(expr.right, schema))
-    if isinstance(expr, Arith):
-        return Arith(expr.op, resolve_expr(expr.left, schema),
-                     resolve_expr(expr.right, schema))
-    if isinstance(expr, BoolOp):
-        return BoolOp(expr.op, [resolve_expr(o, schema)
-                                for o in expr.operands])
-    if isinstance(expr, AggregateRef):
-        raise ValueError(
-            "aggregate functions are not supported in INSPECT queries; "
-            "aggregate over the returned frame instead")
-    return expr
-
-
-def _catalog_schema(db: Database, tables: list[tuple[str, str]]) -> Schema:
-    schema = Schema()
-    seen: set[str] = set()
-    for name, alias in tables:
-        if alias in seen:
-            raise ValueError(f"duplicate table alias {alias!r} in FROM")
-        seen.add(alias)
-        schema.add(alias, db.table(name).columns)
-    return schema
-
-
-# ----------------------------------------------------------------------
-# stage 1b: catalog access plan
-# ----------------------------------------------------------------------
-@dataclass
-class CatalogPlan:
-    """Access plan for the FROM/WHERE part of an INSPECT statement."""
-
-    tables: list[tuple[str, str]]
-    pushed: dict[str, list[Expr]]       # alias -> scan predicates
-    edges: list[tuple[str, str]]        # equi-join (qualified, qualified)
-    residual: list[Expr]                # applied after all joins
-
-    def describe(self) -> str:
-        lines = ["CatalogPlan("]
-        for name, alias in self.tables:
-            preds = " AND ".join(map(str, self.pushed.get(alias, []))) \
-                or "true"
-            lines.append(f"  scan {name} {alias} [{preds}]")
-        for left, right in self.edges:
-            lines.append(f"  join {left} = {right}")
-        for pred in self.residual:
-            lines.append(f"  filter {pred}")
-        return "\n".join(lines + [")"])
-
-
-def plan_catalog(tables: list[tuple[str, str]],
-                 where: Expr | None) -> CatalogPlan:
-    """Classify the (resolved) WHERE conjunction for pushdown and joins."""
-    pushed: dict[str, list[Expr]] = {}
-    edges: list[tuple[str, str]] = []
-    residual: list[Expr] = []
-    for conj in (flatten_and(where) if where is not None else []):
-        aliases = {c.split(".")[0] for c in conj.columns()}
-        if len(aliases) == 1:
-            pushed.setdefault(aliases.pop(), []).append(conj)
-        elif (len(aliases) == 2 and isinstance(conj, Compare)
-              and conj.op == "=" and isinstance(conj.left, Column)
-              and isinstance(conj.right, Column)):
-            edges.append((conj.left.name, conj.right.name))
-        else:
-            residual.append(conj)
-    return CatalogPlan(tables=tables, pushed=pushed, edges=edges,
-                       residual=residual)
-
-
-def _and_mask(preds: list[Expr], cols: dict[str, np.ndarray],
-              n: int) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    for pred in preds:
-        mask &= predicate_mask(pred, cols, n)
-    return mask
-
-
-def _edge_endpoints(edge: tuple[str, str], left: dict[str, np.ndarray],
-                    right: dict[str, np.ndarray]) -> tuple[str, str] | None:
-    a, b = edge
-    if a in left and b in right:
-        return a, b
-    if b in left and a in right:
-        return b, a
-    return None
-
-
-def execute_catalog_plan(
-        db: Database, plan: CatalogPlan) -> tuple[dict[str, np.ndarray], int]:
-    """Run the access plan on the columnar engine.
-
-    Returns the joined catalog relation as qualified-name column arrays.
-    Scans push their predicates before any join; connected relations are
-    folded with vectorized equi-joins (left-major order, so row order
-    follows the FROM list); relations with no join edge are appended as a
-    columnar cross product, matching SQL's comma-join semantics.
-    """
-    scanned: dict[str, tuple[dict[str, np.ndarray], int]] = {}
-    for name, alias in plan.tables:
-        table = db.table(name)
-        db.full_scans += 1
-        cols = {f"{alias}.{c}": arr
-                for c, arr in zip(table.columns, table.column_arrays())}
-        n = len(table)
-        preds = plan.pushed.get(alias, [])
-        if preds:
-            mask = _and_mask(preds, cols, n)
-            cols = gather(cols, mask)
-            n = int(mask.sum())
-        scanned[alias] = (cols, n)
-
-    remaining = [alias for _, alias in plan.tables]
-    cols, n = scanned[remaining.pop(0)]
-    edges = list(plan.edges)
-    while remaining:
-        pick = next(
-            (alias for alias in remaining
-             if any(_edge_endpoints(e, cols, scanned[alias][0])
-                    for e in edges)), remaining[0])
-        remaining.remove(pick)
-        rcols, rn = scanned[pick]
-        here = [(e, _edge_endpoints(e, cols, rcols)) for e in edges]
-        here = [(e, ends) for e, ends in here if ends is not None]
-        if here:
-            consumed = {e for e, _ in here}
-            edges = [e for e in edges if e not in consumed]
-            lq, rq = here[0][1]
-            li, ri = equi_match(cols[lq], rcols[rq])
-            cols = gather(cols, li)
-            cols.update(gather(rcols, ri))
-            n = int(li.shape[0])
-            for _, (a, b) in here[1:]:  # extra edges: equality filters
-                mask = np.asarray(cols[a] == cols[b]).astype(bool)
-                cols = gather(cols, mask)
-                n = int(mask.sum())
-        else:  # no join edge: columnar cross product
-            cols = gather(cols, np.repeat(np.arange(n), rn))
-            cols.update(gather(rcols, np.tile(np.arange(rn), n)))
-            n = n * rn
-    if plan.residual:
-        mask = _and_mask(plan.residual, cols, n)
-        cols = gather(cols, mask)
-        n = int(mask.sum())
-    return cols, n
 
 
 # ----------------------------------------------------------------------
@@ -385,11 +184,9 @@ class _CompiledInspect:
     session's models until the cycle collector runs.
     """
 
-    db: Database
     out_columns: list[str]
-    select_items: list[SelectItem] = field(default_factory=list)
-    having: Expr | None = None
-    out_schema: Schema | None = None
+    select: SelectQuery | None = None   # bound select stage over S
+    having: Expr | None = None          # bound filter over S, before it
     catalog_keep: dict[str, np.ndarray] = field(default_factory=dict)
     workloads: list[_GroupWorkload] = field(default_factory=list)
     runs: dict[str, list[UnitGroup]] = field(default_factory=dict)
@@ -402,16 +199,21 @@ class _CompiledInspect:
 
     def assemble(self, spec: InspectSpec,
                  outcomes_by_did: dict[str, list]) -> Frame:
-        """Materialize S from outcome snapshots and finish columnar."""
+        """Materialize S from outcome snapshots and run the select stage:
+        HAVING is a filter over S joined with the catalog (it may name
+        columns the SELECT list does not project), the rest is
+        :func:`~repro.db.executor.select_columnar`."""
         if self.empty:
             return Frame.from_records([], columns=self.out_columns)
-        s_cols = _materialize_s(self.catalog_keep, self.workloads,
-                                outcomes_by_did, self.plan_index,
-                                self.hyp_col_of, len(self.measures),
-                                spec.inspect_alias)
-        return _finish_columnar(self.db, s_cols, self.select_items,
-                                self.having, spec, self.out_schema,
-                                self.out_columns)
+        cols = _materialize_s(self.catalog_keep, self.workloads,
+                              outcomes_by_did, self.plan_index,
+                              self.hyp_col_of, len(self.measures),
+                              spec.inspect_alias)
+        n = cols[f"{spec.inspect_alias}.uid"].shape[0]
+        if self.having is not None:
+            cols, n = keep_where(cols, n, [self.having])
+        return Frame.from_records(select_columnar(cols, n, self.select),
+                                  columns=self.out_columns)
 
 
 @dataclass
@@ -434,29 +236,22 @@ def _open_statement(session: Session,
                     spec: InspectSpec) -> Iterator[_Statement]:
     """The statement lifecycle both executors share.
 
-    Compiles the catalog stages, resolves the scheduler once for the whole
-    statement (a GROUP BY D.did sweep runs one plan per dataset) and
-    builds every per-dataset plan on it; the caller drains the plans and
-    assembles.  On exit a pool this statement created is shut down —
-    repeated queries must not leak pools, nor rebuild one per dataset —
-    and, only when the caller completed (no error, not abandoned: a
-    cancelled query must not commit a half-scored table), ``INTO``
-    persists the last assembled frame.
+    Compiles the catalog stages and builds every per-dataset plan (a
+    GROUP BY D.did sweep runs one plan per dataset) on the session's
+    config — whose scheduler is the session's one pool, never a name that
+    would build one per plan; the caller drains the plans and assembles.
+    Only when the caller completed (no error, not abandoned: a cancelled
+    query must not commit a half-scored table) does ``INTO`` persist the
+    last assembled frame.
     """
     config = session.effective_config()   # raises on a closed session
     compiled = session.compiled(spec)
-    scheduler, owned = _resolve_scheduler(config.scheduler)
-    try:
-        run_config = dataclasses.replace(config, scheduler=scheduler)
-        statement = _Statement(spec, compiled, {
-            did: InspectionPlan.build(
-                groups_d, session.dataset(did), compiled.measures,
-                compiled.hyp_objs, session.extractor, run_config)
-            for did, groups_d in compiled.runs.items()})
-        yield statement
-    finally:
-        if owned:
-            scheduler.shutdown()
+    statement = _Statement(spec, compiled, {
+        did: InspectionPlan.build(
+            groups_d, session.dataset(did), compiled.measures,
+            compiled.hyp_objs, session.extractor, config)
+        for did, groups_d in compiled.runs.items()})
+    yield statement
     if spec.into:
         # on a persistent database the committed table gets automatic
         # B-tree indexes on its hot columns, so later SELECTs over the
@@ -524,31 +319,41 @@ def stream_inspect_spec(session: Session,
             yield snapshot()
 
 
+def _has_aggregate(expr: Expr) -> bool:
+    return isinstance(expr, AggregateRef) \
+        or any(map(_has_aggregate, expr.children()))
+
+
 def _compile_inspect(session: Session,
                      spec: InspectSpec) -> _CompiledInspect:
     db = session.db
     if any(alias == spec.inspect_alias for _, alias in spec.tables):
         raise ValueError(f"INSPECT alias {spec.inspect_alias!r} collides "
                          "with a FROM table alias")
-    catalog_schema = _catalog_schema(db, spec.tables)
+    clauses = [item.expr for item in spec.select_items] + spec.group_by \
+        + [e for e in (spec.where, spec.having) if e is not None]
+    if any(map(_has_aggregate, clauses)):
+        raise ValueError(
+            "aggregate functions are not supported in INSPECT queries; "
+            "aggregate over the returned frame instead")
+    catalog_schema = from_schema(db, spec.tables)
 
     # the post-inspection scope adds the S relation's columns
-    out_schema = catalog_schema.copy()
+    out_schema = from_schema(db, spec.tables)
     out_schema.add(spec.inspect_alias, list(S_COLUMNS))
 
     where = (resolve_expr(spec.where, catalog_schema)
              if spec.where is not None else None)
     group_by = [resolve_expr(e, catalog_schema) for e in spec.group_by]
-    select_items = [SelectItem(expr=resolve_expr(item.expr, out_schema),
-                               alias=item.alias)
-                    for item in spec.select_items]
+    select_items, order_by = bind_select_list(
+        spec.select_items, spec.order_by, out_schema)
     having = (resolve_expr(spec.having, out_schema)
               if spec.having is not None else None)
 
-    out_columns = [item.alias for item in select_items]
+    out_columns = [item.alias for item in spec.select_items]
     cols, n = execute_catalog_plan(db, plan_catalog(spec.tables, where))
     if n == 0:
-        return _CompiledInspect(db=db, out_columns=out_columns, empty=True)
+        return _CompiledInspect(out_columns=out_columns, empty=True)
 
     # factorize GROUP BY keys over the joined relation
     if group_by:
@@ -591,17 +396,17 @@ def _compile_inspect(session: Session,
     # only catalog columns the SELECT/HAVING/ORDER BY actually reference
     # are replicated into the S relation
     needed: set[str] = set()
-    for item in select_items:
+    for item in select_items:   # the hidden ORDER BY key included
         needed |= item.expr.columns()
     if having is not None:
         needed |= having.columns()
-    if spec.order_by is not None and spec.order_by not in out_columns:
-        needed.add(out_schema.resolve(spec.order_by))
     catalog_keep = {q: arr for q, arr in cols.items() if q in needed}
 
     return _CompiledInspect(
-        db=db, out_columns=out_columns,
-        select_items=select_items, having=having, out_schema=out_schema,
+        out_columns=out_columns, having=having,
+        select=SelectQuery(items=select_items, table=spec.inspect_alias,
+                           order_by=order_by, descending=spec.descending,
+                           limit=spec.limit),
         catalog_keep=catalog_keep, workloads=workloads, runs=runs,
         plan_index=plan_index, hyp_col_of=hyp_col_of, measures=measures,
         hyp_objs=hyp_objs)
@@ -664,30 +469,3 @@ def _fill_object(n: int, value) -> np.ndarray:
     out = np.empty(n, dtype=object)
     out[:] = value
     return out
-
-
-def _finish_columnar(db: Database, s_cols: dict[str, np.ndarray],
-                     select_items: list[SelectItem], having: Expr | None,
-                     spec: InspectSpec, out_schema: Schema,
-                     out_columns: list[str]) -> Frame:
-    """HAVING + projection + ORDER BY/LIMIT through the columnar executor."""
-    order_by = spec.order_by
-    items = list(select_items)
-    if order_by is not None and order_by not in out_columns:
-        # ORDER BY a column that is not projected: carry it as a hidden
-        # output column, dropped when the frame is assembled
-        items.append(SelectItem(expr=Column(out_schema.resolve(order_by)),
-                                alias="__order__"))
-        order_by = "__order__"
-
-    # the S relation lives in a throwaway catalog: the user's Database is
-    # never mutated, so queries are re-entrant and cannot clobber (or drop)
-    # a real table; scan accounting is mirrored onto the shared counter
-    tmp_db = Database()
-    tmp_db.tables[_TMP_TABLE] = Table.from_columns(_TMP_TABLE, s_cols)
-    rows = execute_select(tmp_db, SelectQuery(
-        items=items, table=_TMP_TABLE, where=having,
-        order_by=order_by, descending=spec.descending,
-        limit=spec.limit))
-    db.full_scans += tmp_db.full_scans
-    return Frame.from_records(rows, columns=out_columns)

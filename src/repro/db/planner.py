@@ -203,7 +203,7 @@ def _apply_int_sarg(bounds: _Bounds, op: str, value) -> bool:
 
 
 class _TableScope:
-    """Column-name resolution for the single FROM table."""
+    """The single FROM table of a bound query."""
 
     def __init__(self, db: Database, query) -> None:
         self.db = db
@@ -212,18 +212,19 @@ class _TableScope:
         self.alias = query.alias or query.table
         self._cols = set(self.table.columns)
 
-    def resolve(self, ref: str) -> str | None:
-        """Bare table column for a (possibly qualified) reference."""
-        if ref in self._cols:
-            return ref
+    def resolve(self, ref: str) -> str:
+        """Bare table column behind a bound (``alias.column``) reference."""
         prefix = self.alias + "."
         if ref.startswith(prefix) and ref[len(prefix):] in self._cols:
             return ref[len(prefix):]
-        return None
+        raise ValueError(
+            f"plan_scan takes a bound query, and {ref!r} is not a "
+            f"'{prefix}<column>' reference: pass repro.db.bind(db, "
+            "query).query")
 
     def gather(self, rids: np.ndarray,
                bare_cols: list[str]) -> dict[str, np.ndarray]:
-        """Column dict (qualified + bare names) for the rows at ``rids``.
+        """Column dict (qualified names) for the rows at ``rids``.
 
         Loaded tables gather from their in-memory arrays; lazy tables go
         through :meth:`TableStorage.gather`, decoding only the touched
@@ -235,11 +236,7 @@ class _TableScope:
         else:
             arrays = self.db.storage.gather(self.name, rids, bare_cols) \
                 if bare_cols else {}
-        out: dict[str, np.ndarray] = {}
-        for col, arr in arrays.items():
-            out[f"{self.alias}.{col}"] = arr
-            out.setdefault(col, arr)
-        return out
+        return {f"{self.alias}.{col}": arr for col, arr in arrays.items()}
 
 
 def _collect_bounds(scope: _TableScope, conjuncts: list[Expr],
@@ -294,11 +291,13 @@ def predicate_mask(pred: Expr, cols: dict[str, np.ndarray],
 def plan_scan(db: Database, query):
     """Try to answer scan+WHERE (and ORDER BY+LIMIT) from an index.
 
-    Returns ``(cols, n, ordered)`` — a column dict covering every name
-    the query references, the surviving row count, and whether the rows
-    already sit in final ORDER BY+LIMIT order — or None to fall back to
-    the vectorized full scan.  Increments ``db.index_scans`` (never
-    ``db.full_scans``) when a plan is taken.
+    ``query`` is bound (every reference reads ``alias.column``: pass
+    ``repro.db.bind(db, query).query``; an unbound one is a ``ValueError``,
+    not a declined plan).  Returns ``(cols, n, ordered)`` — a
+    column dict covering every name the query references, the surviving
+    row count, and whether the rows already sit in final ORDER BY+LIMIT
+    order — or None to fall back to the vectorized full scan.  Increments
+    ``db.index_scans`` (never ``db.full_scans``) when a plan is taken.
     """
     if db.storage is None or not db.use_indexes or query.joins:
         return None
@@ -306,26 +305,11 @@ def plan_scan(db: Database, query):
         return None
     scope = _TableScope(db, query)
 
-    # every referenced name must resolve to a table column, otherwise the
-    # full scan's KeyError behavior must be preserved
-    needed: set[str] = set()
-    for item in query.items:
-        needed |= item.expr.columns()
-    for expr in query.group_by:
-        needed |= expr.columns()
-    if query.having is not None:
-        needed |= query.having.columns()
-    if query.where is not None:
-        needed |= query.where.columns()
-    bare_needed: list[str] = []
-    for ref in sorted(needed):
-        bare = scope.resolve(ref)
-        if bare is None:
-            return None
-        if bare not in bare_needed:
-            bare_needed.append(bare)
-
+    # the table columns to gather (HAVING reads the projected rows)
     conjuncts = flatten_and(query.where) if query.where is not None else []
+    exprs = [item.expr for item in query.items] + query.group_by + conjuncts
+    bare_needed = sorted({scope.resolve(ref)
+                          for expr in exprs for ref in expr.columns()})
 
     plan = _plan_topk(db, query, scope, conjuncts, bare_needed)
     if plan is not None:
@@ -335,11 +319,9 @@ def plan_scan(db: Database, query):
 
 def _order_column(query, scope: _TableScope) -> str | None:
     """The table column behind ``ORDER BY alias``, when it is a plain ref."""
-    for item in query.items:
-        if item.alias == query.order_by:
-            if isinstance(item.expr, Column):
-                return scope.resolve(item.expr.name)
-            return None
+    for item in query.items:  # output names are distinct (bind)
+        if item.alias == query.order_by and isinstance(item.expr, Column):
+            return scope.resolve(item.expr.name)
     return None
 
 
@@ -361,12 +343,8 @@ def _plan_topk(db: Database, query, scope: _TableScope,
 
     bounds, residual_list = _collect_bounds(scope, conjuncts, col, info)
     residual = _and_together(residual_list)
-    residual_cols: list[str] = []
-    if residual is not None:
-        for ref in sorted(residual.columns()):
-            bare = scope.resolve(ref)
-            if bare is not None and bare not in residual_cols:
-                residual_cols.append(bare)
+    residual_cols = [] if residual is None else sorted(
+        {scope.resolve(ref) for ref in residual.columns()})
 
     want = max(int(query.limit), 0)
     parts: list[np.ndarray] = []
@@ -400,8 +378,6 @@ def _plan_range(db: Database, query, scope: _TableScope,
         if sarg is None:
             continue
         col = scope.resolve(sarg[0])
-        if col is None:
-            continue
         indexed = db.index_for(query.table, col)
         if indexed is None:
             continue
@@ -431,13 +407,7 @@ def _plan_range(db: Database, query, scope: _TableScope,
             return None  # unselective over a loaded table: scan it
 
     residual = _and_together(residual_list)
-    gather_cols = list(bare_needed)
-    if residual is not None:
-        for ref in sorted(residual.columns()):
-            bare = scope.resolve(ref)
-            if bare is not None and bare not in gather_cols:
-                gather_cols.append(bare)
-    cols = scope.gather(rids, gather_cols)
+    cols = scope.gather(rids, bare_needed)   # WHERE's columns included
     n = int(rids.shape[0])
     if residual is not None:
         mask = predicate_mask(residual, cols, n)

@@ -4,7 +4,7 @@ Grammar subset::
 
     query      := SELECT items [INTO name] [inspect] FROM tables
                   [WHERE pred] [GROUP BY exprs] [HAVING pred]
-                  [ORDER BY col [DESC]] [LIMIT n]
+                  [ORDER BY col [ASC | DESC]] [LIMIT n]
     inspect    := INSPECT colref AND colref [USING name (, name)*]
                   OVER colref AS alias
     items      := expr [AS alias] (, expr [AS alias])*
@@ -182,25 +182,14 @@ class _Parser:
                 order_by=order_by, descending=descending, limit=limit,
                 into=into)
 
-        # plain SELECT: express FROM list as base table + equi-joins
-        base_table, base_alias = tables[0]
+        # plain SELECT: the first FROM entry plus comma joins
+        (base_table, base_alias), *rest = tables
         return SelectQuery(items=items, table=base_table, alias=base_alias,
-                           joins=self._joins_from(tables[1:], where),
+                           joins=[JoinSpec(name, alias)
+                                  for name, alias in rest],
                            where=where, group_by=group_by or [],
                            having=having, order_by=order_by,
                            descending=descending, limit=limit, into=into)
-
-    @staticmethod
-    def _joins_from(tables: list[tuple[str, str]],
-                    where: Expr | None) -> list[JoinSpec]:
-        # plain multi-table FROM is only supported via explicit WHERE
-        # equality; the DNI baselines use single-join queries built
-        # programmatically, so cross products are rejected for safety.
-        if tables:
-            raise SqlSyntaxError(
-                "multi-table FROM in plain SELECT is not supported; "
-                "use the programmatic SelectQuery with JoinSpec")
-        return []
 
     # ------------------------------------------------------------------
     def _select_items(self) -> list[SelectItem]:

@@ -106,7 +106,8 @@ class Session:
     scheduler:
         A :class:`Scheduler` or scheduler name for every query;
         :func:`~repro.core.pipeline.default_scheduler` picks one when
-        neither this nor ``config.scheduler`` is set.
+        neither this nor ``config.scheduler`` is set.  A name given here
+        or on ``config`` becomes one pool the session owns.
     sweep_gate:
         Cross-query single-flight gate over cold raw sweeps (see
         :attr:`InspectConfig.sweep_gate`).
@@ -160,19 +161,26 @@ class Session:
         self._db_path = db_path
         self.extractor = extractor or RnnActivationExtractor()
         require_extractor(self.extractor, "extractor")
-        self.scheduler = scheduler
+        # a name pinned on config= wins over scheduler=, like every
+        # pinned field; "serial" holds nothing a session could share
+        pinned = self.config.scheduler
+        named = isinstance(pinned, str) and pinned != "serial"
+        self.scheduler = pinned if named else scheduler
         self._closed = False
-        if self.scheduler is None and self.config.scheduler is None:
+        if self.scheduler is None and pinned is None:
             self.scheduler = default_scheduler(store=self.store)
             # the session owns this scheduler: release its worker pool
             # when the session is collected, not only on close()
             weakref.finalize(self, self.scheduler.shutdown)
         elif isinstance(self.scheduler, str):
-            # resolve name specs to one session-owned instance, so
-            # every query (Python and SQL) shares a single pool
-            # instead of building an ephemeral one per statement
+            # resolve a name, from either place, to one session-owned
+            # instance, so every query (Python and SQL) shares a single
+            # pool instead of building an ephemeral one per statement
             self.scheduler, _ = _resolve_scheduler(self.scheduler)
             weakref.finalize(self, self.scheduler.shutdown)
+            if named:
+                self.config = dataclasses.replace(self.config,
+                                                  scheduler=self.scheduler)
         # a store-less session running the process scheduler still
         # needs an exchange medium for worker shards: back the caches
         # with the scheduler's temp-dir scratch store (removed on

@@ -8,7 +8,8 @@ from repro.db import Database, Table, execute_select
 from repro.db.aggregates import AGGREGATES
 from repro.db.executor import (DEFAULT_ENGINE, ENGINES, JoinSpec, SelectItem,
                                SelectQuery)
-from repro.db.expr import AggregateRef, Arith, BoolOp, Column, Compare, Literal
+from repro.db.expr import (AggregateRef, AmbiguousColumnError, Arith, BoolOp,
+                           Column, Compare, Literal)
 from repro.db.madlib import logregr_f1, logregr_train
 
 ENGINE_PARAMS = pytest.mark.parametrize("engine", list(ENGINES))
@@ -155,6 +156,66 @@ class TestSharedEdgeCases:
         rows = execute_select(db, q, engine=engine)
         assert [r["y"] for r in rows] == [1.0, 2.0, 3.0]
 
+    def test_order_by_unprojected_column(self, db, engine):
+        # the key rides as a hidden output column and is dropped: through
+        # the vectorized sort, and through the row-at-a-time NULL-safe
+        # sort an object-dtype key needs
+        db.create_table("t", ["g", "v"],
+                        [("a", 2.0), ("b", None), ("c", 3.0), ("d", 1.0)])
+        for table, col, key, expected in [
+                ("points", "grp", "y", ["a", "a", "b"]),
+                ("t", "g", "v", ["b", "c", "a"])]:   # NULLS FIRST descending
+            q = SelectQuery(items=[SelectItem(Column(col), "name")],
+                            table=table, order_by=key, descending=True,
+                            limit=3)
+            assert execute_select(db, q, engine=engine) == \
+                [{"name": name} for name in expected]
+
+    def test_ambiguous_bare_name_raises(self, db, engine):
+        q = SelectQuery(
+            items=[SelectItem(Column("grp"), "grp")],
+            table="points", alias="P",
+            joins=[JoinSpec(table="labels", alias="L",
+                            left_col="P.grp", right_col="L.grp")])
+        with pytest.raises(AmbiguousColumnError, match="grp"):
+            execute_select(db, q, engine=engine)
+
+    def test_duplicate_output_names_rejected(self, db, engine):
+        q = SelectQuery(items=[SelectItem(Column("x"), "v"),
+                               SelectItem(Column("y"), "v")], table="points")
+        before = db.full_scans
+        with pytest.raises(ValueError, match="duplicate output column 'v'"):
+            execute_select(db, q, engine=engine)
+        assert db.full_scans == before
+
+    def test_query_edited_between_runs_is_rebound(self, db, engine):
+        # the bound form kept on the query must never outlive the statement
+        # it was bound from: every field is read afresh after an edit
+        q = SelectQuery(items=[SelectItem(Column("y"), "y")], table="points",
+                        order_by="y", limit=3)
+
+        def ys():
+            return [r["y"] for r in execute_select(db, q, engine=engine)]
+
+        assert ys() == [1.0, 2.0, 3.0]
+        first = q.bound
+        assert ys() == [1.0, 2.0, 3.0] and q.bound is first  # bound once
+        q.limit = 2
+        assert ys() == [1.0, 2.0]
+        q.descending = True
+        assert ys() == [6.0, 4.0]
+        q.where = Compare("<", Column("x"), Literal(2.5))
+        assert ys() == [4.0, 3.0]
+        q.order_by = "x"                      # now a hidden key
+        assert ys() == [4.0, 1.0]
+        q.items.append(SelectItem(Column("grp"), "grp"))   # edited in place
+        assert execute_select(db, q, engine=engine) == \
+            [{"y": 4.0, "grp": "a"}, {"y": 1.0, "grp": "b"}]
+        q.joins.append(JoinSpec(table="labels", alias="L",
+                                left_col="points.grp", right_col="L.grp"))
+        with pytest.raises(AmbiguousColumnError, match="grp"):
+            execute_select(db, q, engine=engine)
+
     def test_order_by_tolerates_none(self, engine):
         # corr over a single-row group is NULL; sorting on it must not raise
         db2 = Database()
@@ -296,10 +357,22 @@ def _random_query(rng) -> SelectQuery:
     if rng.random() < 0.5:
         joins.append(JoinSpec(table="r", alias="R",
                               left_col="T.k", right_col="R.k"))
+    elif rng.random() < 0.5:
+        # comma join: the edge (if any) and per-side predicates ride in
+        # WHERE; with no edge it is the cross product
+        joins.append(JoinSpec(table="r", alias="R"))
+        shape = str(rng.choice(["edge", "edge + pushed", "cross product"]))
+        conjuncts = [] if where is None else [where]
+        if shape != "cross product":
+            conjuncts.append(Compare("=", Column("T.k"), Column("R.k")))
+        if shape == "edge + pushed":
+            conjuncts += [Compare(">", Column("R.w"), Literal(-0.5)),
+                          Compare("<", Column("T.y"), Literal(0.8))]
+        where = BoolOp("and", conjuncts) if conjuncts else None
 
     if rng.random() < 0.6:  # aggregate query
         group_by = [Column("grp")] if rng.random() < 0.7 else \
-            [Column("grp"), Column("k")]
+            [Column("grp"), Column("T.k")]
         items = [SelectItem(Column("grp"), "grp"),
                  SelectItem(AggregateRef("count", []), "n"),
                  SelectItem(AggregateRef("sum", [Column("x")]), "sx"),

@@ -32,7 +32,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.db import Database, execute_select, parse_sql
+from repro.db import Database, bind, execute_select, parse_sql
 from repro.db.executor import sort_indices, topk_indices
 from repro.db.planner import plan_scan
 from repro.db.storage import (BTree, CorruptPageError, DictEncoder, HeapFile,
@@ -456,6 +456,10 @@ EDGE_QUERIES = [
     "SELECT uid FROM t WHERE uid >= 10000000000",             # empty range
     "SELECT uid FROM t WHERE uid > 3 AND uid > 5 AND uid <= 9 "
     "ORDER BY uid",
+    "SELECT uid FROM t ORDER BY score DESC LIMIT 4",          # hidden key
+    "SELECT name FROM t WHERE epoch >= 1 ORDER BY score LIMIT 5",
+    "SELECT A.uid, B.name FROM t A, t B "                     # no index plan
+    "WHERE A.uid = B.uid AND A.epoch = 1 ORDER BY A.uid",
 ]
 
 
@@ -480,15 +484,39 @@ class TestPlannerEdgeCases:
         run_sql(disk, "SELECT uid FROM t WHERE uid > 3 AND uid <= 9")
         assert disk.index_scans == before + 2
 
+    def test_unprojected_order_key_streams_from_the_index(self, pair):
+        mem, disk = pair
+        sql = "SELECT uid FROM t ORDER BY score DESC LIMIT 4"
+        before = (disk.index_scans, disk.full_scans)
+        rows = run_sql(disk, sql)
+        assert (disk.index_scans, disk.full_scans) == \
+            (before[0] + 1, before[1])
+        assert rows == run_sql(mem, sql)
+        assert all(list(row) == ["uid"] for row in rows)
+
     def test_plan_scan_declines_unindexable_shapes(self, pair):
-        _, disk = pair
+        mem, disk = pair
         # NOT is not sargable and stays on the full-scan path
-        q = parse_sql("SELECT uid FROM t WHERE not uid > 3 ORDER BY uid")
-        assert plan_scan(disk, q) is None
-        mem, _ = pair
-        assert run_sql(disk, "SELECT uid FROM t WHERE not uid > 3 "
-                             "ORDER BY uid") == \
-            run_sql(mem, "SELECT uid FROM t WHERE not uid > 3 ORDER BY uid")
+        sql = "SELECT uid FROM t WHERE not uid > 3 ORDER BY uid"
+        q = parse_sql(sql)
+        assert plan_scan(disk, bind(disk, q).query) is None
+        before = (disk.index_scans, disk.full_scans)
+        assert run_sql(disk, sql) == run_sql(mem, sql)
+        assert (disk.index_scans, disk.full_scans) == \
+            (before[0], before[1] + 1)
+        # the control: the same rows spelled sargably come from the index
+        control = parse_sql("SELECT uid FROM t WHERE uid <= 3 ORDER BY uid")
+        cols, n, ordered = plan_scan(disk, bind(disk, control).query)
+        assert (sorted(cols), n, ordered) == (["t.uid"], 4, False)
+        assert (disk.index_scans, disk.full_scans) == \
+            (before[0] + 1, before[1] + 1)
+
+    def test_plan_scan_rejects_an_unbound_query(self, pair):
+        _, disk = pair
+        # a silently declined plan would read as "not indexable"
+        q = parse_sql("SELECT uid FROM t WHERE uid > 3")
+        with pytest.raises(ValueError, match="takes a bound query.*'uid'"):
+            plan_scan(disk, q)
 
 
 # ----------------------------------------------------------------------

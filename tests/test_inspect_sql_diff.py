@@ -331,9 +331,11 @@ class TestSharedExtraction:
         assert hyp_stats["misses"] + hyp_stats["disk_hits"] == \
             len(hyps) * MAX_RECORDS
 
-        # a warm re-run touches the extractors zero further times
-        ctx.sql(SQL_ALL.format(measures="corr",
-                               tail="GROUP BY M.epoch"))
+        # a warm re-run touches the extractors zero further times — and
+        # answers with the same frame
+        warm = ctx.sql(SQL_ALL.format(measures="corr",
+                                      tail="GROUP BY M.epoch"))
+        assert warm == frame
         assert ctx.unit_cache.stats()["extractions"] == len(snapshots)
         assert ctx.hyp_cache.stats()["extractions"] == len(hyps)
         assert ctx.unit_cache.stats()["hits"] >= \

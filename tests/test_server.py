@@ -365,6 +365,35 @@ class TestServerEndToEnd:
             frame = client.query("SELECT mid FROM models")
             assert frame["mid"] == ["m0"]
 
+    def test_multi_table_select_on_every_surface(
+            self, trained_sql_model, sql_workload, hyps):
+        """The follow-up to ``INTO scores``: join the saved scores with
+        the catalog — same frame from ``sql``, ``stream_sql``,
+        ``POST /query`` and ``WS /stream``, same rows from the row
+        engine; the unprojected ORDER BY key never reaches the wire."""
+        from repro.db import execute_select, parse_sql
+        joined = ("SELECT S.uid, U.layer FROM scores S, units U "
+                  "WHERE S.uid = U.uid AND U.uid < 4 "
+                  "ORDER BY S.unit_score DESC LIMIT 5")
+        session = make_session(trained_sql_model, sql_workload, hyps)
+        with session, serve_in_thread(session) as server:
+            client = InspectClient("127.0.0.1", server.port)
+            client.query(
+                "SELECT S.uid AS uid, S.unit_score AS unit_score INTO scores "
+                "INSPECT U.uid AND H.h USING corr OVER D.seq AS S "
+                "FROM models M, units U, hypotheses H, inputs D "
+                "WHERE M.mid = U.mid")
+            direct = session.sql(joined)
+            assert direct.columns == ["S.uid", "U.layer"] and len(direct) == 5
+            assert list(session.stream_sql(joined)) == [direct]
+            assert client.query(joined) == direct
+            assert client.stream(joined).results() == [(True, direct)]
+            assert execute_select(session.db, parse_sql(joined),
+                                  engine="row") == direct.rows()
+            with pytest.raises(ServerError, match="'uid' is ambiguous") as err:
+                client.query(joined.replace("S.uid, U.layer", "uid"))
+            assert err.value.code == protocol.ERR_QUERY
+
     def test_query_error_is_structured(
             self, trained_sql_model, sql_workload, hyps):
         session = make_session(trained_sql_model, sql_workload, hyps)

@@ -369,8 +369,8 @@ SWEEP_INTO_SQL = """
 class TestStatementLifecycle:
     @pytest.fixture
     def session(self, trained_sql_model, sql_workload, hyps):
-        # scheduler pinned by *name* on the config: the session holds no
-        # pool of its own, every statement resolves (and owns) one
+        # scheduler pinned by *name* on the config: the session resolves
+        # it once, to a pool it owns (see TestNamedScheduler)
         config = InspectConfig(mode="streaming", block_size=20,
                                early_stop=False, max_records=MAX_RECORDS,
                                scheduler="threads")
@@ -400,28 +400,58 @@ class TestStatementLifecycle:
         assert session.sql(SWEEP_INTO_SQL) == partials[-1]
         assert persisted == ["saved", "saved"]
 
-    def test_named_scheduler_builds_one_pool_per_statement(
-            self, session, monkeypatch):
-        from repro.core import pipeline
-        events = []
 
-        class Counting(ThreadPoolScheduler):
+class TestNamedScheduler:
+    """A scheduler *name* — ``scheduler=`` or pinned on ``config=`` — is
+    one pool for the session's life, not one per statement."""
+
+    @pytest.mark.parametrize("how", ["kwarg", "config"])
+    @pytest.mark.parametrize("name", ["threads", "processes"])
+    def test_built_once_and_shards_dispatched(
+            self, name, how, trained_sql_model, sql_workload, hyps,
+            monkeypatch):
+        from repro.core import pipeline
+        built, dispatched = [], []
+
+        class Counting(pipeline._SCHEDULERS[name]):
             def __init__(self):
                 super().__init__()
-                events.append("built")
+                built.append(self)
 
-            def shutdown(self):
-                events.append("shutdown")
-                super().shutdown()
+            def submit_shards(self, tasks):
+                dispatched.extend(tasks)
+                return super().submit_shards(tasks)
 
-        monkeypatch.setitem(pipeline._SCHEDULERS, "threads", Counting)
-        assert session.scheduler is None
-        session.sql(SWEEP_INTO_SQL)       # two datasets, one pool
-        assert events == ["built", "shutdown"]
-        stream = session.stream_sql(SWEEP_INTO_SQL)
-        next(stream)
-        stream.close()                    # abandoned: pool still released
-        assert events == ["built", "shutdown"] * 2
+        monkeypatch.setitem(pipeline._SCHEDULERS, name, Counting)
+        knobs = dict(mode="streaming", block_size=20, early_stop=False,
+                     max_records=MAX_RECORDS)
+        named = (dict(scheduler=name, config=InspectConfig(**knobs))
+                 if how == "kwarg"
+                 else dict(config=InspectConfig(scheduler=name, **knobs)))
+
+        def statements(session):
+            session.register_dataset("d1", sql_workload.dataset.head(40))
+            frames = [session.sql(SWEEP_INTO_SQL), session.sql(SWEEP_INTO_SQL),
+                      list(session.stream_sql(SWEEP_INTO_SQL))[-1]]
+            stream = session.stream_sql(SWEEP_INTO_SQL)
+            next(stream)
+            stream.close()                # abandoned: the pool stays up
+            return frames + [session.inspect("m0", "d0").using("corr")
+                             .hypotheses(hyps).run()]
+
+        with make_session(trained_sql_model, sql_workload, hyps,
+                          **named) as session:
+            assert built == [session.scheduler]
+            frames = statements(session)
+            assert session.effective_config().scheduler is session.scheduler
+        assert built == [session.scheduler]   # one, for every statement
+        assert session.scheduler._pool is None     # and close() released it
+        if name == "processes":
+            assert len(dispatched) > 0
+        with make_session(trained_sql_model, sql_workload, hyps,
+                          scheduler="serial",
+                          config=InspectConfig(**knobs)) as serial:
+            assert frames == statements(serial)
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,44 @@ def test_statement_cache_is_bounded(sql_workload, trained_sql_model):
             == _STATEMENT_SLOTS
 
 
+def test_repeated_select_binds_once(sql_workload, trained_sql_model,
+                                    monkeypatch):
+    """A plain SELECT keeps its bound form on the parsed statement while
+    the *column lists* of its FROM tables hold: contents may change, and
+    ``INTO`` may replace the table, without a single name resolution."""
+    from repro.db import executor
+    resolved = []
+    real = executor.resolve_expr
+    monkeypatch.setattr(executor, "resolve_expr", lambda expr, schema: (
+        resolved.append(expr), real(expr, schema))[1])
+    topk = ("SELECT P.uid, U.layer FROM picks P, units U "
+            "WHERE P.uid = U.uid AND U.uid < 4 ORDER BY P.uid DESC LIMIT 2")
+    with _base_session(sql_workload, trained_sql_model) as session:
+        first = session.sql(topk)
+        assert first.rows() == [{"P.uid": 2, "U.layer": 0},
+                                {"P.uid": 0, "U.layer": 0}]
+        bound = len(resolved)
+        assert bound > 0
+        before = session.stats()["statement_cache"]
+        assert session.sql(topk) == first
+        session.db.table("picks").insert([3])              # new contents
+        assert session.sql(topk)["P.uid"] == [3, 2]
+        replaced = session.db.table("picks")
+        resolved.clear()       # the INTO statement itself binds, once
+        session.sql("SELECT uid INTO picks FROM picks WHERE uid > 2")
+        assert session.db.table("picks") is not replaced   # same columns
+        assert session.sql(topk)["P.uid"] == [3]
+        after = session.stats()["statement_cache"]
+        assert [str(expr) for expr in resolved] == ["uid", "(uid > 2)"]
+        assert after["hits"] - before["hits"] == 3
+        assert after["misses"] - before["misses"] == 1     # the INTO
+        # other columns: the statement binds afresh (here, to an error)
+        session.db.create_table("picks", ["unit"], [(1,)], replace=True)
+        with pytest.raises(KeyError, match="unbound column 'P.uid'"):
+            session.sql(topk)
+        assert len(resolved) > 2
+
+
 # ----------------------------------------------------------------------
 # ShapeCnn crosses the process boundary
 # ----------------------------------------------------------------------
