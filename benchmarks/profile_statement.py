@@ -7,15 +7,18 @@
 Prepares the regime as ``benchmarks/e2e/workloads.py`` does (warm: one
 session, the statement run once untimed first; disk: a store populated
 first, then fresh objects and a new session per run; cold: fresh objects and
-a store-less session per run), times the statement ``--repeat`` times
-plainly and again under cProfile, and prints ms per statement both ways plus
-the top cumulative rows under ``src/repro``.  ``--rollup`` prints one line
-per lifecycle layer instead (the cumulative time of the function each layer
-hangs from, plus the unattributed rest), so a before/after reads without
-eyeballing 40 rows.  cProfile taxes Python calls, not numpy's inner loops,
-and sees the calling thread only (a prefetched sweep, or score tasks fanned
-over a pool, show as waiting): read the rows as proportions, take timings
-from ``benchmarks/e2e``.
+a store-less session per run; store: fresh objects and a session over a new
+empty store per run, under the scheduler the library picks — what
+``cold_store`` times; set ``REPRO_SCHEDULER`` to compare the three), times
+the statement ``--repeat`` times plainly and again under cProfile, and
+prints ms per statement both ways plus the top cumulative rows under
+``src/repro``.  ``--rollup`` prints one line per lifecycle layer instead
+(the cumulative time of the function each layer hangs from, plus the
+unattributed rest), so a before/after reads without eyeballing 40 rows.
+cProfile taxes Python calls, not numpy's inner loops, and sees the calling
+thread only (a prefetched sweep, or score tasks fanned over a pool, show as
+waiting): read the rows as proportions, take timings from
+``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ _LAYERS = (("parse", "sqlparser.py", "parse_sql"),
            ("hypothesis block", "pipeline.py", "hypothesis_block"),
            ("unit block", "pipeline.py", "unit_blocks"),
            ("scoring", "pipeline.py", "process"),
+           ("store commit", "disk.py", "flush"),
            ("assemble + select", "inspect_clause.py", "assemble"))
 
 
@@ -83,6 +87,8 @@ def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int):
         with fresh_session(store, config=config) as session:
             session.sql(sql)
     for _ in range(repeat):
+        if regime == "store":
+            store = tempfile.mkdtemp(prefix="store-", dir=root)
         with fresh_session(store, config=config) as session:
             yield lambda: session.sql(sql)
 
@@ -99,7 +105,8 @@ def _measure(runs, call) -> float:
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--regime", choices=("warm", "disk", "cold"),
+    parser.add_argument("--regime",
+                        choices=("warm", "disk", "cold", "store"),
                         required=True)
     parser.add_argument("--statement", required=True)
     parser.add_argument("--scale", choices=tuple(spec.SCALES), default="base")

@@ -251,16 +251,15 @@ class _ByteBoundedLRU:
     def _release(self, entry) -> None:
         """An entry left the map (eviction): free what it held."""
 
-    def _read_store(self, store_key: str, missing: np.ndarray,
-                    row_width: int):
-        """What the disk tier holds of ``missing``: a mask over it and the
-        rows of the masked records (``None`` when there are none).
+    def _read_store(self, reader, missing: np.ndarray, row_width: int):
+        """What the disk tier (``reader``: the store's for the entry, or
+        None) holds of ``missing``: a mask over it and the rows of the
+        masked records (``None`` when there are none).
 
         Counts every consulted record as a disk hit or miss; a width
         mismatch (stale or foreign entry) is treated as wholly absent
         rather than served.  Runs outside the lock.
         """
-        reader = self.store.reader(store_key)
         have = np.zeros(missing.shape[0], dtype=bool)
         rows = None
         if reader is not None and reader.row_width == row_width:
@@ -597,10 +596,13 @@ class HypothesisCache(_ByteBoundedLRU):
         # columns missing the same records with one stacked write
         cells = block.reshape(n, ns, k)
         together: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-        for j in np.flatnonzero(~have.all(axis=1)):
+        cold = np.flatnonzero(~have.all(axis=1))
+        readers = (self.store.readers(columns[j].store_key() for j in cold)
+                   if self.store is not None else [None] * cold.shape[0])
+        for j, reader in zip(cold, readers):
             at = np.flatnonzero(~have[j])
             cells[at, :, j] = self._cold_rows(hypotheses[j], columns[j],
-                                              dataset, indices[at])
+                                              dataset, indices[at], reader)
             together.setdefault(have[j].tobytes(), (at, []))[1].append(j)
         with self._lock:
             # resolved again: a concurrent insert may have recycled columns
@@ -613,13 +615,14 @@ class HypothesisCache(_ByteBoundedLRU):
         return block
 
     def _cold_rows(self, hypothesis: HypothesisFunction, column: _Column,
-                   dataset: Dataset, records: np.ndarray) -> np.ndarray:
-        """Rows the memory tier lacks: the disk tier first, then one
-        ``hypothesis.extract`` over the rest, written through."""
+                   dataset: Dataset, records: np.ndarray,
+                   reader) -> np.ndarray:
+        """Rows the memory tier lacks: the disk tier (``reader``) first,
+        then one ``hypothesis.extract`` over the rest, written through."""
         rows = np.empty((records.shape[0], dataset.n_symbols))
         cold = np.ones(records.shape[0], dtype=bool)
         if self.store is not None:
-            have, served = self._read_store(column.store_key(), records,
+            have, served = self._read_store(reader, records,
                                             row_width=dataset.n_symbols)
             if served is not None:
                 rows[have] = served
@@ -790,7 +793,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             self.misses += int(missing.shape[0])
         if self.store is not None and missing.shape[0]:
             have, rows = self._read_store(
-                self._store_key(key, entry), missing,
+                self.store.reader(self._store_key(key, entry)), missing,
                 row_width=extractor.raw_width(model) * ns)
             if rows is not None:
                 with self._lock:

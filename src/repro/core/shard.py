@@ -12,16 +12,16 @@ hypothesis columns.
 The mmap'd :class:`~repro.store.DiskBehaviorStore` is the exchange
 medium, with a strict division of labor:
 
-* **workers** (:func:`run_shard_task`) run the raw sweeps and write
-  fsynced shard file pairs straight into the store's shard directory —
-  they never touch the manifest, so the flock'd single-commit-point
-  protocol is untouched;
+* **workers** (:func:`run_shard_task`) run the raw sweeps and write one
+  fsynced segment file per task (a 36-hypothesis bundle is one file, one
+  fsync) straight into the store's shard directory — they never touch
+  the manifest, so the flock'd single-commit-point protocol is untouched;
 * the **coordinator** (:class:`ShardExchange`) adopts the returned shard
   descriptors into the store's pending queue (one manifest rewrite per
-  run, exactly as serial), memory-maps the shard files to fill the
-  session's memory-tier caches, and folds worker-side counters
-  (extractions, forward sweeps) back into the live objects so
-  extraction-once assertions stay meaningful.
+  run, exactly as serial), which maps the segment once and hands back
+  validated views to fill the session's memory-tier caches from, and
+  folds worker-side counters (extractions, forward sweeps) back into the
+  live objects so extraction-once assertions stay meaningful.
 
 Scoring and convergence never leave the coordinator: once the caches are
 filled, the unchanged serial executor loop reads behaviors out of them,
@@ -47,11 +47,11 @@ import numpy as np
 
 from repro.core.cache import (HypothesisCache, hyp_store_key,
                               model_fingerprint, unit_store_key)
-from repro.store.disk import SHARD_DIR, _save_array
+from repro.store.disk import SHARD_DIR, CorruptEntryError, write_segment
 from repro.util.debuglog import degraded
 from repro.util.timing import Stopwatch
 
-#: per-worker-process sequence for shard file stems
+#: per-worker-process sequence for segment file names
 _WORKER_SEQ = itertools.count()
 
 #: per-worker-process decode cache: store-key prefix -> (model, extractor),
@@ -152,29 +152,22 @@ class ShardTask:
     items: list = field(default_factory=list)
 
 
-def _write_worker_shard(store_root: str, store_key: str,
-                        indices: np.ndarray, rows: np.ndarray,
-                        n_records: int) -> dict:
-    """Write one fsynced shard file pair; return its adoption descriptor.
+def _write_task_segment(task: ShardTask, entries) -> list[dict]:
+    """Write a task's ``(store key, record ids, rows)`` results as one
+    fsynced segment; return its adoption descriptors.
 
-    Stems carry a ``w`` prefix plus pid, a per-process sequence and a
+    Names carry a ``w`` prefix plus pid, a per-process sequence and a
     random component, so concurrent workers (and leftovers of crashed
     runs) can never collide with each other or with the coordinator's
-    clock-stemmed shards.
+    clock-named segments.
     """
-    shard_dir = Path(store_root) / SHARD_DIR
+    shard_dir = Path(task.store_root) / SHARD_DIR
     shard_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"w{os.getpid()}-{next(_WORKER_SEQ)}-{uuid.uuid4().hex[:8]}"
-    data_name = f"{stem}.npy"
-    index_name = f"{stem}.idx.npy"
-    rows = np.ascontiguousarray(rows)
-    indices = np.asarray(indices, dtype=np.int64)
-    data_bytes = _save_array(shard_dir / data_name, rows)
-    index_bytes = _save_array(shard_dir / index_name, indices)
-    return {"key": store_key, "data": data_name, "index": index_name,
-            "rows": int(rows.shape[0]), "data_bytes": data_bytes,
-            "index_bytes": index_bytes, "n_records": int(n_records),
-            "row_width": int(rows.shape[1]), "dtype": rows.dtype.str}
+    name = f"w{os.getpid()}-{next(_WORKER_SEQ)}-{uuid.uuid4().hex[:8]}.seg"
+    return write_segment(
+        shard_dir / name,
+        ((key, task.n_records, indices, rows)
+         for key, indices, rows in entries))
 
 
 def run_shard_task(task: ShardTask) -> dict:
@@ -208,10 +201,9 @@ def _run_unit_task(task: ShardTask) -> dict:
             f"rows, got {block.shape[0]}")
     # same flat layout the unit cache commits/persists: one row per record
     rows = np.ascontiguousarray(block).reshape(task.indices.shape[0], -1)
-    desc = _write_worker_shard(task.store_root, task.store_key,
-                               task.indices, rows, task.n_records)
-    return {"descriptors": [desc], "extractions": 1,
-            "forward_sweeps": counter.calls}
+    return {"descriptors": _write_task_segment(
+                task, [(task.store_key, task.indices, rows)]),
+            "extractions": 1, "forward_sweeps": counter.calls}
 
 
 def _run_hyp_task(task: ShardTask) -> dict:
@@ -220,29 +212,29 @@ def _run_hyp_task(task: ShardTask) -> dict:
     if dataset is None:
         dataset = pickle.loads(task.dataset_blob)
         _WORKER_OBJECTS[ds_key] = dataset
-    descriptors = []
     hypotheses = pickle.loads(task.hypotheses_blob)
-    for (store_key, indices), hypothesis in zip(task.items, hypotheses):
-        rows = np.asarray(hypothesis.extract(dataset, indices))
-        descriptors.append(_write_worker_shard(
-            task.store_root, store_key, indices, rows, task.n_records))
-    return {"descriptors": descriptors, "extractions": len(task.items),
-            "forward_sweeps": 0}
+    # a generator: each column is written, then released, before the next
+    entries = ((store_key, indices,
+                np.asarray(hypothesis.extract(dataset, indices)))
+               for (store_key, indices), hypothesis
+               in zip(task.items, hypotheses))
+    return {"descriptors": _write_task_segment(task, entries),
+            "extractions": len(task.items), "forward_sweeps": 0}
 
 
 # ----------------------------------------------------------------------
 # task description (pure: no execution, no side effects beyond probing)
 # ----------------------------------------------------------------------
-def _store_missing(store, store_key: str, missing: np.ndarray,
-                   row_width: int) -> np.ndarray:
-    """Drop records the committed store already holds (warm runs dispatch
-    nothing)."""
-    if missing.shape[0] == 0:
-        return missing
-    reader = store.reader(store_key)
-    if reader is None or reader.row_width != row_width:
-        return missing
-    return missing[~reader.filled_mask(missing)]
+def _store_missing(store, wanted: list[tuple]) -> list[np.ndarray]:
+    """Per ``(store key, missing records, row width)``: the records the
+    committed store lacks too (warm runs dispatch nothing) — one manifest
+    check for the lot, and none for keys with nothing missing."""
+    keys = [key for key, missing, _ in wanted if missing.shape[0]]
+    readers = dict(zip(keys, store.readers(keys)))
+    return [missing if (reader := readers.get(key)) is None
+            or reader.row_width != row_width
+            else missing[~reader.filled_mask(missing)]
+            for key, missing, row_width in wanted]
 
 
 def _chunk_spans(n_positions: int, block_size: int,
@@ -354,7 +346,8 @@ class ShardExchange:
         dataset = source.dataset
         ns = dataset.n_symbols
         workers = self.scheduler.shard_workers()
-        described = []
+        pairs = []      # (model, extractor, model_key, raw_key, store_key)
+        wanted = []     # per pair, for _store_missing
         for (_, raw_key), members in source.extraction_pairs().items():
             _, first = members[0]
             model = first.model
@@ -364,8 +357,11 @@ class ShardExchange:
                                        dataset.cache_key())
             missing = config.unit_cache.missing_records(
                 dataset, source.order, model_key=model_key, raw_key=raw_key)
-            missing = _store_missing(self.store, store_key, missing,
-                                     ext.raw_width(model) * ns)
+            pairs.append((model, ext, model_key, raw_key, store_key))
+            wanted.append((store_key, missing, ext.raw_width(model) * ns))
+        described = []
+        for (model, ext, model_key, raw_key, store_key), missing in zip(
+                pairs, _store_missing(self.store, wanted)):
             if missing.shape[0] == 0:
                 continue
             try:
@@ -405,16 +401,18 @@ class ShardExchange:
         # every hypothesis is about to be filled (by a worker bundle, from
         # the store, or inline): size the tier's arena once, up front
         config.cache.reserve(dataset, source.hypotheses)
-        items = []      # (store_key, hypothesis, missing record ids)
-        for hyp in source.hypotheses:
-            identity = HypothesisCache._hypothesis_identity(hyp)
-            store_key = hyp_store_key(dataset.cache_key(), identity)
-            missing = config.cache.missing_records(dataset, source.order,
-                                                   hypothesis=hyp)
-            missing = _store_missing(self.store, store_key, missing,
-                                     dataset.n_symbols)
-            if missing.shape[0]:
-                items.append((store_key, hyp, missing))
+        wanted = [
+            (hyp_store_key(dataset.cache_key(),
+                           HypothesisCache._hypothesis_identity(hyp)),
+             config.cache.missing_records(dataset, source.order,
+                                          hypothesis=hyp),
+             dataset.n_symbols) for hyp in source.hypotheses]
+        # (store_key, hypothesis, missing record ids)
+        items = [(store_key, hyp, missing)
+                 for (store_key, _, _), hyp, missing
+                 in zip(wanted, source.hypotheses,
+                        _store_missing(self.store, wanted))
+                 if missing.shape[0]]
         if not items:
             return []
         dataset_blob = _pickle_or_none(dataset)
@@ -478,32 +476,25 @@ class ShardExchange:
             return
         config = self.source.config
         dataset = self.source.dataset
-        shard_dir = self.store.root / SHARD_DIR
+        descriptors = result["descriptors"]
+        try:
+            # the task's shards join the run's pending queue and become
+            # visible in its one manifest commit
+            arrays = self.store.adopt_segment(descriptors)
+        except CorruptEntryError as exc:
+            # segment vanished (concurrent gc): extracts inline
+            degraded("shard.files-vanished",
+                     f"span {dispatch.lo}:{dispatch.hi}", exc=exc)
+            arrays = []
         hyp_fills = []  # a bundle's hypotheses commit together
-        for desc in result["descriptors"]:
+        for desc, (indices, rows) in zip(descriptors, arrays):
             fill = dispatch.fills.get(desc["key"])
-            try:
-                indices = np.load(shard_dir / desc["index"])
-                rows = np.load(shard_dir / desc["data"], mmap_mode="r")
-            except Exception as exc:
-                # shard vanished (concurrent gc): extracts inline
-                degraded("shard.files-vanished", desc["key"], exc=exc)
-                continue
             if fill is not None and fill[0] == "unit":
                 config.unit_cache.fill_rows(dataset, indices, rows,
                                             model_key=fill[1],
                                             raw_key=fill[2])
             elif fill is not None:
                 hyp_fills.append((fill[1], indices, rows))
-            # adopted shards join the run's pending queue and become
-            # visible in its one manifest commit
-            self.store.adopt_shard(
-                desc["key"], data_name=desc["data"],
-                index_name=desc["index"], n_rows=desc["rows"],
-                data_bytes=desc["data_bytes"],
-                index_bytes=desc["index_bytes"],
-                n_records=desc["n_records"], row_width=desc["row_width"],
-                dtype=desc["dtype"])
         if hyp_fills:
             config.cache.fill_block(dataset, hyp_fills)
         tier = (config.unit_cache if dispatch.kind == "unit"

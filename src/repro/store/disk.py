@@ -2,45 +2,56 @@
 
 Layout under the store root::
 
-    manifest.json            -- committed entry metadata (atomic rename)
-    .lock                    -- advisory inter-process write lock
-    shards/<hash>-<seq>.npy      -- row block: (k, row_width) array
-    shards/<hash>-<seq>.idx.npy  -- record ids the block's rows belong to
+    manifest.json                   -- committed entry metadata (atomic rename)
+    .lock                           -- advisory inter-process write lock
+    shards/<seq>-<pid>.seg          -- one segment per commit
+    shards/w<pid>-<n>-<rand>.seg    -- one segment per pool-worker task
 
 An *entry* holds behaviors for one logical key (e.g. one
 (model fingerprint, raw extractor identity, dataset hash) triple) as a
-sequence of append-only shards.  :meth:`DiskBehaviorStore.append` queues
-rows; :meth:`DiskBehaviorStore.flush` coalesces everything queued into one
-rows shard + record-index shard per entry, fsyncs them, and then commits
-by atomically rewriting the manifest — once per flush, not per append.
-Standalone appends flush immediately; the plan engine wraps a whole run in
-:meth:`DiskBehaviorStore.deferred_commits` so a cold streaming inspection
-pays one shard per entry and one manifest rewrite in total.  The manifest
-is the single commit point — a crash before it renames leaves at most
-orphan files that garbage collection removes, never a half-visible entry.
+sequence of append-only *shards*: a block of rows plus the record ids they
+belong to.  A commit is a **group commit**: :meth:`DiskBehaviorStore.append`
+queues rows; :meth:`DiskBehaviorStore.flush` coalesces everything queued
+into one shard per entry, writes them all back to back into **one segment
+file** (:func:`write_segment`: every array a complete npy blob on a 64-byte
+boundary; one fsync, one rename), and then commits by atomically rewriting
+the manifest, where a shard record is ``file`` + ``file_bytes`` (the segment
+and its total size) and an ``[offset, nbytes]`` span each for ``data`` and
+``index``.  Standalone appends flush immediately; the plan engine wraps a
+whole run in :meth:`DiskBehaviorStore.deferred_commits` so a cold streaming
+inspection pays one segment and one manifest rewrite — two fsyncs — in
+total.  The manifest is the single commit point: a crash before it renames
+leaves at most an orphan segment that garbage collection removes, never a
+half-visible entry.
 
-Reads go through :class:`StoreEntryReader`, which memory-maps every shard
-(``np.load(mmap_mode="r")``) and gathers requested record rows directly out
-of the maps, so serving a block slice touches only the pages that block
-needs.  A shard whose on-disk size or header shape disagrees with the
-manifest (truncated write, torn copy) invalidates the whole entry: it is
-dropped and re-extracted, never served.
+Reads go through :class:`StoreEntryReader`, which takes validated zero-copy
+views out of one shared read-only map per segment (kept by the store, keyed
+by file name) and gathers requested record rows directly out of them, so
+serving a block slice touches only the pages that block needs.  A segment
+whose size disagrees with the manifest, a span running past it, or an npy
+header that disagrees with the entry's geometry (truncated write, torn
+copy) invalidates the whole entry: it is dropped and re-extracted, never
+served.
 
-Eviction is byte-budgeted and least-recently-used at entry granularity,
-mirroring the in-memory tiers; ``max_bytes=None`` disables automatic GC
-(``gc(max_bytes)`` can still be called explicitly).
+Eviction is least-recently-used at entry granularity against a budget on
+the **bytes on disk of live segment files**: a segment is unlinked when its
+last entry leaves, and until then its dead bytes count.  ``max_bytes=None``
+disables automatic GC (``gc(max_bytes)`` can still be called explicitly).
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
+import math
+import mmap
 import os
 import threading
 from pathlib import Path
 
 import numpy as np
+
+from repro.util.debuglog import degraded
 
 try:  # POSIX: real inter-process advisory locking
     import fcntl
@@ -49,31 +60,99 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 MANIFEST = "manifest.json"
 SHARD_DIR = "shards"
-_VERSION = 1
+_VERSION = 2
+#: every npy blob starts on this boundary of its segment (np.save pads its
+#: own header to the same), so mapped rows sit aligned in memory
+_ALIGN = 64
+#: what a manifest shard record keeps of a :func:`write_segment` descriptor
+_SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
 
 
 class CorruptEntryError(Exception):
     """A shard disagrees with its manifest record (truncation, torn write)."""
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+@contextlib.contextmanager
+def _published(path: Path):
+    """A temp file to write; leaving the block fsyncs it, then renames it
+    to ``path`` — the one way a file of the store becomes visible."""
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     with open(tmp, "wb") as f:
-        f.write(payload)
+        yield f
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
-def _save_array(path: Path, array: np.ndarray) -> int:
-    """np.save through a temp file + rename; returns the final byte size."""
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "wb") as f:
-        np.save(f, array)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    return os.path.getsize(path)
+def write_segment(path: Path, entries) -> list[dict]:
+    """Write ``(key, n_records, indices, rows)`` entries as one segment.
+
+    Rows then record ids, entry after entry, each array a complete npy
+    blob; one fsync, one rename.  Returns one descriptor per entry — the
+    manifest shard record (``_SHARD_FIELDS``) plus the entry's key and
+    geometry — which is what :meth:`DiskBehaviorStore.adopt_segment` takes
+    from a worker.
+    """
+    descriptors = []
+    with _published(path) as f:
+        def blob(array: np.ndarray) -> list[int]:
+            f.write(b"\0" * (-f.tell() % _ALIGN))
+            start = f.tell()
+            np.save(f, array)
+            return [start, f.tell() - start]
+
+        for key, n_records, indices, rows in entries:
+            rows = np.ascontiguousarray(rows)
+            descriptors.append(
+                {"key": key, "n_records": int(n_records),
+                 "row_width": int(rows.shape[1]), "dtype": rows.dtype.str,
+                 "file": path.name, "rows": int(rows.shape[0]),
+                 "data": blob(rows),
+                 "index": blob(np.asarray(indices, dtype=np.int64))})
+        file_bytes = f.tell()
+    return [dict(desc, file_bytes=file_bytes) for desc in descriptors]
+
+
+def _blob(segment: mmap.mmap, span, shape: tuple, dtype: np.dtype,
+          what: str) -> np.ndarray:
+    """The array of one npy blob of a mapped segment, as a read-only view.
+
+    Raises :class:`CorruptEntryError` unless the span lies inside the map,
+    holds exactly one version-1.0 npy blob, and that blob's header says
+    ``shape`` / ``dtype`` in C order.
+    """
+    offset, nbytes = span
+    if offset < 0 or nbytes < 0 or offset + nbytes > len(segment):
+        raise CorruptEntryError(f"{what}: span {offset}+{nbytes} runs past "
+                                f"the segment's {len(segment)} bytes")
+    segment.seek(offset)
+    try:
+        if np.lib.format.read_magic(segment) != (1, 0):
+            raise ValueError("not a version-1.0 npy blob")
+        found = np.lib.format.read_array_header_1_0(segment)
+    except ValueError as exc:  # no magic, unparsable or cut-off header
+        raise CorruptEntryError(f"{what}: {exc}") from exc
+    start = segment.tell()
+    if (found != (shape, False, dtype)
+            or start + math.prod(shape) * dtype.itemsize != offset + nbytes):
+        raise CorruptEntryError(f"{what}: header {found} disagrees with "
+                                f"the manifest's {shape}/{dtype}/{nbytes} B")
+    return np.frombuffer(segment, dtype=dtype, count=math.prod(shape),
+                         offset=start).reshape(shape)
+
+
+def _shard_arrays(segment: mmap.mmap, shard: dict, key: str, meta: dict):
+    """Validated ``(record ids, rows)`` views of one shard record of the
+    entry whose geometry ``meta`` gives."""
+    rows = int(shard["rows"])
+    idx = _blob(segment, shard["index"], (rows,), np.dtype(np.int64),
+                f"{key}: index in {shard['file']}")
+    block = _blob(segment, shard["data"], (rows, int(meta["row_width"])),
+                  np.dtype(meta["dtype"]), f"{key}: rows in {shard['file']}")
+    if rows and (idx.min() < 0 or idx.max() >= meta["n_records"]):
+        raise CorruptEntryError(f"{key}: shard in {shard['file']} names "
+                                f"records outside 0..{meta['n_records']}")
+    return idx, block
 
 
 #: bits of a packed location reserved for the row-within-shard part
@@ -85,8 +164,9 @@ class StoreEntryReader:
     """Memory-mapped view over one entry's shards.
 
     Builds a record -> (shard, row) location table once, then serves
-    ``rows(indices)`` by fancy-indexing each shard's mmap — only the pages
-    holding the requested records are faulted in.
+    ``rows(indices)`` by fancy-indexing each shard's view of its mapped
+    segment — only the pages holding the requested records are faulted in.
+    ``open_segment(file, file_bytes)`` is the store's shared-map lookup.
 
     Concurrency: readers run lock-free while :meth:`extend` may add shards
     from another thread.  The location table is therefore a *single*
@@ -97,45 +177,25 @@ class StoreEntryReader:
     in its shard list.
     """
 
-    def __init__(self, root: Path, key: str, meta: dict):
+    def __init__(self, key: str, meta: dict, open_segment):
         self.key = key
         self.n_records = int(meta["n_records"])
         self.row_width = int(meta["row_width"])
         self.dtype = np.dtype(meta["dtype"])
         self._maps: list[np.ndarray] = []
         self._loc = np.full(self.n_records, -1, dtype=np.int64)
-        self.extend(root, meta, from_shard=0)
+        self.extend(meta, 0, open_segment)
 
-    def extend(self, root: Path, meta: dict, from_shard: int) -> None:
-        """Map shards ``meta['shards'][from_shard:]`` into this reader.
-
-        Appends are the common case across a session, so a cached reader
-        picks up just the new shards instead of re-validating and
-        re-loading every index it already holds.
-        """
+    def extend(self, meta: dict, from_shard: int, open_segment) -> None:
+        """Map shards ``meta['shards'][from_shard:]`` into this reader: a
+        cached reader picks up just the appended ones, not every index it
+        already holds."""
         maps = list(self._maps)
         loc = self._loc.copy()
         for si, shard in enumerate(meta["shards"][from_shard:], from_shard):
-            data_path = root / SHARD_DIR / shard["data"]
-            index_path = root / SHARD_DIR / shard["index"]
-            self._check_size(data_path, shard["data_bytes"])
-            self._check_size(index_path, shard["index_bytes"])
-            try:
-                block = np.load(data_path, mmap_mode="r")
-                idx = np.load(index_path)
-            except Exception as exc:  # unreadable header / short mmap
-                raise CorruptEntryError(f"{self.key}: {exc}") from exc
-            if (block.ndim != 2 or block.shape[0] != idx.shape[0]
-                    or block.shape[1] != self.row_width
-                    or block.dtype != self.dtype):
-                raise CorruptEntryError(
-                    f"{self.key}: shard {shard['data']} shape/dtype "
-                    f"{block.shape}/{block.dtype} disagrees with manifest")
-            if idx.shape[0] and (idx.min() < 0
-                                 or idx.max() >= self.n_records):
-                raise CorruptEntryError(
-                    f"{self.key}: shard {shard['index']} records out of "
-                    f"range for n_records={self.n_records}")
+            idx, block = _shard_arrays(
+                open_segment(shard["file"], shard["file_bytes"]), shard,
+                self.key, meta)
             maps.append(block)
             loc[idx] = (np.int64(si) << _ROW_BITS) | np.arange(
                 idx.shape[0], dtype=np.int64)
@@ -144,29 +204,6 @@ class StoreEntryReader:
         self._maps = maps
         self._loc = loc
         self.n_shards = len(meta["shards"])
-
-    def close(self) -> None:
-        """Drop shard references so their mmaps can be reclaimed.
-
-        Safe under the lock-free reader protocol: a concurrent
-        :meth:`rows` that already captured the shard list finishes from
-        its snapshot (gathers copy, never alias the maps), while gathers
-        starting after close() see an empty location table and raise
-        ``KeyError`` like any other unfilled read.
-        """
-        self._maps = []
-        self._loc = np.full(self.n_records, -1, dtype=np.int64)
-
-    @staticmethod
-    def _check_size(path: Path, expected: int) -> None:
-        try:
-            actual = os.path.getsize(path)
-        except OSError as exc:
-            raise CorruptEntryError(f"missing shard file {path}") from exc
-        if actual != expected:
-            raise CorruptEntryError(
-                f"shard {path.name}: {actual} bytes on disk, manifest "
-                f"recorded {expected} (truncated or partial write)")
 
     # ------------------------------------------------------------------
     @property
@@ -218,19 +255,21 @@ class DiskBehaviorStore:
         # *incarnation*, so a cross-process drop-and-recreate can never be
         # confused with an append, even at the same shard count
         self._readers: dict[str, tuple[int | None, StoreEntryReader]] = {}
+        # file name -> the one read-only map every reader's views of that
+        # segment come out of (names are never reused, so a map can only
+        # go stale by its file being deleted; see _refresh and close)
+        self._segments: dict[str, mmap.mmap] = {}
         # read-time recency bumps not yet persisted (manifest commits only
         # happen on writes); merged back in whenever the manifest reloads
         self._pending_touches: dict[str, int] = {}
-        # rows appended but not yet flushed: the plan engine defers for
-        # the duration of a run, so a cold streaming inspection writes ONE
-        # coalesced shard per entry and ONE manifest rewrite instead of
-        # one of each per (entry, block).  Unflushed rows are invisible to
-        # every reader (a crash simply loses them — the records re-extract
-        # next session), so the manifest stays the single commit point;
-        # ``max_pending_bytes`` bounds the buffer even inside a scope.
+        # rows appended but not yet flushed (the plan engine defers for a
+        # whole run): invisible to every reader — a crash simply loses
+        # them and the records re-extract next session — so the manifest
+        # stays the single commit point; ``max_pending_bytes`` bounds the
+        # buffer even inside a scope
         self._pending_rows: list[tuple] = []
-        # shard file pairs written by worker processes, waiting to be
-        # registered in the manifest (see adopt_shard)
+        # descriptors of segments written by worker processes, waiting to
+        # be registered in the manifest (see adopt_segment)
         self._pending_adoptions: list[dict] = []
         self._pending_bytes = 0
         self._defer_depth = 0
@@ -242,43 +281,55 @@ class DiskBehaviorStore:
         self.invalid_dropped = 0
 
     # -- manifest plumbing ---------------------------------------------
-    @property
-    def _manifest_path(self) -> Path:
-        return self.root / MANIFEST
-
     def _stat_sig(self) -> tuple | None:
         try:
-            st = os.stat(self._manifest_path)
+            st = os.stat(self.root / MANIFEST)
         except OSError:
             return None
         return (st.st_mtime_ns, st.st_size, st.st_ino)
 
-    def _load_manifest(self) -> dict:
+    def _load_manifest(self, report: bool) -> dict:
+        """The committed manifest, or an empty one when there is none this
+        build can read: the store is a cache, so the cost is re-extraction
+        — said through :func:`degraded` (once per manifest seen:
+        ``report``); only a missing file, a new store, is silent."""
         try:
-            with open(self._manifest_path, "rb") as f:
+            with open(self.root / MANIFEST, "rb") as f:
                 manifest = json.load(f)
-            if manifest.get("version") != _VERSION:
-                raise ValueError("unsupported manifest version "
-                                 f"{manifest.get('version')}")
-            return manifest
-        except (OSError, ValueError):
-            return {"version": _VERSION, "clock": 0, "entries": {}}
+            if manifest["version"] == _VERSION:
+                return manifest
+            event, why = "store.manifest-version", ValueError(
+                f"version {manifest['version']}, this build reads "
+                f"{_VERSION}: entries re-extract, gc() sweeps the old files")
+        except FileNotFoundError:
+            event = None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            event, why = "store.manifest-unreadable", exc
+        if event is not None and report:
+            degraded(event, str(self.root), exc=why)
+        return {"version": _VERSION, "clock": 0, "entries": {}}
 
-    def _refresh(self) -> dict:
-        """Re-read the manifest if another process committed (lock held)."""
+    def _refresh(self, force: bool = False) -> dict:
+        """Re-read the manifest if another process committed (lock held);
+        writers ``force`` it under the write lock, whatever ``stat`` says."""
         sig = self._stat_sig()
-        if self._manifest is None or sig != self._manifest_sig:
-            self._manifest = self._load_manifest()
+        stale = self._manifest is None or sig != self._manifest_sig
+        if force or stale:
+            self._manifest = self._load_manifest(report=stale)
             self._manifest_sig = sig
             entries = self._manifest["entries"]
             # keep mmap'd readers for the same entry incarnation (they can
-            # be extended with any appended shards); drop the rest
+            # be extended with any appended shards); drop the rest, and
+            # the maps of segments no entry names any more
             for key in list(self._readers):
                 meta = entries.get(key)
                 created, cached = self._readers[key]
                 if (meta is None or meta.get("created") != created
                         or cached.n_shards > len(meta["shards"])):
                     del self._readers[key]
+            live = self._live_files(self._manifest)
+            for name in [n for n in self._segments if n not in live]:
+                del self._segments[name]
             # replay recency observed since the last commit
             for key, last_used in self._pending_touches.items():
                 meta = entries.get(key)
@@ -290,8 +341,8 @@ class DiskBehaviorStore:
 
     def _commit(self, manifest: dict) -> None:
         """Atomically publish the manifest (lock held)."""
-        payload = json.dumps(manifest, indent=0).encode()
-        _atomic_write_bytes(self._manifest_path, payload)
+        with _published(self.root / MANIFEST) as f:
+            f.write(json.dumps(manifest, indent=0).encode())
         self.commits += 1
         self._manifest = manifest
         self._manifest_sig = self._stat_sig()
@@ -310,56 +361,89 @@ class DiskBehaviorStore:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
     # -- reads ----------------------------------------------------------
-    def reader(self, key: str) -> StoreEntryReader | None:
-        """A mmap'd reader for ``key``, or None when absent/invalid.
+    def _map_segment(self, name: str, file_bytes: int) -> mmap.mmap:
+        """A read-only map of one segment file of the recorded size."""
+        try:
+            with open(self.root / SHARD_DIR / name, "rb") as f:
+                segment = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError) as exc:  # missing / empty file
+            raise CorruptEntryError(f"segment {name}: {exc}") from exc
+        if len(segment) != file_bytes:  # truncated or partial write
+            raise CorruptEntryError(f"segment {name}: {len(segment)} bytes on "
+                                    f"disk, manifest recorded {file_bytes}")
+        return segment
 
-        An entry whose shards fail validation (truncated or missing file)
-        is dropped from the store so the caller re-extracts — partial data
-        is never served.
+    def _segment(self, name: str, file_bytes: int) -> mmap.mmap:
+        """The map of a segment every reader shares (lock held)."""
+        segment = self._segments.get(name)
+        if segment is None or len(segment) != file_bytes:
+            segment = self._segments[name] = self._map_segment(name,
+                                                               file_bytes)
+        return segment
+
+    def readers(self, keys) -> list[StoreEntryReader | None]:
+        """A mmap'd reader per key, None where absent/invalid — one lock
+        and one manifest check for the lot.
+
+        An entry whose shards fail validation (truncated or missing
+        segment, bad span or header) is dropped from the store so the
+        caller re-extracts — partial data is never served.
         """
+        keys = list(keys)
+        if not keys:
+            return []
+        found: list[StoreEntryReader | None] = []
+        invalid = []
         with self._lock:
             manifest = self._refresh()
-            meta = manifest["entries"].get(key)
-            if meta is None:
-                return None
-            created = meta.get("created")
-            cached = self._readers.get(key)
-            entry_reader = (cached[1] if cached is not None
-                            and cached[0] == created else None)
-            try:
-                if entry_reader is None:
-                    entry_reader = StoreEntryReader(self.root, key, meta)
-                elif entry_reader.n_shards < len(meta["shards"]):
-                    entry_reader.extend(self.root, meta,
-                                        entry_reader.n_shards)
-            except CorruptEntryError:
-                self.invalid_dropped += 1
-                self._readers.pop(key, None)
-            else:
-                self._readers[key] = (created, entry_reader)
-                self._touch(manifest, key, meta)
-                return entry_reader
-        # invalid: remove the entry (and its files) under the write lock
-        self.drop(key)
-        return None
+            for key in keys:
+                meta = manifest["entries"].get(key)
+                if meta is None:
+                    found.append(None)
+                    continue
+                created = meta.get("created")
+                cached = self._readers.get(key)
+                entry_reader = (cached[1] if cached is not None
+                                and cached[0] == created else None)
+                try:
+                    if entry_reader is None:
+                        entry_reader = StoreEntryReader(key, meta,
+                                                        self._segment)
+                    elif entry_reader.n_shards < len(meta["shards"]):
+                        entry_reader.extend(meta, entry_reader.n_shards,
+                                            self._segment)
+                except CorruptEntryError:
+                    self.invalid_dropped += 1
+                    self._readers.pop(key, None)
+                    invalid.append(key)
+                    found.append(None)
+                else:
+                    self._readers[key] = (created, entry_reader)
+                    # recency, in memory; persisted on the next commit
+                    manifest["clock"] += 1
+                    self._pending_touches[key] = meta["last_used"] \
+                        = manifest["clock"]
+                    found.append(entry_reader)
+        for key in invalid:  # under the write lock, with its own files
+            self.drop(key)
+        return found
 
-    def _touch(self, manifest: dict, key: str, meta: dict) -> None:
-        """Bump recency in memory; persisted on the next commit."""
-        manifest["clock"] += 1
-        meta["last_used"] = manifest["clock"]
-        self._pending_touches[key] = meta["last_used"]
+    def reader(self, key: str) -> StoreEntryReader | None:
+        """:meth:`readers` for one key."""
+        return self.readers([key])[0]
 
     # -- writes ---------------------------------------------------------
     def append(self, key: str, indices: np.ndarray, rows: np.ndarray,
                n_records: int) -> None:
         """Persist ``rows`` (one row per entry record in ``indices``).
 
-        Shard files are written (and fsynced) immediately, but only become
-        visible when the manifest commits — immediately by default, or at
-        the end of a :meth:`deferred_commits` scope.  Width and dtype are
-        pinned by the entry's first shard; an append that disagrees
-        replaces the entry wholesale (the identity key should have changed
-        — a mismatch means the old bytes are stale).
+        Rows are queued and reach disk with the next :meth:`flush` —
+        immediately by default, or at the end of a
+        :meth:`deferred_commits` scope — where they become visible when
+        the manifest commits.  Width and dtype are pinned by the entry's
+        first shard; an append that disagrees replaces the entry wholesale
+        (the identity key should have changed — a mismatch means the old
+        bytes are stale).
         """
         indices = np.asarray(indices, dtype=np.int64)
         rows = np.ascontiguousarray(rows)
@@ -379,51 +463,43 @@ class DiskBehaviorStore:
         if not defer:
             self.flush()
 
-    def adopt_shard(self, key: str, *, data_name: str, index_name: str,
-                    n_rows: int, data_bytes: int, index_bytes: int,
-                    n_records: int, row_width: int, dtype: str) -> None:
-        """Register a shard file pair already on disk under ``key``.
+    def adopt_segment(self, descriptors: list[dict]) -> list[tuple]:
+        """Queue the shards of one worker-written segment (see
+        ``core/shard.py``) for the next commit; returns their
+        ``(record ids, rows)`` views, in descriptor order.
 
-        The worker half of process-parallel extraction writes fsynced
-        shard files straight into the shard directory — it never touches
-        the manifest.  The coordinator adopts the descriptors here; they
-        join the pending queue and become visible through the normal
-        flush path, so the flock'd manifest rewrite stays the single,
-        coordinator-only commit point (``commits`` still counts one per
-        run) while worker writes surface in ``appends``.
+        Every shard is validated as a reader would, over a map of the
+        caller's own (gone with the views, so a run holds one task's pages
+        at a time).  The manifest rewrite stays the single,
+        coordinator-only commit point; worker writes surface in
+        ``appends``.  Raises :class:`CorruptEntryError`, adopting nothing,
+        when the segment vanished or a shard fails validation.
         """
+        maps: dict[str, mmap.mmap] = {}
+        arrays = []
+        for desc in descriptors:
+            name = desc["file"]
+            if name not in maps:
+                maps[name] = self._map_segment(name, desc["file_bytes"])
+            # a descriptor is its shard record and its entry's geometry
+            arrays.append(_shard_arrays(maps[name], desc, desc["key"], desc))
         with self._lock:
-            self._pending_adoptions.append(
-                {"key": key, "data": data_name, "index": index_name,
-                 "rows": int(n_rows), "data_bytes": int(data_bytes),
-                 "index_bytes": int(index_bytes),
-                 "n_records": int(n_records), "row_width": int(row_width),
-                 "dtype": dtype})
-            self.appends += 1
+            self._pending_adoptions.extend(descriptors)
+            self.appends += len(descriptors)
             defer = self._defer_depth > 0
         if not defer:
             self.flush()
-
-    def fold_counts(self, *, appends: int = 0, commits: int = 0,
-                    evictions: int = 0, invalid_dropped: int = 0) -> None:
-        """Fold worker-side store counters into this process's totals."""
-        with self._lock:
-            self.appends += appends
-            self.commits += commits
-            self.evictions += evictions
-            self.invalid_dropped += invalid_dropped
+        return arrays
 
     def flush(self) -> None:
-        """Write pending rows — one coalesced shard per entry — register
-        pending adoptions, and publish everything in one manifest
-        rewrite."""
+        """Group commit: write pending rows — coalesced to one shard per
+        entry, all in one segment — register pending adoptions, and
+        publish everything in one manifest rewrite."""
         with self._lock:
             if not self._pending_rows and not self._pending_adoptions:
                 return
-            pending = self._pending_rows
-            adoptions = self._pending_adoptions
-            self._pending_rows = []
-            self._pending_adoptions = []
+            pending, self._pending_rows = self._pending_rows, []
+            descriptors, self._pending_adoptions = self._pending_adoptions, []
             self._pending_bytes = 0
             # coalesce per entry: within one scope the cache only appends
             # records it found missing, so parts are disjoint
@@ -431,94 +507,75 @@ class DiskBehaviorStore:
             for key, n_records, width, dtype_str, indices, rows in pending:
                 grouped.setdefault((key, n_records, width, dtype_str),
                                    []).append((indices, rows))
-            shard_dir = self.root / SHARD_DIR
+            entries = [
+                (key, n_records, np.concatenate([p[0] for p in parts]),
+                 parts[0][1] if len(parts) == 1
+                 else np.concatenate([p[1] for p in parts]))
+                for (key, n_records, _, _), parts in grouped.items()]
             with self._write_lock():
                 # always merge against the latest committed manifest:
                 # another process may have appended since we last read it
-                self._manifest_sig = None
-                manifest = self._refresh()
-                touched: set[str] = set()
-                for (key, n_records, width, dtype_str), parts \
-                        in grouped.items():
-                    indices = np.concatenate([p[0] for p in parts])
-                    rows = (parts[0][1] if len(parts) == 1
-                            else np.concatenate([p[1] for p in parts]))
-                    manifest["clock"] += 1
-                    seq = manifest["clock"]
-                    # the (flock-serialized, monotonic) clock makes stems
+                manifest = self._refresh(force=True)
+                if entries:
+                    # the (flock-serialized, monotonic) clock makes names
                     # unique for the directory's whole history — a counter
                     # or pid alone recycles and could clobber a committed
-                    # shard via os.replace
-                    stem = (f"{hashlib.sha1(key.encode()).hexdigest()[:16]}"
-                            f"-{seq}-{os.getpid()}")
-                    data_name = f"{stem}.npy"
-                    index_name = f"{stem}.idx.npy"
-                    data_bytes = _save_array(shard_dir / data_name, rows)
-                    index_bytes = _save_array(shard_dir / index_name,
-                                              indices)
-                    self._register_shard(
-                        manifest, key, seq, n_records, width, dtype_str,
-                        {"data": data_name, "index": index_name,
-                         "rows": int(rows.shape[0]),
-                         "data_bytes": data_bytes,
-                         "index_bytes": index_bytes})
-                    touched.add(key)
-                # adopted (worker-written) shards: files are already on
-                # disk and fsynced, only the manifest registration remains
-                for adoption in adoptions:
+                    # segment via os.replace
                     manifest["clock"] += 1
-                    self._register_shard(
-                        manifest, adoption["key"], manifest["clock"],
-                        adoption["n_records"], adoption["row_width"],
-                        adoption["dtype"],
-                        {"data": adoption["data"],
-                         "index": adoption["index"],
-                         "rows": adoption["rows"],
-                         "data_bytes": adoption["data_bytes"],
-                         "index_bytes": adoption["index_bytes"]})
-                    touched.add(adoption["key"])
+                    name = f"{manifest['clock']}-{os.getpid()}.seg"
+                    descriptors = write_segment(
+                        self.root / SHARD_DIR / name, entries) + descriptors
+                # adopted (worker-written) shards are already on disk and
+                # fsynced: for them only this registration remains
+                touched: set[str] = set()
+                for desc in descriptors:
+                    manifest["clock"] += 1
+                    self._register_shard(manifest, manifest["clock"], desc)
+                    touched.add(desc["key"])
                 if self.max_bytes is not None:
                     self._evict(manifest, self.max_bytes, protect=touched)
                 self._commit(manifest)
                 # cached readers survive appends: the same incarnation
                 # extends itself with the new shards on the next read
 
-    def _register_shard(self, manifest: dict, key: str, seq: int,
-                        n_records: int, width: int, dtype_str: str,
-                        shard: dict) -> None:
-        """Attach one shard record to an entry (lock + write lock held).
+    def _register_shard(self, manifest: dict, seq: int, desc: dict) -> None:
+        """Attach one shard record to its entry (lock + write lock held).
 
         A geometry mismatch with the existing entry replaces it wholesale
         — ``seq`` then becomes the new incarnation token, which is what
         invalidates cached readers in *other* processes too: they compare
         ``created`` on every manifest refresh.
         """
-        meta = manifest["entries"].get(key)
+        entries = manifest["entries"]
+        key = desc["key"]
+        meta = entries.get(key)
+        replaced = None
         if meta is not None and (
-                meta["row_width"] != width
-                or np.dtype(meta["dtype"]) != np.dtype(dtype_str)
-                or meta["n_records"] != n_records):
-            self._delete_entry_files(meta)
-            meta = None
+                meta["row_width"] != desc["row_width"]
+                or np.dtype(meta["dtype"]) != np.dtype(desc["dtype"])
+                or meta["n_records"] != desc["n_records"]):
+            replaced, meta = entries.pop(key), None
         if meta is None:
-            meta = {"n_records": n_records, "row_width": width,
-                    "dtype": dtype_str,
+            meta = {"n_records": desc["n_records"],
+                    "row_width": desc["row_width"], "dtype": desc["dtype"],
                     "created": seq,  # incarnation token
                     "nbytes": 0, "last_used": seq, "shards": []}
-            manifest["entries"][key] = meta
-        meta["shards"].append(shard)
-        meta["nbytes"] += shard["data_bytes"] + shard["index_bytes"]
+            entries[key] = meta
+        meta["shards"].append({name: desc[name] for name in _SHARD_FIELDS})
+        meta["nbytes"] += desc["data"][1] + desc["index"][1]
         meta["last_used"] = seq
+        if replaced is not None:
+            # after the new shard is in: it may share the old one's segment
+            self._delete_entry_files(manifest, replaced)
 
     @contextlib.contextmanager
     def deferred_commits(self):
-        """Scope within which appends share one manifest commit.
+        """Scope within which appends share one segment and one commit.
 
-        The plan engine wraps a whole inspection run in this, turning
-        per-(entry, block) commits into a single rewrite.  Nesting is
+        The plan engine wraps a whole inspection run in this.  Nesting is
         allowed; the outermost exit flushes.  A crash inside the scope
-        loses only uncommitted shards (orphans, swept by gc) — those
-        records simply re-extract next session.
+        loses only what it had not committed (at most an orphan segment,
+        swept by gc) — those records simply re-extract next session.
         """
         with self._lock:
             self._defer_depth += 1
@@ -532,67 +589,71 @@ class DiskBehaviorStore:
                 self.flush()
 
     def drop(self, key: str) -> None:
-        """Remove one entry and its shard files."""
+        """Remove one entry and the segment files only it named."""
         self.flush()
         with self._lock, self._write_lock():
-            self._manifest_sig = None
-            manifest = self._refresh()
+            manifest = self._refresh(force=True)
             meta = manifest["entries"].pop(key, None)
             self._readers.pop(key, None)
             if meta is None:
                 return
-            self._delete_entry_files(meta)
+            self._delete_entry_files(manifest, meta)
             self._commit(manifest)
 
-    def _delete_entry_files(self, meta: dict) -> None:
-        for shard in meta["shards"]:
-            for name in (shard["data"], shard["index"]):
+    @staticmethod
+    def _live_files(manifest: dict) -> dict[str, int]:
+        """Segment file -> bytes on disk, over every committed shard."""
+        return {shard["file"]: shard["file_bytes"]
+                for meta in manifest["entries"].values()
+                for shard in meta["shards"]}
+
+    def _delete_entry_files(self, manifest: dict, meta: dict) -> None:
+        """Unlink the segments only ``meta`` — already out of ``manifest``
+        — named; one it shared stays until its last entry leaves."""
+        live = self._live_files(manifest)
+        for name in {shard["file"] for shard in meta["shards"]}:
+            if name not in live:
+                self._segments.pop(name, None)
                 with contextlib.suppress(OSError):
                     os.unlink(self.root / SHARD_DIR / name)
 
     # -- garbage collection ---------------------------------------------
     def _evict(self, manifest: dict, budget: int,
                protect: frozenset | set = frozenset()) -> list[str]:
-        """Drop least-recently-used entries until the byte budget holds.
+        """Drop least-recently-used entries until the live segment files
+        fit the byte budget: an evicted entry frees nothing until its
+        segment's last entry leaves, and until then the dead bytes count.
 
         ``protect`` (the keys a flush just appended to) is never evicted —
         the newest data must survive its own commit.
         """
         entries = manifest["entries"]
         evicted: list[str] = []
-        while True:
-            total = sum(meta["nbytes"] for meta in entries.values())
-            if total <= budget:
-                break
+        while sum(self._live_files(manifest).values()) > budget:
             candidates = [k for k in entries if k not in protect]
             if not candidates:
                 break
-            victim = min(candidates,
-                         key=lambda k: entries[k]["last_used"])
-            self._delete_entry_files(entries.pop(victim))
+            victim = min(candidates, key=lambda k: entries[k]["last_used"])
+            self._delete_entry_files(manifest, entries.pop(victim))
             self._readers.pop(victim, None)
             evicted.append(victim)
             self.evictions += 1
         return evicted
 
     def gc(self, max_bytes: int | None = None) -> dict:
-        """Apply a byte budget and clean orphan shard files.
+        """Apply a byte budget and clean orphan files.
 
         Returns ``{"evicted": [keys...], "orphans_removed": n}``.  Orphans
-        (shards written but never committed, e.g. after a crash) can only
-        exist outside the write lock's critical section, so removing them
-        here is safe.
+        (segments never committed, e.g. after a crash; files of a manifest
+        version this build does not read) can only exist outside the write
+        lock's critical section, so removing them here is safe.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
-        self.flush()  # pending shards would otherwise look like orphans
+        self.flush()  # pending adoptions would otherwise look like orphans
         with self._lock, self._write_lock():
-            self._manifest_sig = None
-            manifest = self._refresh()
-            evicted = ([] if budget is None
-                       else self._evict(manifest, budget))
-            live = {name for meta in manifest["entries"].values()
-                    for shard in meta["shards"]
-                    for name in (shard["data"], shard["index"])}
+            manifest = self._refresh(force=True)
+            evicted = [] if budget is None else self._evict(manifest, budget)
+            live = self._live_files(manifest)
             orphans = 0
             for path in (self.root / SHARD_DIR).iterdir():
                 if path.name not in live:
@@ -608,27 +669,32 @@ class DiskBehaviorStore:
             return list(self._refresh()["entries"])
 
     def stats(self) -> dict:
+        """``bytes``: what live entries hold; ``file_bytes``: what the
+        ``files`` they sit in take on disk (what eviction budgets)."""
         with self._lock:
             manifest = self._refresh()
             entries = manifest["entries"]
+            files = self._live_files(manifest)
             return {"entries": len(entries),
                     "bytes": sum(m["nbytes"] for m in entries.values()),
                     "shards": sum(len(m["shards"]) for m in entries.values()),
+                    "files": len(files),
+                    "file_bytes": sum(files.values()),
                     "appends": self.appends,
                     "commits": self.commits,
                     "evictions": self.evictions,
                     "invalid_dropped": self.invalid_dropped}
 
     def close(self) -> None:
-        """Publish pending state, then release every cached mmap reader.
+        """Publish pending state, then release every cached reader and
+        segment map.
 
-        The store stays usable afterwards (reads re-map on demand); close
-        simply returns it to its cold state so shard files can be
-        reclaimed by the OS and deleted on platforms that refuse to unlink
-        mapped files.
+        The store stays usable afterwards (reads re-map on demand).  Maps
+        are dropped, not closed: ``mmap.close()`` raises while a view is
+        exported, and a reader handed out earlier goes on serving from
+        its views; the OS reclaims a map with the last of them.
         """
         self.flush()
         with self._lock:
-            for _, cached in self._readers.values():
-                cached.close()
             self._readers.clear()
+            self._segments.clear()

@@ -15,7 +15,8 @@ import pytest
 
 from repro import Session
 from repro.data import generate_parens_workload, generate_sql_workload
-from repro.hypotheses import CharSetHypothesis
+from repro.hypotheses import CharSetHypothesis, grammar_hypotheses
+from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.nn import CharLSTMModel, SpecializedLSTMModel, TrainConfig, train_model
 from repro.util.rng import new_rng
 
@@ -63,6 +64,15 @@ def hand_built_session():
 def sql_workload():
     return generate_sql_workload("default", n_queries=30, window=30,
                                  stride=5, seed=11)
+
+
+@pytest.fixture(scope="module")
+def hyps72(sql_workload):
+    """The benchmark's hypothesis set over the test workload: every
+    grammar rule plus the SQL keywords (fresh objects per module)."""
+    wl = sql_workload
+    return grammar_hypotheses(wl.grammar, wl.queries, wl.trees,
+                              mode="derivation") + sql_keyword_hypotheses()
 
 
 @pytest.fixture(scope="session")

@@ -302,7 +302,9 @@ class TestHypothesisBundle:
         assert [d["key"] for d in result["descriptors"]] \
             == [key for key, _ in task.items]
         for desc, hyp in zip(result["descriptors"], hyps):
-            rows = np.load(tmp_path / "shards" / desc["data"])
+            with open(tmp_path / "shards" / desc["file"], "rb") as segment:
+                segment.seek(desc["data"][0])
+                rows = np.load(segment)
             assert np.array_equal(rows, hyp.extract(ds, indices))
 
 

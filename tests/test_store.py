@@ -4,6 +4,7 @@ zero model calls, raw-sweep fusion, and scheduler lifecycle."""
 
 import glob
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,11 +15,14 @@ import numpy as np
 import pytest
 
 from repro import (DiskBehaviorStore, HypothesisCache, InspectConfig,
-                   InspectionPlan, Session, ThreadPoolScheduler,
-                   UnitBehaviorCache, UnitGroup, inspect)
+                   InspectionPlan, ProcessPoolScheduler, Session,
+                   ThreadPoolScheduler, UnitBehaviorCache, UnitGroup, inspect)
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
 from repro.measures import CorrelationScore, DiffMeansScore
+from repro.nn import CharLSTMModel
+from repro.util.debuglog import degradation_counts, reset_degradation_counts
+from repro.util.rng import new_rng
 from repro.util.testing import CountingForwardModel as _CountingForwardModel
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -97,8 +101,7 @@ class TestDiskBehaviorStore:
         served, and the entry is dropped so callers re-extract."""
         store = DiskBehaviorStore(tmp_path)
         store.append("k", np.arange(4), np.ones((4, 8)), n_records=4)
-        (data_file,) = [p for p in glob.glob(str(tmp_path / "shards/*.npy"))
-                        if not p.endswith(".idx.npy")]
+        (data_file,) = glob.glob(str(tmp_path / "shards/*.seg"))
         size = os.path.getsize(data_file)
         with open(data_file, "r+b") as f:
             f.truncate(size // 2)
@@ -196,6 +199,137 @@ class TestDiskBehaviorStore:
         reader = store.reader("k")
         assert reader.row_width == 6
         assert np.array_equal(reader.rows(np.arange(2)), np.ones((2, 6)))
+
+    def test_shared_segment_counts_until_its_last_entry_leaves(self,
+                                                               tmp_path):
+        """Entries committed together share one segment file: deleting
+        one never takes the file from under the others, and the byte
+        budget sees the file, dead bytes included."""
+        store = DiskBehaviorStore(tmp_path)
+        filled = {name: np.full((10, 100), float(ord(name)))
+                  for name in "abc"}
+        with store.deferred_commits():
+            for name, rows in filled.items():
+                store.append(name, np.arange(10), rows, n_records=10)
+        (segment,) = (tmp_path / "shards").iterdir()
+        whole = store.stats()
+        assert (whole["files"], whole["shards"]) == (1, 3)
+        assert whole["file_bytes"] == segment.stat().st_size
+        budget = 2 * (whole["bytes"] // 3) + 100  # room for two entries
+        store.reader("a")  # refresh recency: "b" becomes the LRU entry
+        store.drop("b")
+        assert segment.exists()
+        assert store.reader("b") is None
+        for name in "ac":
+            assert np.array_equal(store.reader(name).rows(np.arange(10)),
+                                  filled[name])
+        after = store.stats()
+        assert after["bytes"] <= budget < after["file_bytes"]
+        assert after["file_bytes"] == whole["file_bytes"]
+        # the budget is on bytes on disk: the two live entries fit it, the
+        # file they pin does not, so both go (LRU first) and the file with
+        # the last of them
+        report = store.gc(max_bytes=budget)
+        assert report["evicted"] == ["a", "c"]
+        assert not segment.exists()
+        assert store.stats()["file_bytes"] == 0 <= budget
+        # evicted entries re-extract: every key is usable again
+        for name, rows in filled.items():
+            assert store.reader(name) is None
+            store.append(name, np.arange(10), rows, n_records=10)
+            assert np.array_equal(store.reader(name).rows(np.arange(10)),
+                                  rows)
+
+    # -- the commit unit under faults: right rows or re-extract ---------
+    def test_crash_between_segment_and_manifest_rename(self, tmp_path):
+        """A process dying after its segment is in place but before the
+        manifest names it leaves the previous commit, plus one orphan."""
+        child = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from repro.store import DiskBehaviorStore, disk\n"
+            "store = DiskBehaviorStore(sys.argv[1])\n"
+            "store.append('a', np.arange(3), np.ones((3, 4)), n_records=3)\n"
+            "rename, renamed = os.replace, []\n"
+            "def replace(tmp, path):\n"
+            "    if renamed:  # the segment is in place, the manifest next\n"
+            "        os._exit(7)\n"
+            "    renamed.append(rename(tmp, path))\n"
+            "disk.os.replace = replace\n"
+            "store.append('b', np.arange(3), np.ones((3, 4)), n_records=3)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)],
+                              env=env, timeout=120)
+        assert proc.returncode == 7
+        assert len(list((tmp_path / "shards").iterdir())) == 2
+        fresh = DiskBehaviorStore(tmp_path)
+        assert fresh.keys() == ["a"]
+        assert fresh.reader("b") is None
+        assert fresh.gc()["orphans_removed"] == 1
+        assert np.array_equal(fresh.reader("a").rows(np.arange(3)),
+                              np.ones((3, 4)))
+
+    def test_truncated_segment_drops_every_entry_in_it(self, tmp_path):
+        store = DiskBehaviorStore(tmp_path)
+        store.append("other", np.arange(4), np.full((4, 8), 3.0),
+                     n_records=4)
+        (kept,) = (tmp_path / "shards").iterdir()
+        keys = [f"k{i}" for i in range(5)]
+        with store.deferred_commits():
+            for key in keys:
+                store.append(key, np.arange(4), np.ones((4, 8)), n_records=4)
+        (torn,) = [p for p in (tmp_path / "shards").iterdir() if p != kept]
+        with open(torn, "r+b") as f:
+            f.truncate(torn.stat().st_size - 1)
+        fresh = DiskBehaviorStore(tmp_path)
+        assert fresh.readers(keys) == [None] * len(keys)
+        assert fresh.stats()["invalid_dropped"] == len(keys)
+        assert fresh.keys() == ["other"]
+        assert not torn.exists()  # went with its last entry
+        assert np.array_equal(fresh.reader("other").rows(np.arange(4)),
+                              np.full((4, 8), 3.0))
+        for key in keys:  # every key is usable again
+            fresh.append(key, np.arange(2), np.zeros((2, 8)), n_records=4)
+            assert fresh.reader(key).n_filled == 2
+
+    @pytest.mark.parametrize("tamper", [
+        lambda meta, shard: shard["data"].__setitem__(1, 1 << 20),
+        lambda meta, shard: shard["index"].__setitem__(0, 1 << 20),
+        lambda meta, shard: shard.update(data=shard["index"],
+                                         index=shard["data"]),
+        lambda meta, shard: shard["data"].__setitem__(0, 64),
+        lambda meta, shard: shard.update(rows=shard["rows"] - 1),
+        lambda meta, shard: meta.update(row_width=meta["row_width"] // 2),
+        lambda meta, shard: meta.update(dtype="<f4"),
+        lambda meta, shard: shard.update(file_bytes=shard["file_bytes"] - 8),
+        lambda meta, shard: shard.update(file="missing.seg"),
+    ], ids=["data-past-file", "index-past-file", "spans-swapped",
+            "span-off-the-blob", "rows", "row_width", "dtype",
+            "file_bytes", "file"])
+    def test_record_disagreeing_with_its_segment_is_never_served(
+            self, tmp_path, tamper):
+        """A manifest record whose span runs past the file, or whose npy
+        header disagrees with the recorded geometry, takes the corrupt
+        entry path — dropped and re-extracted, never a wrong row."""
+        store = DiskBehaviorStore(tmp_path)
+        with store.deferred_commits():
+            store.append("k", np.arange(4), np.ones((4, 8)), n_records=4)
+            store.append("good", np.arange(4), np.zeros((4, 8)),
+                         n_records=4)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        meta = manifest["entries"]["k"]
+        tamper(meta, meta["shards"][0])
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        fresh = DiskBehaviorStore(tmp_path)
+        assert fresh.reader("k") is None
+        assert fresh.stats()["invalid_dropped"] == 1
+        assert fresh.keys() == ["good"]
+        assert np.array_equal(fresh.reader("good").rows(np.arange(4)),
+                              np.zeros((4, 8)))
+        fresh.append("k", np.arange(4), np.ones((4, 8)), n_records=4)
+        assert np.array_equal(fresh.reader("k").rows(np.arange(4)),
+                              np.ones((4, 8)))
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +436,9 @@ class TestTieredCaches:
         ext = RnnActivationExtractor()
         cold = UnitBehaviorCache(store=DiskBehaviorStore(tmp_path))
         a = cold.extract(trained_sql_model, ext, sql_workload.dataset, idx)
-        for path in glob.glob(str(tmp_path / "shards/*.npy")):
-            if not path.endswith(".idx.npy"):
-                with open(path, "r+b") as f:
-                    f.truncate(16)
+        for path in glob.glob(str(tmp_path / "shards/*.seg")):
+            with open(path, "r+b") as f:
+                f.truncate(16)
         warm = UnitBehaviorCache(store=DiskBehaviorStore(tmp_path))
         b = warm.extract(trained_sql_model, ext, sql_workload.dataset, idx)
         assert warm.stats()["extractions"] == 1  # re-extracted, not served
@@ -382,6 +515,172 @@ class TestWarmInspect:
 
 
 # ----------------------------------------------------------------------
+# the group commit, end to end: flush counts, format upgrade, stat counts
+# ----------------------------------------------------------------------
+EPOCHS_SQL = ("SELECT M.epoch AS epoch, S.uid AS uid, S.hid AS hid, "
+              "S.unit_score AS unit_score "
+              "INSPECT U.uid AND H.h USING corr OVER D.seq AS S "
+              "FROM models M, units U, hypotheses H, inputs D "
+              "WHERE M.mid = U.mid GROUP BY M.epoch")
+
+
+class TestGroupCommit:
+    CONFIG = dict(early_stop=False, block_size=128)
+
+    def _session(self, sql_workload, hyps, store=None, n_models=1,
+                 **kwargs) -> Session:
+        kwargs.setdefault("config", InspectConfig(**self.CONFIG))
+        session = Session(None if store is None else str(store), **kwargs)
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps)
+        for epoch in range(n_models):
+            session.register_model(
+                f"epoch_{epoch}",
+                CharLSTMModel(len(sql_workload.vocab), n_units=8,
+                              rng=new_rng(epoch), model_id=f"epoch_{epoch}"),
+                epoch=epoch)
+        return session
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch, tmp_path):
+        """Number of ``os.fsync`` calls so far, forked pool workers'
+        included (each call also appends a byte to a log file)."""
+        monkeypatch.delenv("REPRO_DB_PATH", raising=False)  # no paged db
+        log = tmp_path / "fsync.log"
+        log.touch()
+        real = os.fsync
+
+        def counting(fd):
+            with open(log, "ab") as f:
+                f.write(b".")
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        return lambda: log.stat().st_size
+
+    @pytest.mark.parametrize("n_hyps", [8, 72])
+    def test_cold_serial_statement_fsyncs_twice(self, tmp_path, fsyncs,
+                                                sql_workload, hyps72,
+                                                n_hyps):
+        """One segment, one manifest — however many entries commit."""
+        with self._session(sql_workload, hyps72[:n_hyps], tmp_path / "s",
+                           scheduler="serial") as session:
+            session.sql(EPOCHS_SQL)
+            stats = session.stats()["store"]
+        assert fsyncs() == 2
+        assert (stats["files"], stats["commits"]) == (1, 1)
+        assert stats["shards"] == stats["entries"] == n_hyps + 1
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="counts worker fsyncs through a patch the fork inherits")
+    def test_cold_process_statement_fsyncs_once_per_task(
+            self, tmp_path, fsyncs, sql_workload, hyps72):
+        workers = 2
+        scheduler = ProcessPoolScheduler(max_workers=workers,
+                                         mp_context="fork")
+        with self._session(sql_workload, hyps72, tmp_path / "s",
+                           scheduler=scheduler) as session:
+            session.sql(EPOCHS_SQL)
+            stats = session.stats()["store"]
+        # one model and one hypothesis set, each split over <= `workers`
+        # tasks; each task is one segment, the coordinator adds the manifest
+        assert stats["files"] <= 2 * workers
+        assert fsyncs() == stats["files"] + 1
+        assert stats["shards"] >= stats["entries"] == len(hyps72) + 1
+
+    def test_version_1_directory_reads_as_empty_and_says_so(
+            self, tmp_path, sql_workload, hyps72):
+        """The file-pair format is not read: the upgraded store
+        re-extracts, reports the fact once, and gc() sweeps the old
+        files."""
+        hyps = hyps72[:6]
+        with self._session(
+                sql_workload, hyps, scheduler="serial",
+                config=InspectConfig(cache=None, unit_cache=None,
+                                     **self.CONFIG)) as session:
+            reference = session.sql(EPOCHS_SQL)
+        with self._session(sql_workload, hyps, tmp_path / "new") as session:
+            session.sql(EPOCHS_SQL)
+            cold = session.stats()
+
+        old = tmp_path / "old"
+        (old / "shards").mkdir(parents=True)
+        pair = {"data": "0123456789abcdef-1-77.npy",
+                "index": "0123456789abcdef-1-77.idx.npy", "rows": 3}
+        np.save(old / "shards" / pair["data"], np.ones((3, 4)))
+        np.save(old / "shards" / pair["index"], np.arange(3))
+        for part in ("data", "index"):
+            pair[f"{part}_bytes"] = os.path.getsize(
+                old / "shards" / pair[part])
+        (old / "manifest.json").write_text(json.dumps(
+            {"version": 1, "clock": 1, "entries": {"unit/stale": {
+                "n_records": 3, "row_width": 4, "dtype": "<f8",
+                "created": 1, "last_used": 1, "shards": [pair],
+                "nbytes": pair["data_bytes"] + pair["index_bytes"]}}}))
+
+        reset_degradation_counts()
+        with self._session(sql_workload, hyps, old) as session:
+            frame = session.sql(EPOCHS_SQL)
+            upgraded = session.stats()
+        assert frame == reference
+        for tier in ("hypothesis_cache", "unit_cache"):
+            assert upgraded[tier]["extractions"] \
+                == cold[tier]["extractions"] > 0
+        assert upgraded["degraded"]["store.manifest-version"] == 1
+        assert "unit/stale" not in DiskBehaviorStore(old).keys()
+        assert DiskBehaviorStore(old).gc()["orphans_removed"] == 2
+        assert not (old / "shards" / pair["data"]).exists()
+        assert degradation_counts()["store.manifest-version"] == 1
+
+        with self._session(sql_workload, hyps, old) as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            warm = session.stats()
+        for tier in ("hypothesis_cache", "unit_cache"):
+            assert warm[tier]["extractions"] == 0
+            assert warm[tier]["disk_hits"] > 0
+
+    def test_unreadable_manifest_is_reported_a_new_store_is_not(
+            self, tmp_path):
+        reset_degradation_counts()
+        assert DiskBehaviorStore(tmp_path / "new").keys() == []
+        assert degradation_counts() == {}
+        (tmp_path / "new" / "manifest.json").write_text("{ torn")
+        assert DiskBehaviorStore(tmp_path / "new").keys() == []
+        assert degradation_counts() == {"store.manifest-unreadable": 1}
+
+    def test_disk_warm_epoch_statement_checks_the_manifest_per_block(
+            self, tmp_path, monkeypatch, sql_workload, hyps72):
+        """One manifest ``stat`` per block read, not one per key (228 per
+        statement before ``readers``), with the same frame and the same
+        tier counters."""
+        n_models = 4
+        with self._session(sql_workload, hyps72, tmp_path,
+                           n_models=n_models) as session:
+            cold = session.sql(EPOCHS_SQL)
+        stats_calls = []
+        real = DiskBehaviorStore._stat_sig
+        monkeypatch.setattr(
+            DiskBehaviorStore, "_stat_sig",
+            lambda self: stats_calls.append(1) or real(self))
+        with self._session(sql_workload, hyps72, tmp_path,
+                           n_models=n_models) as session:
+            warm = session.sql(EPOCHS_SQL)
+            during = len(stats_calls)
+            tiers = session.stats()
+        assert warm == cold
+        assert 0 < during <= 24
+        n_records = sql_workload.dataset.n_records
+        for tier, columns in (("hypothesis_cache", len(hyps72)),
+                              ("unit_cache", n_models)):
+            counts = tiers[tier]
+            assert counts["extractions"] == counts["disk_misses"] == 0
+            assert counts["disk_hits"] == counts["misses"] \
+                == n_records * columns
+            assert counts["hits"] == 0
+
+
+# ----------------------------------------------------------------------
 # shared-forward-pass extraction
 # ----------------------------------------------------------------------
 class TestSharedForwardPass:
@@ -403,18 +702,21 @@ class TestSharedForwardPass:
         frame = inspect(None, sql_workload.dataset, [CorrelationScore()],
                         hyps, unit_groups=groups, config=cfg)
         assert model.forward_calls == 1
-        # every view must match its own dedicated (unfused) run
+        # every view must match its own dedicated (unfused) run, which
+        # sweeps once per extractor
+        unfused = _CountingForwardModel(trained_sql_model)
         for group in groups:
             solo = inspect(None, sql_workload.dataset, [CorrelationScore()],
                            hyps,
                            unit_groups=[UnitGroup(
-                               model=trained_sql_model,
+                               model=unfused,
                                unit_ids=group.unit_ids, name=group.name,
                                extractor=group.extractor)],
                            config=InspectConfig(mode="full", seed=0,
                                                 max_records=100))
             mine = frame.where(group_id=group.name).sort("val")
             assert mine["val"] == solo.sort("val")["val"]
+        assert unfused.forward_calls == len(groups)
 
     def test_fused_extractors_share_one_cache_entry(self, trained_sql_model,
                                                     sql_workload, hyps):

@@ -21,7 +21,7 @@ import pytest
 from repro import (HypothesisCache, InspectConfig, Session, UnitGroup,
                    inspect)
 from repro.data.datasets import Dataset, Vocab
-from repro.hypotheses import PrecomputedHypothesis, grammar_hypotheses
+from repro.hypotheses import PrecomputedHypothesis
 from repro.hypotheses.annotations import mask_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import (CorrelationScore, JaccardScore,
@@ -38,13 +38,6 @@ TOPK = ("SELECT S.uid AS uid, S.hid AS hid, S.unit_score AS score "
         "FROM models M, units U, hypotheses H, inputs D "
         "WHERE M.mid = U.mid AND U.uid < 8 "
         "ORDER BY S.unit_score DESC LIMIT 20")
-
-
-@pytest.fixture(scope="module")
-def hyps72(sql_workload):
-    wl = sql_workload
-    return grammar_hypotheses(wl.grammar, wl.queries, wl.trees,
-                              mode="derivation") + sql_keyword_hypotheses()
 
 
 # ----------------------------------------------------------------------
