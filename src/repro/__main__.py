@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "DiskBehaviorStore at PATH")
     parser.add_argument("--db", metavar="PATH", default=None,
                         help="open the session catalog over a persistent "
-                             "paged database at PATH (tables and score "
+                             "on-disk database at PATH (tables and score "
                              "relations survive across runs)")
     parser.add_argument("--setup", metavar="SCRIPT.py", default=None,
                         help="python script run with the open 'session' in "
@@ -91,7 +91,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                              "DiskBehaviorStore at PATH")
     parser.add_argument("--db", metavar="PATH", default=None,
                         help="open the session catalog over a persistent "
-                             "paged database at PATH")
+                             "on-disk database at PATH")
     parser.add_argument("--setup", metavar="SCRIPT.py", default=None,
                         help="python script run with the open 'session' in "
                              "globals, to register models/datasets/"

@@ -15,7 +15,7 @@ they are *this repo's* correctness contracts:
 id        name                    invariant
 ========  ======================  =============================================
 REP001    atomic-commit           fsync before os.rename/os.replace in
-                                  store/ and db/storage/ commit paths
+                                  store/ and db/storage.py commit paths
 REP002    lock-order              consistent lock acquisition order; no
                                   callbacks invoked while holding a lock
 REP003    address-free-identity   no id()/hash()/repr() of arbitrary

@@ -1,9 +1,10 @@
 """REP001: fsync-before-rename commit discipline in the storage layers.
 
-Both durability designs in this repo (the behavior store's atomic
-manifest, the pager's shadow-paged commit) hinge on the same two-step
-protocol: write + ``fsync`` the payload, *then* publish it with one
-atomic ``os.rename``/``os.replace``.  Renaming without a reachable fsync
+Both durable stores in this repo (the behavior store and the relational
+engine's table storage, which share one format and one publish helper,
+``repro.store.segment.published``) hinge on the same two-step protocol:
+write + ``fsync`` the payload, *then* publish it with one atomic
+``os.rename``/``os.replace``.  Renaming without a reachable fsync
 in the same function means a crash can publish a name whose bytes never
 hit the disk — the manifest would point at garbage and every
 "recovers to the last commit" guarantee dies silently.

@@ -2,9 +2,9 @@
 
 Leaked worker pools keep the interpreter alive after ``close()``; leaked
 mmaps pin shard files that garbage collection believes it deleted; an
-unclosed pager handle holds uncommitted state forever.  Session teardown
-(PR 5/6) is built on every resource-owning object exposing an explicit
-lifecycle — this checker enforces it structurally.
+unclosed table storage keeps every segment it opened mapped.  Session
+teardown (PR 5/6) is built on every resource-owning object exposing an
+explicit lifecycle — this checker enforces it structurally.
 
 Rule: a class whose methods create a long-lived OS resource —
 ``ThreadPoolExecutor``/``ProcessPoolExecutor``/``Pool``, ``open(...)``

@@ -47,7 +47,8 @@ import numpy as np
 
 from repro.core.cache import (HypothesisCache, hyp_store_key,
                               model_fingerprint, unit_store_key)
-from repro.store.disk import SHARD_DIR, CorruptEntryError, write_segment
+from repro.store.disk import SHARD_DIR, write_segment
+from repro.store.segment import CorruptEntryError
 from repro.util.debuglog import degraded
 from repro.util.timing import Stopwatch
 

@@ -23,7 +23,7 @@ from repro.db.inspect_clause import run_inspect_spec
 from repro.db.madlib import logregr_predict, logregr_train
 from repro.db.planner import plan_scan
 from repro.db.sqlparser import parse_sql
-from repro.db.storage import TableStorage
+from repro.db.storage import SortedIndex, TableStorage
 
 __all__ = [
     "AGGREGATES",
@@ -32,6 +32,7 @@ __all__ = [
     "ENGINES",
     "Database",
     "SelectQuery",
+    "SortedIndex",
     "Table",
     "TableStorage",
     "bind",

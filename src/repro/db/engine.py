@@ -11,15 +11,16 @@ Inserts land in a small row buffer that is flushed into the column arrays
 the next time a columnar (or row) view is requested, so single-row
 ``insert`` stays cheap while bulk loads pay one transpose.
 
-A :class:`Database` opened with ``path=`` is **persistent**: tables are
-mirrored into a paged, B-tree-indexed :class:`~repro.db.storage.TableStorage`
-next to the behavior store.  Mutations stage in memory and
-:meth:`Database.commit` publishes them atomically (shadow-paged pages, one
-manifest rename); reopening the path restores the catalog, with column
-arrays loaded lazily on first access.  Hot columns get automatic B-tree
-indexes that the executor's planner step routes sargable WHERE conjuncts
-and ORDER BY+LIMIT through (see :mod:`repro.db.planner`).  Tables whose
-values cannot be serialized degrade to memory-only instead of failing.
+A :class:`Database` opened with a ``path`` is **persistent**: tables are
+mirrored, column for column, into a :class:`~repro.db.storage.TableStorage`
+— the behaviour store's segment format.  Mutations stage in memory and
+:meth:`Database.commit` publishes every table whose content moved since
+its last commit, whole, atomically (one segment, one manifest rename);
+reopening the path restores the catalog, with column arrays mapped lazily
+on first access.  Hot columns get automatic sorted indexes that the
+executor's planner step routes sargable WHERE conjuncts and ORDER BY+LIMIT
+through (see :mod:`repro.db.planner`).  Tables whose values cannot be
+serialized degrade to memory-only instead of failing.
 
 PostgreSQL limits the number of columns/expressions per relation and target
 list (1,600 by default); :data:`MAX_EXPRESSIONS` enforces the same limit so
@@ -34,6 +35,9 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 import numpy as np
+
+from repro.db.storage import TableStorage, UnsupportedColumnError
+from repro.util.debuglog import degraded
 
 #: PostgreSQL's default limit on columns / target-list entries.
 MAX_EXPRESSIONS = 1600
@@ -194,51 +198,41 @@ class Table:
 class Database:
     """A catalog of tables plus simple scan statistics.
 
-    With ``path=`` the catalog is backed by a paged on-disk
+    With a ``path`` the catalog is backed by an on-disk
     :class:`~repro.db.storage.TableStorage`: mutations (creates, drops,
     inserts) stage in memory and :meth:`commit` publishes them atomically;
     reopening the same path restores every committed table.  The planner
     consults :meth:`index_for` to route queries through the automatic
-    B-tree indexes — only tables whose in-memory state matches the last
+    sorted indexes — only tables whose in-memory state matches the last
     commit are served from an index, so uncommitted rows can never be
     silently missing from a result.
     """
 
-    def __init__(self, path: str | None = None, *,
-                 page_size: int | None = None,
-                 cache_bytes: int = 64 << 20,
-                 auto_index: bool = True) -> None:
+    def __init__(self, path: str | None = None) -> None:
         self.tables: dict[str, Table] = {}
         self.full_scans = 0   # instrumentation for the benchmarks
-        self.index_scans = 0  # queries answered via a B-tree range scan
+        self.index_scans = 0  # queries answered via an index range scan
         self.use_indexes = True
         self.storage = None
-        self._memory_only: set[str] = set()   # unserializable tables
-        self._created: set[str] = set()       # need a full rewrite
-        self._dropped: set[str] = set()
-        self._synced_rows: dict[str, int] = {}
+        #: table name -> the content stamp (``Table.version``) it was last
+        #: committed at; a table is clean iff its stamp still equals it
+        self._committed: dict[str, int] = {}
+        #: the same for tables found unserializable: kept in memory, not
+        #: tried again until their content moves
+        self._memory_only: dict[str, int] = {}
         if path is not None:
-            from repro.db.storage import PAGE_SIZE, TableStorage
-            self.storage = TableStorage(
-                path, page_size=page_size or PAGE_SIZE,
-                cache_bytes=cache_bytes, auto_index=auto_index)
+            self.storage = TableStorage(path)
             for name in self.storage.table_names():
-                n = self.storage.n_rows(name)
-                self.tables[name] = Table(
+                table = self.tables[name] = Table(
                     name, self.storage.columns(name),
-                    loader=self._loader_for(name), n_rows=n)
-                self._synced_rows[name] = n
-
-    def _loader_for(self, name: str) -> Callable[[], list[np.ndarray]]:
-        def load() -> list[np.ndarray]:
-            _, arrays = self.storage.load_columns(name)
-            return arrays
-        return load
+                    loader=lambda name=name:
+                        self.storage.load_columns(name)[1],
+                    n_rows=self.storage.n_rows(name))
+                self._committed[name] = table.version
 
     @property
     def path(self) -> str | None:
-        return str(self.storage.pager.root) if self.storage is not None \
-            else None
+        return str(self.storage.root) if self.storage is not None else None
 
     def create_table(self, name: str, columns: Sequence[str],
                      rows: Iterable[Sequence[Any]] | None = None,
@@ -247,20 +241,10 @@ class Database:
             raise ValueError(f"table {name!r} already exists")
         table = Table(name, columns, rows)
         self.tables[name] = table
-        if self.storage is not None:
-            self._created.add(name)
-            self._dropped.discard(name)
-            self._memory_only.discard(name)
-            self._synced_rows.pop(name, None)
         return table
 
     def drop_table(self, name: str) -> None:
         self.tables.pop(name, None)
-        if self.storage is not None:
-            self._dropped.add(name)
-            self._created.discard(name)
-            self._memory_only.discard(name)
-            self._synced_rows.pop(name, None)
 
     def table(self, name: str) -> Table:
         try:
@@ -270,49 +254,34 @@ class Database:
 
     # -- persistence -----------------------------------------------------
     def commit(self) -> None:
-        """Publish every staged table mutation atomically.
+        """Publish, atomically, every table whose content stamp moved since
+        its last commit (whole) and every drop.
 
         A no-op for in-memory databases.  Tables whose values cannot be
         serialized degrade to memory-only rather than failing the commit.
         """
         if self.storage is None:
             return
-        from repro.db.storage import UnsupportedColumnError, derive_kinds
-        for name in self._dropped:
-            if name in self.storage:
-                self.storage.drop(name)
-        self._dropped.clear()
+        for name in [n for n in self._committed if n not in self.tables]:
+            self.storage.drop(name)
+            del self._committed[name]
+        staged = {}
         for name, table in self.tables.items():
-            if name in self._memory_only:
+            if table.version in (self._committed.get(name),
+                                 self._memory_only.get(name)):
                 continue
-            if table._loader is not None and not table._buffer:
-                continue  # never touched since load: already synced
-            arrays = table.column_arrays()
-            n = len(table)
-            synced = self._synced_rows.get(name)
-            rewrite = (
-                name in self._created or synced is None
-                or n < synced
-                or self.storage.columns(name) != table.columns
-                or self.storage.kinds(name) != derive_kinds(arrays))
             try:
-                if rewrite:
-                    self.storage.create(name, table.columns, arrays,
-                                        n_rows=n)
-                elif n > synced:
-                    self.storage.append(
-                        name, [a[synced:] for a in arrays])
+                self.storage.create(name, table.columns,
+                                    table.column_arrays())
             except UnsupportedColumnError as exc:
-                from repro.util.debuglog import degraded
                 degraded("db.table-memory-only", name, exc=exc)
-                if name in self.storage:
-                    self.storage.drop(name)
-                self._memory_only.add(name)
-                self._synced_rows.pop(name, None)
-                continue
-            self._synced_rows[name] = n
-        self._created.clear()
+                self.storage.drop(name)
+                self._committed.pop(name, None)
+                self._memory_only[name] = table.version
+            else:
+                staged[name] = table.version
         self.storage.commit()
+        self._committed.update(staged)
 
     def table_clean(self, name: str) -> bool:
         """True when a table's in-memory state matches the last commit.
@@ -320,26 +289,25 @@ class Database:
         Only then may the planner answer from the on-disk indexes —
         otherwise uncommitted rows would be missing from results.
         """
-        if self.storage is None or name not in self.storage:
-            return False
-        if name in self._created or name in self._memory_only:
-            return False
         table = self.tables.get(name)
-        if table is None or table._buffer:
-            return False
-        return len(table) == self._synced_rows.get(name, -1)
+        return table is not None \
+            and self._committed.get(name) == table.version
 
     def index_for(self, name: str, col: str):
-        """``(BTree, info)`` for a usable index on ``name.col``, else None."""
+        """``(SortedIndex, info)`` for a usable index on ``name.col``, else
+        None."""
         if not self.use_indexes or not self.table_clean(name):
             return None
         info = self.storage.index_info(name, col)
         if info is None:
             return None
-        return self.storage.btree(name, col), info
+        return self.storage.index(name, col), info
 
     def close(self) -> None:
-        """Commit pending changes and release the storage files."""
+        """Commit pending changes and release the storage's maps.
+
+        Idempotent: a second call finds nothing to commit or release.
+        """
         if self.storage is not None:
             self.commit()
             self.storage.close()

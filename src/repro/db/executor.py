@@ -8,7 +8,7 @@ Every statement runs the same three stages, each implemented once:
   project is carried as a hidden trailing item.  The bound form is kept on
   the query, so a repeated statement binds once.
 * **relation** -- the FROM list and WHERE become column arrays: from the
-  B-tree indexes of a single clean persistent table when
+  sorted indexes of a single clean persistent table when
   :func:`repro.db.planner.plan_scan` can, else through
   :mod:`repro.db.relation` (pushed predicates, equi-joins, cross products).
 * **select** (:func:`select_columnar`) -- group/aggregate or project,
@@ -364,7 +364,7 @@ def topk_indices(values: np.ndarray, k: int,
 
 def _execute_columnar(db: Database, bound: BoundSelect) -> list[Row]:
     # planner step: a clean persistent table may answer scan + WHERE
-    # (and ORDER BY + LIMIT) from its B-tree indexes
+    # (and ORDER BY + LIMIT) from its sorted indexes
     planned = plan_scan(db, bound.query)
     if planned is None:
         planned = (*execute_catalog_plan(db, bound.plan), False)

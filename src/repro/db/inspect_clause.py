@@ -254,7 +254,7 @@ def _open_statement(session: Session,
     yield statement
     if spec.into:
         # on a persistent database the committed table gets automatic
-        # B-tree indexes on its hot columns, so later SELECTs over the
+        # sorted indexes on its hot columns, so later SELECTs over the
         # saved scores run index-backed — and a reopened session answers
         # them with zero extraction or re-scoring
         frame = statement.frame

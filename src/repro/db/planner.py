@@ -2,15 +2,15 @@
 
 For single-table queries over a **clean** persistent table (in-memory
 state identical to the last commit) the planner can answer the scan +
-WHERE stage from the on-disk B-tree indexes instead of a full column
-pass:
+WHERE stage from the on-disk sorted indexes
+(:class:`~repro.db.storage.SortedIndex`) instead of a full column pass:
 
 * **Top-k streaming** — ``ORDER BY col LIMIT k`` where ``col`` carries a
-  range index: rid batches stream out of the B-tree in ``(key, rid)``
+  range index: rid batches stream out of the index in ``(key, rid)``
   order (descending scans keep equal-key runs in ascending rid order),
   residual predicates filter each batch, and the scan stops after ``k``
   survivors.  Only the referenced columns of those ``k`` rows are ever
-  decoded — a reopened session answers the query without loading the
+  gathered — a reopened session answers the query without loading the
   table.
 * **Range scan** — sargable WHERE conjuncts (``col <op> literal`` under
   an AND chain) on an indexed column become index range bounds; the
@@ -227,15 +227,14 @@ class _TableScope:
         """Column dict (qualified names) for the rows at ``rids``.
 
         Loaded tables gather from their in-memory arrays; lazy tables go
-        through :meth:`TableStorage.gather`, decoding only the touched
-        pages — this is what lets a reopened session answer an indexed
+        through :meth:`TableStorage.gather`, a fancy index into the mapped
+        columns — this is what lets a reopened session answer an indexed
         query without materializing the table.
         """
         if self.table.is_loaded:
             arrays = {c: self.table.column(c)[rids] for c in bare_cols}
         else:
-            arrays = self.db.storage.gather(self.name, rids, bare_cols) \
-                if bare_cols else {}
+            arrays = self.db.storage.gather(self.name, rids, bare_cols)
         return {f"{self.alias}.{col}": arr for col, arr in arrays.items()}
 
 
@@ -260,8 +259,7 @@ def _collect_bounds(scope: _TableScope, conjuncts: list[Expr],
             if op != "=" or not isinstance(value, str):
                 residual.append(conj)
                 continue
-            code = scope.db.storage.codec_for(scope.name) \
-                .encoders[scope.table.columns.index(col)].code_for(value)
+            code = scope.db.storage.encoder(scope.name, col).code_for(value)
             if code is None:
                 return _EMPTY, residual
             bounds.add_eq(int(code))
@@ -327,7 +325,7 @@ def _order_column(query, scope: _TableScope) -> str | None:
 
 def _plan_topk(db: Database, query, scope: _TableScope,
                conjuncts: list[Expr], bare_needed: list[str]):
-    """ORDER BY col LIMIT k streamed straight out of the B-tree."""
+    """ORDER BY col LIMIT k streamed straight out of the index."""
     if query.limit is None or query.order_by is None:
         return None
     if query.group_by or query.having is not None or \
@@ -339,7 +337,7 @@ def _plan_topk(db: Database, query, scope: _TableScope,
     indexed = db.index_for(query.table, col)
     if indexed is None or indexed[1]["eq_only"]:
         return None
-    tree, info = indexed
+    index, info = indexed
 
     bounds, residual_list = _collect_bounds(scope, conjuncts, col, info)
     residual = _and_together(residual_list)
@@ -350,8 +348,8 @@ def _plan_topk(db: Database, query, scope: _TableScope,
     parts: list[np.ndarray] = []
     got = 0
     if bounds is not _EMPTY and want > 0:
-        for batch in tree.scan(bounds.lo, bounds.hi, bounds.lo_incl,
-                               bounds.hi_incl, descending=query.descending):
+        for batch in index.scan(bounds.lo, bounds.hi, bounds.lo_incl,
+                                bounds.hi_incl, descending=query.descending):
             if residual is not None:
                 rcols = scope.gather(batch, residual_cols)
                 mask = predicate_mask(residual, rcols, batch.shape[0])
@@ -372,7 +370,7 @@ def _plan_range(db: Database, query, scope: _TableScope,
     """Sargable WHERE conjuncts answered by one index range scan."""
     if not conjuncts:
         return None
-    best = None  # (has_eq, col, tree, info)
+    best = None  # (has_eq, col, index, info)
     for conj in conjuncts:
         sarg = _as_sarg(conj)
         if sarg is None:
@@ -389,7 +387,7 @@ def _plan_range(db: Database, query, scope: _TableScope,
             best = (has_eq, col, *indexed)
     if best is None:
         return None
-    _, col, tree, info = best
+    _, col, index, info = best
 
     bounds, residual_list = _collect_bounds(scope, conjuncts, col, info)
     if bounds is not _EMPTY and not bounds.constrained:
@@ -397,11 +395,11 @@ def _plan_range(db: Database, query, scope: _TableScope,
     if bounds is _EMPTY:
         rids = np.empty(0, dtype=np.int64)
     else:
-        parts = list(tree.scan(bounds.lo, bounds.hi,
-                               bounds.lo_incl, bounds.hi_incl))
+        parts = list(index.scan(bounds.lo, bounds.hi,
+                                bounds.lo_incl, bounds.hi_incl))
         rids = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        # downstream operators expect rows in original order, which for
-        # the append-only heap is ascending rid order
+        # downstream operators expect rows in original order, which is
+        # ascending rid order
         rids = np.sort(rids, kind="stable")
         if scope.table.is_loaded and rids.shape[0] * 2 > len(scope.table):
             return None  # unselective over a loaded table: scan it

@@ -95,7 +95,7 @@ class Session:
         Catalog database for the SQL frontend; created empty on first use
         when omitted (``register_*`` fills it).
     db_path:
-        Directory of a persistent paged catalog instead (see :attr:`db`).
+        Directory of a persistent on-disk catalog instead (see :attr:`db`).
     extractor:
         Default unit-behavior extractor for both query surfaces; defaults
         to :class:`~repro.extract.rnn.RnnActivationExtractor`.
@@ -201,12 +201,12 @@ class Session:
     def db(self) -> Database:
         """The SQL catalog (created lazily on first use).
 
-        ``db_path=`` opens a persistent paged catalog at that directory —
+        ``db_path=`` opens a persistent on-disk catalog at that directory —
         reopening the same path restores every committed table, indexes
         included.  Without it, the ``REPRO_DB_PATH`` environment variable
         forces default sessions onto persistent catalogs (each under a
-        fresh directory), so the whole test suite can exercise the paged
-        storage engine unchanged.
+        fresh directory), so the whole test suite can exercise the table
+        storage unchanged.
         """
         with self._reg_lock:  # concurrent first touch builds one catalog
             if self._db is None:

@@ -22,7 +22,9 @@ whole run in :meth:`DiskBehaviorStore.deferred_commits` so a cold streaming
 inspection pays one segment and one manifest rewrite — two fsyncs — in
 total.  The manifest is the single commit point: a crash before it renames
 leaves at most an orphan segment that garbage collection removes, never a
-half-visible entry.
+half-visible entry.  The file primitives — publish, lock, aligned blobs,
+validated views — are :mod:`repro.store.segment`'s, shared with the
+relational engine's table storage.
 
 Reads go through :class:`StoreEntryReader`, which takes validated zero-copy
 views out of one shared read-only map per segment (kept by the store, keyed
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import mmap
 import os
 import threading
@@ -51,37 +52,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.store.segment import (CorruptEntryError, blob, commit_lock,
+                                 map_segment, published, write_blob)
 from repro.util.debuglog import degraded
-
-try:  # POSIX: real inter-process advisory locking
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None
 
 MANIFEST = "manifest.json"
 SHARD_DIR = "shards"
 _VERSION = 2
-#: every npy blob starts on this boundary of its segment (np.save pads its
-#: own header to the same), so mapped rows sit aligned in memory
-_ALIGN = 64
 #: what a manifest shard record keeps of a :func:`write_segment` descriptor
 _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
-
-
-class CorruptEntryError(Exception):
-    """A shard disagrees with its manifest record (truncation, torn write)."""
-
-
-@contextlib.contextmanager
-def _published(path: Path):
-    """A temp file to write; leaving the block fsyncs it, then renames it
-    to ``path`` — the one way a file of the store becomes visible."""
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "wb") as f:
-        yield f
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
 
 
 def write_segment(path: Path, entries) -> list[dict]:
@@ -94,61 +73,28 @@ def write_segment(path: Path, entries) -> list[dict]:
     from a worker.
     """
     descriptors = []
-    with _published(path) as f:
-        def blob(array: np.ndarray) -> list[int]:
-            f.write(b"\0" * (-f.tell() % _ALIGN))
-            start = f.tell()
-            np.save(f, array)
-            return [start, f.tell() - start]
-
+    with published(path) as f:
         for key, n_records, indices, rows in entries:
             rows = np.ascontiguousarray(rows)
             descriptors.append(
                 {"key": key, "n_records": int(n_records),
                  "row_width": int(rows.shape[1]), "dtype": rows.dtype.str,
                  "file": path.name, "rows": int(rows.shape[0]),
-                 "data": blob(rows),
-                 "index": blob(np.asarray(indices, dtype=np.int64))})
+                 "data": write_blob(f, rows),
+                 "index": write_blob(f, np.asarray(indices,
+                                                   dtype=np.int64))})
         file_bytes = f.tell()
     return [dict(desc, file_bytes=file_bytes) for desc in descriptors]
-
-
-def _blob(segment: mmap.mmap, span, shape: tuple, dtype: np.dtype,
-          what: str) -> np.ndarray:
-    """The array of one npy blob of a mapped segment, as a read-only view.
-
-    Raises :class:`CorruptEntryError` unless the span lies inside the map,
-    holds exactly one version-1.0 npy blob, and that blob's header says
-    ``shape`` / ``dtype`` in C order.
-    """
-    offset, nbytes = span
-    if offset < 0 or nbytes < 0 or offset + nbytes > len(segment):
-        raise CorruptEntryError(f"{what}: span {offset}+{nbytes} runs past "
-                                f"the segment's {len(segment)} bytes")
-    segment.seek(offset)
-    try:
-        if np.lib.format.read_magic(segment) != (1, 0):
-            raise ValueError("not a version-1.0 npy blob")
-        found = np.lib.format.read_array_header_1_0(segment)
-    except ValueError as exc:  # no magic, unparsable or cut-off header
-        raise CorruptEntryError(f"{what}: {exc}") from exc
-    start = segment.tell()
-    if (found != (shape, False, dtype)
-            or start + math.prod(shape) * dtype.itemsize != offset + nbytes):
-        raise CorruptEntryError(f"{what}: header {found} disagrees with "
-                                f"the manifest's {shape}/{dtype}/{nbytes} B")
-    return np.frombuffer(segment, dtype=dtype, count=math.prod(shape),
-                         offset=start).reshape(shape)
 
 
 def _shard_arrays(segment: mmap.mmap, shard: dict, key: str, meta: dict):
     """Validated ``(record ids, rows)`` views of one shard record of the
     entry whose geometry ``meta`` gives."""
     rows = int(shard["rows"])
-    idx = _blob(segment, shard["index"], (rows,), np.dtype(np.int64),
-                f"{key}: index in {shard['file']}")
-    block = _blob(segment, shard["data"], (rows, int(meta["row_width"])),
-                  np.dtype(meta["dtype"]), f"{key}: rows in {shard['file']}")
+    idx = blob(segment, shard["index"], (rows,), np.dtype(np.int64),
+               f"{key}: index in {shard['file']}")
+    block = blob(segment, shard["data"], (rows, int(meta["row_width"])),
+                 np.dtype(meta["dtype"]), f"{key}: rows in {shard['file']}")
     if rows and (idx.min() < 0 or idx.max() >= meta["n_records"]):
         raise CorruptEntryError(f"{key}: shard in {shard['file']} names "
                                 f"records outside 0..{meta['n_records']}")
@@ -341,44 +287,20 @@ class DiskBehaviorStore:
 
     def _commit(self, manifest: dict) -> None:
         """Atomically publish the manifest (lock held)."""
-        with _published(self.root / MANIFEST) as f:
+        with published(self.root / MANIFEST) as f:
             f.write(json.dumps(manifest, indent=0).encode())
         self.commits += 1
         self._manifest = manifest
         self._manifest_sig = self._stat_sig()
         self._pending_touches.clear()
 
-    @contextlib.contextmanager
-    def _write_lock(self):
-        """Inter-process advisory lock serializing append/gc commits."""
-        with open(self.root / ".lock", "a+b") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
     # -- reads ----------------------------------------------------------
-    def _map_segment(self, name: str, file_bytes: int) -> mmap.mmap:
-        """A read-only map of one segment file of the recorded size."""
-        try:
-            with open(self.root / SHARD_DIR / name, "rb") as f:
-                segment = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        except (OSError, ValueError) as exc:  # missing / empty file
-            raise CorruptEntryError(f"segment {name}: {exc}") from exc
-        if len(segment) != file_bytes:  # truncated or partial write
-            raise CorruptEntryError(f"segment {name}: {len(segment)} bytes on "
-                                    f"disk, manifest recorded {file_bytes}")
-        return segment
-
     def _segment(self, name: str, file_bytes: int) -> mmap.mmap:
         """The map of a segment every reader shares (lock held)."""
         segment = self._segments.get(name)
         if segment is None or len(segment) != file_bytes:
-            segment = self._segments[name] = self._map_segment(name,
-                                                               file_bytes)
+            segment = self._segments[name] = map_segment(
+                self.root / SHARD_DIR / name, file_bytes)
         return segment
 
     def readers(self, keys) -> list[StoreEntryReader | None]:
@@ -480,7 +402,8 @@ class DiskBehaviorStore:
         for desc in descriptors:
             name = desc["file"]
             if name not in maps:
-                maps[name] = self._map_segment(name, desc["file_bytes"])
+                maps[name] = map_segment(self.root / SHARD_DIR / name,
+                                         desc["file_bytes"])
             # a descriptor is its shard record and its entry's geometry
             arrays.append(_shard_arrays(maps[name], desc, desc["key"], desc))
         with self._lock:
@@ -512,15 +435,15 @@ class DiskBehaviorStore:
                  parts[0][1] if len(parts) == 1
                  else np.concatenate([p[1] for p in parts]))
                 for (key, n_records, _, _), parts in grouped.items()]
-            with self._write_lock():
+            with commit_lock(self.root):
                 # always merge against the latest committed manifest:
                 # another process may have appended since we last read it
                 manifest = self._refresh(force=True)
                 if entries:
                     # the (flock-serialized, monotonic) clock makes names
                     # unique for the directory's whole history — a counter
-                    # or pid alone recycles and could clobber a committed
-                    # segment via os.replace
+                    # or pid alone recycles and publishing could clobber a
+                    # committed segment
                     manifest["clock"] += 1
                     name = f"{manifest['clock']}-{os.getpid()}.seg"
                     descriptors = write_segment(
@@ -591,7 +514,7 @@ class DiskBehaviorStore:
     def drop(self, key: str) -> None:
         """Remove one entry and the segment files only it named."""
         self.flush()
-        with self._lock, self._write_lock():
+        with self._lock, commit_lock(self.root):
             manifest = self._refresh(force=True)
             meta = manifest["entries"].pop(key, None)
             self._readers.pop(key, None)
@@ -650,7 +573,7 @@ class DiskBehaviorStore:
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
         self.flush()  # pending adoptions would otherwise look like orphans
-        with self._lock, self._write_lock():
+        with self._lock, commit_lock(self.root):
             manifest = self._refresh(force=True)
             evicted = [] if budget is None else self._evict(manifest, budget)
             live = self._live_files(manifest)

@@ -213,12 +213,13 @@ class TestSelfRun:
         assert all(key[1] == "REP009" for key in baseline)
 
     def test_removing_an_fsync_guard_fails(self, tmp_path):
-        pager = REPO_ROOT / "src" / "repro" / "db" / "storage" / "pager.py"
-        mutated_dir = tmp_path / "storage"
+        # the one publish site both durable stores commit through
+        segment = REPO_ROOT / "src" / "repro" / "store" / "segment.py"
+        mutated_dir = tmp_path / "store"
         mutated_dir.mkdir()
-        source = pager.read_text()
-        assert "os.fsync" in source
-        mutated = mutated_dir / "pager.py"
+        source = segment.read_text()
+        assert source.count("os.fsync(f.fileno())") == 1
+        mutated = mutated_dir / "segment.py"
         mutated.write_text(
             source.replace("os.fsync(f.fileno())", "pass"))
         findings = analyze_paths([mutated])

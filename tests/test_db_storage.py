@@ -1,22 +1,28 @@
-"""Paged, B-tree-indexed on-disk storage (PR 7).
+"""Columnar, segment-backed table storage.
 
-Covers every layer of ``repro.db.storage`` plus the engine wiring:
+Covers ``repro.db.storage`` plus the engine wiring:
 
-- pager: shadow-paged commit/reopen, CRC detection of torn pages,
-  uncommitted pages invisible after reopen;
-- heap + B-tree: scans bit-identical to stable argsort, bulk vs
-  incremental equivalence, range bounds, descending duplicate runs;
-- TableStorage: catalog round-trip, auto-indexes, appends, degradation;
-- Database persistence: exact-value round-trips, staged appends,
+- SortedIndex: scans bit-identical to ``sort_indices`` filtered to the
+  range, every bound combination, ascending and descending, duplicate runs
+  longer than a batch, int64 extremes;
+- dictionary columns: kinds, exact-value round trip, code lookup;
+- TableStorage: catalog round-trip, auto-indexes, gathers, drops, one
+  segment and two fsyncs per commit, staged changes invisible to other
+  handles until commit, two handles on one directory losing nothing,
+  other manifest versions refused;
+- faults: a flipped byte, a truncated segment, a bad span or a lying
+  header is a ``CorruptEntryError`` on first touch, never a wrong row;
+- Database persistence: exact-value round-trips, staged inserts,
   drops, memory-only fallback, index gating on uncommitted state;
 - planner: sargable edge cases (fractional int bounds, missing dict
   keys, type-mismatched literals) bit-identical to the full scan;
 - a randomized differential suite: persistent+indexed vs
   ``use_indexes=False`` vs in-memory over WHERE/ORDER BY/LIMIT/GROUP BY;
 - satellites: single-pass descending ``sort_indices``, ``topk_indices``;
-- crash recovery in a subprocess: a commit killed before the manifest
-  rename leaves the previous commit intact; torn data pages surface as
-  ``CorruptPageError`` instead of silent corruption;
+- crash recovery in a subprocess: a commit killed between the segment's
+  publish and the manifest's leaves the previous commit intact; a
+  truncated segment surfaces as ``CorruptEntryError`` instead of silent
+  corruption; two processes committing to one directory lose nothing;
 - a reopened persistent :class:`Session` answering score queries with
   zero registered models (no re-extraction, lazy tables).
 """
@@ -35,8 +41,9 @@ import pytest
 from repro.db import Database, bind, execute_select, parse_sql
 from repro.db.executor import sort_indices, topk_indices
 from repro.db.planner import plan_scan
-from repro.db.storage import (BTree, CorruptPageError, DictEncoder, HeapFile,
-                              Pager, RowCodec, TableStorage, derive_kinds)
+from repro.db.storage import (DictEncoder, SortedIndex, TableStorage,
+                              derive_kinds)
+from repro.store.segment import CorruptEntryError
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
@@ -47,117 +54,7 @@ def run_sql(db: Database, sql: str):
 
 
 # ----------------------------------------------------------------------
-# pager
-# ----------------------------------------------------------------------
-def _alloc(pager: Pager, payload: bytes) -> int:
-    page = pager.allocate()  # pinned + dirty, shadow slot assigned
-    page.data[:len(payload)] = payload
-    pager.unpin(page.page_id)
-    return page.page_id
-
-
-class TestPager:
-    def test_commit_reopen_round_trip(self, tmp_path):
-        pager = Pager(tmp_path / "db", page_size=256)
-        pid = _alloc(pager, b"hello")
-        pager.commit(meta={"tag": 1})
-        pager.close()
-
-        pager = Pager(tmp_path / "db", page_size=256)
-        assert pager.meta["tag"] == 1
-        assert bytes(pager.get(pid, pin=False).data[:5]) == b"hello"
-        pager.close()
-
-    def test_uncommitted_pages_invisible_after_reopen(self, tmp_path):
-        pager = Pager(tmp_path / "db", page_size=256)
-        pid_a = _alloc(pager, b"a")
-        pager.commit()
-        pid_b = _alloc(pager, b"b")
-        assert pager.has_uncommitted
-        pager.close()  # close without commit: pid_b must vanish
-
-        pager = Pager(tmp_path / "db", page_size=256)
-        assert bytes(pager.get(pid_a, pin=False).data[:1]) == b"a"
-        with pytest.raises((KeyError, IndexError, CorruptPageError)):
-            pager.get(pid_b, pin=False)
-        pager.close()
-
-    def test_overwrite_is_shadowed_until_commit(self, tmp_path):
-        pager = Pager(tmp_path / "db", page_size=256)
-        pid = _alloc(pager, b"old")
-        pager.commit()
-        with pager.page(pid) as page:
-            pager.mark_dirty(pid)
-            page.data[:3] = b"new"
-        pager.close()  # crash-equivalent: no commit
-
-        pager = Pager(tmp_path / "db", page_size=256)
-        assert bytes(pager.get(pid, pin=False).data[:3]) == b"old"
-        pager.close()
-
-    def test_crc_detects_torn_page(self, tmp_path):
-        pager = Pager(tmp_path / "db", page_size=256)
-        pid = _alloc(pager, bytes(range(256)))
-        pager.commit()
-        pager.close()
-
-        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
-        phys = manifest["table"][pid]
-        data_path = tmp_path / "db" / "pages.bin"
-        raw = bytearray(data_path.read_bytes())
-        raw[phys * 256 + 7] ^= 0xFF  # flip one committed byte
-        data_path.write_bytes(bytes(raw))
-
-        pager = Pager(tmp_path / "db", page_size=256)
-        with pytest.raises(CorruptPageError):
-            pager.get(pid, pin=False)
-        pager.close()
-
-    def test_eviction_under_tiny_cache_preserves_data(self, tmp_path):
-        # budget of 8 pages forces constant eviction + shadow write-back
-        pager = Pager(tmp_path / "db", page_size=256, cache_bytes=256 * 8)
-        pids = [_alloc(pager, i.to_bytes(8, "little")) for i in range(64)]
-        pager.commit()
-        for i, pid in enumerate(pids):
-            with pager.page(pid) as page:
-                assert int.from_bytes(bytes(page.data[:8]), "little") == i
-        pager.close()
-
-
-# ----------------------------------------------------------------------
-# heap
-# ----------------------------------------------------------------------
-class TestHeap:
-    def test_append_read_gather_multi_page(self, tmp_path):
-        pager = Pager(tmp_path / "db", page_size=256)
-        dtype = np.dtype([("x", "<i8")])
-        heap = HeapFile(pager, dtype.itemsize)
-        values = np.arange(500, dtype=np.int64)
-        packed = np.zeros(500, dtype=dtype)
-        packed["x"] = values
-        first = heap.append(packed)
-        assert first == 0
-        assert heap.n_rows == 500
-
-        np.testing.assert_array_equal(heap.read_all(dtype)["x"], values)
-
-        rids = np.array([499, 0, 250, 3, 250], dtype=np.int64)
-        got = heap.gather(rids, dtype)
-        np.testing.assert_array_equal(got["x"], values[rids])
-        pager.close()
-
-    def test_gather_out_of_range_raises(self, tmp_path):
-        pager = Pager(tmp_path / "db", page_size=256)
-        dtype = np.dtype([("x", "<i8")])
-        heap = HeapFile(pager, dtype.itemsize)
-        heap.append(np.zeros(4, dtype=dtype))
-        with pytest.raises(IndexError):
-            heap.gather(np.array([4], dtype=np.int64), dtype)
-        pager.close()
-
-
-# ----------------------------------------------------------------------
-# B-tree
+# SortedIndex
 # ----------------------------------------------------------------------
 def _collect(scan_iter) -> np.ndarray:
     batches = [np.asarray(b) for b in scan_iter]
@@ -166,39 +63,35 @@ def _collect(scan_iter) -> np.ndarray:
     return np.concatenate(batches)
 
 
-class TestBTree:
+def _index(keys: np.ndarray) -> SortedIndex:
+    order = np.argsort(keys, kind="stable")
+    return SortedIndex(keys[order], order.astype(np.int64))
+
+
+def _in_range(keys, lo, hi, lo_incl, hi_incl) -> np.ndarray:
+    mask = np.ones(keys.shape[0], dtype=bool)
+    if lo is not None:
+        mask &= keys >= lo if lo_incl else keys > lo
+    if hi is not None:
+        mask &= keys <= hi if hi_incl else keys < hi
+    return mask
+
+
+class TestSortedIndex:
     @pytest.mark.parametrize("n", [0, 1, 50, 700])
-    def test_full_scan_matches_stable_argsort(self, tmp_path, n):
+    def test_full_scan_matches_stable_argsort(self, n):
         rng = np.random.default_rng(n)
         keys = rng.integers(0, max(n // 4, 1), size=n).astype(np.int64)
-        rids = np.arange(n, dtype=np.int64)
-        pager = Pager(tmp_path / "db", page_size=256)
-        tree = BTree(pager)
-        order = np.lexsort((rids, keys))  # bulk_load wants (key, rid) order
-        tree.bulk_load(keys[order], rids[order])
+        index = _index(keys)
+        assert len(index) == n
 
-        asc = _collect(tree.scan())
+        asc = _collect(index.scan())
         np.testing.assert_array_equal(asc, np.argsort(keys, kind="stable"))
 
-        desc = _collect(tree.scan(descending=True))
-        expected = np.argsort(-keys, kind="stable") if n else rids
+        desc = _collect(index.scan(descending=True))
+        expected = np.argsort(-keys, kind="stable") if n \
+            else np.arange(0, dtype=np.int64)
         np.testing.assert_array_equal(desc, expected)
-        pager.close()
-
-    def test_incremental_insert_equals_bulk_load(self, tmp_path):
-        rng = np.random.default_rng(7)
-        keys = rng.integers(-50, 50, size=400).astype(np.int64)
-        rids = np.arange(400, dtype=np.int64)
-
-        pager = Pager(tmp_path / "db", page_size=256)
-        bulk, inc = BTree(pager), BTree(pager)
-        order = np.lexsort((rids, keys))
-        bulk.bulk_load(keys[order], rids[order])
-        inc.insert_many(keys, rids)  # arbitrary order: inserts keep sorted
-        np.testing.assert_array_equal(_collect(bulk.scan()),
-                                      _collect(inc.scan()))
-        assert bulk.n_entries == inc.n_entries == 400
-        pager.close()
 
     @pytest.mark.parametrize("lo,hi,lo_incl,hi_incl", [
         (10, 20, True, True), (10, 20, False, False),
@@ -206,47 +99,75 @@ class TestBTree:
         (15, None, False, True), (None, None, True, True),
         (99, 99, True, True), (20, 10, True, True),
     ])
-    def test_range_bounds(self, tmp_path, lo, hi, lo_incl, hi_incl):
+    def test_range_bounds(self, lo, hi, lo_incl, hi_incl):
         rng = np.random.default_rng(3)
         keys = rng.integers(0, 30, size=300).astype(np.int64)
-        rids = np.arange(300, dtype=np.int64)
-        pager = Pager(tmp_path / "db", page_size=256)
-        tree = BTree(pager)
-        order = np.lexsort((rids, keys))
-        tree.bulk_load(keys[order], rids[order])
+        index = _index(keys)
 
-        mask = np.ones(300, dtype=bool)
-        if lo is not None:
-            mask &= keys >= lo if lo_incl else keys > lo
-        if hi is not None:
-            mask &= keys <= hi if hi_incl else keys < hi
-        expect = np.flatnonzero(mask)
-        got = np.sort(_collect(tree.scan(lo, hi, lo_incl, hi_incl)))
+        expect = np.flatnonzero(_in_range(keys, lo, hi, lo_incl, hi_incl))
+        got = np.sort(_collect(index.scan(lo, hi, lo_incl, hi_incl)))
         np.testing.assert_array_equal(got, expect)
 
         got_desc = np.sort(_collect(
-            tree.scan(lo, hi, lo_incl, hi_incl, descending=True)))
+            index.scan(lo, hi, lo_incl, hi_incl, descending=True)))
         np.testing.assert_array_equal(got_desc, expect)
-        pager.close()
 
-    def test_float_keys(self, tmp_path):
+    def test_float_keys(self):
         rng = np.random.default_rng(11)
         keys = np.round(rng.random(200), 1)  # heavy duplicates
-        rids = np.arange(200, dtype=np.int64)
-        pager = Pager(tmp_path / "db", page_size=256)
-        tree = BTree(pager, key_dtype="<f8")
-        order = np.lexsort((rids, keys))
-        tree.bulk_load(keys[order], rids[order])
         np.testing.assert_array_equal(
-            _collect(tree.scan(descending=True)),
+            _collect(_index(keys).scan(descending=True)),
             np.argsort(-keys, kind="stable"))
-        pager.close()
+
+    @pytest.mark.parametrize("keys", [
+        # duplicate runs several batches long, between short ones
+        np.repeat(np.array([5, 1, 9, 3, 7], dtype=np.int64),
+                  [3 * SortedIndex.BATCH + 7, 2, 2 * SortedIndex.BATCH, 1,
+                   SortedIndex.BATCH])[
+            np.random.default_rng(0).permutation(6 * SortedIndex.BATCH + 10)],
+        # int64 extremes: negation overflows, so order must come from
+        # comparisons alone
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1,
+                  np.iinfo(np.int64).min, 5, np.iinfo(np.int64).max] * 9,
+                 dtype=np.int64),
+        np.round(np.random.default_rng(2).random(2500), 2) - 0.5,
+    ], ids=["long-runs", "int64-extremes", "floats"])
+    def test_scan_equals_sort_indices_filtered_to_the_range(self, keys):
+        """The differential: for every bound combination and direction the
+        concatenated batches are exactly ``sort_indices`` with the rows
+        outside the range struck — order of ties included."""
+        index = _index(keys)
+        distinct = np.unique(keys)
+        picks = [None, distinct[0], distinct[len(distinct) // 2],
+                 distinct[-1]]
+        if keys.dtype.kind == "f":
+            picks.append(0.123)  # a bound that is no key
+        for descending in (False, True):
+            full = sort_indices(keys, descending=descending)
+            for lo in picks:
+                for hi in picks:
+                    for lo_incl in (True, False):
+                        for hi_incl in (True, False):
+                            keep = _in_range(keys, lo, hi, lo_incl, hi_incl)
+                            batches = list(index.scan(
+                                lo, hi, lo_incl, hi_incl, descending))
+                            np.testing.assert_array_equal(
+                                _collect(batches), full[keep[full]],
+                                err_msg=f"{lo} {hi} {lo_incl} {hi_incl} "
+                                        f"{descending}")
+                            assert all(b.size for b in batches)
+
+    def test_a_limit_reader_pays_one_batch(self):
+        keys = np.arange(50 * SortedIndex.BATCH, dtype=np.int64)
+        for descending in (False, True):
+            first = next(iter(_index(keys).scan(descending=descending)))
+            assert first.size == SortedIndex.BATCH
 
 
 # ----------------------------------------------------------------------
-# row codec
+# dictionary columns
 # ----------------------------------------------------------------------
-class TestRowCodec:
+class TestDictColumns:
     def test_derive_kinds(self):
         arrays = [np.arange(3, dtype=np.int64),
                   np.ones(3, dtype=np.float64),
@@ -262,23 +183,38 @@ class TestRowCodec:
         assert enc.code_for("never-stored") is None
         assert enc.code_for([1, 2]) is None  # unhashable → None, no raise
 
-    def test_codec_encode_decode(self):
-        codec = RowCodec(["i8", "f8", "dict"])
-        arrays = [np.array([1, 2], dtype=np.int64),
-                  np.array([0.5, -1.5]),
-                  np.array(["p", "q"], dtype=object)]
-        packed = codec.encode(arrays)
-        out = codec.decode(packed)
-        for got, want in zip(out, arrays):
-            np.testing.assert_array_equal(got, want)
-
 
 # ----------------------------------------------------------------------
 # TableStorage
 # ----------------------------------------------------------------------
+def _segments(path) -> list[str]:
+    return sorted(p.name for p in path.iterdir() if ".seg" in p.name)
+
+
 class TestTableStorage:
+    def test_commit_reopen_round_trip(self, tmp_path):
+        store = TableStorage(tmp_path / "db")
+        store.create("t", ["uid"], [np.arange(5, dtype=np.int64)])
+        store.commit()
+        store.close()
+
+        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        ent = manifest["tables"]["t"]
+        assert (ent["columns"], ent["kinds"], ent["n_rows"]) == \
+            (["uid"], ["i8"], 5)
+        assert [ent["file"]] == _segments(tmp_path / "db")
+        assert ent["file_bytes"] == \
+            (tmp_path / "db" / ent["file"]).stat().st_size
+
+        store = TableStorage(tmp_path / "db")
+        _, arrays = store.load_columns("t")
+        np.testing.assert_array_equal(arrays[0], np.arange(5))
+        assert not arrays[0].flags.writeable  # a view of the mapped blob
+        store.close()
+
     def test_create_reopen_auto_index(self, tmp_path):
-        store = TableStorage(tmp_path / "db", page_size=512)
+        store = TableStorage(tmp_path / "db")
         uid = np.arange(100, dtype=np.int64)
         score = np.linspace(0, 1, 100)
         name = np.array([f"u{i % 7}" for i in range(100)], dtype=object)
@@ -286,7 +222,7 @@ class TestTableStorage:
         store.commit()
         store.close()
 
-        store = TableStorage(tmp_path / "db", page_size=512)
+        store = TableStorage(tmp_path / "db")
         assert store.table_names() == ["scores"]
         cols, arrays = store.load_columns("scores")
         assert cols == ["uid", "score", "name"]
@@ -299,18 +235,19 @@ class TestTableStorage:
         store.close()
 
     def test_append_maintains_indexes(self, tmp_path):
-        store = TableStorage(tmp_path / "db", page_size=512)
-        store.create("t", ["uid"], [np.arange(10, dtype=np.int64)])
-        store.append("t", [np.arange(10, 30, dtype=np.int64)])
-        store.commit()
-        tree = store.btree("t", "uid")
-        assert tree.n_entries == 30
-        rids = np.sort(_collect(tree.scan(5, 24)))
+        db = Database(str(tmp_path / "db"))
+        db.create_table("t", ["uid"], [(i,) for i in range(10)])
+        db.commit()
+        db.table("t").insert_many([(i,) for i in range(10, 30)])
+        db.commit()
+        index, _ = db.index_for("t", "uid")
+        assert len(index) == 30
+        rids = np.sort(_collect(index.scan(5, 24)))
         np.testing.assert_array_equal(rids, np.arange(5, 25))
-        store.close()
+        db.close()
 
     def test_nan_float_column_not_indexed(self, tmp_path):
-        store = TableStorage(tmp_path / "db", page_size=512)
+        store = TableStorage(tmp_path / "db")
         vals = np.array([1.0, np.nan, 3.0])
         store.create("t", ["score"], [vals])
         assert store.index_info("t", "score") is None
@@ -319,27 +256,272 @@ class TestTableStorage:
         store.close()
 
     def test_gather_decodes_requested_columns_only(self, tmp_path):
-        store = TableStorage(tmp_path / "db", page_size=512)
+        store = TableStorage(tmp_path / "db")
         store.create("t", ["uid", "name"],
                      [np.arange(50, dtype=np.int64),
                       np.array([f"n{i}" for i in range(50)], dtype=object)])
         rids = np.array([40, 3, 3, 17], dtype=np.int64)
-        out = store.gather("t", rids, ["name"])
-        assert list(out) == ["name"]
-        np.testing.assert_array_equal(
-            out["name"], np.array(["n40", "n3", "n3", "n17"], dtype=object))
+        for _ in range(2):  # staged, then committed and read off the map
+            out = store.gather("t", rids, ["name"])
+            assert list(out) == ["name"]
+            np.testing.assert_array_equal(
+                out["name"],
+                np.array(["n40", "n3", "n3", "n17"], dtype=object))
+            store.commit()
+        assert store.stats()["reads"] == 1  # the one column asked for
+        store.close()
+
+    def test_gather_out_of_range_raises(self, tmp_path):
+        store = TableStorage(tmp_path / "db")
+        store.create("t", ["x"], [np.zeros(4, dtype=np.int64)])
+        store.commit()
+        for bad in ([4], [-1], [0, 1, -5], [2, 99]):
+            with pytest.raises(IndexError):
+                store.gather("t", np.array(bad, dtype=np.int64), ["x"])
         store.close()
 
     def test_drop_removes_table(self, tmp_path):
-        store = TableStorage(tmp_path / "db", page_size=512)
+        store = TableStorage(tmp_path / "db")
         store.create("t", ["uid"], [np.arange(5, dtype=np.int64)])
         store.commit()
         store.drop("t")
         store.commit()
         store.close()
-        store = TableStorage(tmp_path / "db", page_size=512)
+        store = TableStorage(tmp_path / "db")
         assert "t" not in store
+        assert _segments(tmp_path / "db") == []  # its segment went with it
         store.close()
+
+    def test_one_segment_and_two_fsyncs_per_commit(self, tmp_path,
+                                                   monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: synced.append(real_fsync(fd)))
+        db = Database(str(tmp_path / "db"))
+        for t in range(4):  # 4 tables, 8 indexes
+            db.create_table(f"t{t}", ["uid", "score", "note"],
+                            [(i, i / 7, "n") for i in range(50)])
+        db.commit()
+        assert len(synced) == 2  # the segment, then the manifest
+        assert len(_segments(tmp_path / "db")) == 1
+        stats = db.storage.stats()
+        assert (stats["commits"], stats["tables"], stats["indexes"]) == \
+            (1, 4, 8)
+        assert stats["writes"] == 4 * 3 + 8 * 2  # blobs, not pages
+        db.commit()  # nothing moved: nothing written, nothing renamed
+        assert len(synced) == 2
+        db.table("t0").insert((50, 1.0, "n"))
+        db.commit()  # one table restaged, whole
+        assert len(synced) == 4
+        assert len(_segments(tmp_path / "db")) == 2
+        db.drop_table("t1")
+        db.commit()  # drop-only: the manifest alone
+        assert len(synced) == 5
+        db.close()
+        assert len(synced) == 5
+
+    def test_other_manifest_version_is_refused(self, tmp_path):
+        """A directory of another format (version 1 was the paged store)
+        raises — tables are user data, not a cache to read as empty — and
+        nothing in it is touched."""
+        root = tmp_path / "db"
+        root.mkdir()
+        (root / "manifest.json").write_text(
+            json.dumps({"version": 1, "table": [0], "meta": {"tables": {}}}))
+        (root / "pages.bin").write_bytes(b"\0" * 4096)
+        (root / ".lock").write_bytes(b"")  # every committed one has it
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        with pytest.raises(ValueError, match="version 1"):
+            TableStorage(root)
+        with pytest.raises(ValueError, match="version 1"):
+            Database(str(root))
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
+class TestStagingVisibility:
+    """What a handle staged is invisible to every other handle until its
+    commit(); what a handle opened stays readable whatever others do."""
+
+    def _committed(self, tmp_path) -> TableStorage:
+        store = TableStorage(tmp_path / "db")
+        store.create("old", ["uid"], [np.arange(3, dtype=np.int64)])
+        store.create("gone", ["uid"], [np.arange(4, dtype=np.int64)])
+        store.commit()
+        return store
+
+    def test_staged_changes_are_invisible_until_commit(self, tmp_path):
+        store = self._committed(tmp_path)
+        store.create("new", ["uid"], [np.arange(7, dtype=np.int64)])
+        store.create("old", ["uid"], [np.arange(30, 35, dtype=np.int64)])
+        store.drop("gone")
+        # the staging handle reads its own writes ...
+        assert store.table_names() == ["old", "new"]
+        assert store.n_rows("old") == 5
+        # ... a second handle sees the last commit only
+        other = TableStorage(tmp_path / "db")
+        assert other.table_names() == ["old", "gone"]
+        np.testing.assert_array_equal(other.load_columns("old")[1][0],
+                                      np.arange(3))
+        store.commit()
+        fresh = TableStorage(tmp_path / "db")
+        assert fresh.table_names() == ["old", "new"]
+        np.testing.assert_array_equal(fresh.load_columns("old")[1][0],
+                                      np.arange(30, 35))
+        for handle in (store, other, fresh):
+            handle.close()
+
+    def test_close_without_commit_discards_staged_changes(self, tmp_path):
+        store = self._committed(tmp_path)
+        store.create("old", ["uid"], [np.arange(9, dtype=np.int64)])
+        store.drop("gone")
+        store.close()  # crash-equivalent: no commit
+        store.commit()  # nothing left to publish
+        fresh = TableStorage(tmp_path / "db")
+        assert fresh.table_names() == ["old", "gone"]
+        assert fresh.n_rows("old") == 3
+        assert len(_segments(tmp_path / "db")) == 1
+        fresh.close()
+
+    def test_handle_opened_before_a_replace_reads_the_old_rows(
+            self, tmp_path):
+        self._committed(tmp_path).close()
+        early = Database(str(tmp_path / "db"))   # lazy: nothing read yet
+        late = Database(str(tmp_path / "db"))
+        late.create_table("old", ["uid"], [(i,) for i in range(50, 60)],
+                          replace=True)
+        late.drop_table("gone")
+        late.commit()
+        assert len(_segments(tmp_path / "db")) == 1  # the old one is gone
+        assert not early.table("old").is_loaded
+        assert early.table("old").rows == [(0,), (1,), (2,)]
+        assert early.table("gone").rows == [(0,), (1,), (2,), (3,)]
+        rows = run_sql(early, "SELECT uid FROM old WHERE uid >= 1 "
+                              "ORDER BY uid DESC LIMIT 2")
+        assert [r["uid"] for r in rows] == [2, 1]
+        early.close()
+        late.close()
+
+    def test_two_handles_on_one_directory_lose_nothing(self, tmp_path):
+        path = str(tmp_path / "db")
+        d1, d2 = Database(path), Database(path)
+        d1.create_table("x1", ["uid"], [(1,)])
+        d1.commit()
+        d2.create_table("x2", ["uid"], [(2,)])
+        d2.commit()  # must layer over d1's commit, not over its own memory
+        fresh = Database(path)
+        assert sorted(fresh.tables) == ["x1", "x2"]
+        assert fresh.table("x1").rows == [(1,)]
+        assert fresh.table("x2").rows == [(2,)]
+        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
+        assert sorted(t["file"] for t in manifest["tables"].values()) == \
+            _segments(tmp_path / "db")  # no orphan segment left
+        # a drop by one handle does not resurrect through the other
+        d1.drop_table("x1")
+        d1.commit()
+        d2.create_table("x3", ["uid"], [(3,)])
+        d2.commit()
+        assert sorted(Database(path).tables) == ["x2", "x3"]
+        for db in (d1, d2, fresh):
+            db.close()
+
+
+# ----------------------------------------------------------------------
+# faults: the right rows or a typed error, never a wrong row
+# ----------------------------------------------------------------------
+class TestSegmentFaults:
+    N = 40
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        """A directory holding the table under attack and, from another
+        commit, one more."""
+        db = Database(str(tmp_path / "db"))
+        db.create_table("other", ["uid"], [(i,) for i in range(5)])
+        db.commit()
+        db.create_table("t", ["uid", "score", "name"],
+                        [(i, i / 8, f"u{i % 3}") for i in range(self.N)])
+        db.close()
+        return tmp_path / "db"
+
+    @staticmethod
+    def _manifest(path) -> dict:
+        return json.loads((path / "manifest.json").read_text())
+
+    def _flip(self, path, offset: int) -> None:
+        segment = path / self._manifest(path)["tables"]["t"]["file"]
+        raw = bytearray(segment.read_bytes())
+        raw[offset] ^= 0xFF
+        segment.write_bytes(bytes(raw))
+
+    def _edit(self, path, edit) -> None:
+        manifest = self._manifest(path)
+        edit(manifest["tables"]["t"])
+        (path / "manifest.json").write_text(json.dumps(manifest))
+
+    def _assert_only_t_is_lost(self, path, touch) -> None:
+        db = Database(str(path))             # opening checks nothing yet
+        with pytest.raises(CorruptEntryError):
+            touch(db)
+        with pytest.raises(CorruptEntryError):  # and it stays an error
+            touch(db)
+        assert not db.table("t").is_loaded   # lazy, not silently empty
+        assert db.table("other").rows == [(i,) for i in range(5)]
+        db.close()
+
+    def test_flipped_byte_in_a_column_blob(self, path):
+        offset, nbytes, _ = self._manifest(path)["tables"]["t"]["blobs"][1]
+        self._flip(path, offset + nbytes - 5)  # inside the payload
+        self._assert_only_t_is_lost(path, lambda db: db.table("t").rows)
+
+    def test_flipped_byte_in_an_index_blob(self, path):
+        info = self._manifest(path)["tables"]["t"]["indexes"]["score"]
+        self._flip(path, info["order"][0] + info["order"][1] - 3)
+        sql = "SELECT uid FROM t ORDER BY score DESC LIMIT 3"
+        self._assert_only_t_is_lost(path, lambda db: run_sql(db, sql))
+        # the columns themselves are intact: the scan answers
+        db = Database(str(path))
+        db.use_indexes = False
+        assert [r["uid"] for r in run_sql(db, sql)] == [39, 38, 37]
+        db.close()
+
+    def test_every_byte_of_a_blob_header_is_checked_or_irrelevant(self,
+                                                                  path):
+        """The checksum covers the payload; the npy header is pinned by
+        structure.  Flip each header byte in turn: the table either fails
+        typed or still reads right."""
+        offset, _, _ = self._manifest(path)["tables"]["t"]["blobs"][0]
+        for at in range(offset, offset + 128):
+            self._flip(path, at)
+            db = Database(str(path))
+            try:
+                assert db.table("t").column("uid").tolist() == \
+                    list(range(self.N))
+            except CorruptEntryError:
+                pass
+            finally:
+                db.close()
+                self._flip(path, at)  # restore
+
+    def test_truncated_segment(self, path):
+        segment = path / self._manifest(path)["tables"]["t"]["file"]
+        with open(segment, "r+b") as f:
+            f.truncate(segment.stat().st_size - 1)
+        self._assert_only_t_is_lost(path, lambda db: db.table("t").rows)
+
+    def test_span_past_the_file(self, path):
+        def edit(ent):
+            ent["blobs"][0][0] = ent["file_bytes"] - 8
+        self._edit(path, edit)
+        self._assert_only_t_is_lost(
+            path, lambda db: db.table("t").column("uid"))
+
+    @pytest.mark.parametrize("field,value", [("n_rows", N - 1),
+                                             ("kinds", ["f8", "f8", "dict"])])
+    def test_header_disagreeing_with_the_catalog(self, path, field, value):
+        self._edit(path, lambda ent: ent.__setitem__(field, value))
+        self._assert_only_t_is_lost(
+            path, lambda db: db.table("t").column("uid"))
 
 
 # ----------------------------------------------------------------------
@@ -388,14 +570,32 @@ class TestDatabasePersistence:
         assert "t" not in db.tables
         db.close()
 
+    def test_close_is_idempotent(self, tmp_path):
+        db = Database(str(tmp_path / "db"))
+        db.create_table("t", ["uid"], [(i,) for i in range(3)])
+        db.close()
+        column = Database(str(tmp_path / "db")).table("t").column("uid")
+        commits = db.storage.stats()["commits"]
+        db.close()  # commits nothing, raises nothing
+        assert db.storage.stats()["commits"] == commits == 1
+        # maps are dropped, not closed: a column handed out earlier (here
+        # by a handle already collected) goes on reading
+        assert column.tolist() == [0, 1, 2]
+        Database().close()  # in-memory: nothing to do, twice
+        Database().close()
+
     def test_unserializable_table_degrades_to_memory_only(self, tmp_path):
+        from repro.util.debuglog import degradation_counts
         fn = lambda x: x  # noqa: E731 — unpicklable on purpose
+        before = degradation_counts().get("db.table-memory-only", 0)
         db = Database(str(tmp_path / "db"))
         db.create_table("funcs", ["uid", "fn"], [(1, fn), (2, fn)])
         db.create_table("plain", ["uid"], [(1,)])
         db.commit()  # must not raise
         assert run_sql(db, "SELECT uid, fn FROM funcs")[0]["fn"] is fn
-        db.close()
+        assert not db.table_clean("funcs") and db.table_clean("plain")
+        db.close()  # unchanged content is not tried (or counted) again
+        assert degradation_counts()["db.table-memory-only"] == before + 1
 
         db = Database(str(tmp_path / "db"))
         assert "funcs" not in db.tables   # degraded, not persisted
@@ -647,7 +847,6 @@ class TestSortSatellites:
 # ----------------------------------------------------------------------
 _CRASH_CHILD = """
 import os, sys
-import repro.db.storage.pager as pager_mod
 from repro.db import Database
 
 path = sys.argv[1]
@@ -657,26 +856,49 @@ db.commit()                      # commit 1: must survive
 
 db.table("t").insert_many([(i, i * 10) for i in range(100, 200)])
 
-def crash(self, manifest):       # die after data pages hit disk but
-    os._exit(17)                 # before the atomic manifest rename
-
-pager_mod.Pager._write_manifest = crash
+rename, renamed = os.replace, []
+def replace(tmp, path):          # die after the segment is published
+    if renamed:                  # but before the manifest naming it is
+        os._exit(17)
+    renamed.append(rename(tmp, path))
+os.replace = replace
 db.commit()                      # never returns
 """
+
+_SECOND_WRITER_CHILD = """
+import sys
+from repro.db import Database
+
+db = Database(sys.argv[1])       # opened before the parent commits x1
+print("opened", flush=True)
+sys.stdin.readline()             # ... and told to go on after it did
+db.create_table("x2", ["uid"], [(2,)])
+db.close()
+"""
+
+
+def _child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR
+    return env
 
 
 @pytest.mark.slow
 class TestCrashRecovery:
     def _run_child(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR
         proc = subprocess.run(
             [sys.executable, "-c", _CRASH_CHILD, str(tmp_path / "db")],
-            capture_output=True, text=True, env=env, timeout=300)
+            capture_output=True, text=True, env=_child_env(), timeout=300)
         assert proc.returncode == 17, proc.stderr
+
+    def _committed_segment(self, tmp_path):
+        manifest = json.loads((tmp_path / "db" / "manifest.json").read_text())
+        return tmp_path / "db" / manifest["tables"]["t"]["file"]
 
     def test_kill_before_manifest_keeps_previous_commit(self, tmp_path):
         self._run_child(tmp_path)
+        committed = self._committed_segment(tmp_path).name
+        (orphan,) = set(_segments(tmp_path / "db")) - {committed}
         db = Database(str(tmp_path / "db"))
         table = db.table("t")
         assert len(table) == 100              # partial commit invisible
@@ -687,6 +909,10 @@ class TestCrashRecovery:
         assert [r["uid"] for r in rows] == [99, 98, 97, 96, 95]
         table.insert((100, 1000))
         db.commit()
+        # that commit swept the killed one's orphan (and what it replaced)
+        assert _segments(tmp_path / "db") == \
+            [self._committed_segment(tmp_path).name]
+        assert orphan not in _segments(tmp_path / "db")
         db.close()
         db = Database(str(tmp_path / "db"))
         assert len(db.table("t")) == 101
@@ -694,13 +920,70 @@ class TestCrashRecovery:
 
     def test_truncated_data_file_is_detected(self, tmp_path):
         self._run_child(tmp_path)
-        data_path = tmp_path / "db" / "pages.bin"
+        data_path = self._committed_segment(tmp_path)
         raw = data_path.read_bytes()
-        data_path.write_bytes(raw[:100])  # tear through every page
+        data_path.write_bytes(raw[:100])  # tear through every blob
         db = Database(str(tmp_path / "db"))
-        with pytest.raises(CorruptPageError):
-            db.table("t").rows  # noqa: B018 — load triggers CRC checks
+        with pytest.raises(CorruptEntryError):
+            db.table("t").rows  # noqa: B018 — load maps and checks
         db.close()
+
+    def test_two_processes_on_one_directory_lose_nothing(self, tmp_path):
+        path = tmp_path / "db"
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SECOND_WRITER_CHILD, str(path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=_child_env())
+        try:
+            assert child.stdout.readline().strip() == "opened"
+            db = Database(str(path))
+            db.create_table("x1", ["uid"], [(1,)])
+            db.close()
+            child.stdin.write("go\n")
+            child.stdin.flush()
+            assert child.wait(timeout=300) == 0
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+        fresh = Database(str(path))
+        assert sorted(fresh.tables) == ["x1", "x2"]
+        assert fresh.table("x1").rows == [(1,)]
+        assert fresh.table("x2").rows == [(2,)]
+        assert len(_segments(path)) == 2
+        fresh.close()
+
+
+# ----------------------------------------------------------------------
+# the two facts benchmarks/bench_db_storage.py used to time, untimed
+# ----------------------------------------------------------------------
+@pytest.mark.slow
+def test_index_backed_topk_at_200k_rows_equals_the_scan(tmp_path):
+    """At 200k rows the index answers ``WHERE … ORDER BY … DESC LIMIT k``
+    with the scan's rows, without a full pass and without loading the
+    reopened table.  (The bench's other fact — a reopened session answers
+    with zero forward passes — is
+    ``TestSessionPersistence::test_into_survives_reopen_without_models``.)
+    """
+    n = 200_000
+    rng = np.random.default_rng(0)
+    columns = {"uid": np.arange(n), "hid": rng.integers(0, 64, n),
+               "unit_score": np.round(rng.random(n), 4)}  # with ties
+    db = Database(str(tmp_path / "db"))
+    db.create_table("scores", list(columns),
+                    zip(*(c.tolist() for c in columns.values())))
+    db.close()
+
+    sql = ("SELECT uid, hid, unit_score FROM scores "
+           "WHERE unit_score > 0.5 ORDER BY unit_score DESC LIMIT 20")
+    db = Database(str(tmp_path / "db"))
+    rows = run_sql(db, sql)
+    assert (db.index_scans, db.full_scans) == (1, 0)
+    assert not db.table("scores").is_loaded
+    db.use_indexes = False
+    assert run_sql(db, sql) == rows
+    assert (db.index_scans, db.full_scans) == (1, 1)
+    assert len(rows) == 20 and rows[0]["unit_score"] >= rows[-1]["unit_score"]
+    db.close()
 
 
 # ----------------------------------------------------------------------
@@ -741,7 +1024,7 @@ class TestSessionPersistence:
             out = session2.sql(topk)
             got = [(r["uid"], r["hid"], r["unit_score"]) for r in out.rows()]
             assert got == expect
-            if clean:  # NaN-free scores → answered from the B-tree
+            if clean:  # NaN-free scores → answered from the index
                 assert session2.db.index_scans >= 1
 
     def test_env_var_places_db_under_path(self, tmp_path, monkeypatch):

@@ -545,7 +545,7 @@ class TestGroupCommit:
     def fsyncs(self, monkeypatch, tmp_path):
         """Number of ``os.fsync`` calls so far, forked pool workers'
         included (each call also appends a byte to a log file)."""
-        monkeypatch.delenv("REPRO_DB_PATH", raising=False)  # no paged db
+        monkeypatch.delenv("REPRO_DB_PATH", raising=False)  # no persistent db
         log = tmp_path / "fsync.log"
         log.touch()
         real = os.fsync
