@@ -16,9 +16,10 @@ prints ms per statement both ways plus the top cumulative rows under
 (the cumulative time of the function each layer hangs from, plus the
 unattributed rest), so a before/after reads without eyeballing 40 rows.
 cProfile taxes Python calls, not numpy's inner loops, and sees the calling
-thread only (a prefetched sweep, or score tasks fanned over a pool, show as
-waiting): read the rows as proportions, take timings from
-``benchmarks/e2e``.
+thread only: under a pool the ``unit block`` row is that thread's wait on
+the block's pair futures, and score tasks fanned over the pool show as
+waiting under ``everything else``.  Read the rows as proportions, take
+timings from ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -36,15 +37,20 @@ from .e2e import inputs, spec
 from .e2e.spans import SpanRecorder
 
 
-#: lifecycle layer -> (file, function) whose cumulative time is the layer's
-_LAYERS = (("parse", "sqlparser.py", "parse_sql"),
-           ("compile + catalog join", "inspect_clause.py", "_compile_inspect"),
-           ("plan build", "pipeline.py", "build"),
-           ("hypothesis block", "pipeline.py", "hypothesis_block"),
-           ("unit block", "pipeline.py", "unit_blocks"),
-           ("scoring", "pipeline.py", "process"),
-           ("store commit", "disk.py", "flush"),
-           ("assemble + select", "inspect_clause.py", "assemble"))
+#: lifecycle layer -> file and the functions (none nested in another)
+#: whose cumulative times add up to the layer's.  A block's unit sweep is
+#: one future per (model, raw sweep) pair: an inline scheduler runs them
+#: inside ``submit_sweeps``; under a pool the calling thread's share is its
+#: wait in ``gather_sweeps``.
+_LAYERS = (("parse", "sqlparser.py", ("parse_sql",)),
+           ("compile + catalog join", "inspect_clause.py",
+            ("_compile_inspect",)),
+           ("plan build", "pipeline.py", ("build",)),
+           ("hypothesis block", "pipeline.py", ("hypothesis_block",)),
+           ("unit block", "pipeline.py", ("submit_sweeps", "gather_sweeps")),
+           ("scoring", "pipeline.py", ("process",)),
+           ("store commit", "disk.py", ("flush",)),
+           ("assemble + select", "inspect_clause.py", ("assemble",)))
 
 
 def _rollup(stats: dict, per: float) -> None:
@@ -59,8 +65,8 @@ def _rollup(stats: dict, per: float) -> None:
     whole = cum.get(("session.py", "sql"), 0.0) * per
     rest = whole
     print("   cum ms  layer (per statement)")
-    for layer, file, name in _LAYERS:
-        ms = cum.get((file, name), 0.0) * per
+    for layer, file, names in _LAYERS:
+        ms = sum(cum.get((file, name), 0.0) for name in names) * per
         rest -= ms
         print(f"{ms:9.3f}  {layer}")
     print(f"{rest:9.3f}  everything else\n{whole:9.3f}  whole statement")

@@ -20,7 +20,9 @@ implements per-record ``behavior`` or overrides ``extract`` with a block
 kernel, and a block kernel is only trusted against a per-record
 reference: every such subclass under ``src/`` must be named in the
 ``KERNEL_CLASSES`` table of ``tests/test_hypothesis_kernels.py``, the
-differential oracle.  (Files outside ``src/`` opt in with
+differential oracle — and every class that defines the family kernel
+``extract_block(self, members, ...)`` (siblings labelled in one pass) in
+its ``FAMILY_CLASSES`` table.  (Files outside ``src/`` opt in with
 ``# analysis-scope: hypothesis-kernels``.)
 """
 
@@ -36,9 +38,10 @@ from repro.analysis.registry import register
 _DERIVED = ("extract", "raw_rows", "finalize_rows", "raw_key")
 
 
-#: the differential oracle and the class table it keeps
+#: the differential oracle and the class tables it keeps
 ORACLE_TEST = Path("tests") / "test_hypothesis_kernels.py"
 ORACLE_TABLE = "KERNEL_CLASSES"
+FAMILY_TABLE = "FAMILY_CLASSES"
 
 
 def _is_subclass_of(cls: ast.ClassDef, base_name: str) -> bool:
@@ -46,8 +49,8 @@ def _is_subclass_of(cls: ast.ClassDef, base_name: str) -> bool:
                for base in cls.bases)
 
 
-def _oracle_classes(path: Path) -> set[str] | None:
-    """Names in the oracle's class table, read from the nearest ancestor
+def _oracle_classes(path: Path, table: str) -> set[str] | None:
+    """Names in the oracle's class ``table``, read from the nearest ancestor
     of ``path`` that holds the oracle; None when there is no oracle."""
     for parent in path.resolve().parents:
         oracle = parent / ORACLE_TEST
@@ -56,7 +59,7 @@ def _oracle_classes(path: Path) -> set[str] | None:
         names: set[str] = set()
         for node in ast.parse(oracle.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.Assign) and any(
-                    dotted_name(t) == ORACLE_TABLE for t in node.targets):
+                    dotted_name(t) == table for t in node.targets):
                 names.update(last_part(dotted_name(ref))
                              for ref in ast.walk(node.value)
                              if isinstance(ref, (ast.Name, ast.Attribute)))
@@ -116,21 +119,26 @@ class ExtractorProtocolChecker(Checker):
         """Hypothesis block kernels the differential oracle does not list."""
         if not ctx.in_scope("src/", "hypothesis-kernels"):
             return
-        kernels = [(cls, fn) for cls in classes(ctx.tree)
+        kernels = [(cls, fn, ORACLE_TABLE,
+                    "overrides extract() with a block kernel")
+                   for cls in classes(ctx.tree)
                    if _is_subclass_of(cls, "HypothesisFunction")
                    for fn in methods(cls) if fn.name == "extract"]
-        if not kernels:
-            return
-        listed = _oracle_classes(ctx.path)
-        for cls, fn in kernels:
+        kernels += [(cls, fn, FAMILY_TABLE,
+                     "defines the family kernel extract_block()")
+                    for cls in classes(ctx.tree) for fn in methods(cls)
+                    if fn.name == "extract_block"
+                    and [a.arg for a in fn.args.args[1:2]] == ["members"]]
+        tables = {table: _oracle_classes(ctx.path, table)
+                  for table in {table for _, _, table, _ in kernels}}
+        for cls, fn, table, what in kernels:
+            listed = tables[table]
             if listed is not None and cls.name in listed:
                 continue
-            where = (f"missing from {ORACLE_TABLE} in {ORACLE_TEST}"
+            where = (f"missing from {table} in {ORACLE_TEST}"
                      if listed is not None
                      else f"and no {ORACLE_TEST} was found above it")
             yield self.finding(
-                ctx, fn,
-                f"{cls.name} overrides extract() with a block kernel "
-                f"but is {where}",
+                ctx, fn, f"{cls.name} {what} but is {where}",
                 hint=f"keep the per-record body as the reference in "
-                     f"{ORACLE_TEST} and add the class to {ORACLE_TABLE}")
+                     f"{ORACLE_TEST} and add the class to {table}")

@@ -14,8 +14,11 @@ across inspection runs:
   (:meth:`HypothesisCache.extract_block`): from a column slice when the
   request is an ascending run of the arena's columns, plus one ``take``
   when it is a scattered subset or a permutation.  Reads are owned arrays,
-  never views into the arena; a block's freshly extracted columns commit
-  as one stacked write; the LRU and the byte budget work on columns.
+  never views into the arena; cold cells are evaluated in the block being
+  returned (:func:`repro.hypotheses.base.extract_columns`: one call per
+  set of columns missing the same records, a family's members in one pass)
+  and commit as one stacked write; the LRU and the byte budget work on
+  columns.
 * :class:`UnitBehaviorCache` — the model is fixed while hypotheses, measures
   or thresholds change (interactive debugging).  Entries hold the **raw**
   (untransformed, full-width) activations keyed by (model parameter
@@ -55,7 +58,7 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.extract.base import Extractor
-from repro.hypotheses.base import HypothesisFunction
+from repro.hypotheses.base import HypothesisFunction, extract_columns
 from repro.store import DiskBehaviorStore
 from repro.util.debuglog import degraded
 
@@ -592,51 +595,55 @@ class HypothesisCache(_ByteBoundedLRU):
             block = arena.gather(indices, cols)
         if n_hit == have.size:
             return block
-        # cold cells: fill the caller's block outside the lock, then commit
-        # columns missing the same records with one stacked write
+        # cold cells are filled in the caller's block outside the lock: the
+        # disk tier per column, then one evaluation per set of columns
+        # still missing the same records; nothing is written through or
+        # committed until every one of them has succeeded
         cells = block.reshape(n, ns, k)
-        together: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         cold = np.flatnonzero(~have.all(axis=1))
-        readers = (self.store.readers(columns[j].store_key() for j in cold)
-                   if self.store is not None else [None] * cold.shape[0])
-        for j, reader in zip(cold, readers):
-            at = np.flatnonzero(~have[j])
-            cells[at, :, j] = self._cold_rows(hypotheses[j], columns[j],
-                                              dataset, indices[at], reader)
-            together.setdefault(have[j].tobytes(), (at, []))[1].append(j)
+        absent = ~have[cold]
+        if self.store is not None:
+            readers = self.store.readers(columns[j].store_key() for j in cold)
+            for row, j, reader in zip(absent, cold, readers):
+                at = np.flatnonzero(row)
+                served, rows = self._read_store(reader, indices[at],
+                                                row_width=ns)
+                if rows is not None:
+                    cells[at[served], :, j] = rows
+                    row[at[served]] = False
+        extracted = [(at, js) for at, js in _same_records(absent, cold)
+                     if at.shape[0]]
+        for at, js in extracted:
+            whole = at.shape[0] == n and len(js) == k
+            fresh = extract_columns([hypotheses[j] for j in js], dataset,
+                                    indices[at], out=cells if whole else None)
+            if not whole:
+                cells[at[:, None], :, js] = fresh.transpose(0, 2, 1)
+        if self.store is not None:
+            for at, js in extracted:
+                for j in js:
+                    self.store.append(columns[j].store_key(), indices[at],
+                                      cells[at, :, j], dataset.n_records)
         with self._lock:
+            self.extractions += sum(len(js) for _, js in extracted)
             # resolved again: a concurrent insert may have recycled columns
             arena, _, cols = self._columns(dataset, keys)
-            for at, js in together.values():
+            for at, js in _same_records(~have[cold], cold):
                 values = cells if at.shape[0] == n else cells[at]
                 if len(js) < k:
                     values = values[:, :, js]
                 arena.scatter(indices[at], cols[js], values)
         return block
 
-    def _cold_rows(self, hypothesis: HypothesisFunction, column: _Column,
-                   dataset: Dataset, records: np.ndarray,
-                   reader) -> np.ndarray:
-        """Rows the memory tier lacks: the disk tier (``reader``) first,
-        then one ``hypothesis.extract`` over the rest, written through."""
-        rows = np.empty((records.shape[0], dataset.n_symbols))
-        cold = np.ones(records.shape[0], dtype=bool)
-        if self.store is not None:
-            have, served = self._read_store(reader, records,
-                                            row_width=dataset.n_symbols)
-            if served is not None:
-                rows[have] = served
-                cold = ~have
-        if cold.any():
-            missing = records[cold]
-            fresh = np.asarray(hypothesis.extract(dataset, missing))
-            with self._lock:
-                self.extractions += 1
-            rows[cold] = fresh
-            if self.store is not None:
-                self.store.append(column.store_key(), missing, fresh,
-                                  dataset.n_records)
-        return rows
+
+def _same_records(masks: np.ndarray, js: np.ndarray) -> list:
+    """Columns ``js`` grouped by equal rows of ``masks``: one ``(positions
+    the row marks, its columns)`` pair per distinct row."""
+    together: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for mask, j in zip(masks, js.tolist()):
+        together.setdefault(mask.tobytes(),
+                            (np.flatnonzero(mask), []))[1].append(j)
+    return list(together.values())
 
 
 class _UnitEntry:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import multiprocessing
 import os
 import shutil
@@ -471,6 +472,27 @@ def _extract_hypotheses(hypotheses: list[HypothesisFunction],
     return block, cache.block_moments(hypotheses, dataset, indices, block)
 
 
+def _drain(futures: list[Future]) -> None:
+    """Cancel what has not started and wait for what has, dropping errors:
+    whoever wanted the results has already failed or gone."""
+    for future in futures:
+        if not future.cancel():
+            future.exception()
+
+
+def gather_sweeps(futures: list[Future]) -> dict[int, np.ndarray]:
+    """The merged ``{gi: block}`` of a block's pair futures; none of them
+    is still running when this returns *or raises* (see
+    :meth:`InspectionPlan._run_blocks`)."""
+    merged: dict[int, np.ndarray] = {}
+    try:
+        for future in futures:
+            merged.update(future.result())
+    finally:
+        _drain(futures)
+    return merged
+
+
 class BehaviorSource:
     """Serves aligned behavior blocks for record positions in ``order``.
 
@@ -594,7 +616,7 @@ class BehaviorSource:
         one forward-sweep shard — extractors differing only in transform,
         layer view or unit subset fuse under one key — and carries the
         ``(gi, group)`` members it serves.  Both the in-process execution
-        path (:meth:`_extract_unit_blocks`) and the shard-task builder
+        path (:meth:`submit_sweeps`) and the shard-task builder
         (:class:`repro.core.shard.ShardExchange`) partition work on it,
         so they can never disagree about what one sweep covers.
         """
@@ -608,17 +630,16 @@ class BehaviorSource:
                                []).append((gi, group))
         return by_pair
 
-    def _extract_unit_blocks(self, groups: list[tuple[int, UnitGroup]],
-                             indices: np.ndarray,
-                             scheduler: Scheduler) -> dict[int, np.ndarray]:
-        by_pair = self.extraction_pairs(groups)
-        results = scheduler.map(
-            lambda members: self._extract_units_for_pair(members, indices),
-            list(by_pair.values()))
-        merged: dict[int, np.ndarray] = {}
-        for chunk in results:
-            merged.update(chunk)
-        return merged
+    def submit_sweeps(self, groups: list[tuple[int, UnitGroup]],
+                      indices: np.ndarray,
+                      scheduler: Scheduler) -> list[Future]:
+        """One future per extraction pair of ``groups``, each resolving to
+        its members' ``{gi: block}`` (:func:`gather_sweeps` merges them).
+        Submitted from the calling thread, never from inside a worker: an
+        overlapping scheduler spreads the pairs over every worker it has."""
+        return [scheduler.submit(functools.partial(
+                    self._extract_units_for_pair, members, indices))
+                for members in self.extraction_pairs(groups).values()]
 
     # -- executor interface --------------------------------------------
     def prepare(self, scheduler: Scheduler, watch: Stopwatch) -> None:
@@ -628,8 +649,8 @@ class BehaviorSource:
             self._h_all, _ = _extract_hypotheses(
                 self.hypotheses, self.dataset, self.order, self.config.cache)
         with watch.charge("unit_extraction"):
-            self._u_all = self._extract_unit_blocks(
-                list(enumerate(self.groups)), self.order, scheduler)
+            self._u_all = gather_sweeps(self.submit_sweeps(
+                list(enumerate(self.groups)), self.order, scheduler))
 
     def hypothesis_block(self, sl: slice, watch: Stopwatch,
                          columns: np.ndarray | None = None) -> tuple:
@@ -660,8 +681,8 @@ class BehaviorSource:
             return {gi: self._u_all[gi][sl.start * ns:sl.stop * ns]
                     for gi, _ in groups}
         with watch.charge("unit_extraction"):
-            return self._extract_unit_blocks(groups, self.order[sl],
-                                             scheduler)
+            return gather_sweeps(
+                self.submit_sweeps(groups, self.order[sl], scheduler))
 
     def describe(self) -> str:
         parts = [f"materialize={self.materialize}",
@@ -1016,14 +1037,17 @@ class InspectionPlan:
         """The per-block loop, double-buffered on overlapping schedulers.
 
         With ``config.prefetch`` on and a scheduler whose :meth:`Scheduler
-        .submit` runs concurrently, a block's raw unit sweep runs in the
-        background.  ``prefetch_ahead`` (a run that drains itself,
-        :meth:`execute`) submits block t+1's sweep before block t's scoring
-        starts, so extraction BLAS and measure BLAS overlap.  A streamed
-        run submits a block's sweep only once its consumer has asked for
-        that block, overlapping it with the block's hypothesis extraction:
-        a stream abandoned after block t has swept exactly t blocks.
-        Invariants:
+        .submit` runs concurrently, a block's raw unit sweep is one future
+        per extraction pair (:meth:`BehaviorSource.submit_sweeps`),
+        submitted before the block's hypothesis extraction, so every worker
+        sweeps while the calling thread labels.  ``prefetch_ahead`` (a run
+        that drains itself, :meth:`execute`) also submits block t+1's pairs
+        as block t scores — *behind* block t's score tasks in the FIFO
+        pool: queued ahead of them, the sweeps would hold scoring, and with
+        it the calling thread's next hypothesis block, until no sweep was
+        left to overlap that with.  A streamed run submits a block's pairs
+        only once its consumer has asked for the block: a stream abandoned
+        after block t has swept exactly t blocks x pairs.  Invariants:
 
         * **Frames are bit-identical** to serial execution: block order,
           per-block record slices and the per-group behavior values are
@@ -1032,21 +1056,23 @@ class InspectionPlan:
           pending set shrinks monotonically), and each group's block is
           independent of which other groups share the extraction call.
         * **Counters are exact** while every prefetched block is consumed:
-          the consumed future *is* the block's extraction (the loop does
+          the consumed futures *are* the block's extraction (the loop does
           not re-probe the caches), so cache hit/miss/extraction and model
           forward counts match serial execution.  Only a ``prefetch_ahead``
           run whose tasks all converge exactly at a block boundary pays
-          one speculative sweep serial execution would have skipped — the
-          same surplus the process scheduler's up-front shard dispatch
-          already accepts.
+          one speculative block of pair sweeps serial execution would have
+          skipped — the same surplus the process scheduler's up-front
+          shard dispatch already accepts.
+        * **No future outlives the run**, however it ends: a sweep may
+          write through the caches, so it finishes (or is cancelled unrun)
+          inside the run's store scope.
         * Shard-exchange runs keep their own overlap (``exchange`` already
           dispatched all cold work to worker processes), and materialized
           runs extracted everything in :meth:`BehaviorSource.prepare`, so
           both leave prefetch off.
 
-        The background sweep runs with a serial scheduler (no nested pool
-        fan-out from inside a worker) and a throwaway stopwatch; the main
-        thread charges only its await-stall to ``unit_extraction``.
+        The main thread charges only its wait on the futures to
+        ``unit_extraction``.
         """
         self.source.prepare(scheduler, watch)
         slices = list(self.source.block_slices())
@@ -1054,12 +1080,8 @@ class InspectionPlan:
                         and scheduler.supports_prefetch
                         and not self.source.materialize
                         and exchange is None)
-
-        def sweep_in_background(sl, items) -> Future:
-            return scheduler.submit(lambda: self.source.unit_blocks(
-                sl, items, SerialScheduler(), Stopwatch()))
-
-        prefetched: Future | None = None    # the next block to consume
+        sweeps: list[Future] | None = None  # of the next block to consume
+        scored: list[Future] = []
         try:
             for bi, sl in enumerate(slices):
                 pending = [t for t in self.tasks if not t.done]
@@ -1071,9 +1093,10 @@ class InspectionPlan:
                 for task in pending:
                     needed.setdefault(task.gi, task.group)
                 needed_items = sorted(needed.items())
-                if use_prefetch and not prefetch_ahead:
-                    # streamed: the consumer has just asked for this block
-                    prefetched = sweep_in_background(sl, needed_items)
+                if use_prefetch and sweeps is None:
+                    # the first block, or a consumer asking for this one
+                    sweeps = self.source.submit_sweeps(
+                        needed_items, self.source.order[sl], scheduler)
                 # hypothesis columns frozen in *every* pending task need no
                 # further extraction (streaming only; materialized already
                 # paid)
@@ -1087,16 +1110,13 @@ class InspectionPlan:
                 h_block, h_moments = self.source.hypothesis_block(
                     sl, watch, columns=cols_union)
 
-                if prefetched is not None:
-                    future, prefetched = prefetched, None
+                if sweeps is not None:
                     with watch.charge("unit_extraction"):
-                        u_blocks = future.result()
+                        u_blocks = gather_sweeps(sweeps)
+                    sweeps = None
                 else:
                     u_blocks = self.source.unit_blocks(
                         sl, needed_items, scheduler, watch)
-                if use_prefetch and prefetch_ahead and bi + 1 < len(slices):
-                    prefetched = sweep_in_background(slices[bi + 1],
-                                                     needed_items)
                 n_records = sl.stop - sl.start
 
                 def score(task):
@@ -1113,12 +1133,18 @@ class InspectionPlan:
                                      n_records)
 
                 with watch.charge("inspection"):
-                    scheduler.map(score, pending)
+                    if use_prefetch and prefetch_ahead \
+                            and bi + 1 < len(slices):
+                        scored = [scheduler.submit(
+                            functools.partial(score, task))
+                            for task in pending]
+                        sweeps = self.source.submit_sweeps(
+                            needed_items, self.source.order[slices[bi + 1]],
+                            scheduler)
+                        for future in scored:
+                            future.result()
+                    else:
+                        scheduler.map(score, pending)
                 yield sl
         finally:
-            if prefetched is not None:
-                # a sweep already in flight must finish before the run's
-                # store scope closes (it may write through the caches);
-                # swallow its error — nobody consumes the result
-                if not prefetched.cancel():
-                    prefetched.exception()
+            _drain(scored + (sweeps or []))

@@ -47,10 +47,14 @@ import numpy as np
 
 from repro.core.cache import (HypothesisCache, hyp_store_key,
                               model_fingerprint, unit_store_key)
+from repro.hypotheses.base import extract_columns
 from repro.store.disk import SHARD_DIR, write_segment
 from repro.store.segment import CorruptEntryError
 from repro.util.debuglog import degraded
 from repro.util.timing import Stopwatch
+
+#: hypothesis columns a worker evaluates (and holds) at once, in bytes
+_HYP_PANEL_BYTES = 16 * 1024 * 1024
 
 #: per-worker-process sequence for segment file names
 _WORKER_SEQ = itertools.count()
@@ -214,13 +218,28 @@ def _run_hyp_task(task: ShardTask) -> dict:
         dataset = pickle.loads(task.dataset_blob)
         _WORKER_OBJECTS[ds_key] = dataset
     hypotheses = pickle.loads(task.hypotheses_blob)
-    # a generator: each column is written, then released, before the next
-    entries = ((store_key, indices,
-                np.asarray(hypothesis.extract(dataset, indices)))
-               for (store_key, indices), hypothesis
-               in zip(task.items, hypotheses))
-    return {"descriptors": _write_task_segment(task, entries),
+    return {"descriptors": _write_task_segment(
+                task, _hyp_entries(task.items, hypotheses, dataset)),
             "extractions": len(task.items), "forward_sweeps": 0}
+
+
+def _hyp_entries(items: list, hypotheses: list, dataset):
+    """A bundle's ``(store key, record ids, rows)``, evaluated a panel at a
+    time — neighbours missing the same records, ``_HYP_PANEL_BYTES`` of
+    float64 columns at most.  A generator: a panel is written, then
+    released, before the next, so a worker never holds the whole bundle."""
+    paired = zip(items, hypotheses)
+    for _, run in itertools.groupby(paired, key=lambda e: e[0][1].tobytes()):
+        run = list(run)
+        indices = run[0][0][1]
+        width = max(1, _HYP_PANEL_BYTES
+                    // max(1, 8 * indices.shape[0] * dataset.n_symbols))
+        for start in range(0, len(run), width):
+            panel = run[start:start + width]
+            block = extract_columns([hyp for _, hyp in panel], dataset,
+                                    indices)
+            for j, ((store_key, _), _) in enumerate(panel):
+                yield store_key, indices, block[:, :, j]
 
 
 # ----------------------------------------------------------------------

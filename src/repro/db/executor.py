@@ -372,6 +372,38 @@ def _execute_columnar(db: Database, bound: BoundSelect) -> list[Row]:
     return select_columnar(cols, n, bound.query, presorted=ordered)
 
 
+def select_columns(cols: dict[str, np.ndarray], n: int, query: SelectQuery,
+                   presorted: bool = False) -> tuple[dict[str, list], bool]:
+    """The projection of :func:`select_columnar` (a query that neither
+    groups nor aggregates): ``query.items`` over the relation as ``{alias:
+    values}`` lists, the hidden ORDER BY key among them, and whether they
+    sit in final ORDER BY + LIMIT order — then, HAVING apart, no row-level
+    stage is left and a caller that wants columns need not build rows."""
+    out = {it.alias: _broadcast(it.expr.eval_batch(cols), n)
+           for it in query.items}
+    # ORDER BY + LIMIT push down into the columnar path: sort the column
+    # arrays and slice before materializing dict rows, so a LIMIT k query
+    # builds k rows instead of n.  HAVING (applied to projected rows in
+    # _finalize) must run first, so the push-down is skipped when present.
+    if not presorted and query.having is None:
+        if query.order_by is None:
+            order = slice(query.limit)
+        else:
+            key_array = out[query.order_by]
+            order = None
+            if query.limit is not None:
+                order = topk_indices(key_array, query.limit,
+                                     query.descending)
+            if order is None:
+                order = sort_indices(key_array, query.descending)
+                if order is not None and query.limit is not None:
+                    order = order[:query.limit]
+        if order is not None:
+            out = {alias: a[order] for alias, a in out.items()}
+            presorted = True
+    return {alias: a.tolist() for alias, a in out.items()}, presorted
+
+
 def select_columnar(cols: dict[str, np.ndarray], n: int,
                     query: SelectQuery, presorted: bool = False) -> list[Row]:
     """The select stage over ``n`` rows of a bound relation.
@@ -383,31 +415,8 @@ def select_columnar(cols: dict[str, np.ndarray], n: int,
     """
     if query.group_by or _has_aggregates(query):
         return _finalize(_group_aggregate_columnar(cols, n, query), query)
-
-    aliases = [it.alias for it in query.items]
-    out_arrays = [_broadcast(it.expr.eval_batch(cols), n)
-                  for it in query.items]
-
-    # ORDER BY + LIMIT push down into the columnar path: sort the column
-    # arrays and slice before materializing dict rows, so a LIMIT k query
-    # builds k rows instead of n.  HAVING (applied to projected rows in
-    # _finalize) must run first, so the push-down is skipped when present.
-    if not presorted and query.order_by is not None \
-            and query.having is None:
-        key_array = out_arrays[aliases.index(query.order_by)]
-        order = None
-        if query.limit is not None:
-            order = topk_indices(key_array, query.limit, query.descending)
-        if order is None:
-            order = sort_indices(key_array, query.descending)
-            if order is not None and query.limit is not None:
-                order = order[:query.limit]
-        if order is not None:
-            out_arrays = [a[order] for a in out_arrays]
-            presorted = True
-
-    out_lists = [a.tolist() for a in out_arrays]
-    rows = [dict(zip(aliases, vals)) for vals in zip(*out_lists)]
+    out, presorted = select_columns(cols, n, query, presorted)
+    rows = [dict(zip(out, vals)) for vals in zip(*out.values())]
     return _finalize(rows, query, skip_order=presorted)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.hypotheses.base import HypothesisFunction
+from repro.hypotheses.base import HypothesisFunction, extract_columns
 from repro.util.identity import attr_identity as _attr_identity
 
 #: behavior transforms (Section 3: DeepBase is agnostic to the behavior
@@ -243,12 +243,9 @@ class HypothesisExtractor:
 
     def extract(self, dataset: Dataset,
                 indices: np.ndarray | list[int] | None = None) -> np.ndarray:
-        if indices is None:
-            indices = np.arange(dataset.n_records)
-        columns = [h.extract(dataset, indices).reshape(-1)
-                   for h in self.hypotheses]
-        return np.stack(columns, axis=1) if columns else np.empty(
-            (len(indices) * dataset.n_symbols, 0))
+        block = extract_columns(self.hypotheses, dataset, indices)
+        n, ns, k = block.shape
+        return block.reshape(n * ns, k)
 
     @property
     def names(self) -> list[str]:

@@ -57,6 +57,47 @@ def block_indices(dataset: Dataset,
     return np.asarray(indices, dtype=np.intp)
 
 
+def extract_columns(hypotheses: list, dataset: Dataset,
+                    indices: np.ndarray | list[int] | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The ``(n, ns, k)`` float64 block whose column ``j`` is
+    ``hypotheses[j].extract(dataset, indices)``, written into ``out`` when
+    given — the one place the engine evaluates hypotheses.
+
+    Hypotheses exposing the same ``family`` object are answered together,
+    by one ``family.extract_block(members, dataset, indices)`` returning a
+    numeric ``(n, ns, len(members))`` array, columns in member order; a
+    hypothesis without the attribute by its own ``extract``.
+    """
+    indices = block_indices(dataset, indices)
+    n, ns = indices.shape[0], dataset.n_symbols
+    if out is None:
+        out = np.empty((n, ns, len(hypotheses)))
+    families: dict[int, tuple[object, list[int]]] = {}
+    for j, hypothesis in enumerate(hypotheses):
+        family = getattr(hypothesis, "family", None)
+        if family is None:
+            out[:, :, j] = hypothesis.extract(dataset, indices)
+        else:
+            families.setdefault(id(family), (family, []))[1].append(j)
+    for family, js in families.values():
+        members = [hypotheses[j] for j in js]
+        try:
+            block = np.asarray(family.extract_block(members, dataset, indices))
+            if block.shape != (n, ns, len(js)) \
+                    or not np.issubdtype(block.dtype, np.number):
+                raise ValueError(f"it returned a {block.dtype} {block.shape} "
+                                 f"block, not numeric {(n, ns, len(js))}")
+        except Exception as exc:
+            raise ValueError(
+                f"hypothesis family {type(family).__name__} failed on "
+                f"{[member.name for member in members]}: {exc}") from exc
+        # members declared together sit side by side: a slice, not a scatter
+        run = slice(js[0], js[-1] + 1)
+        out[:, :, run if run.stop - run.start == len(js) else js] = block
+    return out
+
+
 def symbol_kernel(label):
     """Make ``label(self, symbols, vocab)`` a hypothesis's ``extract``.
 

@@ -20,13 +20,14 @@ retains derivation trees from sampling, the provider reuses them instead of
 parsing (``mode="derivation"``), which is the cached-hypothesis setting of
 Figure 9.
 
-A :class:`ParseTreeHypothesis` renders its spans into one zero-padded
-(sources x longest source) label table, one row per source on first touch,
-and answers a block of windowed records with a single gather over the
-dataset's ``(source_id, offset)`` columns.  Span index and label tables are
-derived state: private, filled lazily (whole rows at a time, so concurrent
-readers never see a half-built one), left out of pickles and rebuilt on
-demand.
+The hypotheses cut from one provider are a **family**
+(:func:`repro.hypotheses.base.extract_columns`): the provider labels all of
+them over a block of windowed records in one pass
+(:meth:`ParseProvider.extract_block` — one label table, one gather over the
+dataset's ``(source_id, offset)`` columns), and a single hypothesis is the
+one-member call.  The table lives for that call; only the span index is
+kept: private, filled lazily under a lock, left out of pickles and rebuilt
+on demand.
 """
 
 from __future__ import annotations
@@ -40,11 +41,13 @@ from repro.grammar.cfg import Grammar
 from repro.grammar.earley import EarleyParser
 from repro.grammar.tree import ParseNode
 from repro.hypotheses.base import (HypothesisFunction, block_indices,
-                                   validate_hypothesis_block)
+                                   extract_columns)
 from repro.util.identity import attr_identity
 
 #: start symbols span the whole string and would yield always-on hypotheses
 _SKIP_NODE_TYPES = {"query", "r0"}
+
+ENCODINGS = ("time", "signal", "depth")
 
 
 class ParseProvider:
@@ -153,6 +156,71 @@ class ParseProvider:
             self._spans.clear()
             self.parse_count = 0
 
+    def extract_block(self, members: list["ParseTreeHypothesis"],
+                      dataset: Dataset,
+                      indices: np.ndarray | list[int] | None = None
+                      ) -> np.ndarray:
+        """Labels of every member over a block of windowed records:
+        ``(n, ns, len(members))``, uint8 (int32 when a member counts depth).
+
+        The family kernel behind :func:`repro.hypotheses.base
+        .extract_columns`: one block-local label table — touched sources x
+        (longest touched source + 1) x distinct (rule, encoding) pairs —
+        is rendered from the span index, and one gather over the dataset's
+        ``(source_id, offset)`` columns answers every member.  The table's
+        extra last column stays zero and is where out-of-source window
+        positions are read.
+        """
+        indices = block_indices(dataset, indices)
+        source_ids, offsets = dataset.window_columns()
+        touched, rows = np.unique(source_ids[indices], return_inverse=True)
+        touched = touched.tolist()
+        pairs = [(m.rule, m.encoding) for m in members]
+        distinct = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
+        rules = {rule: i for i, rule in enumerate(
+            dict.fromkeys(rule for rule, _ in distinct))}
+        # (encoding, rule) -> table column; -1 where no member asks
+        column = np.full((len(ENCODINGS), len(rules)), -1)
+        for (rule, encoding), j in distinct.items():
+            column[ENCODINGS.index(encoding), rules[rule]] = j
+        # every span of those rules in the touched sources, flat: span s
+        # lies in table row ``src[s]`` and, as a time / signal / depth
+        # label, in table column ``time[s]`` / ``signal[s]`` / ``depth[s]``
+        found = [index.get(rule, _NO_SPANS)
+                 for index in map(self.spans_for, touched) for rule in rules]
+        src, rule = np.divmod(
+            np.repeat(np.arange(len(found)), [len(sp) for sp in found]),
+            len(rules))
+        starts, ends = np.concatenate([_NO_SPANS, *found]).T
+        time, signal, depth = column[:, rule]
+        width = max((len(self.sources[sid]) for sid in touched),
+                    default=0) + 1
+        table = np.zeros((len(touched), width, len(distinct)), np.int32)
+        for cols in (time, depth):
+            # a difference array per (source, column): ends never exceed
+            # the source length, so the last column nets out to zero again
+            at = np.flatnonzero(cols >= 0)
+            np.add.at(table, (src[at], starts[at], cols[at]), 1)
+            np.add.at(table, (src[at], ends[at], cols[at]), -1)
+        np.cumsum(table, axis=1, out=table)
+        at = np.flatnonzero(signal >= 0)
+        table[src[at], starts[at], signal[at]] = 1
+        table[src[at], ends[at] - 1, signal[at]] = 1
+        flags, _, counts = column
+        if (counts < 0).all():
+            table = (table > 0).view(np.uint8)      # every label is 0 or 1
+        else:
+            flags = flags[flags >= 0]
+            table[:, :, flags] = table[:, :, flags] > 0
+        # window position -> source position; -1 and ``last`` both land on
+        # the zero column, positions past a shorter source on its padding
+        positions = offsets[indices][:, None] + np.arange(dataset.n_symbols)
+        np.clip(positions, -1, width - 1, out=positions)
+        block = table[rows[:, None], positions]
+        if len(distinct) < len(pairs):
+            block = block[:, :, [distinct[pair] for pair in pairs]]
+        return block
+
 
 _NO_SPANS = np.empty((0, 2), dtype=np.int64)
 
@@ -161,77 +229,21 @@ class ParseTreeHypothesis(HypothesisFunction):
     """One (rule, encoding) pair evaluated over windowed records."""
 
     def __init__(self, rule: str, encoding: str, provider: ParseProvider):
-        if encoding not in ("time", "signal", "depth"):
+        if encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {encoding!r}")
         super().__init__(f"{encoding}:{rule}")
         self.rule = rule
         self.encoding = encoding
         self.provider = provider
-        self._init_derived()
 
-    def _init_derived(self) -> None:
-        # per-character labels, one row per source; the extra last column
-        # stays zero and is where out-of-source window positions are read
-        width = max(map(len, self.provider.sources), default=0) + 1
-        self._labels = np.zeros(
-            (len(self.provider.sources), width),
-            dtype=np.int32 if self.encoding == "depth" else np.uint8)
-        self._filled = np.zeros(len(self.provider.sources), dtype=bool)
-
-    def __getstate__(self) -> dict:
-        state = dict(vars(self))
-        del state["_labels"], state["_filled"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self._init_derived()
-
-    # ------------------------------------------------------------------
-    def _fill(self, source_ids: np.ndarray) -> None:
-        """Render the label rows of ``source_ids`` from the span index.
-
-        Rows are computed aside and assigned whole before they are marked
-        filled, so a concurrent fill writes the same values and a
-        concurrent gather never reads a partial row.
-        """
-        found = [self.provider.spans_for(int(sid)).get(self.rule, _NO_SPANS)
-                 for sid in source_ids]
-        spans = np.concatenate(found)
-        rows = np.repeat(np.arange(len(found)), [len(sp) for sp in found])
-        starts, ends = spans[:, 0], spans[:, 1]
-        block = np.zeros((len(found), self._labels.shape[1]), dtype=np.int32)
-        if self.encoding == "signal":
-            block[rows, starts] = 1
-            block[rows, ends - 1] = 1
-        else:
-            # difference array per row: ends never exceed the source
-            # length, so the last column nets out to zero again
-            np.add.at(block, (rows, starts), 1)
-            np.add.at(block, (rows, ends), -1)
-            np.cumsum(block, axis=1, out=block)
-            if self.encoding == "time":
-                block = block > 0
-        self._labels[source_ids] = block
-        self._filled[source_ids] = True
+    @property
+    def family(self) -> ParseProvider:
+        """Siblings cut from one provider are labelled in one pass."""
+        return self.provider
 
     def extract(self, dataset: Dataset,
                 indices: np.ndarray | list[int] | None = None) -> np.ndarray:
-        indices = block_indices(dataset, indices)
-        source_ids, offsets = dataset.window_columns()
-        source_ids, offsets = source_ids[indices], offsets[indices]
-        touched = np.unique(source_ids)
-        missing = touched[~self._filled[touched]]
-        if missing.shape[0]:
-            self._fill(missing)
-        # window position -> source position; -1 and ``last`` both land on
-        # the zero column, positions past a shorter source on its padding
-        last = self._labels.shape[1] - 1
-        positions = offsets[:, None] + np.arange(dataset.n_symbols)
-        np.clip(positions, -1, last, out=positions)
-        return validate_hypothesis_block(
-            self.name, self._labels[source_ids[:, None], positions],
-            indices.shape[0], dataset.n_symbols)
+        return extract_columns([self], dataset, indices)[:, :, 0]
 
 
 def grammar_hypotheses(grammar: Grammar, sources: list[str],

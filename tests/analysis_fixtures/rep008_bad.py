@@ -1,5 +1,5 @@
 """Bad: incoherent Extractor override sets, and a hypothesis block kernel
-without a per-record reference in the differential oracle."""
+and a hypothesis family the differential oracle does not list."""
 # analysis-scope: hypothesis-kernels
 
 from repro.extract.base import Extractor
@@ -57,4 +57,12 @@ class UnlistedKernelHypothesis(HypothesisFunction):
     """Overrides extract() but no oracle compares it to anything."""
 
     def extract(self, dataset, indices=None):  # expect[REP008]
+        return None
+
+
+class UnlistedFamily:
+    """Labels its members in one pass but no oracle holds its columns to
+    the per-record references."""
+
+    def extract_block(self, members, dataset, indices):  # expect[REP008]
         return None

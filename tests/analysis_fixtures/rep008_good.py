@@ -1,5 +1,6 @@
-"""Good: the two legitimate extractor shapes, and the two legitimate
-hypothesis shapes (a per-record body; a block kernel the oracle lists)."""
+"""Good: the two legitimate extractor shapes, the two legitimate
+hypothesis shapes (a per-record body; a block kernel the oracle lists) and
+a hypothesis family the oracle lists."""
 # analysis-scope: hypothesis-kernels
 
 from repro.extract.base import Extractor
@@ -48,4 +49,19 @@ class KeywordHypothesis(HypothesisFunction):
     """A block kernel named in tests/test_hypothesis_kernels.py."""
 
     def extract(self, dataset, indices=None):
+        return None
+
+
+class ParseProvider:
+    """A family kernel named in the oracle's FAMILY_CLASSES table."""
+
+    def extract_block(self, members, dataset, indices):
+        return None
+
+
+class BlockTier:
+    """Not a family: a cache read that happens to share the method name
+    (its first parameter is not ``members``)."""
+
+    def extract_block(self, hypotheses, dataset, indices):
         return None

@@ -1,18 +1,26 @@
 """Failure-injection and edge-case tests: the engine must fail loudly on
 malformed inputs and stay numerically sane on degenerate data."""
 
+import contextlib
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro import (InspectConfig, InspectionPlan, Session, UnitGroup,
-                   inspect)
+from repro import (InspectConfig, InspectionPlan, Session,
+                   ThreadPoolScheduler, UnitGroup, inspect)
 from repro.extract import RnnActivationExtractor
 from repro.extract.base import Extractor
-from repro.hypotheses import FunctionHypothesis
-from repro.hypotheses.library import sql_keyword_hypotheses
+from repro.hypotheses import FunctionHypothesis, HypothesisFunction
+from repro.hypotheses.base import extract_columns
+from repro.hypotheses.library import (KeywordHypothesis,
+                                      sql_keyword_hypotheses)
 from repro.measures import (CorrelationScore, DiffMeansScore, JaccardScore,
                             LinearProbeScore, LogRegressionScore,
                             MutualInfoScore)
+from repro.nn import CharLSTMModel
+from repro.util.rng import new_rng
 from repro.util.testing import CountingForwardModel
 
 
@@ -159,3 +167,219 @@ class TestDegenerateData:
         hyps = np.ones((300, 1))
         result = DiffMeansScore().compute(units, hyps)
         assert np.all(result.unit_scores == 0.0)  # undefined contrast -> 0
+
+
+# ----------------------------------------------------------------------
+# hypothesis families and fanned-out sweeps: right frame or typed error
+# ----------------------------------------------------------------------
+class _SymbolFamily:
+    """Labels "this symbol is s" for all of its members in one pass; its
+    kernel can be broken on demand."""
+
+    fault = None    # None | "raise" | "shape" | "dtype"
+
+    def extract_block(self, members, dataset, indices):
+        if self.fault == "raise":
+            raise RuntimeError("label service down")
+        symbols = dataset.symbols[indices]
+        block = np.stack([symbols == m.symbol for m in members],
+                         axis=2).astype(np.uint8)
+        if self.fault == "shape":
+            return block[:, :-1]
+        if self.fault == "dtype":
+            return block.astype(str)
+        return block
+
+
+class _SymbolIs(HypothesisFunction):
+    def __init__(self, symbol, family):
+        super().__init__(f"is:{symbol}")
+        self.symbol = symbol
+        self._family = family
+
+    family = property(lambda self: self._family)
+
+    def extract(self, dataset, indices=None):
+        return extract_columns([self], dataset, indices)[:, :, 0]
+
+
+class _LoggingModel(CountingForwardModel):
+    """Logs each sweep's thread, start and end; can be slowed or armed to
+    fail on its n-th sweep."""
+
+    def __init__(self, model, log, delay=0.0, fail_on=None):
+        super().__init__(model)
+        self.log, self.delay, self.fail_on = log, delay, fail_on
+
+    def hidden_states(self, ids):
+        self.log.append(("start", self.model_id, threading.get_ident()))
+        try:
+            time.sleep(self.delay)
+            if self.forward_calls + 1 == self.fail_on:
+                self.forward_calls += 1
+                raise RuntimeError(f"{self.model_id}: device lost")
+            return super().hidden_states(ids)
+        finally:
+            self.log.append(("end", self.model_id, threading.get_ident()))
+
+
+def _lstm(sql_workload, seed):
+    return CharLSTMModel(len(sql_workload.vocab), n_units=8,
+                         rng=new_rng(seed), model_id=f"m{seed}")
+
+
+class TestFamilyFailures:
+    N_RECORDS, BLOCK = 60, 30
+
+    def _query(self, session, trained_sql_model, sql_workload, hyps):
+        return (session.inspect(trained_sql_model, sql_workload.dataset)
+                .using("corr").hypotheses(hyps))
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("raise", "label service down"), ("shape", "block, not numeric"),
+        ("dtype", "block, not numeric")])
+    def test_a_broken_family_is_a_typed_error_and_leaves_no_trace(
+            self, trained_sql_model, sql_workload, tmp_path, fault, reason):
+        family = _SymbolFamily()
+        hyps = ([_SymbolIs(s, family) for s in (3, 5, 8)]
+                + sql_keyword_hypotheses(("SELECT", "FROM")))
+        config = InspectConfig(early_stop=False, block_size=self.BLOCK,
+                               max_records=self.N_RECORDS)
+        with Session(config=config, scheduler="serial") as session:
+            want = self._query(session, trained_sql_model, sql_workload,
+                               hyps).run()
+        with Session(str(tmp_path / "store"), config=config,
+                     scheduler="serial") as session:
+            query = self._query(session, trained_sql_model, sql_workload,
+                                hyps)
+            family.fault = fault
+            with pytest.raises(ValueError, match=reason) as info:
+                query.run()
+            assert "_SymbolFamily" in str(info.value)
+            assert "['is:3', 'is:5', 'is:8']" in str(info.value)
+            # nothing of those columns reached the memory tier or the store
+            dataset = sql_workload.dataset
+            everything = np.arange(dataset.n_records)
+            assert session.stats()["hypothesis_cache"]["extractions"] == 0
+            for hyp in hyps:
+                assert session.hyp_cache.missing_records(
+                    dataset, everything, hypothesis=hyp).shape[0] \
+                    == dataset.n_records
+            assert not [key for key in session.store.keys()
+                        if key.startswith("hyp/")]
+            # the next statement re-extracts and returns the serial frame
+            family.fault = None
+            assert query.run() == want
+            assert session.stats()["hypothesis_cache"]["extractions"] \
+                == len(hyps) * (self.N_RECORDS // self.BLOCK)
+
+
+class TestFanOut:
+    def _session(self, models, sql_workload, hyps, store=None):
+        config = InspectConfig(early_stop=False, block_size=20,
+                               max_records=60)
+        session = Session(store, config=config,
+                          scheduler=ThreadPoolScheduler(max_workers=2))
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps, name="keywords")
+        for model in models:
+            session.register_model(model.model_id, model)
+        return session
+
+    def test_every_worker_sweeps_and_block_0_starts_under_the_labelling(
+            self, sql_workload):
+        """A cold 4-model, 2-block statement on two workers."""
+        log: list = []
+
+        class LoggingKeyword(KeywordHypothesis):
+            def extract(self, dataset, indices=None):
+                time.sleep(0.05)        # long enough for a worker to start
+                rows = super().extract(dataset, indices)
+                log.append(("labelled", self.name, threading.get_ident()))
+                return rows
+
+        hyps = sql_keyword_hypotheses(("SELECT",)) + [LoggingKeyword("FROM")]
+        seeds = (1, 2, 3, 4)
+        config = InspectConfig(early_stop=False, block_size=30,
+                               max_records=60)
+        with Session(config=config, scheduler="serial") as serial:
+            serial.register_dataset("d0", sql_workload.dataset)
+            want = (serial.inspect([_lstm(sql_workload, s) for s in seeds],
+                                   "d0").using("corr").hypotheses(hyps).run())
+        del log[:]
+        models = [_LoggingModel(_lstm(sql_workload, s), log, delay=0.02)
+                  for s in seeds]
+        with Session(config=config,
+                     scheduler=ThreadPoolScheduler(max_workers=2)) as session:
+            session.register_dataset("d0", sql_workload.dataset)
+            got = session.inspect(models, "d0").using("corr") \
+                .hypotheses(hyps).run()
+        assert got == want
+        assert [m.forward_calls for m in models] == [2, 2, 2, 2]
+        events = [event for event, _, _ in log]
+        # block 0's first sweep started while block 0 was being labelled
+        assert events.index("start") < events.index("labelled")
+        # block 1 (each model's second sweep) ran on both workers
+        starts = [(mid, thread) for event, mid, thread in log
+                  if event == "start"]
+        block_1 = {thread for i, (mid, thread) in enumerate(starts)
+                   if mid in [m for m, _ in starts[:i]]}
+        assert len(block_1) == 2
+        assert threading.get_ident() not in {t for _, t in starts}
+
+    def test_one_failing_sweep_fails_the_statement_and_nothing_leaks(
+            self, sql_workload, tmp_path):
+        hyps = sql_keyword_hypotheses(("SELECT", "FROM"))
+        log: list = []
+        # the failing pair is gathered first, while its siblings still run
+        models = [_LoggingModel(_lstm(sql_workload, 2), log, fail_on=2),
+                  _LoggingModel(_lstm(sql_workload, 1), log, delay=0.05),
+                  _LoggingModel(_lstm(sql_workload, 3), log, delay=0.05)]
+        names = [m.model_id for m in models]
+        with Session(config=InspectConfig(early_stop=False, block_size=20,
+                                          max_records=60),
+                     scheduler="serial") as serial:
+            serial.register_dataset("d0", sql_workload.dataset)
+            want = (serial.inspect([_lstm(sql_workload, s) for s in (2, 1, 3)],
+                                   "d0").using("corr").hypotheses(hyps).run())
+        session = self._session(models, sql_workload, hyps,
+                                store=str(tmp_path / "store"))
+        with session:
+            scope = session.store.deferred_commits
+
+            @contextlib.contextmanager
+            def logged_scope():
+                try:
+                    with scope():
+                        yield
+                finally:
+                    log.append(("scope closed", None, None))
+
+            session.store.deferred_commits = logged_scope
+            query = session.inspect(names, "d0").using("corr").hypotheses(hyps)
+            with pytest.raises(RuntimeError, match="m2: device lost"):
+                query.run()
+            # every sweep that started also ended inside the store scope
+            assert log[-1][0] == "scope closed"
+            events = [event for event, _, _ in log]
+            assert events.count("start") == events.count("end") >= 4
+            # the pool survives: the same statement now runs to the end
+            pool = session.scheduler
+            models[0].fail_on = None
+            assert query.run() == want
+            assert session.scheduler is pool
+
+    def test_an_abandoned_stream_swept_exactly_its_blocks_times_pairs(
+            self, sql_workload):
+        hyps = sql_keyword_hypotheses(("SELECT", "FROM"))
+        log: list = []
+        models = [_LoggingModel(_lstm(sql_workload, s), log)
+                  for s in (1, 2, 3)]
+        with self._session(models, sql_workload, hyps) as session:
+            stream = (session.inspect([m.model_id for m in models], "d0")
+                      .using("corr").hypotheses(hyps).stream())
+            next(stream)
+            next(stream)
+            stream.close()
+            time.sleep(0.2)     # a stray sweep would land now
+            assert [m.forward_calls for m in models] == [2, 2, 2]

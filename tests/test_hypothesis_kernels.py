@@ -10,7 +10,11 @@ matches, characters the vocab has never seen.
 
 ``KERNEL_CLASSES`` is the oracle's class table.  The REP008 checker reads
 it: a ``HypothesisFunction`` subclass under ``src/`` that overrides
-``extract`` and is not listed here fails static analysis.
+``extract`` and is not listed here fails static analysis.  So does a class
+that defines ``extract_block`` (a hypothesis *family*: siblings labelled in
+one pass, see ``repro.hypotheses.base.extract_columns``) and is missing from
+``FAMILY_CLASSES``: every column of a family's block is held to the same
+per-record references.
 """
 
 import pickle
@@ -21,7 +25,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.cache import hyp_store_key
+from repro import (InspectConfig, ProcessPoolScheduler, SerialScheduler,
+                   Session, ThreadPoolScheduler)
+from repro.core.cache import HypothesisCache, hyp_store_key
 from repro.data import generate_sql_workload
 from repro.data.datasets import PAD_CHAR, Dataset, Vocab
 from repro.grammar.tree import ParseNode
@@ -32,7 +38,7 @@ from repro.hypotheses import (CharSetHypothesis, FsmHypothesis,
                               PrecomputedHypothesis, PrefixLengthHypothesis,
                               grammar_hypotheses, keyword_fsm,
                               validate_hypothesis_output)
-from repro.hypotheses.base import validate_hypothesis_block
+from repro.hypotheses.base import extract_columns, validate_hypothesis_block
 from repro.hypotheses.fsm import FSM
 from repro.hypotheses.library import (CurrentCharHypothesis,
                                       sql_keyword_hypotheses)
@@ -155,6 +161,12 @@ KERNEL_CLASSES = {
 }
 
 
+#: the oracle's family table: every class under src/ that defines
+#: ``extract_block``, with the member class whose reference (above) each
+#: column of its block must agree with
+FAMILY_CLASSES = {ParseProvider: ParseTreeHypothesis}
+
+
 def reference_extract(hyp, dataset, indices=None):
     """The per-record loop: one validated reference vector per record."""
     behavior = KERNEL_CLASSES[type(hyp)]
@@ -173,6 +185,17 @@ def assert_matches_reference(hyp, dataset, indices=None):
     assert got.dtype == want.dtype == np.float64, hyp.name
     assert got.shape == want.shape, hyp.name
     assert np.array_equal(got, want), hyp.name
+
+
+def assert_columns_match_reference(hyps, dataset, indices=None):
+    """``extract_columns`` against the per-record loop, column by column."""
+    got = extract_columns(hyps, dataset, indices)
+    n = dataset.n_records if indices is None else len(indices)
+    assert got.dtype == np.float64
+    assert got.shape == (n, dataset.n_symbols, len(hyps))
+    for j, hyp in enumerate(hyps):
+        want = reference_extract(hyp, dataset, indices)
+        assert np.array_equal(got[:, :, j], want), (j, hyp.name)
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +332,14 @@ class TestWindowsOverTheEdges:
         for hyp in parse_hypotheses(workload, mode):
             assert_matches_reference(hyp, edge_dataset)
 
+    def test_every_offset_matches_in_one_family_block(self, workload,
+                                                      edge_dataset):
+        hyps = parse_hypotheses(workload, "derivation")
+        assert_columns_match_reference(hyps, edge_dataset)
+        for name in ("unsorted", "duplicates", "empty"):
+            assert_columns_match_reference(
+                hyps, edge_dataset, INDEX_SETS[name](edge_dataset.n_records))
+
     def test_windows_outside_the_source_are_all_zero(self, workload,
                                                      edge_dataset):
         hyp = next(h for h in parse_hypotheses(workload, "derivation")
@@ -364,6 +395,165 @@ class TestKeywordEdges:
         ds = text_dataset(["~~~~", "~ab~"])
         assert PrefixLengthHypothesis().extract(ds).tolist() == [
             [0, 0, 0, 0], [0, 1, 2, 2]]
+
+
+# ----------------------------------------------------------------------
+# hypothesis families: one evaluation site, siblings labelled in one pass
+# ----------------------------------------------------------------------
+def mixed_columns(workload, seed=0):
+    """Members of two providers, all three encodings, shuffled among one
+    of every symbol-level (solo) built-in."""
+    ds = workload.dataset
+    hyps = (parse_hypotheses(workload, "derivation")
+            + parse_hypotheses(workload, "reparse")[::2]
+            + symbol_hypotheses(ds.n_records, ds.n_symbols))
+    assert len({id(h.provider) for h in hyps
+                if isinstance(h, ParseTreeHypothesis)}) == 2
+    order = np.random.default_rng(seed).permutation(len(hyps))
+    return [hyps[int(i)] for i in order]
+
+
+class TestFamilyKernel:
+    def test_every_family_class_tables_a_member_the_oracle_knows(self):
+        for family_cls, member_cls in FAMILY_CLASSES.items():
+            assert callable(vars(family_cls)["extract_block"])
+            assert member_cls in KERNEL_CLASSES
+
+    def test_family_is_protocol_not_content(self, workload):
+        hyps = parse_hypotheses(workload, "derivation")
+        assert all(h.family is hyps[0].provider for h in hyps)
+        assert "family" not in vars(hyps[0])     # cache keys do not move
+        assert not hasattr(KeywordHypothesis("SELECT"), "family")
+
+    @pytest.mark.parametrize("index_set", sorted(INDEX_SETS))
+    def test_mixed_columns_match_reference(self, workload, index_set):
+        indices = INDEX_SETS[index_set](workload.dataset.n_records)
+        for seed in (0, 1):
+            assert_columns_match_reference(mixed_columns(workload, seed),
+                                           workload.dataset, indices)
+
+    def test_subset_and_pickled_clones(self, workload):
+        sub = workload.dataset.subset([31, 2, 2, 77, 140, 5])
+        hyps = mixed_columns(workload, seed=2)
+        hyps[0].extract(workload.dataset)        # clones leave a used home
+        clones = pickle.loads(pickle.dumps(hyps))
+        for indices in (None, [4, 0, 0, 3]):
+            assert_columns_match_reference(hyps, sub, indices)
+            assert_columns_match_reference(clones, sub, indices)
+
+    def test_member_sets_and_table_dtypes(self, workload):
+        ds = workload.dataset
+        hyps = parse_hypotheses(workload, "derivation")
+        provider = hyps[0].provider
+        by_encoding = {e: [h for h in hyps if h.encoding == e]
+                       for e in ENCODINGS}
+        picks = np.array([9, 3, 3, 180])
+        for members, dtype in (
+                (by_encoding["time"][:1], np.uint8),         # one member
+                (by_encoding["signal"], np.uint8),
+                (by_encoding["time"] + by_encoding["signal"], np.uint8),
+                (by_encoding["depth"][:1], np.int32),
+                (by_encoding["depth"][3:5] + by_encoding["time"][3:5]
+                 + by_encoding["signal"][4:5], np.int32)):
+            block = provider.extract_block(members, ds, picks)
+            assert block.dtype == dtype
+            assert block.shape == (4, ds.n_symbols, len(members))
+            assert_columns_match_reference(members, ds, picks)
+        # a rule that nests counts past what a flag column could hold
+        assert provider.extract_block(by_encoding["depth"], ds).max() > 1
+
+    def test_a_member_listed_twice_gets_two_columns(self, workload):
+        hyps = parse_hypotheses(workload, "derivation")
+        twice = [hyps[3], hyps[40], hyps[3], symbol_hypotheses()[0],
+                 hyps[3], hyps[40]]
+        assert_columns_match_reference(twice, workload.dataset, [7, 7, 1])
+
+    def test_out_is_filled_in_place(self, workload):
+        ds = workload.dataset
+        hyps = mixed_columns(workload, seed=3)[:9]
+        frame = np.full((5, ds.n_symbols, len(hyps) + 2), -1.0)
+        picks = [0, 50, 50, 3, 120]
+        got = extract_columns(hyps, ds, picks, out=frame[:, :, 1:-1])
+        assert np.shares_memory(got, frame)
+        assert np.array_equal(got, extract_columns(hyps, ds, picks))
+        assert (frame[:, :, 0] == -1).all() and (frame[:, :, -1] == -1).all()
+
+    def test_no_hypotheses_or_no_records(self, workload):
+        ds = workload.dataset
+        assert extract_columns([], ds, [1, 2]).shape == (2, ds.n_symbols, 0)
+        hyps = mixed_columns(workload)[:5]
+        assert extract_columns(hyps, ds, []).shape == (0, ds.n_symbols, 5)
+
+
+class TestCacheBlocks:
+    """The hypothesis tier over the family kernel: same bytes, and
+    ``extractions`` still counts (hypothesis, cold record set) pairs."""
+
+    @staticmethod
+    def stacked(hyps, ds, indices):
+        return np.stack([h.extract(ds, indices).reshape(-1) for h in hyps],
+                        axis=1)
+
+    def test_blocks_are_the_stacked_one_column_extracts(self, workload):
+        ds = workload.dataset
+        hyps = mixed_columns(workload, seed=4)
+        cache = HypothesisCache()
+        rng = np.random.default_rng(5)
+        first = rng.permutation(ds.n_records)[:100]
+        for indices, columns in ((first, hyps[10:30]),       # cold
+                                 (first, hyps[10:30]),       # warm
+                                 (first[50:], hyps[::-1]),   # cold beside warm
+                                 (np.arange(40), hyps)):     # other records
+            got = cache.extract_block(columns, ds, indices)
+            want = self.stacked(columns, ds, indices)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_extractions_count_pairs_and_kernel_calls_count_sets(
+            self, workload, monkeypatch):
+        ds = workload.dataset
+        hyps = parse_hypotheses(workload, "derivation")     # one family
+        solo = symbol_hypotheses()[:4]
+        calls = []
+        original = ParseProvider.extract_block
+
+        def counting(self, members, dataset, indices):
+            calls.append((len(members), len(indices)))
+            return original(self, members, dataset, indices)
+
+        monkeypatch.setattr(ParseProvider, "extract_block", counting)
+        cache = HypothesisCache()
+        a, b = np.arange(0, 60), np.arange(30, 90)
+        cache.extract_block(hyps[:10] + solo, ds, a)
+        assert cache.stats()["extractions"] == 14 and calls == [(10, 60)]
+        # columns 0-9 miss records 60-89, columns 10-19 miss all of b:
+        # two cold record sets, twenty (hypothesis, set) pairs
+        cache.extract_block(hyps[:20], ds, b)
+        assert cache.stats()["extractions"] == 34
+        assert sorted(calls[1:]) == [(10, 30), (10, 60)]
+        cache.extract_block(hyps[:20] + solo, ds, np.arange(30, 60))
+        assert cache.stats()["extractions"] == 34 and len(calls) == 3
+
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+    def test_a_cold_statement_extracts_hypotheses_times_blocks(
+            self, trained_sql_model, sql_workload, hyps72, scheduler):
+        schedulers = {"serial": SerialScheduler,
+                      "threads": lambda: ThreadPoolScheduler(2),
+                      "processes": lambda: ProcessPoolScheduler(2)}
+        hyps = pickle.loads(pickle.dumps(hyps72))       # never-used objects
+        n_blocks = 2
+        config = InspectConfig(early_stop=False, max_records=120,
+                               block_size=120 // n_blocks)
+        with Session(config=config,
+                     scheduler=schedulers[scheduler]()) as session:
+            session.register_model("m0", trained_sql_model)
+            session.register_dataset("d0", sql_workload.dataset)
+            (session.inspect("m0", "d0").hypotheses(hyps).using("corr")
+             .run())
+            extractions = session.stats()["hypothesis_cache"]["extractions"]
+        # the process scheduler ships each hypothesis whole
+        assert extractions == len(hyps) * (
+            1 if scheduler == "processes" else n_blocks)
 
 
 # ----------------------------------------------------------------------
@@ -517,13 +707,12 @@ class TestPickling:
         hyps = parse_hypotheses(workload, "derivation")
         ds = workload.dataset
         want = [hyp.extract(ds) for hyp in hyps]
-        assert hyps[0]._filled.any() and hyps[0].provider._spans
+        assert hyps[0].provider._spans
         assert set(hyps[0].__getstate__()) == {
             "name", "categorical", "rule", "encoding", "provider"}
         assert not {"_spans", "_cache_key_memo", "_lock"} & set(
             hyps[0].provider.__getstate__())
         clones = pickle.loads(pickle.dumps(hyps))
-        assert not clones[0]._filled.any() and not clones[0]._labels.any()
         assert clones[0].provider._spans == {}
         for clone, rows in zip(clones, want):
             assert np.array_equal(clone.extract(ds), rows)

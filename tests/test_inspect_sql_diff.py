@@ -184,6 +184,40 @@ class TestOrderByLimit:
             measures="corr", tail="LIMIT 4"))
         assert len(frame) == 4
 
+    def test_column_tail_builds_the_row_path_frame(self, session,
+                                                   monkeypatch):
+        """With no row-level stage left the frame is built from the select
+        stage's column lists; the dict-row path stays the general case and
+        must yield the same frame — values, types, column order."""
+        from repro.db import inspect_clause
+        unprojected = """
+            SELECT S.uid, M.epoch AS epoch, S.hid
+            INSPECT U.uid AND H.h USING corr OVER D.seq AS S
+            FROM models M, units U, hypotheses H, inputs D
+            WHERE M.mid = U.mid ORDER BY S.unit_score DESC LIMIT 7
+        """
+        statements = [unprojected] + [
+            SQL_ALL.format(measures="corr, diff_means", tail=tail)
+            for tail in ("", "LIMIT 4", "ORDER BY S.unit_score",
+                         "ORDER BY S.hid DESC LIMIT 9",
+                         "HAVING S.unit_score > 0.1 ORDER BY S.uid",
+                         "GROUP BY M.epoch ORDER BY S.unit_score DESC")]
+        by_columns = [session.sql(sql) for sql in statements]
+        calls = []
+
+        def no_column_tail(cols, n, query, presorted=False):
+            calls.append(n)
+            return {}, False
+
+        monkeypatch.setattr(inspect_clause, "select_columns", no_column_tail)
+        by_rows = [session.sql(sql) for sql in statements]
+        assert len(calls) == len(statements)
+        for got, want in zip(by_columns, by_rows):
+            assert got.columns == want.columns and len(got) == len(want) > 0
+            assert got == want
+            assert [list(map(type, got[c])) for c in got.columns] \
+                == [list(map(type, want[c])) for c in want.columns]
+
 
 class TestAmbiguity:
     def test_ambiguous_where_reference_raises(self, session):
