@@ -38,16 +38,17 @@ from .e2e.spans import SpanRecorder
 
 
 #: lifecycle layer -> file and the functions (none nested in another)
-#: whose cumulative times add up to the layer's.  A block's unit sweep is
-#: one future per (model, raw sweep) pair: an inline scheduler runs them
-#: inside ``submit_sweeps``; under a pool the calling thread's share is its
-#: wait in ``gather_sweeps``.
+#: whose cumulative times add up to the layer's.  A block's unit sweep
+#: runs inside ``unit_blocks`` on an inline scheduler; on a prefetching
+#: pool it is one future per (model, raw sweep) pair, and the calling
+#: thread's share is the submission and its wait in ``gather_sweeps``.
 _LAYERS = (("parse", "sqlparser.py", ("parse_sql",)),
            ("compile + catalog join", "inspect_clause.py",
             ("_compile_inspect",)),
            ("plan build", "pipeline.py", ("build",)),
            ("hypothesis block", "pipeline.py", ("hypothesis_block",)),
-           ("unit block", "pipeline.py", ("submit_sweeps", "gather_sweeps")),
+           ("unit block", "pipeline.py",
+            ("unit_blocks", "submit_sweeps", "gather_sweeps")),
            ("scoring", "pipeline.py", ("process",)),
            ("store commit", "disk.py", ("flush",)),
            ("assemble + select", "inspect_clause.py", ("assemble",)))

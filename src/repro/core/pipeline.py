@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import multiprocessing
 import os
 import shutil
@@ -98,18 +97,10 @@ class Scheduler:
         raise NotImplementedError
 
     def submit(self, fn) -> Future:
-        """Run ``fn()`` and return a Future over its result.
-
-        The base implementation executes inline at submit time (no
-        concurrency, identical scheduling to plain calls); overlapping
-        schedulers override this to hand the thunk to a worker.
-        """
-        future: Future = Future()
-        try:
-            future.set_result(fn())
-        except BaseException as exc:  # surfaced at .result(), like a pool's
-            future.set_exception(exc)
-        return future
+        """Hand ``fn()`` to a worker; a Future over its result
+        (``supports_prefetch`` schedulers only — the rest run in ``map``)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not overlap submitted work")
 
     def shard_workers(self) -> int:
         """Worker slots available to shard tasks (sizes task chunking)."""
@@ -169,8 +160,8 @@ class ThreadPoolScheduler(Scheduler):
 
     def submit(self, fn) -> Future:
         # always through the pool: even a 1-worker pool overlaps a
-        # prefetched sweep with the caller's scoring (numpy releases the
-        # GIL inside BLAS and ufunc loops)
+        # prefetched sweep with the caller's hypothesis extraction (numpy
+        # releases the GIL inside BLAS and ufunc loops)
         return self._ensure_pool().submit(fn)
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
@@ -472,24 +463,13 @@ def _extract_hypotheses(hypotheses: list[HypothesisFunction],
     return block, cache.block_moments(hypotheses, dataset, indices, block)
 
 
-def _drain(futures: list[Future]) -> None:
-    """Cancel what has not started and wait for what has, dropping errors:
-    whoever wanted the results has already failed or gone."""
-    for future in futures:
-        if not future.cancel():
-            future.exception()
-
-
 def gather_sweeps(futures: list[Future]) -> dict[int, np.ndarray]:
-    """The merged ``{gi: block}`` of a block's pair futures; none of them
-    is still running when this returns *or raises* (see
-    :meth:`InspectionPlan._run_blocks`)."""
+    """The merged ``{gi: block}`` of a block's pair futures (the calling
+    thread's wait on them; :meth:`InspectionPlan._run_blocks` sees to it
+    that none is left running if one raises)."""
     merged: dict[int, np.ndarray] = {}
-    try:
-        for future in futures:
-            merged.update(future.result())
-    finally:
-        _drain(futures)
+    for future in futures:
+        merged.update(future.result())
     return merged
 
 
@@ -616,7 +596,7 @@ class BehaviorSource:
         one forward-sweep shard — extractors differing only in transform,
         layer view or unit subset fuse under one key — and carries the
         ``(gi, group)`` members it serves.  Both the in-process execution
-        path (:meth:`submit_sweeps`) and the shard-task builder
+        path (:meth:`_extract_unit_blocks`) and the shard-task builder
         (:class:`repro.core.shard.ShardExchange`) partition work on it,
         so they can never disagree about what one sweep covers.
         """
@@ -630,15 +610,27 @@ class BehaviorSource:
                                []).append((gi, group))
         return by_pair
 
+    def _extract_unit_blocks(self, groups: list[tuple[int, UnitGroup]],
+                             indices: np.ndarray,
+                             scheduler: Scheduler) -> dict[int, np.ndarray]:
+        by_pair = self.extraction_pairs(groups)
+        results = scheduler.map(
+            lambda members: self._extract_units_for_pair(members, indices),
+            list(by_pair.values()))
+        merged: dict[int, np.ndarray] = {}
+        for chunk in results:
+            merged.update(chunk)
+        return merged
+
     def submit_sweeps(self, groups: list[tuple[int, UnitGroup]],
                       indices: np.ndarray,
                       scheduler: Scheduler) -> list[Future]:
-        """One future per extraction pair of ``groups``, each resolving to
-        its members' ``{gi: block}`` (:func:`gather_sweeps` merges them).
-        Submitted from the calling thread, never from inside a worker: an
-        overlapping scheduler spreads the pairs over every worker it has."""
-        return [scheduler.submit(functools.partial(
-                    self._extract_units_for_pair, members, indices))
+        """The prefetch form of :meth:`_extract_unit_blocks`: one future per
+        extraction pair (:func:`gather_sweeps` merges them), submitted from
+        the calling thread, never from inside a worker, so an overlapping
+        scheduler spreads the pairs over every worker it has."""
+        return [scheduler.submit(
+                    lambda m=members: self._extract_units_for_pair(m, indices))
                 for members in self.extraction_pairs(groups).values()]
 
     # -- executor interface --------------------------------------------
@@ -649,8 +641,8 @@ class BehaviorSource:
             self._h_all, _ = _extract_hypotheses(
                 self.hypotheses, self.dataset, self.order, self.config.cache)
         with watch.charge("unit_extraction"):
-            self._u_all = gather_sweeps(self.submit_sweeps(
-                list(enumerate(self.groups)), self.order, scheduler))
+            self._u_all = self._extract_unit_blocks(
+                list(enumerate(self.groups)), self.order, scheduler)
 
     def hypothesis_block(self, sl: slice, watch: Stopwatch,
                          columns: np.ndarray | None = None) -> tuple:
@@ -681,8 +673,8 @@ class BehaviorSource:
             return {gi: self._u_all[gi][sl.start * ns:sl.stop * ns]
                     for gi, _ in groups}
         with watch.charge("unit_extraction"):
-            return gather_sweeps(
-                self.submit_sweeps(groups, self.order[sl], scheduler))
+            return self._extract_unit_blocks(groups, self.order[sl],
+                                             scheduler)
 
     def describe(self) -> str:
         parts = [f"materialize={self.materialize}",
@@ -920,8 +912,7 @@ class InspectionPlan:
         return "\n".join(lines)
 
     def execute(self) -> list[GroupMeasureOutcome]:
-        # nobody can abandon a run between blocks: prefetch a block ahead
-        for _ in self._execute_blocks(prefetch_ahead=True):
+        for _ in self.execute_blocks():
             pass
         return self.outcomes()
 
@@ -980,13 +971,10 @@ class InspectionPlan:
         cross-client dedup).  The lease is released — and waiters woken —
         even when the consumer abandons this generator mid-run.
 
-        A consumer of this generator may stop after any block, so block
-        t+1's sweep is launched only once the consumer has asked for it:
+        A consumer of this generator may stop after any block, and a
+        block's sweep is launched only once the consumer has asked for it:
         abandoning the run costs exactly the blocks delivered.
         """
-        return self._execute_blocks(prefetch_ahead=False)
-
-    def _execute_blocks(self, prefetch_ahead: bool):
         scheduler, owned = _resolve_scheduler(self.config.scheduler)
         store_scope = (self.config.store.deferred_commits()
                        if self.config.store is not None
@@ -996,7 +984,7 @@ class InspectionPlan:
                       if gate is not None else contextlib.nullcontext())
         try:
             with gate_scope, store_scope:
-                yield from self._block_steps(scheduler, prefetch_ahead)
+                yield from self._block_steps(scheduler)
         finally:
             if owned:
                 scheduler.shutdown()
@@ -1006,7 +994,7 @@ class InspectionPlan:
         names = [h.name for h in self.hypotheses]
         return [task.outcome(names) for task in self.tasks]
 
-    def _block_steps(self, scheduler: Scheduler, prefetch_ahead: bool):
+    def _block_steps(self, scheduler: Scheduler):
         """The executor loop; yields once after each processed block.
 
         With a shard-executing scheduler, cold extraction is dispatched
@@ -1026,43 +1014,30 @@ class InspectionPlan:
                     exchange.dispatch()
                 if self.source.materialize:
                     exchange.ensure_all(watch)
-            yield from self._run_blocks(scheduler, exchange, watch, n_hyps,
-                                        prefetch_ahead)
+            yield from self._run_blocks(scheduler, exchange, watch, n_hyps)
         finally:
             if exchange is not None:
                 exchange.close()
 
     def _run_blocks(self, scheduler: Scheduler, exchange, watch,
-                    n_hyps: int, prefetch_ahead: bool):
+                    n_hyps: int):
         """The per-block loop, double-buffered on overlapping schedulers.
 
         With ``config.prefetch`` on and a scheduler whose :meth:`Scheduler
         .submit` runs concurrently, a block's raw unit sweep is one future
         per extraction pair (:meth:`BehaviorSource.submit_sweeps`),
-        submitted before the block's hypothesis extraction, so every worker
-        sweeps while the calling thread labels.  ``prefetch_ahead`` (a run
-        that drains itself, :meth:`execute`) also submits block t+1's pairs
-        as block t scores — *behind* block t's score tasks in the FIFO
-        pool: queued ahead of them, the sweeps would hold scoring, and with
-        it the calling thread's next hypothesis block, until no sweep was
-        left to overlap that with.  A streamed run submits a block's pairs
-        only once its consumer has asked for the block: a stream abandoned
-        after block t has swept exactly t blocks x pairs.  Invariants:
+        submitted before the block's hypothesis extraction: every worker
+        sweeps while the calling thread labels, which charges only its wait
+        on the futures to ``unit_extraction``.  Invariants:
 
         * **Frames are bit-identical** to serial execution: block order,
-          per-block record slices and the per-group behavior values are
-          unchanged — a prefetched sweep covers the groups pending at
-          launch time, a superset of those pending at consumption (the
-          pending set shrinks monotonically), and each group's block is
-          independent of which other groups share the extraction call.
-        * **Counters are exact** while every prefetched block is consumed:
-          the consumed futures *are* the block's extraction (the loop does
-          not re-probe the caches), so cache hit/miss/extraction and model
-          forward counts match serial execution.  Only a ``prefetch_ahead``
-          run whose tasks all converge exactly at a block boundary pays
-          one speculative block of pair sweeps serial execution would have
-          skipped — the same surplus the process scheduler's up-front
-          shard dispatch already accepts.
+          per-block record slices and per-group behavior values are
+          unchanged (a group's block does not depend on which other groups
+          share the extraction call).
+        * **Counters are exact**: the futures *are* the block's extraction
+          (the loop does not re-probe the caches) and no block is swept
+          ahead of the one being processed — a run abandoned after block t
+          has swept exactly t blocks x pairs.
         * **No future outlives the run**, however it ends: a sweep may
           write through the caches, so it finishes (or is cancelled unrun)
           inside the run's store scope.
@@ -1070,20 +1045,15 @@ class InspectionPlan:
           dispatched all cold work to worker processes), and materialized
           runs extracted everything in :meth:`BehaviorSource.prepare`, so
           both leave prefetch off.
-
-        The main thread charges only its wait on the futures to
-        ``unit_extraction``.
         """
         self.source.prepare(scheduler, watch)
-        slices = list(self.source.block_slices())
         use_prefetch = (self.config.prefetch
                         and scheduler.supports_prefetch
                         and not self.source.materialize
                         and exchange is None)
-        sweeps: list[Future] | None = None  # of the next block to consume
-        scored: list[Future] = []
+        sweeps: list[Future] = []   # of the block being processed
         try:
-            for bi, sl in enumerate(slices):
+            for sl in self.source.block_slices():
                 pending = [t for t in self.tasks if not t.done]
                 if not pending:
                     break
@@ -1093,8 +1063,7 @@ class InspectionPlan:
                 for task in pending:
                     needed.setdefault(task.gi, task.group)
                 needed_items = sorted(needed.items())
-                if use_prefetch and sweeps is None:
-                    # the first block, or a consumer asking for this one
+                if use_prefetch:
                     sweeps = self.source.submit_sweeps(
                         needed_items, self.source.order[sl], scheduler)
                 # hypothesis columns frozen in *every* pending task need no
@@ -1110,10 +1079,9 @@ class InspectionPlan:
                 h_block, h_moments = self.source.hypothesis_block(
                     sl, watch, columns=cols_union)
 
-                if sweeps is not None:
+                if use_prefetch:
                     with watch.charge("unit_extraction"):
                         u_blocks = gather_sweeps(sweeps)
-                    sweeps = None
                 else:
                     u_blocks = self.source.unit_blocks(
                         sl, needed_items, scheduler, watch)
@@ -1133,18 +1101,11 @@ class InspectionPlan:
                                      n_records)
 
                 with watch.charge("inspection"):
-                    if use_prefetch and prefetch_ahead \
-                            and bi + 1 < len(slices):
-                        scored = [scheduler.submit(
-                            functools.partial(score, task))
-                            for task in pending]
-                        sweeps = self.source.submit_sweeps(
-                            needed_items, self.source.order[slices[bi + 1]],
-                            scheduler)
-                        for future in scored:
-                            future.result()
-                    else:
-                        scheduler.map(score, pending)
+                    scheduler.map(score, pending)
                 yield sl
         finally:
-            _drain(scored + (sweeps or []))
+            # a sibling sweep or the hypothesis block raised, or the consumer
+            # left: cancel what has not started and wait for what has
+            for future in sweeps:
+                if not future.cancel():
+                    future.exception()

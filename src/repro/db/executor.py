@@ -243,13 +243,10 @@ def _empty_aggregate_row(query: SelectQuery) -> Row:
     return out
 
 
-def _null_safe_key(column: str):
+def _null_safe(value):
     # NULLS sort greatest: LAST when ascending, FIRST under reverse=True
     # (descending) -- PostgreSQL's defaults.
-    def key(row: Row):
-        value = row[column]
-        return (value is None, 0 if value is None else value)
-    return key
+    return (value is None, 0 if value is None else value)
 
 
 def _having_passes(having: Expr, row: Row) -> bool:
@@ -272,7 +269,7 @@ def _finalize(rows: list[Row], query: SelectQuery,
         rows = [r for r in rows if _having_passes(query.having, r)]
     if not skip_order:  # else: already ordered + limited
         if query.order_by is not None:
-            rows.sort(key=_null_safe_key(query.order_by),
+            rows.sort(key=lambda row: _null_safe(row[query.order_by]),
                       reverse=query.descending)
         if query.limit is not None:
             rows = rows[:query.limit]
@@ -377,8 +374,8 @@ def select_columns(cols: dict[str, np.ndarray], n: int, query: SelectQuery,
     """The projection of :func:`select_columnar` (a query that neither
     groups nor aggregates): ``query.items`` over the relation as ``{alias:
     values}`` lists, the hidden ORDER BY key among them, and whether they
-    sit in final ORDER BY + LIMIT order — then, HAVING apart, no row-level
-    stage is left and a caller that wants columns need not build rows."""
+    sit in final ORDER BY + LIMIT order — always, unless the query has a
+    HAVING: a caller that wants columns need not build rows."""
     out = {it.alias: _broadcast(it.expr.eval_batch(cols), n)
            for it in query.items}
     # ORDER BY + LIMIT push down into the columnar path: sort the column
@@ -396,11 +393,14 @@ def select_columns(cols: dict[str, np.ndarray], n: int, query: SelectQuery,
                                      query.descending)
             if order is None:
                 order = sort_indices(key_array, query.descending)
-                if order is not None and query.limit is not None:
-                    order = order[:query.limit]
-        if order is not None:
-            out = {alias: a[order] for alias, a in out.items()}
-            presorted = True
+            if order is None:   # NaN / object keys: the rows' own sort
+                keys = key_array.tolist()
+                order = np.asarray(sorted(
+                    range(n), key=lambda i: _null_safe(keys[i]),
+                    reverse=query.descending), dtype=np.intp)
+            order = order[:query.limit]
+        out = {alias: a[order] for alias, a in out.items()}
+        presorted = True
     return {alias: a.tolist() for alias, a in out.items()}, presorted
 
 

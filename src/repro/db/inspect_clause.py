@@ -57,7 +57,7 @@ from repro.core.groups import UnitGroup
 from repro.core.pipeline import InspectionPlan
 from repro.db.executor import (SelectQuery, _broadcast, bind_select_list,
                                from_schema, group_ids, materialize_into,
-                               select_columnar, select_columns)
+                               select_columns)
 from repro.db.expr import AggregateRef, Expr, Schema, resolve_expr
 from repro.db.relation import execute_catalog_plan, keep_where, plan_catalog
 from repro.db.sqlparser import InspectSpec
@@ -212,11 +212,10 @@ class _CompiledInspect:
         n = cols[f"{spec.inspect_alias}.uid"].shape[0]
         if self.having is not None:
             cols, n = keep_where(cols, n, [self.having])
-        columns, done = select_columns(cols, n, self.select)
-        if done:    # no row-level stage left: no dict rows to build
-            return Frame({name: columns[name] for name in self.out_columns})
-        return Frame.from_records(select_columnar(cols, n, self.select),
-                                  columns=self.out_columns)
+        # HAVING is applied and INSPECT admits no aggregate: no row-level
+        # stage is left, so the frame is built from the projected columns
+        columns, _ = select_columns(cols, n, self.select)
+        return Frame({name: columns[name] for name in self.out_columns})
 
 
 @dataclass

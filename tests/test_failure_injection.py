@@ -369,6 +369,26 @@ class TestFanOut:
             assert query.run() == want
             assert session.scheduler is pool
 
+    @pytest.mark.parametrize("mode, fail_on", [("streaming", 2),
+                                               ("materialized", 1)])
+    def test_a_failing_sweep_stops_an_inline_scheduler_at_once(
+            self, sql_workload, mode, fail_on):
+        """Serial execution sweeps the pairs in order: the first failure
+        ends the statement and no later pair runs its sweep."""
+        hyps = sql_keyword_hypotheses(("SELECT", "FROM"))
+        models = [_LoggingModel(_lstm(sql_workload, 2), [], fail_on=fail_on),
+                  _LoggingModel(_lstm(sql_workload, 1), []),
+                  _LoggingModel(_lstm(sql_workload, 3), [])]
+        config = InspectConfig(mode=mode, early_stop=False, block_size=20,
+                               max_records=60)
+        with Session(config=config, scheduler="serial") as session:
+            session.register_dataset("d0", sql_workload.dataset)
+            with pytest.raises(RuntimeError, match="m2: device lost"):
+                session.inspect(models, "d0").using("corr") \
+                    .hypotheses(hyps).run()
+        assert [m.forward_calls for m in models] \
+            == [fail_on, fail_on - 1, fail_on - 1]
+
     def test_an_abandoned_stream_swept_exactly_its_blocks_times_pairs(
             self, sql_workload):
         hyps = sql_keyword_hypotheses(("SELECT", "FROM"))

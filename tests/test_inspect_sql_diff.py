@@ -184,12 +184,15 @@ class TestOrderByLimit:
             measures="corr", tail="LIMIT 4"))
         assert len(frame) == 4
 
+    @pytest.mark.parametrize("with_nans", [False, True])
     def test_column_tail_builds_the_row_path_frame(self, session,
-                                                   monkeypatch):
-        """With no row-level stage left the frame is built from the select
-        stage's column lists; the dict-row path stays the general case and
-        must yield the same frame — values, types, column order."""
-        from repro.db import inspect_clause
+                                                   monkeypatch, with_nans):
+        """The frame is built from the select stage's column lists; dict
+        rows put through the row-at-a-time ORDER BY / LIMIT must yield the
+        same frame — values, types, column order — also where the column
+        sort gives way to Python's NULL-safe one (object and NaN keys)."""
+        from repro.db import executor, inspect_clause
+        from repro.util.frame import Frame
         unprojected = """
             SELECT S.uid, M.epoch AS epoch, S.hid
             INSPECT U.uid AND H.h USING corr OVER D.seq AS S
@@ -199,24 +202,45 @@ class TestOrderByLimit:
         statements = [unprojected] + [
             SQL_ALL.format(measures="corr, diff_means", tail=tail)
             for tail in ("", "LIMIT 4", "ORDER BY S.unit_score",
+                         "ORDER BY S.unit_score DESC LIMIT 200",
                          "ORDER BY S.hid DESC LIMIT 9",
                          "HAVING S.unit_score > 0.1 ORDER BY S.uid",
                          "GROUP BY M.epoch ORDER BY S.unit_score DESC")]
-        by_columns = [session.sql(sql) for sql in statements]
-        calls = []
+        seen = []
 
-        def no_column_tail(cols, n, query, presorted=False):
-            calls.append(n)
-            return {}, False
+        def spy(cols, n, query, presorted=False):
+            if with_nans:
+                scores = cols["S.unit_score"].copy()
+                scores[::3] = np.nan
+                cols = {**cols, "S.unit_score": scores}
+            seen.append((cols, n, query))
+            return executor.select_columns(cols, n, query, presorted)
 
-        monkeypatch.setattr(inspect_clause, "select_columns", no_column_tail)
-        by_rows = [session.sql(sql) for sql in statements]
-        assert len(calls) == len(statements)
-        for got, want in zip(by_columns, by_rows):
-            assert got.columns == want.columns and len(got) == len(want) > 0
-            assert got == want
+        monkeypatch.setattr(inspect_clause, "select_columns", spy)
+        python_sorts = 0
+        for sql in statements:
+            got = session.sql(sql)
+            cols, n, query = seen.pop()
+            arrays = {it.alias: executor._broadcast(it.expr.eval_batch(cols),
+                                                    n) for it in query.items}
+            if query.order_by is not None:
+                python_sorts += executor.sort_indices(
+                    arrays[query.order_by], query.descending) is None
+            lists = [a.tolist() for a in arrays.values()]
+            want = Frame.from_records(
+                executor._finalize([dict(zip(arrays, vals))
+                                    for vals in zip(*lists)], query),
+                columns=got.columns)
+            assert len(got) == len(want) > 0
+            assert got.columns == want.columns \
+                == [it.alias for it in query.items
+                    if it.alias != executor.ORDER_KEY]
+            # compared as text: NaN is not equal to itself
+            assert repr([got[c] for c in got.columns]) \
+                == repr([want[c] for c in want.columns])
             assert [list(map(type, got[c])) for c in got.columns] \
                 == [list(map(type, want[c])) for c in want.columns]
+        assert python_sorts == (5 if with_nans else 1)
 
 
 class TestAmbiguity:

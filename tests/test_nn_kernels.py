@@ -408,8 +408,8 @@ class TestDoubleBufferedExtraction:
 
     def test_early_stop_run_still_bit_identical(self, sql_workload,
                                                 trained_sql_model):
-        """Convergence mid-run may waste one speculative sweep, but the
-        produced frames must still match serial execution exactly."""
+        """Tasks converging mid-run shrink the pending set between blocks;
+        the produced frames must still match serial execution exactly."""
         dataset = sql_workload.dataset
         frames = {}
         for scheduler in ("serial", "threads"):
