@@ -33,10 +33,11 @@ Both caches are *memory tiers* over a common store protocol: give them a
 through to memory-mapped shards on disk, while misses consult the disk tier
 before running the extractor — a second process (or a restarted session)
 serves previously-inspected workloads with zero model forward passes and
-zero hypothesis evaluations.  Both tiers fill at record granularity, so
-streaming runs that stopped early still contribute partial contents, and
-the memory tiers are byte-bounded, lock-protected LRUs the thread-pool
-scheduler can share.
+zero hypothesis evaluations (the hypothesis tier writes each evaluation
+through as one *panel* and reads with one gather per panel touched).
+Both tiers fill at record granularity, so streaming runs that stopped
+early still contribute partial contents, and the memory tiers are
+byte-bounded, lock-protected LRUs the thread-pool scheduler can share.
 
 In the connection-style API one :class:`repro.session.Session` owns a pair
 of these caches and threads them through every Python-builder and SQL
@@ -86,13 +87,21 @@ def _compact(identity: str, max_len: int = 64) -> str:
 
 
 def hyp_store_key(dataset_key: str, identity: str) -> str:
-    """Persistent store key for one (dataset, hypothesis) entry.
+    """Persistent *member* key of one (dataset, hypothesis) column: what a
+    store panel lists per column and what a reader asks the store for.
 
-    Module-level so the shard-task layer addresses the same entries the
-    cache writes through to — worker-produced shards must land exactly
-    where a serial run would have put them.
+    Module-level so the shard-task layer names the same members the cache
+    writes through — a worker-produced panel must serve exactly what a
+    serial run's would.
     """
     return f"hyp/{dataset_key}/{_compact(identity)}"
+
+
+def panel_store_key(dataset_key: str, members: list[str]) -> str:
+    """Persistent store key of the panel whose columns are exactly
+    ``members``: the same columns, block after block, extend one entry."""
+    digest = hashlib.sha1("\n".join(members).encode()).hexdigest()[:16]
+    return f"panel/{dataset_key}/{len(members)}x{digest}"
 
 
 def unit_store_key(model_key: str, raw_key: str, dataset_key: str) -> str:
@@ -253,27 +262,6 @@ class _ByteBoundedLRU:
 
     def _release(self, entry) -> None:
         """An entry left the map (eviction): free what it held."""
-
-    def _read_store(self, reader, missing: np.ndarray, row_width: int):
-        """What the disk tier (``reader``: the store's for the entry, or
-        None) holds of ``missing``: a mask over it and the rows of the
-        masked records (``None`` when there are none).
-
-        Counts every consulted record as a disk hit or miss; a width
-        mismatch (stale or foreign entry) is treated as wholly absent
-        rather than served.  Runs outside the lock.
-        """
-        have = np.zeros(missing.shape[0], dtype=bool)
-        rows = None
-        if reader is not None and reader.row_width == row_width:
-            have = reader.filled_mask(missing)
-            if have.any():
-                rows = reader.rows(missing[have])
-        n_hit = int(np.count_nonzero(have))
-        with self._lock:
-            self.disk_hits += n_hit
-            self.disk_misses += int(missing.shape[0]) - n_hit
-        return have, rows
 
     def fold_counts(self, *, extractions: int = 0, hits: int = 0,
                     misses: int = 0, disk_hits: int = 0,
@@ -476,38 +464,30 @@ class HypothesisCache(_ByteBoundedLRU):
                 return indices
             return indices[~column.arena.filled[column.col, indices]]
 
-    def fill_rows(self, dataset: Dataset, indices: np.ndarray,
-                  rows: np.ndarray, *, hypothesis) -> None:
-        """Commit worker-extracted hypothesis rows (counted as disk hits)."""
-        self.fill_block(dataset, [(hypothesis, indices, rows)])
+    def fill_block(self, dataset: Dataset, hypotheses: list,
+                   indices: np.ndarray, rows: np.ndarray) -> None:
+        """Commit an externally-extracted panel — ``rows`` is
+        ``(len(indices), ns * len(hypotheses))``, record-major — in one
+        stacked write per byte-budget chunk (coordinator-side fill).
 
-    def fill_block(self, dataset: Dataset, fills: list) -> None:
-        """Commit externally-extracted ``(hypothesis, indices, rows)``
-        triples together (coordinator-side fill).
-
-        The shard exchange calls this with a worker bundle's mmap'd rows;
+        The shard exchange calls this with a worker panel's mmap'd rows;
         they count as disk hits — the records were served from shard
-        files, not extracted by this tier.  Hypotheses filled over the
-        same records land in one stacked write.
+        files, not extracted by this tier.
         """
-        fills = [(hypothesis, np.asarray(indices, dtype=int), rows)
-                 for hypothesis, indices, rows in fills if len(indices)]
-        panel = self._panel_width(dataset)
-        for start in range(0, len(fills), panel):
-            chunk = fills[start:start + panel]
-            together: dict[bytes, list[int]] = {}
-            for j, (_, indices, _) in enumerate(chunk):
-                together.setdefault(indices.tobytes(), []).append(j)
-            writes = [(chunk[js[0]][1], np.array(js),
-                       np.stack([chunk[j][2] for j in js], axis=2))
-                      for js in together.values()]
-            keys = self._keys(dataset, [hypothesis for hypothesis, _, _
-                                        in chunk])
+        indices = np.asarray(indices, dtype=int)
+        if not indices.shape[0]:
+            return
+        cells = np.asarray(rows).reshape(indices.shape[0], dataset.n_symbols,
+                                         len(hypotheses))
+        keys = self._keys(dataset, hypotheses)
+        width = self._panel_width(dataset)
+        for start in range(0, len(keys), width):
+            chunk = keys[start:start + width]
             with self._lock:
-                arena, _, cols = self._columns(dataset, keys)
-                for indices, js, values in writes:
-                    self.disk_hits += int(js.shape[0] * indices.shape[0])
-                    arena.scatter(indices, cols[js], values)
+                arena, _, cols = self._columns(dataset, chunk)
+                self.disk_hits += len(chunk) * int(indices.shape[0])
+                arena.scatter(indices, cols,
+                              cells[:, :, start:start + width])
 
     def extract(self, hypothesis: HypothesisFunction, dataset: Dataset,
                 indices: np.ndarray) -> np.ndarray:
@@ -524,9 +504,11 @@ class HypothesisCache(_ByteBoundedLRU):
         Byte for byte ``np.stack([h.extract(dataset, indices).reshape(-1)
         for h in hypotheses], axis=1)`` as float64.  The block is owned by
         the caller — gathered under the lock, never a view into the arena
-        — so a column evicted and recycled later cannot alias it.  A
-        request wider than the byte budget is served panel by panel, so the
-        tier never holds more than ``max_bytes`` beside the block returned.
+        — so a column evicted and recycled later cannot alias it.  (A
+        freshly evaluated block is also what an open ``deferred_commits``
+        scope of the store writes at its exit, uncopied: read-only until
+        then.)  A request wider than the byte budget is served panel by
+        panel, so the tier never holds more than ``max_bytes`` beside it.
         """
         indices = np.asarray(indices, dtype=int)
         hypotheses = list(hypotheses)
@@ -592,38 +574,38 @@ class HypothesisCache(_ByteBoundedLRU):
             n_hit = int(np.count_nonzero(have))
             self.hits += n_hit
             self.misses += have.size - n_hit
-            block = arena.gather(indices, cols)
+            block = (arena.gather(indices, cols) if n_hit
+                     else np.empty((n * ns, k)))  # every cell filled below
         if n_hit == have.size:
             return block
         # cold cells are filled in the caller's block outside the lock: the
-        # disk tier per column, then one evaluation per set of columns
+        # disk tier per panel, then one evaluation per set of columns
         # still missing the same records; nothing is written through or
         # committed until every one of them has succeeded
         cells = block.reshape(n, ns, k)
         cold = np.flatnonzero(~have.all(axis=1))
         absent = ~have[cold]
         if self.store is not None:
-            readers = self.store.readers(columns[j].store_key() for j in cold)
-            for row, j, reader in zip(absent, cold, readers):
-                at = np.flatnonzero(row)
-                served, rows = self._read_store(reader, indices[at],
-                                                row_width=ns)
-                if rows is not None:
-                    cells[at[served], :, j] = rows
-                    row[at[served]] = False
-        extracted = [(at, js) for at, js in _same_records(absent, cold)
-                     if at.shape[0]]
+            cells = self._read_store_panels(
+                [columns[j].store_key() for j in cold], cold, absent,
+                indices, cells)
+        extracted = [(at, np.array(js)) for at, js
+                     in _same_records(absent, cold) if at.shape[0]]
         for at, js in extracted:
             whole = at.shape[0] == n and len(js) == k
             fresh = extract_columns([hypotheses[j] for j in js], dataset,
                                     indices[at], out=cells if whole else None)
             if not whole:
-                cells[at[:, None], :, js] = fresh.transpose(0, 2, 1)
+                _assign(cells, at, js, fresh)
         if self.store is not None:
+            # one panel per evaluation: on a cold run the block, uncopied
             for at, js in extracted:
-                for j in js:
-                    self.store.append(columns[j].store_key(), indices[at],
-                                      cells[at, :, j], dataset.n_records)
+                members = [columns[j].store_key() for j in js]
+                rows = cells[_span(at)][:, :, _span(js)]
+                self.store.append(
+                    panel_store_key(arena.dataset_key, members), indices[at],
+                    rows.reshape(at.shape[0], -1), dataset.n_records,
+                    members=members)
         with self._lock:
             self.extractions += sum(len(js) for _, js in extracted)
             # resolved again: a concurrent insert may have recycled columns
@@ -633,7 +615,54 @@ class HypothesisCache(_ByteBoundedLRU):
                 if len(js) < k:
                     values = values[:, :, js]
                 arena.scatter(indices[at], cols[js], values)
-        return block
+        return cells.reshape(n * ns, k)
+
+    def _read_store_panels(self, members: list[str], js: np.ndarray,
+                           absent: np.ndarray, indices: np.ndarray,
+                           cells: np.ndarray) -> np.ndarray:
+        """Fill what the disk tier holds of the ``absent`` cells — a
+        ``(len(js), n)`` mask over columns ``js`` (member keys ``members``)
+        of ``cells``, cleared where served — with one gather per panel
+        touched, and count every consulted (hypothesis, record) as a disk
+        hit or miss.  Returns the cells: the gather itself when one panel
+        holds the whole block.  Runs outside the lock."""
+        ns = cells.shape[1]
+        consulted = int(np.count_nonzero(absent))
+        for reader, pos, pcols in self.store.panels(members, ns):
+            need = absent[pos] & reader.filled_mask(indices)
+            for at, sel in _same_records(need, np.arange(pos.shape[0])):
+                if not at.shape[0]:
+                    continue
+                sel = np.array(sel)
+                values = reader.rows(indices[at]).reshape(
+                    at.shape[0], ns, -1)[:, :, _span(pcols[sel])]
+                absent[pos[sel][:, None], at] = False
+                if values.shape == cells.shape and values.flags.c_contiguous:
+                    cells = values
+                else:
+                    _assign(cells, at, js[pos[sel]], values)
+        served = consulted - int(np.count_nonzero(absent))
+        with self._lock:
+            self.disk_hits += served
+            self.disk_misses += consulted - served
+        return cells
+
+
+def _span(ids: np.ndarray):
+    """``ids`` as a slice when they are an ascending run, else as given."""
+    run = ids.shape[0] and (np.diff(ids) == 1).all()
+    return slice(int(ids[0]), int(ids[-1]) + 1) if run else ids
+
+
+def _assign(cells: np.ndarray, at: np.ndarray, js: np.ndarray,
+            values: np.ndarray) -> None:
+    """``cells[at, :, js] = values`` for ``(len(at), ns, len(js))`` values
+    — a slice assignment wherever ``at`` or ``js`` is a run."""
+    recs, cols = _span(at), _span(js)
+    if isinstance(recs, slice) or isinstance(cols, slice):
+        cells[recs, :, cols] = values
+    else:
+        cells[at[:, None], :, js] = values.transpose(0, 2, 1)
 
 
 def _same_records(masks: np.ndarray, js: np.ndarray) -> list:
@@ -799,13 +828,20 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             self.hits += int(indices.shape[0] - missing.shape[0])
             self.misses += int(missing.shape[0])
         if self.store is not None and missing.shape[0]:
-            have, rows = self._read_store(
-                self.store.reader(self._store_key(key, entry)), missing,
-                row_width=extractor.raw_width(model) * ns)
-            if rows is not None:
-                with self._lock:
+            # the disk tier; a width mismatch (stale or foreign entry) is
+            # wholly absent, never served
+            reader = self.store.reader(self._store_key(key, entry))
+            have = np.zeros(missing.shape[0], dtype=bool)
+            if reader is not None and reader.row_width \
+                    == extractor.raw_width(model) * ns:
+                have = reader.filled_mask(missing)
+            rows = reader.rows(missing[have]) if have.any() else None
+            with self._lock:
+                self.disk_hits += int(np.count_nonzero(have))
+                self.disk_misses += int(np.count_nonzero(~have))
+                if rows is not None:
                     self._commit_rows(key, entry, missing[have], rows)
-                missing = missing[~have]
+            missing = missing[~have]
         if missing.shape[0]:
             block = extractor.raw_rows(model, dataset.symbols[missing])
             if block.shape[0] != missing.shape[0] * ns:

@@ -263,10 +263,12 @@ def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
       through one scheduler.
     * A single-core host gets the serial scheduler: neither pool can win
       there, and GIL/spawn overhead makes both strictly slower.
-    * On a multi-core host *with* a disk store, cold store-backed runs
-      are the GIL-bound bottleneck, so the process pool is chosen: raw
-      sweeps fan out across cores and exchange through the store's
-      mmap'd shards.
+    * On a multi-core host *with* a disk store the process pool is
+      chosen: raw sweeps fan out across cores and exchange through the
+      store's mmap'd shards.  Spawn and pickling are a constant, sweeps
+      grow with records x units^2: at the benchmark's base scale this is
+      the *slowest* of the three on a cold store-backed statement (PR
+      18); ROADMAP direction 2 owns the decision.
     * Multi-core without a store falls back to the thread pool — numpy
       releases the GIL for scoring and multi-model extraction, and there
       is no exchange medium for shard tasks to write through.
@@ -323,9 +325,11 @@ class InspectConfig:
     store: DiskBehaviorStore | None = None   # persistent disk tier
     scheduler: Scheduler | str | None = None  # None -> serial
     partition: bool = True      # per-hypothesis-column early stopping
-    #: double-buffered extraction: while block t scores, block t+1's raw
-    #: sweep runs on the scheduler (overlapping schedulers only; frames
-    #: stay bit-identical — see InspectionPlan._run_blocks)
+    #: a block's raw sweeps are submitted to the scheduler, one future per
+    #: (model, raw sweep) pair, before the calling thread labels the
+    #: block's hypotheses (overlapping schedulers only; no block is swept
+    #: ahead of the one being processed; frames stay bit-identical — see
+    #: InspectionPlan._run_blocks)
     prefetch: bool = True
     #: cross-query single-flight gate over cold raw sweeps.  Anything
     #: exposing ``lease(keys, cold=predicate) -> context manager`` works

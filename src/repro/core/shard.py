@@ -46,7 +46,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cache import (HypothesisCache, hyp_store_key,
-                              model_fingerprint, unit_store_key)
+                              model_fingerprint, panel_store_key,
+                              unit_store_key)
 from repro.hypotheses.base import extract_columns
 from repro.store.disk import SHARD_DIR, write_segment
 from repro.store.segment import CorruptEntryError
@@ -147,7 +148,7 @@ class ShardTask:
     extractor_blob: bytes | None = None
     indices: np.ndarray | None = None   # record ids to extract
     symbols: np.ndarray | None = None   # dataset.symbols[indices]
-    # hypothesis tasks: items = [(store_key, record ids), ...], aligned
+    # hypothesis tasks: items = [(member key, record ids), ...], aligned
     # with the list pickled *as one value* in hypotheses_blob, so objects
     # the bundle's hypotheses share (a ParseProvider and its trees) cross
     # the process boundary, and are rebuilt in the worker, once
@@ -158,8 +159,8 @@ class ShardTask:
 
 
 def _write_task_segment(task: ShardTask, entries) -> list[dict]:
-    """Write a task's ``(store key, record ids, rows)`` results as one
-    fsynced segment; return its adoption descriptors.
+    """Write a task's ``(store key, record ids, rows, members)`` results
+    as one fsynced segment; return its adoption descriptors.
 
     Names carry a ``w`` prefix plus pid, a per-process sequence and a
     random component, so concurrent workers (and leftovers of crashed
@@ -171,8 +172,8 @@ def _write_task_segment(task: ShardTask, entries) -> list[dict]:
     name = f"w{os.getpid()}-{next(_WORKER_SEQ)}-{uuid.uuid4().hex[:8]}.seg"
     return write_segment(
         shard_dir / name,
-        ((key, task.n_records, indices, rows)
-         for key, indices, rows in entries))
+        ((key, task.n_records, indices, rows, members)
+         for key, indices, rows, members in entries))
 
 
 def run_shard_task(task: ShardTask) -> dict:
@@ -207,7 +208,7 @@ def _run_unit_task(task: ShardTask) -> dict:
     # same flat layout the unit cache commits/persists: one row per record
     rows = np.ascontiguousarray(block).reshape(task.indices.shape[0], -1)
     return {"descriptors": _write_task_segment(
-                task, [(task.store_key, task.indices, rows)]),
+                task, [(task.store_key, task.indices, rows, None)]),
             "extractions": 1, "forward_sweeps": counter.calls}
 
 
@@ -219,16 +220,17 @@ def _run_hyp_task(task: ShardTask) -> dict:
         _WORKER_OBJECTS[ds_key] = dataset
     hypotheses = pickle.loads(task.hypotheses_blob)
     return {"descriptors": _write_task_segment(
-                task, _hyp_entries(task.items, hypotheses, dataset)),
+                task, _hyp_entries(task, hypotheses, dataset)),
             "extractions": len(task.items), "forward_sweeps": 0}
 
 
-def _hyp_entries(items: list, hypotheses: list, dataset):
-    """A bundle's ``(store key, record ids, rows)``, evaluated a panel at a
-    time — neighbours missing the same records, ``_HYP_PANEL_BYTES`` of
-    float64 columns at most.  A generator: a panel is written, then
-    released, before the next, so a worker never holds the whole bundle."""
-    paired = zip(items, hypotheses)
+def _hyp_entries(task: ShardTask, hypotheses: list, dataset):
+    """A bundle's ``(panel key, record ids, rows, members)``, evaluated —
+    and stored — a panel at a time: neighbours missing the same records,
+    ``_HYP_PANEL_BYTES`` of float64 columns at most.  A generator: a panel
+    is written, then released, before the next, so a worker never holds
+    the whole bundle."""
+    paired = zip(task.items, hypotheses)
     for _, run in itertools.groupby(paired, key=lambda e: e[0][1].tobytes()):
         run = list(run)
         indices = run[0][0][1]
@@ -238,8 +240,9 @@ def _hyp_entries(items: list, hypotheses: list, dataset):
             panel = run[start:start + width]
             block = extract_columns([hyp for _, hyp in panel], dataset,
                                     indices)
-            for j, ((store_key, _), _) in enumerate(panel):
-                yield store_key, indices, block[:, :, j]
+            members = [member for (member, _), _ in panel]
+            yield (panel_store_key(task.dataset_key, members), indices,
+                   block.reshape(indices.shape[0], -1), members)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +299,8 @@ class _Dispatch:
         self.lo = lo
         self.hi = hi
         self.kind = kind
-        self.fills = fills      # store_key -> fill context
+        # unit store key -> (model key, raw key); member key -> hypothesis
+        self.fills = fills
         self.model = model      # live coordinator model (counter folding)
         self.collected = False
 
@@ -396,7 +400,7 @@ class ShardExchange:
                 continue
             missing_mask = np.zeros(dataset.n_records, dtype=bool)
             missing_mask[missing] = True
-            fills = {store_key: ("unit", model_key, raw_key)}
+            fills = {store_key: (model_key, raw_key)}
             for lo, hi in _chunk_spans(source.n_records, config.block_size,
                                        workers):
                 ids = source.order[lo:hi]
@@ -421,18 +425,20 @@ class ShardExchange:
         # every hypothesis is about to be filled (by a worker bundle, from
         # the store, or inline): size the tier's arena once, up front
         config.cache.reserve(dataset, source.hypotheses)
-        wanted = [
-            (hyp_store_key(dataset.cache_key(),
-                           HypothesisCache._hypothesis_identity(hyp)),
-             config.cache.missing_records(dataset, source.order,
-                                          hypothesis=hyp),
-             dataset.n_symbols) for hyp in source.hypotheses]
-        # (store_key, hypothesis, missing record ids)
-        items = [(store_key, hyp, missing)
-                 for (store_key, _, _), hyp, missing
-                 in zip(wanted, source.hypotheses,
-                        _store_missing(self.store, wanted))
-                 if missing.shape[0]]
+        members = [hyp_store_key(dataset.cache_key(),
+                                 HypothesisCache._hypothesis_identity(hyp))
+                   for hyp in source.hypotheses]
+        missing = [config.cache.missing_records(dataset, source.order,
+                                                hypothesis=hyp)
+                   for hyp in source.hypotheses]
+        # nor is what a committed panel holds (warm runs dispatch nothing)
+        for reader, held, _ in self.store.panels(members, dataset.n_symbols):
+            for pos in held:
+                missing[pos] = missing[pos][
+                    ~reader.filled_mask(missing[pos])]
+        # (member key, hypothesis, missing record ids)
+        items = [item for item in zip(members, source.hypotheses, missing)
+                 if item[2].shape[0]]
         if not items:
             return []
         dataset_blob = _pickle_or_none(dataset)
@@ -464,8 +470,7 @@ class ShardExchange:
                 hypotheses_blob=blob,
                 items=[(key, missing) for key, _, missing in bundle])
             described.append(
-                (span, task,
-                 {key: ("hyp", hyp) for key, hyp, _ in bundle}, None))
+                (span, task, {key: hyp for key, hyp, _ in bundle}, None))
         return described
 
     # -- integration -----------------------------------------------------
@@ -506,17 +511,15 @@ class ShardExchange:
             degraded("shard.files-vanished",
                      f"span {dispatch.lo}:{dispatch.hi}", exc=exc)
             arrays = []
-        hyp_fills = []  # a bundle's hypotheses commit together
         for desc, (indices, rows) in zip(descriptors, arrays):
-            fill = dispatch.fills.get(desc["key"])
-            if fill is not None and fill[0] == "unit":
+            if desc["members"] is not None:  # a panel commits together
+                config.cache.fill_block(
+                    dataset, [dispatch.fills[member]
+                              for member in desc["members"]], indices, rows)
+            elif (fill := dispatch.fills.get(desc["key"])) is not None:
                 config.unit_cache.fill_rows(dataset, indices, rows,
-                                            model_key=fill[1],
-                                            raw_key=fill[2])
-            elif fill is not None:
-                hyp_fills.append((fill[1], indices, rows))
-        if hyp_fills:
-            config.cache.fill_block(dataset, hyp_fills)
+                                            model_key=fill[0],
+                                            raw_key=fill[1])
         tier = (config.unit_cache if dispatch.kind == "unit"
                 else config.cache)
         if tier is not None:

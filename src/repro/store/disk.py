@@ -7,13 +7,23 @@ Layout under the store root::
     shards/<seq>-<pid>.seg          -- one segment per commit
     shards/w<pid>-<n>-<rand>.seg    -- one segment per pool-worker task
 
-An *entry* holds behaviors for one logical key (e.g. one
-(model fingerprint, raw extractor identity, dataset hash) triple) as a
-sequence of append-only *shards*: a block of rows plus the record ids they
-belong to.  A commit is a **group commit**: :meth:`DiskBehaviorStore.append`
-queues rows; :meth:`DiskBehaviorStore.flush` coalesces everything queued
-into one shard per entry, writes them all back to back into **one segment
-file** (:func:`write_segment`: every array a complete npy blob on a 64-byte
+An *entry* holds behaviors for one logical key as a sequence of
+append-only *shards*: a block of rows plus the record ids they belong to.
+A plain entry is one thing per row (the raw unit behaviors of one model
+fingerprint, raw extractor identity, dataset hash triple).  A **panel**
+stores what was extracted together, together: its manifest record carries
+``members`` (one key per hypothesis, in column order) and a row is a
+record's ``(symbols, len(members))`` cells — the block the hypothesis tier
+evaluated, appended and gathered back as it stands.  The store indexes
+``member -> (panel, column)`` per manifest (:meth:`DiskBehaviorStore
+.panels`); a member several panels hold is served from any that holds the
+record.  Manifest version 3: a version-1 (file pairs) or version-2 (an
+entry per hypothesis) directory reads as empty, says so once, re-extracts.
+
+A commit is a **group commit**: :meth:`DiskBehaviorStore.append` queues
+rows; :meth:`DiskBehaviorStore.flush` coalesces everything queued into one
+shard per entry, writes them all back to back into **one segment file**
+(:func:`write_segment`: every array a complete npy blob on a 64-byte
 boundary; one fsync, one rename), and then commits by atomically rewriting
 the manifest, where a shard record is ``file`` + ``file_bytes`` (the segment
 and its total size) and an ``[offset, nbytes]`` span each for ``data`` and
@@ -30,15 +40,16 @@ Reads go through :class:`StoreEntryReader`, which takes validated zero-copy
 views out of one shared read-only map per segment (kept by the store, keyed
 by file name) and gathers requested record rows directly out of them, so
 serving a block slice touches only the pages that block needs.  A segment
-whose size disagrees with the manifest, a span running past it, or an npy
+whose size disagrees with the manifest, a span running past it, an npy
 header that disagrees with the entry's geometry (truncated write, torn
-copy) invalidates the whole entry: it is dropped and re-extracted, never
-served.
+copy) or ``members`` that do not divide a panel's rows invalidates the
+whole entry: it is dropped and re-extracted, never served.
 
-Eviction is least-recently-used at entry granularity against a budget on
-the **bytes on disk of live segment files**: a segment is unlinked when its
-last entry leaves, and until then its dead bytes count.  ``max_bytes=None``
-disables automatic GC (``gc(max_bytes)`` can still be called explicitly).
+Eviction is least-recently-used at entry granularity (a panel leaves
+whole) against a budget on the **bytes on disk of live segment files**: a
+segment is unlinked when its last entry leaves, and until then its dead
+bytes count.  ``max_bytes=None`` disables automatic GC (``gc(max_bytes)``
+can still be called explicitly).
 """
 
 from __future__ import annotations
@@ -58,26 +69,27 @@ from repro.util.debuglog import degraded
 
 MANIFEST = "manifest.json"
 SHARD_DIR = "shards"
-_VERSION = 2
+_VERSION = 3
 #: what a manifest shard record keeps of a :func:`write_segment` descriptor
 _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
 
 
 def write_segment(path: Path, entries) -> list[dict]:
-    """Write ``(key, n_records, indices, rows)`` entries as one segment.
+    """Write ``(key, n_records, indices, rows, members)`` entries as one
+    segment.
 
     Rows then record ids, entry after entry, each array a complete npy
     blob; one fsync, one rename.  Returns one descriptor per entry — the
-    manifest shard record (``_SHARD_FIELDS``) plus the entry's key and
-    geometry — which is what :meth:`DiskBehaviorStore.adopt_segment` takes
-    from a worker.
+    manifest shard record (``_SHARD_FIELDS``) plus the entry's key,
+    geometry and ``members`` (None unless a panel) — which is what
+    :meth:`DiskBehaviorStore.adopt_segment` takes from a worker.
     """
     descriptors = []
     with published(path) as f:
-        for key, n_records, indices, rows in entries:
+        for key, n_records, indices, rows, members in entries:
             rows = np.ascontiguousarray(rows)
             descriptors.append(
-                {"key": key, "n_records": int(n_records),
+                {"key": key, "n_records": int(n_records), "members": members,
                  "row_width": int(rows.shape[1]), "dtype": rows.dtype.str,
                  "file": path.name, "rows": int(rows.shape[0]),
                  "data": write_blob(f, rows),
@@ -128,6 +140,8 @@ class StoreEntryReader:
         self.n_records = int(meta["n_records"])
         self.row_width = int(meta["row_width"])
         self.dtype = np.dtype(meta["dtype"])
+        #: a panel's member keys in column order; () for a plain entry
+        self.members = tuple(meta["members"] or ())
         self._maps: list[np.ndarray] = []
         self._loc = np.full(self.n_records, -1, dtype=np.int64)
         self.extend(meta, 0, open_segment)
@@ -173,6 +187,10 @@ class StoreEntryReader:
                            "the store")
         shard_of = loc >> _ROW_BITS
         row_of = loc & _ROW_MASK
+        if loc.shape[0] and (shard_of == shard_of[0]).all():
+            # one shard holds them all (every entry after a group commit):
+            # its gather is the result, no second copy through ``out``
+            return maps[shard_of[0]][row_of]
         out = np.empty((indices.shape[0], self.row_width), dtype=self.dtype)
         for si in np.unique(shard_of):
             sel = shard_of == si
@@ -205,6 +223,8 @@ class DiskBehaviorStore:
         # segment come out of (names are never reused, so a map can only
         # go stale by its file being deleted; see _refresh and close)
         self._segments: dict[str, mmap.mmap] = {}
+        # member key -> [(panel key, column), ...]; see panels
+        self._members: dict[str, list[tuple[str, int]]] | None = None
         # read-time recency bumps not yet persisted (manifest commits only
         # happen on writes); merged back in whenever the manifest reloads
         self._pending_touches: dict[str, int] = {}
@@ -263,6 +283,7 @@ class DiskBehaviorStore:
         if force or stale:
             self._manifest = self._load_manifest(report=stale)
             self._manifest_sig = sig
+            self._members = None
             entries = self._manifest["entries"]
             # keep mmap'd readers for the same entry incarnation (they can
             # be extended with any appended shards); drop the rest, and
@@ -291,6 +312,7 @@ class DiskBehaviorStore:
             f.write(json.dumps(manifest, indent=0).encode())
         self.commits += 1
         self._manifest = manifest
+        self._members = None
         self._manifest_sig = self._stat_sig()
         self._pending_touches.clear()
 
@@ -311,44 +333,75 @@ class DiskBehaviorStore:
         segment, bad span or header) is dropped from the store so the
         caller re-extracts — partial data is never served.
         """
-        keys = list(keys)
-        if not keys:
-            return []
-        found: list[StoreEntryReader | None] = []
-        invalid = []
         with self._lock:
-            manifest = self._refresh()
-            for key in keys:
-                meta = manifest["entries"].get(key)
-                if meta is None:
-                    found.append(None)
-                    continue
-                created = meta.get("created")
-                cached = self._readers.get(key)
-                entry_reader = (cached[1] if cached is not None
-                                and cached[0] == created else None)
-                try:
-                    if entry_reader is None:
-                        entry_reader = StoreEntryReader(key, meta,
-                                                        self._segment)
-                    elif entry_reader.n_shards < len(meta["shards"]):
-                        entry_reader.extend(meta, entry_reader.n_shards,
-                                            self._segment)
-                except CorruptEntryError:
-                    self.invalid_dropped += 1
-                    self._readers.pop(key, None)
-                    invalid.append(key)
-                    found.append(None)
-                else:
-                    self._readers[key] = (created, entry_reader)
-                    # recency, in memory; persisted on the next commit
-                    manifest["clock"] += 1
-                    self._pending_touches[key] = meta["last_used"] \
-                        = manifest["clock"]
-                    found.append(entry_reader)
+            found, invalid = self._open(self._refresh(), list(keys))
         for key in invalid:  # under the write lock, with its own files
             self.drop(key)
         return found
+
+    def _open(self, manifest: dict, keys: list[str],
+              member_width: int | None = None) -> tuple[list, list]:
+        """:meth:`readers` under the lock: the readers, and the keys that
+        failed validation (a panel: whose rows are not ``member_width``
+        per member) for the caller to drop."""
+        found: list[StoreEntryReader | None] = []
+        invalid = []
+        for key in keys:
+            meta = manifest["entries"].get(key)
+            if meta is None:
+                found.append(None)
+                continue
+            created = meta.get("created")
+            cached = self._readers.get(key)
+            entry_reader = (cached[1] if cached is not None
+                            and cached[0] == created else None)
+            try:
+                if entry_reader is None:
+                    entry_reader = StoreEntryReader(key, meta, self._segment)
+                elif entry_reader.n_shards < len(meta["shards"]):
+                    entry_reader.extend(meta, entry_reader.n_shards,
+                                        self._segment)
+                if member_width is not None and entry_reader.row_width \
+                        != member_width * len(entry_reader.members):
+                    raise CorruptEntryError(f"{key}: rows are not its "
+                                            f"members x {member_width}")
+            except CorruptEntryError:
+                self.invalid_dropped += 1
+                self._readers.pop(key, None)
+                invalid.append(key)
+                found.append(None)
+            else:
+                self._readers[key] = (created, entry_reader)
+                # recency, in memory; persisted on the next commit
+                manifest["clock"] += 1
+                self._pending_touches[key] = meta["last_used"] \
+                    = manifest["clock"]
+                found.append(entry_reader)
+        return found, invalid
+
+    def panels(self, members, member_width: int) -> list[tuple]:
+        """The panels holding any of ``members``: per panel its reader (as
+        :meth:`readers`), the positions in ``members`` it holds and their
+        columns in it — one lock and one manifest check for the lot."""
+        held: dict[str, tuple[list[int], list[int]]] = {}
+        with self._lock:
+            manifest = self._refresh()
+            if self._members is None:
+                self._members = {}
+                for key, meta in manifest["entries"].items():
+                    for col, member in enumerate(meta["members"] or ()):
+                        self._members.setdefault(member, []).append((key, col))
+            for pos, member in enumerate(members):
+                for key, col in self._members.get(member, ()):
+                    at = held.setdefault(key, ([], []))
+                    at[0].append(pos)
+                    at[1].append(col)
+            found, invalid = self._open(manifest, list(held), member_width)
+        for key in invalid:
+            self.drop(key)
+        return [(reader, np.array(pos), np.array(cols))
+                for reader, (pos, cols) in zip(found, held.values())
+                if reader is not None]
 
     def reader(self, key: str) -> StoreEntryReader | None:
         """:meth:`readers` for one key."""
@@ -356,9 +409,11 @@ class DiskBehaviorStore:
 
     # -- writes ---------------------------------------------------------
     def append(self, key: str, indices: np.ndarray, rows: np.ndarray,
-               n_records: int) -> None:
+               n_records: int, members: list[str] | None = None) -> None:
         """Persist ``rows`` (one row per entry record in ``indices``).
 
+        ``members`` makes the entry a *panel*: a row is ``len(members)``
+        equal-width columns, served per member (:meth:`panels`).
         Rows are queued and reach disk with the next :meth:`flush` —
         immediately by default, or at the end of a
         :meth:`deferred_commits` scope — where they become visible when
@@ -377,7 +432,7 @@ class DiskBehaviorStore:
         with self._lock:
             self._pending_rows.append(
                 (key, int(n_records), int(rows.shape[1]), rows.dtype.str,
-                 indices, rows))
+                 members and list(members), indices, rows))
             self._pending_bytes += rows.nbytes + indices.nbytes
             self.appends += 1
             defer = (self._defer_depth > 0
@@ -427,13 +482,13 @@ class DiskBehaviorStore:
             # coalesce per entry: within one scope the cache only appends
             # records it found missing, so parts are disjoint
             grouped: dict[tuple, list[tuple]] = {}
-            for key, n_records, width, dtype_str, indices, rows in pending:
+            for key, n_records, width, dtype_str, *part in pending:
                 grouped.setdefault((key, n_records, width, dtype_str),
-                                   []).append((indices, rows))
+                                   []).append(part)
             entries = [
-                (key, n_records, np.concatenate([p[0] for p in parts]),
-                 parts[0][1] if len(parts) == 1
-                 else np.concatenate([p[1] for p in parts]))
+                (key, n_records, np.concatenate([p[1] for p in parts]),
+                 parts[0][2] if len(parts) == 1
+                 else np.concatenate([p[2] for p in parts]), parts[0][0])
                 for (key, n_records, _, _), parts in grouped.items()]
             with commit_lock(self.root):
                 # always merge against the latest committed manifest:
@@ -476,11 +531,13 @@ class DiskBehaviorStore:
         if meta is not None and (
                 meta["row_width"] != desc["row_width"]
                 or np.dtype(meta["dtype"]) != np.dtype(desc["dtype"])
-                or meta["n_records"] != desc["n_records"]):
+                or meta["n_records"] != desc["n_records"]
+                or meta["members"] != desc["members"]):
             replaced, meta = entries.pop(key), None
         if meta is None:
             meta = {"n_records": desc["n_records"],
                     "row_width": desc["row_width"], "dtype": desc["dtype"],
+                    "members": desc["members"],
                     "created": seq,  # incarnation token
                     "nbytes": 0, "last_used": seq, "shards": []}
             entries[key] = meta

@@ -20,7 +20,8 @@ import pytest
 import repro.core.cache as cache_module
 from repro import (DiskBehaviorStore, HypothesisCache, InspectConfig,
                    Session, UnitBehaviorCache, UnitGroup, inspect)
-from repro.core.cache import hyp_store_key, unit_store_key
+from repro.core.cache import (hyp_store_key, panel_store_key,
+                              unit_store_key)
 from repro.core.pipeline import InspectionPlan, ScoreTask
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import grammar_hypotheses
@@ -89,7 +90,7 @@ def test_block_read_matches_stacked_reference(state, with_store, tmp_path,
     warm_to = {"cold": 0, "half": n // 2, "warm": n}[state]
     combos = [(iname, lname) for iname in index_sets(n)
               for lname in hypothesis_lists()]
-    if with_store:      # a shard per hypothesis per combo: the diagonal
+    if with_store:      # a store per combo: the diagonal
         combos = list(zip(index_sets(n), hypothesis_lists()))
     for iname, lname in combos:
         indices, picks = index_sets(n)[iname], hypothesis_lists()[lname]
@@ -132,8 +133,8 @@ def test_one_column_calls_are_the_block_read(sql_workload, hyps72):
     assert cache.missing_records(dataset, np.arange(3),
                                  hypothesis=hyps72[4]).tolist() == [0, 1, 2]
     assert cache.stats()["entries"] == 1        # a probe claims nothing
-    cache.fill_rows(dataset, np.array([0, 1]),
-                    hyps72[4].extract(dataset, [0, 1]), hypothesis=hyps72[4])
+    cache.fill_block(dataset, [hyps72[4]], np.array([0, 1]),
+                     hyps72[4].extract(dataset, [0, 1]))
     assert cache.stats()["disk_hits"] == 2
     block = cache.extract_block([hyps72[4], hyps72[3]], dataset,
                                 np.array([1, 2]))
@@ -275,8 +276,7 @@ def test_threads_yield_serial_bytes_and_exact_counts(sql_workload, hyps72,
                 read += len(idx)
             else:
                 j = int(rng.integers(0, len(hyps)))
-                cache.fill_rows(dataset, idx, full[idx, :, j],
-                                hypothesis=hyps[j])
+                cache.fill_block(dataset, [hyps[j]], idx, full[idx, :, j])
                 filled += len(idx)
         return read, filled
 
@@ -398,20 +398,23 @@ def test_reads_are_owned_never_views_of_the_arena(sql_workload, hyps72):
 # ----------------------------------------------------------------------
 def test_store_written_through_the_public_path_is_interchangeable(
         tmp_path, sql_workload, hyps72):
-    """The per-hypothesis loop wrote ``append(hyp_store_key(...), records,
-    h.extract(...))`` per block; a store built that way serves this tier
-    with zero extractions, and what this tier writes reads back the same
-    way — same keys, same rows."""
+    """A panel is a plain store entry — ``append(panel_store_key(...),
+    records, the stacked block, members=...)`` per block; a store built
+    that way through the public API serves this tier with zero
+    extractions, and what this tier writes reads back the same way — same
+    key, same members, same rows."""
     dataset = sql_workload.dataset
     order = np.random.default_rng(0).permutation(dataset.n_records)
     blocks = [order[:256], order[256:]]
-    theirs = DiskBehaviorStore(tmp_path / "per-hypothesis")
+    members = [hyp_store_key(dataset.cache_key(), hyp.cache_key())
+               for hyp in hyps72]
+    theirs = DiskBehaviorStore(tmp_path / "public-api")
     with theirs.deferred_commits():
         for block in blocks:
-            for hyp in hyps72:
-                theirs.append(
-                    hyp_store_key(dataset.cache_key(), hyp.cache_key()),
-                    block, hyp.extract(dataset, block), dataset.n_records)
+            theirs.append(
+                panel_store_key(dataset.cache_key(), members), block,
+                reference(hyps72, dataset, block).reshape(len(block), -1),
+                dataset.n_records, members=members)
     cache = HypothesisCache(store=DiskBehaviorStore(theirs.root))
     assert_same_block(cache.extract_block(hyps72, dataset, order),
                       reference(hyps72, dataset, order))
@@ -424,14 +427,15 @@ def test_store_written_through_the_public_path_is_interchangeable(
         for block in blocks:
             writer.extract_block(hyps72, dataset, block)
     reopened = DiskBehaviorStore(ours.root)
-    assert sorted(reopened.keys()) == sorted(theirs.keys())
+    assert reopened.keys() == theirs.keys() \
+        == [panel_store_key(dataset.cache_key(), members)]
     everything = np.arange(dataset.n_records)
-    for key in theirs.keys():
-        mine, other = reopened.reader(key), theirs.reader(key)
-        assert mine.row_width == other.row_width == dataset.n_symbols
-        assert mine.filled_mask(everything).all()
-        assert mine.rows(everything).tobytes() \
-            == other.rows(everything).tobytes()
+    mine, other = (store.reader(store.keys()[0])
+                   for store in (reopened, theirs))
+    assert mine.members == other.members == tuple(members)
+    assert mine.row_width == other.row_width == dataset.n_symbols * 72
+    assert mine.filled_mask(everything).all()
+    assert mine.rows(everything).tobytes() == other.rows(everything).tobytes()
 
 
 def test_store_keys_compacted_only_where_a_store_is_consulted(
@@ -466,9 +470,170 @@ def test_store_keys_compacted_only_where_a_store_is_consulted(
     monkeypatch.setattr(cache_module, "_compact", original)
     from repro.core.cache import model_fingerprint
     assert sorted(store.keys()) == sorted(
-        [hyp_store_key(dataset.cache_key(), h.cache_key()) for h in hyps72]
-        + [unit_store_key(model_fingerprint(trained_sql_model),
-                          extractor.raw_key(), dataset.cache_key())])
+        [panel_store_key(dataset.cache_key(),
+                         [hyp_store_key(dataset.cache_key(), h.cache_key())
+                          for h in hyps72]),
+         unit_store_key(model_fingerprint(trained_sql_model),
+                        extractor.raw_key(), dataset.cache_key())])
+
+
+# ----------------------------------------------------------------------
+# panels on disk: what was extracted together is stored together, and a
+# member is served from any panel that holds the record
+# ----------------------------------------------------------------------
+PANEL_BLOCK = 50
+
+
+class TestPanelServing:
+    """Each scenario commits panels in one session (or two), then reopens
+    the store in a new one: the serial uncached frame, and exactly the
+    extractions and disk hits the committed cells leave — under every
+    scheduler, which also writes the panels it then reads (one panel per
+    evaluation under ``serial`` / ``threads``, one per worker bundle under
+    ``processes``)."""
+
+    @staticmethod
+    def _run(sql_workload, model, hyps, store, scheduler, measure="corr",
+             abandon_after=None, **config):
+        """One statement on a new session; its frame and tier counters."""
+        caches = {} if store is not None else {"cache": None,
+                                               "unit_cache": None}
+        config = InspectConfig(shuffle=False, block_size=PANEL_BLOCK,
+                               **{"early_stop": False, **config, **caches})
+        with Session(store and str(store), config=config,
+                     scheduler=scheduler) as session:
+            session.register_model("m0", model)
+            session.register_dataset("d0", sql_workload.dataset)
+            query = session.inspect("m0", "d0").hypotheses(hyps) \
+                .using(measure)
+            if abandon_after is None:
+                frame = query.run()
+            else:
+                stream = query.stream()
+                for _ in range(abandon_after):
+                    frame = next(stream)
+                stream.close()
+            return frame, session.stats()["hypothesis_cache"]
+
+    @staticmethod
+    def _held(store, dataset, hyps) -> tuple[np.ndarray, int]:
+        """``(len(hyps), n_records)``: the cells the committed panels hold,
+        and how many (member, panel) pairs there are."""
+        members = [hyp_store_key(dataset.cache_key(), h.cache_key())
+                   for h in hyps]
+        held = np.zeros((len(hyps), dataset.n_records), dtype=bool)
+        pairs = 0
+        everything = np.arange(dataset.n_records)
+        for reader, pos, cols in DiskBehaviorStore(store).panels(
+                members, dataset.n_symbols):
+            assert [reader.members[c] for c in cols] \
+                == [members[p] for p in pos]
+            held[pos] |= reader.filled_mask(everything)
+            pairs += len(pos)
+        return held, pairs
+
+    @staticmethod
+    def _expected(held: np.ndarray, scheduler: str) -> dict:
+        """Counters of a statement over ``held.shape`` cells: a block
+        extracts each hypothesis lacking one of its records (a worker
+        bundle: each lacking any record, once, its rows then adopted from
+        the worker's segment), everything else is a disk hit."""
+        if scheduler == "processes":
+            return {"extractions": int((~held).any(axis=1).sum()),
+                    "disk_hits": held.size}
+        blocks = range(0, held.shape[1], PANEL_BLOCK)
+        return {"extractions": sum(
+                    int((~held[:, b:b + PANEL_BLOCK]).any(axis=1).sum())
+                    for b in blocks),
+                "disk_hits": int(held.sum())}
+
+    def _probe(self, sql_workload, model, hyps, store, scheduler,
+               n_records=None, **kwargs) -> dict:
+        """Reopen ``store`` for ``hyps``: the frame must be the serial
+        uncached one and the counters what the store's cells leave."""
+        held, _ = self._held(store, sql_workload.dataset, hyps)
+        want = self._run(sql_workload, model, hyps, None, "serial",
+                         max_records=n_records, **kwargs)[0]
+        frame, counts = self._run(sql_workload, model, hyps, store,
+                                  scheduler, max_records=n_records, **kwargs)
+        assert frame == want
+        expected = self._expected(held[:, :n_records], scheduler)
+        assert {name: counts[name] for name in expected} == expected
+        return expected
+
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+    def test_subset_of_a_panel(self, scheduler, tmp_path, sql_workload,
+                               hyps72, trained_sql_model):
+        args = (sql_workload, trained_sql_model)
+        self._run(*args, hyps72, tmp_path, scheduler, max_records=200)
+        entries = DiskBehaviorStore(tmp_path).stats()["entries"]
+        got = self._probe(*args, hyps72[10:40:3], tmp_path, scheduler,
+                          n_records=200)
+        assert got == {"extractions": 0, "disk_hits": 10 * 200}
+        assert DiskBehaviorStore(tmp_path).stats()["entries"] == entries
+
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+    def test_superset_adds_a_panel_for_the_rest(self, scheduler, tmp_path,
+                                                sql_workload, hyps72,
+                                                trained_sql_model):
+        args = (sql_workload, trained_sql_model)
+        self._run(*args, hyps72[:40], tmp_path, scheduler, max_records=200)
+        got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
+        assert got == ({"extractions": 32, "disk_hits": 72 * 200}
+                       if scheduler == "processes" else
+                       {"extractions": 32 * 4, "disk_hits": 40 * 200})
+        # the old panel and the new one(s) together hold everything
+        got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
+        assert got == {"extractions": 0, "disk_hits": 72 * 200}
+
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+    def test_overlapping_panels(self, scheduler, tmp_path, sql_workload,
+                                hyps72, trained_sql_model):
+        args = (sql_workload, trained_sql_model)
+        self._run(*args, hyps72[:50], tmp_path, scheduler, max_records=100)
+        self._run(*args, hyps72[30:], tmp_path, scheduler, max_records=200)
+        _, pairs = self._held(tmp_path, sql_workload.dataset, hyps72)
+        assert pairs > 72       # some member sits in more than one panel
+        got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
+        # hypotheses 0..29 lack records 100..199 (two blocks), nothing else
+        assert got == ({"extractions": 30, "disk_hits": 72 * 200}
+                       if scheduler == "processes" else
+                       {"extractions": 30 * 2,
+                        "disk_hits": 72 * 200 - 30 * 100})
+
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+    def test_early_stopping_leaves_narrower_panels(
+            self, scheduler, tmp_path, sql_workload, hyps72,
+            trained_sql_model):
+        args = (sql_workload, trained_sql_model)
+        self._run(*args, hyps72, tmp_path, scheduler, measure="diff_means",
+                  early_stop=True, partition=True, error_threshold=0.1)
+        store = DiskBehaviorStore(tmp_path)
+        widths = sorted(len(store.reader(key).members)
+                        for key in store.keys() if key.startswith("panel/"))
+        if scheduler != "processes":    # (its bundles go out whole, up front)
+            # later blocks evaluated fewer members: further panels
+            assert len(widths) > 1 and widths[0] < widths[-1] == 72
+        held, _ = self._held(tmp_path, sql_workload.dataset, hyps72)
+        assert held[:, :PANEL_BLOCK].all()
+        got = self._probe(*args, hyps72, tmp_path, scheduler,
+                          measure="diff_means")
+        assert (got["extractions"] > 0) == (not held.all())
+
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+    def test_run_abandoned_after_its_first_block(
+            self, scheduler, tmp_path, sql_workload, hyps72,
+            trained_sql_model):
+        args = (sql_workload, trained_sql_model)
+        self._run(*args, hyps72, tmp_path, scheduler, abandon_after=1,
+                  max_records=200)
+        held, _ = self._held(tmp_path, sql_workload.dataset, hyps72)
+        assert held[:, :PANEL_BLOCK].all()
+        if scheduler != "processes":    # cost exactly the block delivered
+            assert not held[:, PANEL_BLOCK:].any()
+        got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
+        if scheduler != "processes":
+            assert got == {"extractions": 72 * 3, "disk_hits": 72 * 50}
 
 
 # ----------------------------------------------------------------------

@@ -266,7 +266,7 @@ class TestFamilyFailures:
                     dataset, everything, hypothesis=hyp).shape[0] \
                     == dataset.n_records
             assert not [key for key in session.store.keys()
-                        if key.startswith("hyp/")]
+                        if key.startswith("panel/")]
             # the next statement re-extracts and returns the serial frame
             family.fault = None
             assert query.run() == want

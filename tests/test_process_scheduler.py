@@ -299,13 +299,16 @@ class TestHypothesisBundle:
         assert all(h.provider is shipped[0].provider for h in shipped)
         result = run_shard_task(task)
         assert result["extractions"] == len(task.items) == len(hyps)
-        assert [d["key"] for d in result["descriptors"]] \
-            == [key for key, _ in task.items]
-        for desc, hyp in zip(result["descriptors"], hyps):
-            with open(tmp_path / "shards" / desc["file"], "rb") as segment:
-                segment.seek(desc["data"][0])
-                rows = np.load(segment)
-            assert np.array_equal(rows, hyp.extract(ds, indices))
+        # what was evaluated together is one panel: record-major rows,
+        # the items' keys as its members, in column order
+        (desc,) = result["descriptors"]
+        assert desc["members"] == [key for key, _ in task.items]
+        assert desc["row_width"] == ds.n_symbols * len(hyps)
+        with open(tmp_path / "shards" / desc["file"], "rb") as segment:
+            segment.seek(desc["data"][0])
+            cells = np.load(segment).reshape(3, ds.n_symbols, len(hyps))
+        for j, hyp in enumerate(hyps):
+            assert np.array_equal(cells[:, :, j], hyp.extract(ds, indices))
 
 
 # ----------------------------------------------------------------------

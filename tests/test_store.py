@@ -562,14 +562,15 @@ class TestGroupCommit:
     def test_cold_serial_statement_fsyncs_twice(self, tmp_path, fsyncs,
                                                 sql_workload, hyps72,
                                                 n_hyps):
-        """One segment, one manifest — however many entries commit."""
+        """One segment, one manifest, and one panel beside the unit entry
+        — however many hypotheses commit."""
         with self._session(sql_workload, hyps72[:n_hyps], tmp_path / "s",
                            scheduler="serial") as session:
             session.sql(EPOCHS_SQL)
             stats = session.stats()["store"]
         assert fsyncs() == 2
         assert (stats["files"], stats["commits"]) == (1, 1)
-        assert stats["shards"] == stats["entries"] == n_hyps + 1
+        assert stats["shards"] == stats["entries"] == 2
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
@@ -587,13 +588,16 @@ class TestGroupCommit:
         # tasks; each task is one segment, the coordinator adds the manifest
         assert stats["files"] <= 2 * workers
         assert fsyncs() == stats["files"] + 1
-        assert stats["shards"] >= stats["entries"] == len(hyps72) + 1
+        # the unit entry and one panel per hypothesis bundle
+        assert stats["shards"] >= stats["entries"]
+        assert 2 <= stats["entries"] <= 1 + workers
 
+    @pytest.mark.parametrize("version", [1, 2])
     def test_version_1_directory_reads_as_empty_and_says_so(
-            self, tmp_path, sql_workload, hyps72):
-        """The file-pair format is not read: the upgraded store
-        re-extracts, reports the fact once, and gc() sweeps the old
-        files."""
+            self, tmp_path, sql_workload, hyps72, version):
+        """Neither the file-pair format (1) nor the per-hypothesis entries
+        (2) are read: the upgraded store re-extracts, reports the fact
+        once, and gc() sweeps the old files."""
         hyps = hyps72[:6]
         with self._session(
                 sql_workload, hyps, scheduler="serial",
@@ -605,19 +609,37 @@ class TestGroupCommit:
             cold = session.stats()
 
         old = tmp_path / "old"
-        (old / "shards").mkdir(parents=True)
-        pair = {"data": "0123456789abcdef-1-77.npy",
-                "index": "0123456789abcdef-1-77.idx.npy", "rows": 3}
-        np.save(old / "shards" / pair["data"], np.ones((3, 4)))
-        np.save(old / "shards" / pair["index"], np.arange(3))
-        for part in ("data", "index"):
-            pair[f"{part}_bytes"] = os.path.getsize(
-                old / "shards" / pair[part])
-        (old / "manifest.json").write_text(json.dumps(
-            {"version": 1, "clock": 1, "entries": {"unit/stale": {
+        if version == 1:
+            (old / "shards").mkdir(parents=True)
+            pair = {"data": "0123456789abcdef-1-77.npy",
+                    "index": "0123456789abcdef-1-77.idx.npy", "rows": 3}
+            np.save(old / "shards" / pair["data"], np.ones((3, 4)))
+            np.save(old / "shards" / pair["index"], np.arange(3))
+            for part in ("data", "index"):
+                pair[f"{part}_bytes"] = os.path.getsize(
+                    old / "shards" / pair[part])
+            entries = {"unit/stale": {
                 "n_records": 3, "row_width": 4, "dtype": "<f8",
                 "created": 1, "last_used": 1, "shards": [pair],
-                "nbytes": pair["data_bytes"] + pair["index_bytes"]}}}))
+                "nbytes": pair["data_bytes"] + pair["index_bytes"]}}
+            stale_files = [pair["data"], pair["index"]]
+        else:   # segments as now, one entry per hypothesis, no members
+            DiskBehaviorStore(old).append(
+                "hyp/stale", np.arange(3), np.ones((3, 4)), n_records=3)
+            entries = json.loads((old / "manifest.json").read_text())[
+                "entries"]
+            del entries["hyp/stale"]["members"]
+            # (under a name this process's next commit cannot reuse)
+            (shard,) = entries["hyp/stale"]["shards"]
+            stale_files = ["9-1.seg"]
+            written = old / "shards" / shard["file"]
+            (old / "shards" / stale_files[0]).write_bytes(
+                written.read_bytes())
+            written.unlink()
+            shard["file"] = stale_files[0]
+        (old / "manifest.json").write_text(json.dumps(
+            {"version": version, "clock": 1, "entries": entries}))
+        stale = next(iter(entries))
 
         reset_degradation_counts()
         with self._session(sql_workload, hyps, old) as session:
@@ -628,9 +650,10 @@ class TestGroupCommit:
             assert upgraded[tier]["extractions"] \
                 == cold[tier]["extractions"] > 0
         assert upgraded["degraded"]["store.manifest-version"] == 1
-        assert "unit/stale" not in DiskBehaviorStore(old).keys()
-        assert DiskBehaviorStore(old).gc()["orphans_removed"] == 2
-        assert not (old / "shards" / pair["data"]).exists()
+        assert stale not in DiskBehaviorStore(old).keys()
+        assert DiskBehaviorStore(old).gc()["orphans_removed"] \
+            == len(stale_files)
+        assert not (old / "shards" / stale_files[0]).exists()
         assert degradation_counts()["store.manifest-version"] == 1
 
         with self._session(sql_workload, hyps, old) as session:
@@ -678,6 +701,149 @@ class TestGroupCommit:
             assert counts["disk_hits"] == counts["misses"] \
                 == n_records * columns
             assert counts["hits"] == 0
+
+
+# ----------------------------------------------------------------------
+# the panel blob under faults (the store-side sibling of
+# tests/test_db_storage.py::TestSegmentFaults): a typed error inside the
+# store, that panel dropped and nothing else, its members re-extracted
+# ----------------------------------------------------------------------
+class TestSegmentFaults:
+    BLOCK = 128
+
+    def _session(self, sql_workload, hyps, store=None, **caches) -> Session:
+        config = InspectConfig(early_stop=False, shuffle=False,
+                               block_size=self.BLOCK, **caches)
+        session = Session(store and str(store), config=config,
+                          scheduler="serial")
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps)
+        session.register_model(
+            "epoch_0", CharLSTMModel(len(sql_workload.vocab), n_units=8,
+                                     rng=new_rng(0), model_id="epoch_0"),
+            epoch=0)
+        return session
+
+    @pytest.fixture
+    def populated(self, tmp_path, sql_workload, hyps72):
+        """A store whose 72-member panel sits in a segment of its own
+        (written by a bare tier) beside the unit entry a statement then
+        added; with the serial uncached frame of that statement."""
+        dataset = sql_workload.dataset
+        store = DiskBehaviorStore(tmp_path / "s")
+        tier = HypothesisCache(store=store)
+        with store.deferred_commits():
+            for start in range(0, dataset.n_records, self.BLOCK):
+                tier.extract_block(
+                    hyps72, dataset,
+                    np.arange(start, min(start + self.BLOCK,
+                                         dataset.n_records)))
+        (panel_file,) = (tmp_path / "s" / "shards").iterdir()
+        with self._session(sql_workload, hyps72, cache=None,
+                           unit_cache=None) as session:
+            reference = session.sql(EPOCHS_SQL)
+        with self._session(sql_workload, hyps72, tmp_path / "s") as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            stats = session.stats()
+        assert stats["hypothesis_cache"]["extractions"] == 0
+        assert stats["store"]["entries"] == stats["store"]["files"] == 2
+        return tmp_path / "s", panel_file, reference
+
+    @staticmethod
+    def _panel(path) -> tuple[str, dict]:
+        manifest = json.loads((path / "manifest.json").read_text())
+        (key,) = [k for k in manifest["entries"] if k.startswith("panel/")]
+        return key, manifest["entries"][key]
+
+    def _assert_only_the_panel_is_lost(self, path, sql_workload, hyps72,
+                                       reference) -> None:
+        key, meta = self._panel(path)
+        with self._session(sql_workload, hyps72, path) as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            stats = session.stats()
+        n_blocks = -(-sql_workload.dataset.n_records // self.BLOCK)
+        assert stats["store"]["invalid_dropped"] == 1
+        assert stats["hypothesis_cache"]["extractions"] == 72 * n_blocks
+        assert stats["hypothesis_cache"]["disk_hits"] == 0
+        assert stats["unit_cache"]["extractions"] == 0   # its entry served
+        # the members are back under the same key, in a new incarnation
+        new_key, new_meta = self._panel(path)
+        assert new_key == key and new_meta["created"] != meta["created"]
+        with self._session(sql_workload, hyps72, path) as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            assert session.stats()["hypothesis_cache"]["extractions"] == 0
+
+    def _assert_reader_raises(self, path) -> None:
+        from repro.store.disk import StoreEntryReader
+        from repro.store.segment import CorruptEntryError, map_segment
+        key, meta = self._panel(path)
+        with pytest.raises(CorruptEntryError):
+            StoreEntryReader(key, meta, lambda name, size: map_segment(
+                path / "shards" / name, size))
+
+    def test_flipped_header_byte(self, populated, sql_workload, hyps72):
+        path, panel_file, reference = populated
+        offset = self._panel(path)[1]["shards"][0]["data"][0]
+        raw = bytearray(panel_file.read_bytes())
+        raw[offset + 30] ^= 0xFF            # inside the npy header's dict
+        panel_file.write_bytes(bytes(raw))
+        self._assert_reader_raises(path)
+        self._assert_only_the_panel_is_lost(path, sql_workload, hyps72,
+                                            reference)
+
+    def test_truncated_panel(self, populated, sql_workload, hyps72):
+        path, panel_file, reference = populated
+        with open(panel_file, "r+b") as f:
+            f.truncate(panel_file.stat().st_size - 1)
+        self._assert_reader_raises(path)
+        self._assert_only_the_panel_is_lost(path, sql_workload, hyps72,
+                                            reference)
+        assert not panel_file.exists()      # went with its only entry
+
+    @pytest.mark.parametrize("keep", [71, 36])
+    def test_members_disagreeing_with_the_row_width(
+            self, populated, sql_workload, hyps72, keep):
+        """71 members do not divide the rows; 36 do, into columns of the
+        wrong width — either way no column can be told from its
+        neighbour, so none is served."""
+        path, _, reference = populated
+        manifest = json.loads((path / "manifest.json").read_text())
+        key, _ = self._panel(path)
+        del manifest["entries"][key]["members"][keep:]
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        self._assert_only_the_panel_is_lost(path, sql_workload, hyps72,
+                                            reference)
+
+    def test_gc_evicts_whole_panels_and_a_segment_with_its_last(
+            self, tmp_path):
+        store = DiskBehaviorStore(tmp_path)
+        rows = np.arange(10 * 12, dtype=float).reshape(10, 12)
+        with store.deferred_commits():      # two panels, one segment
+            store.append("panel/a", np.arange(10), rows, 10,
+                         members=["m0", "m1", "m2"])
+            store.append("panel/b", np.arange(10), rows[:, :8] + 1, 10,
+                         members=["m2", "m3"])
+        (shared,) = (tmp_path / "shards").iterdir()
+        store.append("panel/c", np.arange(10), rows[:, :4] + 2, 10,
+                     members=["m4"])
+
+        def holders():
+            return {reader.key: (pos.tolist(), cols.tolist())
+                    for reader, pos, cols
+                    in store.panels(["m0", "m2", "m3", "m4"], 4)}
+        assert holders() == {"panel/a": ([0, 1], [0, 2]),
+                             "panel/b": ([1, 2], [0, 1]),
+                             "panel/c": ([3], [0])}
+        # least recently used first, a panel at a time: "a" alone frees
+        # nothing (the segment it shares with "b" stays, dead bytes
+        # counted), so "b" follows and the file goes with it
+        report = store.gc(max_bytes=store.stats()["file_bytes"] - 1)
+        assert report["evicted"] == ["panel/a", "panel/b"]
+        assert not shared.exists()
+        assert store.stats()["evictions"] == 2
+        assert holders() == {"panel/c": ([3], [0])}
+        assert np.array_equal(store.reader("panel/c").rows(np.arange(10)),
+                              rows[:, :4] + 2)
 
 
 # ----------------------------------------------------------------------
