@@ -1,0 +1,460 @@
+"""Score tasks and the compiled :class:`InspectionPlan` that drives them.
+
+See :mod:`repro.core.pipeline` for how the engine's pieces fit together.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from concurrent.futures import Future
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.core.cache import model_fingerprint
+from repro.core.config import InspectConfig
+from repro.core.groups import UnitGroup
+from repro.core.schedulers import Scheduler, _resolve_scheduler
+from repro.core.source import BehaviorSource, gather_sweeps
+from repro.data.datasets import Dataset
+from repro.extract.base import Extractor, require_extractor
+from repro.hypotheses.base import HypothesisFunction
+from repro.measures.base import Measure, MeasureResult
+from repro.util.rng import new_rng
+
+
+@dataclass
+class GroupMeasureOutcome:
+    """Result of one (unit group, measure) pair over all hypotheses."""
+
+    group: UnitGroup
+    measure: Measure
+    result: MeasureResult
+    hypothesis_names: list[str]
+    records_processed: int = 0
+
+
+class ScoreTask:
+    """One (unit group, measure) pair: state, convergence, freezing.
+
+    With a partition-capable measure and early stopping on, hypothesis
+    columns converge individually: a column whose error bound drops under
+    the threshold has its scores snapshotted, is removed from the measure
+    state's sufficient statistics, and stops being fed — later blocks only
+    pay for the still-active columns.  The task finishes when every column
+    is frozen (or, for non-partition measures, when the scalar criterion
+    fires).
+    """
+
+    def __init__(self, gi: int, group: UnitGroup, mi: int, measure: Measure,
+                 n_hyps: int, config: InspectConfig):
+        self.gi = gi
+        self.mi = mi
+        self.group = group
+        self.measure = measure
+        self.n_hyps = n_hyps
+        self.threshold = config.threshold_for(measure.score_id)
+        self.single_shot = config.mode == "full"
+        self.early_stop = (config.early_stop and measure.supports_early_stop
+                           and not self.single_shot)
+        self.partition = (self.early_stop and config.partition
+                          and measure.supports_partition)
+        self.state = (None if self.single_shot
+                      else measure.new_state(group.n_units, n_hyps))
+        self.active_cols = np.arange(n_hyps)
+        self.col_rows = np.zeros(n_hyps, dtype=np.int64)
+        self.col_converged = np.zeros(n_hyps, dtype=bool)
+        self._frozen_unit: np.ndarray | None = None
+        self._frozen_group: np.ndarray | None = None
+        self._last: MeasureResult | None = None
+        self.records_processed = 0
+        self.last_error = float("inf")  # error bound after the last block
+        self.done = False
+
+    # ------------------------------------------------------------------
+    def process(self, u_block: np.ndarray, h_block: np.ndarray,
+                n_records: int, h_moments=None) -> None:
+        """Consume one aligned block.
+
+        ``h_block`` must already be restricted to this task's active
+        hypothesis columns (the executor slices once per task, which lets
+        the source skip extracting globally-frozen columns altogether);
+        ``h_moments`` are the moments of exactly that array, if kept.
+        """
+        if self.single_shot:
+            self._last = self.measure.compute(u_block, h_block)
+            self.col_rows[:] = u_block.shape[0]
+            self.col_converged[:] = True
+            self.records_processed = n_records
+            self.last_error = 0.0
+            self.done = True
+            return
+        result, err = self.measure.process_block(self.state, u_block,
+                                                 h_block, h_moments)
+        self._last = result
+        self.last_error = float(err)
+        self.records_processed += n_records
+        self.col_rows[self.active_cols] += u_block.shape[0]
+        if not self.early_stop:
+            return
+        if self.partition:
+            self._freeze_converged()
+        elif err <= self.threshold:
+            result.converged = True
+            self.col_converged[:] = True
+            self.done = True
+
+    def _freeze_converged(self) -> None:
+        errors = self.state.column_errors()
+        if errors is None:  # state opted out at runtime: scalar fallback
+            if self.state.error() <= self.threshold:
+                self._last.converged = True
+                self.col_converged[:] = True
+                self.done = True
+            return
+        # NaN marks a vacuous column (score pinned at a default but not
+        # final, e.g. a hypothesis with no contrast yet): never freeze it --
+        # later blocks may revive it -- but don't let it keep the task alive
+        # once every informative column has converged.
+        with np.errstate(invalid="ignore"):
+            ready = errors <= self.threshold
+        vacuous = np.isnan(errors)
+        if ready.any():
+            scores = self.state.unit_scores()
+            group = self.state.group_scores()
+            if self._frozen_unit is None:
+                self._frozen_unit = np.zeros(
+                    (self.group.n_units, self.n_hyps))
+                if group is not None:
+                    self._frozen_group = np.zeros(self.n_hyps)
+            frozen_global = self.active_cols[ready]
+            self._frozen_unit[:, frozen_global] = scores[:, ready]
+            if group is not None and self._frozen_group is not None:
+                self._frozen_group[frozen_global] = group[ready]
+            self.col_converged[frozen_global] = True
+            keep = ~ready
+            self.active_cols = self.active_cols[keep]
+            if self.active_cols.shape[0]:
+                self.state.restrict_columns(np.flatnonzero(keep))
+            vacuous = vacuous[keep]
+        if self.active_cols.shape[0] == 0:
+            self.done = True
+        elif vacuous.all():
+            # only vacuous columns remain: the task is converged the same
+            # way the scalar criterion treats an all-degenerate state; their
+            # live (pinned) scores are stitched into the result
+            self.col_converged[self.active_cols] = True
+            if self._last is not None:
+                self._last.converged = True
+            self.done = True
+
+    # ------------------------------------------------------------------
+    def outcome(self, names: list[str]) -> GroupMeasureOutcome:
+        if self._frozen_unit is not None:
+            result = self._stitched_result()
+        elif self._last is not None:
+            result = self._last
+        else:  # zero blocks processed (empty dataset, or a progressive
+            # snapshot taken before this task's first block — single-shot
+            # tasks have no state yet, so build a throwaway empty one)
+            state = (self.state if self.state is not None
+                     else self.measure.new_state(self.group.n_units,
+                                                 self.n_hyps))
+            result = state.result()
+        result.col_rows_seen = self.col_rows.copy()
+        result.col_converged = self.col_converged.copy()
+        return GroupMeasureOutcome(
+            group=self.group, measure=self.measure, result=result,
+            hypothesis_names=names,
+            records_processed=self.records_processed)
+
+    def _stitched_result(self) -> MeasureResult:
+        """Merge frozen column snapshots with the live state's columns."""
+        unit = self._frozen_unit.copy()
+        group = (None if self._frozen_group is None
+                 else self._frozen_group.copy())
+        extras = None
+        if self.active_cols.shape[0]:
+            live = self.state.result()
+            unit[:, self.active_cols] = live.unit_scores
+            if group is not None and live.group_scores is not None:
+                group[self.active_cols] = live.group_scores
+            extras = live.extras
+        return MeasureResult(
+            unit_scores=unit, group_scores=group,
+            n_rows_seen=int(self.col_rows.max(initial=0)),
+            converged=bool(self.col_converged.all()),
+            extras=extras)
+
+    def describe(self) -> str:
+        policy = ("single-shot" if self.single_shot
+                  else "per-column" if self.partition
+                  else "scalar" if self.early_stop else "exhaustive")
+        return (f"ScoreTask({self.group.model_id}/{self.group.name} x "
+                f"{self.measure.score_id}, stop={policy})")
+
+
+# ----------------------------------------------------------------------
+# plan
+# ----------------------------------------------------------------------
+@dataclass
+class InspectionPlan:
+    """A compiled inspection run: source + tasks + scheduling policy."""
+
+    groups: list[UnitGroup]
+    dataset: Dataset
+    measures: list[Measure]
+    hypotheses: list[HypothesisFunction]
+    config: InspectConfig
+    order: np.ndarray
+    source: BehaviorSource = field(init=False)
+    tasks: list[ScoreTask] = field(init=False)
+
+    @classmethod
+    def build(cls, groups: list[UnitGroup], dataset: Dataset,
+              measures: list[Measure],
+              hypotheses: list[HypothesisFunction],
+              extractor: Extractor, config: InspectConfig) -> "InspectionPlan":
+        if not groups:
+            raise ValueError("need at least one unit group")
+        if not measures:
+            raise ValueError("need at least one measure")
+        if not hypotheses:
+            raise ValueError("need at least one hypothesis function")
+        require_extractor(extractor, "extractor")
+        for group in groups:
+            n_units = (group.extractor or extractor).n_units(group.model)
+            if group.unit_ids.max() >= n_units:
+                raise ValueError(
+                    f"unit group {group.name!r} names unit "
+                    f"{group.unit_ids.max()}, but its extractor exposes "
+                    f"{n_units} units of {group.model_id}")
+        config = config.with_store_tiers()
+        rng = new_rng(config.seed)
+        n_records = dataset.n_records
+        if config.max_records is not None:
+            n_records = min(n_records, config.max_records)
+        order = np.arange(n_records)
+        if config.shuffle:
+            rng.shuffle(order)
+        plan = cls(groups=groups, dataset=dataset, measures=measures,
+                   hypotheses=hypotheses, config=config, order=order)
+        plan.source = BehaviorSource(dataset, hypotheses, groups, extractor,
+                                     config, order)
+        n_hyps = len(hypotheses)
+        plan.tasks = [ScoreTask(gi, g, mi, m, n_hyps, config)
+                      for gi, g in enumerate(groups)
+                      for mi, m in enumerate(measures)]
+        return plan
+
+    # ------------------------------------------------------------------
+    def describe(self) -> str:
+        """Readable operator tree (the EXPLAIN of an inspection run)."""
+        sched = self.config.scheduler
+        sched_name = (sched.name if isinstance(sched, Scheduler)
+                      else sched or "serial")
+        lines = [f"InspectionPlan(mode={self.config.mode}, "
+                 f"records={self.source.n_records}, "
+                 f"scheduler={sched_name})",
+                 f"  {self.source.describe()}"]
+        lines += [f"  {task.describe()}" for task in self.tasks]
+        return "\n".join(lines)
+
+    def execute(self) -> list[GroupMeasureOutcome]:
+        for _ in self.execute_blocks():
+            pass
+        return self.outcomes()
+
+    # -- sweep identity (cross-query dedup surface) --------------------
+    def sweep_keys(self) -> list[tuple[str, str, str]]:
+        """Stable identities of the raw forward sweeps this run may issue.
+
+        One ``(model fingerprint, raw-extractor key, dataset hash)`` triple
+        per fused extraction pair — the exact granularity the
+        :class:`~repro.core.cache.UnitBehaviorCache` and the disk store
+        key entries by, so two plans that would fill the same cache entry
+        report the same key.
+        """
+        dataset_key = self.dataset.cache_key()
+        keys: set[tuple[str, str, str]] = set()
+        for (_, raw_key), members in self.source.extraction_pairs().items():
+            _, group = members[0]
+            keys.add((self.source.key_of(group.model, model_fingerprint),
+                      raw_key, dataset_key))
+        return sorted(keys)
+
+    def sweep_is_cold(self, key: tuple[str, str, str]) -> bool:
+        """Whether serving ``key`` for this run still needs extraction.
+
+        Probes the memory tier only (no counters move): a warm key must
+        not be leased by a sweep gate, or concurrent warm queries would
+        serialize behind each other for no benefit.  Without a unit cache
+        there is nothing to share a sweep through, so everything counts
+        as cold.
+        """
+        cache = self.config.unit_cache
+        if cache is None:
+            return True
+        model_key, raw_key, _ = key
+        missing = cache.missing_records(self.dataset, self.order,
+                                        model_key=model_key,
+                                        raw_key=raw_key)
+        return bool(missing.shape[0])
+
+    def execute_blocks(self):
+        """Drive the executor loop, yielding once after each block.
+
+        The run's full lifecycle rides on the generator: the scheduler is
+        resolved up front (and an owned one shut down at exhaustion *or*
+        abandonment), and the whole run shares one store commit scope —
+        one manifest rewrite per run, not one per (entry, block); shard
+        files still land (fsynced) as they are extracted, they just become
+        visible together when the scope closes.  Callers snapshot whatever
+        task state they need between steps (:meth:`outcomes`, or
+        individual tasks for cheaper partial reads).
+
+        With ``config.sweep_gate`` set, the run first leases its sweep
+        identities: if another in-flight run is already extracting one of
+        them, this run waits for that sweep to land in the shared caches
+        instead of racing a duplicate forward pass (the server's
+        cross-client dedup).  The lease is released — and waiters woken —
+        even when the consumer abandons this generator mid-run.
+
+        A consumer of this generator may stop after any block, and a
+        block's sweep is launched only once the consumer has asked for it:
+        abandoning the run costs exactly the blocks delivered.
+        """
+        scheduler, owned = _resolve_scheduler(self.config.scheduler)
+        store_scope = (self.config.store.deferred_commits()
+                       if self.config.store is not None
+                       else contextlib.nullcontext())
+        gate = self.config.sweep_gate
+        gate_scope = (gate.lease(self.sweep_keys(), cold=self.sweep_is_cold)
+                      if gate is not None else contextlib.nullcontext())
+        try:
+            with gate_scope, store_scope:
+                yield from self._block_steps(scheduler)
+        finally:
+            if owned:
+                scheduler.shutdown()
+
+    def outcomes(self) -> list[GroupMeasureOutcome]:
+        """Current (possibly partial) outcome snapshot of every task."""
+        names = [h.name for h in self.hypotheses]
+        return [task.outcome(names) for task in self.tasks]
+
+    def _block_steps(self, scheduler: Scheduler):
+        """The executor loop; yields once after each processed block.
+
+        With a shard-executing scheduler, cold extraction is dispatched
+        to worker processes up front (:class:`~repro.core.shard
+        .ShardExchange`) and integrated just-in-time per block; the loop
+        below then reads everything out of the (now warm) caches, so the
+        scoring path — and therefore the frame — is the same under every
+        scheduler.
+        """
+        from repro.core.shard import ShardExchange
+        watch = self.config.stopwatch
+        n_hyps = len(self.hypotheses)
+        exchange = ShardExchange.build(self.source, scheduler)
+        try:
+            if exchange is not None:
+                with watch.charge("unit_extraction"):
+                    exchange.dispatch()
+                if self.source.materialize:
+                    exchange.ensure_all(watch)
+            yield from self._run_blocks(scheduler, exchange, watch, n_hyps)
+        finally:
+            if exchange is not None:
+                exchange.close()
+
+    def _run_blocks(self, scheduler: Scheduler, exchange, watch,
+                    n_hyps: int):
+        """The per-block loop, double-buffered on overlapping schedulers.
+
+        With ``config.prefetch`` on and a scheduler whose :meth:`Scheduler
+        .submit` runs concurrently, a block's raw unit sweep is one future
+        per extraction pair (:meth:`BehaviorSource.submit_sweeps`),
+        submitted before the block's hypothesis extraction: every worker
+        sweeps while the calling thread labels, which charges only its wait
+        on the futures to ``unit_extraction``.  Invariants:
+
+        * **Frames are bit-identical** to serial execution: block order,
+          per-block record slices and per-group behavior values are
+          unchanged (a group's block does not depend on which other groups
+          share the extraction call).
+        * **Counters are exact**: the futures *are* the block's extraction
+          (the loop does not re-probe the caches) and no block is swept
+          ahead of the one being processed — a run abandoned after block t
+          has swept exactly t blocks x pairs.
+        * **No future outlives the run**, however it ends: a sweep may
+          write through the caches, so it finishes (or is cancelled unrun)
+          inside the run's store scope.
+        * Shard-exchange runs keep their own overlap (``exchange`` already
+          dispatched all cold work to worker processes), and materialized
+          runs extracted everything in :meth:`BehaviorSource.prepare`, so
+          both leave prefetch off.
+        """
+        self.source.prepare(scheduler, watch)
+        use_prefetch = (self.config.prefetch
+                        and scheduler.supports_prefetch
+                        and not self.source.materialize
+                        and exchange is None)
+        sweeps: list[Future] = []   # of the block being processed
+        try:
+            for sl in self.source.block_slices():
+                pending = [t for t in self.tasks if not t.done]
+                if not pending:
+                    break
+                if exchange is not None:
+                    exchange.ensure(sl, watch)
+                needed: dict[int, UnitGroup] = {}
+                for task in pending:
+                    needed.setdefault(task.gi, task.group)
+                needed_items = sorted(needed.items())
+                if use_prefetch:
+                    sweeps = self.source.submit_sweeps(
+                        needed_items, self.source.order[sl], scheduler)
+                # hypothesis columns frozen in *every* pending task need no
+                # further extraction (streaming only; materialized already
+                # paid)
+                cols_union = None
+                if not self.source.materialize:
+                    if any(t.active_cols.shape[0] < n_hyps for t in pending):
+                        cols_union = np.unique(np.concatenate(
+                            [t.active_cols for t in pending]))
+                        if cols_union.shape[0] == n_hyps:
+                            cols_union = None
+                h_block, h_moments = self.source.hypothesis_block(
+                    sl, watch, columns=cols_union)
+
+                if use_prefetch:
+                    with watch.charge("unit_extraction"):
+                        u_blocks = gather_sweeps(sweeps)
+                else:
+                    u_blocks = self.source.unit_blocks(
+                        sl, needed_items, scheduler, watch)
+                n_records = sl.stop - sl.start
+
+                def score(task):
+                    """Feed the task its active columns of h_block; its
+                    moments go along (shared) only with the whole block —
+                    a column slice sums in another order."""
+                    local = (task.active_cols if cols_union is None else
+                             np.searchsorted(cols_union, task.active_cols))
+                    if local.shape[0] == h_block.shape[1]:
+                        task.process(u_blocks[task.gi], h_block, n_records,
+                                     h_moments)
+                    else:
+                        task.process(u_blocks[task.gi], h_block[:, local],
+                                     n_records)
+
+                with watch.charge("inspection"):
+                    scheduler.map(score, pending)
+                yield sl
+        finally:
+            # a sibling sweep or the hypothesis block raised, or the consumer
+            # left: cancel what has not started and wait for what has
+            for future in sweeps:
+                if not future.cancel():
+                    future.exception()

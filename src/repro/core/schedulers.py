@@ -1,0 +1,255 @@
+"""Schedulers: who runs a plan's independent operator invocations.
+
+Serial, thread-pool and process-pool execution behind one
+:class:`Scheduler` surface, plus :func:`default_scheduler`, the choice a
+session makes on this machine.  See :mod:`repro.core.pipeline` for how the
+engine's pieces fit together.
+"""
+
+from __future__ import annotations
+
+import multiprocessing
+import os
+import shutil
+import tempfile
+import threading
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+
+from repro.store import DiskBehaviorStore
+
+
+# ----------------------------------------------------------------------
+# schedulers
+# ----------------------------------------------------------------------
+class Scheduler:
+    """Executes a batch of independent operator invocations.
+
+    ``map`` must return results in input order, so plans produce identical
+    frames under every scheduler.
+
+    Beyond bare ``map``, schedulers expose a *task-graph surface* for
+    shard-parallel extraction: a scheduler with ``executes_shards = True``
+    accepts self-contained :class:`~repro.core.shard.ShardTask` values via
+    :meth:`submit_shards` and runs them out of process.  In-process
+    schedulers keep the flag off and the plan executor never builds shard
+    tasks for them — closures over live objects remain the fast path.
+    """
+
+    name = "scheduler"
+
+    #: whether submit_shards dispatches picklable shard tasks to workers
+    executes_shards = False
+
+    #: whether submit() overlaps work with the caller — the block
+    #: executor's double-buffered prefetch only arms on schedulers that
+    #: actually run the submitted sweep concurrently
+    supports_prefetch = False
+
+    def map(self, fn, items: list) -> list:
+        raise NotImplementedError
+
+    def submit(self, fn) -> Future:
+        """Hand ``fn()`` to a worker; a Future over its result
+        (``supports_prefetch`` schedulers only — the rest run in ``map``)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not overlap submitted work")
+
+    def shard_workers(self) -> int:
+        """Worker slots available to shard tasks (sizes task chunking)."""
+        return 1
+
+    def submit_shards(self, tasks: list) -> list:
+        """Submit shard tasks; returns one future per task."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not execute shard tasks")
+
+    def shutdown(self) -> None:
+        pass
+
+    # schedulers own worker threads: support explicit lifecycle scoping
+    def __enter__(self) -> "Scheduler":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
+
+class SerialScheduler(Scheduler):
+    """Runs every invocation inline on the calling thread."""
+
+    name = "serial"
+
+    def map(self, fn, items: list) -> list:
+        return [fn(item) for item in items]
+
+
+class ThreadPoolScheduler(Scheduler):
+    """Fans invocations out over a shared thread pool.
+
+    Each work item touches disjoint state (one task's measure state, one
+    (model, extractor) pair's extraction), and results are collected in
+    input order, so execution is deterministic.
+    """
+
+    name = "threads"
+    supports_prefetch = True
+
+    def __init__(self, max_workers: int | None = None):
+        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
+        self._pool: ThreadPoolExecutor | None = None
+        # session-owned schedulers are shared by every query the session
+        # runs; concurrent first-touch (the server's many clients) must
+        # not race two pools into existence and leak one
+        self._pool_lock = threading.Lock()
+
+    def map(self, fn, items: list) -> list:
+        items = list(items)
+        # no parallelism to exploit (single item or single worker):
+        # skip dispatch cost and GIL contention, run inline
+        if len(items) <= 1 or self.max_workers <= 1:
+            return [fn(item) for item in items]
+        return list(self._ensure_pool().map(fn, items))
+
+    def submit(self, fn) -> Future:
+        # always through the pool: even a 1-worker pool overlaps a
+        # prefetched sweep with the caller's hypothesis extraction (numpy
+        # releases the GIL inside BLAS and ufunc loops)
+        return self._ensure_pool().submit(fn)
+
+    def _ensure_pool(self) -> ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
+            return self._pool
+
+    def shutdown(self) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+
+class ProcessPoolScheduler(Scheduler):
+    """Executes shard tasks across worker processes (cold extraction).
+
+    The coordinator describes extraction as picklable
+    :class:`~repro.core.shard.ShardTask` values; workers run the raw
+    sweeps and write shard files into the exchange store; the coordinator
+    mmaps the results back into the memory-tier caches and runs scoring
+    inline (``map`` stays serial on the calling thread), so frames are
+    bit-identical to the serial scheduler's.
+
+    ``mp_context`` picks the multiprocessing start method (``"fork"``,
+    ``"spawn"``, ``"forkserver"`` or a context object); tasks carry
+    models by content (arch spec + parameter arrays) rather than
+    pickle-by-reference, so both fork and spawn work.  A session without
+    its own disk store borrows :meth:`scratch_store` — a temp-dir
+    exchange store that lives (and keeps behaviors warm) until
+    :meth:`shutdown` removes it.
+    """
+
+    name = "processes"
+    executes_shards = True
+
+    def __init__(self, max_workers: int | None = None,
+                 mp_context: str | None = None):
+        self.max_workers = max_workers or (os.cpu_count() or 1)
+        self.mp_context = mp_context
+        self._pool: ProcessPoolExecutor | None = None
+        self._scratch: tuple[str, DiskBehaviorStore] | None = None
+        # concurrent queries on one session share this scheduler: pool and
+        # scratch-store creation must be single-flight or one of the two
+        # racing pools (or temp dirs) leaks
+        self._pool_lock = threading.Lock()
+
+    def map(self, fn, items: list) -> list:
+        # scoring and fallback extraction run inline on the coordinator:
+        # closures over live measure states cannot (and should not) cross
+        # the process boundary
+        return [fn(item) for item in items]
+
+    def shard_workers(self) -> int:
+        return self.max_workers
+
+    def submit_shards(self, tasks: list) -> list:
+        from repro.core.shard import run_shard_task
+        with self._pool_lock:
+            if self._pool is None:
+                context = self.mp_context
+                if isinstance(context, str):
+                    context = multiprocessing.get_context(context)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.max_workers, mp_context=context)
+            pool = self._pool
+        return [pool.submit(run_shard_task, task) for task in tasks]
+
+    def scratch_store(self) -> DiskBehaviorStore:
+        """The temp-dir exchange store for sessions without one.
+
+        Created lazily, reused across runs (cross-query warm reads), and
+        deleted on :meth:`shutdown`.
+        """
+        with self._pool_lock:
+            if self._scratch is None:
+                root = tempfile.mkdtemp(prefix="repro-shard-exchange-")
+                self._scratch = (root, DiskBehaviorStore(root))
+            return self._scratch[1]
+
+    def shutdown(self) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+            scratch, self._scratch = self._scratch, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+        if scratch is not None:
+            shutil.rmtree(scratch[0], ignore_errors=True)
+
+
+def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
+    """The scheduler a session should run with on this machine.
+
+    Selection rules:
+
+    * ``REPRO_SCHEDULER`` (``serial`` / ``threads`` / ``processes``)
+      overrides everything — the CI lever that forces the whole suite
+      through one scheduler.
+    * A single-core host gets the serial scheduler: neither pool can win
+      there, and GIL/spawn overhead makes both strictly slower.
+    * On a multi-core host *with* a disk store the process pool is
+      chosen: raw sweeps fan out across cores and exchange through the
+      store's mmap'd shards.  Spawn and pickling are a constant, sweeps
+      grow with records x units^2: at the benchmark's base scale this is
+      the *slowest* of the three on a cold store-backed statement (PR
+      18); ROADMAP direction 2 owns the decision.
+    * Multi-core without a store falls back to the thread pool — numpy
+      releases the GIL for scoring and multi-model extraction, and there
+      is no exchange medium for shard tasks to write through.
+    """
+    forced = os.environ.get("REPRO_SCHEDULER", "").strip()
+    if forced:
+        return _resolve_scheduler(forced)[0]
+    if (os.cpu_count() or 1) <= 1:
+        return SerialScheduler()
+    if store is not None:
+        return ProcessPoolScheduler()
+    return ThreadPoolScheduler()
+
+
+_SCHEDULERS = {"serial": SerialScheduler, "threads": ThreadPoolScheduler,
+               "processes": ProcessPoolScheduler}
+
+
+def _resolve_scheduler(spec) -> tuple[Scheduler, bool]:
+    """Returns (scheduler, owned); owned schedulers are shut down after use."""
+    if spec is None:
+        return SerialScheduler(), True
+    if isinstance(spec, Scheduler):
+        return spec, False
+    if isinstance(spec, str):
+        try:
+            return _SCHEDULERS[spec](), True
+        except KeyError:
+            raise ValueError(
+                f"unknown scheduler {spec!r}; expected one of "
+                f"{tuple(_SCHEDULERS)} or a Scheduler instance") from None
+    raise TypeError(f"scheduler must be a name or Scheduler, got {spec!r}")

@@ -1,0 +1,255 @@
+"""The behavior-source operator: aligned unit/hypothesis blocks.
+
+See :mod:`repro.core.pipeline` for how the engine's pieces fit together.
+"""
+
+from __future__ import annotations
+
+from concurrent.futures import Future
+
+import numpy as np
+
+from repro.core.cache import HypothesisCache, model_fingerprint
+from repro.core.config import InspectConfig
+from repro.core.groups import UnitGroup
+from repro.core.schedulers import Scheduler
+from repro.data.datasets import Dataset
+from repro.extract.base import Extractor, HypothesisExtractor
+from repro.hypotheses.base import HypothesisFunction
+from repro.util.blocks import iter_blocks
+from repro.util.timing import Stopwatch
+
+
+# ----------------------------------------------------------------------
+# operators
+# ----------------------------------------------------------------------
+def _extract_hypotheses(hypotheses: list[HypothesisFunction],
+                        dataset: Dataset, indices: np.ndarray,
+                        cache: HypothesisCache | None) -> tuple:
+    """The hypothesis block and its moments thunk (None without a cache)."""
+    if cache is None:
+        return HypothesisExtractor(hypotheses).extract(dataset, indices), None
+    block = cache.extract_block(hypotheses, dataset, indices)
+    return block, cache.block_moments(hypotheses, dataset, indices, block)
+
+
+def gather_sweeps(futures: list[Future]) -> dict[int, np.ndarray]:
+    """The merged ``{gi: block}`` of a block's pair futures (the calling
+    thread's wait on them; :meth:`InspectionPlan._run_blocks` sees to it
+    that none is left running if one raises)."""
+    merged: dict[int, np.ndarray] = {}
+    for future in futures:
+        merged.update(future.result())
+    return merged
+
+
+class BehaviorSource:
+    """Serves aligned behavior blocks for record positions in ``order``.
+
+    ``materialize=False`` (streaming) extracts lazily per request;
+    ``materialize=True`` extracts everything on :meth:`prepare` and then
+    serves row slices.  Either way unit extraction runs once per distinct
+    (model, raw sweep) pair and — when the requesting groups cover a strict
+    subset of the sweep's columns — is narrowed to the union of the columns
+    they read, so behaviors nobody asked for are never materialized.
+    With a :class:`UnitBehaviorCache` configured, extraction instead runs at
+    full width and slices columns on read: cache entries then reuse across
+    runs regardless of which groups were active when they were filled.
+    """
+
+    def __init__(self, dataset: Dataset, hypotheses: list[HypothesisFunction],
+                 groups: list[UnitGroup], default_extractor: Extractor,
+                 config: InspectConfig, order: np.ndarray):
+        self.dataset = dataset
+        self.hypotheses = hypotheses
+        self.groups = groups
+        self.default_extractor = default_extractor
+        self.config = config
+        self.order = order
+        self.materialize = config.mode in ("materialized", "full")
+        self._h_all: np.ndarray | None = None
+        self._u_all: dict[int, np.ndarray] | None = None
+        self._keys: list[tuple[object, str]] = []
+
+    def key_of(self, obj, compute) -> str:
+        """``compute(obj)`` — a model's fingerprint, an extractor's raw key
+        — once per plan execution, so warm cache hits don't re-hash model
+        parameters (or large extractor attributes) on every block.  Found
+        by identity: each entry pins its referent, an address is no key."""
+        for pinned, key in self._keys:
+            if pinned is obj:
+                return key
+        self._keys.append((obj, compute(obj)))
+        return self._keys[-1][1]
+
+    # -- plumbing ------------------------------------------------------
+    @property
+    def n_records(self) -> int:
+        return int(self.order.shape[0])
+
+    def block_slices(self):
+        """Record-position slices the executor iterates over."""
+        if self.config.mode == "full":
+            yield slice(0, self.n_records)
+            return
+        yield from iter_blocks(self.n_records, self.config.block_size)
+
+    def _extract_units_for_pair(self, members: list[tuple[int, UnitGroup]],
+                                indices: np.ndarray) -> dict[int, np.ndarray]:
+        """One forward sweep for all groups sharing a (model, raw-key) pair.
+
+        Members may carry *different* extractors — the grouping key is the
+        raw sweep identity, so extractors differing only in transform,
+        layer view or unit subset are fused here: the model runs once and
+        each member's behaviors are derived as read-time views.
+        """
+        _, first = members[0]
+        model = first.model
+        out: dict[int, np.ndarray] = {}
+        if self.config.unit_cache is not None:
+            # cache raw behaviors at full width: entry keys stay independent
+            # of the transform, the unit subset and which groups happen to
+            # be active, so warm hits survive different views and
+            # convergence trajectories; views are applied on read.  The
+            # first extractor's miss runs the sweep; the rest hit memory.
+            by_ext: dict[int, tuple[Extractor, list]] = {}
+            for gi, group in members:
+                ext = group.extractor or self.default_extractor
+                by_ext.setdefault(id(ext), (ext, []))[1].append((gi, group))
+            for ext, ext_members in by_ext.values():
+                # members reading the same units (the one group every SQL
+                # statement compiles to) have the read-time view select
+                # them once, before the transform; members that differ
+                # share one full-width read
+                ids = ext_members[0][1].unit_ids
+                shared = all(np.array_equal(group.unit_ids, ids)
+                             for _, group in ext_members[1:])
+                block = self.config.unit_cache.extract(
+                    model, ext, self.dataset, indices,
+                    hid_units=ids if shared else None,
+                    model_key=self.key_of(model, model_fingerprint),
+                    raw_key=self.key_of(ext, Extractor.raw_key))
+                for gi, group in ext_members:
+                    out[gi] = block if shared else block[:, group.unit_ids]
+            return out
+        # no cache to share through: one sweep narrowed to the union of
+        # *raw* columns the members read (each member's unit ids mapped
+        # through its layer view), so behaviors nobody asked for are never
+        # materialized; each member's block is a read-time view over it
+        rep = first.extractor or self.default_extractor
+        ns = self.dataset.n_symbols
+        views = []      # (gi, extractor, the raw columns its group reads)
+        for gi, group in members:
+            ext = group.extractor or self.default_extractor
+            views.append((gi, ext, ext.raw_columns(model, group.unit_ids)))
+        union = np.unique(np.concatenate([cols for _, _, cols in views]))
+        narrow = union.shape[0] < rep.raw_width(model)
+        raw = rep.raw_rows(model, self.dataset.symbols[indices],
+                           columns=union if narrow else None)
+        if raw.shape[0] != indices.shape[0] * ns:
+            raise ValueError(
+                "extractor row mismatch: expected "
+                f"{indices.shape[0] * ns} rows ({indices.shape[0]} records "
+                f"x {ns} symbols), got {raw.shape[0]}")
+        states = raw.reshape(-1, ns, raw.shape[-1])
+        for gi, ext, cols in views:
+            if narrow:
+                cols = np.searchsorted(union, cols)
+            out[gi] = ext.finalize_states(states, cols)
+        return out
+
+    def extraction_pairs(self, groups: list[tuple[int, UnitGroup]] | None
+                         = None) -> dict:
+        """Members grouped by shared (model, raw-sweep) identity.
+
+        The pure task-description half of unit extraction: each key is
+        one forward-sweep shard — extractors differing only in transform,
+        layer view or unit subset fuse under one key — and carries the
+        ``(gi, group)`` members it serves.  Both the in-process execution
+        path (:meth:`_extract_unit_blocks`) and the shard-task builder
+        (:class:`repro.core.shard.ShardExchange`) partition work on it,
+        so they can never disagree about what one sweep covers.
+        """
+        if groups is None:
+            groups = list(enumerate(self.groups))
+        by_pair: dict[tuple[int, str], list[tuple[int, UnitGroup]]] = {}
+        for gi, group in groups:
+            ext = group.extractor or self.default_extractor
+            raw_key = self.key_of(ext, Extractor.raw_key)
+            by_pair.setdefault((id(group.model), raw_key),
+                               []).append((gi, group))
+        return by_pair
+
+    def _extract_unit_blocks(self, groups: list[tuple[int, UnitGroup]],
+                             indices: np.ndarray,
+                             scheduler: Scheduler) -> dict[int, np.ndarray]:
+        by_pair = self.extraction_pairs(groups)
+        results = scheduler.map(
+            lambda members: self._extract_units_for_pair(members, indices),
+            list(by_pair.values()))
+        merged: dict[int, np.ndarray] = {}
+        for chunk in results:
+            merged.update(chunk)
+        return merged
+
+    def submit_sweeps(self, groups: list[tuple[int, UnitGroup]],
+                      indices: np.ndarray,
+                      scheduler: Scheduler) -> list[Future]:
+        """The prefetch form of :meth:`_extract_unit_blocks`: one future per
+        extraction pair (:func:`gather_sweeps` merges them), submitted from
+        the calling thread, never from inside a worker, so an overlapping
+        scheduler spreads the pairs over every worker it has."""
+        return [scheduler.submit(
+                    lambda m=members: self._extract_units_for_pair(m, indices))
+                for members in self.extraction_pairs(groups).values()]
+
+    # -- executor interface --------------------------------------------
+    def prepare(self, scheduler: Scheduler, watch: Stopwatch) -> None:
+        if not self.materialize:
+            return
+        with watch.charge("hypothesis_extraction"):
+            self._h_all, _ = _extract_hypotheses(
+                self.hypotheses, self.dataset, self.order, self.config.cache)
+        with watch.charge("unit_extraction"):
+            self._u_all = self._extract_unit_blocks(
+                list(enumerate(self.groups)), self.order, scheduler)
+
+    def hypothesis_block(self, sl: slice, watch: Stopwatch,
+                         columns: np.ndarray | None = None) -> tuple:
+        """Hypothesis behaviors for the slice, and their moments thunk
+        (``None`` unless a hypothesis cache gathered the block).
+
+        ``columns`` narrows lazy extraction to the still-active hypothesis
+        columns (the hypothesis-side mirror of ``hid_units``): frozen
+        hypotheses are not re-evaluated for the remaining blocks.  Ignored
+        when materialized — everything was extracted up front.
+        """
+        ns = self.dataset.n_symbols
+        if self.materialize:
+            assert self._h_all is not None
+            return self._h_all[sl.start * ns:sl.stop * ns], None
+        hyps = (self.hypotheses if columns is None
+                else [self.hypotheses[int(c)] for c in columns])
+        with watch.charge("hypothesis_extraction"):
+            return _extract_hypotheses(hyps, self.dataset,
+                                       self.order[sl], self.config.cache)
+
+    def unit_blocks(self, sl: slice, groups: list[tuple[int, UnitGroup]],
+                    scheduler: Scheduler,
+                    watch: Stopwatch) -> dict[int, np.ndarray]:
+        ns = self.dataset.n_symbols
+        if self.materialize:
+            assert self._u_all is not None
+            return {gi: self._u_all[gi][sl.start * ns:sl.stop * ns]
+                    for gi, _ in groups}
+        with watch.charge("unit_extraction"):
+            return self._extract_unit_blocks(groups, self.order[sl],
+                                             scheduler)
+
+    def describe(self) -> str:
+        parts = [f"materialize={self.materialize}",
+                 f"block_size={self.config.block_size}",
+                 f"hyp_cache={'on' if self.config.cache else 'off'}",
+                 f"unit_cache={'on' if self.config.unit_cache else 'off'}",
+                 f"store={'on' if self.config.store else 'off'}"]
+        return f"BehaviorSource({', '.join(parts)})"
