@@ -13,14 +13,16 @@ import pytest
 
 from repro import InspectConfig, inspect
 from repro.measures import CorrelationScore, LogRegressionScore
+from repro.util.trace import tracing
 from benchmarks.conftest import print_table
 
 
 def _run(variant: str, measure, model, dataset, hyps) -> dict[str, float]:
     mode = "materialized" if variant == "mm_es" else "streaming"
     config = InspectConfig(mode=mode, early_stop=True, block_size=128)
-    inspect([model], dataset, [measure], hyps, config=config)
-    return config.stopwatch.breakdown()
+    with tracing(variant) as root:
+        inspect([model], dataset, [measure], hyps, config=config)
+    return {name: total["total_s"] for name, total in root.totals().items()}
 
 
 @pytest.mark.parametrize("kind", ["corr", "logreg"])

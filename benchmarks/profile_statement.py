@@ -12,14 +12,17 @@ empty store per run, under the scheduler the library picks — what
 ``cold_store`` times; set ``REPRO_SCHEDULER`` to compare the three), times
 the statement ``--repeat`` times plainly and again under cProfile, and
 prints ms per statement both ways plus the top cumulative rows under
-``src/repro``.  ``--rollup`` prints one line per lifecycle layer instead
-(the cumulative time of the function each layer hangs from, plus the
-unattributed rest), so a before/after reads without eyeballing 40 rows.
-cProfile taxes Python calls, not numpy's inner loops, and sees the calling
-thread only: under a pool the ``unit block`` row is that thread's wait on
-the block's pair futures, and score tasks fanned over the pool show as
-waiting under ``everything else``.  Read the rows as proportions, take
-timings from ``benchmarks/e2e``.
+``src/repro``.  ``--rollup`` prints the statement's own trace instead
+(:mod:`repro.util.trace`, from the plain runs): mean ms per span name,
+indented under the span it hangs from, then ``untraced`` (the root minus
+its direct children) and the whole statement — so a before/after reads
+without eyeballing 40 rows, and nothing here depends on function names.
+Spans are timed on the thread that runs them: under a pool the
+``sweep[model]`` rows overlap the calling thread's labelling and its
+``unit_extraction`` rows are the submission and the wait; under processes
+they are what the workers timed of themselves.  cProfile taxes Python
+calls, not numpy's inner loops, and sees the calling thread only.  Read the
+rows as proportions, take timings from ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -28,49 +31,39 @@ import argparse
 import cProfile
 import pstats
 import tempfile
-import time
 from pathlib import Path
 
 from repro import InspectConfig, Session
+from repro.util.trace import tracing
 
 from .e2e import inputs, spec
 from .e2e.spans import SpanRecorder
 
 
-#: lifecycle layer -> file and the functions (none nested in another)
-#: whose cumulative times add up to the layer's.  A block's unit sweep
-#: runs inside ``unit_blocks`` on an inline scheduler; on a prefetching
-#: pool it is one future per (model, raw sweep) pair, and the calling
-#: thread's share is the submission and its wait in ``gather_sweeps``.
-_LAYERS = (("parse", "sqlparser.py", ("parse_sql",)),
-           ("compile + catalog join", "inspect_clause.py",
-            ("_compile_inspect",)),
-           ("plan build", "pipeline.py", ("build",)),
-           ("hypothesis block", "pipeline.py", ("hypothesis_block",)),
-           ("unit block", "pipeline.py",
-            ("unit_blocks", "submit_sweeps", "gather_sweeps")),
-           ("scoring", "pipeline.py", ("process",)),
-           ("store commit", "disk.py", ("flush",)),
-           ("assemble + select", "inspect_clause.py", ("assemble",)))
+def _rollup(roots: list) -> None:
+    """Mean ms per span name over the traced runs, nested as traced."""
+    merged: dict[str, list] = {}    # name -> [seconds, children by name]
 
+    def fold(level: dict, node) -> None:
+        entry = level.setdefault(node.name, [0.0, {}])
+        entry[0] += node.duration
+        for child in node.children:
+            fold(entry[1], child)
 
-def _rollup(stats: dict, per: float) -> None:
-    """One line per lifecycle layer, ms per statement."""
-    cum: dict[tuple[str, str], float] = {}
-    for (path, _, name), (_, _, _, ct, _) in stats.items():
-        if "src/repro" in path:
-            # same-named wrappers nest (_Statement.assemble calls
-            # _CompiledInspect.assemble): the outer one covers both
-            key = (Path(path).name, name)
-            cum[key] = max(cum.get(key, 0.0), ct)
-    whole = cum.get(("session.py", "sql"), 0.0) * per
-    rest = whole
-    print("   cum ms  layer (per statement)")
-    for layer, file, names in _LAYERS:
-        ms = sum(cum.get((file, name), 0.0) for name in names) * per
-        rest -= ms
-        print(f"{ms:9.3f}  {layer}")
-    print(f"{rest:9.3f}  everything else\n{whole:9.3f}  whole statement")
+    def show(level: dict, indent: str) -> None:
+        for name, (seconds, children) in level.items():
+            print(f"{seconds * per:9.3f}  {indent}{name}")
+            show(children, indent + "  ")
+
+    for root in roots:
+        for child in root.children:
+            fold(merged, child)
+    per = 1e3 / len(roots)
+    whole = sum(root.duration for root in roots) * per
+    traced = sum(seconds for seconds, _ in merged.values()) * per
+    print("  mean ms  span (per statement)")
+    show(merged, "")
+    print(f"{whole - traced:9.3f}  untraced\n{whole:9.3f}  whole statement")
 
 
 def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int):
@@ -100,14 +93,15 @@ def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int):
             yield lambda: session.sql(sql)
 
 
-def _measure(runs, call) -> float:
-    """Mean ms per statement; only ``call(statement)`` is inside the clock."""
-    elapsed = []
+def _measure(runs, call) -> tuple[float, list]:
+    """Mean ms per statement and each run's trace; only ``call(statement)``
+    is inside the clock (and the root span)."""
+    roots = []
     for run in runs:
-        start = time.perf_counter()
-        call(run)
-        elapsed.append(time.perf_counter() - start)
-    return sum(elapsed) / len(elapsed) * 1e3
+        with tracing("statement") as root:
+            call(run)
+        roots.append(root)
+    return sum(root.duration for root in roots) / len(roots) * 1e3, roots
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -120,7 +114,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--repeat", type=int, default=10)
     parser.add_argument("--top", type=int, default=40)
     parser.add_argument("--rollup", action="store_true",
-                        help="one line per lifecycle layer, not the rows")
+                        help="the statement's trace, not the cProfile rows")
     args = parser.parse_args(argv)
     scale = spec.SCALES[args.scale]
     sql = spec.statements(scale)[args.statement]
@@ -130,16 +124,16 @@ def main(argv: list[str] | None = None) -> None:
         workload, _ = inputs.generate(scale, 0)
         inputs.train_checkpoints(scale, 0, workload, root)
         runs = (args.regime, scale, sql, root, args.repeat)
-        plain = _measure(_runs(*runs), lambda run: run())
+        plain, roots = _measure(_runs(*runs), lambda run: run())
         profiler = cProfile.Profile()
-        profiled = _measure(_runs(*runs), profiler.runcall)
+        profiled, _ = _measure(_runs(*runs), profiler.runcall)
     print(f"{args.statement} [{args.regime}, {args.scale}, "
           f"{args.repeat} runs]: {plain:.2f} ms per statement, "
           f"{profiled:.2f} ms under cProfile")
-    stats = pstats.Stats(profiler).stats
     if args.rollup:
-        _rollup(stats, per)
+        _rollup(roots)
         return
+    stats = pstats.Stats(profiler).stats
     rows = [(cum, tot, calls, f"{Path(path).name}:{line}({name})")
             for (path, line, name), (_, calls, tot, cum, _)
             in stats.items() if "src/repro" in path]

@@ -27,7 +27,7 @@ from repro.extract.base import Extractor, HypothesisExtractor
 from repro.extract.rnn import RnnActivationExtractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import MeasureResult
-from repro.util.timing import Stopwatch
+from repro.util.trace import span
 
 
 class MadlibRunner:
@@ -52,16 +52,15 @@ class MadlibRunner:
 
     # ------------------------------------------------------------------
     def load(self, model, dataset: Dataset,
-             hypotheses: list[HypothesisFunction],
-             watch: Stopwatch) -> tuple[int, int]:
+             hypotheses: list[HypothesisFunction]) -> tuple[int, int]:
         """Extract behaviors and materialize the dense relations."""
-        with watch.charge("unit_extraction"):
+        with span("unit_extraction"):
             units = self.extractor.extract(model, dataset.symbols)
-        with watch.charge("hypothesis_extraction"):
+        with span("hypothesis_extraction"):
             hyps = HypothesisExtractor(hypotheses).extract(dataset)
 
         n_units, n_hyps = units.shape[1], hyps.shape[1]
-        with watch.charge("load"):
+        with span("load"):
             unit_cols = ["symbolid"] + [f"u{i}" for i in range(n_units)]
             hyp_cols = ["symbolid"] + [f"h{j}" for j in range(n_hyps)]
             self.db.create_table(
@@ -83,14 +82,13 @@ class MadlibRunner:
 
     # ------------------------------------------------------------------
     def run_correlation(self, model, dataset: Dataset,
-                        hypotheses: list[HypothesisFunction],
-                        watch: Stopwatch | None = None) -> MeasureResult:
-        watch = watch or Stopwatch()
-        n_units, n_hyps = self.load(model, dataset, hypotheses, watch)
+                        hypotheses: list[HypothesisFunction]
+                        ) -> MeasureResult:
+        n_units, n_hyps = self.load(model, dataset, hypotheses)
 
         pairs = [(i, j) for i in range(n_units) for j in range(n_hyps)]
         scores = np.zeros((n_units, n_hyps))
-        with watch.charge("inspection"):
+        with span("inspection"):
             for start in range(0, len(pairs), self.batch_limit):
                 batch = pairs[start:start + self.batch_limit]
                 items = [SelectItem(
@@ -112,14 +110,12 @@ class MadlibRunner:
 
     # ------------------------------------------------------------------
     def run_logreg(self, model, dataset: Dataset,
-                   hypotheses: list[HypothesisFunction],
-                   watch: Stopwatch | None = None) -> MeasureResult:
-        watch = watch or Stopwatch()
-        n_units, n_hyps = self.load(model, dataset, hypotheses, watch)
+                   hypotheses: list[HypothesisFunction]) -> MeasureResult:
+        n_units, n_hyps = self.load(model, dataset, hypotheses)
         indep_cols = [f"u{i}" for i in range(n_units)]
         coef_matrix = np.zeros((n_units, n_hyps))
         f1_scores = np.zeros(n_hyps)
-        with watch.charge("inspection"):
+        with span("inspection"):
             for j in range(n_hyps):
                 weights = logregr_train(
                     self.db, "behaviors", f"coef_h{j}", dep_col=f"h{j}",

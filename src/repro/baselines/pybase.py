@@ -16,7 +16,7 @@ from repro.extract.rnn import RnnActivationExtractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import MeasureResult
 from repro.measures.logreg import LogRegressionScore
-from repro.util.timing import Stopwatch
+from repro.util.trace import span
 
 
 class PyBaseRunner:
@@ -30,24 +30,23 @@ class PyBaseRunner:
 
     # ------------------------------------------------------------------
     def materialize(self, model, dataset: Dataset,
-                    hypotheses: list[HypothesisFunction],
-                    watch: Stopwatch) -> tuple[np.ndarray, np.ndarray]:
-        with watch.charge("unit_extraction"):
+                    hypotheses: list[HypothesisFunction]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        with span("unit_extraction"):
             units = self.extractor.extract(model, dataset.symbols)
-        with watch.charge("hypothesis_extraction"):
+        with span("hypothesis_extraction"):
             hyps = HypothesisExtractor(hypotheses).extract(dataset)
         return units, hyps
 
     # ------------------------------------------------------------------
     def run_correlation(self, model, dataset: Dataset,
-                        hypotheses: list[HypothesisFunction],
-                        watch: Stopwatch | None = None) -> MeasureResult:
+                        hypotheses: list[HypothesisFunction]
+                        ) -> MeasureResult:
         """Per-pair Pearson correlation, the way one-off scripts do it."""
-        watch = watch or Stopwatch()
-        units, hyps = self.materialize(model, dataset, hypotheses, watch)
+        units, hyps = self.materialize(model, dataset, hypotheses)
         n_units, n_hyps = units.shape[1], hyps.shape[1]
         scores = np.zeros((n_units, n_hyps))
-        with watch.charge("inspection"):
+        with span("inspection"):
             for i in range(n_units):
                 u = units[:, i]
                 for j in range(n_hyps):
@@ -61,13 +60,11 @@ class PyBaseRunner:
     # ------------------------------------------------------------------
     def run_logreg(self, model, dataset: Dataset,
                    hypotheses: list[HypothesisFunction],
-                   watch: Stopwatch | None = None,
                    regul: str = "L1") -> MeasureResult:
         """One independently trained probe per hypothesis (no merging)."""
-        watch = watch or Stopwatch()
-        units, hyps = self.materialize(model, dataset, hypotheses, watch)
+        units, hyps = self.materialize(model, dataset, hypotheses)
         measure = LogRegressionScore(regul=regul, epochs=self.logreg_epochs,
                                      cv_folds=self.cv_folds, merged=False)
-        with watch.charge("inspection"):
+        with span("inspection"):
             result = measure.compute(units, hyps)
         return result

@@ -62,6 +62,7 @@ from repro.extract.base import Extractor
 from repro.hypotheses.base import HypothesisFunction, extract_columns
 from repro.store import DiskBehaviorStore
 from repro.util.debuglog import degraded
+from repro.util.trace import current, span
 
 
 #: process-unique tokens for parameter-less models (id() can be recycled
@@ -109,6 +110,11 @@ def unit_store_key(model_key: str, raw_key: str, dataset_key: str) -> str:
     return f"unit/{model_key}/{_compact(raw_key)}/{dataset_key}"
 
 
+def model_id(model) -> str:
+    """What the model calls itself (its class name when it does not)."""
+    return getattr(model, "model_id", type(model).__name__)
+
+
 def model_fingerprint(model) -> str:
     """Content identity of a model for unit-behavior caching.
 
@@ -118,7 +124,7 @@ def model_fingerprint(model) -> str:
     process-unique token stamped onto the object, so a model allocated at a
     recycled address never aliases a dead one.
     """
-    mid = getattr(model, "model_id", type(model).__name__)
+    mid = model_id(model)
     params = getattr(model, "parameters", None)
     if callable(params):
         try:
@@ -263,6 +269,15 @@ class _ByteBoundedLRU:
     def _release(self, entry) -> None:
         """An entry left the map (eviction): free what it held."""
 
+    def _count(self, **moved: int) -> None:
+        """Move this tier's counters (the lock is held), and the same
+        counters of the trace span the caller runs under."""
+        on_span = current()
+        for name, n in moved.items():
+            if n:
+                setattr(self, name, getattr(self, name) + n)
+                on_span.count(name, n)
+
     def fold_counts(self, *, extractions: int = 0, hits: int = 0,
                     misses: int = 0, disk_hits: int = 0,
                     disk_misses: int = 0) -> None:
@@ -274,11 +289,8 @@ class _ByteBoundedLRU:
         (``stats()["extractions"]``) hold across schedulers.
         """
         with self._lock:
-            self.extractions += extractions
-            self.hits += hits
-            self.misses += misses
-            self.disk_hits += disk_hits
-            self.disk_misses += disk_misses
+            self._count(extractions=extractions, hits=hits, misses=misses,
+                        disk_hits=disk_hits, disk_misses=disk_misses)
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
@@ -485,7 +497,7 @@ class HypothesisCache(_ByteBoundedLRU):
             chunk = keys[start:start + width]
             with self._lock:
                 arena, _, cols = self._columns(dataset, chunk)
-                self.disk_hits += len(chunk) * int(indices.shape[0])
+                self._count(disk_hits=len(chunk) * int(indices.shape[0]))
                 arena.scatter(indices, cols,
                               cells[:, :, start:start + width])
 
@@ -548,8 +560,8 @@ class HypothesisCache(_ByteBoundedLRU):
                        hashlib.sha1(records).digest())
                 with self._lock:
                     value = self._moment_memo.get(key)
-                    self.moment_hits += value is not None
-                    self.moment_misses += value is None
+                    self._count(moment_hits=value is not None,
+                                moment_misses=value is None)
                 if value is None:  # summed outside the tier's lock
                     value = (block.sum(axis=0), (block**2).sum(axis=0))
                     for part in value:  # shared by every later statement
@@ -572,8 +584,7 @@ class HypothesisCache(_ByteBoundedLRU):
             arena, columns, cols = self._columns(dataset, keys)
             have = arena.filled[cols].take(indices, axis=1)
             n_hit = int(np.count_nonzero(have))
-            self.hits += n_hit
-            self.misses += have.size - n_hit
+            self._count(hits=n_hit, misses=have.size - n_hit)
             block = (arena.gather(indices, cols) if n_hit
                      else np.empty((n * ns, k)))  # every cell filled below
         if n_hit == have.size:
@@ -607,7 +618,7 @@ class HypothesisCache(_ByteBoundedLRU):
                     rows.reshape(at.shape[0], -1), dataset.n_records,
                     members=members)
         with self._lock:
-            self.extractions += sum(len(js) for _, js in extracted)
+            self._count(extractions=sum(len(js) for _, js in extracted))
             # resolved again: a concurrent insert may have recycled columns
             arena, _, cols = self._columns(dataset, keys)
             for at, js in _same_records(~have[cold], cold):
@@ -643,8 +654,7 @@ class HypothesisCache(_ByteBoundedLRU):
                     _assign(cells, at, js[pos[sel]], values)
         served = consulted - int(np.count_nonzero(absent))
         with self._lock:
-            self.disk_hits += served
-            self.disk_misses += consulted - served
+            self._count(disk_hits=served, disk_misses=consulted - served)
         return cells
 
 
@@ -798,7 +808,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         key = (model_key, raw_key, dataset.cache_key())
         with self._lock:
             entry = self._get_or_create(key, dataset)
-            self.disk_hits += int(indices.shape[0])
+            self._count(disk_hits=int(indices.shape[0]))
             self._commit_rows(key, entry, indices, np.asarray(rows))
 
     def extract(self, model, extractor: Extractor, dataset: Dataset,
@@ -825,8 +835,8 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         with self._lock:
             entry = self._get_or_create(key, dataset)
             missing = indices[~entry.filled[indices]]
-            self.hits += int(indices.shape[0] - missing.shape[0])
-            self.misses += int(missing.shape[0])
+            self._count(hits=int(indices.shape[0] - missing.shape[0]),
+                        misses=int(missing.shape[0]))
         if self.store is not None and missing.shape[0]:
             # the disk tier; a width mismatch (stale or foreign entry) is
             # wholly absent, never served
@@ -837,13 +847,14 @@ class UnitBehaviorCache(_ByteBoundedLRU):
                 have = reader.filled_mask(missing)
             rows = reader.rows(missing[have]) if have.any() else None
             with self._lock:
-                self.disk_hits += int(np.count_nonzero(have))
-                self.disk_misses += int(np.count_nonzero(~have))
+                self._count(disk_hits=int(np.count_nonzero(have)),
+                            disk_misses=int(np.count_nonzero(~have)))
                 if rows is not None:
                     self._commit_rows(key, entry, missing[have], rows)
             missing = missing[~have]
         if missing.shape[0]:
-            block = extractor.raw_rows(model, dataset.symbols[missing])
+            with span("sweep", model_id(model)):
+                block = extractor.raw_rows(model, dataset.symbols[missing])
             if block.shape[0] != missing.shape[0] * ns:
                 raise ValueError(
                     "extractor row mismatch: expected "
@@ -852,7 +863,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
                     f"got {block.shape[0]}")
             flat = np.ascontiguousarray(block).reshape(missing.shape[0], -1)
             with self._lock:
-                self.extractions += 1
+                self._count(extractions=1)
                 self._commit_rows(key, entry, missing, flat)
             if self.store is not None:
                 self.store.append(self._store_key(key, entry), missing,

@@ -1,7 +1,5 @@
-"""Execution knobs of one inspection run: :class:`InspectConfig`.
-
-See :mod:`repro.core.pipeline` for how the engine's pieces fit together.
-"""
+"""Execution knobs of one inspection run (the engine's pieces are
+introduced in :mod:`repro.core.pipeline`)."""
 
 from __future__ import annotations
 
@@ -12,7 +10,6 @@ from dataclasses import dataclass, field
 from repro.core.cache import HypothesisCache, UnitBehaviorCache
 from repro.core.schedulers import _SCHEDULERS, Scheduler
 from repro.store import DiskBehaviorStore
-from repro.util.timing import Stopwatch
 
 MODES = ("streaming", "materialized", "full")
 
@@ -26,9 +23,6 @@ FALLBACK_THRESHOLD = 0.01
 _STORE_TIER_LOCK = threading.Lock()
 
 
-# ----------------------------------------------------------------------
-# configuration
-# ----------------------------------------------------------------------
 @dataclass
 class InspectConfig:
     """Execution knobs for one inspection run."""
@@ -59,7 +53,6 @@ class InspectConfig:
     #: in-flight sweep instead of racing the caches.  ``None`` (the
     #: default) leaves runs ungated.
     sweep_gate: object | None = None
-    stopwatch: Stopwatch | None = None
     max_records: int | None = None
     # memoized store-backed tiers (see with_store_tiers); never replace()d
     _store_tiers: tuple | None = field(default=None, init=False, repr=False,
@@ -89,8 +82,6 @@ class InspectConfig:
                     f"conflicting store wiring: {label} is backed by a "
                     "different DiskBehaviorStore than config.store; pass "
                     "one store object to both (or drop store=)")
-        if self.stopwatch is None:
-            self.stopwatch = Stopwatch()
 
     def with_defaults(
             self, cache: HypothesisCache | None = None,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.cache import model_id
 from repro.extract.base import Extractor, require_extractor
 
 
@@ -46,7 +47,7 @@ class UnitGroup:
 
     @property
     def model_id(self) -> str:
-        return getattr(self.model, "model_id", type(self.model).__name__)
+        return model_id(self.model)
 
     @property
     def n_units(self) -> int:

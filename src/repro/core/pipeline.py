@@ -27,8 +27,11 @@ query-optimizable workload:
   exchange medium — scoring stays on the coordinator, so frames remain
   bit-identical to serial there too.
 
-Wall-clock is charged to ``unit_extraction``, ``hypothesis_extraction`` and
-``inspection`` buckets, reproducing Figure 8's runtime breakdown.
+The pieces live in :mod:`~repro.core.schedulers`, :mod:`~repro.core.config`,
+:mod:`~repro.core.source` and :mod:`~repro.core.plan`; this module is the
+import surface over them.  A run under :func:`repro.util.trace.tracing`
+reports its wall time as ``unit_extraction``, ``hypothesis_extraction`` and
+``inspection`` spans, Figure 8's runtime breakdown.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from repro.core.schedulers import (_SCHEDULERS, ProcessPoolScheduler,
                                    Scheduler, SerialScheduler,
                                    ThreadPoolScheduler, _resolve_scheduler,
                                    default_scheduler)
-from repro.core.source import BehaviorSource, gather_sweeps
+from repro.core.source import BehaviorSource
 
 __all__ = ["DEFAULT_THRESHOLDS", "FALLBACK_THRESHOLD", "MODES",
            "BehaviorSource", "GroupMeasureOutcome", "InspectConfig",
            "InspectionPlan", "ProcessPoolScheduler", "Scheduler", "ScoreTask",
            "SerialScheduler", "ThreadPoolScheduler", "_SCHEDULERS",
-           "_resolve_scheduler", "default_scheduler", "gather_sweeps"]
+           "_resolve_scheduler", "default_scheduler"]

@@ -1,7 +1,5 @@
-"""Score tasks and the compiled :class:`InspectionPlan` that drives them.
-
-See :mod:`repro.core.pipeline` for how the engine's pieces fit together.
-"""
+"""Score tasks and the compiled plan that drives them (the engine's pieces
+are introduced in :mod:`repro.core.pipeline`)."""
 
 from __future__ import annotations
 
@@ -15,12 +13,13 @@ from repro.core.cache import model_fingerprint
 from repro.core.config import InspectConfig
 from repro.core.groups import UnitGroup
 from repro.core.schedulers import Scheduler, _resolve_scheduler
-from repro.core.source import BehaviorSource, gather_sweeps
+from repro.core.source import BehaviorSource
 from repro.data.datasets import Dataset
 from repro.extract.base import Extractor, require_extractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.base import Measure, MeasureResult
 from repro.util.rng import new_rng
+from repro.util.trace import span
 
 
 @dataclass
@@ -194,9 +193,6 @@ class ScoreTask:
                 f"{self.measure.score_id}, stop={policy})")
 
 
-# ----------------------------------------------------------------------
-# plan
-# ----------------------------------------------------------------------
 @dataclass
 class InspectionPlan:
     """A compiled inspection run: source + tasks + scheduling policy."""
@@ -354,30 +350,33 @@ class InspectionPlan:
         scheduler.
         """
         from repro.core.shard import ShardExchange
-        watch = self.config.stopwatch
         n_hyps = len(self.hypotheses)
         exchange = ShardExchange.build(self.source, scheduler)
         try:
             if exchange is not None:
-                with watch.charge("unit_extraction"):
+                with span("unit_extraction"):
                     exchange.dispatch()
                 if self.source.materialize:
-                    exchange.ensure_all(watch)
-            yield from self._run_blocks(scheduler, exchange, watch, n_hyps)
+                    exchange.ensure(slice(0, self.source.n_records))
+            yield from self._run_blocks(scheduler, exchange, n_hyps)
         finally:
             if exchange is not None:
                 exchange.close()
 
-    def _run_blocks(self, scheduler: Scheduler, exchange, watch,
-                    n_hyps: int):
-        """The per-block loop, double-buffered on overlapping schedulers.
+    def _run_blocks(self, scheduler: Scheduler, exchange, n_hyps: int):
+        """The per-block loop; on overlapping schedulers a block's sweeps
+        run beside its hypothesis labelling.
 
         With ``config.prefetch`` on and a scheduler whose :meth:`Scheduler
         .submit` runs concurrently, a block's raw unit sweep is one future
         per extraction pair (:meth:`BehaviorSource.submit_sweeps`),
         submitted before the block's hypothesis extraction: every worker
-        sweeps while the calling thread labels, which charges only its wait
-        on the futures to ``unit_extraction``.  Invariants:
+        sweeps while the calling thread labels, so the calling thread's
+        ``unit_extraction`` spans hold only the submission and its wait on
+        the futures (each ``sweep[model]`` span, timed on its pool thread,
+        hangs from the submission's).  No span is open at the ``yield``:
+        every one attaches to whatever span the consumer has current.
+        Invariants:
 
         * **Frames are bit-identical** to serial execution: block order,
           per-block record slices and per-group behavior values are
@@ -395,7 +394,7 @@ class InspectionPlan:
           runs extracted everything in :meth:`BehaviorSource.prepare`, so
           both leave prefetch off.
         """
-        self.source.prepare(scheduler, watch)
+        self.source.prepare(scheduler)
         use_prefetch = (self.config.prefetch
                         and scheduler.supports_prefetch
                         and not self.source.materialize
@@ -407,14 +406,15 @@ class InspectionPlan:
                 if not pending:
                     break
                 if exchange is not None:
-                    exchange.ensure(sl, watch)
+                    exchange.ensure(sl)
                 needed: dict[int, UnitGroup] = {}
                 for task in pending:
                     needed.setdefault(task.gi, task.group)
                 needed_items = sorted(needed.items())
                 if use_prefetch:
-                    sweeps = self.source.submit_sweeps(
-                        needed_items, self.source.order[sl], scheduler)
+                    with span("unit_extraction"):
+                        sweeps = self.source.submit_sweeps(
+                            needed_items, self.source.order[sl], scheduler)
                 # hypothesis columns frozen in *every* pending task need no
                 # further extraction (streaming only; materialized already
                 # paid)
@@ -426,14 +426,16 @@ class InspectionPlan:
                         if cols_union.shape[0] == n_hyps:
                             cols_union = None
                 h_block, h_moments = self.source.hypothesis_block(
-                    sl, watch, columns=cols_union)
+                    sl, columns=cols_union)
 
                 if use_prefetch:
-                    with watch.charge("unit_extraction"):
-                        u_blocks = gather_sweeps(sweeps)
+                    u_blocks: dict[int, np.ndarray] = {}
+                    with span("unit_extraction"), span("wait_sweeps"):
+                        for future in sweeps:
+                            u_blocks.update(future.result())
                 else:
                     u_blocks = self.source.unit_blocks(
-                        sl, needed_items, scheduler, watch)
+                        sl, needed_items, scheduler)
                 n_records = sl.stop - sl.start
 
                 def score(task):
@@ -442,14 +444,14 @@ class InspectionPlan:
                     a column slice sums in another order."""
                     local = (task.active_cols if cols_union is None else
                              np.searchsorted(cols_union, task.active_cols))
-                    if local.shape[0] == h_block.shape[1]:
-                        task.process(u_blocks[task.gi], h_block, n_records,
-                                     h_moments)
-                    else:
-                        task.process(u_blocks[task.gi], h_block[:, local],
-                                     n_records)
+                    whole = local.shape[0] == h_block.shape[1]
+                    with span("score", task.group.name,
+                              task.measure.score_id):
+                        task.process(u_blocks[task.gi],
+                                     h_block if whole else h_block[:, local],
+                                     n_records, h_moments if whole else None)
 
-                with watch.charge("inspection"):
+                with span("inspection"):
                     scheduler.map(score, pending)
                 yield sl
         finally:

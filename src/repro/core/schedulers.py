@@ -1,13 +1,9 @@
-"""Schedulers: who runs a plan's independent operator invocations.
-
-Serial, thread-pool and process-pool execution behind one
-:class:`Scheduler` surface, plus :func:`default_scheduler`, the choice a
-session makes on this machine.  See :mod:`repro.core.pipeline` for how the
-engine's pieces fit together.
-"""
+"""Schedulers: who runs a plan's independent operator invocations (the
+engine's pieces are introduced in :mod:`repro.core.pipeline`)."""
 
 from __future__ import annotations
 
+import contextvars
 import multiprocessing
 import os
 import shutil
@@ -18,9 +14,6 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from repro.store import DiskBehaviorStore
 
 
-# ----------------------------------------------------------------------
-# schedulers
-# ----------------------------------------------------------------------
 class Scheduler:
     """Executes a batch of independent operator invocations.
 
@@ -40,9 +33,9 @@ class Scheduler:
     #: whether submit_shards dispatches picklable shard tasks to workers
     executes_shards = False
 
-    #: whether submit() overlaps work with the caller — the block
-    #: executor's double-buffered prefetch only arms on schedulers that
-    #: actually run the submitted sweep concurrently
+    #: whether submit() overlaps work with the caller — the block executor
+    #: submits a block's sweeps ahead of its hypothesis labelling only on
+    #: schedulers that actually run the submitted sweep concurrently
     supports_prefetch = False
 
     def map(self, fn, items: list) -> list:
@@ -108,13 +101,24 @@ class ThreadPoolScheduler(Scheduler):
         # skip dispatch cost and GIL contention, run inline
         if len(items) <= 1 or self.max_workers <= 1:
             return [fn(item) for item in items]
-        return list(self._ensure_pool().map(fn, items))
+        futures = [self._in_pool(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        finally:  # one raised: what has not started need not
+            for future in futures:
+                future.cancel()
 
     def submit(self, fn) -> Future:
         # always through the pool: even a 1-worker pool overlaps a
-        # prefetched sweep with the caller's hypothesis extraction (numpy
+        # submitted sweep with the caller's hypothesis extraction (numpy
         # releases the GIL inside BLAS and ufunc loops)
-        return self._ensure_pool().submit(fn)
+        return self._in_pool(fn)
+
+    def _in_pool(self, fn, *args) -> Future:
+        """``fn(*args)`` on a pool thread, in its own copy of the caller's
+        context: a trace span opened there joins the caller's tree."""
+        return self._ensure_pool().submit(
+            contextvars.copy_context().run, fn, *args)
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 import os
 import pickle
+import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,13 +47,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.cache import (HypothesisCache, hyp_store_key,
-                              model_fingerprint, panel_store_key,
+                              model_fingerprint, model_id, panel_store_key,
                               unit_store_key)
 from repro.hypotheses.base import extract_columns
 from repro.store.disk import SHARD_DIR, write_segment
 from repro.store.segment import CorruptEntryError
 from repro.util.debuglog import degraded
-from repro.util.timing import Stopwatch
+from repro.util.trace import current, span
 
 #: hypothesis columns a worker evaluates (and holds) at once, in bytes
 _HYP_PANEL_BYTES = 16 * 1024 * 1024
@@ -181,7 +182,8 @@ def run_shard_task(task: ShardTask) -> dict:
 
     Module-level (importable) so both fork and spawn pool contexts can
     run it.  Returns ``{"descriptors": [...], "extractions": n,
-    "forward_sweeps": n}``.
+    "forward_sweeps": n, "spans": [(name, seconds), ...]}`` — the spans
+    are what the task timed of itself, for the coordinator's trace.
     """
     if task.kind == "unit":
         return _run_unit_task(task)
@@ -200,7 +202,9 @@ def _run_unit_task(task: ShardTask) -> dict:
     model, extractor = cached
     counter = _SweepCounter(model)
     ns = task.n_symbols
+    start = time.perf_counter()
     block = extractor.raw_rows(counter, task.symbols)
+    swept = time.perf_counter() - start
     if block.shape[0] != task.indices.shape[0] * ns:
         raise ValueError(
             f"extractor row mismatch: expected {task.indices.shape[0] * ns} "
@@ -209,7 +213,8 @@ def _run_unit_task(task: ShardTask) -> dict:
     rows = np.ascontiguousarray(block).reshape(task.indices.shape[0], -1)
     return {"descriptors": _write_task_segment(
                 task, [(task.store_key, task.indices, rows, None)]),
-            "extractions": 1, "forward_sweeps": counter.calls}
+            "extractions": 1, "forward_sweeps": counter.calls,
+            "spans": [(f"sweep[{model_id(model)}]", swept)]}
 
 
 def _run_hyp_task(task: ShardTask) -> dict:
@@ -219,9 +224,12 @@ def _run_hyp_task(task: ShardTask) -> dict:
         dataset = pickle.loads(task.dataset_blob)
         _WORKER_OBJECTS[ds_key] = dataset
     hypotheses = pickle.loads(task.hypotheses_blob)
-    return {"descriptors": _write_task_segment(
-                task, _hyp_entries(task, hypotheses, dataset)),
-            "extractions": len(task.items), "forward_sweeps": 0}
+    start = time.perf_counter()
+    descriptors = _write_task_segment(
+        task, _hyp_entries(task, hypotheses, dataset))
+    return {"descriptors": descriptors,
+            "extractions": len(task.items), "forward_sweeps": 0,
+            "spans": [("hypothesis_bundle", time.perf_counter() - start)]}
 
 
 def _hyp_entries(task: ShardTask, hypotheses: list, dataset):
@@ -474,7 +482,7 @@ class ShardExchange:
         return described
 
     # -- integration -----------------------------------------------------
-    def ensure(self, sl: slice, watch: Stopwatch) -> None:
+    def ensure(self, sl: slice) -> None:
         """Integrate every task overlapping record positions ``sl`` (plus
         any already-finished ones, opportunistically)."""
         for dispatch in self._dispatched:
@@ -484,11 +492,8 @@ class ShardExchange:
             if overlaps or dispatch.future.done():
                 bucket = ("unit_extraction" if dispatch.kind == "unit"
                           else "hypothesis_extraction")
-                with watch.charge(bucket):
+                with span(bucket):
                     self._collect(dispatch)
-
-    def ensure_all(self, watch: Stopwatch) -> None:
-        self.ensure(slice(0, self.source.n_records), watch)
 
     def _collect(self, dispatch: _Dispatch) -> None:
         dispatch.collected = True
@@ -524,6 +529,8 @@ class ShardExchange:
                 else config.cache)
         if tier is not None:
             tier.fold_counts(extractions=result["extractions"])
+        for name, seconds in result["spans"]:
+            current().attach(name, seconds)
         sweeps = result.get("forward_sweeps", 0)
         if sweeps and dispatch.model is not None:
             calls = getattr(dispatch.model, "forward_calls", None)

@@ -1,7 +1,5 @@
-"""The behavior-source operator: aligned unit/hypothesis blocks.
-
-See :mod:`repro.core.pipeline` for how the engine's pieces fit together.
-"""
+"""The behavior-source operator: aligned unit/hypothesis blocks (the
+engine's pieces are introduced in :mod:`repro.core.pipeline`)."""
 
 from __future__ import annotations
 
@@ -17,12 +15,9 @@ from repro.data.datasets import Dataset
 from repro.extract.base import Extractor, HypothesisExtractor
 from repro.hypotheses.base import HypothesisFunction
 from repro.util.blocks import iter_blocks
-from repro.util.timing import Stopwatch
+from repro.util.trace import span
 
 
-# ----------------------------------------------------------------------
-# operators
-# ----------------------------------------------------------------------
 def _extract_hypotheses(hypotheses: list[HypothesisFunction],
                         dataset: Dataset, indices: np.ndarray,
                         cache: HypothesisCache | None) -> tuple:
@@ -31,16 +26,6 @@ def _extract_hypotheses(hypotheses: list[HypothesisFunction],
         return HypothesisExtractor(hypotheses).extract(dataset, indices), None
     block = cache.extract_block(hypotheses, dataset, indices)
     return block, cache.block_moments(hypotheses, dataset, indices, block)
-
-
-def gather_sweeps(futures: list[Future]) -> dict[int, np.ndarray]:
-    """The merged ``{gi: block}`` of a block's pair futures (the calling
-    thread's wait on them; :meth:`InspectionPlan._run_blocks` sees to it
-    that none is left running if one raises)."""
-    merged: dict[int, np.ndarray] = {}
-    for future in futures:
-        merged.update(future.result())
-    return merged
 
 
 class BehaviorSource:
@@ -144,8 +129,9 @@ class BehaviorSource:
             views.append((gi, ext, ext.raw_columns(model, group.unit_ids)))
         union = np.unique(np.concatenate([cols for _, _, cols in views]))
         narrow = union.shape[0] < rep.raw_width(model)
-        raw = rep.raw_rows(model, self.dataset.symbols[indices],
-                           columns=union if narrow else None)
+        with span("sweep", first.model_id):
+            raw = rep.raw_rows(model, self.dataset.symbols[indices],
+                               columns=union if narrow else None)
         if raw.shape[0] != indices.shape[0] * ns:
             raise ValueError(
                 "extractor row mismatch: expected "
@@ -196,25 +182,25 @@ class BehaviorSource:
                       indices: np.ndarray,
                       scheduler: Scheduler) -> list[Future]:
         """The prefetch form of :meth:`_extract_unit_blocks`: one future per
-        extraction pair (:func:`gather_sweeps` merges them), submitted from
-        the calling thread, never from inside a worker, so an overlapping
-        scheduler spreads the pairs over every worker it has."""
+        extraction pair, each resolving to that pair's ``{gi: block}``,
+        submitted from the calling thread, never from inside a worker, so an
+        overlapping scheduler spreads the pairs over every worker it has."""
         return [scheduler.submit(
                     lambda m=members: self._extract_units_for_pair(m, indices))
                 for members in self.extraction_pairs(groups).values()]
 
     # -- executor interface --------------------------------------------
-    def prepare(self, scheduler: Scheduler, watch: Stopwatch) -> None:
+    def prepare(self, scheduler: Scheduler) -> None:
         if not self.materialize:
             return
-        with watch.charge("hypothesis_extraction"):
+        with span("hypothesis_extraction"):
             self._h_all, _ = _extract_hypotheses(
                 self.hypotheses, self.dataset, self.order, self.config.cache)
-        with watch.charge("unit_extraction"):
+        with span("unit_extraction"):
             self._u_all = self._extract_unit_blocks(
                 list(enumerate(self.groups)), self.order, scheduler)
 
-    def hypothesis_block(self, sl: slice, watch: Stopwatch,
+    def hypothesis_block(self, sl: slice,
                          columns: np.ndarray | None = None) -> tuple:
         """Hypothesis behaviors for the slice, and their moments thunk
         (``None`` unless a hypothesis cache gathered the block).
@@ -230,19 +216,18 @@ class BehaviorSource:
             return self._h_all[sl.start * ns:sl.stop * ns], None
         hyps = (self.hypotheses if columns is None
                 else [self.hypotheses[int(c)] for c in columns])
-        with watch.charge("hypothesis_extraction"):
+        with span("hypothesis_extraction"):
             return _extract_hypotheses(hyps, self.dataset,
                                        self.order[sl], self.config.cache)
 
     def unit_blocks(self, sl: slice, groups: list[tuple[int, UnitGroup]],
-                    scheduler: Scheduler,
-                    watch: Stopwatch) -> dict[int, np.ndarray]:
+                    scheduler: Scheduler) -> dict[int, np.ndarray]:
         ns = self.dataset.n_symbols
         if self.materialize:
             assert self._u_all is not None
             return {gi: self._u_all[gi][sl.start * ns:sl.stop * ns]
                     for gi, _ in groups}
-        with watch.charge("unit_extraction"):
+        with span("unit_extraction"):
             return self._extract_unit_blocks(groups, self.order[sl],
                                              scheduler)
 

@@ -64,6 +64,7 @@ from repro.db.sqlparser import InspectSpec
 from repro.hypotheses.base import HypothesisFunction
 from repro.measures.registry import get_measure
 from repro.util.frame import Frame
+from repro.util.trace import span
 
 if TYPE_CHECKING:  # repro.session imports this module
     from repro.session import Session
@@ -229,7 +230,9 @@ class _Statement:
     frame: Frame | None = None                 # latest assembled output
 
     def assemble(self) -> Frame:
-        self.frame = self.compiled.assemble(self.spec, self.outcomes_by_did)
+        with span("assemble"):
+            self.frame = self.compiled.assemble(self.spec,
+                                                self.outcomes_by_did)
         return self.frame
 
 
@@ -244,15 +247,19 @@ def _open_statement(session: Session,
     would build one per plan; the caller drains the plans and assembles.
     Only when the caller completed (no error, not abandoned: a cancelled
     query must not commit a half-scored table) does ``INTO`` persist the
-    last assembled frame.
+    last assembled frame.  The SQL half of a statement's trace hangs from
+    here (the block half from :meth:`InspectionPlan.execute_blocks`); no
+    span is open at the ``yield``.
     """
     config = session.effective_config()   # raises on a closed session
-    compiled = session.compiled(spec)
-    statement = _Statement(spec, compiled, {
-        did: InspectionPlan.build(
-            groups_d, session.dataset(did), compiled.measures,
-            compiled.hyp_objs, session.extractor, config)
-        for did, groups_d in compiled.runs.items()})
+    with span("compile"):
+        compiled = session.compiled(spec)
+    with span("plan_build"):
+        statement = _Statement(spec, compiled, {
+            did: InspectionPlan.build(
+                groups_d, session.dataset(did), compiled.measures,
+                compiled.hyp_objs, session.extractor, config)
+            for did, groups_d in compiled.runs.items()})
     yield statement
     if spec.into:
         # on a persistent database the committed table gets automatic
@@ -260,13 +267,14 @@ def _open_statement(session: Session,
         # saved scores run index-backed — and a reopened session answers
         # them with zero extraction or re-scoring
         frame = statement.frame
-        materialize_into(session.db, spec.into, frame.columns, frame.rows())
+        with span("materialize_into"):
+            materialize_into(session.db, spec.into, frame.columns,
+                             frame.rows())
 
 
 def run_inspect_spec(session: Session, spec: InspectSpec) -> Frame:
-    """One-shot INSPECT execution: each per-dataset plan drains itself
-    (``plan.execute()`` prefetches a block ahead), one assembly at the
-    end."""
+    """One-shot INSPECT execution: each per-dataset plan drains itself,
+    one assembly at the end."""
     with _open_statement(session, spec) as statement:
         for did, plan in statement.plans.items():
             statement.outcomes_by_did[did] = plan.execute()

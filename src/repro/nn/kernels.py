@@ -28,7 +28,7 @@ to the layer implementations they replace:
 
 Scratch buffers are allocated per call: they are small next to the sweep
 itself, and per-call allocation keeps the kernels thread-safe for the
-pipeline's double-buffered (prefetching) extraction.
+pipeline's pool-thread sweeps (one per extraction pair of a block).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ Endpoints (see :mod:`repro.server.protocol` for the envelopes):
 ``POST /query``
     One-shot execution; the response carries the final frame.  The
     client is named by the ``client`` body field or ``X-Client-Id``
-    header (defaults to the peer address).
+    header (defaults to the peer host: every anonymous connection from
+    one host is one client, whatever its ephemeral port).
 ``GET /stream``
     Websocket upgrade.  Clients submit ``{"type": "query", "id", "sql"}``
     and receive one ``frame`` envelope per processed behavior block —
@@ -17,7 +18,9 @@ Endpoints (see :mod:`repro.server.protocol` for the envelopes):
 ``GET /stats``
     ``Session.stats()`` (cache/store/query counters) + per-client
     admission counters + sweep-registry counters + server-level wire
-    counters.
+    counters + ``layers``, ``{span name: {calls, total_s}}`` folded from
+    the trace of every ``POST /query`` (``query`` is the whole request,
+    ``admission_wait`` / ``statement`` / ``encode`` / ``send`` its parts).
 
 Queries execute on the admission controller's bounded thread pool —
 they are blocking CPU work and must not run on the event loop; the
@@ -42,6 +45,7 @@ from repro.server.http import (AsyncWebSocket, HttpRequest, ProtocolError,
                                handshake_response, http_response,
                                read_http_request)
 from repro.util.frame import Frame
+from repro.util.trace import Span, current, span, tracing
 
 _STREAM_END = object()   # queue sentinel: the worker finished
 
@@ -66,6 +70,9 @@ class InspectionServer:
         self._conn_writers: set[asyncio.StreamWriter] = set()
         self._counts = {"connections": 0, "requests": 0, "ws_queries": 0,
                         "ws_cancels": 0, "ws_disconnects": 0}
+        # span name less its [detail] (the code's own names: a bounded
+        # fold) -> {calls, total_s}; touched on the event loop only
+        self._layers: dict[str, dict] = {}
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -134,8 +141,10 @@ class InspectionServer:
         header = request.header("x-client-id")
         if header:
             return header
+        # by host alone: an ephemeral port would make every reconnect a
+        # new client with a fresh quota (and a /stats entry for good)
         peer = writer.get_extra_info("peername")
-        return f"{peer[0]}:{peer[1]}" if peer else "anonymous"
+        return str(peer[0]) if peer else "anonymous"
 
     def _error_response(self, status: int, code: str, message: str,
                         keep_alive: bool = True) -> bytes:
@@ -150,8 +159,19 @@ class InspectionServer:
                           writer: asyncio.StreamWriter) -> bool:
         """Answer one request; returns False when the connection closes."""
         if request.method == "POST" and request.path == "/query":
-            response = await self._handle_query(request, writer)
-        elif request.method == "GET" and request.path == "/stats":
+            # every served query is traced; only the fold below is kept
+            with tracing("query") as root:
+                response = await self._handle_query(request, writer)
+                with span("send"):
+                    writer.write(response)
+                    await writer.drain()
+            for name, total in root.totals().items():
+                layer = self._layers.setdefault(
+                    name.partition("[")[0], {"calls": 0, "total_s": 0.0})
+                layer["calls"] += total["calls"]
+                layer["total_s"] += total["total_s"]
+            return request.header("connection").lower() != "close"
+        if request.method == "GET" and request.path == "/stats":
             body = protocol.dumps(self.stats()).encode("utf-8")
             response = http_response(200, "OK", body)
         else:
@@ -172,10 +192,14 @@ class InspectionServer:
                 400, protocol.ERR_BAD_REQUEST,
                 'request body must be a JSON object with a "sql" field')
         client = self._client_id(request, body, writer)
-        started = time.perf_counter()
+        root = current()    # _serve_http's "query" span
+        submitted = time.perf_counter()
 
         def run(cancel_event: threading.Event) -> Frame:
-            return self.session.sql(sql)
+            # on an admission pool thread: handed the root, not a context
+            root.attach("admission_wait", time.perf_counter() - submitted)
+            with Span("statement", root):
+                return self.session.sql(sql)
 
         try:
             frame = await self.admission.submit(client, run)
@@ -184,10 +208,11 @@ class InspectionServer:
         except Exception as exc:
             return self._error_response(
                 500, protocol.ERR_QUERY, f"{type(exc).__name__}: {exc}")
-        envelope = protocol.result_envelope(
-            frame, elapsed_s=time.perf_counter() - started)
-        return http_response(200, "OK",
-                             protocol.dumps(envelope).encode("utf-8"))
+        with span("encode"):
+            envelope = protocol.result_envelope(frame,
+                                                elapsed_s=root.duration)
+            return http_response(200, "OK",
+                                 protocol.dumps(envelope).encode("utf-8"))
 
     # -- websocket streaming -------------------------------------------
     async def _serve_websocket(self, request: HttpRequest,
@@ -306,7 +331,9 @@ class InspectionServer:
     def stats(self) -> dict:
         out = {"type": "stats", "server": dict(self._counts),
                "session": self.session.stats(),
-               "admission": self.admission.stats()}
+               "admission": self.admission.stats(),
+               "layers": {name: dict(layer)
+                          for name, layer in self._layers.items()}}
         gate = getattr(self.session, "sweep_gate", None)
         if gate is not None and hasattr(gate, "stats"):
             out["dedup"] = gate.stats()

@@ -77,6 +77,7 @@ from repro.measures.registry import get_measure
 from repro.store import DiskBehaviorStore
 from repro.util.debuglog import degradation_counts
 from repro.util.frame import Frame
+from repro.util.trace import span
 
 #: statements a session keeps parsed (and, INSPECTs, compiled)
 _STATEMENT_SLOTS = 256
@@ -231,17 +232,23 @@ class Session:
         silently respawn its worker threads).  The held scheduler is shut
         down even when the caller supplied it; a scheduler shared with
         another *live* session stays usable there, lazily respawning its
-        pool on next use.
+        pool on next use.  Each of the three steps runs whatever an earlier
+        one raised (a full disk under the flush must not leave the pool
+        alive and the catalog uncommitted); the error then propagates.
         """
         if self._closed:
             return
         self._closed = True
-        if self.store is not None:
-            self.store.flush()
-        if self._db is not None:
-            self._db.close()  # commits staged catalog/score tables
-        if isinstance(self.scheduler, Scheduler):
-            self.scheduler.shutdown()
+        try:
+            if self.store is not None:
+                self.store.flush()
+        finally:
+            try:
+                if self._db is not None:
+                    self._db.close()  # commits staged catalog/score tables
+            finally:
+                if isinstance(self.scheduler, Scheduler):
+                    self.scheduler.shutdown()
 
     def __enter__(self) -> "Session":
         return self
@@ -472,7 +479,7 @@ class Session:
         """The parsed statement, from the session's bounded statement
         cache: a parse depends on the text alone, and an INSPECT spec
         carries its compilation from run to run (:meth:`compiled`)."""
-        with self._query_lock:
+        with span("parse"), self._query_lock:
             parsed = self._statements.get(statement)
             self._statement_counts["misses" if parsed is None else "hits"] += 1
             if parsed is None:
@@ -504,9 +511,10 @@ class Session:
     def _run(self, parsed) -> Frame:
         if isinstance(parsed, InspectSpec):
             return run_inspect_spec(self, parsed)
-        rows = execute_select(self.db, parsed)
-        return Frame.from_records(
-            rows, columns=[item.alias for item in parsed.items])
+        with span("select"):
+            rows = execute_select(self.db, parsed)
+            return Frame.from_records(
+                rows, columns=[item.alias for item in parsed.items])
 
     def stream_sql(self, statement: str) -> Iterator[Frame]:
         """Execute one SQL statement progressively.

@@ -66,6 +66,7 @@ import numpy as np
 from repro.store.segment import (CorruptEntryError, blob, commit_lock,
                                  map_segment, published, write_blob)
 from repro.util.debuglog import degraded
+from repro.util.trace import span
 
 MANIFEST = "manifest.json"
 SHARD_DIR = "shards"
@@ -566,7 +567,8 @@ class DiskBehaviorStore:
                 self._defer_depth -= 1
                 outermost = self._defer_depth == 0
             if outermost:
-                self.flush()
+                with span("store_commit"):
+                    self.flush()
 
     def drop(self, key: str) -> None:
         """Remove one entry and the segment files only it named."""

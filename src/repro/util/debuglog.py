@@ -9,7 +9,8 @@ broad except fallback therefore routes through :func:`degraded`, which
 * logs on the ``repro.degrade`` logger (DEBUG by default, so quiet
   unless the host application opts in),
 * counts per event name, queryable via :func:`degradation_counts` —
-  tests assert on these instead of parsing logs,
+  tests assert on these instead of parsing logs — and as a
+  ``degraded:<event>`` counter on the current trace span, if any,
 * echoes to stderr when ``REPRO_DEBUG`` is set in the environment.
 
 The static analyzer (REP005, ``silent-degradation``) enforces that broad
@@ -22,6 +23,8 @@ import logging
 import os
 import threading
 from collections import Counter
+
+from repro.util.trace import current
 
 logger = logging.getLogger("repro.degrade")
 
@@ -39,6 +42,7 @@ def degraded(event: str, detail: str = "", *,
     """
     with _lock:
         _counts[event] += 1
+    current().count(f"degraded:{event}")
     message = f"degraded: {event}" + (f" ({detail})" if detail else "")
     if exc is not None:
         message += f" [{type(exc).__name__}: {exc}]"

@@ -7,7 +7,7 @@ from repro.baselines import MadlibRunner, PyBaseRunner
 from repro.hypotheses import (CharSetHypothesis, KeywordHypothesis,
                               NestingDepthHypothesis)
 from repro.measures import CorrelationScore
-from repro.util.timing import Stopwatch
+from repro.util.trace import tracing
 from repro.verify import (GenericPerturber, MappingPerturber, verify_units)
 from repro.util.rng import new_rng
 
@@ -30,14 +30,14 @@ class TestPyBase:
         exact = CorrelationScore().compute(units, hyps_m)
         assert np.allclose(pb.unit_scores, exact.unit_scores, atol=1e-9)
 
-    def test_charges_all_buckets(self, trained_sql_model, sql_workload,
-                                 kw_hyps):
-        watch = Stopwatch()
-        PyBaseRunner().run_correlation(trained_sql_model,
-                                       sql_workload.dataset.head(20),
-                                       kw_hyps, watch)
+    def test_traced_run_has_the_engines_span_names(
+            self, trained_sql_model, sql_workload, kw_hyps):
+        with tracing("pybase") as root:
+            PyBaseRunner().run_correlation(trained_sql_model,
+                                           sql_workload.dataset.head(20),
+                                           kw_hyps)
         assert {"unit_extraction", "hypothesis_extraction",
-                "inspection"} <= set(watch.breakdown())
+                "inspection"} <= set(root.totals())
 
     def test_logreg_group_scores(self, trained_sql_model, sql_workload,
                                  kw_hyps):

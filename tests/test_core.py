@@ -266,15 +266,6 @@ class TestInspect:
                 [CorrelationScore()], hyps, config=cfg2)
         assert cache.misses == first_misses  # all hits on the second run
 
-    def test_stopwatch_buckets_populated(self, trained_sql_model,
-                                         sql_workload, hyps):
-        cfg = InspectConfig(mode="streaming", early_stop=False)
-        inspect([trained_sql_model], sql_workload.dataset,
-                [CorrelationScore()], hyps, config=cfg)
-        buckets = cfg.stopwatch.breakdown()
-        assert {"unit_extraction", "hypothesis_extraction",
-                "inspection"} <= set(buckets)
-
     def test_max_records(self, trained_sql_model, sql_workload, hyps):
         cfg = InspectConfig(mode="streaming", early_stop=False,
                             max_records=20)

@@ -14,7 +14,6 @@ from repro.hypotheses import CharSetHypothesis
 from repro.hypotheses.annotations import mask_hypotheses
 from repro.measures import CorrelationScore, JaccardScore
 from repro.nmt import generate_nmt_corpus, train_nmt_model
-from repro.util.timing import Stopwatch
 from repro.vision import generate_shape_dataset, train_shape_cnn
 from repro.vision.netdissect import CnnPixelExtractor
 
@@ -70,7 +69,7 @@ def _plan_blocks(groups, dataset, extractor, config) -> dict[int, np.ndarray]:
         [CharSetHypothesis("space", " ")], extractor, config)
     return plan.source.unit_blocks(
         slice(0, dataset.n_records), list(enumerate(groups)),
-        SerialScheduler(), Stopwatch())
+        SerialScheduler())
 
 
 def _config(mode: str, tmp_path) -> InspectConfig:

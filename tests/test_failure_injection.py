@@ -403,3 +403,45 @@ class TestFanOut:
             stream.close()
             time.sleep(0.2)     # a stray sweep would land now
             assert [m.forward_calls for m in models] == [2, 2, 2]
+
+
+class TestCloseUnderFailure:
+    def test_a_failing_flush_still_commits_the_catalog_and_stops_the_pool(
+            self, trained_sql_model, sql_workload, tmp_path, monkeypatch):
+        """``close()`` is three steps — flush the store, close the
+        catalog, stop the pool — and a full disk under the first must
+        not skip the other two (the session is marked closed either way,
+        so nobody could run them later)."""
+        import errno
+        hyps = sql_keyword_hypotheses(("SELECT", "FROM"))
+        session = Session(str(tmp_path / "store"), scheduler="threads",
+                          db_path=str(tmp_path / "db"),
+                          config=InspectConfig(early_stop=False,
+                                               block_size=20,
+                                               max_records=40))
+        session.register_model("m0", trained_sql_model)
+        session.register_dataset("d0", sql_workload.dataset)
+        session.inspect("m0", "d0").using("corr").hypotheses(hyps).run()
+        workers = list(session.scheduler._pool._threads)
+        assert workers and all(t.is_alive() for t in workers)
+        db_closed = []
+        db_close = session.db.close
+        monkeypatch.setattr(session.db, "close",
+                            lambda: (db_closed.append(True), db_close()))
+
+        def full_disk():
+            raise OSError(errno.ENOSPC, "No space left on device")
+        monkeypatch.setattr(session.store, "flush", full_disk)
+        with pytest.raises(OSError) as raised:
+            session.close()
+        assert raised.value.errno == errno.ENOSPC
+        assert session.closed
+        assert db_closed == [True]
+        for worker in workers:
+            worker.join(timeout=10)
+        assert not any(worker.is_alive() for worker in workers)
+        assert session.scheduler._pool is None
+        # committed: a new handle on the directory reads the catalog back
+        from repro.db import Database
+        assert "models" in Database(str(tmp_path / "db")).tables
+        session.close()     # and a second close is still a no-op

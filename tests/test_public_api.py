@@ -59,5 +59,5 @@ def test_one_way_in_surface_is_pinned():
                           "extractor", "config", "scheduler", "sweep_gate"]
     fields = [f.name for f in dataclasses.fields(repro.InspectConfig)
               if not f.name.startswith("_")]
-    assert len(fields) == 15
+    assert len(fields) == 14
     assert len(repro.__all__) == 20

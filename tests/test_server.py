@@ -509,3 +509,118 @@ class TestServerEndToEnd:
                 raw.close()
             assert b"400" in response.split(b"\r\n", 1)[0]
             assert b"bad-request" in response
+
+
+def _anonymous_post(port: int, sql: str) -> dict:
+    """One ``POST /query`` on its own connection, naming no client."""
+    import http.client
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", "/query",
+                     body=protocol.dumps({"sql": sql}).encode("utf-8"),
+                     headers={"Content-Type": "application/json"})
+        return protocol.parse_envelope(conn.getresponse().read())
+    finally:
+        conn.close()
+
+
+def _until(condition, timeout: float = 10.0) -> bool:
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if condition():
+            return True
+        time.sleep(0.01)
+    return condition()
+
+
+class TestAnonymousClients:
+    """A peer that names no client is its host, not its ephemeral port."""
+
+    def test_reconnecting_host_is_one_client(
+            self, trained_sql_model, sql_workload, hyps):
+        session = make_session(trained_sql_model, sql_workload, hyps)
+        with session, serve_in_thread(session) as server:
+            n = 12
+            for _ in range(n):
+                reply = _anonymous_post(server.port, "SELECT mid FROM models")
+                assert reply["type"] == "result"
+            stats = InspectClient("127.0.0.1", server.port).stats()
+        per_client = stats["admission"]["per_client"]
+        assert list(per_client) == ["127.0.0.1"]
+        assert per_client["127.0.0.1"]["completed"] == n
+
+    def test_queue_quota_holds_across_reconnects(
+            self, trained_sql_model, sql_workload, hyps):
+        """One running, one queued — a third connection from the same
+        host is over ``per_client_queue`` although its port is new."""
+        session = make_session(SlowForwardModel(trained_sql_model),
+                               sql_workload, hyps, config=slow_config())
+        replies: list[dict] = []
+
+        def post() -> None:
+            replies.append(_anonymous_post(server.port, INSPECT_SQL))
+
+        with session, serve_in_thread(session, per_client_inflight=1,
+                                      per_client_queue=1) as server:
+            observer = InspectClient("127.0.0.1", server.port)
+
+            def host() -> dict:
+                return observer.stats()["admission"]["per_client"].get(
+                    "127.0.0.1", {})
+            threads = [threading.Thread(target=post) for _ in range(2)]
+            threads[0].start()
+            assert _until(lambda: host().get("in_flight") == 1)
+            threads[1].start()
+            assert _until(lambda: host().get("queued") == 1)
+            third = _anonymous_post(server.port, INSPECT_SQL)
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            final = host()
+        assert third["type"] == "error"
+        assert third["code"] == protocol.ERR_REJECTED
+        assert [reply["type"] for reply in replies] == ["result", "result"]
+        assert (final["submitted"], final["completed"],
+                final["rejected"]) == (2, 2, 1)
+
+
+class TestServedTrace:
+    """Every served query is traced; ``/stats`` keeps only the fold."""
+
+    def test_layers_fold_every_served_query(
+            self, trained_sql_model, sql_workload, hyps):
+        session = make_session(trained_sql_model, sql_workload, hyps)
+        with session, serve_in_thread(session) as server:
+            client = InspectClient("127.0.0.1", server.port)
+            assert "layers" in client.stats()       # present, empty
+            n = 4
+            for _ in range(n):
+                client.query(INSPECT_SQL)
+            client.query("SELECT mid FROM models")
+            with pytest.raises(ServerError):
+                client.query("SELECT nonsense FROM nowhere")
+            layers = client.stats()["layers"]
+        served = n + 2
+        for part in ("query", "admission_wait", "statement", "send"):
+            assert layers[part] == {"calls": served,
+                                    "total_s": layers[part]["total_s"]}
+        # a failed statement has nothing to encode; its error is still sent
+        assert layers["encode"]["calls"] == served - 1
+        # the statement's own spans nest under it, names without their
+        # [detail]: the fold cannot grow with what clients register
+        assert layers["parse"]["calls"] == served
+        assert layers["inspection"]["calls"] == 4 * n       # blocks
+        assert layers["score"]["calls"] == 4 * n
+        assert layers["select"]["calls"] == 2    # one of them raised in it
+        assert not any("[" in name for name in layers)
+        parts = sum(layers[part]["total_s"] for part in (
+            "admission_wait", "statement", "encode", "send"))
+        assert 0 < parts <= layers["query"]["total_s"]
+
+    def test_result_envelope_is_what_an_old_client_reads(
+            self, trained_sql_model, sql_workload, hyps):
+        session = make_session(trained_sql_model, sql_workload, hyps)
+        with session, serve_in_thread(session) as server:
+            reply = _anonymous_post(server.port, "SELECT mid FROM models")
+        assert set(reply) == {"type", "frame", "elapsed_s"}
+        assert reply["type"] == "result" and reply["elapsed_s"] > 0
