@@ -8,8 +8,9 @@ Prepares the regime as ``benchmarks/e2e/workloads.py`` does (warm: one
 session, the statement run once untimed first; disk: a store populated
 first, then fresh objects and a new session per run; cold: fresh objects and
 a store-less session per run; store: fresh objects and a session over a new
-empty store per run, under the scheduler the library picks — what
-``cold_store`` times; set ``REPRO_SCHEDULER`` to compare the three), times
+empty store per run, under the scheduler the library picks — threads on
+two or more usable CPUs, serial on one; what ``cold_store`` times; set
+``REPRO_SCHEDULER`` to compare the three), times
 the statement ``--repeat`` times plainly and again under cProfile, and
 prints ms per statement both ways plus the top cumulative rows under
 ``src/repro``.  ``--rollup`` prints the statement's own trace instead
@@ -19,8 +20,9 @@ its direct children) and the whole statement — so a before/after reads
 without eyeballing 40 rows, and nothing here depends on function names.
 Spans are timed on the thread that runs them: under a pool the
 ``sweep[model]`` rows overlap the calling thread's labelling and its
-``unit_extraction`` rows are the submission and the wait; under processes
-they are what the workers timed of themselves.  cProfile taxes Python
+``unit_extraction`` rows are the submission and the wait; under
+``REPRO_SCHEDULER=processes`` they are what the workers timed of
+themselves.  cProfile taxes Python
 calls, not numpy's inner loops, and sees the calling thread only.  Read the
 rows as proportions, take timings from ``benchmarks/e2e``.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -91,6 +94,10 @@ def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int):
             store = tempfile.mkdtemp(prefix="store-", dir=root)
         with fresh_session(store, config=config) as session:
             yield lambda: session.sql(sql)
+        if regime == "store":
+            # as cold_store does: a kept store's unwritten pages are what
+            # the next run's fsync waits for (~120 ms against ~25)
+            shutil.rmtree(store)
 
 
 def _measure(runs, call) -> tuple[float, list]:

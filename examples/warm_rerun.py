@@ -20,9 +20,9 @@ cores: the coordinator describes picklable shard tasks, pool workers
 write activation shards straight into ``./behavior_store``, and the
 session adopts them into the manifest in its single commit — same store
 layout, same scores, warm reruns unchanged.  The default (``auto``)
-lets :func:`repro.core.pipeline.default_scheduler` decide: processes on
-a multi-core host because this session is store-backed, serial on one
-core.
+lets :func:`repro.core.pipeline.default_scheduler` decide: threads on
+two or more usable CPUs (the store does not enter the choice), serial on
+one.
 """
 
 import argparse
@@ -50,7 +50,7 @@ def main() -> None:
     parser.add_argument("--scheduler", default="auto",
                         choices=["auto", "serial", "threads", "processes"],
                         help="execution scheduler (auto: serial on one "
-                             "core, processes on a multi-core host)")
+                             "usable CPU, threads otherwise)")
     args = parser.parse_args()
     if args.fresh and STORE_DIR.exists():
         shutil.rmtree(STORE_DIR)

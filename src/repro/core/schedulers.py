@@ -14,6 +14,15 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from repro.store import DiskBehaviorStore
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container pinned to one core of a many-core machine is a
+    one-CPU host), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class Scheduler:
     """Executes a batch of independent operator invocations.
 
@@ -88,7 +97,7 @@ class ThreadPoolScheduler(Scheduler):
     supports_prefetch = True
 
     def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers or min(8, os.cpu_count() or 1)
+        self.max_workers = max_workers or min(8, usable_cpus())
         self._pool: ThreadPoolExecutor | None = None
         # session-owned schedulers are shared by every query the session
         # runs; concurrent first-touch (the server's many clients) must
@@ -157,7 +166,7 @@ class ProcessPoolScheduler(Scheduler):
 
     def __init__(self, max_workers: int | None = None,
                  mp_context: str | None = None):
-        self.max_workers = max_workers or (os.cpu_count() or 1)
+        self.max_workers = max_workers or usable_cpus()
         self.mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._scratch: tuple[str, DiskBehaviorStore] | None = None
@@ -217,25 +226,28 @@ def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
     * ``REPRO_SCHEDULER`` (``serial`` / ``threads`` / ``processes``)
       overrides everything — the CI lever that forces the whole suite
       through one scheduler.
-    * A single-core host gets the serial scheduler: neither pool can win
-      there, and GIL/spawn overhead makes both strictly slower.
-    * On a multi-core host *with* a disk store the process pool is
-      chosen: raw sweeps fan out across cores and exchange through the
-      store's mmap'd shards.  Spawn and pickling are a constant, sweeps
-      grow with records x units^2: at the benchmark's base scale this is
-      the *slowest* of the three on a cold store-backed statement (PR
-      18); ROADMAP direction 2 owns the decision.
-    * Multi-core without a store falls back to the thread pool — numpy
-      releases the GIL for scoring and multi-model extraction, and there
-      is no exchange medium for shard tasks to write through.
+    * One usable CPU (:func:`usable_cpus`) gets the serial scheduler:
+      neither pool can win there, and GIL/spawn overhead makes both
+      strictly slower.
+    * Anything else gets the thread pool — numpy releases the GIL for
+      sweeps, scoring and multi-model extraction, and a store-backed
+      statement commits in-process: one segment, no exchange probe.
+
+    ``store`` is unused (the benchmark's replay passes it): a store no
+    longer enters the choice.  The process pool is opt-in, by name, and
+    stays because it wins on the far side of a measured crossover (PR 23,
+    cold store-backed ``inspect_one``, 2 CPUs): at the benchmark's base
+    scale threads take 0.84x of processes' time — spawn, pickling and the
+    exchange read-back are a constant — while at 4,096 records x 128
+    units, sweeps growing with records x units^2, processes took a median
+    0.80x of threads' (ahead in 6 of 8 rounds).  Choosing between them by
+    cost needs a benchmark workload on each side (ROADMAP direction 2).
     """
     forced = os.environ.get("REPRO_SCHEDULER", "").strip()
     if forced:
         return _resolve_scheduler(forced)[0]
-    if (os.cpu_count() or 1) <= 1:
+    if usable_cpus() <= 1:
         return SerialScheduler()
-    if store is not None:
-        return ProcessPoolScheduler()
     return ThreadPoolScheduler()
 
 

@@ -173,7 +173,7 @@ def _write_task_segment(task: ShardTask, entries) -> list[dict]:
     name = f"w{os.getpid()}-{next(_WORKER_SEQ)}-{uuid.uuid4().hex[:8]}.seg"
     return write_segment(
         shard_dir / name,
-        ((key, task.n_records, indices, rows, members)
+        ((key, task.n_records, [indices], [rows], members)
          for key, indices, rows, members in entries))
 
 

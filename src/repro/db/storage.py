@@ -408,7 +408,7 @@ class TableStorage:
         def written(f, name, part) -> list[int]:
             array = self._parts[(name, part)]
             self.writes += 1
-            return write_blob(f, array) + [zlib.crc32(array)]
+            return write_blob(f, [array]) + [zlib.crc32(array)]
 
         with commit_lock(self.root):
             # the manifest as it is now, not as this handle remembers it,

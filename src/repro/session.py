@@ -12,7 +12,8 @@ lifecycle every query shares —
   (``store_path=``), which the caches write through to with run-scoped
   deferred commits (one manifest rewrite per query),
 * one scheduler pool (:func:`~repro.core.pipeline.default_scheduler`
-  unless pinned),
+  unless pinned: threads on two or more usable CPUs, with or without a
+  store, so a store-backed statement extracts and commits in-process),
 
 — and carries name registries (:meth:`register_model`,
 :meth:`register_dataset`, :meth:`register_hypotheses`) addressable from

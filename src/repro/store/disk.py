@@ -21,8 +21,8 @@ record.  Manifest version 3: a version-1 (file pairs) or version-2 (an
 entry per hypothesis) directory reads as empty, says so once, re-extracts.
 
 A commit is a **group commit**: :meth:`DiskBehaviorStore.append` queues
-rows; :meth:`DiskBehaviorStore.flush` coalesces everything queued into one
-shard per entry, writes them all back to back into **one segment file**
+rows; :meth:`DiskBehaviorStore.flush` writes everything queued, one shard
+per entry, back to back into **one segment file**
 (:func:`write_segment`: every array a complete npy blob on a 64-byte
 boundary; one fsync, one rename), and then commits by atomically rewriting
 the manifest, where a shard record is ``file`` + ``file_bytes`` (the segment
@@ -77,25 +77,27 @@ _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
 
 def write_segment(path: Path, entries) -> list[dict]:
     """Write ``(key, n_records, indices, rows, members)`` entries as one
-    segment.
+    segment; ``indices`` and ``rows`` are each a list of parts that stack
+    into the entry's one shard (:func:`write_blob`).
 
-    Rows then record ids, entry after entry, each array a complete npy
-    blob; one fsync, one rename.  Returns one descriptor per entry — the
-    manifest shard record (``_SHARD_FIELDS``) plus the entry's key,
-    geometry and ``members`` (None unless a panel) — which is what
+    Rows then record ids, entry after entry, each a complete npy blob; one
+    fsync, one rename.  Returns one descriptor per entry — the manifest
+    shard record (``_SHARD_FIELDS``) plus the entry's key, geometry and
+    ``members`` (None unless a panel) — which is what
     :meth:`DiskBehaviorStore.adopt_segment` takes from a worker.
     """
     descriptors = []
     with published(path) as f:
         for key, n_records, indices, rows, members in entries:
-            rows = np.ascontiguousarray(rows)
+            rows = [np.ascontiguousarray(part) for part in rows]
+            indices = [np.asarray(part, dtype=np.int64) for part in indices]
             descriptors.append(
                 {"key": key, "n_records": int(n_records), "members": members,
-                 "row_width": int(rows.shape[1]), "dtype": rows.dtype.str,
-                 "file": path.name, "rows": int(rows.shape[0]),
+                 "row_width": int(rows[0].shape[1]),
+                 "dtype": rows[0].dtype.str, "file": path.name,
+                 "rows": sum(len(part) for part in rows),
                  "data": write_blob(f, rows),
-                 "index": write_blob(f, np.asarray(indices,
-                                                   dtype=np.int64))})
+                 "index": write_blob(f, indices)})
         file_bytes = f.tell()
     return [dict(desc, file_bytes=file_bytes) for desc in descriptors]
 
@@ -471,26 +473,25 @@ class DiskBehaviorStore:
         return arrays
 
     def flush(self) -> None:
-        """Group commit: write pending rows — coalesced to one shard per
-        entry, all in one segment — register pending adoptions, and
-        publish everything in one manifest rewrite."""
+        """Group commit: write pending rows — one shard per entry, its
+        appends written back to back, all in one segment — register
+        pending adoptions, and publish everything in one manifest
+        rewrite."""
         with self._lock:
             if not self._pending_rows and not self._pending_adoptions:
                 return
             pending, self._pending_rows = self._pending_rows, []
             descriptors, self._pending_adoptions = self._pending_adoptions, []
             self._pending_bytes = 0
-            # coalesce per entry: within one scope the cache only appends
-            # records it found missing, so parts are disjoint
-            grouped: dict[tuple, list[tuple]] = {}
-            for key, n_records, width, dtype_str, *part in pending:
-                grouped.setdefault((key, n_records, width, dtype_str),
-                                   []).append(part)
-            entries = [
-                (key, n_records, np.concatenate([p[1] for p in parts]),
-                 parts[0][2] if len(parts) == 1
-                 else np.concatenate([p[2] for p in parts]), parts[0][0])
-                for (key, n_records, _, _), parts in grouped.items()]
+            # one shard per entry: within one scope the cache only appends
+            # records it found missing, so an entry's parts are disjoint
+            entries: dict[tuple, tuple] = {}
+            for key, n_records, width, dtype_str, members, indices, rows \
+                    in pending:
+                entry = entries.setdefault((key, n_records, width, dtype_str),
+                                           (key, n_records, [], [], members))
+                entry[2].append(indices)
+                entry[3].append(rows)
             with commit_lock(self.root):
                 # always merge against the latest committed manifest:
                 # another process may have appended since we last read it
@@ -503,7 +504,8 @@ class DiskBehaviorStore:
                     manifest["clock"] += 1
                     name = f"{manifest['clock']}-{os.getpid()}.seg"
                     descriptors = write_segment(
-                        self.root / SHARD_DIR / name, entries) + descriptors
+                        self.root / SHARD_DIR / name,
+                        entries.values()) + descriptors
                 # adopted (worker-written) shards are already on disk and
                 # fsynced: for them only this registration remains
                 touched: set[str] = set()

@@ -8,12 +8,12 @@ realistic scales.
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pytest
 
 from repro import Session
+from repro.core import schedulers
 from repro.data import generate_parens_workload, generate_sql_workload
 from repro.hypotheses import CharSetHypothesis, grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
@@ -29,10 +29,11 @@ def pytest_configure(config):
 @pytest.fixture
 def fake_cpu_count(monkeypatch):
     """Make host shape a test parameter: ``fake_cpu_count(n)`` pins
-    ``os.cpu_count()`` — and with it ``default_scheduler()``'s choice,
-    unless ``REPRO_SCHEDULER`` forces one — for the rest of the test."""
+    ``usable_cpus()`` — and with it ``default_scheduler()``'s choice,
+    unless ``REPRO_SCHEDULER`` forces one, and both pools' default size —
+    for the rest of the test."""
     def fake(n: int) -> None:
-        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        monkeypatch.setattr(schedulers, "usable_cpus", lambda: n)
     return fake
 
 

@@ -20,6 +20,7 @@ import pytest
 from repro import (DiskBehaviorStore, InspectConfig, ProcessPoolScheduler,
                    SerialScheduler, Session, ThreadPoolScheduler)
 from repro.core.pipeline import default_scheduler
+from repro.core.schedulers import usable_cpus
 from repro.core.shard import ShardTask, run_shard_task
 from repro.hypotheses import grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
@@ -315,33 +316,67 @@ class TestHypothesisBundle:
 # default_scheduler selection rules
 # ----------------------------------------------------------------------
 class TestDefaultScheduler:
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "threads")
-        scheduler = default_scheduler()
-        assert isinstance(scheduler, ThreadPoolScheduler)
-        scheduler.shutdown()
+    """One usable CPU -> serial, otherwise threads; a store does not enter
+    the choice, ``REPRO_SCHEDULER`` overrides it."""
 
-    def test_single_core_picks_serial(self, monkeypatch, tmp_path,
-                                      fake_cpu_count):
+    @pytest.mark.parametrize("forced", ["serial", "threads", "processes"])
+    def test_env_override_wins(self, monkeypatch, fake_cpu_count, forced):
+        monkeypatch.setenv("REPRO_SCHEDULER", forced)
+        fake_cpu_count(4)
+        with default_scheduler() as scheduler:
+            assert scheduler.name == forced
+
+    @pytest.mark.parametrize("cpus,expected", [(1, SerialScheduler),
+                                               (4, ThreadPoolScheduler)])
+    def test_cpus_decide_with_and_without_a_store(
+            self, monkeypatch, tmp_path, fake_cpu_count, cpus, expected):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        fake_cpu_count(1)
+        fake_cpu_count(cpus)
+        store = DiskBehaviorStore(tmp_path / "store")
+        for scheduler in (default_scheduler(), default_scheduler(store=store)):
+            with scheduler:
+                assert type(scheduler) is expected
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="platform has no affinity mask")
+    def test_one_cpu_affinity_on_a_many_core_host_picks_serial(
+            self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2})
+        assert usable_cpus() == 1
         assert isinstance(default_scheduler(), SerialScheduler)
-        store = DiskBehaviorStore(tmp_path / "store")
-        assert isinstance(default_scheduler(store=store), SerialScheduler)
+        assert ThreadPoolScheduler().max_workers == 1
+        assert ProcessPoolScheduler().max_workers == 1
 
-    def test_multicore_store_picks_processes(self, monkeypatch, tmp_path,
-                                             fake_cpu_count):
+    def test_store_backed_default_is_bit_identical_and_commits_once(
+            self, monkeypatch, tmp_path, fake_cpu_count, trained_sql_model,
+            sql_workload, hyps):
+        """The path a multi-core user gets: threads over a store."""
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
         fake_cpu_count(4)
-        store = DiskBehaviorStore(tmp_path / "store")
-        scheduler = default_scheduler(store=store)
-        assert isinstance(scheduler, ProcessPoolScheduler)
-        scheduler.shutdown()
+        config = InspectConfig(mode="streaming", block_size=20,
+                               early_stop=False, max_records=MAX_RECORDS)
+        n_blocks = MAX_RECORDS // 20
+        reference = run_frame(trained_sql_model, sql_workload, hyps,
+                              config=config, scheduler=SerialScheduler())
 
-    def test_multicore_without_store_picks_threads(self, monkeypatch,
-                                                   fake_cpu_count):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        fake_cpu_count(4)
-        scheduler = default_scheduler()
-        assert isinstance(scheduler, ThreadPoolScheduler)
-        scheduler.shutdown()
+        def run(store):
+            with make_session(trained_sql_model, sql_workload, hyps,
+                              config=config, store=store) as session:
+                assert isinstance(session.scheduler, ThreadPoolScheduler)
+                frame = (session.inspect("m0", "d0").hypotheses(hyps)
+                         .using("corr").run())
+                return frame, session.stats()
+
+        store = DiskBehaviorStore(tmp_path / "store")
+        frame, stats = run(store)
+        assert frame == reference
+        assert stats["hypothesis_cache"]["extractions"] == len(hyps) * n_blocks
+        assert stats["unit_cache"]["extractions"] == 1 * n_blocks
+        assert store.commits == 1
+        assert not worker_shards(tmp_path / "store")   # committed in-process
+        frame, stats = run(DiskBehaviorStore(tmp_path / "store"))
+        assert frame == reference
+        assert stats["hypothesis_cache"]["extractions"] == 0
+        assert stats["unit_cache"]["extractions"] == 0

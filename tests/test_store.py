@@ -2,7 +2,9 @@
 extraction: crash safety, GC, cross-session/cross-process warm reads with
 zero model calls, raw-sweep fusion, and scheduler lifecycle."""
 
+import errno
 import glob
+import io
 import json
 import multiprocessing
 import os
@@ -21,6 +23,7 @@ from repro.extract import RnnActivationExtractor
 from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
 from repro.measures import CorrelationScore, DiffMeansScore
 from repro.nn import CharLSTMModel
+from repro.store.segment import write_blob
 from repro.util.debuglog import degradation_counts, reset_degradation_counts
 from repro.util.rng import new_rng
 from repro.util.testing import CountingForwardModel as _CountingForwardModel
@@ -191,6 +194,54 @@ class TestDiskBehaviorStore:
         assert fresh.reader("b").n_filled == 3
         assert np.array_equal(fresh.reader("a").rows(np.arange(2, 4)),
                               np.ones((2, 2)))
+
+    @pytest.mark.parametrize("n_parts", [1, 2, 5])
+    @pytest.mark.parametrize("dtype,width", [(np.int64, None),
+                                             (np.float64, 7)])
+    def test_write_blob_is_np_save_of_the_concatenation(self, tmp_path,
+                                                        n_parts, dtype, width):
+        """The format did not move: a blob written from its parts is the
+        bytes ``np.save`` writes for their stack, so this build and its
+        parent read each other's segments."""
+        rng = np.random.default_rng(n_parts)
+        parts = [rng.integers(-9, 9, size=(n,) if width is None
+                              else (n, width)).astype(dtype)
+                 for n in range(3, 3 + n_parts)]
+        with open(tmp_path / "blob", "w+b") as f:
+            f.write(b"xyz")                 # the blob starts on a boundary
+            offset, nbytes = write_blob(f, parts)
+            f.seek(offset)
+            written = f.read()
+        expected = io.BytesIO()
+        np.save(expected, np.concatenate(parts))
+        assert offset == 64 and nbytes == len(written)
+        assert written == expected.getvalue()
+
+    def test_write_blob_refuses_parts_that_do_not_stack(self, tmp_path):
+        with open(tmp_path / "blob", "wb") as f:
+            for parts in ([np.zeros((2, 3)), np.zeros((2, 4))],
+                          [np.zeros(2), np.zeros(2, dtype=np.int64)]):
+                with pytest.raises(ValueError, match="agree"):
+                    write_blob(f, parts)
+            assert f.tell() == 0
+
+    def test_multi_block_entry_reads_back_in_record_order(self, tmp_path):
+        """An entry's appends are written back to back as its one shard;
+        the reader's location table puts every record's row where it was
+        appended."""
+        n = 23
+        rows = np.random.default_rng(0).normal(size=(n, 6))
+        order = np.random.default_rng(1).permutation(n)
+        store = DiskBehaviorStore(tmp_path)
+        with store.deferred_commits():
+            for block in np.split(order, [4, 5, 17]):
+                store.append("k", block, rows[block], n_records=n)
+        stats = store.stats()
+        assert (stats["appends"], stats["shards"], stats["commits"]) \
+            == (4, 1, 1)
+        reader = DiskBehaviorStore(tmp_path).reader("k")
+        assert np.array_equal(reader.rows(np.arange(n)), rows)
+        assert np.array_equal(reader.rows(order[::2]), rows[order[::2]])
 
     def test_width_change_replaces_entry(self, tmp_path):
         store = DiskBehaviorStore(tmp_path)
@@ -799,6 +850,50 @@ class TestSegmentFaults:
         self._assert_only_the_panel_is_lost(path, sql_workload, hyps72,
                                             reference)
         assert not panel_file.exists()      # went with its only entry
+
+    def test_disk_filling_mid_segment_publishes_nothing(
+            self, tmp_path, monkeypatch, sql_workload, hyps72):
+        """A part's ``tofile`` raises ENOSPC after the blob's header and
+        earlier parts went out: no segment becomes visible, the manifest
+        stays as it was, the statement's error is the caller's and the
+        session answers the next one; a later session re-extracts."""
+        from repro.store import disk
+
+        class OnAFullDisk(np.ndarray):
+            def tofile(self, *args, **kwargs):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def write_blob_last_part_failing(f, parts):
+            return write_blob(f, [*parts[:-1], parts[-1].view(OnAFullDisk)])
+
+        n_blocks = -(-sql_workload.dataset.n_records // self.BLOCK)
+        assert n_blocks >= 2            # bytes are out before the fault
+        path = tmp_path / "s"
+        DiskBehaviorStore(path).append("other", np.arange(4),
+                                       np.ones((4, 8)), n_records=4)
+        committed = (path / "manifest.json").read_bytes()
+        (kept,) = (path / "shards").glob("*.seg")
+        with self._session(sql_workload, hyps72, cache=None,
+                           unit_cache=None) as session:
+            reference = session.sql(EPOCHS_SQL)
+        with self._session(sql_workload, hyps72, path) as session:
+            with monkeypatch.context() as patch:
+                patch.setattr(disk, "write_blob",
+                              write_blob_last_part_failing)
+                with pytest.raises(OSError) as caught:
+                    session.sql(EPOCHS_SQL)
+            assert caught.value.errno == errno.ENOSPC
+            assert list((path / "shards").glob("*.seg")) == [kept]
+            assert (path / "manifest.json").read_bytes() == committed
+            assert session.stats()["store"]["commits"] == 0
+            assert session.sql(EPOCHS_SQL) == reference
+        with self._session(sql_workload, hyps72, path) as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            stats = session.stats()
+        assert stats["hypothesis_cache"]["extractions"] == 72 * n_blocks
+        assert stats["unit_cache"]["extractions"] == n_blocks
+        assert (stats["store"]["commits"], stats["store"]["entries"]) \
+            == (1, 3)
 
     @pytest.mark.parametrize("keep", [71, 36])
     def test_members_disagreeing_with_the_row_width(
