@@ -30,6 +30,10 @@ REP007    lifecycle               classes owning pools/mmaps/file handles
                                   define close()/shutdown()/__exit__
 REP008    extractor-protocol      Extractor subclasses override a coherent
                                   raw-sweep method set
+REP009    forward-kernel-allocs   no dense one-hots or dtype-less scratch on
+                                  nn/ kernel paths
+REP010    async-blocking          server coroutines never block or drop an
+                                  executor future
 ========  ======================  =============================================
 
 Suppressing a reviewed finding
@@ -51,7 +55,7 @@ Adding a checker
 
        @register
        class MyChecker(Checker):
-           id = "REP009"
+           id = "REP011"
            name = "my-invariant"
            description = "one line for --list"
            hint = "how to fix it"

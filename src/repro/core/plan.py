@@ -225,7 +225,6 @@ class InspectionPlan:
                     f"unit group {group.name!r} names unit "
                     f"{group.unit_ids.max()}, but its extractor exposes "
                     f"{n_units} units of {group.model_id}")
-        config = config.with_store_tiers()
         rng = new_rng(config.seed)
         n_records = dataset.n_records
         if config.max_records is not None:
@@ -302,10 +301,12 @@ class InspectionPlan:
 
         The run's full lifecycle rides on the generator: the scheduler is
         resolved up front (and an owned one shut down at exhaustion *or*
-        abandonment), and the whole run shares one store commit scope —
-        one manifest rewrite per run, not one per (entry, block); shard
-        files still land (fsynced) as they are extracted, they just become
-        visible together when the scope closes.  Callers snapshot whatever
+        abandonment), and the whole run shares one commit scope per store
+        its tiers write through (:meth:`BehaviorSource.stores`; usually
+        one) — one segment and one manifest rewrite per run, not one per
+        (entry, block); a process run's worker segments land (fsynced) as
+        they are extracted, they just become visible together when the
+        scope closes.  Callers snapshot whatever
         task state they need between steps (:meth:`outcomes`, or
         individual tasks for cheaper partial reads).
 
@@ -321,14 +322,13 @@ class InspectionPlan:
         abandoning the run costs exactly the blocks delivered.
         """
         scheduler, owned = _resolve_scheduler(self.config.scheduler)
-        store_scope = (self.config.store.deferred_commits()
-                       if self.config.store is not None
-                       else contextlib.nullcontext())
         gate = self.config.sweep_gate
         gate_scope = (gate.lease(self.sweep_keys(), cold=self.sweep_is_cold)
                       if gate is not None else contextlib.nullcontext())
         try:
-            with gate_scope, store_scope:
+            with gate_scope, contextlib.ExitStack() as store_scopes:
+                for store in self.source.stores():
+                    store_scopes.enter_context(store.deferred_commits())
                 yield from self._block_steps(scheduler)
         finally:
             if owned:
@@ -367,9 +367,9 @@ class InspectionPlan:
         """The per-block loop; on overlapping schedulers a block's sweeps
         run beside its hypothesis labelling.
 
-        With ``config.prefetch`` on and a scheduler whose :meth:`Scheduler
-        .submit` runs concurrently, a block's raw unit sweep is one future
-        per extraction pair (:meth:`BehaviorSource.submit_sweeps`),
+        On a scheduler whose :meth:`Scheduler.submit` runs concurrently
+        (``supports_prefetch``), a block's raw unit sweep is one future per
+        extraction pair (:meth:`BehaviorSource.submit_sweeps`),
         submitted before the block's hypothesis extraction: every worker
         sweeps while the calling thread labels, so the calling thread's
         ``unit_extraction`` spans hold only the submission and its wait on
@@ -389,16 +389,14 @@ class InspectionPlan:
         * **No future outlives the run**, however it ends: a sweep may
           write through the caches, so it finishes (or is cancelled unrun)
           inside the run's store scope.
-        * Shard-exchange runs keep their own overlap (``exchange`` already
-          dispatched all cold work to worker processes), and materialized
-          runs extracted everything in :meth:`BehaviorSource.prepare`, so
-          both leave prefetch off.
+        * Materialized runs extracted everything in
+          :meth:`BehaviorSource.prepare` and shard schedulers do not overlap
+          (an exchange already dispatched the cold work to worker
+          processes), so both leave prefetch off.
         """
         self.source.prepare(scheduler)
-        use_prefetch = (self.config.prefetch
-                        and scheduler.supports_prefetch
-                        and not self.source.materialize
-                        and exchange is None)
+        use_prefetch = (scheduler.supports_prefetch
+                        and not self.source.materialize)
         sweeps: list[Future] = []   # of the block being processed
         try:
             for sl in self.source.block_slices():

@@ -113,9 +113,13 @@ class ThreadPoolScheduler(Scheduler):
         futures = [self._in_pool(fn, item) for item in items]
         try:
             return [future.result() for future in futures]
-        finally:  # one raised: what has not started need not
+        finally:
+            # one raised: what has not started need not, and what has
+            # finishes before map returns — an item may write through the
+            # caches, so none outlives the caller's store scope
             for future in futures:
-                future.cancel()
+                if not future.cancel():
+                    future.exception()
 
     def submit(self, fn) -> Future:
         # always through the pool: even a 1-worker pool overlaps a
@@ -215,6 +219,9 @@ class ProcessPoolScheduler(Scheduler):
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         if scratch is not None:
+            # publish first: a stream still open over the scratch store
+            # must find nothing pending when its scope closes afterwards
+            scratch[1].close()
             shutil.rmtree(scratch[0], ignore_errors=True)
 
 

@@ -320,7 +320,9 @@ class ShardExchange:
     already serve; ``ensure(sl)`` blocks on (and integrates) the tasks a
     block slice needs before the executor reads it; ``close()`` cancels
     what never started and integrates what did, so an abandoned stream
-    leaks neither processes nor uncommitted shard files.
+    leaks neither processes nor uncommitted shard files.  The exchange
+    holds no commit scope: adopted shards become visible in the one
+    commit of the plan's scope over the same store.
     """
 
     def __init__(self, source, scheduler, store):
@@ -328,37 +330,26 @@ class ShardExchange:
         self.scheduler = scheduler
         self.store = store
         self._dispatched: list[_Dispatch] = []
-        self._scope = None
-        self._closed = False
 
     @classmethod
     def build(cls, source, scheduler) -> "ShardExchange | None":
         """An exchange for this run, or None when one cannot help.
 
-        Requires a shard-executing scheduler and a disk store to exchange
-        through — either the run's own (``config.store``) or the scratch
-        store backing the session caches.
+        Requires a shard-executing scheduler and one disk store to exchange
+        through: the one the run's tiers sit on (a session's own, or the
+        scheduler's scratch store), whose commit scope the plan holds.
+        Tiers on two stores, or on none, extract inline.
         """
         if not getattr(scheduler, "executes_shards", False):
             return None
-        config = source.config
-        store = config.store
-        if store is None:
-            store = (getattr(config.unit_cache, "store", None)
-                     or getattr(config.cache, "store", None))
-        if store is None or source.n_records == 0:
+        stores = source.stores()
+        if len(stores) != 1 or source.n_records == 0:
             return None
-        return cls(source, scheduler, store)
+        return cls(source, scheduler, stores[0])
 
     # -- dispatch --------------------------------------------------------
     def dispatch(self) -> None:
         """Describe the cold extraction work and submit it to the pool."""
-        # worker shards must commit inside this run's single manifest
-        # rewrite; when the exchange store is not config.store (scratch
-        # store), the executor's scope doesn't cover it — open our own
-        if self.store is not self.source.config.store:
-            self._scope = self.store.deferred_commits()
-            self._scope.__enter__()
         described = (self._describe_unit_tasks()
                      + self._describe_hyp_tasks())
         if not described:
@@ -538,24 +529,12 @@ class ShardExchange:
                 dispatch.model.forward_calls = calls + sweeps
 
     def close(self) -> None:
-        """Cancel never-started tasks, integrate the rest, flush scope."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            for dispatch in self._dispatched:
-                if dispatch.collected:
-                    continue
-                if dispatch.future.cancel():
-                    dispatch.collected = True
-                else:  # running or done: integrate so its shards commit
-                    self._collect(dispatch)
-        finally:
-            scope, self._scope = self._scope, None
-            if scope is not None:
-                try:
-                    scope.__exit__(None, None, None)
-                except Exception as exc:
-                    # e.g. finalized from a GC'd generator after the
-                    # session already tore the scratch store down
-                    degraded("shard.scope-exit-failed", exc=exc)
+        """Cancel never-started tasks and integrate the rest, so their
+        shards join the run's commit (idempotent)."""
+        for dispatch in self._dispatched:
+            if dispatch.collected:
+                continue
+            if dispatch.future.cancel():
+                dispatch.collected = True
+            else:  # running or done: integrate so its shards commit
+                self._collect(dispatch)

@@ -72,6 +72,16 @@ class BehaviorSource:
     def n_records(self) -> int:
         return int(self.order.shape[0])
 
+    def stores(self) -> list:
+        """The distinct disk stores this run reads and writes: the ones its
+        memory tiers were built over (usually one, or none)."""
+        found = [tier.store for tier in (self.config.cache,
+                                         self.config.unit_cache)
+                 if tier is not None and tier.store is not None]
+        if len(found) == 2 and found[0] is found[1]:
+            found.pop()
+        return found
+
     def block_slices(self):
         """Record-position slices the executor iterates over."""
         if self.config.mode == "full":
@@ -236,5 +246,5 @@ class BehaviorSource:
                  f"block_size={self.config.block_size}",
                  f"hyp_cache={'on' if self.config.cache else 'off'}",
                  f"unit_cache={'on' if self.config.unit_cache else 'off'}",
-                 f"store={'on' if self.config.store else 'off'}"]
+                 f"store={'on' if self.stores() else 'off'}"]
         return f"BehaviorSource({', '.join(parts)})"

@@ -123,7 +123,7 @@ class Table:
     def _ensure_loaded(self) -> None:
         if self._loader is not None:
             # clear the loader only on success: a failed load (e.g. a
-            # corrupt page) must leave the table lazy, not silently empty
+            # corrupt blob) must leave the table lazy, not silently empty
             self._cols = self._loader()
             self._loader = None
 

@@ -103,8 +103,8 @@ class Session:
         to :class:`~repro.extract.rnn.RnnActivationExtractor`.
     config:
         Base :class:`InspectConfig` every query derives from.  Fields it
-        pins (an explicit cache, scheduler, store...) override the
-        session's resources for every query.
+        pins (an explicit cache, scheduler...) override the session's
+        resources for every query.
     scheduler:
         A :class:`Scheduler` or scheduler name for every query;
         :func:`~repro.core.pipeline.default_scheduler` picks one when
@@ -146,13 +146,7 @@ class Session:
         self._registry_version = next_version()
         if store is None and store_path is not None:
             store = DiskBehaviorStore(store_path)
-        if store is None:
-            store = self.config.store
-        elif self.config.store is not None and self.config.store is not store:
-            raise ValueError(
-                "conflicting store settings: the session was given one "
-                "DiskBehaviorStore and config.store names another; pass a "
-                "single store object (or drop one of them)")
+        #: what the session's own tiers sit on; kept for stats()/close()/gc
         self.store = store
         self.models: dict = {}
         self.hypotheses: dict[str, HypothesisFunction] = {}
@@ -449,8 +443,7 @@ class Session:
         self._check_open()
         return self.config.with_defaults(
             cache=self.hyp_cache, unit_cache=self.unit_cache,
-            scheduler=self.scheduler, store=self.store,
-            sweep_gate=self.sweep_gate)
+            scheduler=self.scheduler, sweep_gate=self.sweep_gate)
 
     def inspect(self, models=None, dataset=None, *,
                 extractor: Extractor | None = None) -> "InspectionQuery":

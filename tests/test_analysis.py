@@ -47,6 +47,18 @@ class TestRegistry:
     def test_all_ten_checkers_registered(self):
         assert CHECKER_IDS == [f"REP{i:03d}" for i in range(1, 11)]
 
+    def test_documented_tables_list_exactly_the_registry(self):
+        """The README's "Correctness tooling" table and the package
+        docstring's are hand-kept: a checker added to one place only
+        fails here, not in a reader's head."""
+        import repro.analysis
+        readme = (REPO_ROOT / "README.md").read_text()
+        section = readme.split("## Correctness tooling")[1].split("\n## ")[0]
+        assert re.findall(r"^\| `(REP\d+)` \|", section, re.M) == CHECKER_IDS
+        assert re.findall(r"^(REP\d+) +(\S+)", repro.analysis.__doc__,
+                          re.M) == [(cls.id, cls.name)
+                                    for cls in checker_classes()]
+
     def test_unknown_select_rejected(self):
         with pytest.raises(ValueError, match="REP999"):
             analyze_paths([FIXTURES / "rep001_good.py"], select=["REP999"])

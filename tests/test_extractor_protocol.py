@@ -77,7 +77,9 @@ def _config(mode: str, tmp_path) -> InspectConfig:
     if mode == "memory":
         return InspectConfig(unit_cache=UnitBehaviorCache(), **base)
     if mode == "store":
-        return InspectConfig(store=DiskBehaviorStore(tmp_path), **base)
+        return InspectConfig(
+            unit_cache=UnitBehaviorCache(store=DiskBehaviorStore(tmp_path)),
+            **base)
     return InspectConfig(**base)
 
 
@@ -116,7 +118,7 @@ def test_extract_is_raw_rows_plus_views_is_the_plan_block(
                 direct)
             _assert_same_array(blocks[gi], direct)
     if mode == "store":
-        disk_tier = configs[1].with_store_tiers().unit_cache
+        disk_tier = configs[1].unit_cache
         assert disk_tier.stats()["extractions"] == 0
         assert disk_tier.stats()["disk_hits"] == dataset.n_records
 

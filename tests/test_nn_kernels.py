@@ -341,7 +341,7 @@ class TestDoubleBufferedExtraction:
     HYPS = [KeywordHypothesis("SELECT"), KeywordHypothesis("FROM"),
             CharSetHypothesis("space", " ")]
 
-    def _run(self, model, dataset, scheduler, prefetch, max_records=96):
+    def _run(self, model, dataset, scheduler, max_records=96):
         """One inspection run with its own cache and counting model.
 
         ``early_stop=False`` so every block is consumed — the regime in
@@ -351,8 +351,7 @@ class TestDoubleBufferedExtraction:
         cache = UnitBehaviorCache()
         cfg = InspectConfig(mode="streaming", seed=3, block_size=24,
                             scheduler=scheduler, unit_cache=cache,
-                            early_stop=False, prefetch=prefetch,
-                            max_records=max_records)
+                            early_stop=False, max_records=max_records)
         frame = inspect([counting], dataset, [CorrelationScore()],
                         self.HYPS, config=cfg)
         return frame, counting.forward_calls, cache.stats()
@@ -360,28 +359,23 @@ class TestDoubleBufferedExtraction:
     def test_threads_prefetch_bit_identical_and_exact_counters(
             self, sql_workload, trained_sql_model):
         dataset = sql_workload.dataset
-        serial = self._run(trained_sql_model, dataset, "serial", True)
-        sched = ThreadPoolScheduler(max_workers=2)
-        try:
-            threaded = self._run(trained_sql_model, dataset, sched, True)
-            plain = self._run(trained_sql_model, dataset, sched, False)
-        finally:
-            sched.shutdown()
-        # frames bit-identical with and without the double buffer
+        serial = self._run(trained_sql_model, dataset, "serial")
+        with ThreadPoolScheduler(max_workers=2) as sched:
+            threaded = self._run(trained_sql_model, dataset, sched)
+        # frames bit-identical to the serial reference (no double buffer)
         assert _frame_tuples(serial[0]) == _frame_tuples(threaded[0])
-        assert _frame_tuples(serial[0]) == _frame_tuples(plain[0])
         # counters exact: the prefetched sweep *is* the block's extraction
-        assert serial[1] == threaded[1] == plain[1]
-        assert serial[2] == threaded[2] == plain[2]
+        assert serial[1] == threaded[1]
+        assert serial[2] == threaded[2]
 
     @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_all_schedulers_match_serial_frames(self, sql_workload,
                                                 trained_sql_model,
                                                 scheduler):
         dataset = sql_workload.dataset
-        baseline = self._run(trained_sql_model, dataset, "serial", True,
+        baseline = self._run(trained_sql_model, dataset, "serial",
                              max_records=60)
-        other = self._run(trained_sql_model, dataset, scheduler, True,
+        other = self._run(trained_sql_model, dataset, scheduler,
                           max_records=60)
         assert _frame_tuples(baseline[0]) == _frame_tuples(other[0])
 

@@ -10,9 +10,11 @@ counters fold back so extraction-once assertions stay meaningful; and
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +189,50 @@ class TestLifecycle:
             scratch_root = scheduler.scratch_store().root
             assert scratch_root.exists()
         assert not scratch_root.exists()
+
+    def test_stream_outliving_the_scratch_store_finalises_quietly(
+            self, monkeypatch, trained_sql_model, sql_workload, hyps):
+        """A stream left open across ``close()``: its commit scope closes
+        after the scratch directory is gone, with nothing left to publish."""
+        config = InspectConfig(mode="streaming", block_size=20,
+                               early_stop=False, max_records=MAX_RECORDS)
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        reset_degradation_counts()
+        session = make_session(trained_sql_model, sql_workload, hyps,
+                               config=config, scheduler="processes")
+        stream = (session.inspect("m0", "d0").hypotheses(hyps)
+                  .using("corr").stream())
+        next(stream)
+        session.close()
+        del stream
+        gc.collect()
+        assert unraisable == []
+        # (a task that finished after the last block read finds its file gone)
+        assert set(degradation_counts()) <= {"shard.files-vanished"}
+
+    def test_scratch_store_commits_once_per_run_in_the_plans_scope(
+            self, trained_sql_model, sql_workload, hyps):
+        """A store-less session: the tiers sit on the scheduler's scratch
+        store, so the plan's commit scope — the only one — covers it."""
+        config = InspectConfig(mode="streaming", block_size=20,
+                               early_stop=False, max_records=MAX_RECORDS)
+        reset_degradation_counts()
+        with make_session(trained_sql_model, sql_workload, hyps,
+                          config=config, scheduler="processes") as session:
+            scratch = session.scheduler.scratch_store()
+            assert session.store is None
+            assert session.unit_cache.store is scratch
+            cold = (session.inspect("m0", "d0").hypotheses(hyps)
+                    .using("corr").run())
+            assert scratch.stats()["commits"] == 1
+            assert worker_shards(scratch.root)    # the exchange did run
+            assert session.sql(INSPECT_SQL) is not None
+            assert scratch.stats()["commits"] == 1   # warm: nothing to commit
+        assert cold == run_frame(trained_sql_model, sql_workload, hyps,
+                                 config=config, scheduler=SerialScheduler())
+        assert not [event for event in degradation_counts()
+                    if event.startswith("shard.")]
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_one_way_in_surface_is_pinned():
     params = list(pyinspect.signature(repro.Session.__init__).parameters)
     assert params[1:] == ["store_path", "store", "db", "db_path",
                           "extractor", "config", "scheduler", "sweep_gate"]
-    fields = [f.name for f in dataclasses.fields(repro.InspectConfig)
-              if not f.name.startswith("_")]
-    assert len(fields) == 14
+    fields = [f.name for f in dataclasses.fields(repro.InspectConfig)]
+    assert len(fields) == 12
+    assert not {"store", "prefetch"} & set(fields)
     assert len(repro.__all__) == 20

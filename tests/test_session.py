@@ -346,12 +346,6 @@ class TestLifecycle:
             assert session.stats()["degraded"]["db.table-memory-only"] == \
                 before + 1
 
-    def test_conflicting_store_settings_raise(self, tmp_path):
-        s1 = DiskBehaviorStore(tmp_path / "a")
-        s2 = DiskBehaviorStore(tmp_path / "b")
-        with pytest.raises(ValueError, match="conflicting store"):
-            Session(store=s1, config=InspectConfig(store=s2))
-
 
 # ----------------------------------------------------------------------
 # the SQL statement lifecycle: one pool per statement, INTO on completion
@@ -458,17 +452,6 @@ class TestNamedScheduler:
 # config idempotency / validation (satellite)
 # ----------------------------------------------------------------------
 class TestConfigIdempotency:
-    def test_with_store_tiers_memoizes_derived_caches(self, tmp_path):
-        store = DiskBehaviorStore(tmp_path / "store")
-        config = InspectConfig(store=store)
-        first = config.with_store_tiers()
-        second = config.with_store_tiers()
-        assert first.cache is second.cache
-        assert first.unit_cache is second.unit_cache
-        assert first.cache.store is store
-        # fully-tiered configs pass through untouched
-        assert first.with_store_tiers() is first
-
     def test_with_defaults_is_idempotent(self):
         hyp_cache, unit_cache = HypothesisCache(), UnitBehaviorCache()
         config = InspectConfig()
@@ -489,16 +472,6 @@ class TestConfigIdempotency:
                                       scheduler="threads")
         assert filled.cache is mine
         assert filled.scheduler == "threads"
-
-    def test_conflicting_cache_store_raises(self, tmp_path):
-        s1 = DiskBehaviorStore(tmp_path / "a")
-        s2 = DiskBehaviorStore(tmp_path / "b")
-        with pytest.raises(ValueError, match="conflicting store wiring"):
-            InspectConfig(store=s1, cache=HypothesisCache(store=s2))
-        with pytest.raises(ValueError, match="conflicting store wiring"):
-            InspectConfig(store=s1, unit_cache=UnitBehaviorCache(store=s2))
-        # same store on both sides is fine
-        InspectConfig(store=s1, cache=HypothesisCache(store=s1))
 
     def test_invalid_scheduler_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown scheduler"):

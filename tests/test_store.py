@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -499,10 +500,62 @@ class TestTieredCaches:
 # ----------------------------------------------------------------------
 # end-to-end: inspect() against a store path
 # ----------------------------------------------------------------------
+def _tiers(store) -> dict:
+    """The stateless way to a disk tier: both memory tiers over ``store``."""
+    return dict(cache=HypothesisCache(store=store),
+                unit_cache=UnitBehaviorCache(store=store))
+
+
 class TestWarmInspect:
     def _config(self, tmp_path, **kwargs):
-        return InspectConfig(mode="streaming", early_stop=False, seed=0,
-                             store=DiskBehaviorStore(tmp_path), **kwargs)
+        kwargs.setdefault("early_stop", False)
+        return InspectConfig(mode="streaming", seed=0,
+                             **_tiers(DiskBehaviorStore(tmp_path)), **kwargs)
+
+    def test_store_reached_through_the_tiers_commits_once(
+            self, tmp_path, trained_sql_model, sql_workload, hyps):
+        """The tiers are the store's one home: the run's commit scope, and
+        what ``explain()`` reports, come from what they write through."""
+        config = self._config(tmp_path, block_size=16)
+        assert sql_workload.dataset.n_records > 4 * 16   # several blocks
+        frame = inspect([trained_sql_model], sql_workload.dataset,
+                        [CorrelationScore()], hyps, config=config)
+        stats = config.cache.store.stats()
+        assert (stats["commits"], stats["files"]) == (1, 1)
+        with Session(config=config, scheduler="serial") as session:
+            assert "store=on" in (
+                session.inspect(trained_sql_model, sql_workload.dataset)
+                .using("corr").hypotheses(hyps).explain())
+        reference = inspect(
+            [trained_sql_model], sql_workload.dataset, [CorrelationScore()],
+            hyps, config=InspectConfig(mode="streaming", early_stop=False,
+                                       seed=0, block_size=16))
+        assert _frame_tuples(frame) == _frame_tuples(reference)
+
+    @pytest.mark.parametrize("scheduler", ["serial", "processes"])
+    def test_tiers_on_two_stores_commit_once_each_without_an_exchange(
+            self, tmp_path, scheduler, trained_sql_model, sql_workload,
+            hyps):
+        hyp_store = DiskBehaviorStore(tmp_path / "h")
+        unit_store = DiskBehaviorStore(tmp_path / "u")
+        knobs = dict(mode="streaming", early_stop=False, seed=0,
+                     block_size=16)
+        frame = inspect(
+            [trained_sql_model], sql_workload.dataset, [CorrelationScore()],
+            hyps, config=InspectConfig(
+                cache=HypothesisCache(store=hyp_store),
+                unit_cache=UnitBehaviorCache(store=unit_store),
+                scheduler=scheduler, **knobs))
+        # extracted inline under any scheduler: no pool worker wrote a segment
+        assert not glob.glob(str(tmp_path / "*/shards/w*.seg"))
+        for store, prefix in ((hyp_store, "panel/"), (unit_store, "unit/")):
+            stats = store.stats()
+            assert (stats["commits"], stats["files"]) == (1, 1)
+            assert all(key.startswith(prefix) for key in store.keys())
+        reference = inspect([trained_sql_model], sql_workload.dataset,
+                            [CorrelationScore()], hyps,
+                            config=InspectConfig(**knobs))
+        assert _frame_tuples(frame) == _frame_tuples(reference)
 
     def test_fresh_session_runs_zero_forward_passes(self, tmp_path,
                                                     trained_sql_model,
@@ -553,9 +606,7 @@ class TestWarmInspect:
                                                sql_workload, hyps):
         """Record-granularity persistence: an early-stopped streaming run
         still contributes its extracted prefix to later sessions."""
-        cfg = InspectConfig(mode="streaming", early_stop=True, seed=0,
-                            block_size=16,
-                            store=DiskBehaviorStore(tmp_path))
+        cfg = self._config(tmp_path, early_stop=True, block_size=16)
         inspect([trained_sql_model], sql_workload.dataset,
                 [CorrelationScore()], hyps, config=cfg)
         store = DiskBehaviorStore(tmp_path)
@@ -1136,6 +1187,25 @@ class TestSchedulerLifecycle:
             assert scheduler.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
             assert scheduler._pool is not None
         assert scheduler._pool is None
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_map_raises_only_after_every_started_item_finished(self, error):
+        """An item may write through the caches: none outlives ``map`` —
+        and so the caller's store scope — however a sibling ends."""
+        started, finished = threading.Event(), []
+
+        def item(kind):
+            if kind == "fails":
+                assert started.wait(timeout=30)
+                raise error("boom")
+            started.set()
+            time.sleep(0.2)
+            finished.append(kind)
+
+        with ThreadPoolScheduler(max_workers=2) as scheduler:
+            with pytest.raises(error, match="boom"):
+                scheduler.map(item, ["fails", "slow"])
+            assert finished == ["slow"]
 
     def test_repeated_runs_do_not_leak_threads(self, trained_sql_model,
                                                sql_workload, hyps):

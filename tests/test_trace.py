@@ -20,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro import InspectConfig, InspectionPlan, Session, inspect
+from repro import (HypothesisCache, InspectConfig, InspectionPlan, Session,
+                   UnitBehaviorCache, inspect)
 from repro.extract import RnnActivationExtractor
 from repro.core.groups import all_units_group
 from repro.hypotheses.library import sql_keyword_hypotheses
@@ -332,6 +333,7 @@ class TestLifecycles:
         its cleanup (futures, the store scope's commit) opens no span on
         the finished tree and raises nothing."""
         from repro.store import DiskBehaviorStore
+        store = DiskBehaviorStore(tmp_path / "store")
         plan = InspectionPlan.build(
             [all_units_group(trained_sql_model, RnnActivationExtractor())],
             sql_workload.dataset, [CorrelationScore()], hyps,
@@ -339,7 +341,8 @@ class TestLifecycles:
             InspectConfig(mode="streaming", block_size=BLOCK,
                           early_stop=False, max_records=MAX_RECORDS,
                           scheduler="threads",
-                          store=DiskBehaviorStore(tmp_path / "store")))
+                          cache=HypothesisCache(store=store),
+                          unit_cache=UnitBehaviorCache(store=store)))
         with tracing("abandoned") as root:
             steps = plan.execute_blocks()
             next(steps)
@@ -353,4 +356,4 @@ class TestLifecycles:
                 other.submit(steps.close).result(timeout=60)
         assert [node.name for node in root.walk()] == before
         assert_closed(root)
-        assert plan.config.store.stats()["commits"] == 1
+        assert store.stats()["commits"] == 1
