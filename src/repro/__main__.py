@@ -32,7 +32,9 @@ pool and deduplicated forward sweeps (see :mod:`repro.server`)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.session import Session
@@ -56,26 +58,46 @@ def _split_statements(text: str) -> list[str]:
     return [s.strip() for s in statements if s.strip()]
 
 
+def _session_options() -> argparse.ArgumentParser:
+    """The options both commands open their session with."""
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument("--store", metavar="PATH", default=None,
+                         help="open the session over a persistent "
+                              "DiskBehaviorStore at PATH")
+    options.add_argument("--db", metavar="PATH", default=None,
+                         help="open the session catalog over a persistent "
+                              "on-disk database at PATH (tables and score "
+                              "relations survive across runs)")
+    options.add_argument("--setup", metavar="SCRIPT.py", default=None,
+                         help="python script run with the open 'session' "
+                              "in globals, to register models/datasets/"
+                              "hypotheses")
+    return options
+
+
+@contextlib.contextmanager
+def _open_session(args, parser) -> Iterator[Session]:
+    """The session ``--store``/``--db`` name, ``--setup`` run in it."""
+    setup_path = None if args.setup is None else Path(args.setup)
+    if setup_path is not None and not setup_path.exists():
+        parser.error(f"no such setup script: {setup_path}")
+    with Session(args.store, db_path=args.db) as session:
+        if setup_path is not None:
+            code = compile(setup_path.read_text(encoding="utf-8"),
+                           str(setup_path), "exec")
+            exec(code, {"session": session, "__name__": "__setup__"})
+        yield session
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
+        prog="python -m repro", parents=[_session_options()],
         description="Execute INSPECT SQL statements against a repro "
                     "Session.")
     parser.add_argument("sql_file", nargs="?", metavar="FILE.sql",
                         help="file of ';'-separated SQL statements")
     parser.add_argument("-c", "--command", metavar="SQL", default=None,
                         help="execute this SQL string instead of a file")
-    parser.add_argument("--store", metavar="PATH", default=None,
-                        help="open the session over a persistent "
-                             "DiskBehaviorStore at PATH")
-    parser.add_argument("--db", metavar="PATH", default=None,
-                        help="open the session catalog over a persistent "
-                             "on-disk database at PATH (tables and score "
-                             "relations survive across runs)")
-    parser.add_argument("--setup", metavar="SCRIPT.py", default=None,
-                        help="python script run with the open 'session' in "
-                             "globals, to register models/datasets/"
-                             "hypotheses")
     parser.add_argument("--max-rows", type=int, default=40,
                         help="rows to print per result frame (default 40)")
     return parser
@@ -83,19 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
+        prog="python -m repro serve", parents=[_session_options()],
         description="Serve INSPECT SQL to many concurrent clients over "
                     "HTTP/websocket, multiplexed onto one shared Session.")
-    parser.add_argument("--store", metavar="PATH", default=None,
-                        help="open the session over a persistent "
-                             "DiskBehaviorStore at PATH")
-    parser.add_argument("--db", metavar="PATH", default=None,
-                        help="open the session catalog over a persistent "
-                             "on-disk database at PATH")
-    parser.add_argument("--setup", metavar="SCRIPT.py", default=None,
-                        help="python script run with the open 'session' in "
-                             "globals, to register models/datasets/"
-                             "hypotheses")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8707,
@@ -109,52 +121,40 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--per-client-queue", type=int, default=8,
                         help="queued queries one client may hold before "
                              "rejection (default 8)")
-    parser.add_argument("--no-dedup", action="store_true",
-                        help="disable the cross-query forward-sweep "
-                             "single-flight gate")
     return parser
+
+
+async def _serve(session: Session, args) -> None:
+    """Serve ``session`` until the task is cancelled (SIGINT)."""
+    import asyncio
+
+    from repro.server.app import InspectionServer
+
+    server = InspectionServer(
+        session, host=args.host, port=args.port,
+        max_concurrent=args.max_concurrent,
+        per_client_inflight=args.per_client_inflight,
+        per_client_queue=args.per_client_queue)
+    await server.start()
+    print(f"inspection server listening on "
+          f"http://{server.host}:{server.port}", flush=True)
+    try:
+        await asyncio.Event().wait()   # until cancelled
+    finally:
+        await server.stop()
 
 
 def serve_main(argv: list[str]) -> int:
     import asyncio
 
-    from repro.server.app import InspectionServer
-
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-
-    async def run() -> int:
-        with Session(args.store, db_path=args.db) as session:
-            if args.setup is not None:
-                setup_path = Path(args.setup)
-                if not setup_path.exists():
-                    parser.error(f"no such setup script: {setup_path}")
-                code = compile(setup_path.read_text(encoding="utf-8"),
-                               str(setup_path), "exec")
-                exec(code, {"session": session, "__name__": "__setup__"})
-            server = InspectionServer(
-                session, host=args.host, port=args.port,
-                max_concurrent=args.max_concurrent,
-                per_client_inflight=args.per_client_inflight,
-                per_client_queue=args.per_client_queue,
-                dedup=not args.no_dedup)
-            await server.start()
-            print(f"inspection server listening on "
-                  f"http://{server.host}:{server.port}", flush=True)
-            try:
-                while True:           # until interrupted
-                    await asyncio.sleep(3600)
-            except asyncio.CancelledError:
-                pass
-            finally:
-                await server.stop()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        print("\nshutting down")
-        return 0
+    with _open_session(args, parser) as session:
+        try:
+            asyncio.run(_serve(session, args))
+        except KeyboardInterrupt:
+            print("\nshutting down")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,14 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     if not statements:
         parser.error("no SQL statements to execute")
 
-    with Session(args.store, db_path=args.db) as session:
-        if args.setup is not None:
-            setup_path = Path(args.setup)
-            if not setup_path.exists():
-                parser.error(f"no such setup script: {setup_path}")
-            code = compile(setup_path.read_text(encoding="utf-8"),
-                           str(setup_path), "exec")
-            exec(code, {"session": session, "__name__": "__setup__"})
+    with _open_session(args, parser) as session:
         for i, statement in enumerate(statements):
             if len(statements) > 1:
                 print(f"-- statement {i + 1}/{len(statements)}")

@@ -62,12 +62,11 @@ class InspectConfig:
     def with_defaults(
             self, cache: HypothesisCache | None = None,
             unit_cache: UnitBehaviorCache | None = None,
-            scheduler: Scheduler | str | None = None,
             sweep_gate: object | None = None) -> "InspectConfig":
         """A copy with unset sharing knobs filled from session defaults.
 
         The session layer keeps per-session caches (memory tiers over its
-        persistent behavior store, when it has one) and a scheduler; a
+        persistent behavior store, when it has one) and a sweep gate; a
         config that did not pin those fields inherits them, so repeated
         queries in one session share extracted behaviors (and across
         sessions, through the store), while an explicitly-configured run is
@@ -77,7 +76,7 @@ class InspectConfig:
         """
         fill = {name: default for name, default in (
                     ("cache", cache), ("unit_cache", unit_cache),
-                    ("scheduler", scheduler), ("sweep_gate", sweep_gate))
+                    ("sweep_gate", sweep_gate))
                 if default is not None and getattr(self, name) is None}
         # nothing to fill: don't build a copy per query
         return dataclasses.replace(self, **fill) if fill else self

@@ -4,7 +4,6 @@ are introduced in :mod:`repro.core.pipeline`)."""
 from __future__ import annotations
 
 import contextlib
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 from repro.core.cache import model_fingerprint
 from repro.core.config import InspectConfig
 from repro.core.groups import UnitGroup
-from repro.core.schedulers import Scheduler, _resolve_scheduler
+from repro.core.schedulers import Scheduler, _resolve_scheduler, gathering
 from repro.core.source import BehaviorSource
 from repro.data.datasets import Dataset
 from repro.extract.base import Extractor, require_extractor
@@ -342,8 +341,8 @@ class InspectionPlan:
     def _block_steps(self, scheduler: Scheduler):
         """The executor loop; yields once after each processed block.
 
-        With a shard-executing scheduler, cold extraction is dispatched
-        to worker processes up front (:class:`~repro.core.shard
+        Under the process scheduler, cold extraction is dispatched to
+        worker processes up front (:class:`~repro.core.shard
         .ShardExchange`) and integrated just-in-time per block; the loop
         below then reads everything out of the (now warm) caches, so the
         scoring path — and therefore the frame — is the same under every
@@ -364,19 +363,20 @@ class InspectionPlan:
                 exchange.close()
 
     def _run_blocks(self, scheduler: Scheduler, exchange, n_hyps: int):
-        """The per-block loop; on overlapping schedulers a block's sweeps
-        run beside its hypothesis labelling.
+        """The per-block loop: a streamed block's sweeps run beside its
+        hypothesis labelling, on every scheduler.
 
-        On a scheduler whose :meth:`Scheduler.submit` runs concurrently
-        (``supports_prefetch``), a block's raw unit sweep is one future per
-        extraction pair (:meth:`BehaviorSource.submit_sweeps`),
-        submitted before the block's hypothesis extraction: every worker
-        sweeps while the calling thread labels, so the calling thread's
-        ``unit_extraction`` spans hold only the submission and its wait on
-        the futures (each ``sweep[model]`` span, timed on its pool thread,
-        hangs from the submission's).  No span is open at the ``yield``:
-        every one attaches to whatever span the consumer has current.
-        Invariants:
+        A block's raw unit sweep is one future per extraction pair
+        (:meth:`BehaviorSource.submit_sweeps`), submitted before the
+        block's hypothesis extraction and gathered after it.  A pool
+        sweeps while the calling thread labels: the calling thread's
+        ``unit_extraction`` spans hold only the submission and its
+        ``wait_sweeps`` (each ``sweep[model]`` span, timed on its pool
+        thread, hangs from the submission's).  An inline scheduler has
+        swept, pair by pair, by the time the submission returns, so the
+        first failing pair ends the statement.  No span is open at the
+        ``yield``: every one attaches to whatever span the consumer has
+        current.  Invariants:
 
         * **Frames are bit-identical** to serial execution: block order,
           per-block record slices and per-group behavior values are
@@ -388,73 +388,62 @@ class InspectionPlan:
           has swept exactly t blocks x pairs.
         * **No future outlives the run**, however it ends: a sweep may
           write through the caches, so it finishes (or is cancelled unrun)
-          inside the run's store scope.
+          inside the run's store scope (:func:`gathering`).
         * Materialized runs extracted everything in
-          :meth:`BehaviorSource.prepare` and shard schedulers do not overlap
-          (an exchange already dispatched the cold work to worker
-          processes), so both leave prefetch off.
+          :meth:`BehaviorSource.prepare` and serve row slices; under the
+          process scheduler the exchange's workers swept up front, so the
+          sweeps submitted here read the filled caches.
         """
         self.source.prepare(scheduler)
-        use_prefetch = (scheduler.supports_prefetch
-                        and not self.source.materialize)
-        sweeps: list[Future] = []   # of the block being processed
-        try:
-            for sl in self.source.block_slices():
-                pending = [t for t in self.tasks if not t.done]
-                if not pending:
-                    break
-                if exchange is not None:
-                    exchange.ensure(sl)
-                needed: dict[int, UnitGroup] = {}
-                for task in pending:
-                    needed.setdefault(task.gi, task.group)
-                needed_items = sorted(needed.items())
-                if use_prefetch:
-                    with span("unit_extraction"):
-                        sweeps = self.source.submit_sweeps(
-                            needed_items, self.source.order[sl], scheduler)
-                # hypothesis columns frozen in *every* pending task need no
-                # further extraction (streaming only; materialized already
-                # paid)
-                cols_union = None
-                if not self.source.materialize:
-                    if any(t.active_cols.shape[0] < n_hyps for t in pending):
-                        cols_union = np.unique(np.concatenate(
-                            [t.active_cols for t in pending]))
-                        if cols_union.shape[0] == n_hyps:
-                            cols_union = None
-                h_block, h_moments = self.source.hypothesis_block(
-                    sl, columns=cols_union)
-
-                if use_prefetch:
-                    u_blocks: dict[int, np.ndarray] = {}
+        for sl in self.source.block_slices():
+            pending = [t for t in self.tasks if not t.done]
+            if not pending:
+                break
+            if exchange is not None:
+                exchange.ensure(sl)
+            needed: dict[int, UnitGroup] = {}
+            for task in pending:
+                needed.setdefault(task.gi, task.group)
+            needed_items = sorted(needed.items())
+            # the last block's unit blocks, and the futures holding them,
+            # go before this block's land
+            u_blocks = sweeps = gather = None
+            cols_union = None
+            if self.source.materialize:
+                u_blocks = self.source.unit_blocks(sl, needed_items)
+                h_block, h_moments = self.source.hypothesis_block(sl)
+            else:
+                with span("unit_extraction"):
+                    sweeps = self.source.submit_sweeps(
+                        needed_items, self.source.order[sl], scheduler)
+                # hypothesis columns frozen in *every* pending task need
+                # no further extraction
+                if any(t.active_cols.shape[0] < n_hyps for t in pending):
+                    cols_union = np.unique(np.concatenate(
+                        [t.active_cols for t in pending]))
+                    if cols_union.shape[0] == n_hyps:
+                        cols_union = None
+                with gathering(sweeps) as gather:
+                    h_block, h_moments = self.source.hypothesis_block(
+                        sl, columns=cols_union)
                     with span("unit_extraction"), span("wait_sweeps"):
-                        for future in sweeps:
-                            u_blocks.update(future.result())
-                else:
-                    u_blocks = self.source.unit_blocks(
-                        sl, needed_items, scheduler)
-                n_records = sl.stop - sl.start
+                        u_blocks = {gi: block for pair in gather()
+                                    for gi, block in pair.items()}
+            n_records = sl.stop - sl.start
 
-                def score(task):
-                    """Feed the task its active columns of h_block; its
-                    moments go along (shared) only with the whole block —
-                    a column slice sums in another order."""
-                    local = (task.active_cols if cols_union is None else
-                             np.searchsorted(cols_union, task.active_cols))
-                    whole = local.shape[0] == h_block.shape[1]
-                    with span("score", task.group.name,
-                              task.measure.score_id):
-                        task.process(u_blocks[task.gi],
-                                     h_block if whole else h_block[:, local],
-                                     n_records, h_moments if whole else None)
+            def score(task):
+                """Feed the task its active columns of h_block; its
+                moments go along (shared) only with the whole block —
+                a column slice sums in another order."""
+                local = (task.active_cols if cols_union is None else
+                         np.searchsorted(cols_union, task.active_cols))
+                whole = local.shape[0] == h_block.shape[1]
+                with span("score", task.group.name,
+                          task.measure.score_id):
+                    task.process(u_blocks[task.gi],
+                                 h_block if whole else h_block[:, local],
+                                 n_records, h_moments if whole else None)
 
-                with span("inspection"):
-                    scheduler.map(score, pending)
-                yield sl
-        finally:
-            # a sibling sweep or the hypothesis block raised, or the consumer
-            # left: cancel what has not started and wait for what has
-            for future in sweeps:
-                if not future.cancel():
-                    future.exception()
+            with span("inspection"):
+                scheduler.map(score, pending)
+            yield sl

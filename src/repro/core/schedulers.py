@@ -3,6 +3,7 @@ engine's pieces are introduced in :mod:`repro.core.pipeline`)."""
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import multiprocessing
 import os
@@ -23,47 +24,45 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def gathering(futures: list[Future]):
+    """A scope over submitted ``futures`` yielding their gatherer:
+    ``gather()`` returns their results in order.  However the scope ends
+    — gathered, a result raised, or the body raised first — what has not
+    started is cancelled and what has is waited for on the way out: a
+    sweep may write through the caches, so none outlives the caller's
+    store scope."""
+    try:
+        yield lambda: [future.result() for future in futures]
+    finally:
+        for future in futures:
+            if not future.cancel():
+                future.exception()
+
+
 class Scheduler:
-    """Executes a batch of independent operator invocations.
+    """Executes a plan's independent operator invocations.
 
-    ``map`` must return results in input order, so plans produce identical
-    frames under every scheduler.
-
-    Beyond bare ``map``, schedulers expose a *task-graph surface* for
-    shard-parallel extraction: a scheduler with ``executes_shards = True``
-    accepts self-contained :class:`~repro.core.shard.ShardTask` values via
-    :meth:`submit_shards` and runs them out of process.  In-process
-    schedulers keep the flag off and the plan executor never builds shard
-    tasks for them — closures over live objects remain the fast path.
+    ``map`` returns results in input order, so plans produce identical
+    frames under every scheduler; ``submit`` hands over one thunk and
+    returns a Future of its result.  The block executor submits a block's
+    sweeps before labelling it and gathers them after, on every
+    scheduler: a pool sweeps while the caller labels, an inline scheduler
+    has swept by the time ``submit`` returns.
     """
 
     name = "scheduler"
-
-    #: whether submit_shards dispatches picklable shard tasks to workers
-    executes_shards = False
-
-    #: whether submit() overlaps work with the caller — the block executor
-    #: submits a block's sweeps ahead of its hypothesis labelling only on
-    #: schedulers that actually run the submitted sweep concurrently
-    supports_prefetch = False
 
     def map(self, fn, items: list) -> list:
         raise NotImplementedError
 
     def submit(self, fn) -> Future:
-        """Hand ``fn()`` to a worker; a Future over its result
-        (``supports_prefetch`` schedulers only — the rest run in ``map``)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not overlap submitted work")
-
-    def shard_workers(self) -> int:
-        """Worker slots available to shard tasks (sizes task chunking)."""
-        return 1
-
-    def submit_shards(self, tasks: list) -> list:
-        """Submit shard tasks; returns one future per task."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not execute shard tasks")
+        """``fn()``'s result as a Future.  Inline here: ``fn`` runs at
+        submission and what it raises propagates from this call, so a
+        serial run stops at the first failing sweep."""
+        future: Future = Future()
+        future.set_result(fn())
+        return future
 
     def shutdown(self) -> None:
         pass
@@ -94,7 +93,6 @@ class ThreadPoolScheduler(Scheduler):
     """
 
     name = "threads"
-    supports_prefetch = True
 
     def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers or min(8, usable_cpus())
@@ -110,16 +108,8 @@ class ThreadPoolScheduler(Scheduler):
         # skip dispatch cost and GIL contention, run inline
         if len(items) <= 1 or self.max_workers <= 1:
             return [fn(item) for item in items]
-        futures = [self._in_pool(fn, item) for item in items]
-        try:
-            return [future.result() for future in futures]
-        finally:
-            # one raised: what has not started need not, and what has
-            # finishes before map returns — an item may write through the
-            # caches, so none outlives the caller's store scope
-            for future in futures:
-                if not future.cancel():
-                    future.exception()
+        with gathering([self._in_pool(fn, item) for item in items]) as gather:
+            return gather()
 
     def submit(self, fn) -> Future:
         # always through the pool: even a 1-worker pool overlaps a
@@ -146,15 +136,16 @@ class ThreadPoolScheduler(Scheduler):
             pool.shutdown(wait=True)
 
 
-class ProcessPoolScheduler(Scheduler):
+class ProcessPoolScheduler(SerialScheduler):
     """Executes shard tasks across worker processes (cold extraction).
 
     The coordinator describes extraction as picklable
     :class:`~repro.core.shard.ShardTask` values; workers run the raw
     sweeps and write shard files into the exchange store; the coordinator
     mmaps the results back into the memory-tier caches and runs scoring
-    inline (``map`` stays serial on the calling thread), so frames are
-    bit-identical to the serial scheduler's.
+    inline (``map`` and ``submit`` are the serial scheduler's: closures
+    over live measure states cannot cross the process boundary), so
+    frames are bit-identical to the serial scheduler's.
 
     ``mp_context`` picks the multiprocessing start method (``"fork"``,
     ``"spawn"``, ``"forkserver"`` or a context object); tasks carry
@@ -166,7 +157,6 @@ class ProcessPoolScheduler(Scheduler):
     """
 
     name = "processes"
-    executes_shards = True
 
     def __init__(self, max_workers: int | None = None,
                  mp_context: str | None = None):
@@ -179,16 +169,12 @@ class ProcessPoolScheduler(Scheduler):
         # racing pools (or temp dirs) leaks
         self._pool_lock = threading.Lock()
 
-    def map(self, fn, items: list) -> list:
-        # scoring and fallback extraction run inline on the coordinator:
-        # closures over live measure states cannot (and should not) cross
-        # the process boundary
-        return [fn(item) for item in items]
-
     def shard_workers(self) -> int:
+        """Worker slots available to shard tasks (sizes task chunking)."""
         return self.max_workers
 
     def submit_shards(self, tasks: list) -> list:
+        """Submit shard tasks; returns one future per task."""
         from repro.core.shard import run_shard_task
         with self._pool_lock:
             if self._pool is None:

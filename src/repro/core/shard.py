@@ -49,6 +49,7 @@ import numpy as np
 from repro.core.cache import (HypothesisCache, hyp_store_key,
                               model_fingerprint, model_id, panel_store_key,
                               unit_store_key)
+from repro.core.schedulers import ProcessPoolScheduler
 from repro.hypotheses.base import extract_columns
 from repro.store.disk import SHARD_DIR, write_segment
 from repro.store.segment import CorruptEntryError
@@ -335,12 +336,12 @@ class ShardExchange:
     def build(cls, source, scheduler) -> "ShardExchange | None":
         """An exchange for this run, or None when one cannot help.
 
-        Requires a shard-executing scheduler and one disk store to exchange
+        Requires the process scheduler and one disk store to exchange
         through: the one the run's tiers sit on (a session's own, or the
         scheduler's scratch store), whose commit scope the plan holds.
         Tiers on two stores, or on none, extract inline.
         """
-        if not getattr(scheduler, "executes_shards", False):
+        if not isinstance(scheduler, ProcessPoolScheduler):
             return None
         stores = source.stores()
         if len(stores) != 1 or source.n_records == 0:

@@ -10,7 +10,7 @@ import numpy as np
 from repro.core.cache import HypothesisCache, model_fingerprint
 from repro.core.config import InspectConfig
 from repro.core.groups import UnitGroup
-from repro.core.schedulers import Scheduler
+from repro.core.schedulers import Scheduler, gathering
 from repro.data.datasets import Dataset
 from repro.extract.base import Extractor, HypothesisExtractor
 from repro.hypotheses.base import HypothesisFunction
@@ -162,7 +162,7 @@ class BehaviorSource:
         one forward-sweep shard — extractors differing only in transform,
         layer view or unit subset fuse under one key — and carries the
         ``(gi, group)`` members it serves.  Both the in-process execution
-        path (:meth:`_extract_unit_blocks`) and the shard-task builder
+        path (:meth:`submit_sweeps`) and the shard-task builder
         (:class:`repro.core.shard.ShardExchange`) partition work on it,
         so they can never disagree about what one sweep covers.
         """
@@ -176,25 +176,14 @@ class BehaviorSource:
                                []).append((gi, group))
         return by_pair
 
-    def _extract_unit_blocks(self, groups: list[tuple[int, UnitGroup]],
-                             indices: np.ndarray,
-                             scheduler: Scheduler) -> dict[int, np.ndarray]:
-        by_pair = self.extraction_pairs(groups)
-        results = scheduler.map(
-            lambda members: self._extract_units_for_pair(members, indices),
-            list(by_pair.values()))
-        merged: dict[int, np.ndarray] = {}
-        for chunk in results:
-            merged.update(chunk)
-        return merged
-
     def submit_sweeps(self, groups: list[tuple[int, UnitGroup]],
                       indices: np.ndarray,
                       scheduler: Scheduler) -> list[Future]:
-        """The prefetch form of :meth:`_extract_unit_blocks`: one future per
-        extraction pair, each resolving to that pair's ``{gi: block}``,
-        submitted from the calling thread, never from inside a worker, so an
-        overlapping scheduler spreads the pairs over every worker it has."""
+        """Unit extraction for ``indices``: one future per extraction pair,
+        each resolving to that pair's ``{gi: block}``, submitted in pair
+        order from the calling thread, never from inside a worker, so a
+        pool spreads the pairs over every worker it has (an inline
+        scheduler sweeps each at submission)."""
         return [scheduler.submit(
                     lambda m=members: self._extract_units_for_pair(m, indices))
                 for members in self.extraction_pairs(groups).values()]
@@ -206,9 +195,11 @@ class BehaviorSource:
         with span("hypothesis_extraction"):
             self._h_all, _ = _extract_hypotheses(
                 self.hypotheses, self.dataset, self.order, self.config.cache)
-        with span("unit_extraction"):
-            self._u_all = self._extract_unit_blocks(
-                list(enumerate(self.groups)), self.order, scheduler)
+        with span("unit_extraction"), gathering(self.submit_sweeps(
+                list(enumerate(self.groups)), self.order,
+                scheduler)) as gather:
+            self._u_all = {gi: block for pair in gather()
+                           for gi, block in pair.items()}
 
     def hypothesis_block(self, sl: slice,
                          columns: np.ndarray | None = None) -> tuple:
@@ -230,16 +221,13 @@ class BehaviorSource:
             return _extract_hypotheses(hyps, self.dataset,
                                        self.order[sl], self.config.cache)
 
-    def unit_blocks(self, sl: slice, groups: list[tuple[int, UnitGroup]],
-                    scheduler: Scheduler) -> dict[int, np.ndarray]:
+    def unit_blocks(self, sl: slice, groups: list[tuple[int, UnitGroup]]
+                    ) -> dict[int, np.ndarray]:
+        """Materialized unit behaviors for the slice (a streamed block's
+        are swept through :meth:`submit_sweeps`)."""
         ns = self.dataset.n_symbols
-        if self.materialize:
-            assert self._u_all is not None
-            return {gi: self._u_all[gi][sl.start * ns:sl.stop * ns]
-                    for gi, _ in groups}
-        with span("unit_extraction"):
-            return self._extract_unit_blocks(groups, self.order[sl],
-                                             scheduler)
+        return {gi: self._u_all[gi][sl.start * ns:sl.stop * ns]
+                for gi, _ in groups}
 
     def describe(self) -> str:
         parts = [f"materialize={self.materialize}",

@@ -25,9 +25,10 @@ Endpoints (see :mod:`repro.server.protocol` for the envelopes):
 Queries execute on the admission controller's bounded thread pool —
 they are blocking CPU work and must not run on the event loop; the
 event loop only parses envelopes, moves frames and enforces quotas.
-Cross-client forward-pass dedup is installed by default: the server
-puts a :class:`~repro.server.dedup.SweepRegistry` on the session's
-``sweep_gate`` so N concurrent identical cold queries extract once.
+Cross-client forward-pass dedup is always on: the server puts a
+:class:`~repro.server.dedup.SweepRegistry` on the session's
+``sweep_gate`` (unless one is there) so N concurrent identical cold
+queries extract once.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class InspectionServer:
 
     def __init__(self, session, host: str = "127.0.0.1", port: int = 0,
                  max_concurrent: int = 4, per_client_inflight: int = 2,
-                 per_client_queue: int = 8, dedup: bool = True):
+                 per_client_queue: int = 8):
         self.session = session
         self.host = host
         self.port = port
@@ -63,7 +64,7 @@ class InspectionServer:
             max_concurrent=max_concurrent,
             per_client_inflight=per_client_inflight,
             per_client_queue=per_client_queue)
-        if dedup and getattr(session, "sweep_gate", None) is None:
+        if session.sweep_gate is None:
             session.sweep_gate = SweepRegistry()
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -334,8 +335,8 @@ class InspectionServer:
                "admission": self.admission.stats(),
                "layers": {name: dict(layer)
                           for name, layer in self._layers.items()}}
-        gate = getattr(self.session, "sweep_gate", None)
-        if gate is not None and hasattr(gate, "stats"):
+        gate = self.session.sweep_gate
+        if hasattr(gate, "stats"):
             out["dedup"] = gate.stats()
         return out
 

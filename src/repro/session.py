@@ -92,7 +92,7 @@ class Session:
     store_path:
         Directory for a persistent :class:`DiskBehaviorStore`; the session
         caches become memory tiers over it (``store=`` passes an existing
-        store object instead).
+        store object instead; naming both raises :class:`ValueError`).
     db:
         Catalog database for the SQL frontend; created empty on first use
         when omitted (``register_*`` fills it).
@@ -106,13 +106,12 @@ class Session:
         pins (an explicit cache, scheduler...) override the session's
         resources for every query.
     scheduler:
-        A :class:`Scheduler` or scheduler name for every query;
-        :func:`~repro.core.pipeline.default_scheduler` picks one when
-        neither this nor ``config.scheduler`` is set.  A name given here
-        or on ``config`` becomes one pool the session owns.
-    sweep_gate:
-        Cross-query single-flight gate over cold raw sweeps (see
-        :attr:`InspectConfig.sweep_gate`).
+        A :class:`Scheduler` or scheduler name for every query.  One spec
+        is resolved: ``config.scheduler`` if pinned, else this, else
+        :func:`~repro.core.pipeline.default_scheduler`.  The result is
+        :attr:`scheduler`, the instance every statement runs on (a name
+        becomes one the session owns) and the one :meth:`close` shuts
+        down.
     """
 
     def __init__(self, store_path=None, *,
@@ -121,13 +120,12 @@ class Session:
                  db_path: str | None = None,
                  extractor: Extractor | None = None,
                  config: InspectConfig | None = None,
-                 scheduler: Scheduler | str | None = None,
-                 sweep_gate=None):
+                 scheduler: Scheduler | str | None = None):
         self.config = config or InspectConfig()
         #: cross-query single-flight gate over cold raw sweeps (the
         #: inspection server installs a SweepRegistry here); threaded into
         #: every query's config via :meth:`effective_config`
-        self.sweep_gate = sweep_gate
+        self.sweep_gate = None
         # registration mutates the registries AND the SQL catalog (drop +
         # re-insert rows, lazy table creation): concurrent server queries
         # registering models must not interleave those steps.  RLock:
@@ -144,7 +142,9 @@ class Session:
         self._statement_counts = {"hits": 0, "misses": 0, "invalidated": 0}
         # redrawn by every register_*: compilations hold resolved objects
         self._registry_version = next_version()
-        if store is None and store_path is not None:
+        if store is not None and store_path is not None:
+            raise ValueError("pass either store_path or store=, not both")
+        if store_path is not None:
             store = DiskBehaviorStore(store_path)
         #: what the session's own tiers sit on; kept for stats()/close()/gc
         self.store = store
@@ -157,26 +157,21 @@ class Session:
         self._db_path = db_path
         self.extractor = extractor or RnnActivationExtractor()
         require_extractor(self.extractor, "extractor")
-        # a name pinned on config= wins over scheduler=, like every
-        # pinned field; "serial" holds nothing a session could share
-        pinned = self.config.scheduler
-        named = isinstance(pinned, str) and pinned != "serial"
-        self.scheduler = pinned if named else scheduler
+        # a scheduler pinned on config= wins over scheduler=, like every
+        # pinned field; whichever names it, statements run on self.scheduler
+        spec = (self.config.scheduler if self.config.scheduler is not None
+                else scheduler)
+        if spec is None:
+            self.scheduler, owned = default_scheduler(store=self.store), True
+        else:
+            self.scheduler, owned = _resolve_scheduler(spec)
+        if owned:
+            # release the pool the session built when the session is
+            # collected, not only on close()
+            weakref.finalize(self, self.scheduler.shutdown)
+        self.config = dataclasses.replace(self.config,
+                                          scheduler=self.scheduler)
         self._closed = False
-        if self.scheduler is None and pinned is None:
-            self.scheduler = default_scheduler(store=self.store)
-            # the session owns this scheduler: release its worker pool
-            # when the session is collected, not only on close()
-            weakref.finalize(self, self.scheduler.shutdown)
-        elif isinstance(self.scheduler, str):
-            # resolve a name, from either place, to one session-owned
-            # instance, so every query (Python and SQL) shares a single
-            # pool instead of building an ephemeral one per statement
-            self.scheduler, _ = _resolve_scheduler(self.scheduler)
-            weakref.finalize(self, self.scheduler.shutdown)
-            if named:
-                self.config = dataclasses.replace(self.config,
-                                                  scheduler=self.scheduler)
         # a store-less session running the process scheduler still
         # needs an exchange medium for worker shards: back the caches
         # with the scheduler's temp-dir scratch store (removed on
@@ -242,8 +237,7 @@ class Session:
                 if self._db is not None:
                     self._db.close()  # commits staged catalog/score tables
             finally:
-                if isinstance(self.scheduler, Scheduler):
-                    self.scheduler.shutdown()
+                self.scheduler.shutdown()
 
     def __enter__(self) -> "Session":
         return self
@@ -443,7 +437,7 @@ class Session:
         self._check_open()
         return self.config.with_defaults(
             cache=self.hyp_cache, unit_cache=self.unit_cache,
-            scheduler=self.scheduler, sweep_gate=self.sweep_gate)
+            sweep_gate=self.sweep_gate)
 
     def inspect(self, models=None, dataset=None, *,
                 extractor: Extractor | None = None) -> "InspectionQuery":

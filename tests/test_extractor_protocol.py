@@ -67,9 +67,10 @@ def _plan_blocks(groups, dataset, extractor, config) -> dict[int, np.ndarray]:
     plan = InspectionPlan.build(
         groups, dataset, [CorrelationScore()],
         [CharSetHypothesis("space", " ")], extractor, config)
-    return plan.source.unit_blocks(
-        slice(0, dataset.n_records), list(enumerate(groups)),
-        SerialScheduler())
+    sweeps = plan.source.submit_sweeps(
+        list(enumerate(groups)), plan.order, SerialScheduler())
+    return {gi: block for sweep in sweeps
+            for gi, block in sweep.result().items()}
 
 
 def _config(mode: str, tmp_path) -> InspectConfig:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import InspectConfig, UnitGroup, inspect
+from repro import InspectConfig, SerialScheduler, UnitGroup, inspect
 from repro.db import Database
 from repro.db.expr import AmbiguousColumnError
 from repro.extract import RnnActivationExtractor
@@ -438,4 +438,5 @@ class TestSharedExtraction:
         cfg = InspectConfig(mode="full", max_records=MAX_RECORDS,
                             scheduler="serial")
         session = make_session(config=cfg)
-        assert session.effective_config().scheduler == "serial"
+        assert isinstance(session.scheduler, SerialScheduler)
+        assert session.effective_config().scheduler is session.scheduler

@@ -56,7 +56,7 @@ def test_one_way_in_surface_is_pinned():
     import inspect as pyinspect
     params = list(pyinspect.signature(repro.Session.__init__).parameters)
     assert params[1:] == ["store_path", "store", "db", "db_path",
-                          "extractor", "config", "scheduler", "sweep_gate"]
+                          "extractor", "config", "scheduler"]
     fields = [f.name for f in dataclasses.fields(repro.InspectConfig)]
     assert len(fields) == 12
     assert not {"store", "prefetch"} & set(fields)

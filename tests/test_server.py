@@ -624,3 +624,73 @@ class TestServedTrace:
             reply = _anonymous_post(server.port, "SELECT mid FROM models")
         assert set(reply) == {"type", "frame", "elapsed_s"}
         assert reply["type"] == "result" and reply["elapsed_s"] > 0
+
+
+# ----------------------------------------------------------------------
+# python -m repro serve
+# ----------------------------------------------------------------------
+SERVE_SETUP = """\
+from repro.data import generate_sql_workload
+from repro.hypotheses.library import sql_keyword_hypotheses
+from repro.nn import CharLSTMModel
+from repro.util.rng import new_rng
+
+wl = generate_sql_workload("small", n_queries=8, window=20, stride=5,
+                           seed=5, max_records=40)
+session.register_model("m0", CharLSTMModel(len(wl.vocab), n_units=8,
+                                           rng=new_rng(0), model_id="m0"))
+session.register_dataset("d0", wl.dataset)
+session.register_hypotheses(sql_keyword_hypotheses(("SELECT",)),
+                            name="keywords")
+"""
+
+
+class TestServeCli:
+    @staticmethod
+    def _serve(*args: str):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+
+    def test_serves_until_interrupted(self, tmp_path):
+        import http.client
+        import signal
+        setup = tmp_path / "setup.py"
+        setup.write_text(SERVE_SETUP, encoding="utf-8")
+        proc = self._serve("--setup", str(setup))
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line
+            port = int(line.rsplit(":", 1)[1])
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            try:
+                conn.request("GET", "/stats")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert "dedup" in protocol.parse_envelope(response.read())
+            finally:
+                conn.close()
+            frame = InspectClient("127.0.0.1", port).query(
+                INSPECT_SQL + " LIMIT 3")
+            assert len(frame) == 3
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()
+
+    def test_a_missing_setup_script_exits_2(self, tmp_path):
+        proc = self._serve("--setup", str(tmp_path / "missing.py"))
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert "no such setup script" in err

@@ -15,8 +15,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro import (HypothesisCache, InspectConfig, Session,
-                   ThreadPoolScheduler, UnitBehaviorCache, inspect)
+from repro import (HypothesisCache, InspectConfig, ProcessPoolScheduler,
+                   SerialScheduler, Session, ThreadPoolScheduler,
+                   UnitBehaviorCache, inspect)
 from repro.db import Database
 from repro.db.inspect_clause import run_inspect_spec
 from repro.db.sqlparser import parse_sql
@@ -335,6 +336,12 @@ class TestLifecycle:
             assert warm_session.unit_cache.stats()["extractions"] == 0
         assert warm == cold
 
+    def test_store_path_beside_a_store_raises(self, tmp_path):
+        other = DiskBehaviorStore(tmp_path / "other")
+        with pytest.raises(ValueError, match="store_path or store="):
+            Session(tmp_path / "mine", store=other)
+        assert not (tmp_path / "mine").exists()
+
     def test_stats_report_degradation_fallbacks(self, tmp_path):
         """A fallback taken anywhere in the process (here: an
         unserializable table kept memory-only) is visible in stats()."""
@@ -448,6 +455,71 @@ class TestNamedScheduler:
             assert frames == statements(serial)
 
 
+class TestOneScheduler:
+    """However a scheduler is named — not at all, ``scheduler=`` or
+    ``config.scheduler``, as a name or an instance — the session resolves
+    one: ``session.scheduler`` is the instance every statement runs on
+    and the one ``close()`` shuts down."""
+
+    @pytest.mark.parametrize("how", ["default", "kwarg_name",
+                                     "kwarg_instance", "config_name",
+                                     "config_instance"])
+    def test_the_sessions_scheduler_is_the_one_statements_run_on(
+            self, how, monkeypatch):
+        shut = []
+        for cls in (SerialScheduler, ThreadPoolScheduler,
+                    ProcessPoolScheduler):
+            monkeypatch.setattr(
+                cls, "shutdown", lambda self, real=cls.shutdown: (
+                    shut.append(self), real(self)))
+        mine = ThreadPoolScheduler(max_workers=1)
+        kwargs = {"default": {},
+                  "kwarg_name": {"scheduler": "threads"},
+                  "kwarg_instance": {"scheduler": mine},
+                  "config_name": {"config": InspectConfig(
+                      scheduler="threads")},
+                  "config_instance": {"config": InspectConfig(
+                      scheduler=mine)}}[how]
+        session = Session(**kwargs)
+        assert session.scheduler is session.effective_config().scheduler
+        if how.endswith("instance"):
+            assert session.scheduler is mine
+        session.close()
+        assert any(done is session.scheduler for done in shut)
+
+    def test_a_config_pinned_pool_is_the_sessions_and_close_releases_it(
+            self, trained_sql_model, sql_workload, hyps):
+        pinned = ThreadPoolScheduler(max_workers=2)
+        session = make_session(
+            trained_sql_model, sql_workload, hyps,
+            config=InspectConfig(mode="full", max_records=MAX_RECORDS,
+                                 scheduler=pinned))
+        assert session.scheduler is pinned
+        session.inspect("m0", "d0").using("corr").hypotheses(hyps).run()
+        assert pinned._pool is not None
+        session.close()
+        assert pinned._pool is None
+
+    @pytest.mark.parametrize("pinned", ["serial", "instance"])
+    def test_a_scheduler_kwarg_beside_a_pinned_serial_builds_no_pool(
+            self, pinned, monkeypatch):
+        from repro.core import pipeline
+        built = []
+
+        class Counting(pipeline._SCHEDULERS["threads"]):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setitem(pipeline._SCHEDULERS, "threads", Counting)
+        spec = SerialScheduler() if pinned == "instance" else pinned
+        with Session(scheduler="threads",
+                     config=InspectConfig(scheduler=spec)) as session:
+            assert isinstance(session.scheduler, SerialScheduler)
+            assert session.effective_config().scheduler is session.scheduler
+        assert built == []
+
+
 # ----------------------------------------------------------------------
 # config idempotency / validation (satellite)
 # ----------------------------------------------------------------------
@@ -455,23 +527,21 @@ class TestConfigIdempotency:
     def test_with_defaults_is_idempotent(self):
         hyp_cache, unit_cache = HypothesisCache(), UnitBehaviorCache()
         config = InspectConfig()
-        filled = config.with_defaults(cache=hyp_cache, unit_cache=unit_cache,
-                                      scheduler="serial")
+        filled = config.with_defaults(cache=hyp_cache, unit_cache=unit_cache)
         other = filled.with_defaults(cache=HypothesisCache(),
-                                     unit_cache=UnitBehaviorCache(),
-                                     scheduler="threads")
+                                     unit_cache=UnitBehaviorCache())
         assert other is filled  # everything already pinned: no copy
         assert other.cache is hyp_cache
         assert other.unit_cache is unit_cache
-        assert other.scheduler == "serial"
 
     def test_pinned_fields_survive_defaults(self):
         mine = HypothesisCache()
         config = InspectConfig(cache=mine)
+        gate = object()
         filled = config.with_defaults(cache=HypothesisCache(),
-                                      scheduler="threads")
+                                      sweep_gate=gate)
         assert filled.cache is mine
-        assert filled.scheduler == "threads"
+        assert filled.sweep_gate is gate
 
     def test_invalid_scheduler_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown scheduler"):

@@ -45,16 +45,15 @@ INSPECT_SQL = """
     ORDER BY S.unit_score DESC
 """
 
-#: what a warm INSPECT statement crosses on a store-less session, as
-#: ``name -> spans per statement`` (per block: one hypothesis block, the
-#: unit block — submitted then awaited on an overlapping scheduler — and
-#: one scoring pass with a span per (group, measure) task)
-WARM_SERIAL = {"parse": 1, "compile": 1, "plan_build": 1,
-               "hypothesis_extraction": N_BLOCKS,
-               "unit_extraction": N_BLOCKS, "inspection": N_BLOCKS,
-               "score": N_BLOCKS * len(MIDS), "assemble": 1}
-WARM_THREADS = {**WARM_SERIAL, "unit_extraction": 2 * N_BLOCKS,
-                "wait_sweeps": N_BLOCKS}
+#: what a warm INSPECT statement crosses on a store-less session under
+#: any scheduler, as ``name -> spans per statement`` (per block: the unit
+#: sweeps submitted, one hypothesis block, the sweeps awaited, and one
+#: scoring pass with a span per (group, measure) task)
+WARM = {"parse": 1, "compile": 1, "plan_build": 1,
+        "hypothesis_extraction": N_BLOCKS,
+        "unit_extraction": 2 * N_BLOCKS, "wait_sweeps": N_BLOCKS,
+        "inspection": N_BLOCKS, "score": N_BLOCKS * len(MIDS),
+        "assemble": 1}
 
 
 @pytest.fixture
@@ -165,18 +164,16 @@ class TestSpans:
 # what a statement crosses
 # ----------------------------------------------------------------------
 class TestStatementTrace:
-    @pytest.mark.parametrize("scheduler, expected", [
-        ("serial", WARM_SERIAL), ("threads", WARM_THREADS)])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
     def test_warm_statement_crosses_exactly_these_spans(
-            self, scheduler, expected, trained_sql_model, sql_workload,
-            hyps):
+            self, scheduler, trained_sql_model, sql_workload, hyps):
         with make_session(trained_sql_model, sql_workload, hyps,
                           scheduler) as session:
             session.sql(INSPECT_SQL)
             with tracing("statement") as root:
                 session.sql(INSPECT_SQL)
         assert_closed(root)
-        assert base_names(root) == expected     # and so no sweep[...]
+        assert base_names(root) == WARM         # and so no sweep[...]
         scores = {node.name for node in root.walk()
                   if node.name.startswith("score[")}
         assert scores == {f"score[mid={mid}, corr:pearson]" for mid in MIDS}
@@ -305,7 +302,7 @@ class TestLifecycles:
         seen: set[int] = set()
         for root in roots:
             assert_closed(root)
-            assert base_names(root) == WARM_THREADS
+            assert base_names(root) == WARM
             nodes = {id(node) for node in root.walk()}
             assert not nodes & seen
             seen |= nodes
