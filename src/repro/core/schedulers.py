@@ -225,6 +225,9 @@ def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
     * Anything else gets the thread pool — numpy releases the GIL for
       sweeps, scoring and multi-model extraction, and a store-backed
       statement commits in-process: one segment, no exchange probe.
+      Serial loses to it on the benchmark's ``cold_sweep`` under the
+      contract command (2 CPUs: 247–254 against 153–160 ms), because the
+      pool overlaps the checkpoints' sweeps with the labelling.
 
     ``store`` is unused (the benchmark's replay passes it): a store no
     longer enters the choice.  The process pool is opt-in, by name, and

@@ -212,14 +212,15 @@ class Extractor:
                        per_batch) -> np.ndarray:
         """One batched pass over ``records``; the direct and raw paths
         share this loop so batching and the empty-input dtype rule cannot
-        diverge between them."""
+        diverge between them.  A lone batch is returned as is, uncopied:
+        callers only read the block."""
         batch = (self.batch_size if self.batch_size > 0
                  else max(1, records.shape[0]))
         chunks = [per_batch(records[start:start + batch])
                   for start in range(0, records.shape[0], batch)]
         if not chunks:
             return np.empty((0, empty_width), dtype=model_dtype(model))
-        return np.concatenate(chunks, axis=0)
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def require_extractor(value, where: str) -> None:

@@ -1,12 +1,13 @@
 """Forward-sweep kernels: gather projections and inference-mode LSTM loops.
 
 The extraction hot path (``model.hidden_states`` under a cold cache) spends
-its time in three places the training-oriented layer code never optimized:
-a dense one-hot matmul that multiplies mostly zeros, a masked stable
-sigmoid whose boolean fancy indexing costs ~10x the arithmetic it guards,
-and per-step history buffers (``cs``/``gates``) nobody reads at inference
-time.  This module provides drop-in kernels for each, all **bit-identical**
-to the layer implementations they replace:
+its time in places the training-oriented layer code never optimized: a
+dense one-hot matmul that multiplies mostly zeros, a masked stable sigmoid
+whose boolean fancy indexing costs ~10x the arithmetic it guards, per-step
+history buffers (``cs``/``gates``) nobody reads at inference time, and gate
+arithmetic on strided slices of a ``(batch, 4h)`` row.  This module
+provides drop-in kernels for each, all **bit-identical** to the layer
+implementations they replace:
 
 * :func:`gather_projection` -- ``onehot(ids) @ W + b`` as a row gather of
   the pre-biased table ``W + b``.  A one-hot row's dot product with a
@@ -14,17 +15,27 @@ to the layer implementations they replace:
   the same bits the matmul would (the pre-bias add is the same elementwise
   ``+ b`` the projection applies, just hoisted out of the batch).
 * :func:`sigmoid` / :func:`sigmoid_into` -- the numerically stable sigmoid
-  in branch-free form, ``exp(min(x, 0)) / (1 + exp(-|x|))``.  The
-  numerator is exactly ``1.0`` where ``x >= 0`` and exactly ``exp(x)``
-  where ``x < 0``, so every finite (and infinite) input produces the same
-  bits as the masked two-branch form; only the sign of a NaN *payload* for
-  NaN inputs may differ, which ``==`` cannot observe.
-* :func:`lstm_sweep` -- the LSTM recurrence over a pre-projected input
-  with preallocated scratch, in-place ``sigmoid``/``tanh`` and no gate or
-  cell history.  Elementwise ops are applied in the training loop's
-  evaluation order (IEEE addition is commutative bitwise on non-NaN
-  values), so the hidden-state sequence matches the training forward pass
-  bit for bit.
+  in branch-free form, ``num / (1 + e)`` with ``e = exp(-|x|)`` and
+  ``num = max(x >= 0, e)``.  One ``exp`` serves both halves: the numerator
+  is exactly ``1.0`` where ``x >= 0`` (``e <= 1``) and exactly ``e ==
+  exp(x)`` where ``x < 0``, so every finite (and infinite) input produces
+  the same bits as the masked two-branch form; only the sign of a NaN
+  *payload* for NaN inputs may differ, which ``==`` cannot observe.
+* :func:`lstm_sweep` -- the LSTM recurrence with preallocated scratch,
+  in-place ``sigmoid``/``tanh`` and no gate or cell history.  Each step's
+  gates live in one contiguous ``(4, batch, h)`` block, so the sigmoid
+  over ``i|f|o``, the ``tanh`` of ``g`` and the cell update all run on
+  contiguous memory.  The one strided op left is the add that builds that
+  block: it reads the recurrent product ``h_prev @ w_h`` gate-interleaved,
+  as the ``(batch, 4h)`` GEMM lays it out, and step ``t`` of the input
+  projection through a step-major view of its ``(batch, time, 4h)``
+  layout.  The product stays that one GEMM on purpose: BLAS sums a GEMM in
+  a shape-dependent order, and only the training loop's own ``(batch, h)
+  @ (h, 4h)`` shape is guaranteed to sum the same way on every BLAS
+  kernel (a per-gate ``(4, h, h)`` split matches on some CPUs, not all).
+  Elementwise ops are applied in the training loop's evaluation order
+  (IEEE addition is commutative bitwise on non-NaN values), so the
+  hidden-state sequence matches the training forward pass bit for bit.
 
 Scratch buffers are allocated per call: they are small next to the sweep
 itself, and per-call allocation keeps the kernels thread-safe for the
@@ -43,8 +54,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     exp(x)/(1+exp(x)))`` on finite and infinite inputs (see module
     docstring), roughly 4x faster because no boolean fancy indexing runs.
     """
-    e = np.exp(-np.abs(x))
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + e)
+    return sigmoid_into(x, np.empty_like(x))
 
 
 def sigmoid_into(x: np.ndarray, out: np.ndarray,
@@ -52,20 +62,20 @@ def sigmoid_into(x: np.ndarray, out: np.ndarray,
                  ) -> np.ndarray:
     """Allocation-free :func:`sigmoid`: writes into ``out``.
 
-    ``scratch`` is a pair of arrays shaped/typed like ``x`` (allocated on
-    demand when omitted).  ``out`` may alias ``x``; the scratch arrays may
-    not alias either.
+    ``scratch`` is a float array shaped/typed like ``x`` and a bool array
+    of the same shape (allocated on demand when omitted).  ``out`` may
+    alias ``x``; the scratch arrays may not alias either.
     """
     if scratch is None:
-        scratch = (np.empty_like(x), np.empty_like(x))
-    den, num = scratch
-    np.abs(x, out=den)
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    np.add(den, 1.0, out=den)          # den = 1 + exp(-|x|)
-    np.minimum(x, 0.0, out=num)
-    np.exp(num, out=num)               # num = exp(min(x, 0))
-    np.divide(num, den, out=out)
+        scratch = (np.empty_like(x), np.empty(x.shape, dtype=bool))
+    e, nonneg = scratch
+    np.greater_equal(x, 0.0, out=nonneg)
+    np.abs(x, out=e)                   # abs + negative: the same bits as
+    np.negative(e, out=e)              # copysign(x, -1), at a third the cost
+    np.exp(e, out=e)                   # e = exp(-|x|)
+    np.maximum(nonneg, e, out=out)     # 1 where x >= 0, else exp(x)
+    np.add(e, 1.0, out=e)
+    np.divide(out, e, out=out)
     return out
 
 
@@ -92,38 +102,39 @@ def lstm_sweep(x_proj: np.ndarray, w_h: np.ndarray, n_units: int,
     order i, f, o, g -- the layout :class:`repro.nn.recurrent.LSTM` uses);
     returns the hidden-state sequence ``(batch, time, h)``, bit-identical
     to the training loop's ``hs``, without materializing gate or cell
-    history and without allocating inside the time loop.
+    history and without allocating inside the time loop.  The loop reads
+    ``x_proj`` through a step-major ``(time, 4, batch, h)`` *view*: a
+    transposing copy would cost more than the strided per-step reads it
+    saves.
     """
     batch, time, four_h = x_proj.shape
     h = n_units
     assert four_h == 4 * h, "x_proj width must be 4 * n_units"
     dtype = x_proj.dtype
+    steps = x_proj.reshape(batch, time, 4, h).transpose(1, 2, 0, 3)
     hs = np.empty((batch, time, h), dtype=dtype)
 
-    z = np.empty((batch, 4 * h), dtype=dtype)
-    gates = np.empty((batch, 3 * h), dtype=dtype)
-    scratch = (np.empty((batch, 3 * h), dtype=dtype),
-               np.empty((batch, 3 * h), dtype=dtype))
-    tmp = np.empty((batch, h), dtype=dtype)
+    zw = np.empty((batch, 4 * h), dtype=dtype)
+    z = np.empty((4, batch, h), dtype=dtype)
+    scratch = (np.empty((3, batch, h), dtype=dtype),
+               np.empty((3, batch, h), dtype=bool))
     c = (np.zeros((batch, h), dtype=dtype) if c0 is None
          else c0.astype(dtype, copy=True))
     hbuf = (np.zeros((batch, h), dtype=dtype) if h0 is None
             else h0.astype(dtype, copy=True))
+    i, f, o, g = z
+    zw_gates = zw.reshape(batch, 4, h).transpose(1, 0, 2)
 
     for t in range(time):
-        np.matmul(hbuf, w_h, out=z)
-        z += x_proj[:, t]              # x_proj + h @ w_h, commuted
+        np.matmul(hbuf, w_h, out=zw)
+        np.add(zw_gates, steps[t], out=z)   # x_proj + h @ w_h, commuted
         # one fused sigmoid over the i|f|o block: elementwise, so the bits
-        # match three per-gate calls on the same slices
-        sigmoid_into(z[:, :3 * h], gates, scratch)
-        g = z[:, 3 * h:]
+        # match three per-gate calls
+        sigmoid_into(z[:3], z[:3], scratch)
         np.tanh(g, out=g)
-        i = gates[:, :h]
-        f = gates[:, h:2 * h]
-        o = gates[:, 2 * h:3 * h]
         np.multiply(f, c, out=c)       # c = f * c_prev + i * g,
-        np.multiply(i, g, out=tmp)     # in the training loop's order
-        c += tmp
+        np.multiply(i, g, out=g)       # in the training loop's order
+        c += g
         np.tanh(c, out=hbuf)
         np.multiply(o, hbuf, out=hbuf)  # h = o * tanh(c)
         hs[:, t] = hbuf

@@ -70,8 +70,10 @@ class LSTM(Module):
         if not training:
             hs = kernels.lstm_sweep(x_proj, self.w_h.value, self.n_units,
                                     h0, c0)
-            # enough cache for last_hidden(); backward() rejects it
-            self._cache = {"hs": hs, "inference": True}
+            # enough cache for last_hidden(), and no more: holding the
+            # whole sweep would pin every model's (batch, time, h) output
+            # until its next forward; backward() rejects the cache
+            self._cache = {"hs": hs[:, -1:].copy(), "inference": True}
             return hs
 
         h_dim = self.n_units

@@ -52,6 +52,20 @@ class TestRnnExtractor(object):
             trained_sql_model, records)
         assert np.allclose(small, large)
 
+    def test_lone_batch_is_returned_uncopied(self):
+        class _Keeper(_Float32Model):
+            def hidden_states(self, ids):
+                self.last = super().hidden_states(ids)
+                return self.last
+
+        model = _Keeper()
+        records = np.zeros((4, 5), dtype=np.int64)
+        raw = RnnActivationExtractor(batch_size=4).raw_rows(model, records)
+        assert np.shares_memory(raw, model.last)  # one batch: no concat
+        split = RnnActivationExtractor(batch_size=3).raw_rows(model, records)
+        assert not np.shares_memory(split, model.last)
+        assert split.tobytes() == raw.tobytes()
+
     def test_empty_records(self, sql_workload, trained_sql_model):
         ext = RnnActivationExtractor()
         out = ext.extract(trained_sql_model,

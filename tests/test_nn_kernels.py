@@ -1,6 +1,6 @@
-"""Forward-sweep kernel layer: bit-identity of the gather projection, the
+"""Forward-sweep kernel layer: bit-identity of the gather projections, the
 branch-free sigmoid and the inference-mode LSTM sweep; BPTT preservation;
-the vectorized rank kernel; and double-buffered (prefetching) extraction.
+the vectorized rank kernel; and block sweeps run beside the labelling.
 
 Everything here asserts *bitwise* equality (``tobytes``), not closeness:
 the kernel layer's contract is that fast paths are indistinguishable from
@@ -39,12 +39,12 @@ def _seed_sigmoid(x):
     return out
 
 
-def _seed_lstm_forward(lstm, x):
+def _seed_lstm_forward(lstm, x, h0=None, c0=None):
     """The pre-kernel training forward pass (dense input, full history)."""
     batch, time, _ = x.shape
     h_dim = lstm.n_units
-    h_prev = np.zeros((batch, h_dim))
-    c_prev = np.zeros((batch, h_dim))
+    h_prev = np.zeros((batch, h_dim)) if h0 is None else h0
+    c_prev = np.zeros((batch, h_dim)) if c0 is None else c0
     hs = np.empty((batch, time, h_dim))
     cs = np.empty((batch, time, h_dim))
     gates = np.empty((batch, time, 4 * h_dim))
@@ -172,8 +172,10 @@ class TestSigmoidKernels:
         x = self._inputs()
         assert kernels.sigmoid(x).tobytes() == _seed_sigmoid(x).tobytes()
 
-    def test_sigmoid_into_matches_and_allows_aliasing(self):
-        x = self._inputs()
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_into_matches_and_allows_aliasing(self, dtype):
+        # the sweep's shape: one (3, batch, h) i|f|o block
+        x = self._inputs().astype(dtype).reshape(3, 32, 64)
         ref = _seed_sigmoid(x)
         out = np.empty_like(x)
         kernels.sigmoid_into(x, out)
@@ -256,6 +258,49 @@ class TestInferenceSweep:
         hs = lstm.forward(ids, training=False)
         assert lstm.last_hidden().tobytes() == hs[:, -1].copy().tobytes()
 
+    @pytest.mark.parametrize("n_units", [1, 3, 10, 33, 128])
+    @pytest.mark.parametrize("batch", [1, 7, 512])
+    @pytest.mark.parametrize("initial_state", [False, True])
+    def test_hidden_states_match_seed_forward(self, n_units, batch,
+                                              initial_state):
+        vocab, time = 11, 4
+        m = CharLSTMModel(vocab, n_units, new_rng(30 + n_units))
+        rng = new_rng(batch)
+        ids = rng.integers(0, vocab, size=(batch, time))
+        h0 = c0 = None
+        if initial_state:
+            h0 = rng.standard_normal((batch, n_units))
+            c0 = rng.standard_normal((batch, n_units))
+        seed_hs, _, _ = _seed_lstm_forward(m.lstm, m.onehot.forward(ids),
+                                           h0, c0)
+        if initial_state:
+            got = m.lstm.forward(ids, h0, c0, training=False)
+        else:
+            got = m.hidden_states(ids)
+        assert got.tobytes() == seed_hs.tobytes()
+
+    def test_lstm_sweep_over_gather_projection_matches_forward(self):
+        """The composition the benchmark replay times: the (batch, time,
+        4h) projection swept by ``lstm_sweep`` equals the id path."""
+        lstm = LSTM(17, 9, new_rng(21))
+        ids = new_rng(22).integers(0, 17, size=(13, 7))
+        swept = kernels.lstm_sweep(
+            kernels.gather_projection(ids, lstm.w_x.value, lstm.b.value),
+            lstm.w_h.value, lstm.n_units)
+        assert swept.tobytes() == lstm.forward(ids, training=False).tobytes()
+
+    def test_inference_cache_holds_no_sweep(self):
+        lstm = LSTM(5, 4, new_rng(23))
+        ids = new_rng(24).integers(0, 5, size=(3, 6))
+        hs = lstm.forward(ids, training=False)
+        arrays = [v for v in lstm._cache.values()
+                  if isinstance(v, np.ndarray)]
+        assert arrays
+        for arr in arrays:
+            assert arr.shape != hs.shape
+            assert arr.size <= hs.shape[0] * hs.shape[2]
+            assert not np.shares_memory(arr, hs)
+
 
 # ----------------------------------------------------------------------
 # BPTT preservation
@@ -328,7 +373,7 @@ class TestRankVectorized:
 
 
 # ----------------------------------------------------------------------
-# double-buffered extraction
+# block sweeps beside the labelling
 # ----------------------------------------------------------------------
 def _frame_tuples(frame):
     return list(zip(frame["model_id"], frame["group_id"], frame["score_id"],
@@ -336,7 +381,7 @@ def _frame_tuples(frame):
                     frame["kind"], frame["n_rows_seen"], frame["converged"]))
 
 
-class TestDoubleBufferedExtraction:
+class TestBlockSweepExtraction:
 
     HYPS = [KeywordHypothesis("SELECT"), KeywordHypothesis("FROM"),
             CharSetHypothesis("space", " ")]
@@ -345,7 +390,7 @@ class TestDoubleBufferedExtraction:
         """One inspection run with its own cache and counting model.
 
         ``early_stop=False`` so every block is consumed — the regime in
-        which the prefetch contract promises *exact* counter equality.
+        which the block-sweep contract promises *exact* counter equality.
         """
         counting = CountingForwardModel(model)
         cache = UnitBehaviorCache()
@@ -356,15 +401,15 @@ class TestDoubleBufferedExtraction:
                         self.HYPS, config=cfg)
         return frame, counting.forward_calls, cache.stats()
 
-    def test_threads_prefetch_bit_identical_and_exact_counters(
+    def test_threads_sweeps_bit_identical_and_exact_counters(
             self, sql_workload, trained_sql_model):
         dataset = sql_workload.dataset
         serial = self._run(trained_sql_model, dataset, "serial")
         with ThreadPoolScheduler(max_workers=2) as sched:
             threaded = self._run(trained_sql_model, dataset, sched)
-        # frames bit-identical to the serial reference (no double buffer)
+        # frames bit-identical to the serial reference
         assert _frame_tuples(serial[0]) == _frame_tuples(threaded[0])
-        # counters exact: the prefetched sweep *is* the block's extraction
+        # counters exact: the pool thread's sweep *is* the block's extraction
         assert serial[1] == threaded[1]
         assert serial[2] == threaded[2]
 
