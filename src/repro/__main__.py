@@ -23,7 +23,8 @@ serves behaviors from the store with zero model forward passes.
 
 ``python -m repro serve`` starts the multi-tenant inspection server on
 the same session setup — many clients share one store, one scheduler
-pool and deduplicated forward sweeps (see :mod:`repro.server`)::
+pool and one unit tier, so concurrent cold queries sweep each model once
+(see :mod:`repro.server`)::
 
     $ python -m repro serve --store ./behavior_store --setup setup.py \\
           --port 8707 --max-concurrent 8

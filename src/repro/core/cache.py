@@ -42,9 +42,10 @@ byte-bounded, lock-protected LRUs the thread-pool scheduler can share.
 In the connection-style API one :class:`repro.session.Session` owns a pair
 of these caches and threads them through every Python-builder and SQL
 query it executes, so interleaved queries on one model share a single
-forward sweep; :meth:`_ByteBoundedLRU.reset_counters` zeroes the
-observability counters without dropping the cached behaviors — the
-before/after primitive "this query extracted nothing" asserts build on.
+forward sweep, also when they arrive cold and together
+(:meth:`UnitBehaviorCache.lease`); :meth:`_ByteBoundedLRU.reset_counters`
+zeroes the observability counters without dropping the cached behaviors —
+the before/after primitive "this query extracted nothing" asserts build on.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import itertools
 import threading
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -72,6 +74,11 @@ _FALLBACK_TOKENS = itertools.count()
 #: tokens for models that cannot be stamped (slots/frozen); keyed weakly
 #: so the token dies with the model and can never alias a successor
 _UNSTAMPABLE_TOKENS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: seconds a run waits on another run's sweep of the same pair before
+#: sweeping it itself: a stalled leader costs a duplicate sweep, not a
+#: wedged statement
+LEASE_WAIT_S = 120.0
 
 
 def _compact(identity: str, max_len: int = 64) -> str:
@@ -730,11 +737,22 @@ class UnitBehaviorCache(_ByteBoundedLRU):
     is what makes partial streaming runs reusable), so ``max_bytes`` is
     accounted at full-matrix size; zero pages stay virtual until rows are
     actually written.
+
+    Concurrent runs sharing the tier sweep each cold pair once: a run
+    holds :meth:`lease` for its whole execution, and a run needing a pair
+    another one is sweeping waits for it to land instead of racing it.
     """
 
     def __init__(self, max_bytes: int = 1024 * 1024 * 1024,
                  store: DiskBehaviorStore | None = None):
         super().__init__(max_bytes, store=store)
+        # entry key -> released when the run sweeping it ends
+        self._inflight: dict[tuple, threading.Event] = {}
+        self.leases = 0    # lease() calls
+        self.leads = 0     # leases that claimed cold pairs
+        self.joins = 0     # leases that waited, then found their pairs warm
+        self.waits = 0     # waits on another run's claim
+        self.timeouts = 0  # waits that gave up and proceeded unclaimed
 
     # ------------------------------------------------------------------
     def _get_or_create(self, key, dataset: Dataset) -> _UnitEntry:
@@ -775,6 +793,74 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         self._entries.move_to_end(key)
         self._evict()
 
+    def _reset_counters_locked(self) -> None:
+        super()._reset_counters_locked()
+        self.leases = 0
+        self.leads = 0
+        self.joins = 0
+        self.waits = 0
+        self.timeouts = 0
+
+    def stats(self) -> dict[str, int]:
+        return {**super().stats(), "leases": self.leases,
+                "leads": self.leads, "joins": self.joins,
+                "waits": self.waits, "timeouts": self.timeouts,
+                "inflight": len(self._inflight)}
+
+    @contextmanager
+    def lease(self, dataset: Dataset, records: np.ndarray,
+              pairs: list[tuple[str, str]]):
+        """Hold the sweeps of ``pairs`` (``(model_key, raw_key)``) over
+        ``records`` that are still cold, for the duration of a run.
+
+        Pairs whose records are all in the memory tier are neither
+        claimed nor waited for, so warm runs never serialize.  The still
+        cold pairs are claimed all at once, or none are and the call
+        waits — outside the lock, never holding a claim, so overlapping
+        runs cannot deadlock — for a claimant to release, then probes
+        again: a run that wakes to find its pairs warm claims nothing
+        (a join).  A wait longer than :data:`LEASE_WAIT_S` proceeds
+        unclaimed.  Leaving the block releases the claims and wakes
+        their waiters, however the run ended.
+        """
+        claimed = self._claim(dataset, np.asarray(records, dtype=int),
+                              list(dict.fromkeys(pairs)))
+        try:
+            yield
+        finally:
+            with self._lock:
+                released = [self._inflight.pop(key) for key in claimed]
+            for event in released:
+                event.set()
+
+    def _claim(self, dataset: Dataset, records: np.ndarray,
+               pairs: list[tuple[str, str]]) -> list[tuple]:
+        dataset_key = dataset.cache_key()
+        keys = [(model_key, raw_key, dataset_key)
+                for model_key, raw_key in pairs]
+        waited = False
+        with self._lock:
+            self._count(leases=1)
+        while True:
+            with self._lock:
+                cold = [key for key in keys
+                        if self._missing_locked(key, records).shape[0]]
+                busy = [self._inflight[key] for key in cold
+                        if key in self._inflight]
+                if not busy:
+                    self._inflight.update(
+                        (key, threading.Event()) for key in cold)
+                    self._count(leads=int(bool(cold)),
+                                joins=int(waited and not cold))
+                    return cold
+                self._count(waits=1)
+            if not busy[0].wait(LEASE_WAIT_S):
+                with self._lock:
+                    self._count(timeouts=1)
+                degraded("cache.sweep-lease-timeout")
+                return []
+            waited = True
+
     @staticmethod
     def _store_key(key, entry: _UnitEntry) -> str:
         if entry.store_key is None:
@@ -785,13 +871,13 @@ class UnitBehaviorCache(_ByteBoundedLRU):
                         model_key: str, raw_key: str) -> np.ndarray:
         """Records without memory-tier raw rows for this pair (a planning
         probe: no entry is created and no hit/miss counters move)."""
-        indices = np.asarray(indices, dtype=int)
+        key = (model_key, raw_key, dataset.cache_key())
         with self._lock:
-            entry = self._entries.get((model_key, raw_key,
-                                       dataset.cache_key()))
-            if entry is None:
-                return indices
-            return indices[~entry.filled[indices]]
+            return self._missing_locked(key, np.asarray(indices, dtype=int))
+
+    def _missing_locked(self, key, indices: np.ndarray) -> np.ndarray:
+        entry = self._entries.get(key)
+        return indices if entry is None else indices[~entry.filled[indices]]
 
     def fill_rows(self, dataset: Dataset, indices: np.ndarray,
                   rows: np.ndarray, *, model_key: str,

@@ -30,20 +30,13 @@ class InspectConfig:
     #: the memory tiers.  A run's disk tier is the ``DiskBehaviorStore``
     #: they were built over (``HypothesisCache(store=s)``,
     #: ``UnitBehaviorCache(store=s)``; a ``Session`` builds the pair): the
-    #: run commits it once, and a config names it nowhere else
+    #: run commits it once, and a config names it nowhere else.  Runs
+    #: sharing a unit tier sweep each cold (model, extractor) pair once,
+    #: however many arrive together (``UnitBehaviorCache.lease``)
     cache: HypothesisCache | None = None     # hypothesis-behavior cache
     unit_cache: UnitBehaviorCache | None = None
     scheduler: Scheduler | str | None = None  # None -> serial
     partition: bool = True      # per-hypothesis-column early stopping
-    #: cross-query single-flight gate over cold raw sweeps.  Anything
-    #: exposing ``lease(keys, cold=predicate) -> context manager`` works
-    #: (the inspection server installs a
-    #: :class:`repro.server.dedup.SweepRegistry`): the plan executor
-    #: leases its sweep identities for the duration of the run, so
-    #: concurrent queries needing the same cold extraction attach to one
-    #: in-flight sweep instead of racing the caches.  ``None`` (the
-    #: default) leaves runs ungated.
-    sweep_gate: object | None = None
     max_records: int | None = None
 
     def __post_init__(self) -> None:
@@ -61,22 +54,19 @@ class InspectConfig:
 
     def with_defaults(
             self, cache: HypothesisCache | None = None,
-            unit_cache: UnitBehaviorCache | None = None,
-            sweep_gate: object | None = None) -> "InspectConfig":
+            unit_cache: UnitBehaviorCache | None = None) -> "InspectConfig":
         """A copy with unset sharing knobs filled from session defaults.
 
         The session layer keeps per-session caches (memory tiers over its
-        persistent behavior store, when it has one) and a sweep gate; a
-        config that did not pin those fields inherits them, so repeated
-        queries in one session share extracted behaviors (and across
-        sessions, through the store), while an explicitly-configured run is
-        left untouched.  The operation is idempotent: fields filled by one
+        persistent behavior store, when it has one); a config that did not
+        pin those fields inherits them, so repeated queries in one session
+        share extracted behaviors (and across sessions, through the store),
+        while an explicitly-configured run is left untouched.  The operation is idempotent: fields filled by one
         call are pinned, so a second call (with the same or another
         session's defaults) changes nothing.
         """
         fill = {name: default for name, default in (
-                    ("cache", cache), ("unit_cache", unit_cache),
-                    ("sweep_gate", sweep_gate))
+                    ("cache", cache), ("unit_cache", unit_cache))
                 if default is not None and getattr(self, name) is None}
         # nothing to fill: don't build a copy per query
         return dataclasses.replace(self, **fill) if fill else self

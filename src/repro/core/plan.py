@@ -259,41 +259,16 @@ class InspectionPlan:
             pass
         return self.outcomes()
 
-    # -- sweep identity (cross-query dedup surface) --------------------
-    def sweep_keys(self) -> list[tuple[str, str, str]]:
-        """Stable identities of the raw forward sweeps this run may issue.
-
-        One ``(model fingerprint, raw-extractor key, dataset hash)`` triple
-        per fused extraction pair — the exact granularity the
-        :class:`~repro.core.cache.UnitBehaviorCache` and the disk store
-        key entries by, so two plans that would fill the same cache entry
-        report the same key.
-        """
-        dataset_key = self.dataset.cache_key()
-        keys: set[tuple[str, str, str]] = set()
-        for (_, raw_key), members in self.source.extraction_pairs().items():
-            _, group = members[0]
-            keys.add((self.source.key_of(group.model, model_fingerprint),
-                      raw_key, dataset_key))
-        return sorted(keys)
-
-    def sweep_is_cold(self, key: tuple[str, str, str]) -> bool:
-        """Whether serving ``key`` for this run still needs extraction.
-
-        Probes the memory tier only (no counters move): a warm key must
-        not be leased by a sweep gate, or concurrent warm queries would
-        serialize behind each other for no benefit.  Without a unit cache
-        there is nothing to share a sweep through, so everything counts
-        as cold.
-        """
-        cache = self.config.unit_cache
-        if cache is None:
-            return True
-        model_key, raw_key, _ = key
-        missing = cache.missing_records(self.dataset, self.order,
-                                        model_key=model_key,
-                                        raw_key=raw_key)
-        return bool(missing.shape[0])
+    def sweep_pairs(self) -> list[tuple[str, str]]:
+        """The ``(model fingerprint, raw-extractor key)`` pairs of the raw
+        forward sweeps this run may issue over its dataset: one per fused
+        extraction pair, the granularity the
+        :class:`~repro.core.cache.UnitBehaviorCache` keys entries by."""
+        return sorted({
+            (self.source.key_of(members[0][1].model, model_fingerprint),
+             raw_key)
+            for (_, raw_key), members
+            in self.source.extraction_pairs().items()})
 
     def execute_blocks(self):
         """Drive the executor loop, yielding once after each block.
@@ -309,25 +284,26 @@ class InspectionPlan:
         task state they need between steps (:meth:`outcomes`, or
         individual tasks for cheaper partial reads).
 
-        With ``config.sweep_gate`` set, the run first leases its sweep
-        identities: if another in-flight run is already extracting one of
-        them, this run waits for that sweep to land in the shared caches
-        instead of racing a duplicate forward pass (the server's
-        cross-client dedup).  The lease is released — and waiters woken —
-        even when the consumer abandons this generator mid-run.
+        With a unit tier, the run first leases its sweep pairs from it
+        (:meth:`~repro.core.cache.UnitBehaviorCache.lease`): if another
+        in-flight run is already sweeping one of them, this run waits for
+        that sweep to land instead of racing a duplicate forward pass.
+        The lease is released — and waiters woken — even when the
+        consumer abandons this generator mid-run.
 
         A consumer of this generator may stop after any block, and a
         block's sweep is launched only once the consumer has asked for it:
         abandoning the run costs exactly the blocks delivered.
         """
         scheduler, owned = _resolve_scheduler(self.config.scheduler)
-        gate = self.config.sweep_gate
-        gate_scope = (gate.lease(self.sweep_keys(), cold=self.sweep_is_cold)
-                      if gate is not None else contextlib.nullcontext())
+        tier = self.config.unit_cache
         try:
-            with gate_scope, contextlib.ExitStack() as store_scopes:
+            with contextlib.ExitStack() as scopes:
+                if tier is not None:
+                    scopes.enter_context(tier.lease(
+                        self.dataset, self.order, self.sweep_pairs()))
                 for store in self.source.stores():
-                    store_scopes.enter_context(store.deferred_commits())
+                    scopes.enter_context(store.deferred_commits())
                 yield from self._block_steps(scheduler)
         finally:
             if owned:

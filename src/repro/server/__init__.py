@@ -6,7 +6,10 @@ shared behavior/hypothesis relations; the natural end state is a
 shared :class:`repro.session.Session` — one store, one scheduler pool,
 shared memory tiers — to many clients over a wire protocol built from
 the stdlib only (``asyncio`` + a minimal HTTP/1.1 + RFC 6455 websocket
-layer):
+layer).  Concurrent queries needing the same cold forward sweep share
+one extraction through the session's unit tier
+(:meth:`repro.core.cache.UnitBehaviorCache.lease`), as any threads
+sharing a session do; ``GET /stats["dedup"]`` reports its counters.
 
 * :mod:`repro.server.app` — :class:`InspectionServer`, the asyncio
   front end (``POST /query``, ``GET /stream`` websocket, ``GET /stats``)
@@ -19,10 +22,6 @@ layer):
 * :mod:`repro.server.admission` — per-client quotas, bounded queueing
   and fair round-robin dispatch onto a bounded worker pool, so one
   tenant cannot starve the rest.
-* :mod:`repro.server.dedup` — :class:`SweepRegistry`, the cross-query
-  single-flight gate: concurrent queries needing the same cold forward
-  sweep (model fingerprint, raw-extractor key, dataset hash) attach to
-  one in-flight extraction instead of racing duplicates.
 * :mod:`repro.server.http` — the wire layer (HTTP parsing, RFC 6455
   framing) as pure, separately-testable functions.
 * :mod:`repro.server.client` — the stdlib client used by tests,
@@ -43,13 +42,11 @@ or embed it::
 from repro.server.admission import AdmissionController, QuotaExceeded
 from repro.server.app import InspectionServer, serve_in_thread
 from repro.server.client import InspectClient
-from repro.server.dedup import SweepRegistry
 
 __all__ = [
     "AdmissionController",
     "InspectClient",
     "InspectionServer",
     "QuotaExceeded",
-    "SweepRegistry",
     "serve_in_thread",
 ]

@@ -14,21 +14,22 @@ Endpoints (see :mod:`repro.server.protocol` for the envelopes):
     last.  ``{"type": "cancel", "id"}`` (or simply disconnecting)
     abandons the underlying stream: the session generator closes, the
     scheduler stops feeding it, the store scope flushes and the
-    sweep-gate lease releases.
+    unit tier's sweep lease releases.
 ``GET /stats``
     ``Session.stats()`` (cache/store/query counters) + per-client
-    admission counters + sweep-registry counters + server-level wire
-    counters + ``layers``, ``{span name: {calls, total_s}}`` folded from
-    the trace of every ``POST /query`` (``query`` is the whole request,
-    ``admission_wait`` / ``statement`` / ``encode`` / ``send`` its parts).
+    admission counters + ``dedup`` (the unit tier's sweep-lease
+    counters) + server-level wire counters + ``layers``, ``{span name:
+    {calls, total_s}}`` folded from the trace of every ``POST /query``
+    (``query`` is the whole request, ``admission_wait`` /
+    ``statement`` / ``encode`` / ``send`` its parts).
 
 Queries execute on the admission controller's bounded thread pool —
 they are blocking CPU work and must not run on the event loop; the
 event loop only parses envelopes, moves frames and enforces quotas.
-Cross-client forward-pass dedup is always on: the server puts a
-:class:`~repro.server.dedup.SweepRegistry` on the session's
-``sweep_gate`` (unless one is there) so N concurrent identical cold
-queries extract once.
+Cross-client forward-pass dedup needs no server part: every query runs
+through the session's unit tier, which leases each cold sweep to one run
+(:meth:`~repro.core.cache.UnitBehaviorCache.lease`), so N concurrent
+identical cold queries extract once.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from typing import Iterator
 
 from repro.server import protocol
 from repro.server.admission import AdmissionController, QuotaExceeded
-from repro.server.dedup import SweepRegistry
 from repro.server.http import (AsyncWebSocket, HttpRequest, ProtocolError,
                                handshake_response, http_response,
                                read_http_request)
@@ -49,6 +49,8 @@ from repro.util.frame import Frame
 from repro.util.trace import Span, current, span, tracing
 
 _STREAM_END = object()   # queue sentinel: the worker finished
+#: the unit tier's sweep-lease counters, as ``GET /stats["dedup"]``
+_DEDUP = ("leases", "leads", "joins", "waits", "timeouts", "inflight")
 
 
 class InspectionServer:
@@ -64,8 +66,6 @@ class InspectionServer:
             max_concurrent=max_concurrent,
             per_client_inflight=per_client_inflight,
             per_client_queue=per_client_queue)
-        if session.sweep_gate is None:
-            session.sweep_gate = SweepRegistry()
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._conn_writers: set[asyncio.StreamWriter] = set()
@@ -335,9 +335,10 @@ class InspectionServer:
                "admission": self.admission.stats(),
                "layers": {name: dict(layer)
                           for name, layer in self._layers.items()}}
-        gate = self.session.sweep_gate
-        if hasattr(gate, "stats"):
-            out["dedup"] = gate.stats()
+        tier = self.session.unit_cache or self.session.config.unit_cache
+        if tier is not None:
+            tier_stats = tier.stats()
+            out["dedup"] = {name: tier_stats[name] for name in _DEDUP}
         return out
 
 

@@ -122,10 +122,6 @@ class Session:
                  config: InspectConfig | None = None,
                  scheduler: Scheduler | str | None = None):
         self.config = config or InspectConfig()
-        #: cross-query single-flight gate over cold raw sweeps (the
-        #: inspection server installs a SweepRegistry here); threaded into
-        #: every query's config via :meth:`effective_config`
-        self.sweep_gate = None
         # registration mutates the registries AND the SQL catalog (drop +
         # re-insert rows, lazy table creation): concurrent server queries
         # registering models must not interleave those steps.  RLock:
@@ -436,8 +432,7 @@ class Session:
         """
         self._check_open()
         return self.config.with_defaults(
-            cache=self.hyp_cache, unit_cache=self.unit_cache,
-            sweep_gate=self.sweep_gate)
+            cache=self.hyp_cache, unit_cache=self.unit_cache)
 
     def inspect(self, models=None, dataset=None, *,
                 extractor: Extractor | None = None) -> "InspectionQuery":

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import contextlib
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,6 +29,8 @@ from repro.extract import RnnActivationExtractor
 from repro.hypotheses import grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
+from repro.util.debuglog import degradation_counts
+from repro.util.trace import tracing
 
 
 @pytest.fixture(scope="module")
@@ -695,3 +699,118 @@ def test_plan_passes_a_shared_unit_selection_to_the_tier(
     differ = [group([1, 5, 6], "a"), group([2, 5], "b")]
     assert scores(differ, unit_cache=UnitBehaviorCache()) == scores(differ)
     assert seen == [None]                   # full-width read, sliced per group
+
+
+# ----------------------------------------------------------------------
+# (i) single-flight cold sweeps: the unit tier's lease
+# ----------------------------------------------------------------------
+class TestSweepLease:
+    PAIR = ("model-fp", "raw-key")
+    RECORDS = np.arange(4)
+
+    def warm(self, tier, dataset, pair=PAIR) -> None:
+        """What a sweep landing in the tier does to ``pair``'s records."""
+        rows = np.zeros((len(self.RECORDS), 2 * dataset.n_symbols))
+        tier.fill_rows(dataset, self.RECORDS, rows, model_key=pair[0],
+                       raw_key=pair[1])
+
+    def test_leader_blocks_follower_until_release(self, sql_workload):
+        tier, dataset = UnitBehaviorCache(), sql_workload.dataset
+        order: list[str] = []
+        leader_entered = threading.Event()
+        release_leader = threading.Event()
+
+        def leader():
+            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+                order.append("leader-in")
+                leader_entered.set()
+                release_leader.wait(5)
+                order.append("leader-out")
+
+        def follower():
+            leader_entered.wait(5)
+            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+                order.append("follower-in")
+
+        threads = [threading.Thread(target=leader),
+                   threading.Thread(target=follower)]
+        for thread in threads:
+            thread.start()
+        leader_entered.wait(5)
+        time.sleep(0.05)        # give the follower time to reach the wait
+        release_leader.set()
+        for thread in threads:
+            thread.join(5)
+        assert order == ["leader-in", "leader-out", "follower-in"]
+        stats = tier.stats()
+        # the leader swept nothing, so the follower found the pair cold
+        assert stats["leads"] == 2 and stats["waits"] >= 1
+        assert stats["inflight"] == 0
+
+    def test_warm_pairs_are_never_claimed_or_waited_for(self, sql_workload,
+                                                        monkeypatch):
+        monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 5.0)
+        tier, dataset = UnitBehaviorCache(), sql_workload.dataset
+        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+            self.warm(tier, dataset)
+            # the leader still holds its claim, but the pair is warm now:
+            # a second lease neither claims it nor waits
+            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+                assert tier.stats()["inflight"] == 1
+        stats = tier.stats()
+        assert stats["leases"] == 2 and stats["leads"] == 1
+        assert stats["waits"] == 0 and stats["timeouts"] == 0
+
+    def test_follower_reprobes_after_wakeup(self, sql_workload):
+        tier, dataset = UnitBehaviorCache(), sql_workload.dataset
+        got_in = threading.Event()
+
+        def follower():
+            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+                got_in.set()
+
+        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+            thread = threading.Thread(target=follower)
+            thread.start()
+            time.sleep(0.05)
+            assert not got_in.is_set()   # still waiting behind the leader
+            self.warm(tier, dataset)     # the sweep landed in the tier
+        thread.join(5)
+        assert got_in.is_set()
+        stats = tier.stats()
+        assert stats["leads"] == 1 and stats["joins"] == 1   # found warm
+        assert stats["inflight"] == 0
+
+    def test_bounded_wait_proceeds_unclaimed(self, sql_workload,
+                                             monkeypatch):
+        monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 0.05)
+        tier, dataset = UnitBehaviorCache(), sql_workload.dataset
+        before = degradation_counts().get("cache.sweep-lease-timeout", 0)
+        with tracing("run") as root:
+            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+                # the leader never releases: the wait times out
+                with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+                    assert tier.stats()["inflight"] == 1
+        assert tier.stats()["timeouts"] == 1
+        assert tier.stats()["inflight"] == 0
+        assert degradation_counts()["cache.sweep-lease-timeout"] \
+            == before + 1
+        assert root.counters["degraded:cache.sweep-lease-timeout"] == 1
+        assert root.counters["timeouts"] == 1
+
+    def test_disjoint_pairs_do_not_interact(self, sql_workload):
+        tier, dataset = UnitBehaviorCache(), sql_workload.dataset
+        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+            with tier.lease(dataset, self.RECORDS, [("other-fp", "raw")]):
+                assert tier.stats()["inflight"] == 2
+        stats = tier.stats()
+        assert stats["leads"] == 2 and stats["waits"] == 0
+
+    def test_reset_counters_zeroes_the_lease_counters(self, sql_workload):
+        tier, dataset = UnitBehaviorCache(), sql_workload.dataset
+        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
+            pass
+        tier.reset_counters()
+        stats = tier.stats()
+        assert all(stats[name] == 0 for name in
+                   ("leases", "leads", "joins", "waits", "timeouts"))

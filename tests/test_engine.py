@@ -477,7 +477,9 @@ class TestUnitBehaviorCache:
         cache.clear()
         assert cache.stats() == {"hits": 0, "misses": 0, "disk_hits": 0,
                                  "disk_misses": 0, "extractions": 0,
-                                 "entries": 0, "bytes": 0}
+                                 "entries": 0, "bytes": 0, "leases": 0,
+                                 "leads": 0, "joins": 0, "waits": 0,
+                                 "timeouts": 0, "inflight": 0}
 
 
 class TestPlanIntrospection:

@@ -58,6 +58,6 @@ def test_one_way_in_surface_is_pinned():
     assert params[1:] == ["store_path", "store", "db", "db_path",
                           "extractor", "config", "scheduler"]
     fields = [f.name for f in dataclasses.fields(repro.InspectConfig)]
-    assert len(fields) == 12
-    assert not {"store", "prefetch"} & set(fields)
+    assert len(fields) == 11
+    assert not {"store", "prefetch", "sweep_gate"} & set(fields)
     assert len(repro.__all__) == 20

@@ -19,7 +19,7 @@ import pytest
 
 from repro import InspectConfig, Session
 from repro.hypotheses.library import sql_keyword_hypotheses
-from repro.server import InspectClient, SweepRegistry, serve_in_thread
+from repro.server import InspectClient, serve_in_thread
 from repro.server import http as wire
 from repro.server import protocol
 from repro.server.client import ServerError
@@ -202,93 +202,6 @@ class TestWsFraming:
         # the worked example from RFC 6455 §1.3
         assert wire.websocket_accept_key(
             "dGhlIHNhbXBsZSBub25jZQ==") == "s3pPLMBiTxaQ9kYGzzhZRbK+xOo="
-
-
-# ----------------------------------------------------------------------
-# sweep registry (cross-query dedup) unit semantics
-# ----------------------------------------------------------------------
-class TestSweepRegistry:
-    KEY = ("model-fp", "raw-key", "dataset-hash")
-
-    def test_leader_blocks_follower_until_release(self):
-        registry = SweepRegistry()
-        order: list[str] = []
-        leader_entered = threading.Event()
-        release_leader = threading.Event()
-
-        def leader():
-            with registry.lease([self.KEY]):
-                order.append("leader-in")
-                leader_entered.set()
-                release_leader.wait(5)
-                order.append("leader-out")
-
-        def follower():
-            leader_entered.wait(5)
-            with registry.lease([self.KEY]):
-                order.append("follower-in")
-
-        threads = [threading.Thread(target=leader),
-                   threading.Thread(target=follower)]
-        for t in threads:
-            t.start()
-        leader_entered.wait(5)
-        time.sleep(0.05)        # give the follower time to reach the wait
-        release_leader.set()
-        for t in threads:
-            t.join(5)
-        assert order == ["leader-in", "leader-out", "follower-in"]
-        stats = registry.stats()
-        assert stats["leads"] == 2 and stats["waits"] >= 1
-        assert stats["inflight"] == 0
-
-    def test_warm_keys_are_never_claimed_or_waited_for(self):
-        registry = SweepRegistry()
-        with registry.lease([self.KEY]):
-            # a second lease over the same key, but its cold predicate
-            # says the cache already has it: no wait, no claim
-            with registry.lease([self.KEY], cold=lambda key: False):
-                pass
-        stats = registry.stats()
-        assert stats["waits"] == 0 and stats["timeouts"] == 0
-
-    def test_follower_rechecks_cold_after_wakeup(self):
-        registry = SweepRegistry()
-        now_warm = threading.Event()
-
-        def cold(key):
-            return not now_warm.is_set()
-
-        got_in = threading.Event()
-
-        def follower():
-            with registry.lease([self.KEY], cold=cold):
-                got_in.set()
-
-        with registry.lease([self.KEY]):
-            thread = threading.Thread(target=follower)
-            thread.start()
-            time.sleep(0.05)
-            assert not got_in.is_set()   # still waiting behind the leader
-            now_warm.set()               # the sweep landed in the cache
-        thread.join(5)
-        assert got_in.is_set()
-        assert registry.stats()["joins"] == 1   # waited, then found warm
-
-    def test_wait_timeout_proceeds_ungated(self):
-        registry = SweepRegistry(wait_timeout=0.05)
-        with registry.lease([self.KEY]):
-            with registry.lease([self.KEY]):   # leader never releases
-                pass                            # timed out -> proceeds
-        assert registry.stats()["timeouts"] == 1
-
-    def test_disjoint_keys_do_not_interact(self):
-        registry = SweepRegistry()
-        other = ("other-fp", "raw", "ds")
-        with registry.lease([self.KEY]):
-            with registry.lease([other]):
-                assert registry.stats()["inflight"] == 2
-        assert registry.stats()["waits"] == 0
 
 
 # ----------------------------------------------------------------------

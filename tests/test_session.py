@@ -537,11 +537,11 @@ class TestConfigIdempotency:
     def test_pinned_fields_survive_defaults(self):
         mine = HypothesisCache()
         config = InspectConfig(cache=mine)
-        gate = object()
+        tier = UnitBehaviorCache()
         filled = config.with_defaults(cache=HypothesisCache(),
-                                      sweep_gate=gate)
+                                      unit_cache=tier)
         assert filled.cache is mine
-        assert filled.sweep_gate is gate
+        assert filled.unit_cache is tier
 
     def test_invalid_scheduler_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown scheduler"):

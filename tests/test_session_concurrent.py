@@ -29,16 +29,29 @@ INSPECT_SQL = """
 """
 
 
-@pytest.fixture
-def session(trained_sql_model, sql_workload):
+class NappingModel(CountingForwardModel):
+    """Counts forward sweeps and holds each one open long enough that
+    statements started together overlap."""
+
+    def hidden_states(self, ids):
+        time.sleep(0.05)
+        return super().hidden_states(ids)
+
+
+def make_session(model, sql_workload) -> Session:
     session = Session(config=InspectConfig(
         max_records=MAX_RECORDS, block_size=16,
         early_stop=False))
-    session.register_model("m0", trained_sql_model)
+    session.register_model("m0", model)
     session.register_dataset("d0", sql_workload.dataset)
     session.register_hypotheses(sql_keyword_hypotheses(("SELECT", "FROM")),
                                 name="keywords")
-    with session:
+    return session
+
+
+@pytest.fixture
+def session(trained_sql_model, sql_workload):
+    with make_session(trained_sql_model, sql_workload) as session:
         yield session
 
 
@@ -52,20 +65,38 @@ def run_threads(targets, timeout=120):
 
 
 class TestConcurrentHammer:
-    def test_concurrent_identical_sql_all_agree(self, session):
-        baseline = session.sql(INSPECT_SQL)
+    def test_concurrent_identical_sql_all_agree(self, trained_sql_model,
+                                                sql_workload):
+        """N threads, one cold statement, one shared session: one forward
+        sweep per (model, block), as a solo run — the unit tier leases
+        each cold sweep to one statement, no server needed."""
+        solo = NappingModel(trained_sql_model)
+        with make_session(solo, sql_workload) as alone:
+            baseline = alone.sql(INSPECT_SQL)
+            solo_extractions = alone.stats()["unit_cache"]["extractions"]
+        assert solo.forward_calls > 0
+
+        counting = NappingModel(trained_sql_model)
         n = 6
         results: list = [None] * n
         errors: list = []
+        start = threading.Barrier(n)
 
-        def go(i):
-            try:
-                results[i] = session.sql(INSPECT_SQL)
-            except Exception as exc:   # repro: allow[REP005]
-                errors.append(exc)
+        with make_session(counting, sql_workload) as session:
+            def go(i):
+                start.wait(30)
+                try:
+                    results[i] = session.sql(INSPECT_SQL)
+                except Exception as exc:   # repro: allow[REP005]
+                    errors.append(exc)
 
-        run_threads([lambda i=i: go(i) for i in range(n)])
+            run_threads([lambda i=i: go(i) for i in range(n)])
+            tier = session.stats()["unit_cache"]
         assert not errors
+        assert counting.forward_calls == solo.forward_calls
+        assert tier["extractions"] == solo_extractions
+        assert tier["leases"] == n and tier["leads"] >= 1
+        assert tier["inflight"] == 0
         for frame in results:
             assert frame == baseline
 

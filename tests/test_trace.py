@@ -15,14 +15,17 @@ import contextvars
 import gc
 import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro import (HypothesisCache, InspectConfig, InspectionPlan, Session,
                    UnitBehaviorCache, inspect)
 from repro.extract import RnnActivationExtractor
+from repro.core.cache import model_fingerprint
 from repro.core.groups import all_units_group
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
@@ -231,6 +234,51 @@ class TestStatementTrace:
                     assert +counted == +tier_counters(session)
                     if store:
                         assert "store_commit" in base_names(root)
+
+    def test_lead_and_join_land_on_the_statements_span(
+            self, trained_sql_model, sql_workload, hyps):
+        """Two cold statements queue behind a held lease on their sweeps;
+        on release one leads and the other joins, and each statement's
+        trace says which."""
+        roots: list = []
+
+        def statement(session):
+            with tracing("statement") as root:
+                session.sql(INSPECT_SQL)
+            roots.append(root)
+
+        with make_session(trained_sql_model, sql_workload, hyps,
+                          "serial") as session:
+            tier, dataset = session.unit_cache, sql_workload.dataset
+            raw_key = session.extractor.raw_key()
+            pairs = [(model_fingerprint(session.model(mid)), raw_key)
+                     for mid in MIDS]
+            threads = [threading.Thread(target=statement, args=(session,))
+                       for _ in range(2)]
+            with tier.lease(dataset, np.arange(dataset.n_records), pairs):
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 60
+                while tier.stats()["waits"] < 2 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        counted = []
+        for root in roots:
+            assert_closed(root)
+            moved = Counter()
+            for node in root.walk():
+                moved.update(node.counters)
+            counted.append(moved)
+        assert all(moved["leases"] == 1 and moved["waits"] >= 1
+                   for moved in counted)
+        assert sorted((moved["leads"], moved["joins"])
+                      for moved in counted) == [(0, 1), (1, 0)]
+        # the joiner swept nothing: its blocks were the leader's
+        assert sorted(moved["extractions"] > 0 for moved in counted) \
+            == [False, True]
 
     def test_into_and_plain_select(self, trained_sql_model, sql_workload,
                                    hyps):
