@@ -10,15 +10,20 @@ SpearmanCorrelationScore        indep.     Fisher bound on rank statistics
 DiffMeansScore                  indep.     standard error of mean difference
 MutualInfoScore                 indep.     score-delta window
 JaccardScore                    indep.     score-delta window
-LogRegressionScore              joint      validation-score window
+LogRegressionScore              joint      held-out-score window
 LinearProbeScore                joint      score-delta window
 MultivariateMutualInfoScore     joint      score-delta window
 RandomClassScore (baseline)     indep.     immediate
 MajorityClassScore (baseline)   indep.     immediate
+MulticlassLogRegScore (Fig. 11) joint      held-out-score window
 ==============================  =========  ==================================
 
 All measures implement the incremental ``process_block`` API of Section
 5.2.2 so the streaming pipeline can terminate the moment scores converge.
+A measure's state holds only its math: calibration buffering (Jaccard, both
+MI measures) is :class:`repro.measures.base.CalibratedState`, held-out
+probing (both logistic probes) is ``logreg._HeldOutState``, and the probes
+step through :class:`repro.nn.optim.Adam`.
 """
 
 from repro.measures.base import Measure, MeasureResult, MeasureState

@@ -184,3 +184,93 @@ class DeltaWindowMixin:
             return float("inf")
         past = np.mean(self._history[:-1], axis=0)
         return float(np.max(np.abs(self._history[-1] - past)))
+
+
+class CalibratedState(MeasureState, DeltaWindowMixin):
+    """A state whose statistics need parameters estimated from a sample.
+
+    Quantile thresholds, bin edges and unit selections must come from at
+    least ``calibration_rows`` rows, not from whatever the first block held.
+    Blocks are buffered until that many have arrived; then the parameters
+    are fitted once on the whole buffer and every buffered block is
+    accumulated.  Scoring stays lazy while buffering: a result read scores
+    *provisional* statistics fitted on whatever is buffered (memoized per
+    buffer size -- the buffer is append-only) without ending the buffering,
+    so a mid-stream read cannot cut the sample short, and an end-of-stream
+    read on a dataset smaller than ``calibration_rows`` still scores every
+    row.  No score history accumulates while buffering: convergence cannot
+    be judged from provisional parameters.
+
+    Subclasses write only their math: ``_calibrate(units, hyps)`` returns
+    the parameters, ``_new_stats()`` empty statistics,
+    ``_accumulate(stats, params, units, hyps)`` adds one block in place, and
+    ``_unit_scores(stats)`` / ``_group_scores(stats)`` read them;
+    ``_tracked()`` picks the scores the delta window watches.
+    """
+
+    def __init__(self, n_units: int, n_hyps: int, calibration_rows: int,
+                 window: int):
+        MeasureState.__init__(self, n_units, n_hyps)
+        DeltaWindowMixin.__init__(self, window=window)
+        self.calibration_rows = calibration_rows
+        # the fitted parameters and the statistics; None while buffering
+        self.calibration = None
+        self.stats = None
+        self._buffer: list[tuple[np.ndarray, np.ndarray]] = []
+        self._buffered_rows = 0
+        self._provisional: tuple[int, object] | None = None
+
+    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+        if self.calibration is not None:
+            self._accumulate(self.stats, self.calibration, units, hyps)
+        else:
+            self._buffer.append((units.copy(), hyps.copy()))
+            self._buffered_rows += units.shape[0]
+            if self._buffered_rows < self.calibration_rows:
+                return
+            self.calibration, self.stats = self._fit(self._buffer)
+            self._buffer, self._provisional = [], None
+        self.push_score(self._tracked())
+
+    def _fit(self, blocks: list[tuple[np.ndarray, np.ndarray]]):
+        """(parameters, statistics) fitted on and accumulated over
+        ``blocks``.  Every measure's statistics are counts, which sum
+        exactly, so block boundaries cannot show in them."""
+        params = self._calibrate(np.concatenate([u for u, _ in blocks]),
+                                 np.concatenate([h for _, h in blocks]))
+        stats = self._new_stats()
+        for units, hyps in blocks:
+            self._accumulate(stats, params, units, hyps)
+        return params, stats
+
+    def _current(self):
+        """The statistics a read scores (None before the first row)."""
+        if self.stats is not None:
+            return self.stats
+        if not self._buffer:
+            return None
+        if self._provisional is None \
+                or self._provisional[0] != self._buffered_rows:
+            self._provisional = (self._buffered_rows,
+                                 self._fit(self._buffer)[1])
+        return self._provisional[1]
+
+    def unit_scores(self) -> np.ndarray:
+        stats = self._current()
+        if stats is None:
+            return np.zeros((self.n_units, self.n_hyps))
+        return self._unit_scores(stats)
+
+    def group_scores(self) -> np.ndarray | None:
+        stats = self._current()
+        return None if stats is None else self._group_scores(stats)
+
+    def _group_scores(self, stats) -> np.ndarray | None:
+        return None
+
+    def _tracked(self) -> np.ndarray:
+        """The scores whose movement decides convergence."""
+        return self.unit_scores().max(axis=0)
+
+    def error(self) -> float:
+        return self.delta_error()

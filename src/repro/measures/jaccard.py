@@ -11,103 +11,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.measures.base import DeltaWindowMixin, Measure, MeasureState
+from repro.measures.base import CalibratedState, Measure
 
 
-class _JaccardState(MeasureState, DeltaWindowMixin):
+class _JaccardState(CalibratedState):
     def __init__(self, n_units: int, n_hyps: int, quantile: float,
                  calibration_rows: int, window: int):
-        MeasureState.__init__(self, n_units, n_hyps)
-        DeltaWindowMixin.__init__(self, window=window)
+        super().__init__(n_units, n_hyps, calibration_rows, window)
         self.quantile = quantile
-        self.calibration_rows = calibration_rows
-        self._buffer_u: list[np.ndarray] = []
-        self._buffer_h: list[np.ndarray] = []
-        self._buffered_rows = 0
-        self._provisional: tuple[int, np.ndarray] | None = None
-        self.thresholds: np.ndarray | None = None
-        self.intersection = np.zeros((n_units, n_hyps))
-        self.active_u = np.zeros(n_units)   # |A| per unit
-        self.active_h = np.zeros(n_hyps)    # |H| per hypothesis
 
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        if self.thresholds is None:
-            # buffer until enough rows exist to estimate the quantile;
-            # scoring stays lazy so a mid-stream result read cannot force
-            # calibration from an undersized sample
-            self._buffer_u.append(units.copy())
-            self._buffer_h.append(hyps.copy())
-            self._buffered_rows += units.shape[0]
-            if self._buffered_rows >= self.calibration_rows:
-                self._flush_buffer()
-        else:
-            self._accumulate(units, hyps)
-        if self.thresholds is not None:
-            # no score history accumulates while calibrating: convergence
-            # cannot be judged from provisional thresholds
-            self.push_score(self.unit_scores().max(axis=0))
+    def _calibrate(self, units: np.ndarray, hyps: np.ndarray) -> np.ndarray:
+        """Per-unit activation thresholds."""
+        return np.quantile(units, self.quantile, axis=0)
 
-    def _flush_buffer(self) -> None:
-        sample = np.concatenate(self._buffer_u, axis=0)
-        self.thresholds = np.quantile(sample, self.quantile, axis=0)
-        for u_blk, h_blk in zip(self._buffer_u, self._buffer_h):
-            self._accumulate(u_blk, h_blk)
-        self._buffer_u, self._buffer_h = [], []
-        self._provisional = None  # drop the snapshot memo with the buffer
+    def _new_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # |A & H| per pair, |A| per unit, |H| per hypothesis
+        return (np.zeros((self.n_units, self.n_hyps)),
+                np.zeros(self.n_units), np.zeros(self.n_hyps))
 
-    def _counts(self, units: np.ndarray, hyps: np.ndarray,
-                thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
+    def _accumulate(self, stats, thresholds: np.ndarray, units: np.ndarray,
+                    hyps: np.ndarray) -> None:
         active = (units > thresholds[None, :]).astype(np.float64)
         h_active = (hyps > 0).astype(np.float64)
-        return active.T @ h_active, active.sum(axis=0), h_active.sum(axis=0)
+        intersection, active_u, active_h = stats
+        intersection += active.T @ h_active
+        active_u += active.sum(axis=0)
+        active_h += h_active.sum(axis=0)
 
-    def _accumulate(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        assert self.thresholds is not None
-        inter, a_u, a_h = self._counts(units, hyps, self.thresholds)
-        self.intersection += inter
-        self.active_u += a_u
-        self.active_h += a_h
-
-    @staticmethod
-    def _iou(intersection: np.ndarray, active_u: np.ndarray,
-             active_h: np.ndarray) -> np.ndarray:
+    def _unit_scores(self, stats) -> np.ndarray:
+        intersection, active_u, active_h = stats
         union = active_u[:, None] + active_h[None, :] - intersection
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(union > 0,
                             intersection / np.maximum(union, 1e-12), 0.0)
-
-    def unit_scores(self) -> np.ndarray:
-        if self.thresholds is None:
-            if not self._buffer_u:
-                return np.zeros((self.n_units, self.n_hyps))
-            return self._provisional_scores()
-        return self._iou(self.intersection, self.active_u, self.active_h)
-
-    def _provisional_scores(self) -> np.ndarray:
-        """Scores over the calibration buffer, without mutating state.
-
-        Serves result reads while still buffering (including end-of-stream
-        on datasets smaller than ``calibration_rows``): thresholds are
-        estimated from whatever is buffered, but the state keeps
-        calibrating, so the real quantile estimate still sees at least
-        ``calibration_rows`` rows when the stream is long enough.
-        Memoized per buffer size -- the buffer is append-only, so repeated
-        reads between blocks cost one computation.
-        """
-        if self._provisional is not None \
-                and self._provisional[0] == self._buffered_rows:
-            return self._provisional[1]
-        sample_u = np.concatenate(self._buffer_u, axis=0)
-        sample_h = np.concatenate(self._buffer_h, axis=0)
-        thresholds = np.quantile(sample_u, self.quantile, axis=0)
-        inter, a_u, a_h = self._counts(sample_u, sample_h, thresholds)
-        scores = self._iou(inter, a_u, a_h)
-        self._provisional = (self._buffered_rows, scores)
-        return scores
-
-    def error(self) -> float:
-        return self.delta_error()
 
 
 class JaccardScore(Measure):

@@ -12,17 +12,46 @@ per-hypothesis losses, minimizing it is equivalent to minimizing each loss
 separately -- merging is exact, it only changes wall-clock.  The
 :class:`repro.nn.device.Device` shim decides whether the merged linear
 algebra runs vectorized ("gpu") or column-at-a-time ("cpu").
+
+Both probes here are one linear layer stepped by :class:`repro.nn.optim.Adam`
+and, when streaming, scored by :class:`_HeldOutState` on rows they never
+train on; each writes only its link (sigmoid or softmax), its targets and
+its score.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.measures.base import DeltaWindowMixin, Measure, MeasureState
-from repro.measures.stats import (f1_score, multiclass_precision)
+from repro.measures.base import (DeltaWindowMixin, Measure, MeasureResult,
+                                 MeasureState)
+from repro.measures.stats import f1_score, multiclass_precision
 from repro.nn.device import Device, get_device
 from repro.nn.layers import sigmoid, softmax
+from repro.nn.module import Parameter
+from repro.nn.optim import Adam
 from repro.util.rng import new_rng
+
+#: every HOLDOUT_EVERY-th row of a block is held out to score the probe
+HOLDOUT_EVERY = 5
+
+
+def _held_out(n_rows: int) -> np.ndarray:
+    """Mask of the rows a probe is scored on instead of trained on."""
+    return np.arange(n_rows) % HOLDOUT_EVERY == 0
+
+
+def _scale(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature (mean, std) that standardize ``x``; std floored at 1e-8."""
+    return x.mean(axis=0), np.maximum(x.std(axis=0), 1e-8)
+
+
+def _penalties(regul: str, strength: float) -> tuple[float, float]:
+    """(l1, l2) strengths for a ``regul`` name."""
+    if regul not in ("L1", "L2", "NONE"):
+        raise ValueError("regul must be L1, L2 or NONE")
+    return (strength if regul == "L1" else 0.0,
+            strength if regul == "L2" else 0.0)
 
 
 class MergedLogisticRegression:
@@ -37,56 +66,48 @@ class MergedLogisticRegression:
         self.device = get_device(device)
         self.l1 = l1
         self.l2 = l2
-        self.lr = lr
         rng = new_rng(seed)
         self.weights = rng.standard_normal((n_features, n_outputs)) * 0.01
         self.bias = np.zeros(n_outputs)
-        # Adam state
-        self._mw = np.zeros_like(self.weights)
-        self._vw = np.zeros_like(self.weights)
-        self._mb = np.zeros_like(self.bias)
-        self._vb = np.zeros_like(self.bias)
-        self._t = 0
+        # the parameters wrap the arrays above: Adam updates them in place
+        self._params = (Parameter(self.weights, "weights"),
+                        Parameter(self.bias, "bias"))
+        self._optimizer = Adam(list(self._params), lr=lr, clip_norm=None)
 
     # ------------------------------------------------------------------
     def logits(self, x: np.ndarray) -> np.ndarray:
         return self.device.matmul(x, self.weights) + self.bias
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return sigmoid(self.logits(x))
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.logits(x) > 0.0
+
+    def _delta(self, logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """dL/dlogits of each row's loss."""
+        return sigmoid(logits) - y
 
     def partial_fit(self, x: np.ndarray, y: np.ndarray,
                     batch_size: int = 128) -> None:
         """One pass of minibatch Adam over the given rows."""
-        n = x.shape[0]
-        for start in range(0, n, batch_size):
+        weights, bias = self._params
+        for start in range(0, x.shape[0], batch_size):
             xb = x[start:start + batch_size]
-            yb = y[start:start + batch_size]
-            delta = self.predict_proba(xb) - yb      # dL/dlogits, (n_b, H)
+            delta = self._delta(self.logits(xb), y[start:start + batch_size])
             grad_w = self.device.batched_outer_update(xb, delta) / xb.shape[0]
-            grad_b = delta.mean(axis=0)
             if self.l2:
                 grad_w = grad_w + self.l2 * self.weights
             if self.l1:
                 grad_w = grad_w + self.l1 * np.sign(self.weights)
-            self._adam_step(grad_w, grad_b)
+            weights.grad, bias.grad = grad_w, delta.mean(axis=0)
+            self._optimizer.step()
 
-    def _adam_step(self, grad_w: np.ndarray, grad_b: np.ndarray,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   eps: float = 1e-7) -> None:
-        self._t += 1
-        for grad, val, m, v in ((grad_w, self.weights, self._mw, self._vw),
-                                (grad_b, self.bias, self._mb, self._vb)):
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad**2
-            m_hat = m / (1 - beta1**self._t)
-            v_hat = v / (1 - beta2**self._t)
-            val -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
+    def fit(self, x: np.ndarray, y: np.ndarray, epochs: int,
+            batch_size: int, seed: int):
+        """``epochs`` passes, each over a fresh permutation of the rows."""
+        rng = new_rng(seed)
+        for _ in range(epochs):
+            order = rng.permutation(x.shape[0])
+            self.partial_fit(x[order], y[order], batch_size=batch_size)
+        return self
 
     def f1_per_output(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         pred = self.predict(x)
@@ -95,83 +116,92 @@ class MergedLogisticRegression:
                          for j in range(self.n_outputs)])
 
 
-class _Standardizer:
-    """Freezes feature mean/std on the first calibration rows."""
+class SoftmaxRegression(MergedLogisticRegression):
+    """One softmax probe over ``n_outputs`` classes; targets are class ids."""
 
-    def __init__(self, calibration_rows: int = 512):
-        self.calibration_rows = calibration_rows
-        self._buffer: list[np.ndarray] = []
-        self._rows = 0
-        self.mean: np.ndarray | None = None
-        self.std: np.ndarray | None = None
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.logits(x).argmax(axis=-1)
 
-    def feed(self, x: np.ndarray) -> None:
-        if self.mean is not None:
-            return
-        self._buffer.append(x)
-        self._rows += x.shape[0]
-        if self._rows >= self.calibration_rows:
-            self.fit(np.concatenate(self._buffer, axis=0))
-
-    def fit(self, x: np.ndarray) -> None:
-        self.mean = x.mean(axis=0)
-        self.std = np.maximum(x.std(axis=0), 1e-8)
-        self._buffer = []
-
-    @property
-    def ready(self) -> bool:
-        return self.mean is not None
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        assert self.mean is not None and self.std is not None
-        return (x - self.mean) / self.std
+    def _delta(self, logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+        probs = softmax(logits, axis=-1)
+        probs[np.arange(y.shape[0]), y] -= 1.0
+        return probs
 
 
-class _LogRegState(MeasureState, DeltaWindowMixin):
-    """Streaming state: online training with held-out validation rows."""
+class _HeldOutState(MeasureState, DeltaWindowMixin):
+    """A probe trained online and scored on rows it never trains on.
 
-    def __init__(self, n_units: int, n_hyps: int, measure: "LogRegressionScore"):
+    The first block fixes the feature standardization.  Each block's every
+    ``HOLDOUT_EVERY``-th row joins the held-out set while that holds fewer
+    than the measure's ``max_val_rows``; the other rows train the probe one
+    minibatch pass.  The held-out score is the group score and feeds the
+    delta window.  Subclasses write only their math: ``_targets``,
+    ``_score`` and ``unit_scores``.
+    """
+
+    def __init__(self, n_units: int, n_hyps: int, measure: Measure,
+                 model: MergedLogisticRegression):
         MeasureState.__init__(self, n_units, n_hyps)
         DeltaWindowMixin.__init__(self, window=measure.window)
         self.measure = measure
-        self.model = MergedLogisticRegression(
-            n_units, n_hyps, device=measure.device,
-            l1=measure.l1, l2=measure.l2, lr=measure.lr, seed=measure.seed)
-        self.standardizer = _Standardizer()
+        self.model = model
+        self.scale: tuple[np.ndarray, np.ndarray] | None = None
         self._val_x: list[np.ndarray] = []
         self._val_y: list[np.ndarray] = []
         self._val_rows = 0
+        self._val_score = np.zeros(n_hyps)
+
+    def standardize(self, units: np.ndarray) -> np.ndarray:
+        if self.scale is None:
+            self.scale = _scale(units)  # first (shuffled) block calibrates
+        mean, std = self.scale
+        return (units - mean) / std
+
+    def hold_out(self, x: np.ndarray, y: np.ndarray) -> None:
+        self._val_x.append(x)
+        self._val_y.append(y)
+        self._val_rows += x.shape[0]
+
+    def held_out(self) -> tuple[np.ndarray, np.ndarray] | None:
+        if not self._val_x:
+            return None
+        return (np.concatenate(self._val_x, axis=0),
+                np.concatenate(self._val_y, axis=0))
 
     def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        if not self.standardizer.ready:
-            self.standardizer.fit(units)  # first (shuffled) block calibrates
-        x = self.standardizer.transform(units)
-        y = (hyps > 0).astype(np.float64)
-        # hold out every 5th row for validation (cap the buffer)
-        val_mask = np.arange(x.shape[0]) % 5 == 0
+        y = self._targets(hyps)
+        x = self.standardize(units)
+        held = _held_out(x.shape[0])
         if self._val_rows < self.measure.max_val_rows:
-            self._val_x.append(x[val_mask])
-            self._val_y.append(y[val_mask])
-            self._val_rows += int(val_mask.sum())
-        self.model.partial_fit(x[~val_mask], y[~val_mask],
+            self.hold_out(x[held], y[held])
+        self.model.partial_fit(x[~held], y[~held],
                                batch_size=self.measure.batch_size)
-        self.push_score(self._val_f1())
+        self.push_score(self.rescore())
 
-    def _val_f1(self) -> np.ndarray:
-        if not self._val_x:
-            return np.zeros(self.n_hyps)
-        x = np.concatenate(self._val_x, axis=0)
-        y = np.concatenate(self._val_y, axis=0)
+    def rescore(self) -> np.ndarray:
+        """Score the probe on the held-out rows (the model only changes in
+        :meth:`update`, so reads reuse this)."""
+        held = self.held_out()
+        self._val_score = (np.zeros(self.n_hyps) if held is None
+                           else self._score(*held))
+        return self._val_score
+
+    def group_scores(self) -> np.ndarray:
+        return self._val_score.copy()
+
+    def error(self) -> float:
+        return self.delta_error()
+
+
+class _LogRegState(_HeldOutState):
+    def _targets(self, hyps: np.ndarray) -> np.ndarray:
+        return (hyps > 0).astype(np.float64)
+
+    def _score(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.model.f1_per_output(x, y)
 
     def unit_scores(self) -> np.ndarray:
         return self.model.weights.copy()
-
-    def group_scores(self) -> np.ndarray:
-        return self._val_f1()
-
-    def error(self) -> float:
-        return self.delta_error()
 
 
 class LogRegressionScore(Measure):
@@ -192,12 +222,9 @@ class LogRegressionScore(Measure):
                  batch_size: int = 128, max_val_rows: int = 4096,
                  window: int = 4, seed: int = 0):
         regul = regul.upper()
-        if regul not in ("L1", "L2", "NONE"):
-            raise ValueError("regul must be L1, L2 or NONE")
+        self.l1, self.l2 = _penalties(regul, strength)
         if score != "F1":
             raise ValueError("only the F1 score is implemented")
-        self.l1 = strength if regul == "L1" else 0.0
-        self.l2 = strength if regul == "L2" else 0.0
         self.lr = lr
         self.epochs = epochs
         self.cv_folds = cv_folds
@@ -209,144 +236,72 @@ class LogRegressionScore(Measure):
         self.seed = seed
         self.score_id = f"logreg:{regul.lower()}"
 
+    def _model(self, n_features: int,
+               n_outputs: int) -> MergedLogisticRegression:
+        return MergedLogisticRegression(
+            n_features, n_outputs, device=self.device,
+            l1=self.l1, l2=self.l2, lr=self.lr, seed=self.seed)
+
     # ------------------------------------------------------------------
     def new_state(self, n_units: int, n_hyps: int) -> _LogRegState:
-        return _LogRegState(n_units, n_hyps, self)
+        return _LogRegState(n_units, n_hyps, self,
+                            self._model(n_units, n_hyps))
 
     # ------------------------------------------------------------------
-    def compute(self, units: np.ndarray, hyps: np.ndarray):
+    def compute(self, units: np.ndarray, hyps: np.ndarray) -> MeasureResult:
         """Full-data path: k-fold cross-validated F1 (Section 4.3)."""
-        n_units, n_hyps = units.shape[1], hyps.shape[1]
-        std = _Standardizer()
-        std.fit(units)
-        x = std.transform(units)
+        mean, std = _scale(units)
+        x = (units - mean) / std
         y = (hyps > 0).astype(np.float64)
-
         if self.merged:
-            f1 = self._cv_f1_merged(x, y)
-            final = self._train_merged(x, y)
-        else:
-            f1 = np.empty(n_hyps)
-            coefs = np.empty((n_units, n_hyps))
-            for j in range(n_hyps):
-                f1[j] = self._cv_f1_merged(x, y[:, j:j + 1])[0]
-                model = self._train_merged(x, y[:, j:j + 1])
-                coefs[:, j] = model.weights[:, 0]
-            result = self._make_result(coefs, f1, units.shape[0])
-            return result
-        return self._make_result(final.weights.copy(), f1, units.shape[0])
-
-    def _make_result(self, coefs, f1, n_rows):
-        from repro.measures.base import MeasureResult
+            f1 = self._cv_f1(x, y)
+            coefs = self._train(x, y).weights.copy()
+        else:  # the baselines' loop: one model per hypothesis
+            f1 = np.empty(y.shape[1])
+            coefs = np.empty((x.shape[1], y.shape[1]))
+            for j in range(y.shape[1]):
+                f1[j] = self._cv_f1(x, y[:, j:j + 1])[0]
+                coefs[:, j] = self._train(x, y[:, j:j + 1]).weights[:, 0]
         return MeasureResult(unit_scores=coefs, group_scores=f1,
-                             n_rows_seen=n_rows, converged=True)
+                             n_rows_seen=units.shape[0], converged=True)
 
-    def _train_merged(self, x: np.ndarray,
-                      y: np.ndarray) -> MergedLogisticRegression:
-        model = MergedLogisticRegression(
-            x.shape[1], y.shape[1], device=self.device,
-            l1=self.l1, l2=self.l2, lr=self.lr, seed=self.seed)
-        rng = new_rng(self.seed)
-        for _ in range(self.epochs):
-            order = rng.permutation(x.shape[0])
-            model.partial_fit(x[order], y[order], batch_size=self.batch_size)
-        return model
+    def _train(self, x: np.ndarray,
+               y: np.ndarray) -> MergedLogisticRegression:
+        return self._model(x.shape[1], y.shape[1]).fit(
+            x, y, self.epochs, self.batch_size, self.seed)
 
-    def _cv_f1_merged(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
+    def _cv_f1(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         folds = max(2, self.cv_folds)
-        fold_ids = np.arange(n) % folds
+        fold_ids = np.arange(x.shape[0]) % folds
         scores = np.zeros((folds, y.shape[1]))
         for k in range(folds):
             test = fold_ids == k
-            model = self._train_merged(x[~test], y[~test])
+            model = self._train(x[~test], y[~test])
             scores[k] = model.f1_per_output(x[test], y[test])
         return scores.mean(axis=0)
 
 
-class _MulticlassState(MeasureState, DeltaWindowMixin):
-    def __init__(self, n_units: int, measure: "MulticlassLogRegScore"):
-        MeasureState.__init__(self, n_units, 1)
-        DeltaWindowMixin.__init__(self, window=measure.window)
-        self.measure = measure
-        self.n_classes = measure.n_classes
-        rng = new_rng(measure.seed)
-        self.weights = rng.standard_normal((n_units, self.n_classes)) * 0.01
-        self.bias = np.zeros(self.n_classes)
-        self._mw = np.zeros_like(self.weights)
-        self._vw = np.zeros_like(self.weights)
-        self._mb = np.zeros_like(self.bias)
-        self._vb = np.zeros_like(self.bias)
-        self._t = 0
-        self.standardizer = _Standardizer()
-        self._val_x: list[np.ndarray] = []
-        self._val_y: list[np.ndarray] = []
-
-    def _step(self, x: np.ndarray, y_ids: np.ndarray) -> None:
-        measure = self.measure
-        for start in range(0, x.shape[0], measure.batch_size):
-            xb = x[start:start + measure.batch_size]
-            yb = y_ids[start:start + measure.batch_size]
-            probs = softmax(xb @ self.weights + self.bias, axis=-1)
-            probs[np.arange(xb.shape[0]), yb] -= 1.0
-            grad_w = xb.T @ probs / xb.shape[0] + measure.l2 * self.weights
-            if measure.l1:
-                grad_w += measure.l1 * np.sign(self.weights)
-            grad_b = probs.mean(axis=0)
-            self._adam(grad_w, grad_b)
-
-    def _adam(self, grad_w, grad_b, beta1=0.9, beta2=0.999, eps=1e-7):
-        self._t += 1
-        for grad, val, m, v in ((grad_w, self.weights, self._mw, self._vw),
-                                (grad_b, self.bias, self._mb, self._vb)):
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad**2
-            val -= self.measure.lr * (m / (1 - beta1**self._t)) / (
-                np.sqrt(v / (1 - beta2**self._t)) + eps)
-
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+class _MulticlassState(_HeldOutState):
+    def _targets(self, hyps: np.ndarray) -> np.ndarray:
         if hyps.shape[1] != 1:
             raise ValueError("multiclass probe expects a single categorical "
                              "hypothesis column")
-        if not self.standardizer.ready:
-            self.standardizer.fit(units)
-        x = self.standardizer.transform(units)
-        y_ids = hyps[:, 0].astype(np.int64)
-        val_mask = np.arange(x.shape[0]) % 5 == 0
-        self._val_x.append(x[val_mask])
-        self._val_y.append(y_ids[val_mask])
-        self._step(x[~val_mask], y_ids[~val_mask])
-        self.push_score(np.array([self._val_accuracy()]))
+        return hyps[:, 0].astype(np.int64)
 
-    def _predict(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.weights + self.bias).argmax(axis=-1)
-
-    def _val_accuracy(self) -> float:
-        if not self._val_x:
-            return 0.0
-        x = np.concatenate(self._val_x, axis=0)
-        y = np.concatenate(self._val_y, axis=0)
-        return float((self._predict(x) == y).mean())
+    def _score(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.array([float((self.model.predict(x) == y).mean())])
 
     def unit_scores(self) -> np.ndarray:
         # per-unit relevance: L2 norm of the unit's class coefficients
-        return np.sqrt((self.weights**2).sum(axis=1, keepdims=True))
-
-    def group_scores(self) -> np.ndarray:
-        return np.array([self._val_accuracy()])
+        return np.sqrt((self.model.weights**2).sum(axis=1, keepdims=True))
 
     def extras(self) -> dict:
-        if not self._val_x:
-            return {"per_class_precision": np.zeros(self.n_classes)}
-        x = np.concatenate(self._val_x, axis=0)
-        y = np.concatenate(self._val_y, axis=0)
+        held = self.held_out()
+        if held is None:
+            return {"per_class_precision": np.zeros(self.measure.n_classes)}
+        x, y = held
         return {"per_class_precision": multiclass_precision(
-            self._predict(x), y, self.n_classes)}
-
-    def error(self) -> float:
-        return self.delta_error()
+            self.model.predict(x), y, self.measure.n_classes)}
 
 
 class MulticlassLogRegScore(Measure):
@@ -357,6 +312,8 @@ class MulticlassLogRegScore(Measure):
     """
 
     joint = True
+    #: the streaming held-out set is never capped
+    max_val_rows = float("inf")
 
     def __init__(self, n_classes: int, regul: str = "L2",
                  strength: float = 1e-4, lr: float = 0.05,
@@ -366,8 +323,7 @@ class MulticlassLogRegScore(Measure):
             raise ValueError("need at least two classes")
         regul = regul.upper()
         self.n_classes = n_classes
-        self.l1 = strength if regul == "L1" else 0.0
-        self.l2 = strength if regul == "L2" else 0.0
+        self.l1, self.l2 = _penalties(regul, strength)
         self.lr = lr
         self.epochs = epochs
         self.batch_size = batch_size
@@ -378,23 +334,21 @@ class MulticlassLogRegScore(Measure):
     def new_state(self, n_units: int, n_hyps: int) -> _MulticlassState:
         if n_hyps != 1:
             raise ValueError("multiclass probe expects exactly one hypothesis")
-        return _MulticlassState(n_units, self)
+        return _MulticlassState(n_units, n_hyps, self, SoftmaxRegression(
+            n_units, self.n_classes, l1=self.l1, l2=self.l2, lr=self.lr,
+            seed=self.seed))
 
-    def compute(self, units: np.ndarray, hyps: np.ndarray):
-        """Full-data path: fixed train/validation split, multiple epochs."""
+    def compute(self, units: np.ndarray, hyps: np.ndarray) -> MeasureResult:
+        """Full-data path: fixed train/held-out split, multiple epochs."""
         state = self.new_state(units.shape[1], hyps.shape[1])
         units = np.asarray(units, dtype=np.float64)
-        y_ids = np.asarray(hyps, dtype=np.float64)[:, 0].astype(np.int64)
-        n = units.shape[0]
-        val_mask = np.arange(n) % 5 == 0
-        state.standardizer.fit(units[~val_mask])
-        x_train = state.standardizer.transform(units[~val_mask])
-        y_train = y_ids[~val_mask]
-        state._val_x.append(state.standardizer.transform(units[val_mask]))
-        state._val_y.append(y_ids[val_mask])
-        rng = new_rng(self.seed)
-        for _ in range(self.epochs):
-            order = rng.permutation(x_train.shape[0])
-            state._step(x_train[order], y_train[order])
-        state.n_rows = n
+        y = state._targets(np.asarray(hyps, dtype=np.float64))
+        held = _held_out(units.shape[0])
+        state.scale = _scale(units[~held])
+        x = state.standardize(units)
+        state.hold_out(x[held], y[held])
+        state.model.fit(x[~held], y[~held], self.epochs, self.batch_size,
+                        self.seed)
+        state.n_rows = units.shape[0]
+        state.rescore()
         return state.result(converged=True)

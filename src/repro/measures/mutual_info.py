@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.measures.base import DeltaWindowMixin, Measure, MeasureState
+from repro.measures.base import CalibratedState, Measure
 
 
 def _digitize(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -88,56 +88,29 @@ def _entropy(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-class _MiState(MeasureState, DeltaWindowMixin):
+class _MiState(CalibratedState):
     def __init__(self, n_units: int, n_hyps: int, n_bins: int,
                  calibration_rows: int, normalize: bool, window: int):
-        MeasureState.__init__(self, n_units, n_hyps)
-        DeltaWindowMixin.__init__(self, window=window)
+        super().__init__(n_units, n_hyps, calibration_rows, window)
         self.n_bins = n_bins
-        self.calibration_rows = calibration_rows
         self.normalize = normalize
-        self._buffer: list[tuple[np.ndarray, np.ndarray]] = []
-        self._buffered_rows = 0
-        self._provisional: tuple[int, np.ndarray] | None = None
-        self.u_edges: np.ndarray | None = None
-        self.h_edges: np.ndarray | None = None
+
+    def _calibrate(self, units: np.ndarray,
+                   hyps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-column bin edges of both sides."""
+        return (_quantile_edges(units, self.n_bins),
+                _quantile_edges(hyps, self.n_bins))
+
+    def _new_stats(self) -> np.ndarray:
         # joint histogram: (n_units, n_hyps, u_bin, h_bin)
-        self.joint: np.ndarray | None = None
+        return np.zeros((self.n_units, self.n_hyps, self.n_bins, self.n_bins))
 
-    def _calibrate_and_flush(self) -> None:
-        sample_u = np.concatenate([u for u, _ in self._buffer], axis=0)
-        sample_h = np.concatenate([h for _, h in self._buffer], axis=0)
-        self.u_edges = _quantile_edges(sample_u, self.n_bins)
-        self.h_edges = _quantile_edges(sample_h, self.n_bins)
-        self.joint = np.zeros(
-            (self.n_units, self.n_hyps, self.n_bins, self.n_bins))
-        for u_blk, h_blk in self._buffer:
-            self._accumulate(u_blk, h_blk)
-        self._buffer = []
-        self._provisional = None  # drop the snapshot memo with the buffer
+    def _accumulate(self, joint: np.ndarray, edges, units: np.ndarray,
+                    hyps: np.ndarray) -> None:
+        _scatter_counts(joint, _digitize(units, edges[0]),
+                        _digitize(hyps, edges[1]))
 
-    def _accumulate(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        assert self.joint is not None
-        _scatter_counts(self.joint, _digitize(units, self.u_edges),
-                        _digitize(hyps, self.h_edges))
-
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        if self.joint is None:
-            # buffer until enough rows exist to estimate the bin edges;
-            # scoring stays lazy so a mid-stream result read cannot force
-            # calibration from an undersized sample
-            self._buffer.append((units.copy(), hyps.copy()))
-            self._buffered_rows += units.shape[0]
-            if self._buffered_rows >= self.calibration_rows:
-                self._calibrate_and_flush()
-        else:
-            self._accumulate(units, hyps)
-        if self.joint is not None:
-            # no score history accumulates while calibrating: convergence
-            # cannot be judged from provisional bin edges
-            self.push_score(self.unit_scores().max(axis=0))
-
-    def _scores_from_joint(self, joint: np.ndarray) -> np.ndarray:
+    def _unit_scores(self, joint: np.ndarray) -> np.ndarray:
         scores = np.zeros((self.n_units, self.n_hyps))
         for i in range(self.n_units):
             for j in range(self.n_hyps):
@@ -149,40 +122,6 @@ class _MiState(MeasureState, DeltaWindowMixin):
                     mi = mi / denom if denom > 1e-12 else 0.0
                 scores[i, j] = mi
         return scores
-
-    def _provisional_joint(self) -> np.ndarray:
-        """Histograms over the calibration buffer, without mutating state.
-
-        Serves result reads while still buffering (including end-of-stream
-        on datasets smaller than ``calibration_rows``): edges are estimated
-        from whatever is buffered, but the state keeps calibrating.
-        Memoized per buffer size -- the buffer is append-only, so repeated
-        reads between blocks cost one computation.
-        """
-        if self._provisional is not None \
-                and self._provisional[0] == self._buffered_rows:
-            return self._provisional[1]
-        sample_u = np.concatenate([u for u, _ in self._buffer], axis=0)
-        sample_h = np.concatenate([h for _, h in self._buffer], axis=0)
-        joint = np.zeros(
-            (self.n_units, self.n_hyps, self.n_bins, self.n_bins))
-        _scatter_counts(joint,
-                        _digitize(sample_u,
-                                  _quantile_edges(sample_u, self.n_bins)),
-                        _digitize(sample_h,
-                                  _quantile_edges(sample_h, self.n_bins)))
-        self._provisional = (self._buffered_rows, joint)
-        return joint
-
-    def unit_scores(self) -> np.ndarray:
-        if self.joint is None:
-            if not self._buffer:
-                return np.zeros((self.n_units, self.n_hyps))
-            return self._scores_from_joint(self._provisional_joint())
-        return self._scores_from_joint(self.joint)
-
-    def error(self) -> float:
-        return self.delta_error()
 
 
 class MutualInfoScore(Measure):
@@ -209,30 +148,19 @@ class MutualInfoScore(Measure):
                         self.normalize, self.window)
 
 
-class _MultiMiState(MeasureState, DeltaWindowMixin):
+class _MultiMiState(CalibratedState):
     def __init__(self, n_units: int, n_hyps: int, top_k: int,
                  calibration_rows: int, window: int):
-        MeasureState.__init__(self, n_units, n_hyps)
-        DeltaWindowMixin.__init__(self, window=window)
+        super().__init__(n_units, n_hyps, calibration_rows, window)
         self.top_k = min(top_k, n_units)
-        self.calibration_rows = calibration_rows
-        self._buffer: list[tuple[np.ndarray, np.ndarray]] = []
-        self._buffered_rows = 0
-        self._prov: tuple[int, tuple[np.ndarray, np.ndarray]] | None = None
-        self.u_medians: np.ndarray | None = None
-        self.selected: np.ndarray | None = None  # (n_hyps, top_k)
-        # per-hypothesis joint histogram over patterns x binary hypothesis
-        self.pattern_joint: np.ndarray | None = None
-        # per-unit binary joint for individual scores
-        self.unit_joint = np.zeros((n_units, n_hyps, 2, 2))
 
-    # -- calibration: pick each hypothesis's most correlated units ------
-    def _select_units(self, sample_u: np.ndarray,
-                      sample_h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(medians, per-hypothesis selected unit ids) from a sample."""
-        u_medians = np.median(sample_u, axis=0)
-        bits = sample_u > u_medians[None, :]
-        h_act = sample_h > 0
+    def _calibrate(self, units: np.ndarray,
+                   hyps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(medians, per-hypothesis selected unit ids): each hypothesis's
+        most correlated units."""
+        u_medians = np.median(units, axis=0)
+        bits = units > u_medians[None, :]
+        h_act = hyps > 0
         # |corr| of binarized signals selects the informative units
         bu = bits - bits.mean(axis=0, keepdims=True)
         bh = h_act - h_act.mean(axis=0, keepdims=True)
@@ -243,20 +171,16 @@ class _MultiMiState(MeasureState, DeltaWindowMixin):
         selected = np.argsort(-corr, axis=0)[:self.top_k].T.copy()
         return u_medians, selected
 
-    def _calibrate_and_flush(self) -> None:
-        sample_u = np.concatenate([u for u, _ in self._buffer], axis=0)
-        sample_h = np.concatenate([h for _, h in self._buffer], axis=0)
-        self.u_medians, self.selected = self._select_units(sample_u, sample_h)
-        self.pattern_joint = np.zeros((self.n_hyps, 2**self.top_k, 2))
-        for u_blk, h_blk in self._buffer:
-            self._accumulate(u_blk, h_blk)
-        self._buffer = []
-        self._prov = None  # drop the snapshot memo with the buffer
+    def _new_stats(self) -> tuple[np.ndarray, np.ndarray]:
+        # per-hypothesis joint histogram over patterns x binary hypothesis,
+        # and the per-unit binary joint for individual scores
+        return (np.zeros((self.n_hyps, 2**self.top_k, 2)),
+                np.zeros((self.n_units, self.n_hyps, 2, 2)))
 
-    def _accumulate_into(self, pattern_joint: np.ndarray,
-                         unit_joint: np.ndarray, u_medians: np.ndarray,
-                         selected: np.ndarray, units: np.ndarray,
-                         hyps: np.ndarray) -> None:
+    def _accumulate(self, stats, calibration, units: np.ndarray,
+                    hyps: np.ndarray) -> None:
+        pattern_joint, unit_joint = stats
+        u_medians, selected = calibration
         bits = (units > u_medians[None, :]).astype(np.int64)
         h_act = (hyps > 0).astype(np.int64)
         powers = 1 << np.arange(self.top_k)
@@ -266,71 +190,21 @@ class _MultiMiState(MeasureState, DeltaWindowMixin):
         # individual unit contingency tables, via the flat scatter-add
         _scatter_counts(unit_joint, bits, h_act)
 
-    def _accumulate(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        assert self.selected is not None and self.pattern_joint is not None
-        self._accumulate_into(self.pattern_joint, self.unit_joint,
-                              self.u_medians, self.selected, units, hyps)
-
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        if self.pattern_joint is None:
-            # buffer until the unit-selection sample is large enough;
-            # scoring stays lazy so a mid-stream result read cannot force
-            # selection from an undersized sample
-            self._buffer.append((units.copy(), hyps.copy()))
-            self._buffered_rows += units.shape[0]
-            if self._buffered_rows >= self.calibration_rows:
-                self._calibrate_and_flush()
-        else:
-            self._accumulate(units, hyps)
-        if self.pattern_joint is not None:
-            self.push_score(self.group_scores())
-
-    def _provisional(self) -> tuple[np.ndarray, np.ndarray]:
-        """(pattern_joint, unit_joint) over the calibration buffer.
-
-        Computed without mutating state, so mid-stream result reads (and
-        end-of-stream reads on datasets smaller than ``calibration_rows``)
-        cannot cut the selection sample short.  Memoized per buffer size --
-        a result read touches both histograms, and the buffer is
-        append-only, so each block pays one computation.
-        """
-        if self._prov is not None and self._prov[0] == self._buffered_rows:
-            return self._prov[1]
-        sample_u = np.concatenate([u for u, _ in self._buffer], axis=0)
-        sample_h = np.concatenate([h for _, h in self._buffer], axis=0)
-        u_medians, selected = self._select_units(sample_u, sample_h)
-        pattern_joint = np.zeros((self.n_hyps, 2**self.top_k, 2))
-        unit_joint = np.zeros((self.n_units, self.n_hyps, 2, 2))
-        self._accumulate_into(pattern_joint, unit_joint, u_medians, selected,
-                              sample_u, sample_h)
-        self._prov = (self._buffered_rows, (pattern_joint, unit_joint))
-        return pattern_joint, unit_joint
-
-    def unit_scores(self) -> np.ndarray:
-        if self.pattern_joint is None:
-            if not self._buffer:
-                return np.zeros((self.n_units, self.n_hyps))
-            unit_joint = self._provisional()[1]
-        else:
-            unit_joint = self.unit_joint
+    def _unit_scores(self, stats) -> np.ndarray:
+        unit_joint = stats[1]
         scores = np.zeros((self.n_units, self.n_hyps))
         for i in range(self.n_units):
             for j in range(self.n_hyps):
                 scores[i, j] = _mi_from_joint(unit_joint[i, j])
         return scores
 
-    def group_scores(self) -> np.ndarray | None:
-        if self.pattern_joint is None:
-            if not self._buffer:
-                return None
-            pattern_joint = self._provisional()[0]
-        else:
-            pattern_joint = self.pattern_joint
+    def _group_scores(self, stats) -> np.ndarray:
+        pattern_joint = stats[0]
         return np.array([_mi_from_joint(pattern_joint[j])
                          for j in range(self.n_hyps)])
 
-    def error(self) -> float:
-        return self.delta_error()
+    def _tracked(self) -> np.ndarray:
+        return self.group_scores()
 
 
 class MultivariateMutualInfoScore(Measure):

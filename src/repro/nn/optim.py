@@ -1,10 +1,10 @@
 """Gradient-descent optimizers: SGD (momentum) and Adam.
 
 Adam uses the Keras default hyper-parameters the paper mentions
-(lr=1e-3, beta1=0.9, beta2=0.999).  Both support optional L1/L2 penalties so
-the logistic-regression affinity measures can be regularized the way the
-paper's experiments are (L1 for unit-group selection, L2 for encoder-level
-probes).
+(lr=1e-3, beta1=0.9, beta2=0.999).  Both support optional L1/L2 penalties on
+every parameter.  :class:`Adam` is also the step of the logistic-regression
+affinity probes (``repro.measures.logreg``), which run it unclipped and add
+their L1/L2 terms to the weight gradient only, leaving the bias unpenalized.
 """
 
 from __future__ import annotations

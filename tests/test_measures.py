@@ -254,6 +254,27 @@ class TestMergedLogisticRegression:
         f1 = model.f1_per_output(x, y)
         assert f1[0] > 0.9
 
+    def test_minibatch_step_is_bias_corrected_adam(self):
+        """One minibatch: the sigmoid gradient (plus the L1 and L2 terms on
+        the weights only) through the textbook Adam update."""
+        rng = new_rng(6)
+        x = rng.standard_normal((50, 3))
+        y = (rng.random((50, 2)) > 0.5).astype(float)
+        model = MergedLogisticRegression(3, 2, l1=1e-2, l2=1e-1, lr=0.05,
+                                         seed=2)
+        w, b = model.weights.copy(), model.bias.copy()
+        model.partial_fit(x, y, batch_size=50)
+        delta = 1.0 / (1.0 + np.exp(-(x @ w + b))) - y
+        grad_w = x.T @ delta / 50 + 1e-1 * w + 1e-2 * np.sign(w)
+        grad_b = delta.mean(axis=0)
+        for grad, before, after in ((grad_w, w, model.weights),
+                                    (grad_b, b, model.bias)):
+            m_hat = (1 - 0.9) * grad / (1 - 0.9)
+            v_hat = (1 - 0.999) * grad**2 / (1 - 0.999)
+            np.testing.assert_allclose(
+                after, before - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-7),
+                rtol=1e-12, atol=1e-15)
+
     def test_columns_train_independently(self):
         """Merged training must not couple the per-hypothesis columns."""
         rng = new_rng(0)
@@ -294,6 +315,76 @@ class TestMulticlass:
     def test_class_count_validation(self):
         with pytest.raises(ValueError):
             MulticlassLogRegScore(n_classes=1)
+
+    def test_invalid_regul_rejected(self):
+        with pytest.raises(ValueError):
+            MulticlassLogRegScore(n_classes=3, regul="L3")
+
+
+class TestHeldOutProbing:
+    """Both probes' streaming states share one held-out protocol: every
+    5th row of a block is scored on, never trained on."""
+
+    @staticmethod
+    def _blocks(measure, state, x, h, block=300):
+        for start in range(0, x.shape[0], block):
+            measure.process_block(state, x[start:start + block],
+                                  h[start:start + block])
+
+    def test_held_out_rows_are_every_fifth_row_of_each_block(self):
+        rng = new_rng(2)
+        units = rng.standard_normal((900, 3))
+        hyps = (units[:, :1] > 0).astype(float)
+        measure = LogRegressionScore(regul="L2")
+        state = measure.new_state(3, 1)
+        self._blocks(measure, state, units, hyps)
+        x, y = state.held_out()
+        mean, std = state.scale
+        rows = np.concatenate([np.arange(s, s + 300, 5)
+                               for s in range(0, 900, 300)])
+        np.testing.assert_array_equal(x, (units[rows] - mean) / std)
+        np.testing.assert_array_equal(y, hyps[rows])
+        # the first block alone fixed the standardization
+        np.testing.assert_array_equal(mean, units[:300].mean(axis=0))
+
+    def test_group_score_is_the_held_out_score(self):
+        rng = new_rng(3)
+        units = rng.standard_normal((600, 4))
+        hyps = (units[:, :2] > 0).astype(float)
+        measure = LogRegressionScore(regul="L1")
+        state = measure.new_state(4, 2)
+        self._blocks(measure, state, units, hyps)
+        np.testing.assert_array_equal(
+            state.group_scores(), state.model.f1_per_output(*state.held_out()))
+
+    def test_cap_stops_holding_out_but_not_training(self):
+        rng = new_rng(4)
+        units = rng.standard_normal((1200, 3))
+        hyps = (units[:, :1] > 0).astype(float)
+        measure = LogRegressionScore(regul="L2", max_val_rows=100)
+        state = measure.new_state(3, 1)
+        self._blocks(measure, state, units, hyps)
+        # 60 rows, then 120 >= 100: blocks three and four hold nothing out
+        assert state.held_out()[0].shape[0] == 120
+        weights = state.model.weights.copy()
+        measure.process_block(state, units[:300], hyps[:300])
+        assert state.held_out()[0].shape[0] == 120
+        assert not np.array_equal(weights, state.model.weights)
+
+    def test_multiclass_streams_through_the_same_protocol(self):
+        rng = new_rng(5)
+        y = rng.integers(0, 3, size=900)
+        units = rng.standard_normal((900, 4)) * 0.2
+        units[np.arange(900), y] += 1.0
+        measure = MulticlassLogRegScore(n_classes=3, window=2)
+        state = measure.new_state(4, 1)
+        self._blocks(measure, state, units, y[:, None].astype(float))
+        x_val, y_val = state.held_out()
+        assert x_val.shape[0] == 180  # uncapped: 60 rows per block
+        accuracy = float((state.model.predict(x_val) == y_val).mean())
+        result = state.result()
+        assert result.group_scores[0] == accuracy > 0.9
+        assert result.extras["per_class_precision"].shape == (3,)
 
 
 class TestLinearProbe:
@@ -397,13 +488,13 @@ class TestCalibrationBuffering:
         # also leave the buffer intact
         state.unit_scores()
         state.error()
-        assert state.thresholds is None
+        assert state.calibration is None
         measure.process_block(state, units[400:800], hyps[400:800])
-        assert state.thresholds is None  # 800 < 1000: still buffering
+        assert state.calibration is None  # 800 < 1000: still buffering
         measure.process_block(state, units[800:1200], hyps[800:1200])
-        assert state.thresholds is not None  # calibrated at 1200 >= 1000
+        assert state.calibration is not None  # calibrated at 1200 >= 1000
         np.testing.assert_allclose(
-            state.thresholds, np.quantile(units[:1200], 0.9, axis=0))
+            state.calibration, np.quantile(units[:1200], 0.9, axis=0))
 
     def test_jaccard_streaming_matches_single_shot(self):
         units, hyps = self._data(n=1200)
@@ -420,14 +511,14 @@ class TestCalibrationBuffering:
         measure.process_block(state, units[:400], hyps[:400])
         state.unit_scores()
         state.error()
-        assert state.u_edges is None
+        assert state.calibration is None
         measure.process_block(state, units[400:800], hyps[400:800])
-        assert state.u_edges is None
+        assert state.calibration is None
         measure.process_block(state, units[800:1200], hyps[800:1200])
-        assert state.u_edges is not None
+        assert state.calibration is not None
         from repro.measures.mutual_info import _quantile_edges
-        np.testing.assert_allclose(state.u_edges,
-                                   _quantile_edges(units[:1200], 4))
+        u_edges, _ = state.calibration
+        np.testing.assert_allclose(u_edges, _quantile_edges(units[:1200], 4))
 
     def test_multi_mi_selection_uses_full_calibration_sample(self):
         units, hyps = self._data(n_units=5, n_hyps=1)
@@ -437,13 +528,13 @@ class TestCalibrationBuffering:
         state.unit_scores()
         state.group_scores()
         state.error()
-        assert state.selected is None
+        assert state.calibration is None
         measure.process_block(state, units[400:800], hyps[400:800])
-        assert state.selected is None
+        assert state.calibration is None
         measure.process_block(state, units[800:1200], hyps[800:1200])
-        assert state.selected is not None
-        np.testing.assert_allclose(state.u_medians,
-                                   np.median(units[:1200], axis=0))
+        assert state.calibration is not None
+        u_medians, _ = state.calibration
+        np.testing.assert_allclose(u_medians, np.median(units[:1200], axis=0))
 
     def test_small_dataset_provisional_scores_match_calibrated(self):
         """End-of-stream below calibration_rows: provisional scores equal a
@@ -468,6 +559,77 @@ class TestCalibrationBuffering:
             _, err = measure.process_block(state, units[start:start + 100],
                                            hyps[start:start + 100])
             assert err == float("inf")  # provisional scores never converge
+
+
+#: one of each measure whose parameters are fitted on a calibration sample
+CALIBRATED = {
+    "jaccard": lambda rows: JaccardScore(quantile=0.9, calibration_rows=rows),
+    "mutual_info": lambda rows: MutualInfoScore(calibration_rows=rows),
+    "multi_mi": lambda rows: MultivariateMutualInfoScore(
+        top_k=2, calibration_rows=rows),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATED))
+class TestCalibratedStateContract:
+    """Every calibrated measure inherits one buffering contract."""
+
+    @staticmethod
+    def _data(n=1200, seed=4):
+        rng = new_rng(seed)
+        units = rng.standard_normal((n, 4))
+        hyps = (rng.random((n, 3)) > 0.6).astype(float)
+        return units, hyps
+
+    @staticmethod
+    def _scores(state):
+        group = state.group_scores()
+        return state.unit_scores(), None if group is None else group.copy()
+
+    def test_empty_state_scores_zero(self, name):
+        state = CALIBRATED[name](100).new_state(4, 3)
+        assert np.array_equal(state.unit_scores(), np.zeros((4, 3)))
+        assert state.calibration is None and state.stats is None
+
+    def test_reads_while_buffering_change_nothing(self, name):
+        """A provisional read is memoized and leaves the buffer alone:
+        reading after every block ends in the same state as never reading."""
+        units, hyps = self._data()
+        measure = CALIBRATED[name](1000)
+        read, silent = measure.new_state(4, 3), measure.new_state(4, 3)
+        for start in range(0, 1200, 300):
+            block = units[start:start + 300], hyps[start:start + 300]
+            measure.process_block(read, *block)
+            assert self._scores(read)[0] is not None
+            silent.update(*block)
+            silent.n_rows += 300
+        assert read.calibration is not None
+        for got, want in zip(self._scores(read), self._scores(silent)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_provisional_equals_calibration_on_the_same_rows(self, name):
+        """Scores read mid-buffer equal a state calibrated on exactly the
+        rows buffered so far: block boundaries do not show in the counts."""
+        units, hyps = self._data(n=600)
+        lazy = CALIBRATED[name](10_000)
+        exact = CALIBRATED[name](600)
+        state = lazy.new_state(4, 3)
+        for start in range(0, 600, 150):
+            lazy.process_block(state, units[start:start + 150],
+                               hyps[start:start + 150])
+        assert state.calibration is None
+        full = exact.compute(units, hyps)
+        np.testing.assert_array_equal(state.unit_scores(), full.unit_scores)
+
+    def test_no_score_history_while_buffering(self, name):
+        units, hyps = self._data(n=900)
+        measure = CALIBRATED[name](1000)
+        state = measure.new_state(4, 3)
+        for start in range(0, 900, 300):
+            _, err = measure.process_block(state, units[start:start + 300],
+                                           hyps[start:start + 300])
+            assert err == float("inf")
+        assert state._history == []
 
 
 class TestScatterCounts:

@@ -149,6 +149,22 @@ class TestOptimizers:
         relevant = np.abs(p_l1.value[:2])
         assert relevant.min() > 10 * irrelevant.max()
 
+    def test_adam_matches_bias_corrected_reference(self):
+        """Five steps of the update the probes train with (no clipping)."""
+        rng = new_rng(3)
+        param = Parameter(rng.standard_normal(4), "w")
+        value, m, v = param.value.copy(), np.zeros(4), np.zeros(4)
+        opt = Adam([param], lr=0.05, clip_norm=None)
+        for t in range(1, 6):
+            grad = rng.standard_normal(4)
+            param.grad = grad
+            opt.step()
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad**2
+            value -= 0.05 * (m / (1 - 0.9**t)) / (
+                np.sqrt(v / (1 - 0.999**t)) + 1e-7)
+            np.testing.assert_allclose(param.value, value, rtol=1e-12)
+
     def test_adam_clip_norm_bounds_update(self):
         param = Parameter(np.zeros(3), "w")
         opt = Adam([param], lr=0.1, clip_norm=1.0)
