@@ -78,27 +78,3 @@ def saliency_frame(model, dataset: Dataset, units: list[int], k: int = 5,
         rows, columns=["unit", "record", "position", "symbol", "value",
                        "context"])
 
-
-def symbol_saliency_profile(model, dataset: Dataset, unit: int,
-                            extractor: Extractor | None = None,
-                            max_records: int | None = None) -> Frame:
-    """Mean behavior per input character: which symbols drive the unit."""
-    n_records = dataset.n_records
-    if max_records is not None:
-        n_records = min(n_records, max_records)
-    extractor = extractor or RnnActivationExtractor()
-    behaviors = extractor.extract(model, dataset.symbols[:n_records],
-                                  hid_units=[unit])[:, 0]
-    symbols = dataset.symbols[:n_records].reshape(-1)
-
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for sym_id, value in zip(symbols, behaviors):
-        sums[int(sym_id)] = sums.get(int(sym_id), 0.0) + float(value)
-        counts[int(sym_id)] = counts.get(int(sym_id), 0) + 1
-    rows = [{"symbol": dataset.vocab.char(sym),
-             "mean_behavior": sums[sym] / counts[sym],
-             "count": counts[sym]} for sym in sorted(sums)]
-    return Frame.from_records(
-        rows, columns=["symbol", "mean_behavior", "count"]).sort(
-        "mean_behavior", reverse=True)

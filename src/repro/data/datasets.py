@@ -60,13 +60,6 @@ class Vocab:
                 mask[idx] = True
         return mask
 
-    def to_dict(self) -> dict:
-        return {"chars": self._char_of[1:], "pad": self.pad_char}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Vocab":
-        return cls(data["chars"], pad=data["pad"])
-
 
 @dataclass
 class Dataset:

@@ -128,12 +128,3 @@ class EarleyParser:
                    start: int, end: int) -> ParseNode:
         return ParseNode(item.prod.lhs, start=start, end=end,
                          children=list(children))
-
-    # ------------------------------------------------------------------
-    def recognizes(self, text: str) -> bool:
-        """True iff ``text`` is in the language (parse without tree use)."""
-        try:
-            self.parse(text)
-            return True
-        except ParseError:
-            return False

@@ -34,22 +34,3 @@ def parens_grammar(digit_weight: float = 0.45,
     grammar.validate()
     return grammar
 
-
-def nesting_depth_labels(text: str) -> list[int]:
-    """Ground-truth per-character nesting level for a parens string.
-
-    The level of a character is the number of unclosed ``(`` before it;
-    opening and closing parens are labeled with the level they delimit.
-    """
-    labels: list[int] = []
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            labels.append(depth)
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            labels.append(depth)
-        else:
-            labels.append(depth)
-    return labels

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass
 class ParseNode:
@@ -66,19 +64,6 @@ class ParseNode:
         """Character spans of every node labeled ``symbol``."""
         return [n.span for n in self.iter_nodes()
                 if n.symbol == symbol and not n.terminal]
-
-    def depth_profile(self, symbol: str, length: int | None = None) -> list[int]:
-        """Per-character nesting depth of ``symbol`` nodes (composite h1)."""
-        if length is None:
-            length = self.end
-        # difference array: +1 at every start, -1 at every (clipped) end
-        spans = np.array(self.spans_of(symbol), dtype=np.int64).reshape(-1, 2)
-        ends = np.minimum(spans[:, 1], length)
-        live = ends > spans[:, 0]
-        diff = np.zeros(length + 1, dtype=np.int64)
-        np.add.at(diff, spans[live, 0], 1)
-        np.add.at(diff, ends[live], -1)
-        return np.cumsum(diff[:length]).tolist()
 
     def pretty(self, indent: int = 0) -> str:
         pad = "  " * indent

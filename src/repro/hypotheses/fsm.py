@@ -113,9 +113,3 @@ def keyword_fsm(keyword: str) -> FSM:
             table[ch] = s + 1 if keyword[s] == ch else 0
         transitions[state] = table
     return FSM(initial=0, transitions=transitions, n_states=k + 1)
-
-
-def fsm_state_hypotheses(name: str, fsm: FSM) -> list[FsmHypothesis]:
-    """Hot-one encode an FSM into one binary hypothesis per state."""
-    return [FsmHypothesis(f"{name}:state{s}", fsm, state=s)
-            for s in range(fsm.n_states)]

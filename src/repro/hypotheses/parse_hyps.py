@@ -150,12 +150,6 @@ class ParseProvider:
                 self._spans[source_id] = index
             return index
 
-    def clear_cache(self) -> None:
-        with self._lock:
-            self._cache.clear()
-            self._spans.clear()
-            self.parse_count = 0
-
     def extract_block(self, members: list["ParseTreeHypothesis"],
                       dataset: Dataset,
                       indices: np.ndarray | list[int] | None = None

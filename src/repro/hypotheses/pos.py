@@ -9,8 +9,6 @@ the generating grammar's ground truth.
 
 from __future__ import annotations
 
-import numpy as np
-
 #: Penn Treebank tags appearing in Figure 11 of the paper.
 PTB_TAGS = ("NNP", "VBZ", "RB", "NN", "DT", "VBD", "IN", "TO", "VB", "VBN",
             ".", "JJ", "NNS", "CD", ":", "CC", "PRP", "VBP")
@@ -59,14 +57,3 @@ class SimplePosTagger:
 
     def tag(self, words: list[str]) -> list[str]:
         return [self.tag_word(w) for w in words]
-
-    def tag_ids(self, words: list[str],
-                tag_names: list[str]) -> np.ndarray:
-        """Tag a sentence and map tags to ids within ``tag_names``.
-
-        Unknown tags map to the id of the default tag.
-        """
-        index = {t: i for i, t in enumerate(tag_names)}
-        fallback = index.get(self.default_tag, 0)
-        return np.array([index.get(t, fallback) for t in self.tag(words)],
-                        dtype=np.int64)

@@ -19,23 +19,8 @@ def confusion_counts(pred: np.ndarray, truth: np.ndarray
     return tp, fp, fn, tn
 
 
-def precision_score(pred: np.ndarray, truth: np.ndarray) -> float:
-    tp, fp, _, _ = confusion_counts(pred, truth)
-    return tp / (tp + fp) if tp + fp > 0 else 0.0
-
-
-def recall_score(pred: np.ndarray, truth: np.ndarray) -> float:
-    tp, _, fn, _ = confusion_counts(pred, truth)
-    return tp / (tp + fn) if tp + fn > 0 else 0.0
-
-
 def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:
     tp, fp, fn, _ = confusion_counts(pred, truth)
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom > 0 else 0.0
-
-
-def f1_from_counts(tp: float, fp: float, fn: float) -> float:
     denom = 2 * tp + fp + fn
     return 2 * tp / denom if denom > 0 else 0.0
 

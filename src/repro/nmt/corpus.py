@@ -144,10 +144,6 @@ class NmtCorpus:
     def n_sentences(self) -> int:
         return int(self.src.shape[0])
 
-    @property
-    def lexicon_tags(self) -> dict[str, str]:
-        return {en: tag for en, _, tag in LEXICON}
-
 
 def _sample_sentence(rng: np.random.Generator,
                      by_tag: dict[str, list[tuple[str, str]]]

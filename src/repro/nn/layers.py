@@ -120,18 +120,3 @@ class Relu(Module):
     def backward(self, dy: np.ndarray) -> np.ndarray:
         assert self._mask is not None
         return dy * self._mask
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def __init__(self) -> None:
-        self._y: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        assert self._y is not None
-        return dy * (1.0 - self._y**2)

@@ -53,24 +53,6 @@ class CharLSTMModel(Module):
         """
         return self.lstm.forward(np.asarray(ids), training=False)
 
-    def input_saliency(self, ids: np.ndarray,
-                       unit: int | np.ndarray) -> np.ndarray:
-        """Gradient-based saliency of each input symbol for a unit (group).
-
-        Returns (batch, time): the L2 norm of d(sum of the unit's
-        activations)/d(one-hot input) at each position -- the gradient
-        behavior some DNI analyses use instead of activation magnitude.
-        Parameter gradients touched by the backward pass are cleared.
-        """
-        unit_ids = np.atleast_1d(np.asarray(unit, dtype=int))
-        x = self.onehot.forward(ids)
-        hs = self.lstm.forward(x)
-        dh = np.zeros_like(hs)
-        dh[:, :, unit_ids] = 1.0
-        dx = self.lstm.backward(dh)
-        self.lstm.zero_grad()  # saliency must not perturb training state
-        return np.linalg.norm(dx, axis=2)
-
     # ------------------------------------------------------------------
     def loss_and_grads(self, ids: np.ndarray,
                        targets: np.ndarray) -> tuple[float, float]:

@@ -74,9 +74,6 @@ class Module:
             named[f"{i:03d}_{param.name}"] = param
         return named
 
-    def n_parameters(self) -> int:
-        return int(sum(p.value.size for p in self.parameters()))
-
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
            shape: tuple[int, ...] | None = None) -> np.ndarray:

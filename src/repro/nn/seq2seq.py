@@ -144,27 +144,6 @@ class Seq2SeqModel(Module):
                              training=False)
         return self.encoder.layer_states()
 
-    def translate_greedy(self, src_ids: np.ndarray, bos_id: int, eos_id: int,
-                         max_len: int = 30) -> list[list[int]]:
-        """Greedy decoding (used by examples to sanity-check the model)."""
-        batch = src_ids.shape[0]
-        outputs: list[list[int]] = [[] for _ in range(batch)]
-        tgt = np.full((batch, 1), bos_id, dtype=int)
-        done = np.zeros(batch, dtype=bool)
-        for _ in range(max_len):
-            logits = self.forward(src_ids, tgt)
-            nxt = logits[:, -1].argmax(axis=-1)
-            for b in range(batch):
-                if not done[b]:
-                    if nxt[b] == eos_id:
-                        done[b] = True
-                    else:
-                        outputs[b].append(int(nxt[b]))
-            if done.all():
-                break
-            tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
-        return outputs
-
     def architecture(self) -> dict:
         return {"kind": "seq2seq", "src_vocab": self.src_vocab,
                 "tgt_vocab": self.tgt_vocab, "n_units": self.n_units,

@@ -117,6 +117,17 @@ def handshake_response(client_key: str) -> bytes:
             "\r\n\r\n").encode("latin-1")
 
 
+def _check_control_frame(opcode: int, payload: bytes, fin: bool) -> None:
+    """RFC 6455 §5.5: a control frame is unfragmented with at most 125
+    payload bytes; §5.5.1: a close body starts with a 2-byte status code."""
+    if opcode not in _CONTROL_OPS:
+        return
+    if len(payload) > 125 or not fin:
+        raise ProtocolError("control frames must be short and unfragmented")
+    if opcode == OP_CLOSE and len(payload) == 1:
+        raise ProtocolError("close payload of 1 byte")
+
+
 def encode_ws_frame(payload: bytes, opcode: int = OP_TEXT, fin: bool = True,
                     mask: bytes | None = None) -> bytes:
     """Serialize one websocket frame.
@@ -124,8 +135,7 @@ def encode_ws_frame(payload: bytes, opcode: int = OP_TEXT, fin: bool = True,
     Servers send unmasked frames (``mask=None``); clients MUST mask
     (RFC 6455 §5.3) and pass their 4-byte masking key.
     """
-    if opcode in _CONTROL_OPS and (len(payload) > 125 or not fin):
-        raise ProtocolError("control frames must be short and unfragmented")
+    _check_control_frame(opcode, payload, fin)
     head = bytearray([(0x80 if fin else 0) | opcode])
     mask_bit = 0x80 if mask is not None else 0
     n = len(payload)
@@ -232,6 +242,7 @@ class WsMessageAssembler:
         if self.require_mask and not frame.masked:
             # RFC 6455 §5.1: a server MUST refuse unmasked client frames
             raise ProtocolError("client frames must be masked")
+        _check_control_frame(frame.opcode, frame.payload, frame.fin)
         if frame.opcode == OP_PING:
             return [("ping", frame.payload)]
         if frame.opcode == OP_PONG:

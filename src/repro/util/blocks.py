@@ -1,15 +1,15 @@
 """Record-block iteration used by the streaming execution engine.
 
 The paper processes behavior matrices in blocks of ``nb`` records (default
-512) that have been shuffled record-wise on disk, then shuffles symbol-wise in
-memory (Section 5.2.2).
+512) that have been shuffled record-wise (Section 5.2.2).  The engine
+permutes record order once, when it builds the plan
+(``InspectionPlan.build`` with ``config.shuffle``), and then walks that
+order in contiguous blocks; nothing shuffles symbol-wise in memory.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-
-import numpy as np
+from collections.abc import Iterator
 
 
 def iter_blocks(n_items: int, block_size: int) -> Iterator[slice]:
@@ -18,24 +18,3 @@ def iter_blocks(n_items: int, block_size: int) -> Iterator[slice]:
         raise ValueError("block_size must be positive")
     for start in range(0, n_items, block_size):
         yield slice(start, min(start + block_size, n_items))
-
-
-def shuffled_record_order(n_records: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Record-wise shuffle order, mimicking shuffled on-disk layout."""
-    order = np.arange(n_records)
-    rng.shuffle(order)
-    return order
-
-
-def shuffle_symbolwise(arrays: Sequence[np.ndarray],
-                       rng: np.random.Generator) -> list[np.ndarray]:
-    """Apply one shared row permutation to aligned (n_symbols, k) matrices."""
-    if not arrays:
-        return []
-    n = arrays[0].shape[0]
-    for arr in arrays:
-        if arr.shape[0] != n:
-            raise ValueError("arrays must share their first dimension")
-    perm = rng.permutation(n)
-    return [arr[perm] for arr in arrays]

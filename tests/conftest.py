@@ -8,6 +8,8 @@ realistic scales.
 
 from __future__ import annotations
 
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,11 @@ from repro.util.rng import new_rng
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running end-to-end tests (subprocess runs)")
+    # race amplification: a short thread switch interval (e.g. 1e-6 s)
+    # makes races that hide behind the default 5 ms show up
+    interval = os.environ.get("REPRO_SWITCH_INTERVAL")
+    if interval:
+        sys.setswitchinterval(float(interval))
 
 
 @pytest.fixture

@@ -31,10 +31,6 @@ class TestVocab:
         vocab = Vocab("ab")
         assert "a" in vocab and "z" not in vocab
 
-    def test_to_from_dict(self):
-        vocab = Vocab("xyz")
-        clone = Vocab.from_dict(vocab.to_dict())
-        assert clone.encode("zyx").tolist() == vocab.encode("zyx").tolist()
 
 
 class TestDataset:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.grammar.cfg import grammar_from_rules
 from repro.grammar.earley import EarleyParser, ParseError
-from repro.grammar.parens import nesting_depth_labels, parens_grammar
+from repro.grammar.parens import parens_grammar
 from repro.grammar.sampling import GrammarSampler
 from repro.grammar.sql import sql_grammar
 from repro.util.rng import new_rng
@@ -96,8 +96,9 @@ class TestEarley:
 
     def test_recognizes(self, balanced):
         parser = EarleyParser(balanced)
-        assert parser.recognizes("(())")
-        assert not parser.recognizes("(()")
+        assert parser.parse("(())").text() == "(())"
+        with pytest.raises(ParseError):
+            parser.parse("(()")
 
     def test_multichar_terminals(self):
         g = grammar_from_rules("s", [("s", ("SELECT ", "x"), 1.0),
@@ -138,10 +139,3 @@ class TestPresetGrammars:
         for _ in range(10):
             text, _ = sampler.sample()
             assert parser.parse(text).text() == text
-
-    def test_nesting_depth_labels_example(self):
-        assert nesting_depth_labels("0(1(2((44))))") == \
-            [0, 0, 1, 1, 2, 2, 3, 4, 4, 3, 2, 1, 0]
-
-    def test_nesting_depth_labels_flat(self):
-        assert nesting_depth_labels("012") == [0, 0, 0]

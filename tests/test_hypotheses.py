@@ -10,7 +10,7 @@ from repro.hypotheses import (CharSetHypothesis, FunctionHypothesis,
                               PrefixLengthHypothesis, SimplePosTagger,
                               grammar_hypotheses, keyword_fsm,
                               validate_hypothesis_output)
-from repro.hypotheses.fsm import FSM, FsmHypothesis, fsm_state_hypotheses
+from repro.hypotheses.fsm import FSM, FsmHypothesis
 from repro.hypotheses.library import CurrentCharHypothesis
 from repro.hypotheses.parse_hyps import ParseProvider, ParseTreeHypothesis
 
@@ -83,6 +83,15 @@ class TestLibrary:
         out = NestingDepthHypothesis().behavior(ds, 0)
         assert out.tolist() == [0, 0, 1, 1, 2, 1, 0]
 
+    def test_nesting_depth_labels_example(self):
+        ds = make_dataset(["0(1(2((44))))"])
+        out = NestingDepthHypothesis().behavior(ds, 0)
+        assert out.tolist() == [0, 0, 1, 1, 2, 2, 3, 4, 4, 3, 2, 1, 0]
+
+    def test_nesting_depth_labels_flat(self):
+        ds = make_dataset(["012"])
+        assert NestingDepthHypothesis().behavior(ds, 0).tolist() == [0, 0, 0]
+
     def test_nesting_level_indicator(self):
         ds = make_dataset(["0(1)"])
         out = NestingDepthHypothesis(level=1).behavior(ds, 0)
@@ -144,8 +153,8 @@ class TestFsm:
 
     def test_state_hypotheses_hot_one(self):
         fsm = keyword_fsm("ab")
-        hyps = fsm_state_hypotheses("kw", fsm)
-        assert len(hyps) == fsm.n_states
+        hyps = [FsmHypothesis(f"kw_{state}", fsm, state=state)
+                for state in range(fsm.n_states)]
         ds = make_dataset(["ab"])
         total = sum(h.behavior(ds, 0) for h in hyps)
         assert np.all(total == 1.0)  # exactly one state active per symbol
@@ -270,7 +279,5 @@ class TestPosTagger:
     def test_default_tag(self):
         assert SimplePosTagger().tag_word("blorp") == "NN"
 
-    def test_tag_ids_maps_unknown_to_default(self):
-        tagger = SimplePosTagger()
-        ids = tagger.tag_ids(["the", "blorp"], ["NN", "DT"])
-        assert ids.tolist() == [1, 0]
+    def test_tag_maps_unknown_to_default(self):
+        assert SimplePosTagger().tag(["the", "blorp"]) == ["DT", "NN"]

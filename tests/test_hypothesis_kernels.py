@@ -676,31 +676,6 @@ class TestSpanIndex:
             hyp.extract(ds)
         assert hyps[0].provider.parse_count == len(workload.queries)
 
-    def test_clear_cache_drops_the_span_index(self, workload):
-        hyps = parse_hypotheses(workload, "reparse")
-        provider = hyps[0].provider
-        hyps[0].extract(workload.dataset, [0])
-        assert provider._spans and provider.parse_count == 1
-        provider.clear_cache()
-        assert not provider._spans and provider.parse_count == 0
-        # a hypothesis that never touched the source parses it again
-        hyps[1].extract(workload.dataset, [0])
-        assert provider.parse_count == 1
-
-    def test_depth_profile_matches_the_double_loop(self, workload):
-        for tree, source in zip(workload.trees, workload.queries):
-            for rule in sorted(tree.node_types()):
-                for length in (None, len(source), len(source) - 9, 0):
-                    n = tree.end if length is None else length
-                    want = [0] * n
-                    for s, e in tree.spans_of(rule):
-                        for i in range(s, min(e, n)):
-                            want[i] += 1
-                    got = tree.depth_profile(rule, length)
-                    assert isinstance(got, list)
-                    assert got == want
-                    assert all(type(v) is int for v in got)
-
 
 class TestPickling:
     def test_derived_tables_stay_home(self, workload):

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.measures.stats import (confusion_counts, f1_from_counts, f1_score,
+from repro.measures.stats import (confusion_counts, f1_score,
                                   fisher_ci_halfwidth, multiclass_precision,
-                                  precision_score, recall_score,
                                   silhouette_score)
 
 
@@ -27,17 +26,21 @@ class TestClassificationScores:
         truth = np.array([1, 0, 1, 0])
         assert f1_score(pred, truth) == pytest.approx(0.5)
 
-    def test_f1_from_counts_matches(self):
-        pred = np.array([1, 1, 0, 1])
-        truth = np.array([1, 0, 1, 1])
-        tp, fp, fn, _ = confusion_counts(pred, truth)
-        assert f1_from_counts(tp, fp, fn) == f1_score(pred, truth)
-
     def test_precision_recall(self):
         pred = np.array([1, 1, 0])
         truth = np.array([1, 0, 1])
-        assert precision_score(pred, truth) == pytest.approx(0.5)
-        assert recall_score(pred, truth) == pytest.approx(0.5)
+        tp, fp, fn, _ = confusion_counts(pred, truth)
+        # class-1 precision; swapping the arguments gives class-1 recall
+        assert multiclass_precision(pred, truth, 2)[1] == tp / (tp + fp)
+        assert multiclass_precision(truth, pred, 2)[1] == tp / (tp + fn)
+
+    def test_f1_is_harmonic_mean_of_precision_and_recall(self):
+        pred = np.array([1, 1, 0, 1, 0, 1])
+        truth = np.array([1, 0, 1, 1, 0, 0])
+        precision = multiclass_precision(pred, truth, 2)[1]
+        recall = multiclass_precision(truth, pred, 2)[1]
+        assert f1_score(pred, truth) == pytest.approx(
+            2 * precision * recall / (precision + recall))
 
     def test_multiclass_precision(self):
         pred = np.array([0, 0, 1, 2])

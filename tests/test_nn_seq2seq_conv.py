@@ -98,12 +98,6 @@ class TestSeq2Seq:
         _, acc = model.evaluate((src, tgt_in, tgt_out))
         assert acc > 0.9
 
-    def test_greedy_translation_terminates(self, s2s, s2s_batch):
-        src, _, _ = s2s_batch
-        out = s2s.translate_greedy(src, bos_id=1, eos_id=2, max_len=6)
-        assert len(out) == 3
-        assert all(len(seq) <= 6 for seq in out)
-
 
 class TestConv:
     def test_im2col_shape(self):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.data.datasets import Vocab
-from repro.grammar.parens import nesting_depth_labels
+from repro.data.datasets import Dataset, Vocab
+from repro.hypotheses import NestingDepthHypothesis
 from repro.hypotheses.fsm import keyword_fsm
 from repro.measures import (CorrelationScore, DiffMeansScore,
                             LinearProbeScore)
@@ -61,15 +61,18 @@ def balanced_parens(draw, max_depth=4):
             else:
                 parts.append(str(draw(st.integers(0, 4))))
         return "".join(parts)
-    return gen(0)
+    return gen(0) or "0"
 
 
 @FAST
 @given(balanced_parens())
 def test_nesting_depth_labels_invariants(text):
-    labels = nesting_depth_labels(text)
+    vocab = Vocab(sorted(set(text)))
+    dataset = Dataset(vocab.encode(text)[None], vocab, [{"text": text}])
+    labels = NestingDepthHypothesis().behavior(dataset, 0).tolist()
     assert len(labels) == len(text)
     assert all(lv >= 0 for lv in labels)
+    assert labels[-1] == 0  # a balanced string ends at the outer level
     # matching parens carry the same level
     stack = []
     for i, ch in enumerate(text):

@@ -61,3 +61,47 @@ def test_one_way_in_surface_is_pinned():
     assert len(fields) == 10
     assert not {"store", "prefetch", "sweep_gate"} & set(fields)
     assert len(repro.__all__) == 20
+
+
+def test_bench_and_example_imports_resolve():
+    """Every ``repro`` name a benchmark or example imports must exist.
+
+    CI runs only a few of these files, so a deletion under ``src/`` that
+    breaks one of the others would otherwise go unnoticed.  The files are
+    parsed, not run: each ``from repro… import name`` must resolve to an
+    attribute or a submodule of the named module.
+    """
+    import ast
+    import importlib
+
+    root = README.parent
+    files = sorted([*(root / "benchmarks").rglob("*.py"),
+                    *(root / "examples").rglob("*.py")])
+    checked, missing = 0, []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                pairs = [(alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "repro"]
+            elif (isinstance(node, ast.ImportFrom) and not node.level
+                  and (node.module or "").split(".")[0] == "repro"):
+                pairs = [(node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            for module_name, name in pairs:
+                checked += 1
+                where = f"{path.relative_to(root)}:{node.lineno}"
+                try:
+                    module = importlib.import_module(module_name)
+                except ImportError:
+                    missing.append(f"{where} {module_name}")
+                    continue
+                if name is None or hasattr(module, name):
+                    continue
+                try:
+                    importlib.import_module(f"{module_name}.{name}")
+                except ImportError:
+                    missing.append(f"{where} {module_name}.{name}")
+    assert checked > 0
+    assert not missing, f"unresolved repro imports: {missing}"

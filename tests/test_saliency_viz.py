@@ -1,18 +1,12 @@
-"""Tests for saliency analysis, iterator hypotheses, gradient behaviors
-and the visualization helpers."""
+"""Tests for saliency analysis, input gradients and iterator hypotheses."""
 
 import numpy as np
 import pytest
 
-from repro.core.saliency import (saliency_frame, symbol_saliency_profile,
-                                 top_symbols)
+from repro.core.saliency import saliency_frame, top_symbols
 from repro.hypotheses.iterators import (BracketMachine,
                                         IteratorHypothesis,
                                         bracket_machine_hypotheses)
-from repro.viz import (activation_glyphs, activation_trace,
-                       behavior_heatmap, score_bar_chart,
-                       unit_hypothesis_overlay)
-from repro.hypotheses import CharSetHypothesis
 
 
 class TestSaliency:
@@ -46,27 +40,29 @@ class TestSaliency:
         assert len(frame) == 6
         assert set(frame["unit"]) == {0, 1}
 
-    def test_symbol_profile_sorted_and_complete(self, trained_sql_model,
-                                                sql_workload):
-        profile = symbol_saliency_profile(trained_sql_model,
-                                          sql_workload.dataset, unit=0,
-                                          max_records=20)
-        means = profile["mean_behavior"]
-        assert means == sorted(means, reverse=True)
-        total = 20 * sql_workload.dataset.n_symbols
-        assert sum(profile["count"]) == total
+
+def input_gradient(model, ids, units):
+    """Gradient of the summed activations of ``units`` with respect to the
+    one-hot input, through the LSTM's backward pass."""
+    x = model.onehot.forward(ids)
+    hs = model.lstm.forward(x)
+    dh = np.zeros_like(hs)
+    dh[:, :, units] = 1.0
+    dx = model.lstm.backward(dh)
+    model.lstm.zero_grad()
+    return dx
 
 
 class TestInputSaliency:
     def test_gradient_matches_finite_difference(self, trained_sql_model,
                                                 sql_workload):
+        model = trained_sql_model
         ids = sql_workload.dataset.symbols[:2]
         unit = 4
-        saliency = trained_sql_model.input_saliency(ids, unit)
-        assert saliency.shape == ids.shape
+        dx = input_gradient(model, ids, unit)
+        assert dx.shape == ids.shape + (model.vocab_size,)
 
         # finite-difference check on one input position's one-hot vector
-        model = trained_sql_model
         x = model.onehot.forward(ids)
         pos, comp = 5, 3
         eps = 1e-6
@@ -80,26 +76,14 @@ class TestInputSaliency:
         x_minus = x.copy()
         x_minus[0, pos, comp] -= eps
         fd = (unit_sum(x_plus) - unit_sum(x_minus)) / (2 * eps)
-
-        hs = model.lstm.forward(x)
-        dh = np.zeros_like(hs)
-        dh[:, :, unit] = 1.0
-        dx = model.lstm.backward(dh)
-        model.lstm.zero_grad()
         assert dx[0, pos, comp] == pytest.approx(fd, abs=1e-6)
-
-    def test_clears_parameter_gradients(self, trained_sql_model,
-                                        sql_workload):
-        trained_sql_model.zero_grad()
-        trained_sql_model.input_saliency(sql_workload.dataset.symbols[:2], 0)
-        assert all(np.all(p.grad == 0.0)
-                   for p in trained_sql_model.lstm.parameters())
 
     def test_unit_group_saliency(self, trained_sql_model, sql_workload):
         ids = sql_workload.dataset.symbols[:2]
-        group = trained_sql_model.input_saliency(ids, np.array([0, 1, 2]))
-        assert group.shape == ids.shape
-        assert np.all(group >= 0.0)
+        group = input_gradient(trained_sql_model, ids, [0, 1, 2])
+        parts = [input_gradient(trained_sql_model, ids, unit)
+                 for unit in (0, 1, 2)]
+        assert np.allclose(group, sum(parts), atol=1e-12)
 
 
 class TestIteratorHypotheses:
@@ -156,34 +140,3 @@ class TestIteratorHypotheses:
         second = hyps["sr:stack_depth"].behavior(ds, 1)
         assert np.array_equal(first, second)  # no state leakage
 
-
-class TestViz:
-    def test_glyphs_length_and_extremes(self):
-        out = activation_glyphs(np.array([-1.0, 0.0, 0.999]))
-        assert len(out) == 3
-        assert out[0] == " " and out[-1] == "@"
-
-    def test_activation_trace_alignment(self, trained_sql_model,
-                                        sql_workload):
-        text = activation_trace(trained_sql_model, sql_workload.dataset,
-                                unit_ids=[0, 5], record=0)
-        lines = text.split("\n")
-        assert len(lines) == 3
-        widths = {len(line) for line in lines}
-        assert len(widths) == 1  # rows align under the input
-
-    def test_behavior_heatmap(self):
-        out = behavior_heatmap(np.array([0, 1, 0]), "abc")
-        assert "|abc|" in out
-
-    def test_overlay(self, trained_sql_model, sql_workload):
-        hyp = CharSetHypothesis("space", " ")
-        out = unit_hypothesis_overlay(trained_sql_model,
-                                      sql_workload.dataset, 2, hyp, record=1)
-        assert out.count("|") == 6
-
-    def test_score_bar_chart(self):
-        out = score_bar_chart(["a", "bb"], [1.0, 0.5], width=10)
-        lines = out.split("\n")
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5

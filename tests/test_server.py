@@ -23,7 +23,7 @@ from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.server import InspectClient, serve_in_thread
 from repro.server import http as wire
 from repro.server import protocol
-from repro.server.client import ServerError
+from repro.server.client import ServerError, StreamHandle
 from repro.util.frame import Frame
 from repro.util.testing import CountingForwardModel
 
@@ -90,6 +90,38 @@ def make_session(model, workload, hyps, **kwargs) -> Session:
     session.register_dataset("d0", workload.dataset)
     session.register_hypotheses(hyps, name="keywords")
     return session
+
+
+def raw_frame(opcode: int, payload: bytes, fin: bool = True,
+              mask: bytes | None = None) -> bytes:
+    """A frame built by hand: the encoder refuses to write the illegal
+    control frames the framing cases feed the decoder and the server."""
+    n = len(payload)
+    head = bytes([(0x80 if fin else 0) | opcode])
+    mask_bit = 0x80 if mask is not None else 0
+    if n < 126:
+        head += bytes([mask_bit | n])
+    else:
+        head += bytes([mask_bit | 126]) + n.to_bytes(2, "big")
+    if mask is None:
+        return head + payload
+    return head + mask + wire.apply_mask(payload, mask)
+
+
+#: control frames RFC 6455 forbids, as ``(opcode, payload, fin, match)``
+ILLEGAL_CONTROL_FRAMES = {
+    # §5.5: at most 125 payload bytes, never fragmented
+    "oversized": (wire.OP_PING, b"x" * 200, True, "control"),
+    "fragmented": (wire.OP_PING, b"hi", False, "control"),
+    "oversized-pong": (wire.OP_PONG, b"x" * 126, True, "control"),
+    "fragmented-pong": (wire.OP_PONG, b"hi", False, "control"),
+    "oversized-close": (wire.OP_CLOSE, (1000).to_bytes(2, "big") + b"x" * 124,
+                        True, "control"),
+    "fragmented-close": (wire.OP_CLOSE, (1000).to_bytes(2, "big"), False,
+                         "control"),
+    # §5.5.1: a close body starts with a 2-byte status code
+    "one-byte-close": (wire.OP_CLOSE, b"\x03", True, "close"),
+}
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +224,30 @@ class TestWsFraming:
     def test_oversized_control_frame_refused_at_encode(self):
         with pytest.raises(wire.ProtocolError):
             wire.encode_ws_frame(b"x" * 126, wire.OP_PING)
+
+    @pytest.mark.parametrize("opcode, payload, fin, match",
+                             ILLEGAL_CONTROL_FRAMES.values(),
+                             ids=ILLEGAL_CONTROL_FRAMES.keys())
+    def test_illegal_control_frame_refused_at_decode(self, opcode, payload,
+                                                     fin, match):
+        assembler = wire.WsMessageAssembler(require_mask=False)
+        with pytest.raises(wire.ProtocolError, match=match):
+            assembler.feed(raw_frame(opcode, payload, fin))
+
+    def test_longest_legal_ping_is_surfaced(self):
+        assembler = wire.WsMessageAssembler(require_mask=False)
+        payload = b"p" * 125
+        assert assembler.feed(raw_frame(wire.OP_PING, payload)) == [
+            ("ping", payload)]
+
+    @pytest.mark.parametrize("payload", [
+        b"",                                        # §5.5.1: body optional
+        (1000).to_bytes(2, "big") + b"r" * 123,     # code + longest reason
+    ], ids=["empty", "longest"])
+    def test_legal_close_body_is_surfaced(self, payload):
+        assembler = wire.WsMessageAssembler(require_mask=False)
+        assert assembler.feed(raw_frame(wire.OP_CLOSE, payload)) == [
+            ("close", payload)]
 
     def test_close_frame_event(self):
         assembler = wire.WsMessageAssembler(require_mask=False)
@@ -448,6 +504,56 @@ class TestServerEndToEnd:
                 raw.close()
             assert b"400" in response.split(b"\r\n", 1)[0]
             assert b"bad-request" in response
+
+    @pytest.mark.parametrize("opcode, payload, fin, match",
+                             ILLEGAL_CONTROL_FRAMES.values(),
+                             ids=ILLEGAL_CONTROL_FRAMES.keys())
+    def test_illegal_control_frame_drops_the_websocket(
+            self, trained_sql_model, sql_workload, hyps, opcode, payload,
+            fin, match):
+        session = make_session(trained_sql_model, sql_workload, hyps)
+        with session, serve_in_thread(session) as server:
+            frames = _ws_exchange(server.port,
+                                  raw_frame(opcode, payload, fin, MASK))
+        # no pong, no echo of the bad body: the server closes normally
+        assert [(f.opcode, f.payload) for f in frames] == [
+            (wire.OP_CLOSE, (1000).to_bytes(2, "big"))]
+
+    def test_longest_legal_ping_is_answered(
+            self, trained_sql_model, sql_workload, hyps):
+        session = make_session(trained_sql_model, sql_workload, hyps)
+        payload = b"p" * 125
+        close = (1000).to_bytes(2, "big")
+        with session, serve_in_thread(session) as server:
+            frames = _ws_exchange(
+                server.port, raw_frame(wire.OP_PING, payload, mask=MASK)
+                + raw_frame(wire.OP_CLOSE, close, mask=MASK))
+        assert [(f.opcode, f.payload) for f in frames] == [
+            (wire.OP_PONG, payload), (wire.OP_CLOSE, close)]
+
+
+MASK = b"\x0f\x1e\x2d\x3c"
+
+
+def _ws_exchange(port: int, data: bytes) -> list:
+    """Upgrade one connection, send ``data`` raw and return every frame
+    the server writes back until it closes the connection."""
+    handle = StreamHandle("127.0.0.1", port, "framing", timeout=10)
+    sock = handle._sock
+    try:
+        sock.sendall(data)
+        buf = b""
+        while chunk := sock.recv(65536):
+            buf += chunk
+    finally:
+        sock.close()
+    frames = []
+    while decoded := wire.decode_ws_frame(buf):
+        frame, used = decoded
+        frames.append(frame)
+        buf = buf[used:]
+    assert not buf
+    return frames
 
 
 def _anonymous_post(port: int, sql: str) -> dict:

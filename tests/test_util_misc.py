@@ -1,10 +1,8 @@
 """Tests for block iteration and RNG management."""
 
-import numpy as np
 import pytest
 
-from repro.util.blocks import (iter_blocks, shuffle_symbolwise,
-                               shuffled_record_order)
+from repro.util.blocks import iter_blocks
 from repro.util.rng import DEFAULT_SEED, new_rng, spawn_rngs
 
 
@@ -27,25 +25,6 @@ class TestBlocks:
     def test_invalid_block_size(self):
         with pytest.raises(ValueError):
             list(iter_blocks(5, 0))
-
-    def test_shuffled_record_order_is_permutation(self):
-        order = shuffled_record_order(50, new_rng(0))
-        assert sorted(order.tolist()) == list(range(50))
-
-    def test_shuffle_symbolwise_applies_same_permutation(self):
-        rng = new_rng(1)
-        a = np.arange(20).reshape(10, 2)
-        b = np.arange(20, 40).reshape(10, 2)
-        sa, sb = shuffle_symbolwise([a, b], rng)
-        # alignment preserved: b row always a row + 20
-        assert np.array_equal(sb, sa + 20)
-
-    def test_shuffle_symbolwise_rejects_misaligned(self):
-        with pytest.raises(ValueError):
-            shuffle_symbolwise([np.zeros((3, 1)), np.zeros((4, 1))], new_rng(0))
-
-    def test_shuffle_symbolwise_empty(self):
-        assert shuffle_symbolwise([], new_rng(0)) == []
 
 
 class TestRng:
