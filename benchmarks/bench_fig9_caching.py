@@ -9,9 +9,11 @@ This bench uses the *reparse* hypothesis mode, where every source string
 must be parsed with the Earley parser on first touch (the NLTK-cost
 analogue), then re-inspects a second model with a warm cache.
 
-The mirrored scenario — repeated inspection of the *same* model with new
-thresholds or measures, where the :class:`UnitBehaviorCache` skips the
-forward passes — is reported by ``test_fig9_unit_cache_report``.
+The mirrored scenario — repeated inspection of the *same* model, where
+the :class:`UnitBehaviorCache` skips the forward passes — is reported by
+``test_fig9_unit_cache_report``.  There a repeated correlation run goes one
+step further: it folds the per-block statistics the first run kept in the
+:class:`HypothesisCache` and reads neither tier.
 """
 
 from __future__ import annotations
@@ -90,18 +92,26 @@ def test_fig9_unit_cache_report(benchmark, bench_model, bench_workload,
             hyp_cache, unit_cache = HypothesisCache(), UnitBehaviorCache()
             cold = _run(bench_model, bench_workload.dataset,
                         bench_hypotheses, kind, hyp_cache, unit_cache)
-            # the analyst tweaks measures/thresholds; model unchanged
+            extracted = unit_cache.stats()["extractions"]
+            # the analyst runs it again; model unchanged
             warm = _run(bench_model, bench_workload.dataset,
                         bench_hypotheses, kind, hyp_cache, unit_cache)
             rows.append({"measure": kind, "cold_s": cold, "warm_s": warm,
                          "speedup": cold / max(warm, 1e-9),
-                         "unit_hits": unit_cache.stats()["hits"]})
+                         "unit_hits": unit_cache.stats()["hits"],
+                         "stat_hits": hyp_cache.stat_hits,
+                         "warm_extractions":
+                             unit_cache.stats()["extractions"] - extracted})
         print_table("Figure 9b: cached unit extraction (same model)", rows)
         for row in rows:
             # warm skips only extraction, so allow shared-runner noise;
-            # the hit count is the deterministic signal
+            # the counts are the deterministic signal
             assert row["warm_s"] <= row["cold_s"] * 1.35, row
-            assert row["unit_hits"] > 0, row
+            assert row["warm_extractions"] == 0, row
+        corr, logreg = rows
+        # logreg reads the unit tier; corr folds the block statistics its
+        # first run kept and reads no tier at all
+        assert logreg["unit_hits"] > 0, logreg
+        assert corr["stat_hits"] > 0 and corr["unit_hits"] == 0, corr
 
     benchmark.pedantic(_report, rounds=1, iterations=1)
-

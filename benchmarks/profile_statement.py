@@ -15,8 +15,10 @@ the statement ``--repeat`` times plainly and again under cProfile, and
 prints ms per statement both ways plus the top cumulative rows under
 ``src/repro``.  ``--rollup`` prints the statement's own trace instead
 (:mod:`repro.util.trace`, from the plain runs): mean ms per span name,
-indented under the span it hangs from, then ``untraced`` (the root minus
-its direct children) and the whole statement — so a before/after reads
+indented under the span it hangs from, with the tier counters moved on
+that span per statement beside it (``score[...]  stat_hits=1``: the block
+was folded from kept statistics), then ``untraced`` (the root minus its
+direct children) and the whole statement — so a before/after reads
 without eyeballing 40 rows, and nothing here depends on function names.
 Spans are timed on the thread that runs them: under a pool the
 ``sweep[model]`` rows overlap the calling thread's labelling and its
@@ -34,6 +36,7 @@ import cProfile
 import pstats
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro import InspectConfig, Session
@@ -44,18 +47,22 @@ from .e2e.spans import SpanRecorder
 
 
 def _rollup(roots: list) -> None:
-    """Mean ms per span name over the traced runs, nested as traced."""
-    merged: dict[str, list] = {}    # name -> [seconds, children by name]
+    """Mean ms per span name over the traced runs, nested as traced, with
+    the tier counters each moved per statement beside it."""
+    merged: dict[str, list] = {}    # name -> [seconds, children, counters]
 
     def fold(level: dict, node) -> None:
-        entry = level.setdefault(node.name, [0.0, {}])
+        entry = level.setdefault(node.name, [0.0, {}, Counter()])
         entry[0] += node.duration
+        entry[2].update(node.counters)
         for child in node.children:
             fold(entry[1], child)
 
     def show(level: dict, indent: str) -> None:
-        for name, (seconds, children) in level.items():
-            print(f"{seconds * per:9.3f}  {indent}{name}")
+        for name, (seconds, children, counters) in level.items():
+            moved = "".join(f"  {counter}={total / len(roots):g}"
+                            for counter, total in sorted(counters.items()))
+            print(f"{seconds * per:9.3f}  {indent}{name}{moved}")
             show(children, indent + "  ")
 
     for root in roots:
@@ -63,8 +70,8 @@ def _rollup(roots: list) -> None:
             fold(merged, child)
     per = 1e3 / len(roots)
     whole = sum(root.duration for root in roots) * per
-    traced = sum(seconds for seconds, _ in merged.values()) * per
-    print("  mean ms  span (per statement)")
+    traced = sum(seconds for seconds, _, _ in merged.values()) * per
+    print("  mean ms  span (per statement)  counters moved on it")
     show(merged, "")
     print(f"{whole - traced:9.3f}  untraced\n{whole:9.3f}  whole statement")
 

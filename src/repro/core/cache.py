@@ -137,9 +137,14 @@ def model_fingerprint(model) -> str:
         try:
             digest = hashlib.sha1()
             for param in params():
-                value = np.ascontiguousarray(
-                    getattr(param, "value", param), dtype=np.float64)
+                raw = np.asarray(getattr(param, "value", param))
+                value = np.ascontiguousarray(raw, dtype=np.float64)
                 digest.update(str(value.shape).encode())
+                if raw.dtype != np.float64:
+                    # equal values in another dtype behave differently;
+                    # float64 keys (and the stores written under them)
+                    # stay what they were
+                    digest.update(str(raw.dtype).encode())
                 digest.update(value.tobytes())
             return f"{mid}:{digest.hexdigest()}"
         except (TypeError, AttributeError):
@@ -364,6 +369,10 @@ class _Column:
 #: block moments a hypothesis tier keeps (about 5 KB each at 72 columns)
 _MOMENT_SLOTS = 256
 
+#: bytes of score-task block statistics a hypothesis tier keeps: a block's
+#: cross moments grow with units x hypotheses (about 9 KB at 16 x 72)
+_STAT_BYTES = 16 * 1024 * 1024
+
 
 class HypothesisCache(_ByteBoundedLRU):
     """Byte-bounded LRU over hypothesis behaviors, one arena per dataset.
@@ -387,6 +396,12 @@ class HypothesisCache(_ByteBoundedLRU):
         self._moment_memo: OrderedDict = OrderedDict()
         self.moment_hits = 0    # blocks whose moments were served
         self.moment_misses = 0  # blocks whose moments were computed
+        # score-task key -> one block's sufficient statistics, LRU within
+        # _STAT_BYTES (:meth:`block_stats`)
+        self._stat_memo: OrderedDict = OrderedDict()
+        self._stat_bytes = 0
+        self.stat_hits = 0      # task blocks folded from kept statistics
+        self.stat_misses = 0    # task blocks whose statistics were computed
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -411,11 +426,15 @@ class HypothesisCache(_ByteBoundedLRU):
         super()._clear_locked()
         self._arenas.clear()
         self._moment_memo.clear()
+        self._stat_memo.clear()
+        self._stat_bytes = 0
 
     def _reset_counters_locked(self) -> None:
         super()._reset_counters_locked()
         self.moment_hits = 0
         self.moment_misses = 0
+        self.stat_hits = 0
+        self.stat_misses = 0
 
     def _panel_width(self, dataset: Dataset) -> int:
         """Columns of this dataset the byte budget holds at once."""
@@ -580,6 +599,44 @@ class HypothesisCache(_ByteBoundedLRU):
                 got.append(value)
                 return value
         return moments
+
+    def block_stats(self, key) -> tuple | None:
+        """The block statistics kept under ``key``, or ``None``: a probe,
+        no counter moves (the task that folds them counts, see
+        :meth:`count_stats`).
+
+        ``key`` names the exact computation a score task ran on one block
+        (:meth:`repro.core.plan.InspectionPlan.stat_key`): by content, so
+        there is nothing to invalidate, and never a slice of a wider
+        product — a cross-moment matrix's last bits depend on its shape.
+        """
+        with self._lock:
+            value = self._stat_memo.get(key)
+            if value is not None:
+                self._stat_memo.move_to_end(key)
+            return value
+
+    def keep_block_stats(self, key, stats: tuple) -> None:
+        """Keep a block's freshly computed statistics (read-only from
+        here on) and count the miss.  Two statements missing one key
+        together both compute it, and their values are bit-equal."""
+        nbytes = sum(part.nbytes for part in stats)
+        for part in stats:
+            part.setflags(write=False)
+        with self._lock:
+            self._count(stat_misses=1)
+            if key in self._stat_memo or nbytes > _STAT_BYTES:
+                return
+            self._stat_memo[key] = stats
+            self._stat_bytes += nbytes
+            while self._stat_bytes > _STAT_BYTES:
+                _, gone = self._stat_memo.popitem(last=False)
+                self._stat_bytes -= sum(part.nbytes for part in gone)
+
+    def count_stats(self) -> None:
+        """Count one block folded from kept statistics."""
+        with self._lock:
+            self._count(stat_hits=1)
 
     def _read_panel(self, hypotheses: list, dataset: Dataset,
                     indices: np.ndarray) -> np.ndarray:

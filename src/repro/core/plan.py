@@ -4,11 +4,13 @@ are introduced in :mod:`repro.core.pipeline`)."""
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.cache import model_fingerprint
+from repro.core.cache import HypothesisCache, model_fingerprint
 from repro.core.config import InspectConfig
 from repro.core.groups import UnitGroup
 from repro.core.schedulers import Scheduler, _resolve_scheduler, gathering
@@ -70,13 +72,15 @@ class ScoreTask:
 
     # ------------------------------------------------------------------
     def process(self, u_block: np.ndarray, h_block: np.ndarray,
-                n_records: int, h_moments=None) -> None:
+                n_records: int, h_moments=None, keep=None) -> None:
         """Consume one aligned block.
 
         ``h_block`` must already be restricted to this task's active
         hypothesis columns (the executor slices once per task, which lets
         the source skip extracting globally-frozen columns altogether);
         ``h_moments`` are the moments of exactly that array, if kept.
+        ``keep`` receives the block's statistics when the state folds them
+        (:attr:`folds_stats`).
         """
         if self.single_shot:
             self._last = self.measure.compute(u_block, h_block)
@@ -86,12 +90,29 @@ class ScoreTask:
             self.last_error = 0.0
             self.done = True
             return
-        result, err = self.measure.process_block(self.state, u_block,
-                                                 h_block, h_moments)
+        result, err = self.measure.process_block(
+            self.state, u_block, h_block, h_moments, keep)
+        self._advance(result, err, n_records, u_block.shape[0])
+
+    @property
+    def folds_stats(self) -> bool:
+        """Whether the state scores from per-block sufficient statistics
+        (``block_stats`` / ``fold``) — correlation's do."""
+        return hasattr(self.state, "fold")
+
+    def fold(self, stats: tuple, n_records: int, n_rows: int) -> None:
+        """:meth:`process` a block from the statistics an earlier
+        statement kept of it."""
+        result, err = self.measure.fold(self.state, stats, n_rows)
+        self._advance(result, err, n_records, n_rows)
+
+    def _advance(self, result: MeasureResult, err: float, n_records: int,
+                 n_rows: int) -> None:
+        """Account for a consumed block; freeze what converged."""
         self._last = result
         self.last_error = float(err)
         self.records_processed += n_records
-        self.col_rows[self.active_cols] += u_block.shape[0]
+        self.col_rows[self.active_cols] += n_rows
         if not self.early_stop:
             return
         if self.partition:
@@ -203,6 +224,8 @@ class InspectionPlan:
     order: np.ndarray
     source: BehaviorSource = field(init=False)
     tasks: list[ScoreTask] = field(init=False)
+    #: task -> (its fixed key parts, active column count, their identities)
+    _stat_keys: dict = field(init=False, default_factory=dict)
 
     @classmethod
     def build(cls, groups: list[UnitGroup], dataset: Dataset,
@@ -364,38 +387,64 @@ class InspectionPlan:
         * **No future outlives the run**, however it ends: a sweep may
           write through the caches, so it finishes (or is cancelled unrun)
           inside the run's store scope (:func:`gathering`).
+        * **Kept block statistics** stand in for a block: a task whose
+          state folds them (correlation) probes the hypothesis tier for
+          this block's (:meth:`stat_key`) before anything is submitted;
+          a served task folds them inside its usual ``score`` span, and
+          the block's sweeps and hypothesis gather cover only the tasks
+          that were not served — none at all when every one was.
         * Materialized runs extracted everything in
           :meth:`BehaviorSource.prepare` and serve row slices; under the
           process scheduler the exchange's workers swept up front, so the
           sweeps submitted here read the filled caches.
         """
         self.source.prepare(scheduler)
+        # kept statistics trust the model fingerprint as the unit tier
+        # does, so only a plan with one keeps them
+        cache = (None if self.source.materialize
+                 or self.config.unit_cache is None else self.config.cache)
         for sl in self.source.block_slices():
             pending = [t for t in self.tasks if not t.done]
             if not pending:
                 break
             if exchange is not None:
                 exchange.ensure(sl)
+            # tasks whose block statistics the hypothesis tier keeps fold
+            # them and read nothing; the rest read the block
+            kept, keeps = {}, {}
+            if cache is not None:
+                records = hashlib.sha1(
+                    self.source.order[sl].tobytes()).digest()
+                for task in pending:
+                    if task.folds_stats:
+                        key = self.stat_key(task, records)
+                        stats = cache.block_stats(key)
+                        if stats is None:
+                            keeps[task] = functools.partial(
+                                cache.keep_block_stats, key)
+                        else:
+                            kept[task] = stats
+            reading = [t for t in pending if t not in kept]
             needed: dict[int, UnitGroup] = {}
-            for task in pending:
+            for task in reading:
                 needed.setdefault(task.gi, task.group)
             needed_items = sorted(needed.items())
             # the last block's unit blocks, and the futures holding them,
             # go before this block's land
             u_blocks = sweeps = gather = None
-            cols_union = None
+            h_block = h_moments = cols_union = None
             if self.source.materialize:
                 u_blocks = self.source.unit_blocks(sl, needed_items)
                 h_block, h_moments = self.source.hypothesis_block(sl)
-            else:
+            elif reading:
                 with span("unit_extraction"):
                     sweeps = self.source.submit_sweeps(
                         needed_items, self.source.order[sl], scheduler)
-                # hypothesis columns frozen in *every* pending task need
+                # hypothesis columns frozen in *every* reading task need
                 # no further extraction
-                if any(t.active_cols.shape[0] < n_hyps for t in pending):
+                if any(t.active_cols.shape[0] < n_hyps for t in reading):
                     cols_union = np.unique(np.concatenate(
-                        [t.active_cols for t in pending]))
+                        [t.active_cols for t in reading]))
                     if cols_union.shape[0] == n_hyps:
                         cols_union = None
                 with gathering(sweeps) as gather:
@@ -405,20 +454,53 @@ class InspectionPlan:
                         u_blocks = {gi: block for pair in gather()
                                     for gi, block in pair.items()}
             n_records = sl.stop - sl.start
+            n_rows = n_records * self.dataset.n_symbols
 
             def score(task):
-                """Feed the task its active columns of h_block; its
-                moments go along (shared) only with the whole block —
-                a column slice sums in another order."""
-                local = (task.active_cols if cols_union is None else
-                         np.searchsorted(cols_union, task.active_cols))
-                whole = local.shape[0] == h_block.shape[1]
+                """Fold the task's kept statistics, or feed it its active
+                columns of h_block; their moments go along (shared) only
+                with the whole block — a column slice sums in another
+                order."""
                 with span("score", task.group.name,
                           task.measure.score_id):
+                    if task in kept:
+                        cache.count_stats()
+                        task.fold(kept[task], n_records, n_rows)
+                        return
+                    local = (task.active_cols if cols_union is None else
+                             np.searchsorted(cols_union, task.active_cols))
+                    whole = local.shape[0] == h_block.shape[1]
                     task.process(u_blocks[task.gi],
                                  h_block if whole else h_block[:, local],
-                                 n_records, h_moments if whole else None)
+                                 n_records, h_moments if whole else None,
+                                 keeps.get(task))
 
             with span("inspection"):
                 scheduler.map(score, pending)
             yield sl
+
+    def stat_key(self, task: ScoreTask, records: bytes) -> tuple:
+        """What the hypothesis tier keeps ``task``'s statistics of one
+        block under: the exact computation, by content — the measure, the
+        dataset, the model's parameters, the group's extractor (transform,
+        layer view) and units, the identities of the task's active
+        hypothesis columns (a frozen column changes the key of every later
+        block) and the digest of the block's records."""
+        fixed, n_active, columns = self._stat_keys.get(task, (None, -1, ()))
+        if fixed is None:
+            group = task.group
+            ext = group.extractor or self.source.default_extractor
+            fixed = (task.measure.score_id, self.dataset.cache_key(),
+                     self.source.key_of(group.model, model_fingerprint),
+                     ext.cache_key(),
+                     hashlib.sha1(group.unit_ids.tobytes()).digest())
+        if n_active != task.active_cols.shape[0]:
+            # active columns only ever shrink: their count names the set.
+            # Identities are kept whole, as the moments' keys keep them: a
+            # digest of ~1 MB of them would cost more than the fold it saves
+            n_active = task.active_cols.shape[0]
+            columns = tuple(
+                HypothesisCache._hypothesis_identity(self.hypotheses[c])
+                for c in task.active_cols)
+        self._stat_keys[task] = (fixed, n_active, columns)
+        return (*fixed, columns, records)

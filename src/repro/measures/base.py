@@ -42,10 +42,6 @@ class MeasureResult:
 class MeasureState:
     """Incremental computation state; subclasses accumulate sufficient stats."""
 
-    #: whether ``update`` takes the hypothesis block's (column sums, sums
-    #: of squares) as a third argument instead of reducing the block again
-    takes_h_moments = False
-
     def __init__(self, n_units: int, n_hyps: int):
         self.n_units = n_units
         self.n_hyps = n_hyps
@@ -135,21 +131,37 @@ class Measure:
         raise NotImplementedError
 
     def process_block(self, state: MeasureState, units: np.ndarray,
-                      hyps: np.ndarray, h_moments=None
+                      hyps: np.ndarray, h_moments=None, keep=None
                       ) -> tuple[MeasureResult, float]:
         """Consume one block; returns (current scores, current error).
-        ``h_moments``: a ``block_moments`` thunk for exactly ``hyps``."""
+
+        A state that scores from per-block sufficient statistics
+        (``block_stats`` / ``fold``, as correlation's does) reduces the
+        block to them, hands them to ``keep`` if given, and folds them:
+        :meth:`fold` replays kept ones.  ``h_moments``: a ``block_moments``
+        thunk for exactly ``hyps``, which such a state may use.  Any other
+        state takes the block in ``update``."""
         units = np.asarray(units, dtype=np.float64)
         hyps = np.asarray(hyps, dtype=np.float64)
         if units.shape[0] != hyps.shape[0]:
             raise ValueError(
                 f"block row mismatch: units {units.shape[0]} vs "
                 f"hyps {hyps.shape[0]}")
-        if h_moments is not None and state.takes_h_moments:
-            state.update(units, hyps, h_moments())
-        else:
-            state.update(units, hyps)
+        if hasattr(state, "fold"):
+            stats = state.block_stats(units, hyps, h_moments)
+            if keep is not None:
+                keep(stats)
+            return self.fold(state, stats, units.shape[0])
+        state.update(units, hyps)
         state.n_rows += units.shape[0]
+        return state.result(), state.error()
+
+    def fold(self, state: MeasureState, stats: tuple, n_rows: int
+             ) -> tuple[MeasureResult, float]:
+        """Consume a block of ``n_rows`` rows from its statistics (see
+        :meth:`process_block`); returns (current scores, current error)."""
+        state.fold(stats)
+        state.n_rows += n_rows
         return state.result(), state.error()
 
     def compute(self, units: np.ndarray, hyps: np.ndarray) -> MeasureResult:

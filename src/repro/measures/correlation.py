@@ -4,7 +4,10 @@ Correlation is the paper's canonical independent measure (used by Karpathy
 et al. to find interpretable units).  The incremental state keeps running
 first and second moments plus the cross-moment matrix, so each block costs
 one ``U.T @ H`` -- and early stopping uses Normal-based confidence intervals
-from the Fisher transformation (Section 5.2.2).
+from the Fisher transformation (Section 5.2.2).  A block's statistics
+(:meth:`_CorrState.block_stats`) depend on that block alone, so the engine
+keeps them in the hypothesis tier and a repeated statement folds them
+(:meth:`_CorrState.fold`) without reading the block or forming the product.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ class _CorrState(MeasureState):
     def __init__(self, n_units: int, n_hyps: int, rank_transform: bool):
         super().__init__(n_units, n_hyps)
         self.rank_transform = rank_transform
-        self.takes_h_moments = not rank_transform  # ranks sum differently
         self.sum_u = np.zeros(n_units)
         self.sum_uu = np.zeros(n_units)
         self.sum_h = np.zeros(n_hyps)
@@ -70,18 +72,34 @@ class _CorrState(MeasureState):
         # the same memory layout (and thus the same bits) as before
         return np.ascontiguousarray(ranks_t.T)
 
-    def update(self, units: np.ndarray, hyps: np.ndarray,
-               h_moments: tuple | None = None) -> None:
+    def block_stats(self, units: np.ndarray, hyps: np.ndarray,
+                    h_moments=None) -> tuple:
+        """One block's sufficient statistics ``(Σu, Σu², Σh, Σh², Σuh)``:
+        they depend on the block alone, never on the running state, so the
+        engine may keep them and :meth:`fold` them again later.
+        ``h_moments`` (a thunk for ``hyps``' column sums and sums of
+        squares) stands in for reducing ``hyps`` again, except under ranks,
+        which sum differently."""
         if self.rank_transform:
             units = self._rank(units)
             hyps = self._rank(hyps)
-        if h_moments is None:
-            h_moments = hyps.sum(axis=0), (hyps**2).sum(axis=0)
-        self.sum_u += units.sum(axis=0)
-        self.sum_uu += (units**2).sum(axis=0)
-        self.sum_h += h_moments[0]
-        self.sum_hh += h_moments[1]
-        self.sum_uh += units.T @ hyps
+        if h_moments is None or self.rank_transform:
+            sum_h, sum_hh = hyps.sum(axis=0), (hyps**2).sum(axis=0)
+        else:
+            sum_h, sum_hh = h_moments()
+        return (units.sum(axis=0), (units**2).sum(axis=0),
+                sum_h, sum_hh, units.T @ hyps)
+
+    def fold(self, stats: tuple) -> None:
+        sum_u, sum_uu, sum_h, sum_hh, sum_uh = stats
+        self.sum_u += sum_u
+        self.sum_uu += sum_uu
+        self.sum_h += sum_h
+        self.sum_hh += sum_hh
+        self.sum_uh += sum_uh
+
+    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+        self.fold(self.block_stats(units, hyps))
 
     def unit_scores(self) -> np.ndarray:
         return self._memoized("unit_scores", self._unit_scores)

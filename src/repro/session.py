@@ -575,7 +575,9 @@ class Session:
             "hypothesis_cache": {
                 **self.hyp_cache.stats(),
                 "moment_hits": self.hyp_cache.moment_hits,
-                "moment_misses": self.hyp_cache.moment_misses},
+                "moment_misses": self.hyp_cache.moment_misses,
+                "stat_hits": self.hyp_cache.stat_hits,
+                "stat_misses": self.hyp_cache.stat_misses},
             "unit_cache": self.unit_cache.stats()}
         if self.store is not None:
             out["store"] = self.store.stats()

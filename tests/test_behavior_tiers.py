@@ -343,10 +343,9 @@ def test_counter_parity_with_the_per_hypothesis_loop(tmp_path, sql_workload,
 # ----------------------------------------------------------------------
 # (g) call counts on the warm path, (h) owned reads
 # ----------------------------------------------------------------------
-def test_warm_statement_reads_the_tier_once_per_block(monkeypatch,
-                                                      sql_workload, hyps72,
-                                                      trained_sql_model):
-    calls = {"tier": 0, "hypothesis": 0, "scored": 0}
+def test_warm_statement_folds_kept_stats_and_reads_no_tier(
+        monkeypatch, sql_workload, hyps72, trained_sql_model):
+    calls = {"tier": 0, "hypothesis": 0, "scored": 0, "folded": 0}
 
     def counting(owner, name, bucket):
         original = getattr(owner, name)
@@ -369,12 +368,17 @@ def test_warm_statement_reads_the_tier_once_per_block(monkeypatch,
         cold = session.sql(topk)
         counting(HypothesisCache, "extract_block", "tier")
         counting(ScoreTask, "process", "scored")
+        counting(ScoreTask, "fold", "folded")
         for cls in {type(h) for h in hyps72}:
             counting(cls, "extract", "hypothesis")
+        session.reset_counters()
         warm = session.sql(topk)
+        stat_hits = session.stats()["hypothesis_cache"]["stat_hits"]
     assert warm.rows() == cold.rows()
-    assert calls["scored"] == 4                # 444 records, 128 a block
-    assert calls["tier"] == calls["scored"]    # one read per scored block
+    # every block is folded from the statistics the cold statement kept
+    assert stat_hits == calls["folded"] == 4   # 444 records, 128 a block
+    assert calls["scored"] == 0
+    assert calls["tier"] == 0
     assert calls["hypothesis"] == 0
 
 

@@ -404,6 +404,55 @@ class TestUnitBehaviorCache:
         assert cache.stats()["entries"] == 2  # retrained model: fresh entry
         assert cache.hits == 0
 
+    def test_parameter_dtype_is_part_of_the_fingerprint(self, sql_workload,
+                                                        hyps):
+        """Equal values in float32 and float64 behave differently: the two
+        models must not share a unit entry (or kept block statistics)."""
+        import hashlib
+
+        from repro import Session
+        from repro.nn import CharLSTMModel
+        from repro.util.rng import new_rng
+
+        def build(dtype):
+            model = CharLSTMModel(len(sql_workload.vocab), 8, new_rng(5),
+                                  model_id="twin")
+            for param in model.parameters():   # float32-exact values
+                param.value = param.value.astype(np.float32).astype(dtype)
+            return model
+
+        wide, narrow = build(np.float64), build(np.float32)
+        dataset = sql_workload.dataset
+        assert model_fingerprint(wide) != model_fingerprint(narrow)
+        # a float64 model keeps the key it had (and stores written under it)
+        digest = hashlib.sha1()
+        for param in wide.parameters():
+            digest.update(str(param.value.shape).encode())
+            digest.update(param.value.tobytes())
+        assert model_fingerprint(wide) == f"twin:{digest.hexdigest()}"
+
+        config = InspectConfig(block_size=128, early_stop=False)
+
+        def solo(model):
+            return inspect(model, dataset, CorrelationScore(), hyps,
+                           config=InspectConfig(block_size=128,
+                                                early_stop=False, cache=None,
+                                                unit_cache=None))
+
+        with Session(config=config) as session:
+            frames, extractions = [], []
+            for model in (narrow, wide):
+                frames.append(session.inspect(model, dataset).using("corr")
+                              .hypotheses(hyps).run())
+                extractions.append(session.stats()["unit_cache"]
+                                   ["extractions"])
+            stats = session.stats()
+        assert extractions[0] > 0
+        assert extractions[1] == 2 * extractions[0]   # the wide one swept
+        assert stats["hypothesis_cache"]["stat_hits"] == 0
+        assert frames == [solo(narrow), solo(wide)]
+        assert frames[0] != frames[1]
+
     def test_eviction_under_pressure(self, trained_sql_model, sql_workload):
         tiny = UnitBehaviorCache(max_bytes=1)
         idx = np.arange(2)

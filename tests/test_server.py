@@ -17,8 +17,8 @@ import time
 
 import pytest
 
-from repro import (HypothesisCache, InspectConfig, Session,
-                   UnitBehaviorCache)
+from repro import (HypothesisCache, InspectConfig, ProcessPoolScheduler,
+                   Session, UnitBehaviorCache)
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.server import InspectClient, serve_in_thread
 from repro.server import http as wire
@@ -639,12 +639,15 @@ class TestServedTrace:
             client = InspectClient("127.0.0.1", server.port)
             assert "layers" in client.stats()       # present, empty
             n = 4
-            for _ in range(n):
+            client.query(INSPECT_SQL)
+            cold = client.stats()["layers"]
+            for _ in range(n - 1):
                 client.query(INSPECT_SQL)
             client.query("SELECT mid FROM models")
             with pytest.raises(ServerError):
                 client.query("SELECT nonsense FROM nowhere")
-            layers = client.stats()["layers"]
+            stats = client.stats()
+            layers = stats["layers"]
         served = n + 2
         for part in ("query", "admission_wait", "statement", "send"):
             assert layers[part] == {"calls": served,
@@ -656,6 +659,18 @@ class TestServedTrace:
         assert layers["parse"]["calls"] == served
         assert layers["inspection"]["calls"] == 4 * n       # blocks
         assert layers["score"]["calls"] == 4 * n
+        # only the first, cold query read blocks; every later one folded
+        # the block statistics the first kept
+        for part in ("hypothesis_extraction", "wait_sweeps"):
+            assert cold[part]["calls"] >= 4, part
+            assert layers[part] == cold[part], part
+        # (a process pool's up-front dispatch opens one per statement)
+        dispatches = n - 1 if isinstance(session.scheduler,
+                                          ProcessPoolScheduler) else 0
+        assert layers["unit_extraction"]["calls"] \
+            == cold["unit_extraction"]["calls"] + dispatches
+        kept = stats["session"]["hypothesis_cache"]
+        assert (kept["stat_hits"], kept["stat_misses"]) == (4 * (n - 1), 4)
         assert layers["select"]["calls"] == 2    # one of them raised in it
         assert not any("[" in name for name in layers)
         parts = sum(layers[part]["total_s"] for part in (

@@ -49,12 +49,11 @@ INSPECT_SQL = """
 """
 
 #: what a warm INSPECT statement crosses on a store-less session under
-#: any scheduler, as ``name -> spans per statement`` (per block: the unit
-#: sweeps submitted, one hypothesis block, the sweeps awaited, and one
-#: scoring pass with a span per (group, measure) task)
+#: any scheduler, as ``name -> spans per statement``: per block one
+#: scoring pass with a span per (group, measure) task, which folds the
+#: block statistics kept of it — no unit sweep submitted or awaited, no
+#: hypothesis block gathered
 WARM = {"parse": 1, "compile": 1, "plan_build": 1,
-        "hypothesis_extraction": N_BLOCKS,
-        "unit_extraction": 2 * N_BLOCKS, "wait_sweeps": N_BLOCKS,
         "inspection": N_BLOCKS, "score": N_BLOCKS * len(MIDS),
         "assemble": 1}
 
@@ -177,9 +176,12 @@ class TestStatementTrace:
                 session.sql(INSPECT_SQL)
         assert_closed(root)
         assert base_names(root) == WARM         # and so no sweep[...]
-        scores = {node.name for node in root.walk()
-                  if node.name.startswith("score[")}
-        assert scores == {f"score[mid={mid}, corr:pearson]" for mid in MIDS}
+        scores = [node for node in root.walk()
+                  if node.name.startswith("score[")]
+        assert {node.name for node in scores} \
+            == {f"score[mid={mid}, corr:pearson]" for mid in MIDS}
+        # each folded kept statistics, and counted it where it did
+        assert all(node.counters == {"stat_hits": 1} for node in scores)
 
     @pytest.mark.parametrize("scheduler", ["serial", "threads"])
     def test_cold_statement_sweeps_once_per_block_and_model(

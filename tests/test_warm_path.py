@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from repro import (HypothesisCache, InspectConfig, Session, UnitGroup,
                    inspect)
 from repro.data.datasets import Dataset, Vocab
+from repro.extract.base import Extractor
 from repro.hypotheses import PrecomputedHypothesis
 from repro.hypotheses.annotations import mask_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
@@ -50,6 +52,7 @@ def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
         session.register_hypotheses(hyps72)
         session.register_model("m", trained_sql_model, epoch=0)
         session.sql(TOPK)                       # warms every tier
+        blocks = session.stats()["hypothesis_cache"]["stat_misses"]
         first = session.sql(TOPK)
         before = session.stats()
         second = session.sql(TOPK)
@@ -59,10 +62,15 @@ def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
     def moved(tier: str, counter: str) -> int:
         return after[tier][counter] - before[tier][counter]
 
+    # every block is folded from kept statistics: no tier is even read
+    assert blocks >= 1
+    assert moved("hypothesis_cache", "stat_hits") == blocks
+    assert moved("hypothesis_cache", "stat_misses") == 0
+    for tier in ("hypothesis_cache", "unit_cache"):
+        for counter in ("hits", "misses", "extractions"):
+            assert moved(tier, counter) == 0, (tier, counter)
     assert moved("hypothesis_cache", "moment_misses") == 0
-    assert moved("hypothesis_cache", "moment_hits") >= 1
-    assert moved("hypothesis_cache", "extractions") == 0
-    assert moved("unit_cache", "extractions") == 0
+    assert moved("hypothesis_cache", "moment_hits") == 0
     assert moved("statement_cache", "misses") == 0
     assert moved("statement_cache", "invalidated") == 0
     assert moved("statement_cache", "hits") == 1
@@ -77,7 +85,7 @@ SHAPES = ("72 columns", "2 columns", "1 column", "frozen slice", "spearman")
 
 def _shape(name: str, hyps72, dataset, model):
     """(hypotheses, measure, unit groups, config knobs, whether the tier
-    may serve moments at all) of one block shape."""
+    may share moments at all) of one block shape."""
     everything = [UnitGroup(model=model, unit_ids=np.arange(16), name="all")]
     exhaustive = dict(early_stop=False)
     if name == "frozen slice":
@@ -112,7 +120,7 @@ def test_served_moments_keep_every_frame_bit_identical(
         shape, scheduler, tier, sql_workload, hyps72, trained_sql_model,
         tmp_path):
     dataset = sql_workload.dataset
-    hyps, measure, groups, knobs, served = _shape(
+    hyps, measure, groups, knobs, shares = _shape(
         shape, hyps72, dataset, trained_sql_model)
     knobs = dict(block_size=64, shuffle=True, **knobs)
     reference = inspect(None, dataset, measure(), hyps, unit_groups=groups,
@@ -132,16 +140,18 @@ def test_served_moments_keep_every_frame_bit_identical(
             return (session.inspect(dataset=dataset).using(measure())
                     .hypotheses(hyps).where(groups=groups).run())
         cold = run()
+        computed = session.stats()["hypothesis_cache"]
         warm = run()
-        moments = {key: count for key, count in
-                   session.stats()["hypothesis_cache"].items()
-                   if key.startswith("moment_")}
+        counts = session.stats()["hypothesis_cache"]
     assert cold == reference
     assert warm == reference
-    if served:
-        assert moments["moment_hits"] > 0
-    else:
-        assert moments == {"moment_hits": 0, "moment_misses": 0}
+    # every block the cold run scored, the warm run folds from the
+    # statistics kept of it — whatever the shape, and with no moments read
+    assert computed["stat_hits"] == 0 and computed["stat_misses"] > 0
+    assert counts["stat_hits"] == counts["stat_misses"] \
+        == computed["stat_misses"]
+    assert counts["moment_hits"] == 0
+    assert (counts["moment_misses"] > 0) == shares
 
 
 def test_recycled_arena_column_never_serves_its_old_moments(
@@ -178,6 +188,213 @@ def test_recycled_arena_column_never_serves_its_old_moments(
     assert first == fresh([h0, h1]) == again
     assert recycled == fresh([h2, h1])
     assert recycled != first
+
+
+# ----------------------------------------------------------------------
+# kept block statistics: by content, and by the exact computation
+# ----------------------------------------------------------------------
+KEPT_KNOBS = dict(block_size=64, shuffle=True, early_stop=True,
+                  error_threshold=0.05)
+
+
+def _reference(groups, dataset, hyps, **knobs):
+    """The tier-less serial frame every kept-statistics case must equal."""
+    return inspect(None, dataset, CorrelationScore(), hyps,
+                   unit_groups=groups,
+                   config=InspectConfig(cache=None, unit_cache=None,
+                                        scheduler="serial",
+                                        **{**KEPT_KNOBS, **knobs}))
+
+
+def _kept_counts(session) -> tuple[int, int]:
+    counts = session.stats()["hypothesis_cache"]
+    return counts["stat_hits"], counts["stat_misses"]
+
+
+def test_unit_subsets_never_share_kept_stats(sql_workload, hyps72,
+                                             trained_sql_model):
+    """``U.uid < 8``, ``< 16``, ``IN (1, 3, 5)``, ``= 7``, then ``< 8``
+    again: each subset computes its own statistics (a wider product is
+    never sliced) and only the repeat is served."""
+    dataset, model = sql_workload.dataset, trained_sql_model
+    subsets = [np.arange(8), np.arange(16), np.array([1, 3, 5]),
+               np.array([7]), np.arange(8)]
+    with Session(config=InspectConfig(**KEPT_KNOBS)) as session:
+        moved, moment_hits = [], []
+        for ids in subsets:
+            groups = [UnitGroup(model=model, unit_ids=ids, name="mid=m")]
+            before = _kept_counts(session)
+            hits_before = session.hyp_cache.moment_hits
+            frame = (session.inspect(dataset=dataset).using("corr")
+                     .hypotheses(hyps72).where(groups=groups).run())
+            after = _kept_counts(session)
+            moved.append((after[0] - before[0], after[1] - before[1]))
+            moment_hits.append(session.hyp_cache.moment_hits - hits_before)
+            assert frame == _reference(groups, dataset, hyps72), ids
+    assert all(hits == 0 and misses > 0 for hits, misses in moved[:4])
+    assert moved[4] == (moved[0][1], 0)
+    # ``< 16`` computes its own statistics, but over the hypotheses and
+    # records ``< 8`` read: the block moments that run kept are served
+    assert moment_hits[1] > 0
+
+
+def test_hypothesis_columns_are_part_of_the_key(sql_workload, hyps72,
+                                                trained_sql_model):
+    """Other hypotheses, or the same ones in another order, are another
+    computation; only the repeat of the first list is served."""
+    dataset, model = sql_workload.dataset, trained_sql_model
+    groups = [UnitGroup(model=model, unit_ids=np.arange(16), name="all")]
+    lists = [hyps72[:6], hyps72[6:12], hyps72[5::-1], hyps72[:6]]
+    with Session(config=InspectConfig(**KEPT_KNOBS)) as session:
+        moved = []
+        for hyps in lists:
+            before = _kept_counts(session)
+            frame = (session.inspect(dataset=dataset).using("corr")
+                     .hypotheses(hyps).where(groups=groups).run())
+            after = _kept_counts(session)
+            moved.append((after[0] - before[0], after[1] - before[1]))
+            assert frame == _reference(groups, dataset, hyps)
+    assert all(hits == 0 and misses > 0 for hits, misses in moved[:3])
+    assert moved[3] == (moved[0][1], 0)
+
+
+def test_in_place_retrain_misses(sql_workload, hyps72):
+    dataset = sql_workload.dataset
+    model = CharLSTMModel(len(sql_workload.vocab), n_units=8,
+                          rng=new_rng(7), model_id="retrained")
+    groups = [UnitGroup(model=model, unit_ids=np.arange(8), name="all")]
+    hyps = hyps72[:12]
+    with Session(config=InspectConfig(**KEPT_KNOBS)) as session:
+        def run():
+            return (session.inspect(dataset=dataset).using("corr")
+                    .hypotheses(hyps).where(groups=groups).run())
+        first = run()
+        assert first == _reference(groups, dataset, hyps)
+        for param in model.parameters():
+            param.value *= 1.5
+        before = _kept_counts(session)
+        retrained = run()
+        hits, misses = (a - b for a, b in zip(_kept_counts(session), before))
+    assert (hits, misses > 0) == (0, True)
+    assert retrained == _reference(groups, dataset, hyps)
+    assert retrained != first
+
+
+def test_transforms_over_one_raw_entry_never_share(sql_workload, hyps72,
+                                                   trained_sql_model):
+    from repro.extract import RnnActivationExtractor
+    dataset, model = sql_workload.dataset, trained_sql_model
+    hyps = hyps72[:12]
+    with Session(config=InspectConfig(**KEPT_KNOBS)) as session:
+        moved = []
+        for transform in ("abs", "activation"):
+            groups = [UnitGroup(model=model, unit_ids=np.arange(16),
+                                name="all", extractor=RnnActivationExtractor(
+                                    transform=transform))]
+            before = _kept_counts(session)
+            frame = (session.inspect(dataset=dataset).using("corr")
+                     .hypotheses(hyps).where(groups=groups).run())
+            moved.append(_kept_counts(session)[0] - before[0])
+            assert frame == _reference(groups, dataset, hyps), transform
+        entries = session.stats()["unit_cache"]["entries"]
+    assert entries == 1          # one raw sweep serves both transforms
+    assert moved == [0, 0]
+
+
+def test_kept_stats_are_bounded_in_bytes(monkeypatch, sql_workload, hyps72,
+                                         trained_sql_model):
+    from repro.core import cache as cache_module
+    dataset, model = sql_workload.dataset, trained_sql_model
+    hyps = hyps72[:4]
+    groups = [UnitGroup(model=model, unit_ids=np.arange(16), name="all")]
+    knobs = dict(early_stop=False)
+    n_blocks = -(-dataset.n_records // KEPT_KNOBS["block_size"])
+    block_bytes = 8 * (2 * 16 + 2 * len(hyps) + 16 * len(hyps))
+    monkeypatch.setattr(cache_module, "_STAT_BYTES", 2 * block_bytes)
+    with Session(config=InspectConfig(**{**KEPT_KNOBS, **knobs})) as session:
+        def run():
+            return (session.inspect(dataset=dataset).using("corr")
+                    .hypotheses(hyps).where(groups=groups).run())
+        cold = run()
+        cache = session.hyp_cache
+        assert len(cache._stat_memo) == 2           # the last two blocks
+        assert cache._stat_bytes == 2 * block_bytes
+        warm = run()    # blocks in order: each evicts what a later one needs
+        assert _kept_counts(session) == (0, 2 * n_blocks)
+        monkeypatch.setattr(cache_module, "_STAT_BYTES", block_bytes - 1)
+        cache.clear()
+        assert run() == cold
+        assert len(cache._stat_memo) == 0 and cache._stat_bytes == 0
+    assert cold == warm == _reference(groups, dataset, hyps, **knobs)
+
+
+def test_concurrent_cold_statements_both_get_the_reference(
+        sql_workload, hyps72, trained_sql_model):
+    """Two threads miss the same keys together: both compute, both keep
+    (bit-equal values), and both frames are the reference."""
+    dataset, model = sql_workload.dataset, trained_sql_model
+    groups = [UnitGroup(model=model, unit_ids=np.arange(16), name="all")]
+    n = 2
+    start = threading.Barrier(n)
+    with Session(scheduler="threads",
+                 config=InspectConfig(**KEPT_KNOBS)) as session, \
+            ThreadPoolExecutor(n) as pool:
+        def run():
+            return (session.inspect(dataset=dataset).using("corr")
+                    .hypotheses(hyps72).where(groups=groups).run())
+
+        def go():
+            start.wait(30)
+            return run()
+
+        frames = [future.result(120)
+                  for future in [pool.submit(go) for _ in range(n)]]
+        hits, misses = _kept_counts(session)
+        again = run()
+        served, computed = (a - b for a, b in zip(_kept_counts(session),
+                                                   (hits, misses)))
+    reference = _reference(groups, dataset, hyps72)
+    assert frames == [reference] * n
+    assert again == reference
+    assert computed == 0 and served > 0
+    assert hits + misses == n * served
+
+
+class _PhaseModel:
+    """A model with no ``parameters()``: its fingerprint is a token
+    stamped on the object, blind to ``phase`` changing in place."""
+    model_id = "phase"
+    phase = 0.0
+
+
+class _PhaseExtractor(Extractor):
+    def n_units(self, model) -> int:
+        return 3
+
+    def raw_states(self, model, records):
+        x = records.astype(np.float64)
+        return np.stack([np.sin(x * k + model.phase) for k in (1, 2, 3)],
+                        axis=-1)
+
+
+def test_no_stats_are_kept_without_a_unit_tier(sql_workload, hyps72):
+    """A plan without a unit tier trusts no model fingerprint, so it keeps
+    no statistics: a parameter-less model changed in place is scored
+    afresh, as before kept statistics existed."""
+    dataset, hyps = sql_workload.dataset, hyps72[:12]
+    model, extractor = _PhaseModel(), _PhaseExtractor()
+    cache = HypothesisCache()
+
+    def run(**knobs):
+        config = InspectConfig(unit_cache=None, **{**KEPT_KNOBS, **knobs})
+        return inspect([model], dataset, [CorrelationScore()], hyps,
+                       extractor=extractor, config=config)
+    first = run(cache=cache)
+    model.phase = 1.0
+    changed = run(cache=cache)
+    reference = run(cache=None, scheduler="serial")
+    assert changed == reference != first
+    assert (cache.stat_hits, cache.stat_misses) == (0, 0)
 
 
 # ----------------------------------------------------------------------
