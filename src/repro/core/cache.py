@@ -366,9 +366,6 @@ class _Column:
         return self._store_key
 
 
-#: block moments a hypothesis tier keeps (about 5 KB each at 72 columns)
-_MOMENT_SLOTS = 256
-
 #: bytes of score-task block statistics a hypothesis tier keeps: a block's
 #: cross moments grow with units x hypotheses (about 9 KB at 16 x 72)
 _STAT_BYTES = 16 * 1024 * 1024
@@ -391,11 +388,6 @@ class HypothesisCache(_ByteBoundedLRU):
                  store: DiskBehaviorStore | None = None):
         super().__init__(max_bytes, store=store)
         self._arenas: dict[str, _Arena] = {}
-        # (column identities, records digest) -> (sums, sums of squares):
-        # by content, so a recycled arena column cannot serve its last owner's
-        self._moment_memo: OrderedDict = OrderedDict()
-        self.moment_hits = 0    # blocks whose moments were served
-        self.moment_misses = 0  # blocks whose moments were computed
         # score-task key -> one block's sufficient statistics, LRU within
         # _STAT_BYTES (:meth:`block_stats`)
         self._stat_memo: OrderedDict = OrderedDict()
@@ -425,14 +417,11 @@ class HypothesisCache(_ByteBoundedLRU):
     def _clear_locked(self) -> None:
         super()._clear_locked()
         self._arenas.clear()
-        self._moment_memo.clear()
         self._stat_memo.clear()
         self._stat_bytes = 0
 
     def _reset_counters_locked(self) -> None:
         super()._reset_counters_locked()
-        self.moment_hits = 0
-        self.moment_misses = 0
         self.stat_hits = 0
         self.stat_misses = 0
 
@@ -559,46 +548,6 @@ class HypothesisCache(_ByteBoundedLRU):
             block[:, start:start + panel] = self._read_panel(
                 hypotheses[start:start + panel], dataset, indices)
         return block
-
-    def block_moments(self, hypotheses: list, dataset: Dataset,
-                      indices: np.ndarray, block: np.ndarray):
-        """A thunk for the column sums and sums of squares of ``block``
-        (what :meth:`extract_block` returned for these arguments), or
-        ``None`` where sharing them is unsafe.
-
-        They depend on no statement, so the tier keeps them: summed on the
-        first call (a statement's score tasks may call together), served
-        to every later gather of the same cells.  Layout decides a sum's
-        last bits — two or more C-ordered columns sum row by row whichever
-        other columns are present, one column or a column slice pairwise —
-        so the thunk holds for this very array, never for a slice of it.
-        """
-        if block.shape[1] < 2 or not block.flags.c_contiguous:
-            return None
-        lock, got = threading.Lock(), []
-
-        def moments() -> tuple[np.ndarray, np.ndarray]:
-            with lock:
-                if got:
-                    return got[0]
-                records = np.asarray(indices, dtype=int).tobytes()
-                key = (tuple(self._keys(dataset, hypotheses)),
-                       hashlib.sha1(records).digest())
-                with self._lock:
-                    value = self._moment_memo.get(key)
-                    self._count(moment_hits=value is not None,
-                                moment_misses=value is None)
-                if value is None:  # summed outside the tier's lock
-                    value = (block.sum(axis=0), (block**2).sum(axis=0))
-                    for part in value:  # shared by every later statement
-                        part.setflags(write=False)
-                    with self._lock:
-                        self._moment_memo[key] = value
-                        if len(self._moment_memo) > _MOMENT_SLOTS:
-                            self._moment_memo.popitem(last=False)
-                got.append(value)
-                return value
-        return moments
 
     def block_stats(self, key) -> tuple | None:
         """The block statistics kept under ``key``, or ``None``: a probe,
@@ -751,15 +700,22 @@ def _same_records(masks: np.ndarray, js: np.ndarray) -> list:
 
 class _UnitEntry:
     """Unit-major raw unit behaviors, ``(raw_width, n_records, ns)``: the
-    layout scoring reads, so a read is one gather and the record-major
-    rows of extractors and store are transposed once, on fill; dtype
-    follows the first committed rows (the model's dtype)."""
+    layout scoring reads (a read is one gather) and the layout the disk
+    tier stores, so only an extractor's record-major sweep is transposed,
+    once, on fill; dtype follows the first committed rows (the model's
+    dtype).  A matrix that is read-only is a store shard holding every
+    record, mapped: :attr:`mapped`, and nothing is ever written into it."""
 
     def __init__(self, n_records: int, n_symbols: int):
         self.n_symbols = n_symbols
         self.matrix: np.ndarray | None = None  # allocated on first fill
         self.filled = np.zeros(n_records, dtype=bool)
         self.store_key: str | None = None  # compacted once, on first use
+
+    @property
+    def mapped(self) -> bool:
+        """Whether the matrix maps the whole entry from the disk tier."""
+        return self.matrix is not None and not self.matrix.flags.writeable
 
     @property
     def nbytes(self) -> int:
@@ -823,25 +779,31 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         return entry
 
     def _commit_rows(self, key, entry: _UnitEntry, rows_idx: np.ndarray,
-                     rows: np.ndarray) -> None:
-        """Write per-record rows into an entry, re-accounting bytes.
+                     units: np.ndarray, whole: bool = False) -> None:
+        """Write records ``rows_idx`` into an entry from ``units``: their
+        unit-major ``(raw_width, len(rows_idx), ns)`` values, or —
+        ``whole`` — a mapping of every record's, which becomes the matrix
+        of an entry that has none yet; re-accounting bytes.
 
         The entry may have been evicted (or even displaced) by a concurrent
         insert while rows were produced without the lock, so bytes are
         re-accounted against the map's actual contents.
         """
-        mapped = self._entries.get(key) is entry
-        if mapped:
+        listed = self._entries.get(key) is entry
+        if listed:
             self._bytes -= entry.nbytes
-        ns = entry.n_symbols
-        if entry.matrix is None:
-            entry.matrix = np.zeros(
-                (rows.shape[1] // ns, entry.filled.shape[0], ns),
-                dtype=rows.dtype)
-        entry.matrix[:, rows_idx] = rows.reshape(
-            rows.shape[0], ns, -1).transpose(2, 0, 1)
+        if whole and entry.matrix is None:
+            entry.matrix = units
+        elif not entry.mapped:   # a mapped matrix holds every record
+            if whole:
+                units = units.take(rows_idx, axis=1)
+            if entry.matrix is None:
+                entry.matrix = np.zeros(
+                    (units.shape[0], entry.filled.shape[0], entry.n_symbols),
+                    dtype=units.dtype)
+            entry.matrix[:, rows_idx] = units
         entry.filled[rows_idx] = True
-        if not mapped:
+        if not listed:
             displaced = self._entries.get(key)
             if displaced is not None:
                 self._bytes -= displaced.nbytes
@@ -937,9 +899,10 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         return indices if entry is None else indices[~entry.filled[indices]]
 
     def fill_rows(self, dataset: Dataset, indices: np.ndarray,
-                  rows: np.ndarray, *, model_key: str,
+                  units: np.ndarray, *, model_key: str,
                   raw_key: str) -> None:
-        """Commit worker-extracted raw rows (coordinator-side fill).
+        """Commit worker-extracted raw behaviors, unit-major ``(raw_width,
+        len(indices), ns)`` as the store holds them (coordinator-side fill).
 
         The shard exchange calls this with worker-produced, mmap'd rows;
         they count as disk hits — the records were served from shard
@@ -952,7 +915,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         with self._lock:
             entry = self._get_or_create(key, dataset)
             self._count(disk_hits=int(indices.shape[0]))
-            self._commit_rows(key, entry, indices, np.asarray(rows))
+            self._commit_rows(key, entry, indices, units)
 
     def extract(self, model, extractor: Extractor, dataset: Dataset,
                 indices: np.ndarray,
@@ -980,20 +943,30 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             missing = indices[~entry.filled[indices]]
             self._count(hits=int(indices.shape[0] - missing.shape[0]),
                         misses=int(missing.shape[0]))
+            if missing.shape[0] and entry.mapped:
+                # the disk tier's whole entry, mapped: every record is there
+                entry.filled[missing] = True
+                self._count(disk_hits=int(missing.shape[0]))
+                missing = missing[:0]
         if self.store is not None and missing.shape[0]:
             # the disk tier; a width mismatch (stale or foreign entry) is
             # wholly absent, never served
             reader = self.store.reader(self._store_key(key, entry))
             have = np.zeros(missing.shape[0], dtype=bool)
-            if reader is not None and reader.row_width \
-                    == extractor.raw_width(model) * ns:
+            if reader is not None and reader.n_symbols == ns \
+                    and reader.row_width == extractor.raw_width(model) * ns:
                 have = reader.filled_mask(missing)
-            rows = reader.rows(missing[have]) if have.any() else None
+            served = missing[have]
+            whole = None if reader is None else reader.whole
+            units = (reader.rows(served) if served.shape[0] and whole is None
+                     else whole)
             with self._lock:
-                self._count(disk_hits=int(np.count_nonzero(have)),
-                            disk_misses=int(np.count_nonzero(~have)))
-                if rows is not None:
-                    self._commit_rows(key, entry, missing[have], rows)
+                self._count(disk_hits=int(served.shape[0]),
+                            disk_misses=int(missing.shape[0]
+                                            - served.shape[0]))
+                if served.shape[0]:
+                    self._commit_rows(key, entry, served, units,
+                                      whole=whole is not None)
             missing = missing[~have]
         if missing.shape[0]:
             with span("sweep", model_id(model)):
@@ -1004,13 +977,15 @@ class UnitBehaviorCache(_ByteBoundedLRU):
                     f"{missing.shape[0] * ns} rows "
                     f"({missing.shape[0]} records x {ns} symbols), "
                     f"got {block.shape[0]}")
-            flat = np.ascontiguousarray(block).reshape(missing.shape[0], -1)
+            units = np.asarray(block).reshape(missing.shape[0], ns, -1)
             with self._lock:
                 self._count(extractions=1)
-                self._commit_rows(key, entry, missing, flat)
+                self._commit_rows(key, entry, missing,
+                                  units.transpose(2, 0, 1))
+                matrix = entry.matrix
             if self.store is not None:
-                self.store.append(self._store_key(key, entry), missing,
-                                  flat, dataset.n_records)
+                self.store.append_units(self._store_key(key, entry), missing,
+                                        matrix)
         if entry.matrix is None:
             # only reachable for an empty index set (nothing was ever
             # filled); let the extractor produce the correctly-shaped

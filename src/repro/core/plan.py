@@ -496,8 +496,8 @@ class InspectionPlan:
                      hashlib.sha1(group.unit_ids.tobytes()).digest())
         if n_active != task.active_cols.shape[0]:
             # active columns only ever shrink: their count names the set.
-            # Identities are kept whole, as the moments' keys keep them: a
-            # digest of ~1 MB of them would cost more than the fold it saves
+            # Identities are kept whole: a digest of ~1 MB of them would
+            # cost more than the fold it saves
             n_active = task.active_cols.shape[0]
             columns = tuple(
                 HypothesisCache._hypothesis_identity(self.hypotheses[c])

@@ -133,7 +133,7 @@ class ShardTask:
 
     ``kind == "unit"``: run one raw sweep over ``symbols`` (the dataset
     rows for ``indices``, already sliced so workers never need the full
-    dataset) and persist the flat raw rows under ``store_key``.
+    dataset) and persist it unit-major under ``store_key``.
 
     ``kind == "hyp"``: evaluate a bundle of hypothesis columns
     (``items``, with the hypotheses themselves in ``hypotheses_blob``)
@@ -210,10 +210,14 @@ def _run_unit_task(task: ShardTask) -> dict:
         raise ValueError(
             f"extractor row mismatch: expected {task.indices.shape[0] * ns} "
             f"rows, got {block.shape[0]}")
-    # same flat layout the unit cache commits/persists: one row per record
-    rows = np.ascontiguousarray(block).reshape(task.indices.shape[0], -1)
+    # the layout the unit tier holds and the store keeps: unit-major,
+    # records in id order
+    order = np.argsort(task.indices)
+    units = np.asarray(block).reshape(task.indices.shape[0], ns, -1)
     return {"descriptors": _write_task_segment(
-                task, [(task.store_key, task.indices, rows, None)]),
+                task, [(task.store_key, task.indices[order],
+                        units.transpose(2, 0, 1).take(order, axis=1),
+                        None)]),
             "extractions": 1, "forward_sweeps": counter.calls,
             "spans": [(f"sweep[{model_id(model)}]", swept)]}
 

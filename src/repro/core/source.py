@@ -3,6 +3,7 @@ engine's pieces are introduced in :mod:`repro.core.pipeline`)."""
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import Future
 
 import numpy as np
@@ -18,6 +19,40 @@ from repro.util.blocks import iter_blocks
 from repro.util.trace import span
 
 
+#: rows squared at once when a block's sums of squares are taken
+_SQUARE_ROWS = 256
+
+
+def block_moments(block: np.ndarray):
+    """A thunk for the column sums and sums of squares of ``block``, or
+    ``None`` where sharing them is unsafe: summed on the first call, so
+    the score tasks of one statement that read this block sum it once.
+
+    Layout decides a sum's last bits — two or more C-ordered columns sum
+    row by row whichever other columns are present, one column or a
+    column slice pairwise — so the thunk holds for this very array, never
+    for a slice of it.  Row by row is also why the squares can be summed
+    ``_SQUARE_ROWS`` at a time, the running sum carried into the next
+    chunk's first row: bit for bit ``(block**2).sum(axis=0)``, without a
+    temporary the size of the block.
+    """
+    if block.shape[1] < 2 or not block.flags.c_contiguous:
+        return None
+    lock, got = threading.Lock(), []
+
+    def moments() -> tuple[np.ndarray, np.ndarray]:
+        with lock:
+            if not got:
+                sum_sq = np.zeros(block.shape[1], dtype=block.dtype)
+                for start in range(0, block.shape[0], _SQUARE_ROWS):
+                    squares = np.square(block[start:start + _SQUARE_ROWS])
+                    squares[0] += sum_sq
+                    sum_sq = squares.sum(axis=0)
+                got.append((block.sum(axis=0), sum_sq))
+            return got[0]
+    return moments
+
+
 def _extract_hypotheses(hypotheses: list[HypothesisFunction],
                         dataset: Dataset, indices: np.ndarray,
                         cache: HypothesisCache | None) -> tuple:
@@ -25,7 +60,7 @@ def _extract_hypotheses(hypotheses: list[HypothesisFunction],
     if cache is None:
         return HypothesisExtractor(hypotheses).extract(dataset, indices), None
     block = cache.extract_block(hypotheses, dataset, indices)
-    return block, cache.block_moments(hypotheses, dataset, indices, block)
+    return block, block_moments(block)
 
 
 class BehaviorSource:

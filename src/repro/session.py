@@ -574,8 +574,6 @@ class Session:
         out: dict = {
             "hypothesis_cache": {
                 **self.hyp_cache.stats(),
-                "moment_hits": self.hyp_cache.moment_hits,
-                "moment_misses": self.hyp_cache.moment_misses,
                 "stat_hits": self.hyp_cache.stat_hits,
                 "stat_misses": self.hyp_cache.stat_misses},
             "unit_cache": self.unit_cache.stats()}

@@ -9,16 +9,21 @@ Layout under the store root::
 
 An *entry* holds behaviors for one logical key as a sequence of
 append-only *shards*: a block of rows plus the record ids they belong to.
-A plain entry is one thing per row (the raw unit behaviors of one model
-fingerprint, raw extractor identity, dataset hash triple).  A **panel**
+A plain entry is one thing per row.  A **unit entry** (the raw unit
+behaviors of one model fingerprint, raw extractor identity, dataset hash
+triple) is stored in the unit tier's own layout: a shard is one
+``(raw_width, rows, n_symbols)`` blob, its records in id order, so a shard
+holding every record is the tier's matrix as it stands and is served as
+the mapping itself (:attr:`StoreEntryReader.whole`).  A **panel**
 stores what was extracted together, together: its manifest record carries
 ``members`` (one key per hypothesis, in column order) and a row is a
 record's ``(symbols, len(members))`` cells — the block the hypothesis tier
 evaluated, appended and gathered back as it stands.  The store indexes
 ``member -> (panel, column)`` per manifest (:meth:`DiskBehaviorStore
 .panels`); a member several panels hold is served from any that holds the
-record.  Manifest version 3: a version-1 (file pairs) or version-2 (an
-entry per hypothesis) directory reads as empty, says so once, re-extracts.
+record.  Manifest version 4: a version-1 (file pairs), version-2 (an
+entry per hypothesis) or version-3 (record-major unit rows) directory
+reads as empty, says so once, re-extracts.
 
 A commit is a **group commit**: :meth:`DiskBehaviorStore.append` queues
 rows; :meth:`DiskBehaviorStore.flush` writes everything queued, one shard
@@ -70,7 +75,7 @@ from repro.util.trace import span
 
 MANIFEST = "manifest.json"
 SHARD_DIR = "shards"
-_VERSION = 3
+_VERSION = 4
 #: what a manifest shard record keeps of a :func:`write_segment` descriptor
 _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
 
@@ -78,24 +83,33 @@ _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
 def write_segment(path: Path, entries) -> list[dict]:
     """Write ``(key, n_records, indices, rows, members)`` entries as one
     segment; ``indices`` and ``rows`` are each a list of parts that stack
-    into the entry's one shard (:func:`write_blob`).
+    into the entry's one shard (:func:`write_blob`) — for a unit entry one
+    ``(raw_width, rows, n_symbols)`` part, its records in id order.
 
     Rows then record ids, entry after entry, each a complete npy blob; one
     fsync, one rename.  Returns one descriptor per entry — the manifest
-    shard record (``_SHARD_FIELDS``) plus the entry's key, geometry and
-    ``members`` (None unless a panel) — which is what
-    :meth:`DiskBehaviorStore.adopt_segment` takes from a worker.
+    shard record (``_SHARD_FIELDS``) plus the entry's key, geometry,
+    ``n_symbols`` (None unless a unit entry) and ``members`` (None unless
+    a panel) — which is what :meth:`DiskBehaviorStore.adopt_segment` takes
+    from a worker.
     """
     descriptors = []
     with published(path) as f:
         for key, n_records, indices, rows, members in entries:
             rows = [np.ascontiguousarray(part) for part in rows]
             indices = [np.asarray(part, dtype=np.int64) for part in indices]
+            first = rows[0]
+            if first.ndim == 3:   # a unit entry's one part
+                width, n_rows, ns = first.shape
+                width *= ns
+            else:
+                width, n_rows, ns = (first.shape[1],
+                                     sum(len(part) for part in rows), None)
             descriptors.append(
                 {"key": key, "n_records": int(n_records), "members": members,
-                 "row_width": int(rows[0].shape[1]),
-                 "dtype": rows[0].dtype.str, "file": path.name,
-                 "rows": sum(len(part) for part in rows),
+                 "n_symbols": ns, "row_width": int(width),
+                 "dtype": first.dtype.str, "file": path.name,
+                 "rows": int(n_rows),
                  "data": write_blob(f, rows),
                  "index": write_blob(f, indices)})
         file_bytes = f.tell()
@@ -105,15 +119,29 @@ def write_segment(path: Path, entries) -> list[dict]:
 def _shard_arrays(segment: mmap.mmap, shard: dict, key: str, meta: dict):
     """Validated ``(record ids, rows)`` views of one shard record of the
     entry whose geometry ``meta`` gives."""
-    rows = int(shard["rows"])
+    rows, width, ns = int(shard["rows"]), int(meta["row_width"]), \
+        meta["n_symbols"]
     idx = blob(segment, shard["index"], (rows,), np.dtype(np.int64),
                f"{key}: index in {shard['file']}")
-    block = blob(segment, shard["data"], (rows, int(meta["row_width"])),
+    block = blob(segment, shard["data"],
+                 (width // ns, rows, ns) if ns else (rows, width),
                  np.dtype(meta["dtype"]), f"{key}: rows in {shard['file']}")
     if rows and (idx.min() < 0 or idx.max() >= meta["n_records"]):
         raise CorruptEntryError(f"{key}: shard in {shard['file']} names "
                                 f"records outside 0..{meta['n_records']}")
     return idx, block
+
+
+def _unit_shard(key: str, n_records: int, indices: list, parts: list,
+                members) -> tuple:
+    """The :func:`write_segment` entry of the records ``indices`` names of
+    the unit matrix ``parts[0]``: in id order, the matrix as it stands
+    when they are all of its records."""
+    ids = np.unique(np.concatenate(indices))
+    matrix = parts[0]
+    if ids.shape[0] < n_records:
+        matrix = matrix.take(ids, axis=1)
+    return key, n_records, [ids], [matrix], members
 
 
 #: bits of a packed location reserved for the row-within-shard part
@@ -143,8 +171,14 @@ class StoreEntryReader:
         self.n_records = int(meta["n_records"])
         self.row_width = int(meta["row_width"])
         self.dtype = np.dtype(meta["dtype"])
+        #: a unit entry's symbols per record (its rows are unit-major);
+        #: None for a record-major entry
+        self.n_symbols = meta["n_symbols"]
         #: a panel's member keys in column order; () for a plain entry
         self.members = tuple(meta["members"] or ())
+        #: a unit entry's one shard when it holds every record in id order:
+        #: the read-only ``(raw_width, n_records, n_symbols)`` mapping
+        self.whole: np.ndarray | None = None
         self._maps: list[np.ndarray] = []
         self._loc = np.full(self.n_records, -1, dtype=np.int64)
         self.extend(meta, 0, open_segment)
@@ -162,6 +196,10 @@ class StoreEntryReader:
             maps.append(block)
             loc[idx] = (np.int64(si) << _ROW_BITS) | np.arange(
                 idx.shape[0], dtype=np.int64)
+        self.whole = maps[0] if (
+            self.n_symbols and len(maps) == 1
+            and maps[0].shape[1] == self.n_records
+            and (loc == np.arange(self.n_records)).all()) else None
         # publish shards before locations: a reader capturing the new
         # table is guaranteed to find every shard it references
         self._maps = maps
@@ -178,7 +216,9 @@ class StoreEntryReader:
         return self._loc[indices] >= 0
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
-        """Gather per-record rows (every index must be filled)."""
+        """Gather per-record rows (every index must be filled) in the
+        entry's layout: ``(len(indices), row_width)``, or a unit entry's
+        ``(raw_width, len(indices), n_symbols)``."""
         indices = np.asarray(indices, dtype=int)
         # snapshot order mirrors extend()'s publish order (see class doc):
         # capture the location table first, the shard list second
@@ -190,14 +230,17 @@ class StoreEntryReader:
                            "the store")
         shard_of = loc >> _ROW_BITS
         row_of = loc & _ROW_MASK
+        axis = 1 if self.n_symbols else 0   # the record axis
         if loc.shape[0] and (shard_of == shard_of[0]).all():
             # one shard holds them all (every entry after a group commit):
             # its gather is the result, no second copy through ``out``
-            return maps[shard_of[0]][row_of]
-        out = np.empty((indices.shape[0], self.row_width), dtype=self.dtype)
+            return maps[shard_of[0]].take(row_of, axis=axis)
+        shape = list(maps[0].shape)
+        shape[axis] = indices.shape[0]
+        out = np.empty(shape, dtype=self.dtype)
         for si in np.unique(shard_of):
-            sel = shard_of == si
-            out[sel] = maps[si][row_of[sel]]
+            sel = (slice(None),) * axis + (shard_of == si,)
+            out[sel] = maps[si].take(row_of[sel[axis]], axis=axis)
         return out
 
 
@@ -430,13 +473,33 @@ class DiskBehaviorStore:
         if rows.ndim != 2 or rows.shape[0] != indices.shape[0]:
             raise ValueError("rows must be (len(indices), row_width), got "
                              f"{rows.shape} for {indices.shape[0]} indices")
+        self._queue(key, int(n_records), members and list(members), indices,
+                    rows, rows.nbytes)
+
+    def append_units(self, key: str, indices: np.ndarray,
+                     matrix: np.ndarray) -> None:
+        """Persist records ``indices`` of a unit tier's ``(raw_width,
+        n_records, n_symbols)`` matrix as a unit entry.
+
+        Queues a reference, not a copy: the flush writes the records it
+        names, in id order, straight out of ``matrix`` — the matrix itself
+        when they are all of its records — so they must not change until
+        then.  Otherwise as :meth:`append`.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        width, n_records, ns = matrix.shape
+        self._queue(key, n_records, None, indices, matrix,
+                    width * ns * matrix.itemsize * indices.shape[0])
+
+    def _queue(self, key: str, n_records: int, members, indices, rows,
+               nbytes: int) -> None:
+        """Queue one append of ``nbytes`` of rows; flush unless deferred."""
         if indices.shape[0] == 0:
             return
         with self._lock:
             self._pending_rows.append(
-                (key, int(n_records), int(rows.shape[1]), rows.dtype.str,
-                 members and list(members), indices, rows))
-            self._pending_bytes += rows.nbytes + indices.nbytes
+                (key, n_records, members, indices, rows))
+            self._pending_bytes += nbytes + indices.nbytes
             self.appends += 1
             defer = (self._defer_depth > 0
                      and self._pending_bytes < self.max_pending_bytes)
@@ -446,7 +509,8 @@ class DiskBehaviorStore:
     def adopt_segment(self, descriptors: list[dict]) -> list[tuple]:
         """Queue the shards of one worker-written segment (see
         ``core/shard.py``) for the next commit; returns their
-        ``(record ids, rows)`` views, in descriptor order.
+        ``(record ids, rows)`` views (rows in the entry's layout, as
+        :meth:`StoreEntryReader.rows`), in descriptor order.
 
         Every shard is validated as a reader would, over a map of the
         caller's own (gone with the views, so a run holds one task's pages
@@ -484,14 +548,19 @@ class DiskBehaviorStore:
             descriptors, self._pending_adoptions = self._pending_adoptions, []
             self._pending_bytes = 0
             # one shard per entry: within one scope the cache only appends
-            # records it found missing, so an entry's parts are disjoint
+            # records it found missing, so an entry's parts are disjoint;
+            # the parts naming records of one unit matrix are one shard
             entries: dict[tuple, tuple] = {}
-            for key, n_records, width, dtype_str, members, indices, rows \
-                    in pending:
-                entry = entries.setdefault((key, n_records, width, dtype_str),
-                                           (key, n_records, [], [], members))
+            for key, n_records, members, indices, rows in pending:
+                entry = entries.setdefault(
+                    (key, id(rows)) if rows.ndim == 3
+                    else (key, n_records, rows.shape[1], rows.dtype.str),
+                    (key, n_records, [], [], members))
                 entry[2].append(indices)
-                entry[3].append(rows)
+                if rows.ndim == 2 or not entry[3]:
+                    entry[3].append(rows)
+            entries = [_unit_shard(*entry) if entry[3][0].ndim == 3
+                       else entry for entry in entries.values()]
             with commit_lock(self.root):
                 # always merge against the latest committed manifest:
                 # another process may have appended since we last read it
@@ -504,8 +573,7 @@ class DiskBehaviorStore:
                     manifest["clock"] += 1
                     name = f"{manifest['clock']}-{os.getpid()}.seg"
                     descriptors = write_segment(
-                        self.root / SHARD_DIR / name,
-                        entries.values()) + descriptors
+                        self.root / SHARD_DIR / name, entries) + descriptors
                 # adopted (worker-written) shards are already on disk and
                 # fsynced: for them only this registration remains
                 touched: set[str] = set()
@@ -535,11 +603,13 @@ class DiskBehaviorStore:
                 meta["row_width"] != desc["row_width"]
                 or np.dtype(meta["dtype"]) != np.dtype(desc["dtype"])
                 or meta["n_records"] != desc["n_records"]
+                or meta["n_symbols"] != desc["n_symbols"]
                 or meta["members"] != desc["members"]):
             replaced, meta = entries.pop(key), None
         if meta is None:
             meta = {"n_records": desc["n_records"],
                     "row_width": desc["row_width"], "dtype": desc["dtype"],
+                    "n_symbols": desc["n_symbols"],
                     "members": desc["members"],
                     "created": seq,  # incarnation token
                     "nbytes": 0, "last_used": seq, "shards": []}

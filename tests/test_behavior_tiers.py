@@ -714,8 +714,8 @@ class TestSweepLease:
 
     def warm(self, tier, dataset, pair=PAIR) -> None:
         """What a sweep landing in the tier does to ``pair``'s records."""
-        rows = np.zeros((len(self.RECORDS), 2 * dataset.n_symbols))
-        tier.fill_rows(dataset, self.RECORDS, rows, model_key=pair[0],
+        units = np.zeros((2, len(self.RECORDS), dataset.n_symbols))
+        tier.fill_rows(dataset, self.RECORDS, units, model_key=pair[0],
                        raw_key=pair[1])
 
     def test_leader_blocks_follower_until_release(self, sql_workload):

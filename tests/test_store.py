@@ -643,6 +643,14 @@ class TestGroupCommit:
                 epoch=epoch)
         return session
 
+    def _reference(self, sql_workload, hyps):
+        """The statement's frame, serial and with no tier at all."""
+        with self._session(
+                sql_workload, hyps, scheduler="serial",
+                config=InspectConfig(cache=None, unit_cache=None,
+                                     **self.CONFIG)) as session:
+            return session.sql(EPOCHS_SQL)
+
     @pytest.fixture
     def fsyncs(self, monkeypatch, tmp_path):
         """Number of ``os.fsync`` calls so far, forked pool workers'
@@ -694,18 +702,15 @@ class TestGroupCommit:
         assert stats["shards"] >= stats["entries"]
         assert 2 <= stats["entries"] <= 1 + workers
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_directory_reads_as_empty_and_says_so(
             self, tmp_path, sql_workload, hyps72, version):
-        """Neither the file-pair format (1) nor the per-hypothesis entries
-        (2) are read: the upgraded store re-extracts, reports the fact
-        once, and gc() sweeps the old files."""
+        """Neither the file-pair format (1), the per-hypothesis entries (2)
+        nor the record-major unit rows (3) are read: the upgraded store
+        re-extracts, reports the fact once, and gc() sweeps the old
+        files."""
         hyps = hyps72[:6]
-        with self._session(
-                sql_workload, hyps, scheduler="serial",
-                config=InspectConfig(cache=None, unit_cache=None,
-                                     **self.CONFIG)) as session:
-            reference = session.sql(EPOCHS_SQL)
+        reference = self._reference(sql_workload, hyps)
         with self._session(sql_workload, hyps, tmp_path / "new") as session:
             session.sql(EPOCHS_SQL)
             cold = session.stats()
@@ -725,14 +730,19 @@ class TestGroupCommit:
                 "created": 1, "last_used": 1, "shards": [pair],
                 "nbytes": pair["data_bytes"] + pair["index_bytes"]}}
             stale_files = [pair["data"], pair["index"]]
-        else:   # segments as now, one entry per hypothesis, no members
+        else:   # segments as now, entries as version 2 or 3 wrote them
+            # 2: one entry per hypothesis, no members; 3: unit rows
+            # record-major, no n_symbols
+            stale = "hyp/stale" if version == 2 else "unit/stale"
             DiskBehaviorStore(old).append(
-                "hyp/stale", np.arange(3), np.ones((3, 4)), n_records=3)
+                stale, np.arange(3), np.ones((3, 4)), n_records=3)
             entries = json.loads((old / "manifest.json").read_text())[
                 "entries"]
-            del entries["hyp/stale"]["members"]
+            del entries[stale]["n_symbols"]
+            if version == 2:
+                del entries[stale]["members"]
             # (under a name this process's next commit cannot reuse)
-            (shard,) = entries["hyp/stale"]["shards"]
+            (shard,) = entries[stale]["shards"]
             stale_files = ["9-1.seg"]
             written = old / "shards" / shard["file"]
             (old / "shards" / stale_files[0]).write_bytes(
@@ -764,6 +774,84 @@ class TestGroupCommit:
         for tier in ("hypothesis_cache", "unit_cache"):
             assert warm[tier]["extractions"] == 0
             assert warm[tier]["disk_hits"] > 0
+
+    def test_fresh_session_maps_a_whole_unit_entry(self, tmp_path,
+                                                   sql_workload, hyps72):
+        """A unit entry one shard holds whole, in record order, is served
+        as that shard's mapping — no gather, no transpose, no copy — with
+        the frame and the tier counters a gathered read gives."""
+        hyps = hyps72[:6]
+        reference = self._reference(sql_workload, hyps)
+        with self._session(sql_workload, hyps, tmp_path,
+                           scheduler="threads") as session:
+            session.sql(EPOCHS_SQL)
+        with self._session(sql_workload, hyps, tmp_path,
+                           scheduler="serial") as session:
+            frame = session.sql(EPOCHS_SQL)
+            (entry,) = session.unit_cache._entries.values()
+            reader = session.store.reader(entry.store_key)
+            counts = session.stats()["unit_cache"]
+        assert frame == reference
+        assert reader.n_shards == 1 and reader.whole is not None
+        assert np.shares_memory(entry.matrix, reader.whole)
+        assert not entry.matrix.flags.writeable
+        n = sql_workload.dataset.n_records
+        assert (counts["disk_hits"], counts["misses"], counts["hits"],
+                counts["disk_misses"], counts["extractions"]) \
+            == (n, n, 0, 0, 0)
+
+    def test_unit_entry_filled_across_sessions_is_gathered(
+            self, tmp_path, sql_workload, hyps72):
+        """An early-stopped statement, then a full one: the entry is two
+        shards, no mapping holds it whole, and the shard-by-shard gather
+        serves the same frame."""
+        hyps = hyps72[:6]
+        n = sql_workload.dataset.n_records
+        reference = self._reference(sql_workload, hyps)
+        early = InspectConfig(early_stop=True, error_threshold=0.5,
+                              block_size=64)
+        with self._session(sql_workload, hyps, tmp_path, config=early,
+                           scheduler="serial") as session:
+            session.sql(EPOCHS_SQL)
+            first = session.stats()["unit_cache"]["extractions"]
+        with self._session(sql_workload, hyps, tmp_path,
+                           scheduler="serial") as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            second = session.stats()["unit_cache"]
+        assert first > 0 and second["extractions"] > 0
+        assert 0 < second["disk_hits"] < n    # the early statement's records
+        with self._session(sql_workload, hyps, tmp_path,
+                           scheduler="serial") as session:
+            frame = session.sql(EPOCHS_SQL)
+            (entry,) = session.unit_cache._entries.values()
+            reader = session.store.reader(entry.store_key)
+            counts = session.stats()["unit_cache"]
+        assert frame == reference
+        assert reader.n_shards == 2 and reader.whole is None
+        assert entry.matrix.flags.writeable
+        assert (counts["disk_hits"], counts["extractions"]) == (n, 0)
+
+    def test_processes_store_reads_back_under_threads(
+            self, tmp_path, sql_workload, hyps72):
+        """Pool workers write unit entries in the tier's layout, records
+        in id order, and a threads session serves them unchanged."""
+        hyps = hyps72[:6]
+        reference = self._reference(sql_workload, hyps)
+        with self._session(sql_workload, hyps, tmp_path,
+                           scheduler="processes") as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            assert glob.glob(str(tmp_path / "shards/w*.seg"))
+        with self._session(sql_workload, hyps, tmp_path,
+                           scheduler="threads") as session:
+            frame = session.sql(EPOCHS_SQL)
+            counts = session.stats()["unit_cache"]
+        assert frame == reference
+        assert (counts["disk_hits"], counts["extractions"]) \
+            == (sql_workload.dataset.n_records, 0)
+        (key,) = [k for k in DiskBehaviorStore(tmp_path).keys()
+                  if k.startswith("unit/")]
+        assert DiskBehaviorStore(tmp_path).reader(key).n_symbols \
+            == sql_workload.dataset.n_symbols
 
     def test_unreadable_manifest_is_reported_a_new_store_is_not(
             self, tmp_path):

@@ -1,12 +1,13 @@
 """What a warm statement may skip, and when it may not.
 
 A warm statement recomputes nothing that does not depend on the statement:
-the hypothesis block's moments are kept by the hypothesis tier, the unit
-tier holds its entries in the layout scoring reads, and the session reuses
-a statement's parse and compilation.  Everything here pins the two halves
-of that bargain — the counters that show the work was skipped, and the
-frames that show skipping it changed nothing — and the invalidation rules
-that decide when it must not be skipped.
+a correlation task's block statistics are kept by the hypothesis tier (and
+within one statement the score tasks reading a block sum its moments
+once), the unit tier holds its entries in the layout scoring reads, and
+the session reuses a statement's parse and compilation.  Everything here
+pins the two halves of that bargain — the counters that show the work was
+skipped, and the frames that show skipping it changed nothing — and the
+invalidation rules that decide when it must not be skipped.
 """
 
 from __future__ import annotations
@@ -42,11 +43,43 @@ TOPK = ("SELECT S.uid AS uid, S.hid AS hid, S.unit_score AS score "
         "ORDER BY S.unit_score DESC LIMIT 20")
 
 
+@pytest.fixture
+def moment_sums(monkeypatch):
+    """Every block-moments thunk a statement hands out, as the list of
+    values its calls returned (empty: never called)."""
+    from repro.core import source
+    real = source.block_moments
+    thunks: list[list] = []
+
+    def spying(block):
+        thunk = real(block)
+        if thunk is None:
+            return None
+        returned: list = []
+        thunks.append(returned)
+
+        def spied():
+            returned.append(thunk())
+            return returned[-1]
+        return spied
+    monkeypatch.setattr(source, "block_moments", spying)
+    return thunks
+
+
+def _summed(thunks: list[list]) -> int:
+    """Blocks whose moments were summed: a thunk sums on its first call
+    and hands every later caller that same value."""
+    called = [values for values in thunks if values]
+    for values in called:
+        assert all(value is values[0] for value in values)
+    return len(called)
+
+
 # ----------------------------------------------------------------------
 # the counts behind the timing claim
 # ----------------------------------------------------------------------
 def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
-                                             trained_sql_model):
+                                             trained_sql_model, moment_sums):
     with Session(config=InspectConfig(block_size=128)) as session:
         session.register_dataset("d0", sql_workload.dataset)
         session.register_hypotheses(hyps72)
@@ -55,6 +88,7 @@ def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
         blocks = session.stats()["hypothesis_cache"]["stat_misses"]
         first = session.sql(TOPK)
         before = session.stats()
+        handed_out = len(moment_sums)
         second = session.sql(TOPK)
         after = session.stats()
     assert second == first
@@ -69,8 +103,7 @@ def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
     for tier in ("hypothesis_cache", "unit_cache"):
         for counter in ("hits", "misses", "extractions"):
             assert moved(tier, counter) == 0, (tier, counter)
-    assert moved("hypothesis_cache", "moment_misses") == 0
-    assert moved("hypothesis_cache", "moment_hits") == 0
+    assert len(moment_sums) == handed_out       # no block was even gathered
     assert moved("statement_cache", "misses") == 0
     assert moved("statement_cache", "invalidated") == 0
     assert moved("statement_cache", "hits") == 1
@@ -78,8 +111,21 @@ def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
 
 
 # ----------------------------------------------------------------------
-# served moments: layout-aware bit-identity
+# shared moments: layout-aware bit-identity
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 4096 + 3])
+@pytest.mark.parametrize("cols", [2, 13, 72])
+def test_block_moments_sum_as_the_block_would(rows, cols):
+    """The thunk's sums of squares, taken a chunk of rows at a time, are
+    byte for byte what a score task reducing the block itself gets."""
+    from repro.core.source import block_moments
+    rng = np.random.default_rng(rows * cols)
+    block = rng.standard_normal((rows, cols)) * rng.uniform(0, 1e3, cols)
+    block[block > 1.0] = np.round(block[block > 1.0])
+    sums, squares = block_moments(block)()
+    assert sums.tobytes() == block.sum(axis=0).tobytes()
+    assert squares.tobytes() == (block**2).sum(axis=0).tobytes()
+
 SHAPES = ("72 columns", "2 columns", "1 column", "frozen slice", "spearman")
 
 
@@ -118,7 +164,7 @@ def _shape(name: str, hyps72, dataset, model):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_served_moments_keep_every_frame_bit_identical(
         shape, scheduler, tier, sql_workload, hyps72, trained_sql_model,
-        tmp_path):
+        tmp_path, moment_sums):
     dataset = sql_workload.dataset
     hyps, measure, groups, knobs, shares = _shape(
         shape, hyps72, dataset, trained_sql_model)
@@ -141,6 +187,7 @@ def test_served_moments_keep_every_frame_bit_identical(
                     .hypotheses(hyps).where(groups=groups).run())
         cold = run()
         computed = session.stats()["hypothesis_cache"]
+        summed = _summed(moment_sums)
         warm = run()
         counts = session.stats()["hypothesis_cache"]
     assert cold == reference
@@ -150,12 +197,12 @@ def test_served_moments_keep_every_frame_bit_identical(
     assert computed["stat_hits"] == 0 and computed["stat_misses"] > 0
     assert counts["stat_hits"] == counts["stat_misses"] \
         == computed["stat_misses"]
-    assert counts["moment_hits"] == 0
-    assert (counts["moment_misses"] > 0) == shares
+    assert _summed(moment_sums) == summed
+    assert (summed > 0) == shares
 
 
 def test_recycled_arena_column_never_serves_its_old_moments(
-        sql_workload, hyps72, trained_sql_model):
+        sql_workload, hyps72, trained_sql_model, moment_sums):
     dataset = sql_workload.dataset
     column_bytes = 8 * dataset.n_records * dataset.n_symbols \
         + dataset.n_records
@@ -176,14 +223,14 @@ def test_recycled_arena_column_never_serves_its_old_moments(
             return cache._entries[(dataset.cache_key(), hyp.cache_key())].col
 
         first = run([h0, h1])
-        blocks = cache.moment_misses
+        blocks = _summed(moment_sums)
         assert blocks == 4                       # 444 records, 128 a block
         freed = column_of(h0)
         recycled = run([h2, h1])                 # h0 is evicted for h2
         assert column_of(h2) == freed
         assert (dataset.cache_key(), h0.cache_key()) not in cache._entries
         # the blocks over the recycled column were summed afresh
-        assert (cache.moment_hits, cache.moment_misses) == (0, 2 * blocks)
+        assert _summed(moment_sums) == 2 * blocks
         again = run([h0, h1])
     assert first == fresh([h0, h1]) == again
     assert recycled == fresh([h2, h1])
@@ -212,30 +259,31 @@ def _kept_counts(session) -> tuple[int, int]:
 
 
 def test_unit_subsets_never_share_kept_stats(sql_workload, hyps72,
-                                             trained_sql_model):
+                                             trained_sql_model, moment_sums):
     """``U.uid < 8``, ``< 16``, ``IN (1, 3, 5)``, ``= 7``, then ``< 8``
     again: each subset computes its own statistics (a wider product is
-    never sliced) and only the repeat is served."""
+    never sliced), summing each block's moments at most once, and only the
+    repeat is served."""
     dataset, model = sql_workload.dataset, trained_sql_model
     subsets = [np.arange(8), np.arange(16), np.array([1, 3, 5]),
                np.array([7]), np.arange(8)]
     with Session(config=InspectConfig(**KEPT_KNOBS)) as session:
-        moved, moment_hits = [], []
+        moved, summed = [], []
         for ids in subsets:
             groups = [UnitGroup(model=model, unit_ids=ids, name="mid=m")]
             before = _kept_counts(session)
-            hits_before = session.hyp_cache.moment_hits
+            moment_sums.clear()
             frame = (session.inspect(dataset=dataset).using("corr")
                      .hypotheses(hyps72).where(groups=groups).run())
             after = _kept_counts(session)
             moved.append((after[0] - before[0], after[1] - before[1]))
-            moment_hits.append(session.hyp_cache.moment_hits - hits_before)
+            summed.append(_summed(moment_sums))
             assert frame == _reference(groups, dataset, hyps72), ids
     assert all(hits == 0 and misses > 0 for hits, misses in moved[:4])
     assert moved[4] == (moved[0][1], 0)
-    # ``< 16`` computes its own statistics, but over the hypotheses and
-    # records ``< 8`` read: the block moments that run kept are served
-    assert moment_hits[1] > 0
+    # one task, so at most one sum per block it computed statistics for
+    assert all(0 < n <= misses for n, (_, misses) in zip(summed, moved[:4]))
+    assert summed[4] == 0
 
 
 def test_hypothesis_columns_are_part_of_the_key(sql_workload, hyps72,
