@@ -693,8 +693,10 @@ def _same_records(masks: np.ndarray, js: np.ndarray) -> list:
     the row marks, its columns)`` pair per distinct row."""
     together: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for mask, j in zip(masks, js.tolist()):
-        together.setdefault(mask.tobytes(),
-                            (np.flatnonzero(mask), []))[1].append(j)
+        group = together.get(key := mask.tobytes())
+        if group is None:   # positions only for a row not seen before
+            group = together[key] = (np.flatnonzero(mask), [])
+        group[1].append(j)
     return list(together.values())
 
 

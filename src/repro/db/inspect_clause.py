@@ -25,10 +25,14 @@ runs the pipeline every statement runs — bind, relation, select (see
    and the FROM list and WHERE become the joined catalog relation through
    the relation stage every SELECT uses (:mod:`repro.db.relation`).
 2. **Shared inspection plan** -- GROUP BY keys are factorized over the
-   joined relation, the per-group (model, unit-set, hypothesis) workloads
-   are deduplicated across groups, and ONE plan-engine run
-   (:class:`repro.core.pipeline.InspectionPlan`) scores everything, wired to
-   the session's :class:`~repro.core.cache.HypothesisCache` /
+   joined relation and its rows split by group (one stable argsort); the
+   model and hypothesis columns are factorized once into first-seen
+   codes, so each group's workload is integer work that keeps the
+   catalog's first-seen orders.  The per-group (model, unit-set,
+   hypothesis) workloads are deduplicated across groups, and ONE
+   plan-engine run (:class:`repro.core.pipeline.InspectionPlan`) scores
+   everything, wired to the session's
+   :class:`~repro.core.cache.HypothesisCache` /
    :class:`~repro.core.cache.UnitBehaviorCache` and scheduler.  The
    per-dataset runs a GROUP BY sweep fans into share the session's one
    pool (thread or process), so an INSPECT statement on a
@@ -76,10 +80,27 @@ S_COLUMNS = ("uid", "hid", "mid", "score_id", "group_score", "unit_score")
 # ----------------------------------------------------------------------
 # stage 2: the shared inspection plan
 # ----------------------------------------------------------------------
-def _first_seen(values: np.ndarray) -> list:
-    """Distinct values in first-occurrence order."""
-    uniq, first = np.unique(values, return_index=True)
-    return uniq[np.argsort(first, kind="stable")].tolist()
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """Int64 codes for ``values`` and the distinct values they index, both
+    in first-occurrence order: one hashing pass, no object-array sort."""
+    items = values.tolist()
+    distinct = list(dict.fromkeys(items))
+    code = {v: k for k, v in enumerate(distinct)}
+    return np.fromiter(map(code.__getitem__, items), dtype=np.int64,
+                       count=len(items)), distinct
+
+
+def _seen_order(codes: np.ndarray) -> np.ndarray:
+    """The distinct ``codes``, in first-occurrence order."""
+    uniq, first = np.unique(codes, return_index=True)
+    return uniq[np.argsort(first, kind="stable")]
+
+
+def _split_groups(gids: np.ndarray, n_groups: int) -> list[np.ndarray]:
+    """Each group's row positions, ascending: one stable argsort."""
+    order = np.argsort(gids, kind="stable")
+    ends = np.cumsum(np.bincount(gids, minlength=n_groups))
+    return np.split(order, ends[:-1])
 
 
 @dataclass
@@ -98,28 +119,29 @@ class _GroupWorkload:
     did: str = ""   # dataset this group targets (filled after collection)
 
 
-def _collect_workloads(gids: np.ndarray, n_groups: int, mid_arr: np.ndarray,
+def _collect_workloads(groups: list[np.ndarray], mid_arr: np.ndarray,
                        uid_arr: np.ndarray,
                        hyp_arr: np.ndarray) -> list[_GroupWorkload]:
+    mcodes, mids = _factorize(mid_arr)
+    hcodes, hyps = _factorize(hyp_arr)
+    local = np.empty(len(hyps), dtype=np.int64)  # hcode -> group column
     workloads: list[_GroupWorkload] = []
-    for g in range(n_groups):
-        rows_g = np.flatnonzero(gids == g)
-        hyp_names = [str(h) for h in _first_seen(hyp_arr[rows_g])]
-        hyp_code = {h: j for j, h in enumerate(hyp_names)}
+    for rows_g in groups:
+        hyp_order = _seen_order(hcodes[rows_g])
+        hyp_names = [str(hyps[k]) for k in hyp_order.tolist()]
+        local[hyp_order] = np.arange(hyp_order.shape[0])
         models: list[tuple[str, np.ndarray, np.ndarray]] = []
-        for mid in _first_seen(mid_arr[rows_g]):
-            rows_m = rows_g[mid_arr[rows_g] == mid]
+        mcodes_g = mcodes[rows_g]
+        for m in _seen_order(mcodes_g).tolist():
+            rows_m = rows_g[mcodes_g == m]
             m_uids = uid_arr[rows_m].astype(np.int64)
             uids, first = np.unique(m_uids, return_index=True)
             nu = uids.shape[0]
             rep_grid = np.tile(rows_m[first], len(hyp_names))
-            hcodes = np.fromiter(
-                (hyp_code[h] for h in hyp_arr[rows_m].tolist()),
-                dtype=np.int64, count=rows_m.shape[0])
-            pair = hcodes * nu + np.searchsorted(uids, m_uids)
+            pair = local[hcodes[rows_m]] * nu + np.searchsorted(uids, m_uids)
             present, pfirst = np.unique(pair, return_index=True)
             rep_grid[present] = rows_m[pfirst]
-            models.append((str(mid), uids, rep_grid))
+            models.append((str(mids[m]), uids, rep_grid))
         workloads.append(_GroupWorkload(hyp_names=hyp_names, models=models))
     return workloads
 
@@ -135,7 +157,7 @@ def _model_column(spec: InspectSpec, schema: Schema) -> str:
 
 def _group_datasets(session: Session, spec: InspectSpec,
                     schema: Schema, cols: dict[str, np.ndarray],
-                    gids: np.ndarray, n_groups: int) -> list[str]:
+                    groups: list[np.ndarray]) -> list[str]:
     """The dataset id each GROUP BY group targets.
 
     Every group must resolve to exactly one dataset, but different groups
@@ -155,14 +177,14 @@ def _group_datasets(session: Session, spec: InspectSpec,
                 "cannot determine the INSPECT dataset: no catalog relation "
                 "exposes a 'did' column and the session registers "
                 f"{len(session.datasets)} datasets")
-        return [next(iter(session.datasets))] * n_groups
+        return [next(iter(session.datasets))] * len(groups)
     dids: list[str] = []
-    for g in range(n_groups):
-        group_dids = set(np.unique(did_col[gids == g]).tolist())
-        if len(group_dids) != 1:
+    for rows_g in groups:
+        group_dids = did_col[rows_g]
+        if not (group_dids == group_dids[0]).all():
             raise ValueError("INSPECT must target one dataset per group, "
-                             f"got {sorted(group_dids)}")
-        dids.append(str(group_dids.pop()))
+                             f"got {sorted(set(group_dids.tolist()))}")
+        dids.append(str(group_dids[0]))
     return dids
 
 
@@ -375,10 +397,10 @@ def _compile_inspect(session: Session,
     mid_arr = cols[_model_column(spec, catalog_schema)]
     uid_arr = cols[catalog_schema.resolve(spec.unit_ref)]
     hyp_arr = cols[catalog_schema.resolve(spec.hyp_ref)]
-    group_dids = _group_datasets(session, spec, catalog_schema, cols,
-                                 gids, n_groups)
+    groups = _split_groups(gids, n_groups)
+    group_dids = _group_datasets(session, spec, catalog_schema, cols, groups)
     measures = [get_measure(name) for name in spec.measures]
-    workloads = _collect_workloads(gids, n_groups, mid_arr, uid_arr, hyp_arr)
+    workloads = _collect_workloads(groups, mid_arr, uid_arr, hyp_arr)
     for workload, did in zip(workloads, group_dids):
         workload.did = did
 

@@ -25,17 +25,25 @@ implementations they replace:
   in-place ``sigmoid``/``tanh`` and no gate or cell history.  Each step's
   gates live in one contiguous ``(4, batch, h)`` block, so the sigmoid
   over ``i|f|o``, the ``tanh`` of ``g`` and the cell update all run on
-  contiguous memory.  The one strided op left is the add that builds that
-  block: it reads the recurrent product ``h_prev @ w_h`` gate-interleaved,
-  as the ``(batch, 4h)`` GEMM lays it out, and step ``t`` of the input
-  projection through a step-major view of its ``(batch, time, 4h)``
-  layout.  The product stays that one GEMM on purpose: BLAS sums a GEMM in
-  a shape-dependent order, and only the training loop's own ``(batch, h)
-  @ (h, 4h)`` shape is guaranteed to sum the same way on every BLAS
-  kernel (a per-gate ``(4, h, h)`` split matches on some CPUs, not all).
-  Elementwise ops are applied in the training loop's evaluation order
-  (IEEE addition is commutative bitwise on non-NaN values), so the
-  hidden-state sequence matches the training forward pass bit for bit.
+  contiguous memory.  The add that builds that block reads the recurrent
+  product ``h_prev @ w_h`` gate-interleaved, as the ``(batch, 4h)`` GEMM
+  lays it out, and step ``t`` of the dense input projection through a
+  step-major view of its ``(batch, time, 4h)`` layout.  The product stays
+  that one GEMM on purpose: BLAS sums a GEMM in a shape-dependent order,
+  and only the training loop's own ``(batch, h) @ (h, 4h)`` shape is
+  guaranteed to sum the same way on every BLAS kernel (a per-gate ``(4,
+  h, h)`` split matches on some CPUs, not all).  Elementwise ops are
+  applied in the training loop's evaluation order (IEEE addition is
+  commutative bitwise on non-NaN values), so the hidden-state sequence
+  matches the training forward pass bit for bit.
+* :func:`lstm_sweep_ids` -- the same loop on integer ids, with no
+  ``(batch, time, 4h)`` projection at all: the pre-biased table is copied
+  gate-major to ``(4, vocab, h)`` once, and each step takes its ``(4,
+  batch, h)`` gate block from it into the gate scratch with one unbuffered
+  ``np.take`` (ids range-checked once per sweep, as ``table[ids]`` would).
+  The rows taken are :func:`gather_projection`'s rows, so the recurrent
+  product is the one strided operand left and the bits are
+  ``lstm_sweep(gather_projection(ids, w_x, b), w_h, h)``'s.
 
 Scratch buffers are allocated per call: they are small next to the sweep
 itself, and per-call allocation keeps the kernels thread-safe for the
@@ -108,10 +116,38 @@ def lstm_sweep(x_proj: np.ndarray, w_h: np.ndarray, n_units: int,
     saves.
     """
     batch, time, four_h = x_proj.shape
-    h = n_units
-    assert four_h == 4 * h, "x_proj width must be 4 * n_units"
-    dtype = x_proj.dtype
-    steps = x_proj.reshape(batch, time, 4, h).transpose(1, 2, 0, 3)
+    assert four_h == 4 * n_units, "x_proj width must be 4 * n_units"
+    steps = x_proj.reshape(batch, time, 4, n_units).transpose(1, 2, 0, 3)
+    return _recurrence(steps, None, w_h, batch, time, h0, c0)
+
+
+def lstm_sweep_ids(ids: np.ndarray, w_x: np.ndarray, bias: np.ndarray,
+                   w_h: np.ndarray, h0: np.ndarray | None = None,
+                   c0: np.ndarray | None = None) -> np.ndarray:
+    """:func:`lstm_sweep` over ``gather_projection(ids, w_x, bias)``, bit
+    for bit, without building that ``(batch, time, 4h)`` projection (see
+    the module docstring).  Ids are range-checked once, as ``table[ids]``
+    would, so each step's take can run unbuffered in ``"wrap"`` mode."""
+    vocab, four_h = w_x.shape
+    batch, time = ids.shape
+    if ids.size and (ids.min() < -vocab or ids.max() >= vocab):
+        raise IndexError(f"ids out of bounds for a table of {vocab} rows")
+    table = np.ascontiguousarray(
+        (w_x + bias).reshape(vocab, 4, four_h // 4).transpose(1, 0, 2))
+    step_ids = ids.T.astype(np.intp)   # (time, batch), one row per step
+    return _recurrence(table, step_ids, w_h, batch, time, h0, c0)
+
+
+def _recurrence(source: np.ndarray, step_ids: np.ndarray | None,
+                w_h: np.ndarray, batch: int, time: int,
+                h0: np.ndarray | None,
+                c0: np.ndarray | None) -> np.ndarray:
+    """The one inference loop behind both sweeps.  Step ``t``'s input
+    gates are ``source[t]`` (a step-major ``(time, 4, batch, h)`` view)
+    when ``step_ids`` is None, else ``source[:, step_ids[t]]`` (a
+    gate-major ``(4, vocab, h)`` table)."""
+    h = w_h.shape[0]
+    dtype = source.dtype
     hs = np.empty((batch, time, h), dtype=dtype)
 
     zw = np.empty((batch, 4 * h), dtype=dtype)
@@ -127,7 +163,11 @@ def lstm_sweep(x_proj: np.ndarray, w_h: np.ndarray, n_units: int,
 
     for t in range(time):
         np.matmul(hbuf, w_h, out=zw)
-        np.add(zw_gates, steps[t], out=z)   # x_proj + h @ w_h, commuted
+        if step_ids is None:
+            np.add(zw_gates, source[t], out=z)   # x_proj + h @ w_h, commuted
+        else:
+            np.take(source, step_ids[t], axis=1, out=z, mode="wrap")
+            np.add(z, zw_gates, out=z)
         # one fused sigmoid over the i|f|o block: elementwise, so the bits
         # match three per-gate calls
         sigmoid_into(z[:3], z[:3], scratch)

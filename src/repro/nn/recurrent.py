@@ -43,38 +43,31 @@ class LSTM(Module):
         """Run the sequence; returns hidden states (batch, time, units).
 
         ``x`` is either a dense ``(batch, time, n_in)`` tensor or an
-        integer ``(batch, time)`` id array; ids take the embedding-gather
-        projection of :mod:`repro.nn.kernels` (bit-identical to one-hot @
-        ``w_x`` without materializing the one-hot) and therefore require
+        integer ``(batch, time)`` id array; ids index the pre-biased
+        ``w_x`` table of :mod:`repro.nn.kernels` (bit-identical to one-hot
+        @ ``w_x`` without materializing the one-hot) and therefore require
         ``training=False`` -- BPTT's weight gradient needs the dense input.
 
         ``training=False`` runs the inference sweep: preallocated scratch,
-        in-place kernels, no gate/cell history and no backward cache.  The
-        hidden states are bit-identical to the training path's.
+        in-place kernels, no gate/cell history and no backward cache (on
+        ids, no ``(batch, time, 4h)`` projection either).  The hidden
+        states are bit-identical to the training path's.
         """
         if x.ndim == 2 and np.issubdtype(x.dtype, np.integer):
             if training:
                 raise ValueError(
                     "integer id input requires training=False: the BPTT "
                     "weight gradient needs the dense (one-hot) input")
-            batch, time = x.shape
-            x_proj = kernels.gather_projection(x, self.w_x.value,
-                                               self.b.value)
-        else:
-            batch, time, _ = x.shape
-            # hoist the input projection out of the time loop
-            x_proj = x.reshape(-1, self.n_in) @ self.w_x.value
-            x_proj = x_proj.reshape(batch, time, 4 * self.n_units) \
-                + self.b.value
-
+            return self._inferred(kernels.lstm_sweep_ids(
+                x, self.w_x.value, self.b.value, self.w_h.value, h0, c0))
+        batch, time, _ = x.shape
+        # hoist the input projection out of the time loop
+        x_proj = x.reshape(-1, self.n_in) @ self.w_x.value
+        x_proj = x_proj.reshape(batch, time, 4 * self.n_units) \
+            + self.b.value
         if not training:
-            hs = kernels.lstm_sweep(x_proj, self.w_h.value, self.n_units,
-                                    h0, c0)
-            # enough cache for last_hidden(), and no more: holding the
-            # whole sweep would pin every model's (batch, time, h) output
-            # until its next forward; backward() rejects the cache
-            self._cache = {"hs": hs[:, -1:].copy(), "inference": True}
-            return hs
+            return self._inferred(kernels.lstm_sweep(
+                x_proj, self.w_h.value, self.n_units, h0, c0))
 
         h_dim = self.n_units
         dtype = x_proj.dtype  # buffers follow the parameters' dtype
@@ -105,6 +98,13 @@ class LSTM(Module):
             "h0": np.zeros((batch, h_dim), dtype=dtype) if h0 is None else h0,
             "c0": np.zeros((batch, h_dim), dtype=dtype) if c0 is None else c0,
         }
+        return hs
+
+    def _inferred(self, hs: np.ndarray) -> np.ndarray:
+        # enough cache for last_hidden(), and no more: holding the whole
+        # sweep would pin every model's (batch, time, h) output until its
+        # next forward; backward() rejects the cache
+        self._cache = {"hs": hs[:, -1:].copy(), "inference": True}
         return hs
 
     # ------------------------------------------------------------------

@@ -485,6 +485,29 @@ def test_store_keys_compacted_only_where_a_store_is_consulted(
                         extractor.raw_key(), dataset.cache_key())])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_same_records_groups_columns_by_equal_mask_rows(seed):
+    rng = np.random.default_rng(seed)
+    distinct = rng.random((5, 40)) < 0.5
+    distinct[0] = False                  # an all-empty row among them
+    masks = distinct[rng.integers(0, 5, size=23)]
+    js = rng.permutation(60)[:23]
+
+    rows: list[np.ndarray] = []          # distinct rows, first-seen order
+    for mask in masks:
+        if not any(np.array_equal(mask, row) for row in rows):
+            rows.append(mask)
+    expected = [(np.flatnonzero(row),
+                 [j for mask, j in zip(masks, js.tolist())
+                  if np.array_equal(mask, row)]) for row in rows]
+
+    got = cache_module._same_records(masks, js)
+    assert len(got) == len(expected)
+    for (at, cols), (want_at, want_cols) in zip(got, expected):
+        assert at.tobytes() == want_at.tobytes()
+        assert cols == want_cols
+
+
 # ----------------------------------------------------------------------
 # panels on disk: what was extracted together is stored together, and a
 # member is served from any panel that holds the record

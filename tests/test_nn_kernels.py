@@ -9,6 +9,8 @@ the seed implementations they replace.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,15 +281,62 @@ class TestInferenceSweep:
             got = m.hidden_states(ids)
         assert got.tobytes() == seed_hs.tobytes()
 
-    def test_lstm_sweep_over_gather_projection_matches_forward(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n_units", [1, 5, 32])
+    @pytest.mark.parametrize("batch", [1, 7, 512])
+    @pytest.mark.parametrize("initial_state", [False, True])
+    def test_lstm_sweep_over_gather_projection_matches_forward(
+            self, dtype, n_units, batch, initial_state):
         """The composition the benchmark replay times: the (batch, time,
-        4h) projection swept by ``lstm_sweep`` equals the id path."""
-        lstm = LSTM(17, 9, new_rng(21))
-        ids = new_rng(22).integers(0, 17, size=(13, 7))
-        swept = kernels.lstm_sweep(
+        4h) projection swept by ``lstm_sweep`` equals the id path, which
+        never builds that projection."""
+        vocab, time = 19, 6
+        lstm = LSTM(vocab, n_units, new_rng(40 + n_units))
+        for p in lstm.parameters():
+            p.value = p.value.astype(dtype)
+        rng = new_rng(batch)
+        ids = rng.integers(0, vocab, size=(batch, time))
+        h0 = c0 = None
+        if initial_state:
+            h0 = rng.standard_normal((batch, n_units)).astype(dtype)
+            c0 = rng.standard_normal((batch, n_units)).astype(dtype)
+        dense = kernels.lstm_sweep(
             kernels.gather_projection(ids, lstm.w_x.value, lstm.b.value),
-            lstm.w_h.value, lstm.n_units)
-        assert swept.tobytes() == lstm.forward(ids, training=False).tobytes()
+            lstm.w_h.value, n_units, h0, c0)
+        got = lstm.forward(ids, h0, c0, training=False)
+        assert got.dtype == np.dtype(dtype)
+        assert got.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("bad", [19, 40, -20, -100])
+    def test_out_of_range_ids_raise_as_table_indexing_does(self, bad):
+        lstm = LSTM(19, 4, new_rng(25))
+        ids = new_rng(26).integers(0, 19, size=(3, 5))
+        ids[1, 2] = bad
+        with pytest.raises(IndexError):
+            lstm.w_x.value[ids]
+        with pytest.raises(IndexError):
+            lstm.forward(ids, training=False)
+
+    def test_negative_ids_count_from_the_end(self):
+        lstm = LSTM(19, 4, new_rng(27))
+        ids = new_rng(28).integers(0, 19, size=(9, 5))
+        wrapped = np.where(ids % 2 == 0, ids - 19, ids)   # -19 .. -1 too
+        assert wrapped.min() < 0
+        assert (lstm.forward(wrapped, training=False).tobytes()
+                == lstm.forward(ids, training=False).tobytes())
+
+    def test_id_sweep_builds_no_input_projection(self):
+        batch, time, h = 512, 30, 32
+        m = CharLSTMModel(60, h, new_rng(29))
+        ids = new_rng(30).integers(0, 60, size=(batch, time))
+        m.hidden_states(ids[:1])   # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            m.hidden_states(ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch * time * 4 * h * 8 // 2
 
     def test_inference_cache_holds_no_sweep(self):
         lstm = LSTM(5, 4, new_rng(23))
