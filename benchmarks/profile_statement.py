@@ -22,10 +22,9 @@ direct children) and the whole statement — so a before/after reads
 without eyeballing 40 rows, and nothing here depends on function names.
 Spans are timed on the thread that runs them: under a pool the
 ``sweep[model]`` rows overlap the calling thread's labelling and its
-``unit_extraction`` rows are the submission and the wait; under
-``REPRO_SCHEDULER=processes`` they are what the workers timed of
-themselves.  cProfile taxes Python
-calls, not numpy's inner loops, and sees the calling thread only.  Read the
+``unit_extraction`` rows are the submission and the wait
+(``REPRO_SCHEDULER=processes`` is the thread pool too).  cProfile taxes
+Python calls, not numpy's inner loops, and sees the calling thread only.  Read the
 rows as proportions, take timings from ``benchmarks/e2e``.
 """
 

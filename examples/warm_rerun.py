@@ -15,12 +15,9 @@ from mmap reads: the extraction counters stay at zero and the scores are
 bit-identical.  ``--fresh`` wipes the store first; ``--gc BYTES`` applies
 a byte budget afterwards.
 
-``--scheduler processes`` runs the cold extraction shard-parallel across
-cores: the coordinator describes picklable shard tasks, pool workers
-write activation shards straight into ``./behavior_store``, and the
-session adopts them into the manifest in its single commit — same store
-layout, same scores, warm reruns unchanged.  The default (``auto``)
-lets :func:`repro.core.pipeline.default_scheduler` decide: threads on
+``--scheduler processes`` is the thread scheduler under another name:
+same store layout, same scores, warm reruns unchanged.  The default
+(``auto``) lets :func:`repro.core.pipeline.default_scheduler` decide: threads on
 two or more usable CPUs (the store does not enter the choice), serial on
 one.
 """

@@ -18,12 +18,12 @@ REP002    lock-order              consistent lock acquisition order; no
                                   callbacks invoked while holding a lock
 REP003    address-free-identity   no id()/hash()/repr() of arbitrary
                                   objects in identity/key/fingerprint code
-REP004    shard-picklable         Shard*Task dataclass fields pickle-safe
-                                  by construction
+(REP004)  (retired)               shard-picklable: retired with the shard
+                                  tasks it checked
 REP005    silent-degradation      except-Exception fallbacks must call the
                                   degraded() hook or re-raise
-REP006    counter-fold-symmetry   stats()/reset_counters()/fold_counts()
-                                  key sets agree per class
+REP006    counter-reset-symmetry  reset_counters() zeroes only what
+                                  stats() reports
 REP007    lifecycle               classes owning pools/mmaps/file handles
                                   define close()/shutdown()/__exit__
 REP008    extractor-protocol      Extractor subclasses override a coherent

@@ -1,16 +1,11 @@
-"""REP006: counter-fold symmetry across stats()/reset_counters()/fold_counts().
+"""REP006: counter-reset symmetry between stats() and reset_counters().
 
-Cross-process counter folding (PR 6) only keeps extraction-once
-assertions meaningful if three key sets stay aligned per class:
-
-* every parameter of ``fold_counts(**counts)`` must be a key ``stats()``
-  reports — a folded counter nobody can read is lost observability;
-* every attribute ``reset_counters()`` zeroes must be a ``stats()`` key —
-  resetting something unreported hints at a renamed counter;
-* when a class defines both, the fold-parameter set and the reset-zeroed
-  set must be *equal*: a counter that folds but never resets poisons
-  before/after assertions, and one that resets but never folds silently
-  under-counts under the process scheduler.
+``reset_counters()`` is the before/after primitive: "this query extracted
+nothing" is asserted by zeroing a tier's counters and reading ``stats()``
+afterwards.  That only means something while every attribute
+``reset_counters()`` zeroes is a key ``stats()`` reports — resetting
+something unreported hints at a renamed counter, whose reads then see a
+running total where a reset was meant.
 
 Gauges (``entries``, ``bytes``, ...) live only in ``stats()`` and are
 unconstrained.  ``reset_counters`` implementations that delegate to a
@@ -71,57 +66,26 @@ def _zeroed_attrs(fn: ast.FunctionDef,
     return zeroed
 
 
-def _fold_params(fn: ast.FunctionDef) -> set[str]:
-    args = fn.args
-    names = [a.arg for a in (*args.posonlyargs, *args.args,
-                             *args.kwonlyargs)]
-    return {name for name in names if name not in ("self", "cls")}
-
-
 @register
-class CounterFoldSymmetryChecker(Checker):
+class CounterResetSymmetryChecker(Checker):
     id = "REP006"
-    name = "counter-fold-symmetry"
-    description = ("stats()/reset_counters()/fold_counts() key sets must "
-                   "agree per class")
-    hint = ("report every foldable/resettable counter from stats(), and "
-            "keep fold_counts parameters and reset_counters zeroing in "
-            "sync")
+    name = "counter-reset-symmetry"
+    description = "reset_counters() must zero only counters stats() reports"
+    hint = "report every resettable counter from stats()"
 
     def visit_file(self, ctx: FileContext):
         for cls in classes(ctx.tree):
             named = {fn.name: fn for fn in methods(cls)}
             stats = named.get("stats")
             reset = named.get("reset_counters")
-            fold = named.get("fold_counts")
-            stats_keys = _stats_keys(stats) if stats is not None else None
-            fold_keys = _fold_params(fold) if fold is not None else None
-            reset_keys = (_zeroed_attrs(reset, named)
-                          if reset is not None else None)
-            if stats_keys is not None and fold_keys is not None:
-                missing = sorted(fold_keys - stats_keys)
-                if missing:
-                    yield self.finding(
-                        ctx, fold,
-                        f"{cls.name}.fold_counts folds {missing} but "
-                        f"stats() never reports them")
-            if stats_keys is not None and reset_keys is not None:
-                missing = sorted(reset_keys - stats_keys)
-                if missing:
-                    yield self.finding(
-                        ctx, reset,
-                        f"{cls.name}.reset_counters zeroes {missing} but "
-                        f"stats() never reports them")
-            if fold_keys is not None and reset_keys is not None \
-                    and reset_keys and fold_keys != reset_keys:
-                only_fold = sorted(fold_keys - reset_keys)
-                only_reset = sorted(reset_keys - fold_keys)
-                detail = []
-                if only_fold:
-                    detail.append(f"folded but never reset: {only_fold}")
-                if only_reset:
-                    detail.append(f"reset but never folded: {only_reset}")
+            if stats is None or reset is None:
+                continue
+            stats_keys = _stats_keys(stats)
+            if stats_keys is None:
+                continue
+            missing = sorted(_zeroed_attrs(reset, named) - stats_keys)
+            if missing:
                 yield self.finding(
-                    ctx, fold,
-                    f"{cls.name} counter sets disagree — "
-                    f"{'; '.join(detail)}")
+                    ctx, reset,
+                    f"{cls.name}.reset_counters zeroes {missing} but "
+                    f"stats() never reports them")

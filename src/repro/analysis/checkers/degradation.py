@@ -1,12 +1,11 @@
 """REP005: silent-degradation hygiene for broad exception fallbacks.
 
-The shard, store and planner layers degrade gracefully by design: an
-unpicklable model stays inline, a vanished shard re-extracts, an
-unserializable table goes memory-only.  The danger is *silent*
-degradation — an ``except Exception:`` whose body just passes, continues
-or returns turns a real regression (every model suddenly failing to
-encode; every worker dying) into an invisible slow path that still
-produces correct results, so nothing ever surfaces it.
+The store and planner layers degrade gracefully by design: a corrupt
+shard re-extracts, an unserializable table goes memory-only.  The danger
+is *silent* degradation — an ``except Exception:`` whose body just
+passes, continues or returns turns a real regression (every shard
+suddenly corrupt; every table failing to encode) into an invisible slow
+path that still produces correct results, so nothing ever surfaces it.
 
 Rule: a handler catching ``Exception``/``BaseException`` (or a bare
 ``except:``) must either re-raise or route through an observability

@@ -96,12 +96,7 @@ def _compact(identity: str, max_len: int = 64) -> str:
 
 def hyp_store_key(dataset_key: str, identity: str) -> str:
     """Persistent *member* key of one (dataset, hypothesis) column: what a
-    store panel lists per column and what a reader asks the store for.
-
-    Module-level so the shard-task layer names the same members the cache
-    writes through — a worker-produced panel must serve exactly what a
-    serial run's would.
-    """
+    store panel lists per column and what a reader asks the store for."""
     return f"hyp/{dataset_key}/{_compact(identity)}"
 
 
@@ -290,20 +285,6 @@ class _ByteBoundedLRU:
                 setattr(self, name, getattr(self, name) + n)
                 on_span.count(name, n)
 
-    def fold_counts(self, *, extractions: int = 0, hits: int = 0,
-                    misses: int = 0, disk_hits: int = 0,
-                    disk_misses: int = 0) -> None:
-        """Fold worker-side counts into this tier's counters.
-
-        Under the process scheduler the extractor runs in worker
-        processes whose counter increments would otherwise be lost; the
-        coordinator folds them back here, so extraction-once assertions
-        (``stats()["extractions"]``) hold across schedulers.
-        """
-        with self._lock:
-            self._count(extractions=extractions, hits=hits, misses=misses,
-                        disk_hits=disk_hits, disk_misses=disk_misses)
-
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,
                 "disk_hits": self.disk_hits,
@@ -469,53 +450,6 @@ class HypothesisCache(_ByteBoundedLRU):
         return arena, columns, np.array([c.col for c in columns], dtype=int)
 
     # ------------------------------------------------------------------
-    def reserve(self, dataset: Dataset, hypotheses: list) -> None:
-        """Declare the hypotheses a run is about to fill, so the arena is
-        allocated once at that width instead of regrown fill by fill.
-        No counter moves."""
-        keys = self._keys(dataset,
-                          list(hypotheses)[:self._panel_width(dataset)])
-        if keys:
-            with self._lock:
-                self._columns(dataset, keys)
-
-    def missing_records(self, dataset: Dataset, indices: np.ndarray, *,
-                        hypothesis) -> np.ndarray:
-        """Records without memory-tier rows for this hypothesis (a planning
-        probe: no column is claimed and no hit/miss counters move)."""
-        indices = np.asarray(indices, dtype=int)
-        key = (dataset.cache_key(), self._hypothesis_identity(hypothesis))
-        with self._lock:
-            column = self._entries.get(key)
-            if column is None:
-                return indices
-            return indices[~column.arena.filled[column.col, indices]]
-
-    def fill_block(self, dataset: Dataset, hypotheses: list,
-                   indices: np.ndarray, rows: np.ndarray) -> None:
-        """Commit an externally-extracted panel — ``rows`` is
-        ``(len(indices), ns * len(hypotheses))``, record-major — in one
-        stacked write per byte-budget chunk (coordinator-side fill).
-
-        The shard exchange calls this with a worker panel's mmap'd rows;
-        they count as disk hits — the records were served from shard
-        files, not extracted by this tier.
-        """
-        indices = np.asarray(indices, dtype=int)
-        if not indices.shape[0]:
-            return
-        cells = np.asarray(rows).reshape(indices.shape[0], dataset.n_symbols,
-                                         len(hypotheses))
-        keys = self._keys(dataset, hypotheses)
-        width = self._panel_width(dataset)
-        for start in range(0, len(keys), width):
-            chunk = keys[start:start + width]
-            with self._lock:
-                arena, _, cols = self._columns(dataset, chunk)
-                self._count(disk_hits=len(chunk) * int(indices.shape[0]))
-                arena.scatter(indices, cols,
-                              cells[:, :, start:start + width])
-
     def extract(self, hypothesis: HypothesisFunction, dataset: Dataset,
                 indices: np.ndarray) -> np.ndarray:
         """Behavior rows for ``indices``, computing only the missing ones:
@@ -888,36 +822,9 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             entry.store_key = unit_store_key(*key)
         return entry.store_key
 
-    def missing_records(self, dataset: Dataset, indices: np.ndarray, *,
-                        model_key: str, raw_key: str) -> np.ndarray:
-        """Records without memory-tier raw rows for this pair (a planning
-        probe: no entry is created and no hit/miss counters move)."""
-        key = (model_key, raw_key, dataset.cache_key())
-        with self._lock:
-            return self._missing_locked(key, np.asarray(indices, dtype=int))
-
     def _missing_locked(self, key, indices: np.ndarray) -> np.ndarray:
         entry = self._entries.get(key)
         return indices if entry is None else indices[~entry.filled[indices]]
-
-    def fill_rows(self, dataset: Dataset, indices: np.ndarray,
-                  units: np.ndarray, *, model_key: str,
-                  raw_key: str) -> None:
-        """Commit worker-extracted raw behaviors, unit-major ``(raw_width,
-        len(indices), ns)`` as the store holds them (coordinator-side fill).
-
-        The shard exchange calls this with worker-produced, mmap'd rows;
-        they count as disk hits — the records were served from shard
-        files, not extracted by this tier.
-        """
-        indices = np.asarray(indices, dtype=int)
-        if indices.shape[0] == 0:
-            return
-        key = (model_key, raw_key, dataset.cache_key())
-        with self._lock:
-            entry = self._get_or_create(key, dataset)
-            self._count(disk_hits=int(indices.shape[0]))
-            self._commit_rows(key, entry, indices, units)
 
     def extract(self, model, extractor: Extractor, dataset: Dataset,
                 indices: np.ndarray,

@@ -21,11 +21,8 @@ query-optimizable workload:
   thread-pool scheduler parallelizes unit extraction across (model,
   extractor) pairs and score updates across tasks (numpy releases the GIL,
   so multi-model workloads scale across cores) while producing bit-identical
-  results.  The process-pool scheduler goes further: cold extraction is
-  *described* as picklable shard tasks (:mod:`repro.core.shard`) and
-  executed across worker processes, with the mmap'd disk store as the
-  exchange medium — scoring stays on the coordinator, so frames remain
-  bit-identical to serial there too.
+  results.  ``"processes"`` names the thread-pool scheduler too
+  (:class:`~repro.core.schedulers.ProcessPoolScheduler`).
 
 The pieces live in :mod:`~repro.core.schedulers`, :mod:`~repro.core.config`,
 :mod:`~repro.core.source` and :mod:`~repro.core.plan`; this module is the

@@ -300,11 +300,9 @@ class InspectionPlan:
         abandonment), and the whole run shares one commit scope per store
         its tiers write through (:meth:`BehaviorSource.stores`; usually
         one) — one segment and one manifest rewrite per run, not one per
-        (entry, block); a process run's worker segments land (fsynced) as
-        they are extracted, they just become visible together when the
-        scope closes.  Callers snapshot whatever
-        task state they need between steps (:meth:`outcomes`, or
-        individual tasks for cheaper partial reads).
+        (entry, block).  Callers snapshot whatever task state they need
+        between steps (:meth:`outcomes`, or individual tasks for cheaper
+        partial reads).
 
         With a unit tier, the run first leases its sweep pairs from it
         (:meth:`~repro.core.cache.UnitBehaviorCache.lease`): if another
@@ -326,7 +324,7 @@ class InspectionPlan:
                         self.dataset, self.order, self.sweep_pairs()))
                 for store in self.source.stores():
                     scopes.enter_context(store.deferred_commits())
-                yield from self._block_steps(scheduler)
+                yield from self._run_blocks(scheduler)
         finally:
             if owned:
                 scheduler.shutdown()
@@ -336,31 +334,7 @@ class InspectionPlan:
         names = [h.name for h in self.hypotheses]
         return [task.outcome(names) for task in self.tasks]
 
-    def _block_steps(self, scheduler: Scheduler):
-        """The executor loop; yields once after each processed block.
-
-        Under the process scheduler, cold extraction is dispatched to
-        worker processes up front (:class:`~repro.core.shard
-        .ShardExchange`) and integrated just-in-time per block; the loop
-        below then reads everything out of the (now warm) caches, so the
-        scoring path — and therefore the frame — is the same under every
-        scheduler.
-        """
-        from repro.core.shard import ShardExchange
-        n_hyps = len(self.hypotheses)
-        exchange = ShardExchange.build(self.source, scheduler)
-        try:
-            if exchange is not None:
-                with span("unit_extraction"):
-                    exchange.dispatch()
-                if self.source.materialize:
-                    exchange.ensure(slice(0, self.source.n_records))
-            yield from self._run_blocks(scheduler, exchange, n_hyps)
-        finally:
-            if exchange is not None:
-                exchange.close()
-
-    def _run_blocks(self, scheduler: Scheduler, exchange, n_hyps: int):
+    def _run_blocks(self, scheduler: Scheduler):
         """The per-block loop: a streamed block's sweeps run beside its
         hypothesis labelling, on every scheduler.
 
@@ -394,10 +368,9 @@ class InspectionPlan:
           the block's sweeps and hypothesis gather cover only the tasks
           that were not served — none at all when every one was.
         * Materialized runs extracted everything in
-          :meth:`BehaviorSource.prepare` and serve row slices; under the
-          process scheduler the exchange's workers swept up front, so the
-          sweeps submitted here read the filled caches.
+          :meth:`BehaviorSource.prepare` and serve row slices.
         """
+        n_hyps = len(self.hypotheses)
         self.source.prepare(scheduler)
         # kept statistics trust the model fingerprint as the unit tier
         # does, so only a plan with one keeps them
@@ -407,8 +380,6 @@ class InspectionPlan:
             pending = [t for t in self.tasks if not t.done]
             if not pending:
                 break
-            if exchange is not None:
-                exchange.ensure(sl)
             # tasks whose block statistics the hypothesis tier keeps fold
             # them and read nothing; the rest read the block
             kept, keeps = {}, {}

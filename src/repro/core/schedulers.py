@@ -5,12 +5,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import multiprocessing
 import os
-import shutil
-import tempfile
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 from repro.store import DiskBehaviorStore
 
@@ -136,79 +133,21 @@ class ThreadPoolScheduler(Scheduler):
             pool.shutdown(wait=True)
 
 
-class ProcessPoolScheduler(SerialScheduler):
-    """Executes shard tasks across worker processes (cold extraction).
+class ProcessPoolScheduler(ThreadPoolScheduler):
+    """The thread scheduler under the name ``"processes"``, which stays
+    selectable while the benchmark's replay opens it.
 
-    The coordinator describes extraction as picklable
-    :class:`~repro.core.shard.ShardTask` values; workers run the raw
-    sweeps and write shard files into the exchange store; the coordinator
-    mmaps the results back into the memory-tier caches and runs scoring
-    inline (``map`` and ``submit`` are the serial scheduler's: closures
-    over live measure states cannot cross the process boundary), so
-    frames are bit-identical to the serial scheduler's.
-
-    ``mp_context`` picks the multiprocessing start method (``"fork"``,
-    ``"spawn"``, ``"forkserver"`` or a context object); tasks carry
-    models by content (arch spec + parameter arrays) rather than
-    pickle-by-reference, so both fork and spawn work.  A session without
-    its own disk store borrows :meth:`scratch_store` — a temp-dir
-    exchange store that lives (and keeps behaviors warm) until
-    :meth:`shutdown` removes it.
+    ``mp_context`` is accepted and unused: no work leaves the process, so
+    frames, counters and an abandoned run's sweeps are those of
+    ``threads``.
     """
 
     name = "processes"
 
     def __init__(self, max_workers: int | None = None,
                  mp_context: str | None = None):
-        self.max_workers = max_workers or usable_cpus()
+        super().__init__(max_workers)
         self.mp_context = mp_context
-        self._pool: ProcessPoolExecutor | None = None
-        self._scratch: tuple[str, DiskBehaviorStore] | None = None
-        # concurrent queries on one session share this scheduler: pool and
-        # scratch-store creation must be single-flight or one of the two
-        # racing pools (or temp dirs) leaks
-        self._pool_lock = threading.Lock()
-
-    def shard_workers(self) -> int:
-        """Worker slots available to shard tasks (sizes task chunking)."""
-        return self.max_workers
-
-    def submit_shards(self, tasks: list) -> list:
-        """Submit shard tasks; returns one future per task."""
-        from repro.core.shard import run_shard_task
-        with self._pool_lock:
-            if self._pool is None:
-                context = self.mp_context
-                if isinstance(context, str):
-                    context = multiprocessing.get_context(context)
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers, mp_context=context)
-            pool = self._pool
-        return [pool.submit(run_shard_task, task) for task in tasks]
-
-    def scratch_store(self) -> DiskBehaviorStore:
-        """The temp-dir exchange store for sessions without one.
-
-        Created lazily, reused across runs (cross-query warm reads), and
-        deleted on :meth:`shutdown`.
-        """
-        with self._pool_lock:
-            if self._scratch is None:
-                root = tempfile.mkdtemp(prefix="repro-shard-exchange-")
-                self._scratch = (root, DiskBehaviorStore(root))
-            return self._scratch[1]
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            scratch, self._scratch = self._scratch, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-        if scratch is not None:
-            # publish first: a stream still open over the scratch store
-            # must find nothing pending when its scope closes afterwards
-            scratch[1].close()
-            shutil.rmtree(scratch[0], ignore_errors=True)
 
 
 def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
@@ -224,20 +163,14 @@ def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
       strictly slower.
     * Anything else gets the thread pool — numpy releases the GIL for
       sweeps, scoring and multi-model extraction, and a store-backed
-      statement commits in-process: one segment, no exchange probe.
+      statement commits in-process: one segment.
       Serial loses to it on the benchmark's ``cold_sweep`` under the
       contract command (2 CPUs: 247–254 against 153–160 ms), because the
       pool overlaps the checkpoints' sweeps with the labelling.
 
     ``store`` is unused (the benchmark's replay passes it): a store no
-    longer enters the choice.  The process pool is opt-in, by name, and
-    stays because it wins on the far side of a measured crossover (PR 23,
-    cold store-backed ``inspect_one``, 2 CPUs): at the benchmark's base
-    scale threads take 0.84x of processes' time — spawn, pickling and the
-    exchange read-back are a constant — while at 4,096 records x 128
-    units, sweeps growing with records x units^2, processes took a median
-    0.80x of threads' (ahead in 6 of 8 rounds).  Choosing between them by
-    cost needs a benchmark workload on each side (ROADMAP direction 2).
+    longer enters the choice.  ``processes`` is the thread pool under
+    another name (:class:`ProcessPoolScheduler`).
     """
     forced = os.environ.get("REPRO_SCHEDULER", "").strip()
     if forced:

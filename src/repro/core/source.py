@@ -193,13 +193,12 @@ class BehaviorSource:
                          = None) -> dict:
         """Members grouped by shared (model, raw-sweep) identity.
 
-        The pure task-description half of unit extraction: each key is
-        one forward-sweep shard — extractors differing only in transform,
-        layer view or unit subset fuse under one key — and carries the
-        ``(gi, group)`` members it serves.  Both the in-process execution
-        path (:meth:`submit_sweeps`) and the shard-task builder
-        (:class:`repro.core.shard.ShardExchange`) partition work on it,
-        so they can never disagree about what one sweep covers.
+        Each key is one forward sweep — extractors differing only in
+        transform, layer view or unit subset fuse under one key — and
+        carries the ``(gi, group)`` members it serves.  The sweeps
+        (:meth:`submit_sweeps`) and the unit tier's lease
+        (:meth:`repro.core.plan.InspectionPlan.sweep_pairs`) partition work
+        on it, so they can never disagree about what one sweep covers.
         """
         if groups is None:
             groups = list(enumerate(self.groups))

@@ -31,6 +31,7 @@ describes.
 from __future__ import annotations
 
 import itertools
+import threading
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
@@ -102,6 +103,10 @@ class Table:
             np.empty(0, dtype=np.float64) for _ in self.columns]
         self._n_stored = 0
         self._buffer: list[tuple] = []
+        # guards the buffer, the fold and the row view: concurrent readers
+        # fold once, and an insert beside a fold or a row-view build is
+        # neither lost, folded twice nor hidden by a stale view
+        self._buffer_lock = threading.Lock()
         self._rows_cache: list[tuple] | None = None
         #: content stamp (compiled statements are valid while it holds)
         self.version = next_version()
@@ -134,6 +139,11 @@ class Table:
 
     def _flush(self) -> None:
         """Fold buffered rows into the column arrays."""
+        with self._buffer_lock:
+            self._fold()
+
+    def _fold(self) -> None:
+        """:meth:`_flush`'s body, for a caller holding ``_buffer_lock``."""
         self._ensure_loaded()
         if not self._buffer:
             return
@@ -165,20 +175,22 @@ class Table:
     @property
     def rows(self) -> list[tuple]:
         """Row-tuple view, rebuilt lazily from the column arrays."""
-        if self._rows_cache is None:
-            self._flush()
-            self._rows_cache = list(
-                zip(*(c.tolist() for c in self._cols))) if self._n_stored \
-                else []
-        return self._rows_cache
+        with self._buffer_lock:
+            if self._rows_cache is None:
+                self._fold()
+                self._rows_cache = list(
+                    zip(*(c.tolist() for c in self._cols))) \
+                    if self._n_stored else []
+            return self._rows_cache
 
     def insert(self, row: Sequence[Any]) -> None:
         if len(row) != len(self.columns):
             raise ValueError(
                 f"row arity {len(row)} != table arity {len(self.columns)}")
-        self._buffer.append(tuple(row))
-        self._rows_cache = None
-        self.version = next_version()
+        with self._buffer_lock:
+            self._buffer.append(tuple(row))
+            self._rows_cache = None
+            self.version = next_version()
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
         for row in rows:
@@ -189,7 +201,8 @@ class Table:
         return iter(self.rows)
 
     def __len__(self) -> int:
-        return self._n_stored + len(self._buffer)
+        with self._buffer_lock:
+            return self._n_stored + len(self._buffer)
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self.columns)} cols, {len(self)} rows)"

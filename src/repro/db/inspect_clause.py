@@ -35,10 +35,8 @@ runs the pipeline every statement runs — bind, relation, select (see
    :class:`~repro.core.cache.HypothesisCache` /
    :class:`~repro.core.cache.UnitBehaviorCache` and scheduler.  The
    per-dataset runs a GROUP BY sweep fans into share the session's one
-   pool (thread or process), so an INSPECT statement on a
-   process-scheduler session exchanges shards through the same worker
-   pool and store as the Python builder, and its frames stay
-   bit-identical to serial execution.  A ``GROUP BY M.epoch`` sweep
+   pool (thread or process), the one ``Session.inspect(...)`` queries
+   run on, and its frames stay bit-identical to serial execution.  A ``GROUP BY M.epoch`` sweep
    therefore extracts each model's behavior once, and the hypothesis
    behaviors once in total.
 3. **Columnar S relation** -- scores are materialized as column arrays

@@ -82,38 +82,3 @@ def clone_model(model):
     for src, dst in zip(model.parameters(), clone.parameters()):
         dst.value = src.value.copy()
     return clone
-
-
-def model_to_spec(model) -> dict:
-    """In-memory counterpart of :func:`save_model`: arch + named arrays.
-
-    Used to ship models to worker processes as plain data (a registry
-    architecture dict plus parameter ndarrays) instead of
-    pickle-by-reference, so both fork and spawn contexts rebuild the same
-    model without importing the defining module's live state.
-    """
-    arch = model.architecture()
-    params = {name: np.asarray(p.value)
-              for name, p in model.named_parameters().items()}
-    return {"arch": arch, "params": params}
-
-
-def model_from_spec(spec: dict):
-    """Rebuild a model from :func:`model_to_spec` output.
-
-    Unlike :func:`load_model` the parameter arrays are assigned verbatim
-    (no dtype cast): a rebuilt worker-side model must produce activations
-    bit-identical to the coordinator's original.
-    """
-    model = _build_from_arch(spec["arch"])
-    named = model.named_parameters()
-    missing = set(named) - set(spec["params"])
-    if missing:
-        raise ValueError(f"model spec missing parameters: {missing}")
-    for name, param in named.items():
-        value = spec["params"][name]
-        if value.shape != param.value.shape:
-            raise ValueError(f"shape mismatch for {name}: "
-                             f"{value.shape} vs {param.value.shape}")
-        param.value = value
-    return model

@@ -61,8 +61,7 @@ import numpy as np
 from repro.core.cache import HypothesisCache, UnitBehaviorCache
 from repro.core.groups import UnitGroup, model_groups
 from repro.core.inspect import outcomes_to_frame
-from repro.core.pipeline import (InspectConfig, InspectionPlan,
-                                 ProcessPoolScheduler, Scheduler,
+from repro.core.pipeline import (InspectConfig, InspectionPlan, Scheduler,
                                  _resolve_scheduler, default_scheduler)
 from repro.data.datasets import Dataset
 from repro.db.engine import Database, next_version
@@ -163,22 +162,14 @@ class Session:
             # collected, not only on close()
             weakref.finalize(self, self.scheduler.shutdown)
         self._closed = False
-        # a store-less session running the process scheduler still
-        # needs an exchange medium for worker shards: back the caches
-        # with the scheduler's temp-dir scratch store (removed on
-        # scheduler shutdown), so shard-parallel extraction works —
-        # and stays warm across queries — without a store_path
-        backing = self.store
-        if backing is None and isinstance(self.scheduler,
-                                          ProcessPoolScheduler):
-            backing = self.scheduler.scratch_store()
         # a tier pinned on config= serves every query; an unpinned one is
         # the session's own, over its store
         cache, unit_cache = self.config.cache, self.config.unit_cache
         self.config = dataclasses.replace(
             self.config, scheduler=self.scheduler,
-            cache=HypothesisCache(store=backing) if cache is None else cache,
-            unit_cache=(UnitBehaviorCache(store=backing)
+            cache=(HypothesisCache(store=self.store) if cache is None
+                   else cache),
+            unit_cache=(UnitBehaviorCache(store=self.store)
                         if unit_cache is None else unit_cache))
         #: the memory tiers every statement runs on: ``config``'s
         self.hyp_cache = self.config.cache

@@ -5,7 +5,6 @@ Layout under the store root::
     manifest.json                   -- committed entry metadata (atomic rename)
     .lock                           -- advisory inter-process write lock
     shards/<seq>-<pid>.seg          -- one segment per commit
-    shards/w<pid>-<n>-<rand>.seg    -- one segment per pool-worker task
 
 An *entry* holds behaviors for one logical key as a sequence of
 append-only *shards*: a block of rows plus the record ids they belong to.
@@ -90,8 +89,7 @@ def write_segment(path: Path, entries) -> list[dict]:
     fsync, one rename.  Returns one descriptor per entry — the manifest
     shard record (``_SHARD_FIELDS``) plus the entry's key, geometry,
     ``n_symbols`` (None unless a unit entry) and ``members`` (None unless
-    a panel) — which is what :meth:`DiskBehaviorStore.adopt_segment` takes
-    from a worker.
+    a panel).
     """
     descriptors = []
     with published(path) as f:
@@ -280,9 +278,6 @@ class DiskBehaviorStore:
         # stays the single commit point; ``max_pending_bytes`` bounds the
         # buffer even inside a scope
         self._pending_rows: list[tuple] = []
-        # descriptors of segments written by worker processes, waiting to
-        # be registered in the manifest (see adopt_segment)
-        self._pending_adoptions: list[dict] = []
         self._pending_bytes = 0
         self._defer_depth = 0
         self.max_pending_bytes = 128 * 1024 * 1024
@@ -506,46 +501,14 @@ class DiskBehaviorStore:
         if not defer:
             self.flush()
 
-    def adopt_segment(self, descriptors: list[dict]) -> list[tuple]:
-        """Queue the shards of one worker-written segment (see
-        ``core/shard.py``) for the next commit; returns their
-        ``(record ids, rows)`` views (rows in the entry's layout, as
-        :meth:`StoreEntryReader.rows`), in descriptor order.
-
-        Every shard is validated as a reader would, over a map of the
-        caller's own (gone with the views, so a run holds one task's pages
-        at a time).  The manifest rewrite stays the single,
-        coordinator-only commit point; worker writes surface in
-        ``appends``.  Raises :class:`CorruptEntryError`, adopting nothing,
-        when the segment vanished or a shard fails validation.
-        """
-        maps: dict[str, mmap.mmap] = {}
-        arrays = []
-        for desc in descriptors:
-            name = desc["file"]
-            if name not in maps:
-                maps[name] = map_segment(self.root / SHARD_DIR / name,
-                                         desc["file_bytes"])
-            # a descriptor is its shard record and its entry's geometry
-            arrays.append(_shard_arrays(maps[name], desc, desc["key"], desc))
-        with self._lock:
-            self._pending_adoptions.extend(descriptors)
-            self.appends += len(descriptors)
-            defer = self._defer_depth > 0
-        if not defer:
-            self.flush()
-        return arrays
-
     def flush(self) -> None:
         """Group commit: write pending rows — one shard per entry, its
-        appends written back to back, all in one segment — register
-        pending adoptions, and publish everything in one manifest
-        rewrite."""
+        appends written back to back, all in one segment — and publish
+        them in one manifest rewrite."""
         with self._lock:
-            if not self._pending_rows and not self._pending_adoptions:
+            if not self._pending_rows:
                 return
             pending, self._pending_rows = self._pending_rows, []
-            descriptors, self._pending_adoptions = self._pending_adoptions, []
             self._pending_bytes = 0
             # one shard per entry: within one scope the cache only appends
             # records it found missing, so an entry's parts are disjoint;
@@ -565,17 +528,14 @@ class DiskBehaviorStore:
                 # always merge against the latest committed manifest:
                 # another process may have appended since we last read it
                 manifest = self._refresh(force=True)
-                if entries:
-                    # the (flock-serialized, monotonic) clock makes names
-                    # unique for the directory's whole history — a counter
-                    # or pid alone recycles and publishing could clobber a
-                    # committed segment
-                    manifest["clock"] += 1
-                    name = f"{manifest['clock']}-{os.getpid()}.seg"
-                    descriptors = write_segment(
-                        self.root / SHARD_DIR / name, entries) + descriptors
-                # adopted (worker-written) shards are already on disk and
-                # fsynced: for them only this registration remains
+                # the (flock-serialized, monotonic) clock makes names
+                # unique for the directory's whole history — a counter or
+                # pid alone recycles and publishing could clobber a
+                # committed segment
+                manifest["clock"] += 1
+                name = f"{manifest['clock']}-{os.getpid()}.seg"
+                descriptors = write_segment(self.root / SHARD_DIR / name,
+                                            entries)
                 touched: set[str] = set()
                 for desc in descriptors:
                     manifest["clock"] += 1
@@ -703,7 +663,7 @@ class DiskBehaviorStore:
         lock's critical section, so removing them here is safe.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
-        self.flush()  # pending adoptions would otherwise look like orphans
+        self.flush()  # what this handle has pending is committed first
         with self._lock, commit_lock(self.root):
             manifest = self._refresh(force=True)
             evicted = [] if budget is None else self._evict(manifest, budget)

@@ -1,9 +1,9 @@
 """Observability hook for graceful-degradation fallbacks.
 
-The repro layers degrade gracefully by design — an unpicklable model is
-re-encoded inline, a vanished shard re-extracts, an unserializable table
-stays memory-only.  Correct results either way, but a *systematic*
-failure (every model suddenly unpicklable) must not be invisible.  Every
+The repro layers degrade gracefully by design — a corrupt shard
+re-extracts, an unserializable table stays memory-only.  Correct results
+either way, but a *systematic* failure (every shard suddenly corrupt)
+must not be invisible.  Every
 broad except fallback therefore routes through :func:`degraded`, which
 
 * logs on the ``repro.degrade`` logger (DEBUG by default, so quiet
@@ -36,7 +36,7 @@ def degraded(event: str, detail: str = "", *,
              exc: BaseException | None = None) -> None:
     """Record that a graceful-degradation fallback was taken.
 
-    ``event`` is a stable dotted name (``shard.model-unpicklable``);
+    ``event`` is a stable dotted name (``store.manifest-version``);
     ``detail`` carries instance specifics.  Pass the swallowed exception
     as ``exc`` so opted-in logging shows the cause.
     """

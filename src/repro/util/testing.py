@@ -10,15 +10,8 @@ class CountingForwardModel:
     cache/store key) matches the wrapped model's — warm paths are asserted
     by watching ``forward_calls`` stay at zero.
 
-    The counter is scheduler-agnostic: under the process scheduler the
-    sweeps run in worker processes, and the shard exchange folds each
-    task's worker-side sweep count back into the live coordinator model's
-    ``forward_calls`` attribute (any model carrying an integer
-    ``forward_calls`` participates in that convention), so
-    extraction-once assertions hold whether extraction ran in this
-    process or a pool.  ``architecture()`` / ``named_parameters()`` are
-    delegated too, so registry-backed models still travel to workers as
-    arch specs instead of pickled wrappers.
+    Every scheduler sweeps in this process, so the count is the same
+    under each of them.
     """
 
     def __init__(self, model):
@@ -29,12 +22,6 @@ class CountingForwardModel:
 
     def parameters(self):
         return self._model.parameters()
-
-    def architecture(self):
-        return self._model.architecture()
-
-    def named_parameters(self):
-        return self._model.named_parameters()
 
     def hidden_states(self, ids):
         self.forward_calls += 1

@@ -65,7 +65,8 @@ class Span:
             self.counters[name] = self.counters.get(name, 0) + n
 
     def attach(self, name: str, seconds: float) -> None:
-        """Add a closed child measured elsewhere (a worker process)."""
+        """Add a closed child measured elsewhere (the server's admission
+        wait, timed across two threads)."""
         child = Span(name, self)
         child.end = seconds
         self.children.append(child)

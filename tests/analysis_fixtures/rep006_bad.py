@@ -1,15 +1,4 @@
-"""Bad: counter key sets drift apart across stats/reset/fold."""
-
-
-class FoldsUnreported:
-    def __init__(self):
-        self.hits = 0
-
-    def stats(self):
-        return {"hits": self.hits}
-
-    def fold_counts(self, hits=0, evictions=0):  # expect[REP006]
-        self.hits += hits
+"""Bad: reset_counters() zeroes counters stats() never reports."""
 
 
 class ResetsUnreported:
@@ -25,17 +14,15 @@ class ResetsUnreported:
         self.misses = 0
 
 
-class FoldResetDisagree:
+class ResetsARenamedCounterThroughItsHelper:
     def __init__(self):
-        self.hits = 0
-        self.misses = 0
+        self.lookups = 0
 
     def stats(self):
-        return {"hits": self.hits, "misses": self.misses}
+        return {"hits": self.lookups}
 
-    def reset_counters(self):
-        self.hits = 0
+    def reset_counters(self):  # expect[REP006]
+        self._reset_locked()
 
-    def fold_counts(self, hits=0, misses=0):  # expect[REP006]
-        self.hits += hits
-        self.misses += misses
+    def _reset_locked(self):
+        self.lookups = 0

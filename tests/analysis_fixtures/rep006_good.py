@@ -1,4 +1,4 @@
-"""Good: symmetric counters, gauges live only in stats()."""
+"""Good: every reset counter is reported, gauges live only in stats()."""
 
 
 class GoodCounters:
@@ -7,7 +7,7 @@ class GoodCounters:
         self.misses = 0
 
     def stats(self):
-        # "entries" is a gauge: reported, never folded or reset
+        # "entries" is a gauge: reported, never reset
         return {"hits": self.hits, "misses": self.misses, "entries": 3}
 
     def reset_counters(self):
@@ -16,7 +16,3 @@ class GoodCounters:
     def _reset_locked(self):
         self.hits = 0
         self.misses = 0
-
-    def fold_counts(self, hits=0, misses=0):
-        self.hits += hits
-        self.misses += misses

@@ -43,8 +43,10 @@ def run_cli(*args, cwd=None):
 
 
 class TestRegistry:
-    def test_all_ten_checkers_registered(self):
-        assert CHECKER_IDS == [f"REP{i:03d}" for i in range(1, 11)]
+    def test_all_checkers_registered(self):
+        # REP004 was retired with the shard tasks it checked: ids are
+        # never reused
+        assert CHECKER_IDS == [f"REP{i:03d}" for i in range(1, 11) if i != 4]
 
     def test_documented_tables_list_exactly_the_registry(self):
         """The README's "Correctness tooling" table and the package

@@ -62,6 +62,18 @@ def column_bytes(dataset) -> int:
     return 8 * dataset.n_records * dataset.n_symbols + dataset.n_records
 
 
+def cold_records(cache, dataset, indices, hypothesis) -> list[int]:
+    """``indices`` without memory-tier cells for ``hypothesis``: its arena
+    column's fill mask, read without claiming a column or moving a
+    counter."""
+    indices = np.asarray(indices, dtype=int)
+    column = cache._entries.get(
+        (dataset.cache_key(), cache._hypothesis_identity(hypothesis)))
+    if column is not None:
+        indices = indices[~column.arena.filled[column.col, indices]]
+    return indices.tolist()
+
+
 def index_sets(n: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(3)
     return {"all": np.arange(n),
@@ -132,19 +144,15 @@ def test_one_column_calls_are_the_block_read(sql_workload, hyps72):
     rows = cache.extract(hyps72[3], dataset, idx)
     assert rows.shape == (4, dataset.n_symbols)
     assert rows.tobytes() == hyps72[3].extract(dataset, idx).tobytes()
-    assert cache.missing_records(dataset, np.arange(5),
-                                 hypothesis=hyps72[3]).tolist() == [0, 3, 4]
-    assert cache.missing_records(dataset, np.arange(3),
-                                 hypothesis=hyps72[4]).tolist() == [0, 1, 2]
-    assert cache.stats()["entries"] == 1        # a probe claims nothing
-    cache.fill_block(dataset, [hyps72[4]], np.array([0, 1]),
-                     hyps72[4].extract(dataset, [0, 1]))
-    assert cache.stats()["disk_hits"] == 2
+    assert cold_records(cache, dataset, np.arange(5), hyps72[3]) == [0, 3, 4]
+    assert cold_records(cache, dataset, np.arange(3), hyps72[4]) == [0, 1, 2]
+    assert cache.stats()["entries"] == 1
     block = cache.extract_block([hyps72[4], hyps72[3]], dataset,
                                 np.array([1, 2]))
     assert_same_block(block, reference([hyps72[4], hyps72[3]], dataset,
                                        np.array([1, 2])))
-    assert cache.stats()["extractions"] == 2    # only h4's record 2 was cold
+    # h3's records 1 and 2 were warm: one more extraction, h4's
+    assert cache.stats()["extractions"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +206,9 @@ def test_two_column_budget_with_three_hypotheses(sql_workload, hyps72):
     assert len(cache._arenas) == 1
     assert next(iter(cache._arenas.values())).cells.shape[2] == 2  # recycled
     # the recycled column does not carry h0's rows: only `few` is filled
-    assert cache.missing_records(dataset, everything, hypothesis=h2) \
-        .tolist() == [i for i in everything if i not in few]
-    assert cache.missing_records(dataset, few, hypothesis=h0).tolist() \
-        == few.tolist()
+    assert cold_records(cache, dataset, everything, h2) \
+        == [i for i in everything if i not in few]
+    assert cold_records(cache, dataset, few, h0) == few.tolist()
     assert_same_block(cache.extract_block([h2], dataset, everything),
                       reference([h2], dataset, everything))
     # a block handed out before the eviction still holds its bytes
@@ -212,8 +219,7 @@ def test_two_column_budget_with_three_hypotheses(sql_workload, hyps72):
                       reference([h0], dataset, everything))
     assert cache.stats()["extractions"] == before + 1
     assert cache.stats()["entries"] == 2
-    assert cache.missing_records(dataset, few, hypothesis=h1).tolist() \
-        == few.tolist()
+    assert cold_records(cache, dataset, few, h1) == few.tolist()
 
 
 def test_last_column_out_drops_the_arena(sql_workload, small_sql_workload,
@@ -260,29 +266,24 @@ def test_threads_yield_serial_bytes_and_exact_counts(sql_workload, hyps72,
     full = reference(hyps, dataset, np.arange(n)).reshape(n, ns, len(hyps))
     cache = HypothesisCache() if budget_columns is None else \
         HypothesisCache(max_bytes=budget_columns * column_bytes(dataset))
-    def worker(seed: int) -> tuple[int, int]:
+    def worker(seed: int) -> int:
         rng = np.random.default_rng(seed)
-        read = filled = 0
+        read = 0
         for _ in range(30):
             idx = rng.integers(0, n, size=int(rng.integers(1, 60)))
-            op = rng.integers(0, 3)
-            if op == 0:
+            if rng.integers(0, 2) == 0:
                 picks = rng.permutation(len(hyps))[:rng.integers(1, 7)]
                 block = cache.extract_block(
                     [hyps[i] for i in picks], dataset, idx)
                 want = full[idx][:, :, picks].reshape(-1, len(picks))
                 assert block.tobytes() == want.tobytes()
                 read += len(picks) * len(idx)
-            elif op == 1:
+            else:
                 j = int(rng.integers(0, len(hyps)))
                 rows = cache.extract(hyps[j], dataset, idx)
                 assert rows.tobytes() == full[idx, :, j].tobytes()
                 read += len(idx)
-            else:
-                j = int(rng.integers(0, len(hyps)))
-                cache.fill_block(dataset, [hyps[j]], idx, full[idx, :, j])
-                filled += len(idx)
-        return read, filled
+        return read
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -293,11 +294,8 @@ def test_threads_yield_serial_bytes_and_exact_counts(sql_workload, hyps72,
             totals = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    cells = {"read": sum(read for read, _ in totals),
-             "filled": sum(filled for _, filled in totals)}
     stats = cache.stats()
-    assert stats["hits"] + stats["misses"] == cells["read"]
-    assert stats["disk_hits"] == cells["filled"]
+    assert stats["hits"] + stats["misses"] == sum(totals)
     assert stats["bytes"] == stats["entries"] * column_bytes(dataset)
     if budget_columns is not None:
         assert stats["entries"] <= budget_columns
@@ -520,8 +518,7 @@ class TestPanelServing:
     the store in a new one: the serial uncached frame, and exactly the
     extractions and disk hits the committed cells leave — under every
     scheduler, which also writes the panels it then reads (one panel per
-    evaluation under ``serial`` / ``threads``, one per worker bundle under
-    ``processes``)."""
+    evaluation)."""
 
     @staticmethod
     def _run(sql_workload, model, hyps, store, scheduler, measure="corr",
@@ -564,14 +561,10 @@ class TestPanelServing:
         return held, pairs
 
     @staticmethod
-    def _expected(held: np.ndarray, scheduler: str) -> dict:
+    def _expected(held: np.ndarray) -> dict:
         """Counters of a statement over ``held.shape`` cells: a block
-        extracts each hypothesis lacking one of its records (a worker
-        bundle: each lacking any record, once, its rows then adopted from
-        the worker's segment), everything else is a disk hit."""
-        if scheduler == "processes":
-            return {"extractions": int((~held).any(axis=1).sum()),
-                    "disk_hits": held.size}
+        extracts each hypothesis lacking one of its records, everything
+        else is a disk hit."""
         blocks = range(0, held.shape[1], PANEL_BLOCK)
         return {"extractions": sum(
                     int((~held[:, b:b + PANEL_BLOCK]).any(axis=1).sum())
@@ -588,7 +581,7 @@ class TestPanelServing:
         frame, counts = self._run(sql_workload, model, hyps, store,
                                   scheduler, max_records=n_records, **kwargs)
         assert frame == want
-        expected = self._expected(held[:, :n_records], scheduler)
+        expected = self._expected(held[:, :n_records])
         assert {name: counts[name] for name in expected} == expected
         return expected
 
@@ -610,9 +603,7 @@ class TestPanelServing:
         args = (sql_workload, trained_sql_model)
         self._run(*args, hyps72[:40], tmp_path, scheduler, max_records=200)
         got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
-        assert got == ({"extractions": 32, "disk_hits": 72 * 200}
-                       if scheduler == "processes" else
-                       {"extractions": 32 * 4, "disk_hits": 40 * 200})
+        assert got == {"extractions": 32 * 4, "disk_hits": 40 * 200}
         # the old panel and the new one(s) together hold everything
         got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
         assert got == {"extractions": 0, "disk_hits": 72 * 200}
@@ -627,10 +618,8 @@ class TestPanelServing:
         assert pairs > 72       # some member sits in more than one panel
         got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
         # hypotheses 0..29 lack records 100..199 (two blocks), nothing else
-        assert got == ({"extractions": 30, "disk_hits": 72 * 200}
-                       if scheduler == "processes" else
-                       {"extractions": 30 * 2,
-                        "disk_hits": 72 * 200 - 30 * 100})
+        assert got == {"extractions": 30 * 2,
+                       "disk_hits": 72 * 200 - 30 * 100}
 
     @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_early_stopping_leaves_narrower_panels(
@@ -642,9 +631,8 @@ class TestPanelServing:
         store = DiskBehaviorStore(tmp_path)
         widths = sorted(len(store.reader(key).members)
                         for key in store.keys() if key.startswith("panel/"))
-        if scheduler != "processes":    # (its bundles go out whole, up front)
-            # later blocks evaluated fewer members: further panels
-            assert len(widths) > 1 and widths[0] < widths[-1] == 72
+        # later blocks evaluated fewer members: further panels
+        assert len(widths) > 1 and widths[0] < widths[-1] == 72
         held, _ = self._held(tmp_path, sql_workload.dataset, hyps72)
         assert held[:, :PANEL_BLOCK].all()
         got = self._probe(*args, hyps72, tmp_path, scheduler,
@@ -659,12 +647,16 @@ class TestPanelServing:
         self._run(*args, hyps72, tmp_path, scheduler, abandon_after=1,
                   max_records=200)
         held, _ = self._held(tmp_path, sql_workload.dataset, hyps72)
+        # cost exactly the block delivered, on both sides
         assert held[:, :PANEL_BLOCK].all()
-        if scheduler != "processes":    # cost exactly the block delivered
-            assert not held[:, PANEL_BLOCK:].any()
+        assert not held[:, PANEL_BLOCK:].any()
+        store = DiskBehaviorStore(tmp_path)
+        (unit,) = [key for key in store.keys() if key.startswith("unit/")]
+        swept = store.reader(unit).filled_mask(
+            np.arange(sql_workload.dataset.n_records))
+        assert np.flatnonzero(swept).tolist() == list(range(PANEL_BLOCK))
         got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
-        if scheduler != "processes":
-            assert got == {"extractions": 72 * 3, "disk_hits": 72 * 50}
+        assert got == {"extractions": 72 * 3, "disk_hits": 72 * 50}
 
 
 # ----------------------------------------------------------------------
@@ -738,8 +730,10 @@ class TestSweepLease:
     def warm(self, tier, dataset, pair=PAIR) -> None:
         """What a sweep landing in the tier does to ``pair``'s records."""
         units = np.zeros((2, len(self.RECORDS), dataset.n_symbols))
-        tier.fill_rows(dataset, self.RECORDS, units, model_key=pair[0],
-                       raw_key=pair[1])
+        key = (*pair, dataset.cache_key())
+        with tier._lock:
+            tier._commit_rows(key, tier._get_or_create(key, dataset),
+                              self.RECORDS, units)
 
     def test_leader_blocks_follower_until_release(self, sql_workload):
         tier, dataset = UnitBehaviorCache(), sql_workload.dataset

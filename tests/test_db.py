@@ -31,6 +31,60 @@ class TestEngine:
         t.insert([1, 2])
         assert list(t.scan()) == [(1, 2)]
 
+    def test_concurrent_readers_fold_buffered_rows_once(self):
+        """A reader arriving while another folds a table's buffered rows
+        finds them folded (a catalog ``SELECT`` raced this way and returned
+        the one ``models`` row twice)."""
+        import threading
+        import time
+
+        folding = threading.Event()
+        seen = threading.local()
+
+        class Buffer(list):
+            def __len__(self):
+                # the first reader's second look at the buffer is inside
+                # its fold: hold it open while the second reader comes
+                seen.n = getattr(seen, "n", 0) + 1
+                if seen.n == 2 and not folding.is_set():
+                    folding.set()
+                    time.sleep(0.1)
+                return super().__len__()
+
+        t = Table("t", ["a"])
+        t._buffer = Buffer([("m0",)])
+        first = threading.Thread(target=t.column, args=("a",))
+        first.start()
+        assert folding.wait(5)
+        second = threading.Thread(target=t.column, args=("a",))
+        second.start()
+        first.join(5)
+        second.join(5)
+        assert t.column("a").tolist() == ["m0"] and len(t) == 1
+
+    def test_insert_during_a_row_view_build_is_not_hidden(self):
+        """An insert landing while a reader builds the row view shows in
+        the next scan: the build does not store a view that predates it."""
+        import threading
+        import time
+
+        building = threading.Event()
+
+        class Slow(np.ndarray):
+            def tolist(self):
+                building.set()
+                time.sleep(0.1)
+                return super().tolist()
+
+        t = Table("t", ["a"], rows=[("m0",)])
+        t._cols = [t._cols[0].view(Slow)]
+        reader = threading.Thread(target=lambda: t.rows)
+        reader.start()
+        assert building.wait(5)
+        t.insert(("m1",))
+        reader.join(5)
+        assert list(t.scan()) == [("m0",), ("m1",)] and len(t) == 2
+
     def test_arity_check(self):
         t = Table("t", ["a", "b"])
         with pytest.raises(ValueError):

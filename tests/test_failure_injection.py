@@ -258,13 +258,9 @@ class TestFamilyFailures:
             assert "_SymbolFamily" in str(info.value)
             assert "['is:3', 'is:5', 'is:8']" in str(info.value)
             # nothing of those columns reached the memory tier or the store
-            dataset = sql_workload.dataset
-            everything = np.arange(dataset.n_records)
             assert session.stats()["hypothesis_cache"]["extractions"] == 0
-            for hyp in hyps:
-                assert session.hyp_cache.missing_records(
-                    dataset, everything, hypothesis=hyp).shape[0] \
-                    == dataset.n_records
+            assert not any(arena.filled.any()
+                           for arena in session.hyp_cache._arenas.values())
             assert not [key for key in session.store.keys()
                         if key.startswith("panel/")]
             # the next statement re-extracts and returns the serial frame

@@ -551,9 +551,7 @@ class TestCacheBlocks:
             (session.inspect("m0", "d0").hypotheses(hyps).using("corr")
              .run())
             extractions = session.stats()["hypothesis_cache"]["extractions"]
-        # the process scheduler ships each hypothesis whole
-        assert extractions == len(hyps) * (
-            1 if scheduler == "processes" else n_blocks)
+        assert extractions == len(hyps) * n_blocks
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,18 @@
-"""Shard-parallel process execution: the PR-6 acceptance tests.
+"""The ``processes`` scheduler: the thread scheduler under another name.
 
 The contract under test: a ``ProcessPoolScheduler`` run is bit-identical
-to serial for ``run()``, ``.stream()``'s final frame and INSPECT SQL;
-workers exchange behaviors through the mmap'd store (no pickled arrays
-over the result pipe, one manifest commit per run); cross-process
-counters fold back so extraction-once assertions stay meaningful; and
-``Session.close()`` reaps the pool even when a stream was abandoned.
+to serial for ``run()``, ``.stream()``'s final frame and INSPECT SQL, with
+serial's tier counters and forward calls; whatever its ``mp_context``, it
+starts no process and pickles nothing, so a model or hypothesis that
+cannot pickle runs as under serial; an error the sweep raises propagates
+as under serial; and ``close()`` is idempotent, abandoned stream or not.
 """
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import pickle
-import sys
 
 import numpy as np
 import pytest
@@ -23,8 +21,7 @@ from repro import (DiskBehaviorStore, InspectConfig, ProcessPoolScheduler,
                    SerialScheduler, Session, ThreadPoolScheduler)
 from repro.core.pipeline import default_scheduler
 from repro.core.schedulers import usable_cpus
-from repro.core.shard import ShardTask, run_shard_task
-from repro.hypotheses import grammar_hypotheses
+from repro.extract import Extractor
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.util.debuglog import degradation_counts, reset_degradation_counts
 from repro.util.testing import CountingForwardModel
@@ -61,10 +58,8 @@ def run_frame(model, workload, hyps, **kwargs):
                 .using("corr").run())
 
 
-def worker_shards(root) -> list[str]:
-    """Shard files written by pool workers (coordinator stems are hex)."""
-    return [name for name in os.listdir(os.path.join(root, "shards"))
-            if name.startswith("w")]
+TIER_COUNTERS = ("extractions", "hits", "misses", "disk_hits",
+                 "disk_misses")
 
 
 # ----------------------------------------------------------------------
@@ -107,51 +102,54 @@ class TestBitIdentity:
         assert sql(SerialScheduler()) == sql(
             ProcessPoolScheduler(max_workers=2))
 
-    @pytest.mark.skipif(
-        "spawn" not in multiprocessing.get_all_start_methods(),
-        reason="platform has no spawn start method")
-    def test_spawn_context_identical(self, trained_sql_model, sql_workload,
-                                     hyps, tmp_path):
-        """Tasks must survive a cold interpreter: no closures, no fork
-        inheritance — everything travels by pickle/content identity."""
-        spawned = run_frame(
-            trained_sql_model, sql_workload, hyps,
-            store_path=tmp_path / "store",
-            scheduler=ProcessPoolScheduler(max_workers=2,
-                                           mp_context="spawn"))
-        serial = run_frame(trained_sql_model, sql_workload, hyps,
-                           scheduler=SerialScheduler())
-        assert spawned == serial
-        # the pool genuinely did the extraction: worker-stem shards exist
-        assert worker_shards(tmp_path / "store")
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn", "forkserver"])
+    def test_start_method_is_accepted_and_starts_nothing(
+            self, trained_sql_model, sql_workload, hyps, tmp_path,
+            mp_context):
+        """``mp_context`` is accepted and unused: the run starts no child
+        process and sweeps the model exactly as serial does."""
+        def run(scheduler, path):
+            counting = CountingForwardModel(trained_sql_model)
+            with make_session(counting, sql_workload, hyps,
+                              store_path=path, scheduler=scheduler) as s:
+                frame = (s.inspect("m0", "d0").hypotheses(hyps)
+                         .using("corr").run())
+                assert multiprocessing.active_children() == []
+            return frame, counting.forward_calls
+
+        reset_degradation_counts()
+        assert run(ProcessPoolScheduler(max_workers=2,
+                                        mp_context=mp_context),
+                   tmp_path / "procs") \
+            == run(SerialScheduler(), tmp_path / "serial")
+        assert degradation_counts() == {}
 
     def test_cold_process_then_warm_serial_store_roundtrip(
             self, trained_sql_model, sql_workload, hyps, tmp_path):
-        """Worker-written shards are adopted into the manifest and are
-        readable by a later, unrelated serial session."""
+        """What a process-scheduler session commits is readable by a
+        later, unrelated serial session."""
         cold = run_frame(trained_sql_model, sql_workload, hyps,
                          store_path=tmp_path / "store",
                          scheduler=ProcessPoolScheduler(max_workers=2))
-        assert worker_shards(tmp_path / "store")
         counting = CountingForwardModel(trained_sql_model)
         warm = run_frame(counting, sql_workload, hyps,
                          store_path=tmp_path / "store",
                          scheduler=SerialScheduler())
         assert cold == warm
-        assert counting.forward_calls == 0  # served from adopted shards
+        assert counting.forward_calls == 0  # served from the store
 
 
 # ----------------------------------------------------------------------
-# lifecycle: pool reaping, idempotent shutdown, scratch store cleanup
+# lifecycle: no process, idempotent shutdown
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_no_leaked_workers_after_close(self, trained_sql_model,
-                                           sql_workload, hyps):
+    def test_no_process_before_or_after_close(self, trained_sql_model,
+                                              sql_workload, hyps):
         session = make_session(
             trained_sql_model, sql_workload, hyps,
             scheduler=ProcessPoolScheduler(max_workers=2))
         session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
-        assert multiprocessing.active_children()  # pool is live mid-session
+        assert multiprocessing.active_children() == []
         session.close()
         assert multiprocessing.active_children() == []
 
@@ -180,66 +178,12 @@ class TestLifecycle:
         scheduler.shutdown()  # third shutdown, directly: still a no-op
         assert multiprocessing.active_children() == []
 
-    def test_scratch_store_removed_on_shutdown(self, trained_sql_model,
-                                               sql_workload, hyps):
-        scheduler = ProcessPoolScheduler(max_workers=2)
-        with make_session(trained_sql_model, sql_workload, hyps,
-                          scheduler=scheduler) as session:
-            session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
-            scratch_root = scheduler.scratch_store().root
-            assert scratch_root.exists()
-        assert not scratch_root.exists()
-
-    def test_stream_outliving_the_scratch_store_finalises_quietly(
-            self, monkeypatch, trained_sql_model, sql_workload, hyps):
-        """A stream left open across ``close()``: its commit scope closes
-        after the scratch directory is gone, with nothing left to publish."""
-        config = InspectConfig(mode="streaming", block_size=20,
-                               early_stop=False, max_records=MAX_RECORDS)
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        reset_degradation_counts()
-        session = make_session(trained_sql_model, sql_workload, hyps,
-                               config=config, scheduler="processes")
-        stream = (session.inspect("m0", "d0").hypotheses(hyps)
-                  .using("corr").stream())
-        next(stream)
-        session.close()
-        del stream
-        gc.collect()
-        assert unraisable == []
-        # (a task that finished after the last block read finds its file gone)
-        assert set(degradation_counts()) <= {"shard.files-vanished"}
-
-    def test_scratch_store_commits_once_per_run_in_the_plans_scope(
-            self, trained_sql_model, sql_workload, hyps):
-        """A store-less session: the tiers sit on the scheduler's scratch
-        store, so the plan's commit scope — the only one — covers it."""
-        config = InspectConfig(mode="streaming", block_size=20,
-                               early_stop=False, max_records=MAX_RECORDS)
-        reset_degradation_counts()
-        with make_session(trained_sql_model, sql_workload, hyps,
-                          config=config, scheduler="processes") as session:
-            scratch = session.scheduler.scratch_store()
-            assert session.store is None
-            assert session.unit_cache.store is scratch
-            cold = (session.inspect("m0", "d0").hypotheses(hyps)
-                    .using("corr").run())
-            assert scratch.stats()["commits"] == 1
-            assert worker_shards(scratch.root)    # the exchange did run
-            assert session.sql(INSPECT_SQL) is not None
-            assert scratch.stats()["commits"] == 1   # warm: nothing to commit
-        assert cold == run_frame(trained_sql_model, sql_workload, hyps,
-                                 config=config, scheduler=SerialScheduler())
-        assert not [event for event in degradation_counts()
-                    if event.startswith("shard.")]
-
 
 # ----------------------------------------------------------------------
-# cross-process counter aggregation
+# counters: serial's, forward calls included
 # ----------------------------------------------------------------------
-class TestCounterFolding:
-    def test_extraction_once_with_folded_counters(
+class TestCounters:
+    def test_extraction_once(
             self, trained_sql_model, sql_workload, hyps, tmp_path):
         counting = CountingForwardModel(trained_sql_model)
         with make_session(counting, sql_workload, hyps,
@@ -248,12 +192,55 @@ class TestCounterFolding:
                           ) as session:
             session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
             stats = session.stats()
-        # single-block workload -> one shard task -> exactly one sweep,
-        # folded back from the worker into the live coordinator model
+        # one block, one sweep
         assert counting.forward_calls == 1
         assert stats["unit_cache"]["extractions"] == 1
         assert stats["hypothesis_cache"]["extractions"] == len(hyps)
-        assert stats["store"]["commits"] == 1  # coordinator-only commit
+        assert stats["store"]["commits"] == 1
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_streamed_counters_are_serials(self, trained_sql_model,
+                                           sql_workload, hyps, tmp_path,
+                                           store):
+        """Three blocks, cold then warm: every tier counter and the
+        model's forward calls equal the serial run's."""
+        config = InspectConfig(mode="streaming", block_size=20,
+                               early_stop=False, max_records=MAX_RECORDS)
+
+        def run(scheduler, path):
+            counting = CountingForwardModel(trained_sql_model)
+            with make_session(counting, sql_workload, hyps, config=config,
+                              scheduler=scheduler,
+                              store_path=path if store else None) as s:
+                frames = [s.inspect("m0", "d0").hypotheses(hyps)
+                          .using("corr").run() for _ in range(2)]
+                stats = s.stats()
+            counts = {tier: {name: stats[tier][name]
+                             for name in TIER_COUNTERS}
+                      for tier in ("unit_cache", "hypothesis_cache")}
+            return frames, counts, counting.forward_calls
+
+        serial = run(SerialScheduler(), tmp_path / "serial")
+        procs = run(ProcessPoolScheduler(max_workers=2), tmp_path / "procs")
+        assert procs == serial
+        assert serial[2] == MAX_RECORDS // 20
+
+    def test_abandoned_after_block_one_swept_one_block(
+            self, trained_sql_model, sql_workload, hyps):
+        config = InspectConfig(mode="streaming", block_size=20,
+                               early_stop=False, max_records=MAX_RECORDS)
+        counting = CountingForwardModel(trained_sql_model)
+        with make_session(counting, sql_workload, hyps, config=config,
+                          scheduler=ProcessPoolScheduler(max_workers=2)
+                          ) as session:
+            stream = (session.inspect("m0", "d0").hypotheses(hyps)
+                      .using("corr").stream())
+            next(stream)
+            stream.close()
+            stats = session.stats()
+        assert counting.forward_calls == 1
+        assert stats["unit_cache"]["extractions"] == 1
+        assert stats["hypothesis_cache"]["extractions"] == len(hyps)
 
     def test_warm_store_run_extracts_nothing(self, trained_sql_model,
                                              sql_workload, hyps, tmp_path):
@@ -274,10 +261,10 @@ class TestCounterFolding:
 
 
 # ----------------------------------------------------------------------
-# graceful degradation: unpicklable payloads extract inline
+# nothing is pickled; what the sweep raises propagates
 # ----------------------------------------------------------------------
 class _UnpicklableHypothesis:
-    """A hypothesis whose closure cannot travel to a worker."""
+    """A hypothesis whose closure cannot be pickled."""
 
     def __init__(self, inner):
         self.name = inner.name
@@ -286,6 +273,24 @@ class _UnpicklableHypothesis:
 
     def extract(self, dataset, indices=None):
         return self._inner.extract(dataset, indices)
+
+
+class _LambdaCarrier(CountingForwardModel):
+    """A model carrying an unpicklable attribute."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.hook = lambda: None
+
+
+class _WrongRows(Extractor):
+    """Sweeps the wrong number of rows."""
+
+    def n_units(self, model) -> int:
+        return model.n_units
+
+    def raw_states(self, model, records):
+        return np.zeros((3, 1, model.n_units))
 
 
 class TestGracefulDegradation:
@@ -297,65 +302,38 @@ class TestGracefulDegradation:
             pickle.dumps(wrapped[0])
         serial = run_frame(trained_sql_model, sql_workload, wrapped,
                            scheduler=SerialScheduler())
+        reset_degradation_counts()
         procs = run_frame(trained_sql_model, sql_workload, wrapped,
                           scheduler=ProcessPoolScheduler(max_workers=2))
         assert serial == procs
+        assert degradation_counts() == {}
 
-
-    def test_mixed_bundle_ships_its_picklable_members(
-            self, trained_sql_model, sql_workload, tmp_path):
-        """One worker, so one bundle holding both kinds: the wrapped
-        hypothesis extracts inline (one degraded event, as ever), the
-        grammar hypotheses beside it still travel — as one pickle."""
-        grammar = grammar_hypotheses(sql_workload.grammar,
-                                     sql_workload.queries,
-                                     sql_workload.trees,
-                                     mode="derivation")[:5]
-        hyps = grammar + [_UnpicklableHypothesis(
-            sql_keyword_hypotheses(("FROM",))[0])]
+    def test_unpicklable_model_sweeps_as_under_serial(
+            self, trained_sql_model, sql_workload, hyps):
+        model = _LambdaCarrier(trained_sql_model)
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(model)
         serial = run_frame(trained_sql_model, sql_workload, hyps,
                            scheduler=SerialScheduler())
         reset_degradation_counts()
-        with make_session(trained_sql_model, sql_workload, hyps,
-                          store_path=tmp_path / "store",
-                          scheduler=ProcessPoolScheduler(max_workers=1)
-                          ) as session:
-            procs = (session.inspect("m0", "d0").hypotheses(hyps)
-                     .using("corr").run())
-            stats = session.stats()["hypothesis_cache"]
-        assert serial == procs
-        assert degradation_counts().get("shard.unpicklable") == 1
-        # five folded from the worker's bundle, one extracted inline
-        assert stats["extractions"] == len(hyps)
-        assert stats["disk_hits"] == MAX_RECORDS * len(grammar)
+        procs = run_frame(model, sql_workload, hyps,
+                          scheduler=ProcessPoolScheduler(max_workers=2))
+        assert procs == serial
+        assert degradation_counts() == {}
+        assert model.forward_calls == 1
 
+    def test_wrong_row_count_raises_as_under_serial(
+            self, trained_sql_model, sql_workload, hyps):
+        def error(scheduler):
+            with pytest.raises(ValueError, match="row mismatch") as info:
+                run_frame(trained_sql_model, sql_workload, hyps,
+                          extractor=_WrongRows(), scheduler=scheduler)
+            return str(info.value)
 
-class TestHypothesisBundle:
-    def test_bundle_task_runs_from_one_pickle(self, sql_workload, tmp_path):
-        ds = sql_workload.dataset
-        hyps = grammar_hypotheses(sql_workload.grammar, sql_workload.queries,
-                                  sql_workload.trees, mode="derivation")[:6]
-        indices = np.array([40, 3, 17])
-        task = ShardTask(
-            kind="hyp", store_root=str(tmp_path), n_records=ds.n_records,
-            n_symbols=ds.n_symbols, dataset_key="bundle-test",
-            dataset_blob=pickle.dumps(ds),
-            hypotheses_blob=pickle.dumps(hyps),
-            items=[(f"hyp/test/{i}", indices) for i in range(len(hyps))])
-        shipped = pickle.loads(task.hypotheses_blob)
-        assert all(h.provider is shipped[0].provider for h in shipped)
-        result = run_shard_task(task)
-        assert result["extractions"] == len(task.items) == len(hyps)
-        # what was evaluated together is one panel: record-major rows,
-        # the items' keys as its members, in column order
-        (desc,) = result["descriptors"]
-        assert desc["members"] == [key for key, _ in task.items]
-        assert desc["row_width"] == ds.n_symbols * len(hyps)
-        with open(tmp_path / "shards" / desc["file"], "rb") as segment:
-            segment.seek(desc["data"][0])
-            cells = np.load(segment).reshape(3, ds.n_symbols, len(hyps))
-        for j, hyp in enumerate(hyps):
-            assert np.array_equal(cells[:, :, j], hyp.extract(ds, indices))
+        want = error(SerialScheduler())
+        reset_degradation_counts()
+        assert error(ProcessPoolScheduler(max_workers=2)) == want
+        assert degradation_counts() == {}    # raised, not worked around
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +389,7 @@ class TestDefaultScheduler:
             with make_session(trained_sql_model, sql_workload, hyps,
                               config=config,
                               store_path=tmp_path / "store") as session:
-                assert isinstance(session.scheduler, ThreadPoolScheduler)
+                assert type(session.scheduler) is ThreadPoolScheduler
                 frame = (session.inspect("m0", "d0").hypotheses(hyps)
                          .using("corr").run())
                 return frame, session.stats()
@@ -421,7 +399,6 @@ class TestDefaultScheduler:
         assert stats["hypothesis_cache"]["extractions"] == len(hyps) * n_blocks
         assert stats["unit_cache"]["extractions"] == 1 * n_blocks
         assert stats["store"]["commits"] == 1
-        assert not worker_shards(tmp_path / "store")   # committed in-process
         frame, stats = run()
         assert frame == reference
         assert stats["hypothesis_cache"]["extractions"] == 0

@@ -17,8 +17,8 @@ import time
 
 import pytest
 
-from repro import (HypothesisCache, InspectConfig, ProcessPoolScheduler,
-                   Session, UnitBehaviorCache)
+from repro import (HypothesisCache, InspectConfig, Session,
+                   UnitBehaviorCache)
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.server import InspectClient, serve_in_thread
 from repro.server import http as wire
@@ -50,9 +50,7 @@ class SlowForwardModel:
     Keeps cancellation tests deterministic: a cancel or disconnect sent
     after the first streamed frame always lands while later blocks are
     still extracting, independent of host speed.  Used together with an
-    explicit ``scheduler="threads"`` pin — the process scheduler drains
-    whole shards up-front, so block-wise cancellation granularity only
-    exists on the in-process schedulers.
+    explicit ``scheduler="threads"`` pin.
     """
 
     def __init__(self, inner, nap=0.2):
@@ -64,12 +62,6 @@ class SlowForwardModel:
 
     def parameters(self):
         return self._inner.parameters()
-
-    def architecture(self):
-        return self._inner.architecture()
-
-    def named_parameters(self):
-        return self._inner.named_parameters()
 
     def hidden_states(self, ids):
         self.forward_calls += 1
@@ -664,11 +656,8 @@ class TestServedTrace:
         for part in ("hypothesis_extraction", "wait_sweeps"):
             assert cold[part]["calls"] >= 4, part
             assert layers[part] == cold[part], part
-        # (a process pool's up-front dispatch opens one per statement)
-        dispatches = n - 1 if isinstance(session.scheduler,
-                                          ProcessPoolScheduler) else 0
         assert layers["unit_extraction"]["calls"] \
-            == cold["unit_extraction"]["calls"] + dispatches
+            == cold["unit_extraction"]["calls"]
         kept = stats["session"]["hypothesis_cache"]
         assert (kept["stat_hits"], kept["stat_misses"]) == (4 * (n - 1), 4)
         assert layers["select"]["calls"] == 2    # one of them raised in it

@@ -9,7 +9,6 @@ partial frames whose final snapshot is bit-identical to a one-shot
 
 from __future__ import annotations
 
-import os
 import threading
 
 import numpy as np
@@ -211,11 +210,6 @@ class TestStream:
             assert partials[0]["n_rows_seen"] == [rows] * len(partials[0])
             assert not any(partials[0]["converged"])
 
-    @pytest.mark.skipif(
-        os.environ.get("REPRO_SCHEDULER") == "processes",
-        reason="process scheduler prefetches blocks ahead of the stream; "
-               "its abandonment semantics are covered by "
-               "test_process_scheduler.py::TestLifecycle")
     @pytest.mark.parametrize("cores", [1, 4])
     def test_stream_abandoned_early_stops_extraction(
             self, trained_sql_model, sql_workload, hyps, fake_cpu_count,
@@ -401,20 +395,15 @@ class TestNamedScheduler:
 
     @pytest.mark.parametrize("how", ["kwarg", "config"])
     @pytest.mark.parametrize("name", ["threads", "processes"])
-    def test_built_once_and_shards_dispatched(
-            self, name, how, trained_sql_model, sql_workload, hyps,
-            monkeypatch):
+    def test_built_once(self, name, how, trained_sql_model, sql_workload,
+                        hyps, monkeypatch):
         from repro.core import pipeline
-        built, dispatched = [], []
+        built = []
 
         class Counting(pipeline._SCHEDULERS[name]):
             def __init__(self):
                 super().__init__()
                 built.append(self)
-
-            def submit_shards(self, tasks):
-                dispatched.extend(tasks)
-                return super().submit_shards(tasks)
 
         monkeypatch.setitem(pipeline._SCHEDULERS, name, Counting)
         knobs = dict(mode="streaming", block_size=20, early_stop=False,
@@ -440,8 +429,6 @@ class TestNamedScheduler:
             assert session.effective_config().scheduler is session.scheduler
         assert built == [session.scheduler]   # one, for every statement
         assert session.scheduler._pool is None     # and close() released it
-        if name == "processes":
-            assert len(dispatched) > 0
         with make_session(trained_sql_model, sql_workload, hyps,
                           scheduler="serial",
                           config=InspectConfig(**knobs)) as serial:

@@ -6,7 +6,6 @@ import errno
 import glob
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro import (DiskBehaviorStore, HypothesisCache, InspectConfig,
-                   InspectionPlan, ProcessPoolScheduler, Session,
-                   ThreadPoolScheduler, UnitBehaviorCache, UnitGroup, inspect)
+                   InspectionPlan, Session, ThreadPoolScheduler,
+                   UnitBehaviorCache, UnitGroup, inspect)
 from repro.extract import RnnActivationExtractor
 from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
 from repro.measures import CorrelationScore, DiffMeansScore
@@ -533,7 +532,7 @@ class TestWarmInspect:
         assert _frame_tuples(frame) == _frame_tuples(reference)
 
     @pytest.mark.parametrize("scheduler", ["serial", "processes"])
-    def test_tiers_on_two_stores_commit_once_each_without_an_exchange(
+    def test_tiers_on_two_stores_commit_once_each(
             self, tmp_path, scheduler, trained_sql_model, sql_workload,
             hyps):
         hyp_store = DiskBehaviorStore(tmp_path / "h")
@@ -546,8 +545,6 @@ class TestWarmInspect:
                 cache=HypothesisCache(store=hyp_store),
                 unit_cache=UnitBehaviorCache(store=unit_store),
                 scheduler=scheduler, **knobs))
-        # extracted inline under any scheduler: no pool worker wrote a segment
-        assert not glob.glob(str(tmp_path / "*/shards/w*.seg"))
         for store, prefix in ((hyp_store, "panel/"), (unit_store, "unit/")):
             stats = store.stats()
             assert (stats["commits"], stats["files"]) == (1, 1)
@@ -682,25 +679,16 @@ class TestGroupCommit:
         assert (stats["files"], stats["commits"]) == (1, 1)
         assert stats["shards"] == stats["entries"] == 2
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="counts worker fsyncs through a patch the fork inherits")
-    def test_cold_process_statement_fsyncs_once_per_task(
+    def test_cold_process_statement_fsyncs_twice(
             self, tmp_path, fsyncs, sql_workload, hyps72):
-        workers = 2
-        scheduler = ProcessPoolScheduler(max_workers=workers,
-                                         mp_context="fork")
+        """As under threads: one segment and one manifest."""
         with self._session(sql_workload, hyps72, tmp_path / "s",
-                           scheduler=scheduler) as session:
+                           scheduler="processes") as session:
             session.sql(EPOCHS_SQL)
             stats = session.stats()["store"]
-        # one model and one hypothesis set, each split over <= `workers`
-        # tasks; each task is one segment, the coordinator adds the manifest
-        assert stats["files"] <= 2 * workers
-        assert fsyncs() == stats["files"] + 1
-        # the unit entry and one panel per hypothesis bundle
-        assert stats["shards"] >= stats["entries"]
-        assert 2 <= stats["entries"] <= 1 + workers
+        assert fsyncs() == 2
+        assert (stats["files"], stats["commits"]) == (1, 1)
+        assert stats["shards"] == stats["entries"] == 2
 
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_version_1_directory_reads_as_empty_and_says_so(
@@ -833,14 +821,13 @@ class TestGroupCommit:
 
     def test_processes_store_reads_back_under_threads(
             self, tmp_path, sql_workload, hyps72):
-        """Pool workers write unit entries in the tier's layout, records
-        in id order, and a threads session serves them unchanged."""
+        """What a process-scheduler session commits, a threads session
+        serves unchanged."""
         hyps = hyps72[:6]
         reference = self._reference(sql_workload, hyps)
         with self._session(sql_workload, hyps, tmp_path,
                            scheduler="processes") as session:
             assert session.sql(EPOCHS_SQL) == reference
-            assert glob.glob(str(tmp_path / "shards/w*.seg"))
         with self._session(sql_workload, hyps, tmp_path,
                            scheduler="threads") as session:
             frame = session.sql(EPOCHS_SQL)

@@ -166,7 +166,7 @@ class TestSpans:
 # what a statement crosses
 # ----------------------------------------------------------------------
 class TestStatementTrace:
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_warm_statement_crosses_exactly_these_spans(
             self, scheduler, trained_sql_model, sql_workload, hyps):
         with make_session(trained_sql_model, sql_workload, hyps,
@@ -183,7 +183,7 @@ class TestStatementTrace:
         # each folded kept statistics, and counted it where it did
         assert all(node.counters == {"stat_hits": 1} for node in scores)
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_cold_statement_sweeps_once_per_block_and_model(
             self, scheduler, trained_sql_model, sql_workload, hyps):
         with make_session(trained_sql_model, sql_workload, hyps,
@@ -198,23 +198,6 @@ class TestStatementTrace:
         assert all(node.parent.name == "unit_extraction"
                    and node.parent.parent is root for node in sweeps)
         assert all(node.duration > 0 for node in sweeps)
-
-    def test_process_workers_spans_arrive_folded(
-            self, trained_sql_model, sql_workload, hyps):
-        with make_session(trained_sql_model, sql_workload, hyps,
-                          "processes") as session:
-            with tracing("statement") as root:
-                session.sql(INSPECT_SQL)
-        assert_closed(root)
-        names = base_names(root)
-        assert names["sweep"] >= len(MIDS)
-        assert names["hypothesis_bundle"] >= 1
-        folded = [node for node in root.walk()
-                  if node.name.startswith(("sweep[", "hypothesis_bundle"))]
-        assert all(node.duration > 0 and not node.children
-                   and node.parent.name in ("unit_extraction",
-                                            "hypothesis_extraction")
-                   for node in folded)
 
     @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("store", [False, True])

@@ -618,7 +618,7 @@ def test_shape_cnn_save_load_round_trip(shapes_and_cnn, tmp_path):
                           model.activation_maps(shapes.images))
 
 
-def test_cnn_shards_run_in_worker_processes(shapes_and_cnn):
+def test_cnn_frame_under_processes_is_serials(shapes_and_cnn):
     shapes, model = shapes_and_cnn
     n_pixels = shapes.images.shape[1] * shapes.images.shape[2]
     symbols = np.repeat(np.arange(shapes.n_images)[:, None], n_pixels, axis=1)
@@ -637,11 +637,8 @@ def test_cnn_shards_run_in_worker_processes(shapes_and_cnn):
     serial = run("serial")
     before = degradation_counts()
     pooled = run("processes")
-    after = degradation_counts()
     assert pooled == serial
-    for event in ("shard.worker-failed", "shard.model-spec-fallback",
-                  "shard.model-unpicklable"):
-        assert after.get(event, 0) == before.get(event, 0), event
+    assert degradation_counts() == before
 
 
 def test_kept_compilation_forms_no_reference_cycle(sql_workload):
