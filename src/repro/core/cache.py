@@ -470,6 +470,8 @@ class HypothesisCache(_ByteBoundedLRU):
         scope of the store writes at its exit, uncopied: read-only until
         then.)  A request wider than the byte budget is served panel by
         panel, so the tier never holds more than ``max_bytes`` beside it.
+        Cells the disk tier serves are float64 too, whatever width their
+        panel has on disk (see :meth:`_read_store_panels`).
         """
         indices = np.asarray(indices, dtype=int)
         hypotheses = list(hypotheses)
@@ -583,7 +585,12 @@ class HypothesisCache(_ByteBoundedLRU):
         of ``cells``, cleared where served — with one gather per panel
         touched, and count every consulted (hypothesis, record) as a disk
         hit or miss.  Returns the cells: the gather itself when one panel
-        holds the whole block.  Runs outside the lock."""
+        holds the whole block.  Runs outside the lock.
+
+        A panel on disk may be narrower than float64 (a ``uint8`` shard of
+        0/1 labels, or whatever a public ``append`` wrote): the cells are
+        float64 either way — a gather adopted whole is widened once, a
+        partial one is cast by the assignment into ``cells``."""
         ns = cells.shape[1]
         consulted = int(np.count_nonzero(absent))
         for reader, pos, pcols in self.store.panels(members, ns):
@@ -595,8 +602,11 @@ class HypothesisCache(_ByteBoundedLRU):
                 values = reader.rows(indices[at]).reshape(
                     at.shape[0], ns, -1)[:, :, _span(pcols[sel])]
                 absent[pos[sel][:, None], at] = False
-                if values.shape == cells.shape and values.flags.c_contiguous:
-                    cells = values
+                if values.shape == cells.shape and (
+                        values.flags.c_contiguous
+                        or values.dtype != np.float64):
+                    # a narrow panel is widened here, once
+                    cells = np.ascontiguousarray(values, dtype=np.float64)
                 else:
                     _assign(cells, at, js[pos[sel]], values)
         served = consulted - int(np.count_nonzero(absent))

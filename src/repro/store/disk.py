@@ -20,9 +20,22 @@ record's ``(symbols, len(members))`` cells — the block the hypothesis tier
 evaluated, appended and gathered back as it stands.  The store indexes
 ``member -> (panel, column)`` per manifest (:meth:`DiskBehaviorStore
 .panels`); a member several panels hold is served from any that holds the
-record.  Manifest version 4: a version-1 (file pairs), version-2 (an
-entry per hypothesis) or version-3 (record-major unit rows) directory
-reads as empty, says so once, re-extracts.
+record.
+
+A panel shard reaches disk at label width: the flush writes it in the
+first of the entry's own dtype, ``uint8`` and ``float64`` that every cell
+round-trips through bit for bit (``narrow.astype(float64)`` has the 64
+bits of the appended cell), so a 0/1 or small-count panel is a ``|u1``
+blob while ``-0.0``, NaN, ``0.5``, ``-1`` or ``256`` keep it ``<f8``.
+Readers widen what they gather back to float64.  Unit and plain entries
+are written in the dtype they were appended in.  A shard no dtype of its
+entry holds exactly replaces the entry wholesale (see :meth:`
+DiskBehaviorStore.append`), so a wrong cell is never served.
+
+Manifest version 5: a version-1 (file pairs), version-2 (an entry per
+hypothesis), version-3 (record-major unit rows) or version-4 (``<f8``
+panels only: a build that old would square ``uint8`` counts with
+overflow) directory reads as empty, says so once, re-extracts.
 
 A commit is a **group commit**: :meth:`DiskBehaviorStore.append` queues
 rows; :meth:`DiskBehaviorStore.flush` writes everything queued, one shard
@@ -74,7 +87,7 @@ from repro.util.trace import span
 
 MANIFEST = "manifest.json"
 SHARD_DIR = "shards"
-_VERSION = 4
+_VERSION = 5
 #: what a manifest shard record keeps of a :func:`write_segment` descriptor
 _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
 
@@ -140,6 +153,47 @@ def _unit_shard(key: str, n_records: int, indices: list, parts: list,
     if ids.shape[0] < n_records:
         matrix = matrix.take(ids, axis=1)
     return key, n_records, [ids], [matrix], members
+
+
+#: cells per slice of the bit-for-bit check that narrows a panel shard
+_CHECK_CELLS = 1 << 16
+
+
+def _exact_as(dtype: np.dtype, wide: list) -> list | None:
+    """The float64 row blocks ``wide`` cast to ``dtype`` when every cell
+    casts back to the same 64 bits (``-0.0``, NaN and anything out of range
+    do not), else None.  Cast and checked a slice at a time: the first
+    slice that fails ends it, and no float64 copy of a block is made."""
+    if dtype == np.float64:
+        return wide
+    narrow = []
+    for rows in wide:
+        out = np.empty(rows.shape, dtype)
+        bits = rows.view(np.uint64)
+        step = max(1, _CHECK_CELLS // max(1, rows.shape[1]))
+        for start in range(0, rows.shape[0], step):
+            part = out[start:start + step]
+            with np.errstate(invalid="ignore"):
+                np.copyto(part, rows[start:start + step], casting="unsafe")
+            if not np.array_equal(part.astype(np.float64).view(np.uint64),
+                                  bits[start:start + step]):
+                return None
+        narrow.append(out)
+    return narrow
+
+
+def _panel_shard(key: str, n_records: int, indices: list, parts: list,
+                 members: list, existing: str | None) -> tuple:
+    """The :func:`write_segment` entry of a panel's ``parts`` in the first
+    dtype they all round-trip through bit for bit: the entry's own
+    (``existing``; None for a new entry), else uint8, else float64.  What
+    a reader widens back to float64 is then exactly what was appended."""
+    wide = [np.asarray(part, dtype=np.float64) for part in parts]
+    for dtype in (existing, np.uint8):
+        narrow = None if dtype is None else _exact_as(np.dtype(dtype), wide)
+        if narrow is not None:
+            return key, n_records, indices, narrow, members
+    return key, n_records, indices, wide, members
 
 
 #: bits of a packed location reserved for the row-within-shard part
@@ -461,7 +515,9 @@ class DiskBehaviorStore:
         the manifest commits.  Width and dtype are pinned by the entry's
         first shard; an append that disagrees replaces the entry wholesale
         (the identity key should have changed — a mismatch means the old
-        bytes are stale).
+        bytes are stale).  A panel's cells are written as ``uint8`` when
+        they round-trip through it bit for bit (module doc); a panel shard
+        its entry's dtype cannot hold exactly is such a disagreement.
         """
         indices = np.asarray(indices, dtype=np.int64)
         rows = np.ascontiguousarray(rows)
@@ -528,6 +584,12 @@ class DiskBehaviorStore:
                 # always merge against the latest committed manifest:
                 # another process may have appended since we last read it
                 manifest = self._refresh(force=True)
+                # a panel's dtype is chosen against the committed entry
+                current = manifest["entries"]
+                entries = [
+                    _panel_shard(*entry, current.get(entry[0], {}).get(
+                        "dtype")) if entry[4] else entry
+                    for entry in entries]
                 # the (flock-serialized, monotonic) clock makes names
                 # unique for the directory's whole history — a counter or
                 # pid alone recycles and publishing could clobber a

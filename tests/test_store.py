@@ -20,8 +20,12 @@ from repro import (DiskBehaviorStore, HypothesisCache, InspectConfig,
                    InspectionPlan, Session, ThreadPoolScheduler,
                    UnitBehaviorCache, UnitGroup, inspect)
 from repro.extract import RnnActivationExtractor
-from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
-from repro.measures import CorrelationScore, DiffMeansScore
+from repro.core.cache import hyp_store_key, panel_store_key
+from repro.core.source import block_moments
+from repro.hypotheses import (CharSetHypothesis, KeywordHypothesis,
+                              grammar_hypotheses)
+from repro.hypotheses.base import PrecomputedHypothesis
+from repro.measures import CorrelationScore, DiffMeansScore, JaccardScore
 from repro.nn import CharLSTMModel
 from repro.store.segment import write_blob
 from repro.util.debuglog import degradation_counts, reset_degradation_counts
@@ -690,13 +694,13 @@ class TestGroupCommit:
         assert (stats["files"], stats["commits"]) == (1, 1)
         assert stats["shards"] == stats["entries"] == 2
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_version_1_directory_reads_as_empty_and_says_so(
             self, tmp_path, sql_workload, hyps72, version):
-        """Neither the file-pair format (1), the per-hypothesis entries (2)
-        nor the record-major unit rows (3) are read: the upgraded store
-        re-extracts, reports the fact once, and gc() sweeps the old
-        files."""
+        """Neither the file-pair format (1), the per-hypothesis entries (2),
+        the record-major unit rows (3) nor the float64-only panels (4) are
+        read: the upgraded store re-extracts, reports the fact once, and
+        gc() sweeps the old files."""
         hyps = hyps72[:6]
         reference = self._reference(sql_workload, hyps)
         with self._session(sql_workload, hyps, tmp_path / "new") as session:
@@ -718,15 +722,18 @@ class TestGroupCommit:
                 "created": 1, "last_used": 1, "shards": [pair],
                 "nbytes": pair["data_bytes"] + pair["index_bytes"]}}
             stale_files = [pair["data"], pair["index"]]
-        else:   # segments as now, entries as version 2 or 3 wrote them
+        else:   # segments as now, entries as version 2, 3 or 4 wrote them
             # 2: one entry per hypothesis, no members; 3: unit rows
-            # record-major, no n_symbols
-            stale = "hyp/stale" if version == 2 else "unit/stale"
+            # record-major, no n_symbols; 4: a panel, always float64
+            stale = {2: "hyp/stale", 3: "unit/stale", 4: "panel/stale"}[
+                version]
             DiskBehaviorStore(old).append(
-                stale, np.arange(3), np.ones((3, 4)), n_records=3)
+                stale, np.arange(3), np.full((3, 4), 0.5), n_records=3,
+                members=["m0", "m1"] if version == 4 else None)
             entries = json.loads((old / "manifest.json").read_text())[
                 "entries"]
-            del entries[stale]["n_symbols"]
+            if version < 4:
+                del entries[stale]["n_symbols"]
             if version == 2:
                 del entries[stale]["members"]
             # (under a name this process's next commit cannot reuse)
@@ -1021,6 +1028,31 @@ class TestSegmentFaults:
         assert (stats["store"]["commits"], stats["store"]["entries"]) \
             == (1, 3)
 
+    @pytest.mark.parametrize("fault", ["header dtype byte", "manifest <f8"])
+    def test_a_uint8_panel_read_at_another_width(
+            self, populated, sql_workload, hyps72, fault):
+        """The label panel is a ``|u1`` blob; a flipped byte in its
+        header's dtype, or a manifest that says ``<f8`` over it, is a
+        typed error, never cells read at the wrong width: the panel
+        re-extracts (at label width again) and the frame stays."""
+        path, panel_file, reference = populated
+        key, meta = self._panel(path)
+        assert meta["dtype"] == "|u1"
+        if fault == "header dtype byte":
+            offset = meta["shards"][0]["data"][0]
+            raw = bytearray(panel_file.read_bytes())
+            at = raw.index(b"'|u1'", offset, offset + 128)
+            raw[at + 2] ^= ord("u") ^ ord("i")      # now says '|i1'
+            panel_file.write_bytes(bytes(raw))
+        else:
+            manifest = json.loads((path / "manifest.json").read_text())
+            manifest["entries"][key]["dtype"] = "<f8"
+            (path / "manifest.json").write_text(json.dumps(manifest))
+        self._assert_reader_raises(path)
+        self._assert_only_the_panel_is_lost(path, sql_workload, hyps72,
+                                            reference)
+        assert self._panel(path)[1]["dtype"] == "|u1"
+
     @pytest.mark.parametrize("keep", [71, 36])
     def test_members_disagreeing_with_the_row_width(
             self, populated, sql_workload, hyps72, keep):
@@ -1065,6 +1097,177 @@ class TestSegmentFaults:
         assert holders() == {"panel/c": ([3], [0])}
         assert np.array_equal(store.reader("panel/c").rows(np.arange(10)),
                               rows[:, :4] + 2)
+
+
+# ----------------------------------------------------------------------
+# panels at label width: a panel shard is written in the narrowest dtype
+# its cells round-trip through bit for bit, and is served as float64
+# ----------------------------------------------------------------------
+def _dtype_of(path, key: str) -> str:
+    """The dtype the committed manifest records for entry ``key``."""
+    manifest = json.loads((Path(path) / "manifest.json").read_text())
+    return manifest["entries"][key]["dtype"]
+
+
+def _precomputed(matrix: np.ndarray) -> list:
+    """One hypothesis per last-axis column of ``(n_records, ns, k)``."""
+    return [PrecomputedHypothesis(f"p{j}", matrix[:, :, j])
+            for j in range(matrix.shape[2])]
+
+
+class TestPanelWidth:
+    N = 10
+
+    @staticmethod
+    def _append_panel(path, rows: np.ndarray) -> None:
+        DiskBehaviorStore(path).append("panel/p", np.arange(len(rows)), rows,
+                                       len(rows), members=["m0", "m1"])
+
+    @pytest.mark.parametrize("high", [2, 256])      # 0/1 labels, counts
+    def test_label_and_count_panels_are_stored_as_uint8(self, tmp_path,
+                                                        high):
+        rows = new_rng(0).integers(0, high, size=(self.N, 8)).astype(float)
+        rows[0, :2] = [0, high - 1]
+        self._append_panel(tmp_path, rows)
+        assert _dtype_of(tmp_path, "panel/p") == "|u1"
+        got = DiskBehaviorStore(tmp_path).reader("panel/p").rows(
+            np.arange(self.N))
+        assert got.dtype == np.uint8
+        assert got.astype(np.float64).tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("odd", [0.5, 256.0, -1.0, np.nan, -0.0])
+    def test_a_cell_uint8_cannot_hold_keeps_the_panel_float64(
+            self, tmp_path, odd):
+        rows = np.ones((self.N, 8))
+        rows[3, 5] = odd
+        self._append_panel(tmp_path, rows)
+        assert _dtype_of(tmp_path, "panel/p") == "<f8"
+        got = DiskBehaviorStore(tmp_path).reader("panel/p").rows(
+            np.arange(self.N))
+        assert got.tobytes() == rows.tobytes()
+
+    def test_one_inexact_append_keeps_the_whole_shard_float64(self,
+                                                              tmp_path):
+        """Two appends stack into one shard: its dtype is chosen for both,
+        so a 0.5 in the second keeps the labels of the first ``<f8``."""
+        store = DiskBehaviorStore(tmp_path)
+        rows = np.vstack([np.ones((5, 8)), np.full((5, 8), 0.5)])
+        with store.deferred_commits():
+            for at in (np.arange(5), np.arange(5, 10)):
+                store.append("panel/p", at, rows[at], 10,
+                             members=["m0", "m1"])
+        assert _dtype_of(tmp_path, "panel/p") == "<f8"
+        reader = DiskBehaviorStore(tmp_path).reader("panel/p")
+        assert reader.n_shards == 1
+        assert reader.rows(np.arange(10)).tobytes() == rows.tobytes()
+
+    def test_unit_and_plain_entries_keep_their_dtype(self, tmp_path):
+        store = DiskBehaviorStore(tmp_path)
+        labels = np.ones((self.N, 8))
+        with store.deferred_commits():
+            store.append("plain/f8", np.arange(self.N), labels, self.N)
+            store.append("plain/f4", np.arange(self.N),
+                         labels.astype(np.float32), self.N)
+            store.append_units("unit/u", np.arange(self.N),
+                               np.ones((4, self.N, 2)))
+        for key, dtype in (("plain/f8", "<f8"), ("plain/f4", "<f4"),
+                           ("unit/u", "<f8")):
+            assert _dtype_of(tmp_path, key) == dtype
+
+    @pytest.mark.parametrize("labels_first", [True, False])
+    def test_two_flushes_of_one_panel_never_serve_a_wrong_row(
+            self, tmp_path, sql_workload, labels_first):
+        """Half the records are 0/1 labels, the other half hold a 0.5; each
+        half is one session's flush.  Labels first: the panel is ``|u1``,
+        the 0.5 shard cannot join it and replaces it, so the labelled half
+        re-extracts.  The 0.5 half first: the panel is ``<f8``, the labels
+        join it exactly and every record is served."""
+        dataset = sql_workload.dataset
+        n, half = dataset.n_records, dataset.n_records // 2
+        matrix = (new_rng(0).random((n, dataset.n_symbols, 2)) < 0.5) * 1.0
+        matrix[half:, 0, 0] = 0.5
+        hyps = _precomputed(matrix)
+        labelled, halves = np.arange(half), np.arange(half, n)
+        for records in ((labelled, halves) if labels_first
+                        else (halves, labelled)):
+            HypothesisCache(store=DiskBehaviorStore(tmp_path)).extract_block(
+                hyps, dataset, records)
+        (key,) = DiskBehaviorStore(tmp_path).keys()
+        assert _dtype_of(tmp_path, key) == "<f8"
+        kept = DiskBehaviorStore(tmp_path).reader(key).filled_mask(
+            np.arange(n))
+        assert np.flatnonzero(kept).tolist() == (
+            halves.tolist() if labels_first else list(range(n)))
+
+        cache = HypothesisCache(store=DiskBehaviorStore(tmp_path))
+        block = cache.extract_block(hyps, dataset, np.arange(n))
+        assert block.dtype == np.float64
+        assert block.tobytes() == matrix.reshape(-1, 2).tobytes()
+        stats = cache.stats()
+        lost = half if labels_first else 0
+        assert (stats["disk_hits"], stats["disk_misses"]) \
+            == (2 * (n - lost), 2 * lost)
+        assert stats["extractions"] == (2 if lost else 0)
+
+    def test_a_float32_panel_is_served_as_float64(self, tmp_path,
+                                                  sql_workload):
+        """A panel appended as float32 through the public path: the block
+        and the moments summed over it are float64, bit for bit the
+        appended values widened."""
+        dataset = sql_workload.dataset
+        n, ns = dataset.n_records, dataset.n_symbols
+        narrow = new_rng(1).random((n, ns, 2)).astype(np.float32)
+        hyps = _precomputed(narrow)
+        members = [hyp_store_key(dataset.cache_key(), h.cache_key())
+                   for h in hyps]
+        DiskBehaviorStore(tmp_path).append(
+            panel_store_key(dataset.cache_key(), members), np.arange(n),
+            narrow.reshape(n, -1), n, members=members)
+        cache = HypothesisCache(store=DiskBehaviorStore(tmp_path))
+        block = cache.extract_block(hyps, dataset, np.arange(n))
+        assert block.dtype == np.float64 and block.flags.c_contiguous
+        assert block.tobytes() \
+            == narrow.astype(np.float64).reshape(-1, 2).tobytes()
+        stats = cache.stats()
+        assert (stats["extractions"], stats["disk_hits"]) == (0, 2 * n)
+        sums, squares = block_moments(block)()
+        assert sums.dtype == squares.dtype == np.float64
+
+    def test_disk_warm_inspect_over_uint8_panels_is_the_serial_frame(
+            self, tmp_path, sql_workload, hyps72, trained_sql_model):
+        """Labels and depth counts above 1, stored ``|u1``: a disk-warm
+        ``inspect()`` scores them bit for bit as the tier-less serial run,
+        with no extraction and every cell a disk hit."""
+        wl = sql_workload
+        dataset = wl.dataset
+        depth = [h for h in grammar_hypotheses(
+                     wl.grammar, wl.queries, wl.trees, encodings=("depth",),
+                     mode="derivation")
+                 if h.extract(dataset).max() > 1][:3]
+        assert len(depth) == 3
+        hyps = hyps72[:4] + hyps72[-2:] + depth
+        measures = [CorrelationScore(), DiffMeansScore(), JaccardScore()]
+        knobs = dict(mode="streaming", early_stop=False, shuffle=False,
+                     seed=0, block_size=128)
+
+        def run(**tiers):
+            config = InspectConfig(**tiers, **knobs)
+            frame = inspect([trained_sql_model], dataset, measures, hyps,
+                            config=config)
+            return frame, config
+
+        reference, _ = run(scheduler="serial")
+        run(**_tiers(DiskBehaviorStore(tmp_path)))
+        store = DiskBehaviorStore(tmp_path)
+        panels = [k for k in store.keys() if k.startswith("panel/")]
+        assert panels and all(_dtype_of(tmp_path, k) == "|u1"
+                              for k in panels)
+        warm, config = run(**_tiers(store))
+        assert _frame_tuples(warm) == _frame_tuples(reference)
+        hyp, unit = config.cache.stats(), config.unit_cache.stats()
+        assert hyp["extractions"] == unit["extractions"] == 0
+        assert hyp["disk_hits"] == len(hyps) * dataset.n_records
+        assert unit["disk_hits"] == dataset.n_records
 
 
 # ----------------------------------------------------------------------
