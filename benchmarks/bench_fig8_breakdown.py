@@ -9,12 +9,18 @@ extraction costs via online extraction.
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro import InspectConfig, inspect
 from repro.measures import CorrelationScore, LogRegressionScore
 from repro.util.trace import tracing
 from benchmarks.conftest import print_table
+
+#: timed runs of each (measure, variant) in the breakdown report, whose
+#: median extraction times the ordering compares
+ROUNDS = 3
 
 
 def _run(variant: str, measure, model, dataset, hyps) -> dict[str, float]:
@@ -36,32 +42,38 @@ def test_fig8_deepbase(benchmark, kind, bench_model, bench_workload,
         rounds=1, iterations=1)
 
 
+def _extraction_s(split: dict[str, float]) -> float:
+    return (split.get("unit_extraction", 0)
+            + split.get("hypothesis_extraction", 0))
+
+
 def test_fig8_breakdown_report(benchmark, bench_model, bench_workload,
                                bench_hypotheses):
     def _report():
         rows = []
         buckets = ("hypothesis_extraction", "unit_extraction", "inspection")
-        breakdowns = {}
-        for kind in ("corr", "logreg"):
-            measure = (CorrelationScore() if kind == "corr"
-                       else LogRegressionScore(regul="L1", epochs=1,
-                                               cv_folds=2))
-            for variant in ("mm_es", "deepbase"):
-                split = _run(variant, measure, bench_model,
-                             bench_workload.dataset, bench_hypotheses)
-                breakdowns[(kind, variant)] = split
-                rows.append({"measure": kind, "variant": variant,
-                             **{b: split.get(b, 0.0) for b in buckets}})
+        measures = {"corr": CorrelationScore(),
+                    "logreg": LogRegressionScore(regul="L1", epochs=1,
+                                                 cv_folds=2)}
+        extraction: dict[tuple[str, str], list[float]] = {}
+        # rounds interleave every (measure, variant): a slow stretch of
+        # the host lands on both variants, not on one of them
+        for run in range(ROUNDS):
+            for kind, measure in measures.items():
+                for variant in ("mm_es", "deepbase"):
+                    split = _run(variant, measure, bench_model,
+                                 bench_workload.dataset, bench_hypotheses)
+                    extraction.setdefault((kind, variant), []).append(
+                        _extraction_s(split))
+                    rows.append({"run": run, "measure": kind,
+                                 "variant": variant,
+                                 **{b: split.get(b, 0.0) for b in buckets}})
         print_table("Figure 8: runtime breakdown (seconds)", rows)
 
         # DeepBase's extraction cost must not exceed the materialized one's
-        for kind in ("corr", "logreg"):
-            mm = breakdowns[(kind, "mm_es")]
-            db = breakdowns[(kind, "deepbase")]
-            mm_extract = mm.get("unit_extraction", 0) + mm.get(
-                "hypothesis_extraction", 0)
-            db_extract = db.get("unit_extraction", 0) + db.get(
-                "hypothesis_extraction", 0)
-            assert db_extract <= mm_extract * 1.25, kind
+        for kind in measures:
+            mm = statistics.median(extraction[(kind, "mm_es")])
+            db = statistics.median(extraction[(kind, "deepbase")])
+            assert db <= mm * 1.25, (kind, extraction)
 
     benchmark.pedantic(_report, rounds=1, iterations=1)

@@ -401,6 +401,10 @@ class HypothesisCache(_ByteBoundedLRU):
         self._stat_memo.clear()
         self._stat_bytes = 0
 
+    def stats(self) -> dict[str, int]:
+        return {**super().stats(), "stat_hits": self.stat_hits,
+                "stat_misses": self.stat_misses}
+
     def _reset_counters_locked(self) -> None:
         super()._reset_counters_locked()
         self.stat_hits = 0

@@ -79,8 +79,8 @@ class ScoreTask:
         hypothesis columns (the executor slices once per task, which lets
         the source skip extracting globally-frozen columns altogether);
         ``h_moments`` are the moments of exactly that array, if kept.
-        ``keep`` receives the block's statistics when the state folds them
-        (:attr:`folds_stats`).
+        ``keep`` receives the block's statistics when the state is
+        block-local (:attr:`~repro.measures.base.MeasureState.block_local`).
         """
         if self.single_shot:
             self._last = self.measure.compute(u_block, h_block)
@@ -94,17 +94,12 @@ class ScoreTask:
             self.state, u_block, h_block, h_moments, keep)
         self._advance(result, err, n_records, u_block.shape[0])
 
-    @property
-    def folds_stats(self) -> bool:
-        """Whether the state scores from per-block sufficient statistics
-        (``block_stats`` / ``fold``) — correlation's do."""
-        return hasattr(self.state, "fold")
-
     def fold(self, stats: tuple, n_records: int, n_rows: int) -> None:
         """:meth:`process` a block from the statistics an earlier
         statement kept of it."""
-        result, err = self.measure.fold(self.state, stats, n_rows)
-        self._advance(result, err, n_records, n_rows)
+        self.state.fold(stats, n_rows)
+        self._advance(self.state.result(), self.state.error(), n_records,
+                      n_rows)
 
     def _advance(self, result: MeasureResult, err: float, n_records: int,
                  n_rows: int) -> None:
@@ -362,7 +357,8 @@ class InspectionPlan:
           write through the caches, so it finishes (or is cancelled unrun)
           inside the run's store scope (:func:`gathering`).
         * **Kept block statistics** stand in for a block: a task whose
-          state folds them (correlation) probes the hypothesis tier for
+          state is block-local (correlation, difference of means, the
+          linear probe, the naive baselines) probes the hypothesis tier for
           this block's (:meth:`stat_key`) before anything is submitted;
           a served task folds them inside its usual ``score`` span, and
           the block's sweeps and hypothesis gather cover only the tasks
@@ -387,7 +383,7 @@ class InspectionPlan:
                 records = hashlib.sha1(
                     self.source.order[sl].tobytes()).digest()
                 for task in pending:
-                    if task.folds_stats:
+                    if task.state is not None and task.state.block_local:
                         key = self.stat_key(task, records)
                         stats = cache.block_stats(key)
                         if stats is None:

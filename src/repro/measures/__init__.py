@@ -2,28 +2,29 @@
 
 DeepBase natively provides 8 measures plus 2 naive baselines (Section 4.3):
 
-==============================  =========  ==================================
-measure                         type       early-stop criterion
-==============================  =========  ==================================
-CorrelationScore                indep.     Fisher-transform confidence bound
-SpearmanCorrelationScore        indep.     Fisher bound on rank statistics
-DiffMeansScore                  indep.     standard error of mean difference
-MutualInfoScore                 indep.     score-delta window
-JaccardScore                    indep.     score-delta window
-LogRegressionScore              joint      held-out-score window
-LinearProbeScore                joint      score-delta window
-MultivariateMutualInfoScore     joint      score-delta window
-RandomClassScore (baseline)     indep.     immediate
-MajorityClassScore (baseline)   indep.     immediate
-MulticlassLogRegScore (Fig. 11) joint      held-out-score window
-==============================  =========  ==================================
+===============================  =========  =================================  ====
+measure                          type       early-stop criterion               kept
+===============================  =========  =================================  ====
+CorrelationScore                 indep.     Fisher-transform confidence bound  yes
+SpearmanCorrelationScore         indep.     Fisher bound on rank statistics    yes
+DiffMeansScore                   indep.     standard error of mean difference  yes
+MutualInfoScore                  indep.     score-delta window                 no
+JaccardScore                     indep.     score-delta window                 no
+LogRegressionScore               joint      held-out-score window              no
+LinearProbeScore                 joint      score-delta window                 yes
+MultivariateMutualInfoScore      joint      score-delta window                 no
+RandomClassScore (baseline)      indep.     immediate                          yes
+MajorityClassScore (baseline)    indep.     immediate                          yes
+MulticlassLogRegScore (Fig. 11)  joint      held-out-score window              no
+===============================  =========  =================================  ====
 
 All measures implement the incremental ``process_block`` API of Section
 5.2.2 so the streaming pipeline can terminate the moment scores converge.
-A measure's state holds only its math: calibration buffering (Jaccard, both
-MI measures) is :class:`repro.measures.base.CalibratedState`, held-out
-probing (both logistic probes) is ``logreg._HeldOutState``, and the probes
-step through :class:`repro.nn.optim.Adam`.
+A measure's state holds only its math: block statistics (*kept*: a repeat
+folds them) are ``base.MeasureState``'s protocol, calibration buffering
+(Jaccard, both MI measures) is ``base.CalibratedState``, held-out probing
+(both logistic probes) is ``logreg._HeldOutState``, and the probes step
+through :class:`repro.nn.optim.Adam`.
 """
 
 from repro.measures.base import Measure, MeasureResult, MeasureState

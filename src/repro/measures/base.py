@@ -15,6 +15,16 @@ The streaming engine drives measures through :class:`MeasureState`::
 
 which is the ``l.process_block(U, h, recs) -> (scores, err)`` API of
 Section 5.2.2.
+
+Most states are a sum of per-block sufficient statistics, and
+:class:`MeasureState` owns that protocol: a *block-local* state writes only
+``block_stats`` and its scores, so the engine may keep a block's statistics
+and fold them again without reading the block.  Correlation, difference of
+means, the linear probe and both naive baselines are block-local.  A
+:class:`CalibratedState` (Jaccard, MI) is not: its counts depend on
+parameters fitted on a sample.  Nor is a held-out probe (logistic
+regression): each optimizer step depends on the ones before.  Both take
+whole blocks in ``update``.
 """
 
 from __future__ import annotations
@@ -42,21 +52,28 @@ class MeasureResult:
 class MeasureState:
     """Incremental computation state; subclasses accumulate sufficient stats."""
 
+    #: a block-local state's statistics, attribute -> shape: "u" has no
+    #: hypothesis axis, "h" is per hypothesis, "uh" per (unit, hypothesis)
+    _STATS: dict[str, str] = {}
+
     def __init__(self, n_units: int, n_hyps: int):
         self.n_units = n_units
         self.n_hyps = n_hyps
         self.n_rows = 0
         self._memo: dict = {}
+        shapes = {"u": (n_units,), "h": (n_hyps,), "uh": (n_units, n_hyps)}
+        for name, shape in self._STATS.items():
+            setattr(self, name, np.zeros(shapes[shape]))
 
     def _memoized(self, name: str, compute):
         """Cache a derived quantity until (n_rows, n_hyps) changes.
 
         One block typically triggers several score/error reads (result,
         error, per-column convergence check); the sufficient statistics only
-        change with ``update`` (which bumps ``n_rows``) or
+        change with :meth:`fold` (which moves ``n_rows`` with them) or
         ``restrict_columns`` (which shrinks ``n_hyps``), so those two values
-        key the cache.  Only safe for states that do NOT read scores inside
-        ``update`` (``n_rows`` is bumped after update returns).
+        key the cache.  ``update`` bumps ``n_rows`` only after it returns,
+        so a state must not read a memoized score inside ``update``.
         """
         key = (self.n_rows, self.n_hyps)
         hit = self._memo.get(name)
@@ -65,8 +82,28 @@ class MeasureState:
             self._memo[name] = hit
         return hit[1]
 
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+    @property
+    def block_local(self) -> bool:
+        """Whether the state defines :meth:`block_stats`."""
+        return type(self).block_stats is not MeasureState.block_stats
+
+    def block_stats(self, units: np.ndarray, hyps: np.ndarray,
+                    h_moments=None) -> tuple:
+        """One block's statistics in ``_STATS`` order, from the block alone:
+        the engine keeps them under the measure's ``score_id``, which must
+        name everything that changes them.  ``h_moments``, if given, is a
+        thunk for ``hyps``' column sums and sums of squares."""
         raise NotImplementedError
+
+    def fold(self, stats: tuple, n_rows: int) -> None:
+        """Add one block's :meth:`block_stats` and count its rows."""
+        for name, part in zip(self._STATS, stats):
+            total = getattr(self, name)
+            total += part
+        self.n_rows += n_rows
+
+    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+        raise NotImplementedError  # states that are not block-local
 
     def unit_scores(self) -> np.ndarray:
         raise NotImplementedError
@@ -95,12 +132,17 @@ class MeasureState:
     def restrict_columns(self, keep: np.ndarray) -> None:
         """Drop all hypothesis columns except ``keep`` (positional indices).
 
-        Called by the engine after converged columns are frozen; subsequent
-        :meth:`update` calls receive hypothesis blocks restricted to the kept
-        columns.  Only measures with ``supports_partition`` implement this.
+        Called by the engine after converged columns are frozen; later
+        blocks arrive restricted to the kept columns.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support column partitioning")
+        if not self.block_local:
+            raise NotImplementedError(
+                f"{type(self).__name__} does not support column partitioning")
+        keep = np.asarray(keep, dtype=int)
+        for name, shape in self._STATS.items():
+            if shape != "u":
+                setattr(self, name, getattr(self, name)[..., keep])
+        self.n_hyps = int(keep.shape[0])
 
     def extras(self) -> dict | None:
         return None
@@ -135,33 +177,24 @@ class Measure:
                       ) -> tuple[MeasureResult, float]:
         """Consume one block; returns (current scores, current error).
 
-        A state that scores from per-block sufficient statistics
-        (``block_stats`` / ``fold``, as correlation's does) reduces the
-        block to them, hands them to ``keep`` if given, and folds them:
-        :meth:`fold` replays kept ones.  ``h_moments``: a ``block_moments``
-        thunk for exactly ``hyps``, which such a state may use.  Any other
-        state takes the block in ``update``."""
+        A block-local state reduces the block to its statistics, hands
+        them to ``keep`` if given, and folds them; ``h_moments`` is a
+        ``block_moments`` thunk for exactly ``hyps``.  Any other state
+        takes the block in ``update``."""
         units = np.asarray(units, dtype=np.float64)
         hyps = np.asarray(hyps, dtype=np.float64)
         if units.shape[0] != hyps.shape[0]:
             raise ValueError(
                 f"block row mismatch: units {units.shape[0]} vs "
                 f"hyps {hyps.shape[0]}")
-        if hasattr(state, "fold"):
+        if state.block_local:
             stats = state.block_stats(units, hyps, h_moments)
             if keep is not None:
                 keep(stats)
-            return self.fold(state, stats, units.shape[0])
-        state.update(units, hyps)
-        state.n_rows += units.shape[0]
-        return state.result(), state.error()
-
-    def fold(self, state: MeasureState, stats: tuple, n_rows: int
-             ) -> tuple[MeasureResult, float]:
-        """Consume a block of ``n_rows`` rows from its statistics (see
-        :meth:`process_block`); returns (current scores, current error)."""
-        state.fold(stats)
-        state.n_rows += n_rows
+            state.fold(stats, units.shape[0])
+        else:
+            state.update(units, hyps)
+            state.n_rows += units.shape[0]
         return state.result(), state.error()
 
     def compute(self, units: np.ndarray, hyps: np.ndarray) -> MeasureResult:

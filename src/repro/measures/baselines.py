@@ -18,13 +18,15 @@ from repro.measures.base import Measure, MeasureState
 
 
 class _PriorState(MeasureState):
+    _STATS = {"n_pos": "h"}
+
     def __init__(self, n_units: int, n_hyps: int, kind: str):
         super().__init__(n_units, n_hyps)
         self.kind = kind
-        self.n_pos = np.zeros(n_hyps)
 
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        self.n_pos += (hyps > 0).sum(axis=0)
+    def block_stats(self, units: np.ndarray, hyps: np.ndarray,
+                    h_moments=None) -> tuple:
+        return ((hyps > 0).sum(axis=0),)
 
     def _prior(self) -> np.ndarray:
         return self.n_pos / max(self.n_rows, 1)

@@ -4,10 +4,9 @@ Correlation is the paper's canonical independent measure (used by Karpathy
 et al. to find interpretable units).  The incremental state keeps running
 first and second moments plus the cross-moment matrix, so each block costs
 one ``U.T @ H`` -- and early stopping uses Normal-based confidence intervals
-from the Fisher transformation (Section 5.2.2).  A block's statistics
-(:meth:`_CorrState.block_stats`) depend on that block alone, so the engine
-keeps them in the hypothesis tier and a repeated statement folds them
-(:meth:`_CorrState.fold`) without reading the block or forming the product.
+from the Fisher transformation (Section 5.2.2).  The state is block-local
+(:class:`~repro.measures.base.MeasureState`): a repeated statement folds
+the kept statistics of a block without reading it or forming the product.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ from repro.measures.stats import fisher_ci_halfwidth
 
 
 class _CorrState(MeasureState):
+    _STATS = {"sum_u": "u", "sum_uu": "u", "sum_h": "h", "sum_hh": "h",
+              "sum_uh": "uh"}
+
     def __init__(self, n_units: int, n_hyps: int, rank_transform: bool):
         super().__init__(n_units, n_hyps)
         self.rank_transform = rank_transform
-        self.sum_u = np.zeros(n_units)
-        self.sum_uu = np.zeros(n_units)
-        self.sum_h = np.zeros(n_hyps)
-        self.sum_hh = np.zeros(n_hyps)
-        self.sum_uh = np.zeros((n_units, n_hyps))
 
     @staticmethod
     def _rank(x: np.ndarray) -> np.ndarray:
@@ -74,12 +71,9 @@ class _CorrState(MeasureState):
 
     def block_stats(self, units: np.ndarray, hyps: np.ndarray,
                     h_moments=None) -> tuple:
-        """One block's sufficient statistics ``(Σu, Σu², Σh, Σh², Σuh)``:
-        they depend on the block alone, never on the running state, so the
-        engine may keep them and :meth:`fold` them again later.
-        ``h_moments`` (a thunk for ``hyps``' column sums and sums of
-        squares) stands in for reducing ``hyps`` again, except under ranks,
-        which sum differently."""
+        """``(Σu, Σu², Σh, Σh², Σuh)``; ``h_moments`` stands in for
+        reducing ``hyps`` again, except under ranks, which sum
+        differently."""
         if self.rank_transform:
             units = self._rank(units)
             hyps = self._rank(hyps)
@@ -89,17 +83,6 @@ class _CorrState(MeasureState):
             sum_h, sum_hh = h_moments()
         return (units.sum(axis=0), (units**2).sum(axis=0),
                 sum_h, sum_hh, units.T @ hyps)
-
-    def fold(self, stats: tuple) -> None:
-        sum_u, sum_uu, sum_h, sum_hh, sum_uh = stats
-        self.sum_u += sum_u
-        self.sum_uu += sum_uu
-        self.sum_h += sum_h
-        self.sum_hh += sum_hh
-        self.sum_uh += sum_uh
-
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
-        self.fold(self.block_stats(units, hyps))
 
     def unit_scores(self) -> np.ndarray:
         return self._memoized("unit_scores", self._unit_scores)
@@ -123,13 +106,6 @@ class _CorrState(MeasureState):
         # the widest CI across the column's units bounds its scores' error
         halfwidths = fisher_ci_halfwidth(self.unit_scores(), self.n_rows)
         return halfwidths.max(axis=0)
-
-    def restrict_columns(self, keep: np.ndarray) -> None:
-        keep = np.asarray(keep, dtype=int)
-        self.sum_h = self.sum_h[keep]
-        self.sum_hh = self.sum_hh[keep]
-        self.sum_uh = self.sum_uh[:, keep]
-        self.n_hyps = int(keep.shape[0])
 
     def error(self) -> float:
         return float(self.column_errors().max())

@@ -15,25 +15,17 @@ from repro.measures.stats import Z_95
 
 
 class _DiffMeansState(MeasureState):
-    def __init__(self, n_units: int, n_hyps: int):
-        super().__init__(n_units, n_hyps)
-        # sufficient statistics split by hypothesis value (h>0 vs h<=0)
-        self.n_pos = np.zeros(n_hyps)
-        self.n_neg = np.zeros(n_hyps)
-        self.sum_pos = np.zeros((n_units, n_hyps))
-        self.sum_neg = np.zeros((n_units, n_hyps))
-        self.sumsq_pos = np.zeros((n_units, n_hyps))
-        self.sumsq_neg = np.zeros((n_units, n_hyps))
+    # sufficient statistics split by hypothesis value (h>0 vs h<=0)
+    _STATS = {"n_pos": "h", "n_neg": "h", "sum_pos": "uh", "sum_neg": "uh",
+              "sumsq_pos": "uh", "sumsq_neg": "uh"}
 
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+    def block_stats(self, units: np.ndarray, hyps: np.ndarray,
+                    h_moments=None) -> tuple:
         active = hyps > 0
-        self.n_pos += active.sum(axis=0)
-        self.n_neg += (~active).sum(axis=0)
-        self.sum_pos += units.T @ active
-        self.sum_neg += units.T @ (~active)
         units_sq = units**2
-        self.sumsq_pos += units_sq.T @ active
-        self.sumsq_neg += units_sq.T @ (~active)
+        return (active.sum(axis=0), (~active).sum(axis=0),
+                units.T @ active, units.T @ (~active),
+                units_sq.T @ active, units_sq.T @ (~active))
 
     def _moments(self):
         n_pos = np.maximum(self.n_pos, 1e-12)
@@ -73,16 +65,6 @@ class _DiffMeansState(MeasureState):
         se = np.sqrt(var_pos / np.maximum(n_pos, 1)
                      + var_neg / np.maximum(n_neg, 1))
         return np.where(valid, (Z_95 * se).max(axis=0), np.nan)
-
-    def restrict_columns(self, keep: np.ndarray) -> None:
-        keep = np.asarray(keep, dtype=int)
-        self.n_pos = self.n_pos[keep]
-        self.n_neg = self.n_neg[keep]
-        self.sum_pos = self.sum_pos[:, keep]
-        self.sum_neg = self.sum_neg[:, keep]
-        self.sumsq_pos = self.sumsq_pos[:, keep]
-        self.sumsq_neg = self.sumsq_neg[:, keep]
-        self.n_hyps = int(keep.shape[0])
 
     def error(self) -> float:
         errors = self.column_errors()

@@ -15,22 +15,23 @@ from repro.measures.base import DeltaWindowMixin, Measure, MeasureState
 
 
 class _LinearProbeState(MeasureState, DeltaWindowMixin):
+    _STATS = {"xtx": "u", "xty": "uh", "yty": "h", "y_sum": "h"}
+
     def __init__(self, n_units: int, n_hyps: int, ridge: float, window: int):
         MeasureState.__init__(self, n_units, n_hyps)
         DeltaWindowMixin.__init__(self, window=window)
         self.ridge = ridge
-        d = n_units + 1  # intercept column
-        self.xtx = np.zeros((d, d))
-        self.xty = np.zeros((d, n_hyps))
-        self.yty = np.zeros(n_hyps)
-        self.y_sum = np.zeros(n_hyps)
+        d = n_units + 1  # X's intercept column widens both unit axes
+        self.xtx, self.xty = np.zeros((d, d)), np.zeros((d, n_hyps))
 
-    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+    def block_stats(self, units: np.ndarray, hyps: np.ndarray,
+                    h_moments=None) -> tuple:
         x = np.concatenate([units, np.ones((units.shape[0], 1))], axis=1)
-        self.xtx += x.T @ x
-        self.xty += x.T @ hyps
-        self.yty += (hyps**2).sum(axis=0)
-        self.y_sum += hyps.sum(axis=0)
+        return (x.T @ x, x.T @ hyps, (hyps**2).sum(axis=0), hyps.sum(axis=0))
+
+    def fold(self, stats: tuple, n_rows: int) -> None:
+        """Fold, then push the R² of every row counted so far."""
+        super().fold(stats, n_rows)
         self.push_score(self.group_scores())
 
     def _solve(self) -> np.ndarray:

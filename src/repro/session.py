@@ -563,10 +563,7 @@ class Session:
         (:func:`repro.util.debuglog.degradation_counts`).
         """
         out: dict = {
-            "hypothesis_cache": {
-                **self.hyp_cache.stats(),
-                "stat_hits": self.hyp_cache.stat_hits,
-                "stat_misses": self.hyp_cache.stat_misses},
+            "hypothesis_cache": self.hyp_cache.stats(),
             "unit_cache": self.unit_cache.stats()}
         if self.store is not None:
             out["store"] = self.store.stats()

@@ -322,7 +322,8 @@ def test_counter_parity_with_the_per_hypothesis_loop(tmp_path, sql_workload,
                 cache.extract_block(hyps72, dataset, block)
         return cache.stats()
 
-    size = {"entries": 72, "bytes": 7704288}
+    size = {"entries": 72, "bytes": 7704288, "stat_hits": 0,
+            "stat_misses": 0}
     assert run(HypothesisCache()) == {
         "hits": 31968, "misses": 31968, "disk_hits": 0, "disk_misses": 0,
         "extractions": 144, **size}

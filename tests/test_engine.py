@@ -310,6 +310,33 @@ class TestPerHypothesisFreezing:
             assert np.allclose(part_state.unit_scores(),
                                full_state.unit_scores()[:, [1, 3]])
 
+    @pytest.mark.parametrize("measure", [
+        CorrelationScore(), SpearmanCorrelationScore(), DiffMeansScore()],
+        ids=lambda m: m.score_id)
+    def test_restrict_then_a_block_equals_two_blocks_then_the_slice(
+            self, measure):
+        """Restricting takes every statistic along its hypothesis axis, so
+        a block folded after it lands on the kept columns.  The behaviors
+        are small integers: every sum is then exact, and the comparison
+        sees the bookkeeping, not the width-dependent order in which BLAS
+        sums a product's cells."""
+        rng = np.random.default_rng(2)
+        units = rng.integers(-3, 4, size=(2, 300, 5)).astype(float)
+        hyps = rng.integers(0, 3, size=(2, 300, 7)).astype(float)
+        keep = np.array([0, 2, 3, 6])
+        whole = measure.new_state(5, 7)
+        part = measure.new_state(5, 7)
+        for u, h in zip(units, hyps):
+            measure.process_block(whole, u, h)
+        measure.process_block(part, units[0], hyps[0])
+        part.restrict_columns(keep)
+        measure.process_block(part, units[1], hyps[1][:, keep])
+        assert (part.n_hyps, part.n_rows) == (4, 600)
+        assert part.unit_scores().tobytes() \
+            == whole.unit_scores()[:, keep].tobytes()
+        assert part.column_errors().tobytes() \
+            == whole.column_errors()[keep].tobytes()
+
 
 class TestUnitBehaviorCache:
     def test_cold_misses_then_hits(self, trained_sql_model, sql_workload):

@@ -415,6 +415,22 @@ class TestLinearProbe:
                 state, x[start:start + 250], y[start:start + 250])
         assert np.allclose(result.group_scores, full.group_scores, atol=1e-9)
 
+    def test_window_pushes_the_score_of_the_rows_seen(self):
+        """Each block pushes the R² of every row folded so far, its own
+        included: the window never holds a score of fewer rows (a 0.0
+        before the first block, or one block behind)."""
+        rng = new_rng(3)
+        x = rng.standard_normal((4000, 3))
+        y = x[:, :1] + rng.standard_normal((4000, 1)) * 0.3
+        measure = LinearProbeScore(window=2)
+        state = measure.new_state(3, 1)
+        for start in range(0, 4000, 1000):
+            result, _ = measure.process_block(
+                state, x[start:start + 1000], y[start:start + 1000])
+            assert state._history[-1].tobytes() \
+                == result.group_scores.tobytes()
+        assert len(state._history) == 3
+
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
             LinearProbeScore(ridge=-1.0)

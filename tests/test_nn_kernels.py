@@ -415,9 +415,10 @@ class TestRankVectorized:
         units, hyps = synthetic_behaviors
         state = SpearmanCorrelationScore().new_state(units.shape[1],
                                                      hyps.shape[1])
-        state.update(units, hyps)
+        state.fold(state.block_stats(units, hyps), units.shape[0])
         ref = _CorrState(units.shape[1], hyps.shape[1], rank_transform=False)
-        ref.update(_seed_rank(units), _seed_rank(hyps))
+        ref.fold(ref.block_stats(_seed_rank(units), _seed_rank(hyps)),
+                 units.shape[0])
         assert state.unit_scores().tobytes() == ref.unit_scores().tobytes()
 
 

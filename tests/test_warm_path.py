@@ -1,9 +1,9 @@
 """What a warm statement may skip, and when it may not.
 
 A warm statement recomputes nothing that does not depend on the statement:
-a correlation task's block statistics are kept by the hypothesis tier (and
-within one statement the score tasks reading a block sum its moments
-once), the unit tier holds its entries in the layout scoring reads, and
+a block-local score task's block statistics are kept by the hypothesis
+tier (and within one statement the score tasks reading a block sum its
+moments once), the unit tier holds its entries in the layout scoring reads, and
 the session reuses a statement's parse and compilation.  Everything here
 pins the two halves of that bargain — the counters that show the work was
 skipped, and the frames that show skipping it changed nothing — and the
@@ -27,8 +27,11 @@ from repro.extract.base import Extractor
 from repro.hypotheses import PrecomputedHypothesis
 from repro.hypotheses.annotations import mask_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
-from repro.measures import (CorrelationScore, JaccardScore,
-                            SpearmanCorrelationScore)
+from repro.measures import (CorrelationScore, DiffMeansScore, JaccardScore,
+                            LinearProbeScore, MajorityClassScore, Measure,
+                            MeasureState, RandomClassScore,
+                            SpearmanCorrelationScore, get_measure,
+                            list_measures)
 from repro.nn import CharLSTMModel
 from repro.nn.serialize import load_model, save_model
 from repro.util.debuglog import degradation_counts
@@ -443,6 +446,107 @@ def test_no_stats_are_kept_without_a_unit_tier(sql_workload, hyps72):
     reference = run(cache=None, scheduler="serial")
     assert changed == reference != first
     assert (cache.stat_hits, cache.stat_misses) == (0, 0)
+
+
+def test_block_local_states_are_the_summed_ones():
+    """Correlation, difference of means, the linear probe and the naive
+    baselines sum per-block statistics; calibrated and held-out states
+    do not."""
+    local = {name for name in list_measures()
+             if get_measure(name).new_state(2, 2).block_local}
+    assert local == {"corr", "pearson", "spearman", "diff_means",
+                     "linear_probe", "random", "majority"}
+
+
+@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+def test_every_block_local_measure_folds_kept_stats(
+        scheduler, sql_workload, hyps72, trained_sql_model, moment_sums):
+    """One session runs each measure's statement twice: the warm run folds
+    every block the cold run computed, reads no hypothesis or unit block,
+    and both frames are the tier-less serial one, byte for byte.  Two
+    groups make two score tasks, which a pool runs at once against the
+    tier's memo."""
+    dataset, hyps = sql_workload.dataset, hyps72[:12]
+    groups = [UnitGroup(model=trained_sql_model, unit_ids=ids, name=name)
+              for name, ids in (("low", np.arange(8)),
+                                ("high", np.arange(8, 16)))]
+    with Session(scheduler=scheduler,
+                 config=InspectConfig(**KEPT_KNOBS)) as session:
+        # the block-local measures besides correlation (covered above)
+        for measure in (DiffMeansScore, LinearProbeScore, RandomClassScore,
+                        MajorityClassScore):
+            def run():
+                return (session.inspect(dataset=dataset).using(measure())
+                        .hypotheses(hyps).where(groups=groups).run())
+            reference = inspect(
+                None, dataset, measure(), hyps, unit_groups=groups,
+                config=InspectConfig(cache=None, unit_cache=None,
+                                     scheduler="serial", **KEPT_KNOBS))
+            session.reset_counters()
+            cold = run()
+            computed = session.stats()
+            gathered = len(moment_sums)
+            session.reset_counters()
+            warm = run()
+            served = session.stats()
+            name = measure.__name__
+            assert cold == warm == reference, name
+            assert warm.column("val").tobytes() \
+                == reference.column("val").tobytes(), name
+            kept = computed["hypothesis_cache"]
+            assert kept["stat_hits"] == 0 and kept["stat_misses"] > 0, name
+            assert (served["hypothesis_cache"]["stat_hits"],
+                    served["hypothesis_cache"]["stat_misses"]) \
+                == (kept["stat_misses"], 0), name
+            for tier in ("hypothesis_cache", "unit_cache"):
+                for counter in ("hits", "misses", "extractions"):
+                    assert served[tier][counter] == 0, (name, tier, counter)
+            assert len(moment_sums) == gathered, name
+
+
+class _TallyState(MeasureState):
+    """A user state that takes blocks whole, in ``update``."""
+
+    def __init__(self, n_units: int, n_hyps: int):
+        super().__init__(n_units, n_hyps)
+        self.fired = np.zeros(n_hyps)
+
+    def update(self, units: np.ndarray, hyps: np.ndarray) -> None:
+        self.fired += (hyps > 0).sum(axis=0)
+
+    def unit_scores(self) -> np.ndarray:
+        rate = self.fired / max(self.n_rows, 1)
+        return np.tile(rate, (self.n_units, 1))
+
+
+class _TallyScore(Measure):
+    score_id = "tally"
+
+    def new_state(self, n_units: int, n_hyps: int) -> _TallyState:
+        return _TallyState(n_units, n_hyps)
+
+
+def test_a_state_with_only_update_runs_and_is_never_kept(
+        sql_workload, hyps72, trained_sql_model):
+    state = _TallyScore().new_state(3, 2)
+    assert not state.block_local
+    with pytest.raises(NotImplementedError):
+        state.restrict_columns(np.array([0]))
+    dataset, hyps = sql_workload.dataset, hyps72[:6]
+    groups = [UnitGroup(model=trained_sql_model, unit_ids=np.arange(4),
+                        name="some")]
+    reference = inspect(None, dataset, _TallyScore(), hyps,
+                        unit_groups=groups,
+                        config=InspectConfig(cache=None, unit_cache=None,
+                                             scheduler="serial",
+                                             **KEPT_KNOBS))
+    with Session(config=InspectConfig(**KEPT_KNOBS)) as session:
+        frames = [(session.inspect(dataset=dataset).using(_TallyScore())
+                   .hypotheses(hyps).where(groups=groups).run())
+                  for _ in range(2)]
+        assert _kept_counts(session) == (0, 0)
+    assert frames == [reference] * 2
+    assert len(reference) > 0
 
 
 # ----------------------------------------------------------------------
