@@ -2,16 +2,16 @@
 
 A :class:`repro.extract.base.Extractor` subclass implements
 ``raw_states`` (plus ``n_units``); the base class derives the public
-``extract``, the cached ``raw_rows``/``finalize_rows`` and the
-``raw_key`` from it.  What can still go wrong:
+``extract``, the cached ``raw_rows``, the read-time view
+``finalize_states`` every path ends in and the ``raw_key`` from it.  What
+can still go wrong:
 
 * overriding a derived method (``extract``/``raw_rows``/
-  ``finalize_rows``/``raw_key``) makes direct extraction, the cache tier
+  ``finalize_states``/``raw_key``) makes direct extraction, the cache tier
   and the store disagree about the same behaviors;
 * ``raw_width`` and ``view_columns`` come as a pair: a wider raw sweep
-  needs a column view and vice versa, or cached ``finalize_rows`` width
-  disagrees with direct-mode ``n_units``;
-* ``view_states`` requires ``view_columns`` for the same width reason;
+  needs a column view and vice versa, or the view's width disagrees with
+  ``n_units``;
 * a subclass that defines no ``raw_states`` has no extraction path.
 
 The hypothesis side of the protocol has one rule.  A
@@ -35,7 +35,7 @@ from repro.analysis.astutil import classes, dotted_name, last_part, methods
 from repro.analysis.driver import Checker, FileContext
 from repro.analysis.registry import register
 
-_DERIVED = ("extract", "raw_rows", "finalize_rows", "raw_key")
+_DERIVED = ("extract", "raw_rows", "finalize_states", "raw_key")
 
 
 #: the differential oracle and the class tables it keeps
@@ -76,7 +76,7 @@ class ExtractorProtocolChecker(Checker):
                    "must be listed in the differential oracle")
     hint = ("implement n_units + raw_states (plus raw_width + view_columns "
             "together when the sweep is wider); never override extract, "
-            "raw_rows, finalize_rows or raw_key")
+            "raw_rows, finalize_states or raw_key")
 
     def visit_file(self, ctx: FileContext):
         yield from self._unlisted_kernels(ctx)
@@ -95,20 +95,14 @@ class ExtractorProtocolChecker(Checker):
                 yield self.finding(
                     ctx, named["raw_width"],
                     f"{cls.name} widens raw_width() without "
-                    f"view_columns(); direct-mode width would differ "
-                    f"from finalized cache rows")
+                    f"view_columns(); its behaviors would be wider "
+                    f"than n_units()")
             if "view_columns" in named and "raw_width" not in named:
                 yield self.finding(
                     ctx, named["view_columns"],
                     f"{cls.name} selects view_columns() without "
                     f"raw_width(); raw_rows sizes buffers from the "
                     f"default (= n_units) and truncates the sweep")
-            if "view_states" in named and "view_columns" not in named:
-                yield self.finding(
-                    ctx, named["view_states"],
-                    f"{cls.name} overrides view_states() without "
-                    f"view_columns(); finalize_rows would replay the "
-                    f"full-width raw sweep instead of the view")
             if "raw_states" not in named:
                 yield self.finding(
                     ctx, cls,

@@ -24,9 +24,10 @@ across inspection runs:
   (untransformed, full-width) activations keyed by (model parameter
   fingerprint, raw extractor identity, dataset content hash); the behavior
   transform, layer views and ``hid_units`` selection are applied lazily on
-  read via :meth:`repro.extract.base.Extractor.finalize_rows`.  K extractors
-  that differ only in those view attributes therefore trigger exactly one
-  forward sweep and share one entry.
+  read via :meth:`repro.extract.base.Extractor.finalize_states`, the view
+  every other extraction path applies too.  K extractors that differ only
+  in those view attributes therefore trigger exactly one forward sweep and
+  share one entry.
 
 Both caches are *memory tiers* over a common store protocol: give them a
 :class:`repro.store.DiskBehaviorStore` and every extraction is written
@@ -894,12 +895,6 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         if missing.shape[0]:
             with span("sweep", model_id(model)):
                 block = extractor.raw_rows(model, dataset.symbols[missing])
-            if block.shape[0] != missing.shape[0] * ns:
-                raise ValueError(
-                    "extractor row mismatch: expected "
-                    f"{missing.shape[0] * ns} rows "
-                    f"({missing.shape[0]} records x {ns} symbols), "
-                    f"got {block.shape[0]}")
             units = np.asarray(block).reshape(missing.shape[0], ns, -1)
             with self._lock:
                 self._count(extractions=1)

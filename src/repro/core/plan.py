@@ -37,13 +37,14 @@ class GroupMeasureOutcome:
 class ScoreTask:
     """One (unit group, measure) pair: state, convergence, freezing.
 
-    With a partition-capable measure and early stopping on, hypothesis
-    columns converge individually: a column whose error bound drops under
-    the threshold has its scores snapshotted, is removed from the measure
-    state's sufficient statistics, and stops being fed — later blocks only
-    pay for the still-active columns.  The task finishes when every column
-    is frozen (or, for non-partition measures, when the scalar criterion
-    fires).
+    With a partitioned state
+    (:attr:`~repro.measures.base.MeasureState.partitioned`) and early
+    stopping on, hypothesis columns converge individually: a column whose
+    error bound drops under the threshold has its scores snapshotted, is
+    removed from the measure state's sufficient statistics, and stops
+    being fed — later blocks only pay for the still-active columns.  The
+    task finishes when every column is frozen (or, for any other state,
+    when the scalar criterion fires).
     """
 
     def __init__(self, gi: int, group: UnitGroup, mi: int, measure: Measure,
@@ -55,11 +56,10 @@ class ScoreTask:
         self.n_hyps = n_hyps
         self.threshold = config.threshold_for(measure.score_id)
         self.single_shot = config.mode == "full"
-        self.early_stop = (config.early_stop and measure.supports_early_stop
-                           and not self.single_shot)
-        self.partition = self.early_stop and measure.supports_partition
+        self.early_stop = config.early_stop and not self.single_shot
         self.state = (None if self.single_shot
                       else measure.new_state(group.n_units, n_hyps))
+        self.partition = self.early_stop and self.state.partitioned
         self.active_cols = np.arange(n_hyps)
         self.col_rows = np.zeros(n_hyps, dtype=np.int64)
         self.col_converged = np.zeros(n_hyps, dtype=bool)
@@ -119,12 +119,6 @@ class ScoreTask:
 
     def _freeze_converged(self) -> None:
         errors = self.state.column_errors()
-        if errors is None:  # state opted out at runtime: scalar fallback
-            if self.state.error() <= self.threshold:
-                self._last.converged = True
-                self.col_converged[:] = True
-                self.done = True
-            return
         # NaN marks a vacuous column (score pinned at a default but not
         # final, e.g. a hypothesis with no contrast yet): never freeze it --
         # later blocks may revive it -- but don't let it keep the task alive

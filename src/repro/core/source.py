@@ -69,12 +69,11 @@ class BehaviorSource:
     ``materialize=False`` (streaming) extracts lazily per request;
     ``materialize=True`` extracts everything on :meth:`prepare` and then
     serves row slices.  Either way unit extraction runs once per distinct
-    (model, raw sweep) pair and — when the requesting groups cover a strict
-    subset of the sweep's columns — is narrowed to the union of the columns
-    they read, so behaviors nobody asked for are never materialized.
-    With a :class:`UnitBehaviorCache` configured, extraction instead runs at
-    full width and slices columns on read: cache entries then reuse across
-    runs regardless of which groups were active when they were filled.
+    (model, raw sweep) pair, at full width, and each group's behaviors are
+    a read-time view over it (:meth:`Extractor.finalize_states`).  With a
+    :class:`UnitBehaviorCache` configured the sweep is kept in the tier,
+    so its entries reuse across runs regardless of which groups were
+    active when they were filled.
     """
 
     def __init__(self, dataset: Dataset, hypotheses: list[HypothesisFunction],
@@ -162,31 +161,16 @@ class BehaviorSource:
                 for gi, group in ext_members:
                     out[gi] = block if shared else block[:, group.unit_ids]
             return out
-        # no cache to share through: one sweep narrowed to the union of
-        # *raw* columns the members read (each member's unit ids mapped
-        # through its layer view), so behaviors nobody asked for are never
-        # materialized; each member's block is a read-time view over it
+        # no tier to share through: one full-width sweep of the pair, and
+        # each member's block is the read-time view the tier would apply
         rep = first.extractor or self.default_extractor
-        ns = self.dataset.n_symbols
-        views = []      # (gi, extractor, the raw columns its group reads)
+        with span("sweep", first.model_id):
+            raw = rep.raw_rows(model, self.dataset.symbols[indices])
+        states = raw.reshape(-1, self.dataset.n_symbols, raw.shape[-1])
         for gi, group in members:
             ext = group.extractor or self.default_extractor
-            views.append((gi, ext, ext.raw_columns(model, group.unit_ids)))
-        union = np.unique(np.concatenate([cols for _, _, cols in views]))
-        narrow = union.shape[0] < rep.raw_width(model)
-        with span("sweep", first.model_id):
-            raw = rep.raw_rows(model, self.dataset.symbols[indices],
-                               columns=union if narrow else None)
-        if raw.shape[0] != indices.shape[0] * ns:
-            raise ValueError(
-                "extractor row mismatch: expected "
-                f"{indices.shape[0] * ns} rows ({indices.shape[0]} records "
-                f"x {ns} symbols), got {raw.shape[0]}")
-        states = raw.reshape(-1, ns, raw.shape[-1])
-        for gi, ext, cols in views:
-            if narrow:
-                cols = np.searchsorted(union, cols)
-            out[gi] = ext.finalize_states(states, cols)
+            out[gi] = ext.finalize_states(
+                states, ext.raw_columns(model, group.unit_ids))
         return out
 
     def extraction_pairs(self, groups: list[tuple[int, UnitGroup]] | None

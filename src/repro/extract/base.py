@@ -7,10 +7,13 @@ rows, aligned row-for-row so measures can consume them directly.
 Extraction is split into a *raw sweep* and *read-time views*: every
 extractor runs the model once at full width (:meth:`Extractor.raw_states`)
 and derives the behavior transform, a layer selection and the ``hid_units``
-subset lazily (:meth:`Extractor.finalize_rows`).  Extractors that differ
-only in those view attributes therefore share one model sweep — the
-unit-behavior cache and the persistent store both key entries by
-:meth:`Extractor.raw_key` and store the raw activations exactly once.
+subset lazily (:meth:`Extractor.finalize_states` over
+:meth:`Extractor.raw_columns`).  That is the one way a unit behavior is
+produced — by a direct :meth:`Extractor.extract`, the unit tier, the store
+and the tier-less engine alike — so extractors that differ only in those
+view attributes share one model sweep: the unit-behavior cache and the
+persistent store both key entries by :meth:`Extractor.raw_key` and store
+the raw activations exactly once.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class Extractor:
     """
 
     #: attributes that parameterize read-time *views* over the raw sweep
-    #: (applied by :meth:`finalize_rows`) rather than the sweep itself
+    #: (applied by :meth:`finalize_states`) rather than the sweep itself
     view_attrs: frozenset[str] = frozenset({"transform"})
     #: records per model call; 0 runs each request as one batch
     batch_size: int = 0
@@ -98,49 +101,37 @@ class Extractor:
         """Raw-sweep columns this extractor reads (None = all of them)."""
         return None
 
-    def view_states(self, model, records: np.ndarray) -> np.ndarray:
-        """Untransformed states at this extractor's own width.
-
-        The direct-extraction path goes through here so subclasses whose
-        raw sweep is wider than their view (a layer-pinned seq2seq
-        extractor) can avoid materializing columns the view drops; the
-        default derives the view from the raw sweep.
-        """
-        states = self.raw_states(model, records)
-        cols = self.view_columns(model)
-        return states if cols is None else states[:, :, cols]
-
     # -- derived: the public call, the raw rows and the views over them --
     def extract(self, model, records: np.ndarray,
                 hid_units: np.ndarray | list[int] | None = None) -> np.ndarray:
-        """Behaviors for ``records``: (n_records * ns, n_selected_units)."""
-        if hid_units is not None:
-            hid_units = np.asarray(hid_units, dtype=int)
-        width = (self.n_units(model) if hid_units is None
-                 else hid_units.shape[0])
+        """Behaviors for ``records``: (n_records * ns, n_selected_units),
+        the read-time view over each batch's raw sweep."""
+        columns = self.raw_columns(model, hid_units)
+        width = self.n_units(model) if columns is None else len(columns)
         return self._sweep_batches(
             model, records, width,
             lambda batch: self.finalize_states(
-                self.view_states(model, batch), hid_units))
+                self.raw_states(model, batch), columns))
 
-    def raw_rows(self, model, records: np.ndarray,
-                 columns: np.ndarray | None = None) -> np.ndarray:
+    def raw_rows(self, model, records: np.ndarray) -> np.ndarray:
         """Flat raw rows (n_records * ns, raw_width) for caching/storage.
 
-        ``columns`` narrows the *materialized* matrix to a raw-column
-        subset (the model still computes every unit per batch, exactly as
-        ``hid_units`` narrowing always worked).
+        ``records`` is a dataset's ``(n_records, ns)`` symbol matrix; a
+        sweep with any other row count is rejected here, the one sweep
+        every engine path runs through.
         """
-        width = (self.raw_width(model) if columns is None
-                 else int(columns.shape[0]))
-
         def flat_raw(batch: np.ndarray) -> np.ndarray:
             states = self.raw_states(model, batch)
-            if columns is not None:
-                states = states[:, :, columns]
             return states.reshape(-1, states.shape[-1])
 
-        return self._sweep_batches(model, records, width, flat_raw)
+        rows = self._sweep_batches(model, records, self.raw_width(model),
+                                   flat_raw)
+        n, ns = records.shape[:2]
+        if rows.shape[0] != n * ns:
+            raise ValueError(
+                f"extractor row mismatch: expected {n * ns} rows "
+                f"({n} records x {ns} symbols), got {rows.shape[0]}")
+        return rows
 
     def raw_columns(self, model, hid_units: np.ndarray | list[int] | None
                     = None) -> np.ndarray | None:
@@ -151,19 +142,6 @@ class Extractor:
             return view
         hid_units = np.asarray(hid_units, dtype=int)
         return hid_units if view is None else np.asarray(view)[hid_units]
-
-    def finalize_rows(self, model, raw: np.ndarray, n_symbols: int,
-                      hid_units: np.ndarray | list[int] | None = None
-                      ) -> np.ndarray:
-        """Read-time view: raw flat rows -> this extractor's behaviors.
-
-        Applies the layer/column view, the behavior transform and the
-        ``hid_units`` selection without touching the model, so K extractors
-        differing only in those attributes share one stored sweep.
-        """
-        return self.finalize_states(
-            raw.reshape(-1, n_symbols, raw.shape[-1]),
-            self.raw_columns(model, hid_units))
 
     def finalize_states(self, states: np.ndarray,
                         columns: np.ndarray | None = None) -> np.ndarray:

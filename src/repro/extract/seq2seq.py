@@ -42,14 +42,6 @@ class EncoderActivationExtractor(Extractor):
         layer_states = model.encoder_states(records)   # list of (b, t, u)
         return np.concatenate(layer_states, axis=2)
 
-    def view_states(self, model, records):
-        # direct extraction of a pinned layer skips the all-layer concat
-        # copy; the full-width concat only happens on the raw (store) path
-        layer_states = model.encoder_states(records)
-        if self.layer is None:
-            return np.concatenate(layer_states, axis=2)
-        return layer_states[self.layer]
-
     def view_columns(self, model) -> np.ndarray | None:
         if self.layer is None:
             return None

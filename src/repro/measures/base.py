@@ -115,19 +115,27 @@ class MeasureState:
         """Upper estimate of the current score error (inf until defined)."""
         return float("inf")
 
-    def column_errors(self) -> np.ndarray | None:
+    @property
+    def partitioned(self) -> bool:
+        """Whether the engine freezes this state's hypothesis columns one
+        by one: it is block-local and defines :meth:`column_errors`."""
+        return (self.block_local and type(self).column_errors
+                is not MeasureState.column_errors)
+
+    def column_errors(self) -> np.ndarray:
         """Per-hypothesis-column error estimates, shape (n_hyps,).
 
-        Measures whose sufficient statistics factor across hypothesis columns
-        return one error bound per column so the engine can freeze converged
-        columns individually; the default (None) keeps the scalar criterion.
+        A block-local state whose statistics factor across hypothesis
+        columns defines this, one error bound per column, so the engine can
+        freeze converged columns individually; any other state keeps the
+        scalar criterion (:meth:`error`).
         A ``NaN`` entry marks a *vacuous* column (its score is pinned but
         could still change, e.g. a hypothesis that has not fired yet): the
         engine never freezes it, but it does not block task convergence.
         The max over non-NaN entries must equal :meth:`error` (0.0 when all
         entries are NaN).
         """
-        return None
+        raise NotImplementedError
 
     def restrict_columns(self, keep: np.ndarray) -> None:
         """Drop all hypothesis columns except ``keep`` (positional indices).
@@ -162,11 +170,6 @@ class Measure:
     score_id: str = "measure"
     #: joint measures score a unit group as a whole (e.g. logistic regression)
     joint: bool = False
-    #: whether process_block errors are meaningful for early stopping
-    supports_early_stop: bool = True
-    #: whether states factor across hypothesis columns (column_errors /
-    #: restrict_columns), enabling per-hypothesis early stopping
-    supports_partition: bool = False
 
     # ------------------------------------------------------------------
     def new_state(self, n_units: int, n_hyps: int) -> MeasureState:

@@ -118,7 +118,6 @@ class CorrelationScore(Measure):
     """
 
     joint = False
-    supports_partition = True
 
     def __init__(self, method: str = "pearson"):
         if method not in ("pearson",):
@@ -140,7 +139,6 @@ class SpearmanCorrelationScore(Measure):
     """
 
     joint = False
-    supports_partition = True
     score_id = "corr:spearman"
 
     def new_state(self, n_units: int, n_hyps: int) -> _CorrState:

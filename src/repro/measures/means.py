@@ -79,7 +79,6 @@ class DiffMeansScore(Measure):
     """Standardized mean-activation difference, active vs. inactive symbols."""
 
     joint = False
-    supports_partition = True
     score_id = "diff_means"
 
     def new_state(self, n_units: int, n_hyps: int) -> _DiffMeansState:

@@ -693,23 +693,11 @@ class InspectionQuery:
         return InspectionPlan.build(groups, dataset, self._measures,
                                     self._hypotheses, extractor, config)
 
-    def explain(self) -> str:
-        """The compiled plan's operator tree (EXPLAIN)."""
-        return self.plan().describe()
-
     # -- execution ------------------------------------------------------
-    def run(self, as_frame: bool = True):
-        """Execute the query and return the result frame.
-
-        ``as_frame=False`` returns the raw
-        :class:`~repro.core.pipeline.GroupMeasureOutcome` list (cheaper
-        for large unit counts; ``top_k`` does not apply).
-        """
+    def run(self) -> Frame:
+        """Execute the query and return the result frame."""
         with self._session._track_query():
-            outcomes = self.plan().execute()
-            if not as_frame:
-                return outcomes
-            return self._postprocess(outcomes_to_frame(outcomes))
+            return self._postprocess(outcomes_to_frame(self.plan().execute()))
 
     def stream(self) -> Iterator[Frame]:
         """Execute progressively: one partial frame per processed block.

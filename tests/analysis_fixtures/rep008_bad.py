@@ -22,8 +22,8 @@ class BadWidthExtractor(Extractor):
 class BadViewExtractor(Extractor):  # expect[REP008]
     """Replaces a derived view and has no sweep to derive it from."""
 
-    def finalize_rows(self, model, raw, n_symbols, hid_units=None):  # expect[REP008]
-        return raw
+    def finalize_states(self, states, columns=None):  # expect[REP008]
+        return states
 
 
 class OpaqueExtractor(Extractor):  # expect[REP008]

@@ -34,9 +34,6 @@ class LayeredRawExtractor(Extractor):
     def view_columns(self, model):
         return None
 
-    def view_states(self, model, records):
-        return None
-
 
 class PerRecordHypothesis(HypothesisFunction):
     """Arbitrary per-record logic: the base class loops it over a block."""

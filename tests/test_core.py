@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import (HypothesisCache, InspectConfig, UnitGroup,
+from repro import (HypothesisCache, InspectConfig, Session, UnitGroup,
                    all_units_group, inspect, top_units)
 from repro.core.pipeline import InspectionPlan
 from repro.extract import RnnActivationExtractor
@@ -92,58 +92,65 @@ class TestHypothesisCache:
 
 
 class _RecordingExtractor(RnnActivationExtractor):
-    """Spies on the ``columns`` argument of every raw sweep."""
+    """Records the width of every raw sweep the engine runs."""
 
     def __init__(self):
         super().__init__()
-        self._columns_calls = []
+        self._sweep_widths = []
 
-    def raw_rows(self, model, records, columns=None):
-        self._columns_calls.append(
-            None if columns is None else np.asarray(columns).tolist())
-        return super().raw_rows(model, records, columns=columns)
+    def raw_rows(self, model, records):
+        rows = super().raw_rows(model, records)
+        self._sweep_widths.append(rows.shape[1])
+        return rows
 
 
-class TestStreamingNarrowExtraction:
-    def test_narrow_groups_extract_union_only(self, trained_sql_model,
-                                              sql_workload, hyps):
+def _overlapping_groups(model):
+    return [UnitGroup(model=model, unit_ids=[1, 3], name="a"),
+            UnitGroup(model=model, unit_ids=[3, 5], name="b")]
+
+
+def _frame_rows(frame):
+    return list(zip(frame["group_id"], frame["hyp_id"], frame["h_unit_id"],
+                    frame["val"], frame["n_rows_seen"], frame["converged"]))
+
+
+class TestTierlessExtraction:
+    def test_one_full_width_sweep_per_block_per_pair(
+            self, trained_sql_model, sql_workload, hyps):
+        """Groups over one (model, raw sweep) pair share one sweep per
+        block, at the sweep's full width whichever units they read."""
         extractor = _RecordingExtractor()
-        groups = [UnitGroup(model=trained_sql_model, unit_ids=[1, 3], name="a"),
-                  UnitGroup(model=trained_sql_model, unit_ids=[3, 5], name="b")]
-        config = InspectConfig(mode="streaming", block_size=32,
+        config = InspectConfig(mode="streaming", block_size=16,
                                early_stop=False, max_records=40)
-        outcomes = InspectionPlan.build(
-            groups, sql_workload.dataset, [CorrelationScore()], hyps,
-            extractor, config).execute()
-        assert extractor._columns_calls  # extraction happened
-        assert all(call == [1, 3, 5] for call in extractor._columns_calls)
+        inspect(None, sql_workload.dataset, CorrelationScore(), hyps,
+                unit_groups=_overlapping_groups(trained_sql_model),
+                extractor=extractor, config=config)
+        assert extractor._sweep_widths == [trained_sql_model.n_units] * 3
 
-        # scores must match the full-width extraction path exactly
-        full = InspectionPlan.build(
-            groups, sql_workload.dataset, [CorrelationScore()], hyps,
-            RnnActivationExtractor(),
-            InspectConfig(mode="full", max_records=40)).execute()
-        for narrow, wide in zip(outcomes, full):
-            assert np.allclose(narrow.result.unit_scores,
-                               wide.result.unit_scores, atol=1e-9)
-
-    def test_full_coverage_extracts_all_units(self, trained_sql_model,
-                                              sql_workload, hyps):
-        extractor = _RecordingExtractor()
-        groups = [all_units_group(trained_sql_model)]
-        config = InspectConfig(mode="streaming", block_size=32,
-                               early_stop=False, max_records=20)
-        InspectionPlan.build(groups, sql_workload.dataset,
-                             [CorrelationScore()], hyps, extractor,
-                             config).execute()
-        assert all(call is None for call in extractor._columns_calls)
-
+    def test_frames_equal_a_tiered_session(self, trained_sql_model,
+                                           sql_workload, hyps):
+        """The tier-less view and the unit tier's view are one view: the
+        frames agree bit for bit."""
+        groups = _overlapping_groups(trained_sql_model)
+        knobs = dict(mode="streaming", block_size=16, early_stop=False,
+                     max_records=40)
+        tierless = inspect(None, sql_workload.dataset,
+                           [CorrelationScore(), DiffMeansScore()], hyps,
+                           unit_groups=groups,
+                           config=InspectConfig(**knobs))
+        with Session(scheduler="serial") as session:
+            tiered = (session.inspect(dataset=sql_workload.dataset)
+                      .using(CorrelationScore(), DiffMeansScore())
+                      .hypotheses(hyps).where(groups=groups)
+                      .with_config(**knobs).run())
+            assert session.unit_cache.stats()["extractions"] == 3
+        assert _frame_rows(tierless) == _frame_rows(tiered)
 
     def test_inspect_one_liner_is_the_plan_exactly(self, trained_sql_model,
                                                    sql_workload, hyps):
         """``inspect()`` runs the config as given: no cache appears behind
-        the caller's back, so extraction narrows to the requested units,
-        and its frame equals the plan's outcomes."""
+        the caller's back, so every block is swept afresh, and its frame
+        equals the plan's outcomes."""
         extractor = _RecordingExtractor()
         groups = [UnitGroup(model=trained_sql_model, unit_ids=[1, 3],
                             name="a")]
@@ -153,7 +160,7 @@ class TestStreamingNarrowExtraction:
                            hyps, unit_groups=groups, extractor=extractor,
                            config=config, as_frame=False)
         assert config.cache is None and config.unit_cache is None
-        assert all(call == [1, 3] for call in extractor._columns_calls)
+        assert len(extractor._sweep_widths) == 2
         plan = InspectionPlan.build(groups, sql_workload.dataset,
                                     [CorrelationScore()], hyps,
                                     RnnActivationExtractor(), config)

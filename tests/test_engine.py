@@ -14,6 +14,7 @@ from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
 from repro.hypotheses.base import PrecomputedHypothesis
 from repro.measures import (CorrelationScore, DiffMeansScore,
                             LogRegressionScore, SpearmanCorrelationScore)
+from repro.measures.base import Measure, MeasureState
 
 
 @pytest.fixture
@@ -133,6 +134,31 @@ def _hash_noise(flat, pos, phase):
     return np.sin(flat * 12.9898 + pos * 78.233 + phase) * 43758.5453 % 1.0
 
 
+class _FiringState(MeasureState):
+    """Block-local; a column's error falls as its hypothesis fires."""
+
+    _STATS = {"fired": "h"}
+
+    def block_stats(self, units, hyps, h_moments=None):
+        return (hyps.sum(axis=0),)
+
+    def column_errors(self):
+        return 1.0 / (1.0 + self.fired)
+
+    def error(self):
+        return float(self.column_errors().max())
+
+    def unit_scores(self):
+        return np.zeros((self.n_units, self.n_hyps))
+
+
+class _FiringMeasure(Measure):
+    score_id = "firing"
+
+    def new_state(self, n_units, n_hyps):
+        return _FiringState(n_units, n_hyps)
+
+
 @pytest.fixture
 def synth_setup(sql_workload):
     dataset = sql_workload.dataset
@@ -209,7 +235,7 @@ class TestPerHypothesisFreezing:
         reports the same rows-seen count, short of the dataset."""
         dataset, space_id, hyps, group = synth_setup
         measure = LogRegressionScore(epochs=1)
-        assert measure.supports_early_stop and not measure.supports_partition
+        assert not measure.new_state(1, len(hyps)).partitioned
         cfg = InspectConfig(mode="streaming", early_stop=True,
                             error_threshold=0.1, block_size=4,
                             shuffle=False)
@@ -219,6 +245,30 @@ class TestPerHypothesisFreezing:
         assert out[0].result.converged
         assert out[0].records_processed < dataset.n_records
         assert len(set(out[0].result.col_rows_seen)) == 1
+
+    def test_user_state_with_column_errors_freezes_columns_one_by_one(
+            self, synth_setup):
+        """The convergence policy comes from the state, not from a flag on
+        the measure: a block-local user state that defines column_errors
+        has its columns frozen one by one."""
+        dataset, space_id, _, group = synth_setup
+        n, ns = dataset.symbols.shape
+        rare = np.zeros((n, ns))
+        rare[:, 0] = 1.0                      # fires once per record
+        hyps = [PrecomputedHypothesis("often", np.ones((n, ns))),
+                PrecomputedHypothesis("rare", rare)]
+        assert _FiringMeasure().new_state(4, 2).partitioned
+        cfg = InspectConfig(mode="streaming", early_stop=True,
+                            error_threshold=0.05, block_size=4,
+                            shuffle=False)
+        frame = inspect(None, dataset, [_FiringMeasure()], hyps,
+                        unit_groups=[group],
+                        extractor=_SynthExtractor(space_id), config=cfg)
+        # 1 / (1 + fired) <= 0.05 once a column fired 19 times: one block
+        # of 4 records for "often", five blocks for "rare"
+        assert set(frame.where(hyp_id="often")["n_rows_seen"]) == {4 * ns}
+        assert set(frame.where(hyp_id="rare")["n_rows_seen"]) == {20 * ns}
+        assert all(frame["converged"])
 
     def test_late_firing_hypothesis_is_not_frozen_at_zero(self, synth_setup):
         """A hypothesis with no contrast yet is vacuous, not converged:

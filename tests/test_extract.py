@@ -114,24 +114,6 @@ class TestEncoderExtractor:
         l1 = EncoderActivationExtractor(layer=1).extract(model, corpus.src[:5])
         assert not np.allclose(l0, l1)
 
-    def test_pinned_layer_direct_path_skips_concat(self):
-        """Direct extraction of one layer must not materialize the
-        all-layer concatenation the raw (store) path uses."""
-
-        class _Stub:
-            n_units = 2
-            n_layers = 2
-
-            def encoder_states(self, records):
-                self.last = [np.zeros((records.shape[0], 3, 2)),
-                             np.ones((records.shape[0], 3, 2))]
-                return self.last
-
-        model = _Stub()
-        ext = EncoderActivationExtractor(layer=1)
-        states = ext.view_states(model, np.zeros((2, 3), dtype=int))
-        assert states is model.last[1]  # the layer itself, no concat copy
-
 
 class _Float32Model:
     """Minimal model carrying float32 parameters and activations."""

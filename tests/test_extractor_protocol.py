@@ -109,15 +109,28 @@ def test_extract_is_raw_rows_plus_views_is_the_plan_block(
         configs = [_config("store", tmp_path), _config("store", tmp_path)]
     else:
         configs = [_config(mode, tmp_path)]
+    states = raw.reshape(dataset.n_records, ns, -1)
     for config in configs:
         blocks = _plan_blocks(groups, dataset, extractor, config)
         for gi, units in enumerate(subsets):
             direct = extractor.extract(model, dataset.symbols,
                                        hid_units=units)
             _assert_same_array(
-                extractor.finalize_rows(model, raw, ns, hid_units=units),
+                extractor.finalize_states(
+                    states, extractor.raw_columns(model, units)),
                 direct)
             _assert_same_array(blocks[gi], direct)
+        if mode != "two_groups":
+            # hid_units=None is the view over the whole sweep: the all-units
+            # group's bytes, laid out as the raw sweep unless a layer view
+            # selects columns (then the group's unit-major layout too)
+            whole = extractor.extract(model, dataset.symbols)
+            _assert_same_array(whole, extractor.finalize_states(
+                states, extractor.raw_columns(model)))
+            assert whole.shape == blocks[0].shape
+            assert whole.tobytes() == blocks[0].tobytes()
+            if extractor.view_columns(model) is not None:
+                _assert_same_array(whole, blocks[0])
     if mode == "store":
         disk_tier = configs[1].unit_cache
         assert disk_tier.stats()["extractions"] == 0

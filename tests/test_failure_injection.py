@@ -35,16 +35,31 @@ class _BrokenExtractor(Extractor):
         return np.zeros((3, 1, model.n_units))
 
 
+def _misaligned_run(where, model, dataset, tmp_path):
+    """One streaming corr run with a row-dropping extractor: tier-less,
+    through a session's memory tiers, or through a store-backed one."""
+    hyps = sql_keyword_hypotheses(("SELECT",))
+    config = InspectConfig(mode="streaming", max_records=20)
+    if where == "tierless":
+        return inspect([model], dataset, [CorrelationScore()], hyps,
+                       extractor=_BrokenExtractor(), config=config)
+    with Session(tmp_path if where == "store" else None,
+                 extractor=_BrokenExtractor(), config=config) as session:
+        return (session.inspect(model, dataset).using("corr")
+                .hypotheses(hyps).run())
+
+
 class TestMalformedInputs:
-    def test_misaligned_extractor_rejected(self, trained_sql_model,
-                                           sql_workload):
-        hyps = sql_keyword_hypotheses(("SELECT",))
-        with pytest.raises(ValueError, match="row mismatch"):
-            inspect([trained_sql_model], sql_workload.dataset,
-                    [CorrelationScore()], hyps,
-                    extractor=_BrokenExtractor(),
-                    config=InspectConfig(mode="streaming",
-                                         max_records=20))
+    @pytest.mark.parametrize("where", ["tierless", "memory", "store"])
+    def test_misaligned_extractor_rejected(self, where, trained_sql_model,
+                                           sql_workload, tmp_path):
+        with pytest.raises(ValueError, match="row mismatch") as info:
+            _misaligned_run(where, trained_sql_model, sql_workload.dataset,
+                            tmp_path)
+        n, ns = 20, sql_workload.dataset.n_symbols
+        assert str(info.value) == (
+            f"extractor row mismatch: expected {n * ns} rows "
+            f"({n} records x {ns} symbols), got 3")
 
     def test_negative_unit_ids_rejected(self, trained_sql_model):
         # numpy would wrap -1 to the last unit and report h_unit_id = -1

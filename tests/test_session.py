@@ -137,11 +137,11 @@ class TestSharedResources:
                               .column("val", dtype=float))
                 assert sorted(kept) == pytest.approx(sorted(best))
 
-    def test_explain_shows_plan(self, trained_sql_model, sql_workload,
+    def test_plan_describe_shows_plan(self, trained_sql_model, sql_workload,
                                 hyps):
         with make_session(trained_sql_model, sql_workload, hyps) as session:
             text = (session.inspect("m0", "d0").using("corr")
-                    .hypotheses(hyps).explain())
+                    .hypotheses(hyps).plan().describe())
             assert "InspectionPlan" in text and "BehaviorSource" in text
 
     def test_catalog_rows_from_registration(self, trained_sql_model,

@@ -528,7 +528,7 @@ class TestWarmInspect:
         with Session(config=config, scheduler="serial") as session:
             assert "store=on" in (
                 session.inspect(trained_sql_model, sql_workload.dataset)
-                .using("corr").hypotheses(hyps).explain())
+                .using("corr").hypotheses(hyps).plan().describe())
         reference = inspect(
             [trained_sql_model], sql_workload.dataset, [CorrelationScore()],
             hyps, config=InspectConfig(mode="streaming", early_stop=False,
@@ -1391,9 +1391,9 @@ class TestSharedForwardPass:
         both = EncoderActivationExtractor(layer=None)
         assert l0.raw_key() == l1.raw_key() == both.raw_key()
         raw = both.raw_rows(model, corpus.src[:4])
-        ns = corpus.src.shape[1]
+        states = raw.reshape(4, corpus.src.shape[1], -1)
         for ext in (l0, l1, both):
-            view = ext.finalize_rows(model, raw, ns)
+            view = ext.finalize_states(states, ext.raw_columns(model))
             direct = ext.extract(model, corpus.src[:4])
             assert np.array_equal(view, direct)
 
