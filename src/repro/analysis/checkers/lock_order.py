@@ -2,7 +2,7 @@
 
 The cache tiers and the disk store each nest locks (e.g. the store's
 in-process ``self._lock`` around the inter-process
-``commit_lock(self.root)``).  Deadlock safety rests on two hand-enforced
+``self._dir.locked()``).  Deadlock safety rests on two hand-enforced
 rules this checker makes static:
 
 * **One global acquisition order.**  Build the per-class lock graph —
@@ -16,7 +16,7 @@ rules this checker makes static:
   block every other reader for an unbounded time).
 
 A ``with`` item counts as a lock when its expression mentions ``lock``
-(``self._lock``, ``commit_lock(...)``, ...); multi-item withs acquire
+(``self._lock``, ``self._dir.locked()``, ...); multi-item withs acquire
 left to right.
 """
 

@@ -1,8 +1,9 @@
 """Columnar table persistence: a table on disk *is* its column arrays.
 
 ``TableStorage`` is the storage engine behind a persistent
-:class:`repro.db.engine.Database`, in the behaviour store's format
-(:mod:`repro.store.segment`).  Layout under the database directory::
+:class:`repro.db.engine.Database`: a
+:class:`~repro.store.segment.SegmentDirectory` with ``tables`` as its
+catalog and its segments at the root::
 
     manifest.json      -- the table catalog (atomic rename; version 2)
     .lock              -- advisory inter-process commit lock
@@ -13,17 +14,12 @@ dictionary codes whose value list sits in the catalog (pickled, so values
 round-trip exactly) — plus, per indexed column, the stable-sorted keys and
 the row ids in that order (:class:`SortedIndex`).  Traffic is whole-table:
 :meth:`TableStorage.create` and :meth:`TableStorage.drop` stage in memory,
-and :meth:`TableStorage.commit` writes every staged table's blobs back to
-back into **one segment**, publishes it, then republishes the manifest —
-the single commit point, taken under the lock over a manifest re-read
-there, so another handle's commits are never lost — and only then unlinks
-the segments no table names any more (a crashed commit's orphan included).
-A crash at any moment leaves the previous manifest and every byte it names.
+and :meth:`TableStorage.commit` writes every staged table's blobs into
+**one segment**, then commits the catalog as the directory does, and then
+sweeps the ``*.seg*`` files no table names (nothing else in the directory).
 
-The catalog records ``[offset, nbytes, crc32]`` per blob.  Reads are
-zero-copy views of one read-only map per segment, checked on first touch:
-segment size, span, npy header against the catalog's row count and dtype,
-payload checksum.  Any disagreement raises
+The catalog records ``[offset, nbytes, crc32]`` per blob, checked on first
+touch (:func:`~repro.store.segment.blob`): any disagreement raises
 :class:`~repro.store.segment.CorruptEntryError` for that array alone —
 never a wrong row — and the directory's other tables keep serving.
 Segments are mapped when a handle opens (or commits) them, so a handle goes
@@ -35,9 +31,10 @@ holding non-string values are never indexed — their comparison semantics
 under numpy diverge from key order.  Tables whose values cannot be
 serialized at all (unhashable or unpicklable objects, or a dictionary too
 wide for the catalog) raise :class:`UnsupportedColumnError`; the engine
-keeps those memory-only.  A directory in the earlier paged format
-(manifest version 1) is refused with a ``ValueError``, not migrated:
-tables are user data, not a cache to rebuild silently.
+keeps those memory-only.  A manifest this build does not read (the paged
+version 1 among them) is refused — a ``ValueError`` naming the version —
+not read as empty as the behaviour store does: tables are user data, not a
+cache to rebuild silently.
 """
 
 from __future__ import annotations
@@ -45,19 +42,14 @@ from __future__ import annotations
 import base64
 import collections
 import contextlib
-import json
-import mmap
-import os
 import pickle
 import zlib
-from pathlib import Path
 
 import numpy as np
 
-from repro.store.segment import (CorruptEntryError, blob, commit_lock,
-                                 map_segment, published, write_blob)
+from repro.store.segment import (CorruptEntryError, SegmentDirectory, blob,
+                                 write_blob)
 
-MANIFEST = "manifest.json"
 _VERSION = 2
 
 #: hot columns of the catalog/score schemas that get automatic indexes
@@ -207,13 +199,13 @@ class TableStorage:
     """All persistent tables of one database directory."""
 
     def __init__(self, path):
-        self.root = Path(path)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._segments: dict[str, mmap.mmap] = {}
-        with commit_lock(self.root):  # no sweep between the read and the maps
+        self._dir = SegmentDirectory(path, _VERSION, "tables")
+        self.root = self._dir.root
+        with self._dir.locked():  # no sweep between the read and the maps
+            self._dir.refresh()
             #: the committed catalog as this handle sees it: what it
             #: opened, under what it committed since
-            self._tables: dict[str, dict] = self._load_manifest()["tables"]
+            self._tables: dict[str, dict] = self._dir.manifest["tables"]
             self._map_segments()
         #: creates (a catalog entry, arrays in ``_parts``) and drops
         #: (None) waiting for commit()
@@ -226,41 +218,16 @@ class TableStorage:
         self._parts: dict[tuple, np.ndarray | DictEncoder] = {}
         self.reads = 0    # blobs checked
         self.writes = 0   # blobs written
-        self.commits = 0
 
-    # -- manifest and segments ------------------------------------------
-    def _load_manifest(self) -> dict:
-        path = self.root / MANIFEST
-        try:
-            with open(path, "rb") as f:
-                manifest = json.load(f)
-        except FileNotFoundError:
-            return {"version": _VERSION, "seq": 0, "tables": {}}
-        if manifest.get("version") != _VERSION:
-            raise ValueError(
-                f"unsupported table manifest version "
-                f"{manifest.get('version')!r} at {path}: this build reads "
-                f"version {_VERSION} and does not migrate other formats")
-        return manifest
-
-    def _segment(self, ent: dict) -> mmap.mmap:
-        """The one map of the segment a committed table sits in."""
-        name = ent["file"]
-        if name not in self._segments:
-            self._segments[name] = map_segment(self.root / name,
-                                               ent["file_bytes"])
-        return self._segments[name]
-
+    # -- segments -------------------------------------------------------
     def _map_segments(self) -> None:
         """Hold a map of every segment the catalog names, and of no other
         (one that cannot be mapped raises on first read instead)."""
-        live = {ent["file"] for ent in self._tables.values()}
-        self._segments = {name: segment
-                          for name, segment in self._segments.items()
-                          if name in live}
-        for ent in self._tables.values():
+        live = {ent["file"]: ent["file_bytes"] for ent in self._tables.values()}
+        self._dir.prune(live)
+        for name, file_bytes in live.items():
             with contextlib.suppress(CorruptEntryError):
-                self._segment(ent)
+                self._dir.mapped(name, file_bytes)
 
     def _read(self, name: str, part) -> np.ndarray:
         """One array of a table, staged or as a checked view of its blob."""
@@ -274,11 +241,9 @@ class TableStorage:
                 span = info[part[1]]
                 dtype = np.dtype(info["dtype"] if part[1] == "keys"
                                  else "<i8")
-            what = f"table {name!r}, part {part}, in {ent['file']}"
-            array = blob(self._segment(ent), span[:2], (ent["n_rows"],),
-                         dtype, what)
-            if zlib.crc32(array) != span[2]:
-                raise CorruptEntryError(f"{what}: checksum mismatch")
+            array = blob(self._dir.mapped(ent["file"], ent["file_bytes"]),
+                         span, (ent["n_rows"],), dtype,
+                         f"table {name!r}, part {part}, in {ent['file']}")
             self.reads += 1
             self._parts[(name, part)] = array
         return array
@@ -410,64 +375,45 @@ class TableStorage:
             self.writes += 1
             return write_blob(f, [array]) + [zlib.crc32(array)]
 
-        with commit_lock(self.root):
-            # the manifest as it is now, not as this handle remembers it,
-            # is the authority for every table not staged here
-            manifest = self._load_manifest()
-            tables = manifest["tables"]
+        with self._dir.locked():
+            self._dir.refresh(force=True)   # the authority for the rest
+            tables = self._dir.manifest["tables"]
             for name in self._staged.keys() - creates.keys():
                 tables.pop(name, None)
             if creates:
-                # flock-serialized and monotonic: unique for the
-                # directory's whole history, so a rename never clobbers
-                manifest["seq"] += 1
-                file = f"{manifest['seq']}-{os.getpid()}.seg"
-                with published(self.root / file) as f:
+                with self._dir.new_segment() as (file, f):
                     for name, ent in creates.items():
                         ent["blobs"] = [written(f, name, ci)
                                         for ci in range(len(ent["columns"]))]
                         for col, info in ent["indexes"].items():
                             info["keys"] = written(f, name, (col, "keys"))
                             info["order"] = written(f, name, (col, "order"))
-                    file_bytes = f.tell()
-                for ent in creates.values():
-                    ent.update(file=file, file_bytes=file_bytes)
+                    for ent in creates.values():
+                        ent.update(file=file, file_bytes=f.tell())
                 tables.update(creates)
-            with published(self.root / MANIFEST) as f:
-                f.write(json.dumps(manifest).encode())
-            # nothing names them any more (still under the lock, so no
-            # other commit's segment is in flight): replaced and dropped
-            # tables' segments, a crashed commit's orphan or temp file
-            live = {ent["file"] for ent in tables.values()}
-            for path in self.root.glob("*.seg*"):
-                if path.name not in live:
-                    with contextlib.suppress(OSError):
-                        path.unlink()
-        for name, ent in self._staged.items():
-            self._forget(name)  # next read: the checked view of the blob
-            if ent is None:
-                self._tables.pop(name, None)
-            else:
-                self._tables[name] = ent
-        self._staged.clear()
-        self._map_segments()
-        self.commits += 1
+            self._dir.publish()
+            self._dir.sweep({ent["file"] for ent in tables.values()})
+            for name, ent in self._staged.items():
+                self._forget(name)  # next read: the checked view of the blob
+                if ent is None:
+                    self._tables.pop(name, None)
+                else:
+                    self._tables[name] = ent
+            self._staged.clear()
+            self._map_segments()  # before another commit can sweep them
 
     def close(self) -> None:
-        """Discard staged changes and release every map and cached view.
-
-        The storage stays usable afterwards (reads re-map on demand).  Maps
-        are dropped, not closed, as in ``DiskBehaviorStore.close()``: a
-        column handed out earlier goes on reading from its view.
-        """
+        """Discard staged changes and release every map and cached view
+        (:meth:`SegmentDirectory.prune`); the storage stays usable
+        afterwards (reads re-map on demand)."""
         self._staged.clear()
         self._parts.clear()
-        self._segments.clear()
+        self._dir.prune(())
 
     def stats(self) -> dict:
         entries = [ent for ent in self._catalog.values() if ent is not None]
         return {"reads": self.reads, "writes": self.writes,
-                "commits": self.commits, "tables": len(entries),
+                "commits": self._dir.commits, "tables": len(entries),
                 "indexes": sum(len(ent["indexes"]) for ent in entries)}
 
 

@@ -32,31 +32,29 @@ are written in the dtype they were appended in.  A shard no dtype of its
 entry holds exactly replaces the entry wholesale (see :meth:`
 DiskBehaviorStore.append`), so a wrong cell is never served.
 
-Manifest version 5: a version-1 (file pairs), version-2 (an entry per
-hypothesis), version-3 (record-major unit rows) or version-4 (``<f8``
-panels only: a build that old would square ``uint8`` counts with
-overflow) directory reads as empty, says so once, re-extracts.
+The directory is a :class:`~repro.store.segment.SegmentDirectory` with
+``entries`` as its catalog, committed as the table storage commits.  The
+store is a cache: a manifest this build does not read is reported once and
+read as empty, its entries re-extract.  Manifest version 6 (``seq``, also
+the recency clock, where 5 had ``clock``): versions 1 (file pairs), 2 (an
+entry per hypothesis), 3 (record-major unit rows), 4 (``<f8`` panels only:
+a build that old would square ``uint8`` counts with overflow) and 5 read
+as empty, and :meth:`DiskBehaviorStore.gc` sweeps their files.
 
 A commit is a **group commit**: :meth:`DiskBehaviorStore.append` queues
 rows; :meth:`DiskBehaviorStore.flush` writes everything queued, one shard
-per entry, back to back into **one segment file**
-(:func:`write_segment`: every array a complete npy blob on a 64-byte
-boundary; one fsync, one rename), and then commits by atomically rewriting
-the manifest, where a shard record is ``file`` + ``file_bytes`` (the segment
-and its total size) and an ``[offset, nbytes]`` span each for ``data`` and
-``index``.  Standalone appends flush immediately; the plan engine wraps a
-whole run in :meth:`DiskBehaviorStore.deferred_commits` so a cold streaming
-inspection pays one segment and one manifest rewrite — two fsyncs — in
-total.  The manifest is the single commit point: a crash before it renames
-leaves at most an orphan segment that garbage collection removes, never a
-half-visible entry.  The file primitives — publish, lock, aligned blobs,
-validated views — are :mod:`repro.store.segment`'s, shared with the
-relational engine's table storage.
+per entry, back to back into **one segment file** (:func:`write_segment`),
+and then commits the manifest, where a shard record is ``file`` +
+``file_bytes`` (the segment and its total size) and an ``[offset,
+nbytes]`` span each for ``data`` and ``index``.  Standalone appends flush
+immediately; the plan engine wraps a whole run in
+:meth:`DiskBehaviorStore.deferred_commits` so a cold streaming inspection
+pays one segment and one manifest rewrite — two fsyncs — in total.
 
 Reads go through :class:`StoreEntryReader`, which takes validated zero-copy
-views out of one shared read-only map per segment (kept by the store, keyed
-by file name) and gathers requested record rows directly out of them, so
-serving a block slice touches only the pages that block needs.  A segment
+views out of the directory's one read-only map per segment and gathers
+requested record rows directly out of them, so serving a block slice
+touches only the pages that block needs.  A segment
 whose size disagrees with the manifest, a span running past it, an npy
 header that disagrees with the entry's geometry (truncated write, torn
 copy) or ``members`` that do not divide a panel's rows invalidates the
@@ -72,59 +70,50 @@ can still be called explicitly).
 from __future__ import annotations
 
 import contextlib
-import json
 import mmap
 import os
 import threading
-from pathlib import Path
 
 import numpy as np
 
-from repro.store.segment import (CorruptEntryError, blob, commit_lock,
-                                 map_segment, published, write_blob)
+from repro.store.segment import (CorruptEntryError, ManifestError,
+                                 SegmentDirectory, blob, write_blob)
 from repro.util.debuglog import degraded
 from repro.util.trace import span
 
-MANIFEST = "manifest.json"
-SHARD_DIR = "shards"
-_VERSION = 5
+_VERSION = 6
 #: what a manifest shard record keeps of a :func:`write_segment` descriptor
 _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
 
 
-def write_segment(path: Path, entries) -> list[dict]:
-    """Write ``(key, n_records, indices, rows, members)`` entries as one
-    segment; ``indices`` and ``rows`` are each a list of parts that stack
-    into the entry's one shard (:func:`write_blob`) — for a unit entry one
-    ``(raw_width, rows, n_symbols)`` part, its records in id order.
-
-    Rows then record ids, entry after entry, each a complete npy blob; one
-    fsync, one rename.  Returns one descriptor per entry — the manifest
-    shard record (``_SHARD_FIELDS``) plus the entry's key, geometry,
-    ``n_symbols`` (None unless a unit entry) and ``members`` (None unless
-    a panel).
+def write_segment(f, name: str, entries) -> list[dict]:
+    """Write ``(key, n_records, indices, rows, members)`` entries into
+    segment ``name`` (open as ``f``); ``indices`` and ``rows`` are each a
+    list of parts that stack into the entry's one shard (:func:`write_blob`)
+    — for a unit entry one ``(raw_width, rows, n_symbols)`` part, its
+    records in id order.  Rows then record ids, entry after entry.  Returns one descriptor per entry — the manifest shard record
+    (``_SHARD_FIELDS``) plus the entry's key, geometry, ``n_symbols`` (None
+    unless a unit entry) and ``members`` (None unless a panel).
     """
     descriptors = []
-    with published(path) as f:
-        for key, n_records, indices, rows, members in entries:
-            rows = [np.ascontiguousarray(part) for part in rows]
-            indices = [np.asarray(part, dtype=np.int64) for part in indices]
-            first = rows[0]
-            if first.ndim == 3:   # a unit entry's one part
-                width, n_rows, ns = first.shape
-                width *= ns
-            else:
-                width, n_rows, ns = (first.shape[1],
-                                     sum(len(part) for part in rows), None)
-            descriptors.append(
-                {"key": key, "n_records": int(n_records), "members": members,
-                 "n_symbols": ns, "row_width": int(width),
-                 "dtype": first.dtype.str, "file": path.name,
-                 "rows": int(n_rows),
-                 "data": write_blob(f, rows),
-                 "index": write_blob(f, indices)})
-        file_bytes = f.tell()
-    return [dict(desc, file_bytes=file_bytes) for desc in descriptors]
+    for key, n_records, indices, rows, members in entries:
+        rows = [np.ascontiguousarray(part) for part in rows]
+        indices = [np.asarray(part, dtype=np.int64) for part in indices]
+        first = rows[0]
+        if first.ndim == 3:   # a unit entry's one part
+            width, n_rows, ns = first.shape
+            width *= ns
+        else:
+            width, n_rows, ns = (first.shape[1],
+                                 sum(len(part) for part in rows), None)
+        descriptors.append(
+            {"key": key, "n_records": int(n_records), "members": members,
+             "n_symbols": ns, "row_width": int(width),
+             "dtype": first.dtype.str, "file": name,
+             "rows": int(n_rows),
+             "data": write_blob(f, rows),
+             "index": write_blob(f, indices)})
+    return [dict(desc, file_bytes=f.tell()) for desc in descriptors]
 
 
 def _shard_arrays(segment: mmap.mmap, shard: dict, key: str, meta: dict):
@@ -297,30 +286,20 @@ class StoreEntryReader:
 
 
 class DiskBehaviorStore:
-    """Append-only behavior store shared by caches across processes.
-
-    Thread-safe within a process (one lock around manifest state) and
-    crash/concurrency-safe across processes: writers serialize on an
-    advisory file lock and commit via atomic manifest replacement, readers
-    only ever observe committed manifests.
-    """
+    """Append-only behavior store shared by caches across processes:
+    thread-safe within a process (one lock around manifest state), and
+    across processes as its :class:`SegmentDirectory` commits."""
 
     def __init__(self, root: str | os.PathLike,
                  max_bytes: int | None = None):
-        self.root = Path(root)
+        self._dir = SegmentDirectory(root, _VERSION, "entries", "shards")
+        self.root = self._dir.root
         self.max_bytes = max_bytes
-        (self.root / SHARD_DIR).mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._manifest: dict | None = None
-        self._manifest_sig: tuple | None = None
         # key -> (entry creation token, reader); the token pins the entry
         # *incarnation*, so a cross-process drop-and-recreate can never be
         # confused with an append, even at the same shard count
         self._readers: dict[str, tuple[int | None, StoreEntryReader]] = {}
-        # file name -> the one read-only map every reader's views of that
-        # segment come out of (names are never reused, so a map can only
-        # go stale by its file being deleted; see _refresh and close)
-        self._segments: dict[str, mmap.mmap] = {}
         # member key -> [(panel key, column), ...]; see panels
         self._members: dict[str, list[tuple[str, int]]] | None = None
         # read-time recency bumps not yet persisted (manifest commits only
@@ -337,49 +316,24 @@ class DiskBehaviorStore:
         self.max_pending_bytes = 128 * 1024 * 1024
         # observability: served/attempted record reads and dropped entries
         self.appends = 0
-        self.commits = 0   # manifest rewrites this process published
         self.evictions = 0
         self.invalid_dropped = 0
 
-    # -- manifest plumbing ---------------------------------------------
-    def _stat_sig(self) -> tuple | None:
-        try:
-            st = os.stat(self.root / MANIFEST)
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size, st.st_ino)
-
-    def _load_manifest(self, report: bool) -> dict:
-        """The committed manifest, or an empty one when there is none this
-        build can read: the store is a cache, so the cost is re-extraction
-        — said through :func:`degraded` (once per manifest seen:
-        ``report``); only a missing file, a new store, is silent."""
-        try:
-            with open(self.root / MANIFEST, "rb") as f:
-                manifest = json.load(f)
-            if manifest["version"] == _VERSION:
-                return manifest
-            event, why = "store.manifest-version", ValueError(
-                f"version {manifest['version']}, this build reads "
-                f"{_VERSION}: entries re-extract, gc() sweeps the old files")
-        except FileNotFoundError:
-            event = None
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            event, why = "store.manifest-unreadable", exc
-        if event is not None and report:
-            degraded(event, str(self.root), exc=why)
-        return {"version": _VERSION, "clock": 0, "entries": {}}
-
+    # -- the manifest ---------------------------------------------------
     def _refresh(self, force: bool = False) -> dict:
-        """Re-read the manifest if another process committed (lock held);
-        writers ``force`` it under the write lock, whatever ``stat`` says."""
-        sig = self._stat_sig()
-        stale = self._manifest is None or sig != self._manifest_sig
-        if force or stale:
-            self._manifest = self._load_manifest(report=stale)
-            self._manifest_sig = sig
+        """The manifest, re-read if another process committed (lock held);
+        a commit ``force``-s it under the commit lock.  One this build does
+        not read is reported — once per manifest seen — and read as empty."""
+        try:
+            fresh = self._dir.refresh(force)
+        except ManifestError as exc:
+            degraded("store.manifest-unreadable" if exc.version is None
+                     else "store.manifest-version", str(self.root), exc=exc)
+            fresh = True
+        manifest = self._dir.manifest
+        if fresh:
             self._members = None
-            entries = self._manifest["entries"]
+            entries = manifest["entries"]
             # keep mmap'd readers for the same entry incarnation (they can
             # be extended with any appended shards); drop the rest, and
             # the maps of segments no entry names any more
@@ -389,37 +343,18 @@ class DiskBehaviorStore:
                 if (meta is None or meta.get("created") != created
                         or cached.n_shards > len(meta["shards"])):
                     del self._readers[key]
-            live = self._live_files(self._manifest)
-            for name in [n for n in self._segments if n not in live]:
-                del self._segments[name]
+            self._dir.prune(self._live_files(manifest))
             # replay recency observed since the last commit
             for key, last_used in self._pending_touches.items():
                 meta = entries.get(key)
                 if meta is not None:
                     meta["last_used"] = max(meta["last_used"], last_used)
-                self._manifest["clock"] = max(self._manifest["clock"],
-                                              last_used)
-        return self._manifest
-
-    def _commit(self, manifest: dict) -> None:
-        """Atomically publish the manifest (lock held)."""
-        with published(self.root / MANIFEST) as f:
-            f.write(json.dumps(manifest, indent=0).encode())
-        self.commits += 1
-        self._manifest = manifest
-        self._members = None
-        self._manifest_sig = self._stat_sig()
-        self._pending_touches.clear()
+                manifest["seq"] = max(manifest["seq"], last_used)
+            if force:
+                self._pending_touches.clear()
+        return manifest
 
     # -- reads ----------------------------------------------------------
-    def _segment(self, name: str, file_bytes: int) -> mmap.mmap:
-        """The map of a segment every reader shares (lock held)."""
-        segment = self._segments.get(name)
-        if segment is None or len(segment) != file_bytes:
-            segment = self._segments[name] = map_segment(
-                self.root / SHARD_DIR / name, file_bytes)
-        return segment
-
     def readers(self, keys) -> list[StoreEntryReader | None]:
         """A mmap'd reader per key, None where absent/invalid — one lock
         and one manifest check for the lot.
@@ -452,10 +387,11 @@ class DiskBehaviorStore:
                             and cached[0] == created else None)
             try:
                 if entry_reader is None:
-                    entry_reader = StoreEntryReader(key, meta, self._segment)
+                    entry_reader = StoreEntryReader(key, meta,
+                                                    self._dir.mapped)
                 elif entry_reader.n_shards < len(meta["shards"]):
                     entry_reader.extend(meta, entry_reader.n_shards,
-                                        self._segment)
+                                        self._dir.mapped)
                 if member_width is not None and entry_reader.row_width \
                         != member_width * len(entry_reader.members):
                     raise CorruptEntryError(f"{key}: rows are not its "
@@ -468,9 +404,9 @@ class DiskBehaviorStore:
             else:
                 self._readers[key] = (created, entry_reader)
                 # recency, in memory; persisted on the next commit
-                manifest["clock"] += 1
+                manifest["seq"] += 1
                 self._pending_touches[key] = meta["last_used"] \
-                    = manifest["clock"]
+                    = manifest["seq"]
                 found.append(entry_reader)
         return found, invalid
 
@@ -580,9 +516,7 @@ class DiskBehaviorStore:
                     entry[3].append(rows)
             entries = [_unit_shard(*entry) if entry[3][0].ndim == 3
                        else entry for entry in entries.values()]
-            with commit_lock(self.root):
-                # always merge against the latest committed manifest:
-                # another process may have appended since we last read it
+            with self._dir.locked():
                 manifest = self._refresh(force=True)
                 # a panel's dtype is chosen against the committed entry
                 current = manifest["entries"]
@@ -590,22 +524,16 @@ class DiskBehaviorStore:
                     _panel_shard(*entry, current.get(entry[0], {}).get(
                         "dtype")) if entry[4] else entry
                     for entry in entries]
-                # the (flock-serialized, monotonic) clock makes names
-                # unique for the directory's whole history — a counter or
-                # pid alone recycles and publishing could clobber a
-                # committed segment
-                manifest["clock"] += 1
-                name = f"{manifest['clock']}-{os.getpid()}.seg"
-                descriptors = write_segment(self.root / SHARD_DIR / name,
-                                            entries)
+                with self._dir.new_segment() as (name, f):
+                    descriptors = write_segment(f, name, entries)
                 touched: set[str] = set()
                 for desc in descriptors:
-                    manifest["clock"] += 1
-                    self._register_shard(manifest, manifest["clock"], desc)
+                    manifest["seq"] += 1
+                    self._register_shard(manifest, manifest["seq"], desc)
                     touched.add(desc["key"])
                 if self.max_bytes is not None:
                     self._evict(manifest, self.max_bytes, protect=touched)
-                self._commit(manifest)
+                self._dir.publish()
                 # cached readers survive appends: the same incarnation
                 # extends itself with the new shards on the next read
 
@@ -667,14 +595,13 @@ class DiskBehaviorStore:
     def drop(self, key: str) -> None:
         """Remove one entry and the segment files only it named."""
         self.flush()
-        with self._lock, commit_lock(self.root):
+        with self._lock, self._dir.locked():
             manifest = self._refresh(force=True)
             meta = manifest["entries"].pop(key, None)
             self._readers.pop(key, None)
-            if meta is None:
-                return
-            self._delete_entry_files(manifest, meta)
-            self._commit(manifest)
+            if meta is not None:
+                self._delete_entry_files(manifest, meta)
+                self._dir.publish()
 
     @staticmethod
     def _live_files(manifest: dict) -> dict[str, int]:
@@ -686,12 +613,8 @@ class DiskBehaviorStore:
     def _delete_entry_files(self, manifest: dict, meta: dict) -> None:
         """Unlink the segments only ``meta`` — already out of ``manifest``
         — named; one it shared stays until its last entry leaves."""
-        live = self._live_files(manifest)
-        for name in {shard["file"] for shard in meta["shards"]}:
-            if name not in live:
-                self._segments.pop(name, None)
-                with contextlib.suppress(OSError):
-                    os.unlink(self.root / SHARD_DIR / name)
+        self._dir.sweep(self._live_files(manifest),
+                        {shard["file"] for shard in meta["shards"]})
 
     # -- garbage collection ---------------------------------------------
     def _evict(self, manifest: dict, budget: int,
@@ -717,26 +640,17 @@ class DiskBehaviorStore:
         return evicted
 
     def gc(self, max_bytes: int | None = None) -> dict:
-        """Apply a byte budget and clean orphan files.
-
-        Returns ``{"evicted": [keys...], "orphans_removed": n}``.  Orphans
-        (segments never committed, e.g. after a crash; files of a manifest
-        version this build does not read) can only exist outside the write
-        lock's critical section, so removing them here is safe.
-        """
+        """Apply a byte budget and sweep orphan files (segments never
+        committed, e.g. after a crash; files of a manifest version this
+        build does not read): ``{"evicted": [keys...], "orphans_removed":
+        n}``."""
         budget = self.max_bytes if max_bytes is None else max_bytes
         self.flush()  # what this handle has pending is committed first
-        with self._lock, commit_lock(self.root):
+        with self._lock, self._dir.locked():
             manifest = self._refresh(force=True)
             evicted = [] if budget is None else self._evict(manifest, budget)
-            live = self._live_files(manifest)
-            orphans = 0
-            for path in (self.root / SHARD_DIR).iterdir():
-                if path.name not in live:
-                    with contextlib.suppress(OSError):
-                        path.unlink()
-                        orphans += 1
-            self._commit(manifest)
+            orphans = self._dir.sweep(self._live_files(manifest))
+            self._dir.publish()
         return {"evicted": evicted, "orphans_removed": orphans}
 
     # -- introspection ---------------------------------------------------
@@ -757,20 +671,15 @@ class DiskBehaviorStore:
                     "files": len(files),
                     "file_bytes": sum(files.values()),
                     "appends": self.appends,
-                    "commits": self.commits,
+                    "commits": self._dir.commits,
                     "evictions": self.evictions,
                     "invalid_dropped": self.invalid_dropped}
 
     def close(self) -> None:
         """Publish pending state, then release every cached reader and
-        segment map.
-
-        The store stays usable afterwards (reads re-map on demand).  Maps
-        are dropped, not closed: ``mmap.close()`` raises while a view is
-        exported, and a reader handed out earlier goes on serving from
-        its views; the OS reclaims a map with the last of them.
-        """
+        segment map (:meth:`SegmentDirectory.prune`); the store stays
+        usable afterwards (reads re-map on demand)."""
         self.flush()
         with self._lock:
             self._readers.clear()
-            self._segments.clear()
+            self._dir.prune(())

@@ -1,4 +1,4 @@
-"""Segment files: the one durable format under both stores.
+"""Segment directories: the one durable format and protocol of both stores.
 
 The behaviour store (:mod:`repro.store.disk`) and the relational engine's
 table storage (:mod:`repro.db.storage`) keep their arrays the same way and
@@ -9,22 +9,31 @@ commit them the same way, and this module is that way:
 * a file becomes visible through :func:`published` and nowhere else —
   temp file, flush, fsync, rename — segments and manifests alike, so no
   name ever points at bytes that did not reach the disk;
-* writers of one directory serialize on :func:`commit_lock`;
+* a commit (:class:`SegmentDirectory`) takes the directory's lock,
+  re-reads the manifest there — so another handle's commits are never
+  lost — publishes its segment, then the manifest: the single commit
+  point.  A crash leaves the previous manifest and every byte it names,
+  plus at most an orphan segment a later sweep removes;
 * readers take validated zero-copy views (:func:`blob`) out of one
-  read-only map per segment (:func:`map_segment`); any disagreement
-  between the bytes and what the manifest recorded is a
-  :class:`CorruptEntryError`, never a wrong row.
+  read-only map per segment; any disagreement between the bytes and what
+  the manifest recorded is a :class:`CorruptEntryError`, never a wrong row.
+
+A store keeps its catalog and one policy: a manifest this build does not
+read (:class:`ManifestError`) is read as empty by the behaviour store — a
+cache, it re-extracts — and refused by the table store.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import mmap
 import os
 import threading
 import tokenize
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +47,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: own header to the same), so mapped rows sit aligned in memory
 ALIGN = 64
 
+MANIFEST = "manifest.json"
+
 #: numpy parses an npy header's dict with ``ast.literal_eval``, and
 #: CPython 3.11's AST constructor is not thread-safe (concurrent parses
 #: can raise a spurious ``SystemError``): readers parse one at a time
@@ -49,30 +60,30 @@ class CorruptEntryError(Exception):
     write, flipped bit)."""
 
 
+class ManifestError(ValueError):
+    """A manifest this build does not read: one it cannot parse
+    (``version`` None) or one of another ``version``."""
+
+    def __init__(self, message: str, version=None):
+        super().__init__(message)
+        self.version = version
+
+
 @contextlib.contextmanager
 def published(path: Path):
     """A temp file to write; leaving the block fsyncs it, then renames it
-    to ``path`` — the one way a durable file becomes visible."""
+    to ``path`` — the one way a durable file becomes visible.  A block or
+    rename that raises unlinks the temp file: nothing is left to sweep."""
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    with open(tmp, "wb") as f:
-        yield f
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-
-
-@contextlib.contextmanager
-def commit_lock(root: Path):
-    """Inter-process advisory lock serializing the commits of one
-    directory."""
-    with open(root / ".lock", "a+b") as handle:
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            if fcntl is not None:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:  # renamed away unless the block or the rename raised
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def write_blob(f, parts) -> list[int]:
@@ -118,10 +129,11 @@ def blob(segment: mmap.mmap, span, shape: tuple, dtype: np.dtype,
     """The array of one npy blob of a mapped segment, as a read-only view.
 
     Raises :class:`CorruptEntryError` unless the span lies inside the map,
-    holds exactly one version-1.0 npy blob, and that blob's header says
-    ``shape`` / ``dtype`` in C order.
+    holds exactly one version-1.0 npy blob, that blob's header says
+    ``shape`` / ``dtype`` in C order and, when the span carries a digest
+    (``[offset, nbytes, crc32]``), the payload's crc32 is that digest.
     """
-    offset, nbytes = span
+    offset, nbytes, *digest = span
     if offset < 0 or nbytes < 0 or offset + nbytes > len(segment):
         raise CorruptEntryError(f"{what}: span {offset}+{nbytes} runs past "
                                 f"the segment's {len(segment)} bytes")
@@ -144,5 +156,137 @@ def blob(segment: mmap.mmap, span, shape: tuple, dtype: np.dtype,
             or start + math.prod(shape) * dtype.itemsize != offset + nbytes):
         raise CorruptEntryError(f"{what}: header {found} disagrees with "
                                 f"the manifest's {shape}/{dtype}/{nbytes} B")
-    return np.frombuffer(segment, dtype=dtype, count=math.prod(shape),
-                         offset=start).reshape(shape)
+    array = np.frombuffer(segment, dtype=dtype, count=math.prod(shape),
+                          offset=start).reshape(shape)
+    if digest and zlib.crc32(array) != digest[0]:
+        raise CorruptEntryError(f"{what}: checksum mismatch")
+    return array
+
+
+class SegmentDirectory:
+    """``manifest.json`` (``version``, ``seq`` and a ``catalog``) beside
+    ``<seq>-<pid>.seg`` segments in ``segments`` (a subdirectory of
+    ``root``, or the root itself).  A commit is :meth:`locked`, a forced
+    :meth:`refresh` — under the lock, the manifest as committed now is the
+    authority for all the commit does not change — :meth:`new_segment`,
+    :meth:`publish` and, where the store sweeps, :meth:`sweep`."""
+
+    def __init__(self, root, version: int, catalog: str, segments: str = ""):
+        self.root = Path(root)
+        self.segments = self.root / segments
+        self.segments.mkdir(parents=True, exist_ok=True)
+        self.version, self.catalog = version, catalog
+        #: the manifest as this handle last read or published it
+        self.manifest: dict | None = None
+        self.commits = 0   # manifests this handle published
+        self._sig: tuple | None = None
+        # segment name -> the one read-only map its views come out of
+        self._maps: dict[str, mmap.mmap] = {}
+
+    def stat(self) -> tuple | None:
+        """The manifest's ``(mtime, size, inode)``; None when absent."""
+        try:
+            st = os.stat(self.root / MANIFEST)
+        except OSError:
+            return None
+        return (st.st_mtime_ns, st.st_size, st.st_ino)
+
+    def load(self) -> dict:
+        """The committed manifest, an empty one when there is none yet;
+        :class:`ManifestError` when unparsable or of another version."""
+        path = self.root / MANIFEST
+        try:
+            with open(path, "rb") as f:
+                manifest = json.load(f)
+            version = manifest["version"]
+        except FileNotFoundError:
+            return {"version": self.version, "seq": 0, self.catalog: {}}
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ManifestError(f"unreadable manifest at {path}: "
+                                f"{exc}") from exc
+        if version != self.version:
+            raise ManifestError(
+                f"unsupported manifest version {version!r} at {path}: this "
+                f"build reads version {self.version} and does not migrate "
+                f"other formats", version)
+        return manifest
+
+    def refresh(self, force: bool = False) -> bool:
+        """Re-read :attr:`manifest` if the file changed (one ``stat``) or
+        when ``force``-d; whether it did.  One :meth:`load` refuses reads
+        as empty and raises — once per manifest seen."""
+        sig = self.stat()
+        stale = self.manifest is None or sig != self._sig
+        if not (force or stale):
+            return False
+        self._sig = sig
+        self.manifest = {"version": self.version, "seq": 0, self.catalog: {}}
+        try:
+            self.manifest = self.load()
+        except ManifestError:
+            if stale:
+                raise
+        return True
+
+    @contextlib.contextmanager
+    def locked(self):
+        """Hold the inter-process advisory lock serializing the directory's
+        commits (unlocked explicitly: a forked child may share the fd)."""
+        with open(self.root / ".lock", "a+b") as handle:
+            if fcntl is not None:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                if fcntl is not None:
+                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+
+    @contextlib.contextmanager
+    def new_segment(self):
+        """Yield the name and file of a new segment, published on a clean
+        exit.  The name is ``seq``'s, flock-serialized and monotonic: unique
+        for the directory's whole history, where a counter or pid alone
+        recycles and publishing could clobber a committed segment."""
+        self.manifest["seq"] += 1
+        name = f"{self.manifest['seq']}-{os.getpid()}.seg"
+        with published(self.segments / name) as f:
+            yield name, f
+
+    def publish(self) -> None:
+        """Atomically publish :attr:`manifest` (lock held)."""
+        with published(self.root / MANIFEST) as f:
+            f.write(json.dumps(self.manifest).encode())
+        self._sig = self.stat()
+        self.commits += 1
+
+    def mapped(self, name: str, file_bytes: int) -> mmap.mmap:
+        """The one map of segment ``name`` of the recorded size."""
+        segment = self._maps.get(name)
+        if segment is None or len(segment) != file_bytes:
+            segment = self._maps[name] = map_segment(self.segments / name,
+                                                     file_bytes)
+        return segment
+
+    def prune(self, live) -> None:
+        """Drop the maps of segments not in ``live`` — not close them:
+        ``mmap.close()`` raises while a view is exported, and a view handed
+        out earlier goes on serving until the OS reclaims its map."""
+        for name in [name for name in self._maps if name not in live]:
+            del self._maps[name]
+
+    def sweep(self, live, names=None) -> int:
+        """Unlink the segments ``names`` not in ``live`` and drop their
+        maps; how many went.  By default ``names`` is every file on disk
+        (lock held: no commit's segment is in flight), crash orphans
+        included — all of a subdirectory, ``*.seg*`` at the root."""
+        if names is None:
+            names = [path.name for path in self.segments.glob(
+                "*" if self.segments != self.root else "*.seg*")]
+        gone = 0
+        for name in names:
+            if name not in live:
+                self._maps.pop(name, None)
+                with contextlib.suppress(OSError):
+                    os.unlink(self.segments / name)
+                    gone += 1
+        return gone

@@ -8,10 +8,14 @@ Covers ``repro.db.storage`` plus the engine wiring:
 - dictionary columns: kinds, exact-value round trip, code lookup;
 - TableStorage: catalog round-trip, auto-indexes, gathers, drops, one
   segment and two fsyncs per commit, staged changes invisible to other
-  handles until commit, two handles on one directory losing nothing,
+  handles until commit, two handles on one directory losing nothing, a
+  commit reading back what it committed, non-segment files left alone,
   other manifest versions refused;
 - faults: a flipped byte, a truncated segment, a bad span or a lying
   header is a ``CorruptEntryError`` on first touch, never a wrong row;
+- the segment directory both stores commit through: a failed manifest
+  publish leaves the directory as it was, another version is refused once
+  per manifest seen, a recorded digest is checked;
 - Database persistence: exact-value round-trips, staged inserts,
   drops, memory-only fallback, index gating on uncommitted state;
 - planner: sargable edge cases (fractional int bounds, missing dict
@@ -29,12 +33,15 @@ Covers ``repro.db.storage`` plus the engine wiring:
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
 import os
 import random
 import subprocess
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -44,7 +51,8 @@ from repro.db.executor import sort_indices, topk_indices
 from repro.db.planner import plan_scan
 from repro.db.storage import (DictEncoder, SortedIndex, TableStorage,
                               derive_kinds)
-from repro.store.segment import (CorruptEntryError, blob, map_segment,
+from repro.store.segment import (CorruptEntryError, ManifestError,
+                                 SegmentDirectory, blob, map_segment,
                                  write_blob)
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -427,6 +435,40 @@ class TestStagingVisibility:
         for db in (d1, d2, fresh):
             db.close()
 
+    def test_a_commit_reads_back_what_it_committed(self, tmp_path):
+        """The committing handle maps its new segment before it lets go of
+        the lock: another handle's commit right after it, replacing the
+        table and sweeping that segment, leaves it reading its own rows."""
+        a, b = TableStorage(tmp_path / "db"), TableStorage(tmp_path / "db")
+        a.create("t", ["uid"], [np.arange(5)])
+        b.create("t", ["uid"], [np.arange(7)])
+        locked = a._dir.locked
+
+        @contextlib.contextmanager
+        def then_b_commits():
+            with locked():
+                yield
+            b.commit()
+        a._dir.locked = then_b_commits
+        a.commit()
+        assert a.load_columns("t")[1][0].tolist() == list(range(5))
+        assert TableStorage(tmp_path / "db").n_rows("t") == 7
+
+    def test_a_file_that_is_not_a_segment_survives_commit(self, tmp_path):
+        """A commit sweeps the segments nothing names, and nothing else
+        the directory holds."""
+        path = tmp_path / "db"
+        db = Database(str(path))
+        db.create_table("t", ["uid"], [(1,)])
+        db.commit()
+        (path / "notes.txt").write_text("not a segment")
+        db.create_table("t", ["uid"], [(2,)], replace=True)  # new segment
+        db.commit()
+        assert (path / "notes.txt").read_text() == "not a segment"
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert _segments(path) == [manifest["tables"]["t"]["file"]]
+        db.close()
+
 
 # ----------------------------------------------------------------------
 # faults: the right rows or a typed error, never a wrong row
@@ -611,6 +653,63 @@ class TestBlob:
         segment, spans = self._segment(tmp_path, [[want], [np.arange(4)]])
         with pytest.raises(CorruptEntryError, match="blob"):
             blob(segment, [spans[0][0], cut], want.shape, want.dtype, "blob")
+
+    def test_a_recorded_digest_is_checked(self, tmp_path):
+        """A span carrying a crc32 fails typed on a flipped payload byte;
+        the same span without it reads what the bytes say."""
+        want = np.arange(10.0)
+        path = tmp_path / "one.seg"
+        with open(path, "wb") as f:
+            span = write_blob(f, [want]) + [zlib.crc32(want)]
+        raw = bytearray(path.read_bytes())
+        raw[span[0] + span[1] - 3] ^= 0xFF   # inside the last value
+        path.write_bytes(bytes(raw))
+        segment = map_segment(path, path.stat().st_size)
+        with pytest.raises(CorruptEntryError, match="checksum"):
+            blob(segment, span, want.shape, want.dtype, "blob")
+        got = blob(segment, span[:2], want.shape, want.dtype, "blob")
+        assert np.array_equal(got[:-1], want[:-1]) and got[-1] != want[-1]
+
+
+class TestSegmentDirectory:
+    """The directory protocol both stores commit through, on its own."""
+
+    def test_a_raising_manifest_publish_leaves_the_directory_as_it_was(
+            self, tmp_path, monkeypatch):
+        directory = SegmentDirectory(tmp_path, 1, "things")
+        with directory.locked():
+            directory.refresh(force=True)
+            directory.manifest["things"]["a"] = 1
+            directory.publish()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with directory.locked():
+            directory.refresh(force=True)
+            directory.manifest["things"]["b"] = 2
+            with pytest.raises(OSError) as caught:
+                directory.publish()
+        assert caught.value.errno == errno.ENOSPC
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_another_version_is_refused_once_per_manifest_seen(self,
+                                                               tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"version": 1, "seq": 3, "things": {"a": 1}}))
+        directory = SegmentDirectory(tmp_path, 2, "things")
+        with pytest.raises(ManifestError, match="version 1") as caught:
+            directory.refresh()
+        assert caught.value.version == 1
+        assert directory.manifest == {"version": 2, "seq": 0, "things": {}}
+        assert not directory.refresh()            # nothing new on disk
+        assert directory.refresh(force=True)      # re-read, quietly
+        (tmp_path / "manifest.json").write_text("{ torn")
+        with pytest.raises(ManifestError) as caught:
+            directory.refresh()
+        assert caught.value.version is None
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.hypotheses import (CharSetHypothesis, KeywordHypothesis,
 from repro.hypotheses.base import PrecomputedHypothesis
 from repro.measures import CorrelationScore, DiffMeansScore, JaccardScore
 from repro.nn import CharLSTMModel
-from repro.store.segment import write_blob
+from repro.store.segment import SegmentDirectory, write_blob
 from repro.util.debuglog import degradation_counts, reset_degradation_counts
 from repro.util.rng import new_rng
 from repro.util.testing import CountingForwardModel as _CountingForwardModel
@@ -133,6 +133,44 @@ class TestDiskBehaviorStore:
         assert report["orphans_removed"] == 1
         assert not orphan.exists()
         assert fresh.reader("k") is not None  # live shards untouched
+
+    def test_gc_sweeps_shards_not_the_root(self, tmp_path):
+        """The sweep's scope is the segment directory: a file the store
+        did not write beside the manifest survives gc()."""
+        store = DiskBehaviorStore(tmp_path)
+        store.append("k", np.arange(2), np.zeros((2, 2)), n_records=4)
+        notes = tmp_path / "notes.txt"
+        notes.write_text("not a segment")
+        assert store.gc()["orphans_removed"] == 0
+        assert notes.read_text() == "not a segment"
+        assert store.reader("k") is not None
+
+    def test_two_processes_on_one_directory_lose_nothing(self, tmp_path):
+        """A writer that read the manifest before another process
+        committed layers its commit over that one, not over its memory."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        with subprocess.Popen(
+                [sys.executable, "-c", _SECOND_STORE_WRITER, str(tmp_path)],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                env=env) as child:
+            try:
+                assert child.stdout.readline().strip() == "opened"
+                DiskBehaviorStore(tmp_path).append(
+                    "a", np.arange(3), np.full((3, 4), 1.0), n_records=3)
+                child.stdin.write("go\n")
+                child.stdin.flush()
+                assert child.wait(timeout=300) == 0
+            finally:
+                child.kill()
+        fresh = DiskBehaviorStore(tmp_path)
+        assert sorted(fresh.keys()) == ["a", "b"]
+        for key, value in (("a", 1.0), ("b", 2.0)):
+            assert np.array_equal(fresh.reader(key).rows(np.arange(3)),
+                                  np.full((3, 4), value))
+        assert len(list((tmp_path / "shards").iterdir())) \
+            == fresh.stats()["files"] == 2
+        assert fresh.gc()["orphans_removed"] == 0
 
     def test_gc_evicts_lru_under_byte_budget(self, tmp_path):
         store = DiskBehaviorStore(tmp_path)
@@ -694,13 +732,13 @@ class TestGroupCommit:
         assert (stats["files"], stats["commits"]) == (1, 1)
         assert stats["shards"] == stats["entries"] == 2
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_version_1_directory_reads_as_empty_and_says_so(
             self, tmp_path, sql_workload, hyps72, version):
         """Neither the file-pair format (1), the per-hypothesis entries (2),
-        the record-major unit rows (3) nor the float64-only panels (4) are
-        read: the upgraded store re-extracts, reports the fact once, and
-        gc() sweeps the old files."""
+        the record-major unit rows (3), the float64-only panels (4) nor the
+        ``clock`` manifest (5) are read: the upgraded store re-extracts,
+        reports the fact once, and gc() sweeps the old files."""
         hyps = hyps72[:6]
         reference = self._reference(sql_workload, hyps)
         with self._session(sql_workload, hyps, tmp_path / "new") as session:
@@ -722,14 +760,15 @@ class TestGroupCommit:
                 "created": 1, "last_used": 1, "shards": [pair],
                 "nbytes": pair["data_bytes"] + pair["index_bytes"]}}
             stale_files = [pair["data"], pair["index"]]
-        else:   # segments as now, entries as version 2, 3 or 4 wrote them
+        else:   # segments as now, entries as version 2 to 5 wrote them
             # 2: one entry per hypothesis, no members; 3: unit rows
-            # record-major, no n_symbols; 4: a panel, always float64
-            stale = {2: "hyp/stale", 3: "unit/stale", 4: "panel/stale"}[
-                version]
+            # record-major, no n_symbols; 4: a panel, always float64;
+            # 5: a panel as now
+            stale = {2: "hyp/stale", 3: "unit/stale", 4: "panel/stale",
+                     5: "panel/stale"}[version]
             DiskBehaviorStore(old).append(
                 stale, np.arange(3), np.full((3, 4), 0.5), n_records=3,
-                members=["m0", "m1"] if version == 4 else None)
+                members=["m0", "m1"] if version >= 4 else None)
             entries = json.loads((old / "manifest.json").read_text())[
                 "entries"]
             if version < 4:
@@ -866,9 +905,9 @@ class TestGroupCommit:
                            n_models=n_models) as session:
             cold = session.sql(EPOCHS_SQL)
         stats_calls = []
-        real = DiskBehaviorStore._stat_sig
+        real = SegmentDirectory.stat
         monkeypatch.setattr(
-            DiskBehaviorStore, "_stat_sig",
+            SegmentDirectory, "stat",
             lambda self: stats_calls.append(1) or real(self))
         with self._session(sql_workload, hyps72, tmp_path,
                            n_models=n_models) as session:
@@ -1006,6 +1045,7 @@ class TestSegmentFaults:
                                        np.ones((4, 8)), n_records=4)
         committed = (path / "manifest.json").read_bytes()
         (kept,) = (path / "shards").glob("*.seg")
+        root_before = sorted(p.name for p in path.iterdir())
         with self._session(sql_workload, hyps72, cache=None,
                            unit_cache=None) as session:
             reference = session.sql(EPOCHS_SQL)
@@ -1016,7 +1056,9 @@ class TestSegmentFaults:
                 with pytest.raises(OSError) as caught:
                     session.sql(EPOCHS_SQL)
             assert caught.value.errno == errno.ENOSPC
-            assert list((path / "shards").glob("*.seg")) == [kept]
+            # not even the segment's temp file is left behind
+            assert list((path / "shards").iterdir()) == [kept]
+            assert sorted(p.name for p in path.iterdir()) == root_before
             assert (path / "manifest.json").read_bytes() == committed
             assert session.stats()["store"]["commits"] == 0
             assert session.sql(EPOCHS_SQL) == reference
@@ -1430,6 +1472,19 @@ print(json.dumps({
     "disk_hits": unit_cache.stats()["disk_hits"],
     "vals": [float(v) for v in frame["val"]],
 }))
+"""
+
+
+_SECOND_STORE_WRITER = """
+import sys
+import numpy as np
+from repro.store import DiskBehaviorStore
+
+store = DiskBehaviorStore(sys.argv[1])
+store.keys()                     # read before the parent commits 'a'
+print("opened", flush=True)
+sys.stdin.readline()             # ... and told to go on after it did
+store.append("b", np.arange(3), np.full((3, 4), 2.0), n_records=3)
 """
 
 
