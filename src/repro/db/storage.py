@@ -15,8 +15,9 @@ round-trip exactly) — plus, per indexed column, the stable-sorted keys and
 the row ids in that order (:class:`SortedIndex`).  Traffic is whole-table:
 :meth:`TableStorage.create` and :meth:`TableStorage.drop` stage in memory,
 and :meth:`TableStorage.commit` writes every staged table's blobs into
-**one segment**, then commits the catalog as the directory does, and then
-sweeps the ``*.seg*`` files no table names (nothing else in the directory).
+**one segment** and commits the catalog as the directory does; under its
+lock it first sweeps a crashed commit's ``*.seg*`` files (nothing else in
+the directory).
 
 The catalog records ``[offset, nbytes, crc32]`` per blob, checked on first
 touch (:func:`~repro.store.segment.blob`): any disagreement raises
@@ -31,10 +32,9 @@ holding non-string values are never indexed — their comparison semantics
 under numpy diverge from key order.  Tables whose values cannot be
 serialized at all (unhashable or unpicklable objects, or a dictionary too
 wide for the catalog) raise :class:`UnsupportedColumnError`; the engine
-keeps those memory-only.  A manifest this build does not read (the paged
-version 1 among them) is refused — a ``ValueError`` naming the version —
-not read as empty as the behaviour store does: tables are user data, not a
-cache to rebuild silently.
+keeps those memory-only.  A manifest of another version (the paged 1
+among them) is refused at open and at every commit, a ``ValueError``:
+tables are user data, not a cache to read as empty.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.store.segment import (CorruptEntryError, SegmentDirectory, blob,
                                  write_blob)
 
 _VERSION = 2
+
 
 #: hot columns of the catalog/score schemas that get automatic indexes
 AUTO_INDEX_COLUMNS = frozenset({
@@ -199,14 +200,17 @@ class TableStorage:
     """All persistent tables of one database directory."""
 
     def __init__(self, path):
-        self._dir = SegmentDirectory(path, _VERSION, "tables")
+        self._dir = SegmentDirectory(path, _VERSION, "tables", lambda m: {
+            ent["file"] for ent in m["tables"].values()})
         self.root = self._dir.root
-        with self._dir.locked():  # no sweep between the read and the maps
-            self._dir.refresh()
+        with self._dir.locked() as manifest:  # no sweep before the maps
             #: the committed catalog as this handle sees it: what it
             #: opened, under what it committed since
-            self._tables: dict[str, dict] = self._dir.manifest["tables"]
-            self._map_segments()
+            self._tables: dict[str, dict] = manifest["tables"]
+            for ent in self._tables.values():
+                # one that cannot be mapped raises on first read instead
+                with contextlib.suppress(CorruptEntryError):
+                    self._dir.mapped(ent["file"], ent["file_bytes"])
         #: creates (a catalog entry, arrays in ``_parts``) and drops
         #: (None) waiting for commit()
         self._staged: dict[str, dict | None] = {}
@@ -220,15 +224,6 @@ class TableStorage:
         self.writes = 0   # blobs written
 
     # -- segments -------------------------------------------------------
-    def _map_segments(self) -> None:
-        """Hold a map of every segment the catalog names, and of no other
-        (one that cannot be mapped raises on first read instead)."""
-        live = {ent["file"]: ent["file_bytes"] for ent in self._tables.values()}
-        self._dir.prune(live)
-        for name, file_bytes in live.items():
-            with contextlib.suppress(CorruptEntryError):
-                self._dir.mapped(name, file_bytes)
-
     def _read(self, name: str, part) -> np.ndarray:
         """One array of a table, staged or as a checked view of its blob."""
         array = self._parts.get((name, part))
@@ -375,9 +370,10 @@ class TableStorage:
             self.writes += 1
             return write_blob(f, [array]) + [zlib.crc32(array)]
 
-        with self._dir.locked():
-            self._dir.refresh(force=True)   # the authority for the rest
-            tables = self._dir.manifest["tables"]
+        with self._dir.locked() as manifest:
+            tables = manifest["tables"]
+            # a crashed commit's segment: none is in flight under the lock
+            self._dir.sweep()
             for name in self._staged.keys() - creates.keys():
                 tables.pop(name, None)
             if creates:
@@ -388,19 +384,19 @@ class TableStorage:
                         for col, info in ent["indexes"].items():
                             info["keys"] = written(f, name, (col, "keys"))
                             info["order"] = written(f, name, (col, "order"))
-                    for ent in creates.values():
-                        ent.update(file=file, file_bytes=f.tell())
+                    file_bytes = f.tell()
+                for ent in creates.values():
+                    ent.update(file=file, file_bytes=file_bytes)
+                # mapped under the lock: the next commit may sweep it
+                self._dir.mapped(file, file_bytes)
                 tables.update(creates)
-            self._dir.publish()
-            self._dir.sweep({ent["file"] for ent in tables.values()})
-            for name, ent in self._staged.items():
-                self._forget(name)  # next read: the checked view of the blob
-                if ent is None:
-                    self._tables.pop(name, None)
-                else:
-                    self._tables[name] = ent
-            self._staged.clear()
-            self._map_segments()  # before another commit can sweep them
+        for name, ent in self._staged.items():
+            self._forget(name)  # next read: the checked view of the blob
+            if ent is None:
+                self._tables.pop(name, None)
+            else:
+                self._tables[name] = ent
+        self._staged.clear()
 
     def close(self) -> None:
         """Discard staged changes and release every map and cached view

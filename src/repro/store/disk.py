@@ -35,11 +35,12 @@ DiskBehaviorStore.append`), so a wrong cell is never served.
 The directory is a :class:`~repro.store.segment.SegmentDirectory` with
 ``entries`` as its catalog, committed as the table storage commits.  The
 store is a cache: a manifest this build does not read is reported once and
-read as empty, its entries re-extract.  Manifest version 6 (``seq``, also
-the recency clock, where 5 had ``clock``): versions 1 (file pairs), 2 (an
-entry per hypothesis), 3 (record-major unit rows), 4 (``<f8`` panels only:
-a build that old would square ``uint8`` counts with overflow) and 5 read
-as empty, and :meth:`DiskBehaviorStore.gc` sweeps their files.
+read as empty (:class:`_CacheDirectory`), its entries re-extract.  Manifest
+version 6 (``seq``, also the recency clock, where 5 had ``clock``):
+versions 1 (file pairs), 2 (an entry per hypothesis), 3 (record-major unit
+rows), 4 (``<f8`` panels only: a build that old would square ``uint8``
+counts with overflow) and 5 read as empty; :meth:`DiskBehaviorStore.gc`
+sweeps their files.
 
 A commit is a **group commit**: :meth:`DiskBehaviorStore.append` queues
 rows; :meth:`DiskBehaviorStore.flush` writes everything queued, one shard
@@ -91,7 +92,8 @@ def write_segment(f, name: str, entries) -> list[dict]:
     segment ``name`` (open as ``f``); ``indices`` and ``rows`` are each a
     list of parts that stack into the entry's one shard (:func:`write_blob`)
     — for a unit entry one ``(raw_width, rows, n_symbols)`` part, its
-    records in id order.  Rows then record ids, entry after entry.  Returns one descriptor per entry — the manifest shard record
+    records in id order.  Rows then record ids, entry after entry.  Returns
+    one descriptor per entry — the manifest shard record
     (``_SHARD_FIELDS``) plus the entry's key, geometry, ``n_symbols`` (None
     unless a unit entry) and ``members`` (None unless a panel).
     """
@@ -183,6 +185,31 @@ def _panel_shard(key: str, n_records: int, indices: list, parts: list,
         if narrow is not None:
             return key, n_records, indices, narrow, members
     return key, n_records, indices, wide, members
+
+
+def _live_files(manifest: dict) -> dict[str, int]:
+    """Segment file -> bytes on disk, over every committed shard."""
+    return {shard["file"]: shard["file_bytes"]
+            for meta in manifest["entries"].values()
+            for shard in meta["shards"]}
+
+
+class _CacheDirectory(SegmentDirectory):
+    """The store's directory: a cache, so a manifest this build does not
+    read is reported (once per manifest seen) and read as empty."""
+
+    _refused = None   # the signature of the manifest last reported
+
+    def load(self) -> dict:
+        try:
+            return super().load()
+        except ManifestError as exc:
+            if self._refused != (sig := self.stat()):
+                self._refused = sig
+                degraded("store.manifest-unreadable" if exc.version is None
+                         else "store.manifest-version", str(self.root),
+                         exc=exc)
+            return self.empty()
 
 
 #: bits of a packed location reserved for the row-within-shard part
@@ -292,7 +319,8 @@ class DiskBehaviorStore:
 
     def __init__(self, root: str | os.PathLike,
                  max_bytes: int | None = None):
-        self._dir = SegmentDirectory(root, _VERSION, "entries", "shards")
+        self._dir = _CacheDirectory(root, _VERSION, "entries", _live_files,
+                                    "shards")
         self.root = self._dir.root
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
@@ -302,9 +330,9 @@ class DiskBehaviorStore:
         self._readers: dict[str, tuple[int | None, StoreEntryReader]] = {}
         # member key -> [(panel key, column), ...]; see panels
         self._members: dict[str, list[tuple[str, int]]] | None = None
-        # read-time recency bumps not yet persisted (manifest commits only
-        # happen on writes); merged back in whenever the manifest reloads
-        self._pending_touches: dict[str, int] = {}
+        # read-time recency bumps (manifest commits only happen on writes),
+        # merged by max into every manifest read, so commits carry them
+        self._touches: dict[str, int] = {}
         # rows appended but not yet flushed (the plan engine defers for a
         # whole run): invisible to every reader — a crash simply loses
         # them and the records re-extract next session — so the manifest
@@ -320,39 +348,30 @@ class DiskBehaviorStore:
         self.invalid_dropped = 0
 
     # -- the manifest ---------------------------------------------------
-    def _refresh(self, force: bool = False) -> dict:
-        """The manifest, re-read if another process committed (lock held);
-        a commit ``force``-s it under the commit lock.  One this build does
-        not read is reported — once per manifest seen — and read as empty."""
-        try:
-            fresh = self._dir.refresh(force)
-        except ManifestError as exc:
-            degraded("store.manifest-unreadable" if exc.version is None
-                     else "store.manifest-version", str(self.root), exc=exc)
-            fresh = True
-        manifest = self._dir.manifest
-        if fresh:
-            self._members = None
-            entries = manifest["entries"]
-            # keep mmap'd readers for the same entry incarnation (they can
-            # be extended with any appended shards); drop the rest, and
-            # the maps of segments no entry names any more
-            for key in list(self._readers):
-                meta = entries.get(key)
-                created, cached = self._readers[key]
-                if (meta is None or meta.get("created") != created
-                        or cached.n_shards > len(meta["shards"])):
-                    del self._readers[key]
-            self._dir.prune(self._live_files(manifest))
-            # replay recency observed since the last commit
-            for key, last_used in self._pending_touches.items():
-                meta = entries.get(key)
-                if meta is not None:
-                    meta["last_used"] = max(meta["last_used"], last_used)
-                manifest["seq"] = max(manifest["seq"], last_used)
-            if force:
-                self._pending_touches.clear()
-        return manifest
+    def _refresh(self) -> dict:
+        """The manifest, re-read if another process committed (lock held)."""
+        if self._dir.refresh():
+            self._adopt(self._dir.manifest)
+        return self._dir.manifest
+
+    def _adopt(self, manifest: dict) -> None:
+        """Take in a manifest just read (lock held; a commit's first step):
+        keep mmap'd readers for the same entry incarnation (they can be
+        extended with any appended shards), drop the rest and the maps of
+        segments no entry names any more, and replay read recency."""
+        self._members = None
+        entries = manifest["entries"]
+        self._readers = {
+            key: (created, cached)
+            for key, (created, cached) in self._readers.items()
+            if (meta := entries.get(key)) and meta["created"] == created
+            and cached.n_shards <= len(meta["shards"])}
+        self._dir.prune(_live_files(manifest))
+        self._touches = {key: used for key, used in self._touches.items()
+                         if key in entries}
+        for key, used in self._touches.items():
+            entries[key]["last_used"] = max(entries[key]["last_used"], used)
+            manifest["seq"] = max(manifest["seq"], used)
 
     # -- reads ----------------------------------------------------------
     def readers(self, keys) -> list[StoreEntryReader | None]:
@@ -403,9 +422,9 @@ class DiskBehaviorStore:
                 found.append(None)
             else:
                 self._readers[key] = (created, entry_reader)
-                # recency, in memory; persisted on the next commit
+                # recency, in memory; persisted by the next commit
                 manifest["seq"] += 1
-                self._pending_touches[key] = meta["last_used"] \
+                self._touches[key] = meta["last_used"] \
                     = manifest["seq"]
                 found.append(entry_reader)
         return found, invalid
@@ -516,8 +535,8 @@ class DiskBehaviorStore:
                     entry[3].append(rows)
             entries = [_unit_shard(*entry) if entry[3][0].ndim == 3
                        else entry for entry in entries.values()]
-            with self._dir.locked():
-                manifest = self._refresh(force=True)
+            with self._dir.locked() as manifest:
+                self._adopt(manifest)
                 # a panel's dtype is chosen against the committed entry
                 current = manifest["entries"]
                 entries = [
@@ -526,14 +545,12 @@ class DiskBehaviorStore:
                     for entry in entries]
                 with self._dir.new_segment() as (name, f):
                     descriptors = write_segment(f, name, entries)
-                touched: set[str] = set()
                 for desc in descriptors:
                     manifest["seq"] += 1
                     self._register_shard(manifest, manifest["seq"], desc)
-                    touched.add(desc["key"])
                 if self.max_bytes is not None:
-                    self._evict(manifest, self.max_bytes, protect=touched)
-                self._dir.publish()
+                    self._evict(manifest, self.max_bytes,
+                                protect={desc["key"] for desc in descriptors})
                 # cached readers survive appends: the same incarnation
                 # extends itself with the new shards on the next read
 
@@ -548,14 +565,13 @@ class DiskBehaviorStore:
         entries = manifest["entries"]
         key = desc["key"]
         meta = entries.get(key)
-        replaced = None
         if meta is not None and (
                 meta["row_width"] != desc["row_width"]
                 or np.dtype(meta["dtype"]) != np.dtype(desc["dtype"])
                 or meta["n_records"] != desc["n_records"]
                 or meta["n_symbols"] != desc["n_symbols"]
                 or meta["members"] != desc["members"]):
-            replaced, meta = entries.pop(key), None
+            meta = None
         if meta is None:
             meta = {"n_records": desc["n_records"],
                     "row_width": desc["row_width"], "dtype": desc["dtype"],
@@ -567,9 +583,6 @@ class DiskBehaviorStore:
         meta["shards"].append({name: desc[name] for name in _SHARD_FIELDS})
         meta["nbytes"] += desc["data"][1] + desc["index"][1]
         meta["last_used"] = seq
-        if replaced is not None:
-            # after the new shard is in: it may share the old one's segment
-            self._delete_entry_files(manifest, replaced)
 
     @contextlib.contextmanager
     def deferred_commits(self):
@@ -593,28 +606,12 @@ class DiskBehaviorStore:
                     self.flush()
 
     def drop(self, key: str) -> None:
-        """Remove one entry and the segment files only it named."""
+        """Remove one entry (the commit unlinks segments only it named)."""
         self.flush()
-        with self._lock, self._dir.locked():
-            manifest = self._refresh(force=True)
-            meta = manifest["entries"].pop(key, None)
+        with self._lock, self._dir.locked() as manifest:
+            self._adopt(manifest)
+            manifest["entries"].pop(key, None)
             self._readers.pop(key, None)
-            if meta is not None:
-                self._delete_entry_files(manifest, meta)
-                self._dir.publish()
-
-    @staticmethod
-    def _live_files(manifest: dict) -> dict[str, int]:
-        """Segment file -> bytes on disk, over every committed shard."""
-        return {shard["file"]: shard["file_bytes"]
-                for meta in manifest["entries"].values()
-                for shard in meta["shards"]}
-
-    def _delete_entry_files(self, manifest: dict, meta: dict) -> None:
-        """Unlink the segments only ``meta`` — already out of ``manifest``
-        — named; one it shared stays until its last entry leaves."""
-        self._dir.sweep(self._live_files(manifest),
-                        {shard["file"] for shard in meta["shards"]})
 
     # -- garbage collection ---------------------------------------------
     def _evict(self, manifest: dict, budget: int,
@@ -628,12 +625,12 @@ class DiskBehaviorStore:
         """
         entries = manifest["entries"]
         evicted: list[str] = []
-        while sum(self._live_files(manifest).values()) > budget:
+        while sum(_live_files(manifest).values()) > budget:
             candidates = [k for k in entries if k not in protect]
             if not candidates:
                 break
             victim = min(candidates, key=lambda k: entries[k]["last_used"])
-            self._delete_entry_files(manifest, entries.pop(victim))
+            del entries[victim]
             self._readers.pop(victim, None)
             evicted.append(victim)
             self.evictions += 1
@@ -646,11 +643,10 @@ class DiskBehaviorStore:
         n}``."""
         budget = self.max_bytes if max_bytes is None else max_bytes
         self.flush()  # what this handle has pending is committed first
-        with self._lock, self._dir.locked():
-            manifest = self._refresh(force=True)
+        with self._lock, self._dir.locked() as manifest:
+            self._adopt(manifest)
+            orphans = self._dir.sweep()
             evicted = [] if budget is None else self._evict(manifest, budget)
-            orphans = self._dir.sweep(self._live_files(manifest))
-            self._dir.publish()
         return {"evicted": evicted, "orphans_removed": orphans}
 
     # -- introspection ---------------------------------------------------
@@ -664,7 +660,7 @@ class DiskBehaviorStore:
         with self._lock:
             manifest = self._refresh()
             entries = manifest["entries"]
-            files = self._live_files(manifest)
+            files = _live_files(manifest)
             return {"entries": len(entries),
                     "bytes": sum(m["nbytes"] for m in entries.values()),
                     "shards": sum(len(m["shards"]) for m in entries.values()),

@@ -9,18 +9,19 @@ commit them the same way, and this module is that way:
 * a file becomes visible through :func:`published` and nowhere else —
   temp file, flush, fsync, rename — segments and manifests alike, so no
   name ever points at bytes that did not reach the disk;
-* a commit (:class:`SegmentDirectory`) takes the directory's lock,
+* a commit (:meth:`SegmentDirectory.locked`) takes the directory's lock,
   re-reads the manifest there — so another handle's commits are never
   lost — publishes its segment, then the manifest: the single commit
-  point.  A crash leaves the previous manifest and every byte it names,
-  plus at most an orphan segment a later sweep removes;
+  point, after which the segments the manifest stopped naming go.  A
+  crash leaves the previous manifest and every byte it names, plus at
+  most an orphan segment a later sweep removes;
 * readers take validated zero-copy views (:func:`blob`) out of one
   read-only map per segment; any disagreement between the bytes and what
   the manifest recorded is a :class:`CorruptEntryError`, never a wrong row.
 
 A store keeps its catalog and one policy: a manifest this build does not
-read (:class:`ManifestError`) is read as empty by the behaviour store — a
-cache, it re-extracts — and refused by the table store.
+read (:class:`ManifestError`, on every read and commit) is refused by the
+table store and read as empty by the behaviour store, a cache.
 """
 
 from __future__ import annotations
@@ -166,22 +167,26 @@ def blob(segment: mmap.mmap, span, shape: tuple, dtype: np.dtype,
 class SegmentDirectory:
     """``manifest.json`` (``version``, ``seq`` and a ``catalog``) beside
     ``<seq>-<pid>.seg`` segments in ``segments`` (a subdirectory of
-    ``root``, or the root itself).  A commit is :meth:`locked`, a forced
-    :meth:`refresh` — under the lock, the manifest as committed now is the
-    authority for all the commit does not change — :meth:`new_segment`,
-    :meth:`publish` and, where the store sweeps, :meth:`sweep`."""
+    ``root``, or the root itself); ``live(manifest)`` names the segments a
+    manifest holds.  Readers :meth:`refresh`; a commit is one
+    :meth:`locked` block."""
 
-    def __init__(self, root, version: int, catalog: str, segments: str = ""):
+    def __init__(self, root, version: int, catalog: str, live,
+                 segments: str = ""):
         self.root = Path(root)
         self.segments = self.root / segments
         self.segments.mkdir(parents=True, exist_ok=True)
-        self.version, self.catalog = version, catalog
+        self.version, self.catalog, self.live = version, catalog, live
         #: the manifest as this handle last read or published it
         self.manifest: dict | None = None
+        # its stat signature, and the bytes load() last read
+        self._sig = self._read = None
         self.commits = 0   # manifests this handle published
-        self._sig: tuple | None = None
         # segment name -> the one read-only map its views come out of
         self._maps: dict[str, mmap.mmap] = {}
+
+    def empty(self) -> dict:
+        return {"version": self.version, "seq": 0, self.catalog: {}}
 
     def stat(self) -> tuple | None:
         """The manifest's ``(mtime, size, inode)``; None when absent."""
@@ -195,12 +200,13 @@ class SegmentDirectory:
         """The committed manifest, an empty one when there is none yet;
         :class:`ManifestError` when unparsable or of another version."""
         path = self.root / MANIFEST
+        self._read = None
         try:
-            with open(path, "rb") as f:
-                manifest = json.load(f)
+            self._read = path.read_bytes()
+            manifest = json.loads(self._read)
             version = manifest["version"]
         except FileNotFoundError:
-            return {"version": self.version, "seq": 0, self.catalog: {}}
+            return self.empty()
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ManifestError(f"unreadable manifest at {path}: "
                                 f"{exc}") from exc
@@ -211,32 +217,40 @@ class SegmentDirectory:
                 f"other formats", version)
         return manifest
 
-    def refresh(self, force: bool = False) -> bool:
-        """Re-read :attr:`manifest` if the file changed (one ``stat``) or
-        when ``force``-d; whether it did.  One :meth:`load` refuses reads
-        as empty and raises — once per manifest seen."""
+    def refresh(self) -> bool:
+        """Re-read :attr:`manifest` if the file changed (one ``stat``);
+        whether it did.  A manifest :meth:`load` refuses raises."""
         sig = self.stat()
-        stale = self.manifest is None or sig != self._sig
-        if not (force or stale):
+        if self.manifest is not None and sig == self._sig:
             return False
-        self._sig = sig
-        self.manifest = {"version": self.version, "seq": 0, self.catalog: {}}
-        try:
-            self.manifest = self.load()
-        except ManifestError:
-            if stale:
-                raise
+        self.manifest, self._sig = self.load(), sig
         return True
 
     @contextlib.contextmanager
     def locked(self):
-        """Hold the inter-process advisory lock serializing the directory's
-        commits (unlocked explicitly: a forked child may share the fd)."""
+        """A commit: under the inter-process lock serializing commits,
+        yield the manifest re-read there, the authority for all the commit
+        does not change.  A clean exit publishes it if it changed, then
+        unlinks the segments it stopped naming; a refused manifest raises
+        first.  (Unlocked explicitly: a forked child may share the fd.)"""
         with open(self.root / ".lock", "a+b") as handle:
             if fcntl is not None:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             try:
-                yield
+                sig, manifest = self.stat(), self.load()
+                read = self._read or json.dumps(self.empty()).encode()
+                named = set(self.live(manifest))
+                # () matches no stat: if the commit raises, refresh re-reads
+                self.manifest, self._sig = manifest, ()
+                yield manifest
+                data = json.dumps(manifest).encode()
+                if data != read:
+                    with published(self.root / MANIFEST) as f:
+                        f.write(data)
+                    sig = self.stat()
+                    self.commits += 1
+                    self.sweep(named)
+                self._sig = sig
             finally:
                 if fcntl is not None:
                     fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
@@ -244,20 +258,13 @@ class SegmentDirectory:
     @contextlib.contextmanager
     def new_segment(self):
         """Yield the name and file of a new segment, published on a clean
-        exit.  The name is ``seq``'s, flock-serialized and monotonic: unique
-        for the directory's whole history, where a counter or pid alone
-        recycles and publishing could clobber a committed segment."""
+        exit (lock held).  Named by the flock-serialized ``seq``: unique
+        for the directory's whole history, where a pid alone recycles and
+        publishing could clobber a committed segment."""
         self.manifest["seq"] += 1
         name = f"{self.manifest['seq']}-{os.getpid()}.seg"
         with published(self.segments / name) as f:
             yield name, f
-
-    def publish(self) -> None:
-        """Atomically publish :attr:`manifest` (lock held)."""
-        with published(self.root / MANIFEST) as f:
-            f.write(json.dumps(self.manifest).encode())
-        self._sig = self.stat()
-        self.commits += 1
 
     def mapped(self, name: str, file_bytes: int) -> mmap.mmap:
         """The one map of segment ``name`` of the recorded size."""
@@ -274,11 +281,12 @@ class SegmentDirectory:
         for name in [name for name in self._maps if name not in live]:
             del self._maps[name]
 
-    def sweep(self, live, names=None) -> int:
-        """Unlink the segments ``names`` not in ``live`` and drop their
-        maps; how many went.  By default ``names`` is every file on disk
-        (lock held: no commit's segment is in flight), crash orphans
-        included — all of a subdirectory, ``*.seg*`` at the root."""
+    def sweep(self, names=None) -> int:
+        """Unlink the segments among ``names`` the manifest does not name
+        and drop their maps; how many went.  By default ``names`` is every
+        file on disk (lock held: no commit's segment is in flight), crash
+        orphans included — all of a subdirectory, ``*.seg*`` at the root."""
+        live = self.live(self.manifest)
         if names is None:
             names = [path.name for path in self.segments.glob(
                 "*" if self.segments != self.root else "*.seg*")]

@@ -14,8 +14,9 @@ Covers ``repro.db.storage`` plus the engine wiring:
 - faults: a flipped byte, a truncated segment, a bad span or a lying
   header is a ``CorruptEntryError`` on first touch, never a wrong row;
 - the segment directory both stores commit through: a failed manifest
-  publish leaves the directory as it was, another version is refused once
-  per manifest seen, a recorded digest is checked;
+  publish leaves the directory as it was, a commit that changes nothing
+  publishes nothing, another version is refused on every read and commit,
+  a recorded digest is checked;
 - Database persistence: exact-value round-trips, staged inserts,
   drops, memory-only fallback, index gating on uncommitted state;
 - planner: sargable edge cases (fractional int bounds, missing dict
@@ -348,6 +349,25 @@ class TestTableStorage:
             Database(str(root))
         assert {p.name: p.read_bytes() for p in root.iterdir()} == before
 
+    def test_another_version_appearing_refuses_every_commit(self, tmp_path):
+        """An open handle whose directory gets a manifest of another
+        version raises on this commit and on the retry; neither writes a
+        manifest over it nor sweeps a segment."""
+        root = tmp_path / "db"
+        store = TableStorage(root)
+        store.create("t", ["uid"], [np.arange(3, dtype=np.int64)])
+        store.commit()
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["version"] = 3
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        store.create("u", ["uid"], [np.arange(2, dtype=np.int64)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="version 3"):
+                store.commit()
+            assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+        assert store.load_columns("t")[1][0].tolist() == [0, 1, 2]
+
 
 class TestStagingVisibility:
     """What a handle staged is invisible to every other handle until its
@@ -446,8 +466,8 @@ class TestStagingVisibility:
 
         @contextlib.contextmanager
         def then_b_commits():
-            with locked():
-                yield
+            with locked() as manifest:
+                yield manifest
             b.commit()
         a._dir.locked = then_b_commits
         a.commit()
@@ -674,38 +694,58 @@ class TestBlob:
 class TestSegmentDirectory:
     """The directory protocol both stores commit through, on its own."""
 
+    @staticmethod
+    def _directory(path, version=1):
+        return SegmentDirectory(path, version, "things",
+                                lambda manifest: manifest["things"])
+
     def test_a_raising_manifest_publish_leaves_the_directory_as_it_was(
             self, tmp_path, monkeypatch):
-        directory = SegmentDirectory(tmp_path, 1, "things")
-        with directory.locked():
-            directory.refresh(force=True)
-            directory.manifest["things"]["a"] = 1
-            directory.publish()
+        directory = self._directory(tmp_path)
+        with directory.locked() as manifest:
+            manifest["things"]["a"] = 1
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def full_disk(fd):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         monkeypatch.setattr(os, "fsync", full_disk)
-        with directory.locked():
-            directory.refresh(force=True)
-            directory.manifest["things"]["b"] = 2
-            with pytest.raises(OSError) as caught:
-                directory.publish()
+        with pytest.raises(OSError) as caught:
+            with directory.locked() as manifest:
+                manifest["things"]["b"] = 2
         assert caught.value.errno == errno.ENOSPC
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        directory.refresh()   # memory follows the disk, not the failure
+        assert directory.manifest["things"] == {"a": 1}
 
-    def test_another_version_is_refused_once_per_manifest_seen(self,
-                                                               tmp_path):
+    def test_a_commit_that_changes_nothing_publishes_nothing(self,
+                                                             tmp_path):
+        directory = self._directory(tmp_path)
+        with directory.locked():
+            pass
+        assert not (tmp_path / "manifest.json").exists()
+        with directory.locked() as manifest:
+            manifest["things"]["a"] = 1
+        sig = directory.stat()
+        with directory.locked():
+            pass
+        assert (directory.commits, directory.stat()) == (1, sig)
+
+    def test_another_version_is_refused_on_every_read(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps(
             {"version": 1, "seq": 3, "things": {"a": 1}}))
-        directory = SegmentDirectory(tmp_path, 2, "things")
-        with pytest.raises(ManifestError, match="version 1") as caught:
-            directory.refresh()
-        assert caught.value.version == 1
-        assert directory.manifest == {"version": 2, "seq": 0, "things": {}}
-        assert not directory.refresh()            # nothing new on disk
-        assert directory.refresh(force=True)      # re-read, quietly
+        committed = (tmp_path / "manifest.json").read_bytes()
+        directory = self._directory(tmp_path, version=2)
+        for _ in range(2):
+            with pytest.raises(ManifestError, match="version 1") as caught:
+                directory.refresh()
+            assert caught.value.version == 1
+            with pytest.raises(ManifestError, match="version 1"):
+                with directory.locked():
+                    pytest.fail("a refused manifest is never committed over")
+        assert directory.manifest is None
+        assert (tmp_path / "manifest.json").read_bytes() == committed
         (tmp_path / "manifest.json").write_text("{ torn")
         with pytest.raises(ManifestError) as caught:
             directory.refresh()

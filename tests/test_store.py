@@ -187,6 +187,27 @@ class TestDiskBehaviorStore:
         # evicted entries re-extract instead of serving stale bytes
         assert store.reader("b") is None
 
+    def test_dropping_an_absent_key_keeps_recency(self, tmp_path):
+        """A read's recency bump outlives a drop that removes nothing."""
+        store = DiskBehaviorStore(tmp_path)
+        for name in ("a", "b"):
+            store.append(name, np.arange(10), np.zeros((10, 100)),
+                         n_records=10)
+        store.reader("a")  # "b" becomes the LRU entry
+        store.drop("absent")
+        entry_bytes = store.stats()["bytes"] // 2
+        assert store.gc(max_bytes=entry_bytes + 100)["evicted"] == ["b"]
+
+    def test_a_gc_that_moves_nothing_publishes_nothing(self, tmp_path):
+        store = DiskBehaviorStore(tmp_path)
+        store.append("k", np.arange(2), np.zeros((2, 2)), n_records=4)
+        committed = os.stat(tmp_path / "manifest.json")
+        for _ in range(3):
+            assert store.gc() == {"evicted": [], "orphans_removed": 0}
+        assert store.stats()["commits"] == 1
+        assert os.stat(tmp_path / "manifest.json").st_ino \
+            == committed.st_ino
+
     def test_append_budget_protects_newest(self, tmp_path):
         store = DiskBehaviorStore(tmp_path, max_bytes=1)
         store.append("a", np.arange(4), np.zeros((4, 50)), n_records=4)
