@@ -184,17 +184,20 @@ class Table:
             return self._rows_cache
 
     def insert(self, row: Sequence[Any]) -> None:
-        if len(row) != len(self.columns):
-            raise ValueError(
-                f"row arity {len(row)} != table arity {len(self.columns)}")
-        with self._buffer_lock:
-            self._buffer.append(tuple(row))
-            self._rows_cache = None
-            self.version = next_version()
+        self.insert_many([row])
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
+        """Append rows as one batch: all or none, under one version stamp."""
+        rows = [tuple(row) for row in rows]
         for row in rows:
-            self.insert(row)
+            if len(row) != len(self.columns):
+                raise ValueError(f"row arity {len(row)} != table arity "
+                                 f"{len(self.columns)}")
+        if rows:
+            with self._buffer_lock:
+                self._buffer.extend(rows)
+                self._rows_cache = None
+                self.version = next_version()
 
     def scan(self) -> Iterable[tuple]:
         """Full sequential row scan (no indexes)."""

@@ -220,8 +220,9 @@ def execute_select(db: Database, query: SelectQuery,
 def materialize_into(db: Database, name: str, columns: list[str],
                      rows: list[Row]) -> None:
     """SELECT INTO: persist the result rows as a (committed) table."""
-    table = db.create_table(name, columns, replace=True)
-    table.insert_many([tuple(r[c] for c in columns) for r in rows])
+    # published whole: a concurrent reader never sees it empty or partial
+    db.create_table(name, columns, [tuple(r[c] for c in columns)
+                                    for r in rows], replace=True)
     db.commit()  # no-op for in-memory databases
 
 

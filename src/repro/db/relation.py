@@ -166,12 +166,13 @@ def execute_catalog_plan(db: Database,
     for name, alias in plan.tables:
         table = db.table(name)
         db.full_scans += 1
-        cols = {f"{alias}.{c}": arr
-                for c, arr in zip(table.columns, table.column_arrays())}
+        arrays = table.column_arrays()
+        # the count of the arrays read: a row inserted since is not in them
+        n = len(arrays[0]) if arrays else len(table)
+        cols = {f"{alias}.{c}": arr for c, arr in zip(table.columns, arrays)}
         if restore:
-            cols[f"{alias}.#"] = np.arange(len(table))
-        scanned[alias] = keep_where(cols, len(table),
-                                    plan.pushed.get(alias, []))
+            cols[f"{alias}.#"] = np.arange(n)
+        scanned[alias] = keep_where(cols, n, plan.pushed.get(alias, []))
 
     cols, n = scanned[plan.order[0]]
     edges = list(plan.edges)

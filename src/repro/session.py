@@ -121,10 +121,9 @@ class Session:
                  config: InspectConfig | None = None,
                  scheduler: Scheduler | str | None = None):
         self.config = config or InspectConfig()
-        # registration mutates the registries AND the SQL catalog (drop +
-        # re-insert rows, lazy table creation): concurrent server queries
-        # registering models must not interleave those steps.  RLock:
-        # register_model -> db property nests.
+        # registration checks, then publishes catalog rows and registry
+        # entries: concurrent registrations must not interleave those
+        # steps.  RLock: _register -> db property nests.
         self._reg_lock = threading.RLock()
         # per-query observability counters (served by Session.stats() and
         # the server's /stats endpoint)
@@ -137,12 +136,10 @@ class Session:
         self._statement_counts = {"hits": 0, "misses": 0, "invalidated": 0}
         # redrawn by every register_*: compilations hold resolved objects
         self._registry_version = next_version()
-        #: what the session's own tiers sit on; kept for stats()/close()/gc
-        self.store = (DiskBehaviorStore(store_path)
-                      if store_path is not None else None)
         self.models: dict = {}
         self.hypotheses: dict[str, HypothesisFunction] = {}
         self.datasets: dict[str, Dataset] = {}
+        # every argument is checked before the store directory is made
         if db is not None and db_path is not None:
             raise ValueError("pass either db= or db_path=, not both")
         self._db = db
@@ -154,9 +151,12 @@ class Session:
         spec = (self.config.scheduler if self.config.scheduler is not None
                 else scheduler)
         if spec is None:
-            self.scheduler, owned = default_scheduler(store=self.store), True
+            self.scheduler, owned = default_scheduler(), True
         else:
             self.scheduler, owned = _resolve_scheduler(spec)
+        #: what the session's own tiers sit on; kept for stats()/close()/gc
+        self.store = (DiskBehaviorStore(store_path)
+                      if store_path is not None else None)
         if owned:
             # release the pool the session built when the session is
             # collected, not only on close()
@@ -238,37 +238,52 @@ class Session:
             raise RuntimeError("session is closed")
 
     # -- registries -----------------------------------------------------
-    @staticmethod
-    def _catalog_row(table, keys: list, attrs: dict, what: str) -> list:
-        """One catalog row, validated against the table's attr columns.
+    def _register(self, what: str, registry: dict, objects: dict,
+                  tables: dict) -> None:
+        """Put ``objects`` in ``registry`` and their rows in the catalog.
 
-        The first registration fixes a table's schema; later calls must
-        supply the same attribute set — a mismatch would otherwise drop
-        attrs silently (or die on a bare KeyError) and corrupt the
-        catalog for every later query.
+        ``tables`` maps a catalog table to ``(key column, first-use
+        columns, rows)``, rows as ``{column: value}`` dicts (``None``: only
+        remove the keys' rows).  Every row is checked against the columns
+        the first registration fixed before anything changes, so a refused
+        call changes nothing.  Then each table publishes in one step: one
+        append when no row holds a key yet (the table decides, not the
+        registry: a reopened catalog has rows an empty registry lacks),
+        else one swap of the table rebuilt with the keys' rows last.
         """
-        expected = set(table.columns[len(keys):])
-        if set(attrs) != expected:
-            raise ValueError(
-                f"{what} attributes {sorted(attrs)} do not match the "
-                f"catalog columns {sorted(expected)} fixed by the first "
-                f"registration; register every {what} with the same "
-                f"attribute set")
-        return keys + [attrs[c] for c in table.columns[len(keys):]]
-
-    def _drop_catalog_rows(self, table_name: str, key_col: str,
-                           value) -> None:
-        """Remove a key's rows so re-registration *replaces* its catalog
-        entry — the registry dict overwrites, and a second insert would
-        otherwise silently duplicate every joined row downstream."""
-        table = self.db.tables.get(table_name)
-        if table is None:
-            return
-        col = table.col_index(key_col)
-        rows = [r for r in table.rows if r[col] != value]
-        if len(rows) != len(table.rows):
-            self.db.create_table(table_name, table.columns, rows,
-                                 replace=True)
+        self._check_open()
+        keys = set(objects)
+        with self._reg_lock:
+            writes = []
+            for name, (key, columns, rows) in tables.items():
+                table = self.db.tables.get(name)
+                if table is not None:
+                    columns = table.columns
+                elif rows is None:
+                    continue
+                expected = set(columns)
+                for row in rows or ():
+                    if row.keys() != expected:
+                        raise ValueError(
+                            f"{what} attributes {sorted(set(row) - {key})} "
+                            f"do not match the catalog columns "
+                            f"{sorted(expected - {key})} fixed by the "
+                            f"first registration; register every {what} "
+                            f"with the same attribute set")
+                new = [[row[c] for c in columns] for row in rows or ()]
+                if table is not None and not keys.isdisjoint(
+                        table.column(key).tolist()):
+                    at = table.col_index(key)
+                    new = [r for r in table.rows if r[at] not in keys] + new
+                    table = None
+                writes.append((name, columns, table, new))
+            for name, columns, table, rows in writes:
+                if table is None:
+                    self.db.create_table(name, columns, rows, replace=True)
+                else:
+                    table.insert_many(rows)
+            registry.update(objects)
+            self._registry_version = next_version()
 
     def register_model(self, mid: str, model, *, units=None, layer=0,
                        catalog: bool = True, **attrs) -> None:
@@ -281,37 +296,21 @@ class Session:
         unit the session extractor exposes.  ``catalog=False`` registers
         the Python object only.  Registering an existing ``mid`` again
         (e.g. a re-run notebook cell with a retrained model) replaces its
-        catalog rows, mirroring the registry overwrite.
+        catalog rows in one step, mirroring the registry overwrite.  A
+        call whose ``attrs`` differ from the first registration's raises
+        ``ValueError`` and changes nothing.
         """
-        self._check_open()
-        with self._reg_lock:
-            self._registry_version = next_version()
-            self.models[mid] = model
-            if not catalog:
-                return
-            # drop unconditionally: on a reopened persistent catalog the
-            # rows survive while the registry dict starts empty, so gating
-            # on the registry would duplicate every joined row downstream
-            self._drop_catalog_rows("models", "mid", mid)
-            self._drop_catalog_rows("units", "mid", mid)
-            table = self.db.tables.get("models")
-            if table is None:
-                table = self.db.create_table("models",
-                                             ["mid"] + sorted(attrs))
-            table.insert(self._catalog_row(table, [mid], attrs, "model"))
-            if units is False:
-                return
+        tables = {}
+        if catalog:
             if units is None:
-                units = self._n_units_of(model)
-                if units is None:
-                    return  # no unit count derivable: Python surface only
-            uids = (np.arange(int(units)) if np.isscalar(units)
-                    else np.asarray(list(units), dtype=int))
-            units_table = self.db.tables.get("units")
-            if units_table is None:
-                units_table = self.db.create_table("units",
-                                                   ["mid", "uid", "layer"])
-            units_table.insert_many([[mid, int(u), layer] for u in uids])
+                units = self._n_units_of(model)  # None: Python surface only
+            unit_rows = None if units is None or units is False else [
+                {"mid": mid, "uid": int(u), "layer": layer} for u in
+                (range(int(units)) if np.isscalar(units) else units)]
+            tables = {"models": ("mid", ["mid"] + sorted(attrs),
+                                 [{"mid": mid, **attrs}]),
+                      "units": ("mid", ["mid", "uid", "layer"], unit_rows)}
+        self._register("model", self.models, {mid: model}, tables)
 
     def _n_units_of(self, model) -> int | None:
         try:
@@ -324,20 +323,13 @@ class Session:
     def register_dataset(self, did: str, dataset: Dataset,
                          catalog: bool = True, **attrs) -> None:
         """Register a dataset under ``did`` (and as an ``inputs`` row);
-        re-registering a ``did`` replaces its row."""
-        self._check_open()
-        with self._reg_lock:
-            self._registry_version = next_version()
-            self.datasets[did] = dataset
-            if not catalog:
-                return
-            self._drop_catalog_rows("inputs", "did", did)
-            attrs.setdefault("seq", "seq")
-            table = self.db.tables.get("inputs")
-            if table is None:
-                table = self.db.create_table(
-                    "inputs", ["did"] + sorted(attrs))
-            table.insert(self._catalog_row(table, [did], attrs, "dataset"))
+        re-registering a ``did`` replaces its row in one step, and a call
+        whose ``attrs`` differ from the first registration's raises
+        ``ValueError`` and changes nothing."""
+        attrs.setdefault("seq", "seq")
+        tables = {"inputs": ("did", ["did"] + sorted(attrs),
+                             [{"did": did, **attrs}])} if catalog else {}
+        self._register("dataset", self.datasets, {did: dataset}, tables)
 
     def register_hypotheses(self, hypotheses, catalog: bool = True,
                             **attrs) -> None:
@@ -347,44 +339,35 @@ class Session:
         as a ``hypotheses`` catalog row ``(h, name, *attrs)``; ``name``
         defaults to the hypothesis's own name and serves as the label
         column queries filter on (``WHERE H.name = 'keywords'``).
-        Re-registering a name replaces its row.
+        Re-registering names replaces their rows in one step; a call whose
+        ``attrs`` differ from the first registration's raises
+        ``ValueError`` and registers none of its hypotheses.
         """
-        self._check_open()
         if isinstance(hypotheses, HypothesisFunction) \
                 or not isinstance(hypotheses, Iterable):
             hypotheses = [hypotheses]
         # dedupe within the call exactly like the registry does (last
         # object under a name wins) so catalog rows match the registry
         by_name = {hyp.name: hyp for hyp in hypotheses}
-        hypotheses = list(by_name.values())
-        with self._reg_lock:
-            self._registry_version = next_version()
-            for hyp in hypotheses:
-                if catalog:
-                    self._drop_catalog_rows("hypotheses", "h", hyp.name)
-                self.hypotheses[hyp.name] = hyp
-            if not catalog:
-                return
-            table = self.db.tables.get("hypotheses")
-            if table is None:
-                columns = ["h", "name"] + sorted(set(attrs) - {"name"})
-                table = self.db.create_table("hypotheses", columns)
-            for hyp in hypotheses:
-                row_attrs = dict(attrs)
-                row_attrs.setdefault("name", hyp.name)
-                table.insert(self._catalog_row(table, [hyp.name], row_attrs,
-                                               "hypothesis"))
+        columns = ["h", "name"] + sorted(set(attrs) - {"name"})
+        rows = [{"name": h, **attrs, "h": h} for h in by_name]
+        self._register("hypothesis", self.hypotheses, by_name,
+                       {"hypotheses": ("h", columns, rows)} if catalog else {})
 
     # -- name resolution ------------------------------------------------
+    def _lookup(self, what: str, registry: dict, ref):
+        """A registered object by name; anything else is taken as given."""
+        if not isinstance(ref, str):
+            return ref
+        try:
+            return registry[ref]
+        except KeyError:
+            raise KeyError(f"{what} {ref!r} is not registered with the "
+                           f"session") from None
+
     def model(self, ref):
         """Resolve a model reference (registered name or live object)."""
-        if isinstance(ref, str):
-            try:
-                return self.models[ref]
-            except KeyError:
-                raise KeyError(f"model {ref!r} is not registered with the "
-                               f"session") from None
-        return ref
+        return self._lookup("model", self.models, ref)
 
     def dataset(self, ref=None) -> Dataset:
         """Resolve a dataset reference; ``None`` picks the sole registered
@@ -395,23 +378,11 @@ class Session:
                     f"dataset is required: the session registers "
                     f"{len(self.datasets)} datasets")
             return next(iter(self.datasets.values()))
-        if isinstance(ref, str):
-            try:
-                return self.datasets[ref]
-            except KeyError:
-                raise KeyError(f"dataset {ref!r} is not registered with "
-                               f"the session") from None
-        return ref
+        return self._lookup("dataset", self.datasets, ref)
 
     def hypothesis(self, ref) -> HypothesisFunction:
         """Resolve a hypothesis reference (registered name or object)."""
-        if isinstance(ref, str):
-            try:
-                return self.hypotheses[ref]
-            except KeyError:
-                raise KeyError(f"hypothesis {ref!r} is not registered with "
-                               f"the session") from None
-        return ref
+        return self._lookup("hypothesis", self.hypotheses, ref)
 
     # -- query surfaces -------------------------------------------------
     def effective_config(self) -> InspectConfig:

@@ -90,6 +90,49 @@ class TestEngine:
         with pytest.raises(ValueError):
             t.insert([1])
 
+    def test_insert_many_refuses_a_batch_whole(self):
+        """One bad-arity row refuses the batch: the rows before it do not
+        land either, and the content stamp does not move."""
+        t = Table("t", ["a", "b"], rows=[(1, 2)])
+        version = t.version
+        with pytest.raises(ValueError, match="arity"):
+            t.insert_many([(3, 4), (5,)])
+        assert list(t.scan()) == [(1, 2)] and len(t) == 1
+        assert t.version == version
+
+    def test_scan_counts_the_rows_it_read(self, monkeypatch):
+        """A row inserted between a scan's read of the column arrays and
+        its filter is not in the arrays, so it is not counted either (a
+        SELECT racing an insert raised a broadcast error here)."""
+        db = Database()
+        db.create_table("t", ["x"], [(1,), (2,)])
+        read = Table.column_arrays
+
+        def read_then_insert(table):
+            arrays = read(table)
+            table.insert((3,))
+            return arrays
+
+        monkeypatch.setattr(Table, "column_arrays", read_then_insert)
+        rows = execute_select(db, parse_sql("SELECT x FROM t WHERE x >= 0"))
+        assert [r["x"] for r in rows] == [1, 2]
+
+    def test_into_publishes_its_table_whole(self, db, monkeypatch):
+        """``INTO`` publishes a table that already holds every row: a
+        concurrent reader never finds it empty or partial."""
+        published = []
+        create = Database.create_table
+
+        def record(database, name, *args, **kwargs):
+            table = create(database, name, *args, **kwargs)
+            published.append((name, list(table.scan())))
+            return table
+
+        monkeypatch.setattr(Database, "create_table", record)
+        execute_select(db, parse_sql("SELECT x INTO scores FROM points"))
+        assert published == [("scores", [(1.0,), (2.0,), (3.0,), (1.0,),
+                                         (2.0,)])]
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError):
             Table("t", ["a", "a"])

@@ -181,6 +181,99 @@ class TestSharedResources:
             session.register_hypotheses(hyps[:1])
             with pytest.raises(ValueError, match="hypothesis attributes"):
                 session.register_hypotheses(hyps[1:], family="kw")
+            # a refused registration registers nothing either
+            assert "m1" not in session.models
+            assert "d1" not in session.datasets
+            assert not {h.name for h in hyps[1:]} & set(session.hypotheses)
+
+    def test_refused_reregistration_changes_nothing(
+            self, trained_sql_model, sql_workload, hyps):
+        """A mismatched re-registration of an existing name leaves its
+        catalog rows, its registry entry and the registry generation as
+        they were."""
+        with make_session(trained_sql_model, sql_workload, hyps) as session:
+            def state():
+                return ({name: list(table.scan())
+                         for name, table in session.db.tables.items()},
+                        *({name: id(obj) for name, obj in registry.items()}
+                          for registry in (session.models, session.datasets,
+                                           session.hypotheses)),
+                        session._registry_version)
+
+            before = state()
+            with pytest.raises(ValueError, match="model attributes"):
+                session.register_model("m0", object(), units=3, epoch=2)
+            with pytest.raises(ValueError, match="dataset attributes"):
+                session.register_dataset("d0", sql_workload.dataset,
+                                         split="t")
+            with pytest.raises(ValueError, match="hypothesis attributes"):
+                session.register_hypotheses(hyps, family="kw")
+            assert state() == before
+
+    def test_reregistration_publishes_every_table_whole(self, monkeypatch):
+        """Every ``models`` and ``units`` table the catalog publishes
+        while ``m0`` is registered again holds m0's rows exactly once: a
+        concurrent reader never finds the model missing or doubled."""
+        from repro.db import Table
+        with Session(scheduler="serial") as session:
+            session.register_model("m0", object(), units=8, epoch=1)
+            session.register_model("m1", object(), units=8, epoch=1)
+            seen = []
+
+            def snapshot():
+                for name in ("models", "units"):
+                    rows = list(session.db.tables[name].scan())
+                    seen.append((name, [r for r in rows if r[0] == "m0"]))
+
+            create, insert_many = Database.create_table, Table.insert_many
+
+            def create_and_snapshot(db, *args, **kwargs):
+                table = create(db, *args, **kwargs)
+                snapshot()
+                return table
+
+            def insert_and_snapshot(table, rows):
+                insert_many(table, rows)
+                snapshot()
+
+            monkeypatch.setattr(Database, "create_table",
+                                create_and_snapshot)
+            monkeypatch.setattr(Table, "insert_many", insert_and_snapshot)
+            monkeypatch.setattr(Table, "insert", lambda table, row:
+                                insert_and_snapshot(table, [row]))
+            session.register_model("m0", object(), units=8, epoch=2)
+            assert {name for name, _ in seen} == {"models", "units"}
+            for name, rows in seen:
+                if name == "models":
+                    assert len(rows) == 1, rows
+                else:
+                    assert sorted(r[1] for r in rows) == list(range(8)), rows
+
+    def test_reregistration_keeps_order_and_first_columns(self, tmp_path):
+        """Other keys' rows keep their order, the re-registered key's rows
+        go last, the first registration's column order stays, and rows a
+        reopened catalog holds for a key not yet registered are replaced,
+        not doubled."""
+        db_path = str(tmp_path / "catalog")
+        with Session(db_path=db_path, scheduler="serial") as session:
+            for mid in ("m0", "m1", "m2"):
+                session.register_model(mid, object(), units=2, zeta=1,
+                                       alpha=mid)
+            session.register_model("m1", object(), units=2, alpha="x",
+                                   zeta=2)
+            assert session.db.table("models").columns == \
+                ["mid", "alpha", "zeta"]
+            assert list(session.db.table("models").scan()) == [
+                ("m0", "m0", 1), ("m2", "m2", 1), ("m1", "x", 2)]
+            assert [r[0] for r in session.db.table("units").scan()] == \
+                ["m0", "m0", "m2", "m2", "m1", "m1"]
+        with Session(db_path=db_path, scheduler="serial") as session:
+            assert session.models == {}
+            session.register_model("m0", object(), units=2, zeta=3,
+                                   alpha="y")
+            assert list(session.db.table("models").scan()) == [
+                ("m2", "m2", 1), ("m1", "x", 2), ("m0", "y", 3)]
+            assert len(session.db.table("units")) == 6
 
 
 # ----------------------------------------------------------------------
@@ -534,6 +627,17 @@ class TestConfigResolution:
         # a session's store is the one it opens at store_path
         with pytest.raises(TypeError, match="store"):
             Session(store=object())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"db": Database(), "db_path": "catalog"},
+        {"scheduler": "bogus"},
+        {"extractor": object()},
+    ], ids=["db-and-db_path", "unknown-scheduler", "not-an-extractor"])
+    def test_refused_construction_makes_no_store(self, tmp_path, kwargs):
+        store = tmp_path / "store"
+        with pytest.raises((TypeError, ValueError)):
+            Session(store, **kwargs)
+        assert not store.exists()
 
     def test_invalid_scheduler_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown scheduler"):

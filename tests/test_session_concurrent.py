@@ -117,6 +117,8 @@ class TestConcurrentHammer:
                 session.register_hypotheses(
                     sql_keyword_hypotheses(("FROM",)), name=f"kw{i}")
                 session.register_dataset(f"d{i}", sql_workload.dataset)
+                # the query thread must see m0 throughout its replacement
+                session.register_model("m0", trained_sql_model)
             except Exception as exc:   # repro: allow[REP005]
                 errors.append(exc)
 
