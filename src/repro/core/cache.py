@@ -118,31 +118,66 @@ def model_id(model) -> str:
     return getattr(model, "model_id", type(model).__name__)
 
 
+def _param_digest(values: list[np.ndarray]) -> str:
+    """SHA-1 over parameter arrays: shape, dtype unless float64, and the
+    float64 bytes of each (float64 keys, and the stores written under them,
+    stay what they were)."""
+    digest = hashlib.sha1()
+    for raw in values:
+        value = np.ascontiguousarray(raw, dtype=np.float64)
+        digest.update(str(value.shape).encode())
+        if raw.dtype != np.float64:
+            # equal values in another dtype behave differently
+            digest.update(str(raw.dtype).encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+#: unsigned integer words, by width: how :func:`_same_bytes` reads a dtype
+_WORDS = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _same_bytes(kept: np.ndarray, value: np.ndarray) -> bool:
+    """Shape, dtype and every byte equal — ``-0.0`` is not ``0.0``, a NaN
+    equals its own bit pattern — compared as unsigned words of the dtype's
+    width, so the one temporary is a bool per element.  Other widths and
+    object arrays never compare equal: they are hashed on every call."""
+    word = _WORDS.get(kept.dtype.itemsize)
+    return (word is not None and not kept.dtype.hasobject
+            and kept.shape == value.shape and kept.dtype == value.dtype
+            and bool((kept.view(word) == value.view(word)).all()))
+
+
 def model_fingerprint(model) -> str:
     """Content identity of a model for unit-behavior caching.
 
     Hashes the parameter tensors when the model exposes a ``parameters()``
     walk (every :class:`repro.nn.Module` does), so retraining — even in
-    place — invalidates cached behaviors.  Parameter-less models get a
-    process-unique token stamped onto the object, so a model allocated at a
-    recycled address never aliases a dead one.
+    place — invalidates cached behaviors.  The model keeps a copy of the
+    arrays last hashed beside their digest (``_repro_param_digest``): a
+    later call compares the live parameters with that copy byte for byte
+    and hashes again only when one differs.  The digest is taken of the
+    copy, never of the live arrays, so a write racing the call can cost a
+    re-hash but never pair a digest with other bytes.  Parameter-less
+    models get a process-unique token stamped onto the object, so a model
+    allocated at a recycled address never aliases a dead one.
     """
     mid = model_id(model)
     params = getattr(model, "parameters", None)
     if callable(params):
         try:
-            digest = hashlib.sha1()
-            for param in params():
-                raw = np.asarray(getattr(param, "value", param))
-                value = np.ascontiguousarray(raw, dtype=np.float64)
-                digest.update(str(value.shape).encode())
-                if raw.dtype != np.float64:
-                    # equal values in another dtype behave differently;
-                    # float64 keys (and the stores written under them)
-                    # stay what they were
-                    digest.update(str(raw.dtype).encode())
-                digest.update(value.tobytes())
-            return f"{mid}:{digest.hexdigest()}"
+            values = [np.asarray(getattr(param, "value", param))
+                      for param in params()]
+            kept = getattr(model, "_repro_param_digest", None)
+            if kept is None or len(kept[0]) != len(values) or not all(
+                    map(_same_bytes, kept[0], values)):
+                copies = [value.copy() for value in values]
+                kept = (copies, _param_digest(copies))
+                try:
+                    model._repro_param_digest = kept
+                except (AttributeError, TypeError):
+                    pass   # unstampable: hashed on every call
+            return f"{mid}:{kept[1]}"
         except (TypeError, AttributeError):
             pass
     token = getattr(model, "_repro_cache_token", None)
@@ -674,13 +709,10 @@ class _UnitEntry:
         return matrix_bytes + self.filled.nbytes
 
     def states(self, records: np.ndarray,
-               columns: np.ndarray | None) -> np.ndarray:
+               columns: np.ndarray) -> np.ndarray:
         """Array for array what ``raw[:, :, columns]`` selects from the
         record-major ``(len(records), ns, width)`` sweep: a fancy index
-        lays its result out unit-major; ``None`` is the sweep as emitted."""
-        if columns is None:
-            return np.ascontiguousarray(
-                self.matrix[:, records].transpose(1, 2, 0))
+        lays its result out unit-major."""
         return self.matrix[columns[:, None], records].transpose(1, 2, 0)
 
 

@@ -201,6 +201,25 @@ class ScoreTask:
                 f"{self.measure.score_id}, stop={policy})")
 
 
+@functools.lru_cache(maxsize=64)
+def record_order(seed: int, n_records: int, shuffle: bool) -> np.ndarray:
+    """The positions a run visits its records in: ``arange(n_records)``,
+    shuffled by a fresh generator on ``seed`` when ``shuffle`` is set.  A
+    pure function of its arguments, so drawn once and shared read-only."""
+    order = np.arange(n_records)
+    if shuffle:
+        new_rng(seed).shuffle(order)
+    order.flags.writeable = False
+    return order
+
+
+def hypothesis_identities(hypotheses: list[HypothesisFunction]
+                          ) -> tuple[str, ...]:
+    """The content identities the hypothesis tier keys ``hypotheses`` by,
+    in order (what :meth:`InspectionPlan.stat_key` names columns by)."""
+    return tuple(map(HypothesisCache._hypothesis_identity, hypotheses))
+
+
 @dataclass
 class InspectionPlan:
     """A compiled inspection run: source + tasks + scheduling policy."""
@@ -211,6 +230,8 @@ class InspectionPlan:
     hypotheses: list[HypothesisFunction]
     config: InspectConfig
     order: np.ndarray
+    #: the hypotheses' content identities, in ``hypotheses`` order
+    identities: tuple[str, ...]
     source: BehaviorSource = field(init=False)
     tasks: list[ScoreTask] = field(init=False)
     #: task -> (its fixed key parts, active column count, their identities)
@@ -220,7 +241,13 @@ class InspectionPlan:
     def build(cls, groups: list[UnitGroup], dataset: Dataset,
               measures: list[Measure],
               hypotheses: list[HypothesisFunction],
-              extractor: Extractor, config: InspectConfig) -> "InspectionPlan":
+              extractor: Extractor, config: InspectConfig, *,
+              _identities: tuple[str, ...] | None = None
+              ) -> "InspectionPlan":
+        """Validate and compile a run.  ``_identities`` are the
+        hypotheses' content identities when the caller compiled them
+        already (an INSPECT statement does, once per compilation); the
+        plan takes them itself otherwise."""
         if not groups:
             raise ValueError("need at least one unit group")
         if not measures:
@@ -235,15 +262,14 @@ class InspectionPlan:
                     f"unit group {group.name!r} names unit "
                     f"{group.unit_ids.max()}, but its extractor exposes "
                     f"{n_units} units of {group.model_id}")
-        rng = new_rng(config.seed)
         n_records = dataset.n_records
         if config.max_records is not None:
             n_records = min(n_records, config.max_records)
-        order = np.arange(n_records)
-        if config.shuffle:
-            rng.shuffle(order)
+        order = record_order(config.seed, n_records, config.shuffle)
         plan = cls(groups=groups, dataset=dataset, measures=measures,
-                   hypotheses=hypotheses, config=config, order=order)
+                   hypotheses=hypotheses, config=config, order=order,
+                   identities=_identities or hypothesis_identities(
+                       hypotheses))
         plan.source = BehaviorSource(dataset, hypotheses, groups, extractor,
                                      config, order)
         n_hyps = len(hypotheses)
@@ -460,8 +486,9 @@ class InspectionPlan:
             # Identities are kept whole: a digest of ~1 MB of them would
             # cost more than the fold it saves
             n_active = task.active_cols.shape[0]
-            columns = tuple(
-                HypothesisCache._hypothesis_identity(self.hypotheses[c])
-                for c in task.active_cols)
+            columns = (self.identities
+                       if n_active == len(self.identities)
+                       else tuple(self.identities[c]
+                                  for c in task.active_cols.tolist()))
         self._stat_keys[task] = (fixed, n_active, columns)
         return (*fixed, columns, records)

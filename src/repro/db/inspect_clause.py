@@ -42,8 +42,9 @@ runs the pipeline every statement runs — bind, relation, select (see
    behaviors once in total.
 3. **Columnar S relation** -- scores are materialized as column arrays
    ``S(uid, hid, mid, score_id, group_score, unit_score)`` beside the
-   surviving catalog columns; HAVING filters that relation and the SELECT
-   projection, ORDER BY and LIMIT are the select stage every SELECT uses
+   surviving catalog columns, of both only those the statement names;
+   HAVING filters that relation and the SELECT projection, ORDER BY and
+   LIMIT are the select stage every SELECT uses
    (:func:`repro.db.executor.select_columnar`).
 """
 
@@ -58,6 +59,7 @@ import numpy as np
 
 from repro.core.groups import UnitGroup
 from repro.core.pipeline import InspectionPlan
+from repro.core.plan import hypothesis_identities
 from repro.db.executor import (SelectQuery, _broadcast, bind_select_list,
                                from_schema, group_ids, materialize_into,
                                select_columns)
@@ -217,6 +219,10 @@ class _CompiledInspect:
     hyp_col_of: dict[str, int] = field(default_factory=dict)
     measures: list = field(default_factory=list)
     hyp_objs: list[HypothesisFunction] = field(default_factory=list)
+    #: their content identities, taken once per compilation
+    hyp_ids: tuple[str, ...] = ()
+    #: the S columns SELECT, HAVING or ORDER BY reference: all S builds
+    s_keep: tuple[str, ...] = ()
     empty: bool = False   # catalog plan produced zero rows
 
     def assemble(self, spec: InspectSpec,
@@ -227,11 +233,10 @@ class _CompiledInspect:
         :func:`~repro.db.executor.select_columnar`."""
         if self.empty:
             return Frame.from_records([], columns=self.out_columns)
-        cols = _materialize_s(self.catalog_keep, self.workloads,
-                              outcomes_by_did, self.plan_index,
-                              self.hyp_col_of, len(self.measures),
-                              spec.inspect_alias)
-        n = cols[f"{spec.inspect_alias}.uid"].shape[0]
+        cols, n = _materialize_s(self.catalog_keep, self.s_keep,
+                                 self.workloads, outcomes_by_did,
+                                 self.plan_index, self.hyp_col_of,
+                                 len(self.measures), spec.inspect_alias)
         if self.having is not None:
             cols, n = keep_where(cols, n, [self.having])
         # HAVING is applied and INSPECT admits no aggregate: no row-level
@@ -279,7 +284,8 @@ def _open_statement(session: Session,
         statement = _Statement(spec, compiled, {
             did: InspectionPlan.build(
                 groups_d, session.dataset(did), compiled.measures,
-                compiled.hyp_objs, session.extractor, config)
+                compiled.hyp_objs, session.extractor, config,
+                _identities=compiled.hyp_ids)
             for did, groups_d in compiled.runs.items()})
     yield statement
     if spec.into:
@@ -424,14 +430,16 @@ def _compile_inspect(session: Session,
     hyp_objs = [session.hypothesis(name) for name in hyp_names]
     hyp_col_of = {name: j for j, name in enumerate(hyp_names)}
 
-    # only catalog columns the SELECT/HAVING/ORDER BY actually reference
-    # are replicated into the S relation
+    # only the catalog and S columns the SELECT/HAVING/ORDER BY actually
+    # reference are built into the S relation
     needed: set[str] = set()
     for item in select_items:   # the hidden ORDER BY key included
         needed |= item.expr.columns()
     if having is not None:
         needed |= having.columns()
     catalog_keep = {q: arr for q, arr in cols.items() if q in needed}
+    s_keep = tuple(name for name in S_COLUMNS
+                   if f"{spec.inspect_alias}.{name}" in needed)
 
     return _CompiledInspect(
         out_columns=out_columns, having=having,
@@ -440,16 +448,18 @@ def _compile_inspect(session: Session,
                            limit=spec.limit),
         catalog_keep=catalog_keep, workloads=workloads, runs=runs,
         plan_index=plan_index, hyp_col_of=hyp_col_of, measures=measures,
-        hyp_objs=hyp_objs)
+        hyp_objs=hyp_objs, hyp_ids=hypothesis_identities(hyp_objs),
+        s_keep=s_keep)
 
 
-def _materialize_s(cols: dict[str, np.ndarray],
+def _materialize_s(cols: dict[str, np.ndarray], s_keep: tuple[str, ...],
                    workloads: list[_GroupWorkload],
                    outcomes_by_did: dict[str, list],
                    plan_index: dict[tuple[str, str, bytes], int],
                    hyp_col_of: dict[str, int], n_measures: int,
-                   alias: str) -> dict[str, np.ndarray]:
-    """Assemble the temporary S relation as column arrays.
+                   alias: str) -> tuple[dict[str, np.ndarray], int]:
+    """Assemble the temporary S relation as column arrays, and its row
+    count: of S's own columns only ``s_keep`` are built.
 
     Row order is group-major, then model, then measure, then
     hypothesis-major over that model's units -- the seed frontend's
@@ -459,8 +469,9 @@ def _materialize_s(cols: dict[str, np.ndarray],
     pair otherwise), so SELECT/HAVING can reference catalog columns.
     """
     chunks: dict[str, list[np.ndarray]] = {q: [] for q in cols}
-    for name in S_COLUMNS:
+    for name in s_keep:
         chunks[f"{alias}.{name}"] = []
+    n = 0
 
     def emit(name: str, values: np.ndarray) -> None:
         chunks[f"{alias}.{name}"].append(values)
@@ -478,22 +489,28 @@ def _materialize_s(cols: dict[str, np.ndarray],
                 outcome = outcomes[pgi * n_measures + mi]
                 result = outcome.result
                 unit_scores = result.unit_scores[:, hcols].T.reshape(-1)
-                if result.group_scores is None:  # independent measures
-                    group_scores = unit_scores
-                else:
-                    group_scores = np.repeat(result.group_scores[hcols], nu)
-                emit("uid", np.tile(uids, nh))
-                emit("hid", np.repeat(hid_cycle, nu))
-                emit("mid", _fill_object(nu * nh, mid))
-                emit("score_id", _fill_object(nu * nh,
-                                              outcome.measure.score_id))
-                emit("group_score", group_scores.astype(np.float64))
-                emit("unit_score", unit_scores.astype(np.float64))
+                n += nu * nh
+                if "uid" in s_keep:
+                    emit("uid", np.tile(uids, nh))
+                if "hid" in s_keep:
+                    emit("hid", np.repeat(hid_cycle, nu))
+                if "mid" in s_keep:
+                    emit("mid", _fill_object(nu * nh, mid))
+                if "score_id" in s_keep:
+                    emit("score_id", _fill_object(nu * nh,
+                                                  outcome.measure.score_id))
+                if "group_score" in s_keep:
+                    emit("group_score", (
+                        unit_scores if result.group_scores is None  # independent
+                        else np.repeat(result.group_scores[hcols], nu)
+                    ).astype(np.float64))
+                if "unit_score" in s_keep:
+                    emit("unit_score", unit_scores.astype(np.float64))
                 for qname, arr in cols.items():
                     chunks[qname].append(arr[rep_grid])
     # parts of one column share a dtype (np.concatenate keeps object dtype)
     return {qname: np.concatenate(parts)
-            for qname, parts in chunks.items()}
+            for qname, parts in chunks.items()}, n
 
 
 def _fill_object(n: int, value) -> np.ndarray:

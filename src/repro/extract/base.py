@@ -105,11 +105,11 @@ class Extractor:
     def extract(self, model, records: np.ndarray,
                 hid_units: np.ndarray | list[int] | None = None) -> np.ndarray:
         """Behaviors for ``records``: (n_records * ns, n_selected_units),
-        the read-time view over each batch's raw sweep."""
+        the read-time view over each batch's raw sweep — laid out as the
+        plan's block for those units is, all of them included."""
         columns = self.raw_columns(model, hid_units)
-        width = self.n_units(model) if columns is None else len(columns)
         return self._sweep_batches(
-            model, records, width,
+            model, records, len(columns),
             lambda batch: self.finalize_states(
                 self.raw_states(model, batch), columns))
 
@@ -134,14 +134,16 @@ class Extractor:
         return rows
 
     def raw_columns(self, model, hid_units: np.ndarray | list[int] | None
-                    = None) -> np.ndarray | None:
+                    = None) -> np.ndarray:
         """Raw-sweep columns behind ``hid_units`` of this extractor's view
-        (None = the whole sweep, in sweep order)."""
+        (None = every unit of it): always an index array, so a read of
+        every unit is selected — laid out unit-major — as the plan's
+        all-units group is."""
         view = self.view_columns(model)
-        if hid_units is None:
-            return view
-        hid_units = np.asarray(hid_units, dtype=int)
-        return hid_units if view is None else np.asarray(view)[hid_units]
+        columns = (np.arange(self.n_units(model)) if view is None
+                   else np.asarray(view))
+        return (columns if hid_units is None
+                else columns[np.asarray(hid_units, dtype=int)])
 
     def finalize_states(self, states: np.ndarray,
                         columns: np.ndarray | None = None) -> np.ndarray:

@@ -48,7 +48,9 @@ class Module:
         if id(self) in seen:
             return
         seen.add(id(self))
-        for attr in vars(self).values():
+        # a snapshot: another thread may stamp an attribute meanwhile
+        # (the fingerprint a model keeps is one)
+        for attr in tuple(vars(self).values()):
             if isinstance(attr, Parameter):
                 if id(attr) not in seen:
                     seen.add(id(attr))

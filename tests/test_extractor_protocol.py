@@ -121,16 +121,12 @@ def test_extract_is_raw_rows_plus_views_is_the_plan_block(
                 direct)
             _assert_same_array(blocks[gi], direct)
         if mode != "two_groups":
-            # hid_units=None is the view over the whole sweep: the all-units
-            # group's bytes, laid out as the raw sweep unless a layer view
-            # selects columns (then the group's unit-major layout too)
+            # hid_units=None is the view over every unit: the all-units
+            # group's block, bytes and unit-major layout alike
             whole = extractor.extract(model, dataset.symbols)
             _assert_same_array(whole, extractor.finalize_states(
                 states, extractor.raw_columns(model)))
-            assert whole.shape == blocks[0].shape
-            assert whole.tobytes() == blocks[0].tobytes()
-            if extractor.view_columns(model) is not None:
-                _assert_same_array(whole, blocks[0])
+            _assert_same_array(whole, blocks[0])
     if mode == "store":
         disk_tier = configs[1].unit_cache
         assert disk_tier.stats()["extractions"] == 0

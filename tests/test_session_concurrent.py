@@ -19,6 +19,8 @@ from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.util.testing import CountingForwardModel
 
 MAX_RECORDS = 60
+#: times each register thread of the registration hammer replaces m0
+REREGISTRATIONS = 25
 
 INSPECT_SQL = """
     SELECT S.uid, S.hid, S.unit_score
@@ -110,6 +112,8 @@ class TestConcurrentHammer:
             sql_keyword_hypotheses(("SELECT",)), name="kw0")
         errors: list = []
         start = threading.Barrier(8)
+        finished: list = []   # one entry per register thread that returned
+        queries: list = []
 
         def register(i):
             start.wait(30)
@@ -117,23 +121,35 @@ class TestConcurrentHammer:
                 session.register_hypotheses(
                     sql_keyword_hypotheses(("FROM",)), name=f"kw{i}")
                 session.register_dataset(f"d{i}", sql_workload.dataset)
-                # the query thread must see m0 throughout its replacement
-                session.register_model("m0", trained_sql_model)
+                # the query threads must see m0 throughout each of its
+                # replacements
+                for _ in range(REREGISTRATIONS):
+                    session.register_model("m0", trained_sql_model)
             except Exception as exc:   # repro: allow[REP005]
                 errors.append(exc)
+            finally:
+                finished.append(i)
 
         def query():
             start.wait(30)
-            try:
-                frame = session.sql("SELECT mid FROM models")
-                assert frame["mid"] == ["m0"]
-            except Exception as exc:   # repro: allow[REP005]
-                errors.append(exc)
+            # query for as long as the registrations run, and once after
+            while True:
+                done = len(finished) == 4
+                try:
+                    queries.append(session.sql("SELECT mid FROM models")["mid"])
+                except Exception as exc:   # repro: allow[REP005]
+                    errors.append(exc)
+                    return
+                if done:
+                    return
 
         with session:
             run_threads([lambda i=i: register(i) for i in range(1, 5)]
                         + [query] * 4)
             assert not errors
+            assert len(queries) > 4
+            assert all(mids == ["m0"] for mids in queries), [
+                mids for mids in queries if mids != ["m0"]]
             # every registration landed exactly once
             dids = session.sql("SELECT did FROM inputs")["did"]
             assert sorted(dids) == ["d0", "d1", "d2", "d3", "d4"]

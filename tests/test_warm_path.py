@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,6 +23,7 @@ import pytest
 
 from repro import (HypothesisCache, InspectConfig, Session, UnitGroup,
                    inspect)
+from repro.core.cache import model_fingerprint
 from repro.data.datasets import Dataset, Vocab
 from repro.extract.base import Extractor
 from repro.hypotheses import PrecomputedHypothesis
@@ -764,3 +766,203 @@ def test_kept_compilation_forms_no_reference_cycle(sql_workload):
         assert alive() is None
     finally:
         gc.enable()
+
+
+# ----------------------------------------------------------------------
+# what a warm statement re-derives: the model fingerprint, the S columns
+# ----------------------------------------------------------------------
+#: fresh models the fingerprint race runs on, each hashed for the first
+#: time while the write lands, 50 us later in each round
+RACE_ROUNDS = 20
+
+
+def _fresh_model(sql_workload, model_id="m"):
+    return CharLSTMModel(len(sql_workload.vocab), n_units=8,
+                         rng=new_rng(7), model_id=model_id)
+
+
+def test_fingerprint_strings_are_pinned():
+    """The keys stores were written under: comparing against a kept copy
+    changed when parameters are hashed, not what the hash is."""
+    wide = CharLSTMModel(12, 6, new_rng(7), model_id="golden")
+    narrow = CharLSTMModel(12, 6, new_rng(7), model_id="golden32")
+    for param in narrow.parameters():
+        param.value = param.value.astype(np.float32)
+    for _ in range(2):   # hashed, then compared
+        assert model_fingerprint(wide) \
+            == "golden:d363aca7bc658c66aef2e5fc27a0da3dfd29c19d"
+        assert model_fingerprint(narrow) \
+            == "golden32:98da551c36f5b5171e4cda1bd7250732b11c47c2"
+
+
+def _swap_rows(model):
+    w_h = model.lstm.w_h.value
+    w_h[[0, 1]] = w_h[[1, 0]]
+
+
+def _negative_zero(model):
+    model.lstm.b.value[0] = -0.0
+
+
+def _replace(model):
+    model.lstm.b.value = model.lstm.b.value + 1.0
+
+
+def _write_one(model):
+    model.lstm.w_h.value[2, 3] += 0.25
+
+
+def _rename(model):
+    model.model_id = "renamed"
+
+
+@pytest.mark.parametrize("change", [_write_one, _swap_rows, _negative_zero,
+                                    _replace, _rename])
+def test_every_parameter_change_misses_kept_stats(change, sql_workload,
+                                                  hyps72):
+    model = _fresh_model(sql_workload)
+    model.lstm.b.value[0] = 0.0    # what _negative_zero overwrites
+    with Session(config=InspectConfig(max_records=64,
+                                      **KEPT_KNOBS)) as session:
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps72[:12])
+        session.register_model("m", model)
+        session.sql(TOPK)
+        key = model_fingerprint(model)
+        before = _kept_counts(session)
+        session.sql(TOPK)
+        warm = _kept_counts(session)
+        assert warm[0] > before[0] and warm[1] == before[1]
+        change(model)
+        assert model_fingerprint(model) != key
+        session.sql(TOPK)
+        after = _kept_counts(session)
+    assert after[0] == warm[0] and after[1] > warm[1]
+
+
+def test_an_equal_valued_replacement_changes_nothing(sql_workload, hyps72):
+    model = _fresh_model(sql_workload)
+    with Session(config=InspectConfig(max_records=64,
+                                      **KEPT_KNOBS)) as session:
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps72[:12])
+        session.register_model("m", model)
+        first = session.sql(TOPK)
+        key = model_fingerprint(model)
+        for param in model.parameters():
+            param.value = param.value.copy()
+        assert model_fingerprint(model) == key
+        before = _kept_counts(session)
+        unit_before = session.stats()["unit_cache"]
+        assert session.sql(TOPK) == first
+        after = _kept_counts(session)
+        unit_after = session.stats()["unit_cache"]
+    assert after[0] > before[0] and after[1] == before[1]
+    assert unit_after["extractions"] == unit_before["extractions"]
+
+
+def test_an_unchanged_model_is_hashed_once(monkeypatch, sql_workload,
+                                           hyps72):
+    from repro.core import cache
+    digests: list = []
+    real = cache._param_digest
+    monkeypatch.setattr(cache, "_param_digest",
+                        lambda values: digests.append(1) or real(values))
+    model = _fresh_model(sql_workload)
+    with Session(config=InspectConfig(max_records=64,
+                                      **KEPT_KNOBS)) as session:
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps72[:12])
+        session.register_model("m", model)
+        frames = [session.sql(TOPK) for _ in range(5)]
+    assert all(frame == frames[0] for frame in frames)
+    assert len(digests) == 1
+
+
+def test_fingerprint_races_with_a_parameter_write():
+    """Threads fingerprint one model, its first hash included, while
+    another writes one of its parameters: every key is the one from before
+    the write or the one from after it, and once the write has returned
+    every key is the after key."""
+    def build():
+        return CharLSTMModel(48, 32, new_rng(7), model_id="raced")
+
+    twin = build()
+    old = model_fingerprint(twin)
+    twin.lstm.w_h.value[1, 2] = 7.0
+    new = model_fingerprint(twin)
+    for round_ in range(RACE_ROUNDS):
+        model = build()
+        start, written = threading.Barrier(5), threading.Event()
+        seen: list = []
+
+        def fingerprint(model=model, start=start, written=written,
+                        seen=seen):
+            start.wait(30)
+            for _ in range(50):
+                after = written.is_set()
+                seen.append((after, model_fingerprint(model)))
+
+        def write(model=model, start=start, written=written,
+                  delay=round_ * 5e-5):
+            start.wait(30)
+            time.sleep(delay)   # land at another point of the hashing
+            model.lstm.w_h.value[1, 2] = 7.0
+            written.set()
+
+        threads = [threading.Thread(target=fingerprint) for _ in range(4)]
+        threads.append(threading.Thread(target=write))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert len(seen) == 200
+        assert {key for _, key in seen} <= {old, new}
+        assert all(key == new for after, key in seen if after)
+        assert model_fingerprint(model) == new
+
+
+_S_STATEMENT = ("SELECT {select} INSPECT U.uid AND H.h USING corr, diff_means "
+                "OVER D.seq AS S FROM models M, units U, hypotheses H, "
+                "inputs D WHERE M.mid = U.mid AND U.uid < 6 {tail}")
+_S_ALL = ("S.uid AS uid, S.hid AS hid, S.mid AS mid, S.score_id AS score_id, "
+          "S.group_score AS group_score, S.unit_score AS unit_score")
+
+
+@pytest.mark.parametrize("select, tail, built", [
+    ("S.uid AS uid, S.hid AS hid, S.unit_score AS unit_score",
+     "ORDER BY S.unit_score DESC LIMIT 20", {"uid", "hid", "unit_score"}),
+    ("S.uid AS uid, S.unit_score AS unit_score",
+     "ORDER BY S.score_id LIMIT 30", {"uid", "unit_score", "score_id"}),
+    ("S.hid AS hid, S.group_score AS group_score",
+     "HAVING S.mid = 'm1' AND S.unit_score > 0",
+     {"hid", "group_score", "mid", "unit_score"}),
+])
+def test_s_holds_only_the_columns_the_statement_reads(
+        monkeypatch, select, tail, built, sql_workload, hyps72,
+        trained_sql_model):
+    """The narrow S gives the frame the full S gives, projected."""
+    from repro.db import inspect_clause
+    shapes: list = []
+    real = inspect_clause._materialize_s
+
+    def spying(*args):
+        cols, n = real(*args)
+        shapes.append(({q for q in cols if q.startswith("S.")}, n))
+        return cols, n
+    monkeypatch.setattr(inspect_clause, "_materialize_s", spying)
+    with Session(config=InspectConfig(max_records=64,
+                                      **KEPT_KNOBS)) as session:
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps72[:12])
+        session.register_model("m0", trained_sql_model, epoch=0)
+        session.register_model("m1", _fresh_model(sql_workload, "m1"),
+                               epoch=1)
+        narrow = session.sql(_S_STATEMENT.format(select=select, tail=tail))
+        wide = session.sql(_S_STATEMENT.format(select=_S_ALL, tail=tail))
+    assert shapes[0] == ({f"S.{name}" for name in built}, shapes[1][1])
+    assert len(shapes[1][0]) == 6
+    assert len(narrow) > 0
+    assert narrow.columns == [item.split(" AS ")[1]
+                              for item in select.split(", ")]
+    assert narrow == wide.select(*narrow.columns)
