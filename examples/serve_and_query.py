@@ -3,9 +3,10 @@
 Starts the asyncio SQL-over-HTTP server on a background thread around a
 shared :class:`repro.Session`, then has two tenants fire the SAME
 ``INSPECT`` statement concurrently.  The shared session's unit tier
-leases each cold sweep to one run: one client leads, the other joins
-the same sweep and reads the results out of the shared session caches,
-so the model runs exactly once (asserted with a counting wrapper).
+lets one read claim each cold sweep: one client leads it, the other
+waits, joins the same sweep and reads the results out of the shared
+session caches, so the model runs exactly once (asserted with a
+counting wrapper).
 
 The second half streams the query over a websocket: the client receives
 one partial score frame per processed block, and the final frame is

@@ -43,10 +43,11 @@ byte-bounded, lock-protected LRUs the thread-pool scheduler can share.
 In the connection-style API one :class:`repro.session.Session` owns a pair
 of these caches and threads them through every Python-builder and SQL
 query it executes, so interleaved queries on one model share a single
-forward sweep, also when they arrive cold and together
-(:meth:`UnitBehaviorCache.lease`); :meth:`_ByteBoundedLRU.reset_counters`
-zeroes the observability counters without dropping the cached behaviors —
-the before/after primitive "this query extracted nothing" asserts build on.
+forward sweep, also when they arrive cold and together (the first
+:meth:`UnitBehaviorCache.extract` to find an entry cold claims its sweep);
+:meth:`_ByteBoundedLRU.reset_counters` zeroes the observability counters
+without dropping the cached behaviors — the before/after primitive "this
+query extracted nothing" asserts build on.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import itertools
 import threading
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -76,8 +76,8 @@ _FALLBACK_TOKENS = itertools.count()
 #: so the token dies with the model and can never alias a successor
 _UNSTAMPABLE_TOKENS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: seconds a run waits on another run's sweep of the same pair before
-#: sweeping it itself: a stalled leader costs a duplicate sweep, not a
+#: seconds a cold read waits on another call's sweep of the same entry
+#: before sweeping it itself: a stalled leader costs a duplicate sweep, not a
 #: wedged statement
 LEASE_WAIT_S = 120.0
 
@@ -734,20 +734,20 @@ class UnitBehaviorCache(_ByteBoundedLRU):
     accounted at full-matrix size; zero pages stay virtual until rows are
     actually written.
 
-    Concurrent runs sharing the tier sweep each cold pair once: a run
-    holds :meth:`lease` for its whole execution, and a run needing a pair
-    another one is sweeping waits for it to land instead of racing it.
+    Concurrent reads sharing the tier sweep each cold entry once: the
+    call that finds records missing claims the entry for its sweep, and
+    a call needing an entry another one is sweeping waits for it to land
+    instead of racing it (:meth:`extract`).
     """
 
     def __init__(self, max_bytes: int = 1024 * 1024 * 1024,
                  store: DiskBehaviorStore | None = None):
         super().__init__(max_bytes, store=store)
-        # entry key -> released when the run sweeping it ends
+        # entry key -> set when the call sweeping it returns or raises
         self._inflight: dict[tuple, threading.Event] = {}
-        self.leases = 0    # lease() calls
-        self.leads = 0     # leases that claimed cold pairs
-        self.joins = 0     # leases that waited, then found their pairs warm
-        self.waits = 0     # waits on another run's claim
+        self.leads = 0     # reads that claimed a cold entry
+        self.joins = 0     # reads that waited, then found their records warm
+        self.waits = 0     # waits on another call's claim
         self.timeouts = 0  # waits that gave up and proceeded unclaimed
 
     # ------------------------------------------------------------------
@@ -797,81 +797,21 @@ class UnitBehaviorCache(_ByteBoundedLRU):
 
     def _reset_counters_locked(self) -> None:
         super()._reset_counters_locked()
-        self.leases = 0
         self.leads = 0
         self.joins = 0
         self.waits = 0
         self.timeouts = 0
 
     def stats(self) -> dict[str, int]:
-        return {**super().stats(), "leases": self.leases,
-                "leads": self.leads, "joins": self.joins,
+        return {**super().stats(), "leads": self.leads, "joins": self.joins,
                 "waits": self.waits, "timeouts": self.timeouts,
                 "inflight": len(self._inflight)}
-
-    @contextmanager
-    def lease(self, dataset: Dataset, records: np.ndarray,
-              pairs: list[tuple[str, str]]):
-        """Hold the sweeps of ``pairs`` (``(model_key, raw_key)``) over
-        ``records`` that are still cold, for the duration of a run.
-
-        Pairs whose records are all in the memory tier are neither
-        claimed nor waited for, so warm runs never serialize.  The still
-        cold pairs are claimed all at once, or none are and the call
-        waits — outside the lock, never holding a claim, so overlapping
-        runs cannot deadlock — for a claimant to release, then probes
-        again: a run that wakes to find its pairs warm claims nothing
-        (a join).  A wait longer than :data:`LEASE_WAIT_S` proceeds
-        unclaimed.  Leaving the block releases the claims and wakes
-        their waiters, however the run ended.
-        """
-        claimed = self._claim(dataset, np.asarray(records, dtype=int),
-                              list(dict.fromkeys(pairs)))
-        try:
-            yield
-        finally:
-            with self._lock:
-                released = [self._inflight.pop(key) for key in claimed]
-            for event in released:
-                event.set()
-
-    def _claim(self, dataset: Dataset, records: np.ndarray,
-               pairs: list[tuple[str, str]]) -> list[tuple]:
-        dataset_key = dataset.cache_key()
-        keys = [(model_key, raw_key, dataset_key)
-                for model_key, raw_key in pairs]
-        waited = False
-        with self._lock:
-            self._count(leases=1)
-        while True:
-            with self._lock:
-                cold = [key for key in keys
-                        if self._missing_locked(key, records).shape[0]]
-                busy = [self._inflight[key] for key in cold
-                        if key in self._inflight]
-                if not busy:
-                    self._inflight.update(
-                        (key, threading.Event()) for key in cold)
-                    self._count(leads=int(bool(cold)),
-                                joins=int(waited and not cold))
-                    return cold
-                self._count(waits=1)
-            if not busy[0].wait(LEASE_WAIT_S):
-                with self._lock:
-                    self._count(timeouts=1)
-                degraded("cache.sweep-lease-timeout")
-                return []
-            waited = True
 
     @staticmethod
     def _store_key(key, entry: _UnitEntry) -> str:
         if entry.store_key is None:
             entry.store_key = unit_store_key(*key)
         return entry.store_key
-
-    def _missing_locked(self, key, indices: np.ndarray) -> np.ndarray:
-        entry = self._entries.get(key)
-        return indices if entry is None else indices[~entry.filled[indices]]
 
     def extract(self, model, extractor: Extractor, dataset: Dataset,
                 indices: np.ndarray,
@@ -886,6 +826,16 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         runs cost one slice plus the read-time view.  ``model_key`` /
         ``raw_key`` let callers that fingerprint once per run (the plan
         executor) skip re-hashing parameters and attributes per block.
+
+        Single-flight: a call that finds records missing claims the entry
+        for its disk read and sweep, and a call finding it claimed waits —
+        outside the lock, holding no claim of its own, so no wait closes a
+        cycle — for the claim to be released, then probes again.  Hits and
+        misses are counted at the final probe, so a call that waited and
+        found its records warm counts what serial execution would (and a
+        join).  A wait longer than :data:`LEASE_WAIT_S` proceeds
+        unclaimed.  The claim is released, and its waiters woken, however
+        the sweep ends.
         """
         indices = np.asarray(indices, dtype=int)
         if model_key is None:
@@ -894,48 +844,74 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             raw_key = extractor.raw_key()
         ns = dataset.n_symbols
         key = (model_key, raw_key, dataset.cache_key())
-        with self._lock:
-            entry = self._get_or_create(key, dataset)
-            missing = indices[~entry.filled[indices]]
-            self._count(hits=int(indices.shape[0] - missing.shape[0]),
-                        misses=int(missing.shape[0]))
-            if missing.shape[0] and entry.mapped:
-                # the disk tier's whole entry, mapped: every record is there
-                entry.filled[missing] = True
-                self._count(disk_hits=int(missing.shape[0]))
-                missing = missing[:0]
-        if self.store is not None and missing.shape[0]:
-            # the disk tier; a width mismatch (stale or foreign entry) is
-            # wholly absent, never served
-            reader = self.store.reader(self._store_key(key, entry))
-            have = np.zeros(missing.shape[0], dtype=bool)
-            if reader is not None and reader.n_symbols == ns \
-                    and reader.row_width == extractor.raw_width(model) * ns:
-                have = reader.filled_mask(missing)
-            served = missing[have]
-            whole = None if reader is None else reader.whole
-            units = (reader.rows(served) if served.shape[0] and whole is None
-                     else whole)
+        claim = None
+        waited = timed_out = False
+        while True:
             with self._lock:
-                self._count(disk_hits=int(served.shape[0]),
-                            disk_misses=int(missing.shape[0]
-                                            - served.shape[0]))
-                if served.shape[0]:
-                    self._commit_rows(key, entry, served, units,
-                                      whole=whole is not None)
-            missing = missing[~have]
-        if missing.shape[0]:
-            with span("sweep", model_id(model)):
-                block = extractor.raw_rows(model, dataset.symbols[missing])
-            units = np.asarray(block).reshape(missing.shape[0], ns, -1)
-            with self._lock:
-                self._count(extractions=1)
-                self._commit_rows(key, entry, missing,
-                                  units.transpose(2, 0, 1))
-                matrix = entry.matrix
-            if self.store is not None:
-                self.store.append_units(self._store_key(key, entry), missing,
-                                        matrix)
+                entry = self._get_or_create(key, dataset)
+                missing = indices[~entry.filled[indices]]
+                busy = (self._inflight.get(key)
+                        if missing.shape[0] and not entry.mapped else None)
+                if busy is None or timed_out:
+                    self._count(hits=int(indices.shape[0] - missing.shape[0]),
+                                misses=int(missing.shape[0]),
+                                joins=int(waited and not missing.shape[0]))
+                    if missing.shape[0] and entry.mapped:
+                        # the disk tier's whole entry, mapped: every record
+                        # is there
+                        entry.filled[missing] = True
+                        self._count(disk_hits=int(missing.shape[0]))
+                        missing = missing[:0]
+                    if missing.shape[0] and busy is None:
+                        claim = self._inflight[key] = threading.Event()
+                        self._count(leads=1)
+                    break
+                self._count(waits=1)
+            waited = True
+            if not busy.wait(LEASE_WAIT_S):
+                with self._lock:
+                    self._count(timeouts=1)
+                degraded("cache.sweep-lease-timeout")
+                timed_out = True
+        try:
+            if self.store is not None and missing.shape[0]:
+                # the disk tier; a width mismatch (stale or foreign entry)
+                # is wholly absent, never served
+                reader = self.store.reader(self._store_key(key, entry))
+                have = np.zeros(missing.shape[0], dtype=bool)
+                if reader is not None and reader.n_symbols == ns and \
+                        reader.row_width == extractor.raw_width(model) * ns:
+                    have = reader.filled_mask(missing)
+                served = missing[have]
+                whole = None if reader is None else reader.whole
+                units = (reader.rows(served)
+                         if served.shape[0] and whole is None else whole)
+                with self._lock:
+                    self._count(disk_hits=int(served.shape[0]),
+                                disk_misses=int(missing.shape[0]
+                                                - served.shape[0]))
+                    if served.shape[0]:
+                        self._commit_rows(key, entry, served, units,
+                                          whole=whole is not None)
+                missing = missing[~have]
+            if missing.shape[0]:
+                with span("sweep", model_id(model)):
+                    block = extractor.raw_rows(model,
+                                               dataset.symbols[missing])
+                units = np.asarray(block).reshape(missing.shape[0], ns, -1)
+                with self._lock:
+                    self._count(extractions=1)
+                    self._commit_rows(key, entry, missing,
+                                      units.transpose(2, 0, 1))
+                    matrix = entry.matrix
+                if self.store is not None:
+                    self.store.append_units(self._store_key(key, entry),
+                                            missing, matrix)
+        finally:
+            if claim is not None:
+                with self._lock:
+                    del self._inflight[key]
+                claim.set()
         if entry.matrix is None:
             # only reachable for an empty index set (nothing was ever
             # filled); let the extractor produce the correctly-shaped

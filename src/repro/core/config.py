@@ -31,7 +31,7 @@ class InspectConfig:
     #: ``UnitBehaviorCache(store=s)``; a ``Session`` builds the pair): the
     #: run commits it once, and a config names it nowhere else.  Runs
     #: sharing a unit tier sweep each cold (model, extractor) pair once,
-    #: however many arrive together (``UnitBehaviorCache.lease``)
+    #: however many arrive together (``UnitBehaviorCache.extract``)
     cache: HypothesisCache | None = None     # hypothesis-behavior cache
     unit_cache: UnitBehaviorCache | None = None
     scheduler: Scheduler | str | None = None  # None -> serial

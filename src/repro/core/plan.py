@@ -296,17 +296,6 @@ class InspectionPlan:
             pass
         return self.outcomes()
 
-    def sweep_pairs(self) -> list[tuple[str, str]]:
-        """The ``(model fingerprint, raw-extractor key)`` pairs of the raw
-        forward sweeps this run may issue over its dataset: one per fused
-        extraction pair, the granularity the
-        :class:`~repro.core.cache.UnitBehaviorCache` keys entries by."""
-        return sorted({
-            (self.source.key_of(members[0][1].model, model_fingerprint),
-             raw_key)
-            for (_, raw_key), members
-            in self.source.extraction_pairs().items()})
-
     def execute_blocks(self):
         """Drive the executor loop, yielding once after each block.
 
@@ -319,24 +308,13 @@ class InspectionPlan:
         between steps (:meth:`outcomes`, or individual tasks for cheaper
         partial reads).
 
-        With a unit tier, the run first leases its sweep pairs from it
-        (:meth:`~repro.core.cache.UnitBehaviorCache.lease`): if another
-        in-flight run is already sweeping one of them, this run waits for
-        that sweep to land instead of racing a duplicate forward pass.
-        The lease is released — and waiters woken — even when the
-        consumer abandons this generator mid-run.
-
         A consumer of this generator may stop after any block, and a
         block's sweep is launched only once the consumer has asked for it:
         abandoning the run costs exactly the blocks delivered.
         """
         scheduler, owned = _resolve_scheduler(self.config.scheduler)
-        tier = self.config.unit_cache
         try:
             with contextlib.ExitStack() as scopes:
-                if tier is not None:
-                    scopes.enter_context(tier.lease(
-                        self.dataset, self.order, self.sweep_pairs()))
                 for store in self.source.stores():
                     scopes.enter_context(store.deferred_commits())
                 yield from self._run_blocks(scheduler)

@@ -179,10 +179,8 @@ class BehaviorSource:
 
         Each key is one forward sweep — extractors differing only in
         transform, layer view or unit subset fuse under one key — and
-        carries the ``(gi, group)`` members it serves.  The sweeps
-        (:meth:`submit_sweeps`) and the unit tier's lease
-        (:meth:`repro.core.plan.InspectionPlan.sweep_pairs`) partition work
-        on it, so they can never disagree about what one sweep covers.
+        carries the ``(gi, group)`` members it serves: one future of
+        :meth:`submit_sweeps` per key.
         """
         if groups is None:
             groups = list(enumerate(self.groups))

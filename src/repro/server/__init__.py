@@ -8,7 +8,7 @@ shared memory tiers — to many clients over a wire protocol built from
 the stdlib only (``asyncio`` + a minimal HTTP/1.1 + RFC 6455 websocket
 layer).  Concurrent queries needing the same cold forward sweep share
 one extraction through the session's unit tier
-(:meth:`repro.core.cache.UnitBehaviorCache.lease`), as any threads
+(:meth:`repro.core.cache.UnitBehaviorCache.extract`), as any threads
 sharing a session do; ``GET /stats["dedup"]`` reports its counters.
 
 * :mod:`repro.server.app` — :class:`InspectionServer`, the asyncio

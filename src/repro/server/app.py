@@ -13,11 +13,10 @@ Endpoints (see :mod:`repro.server.protocol` for the envelopes):
     scores refining as records arrive — with ``final: true`` on the
     last.  ``{"type": "cancel", "id"}`` (or simply disconnecting)
     abandons the underlying stream: the session generator closes, the
-    scheduler stops feeding it, the store scope flushes and the
-    unit tier's sweep lease releases.
+    scheduler stops feeding it and the store scope flushes.
 ``GET /stats``
     ``Session.stats()`` (cache/store/query counters) + per-client
-    admission counters + ``dedup`` (the unit tier's sweep-lease
+    admission counters + ``dedup`` (the unit tier's single-flight
     counters) + server-level wire counters + ``layers``, ``{span name:
     {calls, total_s}}`` folded from the trace of every ``POST /query``
     (``query`` is the whole request, ``admission_wait`` /
@@ -27,8 +26,9 @@ Queries execute on the admission controller's bounded thread pool —
 they are blocking CPU work and must not run on the event loop; the
 event loop only parses envelopes, moves frames and enforces quotas.
 Cross-client forward-pass dedup needs no server part: every query runs
-through the session's unit tier, which leases each cold sweep to one run
-(:meth:`~repro.core.cache.UnitBehaviorCache.lease`), so N concurrent
+through the session's unit tier, where the first read of a cold entry
+claims its sweep and concurrent reads of it wait for that sweep
+(:meth:`~repro.core.cache.UnitBehaviorCache.extract`), so N concurrent
 identical cold queries extract once.
 """
 
@@ -49,8 +49,8 @@ from repro.util.frame import Frame
 from repro.util.trace import Span, current, span, tracing
 
 _STREAM_END = object()   # queue sentinel: the worker finished
-#: the unit tier's sweep-lease counters, as ``GET /stats["dedup"]``
-_DEDUP = ("leases", "leads", "joins", "waits", "timeouts", "inflight")
+#: the unit tier's single-flight counters, as ``GET /stats["dedup"]``
+_DEDUP = ("leads", "joins", "waits", "timeouts", "inflight")
 
 
 class InspectionServer:

@@ -26,6 +26,7 @@ from repro.core.cache import (hyp_store_key, panel_store_key,
                               unit_store_key)
 from repro.core.pipeline import InspectionPlan, ScoreTask
 from repro.extract import RnnActivationExtractor
+from repro.extract.base import Extractor
 from repro.hypotheses import grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
@@ -722,85 +723,148 @@ def test_plan_passes_a_shared_unit_selection_to_the_tier(
 
 
 # ----------------------------------------------------------------------
-# (i) single-flight cold sweeps: the unit tier's lease
+# (i) single-flight cold sweeps: the unit tier claims a cold entry
 # ----------------------------------------------------------------------
-class TestSweepLease:
-    PAIR = ("model-fp", "raw-key")
+class _GatedSweeps(Extractor):
+    """Two units per symbol (the symbol id and its double); counts its
+    sweeps and, given a ``gate``, holds each one open until the gate is
+    set — then raises instead of returning when ``fail`` is set."""
+
+    def __init__(self, gate: threading.Event | None = None,
+                 fail: bool = False):
+        self._gate, self._fail = gate, fail
+        self._entered = threading.Event()
+        self.sweeps: list[int] = []    # records per sweep
+
+    def n_units(self, model) -> int:
+        return 2
+
+    def raw_states(self, model, records):
+        self.sweeps.append(records.shape[0])
+        self._entered.set()
+        if self._gate is not None:
+            assert self._gate.wait(10)
+        if self._fail:
+            raise RuntimeError("sweep failed")
+        ids = records.astype(np.float64)[:, :, None]
+        return np.concatenate([ids, 2 * ids], axis=2)
+
+
+def wait_until(condition, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+class TestSweepClaim:
+    KEY = {"model_key": "model-fp", "raw_key": "raw-key"}
     RECORDS = np.arange(4)
 
-    def warm(self, tier, dataset, pair=PAIR) -> None:
-        """What a sweep landing in the tier does to ``pair``'s records."""
-        units = np.zeros((2, len(self.RECORDS), dataset.n_symbols))
-        key = (*pair, dataset.cache_key())
-        with tier._lock:
-            tier._commit_rows(key, tier._get_or_create(key, dataset),
-                              self.RECORDS, units)
+    def read(self, tier, dataset, extractor, records=RECORDS, **key):
+        return tier.extract(None, extractor, dataset, records,
+                            **{**self.KEY, **key})
 
-    def test_leader_blocks_follower_until_release(self, sql_workload):
+    def expected(self, dataset, records=RECORDS) -> np.ndarray:
+        return _GatedSweeps().extract(None, dataset.symbols[records])
+
+    def race(self, tier, dataset, leader: _GatedSweeps,
+             lead=RECORDS, follow=RECORDS, hold: bool = False) -> dict:
+        """``leader`` sweeps ``lead`` on one thread; once its sweep is
+        open, a follower reads ``follow`` of the same entry on another.
+        The leader's gate opens when the follower waits on its claim —
+        or, ``hold``, once the follower has returned.  Returns each
+        side's result (or exception) and its trace root, and the
+        follower's sweeps."""
+        follower = _GatedSweeps()
+        out = {"follower_sweeps": follower.sweeps}
+
+        def run(name, extractor, records):
+            with tracing(name) as root:
+                try:
+                    out[name] = self.read(tier, dataset, extractor, records)
+                except RuntimeError as exc:
+                    out[name] = exc
+            out[f"{name}_root"] = root
+
+        threads = [threading.Thread(target=run,
+                                    args=("leader", leader, lead))]
+        threads[0].start()
+        assert leader._entered.wait(10)
+        assert tier.stats()["inflight"] == 1
+        threads.append(threading.Thread(
+            target=run, args=("follower", follower, follow)))
+        threads[1].start()
+        if hold:
+            threads[1].join(10)
+        else:
+            wait_until(lambda: tier.stats()["waits"] >= 1)
+        leader._gate.set()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        return out
+
+    def test_follower_waits_for_the_leaders_sweep_then_joins(
+            self, sql_workload):
         tier, dataset = UnitBehaviorCache(), sql_workload.dataset
-        order: list[str] = []
-        leader_entered = threading.Event()
-        release_leader = threading.Event()
-
-        def leader():
-            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-                order.append("leader-in")
-                leader_entered.set()
-                release_leader.wait(5)
-                order.append("leader-out")
-
-        def follower():
-            leader_entered.wait(5)
-            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-                order.append("follower-in")
-
-        threads = [threading.Thread(target=leader),
-                   threading.Thread(target=follower)]
-        for thread in threads:
-            thread.start()
-        leader_entered.wait(5)
-        time.sleep(0.05)        # give the follower time to reach the wait
-        release_leader.set()
-        for thread in threads:
-            thread.join(5)
-        assert order == ["leader-in", "leader-out", "follower-in"]
+        leader = _GatedSweeps(threading.Event())
+        out = self.race(tier, dataset, leader)
+        assert leader.sweeps == [4] and out["follower_sweeps"] == []
+        expected = self.expected(dataset)
+        assert out["leader"].tobytes() == expected.tobytes()
+        assert out["follower"].tobytes() == expected.tobytes()
         stats = tier.stats()
-        # the leader swept nothing, so the follower found the pair cold
-        assert stats["leads"] == 2 and stats["waits"] >= 1
-        assert stats["inflight"] == 0
+        # what serial execution counts: one sweep, then four warm records
+        assert (stats["extractions"], stats["misses"], stats["hits"]) \
+            == (1, 4, 4)
+        assert (stats["leads"], stats["waits"], stats["joins"]) == (1, 1, 1)
+        assert stats["timeouts"] == 0 and stats["inflight"] == 0
+        # each side's trace carries what it did
+        assert out["leader_root"].counters["leads"] == 1
+        follower = out["follower_root"].counters
+        assert (follower["waits"], follower["joins"], follower["hits"]) \
+            == (1, 1, 4)
+        assert "leads" not in follower and "extractions" not in follower
 
-    def test_warm_pairs_are_never_claimed_or_waited_for(self, sql_workload,
-                                                        monkeypatch):
+    def test_warm_records_are_never_claimed_or_waited_for(
+            self, sql_workload, monkeypatch):
         monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 5.0)
         tier, dataset = UnitBehaviorCache(), sql_workload.dataset
-        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-            self.warm(tier, dataset)
-            # the leader still holds its claim, but the pair is warm now:
-            # a second lease neither claims it nor waits
-            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-                assert tier.stats()["inflight"] == 1
+        warm = np.arange(4, 8)
+        self.read(tier, dataset, _GatedSweeps(), warm)
+        leader = _GatedSweeps(threading.Event())
+        thread = threading.Thread(target=self.read,
+                                  args=(tier, dataset, leader))
+        thread.start()
+        assert leader._entered.wait(10)
+        # the leader holds the entry's claim, but these records are warm:
+        # the read neither claims the entry nor waits for it
+        reader = _GatedSweeps()
+        block = self.read(tier, dataset, reader, warm)
+        assert tier.stats()["inflight"] == 1
+        leader._gate.set()
+        thread.join(10)
+        assert block.tobytes() == self.expected(dataset, warm).tobytes()
+        assert reader.sweeps == []
         stats = tier.stats()
-        assert stats["leases"] == 2 and stats["leads"] == 1
-        assert stats["waits"] == 0 and stats["timeouts"] == 0
+        assert (stats["leads"], stats["waits"], stats["joins"]) == (2, 0, 0)
+        assert stats["timeouts"] == 0 and stats["inflight"] == 0
 
-    def test_follower_reprobes_after_wakeup(self, sql_workload):
+    def test_follower_probes_again_after_it_wakes(self, sql_workload):
         tier, dataset = UnitBehaviorCache(), sql_workload.dataset
-        got_in = threading.Event()
-
-        def follower():
-            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-                got_in.set()
-
-        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-            thread = threading.Thread(target=follower)
-            thread.start()
-            time.sleep(0.05)
-            assert not got_in.is_set()   # still waiting behind the leader
-            self.warm(tier, dataset)     # the sweep landed in the tier
-        thread.join(5)
-        assert got_in.is_set()
+        leader = _GatedSweeps(threading.Event())
+        # the leader sweeps two of the four records the follower reads: on
+        # waking the follower finds the other two still cold and sweeps
+        # only them, under a claim of its own
+        out = self.race(tier, dataset, leader, lead=self.RECORDS[:2])
+        assert leader.sweeps == [2] and out["follower_sweeps"] == [2]
+        assert out["follower"].tobytes() \
+            == self.expected(dataset).tobytes()
         stats = tier.stats()
-        assert stats["leads"] == 1 and stats["joins"] == 1   # found warm
+        assert (stats["leads"], stats["waits"], stats["joins"]) == (2, 1, 0)
+        assert (stats["extractions"], stats["hits"], stats["misses"]) \
+            == (2, 2, 4)
         assert stats["inflight"] == 0
 
     def test_bounded_wait_proceeds_unclaimed(self, sql_workload,
@@ -808,31 +872,62 @@ class TestSweepLease:
         monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 0.05)
         tier, dataset = UnitBehaviorCache(), sql_workload.dataset
         before = degradation_counts().get("cache.sweep-lease-timeout", 0)
-        with tracing("run") as root:
-            with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-                # the leader never releases: the wait times out
-                with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-                    assert tier.stats()["inflight"] == 1
-        assert tier.stats()["timeouts"] == 1
-        assert tier.stats()["inflight"] == 0
+        leader = _GatedSweeps(threading.Event())
+        # the leader's sweep stays open until the follower has returned:
+        # the follower's wait times out and it sweeps without a claim
+        out = self.race(tier, dataset, leader, hold=True)
+        assert leader.sweeps == [4] and out["follower_sweeps"] == [4]
+        assert out["follower"].tobytes() \
+            == self.expected(dataset).tobytes()
+        stats = tier.stats()
+        assert (stats["leads"], stats["waits"], stats["timeouts"]) \
+            == (1, 1, 1)
+        assert stats["joins"] == 0 and stats["inflight"] == 0
         assert degradation_counts()["cache.sweep-lease-timeout"] \
             == before + 1
-        assert root.counters["degraded:cache.sweep-lease-timeout"] == 1
-        assert root.counters["timeouts"] == 1
+        follower = out["follower_root"].counters
+        assert follower["degraded:cache.sweep-lease-timeout"] == 1
+        assert follower["timeouts"] == 1 and "leads" not in follower
 
-    def test_disjoint_pairs_do_not_interact(self, sql_workload):
+    def test_disjoint_keys_do_not_interact(self, sql_workload):
         tier, dataset = UnitBehaviorCache(), sql_workload.dataset
-        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-            with tier.lease(dataset, self.RECORDS, [("other-fp", "raw")]):
-                assert tier.stats()["inflight"] == 2
+        leader = _GatedSweeps(threading.Event())
+        thread = threading.Thread(target=self.read,
+                                  args=(tier, dataset, leader))
+        thread.start()
+        assert leader._entered.wait(10)
+        other = _GatedSweeps()
+        self.read(tier, dataset, other, model_key="other-fp")
+        assert other.sweeps == [4] and tier.stats()["inflight"] == 1
+        leader._gate.set()
+        thread.join(10)
         stats = tier.stats()
-        assert stats["leads"] == 2 and stats["waits"] == 0
+        assert (stats["leads"], stats["waits"], stats["inflight"]) \
+            == (2, 0, 0)
 
-    def test_reset_counters_zeroes_the_lease_counters(self, sql_workload):
+    def test_reset_counters_zeroes_the_claim_counters(self, sql_workload,
+                                                      monkeypatch):
         tier, dataset = UnitBehaviorCache(), sql_workload.dataset
-        with tier.lease(dataset, self.RECORDS, [self.PAIR]):
-            pass
+        self.race(tier, dataset, _GatedSweeps(threading.Event()))
+        monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 0.05)
+        self.race(tier, dataset, _GatedSweeps(threading.Event()),
+                  lead=np.arange(4, 8), follow=np.arange(4, 8), hold=True)
+        names = ("leads", "joins", "waits", "timeouts")
+        assert all(tier.stats()[name] > 0 for name in names)
         tier.reset_counters()
         stats = tier.stats()
-        assert all(stats[name] == 0 for name in
-                   ("leases", "leads", "joins", "waits", "timeouts"))
+        assert all(stats[name] == 0 for name in names)
+        assert stats["entries"] == 1      # the swept rows stay
+
+    def test_a_failed_sweep_releases_its_claim(self, sql_workload):
+        tier, dataset = UnitBehaviorCache(), sql_workload.dataset
+        leader = _GatedSweeps(threading.Event(), fail=True)
+        out = self.race(tier, dataset, leader)
+        assert isinstance(out["leader"], RuntimeError)
+        # the waiter woke to a still-cold entry and swept it itself
+        assert out["follower_sweeps"] == [4]
+        assert out["follower"].tobytes() \
+            == self.expected(dataset).tobytes()
+        stats = tier.stats()
+        assert (stats["leads"], stats["waits"], stats["joins"]) == (2, 1, 0)
+        assert stats["extractions"] == 1 and stats["inflight"] == 0

@@ -290,7 +290,9 @@ class TestServerEndToEnd:
             for frame in results:
                 assert frame == direct
             stats = clients[0].stats()
-            assert stats["dedup"]["leads"] >= 1
+            # one claim per sweep, however many queries read it
+            assert stats["dedup"]["leads"] \
+                == stats["session"]["unit_cache"]["extractions"] >= 1
             assert stats["dedup"]["inflight"] == 0
             assert stats["session"]["queries"]["completed"] >= n
 
@@ -419,7 +421,11 @@ class TestServerEndToEnd:
         assert local["hypothesis_cache"]["extractions"] == \
             hyp_tier.stats()["extractions"] == len(hyps) * n_blocks
         assert served["session"]["unit_cache"] == local["unit_cache"]
-        assert served["dedup"]["leases"] == unit_tier.stats()["leases"] == 1
+        assert served["dedup"]["leads"] == unit_tier.stats()["leads"] \
+            == n_blocks
+        assert served["dedup"] == {
+            name: local["unit_cache"][name] for name in
+            ("leads", "joins", "waits", "timeouts", "inflight")}
 
     def test_ws_cancel_stops_the_stream(
             self, trained_sql_model, sql_workload, hyps):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro import InspectConfig, Session
+from repro import InspectConfig, Session, ThreadPoolScheduler
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.util.testing import CountingForwardModel
 
@@ -66,12 +66,58 @@ def run_threads(targets, timeout=120):
     assert not any(t.is_alive() for t in threads)
 
 
+#: the twin-model statement: its rows name their model
+TWIN_SQL = """
+    SELECT S.mid, S.uid, S.hid, S.unit_score
+    INSPECT U.uid AND H.h USING corr OVER D.seq AS S
+    FROM models M, units U, hypotheses H, inputs D
+    WHERE M.mid = U.mid
+    ORDER BY S.unit_score DESC
+"""
+
+
+class TestTwinModels:
+    """Two registered models with equal parameters share one unit-tier
+    entry, and the statement sweeps it through one future per model:
+    under a pool the second future waits for the first one's sweep, so
+    the tier counts exactly what serial execution counts."""
+
+    def run(self, trained_sql_model, sql_workload, scheduler):
+        models = [NappingModel(trained_sql_model) for _ in range(2)]
+        with Session(config=InspectConfig(max_records=120, block_size=40,
+                                          early_stop=False),
+                     scheduler=scheduler) as session:
+            for mid, model in zip(("m0", "m1"), models):
+                session.register_model(mid, model)
+            session.register_dataset("d0", sql_workload.dataset)
+            session.register_hypotheses(sql_keyword_hypotheses(
+                ("SELECT", "FROM", "WHERE", "AND")), name="keywords")
+            frame = session.sql(TWIN_SQL)
+            tier = session.stats()["unit_cache"]
+        counts = {name: tier[name]
+                  for name in ("extractions", "hits", "misses")}
+        return frame, counts, sum(model.forward_calls for model in models)
+
+    def test_threads_count_what_serial_counts(self, trained_sql_model,
+                                              sql_workload):
+        frame, counts, calls = self.run(trained_sql_model, sql_workload,
+                                        "serial")
+        # three blocks: the first model sweeps each, the second reads it
+        assert counts == {"extractions": 3, "hits": 120, "misses": 120}
+        pooled = self.run(trained_sql_model, sql_workload,
+                          ThreadPoolScheduler(max_workers=2))
+        assert pooled[1] == counts
+        assert pooled[2] == calls
+        assert pooled[0] == frame
+
+
 class TestConcurrentHammer:
     def test_concurrent_identical_sql_all_agree(self, trained_sql_model,
                                                 sql_workload):
         """N threads, one cold statement, one shared session: one forward
-        sweep per (model, block), as a solo run — the unit tier leases
-        each cold sweep to one statement, no server needed."""
+        sweep per (model, block), as a solo run — the first read of a
+        cold unit-tier entry claims its sweep and the others wait for it,
+        no server needed."""
         solo = NappingModel(trained_sql_model)
         with make_session(solo, sql_workload) as alone:
             baseline = alone.sql(INSPECT_SQL)
@@ -97,7 +143,9 @@ class TestConcurrentHammer:
         assert not errors
         assert counting.forward_calls == solo.forward_calls
         assert tier["extractions"] == solo_extractions
-        assert tier["leases"] == n and tier["leads"] >= 1
+        # one claim per sweep; every wait ended in a join
+        assert tier["leads"] == solo_extractions
+        assert tier["joins"] == tier["waits"]
         assert tier["inflight"] == 0
         for frame in results:
             assert frame == baseline

@@ -19,13 +19,11 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from repro import (HypothesisCache, InspectConfig, InspectionPlan, Session,
                    UnitBehaviorCache, inspect)
 from repro.extract import RnnActivationExtractor
-from repro.core.cache import model_fingerprint
 from repro.core.groups import all_units_group
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
@@ -33,6 +31,7 @@ from repro.nn import CharLSTMModel
 from repro.util import trace
 from repro.util.debuglog import degraded
 from repro.util.rng import new_rng
+from repro.util.testing import CountingForwardModel
 from repro.util.trace import current, span, tracing
 
 MAX_RECORDS = 60
@@ -222,48 +221,54 @@ class TestStatementTrace:
 
     def test_lead_and_join_land_on_the_statements_span(
             self, trained_sql_model, sql_workload, hyps):
-        """Two cold statements queue behind a held lease on their sweeps;
-        on release one leads and the other joins, and each statement's
-        trace says which."""
+        """Two cold statements start together while m0's first sweep is
+        held open: per sweep, one statement leads and the other waits and
+        joins, and each statement's trace counts the claims it took and
+        the waits it joined."""
         roots: list = []
+        gate = threading.Event()
+
+        class Gated(CountingForwardModel):
+            def hidden_states(self, ids):
+                assert gate.wait(60)
+                return super().hidden_states(ids)
 
         def statement(session):
             with tracing("statement") as root:
                 session.sql(INSPECT_SQL)
             roots.append(root)
 
-        with make_session(trained_sql_model, sql_workload, hyps,
+        with make_session(Gated(trained_sql_model), sql_workload, hyps,
                           "serial") as session:
-            tier, dataset = session.unit_cache, sql_workload.dataset
-            raw_key = session.extractor.raw_key()
-            pairs = [(model_fingerprint(session.model(mid)), raw_key)
-                     for mid in MIDS]
+            tier = session.unit_cache
             threads = [threading.Thread(target=statement, args=(session,))
                        for _ in range(2)]
-            with tier.lease(dataset, np.arange(dataset.n_records), pairs):
-                for thread in threads:
-                    thread.start()
-                deadline = time.monotonic() + 60
-                while tier.stats()["waits"] < 2 \
-                        and time.monotonic() < deadline:
-                    time.sleep(0.01)
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            while tier.stats()["waits"] < 1 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            gate.set()
             for thread in threads:
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
+            assert tier.stats()["inflight"] == 0
         counted = []
         for root in roots:
             assert_closed(root)
             moved = Counter()
             for node in root.walk():
                 moved.update(node.counters)
+            # a statement's claims are its sweeps, and each of its waits
+            # ended in a join
+            assert moved["leads"] == base_names(root)["sweep"]
+            assert moved["joins"] == moved["waits"]
             counted.append(moved)
-        assert all(moved["leases"] == 1 and moved["waits"] >= 1
-                   for moved in counted)
-        assert sorted((moved["leads"], moved["joins"])
-                      for moved in counted) == [(0, 1), (1, 0)]
-        # the joiner swept nothing: its blocks were the leader's
-        assert sorted(moved["extractions"] > 0 for moved in counted) \
-            == [False, True]
+        # together they swept each (model, block) once
+        assert sum(moved["leads"] for moved in counted) \
+            == N_BLOCKS * len(MIDS)
+        assert sum(moved["joins"] for moved in counted) >= 1
 
     def test_into_and_plain_select(self, trained_sql_model, sql_workload,
                                    hyps):

@@ -115,6 +115,49 @@ def test_repeated_statement_moves_no_counter(sql_workload, hyps72,
     assert after["statement_cache"]["entries"] == 1
 
 
+@pytest.mark.parametrize("scheduler", ["serial", "threads"])
+def test_a_folded_statement_touches_no_claim(scheduler, sql_workload,
+                                             hyps72, trained_sql_model,
+                                             monkeypatch):
+    """Single-flight lives in the unit tier's ``extract``: a statement
+    whose every block folds kept statistics never calls it, so it takes,
+    waits on and leaves behind no claim — nor even takes the tier's lock
+    to probe for one."""
+    class CountingLock:
+        def __init__(self, lock):
+            self.lock, self.taken = lock, 0
+
+        def __enter__(self):
+            self.taken += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    with Session(config=InspectConfig(block_size=128),
+                 scheduler=scheduler) as session:
+        session.register_dataset("d0", sql_workload.dataset)
+        session.register_hypotheses(hyps72)
+        session.register_model("m", trained_sql_model, epoch=0)
+        first = session.sql(TOPK)               # warms every tier
+        tier = session.unit_cache
+        reads: list = []
+        real = tier.extract
+        monkeypatch.setattr(tier, "extract",
+                            lambda *a, **kw: reads.append(a) or real(*a, **kw))
+        tier.reset_counters()
+        lock = CountingLock(tier._lock)
+        monkeypatch.setattr(tier, "_lock", lock)
+        second = session.sql(TOPK)
+        monkeypatch.undo()
+        stats = session.stats()
+    assert second == first
+    assert stats["hypothesis_cache"]["stat_hits"] >= 1
+    assert reads == [] and lock.taken == 0
+    assert all(stats["unit_cache"][name] == 0
+               for name in ("leads", "joins", "waits", "inflight"))
+
+
 # ----------------------------------------------------------------------
 # shared moments: layout-aware bit-identity
 # ----------------------------------------------------------------------
