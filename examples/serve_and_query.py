@@ -2,11 +2,12 @@
 
 Starts the asyncio SQL-over-HTTP server on a background thread around a
 shared :class:`repro.Session`, then has two tenants fire the SAME
-``INSPECT`` statement concurrently.  The shared session's unit tier
-lets one read claim each cold sweep: one client leads it, the other
-waits, joins the same sweep and reads the results out of the shared
-session caches, so the model runs exactly once (asserted with a
-counting wrapper).
+``INSPECT`` statement concurrently.  The shared session lets one
+statement claim each cold block: it sweeps, labels and scores the
+block, while the other waits for the block's statistics and folds
+them out of the shared session caches (a read of a sweep already
+claimed would wait for it and join it), so the model runs exactly once
+(asserted with a counting wrapper).
 
 The second half streams the query over a websocket: the client receives
 one partial score frame per processed block, and the final frame is
@@ -82,11 +83,15 @@ def main() -> None:
         assert counting.forward_calls == solo.forward_calls, \
             "two concurrent tenants must share ONE extraction sweep"
         calls_after_pair = counting.forward_calls
-        dedup = tenants[0].stats()["dedup"]
+        stats = tenants[0].stats()
+        dedup = stats["dedup"]
+        labels = stats["session"]["hypothesis_cache"]
         print(f"two tenants, ONE shared sweep "
               f"({counting.forward_calls} per-block forward passes; "
               f"unit tier: {dedup['leads']} led, {dedup['joins']} joined, "
-              f"{dedup['waits']} waited)")
+              f"{dedup['waits']} waited; block statistics: "
+              f"{labels['stat_misses']} scored, {labels['stat_hits']} "
+              f"folded, {labels['stat_waits']} waited)")
         print("\ntop units, tenant 0's copy:")
         for row in frames[0].rows():
             print(f"  unit {row['uid']:>3}  {row['hid']:<8} "

@@ -44,7 +44,9 @@ In the connection-style API one :class:`repro.session.Session` owns a pair
 of these caches and threads them through every Python-builder and SQL
 query it executes, so interleaved queries on one model share a single
 forward sweep, also when they arrive cold and together (the first
-:meth:`UnitBehaviorCache.extract` to find an entry cold claims its sweep);
+:meth:`UnitBehaviorCache.extract` to find an entry cold claims its sweep,
+and the first block to miss a score task's statistics claims them,
+:meth:`HypothesisCache.block_stats`);
 :meth:`_ByteBoundedLRU.reset_counters` zeroes the observability counters
 without dropping the cached behaviors — the before/after primitive "this
 query extracted nothing" asserts build on.
@@ -52,6 +54,7 @@ query extracted nothing" asserts build on.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import threading
@@ -76,9 +79,9 @@ _FALLBACK_TOKENS = itertools.count()
 #: so the token dies with the model and can never alias a successor
 _UNSTAMPABLE_TOKENS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: seconds a cold read waits on another call's sweep of the same entry
-#: before sweeping it itself: a stalled leader costs a duplicate sweep, not a
-#: wedged statement
+#: seconds a cold read waits on another call's sweep of the same entry (or a
+#: block on another's statistics) before computing them itself: a stalled
+#: leader costs duplicate work, not a wedged statement
 LEASE_WAIT_S = 120.0
 
 
@@ -409,8 +412,11 @@ class HypothesisCache(_ByteBoundedLRU):
         # _STAT_BYTES (:meth:`block_stats`)
         self._stat_memo: OrderedDict = OrderedDict()
         self._stat_bytes = 0
+        # score-task key -> set when the block computing it ends
+        self._computing: dict[tuple, threading.Event] = {}
         self.stat_hits = 0      # task blocks folded from kept statistics
         self.stat_misses = 0    # task blocks whose statistics were computed
+        self.stat_waits = 0     # waits on another block's computation
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -439,12 +445,14 @@ class HypothesisCache(_ByteBoundedLRU):
 
     def stats(self) -> dict[str, int]:
         return {**super().stats(), "stat_hits": self.stat_hits,
-                "stat_misses": self.stat_misses}
+                "stat_misses": self.stat_misses,
+                "stat_waits": self.stat_waits}
 
     def _reset_counters_locked(self) -> None:
         super()._reset_counters_locked()
         self.stat_hits = 0
         self.stat_misses = 0
+        self.stat_waits = 0
 
     def _panel_width(self, dataset: Dataset) -> int:
         """Columns of this dataset the byte budget holds at once."""
@@ -525,26 +533,58 @@ class HypothesisCache(_ByteBoundedLRU):
                 hypotheses[start:start + panel], dataset, indices)
         return block
 
-    def block_stats(self, key) -> tuple | None:
-        """The block statistics kept under ``key``, or ``None``: a probe,
-        no counter moves (the task that folds them counts, see
-        :meth:`count_stats`).
+    @contextlib.contextmanager
+    def block_stats(self, keys: list):
+        """Within the block: the statistics kept under each of ``keys``
+        (``None`` where none are), the missing ones claimed for the block
+        to compute.  No counter but ``stat_waits`` moves (the task that
+        folds or keeps them counts, see :meth:`count_stats`).
 
-        ``key`` names the exact computation a score task ran on one block
-        (:meth:`repro.core.plan.InspectionPlan.stat_key`): by content, so
-        there is nothing to invalidate, and never a slice of a wider
-        product — a cross-moment matrix's last bits depend on its shape.
+        ``keys`` name the exact computations a block's score tasks run
+        (:meth:`repro.core.plan.InspectionPlan.stat_key`), by content:
+        nothing to invalidate, and never a slice of a wider product (a
+        cross-moment matrix's last bits depend on its shape).  When
+        another block holds a missing key this call waits — holding no
+        claim, so no wait closes a cycle — and probes again; otherwise it
+        claims every missing key until the block ends, however it ends.
+        A wait past :data:`LEASE_WAIT_S` proceeds unclaimed.
         """
-        with self._lock:
-            value = self._stat_memo.get(key)
-            if value is not None:
-                self._stat_memo.move_to_end(key)
-            return value
+        claimed: list = []
+        while True:
+            with self._lock:
+                found = [self._stat_memo.get(key) for key in keys]
+                cold = list(dict.fromkeys(
+                    key for key, stats in zip(keys, found) if stats is None))
+                busy = [self._computing[key] for key in cold
+                        if key in self._computing]
+                if not busy:
+                    for key, stats in zip(keys, found):
+                        if stats is not None:
+                            self._stat_memo.move_to_end(key)
+                    claimed = cold
+                    self._computing.update(
+                        (key, threading.Event()) for key in claimed)
+                    break
+                self._count(stat_waits=1)
+            if not busy[0].wait(LEASE_WAIT_S):
+                degraded("cache.stat-wait-timeout")
+                with self._lock:
+                    found = [self._stat_memo.get(key) for key in keys]
+                break
+        try:
+            yield found
+        finally:
+            if claimed:
+                with self._lock:
+                    released = [self._computing.pop(key) for key in claimed]
+                for event in released:
+                    event.set()
 
     def keep_block_stats(self, key, stats: tuple) -> None:
         """Keep a block's freshly computed statistics (read-only from
-        here on) and count the miss.  Two statements missing one key
-        together both compute it, and their values are bit-equal."""
+        here on) and count the miss.  Two tasks may compute one key (twin
+        models in a statement, or a timed-out wait), and their values are
+        bit-equal."""
         nbytes = sum(part.nbytes for part in stats)
         for part in stats:
             part.setflags(write=False)

@@ -360,11 +360,15 @@ class InspectionPlan:
           this block's (:meth:`stat_key`) before anything is submitted;
           a served task folds them inside its usual ``score`` span, and
           the block's sweeps and hypothesis gather cover only the tasks
-          that were not served — none at all when every one was.
+          that were not served — none at all when every one was.  A
+          block computes the statistics it claimed
+          (:meth:`~repro.core.cache.HypothesisCache.block_stats`), so a
+          concurrent statement needing the same ones waits on its own
+          thread and folds them: identical cold statements sweep, label
+          and score each block once between them.
         * Materialized runs extracted everything in
           :meth:`BehaviorSource.prepare` and serve row slices.
         """
-        n_hyps = len(self.hypotheses)
         self.source.prepare(scheduler)
         # kept statistics trust the model fingerprint as the unit tier
         # does, so only a plan with one keeps them
@@ -375,74 +379,82 @@ class InspectionPlan:
             if not pending:
                 break
             # tasks whose block statistics the hypothesis tier keeps fold
-            # them and read nothing; the rest read the block
-            kept, keeps = {}, {}
+            # them and read nothing; the rest read the block and compute
+            # theirs under the block's claim
+            kept, keeps, keyed = {}, {}, {}
             if cache is not None:
                 records = hashlib.sha1(
                     self.source.order[sl].tobytes()).digest()
-                for task in pending:
-                    if task.state is not None and task.state.block_local:
-                        key = self.stat_key(task, records)
-                        stats = cache.block_stats(key)
-                        if stats is None:
-                            keeps[task] = functools.partial(
-                                cache.keep_block_stats, key)
-                        else:
-                            kept[task] = stats
-            reading = [t for t in pending if t not in kept]
-            needed: dict[int, UnitGroup] = {}
-            for task in reading:
-                needed.setdefault(task.gi, task.group)
-            needed_items = sorted(needed.items())
-            # the last block's unit blocks, and the futures holding them,
-            # go before this block's land
-            u_blocks = sweeps = gather = None
-            h_block = h_moments = cols_union = None
-            if self.source.materialize:
-                u_blocks = self.source.unit_blocks(sl, needed_items)
-                h_block, h_moments = self.source.hypothesis_block(sl)
-            elif reading:
-                with span("unit_extraction"):
-                    sweeps = self.source.submit_sweeps(
-                        needed_items, self.source.order[sl], scheduler)
-                # hypothesis columns frozen in *every* reading task need
-                # no further extraction
-                if any(t.active_cols.shape[0] < n_hyps for t in reading):
-                    cols_union = np.unique(np.concatenate(
-                        [t.active_cols for t in reading]))
-                    if cols_union.shape[0] == n_hyps:
-                        cols_union = None
-                with gathering(sweeps) as gather:
-                    h_block, h_moments = self.source.hypothesis_block(
-                        sl, columns=cols_union)
-                    with span("unit_extraction"), span("wait_sweeps"):
-                        u_blocks = {gi: block for pair in gather()
-                                    for gi, block in pair.items()}
-            n_records = sl.stop - sl.start
-            n_rows = n_records * self.dataset.n_symbols
-
-            def score(task):
-                """Fold the task's kept statistics, or feed it its active
-                columns of h_block; their moments go along (shared) only
-                with the whole block — a column slice sums in another
-                order."""
-                with span("score", task.group.name,
-                          task.measure.score_id):
-                    if task in kept:
-                        cache.count_stats()
-                        task.fold(kept[task], n_records, n_rows)
-                        return
-                    local = (task.active_cols if cols_union is None else
-                             np.searchsorted(cols_union, task.active_cols))
-                    whole = local.shape[0] == h_block.shape[1]
-                    task.process(u_blocks[task.gi],
-                                 h_block if whole else h_block[:, local],
-                                 n_records, h_moments if whole else None,
-                                 keeps.get(task))
-
-            with span("inspection"):
-                scheduler.map(score, pending)
+                keyed = {task: self.stat_key(task, records)
+                         for task in pending if task.state is not None
+                         and task.state.block_local}
+            with (cache.block_stats(list(keyed.values())) if keyed
+                  else contextlib.nullcontext(())) as found:
+                for (task, key), stats in zip(keyed.items(), found):
+                    if stats is None:
+                        keeps[task] = functools.partial(
+                            cache.keep_block_stats, key)
+                    else:
+                        kept[task] = stats
+                self._run_block(sl, pending, kept, keeps, cache, scheduler)
             yield sl
+
+    def _run_block(self, sl: slice, pending: list, kept: dict, keeps: dict,
+                   cache, scheduler: Scheduler) -> None:
+        """One block of :meth:`_run_blocks`: sweep and label what the
+        tasks not in ``kept`` read, then score every pending task."""
+        n_hyps = len(self.hypotheses)
+        reading = [t for t in pending if t not in kept]
+        needed: dict[int, UnitGroup] = {}
+        for task in reading:
+            needed.setdefault(task.gi, task.group)
+        needed_items = sorted(needed.items())
+        u_blocks = sweeps = gather = None
+        h_block = h_moments = cols_union = None
+        if self.source.materialize:
+            u_blocks = self.source.unit_blocks(sl, needed_items)
+            h_block, h_moments = self.source.hypothesis_block(sl)
+        elif reading:
+            with span("unit_extraction"):
+                sweeps = self.source.submit_sweeps(
+                    needed_items, self.source.order[sl], scheduler)
+            # hypothesis columns frozen in *every* reading task need
+            # no further extraction
+            if any(t.active_cols.shape[0] < n_hyps for t in reading):
+                cols_union = np.unique(np.concatenate(
+                    [t.active_cols for t in reading]))
+                if cols_union.shape[0] == n_hyps:
+                    cols_union = None
+            with gathering(sweeps) as gather:
+                h_block, h_moments = self.source.hypothesis_block(
+                    sl, columns=cols_union)
+                with span("unit_extraction"), span("wait_sweeps"):
+                    u_blocks = {gi: block for pair in gather()
+                                for gi, block in pair.items()}
+        n_records = sl.stop - sl.start
+        n_rows = n_records * self.dataset.n_symbols
+
+        def score(task):
+            """Fold the task's kept statistics, or feed it its active
+            columns of h_block; their moments go along (shared) only
+            with the whole block — a column slice sums in another
+            order."""
+            with span("score", task.group.name,
+                      task.measure.score_id):
+                if task in kept:
+                    cache.count_stats()
+                    task.fold(kept[task], n_records, n_rows)
+                    return
+                local = (task.active_cols if cols_union is None else
+                         np.searchsorted(cols_union, task.active_cols))
+                whole = local.shape[0] == h_block.shape[1]
+                task.process(u_blocks[task.gi],
+                             h_block if whole else h_block[:, local],
+                             n_records, h_moments if whole else None,
+                             keeps.get(task))
+
+        with span("inspection"):
+            scheduler.map(score, pending)
 
     def stat_key(self, task: ScoreTask, records: bytes) -> tuple:
         """What the hypothesis tier keeps ``task``'s statistics of one

@@ -323,8 +323,7 @@ def stream_inspect_spec(session: Session,
     Each frame carries ``records_processed`` / ``converged`` attributes
     for progress reporting.  Abandoning the generator stops the run
     cleanly — pending store scopes flush, owned scheduler pools shut
-    down, sweep leases release — and skips the ``INTO`` persist
-    step.
+    down — and skips the ``INTO`` persist step.
     """
     with _open_statement(session, spec) as statement:
         plans, outcomes_by_did = statement.plans, statement.outcomes_by_did

@@ -6,8 +6,8 @@ shared behavior/hypothesis relations; the natural end state is a
 shared :class:`repro.session.Session` — one store, one scheduler pool,
 shared memory tiers — to many clients over a wire protocol built from
 the stdlib only (``asyncio`` + a minimal HTTP/1.1 + RFC 6455 websocket
-layer).  Concurrent queries needing the same cold forward sweep share
-one extraction through the session's unit tier
+layer).  Concurrent queries needing the same cold forward sweep (or
+block statistics) share one computation through the session's tiers
 (:meth:`repro.core.cache.UnitBehaviorCache.extract`), as any threads
 sharing a session do; ``GET /stats["dedup"]`` reports its counters.
 

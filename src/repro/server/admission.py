@@ -19,7 +19,7 @@ Jobs carry a ``threading.Event`` cancel flag.  Cancelling a *queued*
 job drops it before it ever runs; cancelling a *running* streamed query
 is observed by the streaming worker between frames (see
 ``app._stream_worker``), which abandons the session generator — the
-scheduler work stops and the unit tier's sweep lease releases.
+scheduler work stops at the next block boundary.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from repro.hypotheses import grammar_hypotheses
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
 from repro.util.debuglog import degradation_counts
+from repro.util.testing import CountingForwardModel
 from repro.util.trace import tracing
 
 
@@ -324,7 +325,7 @@ def test_counter_parity_with_the_per_hypothesis_loop(tmp_path, sql_workload,
         return cache.stats()
 
     size = {"entries": 72, "bytes": 7704288, "stat_hits": 0,
-            "stat_misses": 0}
+            "stat_misses": 0, "stat_waits": 0}
     assert run(HypothesisCache()) == {
         "hits": 31968, "misses": 31968, "disk_hits": 0, "disk_misses": 0,
         "extractions": 144, **size}
@@ -931,3 +932,134 @@ class TestSweepClaim:
         stats = tier.stats()
         assert (stats["leads"], stats["waits"], stats["joins"]) == (2, 1, 0)
         assert stats["extractions"] == 1 and stats["inflight"] == 0
+
+
+# ----------------------------------------------------------------------
+# (j) single-flight block statistics: a block claims the statistics it
+# computes, and a statement needing the same ones waits and folds them
+# ----------------------------------------------------------------------
+class TestStatClaim:
+    STATS = (np.ones(2),)
+
+    def hold(self, cache, keys) -> tuple[contextlib.ExitStack, list]:
+        """Enter ``cache.block_stats(keys)`` until the stack closes."""
+        held = contextlib.ExitStack()
+        return held, held.enter_context(cache.block_stats(keys))
+
+    def wait(self, cache, keys) -> tuple[threading.Thread, dict]:
+        """Probe ``keys`` on another thread; once it waits, return it and
+        the dict what it found lands in (with the keys it then held
+        claimed, as the cache's claims showed them inside the block)."""
+        out: dict = {}
+        waits = cache.stats()["stat_waits"]
+
+        def probe():
+            with cache.block_stats(keys) as found:
+                out["found"] = found
+                out["claimed"] = sorted(cache._computing)
+        thread = threading.Thread(target=probe)
+        thread.start()
+        wait_until(lambda: cache.stats()["stat_waits"] > waits)
+        return thread, out
+
+    def test_a_waiter_folds_what_the_claimant_kept(self):
+        cache = HypothesisCache()
+        held, found = self.hold(cache, ["a", "b"])
+        assert found == [None, None]
+        assert sorted(cache._computing) == ["a", "b"]
+        thread, out = self.wait(cache, ["b", "a"])
+        cache.keep_block_stats("a", self.STATS)
+        cache.keep_block_stats("b", self.STATS)
+        assert thread.is_alive()          # woken by the release only
+        held.close()
+        thread.join(10)
+        assert out["claimed"] == []
+        assert all(found is not None for found in out["found"])
+        stats = cache.stats()
+        assert (stats["stat_waits"], stats["stat_misses"]) == (1, 2)
+
+    def test_a_waiter_claims_what_was_not_kept(self):
+        """A block that failed (or kept nothing) ends its claim; the
+        waiter wakes to the key still missing and claims it."""
+        cache = HypothesisCache()
+        held, _ = self.hold(cache, ["a"])
+        thread, out = self.wait(cache, ["a"])
+        held.close()
+        thread.join(10)
+        assert (out["found"], out["claimed"]) == ([None], ["a"])
+        assert not cache._computing
+
+    def test_a_raising_block_ends_its_claim(self):
+        cache = HypothesisCache()
+        with pytest.raises(RuntimeError):
+            with cache.block_stats(["a"]):
+                raise RuntimeError("block failed")
+        assert not cache._computing
+
+    def test_kept_and_disjoint_keys_are_not_waited_for(self):
+        cache = HypothesisCache()
+        cache.keep_block_stats("kept", self.STATS)
+        held, _ = self.hold(cache, ["a"])
+        with cache.block_stats(["kept", "b"]) as found:
+            assert found[0] is not None and found[1] is None
+            assert sorted(cache._computing) == ["a", "b"]
+        assert cache.stats()["stat_waits"] == 0
+        held.close()
+
+    def test_a_repeated_key_is_claimed_once(self):
+        """Twin models in one statement share a key: both tasks compute
+        it, under one claim."""
+        cache = HypothesisCache()
+        with cache.block_stats(["a", "a"]) as found:
+            assert found == [None, None] and list(cache._computing) == ["a"]
+        assert not cache._computing
+
+    def test_bounded_wait_proceeds_unclaimed(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 0.05)
+        cache = HypothesisCache()
+        before = degradation_counts().get("cache.stat-wait-timeout", 0)
+        held, _ = self.hold(cache, ["a"])
+        with tracing("waiter") as root:
+            with cache.block_stats(["a"]) as found:
+                assert found == [None]
+        assert list(cache._computing) == ["a"]   # still the holder's
+        held.close()
+        assert degradation_counts()["cache.stat-wait-timeout"] \
+            == before + 1
+        assert root.counters["stat_waits"] == 1
+        assert root.counters["degraded:cache.stat-wait-timeout"] == 1
+
+    def test_reset_counters_zeroes_stat_waits(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 0.05)
+        cache = HypothesisCache()
+        held, _ = self.hold(cache, ["a"])
+        with cache.block_stats(["a"]):
+            pass
+        held.close()
+        assert cache.stats()["stat_waits"] == 1
+        cache.reset_counters()
+        assert cache.stats()["stat_waits"] == 0
+
+    def test_a_failed_statement_releases_its_claims(
+            self, monkeypatch, sql_workload, hyps72, trained_sql_model):
+        """A statement whose sweep raises hands its block's claims back:
+        the next statement claims them without waiting."""
+        class Failing(CountingForwardModel):
+            def hidden_states(self, ids):
+                raise RuntimeError("sweep failed")
+
+        with Session(config=InspectConfig(early_stop=False,
+                                          block_size=128)) as session:
+            session.register_dataset("d0", sql_workload.dataset)
+            session.register_hypotheses(hyps72[:4])
+            session.register_model("m", Failing(trained_sql_model))
+            sql = ("SELECT S.uid, S.hid, S.unit_score "
+                   "INSPECT U.uid AND H.h USING corr OVER D.seq AS S "
+                   "FROM models M, units U, hypotheses H, inputs D "
+                   "WHERE M.mid = U.mid")
+            with pytest.raises(RuntimeError, match="sweep failed"):
+                session.sql(sql)
+            monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 0.05)
+            session.register_model("m", trained_sql_model)
+            session.sql(sql)
+            assert session.stats()["hypothesis_cache"]["stat_waits"] == 0

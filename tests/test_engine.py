@@ -610,7 +610,7 @@ class TestUnitBehaviorCache:
         assert cache.stats() == {"hits": 0, "misses": 0, "disk_hits": 0,
                                  "disk_misses": 0, "extractions": 0,
                                  "entries": 0, "bytes": 0, "leads": 0,
-                                  "joins": 0, "waits": 0,
+                                 "joins": 0, "waits": 0,
                                  "timeouts": 0, "inflight": 0}
 
 

@@ -115,13 +115,14 @@ class TestConcurrentHammer:
     def test_concurrent_identical_sql_all_agree(self, trained_sql_model,
                                                 sql_workload):
         """N threads, one cold statement, one shared session: one forward
-        sweep per (model, block), as a solo run — the first read of a
-        cold unit-tier entry claims its sweep and the others wait for it,
-        no server needed."""
+        sweep, one hypothesis labelling and one scoring pass per block, as
+        a solo run — the first block to miss its statistics claims them
+        and the others wait for them and fold, no server needed."""
         solo = NappingModel(trained_sql_model)
         with make_session(solo, sql_workload) as alone:
             baseline = alone.sql(INSPECT_SQL)
             solo_extractions = alone.stats()["unit_cache"]["extractions"]
+            solo_labels = alone.stats()["hypothesis_cache"]
         assert solo.forward_calls > 0
 
         counting = NappingModel(trained_sql_model)
@@ -140,6 +141,7 @@ class TestConcurrentHammer:
 
             run_threads([lambda i=i: go(i) for i in range(n)])
             tier = session.stats()["unit_cache"]
+            labels = session.stats()["hypothesis_cache"]
         assert not errors
         assert counting.forward_calls == solo.forward_calls
         assert tier["extractions"] == solo_extractions
@@ -147,6 +149,11 @@ class TestConcurrentHammer:
         assert tier["leads"] == solo_extractions
         assert tier["joins"] == tier["waits"]
         assert tier["inflight"] == 0
+        # each block's hypotheses labelled and statistics scored once; the
+        # other statements folded them
+        assert labels["extractions"] == solo_labels["extractions"] > 0
+        assert labels["stat_misses"] == solo_labels["stat_misses"] > 0
+        assert labels["stat_hits"] == (n - 1) * solo_labels["stat_misses"]
         for frame in results:
             assert frame == baseline
 

@@ -221,10 +221,11 @@ class TestStatementTrace:
 
     def test_lead_and_join_land_on_the_statements_span(
             self, trained_sql_model, sql_workload, hyps):
-        """Two cold statements start together while m0's first sweep is
-        held open: per sweep, one statement leads and the other waits and
-        joins, and each statement's trace counts the claims it took and
-        the waits it joined."""
+        """Two identical cold statements start together while m0's first
+        sweep is held open: the one that finds a block's statistics
+        claimed waits and folds them, so between them they sweep, label
+        and score every block once, and each statement's trace counts
+        the claims it took and the waits it made."""
         roots: list = []
         gate = threading.Event()
 
@@ -240,13 +241,13 @@ class TestStatementTrace:
 
         with make_session(Gated(trained_sql_model), sql_workload, hyps,
                           "serial") as session:
-            tier = session.unit_cache
+            tier, labels = session.unit_cache, session.hyp_cache
             threads = [threading.Thread(target=statement, args=(session,))
                        for _ in range(2)]
             for thread in threads:
                 thread.start()
             deadline = time.monotonic() + 60
-            while tier.stats()["waits"] < 1 \
+            while labels.stats()["stat_waits"] < 1 \
                     and time.monotonic() < deadline:
                 time.sleep(0.01)
             gate.set()
@@ -254,21 +255,35 @@ class TestStatementTrace:
                 thread.join(timeout=120)
             assert not any(thread.is_alive() for thread in threads)
             assert tier.stats()["inflight"] == 0
+            swept = tier.stats()["extractions"]
+            labelled = labels.stats()["extractions"]
+        tasks = N_BLOCKS * len(MIDS)
         counted = []
         for root in roots:
             assert_closed(root)
             moved = Counter()
             for node in root.walk():
                 moved.update(node.counters)
-            # a statement's claims are its sweeps, and each of its waits
-            # ended in a join
+            # a statement's claims are its sweeps, each of its waits in
+            # the unit tier ended in a join, and it scored or folded each
+            # of its task blocks
             assert moved["leads"] == base_names(root)["sweep"]
             assert moved["joins"] == moved["waits"]
+            assert moved["stat_hits"] + moved["stat_misses"] == tasks
             counted.append(moved)
-        # together they swept each (model, block) once
-        assert sum(moved["leads"] for moved in counted) \
-            == N_BLOCKS * len(MIDS)
-        assert sum(moved["joins"] for moved in counted) >= 1
+        # the statement that waited on the first block folded it
+        waited = [moved for moved in counted if moved["stat_waits"]]
+        assert waited and all(moved["stat_hits"] >= len(MIDS)
+                              for moved in waited)
+        # together they swept each (model, block) once, labelled each
+        # (hypothesis, block) once and scored each task block once: what
+        # one statement alone extracts, the other folded
+        assert (swept, labelled) == (tasks, N_BLOCKS * len(hyps))
+        assert sum(moved["leads"] for moved in counted) == swept
+        assert sum(moved["extractions"] for moved in counted) \
+            == swept + labelled
+        assert sum(moved["stat_misses"] for moved in counted) == tasks
+        assert sum(moved["stat_hits"] for moved in counted) == tasks
 
     def test_into_and_plain_select(self, trained_sql_model, sql_workload,
                                    hyps):
