@@ -13,6 +13,7 @@ recovers the difference (up to 11x over +MM+ES).
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -44,6 +45,9 @@ def _run_variant(variant: str, model, dataset, hyps) -> None:
 
 
 VARIANTS = ["mm_cpu", "mm_gpu", "mm_es", "deepbase"]
+#: timed runs of each variant in the report, whose medians the orderings
+#: compare
+ROUNDS = 3
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -58,19 +62,25 @@ def test_fig7_variant(benchmark, variant, bench_model, bench_workload,
 def test_fig7_report(benchmark, bench_model, bench_workload, bench_hypotheses):
     def _report():
         rows = []
-        timings = {}
-        for variant in VARIANTS:
-            t0 = time.perf_counter()
-            _run_variant(variant, bench_model, bench_workload.dataset,
-                         bench_hypotheses)
-            timings[variant] = time.perf_counter() - t0
-            rows.append({"variant": variant, "seconds": timings[variant]})
+        runs: dict[str, list[float]] = {}
+        # rounds interleave the variants: a slow stretch of the host lands
+        # on all of them, not on one
+        for run in range(ROUNDS):
+            for variant in VARIANTS:
+                t0 = time.perf_counter()
+                _run_variant(variant, bench_model, bench_workload.dataset,
+                             bench_hypotheses)
+                runs.setdefault(variant, []).append(time.perf_counter() - t0)
+                rows.append({"run": run, "variant": variant,
+                             "seconds": runs[variant][-1]})
         print_table("Figure 7: logistic regression optimization variants", rows)
+        timings = {variant: statistics.median(seconds)
+                   for variant, seconds in runs.items()}
 
         # vectorized merged execution must beat the column-looped device,
         # and streaming must beat full materialization with early stopping
-        assert timings["mm_gpu"] < timings["mm_cpu"]
-        assert timings["deepbase"] <= timings["mm_es"] * 1.25
+        assert timings["mm_gpu"] < timings["mm_cpu"], runs
+        assert timings["deepbase"] <= timings["mm_es"] * 1.25, runs
 
     benchmark.pedantic(_report, rounds=1, iterations=1)
 

@@ -42,14 +42,13 @@ byte-bounded, lock-protected LRUs the thread-pool scheduler can share.
 
 In the connection-style API one :class:`repro.session.Session` owns a pair
 of these caches and threads them through every Python-builder and SQL
-query it executes, so interleaved queries on one model share a single
-forward sweep, also when they arrive cold and together (the first
-:meth:`UnitBehaviorCache.extract` to find an entry cold claims its sweep,
-and the first block to miss a score task's statistics claims them,
-:meth:`HypothesisCache.block_stats`);
+query it executes, so interleaved queries share each extraction, also when
+they arrive cold and together: the first read to find a unit entry cold
+claims its sweep, the first to find a panel's cells cold claims their
+columns, and the first block to miss a score task's statistics claims
+them — one helper, :class:`_Claims`, and one timeout, :data:`LEASE_WAIT_S`.
 :meth:`_ByteBoundedLRU.reset_counters` zeroes the observability counters
-without dropping the cached behaviors — the before/after primitive "this
-query extracted nothing" asserts build on.
+without dropping the cached behaviors.
 """
 
 from __future__ import annotations
@@ -79,9 +78,9 @@ _FALLBACK_TOKENS = itertools.count()
 #: so the token dies with the model and can never alias a successor
 _UNSTAMPABLE_TOKENS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-#: seconds a cold read waits on another call's sweep of the same entry (or a
-#: block on another's statistics) before computing them itself: a stalled
-#: leader costs duplicate work, not a wedged statement
+#: seconds any claim's waiter (:class:`_Claims`: a sweep, a panel's
+#: labelling, a block's statistics) waits before doing the work itself: a
+#: stalled claimant costs duplicate work, not a wedged statement
 LEASE_WAIT_S = 120.0
 
 
@@ -361,6 +360,59 @@ class _ByteBoundedLRU:
             self._clear_locked()
 
 
+class _Claims(dict):
+    """Single-flight for one tier: claimed key -> the event set when its
+    claimant is done (unit sweeps, ``_inflight``; block statistics,
+    ``_computing``; panel columns being labelled, ``_labelling``).
+
+    :meth:`hold` probes under the tier's lock and claims every cold key the
+    probe names, or none while another call holds any: then it counts a
+    wait (the tier's ``waits``), waits outside the lock and probes again.
+    A wait past :data:`LEASE_WAIT_S` emits the tier's ``degraded`` event
+    and proceeds unclaimed.  Claims end, waking their waiters, however the
+    block ends.  No wait closes a cycle: a sweep or panel claimant never
+    waits on any claim while it holds one (it sweeps or labels, probing no
+    tier); only a block's statistics claim spans waits, on the other two
+    kinds, and no sweep or panel claimant waits on a statistics claim.
+    """
+
+    def __init__(self, waits: str, event: str):
+        super().__init__()
+        self._waits, self._event = waits, event
+
+    @contextlib.contextmanager
+    def hold(self, tier: _ByteBoundedLRU, probe, settle=None):
+        """``probe()`` returns ``(cold keys, found)`` under ``tier``'s lock;
+        the block gets the last ``found``, as ``settle(found, waited,
+        timed_out, claimed)`` makes it in that lock hold (a tier counts).
+        The tier is passed, not kept: a kept one would make a reference
+        cycle, and a dropped tier's arenas would wait for the collector."""
+        waited = timed_out = False
+        while True:
+            with tier._lock:
+                cold, found = probe()   # repro: allow[REP002]
+                busy = [self[key] for key in cold if key in self]
+                if not busy or timed_out:
+                    claimed = [] if busy else list(dict.fromkeys(cold))
+                    self.update((key, threading.Event()) for key in claimed)
+                    if settle is not None:
+                        found = settle(  # repro: allow[REP002]
+                            found, waited, timed_out, bool(claimed))
+                    break
+                tier._count(**{self._waits: 1})
+            waited, timed_out = True, not busy[0].wait(LEASE_WAIT_S)
+            if timed_out:
+                degraded(self._event)
+        try:
+            yield found
+        finally:
+            if claimed:
+                with tier._lock:
+                    released = [self.pop(key) for key in claimed]
+                for event in released:
+                    event.set()
+
+
 class _Column:
     """A cached hypothesis: the handle of one column of its dataset's
     arena.  Keeps the compacted store key, so a store-backed session
@@ -412,11 +464,12 @@ class HypothesisCache(_ByteBoundedLRU):
         # _STAT_BYTES (:meth:`block_stats`)
         self._stat_memo: OrderedDict = OrderedDict()
         self._stat_bytes = 0
-        # score-task key -> set when the block computing it ends
-        self._computing: dict[tuple, threading.Event] = {}
+        self._computing = _Claims("stat_waits", "cache.stat-wait-timeout")
+        self._labelling = _Claims("panel_waits", "cache.panel-wait-timeout")
         self.stat_hits = 0      # task blocks folded from kept statistics
         self.stat_misses = 0    # task blocks whose statistics were computed
         self.stat_waits = 0     # waits on another block's computation
+        self.panel_waits = 0    # waits on another read's labelling
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -446,25 +499,20 @@ class HypothesisCache(_ByteBoundedLRU):
     def stats(self) -> dict[str, int]:
         return {**super().stats(), "stat_hits": self.stat_hits,
                 "stat_misses": self.stat_misses,
-                "stat_waits": self.stat_waits}
+                "stat_waits": self.stat_waits,
+                "panel_waits": self.panel_waits}
 
     def _reset_counters_locked(self) -> None:
         super()._reset_counters_locked()
         self.stat_hits = 0
         self.stat_misses = 0
         self.stat_waits = 0
+        self.panel_waits = 0
 
     def _panel_width(self, dataset: Dataset) -> int:
         """Columns of this dataset the byte budget holds at once."""
         return max(1, self.max_bytes // _column_nbytes(dataset.n_records,
                                                        dataset.n_symbols))
-
-    def _keys(self, dataset: Dataset, hypotheses: list) -> list[tuple]:
-        """``_entries`` keys of ``hypotheses``; computed outside the lock
-        (an identity may be a first-time content walk)."""
-        dataset_key = dataset.cache_key()
-        return [(dataset_key, self._hypothesis_identity(hypothesis))
-                for hypothesis in hypotheses]
 
     def _columns(self, dataset: Dataset, keys: list[tuple]
                  ) -> tuple[_Arena, list[_Column], np.ndarray]:
@@ -533,52 +581,22 @@ class HypothesisCache(_ByteBoundedLRU):
                 hypotheses[start:start + panel], dataset, indices)
         return block
 
-    @contextlib.contextmanager
     def block_stats(self, keys: list):
         """Within the block: the statistics kept under each of ``keys``
         (``None`` where none are), the missing ones claimed for the block
-        to compute.  No counter but ``stat_waits`` moves (the task that
-        folds or keeps them counts, see :meth:`count_stats`).
-
-        ``keys`` name the exact computations a block's score tasks run
-        (:meth:`repro.core.plan.InspectionPlan.stat_key`), by content:
-        nothing to invalidate, and never a slice of a wider product (a
-        cross-moment matrix's last bits depend on its shape).  When
-        another block holds a missing key this call waits — holding no
-        claim, so no wait closes a cycle — and probes again; otherwise it
-        claims every missing key until the block ends, however it ends.
-        A wait past :data:`LEASE_WAIT_S` proceeds unclaimed.
-        """
-        claimed: list = []
-        while True:
-            with self._lock:
-                found = [self._stat_memo.get(key) for key in keys]
-                cold = list(dict.fromkeys(
-                    key for key, stats in zip(keys, found) if stats is None))
-                busy = [self._computing[key] for key in cold
-                        if key in self._computing]
-                if not busy:
-                    for key, stats in zip(keys, found):
-                        if stats is not None:
-                            self._stat_memo.move_to_end(key)
-                    claimed = cold
-                    self._computing.update(
-                        (key, threading.Event()) for key in claimed)
-                    break
-                self._count(stat_waits=1)
-            if not busy[0].wait(LEASE_WAIT_S):
-                degraded("cache.stat-wait-timeout")
-                with self._lock:
-                    found = [self._stat_memo.get(key) for key in keys]
-                break
-        try:
-            yield found
-        finally:
-            if claimed:
-                with self._lock:
-                    released = [self._computing.pop(key) for key in claimed]
-                for event in released:
-                    event.set()
+        to compute (the task that folds or keeps them counts,
+        :meth:`count_stats`).  ``keys`` name a block's score-task
+        computations by content, never a slice of a wider product, whose
+        last bits depend on its shape
+        (:meth:`repro.core.plan.InspectionPlan.stat_key`)."""
+        def probe():
+            found = [self._stat_memo.get(key) for key in keys]
+            for key, stats in zip(keys, found):
+                if stats is not None:
+                    self._stat_memo.move_to_end(key)
+            return [key for key, stats in zip(keys, found)
+                    if stats is None], found
+        return self._computing.hold(self, probe)
 
     def keep_block_stats(self, key, stats: tuple) -> None:
         """Keep a block's freshly computed statistics (read-only from
@@ -608,53 +626,69 @@ class HypothesisCache(_ByteBoundedLRU):
         n, ns, k = indices.shape[0], dataset.n_symbols, len(hypotheses)
         if k == 0:
             return np.empty((n * ns, 0))
-        keys = self._keys(dataset, hypotheses)
-        with self._lock:
+        # ``_entries`` keys, outside the lock (an identity may be a
+        # first-time content walk)
+        dataset_key = dataset.cache_key()
+        keys = [(dataset_key, self._hypothesis_identity(hypothesis))
+                for hypothesis in hypotheses]
+
+        def probe():
             arena, columns, cols = self._columns(dataset, keys)
             have = arena.filled[cols].take(indices, axis=1)
+            return ([keys[j] for j in np.flatnonzero(~have.all(axis=1))],
+                    (arena, columns, cols, have))
+
+        def settle(found, *_):
+            arena, columns, cols, have = found
             n_hit = int(np.count_nonzero(have))
             self._count(hits=n_hit, misses=have.size - n_hit)
-            block = (arena.gather(indices, cols) if n_hit
-                     else np.empty((n * ns, k)))  # every cell filled below
-        if n_hit == have.size:
-            return block
-        # cold cells are filled in the caller's block outside the lock: the
-        # disk tier per panel, then one evaluation per set of columns
-        # still missing the same records; nothing is written through or
-        # committed until every one of them has succeeded
-        cells = block.reshape(n, ns, k)
-        cold = np.flatnonzero(~have.all(axis=1))
-        absent = ~have[cold]
-        if self.store is not None:
-            cells = self._read_store_panels(
-                [columns[j].store_key() for j in cold], cold, absent,
-                indices, cells)
-        extracted = [(at, np.array(js)) for at, js
-                     in _same_records(absent, cold) if at.shape[0]]
-        for at, js in extracted:
-            whole = at.shape[0] == n and len(js) == k
-            fresh = extract_columns([hypotheses[j] for j in js], dataset,
-                                    indices[at], out=cells if whole else None)
-            if not whole:
-                _assign(cells, at, js, fresh)
-        if self.store is not None:
-            # one panel per evaluation: on a cold run the block, uncopied
-            for at, js in extracted:
-                members = [columns[j].store_key() for j in js]
-                rows = cells[_span(at)][:, :, _span(js)]
-                self.store.append(
-                    panel_store_key(arena.dataset_key, members), indices[at],
-                    rows.reshape(at.shape[0], -1), dataset.n_records,
-                    members=members)
+            return columns, have, (arena.gather(indices, cols) if n_hit
+                                   else np.empty((n * ns, k)))  # filled below
+
         with self._lock:
-            self._count(extractions=sum(len(js) for _, js in extracted))
-            # resolved again: a concurrent insert may have recycled columns
-            arena, _, cols = self._columns(dataset, keys)
-            for at, js in _same_records(~have[cold], cold):
-                values = cells if at.shape[0] == n else cells[at]
-                if len(js) < k:
-                    values = values[:, :, js]
-                arena.scatter(indices[at], cols[js], values)
+            cold, found = probe()
+            if not cold:
+                return settle(found)[2]
+
+        # cold columns are claimed and filled in the caller's block: the
+        # disk tier per panel, then one evaluation per set of columns still
+        # missing the same records; none is written through until all are
+        with self._labelling.hold(self, probe, settle) as found:
+            columns, have, block = found
+            cells = block.reshape(n, ns, k)
+            cold = np.flatnonzero(~have.all(axis=1))
+            absent = ~have[cold]
+            if self.store is not None:
+                cells = self._read_store_panels(
+                    [columns[j].store_key() for j in cold], cold, absent,
+                    indices, cells)
+            extracted = [(at, np.array(js)) for at, js
+                         in _same_records(absent, cold) if at.shape[0]]
+            for at, js in extracted:
+                whole = at.shape[0] == n and len(js) == k
+                fresh = extract_columns([hypotheses[j] for j in js], dataset,
+                                        indices[at],
+                                        out=cells if whole else None)
+                if not whole:
+                    _assign(cells, at, js, fresh)
+            if self.store is not None:
+                # one panel per evaluation: on a cold run the block, uncopied
+                for at, js in extracted:
+                    members = [columns[j].store_key() for j in js]
+                    rows = cells[_span(at)][:, :, _span(js)]
+                    self.store.append(
+                        panel_store_key(dataset_key, members), indices[at],
+                        rows.reshape(at.shape[0], -1), dataset.n_records,
+                        members=members)
+            with self._lock:
+                self._count(extractions=sum(len(js) for _, js in extracted))
+                # resolved again: an insert may have recycled columns
+                arena, _, cols = self._columns(dataset, keys)
+                for at, js in _same_records(~have[cold], cold):
+                    values = cells if at.shape[0] == n else cells[at]
+                    if len(js) < k:
+                        values = values[:, :, js]
+                    arena.scatter(indices[at], cols[js], values)
         return cells.reshape(n * ns, k)
 
     def _read_store_panels(self, members: list[str], js: np.ndarray,
@@ -773,18 +807,12 @@ class UnitBehaviorCache(_ByteBoundedLRU):
     is what makes partial streaming runs reusable), so ``max_bytes`` is
     accounted at full-matrix size; zero pages stay virtual until rows are
     actually written.
-
-    Concurrent reads sharing the tier sweep each cold entry once: the
-    call that finds records missing claims the entry for its sweep, and
-    a call needing an entry another one is sweeping waits for it to land
-    instead of racing it (:meth:`extract`).
     """
 
     def __init__(self, max_bytes: int = 1024 * 1024 * 1024,
                  store: DiskBehaviorStore | None = None):
         super().__init__(max_bytes, store=store)
-        # entry key -> set when the call sweeping it returns or raises
-        self._inflight: dict[tuple, threading.Event] = {}
+        self._inflight = _Claims("waits", "cache.sweep-lease-timeout")
         self.leads = 0     # reads that claimed a cold entry
         self.joins = 0     # reads that waited, then found their records warm
         self.waits = 0     # waits on another call's claim
@@ -867,15 +895,11 @@ class UnitBehaviorCache(_ByteBoundedLRU):
         ``raw_key`` let callers that fingerprint once per run (the plan
         executor) skip re-hashing parameters and attributes per block.
 
-        Single-flight: a call that finds records missing claims the entry
-        for its disk read and sweep, and a call finding it claimed waits —
-        outside the lock, holding no claim of its own, so no wait closes a
-        cycle — for the claim to be released, then probes again.  Hits and
+        Single-flight (:class:`_Claims`): a call that finds records
+        missing claims the entry for its disk read and sweep.  Hits and
         misses are counted at the final probe, so a call that waited and
         found its records warm counts what serial execution would (and a
-        join).  A wait longer than :data:`LEASE_WAIT_S` proceeds
-        unclaimed.  The claim is released, and its waiters woken, however
-        the sweep ends.
+        join).
         """
         indices = np.asarray(indices, dtype=int)
         if model_key is None:
@@ -884,36 +908,27 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             raw_key = extractor.raw_key()
         ns = dataset.n_symbols
         key = (model_key, raw_key, dataset.cache_key())
-        claim = None
-        waited = timed_out = False
-        while True:
-            with self._lock:
-                entry = self._get_or_create(key, dataset)
-                missing = indices[~entry.filled[indices]]
-                busy = (self._inflight.get(key)
-                        if missing.shape[0] and not entry.mapped else None)
-                if busy is None or timed_out:
-                    self._count(hits=int(indices.shape[0] - missing.shape[0]),
-                                misses=int(missing.shape[0]),
-                                joins=int(waited and not missing.shape[0]))
-                    if missing.shape[0] and entry.mapped:
-                        # the disk tier's whole entry, mapped: every record
-                        # is there
-                        entry.filled[missing] = True
-                        self._count(disk_hits=int(missing.shape[0]))
-                        missing = missing[:0]
-                    if missing.shape[0] and busy is None:
-                        claim = self._inflight[key] = threading.Event()
-                        self._count(leads=1)
-                    break
-                self._count(waits=1)
-            waited = True
-            if not busy.wait(LEASE_WAIT_S):
-                with self._lock:
-                    self._count(timeouts=1)
-                degraded("cache.sweep-lease-timeout")
-                timed_out = True
-        try:
+
+        def probe():
+            entry = self._get_or_create(key, dataset)
+            missing = indices[~entry.filled[indices]]
+            return ([key] if missing.shape[0] and not entry.mapped
+                    else []), (entry, missing)
+
+        def settle(found, waited, timed_out, claimed):
+            entry, missing = found
+            self._count(hits=int(indices.shape[0] - missing.shape[0]),
+                        misses=int(missing.shape[0]),
+                        joins=int(waited and not missing.shape[0]),
+                        leads=int(claimed), timeouts=int(timed_out))
+            if missing.shape[0] and entry.mapped:
+                # the disk tier's whole entry, mapped: every record is there
+                entry.filled[missing] = True
+                self._count(disk_hits=int(missing.shape[0]))
+                missing = missing[:0]
+            return entry, missing
+
+        with self._inflight.hold(self, probe, settle) as (entry, missing):
             if self.store is not None and missing.shape[0]:
                 # the disk tier; a width mismatch (stale or foreign entry)
                 # is wholly absent, never served
@@ -947,11 +962,6 @@ class UnitBehaviorCache(_ByteBoundedLRU):
                 if self.store is not None:
                     self.store.append_units(self._store_key(key, entry),
                                             missing, matrix)
-        finally:
-            if claim is not None:
-                with self._lock:
-                    del self._inflight[key]
-                claim.set()
         if entry.matrix is None:
             # only reachable for an empty index set (nothing was ever
             # filled); let the extractor produce the correctly-shaped

@@ -360,12 +360,13 @@ class InspectionPlan:
           this block's (:meth:`stat_key`) before anything is submitted;
           a served task folds them inside its usual ``score`` span, and
           the block's sweeps and hypothesis gather cover only the tasks
-          that were not served — none at all when every one was.  A
-          block computes the statistics it claimed
-          (:meth:`~repro.core.cache.HypothesisCache.block_stats`), so a
-          concurrent statement needing the same ones waits on its own
-          thread and folds them: identical cold statements sweep, label
-          and score each block once between them.
+          that were not served — none at all when every one was.
+        * **Single-flight**: a block claims the statistics it computes
+          (:meth:`~repro.core.cache.HypothesisCache.block_stats`), its
+          sweeps their unit entries and its labelling the panel columns it
+          fills — one helper and one timeout
+          (:class:`~repro.core.cache._Claims`) — so concurrent statements
+          sweep, label and score each piece they share once.
         * Materialized runs extracted everything in
           :meth:`BehaviorSource.prepare` and serve row slices.
         """

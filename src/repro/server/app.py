@@ -25,11 +25,11 @@ Endpoints (see :mod:`repro.server.protocol` for the envelopes):
 Queries execute on the admission controller's bounded thread pool —
 they are blocking CPU work and must not run on the event loop; the
 event loop only parses envelopes, moves frames and enforces quotas.
-Cross-client dedup needs no server part: the first block to miss its
-statistics claims them (:meth:`~repro.core.cache.HypothesisCache.block_stats`)
-and the first read of a cold unit-tier entry claims its sweep
-(:meth:`~repro.core.cache.UnitBehaviorCache.extract`); concurrent reads
-wait for the claim, so N identical cold queries extract and score once.
+Cross-client dedup needs no server part: the session's tiers claim each
+cold sweep, panel labelling and block's statistics for the first statement
+to need it (one helper, :class:`~repro.core.cache._Claims`, one timeout),
+and concurrent statements wait for the claim, so cold queries sharing
+any of them extract and score it once.
 """
 
 from __future__ import annotations

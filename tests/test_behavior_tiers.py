@@ -11,9 +11,11 @@ replaced reported.
 from __future__ import annotations
 
 import contextlib
+import gc
 import sys
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,7 +29,8 @@ from repro.core.cache import (hyp_store_key, panel_store_key,
 from repro.core.pipeline import InspectionPlan, ScoreTask
 from repro.extract import RnnActivationExtractor
 from repro.extract.base import Extractor
-from repro.hypotheses import grammar_hypotheses
+from repro.hypotheses import HypothesisFunction, grammar_hypotheses
+from repro.hypotheses.base import block_indices
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.measures import CorrelationScore
 from repro.util.debuglog import degradation_counts
@@ -325,7 +328,7 @@ def test_counter_parity_with_the_per_hypothesis_loop(tmp_path, sql_workload,
         return cache.stats()
 
     size = {"entries": 72, "bytes": 7704288, "stat_hits": 0,
-            "stat_misses": 0, "stat_waits": 0}
+            "stat_misses": 0, "stat_waits": 0, "panel_waits": 0}
     assert run(HypothesisCache()) == {
         "hits": 31968, "misses": 31968, "disk_hits": 0, "disk_misses": 0,
         "extractions": 144, **size}
@@ -1063,3 +1066,201 @@ class TestStatClaim:
             session.register_model("m", trained_sql_model)
             session.sql(sql)
             assert session.stats()["hypothesis_cache"]["stat_waits"] == 0
+
+
+# ----------------------------------------------------------------------
+# (k) single-flight panels: a read claims the panel columns it labels,
+# and a read needing them waits and gathers them from the arena
+# ----------------------------------------------------------------------
+class _GatedLabels(HypothesisFunction):
+    """Labels each symbol with its id; counts its evaluations and, given a
+    ``gate``, holds each one open until the gate is set — then raises
+    instead of returning when ``fail`` is set.  Equal names are one
+    identity, gated or not."""
+
+    def __init__(self, name: str = "gated",
+                 gate: threading.Event | None = None, fail: bool = False):
+        super().__init__(name)
+        self._gate, self._fail = gate, fail
+        self._entered = threading.Event()
+        self._calls: list[int] = []    # records per evaluation
+
+    def extract(self, dataset, indices=None):
+        indices = block_indices(dataset, indices)
+        self._calls.append(indices.shape[0])
+        self._entered.set()
+        if self._gate is not None:
+            assert self._gate.wait(10)
+        if self._fail:
+            raise RuntimeError("labelling failed")
+        return dataset.symbols[indices].astype(np.float64)
+
+
+class TestPanelClaim:
+    RECORDS = np.arange(4)
+
+    def expected(self, dataset, names=("gated",)) -> np.ndarray:
+        return reference([_GatedLabels(name) for name in names], dataset,
+                         self.RECORDS)
+
+    def race(self, cache, dataset, leader: _GatedLabels,
+             hold: bool = False) -> dict:
+        """``leader`` labels its panel on one thread; once its evaluation
+        is open, a follower reads the same column on another.  The
+        leader's gate opens when the follower waits on its claim — or,
+        ``hold``, once the follower has returned (the claims still held
+        then are ``out["held"]``).  Returns each side's block (or
+        exception) and trace root, and the follower's evaluations."""
+        follower = _GatedLabels()
+        out = {"follower_calls": follower._calls}
+
+        def run(name, hypothesis):
+            with tracing(name) as root:
+                try:
+                    out[name] = cache.extract_block([hypothesis], dataset,
+                                                    self.RECORDS)
+                except RuntimeError as exc:
+                    out[name] = exc
+            out[f"{name}_root"] = root
+
+        threads = [threading.Thread(target=run, args=("leader", leader))]
+        threads[0].start()
+        assert leader._entered.wait(10)
+        assert len(cache._labelling) == 1
+        threads.append(threading.Thread(target=run,
+                                        args=("follower", follower)))
+        threads[1].start()
+        if hold:
+            threads[1].join(10)
+            out["held"] = list(cache._labelling)
+        else:
+            wait_until(lambda: cache.stats()["panel_waits"] >= 1)
+        leader._gate.set()
+        for thread in threads:
+            thread.join(10)
+        assert not any(thread.is_alive() for thread in threads)
+        return out
+
+    def test_follower_waits_then_gathers_the_leaders_cells(
+            self, sql_workload):
+        cache, dataset = HypothesisCache(), sql_workload.dataset
+        leader = _GatedLabels(gate=threading.Event())
+        out = self.race(cache, dataset, leader)
+        assert leader._calls == [4] and out["follower_calls"] == []
+        expected = self.expected(dataset)
+        assert_same_block(out["leader"], expected)
+        assert_same_block(out["follower"], expected)
+        stats = cache.stats()
+        # what serial execution counts: one labelling, then warm cells
+        assert (stats["extractions"], stats["misses"], stats["hits"]) \
+            == (1, 4, 4)
+        assert stats["panel_waits"] == 1 and not cache._labelling
+        follower = out["follower_root"].counters
+        assert (follower["panel_waits"], follower["hits"]) == (1, 4)
+        assert "extractions" not in follower and "misses" not in follower
+
+    def test_a_failed_labelling_releases_its_claim(self, sql_workload):
+        cache, dataset = HypothesisCache(), sql_workload.dataset
+        leader = _GatedLabels(gate=threading.Event(), fail=True)
+        out = self.race(cache, dataset, leader)
+        assert isinstance(out["leader"], RuntimeError)
+        # the waiter woke to still-cold cells and labelled them itself
+        assert out["follower_calls"] == [4]
+        assert_same_block(out["follower"], self.expected(dataset))
+        stats = cache.stats()
+        assert (stats["extractions"], stats["panel_waits"]) == (1, 1)
+        assert not cache._labelling
+
+    def test_a_failed_store_append_releases_its_claim(
+            self, sql_workload, tmp_path, monkeypatch):
+        store = DiskBehaviorStore(tmp_path)
+        cache, dataset = HypothesisCache(store=store), sql_workload.dataset
+        append, appends = store.append, []
+
+        def first_append_fails(*args, **kwargs):
+            appends.append(args[0])
+            if len(appends) == 1:
+                raise RuntimeError("append failed")
+            return append(*args, **kwargs)
+        monkeypatch.setattr(store, "append", first_append_fails)
+        leader = _GatedLabels(gate=threading.Event())
+        out = self.race(cache, dataset, leader)
+        assert isinstance(out["leader"], RuntimeError)
+        assert out["follower_calls"] == [4] and len(appends) == 2
+        assert_same_block(out["follower"], self.expected(dataset))
+        assert cache.stats()["panel_waits"] == 1 and not cache._labelling
+
+    def test_bounded_wait_proceeds_unclaimed(self, sql_workload,
+                                             monkeypatch):
+        monkeypatch.setattr(cache_module, "LEASE_WAIT_S", 0.05)
+        cache, dataset = HypothesisCache(), sql_workload.dataset
+        before = degradation_counts().get("cache.panel-wait-timeout", 0)
+        leader = _GatedLabels(gate=threading.Event())
+        out = self.race(cache, dataset, leader, hold=True)
+        # the follower labelled without a claim while the leader held its
+        assert len(out["held"]) == 1
+        assert leader._calls == [4] and out["follower_calls"] == [4]
+        expected = self.expected(dataset)
+        assert_same_block(out["follower"], expected)
+        assert_same_block(out["leader"], expected)
+        assert degradation_counts()["cache.panel-wait-timeout"] \
+            == before + 1
+        follower = out["follower_root"].counters
+        assert follower["degraded:cache.panel-wait-timeout"] == 1
+        assert follower["panel_waits"] == 1
+        assert cache.stats()["panel_waits"] == 1 and not cache._labelling
+        cache.reset_counters()
+        assert cache.stats()["panel_waits"] == 0
+
+    def test_statistics_claimants_crossing_on_panels_both_finish(
+            self, sql_workload):
+        """Two blocks hold statistics claims and read the same two
+        columns in opposite orders, one panel at a time (the budget holds
+        one column): each holds one panel's claim while the other's
+        labelling is open, and neither waits holding a panel claim."""
+        dataset = sql_workload.dataset
+        cache = HypothesisCache(max_bytes=column_bytes(dataset))
+        p_first, q_first = _GatedLabels("p"), _GatedLabels("q")
+        # each one's first labelling stays open until the other's is open
+        p_first._gate, q_first._gate = q_first._entered, p_first._entered
+        reads = {"a": [p_first, _GatedLabels("q")],
+                 "b": [q_first, _GatedLabels("p")]}
+        out: dict = {}
+
+        def block(key):
+            with cache.block_stats([key]):
+                out[key] = cache.extract_block(reads[key], dataset,
+                                               self.RECORDS)
+
+        threads = [threading.Thread(target=block, args=(key,))
+                   for key in reads]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert_same_block(out["a"], self.expected(dataset, ("p", "q")))
+        assert_same_block(out["b"], self.expected(dataset, ("q", "p")))
+        assert not cache._computing and not cache._labelling
+
+
+def test_a_dropped_session_frees_its_tiers_without_the_collector(
+        sql_workload, trained_sql_model):
+    """The claim tables never point back at their tier: a session's tiers,
+    and the arenas they hold, go with their last reference rather than at
+    the next cyclic collection."""
+    groups = [UnitGroup(model=trained_sql_model, unit_ids=np.arange(4),
+                        name="m")]
+    gc.disable()
+    try:
+        session = Session(scheduler="threads")
+        (session.inspect(dataset=sql_workload.dataset).using("corr")
+         .hypotheses(sql_keyword_hypotheses(("SELECT",)))
+         .where(groups=groups).run())
+        session.close()
+        tiers = [weakref.ref(session.hyp_cache),
+                 weakref.ref(session.unit_cache)]
+        del session
+        assert [tier() for tier in tiers] == [None, None]
+    finally:
+        gc.enable()

@@ -79,7 +79,7 @@ class TestHypothesisCache:
                                  "disk_misses": 0, "extractions": 0,
                                  "entries": 0, "bytes": 0,
                                  "stat_hits": 0, "stat_misses": 0,
-                                 "stat_waits": 0}
+                                 "stat_waits": 0, "panel_waits": 0}
 
     def test_running_byte_total_matches_entries(self, sql_workload, hyps):
         entry_bytes = 8 * sql_workload.dataset.n_records * \

@@ -12,10 +12,15 @@ from __future__ import annotations
 import threading
 import time
 
+import numpy as np
 import pytest
 
-from repro import InspectConfig, Session, ThreadPoolScheduler
+from repro import (InspectConfig, Session, ThreadPoolScheduler, UnitGroup,
+                   inspect)
 from repro.hypotheses.library import sql_keyword_hypotheses
+from repro.measures import get_measure
+from repro.nn import CharLSTMModel
+from repro.util.rng import new_rng
 from repro.util.testing import CountingForwardModel
 
 MAX_RECORDS = 60
@@ -228,6 +233,67 @@ class TestConcurrentHammer:
         assert after["completed"] - before["completed"] == n_ok
         assert after["failed"] - before["failed"] == n_bad
         assert after["cancelled"] == before["cancelled"]
+
+
+class TestSharedHypotheses:
+    """Cold statements that share hypotheses but no block statistics (a
+    second measure, a second model) label each cold cell once between
+    them: the first read claims the panel's cold columns, and a read
+    finding them claimed waits and gathers them, counting what serial
+    execution counts."""
+
+    STATEMENTS = (("m0", "corr"), ("m0", "diff_means"), ("m1", "corr"))
+
+    @staticmethod
+    def models(trained_sql_model, sql_workload) -> dict:
+        return {"m0": trained_sql_model,
+                "m1": CharLSTMModel(len(sql_workload.vocab), n_units=16,
+                                    rng=new_rng(2), model_id="m1")}
+
+    @staticmethod
+    def groups(models, mid) -> list[UnitGroup]:
+        return [UnitGroup(model=models[mid], unit_ids=np.arange(16),
+                          name=mid)]
+
+    def run(self, session, models, dataset, hyps, mid, measure):
+        return (session.inspect(dataset=dataset).using(measure)
+                .hypotheses(hyps).where(groups=self.groups(models, mid))
+                .run())
+
+    def test_concurrent_statements_label_each_cell_once(
+            self, trained_sql_model, sql_workload, hyps72):
+        models = self.models(trained_sql_model, sql_workload)
+        dataset = sql_workload.dataset
+        references = [
+            inspect(None, dataset, get_measure(measure), hyps72,
+                    unit_groups=self.groups(models, mid),
+                    config=InspectConfig(cache=None, unit_cache=None,
+                                         scheduler="serial"))
+            for mid, measure in self.STATEMENTS]
+        with Session(scheduler="serial") as serial:
+            self.run(serial, models, dataset, hyps72, *self.STATEMENTS[0])
+            solo = serial.stats()["hypothesis_cache"]["extractions"]
+            for statement in self.STATEMENTS[1:]:
+                self.run(serial, models, dataset, hyps72, *statement)
+            serial_units = serial.stats()["unit_cache"]
+
+        n = len(self.STATEMENTS)
+        frames: list = [None] * n
+        start = threading.Barrier(n)
+        with Session(scheduler="threads") as session:
+            def go(i):
+                start.wait(30)
+                frames[i] = self.run(session, models, dataset, hyps72,
+                                     *self.STATEMENTS[i])
+
+            run_threads([lambda i=i: go(i) for i in range(n)])
+            labels = session.stats()["hypothesis_cache"]
+            units = session.stats()["unit_cache"]
+        assert labels["extractions"] == solo == len(hyps72)
+        assert frames == references
+        names = ("extractions", "hits", "misses")
+        assert [units[name] for name in names] \
+            == [serial_units[name] for name in names]
 
 
 class TestStreamTracking:
