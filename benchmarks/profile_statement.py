@@ -20,6 +20,10 @@ that span per statement beside it (``score[...]  stat_hits=1``: the block
 was folded from kept statistics), then ``untraced`` (the root minus its
 direct children) and the whole statement — so a before/after reads
 without eyeballing 40 rows, and nothing here depends on function names.
+A store-backed statement commits after it returns, on a thread of its
+own: its ``store_commit`` span hangs from the statement's trace but is
+shown after the whole statement, as time after the frame, beside what
+``close()`` then waited for it.
 Spans are timed on the thread that runs them: under a pool the
 ``sweep[model]`` rows overlap the calling thread's labelling and its
 ``unit_extraction`` rows are the submission and the wait
@@ -35,6 +39,7 @@ import cProfile
 import pstats
 import shutil
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -45,10 +50,12 @@ from .e2e import inputs, spec
 from .e2e.spans import SpanRecorder
 
 
-def _rollup(roots: list) -> None:
+def _rollup(roots: list, closes: list[float]) -> None:
     """Mean ms per span name over the traced runs, nested as traced, with
-    the tier counters each moved per statement beside it."""
+    the tier counters each moved per statement beside it; then the store
+    commit each ran after its frame and the waits ``closes`` paid."""
     merged: dict[str, list] = {}    # name -> [seconds, children, counters]
+    after: dict[str, list] = {}     # the same, for the commit's spans
 
     def fold(level: dict, node) -> None:
         entry = level.setdefault(node.name, [0.0, {}, Counter()])
@@ -66,17 +73,23 @@ def _rollup(roots: list) -> None:
 
     for root in roots:
         for child in root.children:
-            fold(merged, child)
+            fold(after if child.name == "store_commit" else merged, child)
     per = 1e3 / len(roots)
     whole = sum(root.duration for root in roots) * per
     traced = sum(seconds for seconds, _, _ in merged.values()) * per
     print("  mean ms  span (per statement)  counters moved on it")
     show(merged, "")
     print(f"{whole - traced:9.3f}  untraced\n{whole:9.3f}  whole statement")
+    if after:
+        print("  after the frame (the commit runs on a thread of its own):")
+        show(after, "")
+        print(f"{sum(closes) * per:9.3f}  close() waited")
 
 
-def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int):
-    """Yield ``repeat`` prepared, zero-argument calls of the statement."""
+def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int,
+          closes: list[float]):
+    """Yield ``repeat`` prepared, zero-argument calls of the statement;
+    a fresh session's ``close()`` seconds go to ``closes``."""
     def fresh_session(store=None, **kwargs):
         session = Session(store, **kwargs)
         inputs.register_all(session, inputs.fresh_objects(scale, 0, root),
@@ -98,8 +111,13 @@ def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int):
     for _ in range(repeat):
         if regime == "store":
             store = tempfile.mkdtemp(prefix="store-", dir=root)
-        with fresh_session(store, config=config) as session:
+        session = fresh_session(store, config=config)
+        try:
             yield lambda: session.sql(sql)
+        finally:
+            start = time.perf_counter()
+            session.close()     # waits for the statement's store commit
+            closes.append(time.perf_counter() - start)
         if regime == "store":
             # as cold_store does: a kept store's unwritten pages are what
             # the next run's fsync waits for (~120 ms against ~25)
@@ -137,14 +155,15 @@ def main(argv: list[str] | None = None) -> None:
         workload, _ = inputs.generate(scale, 0)
         inputs.train_checkpoints(scale, 0, workload, root)
         runs = (args.regime, scale, sql, root, args.repeat)
-        plain, roots = _measure(_runs(*runs), lambda run: run())
+        closes: list[float] = []
+        plain, roots = _measure(_runs(*runs, closes), lambda run: run())
         profiler = cProfile.Profile()
-        profiled, _ = _measure(_runs(*runs), profiler.runcall)
+        profiled, _ = _measure(_runs(*runs, []), profiler.runcall)
     print(f"{args.statement} [{args.regime}, {args.scale}, "
           f"{args.repeat} runs]: {plain:.2f} ms per statement, "
           f"{profiled:.2f} ms under cProfile")
     if args.rollup:
-        _rollup(roots)
+        _rollup(roots, closes)
         return
     stats = pstats.Stats(profiler).stats
     rows = [(cum, tot, calls, f"{Path(path).name}:{line}({name})")

@@ -563,9 +563,10 @@ class HypothesisCache(_ByteBoundedLRU):
         the caller — gathered under the lock, never a view into the arena
         — so a column evicted and recycled later cannot alias it.  (A
         freshly evaluated block is also what an open ``deferred_commits``
-        scope of the store writes at its exit, uncopied: read-only until
-        then.)  A request wider than the byte budget is served panel by
-        panel, so the tier never holds more than ``max_bytes`` beside it.
+        scope of the store commits after its exit, uncopied: read-only
+        until that commit ends.)  A request wider than the byte budget is
+        served panel by panel, so the tier never holds more than
+        ``max_bytes`` beside it.
         Cells the disk tier serves are float64 too, whatever width their
         panel has on disk (see :meth:`_read_store_panels`).
         """

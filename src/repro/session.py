@@ -10,7 +10,7 @@ lifecycle every query shares —
   :class:`~repro.core.cache.UnitBehaviorCache` (memory tiers),
 * optionally a persistent :class:`~repro.store.DiskBehaviorStore`
   (``store_path=``), which the caches write through to with run-scoped
-  deferred commits (one manifest rewrite per query),
+  deferred commits (one manifest rewrite per query, run after its frame),
 * one scheduler pool (:func:`~repro.core.pipeline.default_scheduler`
   unless pinned: threads on two or more usable CPUs, with or without a
   store, so a store-backed statement extracts and commits in-process),
@@ -39,8 +39,9 @@ both query surfaces:
   caches, store and scheduler, so interleaved Python and SQL queries on
   one model share a single forward pass and one store commit per run.
 
-``close()`` (or leaving the ``with`` block) flushes the store and shuts
-the scheduler pool down.  A session is the only stateful way in;
+``close()`` (or leaving the ``with`` block) flushes the store — waiting
+for the commit the last statement left running — and shuts the scheduler
+pool down.  A session is the only stateful way in;
 :func:`repro.inspect` is the stateless one-liner over the same
 :class:`~repro.core.pipeline.InspectionPlan` engine.
 """
@@ -205,6 +206,9 @@ class Session:
     def close(self) -> None:
         """Flush the store and shut the scheduler pool down.
 
+        A store-backed statement returns its frame before its behaviours
+        are durable: its commit runs after it, and the flush here waits
+        for that commit first, raising what it raised (a full disk).
         Idempotent; after closing, issuing queries through this session
         raises :class:`RuntimeError` (a shut-down pool would otherwise
         silently respawn its worker threads).  The held scheduler is shut

@@ -50,7 +50,16 @@ and then commits the manifest, where a shard record is ``file`` +
 nbytes]`` span each for ``data`` and ``index``.  Standalone appends flush
 immediately; the plan engine wraps a whole run in
 :meth:`DiskBehaviorStore.deferred_commits` so a cold streaming inspection
-pays one segment and one manifest rewrite — two fsyncs — in total.
+pays one segment and one manifest rewrite — two fsyncs — in total, and
+pays them **after its frame**: the scope's exit hands its batch to a
+commit on a thread of its own (one in flight per store, in order), and
+every other entry point — :meth:`~DiskBehaviorStore.flush`, the reads,
+:meth:`~DiskBehaviorStore.gc`, :meth:`~DiskBehaviorStore.close` — waits
+for it first.  The store is a cache of extraction: a commit lost to a
+crash costs a later session a re-extraction, never a wrong row.  A
+commit that fails publishes nothing, as a synchronous one does, and its
+error is raised by the next :meth:`~DiskBehaviorStore.flush` or
+:meth:`~DiskBehaviorStore.close`.
 
 Reads go through :class:`StoreEntryReader`, which takes validated zero-copy
 views out of the directory's one read-only map per segment and gathers
@@ -71,6 +80,7 @@ can still be called explicitly).
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import mmap
 import os
 import threading
@@ -342,6 +352,10 @@ class DiskBehaviorStore:
         self._pending_bytes = 0
         self._defer_depth = 0
         self.max_pending_bytes = 128 * 1024 * 1024
+        # the commit the last deferred scope handed off (see _commit_after)
+        # and the first error one raised, kept for the next flush()
+        self._writer: threading.Thread | None = None
+        self._failed: Exception | None = None
         # observability: served/attempted record reads and dropped entries
         self.appends = 0
         self.evictions = 0
@@ -382,6 +396,7 @@ class DiskBehaviorStore:
         segment, bad span or header) is dropped from the store so the
         caller re-extracts — partial data is never served.
         """
+        self._settle()
         with self._lock:
             found, invalid = self._open(self._refresh(), list(keys))
         for key in invalid:  # under the write lock, with its own files
@@ -434,6 +449,7 @@ class DiskBehaviorStore:
         :meth:`readers`), the positions in ``members`` it holds and their
         columns in it — one lock and one manifest check for the lot."""
         held: dict[str, tuple[list[int], list[int]]] = {}
+        self._settle()
         with self._lock:
             manifest = self._refresh()
             if self._members is None:
@@ -515,44 +531,83 @@ class DiskBehaviorStore:
     def flush(self) -> None:
         """Group commit: write pending rows — one shard per entry, its
         appends written back to back, all in one segment — and publish
-        them in one manifest rewrite."""
+        them in one manifest rewrite.
+
+        Synchronous: it first waits for a commit a deferred scope handed
+        off, and raises, once, what that commit raised (rows still queued
+        stay queued for the next call)."""
+        self._settle()
         with self._lock:
-            if not self._pending_rows:
-                return
-            pending, self._pending_rows = self._pending_rows, []
-            self._pending_bytes = 0
-            # one shard per entry: within one scope the cache only appends
-            # records it found missing, so an entry's parts are disjoint;
-            # the parts naming records of one unit matrix are one shard
-            entries: dict[tuple, tuple] = {}
-            for key, n_records, members, indices, rows in pending:
-                entry = entries.setdefault(
-                    (key, id(rows)) if rows.ndim == 3
-                    else (key, n_records, rows.shape[1], rows.dtype.str),
-                    (key, n_records, [], [], members))
-                entry[2].append(indices)
-                if rows.ndim == 2 or not entry[3]:
-                    entry[3].append(rows)
-            entries = [_unit_shard(*entry) if entry[3][0].ndim == 3
-                       else entry for entry in entries.values()]
-            with self._dir.locked() as manifest:
-                self._adopt(manifest)
-                # a panel's dtype is chosen against the committed entry
-                current = manifest["entries"]
-                entries = [
-                    _panel_shard(*entry, current.get(entry[0], {}).get(
-                        "dtype")) if entry[4] else entry
-                    for entry in entries]
-                with self._dir.new_segment() as (name, f):
-                    descriptors = write_segment(f, name, entries)
-                for desc in descriptors:
-                    manifest["seq"] += 1
-                    self._register_shard(manifest, manifest["seq"], desc)
-                if self.max_bytes is not None:
-                    self._evict(manifest, self.max_bytes,
-                                protect={desc["key"] for desc in descriptors})
-                # cached readers survive appends: the same incarnation
-                # extends itself with the new shards on the next read
+            failed, self._failed = self._failed, None
+            if failed is not None:
+                raise failed
+            self._commit(self._take_pending())
+
+    def _take_pending(self) -> list[tuple]:
+        """Empty the queue; its appends (lock held)."""
+        pending, self._pending_rows = self._pending_rows, []
+        self._pending_bytes = 0
+        return pending
+
+    def _commit(self, pending: list[tuple]) -> None:
+        """The group commit of ``pending`` appends (lock held)."""
+        if not pending:
+            return
+        # one shard per entry: within one scope the cache only appends
+        # records it found missing, so an entry's parts are disjoint;
+        # the parts naming records of one unit matrix are one shard
+        entries: dict[tuple, tuple] = {}
+        for key, n_records, members, indices, rows in pending:
+            entry = entries.setdefault(
+                (key, id(rows)) if rows.ndim == 3
+                else (key, n_records, rows.shape[1], rows.dtype.str),
+                (key, n_records, [], [], members))
+            entry[2].append(indices)
+            if rows.ndim == 2 or not entry[3]:
+                entry[3].append(rows)
+        entries = [_unit_shard(*entry) if entry[3][0].ndim == 3
+                   else entry for entry in entries.values()]
+        with self._dir.locked() as manifest:
+            self._adopt(manifest)
+            # a panel's dtype is chosen against the committed entry
+            current = manifest["entries"]
+            entries = [
+                _panel_shard(*entry, current.get(entry[0], {}).get(
+                    "dtype")) if entry[4] else entry
+                for entry in entries]
+            with self._dir.new_segment() as (name, f):
+                descriptors = write_segment(f, name, entries)
+            for desc in descriptors:
+                manifest["seq"] += 1
+                self._register_shard(manifest, manifest["seq"], desc)
+            if self.max_bytes is not None:
+                self._evict(manifest, self.max_bytes,
+                            protect={desc["key"] for desc in descriptors})
+            # cached readers survive appends: the same incarnation
+            # extends itself with the new shards on the next read
+
+    def _commit_after(self, previous: threading.Thread | None,
+                      pending: list[tuple]) -> None:
+        """A deferred scope's commit, on its own thread once the scope
+        has ended: after ``previous`` (the commit handed off before it),
+        the :meth:`flush` body.  What it raises is kept for the next
+        :meth:`flush` or :meth:`close`."""
+        if previous is not None:
+            previous.join()
+        try:
+            with span("store_commit"), self._lock:
+                self._commit(pending)
+        except Exception as exc:
+            degraded("store.async-commit-failed", str(self.root), exc=exc)
+            with self._lock:
+                self._failed = self._failed or exc
+
+    def _settle(self) -> None:
+        """Wait for the commit a deferred scope handed off last, and so
+        for every one before it (not under the lock: commits take it)."""
+        writer = self._writer
+        if writer is not None:
+            writer.join()
 
     def _register_shard(self, manifest: dict, seq: int, desc: dict) -> None:
         """Attach one shard record to its entry (lock + write lock held).
@@ -589,9 +644,15 @@ class DiskBehaviorStore:
         """Scope within which appends share one segment and one commit.
 
         The plan engine wraps a whole inspection run in this.  Nesting is
-        allowed; the outermost exit flushes.  A crash inside the scope
-        loses only what it had not committed (at most an orphan segment,
-        swept by gc) — those records simply re-extract next session.
+        allowed; the outermost exit hands what is queued to a commit that
+        runs after the scope, on a thread of its own started in a copy of
+        the caller's context (so its ``store_commit`` span lands in the
+        caller's trace), after any commit handed off before it; a scope
+        that queued nothing starts none.  Appends are queued by
+        reference, so what they name must not change until that commit
+        ends.  A crash before it loses only what it had not committed (at
+        most an orphan segment, swept by gc) — those records simply
+        re-extract next session.
         """
         with self._lock:
             self._defer_depth += 1
@@ -600,10 +661,14 @@ class DiskBehaviorStore:
         finally:
             with self._lock:
                 self._defer_depth -= 1
-                outermost = self._defer_depth == 0
-            if outermost:
-                with span("store_commit"):
-                    self.flush()
+                if self._defer_depth == 0 and self._pending_rows:
+                    writer = threading.Thread(
+                        target=contextvars.copy_context().run,
+                        args=(self._commit_after, self._writer,
+                              self._take_pending()),
+                        name="repro-store-commit")
+                    writer.start()      # a writer _settle finds is started
+                    self._writer = writer
 
     def drop(self, key: str) -> None:
         """Remove one entry (the commit unlinks segments only it named)."""
@@ -651,12 +716,14 @@ class DiskBehaviorStore:
 
     # -- introspection ---------------------------------------------------
     def keys(self) -> list[str]:
+        self._settle()
         with self._lock:
             return list(self._refresh()["entries"])
 
     def stats(self) -> dict:
         """``bytes``: what live entries hold; ``file_bytes``: what the
         ``files`` they sit in take on disk (what eviction budgets)."""
+        self._settle()
         with self._lock:
             manifest = self._refresh()
             entries = manifest["entries"]
@@ -672,10 +739,14 @@ class DiskBehaviorStore:
                     "invalid_dropped": self.invalid_dropped}
 
     def close(self) -> None:
-        """Publish pending state, then release every cached reader and
-        segment map (:meth:`SegmentDirectory.prune`); the store stays
-        usable afterwards (reads re-map on demand)."""
-        self.flush()
-        with self._lock:
-            self._readers.clear()
-            self._dir.prune(())
+        """Publish pending state — after waiting for a commit a deferred
+        scope handed off, raising what it raised, as :meth:`flush` does —
+        then release every cached reader and segment map
+        (:meth:`SegmentDirectory.prune`); the store stays usable
+        afterwards (reads re-map on demand)."""
+        try:
+            self.flush()
+        finally:
+            with self._lock:
+                self._readers.clear()
+                self._dir.prune(())

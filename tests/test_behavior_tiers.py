@@ -134,6 +134,7 @@ def test_block_read_matches_stacked_reference(state, with_store, tmp_path,
             assert after["misses"] == before["misses"]
             assert after["extractions"] == before["extractions"]
         if with_store:
+            store.flush()   # settles the commit the scope handed off
             # what was written through serves a new tier untouched
             again = HypothesisCache(store=DiskBehaviorStore(store.root))
             assert_same_block(again.extract_block(hyps, dataset, indices),
@@ -427,6 +428,7 @@ def test_store_written_through_the_public_path_is_interchangeable(
                 panel_store_key(dataset.cache_key(), members), block,
                 reference(hyps72, dataset, block).reshape(len(block), -1),
                 dataset.n_records, members=members)
+    theirs.flush()   # settles the commit the scope handed off
     cache = HypothesisCache(store=DiskBehaviorStore(theirs.root))
     assert_same_block(cache.extract_block(hyps72, dataset, order),
                       reference(hyps72, dataset, order))
@@ -438,6 +440,7 @@ def test_store_written_through_the_public_path_is_interchangeable(
     with ours.deferred_commits():
         for block in blocks:
             writer.extract_block(hyps72, dataset, block)
+    ours.flush()   # settles the commit the scope handed off
     reopened = DiskBehaviorStore(ours.root)
     assert reopened.keys() == theirs.keys() \
         == [panel_store_key(dataset.cache_key(), members)]

@@ -2,6 +2,7 @@
 extraction: crash safety, GC, cross-session/cross-process warm reads with
 zero model calls, raw-sweep fusion, and scheduler lifecycle."""
 
+import contextlib
 import errno
 import glob
 import io
@@ -252,6 +253,7 @@ class TestDiskBehaviorStore:
             other = DiskBehaviorStore(tmp_path)  # another process's view
             assert other.reader("a") is None
             assert other.reader("b") is None
+        store.flush()   # settles the commit the scope handed off
         fresh = DiskBehaviorStore(tmp_path)
         assert fresh.reader("a").n_filled == 4
         assert fresh.reader("b").n_filled == 3
@@ -325,6 +327,7 @@ class TestDiskBehaviorStore:
         with store.deferred_commits():
             for name, rows in filled.items():
                 store.append(name, np.arange(10), rows, n_records=10)
+        store.flush()   # settles the commit the scope handed off
         (segment,) = (tmp_path / "shards").iterdir()
         whole = store.stats()
         assert (whole["files"], whole["shards"]) == (1, 3)
@@ -393,6 +396,7 @@ class TestDiskBehaviorStore:
         with store.deferred_commits():
             for key in keys:
                 store.append(key, np.arange(4), np.ones((4, 8)), n_records=4)
+        store.flush()   # settles the commit the scope handed off
         (torn,) = [p for p in (tmp_path / "shards").iterdir() if p != kept]
         with open(torn, "r+b") as f:
             f.truncate(torn.stat().st_size - 1)
@@ -431,6 +435,7 @@ class TestDiskBehaviorStore:
             store.append("k", np.arange(4), np.ones((4, 8)), n_records=4)
             store.append("good", np.arange(4), np.zeros((4, 8)),
                          n_records=4)
+        store.flush()   # settles the commit the scope handed off
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         meta = manifest["entries"]["k"]
         tamper(meta, meta["shards"][0])
@@ -629,9 +634,11 @@ class TestWarmInspect:
 
         counted = [_Counting("SELECT"), hyps[1]]
         cold_model = _CountingForwardModel(trained_sql_model)
+        config = self._config(tmp_path)
         cold = inspect([cold_model], sql_workload.dataset,
                        [CorrelationScore(), DiffMeansScore()], counted,
-                       config=self._config(tmp_path))
+                       config=config)
+        config.cache.store.flush()   # the run's commit ran after it
         assert cold_model.forward_calls > 0
         calls["hyp"] = 0
 
@@ -669,6 +676,7 @@ class TestWarmInspect:
         cfg = self._config(tmp_path, early_stop=True, block_size=16)
         inspect([trained_sql_model], sql_workload.dataset,
                 [CorrelationScore()], hyps, config=cfg)
+        cfg.cache.store.flush()   # the run's commit ran after it
         store = DiskBehaviorStore(tmp_path)
         unit_keys = [k for k in store.keys() if k.startswith("unit/")]
         assert unit_keys
@@ -982,6 +990,7 @@ class TestSegmentFaults:
                     hyps72, dataset,
                     np.arange(start, min(start + self.BLOCK,
                                          dataset.n_records)))
+        store.flush()   # settles the commit the scope handed off
         (panel_file,) = (tmp_path / "s" / "shards").iterdir()
         with self._session(sql_workload, hyps72, cache=None,
                            unit_cache=None) as session:
@@ -1048,16 +1057,9 @@ class TestSegmentFaults:
             self, tmp_path, monkeypatch, sql_workload, hyps72):
         """A part's ``tofile`` raises ENOSPC after the blob's header and
         earlier parts went out: no segment becomes visible, the manifest
-        stays as it was, the statement's error is the caller's and the
-        session answers the next one; a later session re-extracts."""
+        stays as it was, the commit's error is the next flush's and the
+        session answers the next statement; a later session re-extracts."""
         from repro.store import disk
-
-        class OnAFullDisk(np.ndarray):
-            def tofile(self, *args, **kwargs):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        def write_blob_last_part_failing(f, parts):
-            return write_blob(f, [*parts[:-1], parts[-1].view(OnAFullDisk)])
 
         n_blocks = -(-sql_workload.dataset.n_records // self.BLOCK)
         assert n_blocks >= 2            # bytes are out before the fault
@@ -1074,8 +1076,9 @@ class TestSegmentFaults:
             with monkeypatch.context() as patch:
                 patch.setattr(disk, "write_blob",
                               write_blob_last_part_failing)
+                session.sql(EPOCHS_SQL)    # its commit runs after it
                 with pytest.raises(OSError) as caught:
-                    session.sql(EPOCHS_SQL)
+                    session.store.flush()
             assert caught.value.errno == errno.ENOSPC
             # not even the segment's temp file is left behind
             assert list((path / "shards").iterdir()) == [kept]
@@ -1139,6 +1142,7 @@ class TestSegmentFaults:
                          members=["m0", "m1", "m2"])
             store.append("panel/b", np.arange(10), rows[:, :8] + 1, 10,
                          members=["m2", "m3"])
+        store.flush()   # settles the commit the scope handed off
         (shared,) = (tmp_path / "shards").iterdir()
         store.append("panel/c", np.arange(10), rows[:, :4] + 2, 10,
                      members=["m4"])
@@ -1160,6 +1164,275 @@ class TestSegmentFaults:
         assert holders() == {"panel/c": ([3], [0])}
         assert np.array_equal(store.reader("panel/c").rows(np.arange(10)),
                               rows[:, :4] + 2)
+
+
+    @pytest.mark.parametrize("seen_by", ["flush", "close", "gc", "drop"])
+    def test_a_commit_failing_after_the_frame_is_raised_once(
+            self, tmp_path, monkeypatch, sql_workload, hyps72, seen_by):
+        """ENOSPC in the commit a statement left running: the statement's
+        frame is the reference, nothing is published, the failure is
+        reported when it happens, and the next ``flush``, ``close``,
+        ``gc`` or ``drop`` raises it — once."""
+        from repro.store import disk
+        path = tmp_path / "s"
+        DiskBehaviorStore(path).append("other", np.arange(4),
+                                       np.ones((4, 8)), n_records=4)
+        committed = (path / "manifest.json").read_bytes()
+        with self._session(sql_workload, hyps72, cache=None,
+                           unit_cache=None) as session:
+            reference = session.sql(EPOCHS_SQL)
+        reset_degradation_counts()
+        session = self._session(sql_workload, hyps72, path)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(disk, "write_blob",
+                              write_blob_last_part_failing)
+                assert session.sql(EPOCHS_SQL) == reference
+                session.stats()     # waits for the commit, raises nothing
+            assert degradation_counts()["store.async-commit-failed"] == 1
+            assert (path / "manifest.json").read_bytes() == committed
+            assert not list(path.rglob("*.tmp.*"))
+            assert session.sql(EPOCHS_SQL) == reference
+            see = {"flush": session.store.flush, "close": session.close,
+                   "gc": session.store.gc,
+                   "drop": lambda: session.store.drop("other")}[seen_by]
+            with pytest.raises(OSError) as caught:
+                see()
+            assert caught.value.errno == errno.ENOSPC
+            session.store.flush()   # raised once
+        finally:
+            session.close()
+        assert degradation_counts()["store.async-commit-failed"] == 1
+
+
+class _OnAFullDisk(np.ndarray):
+    def tofile(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def write_blob_last_part_failing(f, parts):
+    """:func:`write_blob` on a disk that fills during its last part, after
+    the blob's header and earlier parts went out."""
+    return write_blob(f, [*parts[:-1], parts[-1].view(_OnAFullDisk)])
+
+
+# ----------------------------------------------------------------------
+# the commit runs after the frame: a crash before it, back-to-back and
+# concurrent commits, and the thread it runs on
+# ----------------------------------------------------------------------
+COMMIT_THREAD = "repro-store-commit"
+
+ONE_MODEL_SQL = EPOCHS_SQL.replace("WHERE M.mid = U.mid",
+                                   "WHERE M.mid = U.mid AND M.mid = '{}'")
+
+_STALLED_COMMIT = """
+import os, sys, threading, time
+from pathlib import Path
+from repro import InspectConfig, Session
+from repro.data import generate_sql_workload
+from repro.hypotheses import CharSetHypothesis, KeywordHypothesis
+from repro.nn import CharLSTMModel
+from repro.store.disk import DiskBehaviorStore
+from repro.util.rng import new_rng
+
+register = DiskBehaviorStore._register_shard
+def stalled(self, *args):     # its segment is in place, the manifest next
+    threading.Event().wait(20)
+    return register(self, *args)
+DiskBehaviorStore._register_shard = stalled
+
+path = Path(sys.argv[1])
+wl = generate_sql_workload("default", n_queries=30, window=30, stride=5,
+                           seed=11)
+session = Session(str(path), scheduler="serial", config=InspectConfig(
+    early_stop=False, block_size=128))
+session.register_dataset("d0", wl.dataset)
+session.register_hypotheses([KeywordHypothesis("SELECT"),
+                             CharSetHypothesis("space", " ")])
+session.register_model("epoch_0", CharLSTMModel(
+    len(wl.vocab), n_units=8, rng=new_rng(0), model_id="epoch_0"), epoch=0)
+kept = set((path / "shards").glob("*.seg"))
+session.sql(sys.argv[2])
+while not set((path / "shards").glob("*.seg")) - kept:
+    time.sleep(0.01)
+os._exit(0)
+"""
+
+
+@pytest.fixture
+def commit_starts(monkeypatch) -> list:
+    """The store commit threads started so far."""
+    started = []
+    start = threading.Thread.start
+
+    def counting(thread):
+        if thread.name == COMMIT_THREAD:
+            started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+class TestCommitAfterReturn:
+    CONFIG = TestGroupCommit.CONFIG
+    _session = TestGroupCommit._session
+
+    def _references(self, sql_workload, hyps, statements,
+                    n_models=1) -> list:
+        """The statements' frames, serial and with no tier at all."""
+        with self._session(sql_workload, hyps, n_models=n_models,
+                           scheduler="serial", config=InspectConfig(
+                               cache=None, unit_cache=None,
+                               **self.CONFIG)) as session:
+            return [session.sql(sql) for sql in statements]
+
+    def test_a_crash_after_the_frame_reopens_the_previous_commit(
+            self, tmp_path, sql_workload, hyps):
+        """A process that exits once its statement returned, its commit
+        stalled between segment and manifest: reopening serves the
+        previous commit, gc sweeps the orphan, and the next session
+        re-extracts to the reference frame."""
+        path = tmp_path / "s"
+        DiskBehaviorStore(path).append("other", np.arange(4),
+                                       np.ones((4, 8)), n_records=4)
+        committed = (path / "manifest.json").read_bytes()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _STALLED_COMMIT, str(path), EPOCHS_SQL],
+            env=env, timeout=300)
+        assert proc.returncode == 0
+        assert (path / "manifest.json").read_bytes() == committed
+        fresh = DiskBehaviorStore(path)
+        assert fresh.keys() == ["other"]
+        assert len(list((path / "shards").iterdir())) == 2
+        assert fresh.gc()["orphans_removed"] == 1
+        (reference,) = self._references(sql_workload, hyps, [EPOCHS_SQL])
+        with self._session(sql_workload, hyps, path) as session:
+            assert session.sql(EPOCHS_SQL) == reference
+            stats = session.stats()
+        n_blocks = -(-sql_workload.dataset.n_records
+                     // self.CONFIG["block_size"])
+        assert stats["unit_cache"]["extractions"] == n_blocks
+        assert stats["hypothesis_cache"]["extractions"] \
+            == len(hyps) * n_blocks
+        assert stats["store"]["commits"] == 1
+
+    def test_commits_handed_off_back_to_back_land_in_order(
+            self, tmp_path, monkeypatch):
+        """Two scopes end while the first one's commit is held before it
+        starts: both return, and the commits then land in scope order,
+        each row once."""
+        from repro.store import disk
+        gate = threading.Event()
+        span = disk.span
+
+        def held(name, *detail):    # the commit's span opens first
+            assert gate.wait(30)
+            return span(name, *detail)
+
+        monkeypatch.setattr(disk, "span", held)
+        store = DiskBehaviorStore(tmp_path)
+        for key in "ab":
+            with store.deferred_commits():
+                store.append(key, np.arange(4), np.full((4, 2), ord(key)),
+                             n_records=4)
+        assert DiskBehaviorStore(tmp_path).keys() == []
+        gate.set()
+        assert store.keys() == ["a", "b"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        shards = [manifest["entries"][key]["shards"] for key in "ab"]
+        assert [len(s) for s in shards] == [1, 1]
+        seqs = [int(s[0]["file"].partition("-")[0]) for s in shards]
+        assert seqs[0] < seqs[1]
+        stats = store.stats()
+        assert (stats["commits"], stats["files"]) == (2, 2)
+        for key in "ab":
+            assert np.array_equal(store.reader(key).rows(np.arange(4)),
+                                  np.full((4, 2), ord(key)))
+
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_two_cold_statements_commit_each_row_once(
+            self, tmp_path, sql_workload, hyps, concurrent):
+        """Two cold statements over two models on one ``threads``
+        session, back to back (two commits) or at once (one commit when
+        their scopes overlap, else two): every entry holds each record
+        once, and each frame is its reference."""
+        statements = [ONE_MODEL_SQL.format(f"epoch_{i}") for i in range(2)]
+        references = self._references(sql_workload, hyps, statements,
+                                      n_models=2)
+        frames = [None, None]
+        barrier = threading.Barrier(2)
+
+        def run(session, i):
+            if concurrent:
+                barrier.wait(30)
+            frames[i] = session.sql(statements[i])
+
+        with self._session(sql_workload, hyps, tmp_path / "s", n_models=2,
+                           scheduler="threads") as session:
+            threads = [threading.Thread(target=run, args=(session, i))
+                       for i in range(2)]
+            for thread in threads:
+                thread.start()
+                if not concurrent:
+                    thread.join()
+            for thread in threads:
+                thread.join()
+            stats = session.stats()["store"]
+        assert frames == references
+        assert stats["files"] == stats["commits"]
+        assert stats["commits"] in ((1, 2) if concurrent else (2,))
+        n = sql_workload.dataset.n_records
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert len(manifest["entries"]) == 3      # two unit entries, a panel
+        for meta in manifest["entries"].values():
+            assert sum(shard["rows"] for shard in meta["shards"]) == n
+        fresh = DiskBehaviorStore(tmp_path / "s")
+        for key in manifest["entries"]:
+            assert fresh.reader(key).filled_mask(np.arange(n)).all()
+
+    def test_a_disk_warm_statement_starts_no_commit_thread(
+            self, tmp_path, sql_workload, hyps, commit_starts):
+        with self._session(sql_workload, hyps, tmp_path / "s") as session:
+            cold = session.sql(EPOCHS_SQL)
+        assert len(commit_starts) == 1
+        with self._session(sql_workload, hyps, tmp_path / "s") as session:
+            assert session.sql(EPOCHS_SQL) == cold
+            stats = session.stats()
+        assert stats["unit_cache"]["extractions"] == 0
+        assert stats["hypothesis_cache"]["extractions"] == 0
+        assert len(commit_starts) == 1
+
+    @pytest.mark.parametrize("ending", ["clean", "failed commit",
+                                        "abandoned stream"])
+    def test_no_commit_thread_outlives_close(
+            self, tmp_path, monkeypatch, sql_workload, hyps, commit_starts,
+            ending):
+        from repro.store import disk
+        session = self._session(sql_workload, hyps, tmp_path / "s",
+                                scheduler="threads")
+        try:
+            with monkeypatch.context() as patch:
+                if ending == "failed commit":
+                    patch.setattr(disk, "write_blob",
+                                  write_blob_last_part_failing)
+                if ending == "abandoned stream":
+                    frames = session.stream_sql(EPOCHS_SQL)
+                    next(frames)
+                    frames.close()
+                else:
+                    session.sql(EPOCHS_SQL)
+                with (pytest.raises(OSError) if ending == "failed commit"
+                      else contextlib.nullcontext()):
+                    session.close()
+        finally:
+            session.close()
+        assert len(commit_starts) == 1
+        assert not any(thread.is_alive() for thread in commit_starts)
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name == COMMIT_THREAD]
 
 
 # ----------------------------------------------------------------------
@@ -1219,6 +1492,7 @@ class TestPanelWidth:
             for at in (np.arange(5), np.arange(5, 10)):
                 store.append("panel/p", at, rows[at], 10,
                              members=["m0", "m1"])
+        store.flush()   # settles the commit the scope handed off
         assert _dtype_of(tmp_path, "panel/p") == "<f8"
         reader = DiskBehaviorStore(tmp_path).reader("panel/p")
         assert reader.n_shards == 1
@@ -1233,6 +1507,7 @@ class TestPanelWidth:
                          labels.astype(np.float32), self.N)
             store.append_units("unit/u", np.arange(self.N),
                                np.ones((4, self.N, 2)))
+        store.flush()   # settles the commit the scope handed off
         for key, dtype in (("plain/f8", "<f8"), ("plain/f4", "<f4"),
                            ("unit/u", "<f8")):
             assert _dtype_of(tmp_path, key) == dtype
@@ -1320,7 +1595,8 @@ class TestPanelWidth:
             return frame, config
 
         reference, _ = run(scheduler="serial")
-        run(**_tiers(DiskBehaviorStore(tmp_path)))
+        _, cold = run(**_tiers(DiskBehaviorStore(tmp_path)))
+        cold.cache.store.flush()   # the run's commit ran after it
         store = DiskBehaviorStore(tmp_path)
         panels = [k for k in store.keys() if k.startswith("panel/")]
         assert panels and all(_dtype_of(tmp_path, k) == "|u1"

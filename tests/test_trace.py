@@ -204,20 +204,23 @@ class TestStatementTrace:
             self, scheduler, store, trained_sql_model, sql_workload, hyps,
             tmp_path):
         kwargs = {"store_path": tmp_path / "store"} if store else {}
-        for _ in range(2):   # cold, then (with a store) disk-warm
+        for cold in (True, False):   # cold, then (with a store) disk-warm
             with make_session(trained_sql_model, sql_workload, hyps,
                               scheduler, **kwargs) as session:
-                for _ in range(2):   # ..., then memory-warm
+                for first in (True, False):   # ..., then memory-warm
                     session.reset_counters()
                     with tracing("statement") as root:
                         session.sql(INSPECT_SQL)
+                    if store:   # its commit runs after it
+                        session.store.flush()
                     counted = Counter()
                     for total in root.totals().values():
                         counted.update({name: total.get(name, 0)
                                         for name in TIER_COUNTERS})
                     assert +counted == +tier_counters(session)
-                    if store:
-                        assert "store_commit" in base_names(root)
+                    if store:   # only a statement that extracted commits
+                        assert ("store_commit" in base_names(root)) \
+                            == (cold and first)
 
     def test_lead_and_join_land_on_the_statements_span(
             self, trained_sql_model, sql_workload, hyps):
@@ -368,6 +371,7 @@ class TestLifecycles:
                 frames = session.stream_sql(INSPECT_SQL)
                 next(frames)
                 frames.close()
+            session.store.flush()   # the scope's commit runs after it
             assert_closed(root)
             names = base_names(root)
             assert names["inspection"] == 1 and names["assemble"] == 1
