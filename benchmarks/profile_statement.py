@@ -21,8 +21,8 @@ was folded from kept statistics), then ``untraced`` (the root minus its
 direct children) and the whole statement — so a before/after reads
 without eyeballing 40 rows, and nothing here depends on function names.
 A store-backed statement commits after it returns, on a thread of its
-own: its ``store_commit`` span hangs from the statement's trace but is
-shown after the whole statement, as time after the frame, beside what
+own and in no trace: its ``store_commit`` row (the store's ``commit_s``)
+is shown after the whole statement, as time after the frame, beside what
 ``close()`` then waited for it.
 Spans are timed on the thread that runs them: under a pool the
 ``sweep[model]`` rows overlap the calling thread's labelling and its
@@ -50,12 +50,12 @@ from .e2e import inputs, spec
 from .e2e.spans import SpanRecorder
 
 
-def _rollup(roots: list, closes: list[float]) -> None:
+def _rollup(roots: list, after: list[tuple[float, float]]) -> None:
     """Mean ms per span name over the traced runs, nested as traced, with
-    the tier counters each moved per statement beside it; then the store
-    commit each ran after its frame and the waits ``closes`` paid."""
+    the tier counters each moved per statement beside it; then, per run,
+    ``after``: the store commit its statement left and what ``close()``
+    waited for it."""
     merged: dict[str, list] = {}    # name -> [seconds, children, counters]
-    after: dict[str, list] = {}     # the same, for the commit's spans
 
     def fold(level: dict, node) -> None:
         entry = level.setdefault(node.name, [0.0, {}, Counter()])
@@ -73,7 +73,7 @@ def _rollup(roots: list, closes: list[float]) -> None:
 
     for root in roots:
         for child in root.children:
-            fold(after if child.name == "store_commit" else merged, child)
+            fold(merged, child)
     per = 1e3 / len(roots)
     whole = sum(root.duration for root in roots) * per
     traced = sum(seconds for seconds, _, _ in merged.values()) * per
@@ -81,15 +81,17 @@ def _rollup(roots: list, closes: list[float]) -> None:
     show(merged, "")
     print(f"{whole - traced:9.3f}  untraced\n{whole:9.3f}  whole statement")
     if after:
+        commits, closes = zip(*after)
         print("  after the frame (the commit runs on a thread of its own):")
-        show(after, "")
-        print(f"{sum(closes) * per:9.3f}  close() waited")
+        print(f"{sum(commits) * per:9.3f}  store_commit\n"
+              f"{sum(closes) * per:9.3f}  close() waited")
 
 
 def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int,
-          closes: list[float]):
+          after: list[tuple[float, float]]):
     """Yield ``repeat`` prepared, zero-argument calls of the statement;
-    a fresh session's ``close()`` seconds go to ``closes``."""
+    a fresh store-backed session's commit seconds and ``close()`` seconds
+    go to ``after``."""
     def fresh_session(store=None, **kwargs):
         session = Session(store, **kwargs)
         inputs.register_all(session, inputs.fresh_objects(scale, 0, root),
@@ -117,7 +119,9 @@ def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int,
         finally:
             start = time.perf_counter()
             session.close()     # waits for the statement's store commit
-            closes.append(time.perf_counter() - start)
+            closed = time.perf_counter() - start
+            if session.store is not None:
+                after.append((session.store.commit_s, closed))
         if regime == "store":
             # as cold_store does: a kept store's unwritten pages are what
             # the next run's fsync waits for (~120 ms against ~25)
@@ -155,15 +159,15 @@ def main(argv: list[str] | None = None) -> None:
         workload, _ = inputs.generate(scale, 0)
         inputs.train_checkpoints(scale, 0, workload, root)
         runs = (args.regime, scale, sql, root, args.repeat)
-        closes: list[float] = []
-        plain, roots = _measure(_runs(*runs, closes), lambda run: run())
+        after: list[tuple[float, float]] = []
+        plain, roots = _measure(_runs(*runs, after), lambda run: run())
         profiler = cProfile.Profile()
         profiled, _ = _measure(_runs(*runs, []), profiler.runcall)
     print(f"{args.statement} [{args.regime}, {args.scale}, "
           f"{args.repeat} runs]: {plain:.2f} ms per statement, "
           f"{profiled:.2f} ms under cProfile")
     if args.rollup:
-        _rollup(roots, closes)
+        _rollup(roots, after)
         return
     stats = pstats.Stats(profiler).stats
     rows = [(cum, tot, calls, f"{Path(path).name}:{line}({name})")

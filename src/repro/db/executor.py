@@ -384,40 +384,25 @@ def select_columns(cols: dict[str, np.ndarray], n: int, query: SelectQuery,
     # builds k rows instead of n.  HAVING (applied to projected rows in
     # _finalize) must run first, so the push-down is skipped when present.
     if not presorted and query.having is None:
-        order = _output_order(out.get(query.order_by), n, query)
+        if query.order_by is None:
+            order = slice(query.limit)
+        else:
+            key_array = out[query.order_by]
+            order = None
+            if query.limit is not None:
+                order = topk_indices(key_array, query.limit,
+                                     query.descending)
+            if order is None:
+                order = sort_indices(key_array, query.descending)
+            if order is None:   # NaN / object keys: the rows' own sort
+                keys = key_array.tolist()
+                order = np.asarray(sorted(
+                    range(n), key=lambda i: _null_safe(keys[i]),
+                    reverse=query.descending), dtype=np.intp)
+            order = order[:query.limit]
         out = {alias: a[order] for alias, a in out.items()}
         presorted = True
     return {alias: a.tolist() for alias, a in out.items()}, presorted
-
-
-def _output_order(key_array: np.ndarray | None, n: int, query: SelectQuery):
-    """What ORDER BY + LIMIT keeps of ``n`` rows, in order: an index
-    array, or a slice when there is no ORDER BY (``key_array`` None)."""
-    if query.order_by is None:
-        return slice(query.limit)
-    order = None
-    if query.limit is not None:
-        order = topk_indices(key_array, query.limit, query.descending)
-    if order is None:
-        order = sort_indices(key_array, query.descending)
-    if order is None:   # NaN / object keys: the rows' own sort
-        keys = key_array.tolist()
-        order = np.asarray(sorted(
-            range(n), key=lambda i: _null_safe(keys[i]),
-            reverse=query.descending), dtype=np.intp)
-    return order[:query.limit]
-
-
-def kept_rows(cols: dict[str, np.ndarray], n: int,
-              query: SelectQuery) -> np.ndarray:
-    """The positions, in output order, of the rows a HAVING-free
-    :func:`select_columns` keeps: only the ORDER BY key is evaluated, so
-    a caller can build the other columns at these rows alone."""
-    key = None
-    if query.order_by is not None:
-        (item,) = [it for it in query.items if it.alias == query.order_by]
-        key = _broadcast(item.expr.eval_batch(cols), n)
-    return np.arange(n)[_output_order(key, n, query)]
 
 
 def select_columnar(cols: dict[str, np.ndarray], n: int,

@@ -61,8 +61,8 @@ from repro.core.groups import UnitGroup
 from repro.core.pipeline import InspectionPlan
 from repro.core.plan import hypothesis_identities
 from repro.db.executor import (SelectQuery, _broadcast, bind_select_list,
-                               from_schema, group_ids, kept_rows,
-                               materialize_into, select_columns)
+                               from_schema, group_ids, materialize_into,
+                               select_columns)
 from repro.db.expr import AggregateRef, Expr, Schema, resolve_expr
 from repro.db.relation import execute_catalog_plan, keep_where, plan_catalog
 from repro.db.sqlparser import InspectSpec
@@ -233,28 +233,15 @@ class _CompiledInspect:
         :func:`~repro.db.executor.select_columnar`."""
         if self.empty:
             return Frame.from_records([], columns=self.out_columns)
-        cols, n, coded = _materialize_s(self.catalog_keep, self.s_keep,
-                                        self.workloads, outcomes_by_did,
-                                        self.plan_index, self.hyp_col_of,
-                                        len(self.measures),
-                                        spec.inspect_alias)
-        select, rows = self.select, slice(None)
-        key = [it.expr for it in select.items if it.alias == select.order_by]
-        presorted = self.having is None and select.limit is not None and not (
-            key and key[0].columns() & coded.keys())
-        if presorted:
-            # ORDER BY + LIMIT over the key alone: every other column is
-            # built at the rows they keep, in their order
-            rows = kept_rows(cols, n, select)
-            cols = {q: values[rows] for q, values in cols.items()}
-            n = rows.shape[0]
-        cols.update((q, table[codes[rows]])
-                    for q, (table, codes) in coded.items())
+        cols, n = _materialize_s(self.catalog_keep, self.s_keep,
+                                 self.workloads, outcomes_by_did,
+                                 self.plan_index, self.hyp_col_of,
+                                 len(self.measures), spec.inspect_alias)
         if self.having is not None:
             cols, n = keep_where(cols, n, [self.having])
         # HAVING is applied and INSPECT admits no aggregate: no row-level
         # stage is left, so the frame is built from the projected columns
-        columns, _ = select_columns(cols, n, select, presorted)
+        columns, _ = select_columns(cols, n, self.select)
         return Frame({name: columns[name] for name in self.out_columns})
 
 
@@ -469,12 +456,9 @@ def _materialize_s(cols: dict[str, np.ndarray], s_keep: tuple[str, ...],
                    outcomes_by_did: dict[str, list],
                    plan_index: dict[tuple[str, str, bytes], int],
                    hyp_col_of: dict[str, int], n_measures: int,
-                   alias: str) -> tuple[dict[str, np.ndarray], int, dict]:
+                   alias: str) -> tuple[dict[str, np.ndarray], int]:
     """Assemble the temporary S relation as column arrays, and its row
-    count: of S's own columns only ``s_keep`` are built.  The object
-    columns (``hid``, ``mid``, ``score_id`` and the catalog's) come back
-    apart, as ``{name: (values, codes)}`` whose column is
-    ``values[codes]``, for the caller to build at the rows it keeps.
+    count: of S's own columns only ``s_keep`` are built.
 
     Row order is group-major, then model, then measure, then
     hypothesis-major over that model's units -- the seed frontend's
@@ -483,31 +467,19 @@ def _materialize_s(cols: dict[str, np.ndarray], s_keep: tuple[str, ...],
     (model, unit, hypothesis) triple when present, of the (model, unit)
     pair otherwise), so SELECT/HAVING can reference catalog columns.
     """
-    chunks: dict[str, list[np.ndarray]] = {f"{alias}.{name}": []
-                                           for name in s_keep}
-    reps: list[np.ndarray] = []     # each S row's catalog row
-    # each object column's distinct values; its chunks are codes into them
-    values: dict[str, list] = {f"{alias}.{name}": []
-                               for name in ("hid", "mid", "score_id")
-                               if name in s_keep}
+    chunks: dict[str, list[np.ndarray]] = {q: [] for q in cols}
+    for name in s_keep:
+        chunks[f"{alias}.{name}"] = []
     n = 0
 
-    def emit(name: str, column: np.ndarray) -> None:
-        chunks[f"{alias}.{name}"].append(column)
-
-    def code(name: str, value, size: int) -> None:
-        table = values[f"{alias}.{name}"]
-        emit(name, np.full(size, len(table)))
-        table.append(value)
+    def emit(name: str, values: np.ndarray) -> None:
+        chunks[f"{alias}.{name}"].append(values)
 
     for workload in workloads:
         hyps = workload.hyp_names
         hcols = np.asarray([hyp_col_of[h] for h in hyps], dtype=np.int64)
         nh = len(hyps)
-        if "hid" in s_keep:
-            table = values[f"{alias}.hid"]
-            hid_codes = np.arange(len(table), len(table) + nh)
-            table.extend(hyps)
+        hid_cycle = np.asarray(hyps, dtype=object)
         outcomes = outcomes_by_did[workload.did]
         for mid, uids, rep_grid in workload.models:
             nu = uids.shape[0]
@@ -520,11 +492,12 @@ def _materialize_s(cols: dict[str, np.ndarray], s_keep: tuple[str, ...],
                 if "uid" in s_keep:
                     emit("uid", np.tile(uids, nh))
                 if "hid" in s_keep:
-                    emit("hid", np.repeat(hid_codes, nu))
+                    emit("hid", np.repeat(hid_cycle, nu))
                 if "mid" in s_keep:
-                    code("mid", mid, nu * nh)
+                    emit("mid", _fill_object(nu * nh, mid))
                 if "score_id" in s_keep:
-                    code("score_id", outcome.measure.score_id, nu * nh)
+                    emit("score_id", _fill_object(nu * nh,
+                                                  outcome.measure.score_id))
                 if "group_score" in s_keep:
                     emit("group_score", (
                         unit_scores if result.group_scores is None  # independent
@@ -532,12 +505,14 @@ def _materialize_s(cols: dict[str, np.ndarray], s_keep: tuple[str, ...],
                     ).astype(np.float64))
                 if "unit_score" in s_keep:
                     emit("unit_score", unit_scores.astype(np.float64))
-                reps.append(rep_grid)
-    built = {qname: np.concatenate(parts)
-             for qname, parts in chunks.items()}
-    rep = np.concatenate(reps) if cols else None
-    coded = {qname: (arr, rep) for qname, arr in cols.items()}
-    for qname, table in values.items():
-        coded[qname] = (np.fromiter(table, dtype=object, count=len(table)),
-                        built.pop(qname))
-    return built, n, coded
+                for qname, arr in cols.items():
+                    chunks[qname].append(arr[rep_grid])
+    # parts of one column share a dtype (np.concatenate keeps object dtype)
+    return {qname: np.concatenate(parts)
+            for qname, parts in chunks.items()}, n
+
+
+def _fill_object(n: int, value) -> np.ndarray:
+    out = np.empty(n, dtype=object)
+    out[:] = value
+    return out

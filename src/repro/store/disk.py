@@ -52,14 +52,18 @@ immediately; the plan engine wraps a whole run in
 :meth:`DiskBehaviorStore.deferred_commits` so a cold streaming inspection
 pays one segment and one manifest rewrite — two fsyncs — in total, and
 pays them **after its frame**: the scope's exit hands its batch to a
-commit on a thread of its own (one in flight per store, in order), and
-every other entry point — :meth:`~DiskBehaviorStore.flush`, the reads,
+commit on a thread of its own (one in flight per store directory in a
+process, in order), and every other entry point of every handle on that
+directory — :meth:`~DiskBehaviorStore.flush`, the reads,
 :meth:`~DiskBehaviorStore.gc`, :meth:`~DiskBehaviorStore.close` — waits
-for it first.  The store is a cache of extraction: a commit lost to a
-crash costs a later session a re-extraction, never a wrong row.  A
-commit that fails publishes nothing, as a synchronous one does, and its
-error is raised by the next :meth:`~DiskBehaviorStore.flush` or
-:meth:`~DiskBehaviorStore.close`.
+for it first.  That commit belongs to no statement's trace (the frame is
+back before it ends); its seconds are the store's ``commit_s``.  The
+store is a cache of extraction: a commit lost to a crash costs a later
+session a re-extraction, never a wrong row.  A commit that fails
+publishes nothing, as a synchronous one does, and its error is raised by
+the next explicit :meth:`~DiskBehaviorStore.flush`,
+:meth:`~DiskBehaviorStore.close`, :meth:`~DiskBehaviorStore.drop` or
+:meth:`~DiskBehaviorStore.gc` — never by a read or an append.
 
 Reads go through :class:`StoreEntryReader`, which takes validated zero-copy
 views out of the directory's one read-only map per segment and gathers
@@ -84,17 +88,24 @@ import contextvars
 import mmap
 import os
 import threading
+import time
 
 import numpy as np
 
 from repro.store.segment import (CorruptEntryError, ManifestError,
                                  SegmentDirectory, blob, write_blob)
 from repro.util.debuglog import degraded
-from repro.util.trace import span
 
 _VERSION = 6
 #: what a manifest shard record keeps of a :func:`write_segment` descriptor
 _SHARD_FIELDS = ("file", "file_bytes", "rows", "data", "index")
+
+
+#: per store directory (real path), the commit this process handed off
+#: last: each one joins the one before it, and every handle on the
+#: directory settles it before it reads or commits
+_HANDED_OFF: dict[str, threading.Thread] = {}
+_HANDED_OFF_LOCK = threading.Lock()
 
 
 def write_segment(f, name: str, entries) -> list[dict]:
@@ -352,12 +363,13 @@ class DiskBehaviorStore:
         self._pending_bytes = 0
         self._defer_depth = 0
         self.max_pending_bytes = 128 * 1024 * 1024
-        # the commit the last deferred scope handed off (see _commit_after)
-        # and the first error one raised, kept for the next flush()
-        self._writer: threading.Thread | None = None
+        # _HANDED_OFF's key, and the first error a commit this handle
+        # handed off raised, kept for the next explicit flush()
+        self._key = os.path.realpath(self.root)
         self._failed: Exception | None = None
         # observability: served/attempted record reads and dropped entries
         self.appends = 0
+        self.commit_s = 0.0
         self.evictions = 0
         self.invalid_dropped = 0
 
@@ -400,7 +412,7 @@ class DiskBehaviorStore:
         with self._lock:
             found, invalid = self._open(self._refresh(), list(keys))
         for key in invalid:  # under the write lock, with its own files
-            self.drop(key)
+            self._drop(key)
         return found
 
     def _open(self, manifest: dict, keys: list[str],
@@ -464,7 +476,7 @@ class DiskBehaviorStore:
                     at[1].append(col)
             found, invalid = self._open(manifest, list(held), member_width)
         for key in invalid:
-            self.drop(key)
+            self._drop(key)
         return [(reader, np.array(pos), np.array(cols))
                 for reader, (pos, cols) in zip(found, held.values())
                 if reader is not None]
@@ -526,7 +538,7 @@ class DiskBehaviorStore:
             defer = (self._defer_depth > 0
                      and self._pending_bytes < self.max_pending_bytes)
         if not defer:
-            self.flush()
+            self._flush()
 
     def flush(self) -> None:
         """Group commit: write pending rows — one shard per entry, its
@@ -534,13 +546,21 @@ class DiskBehaviorStore:
         them in one manifest rewrite.
 
         Synchronous: it first waits for a commit a deferred scope handed
-        off, and raises, once, what that commit raised (rows still queued
-        stay queued for the next call)."""
+        off, and raises, once, what one of this handle's raised (rows
+        still queued stay queued for the next call)."""
         self._settle()
         with self._lock:
             failed, self._failed = self._failed, None
-            if failed is not None:
-                raise failed
+        if failed is not None:
+            raise failed
+        self._flush()
+
+    def _flush(self) -> None:
+        """:meth:`flush` without raising a handed-off commit's error: what
+        a read, a standalone append and the ``max_pending_bytes`` overflow
+        run, so an earlier statement's full disk never fails a later one."""
+        self._settle()
+        with self._lock:
             self._commit(self._take_pending())
 
     def _take_pending(self) -> list[tuple]:
@@ -553,6 +573,7 @@ class DiskBehaviorStore:
         """The group commit of ``pending`` appends (lock held)."""
         if not pending:
             return
+        start = time.perf_counter()
         # one shard per entry: within one scope the cache only appends
         # records it found missing, so an entry's parts are disjoint;
         # the parts naming records of one unit matrix are one shard
@@ -585,27 +606,34 @@ class DiskBehaviorStore:
                             protect={desc["key"] for desc in descriptors})
             # cached readers survive appends: the same incarnation
             # extends itself with the new shards on the next read
+        self.commit_s += time.perf_counter() - start
 
     def _commit_after(self, previous: threading.Thread | None,
                       pending: list[tuple]) -> None:
         """A deferred scope's commit, on its own thread once the scope
-        has ended: after ``previous`` (the commit handed off before it),
-        the :meth:`flush` body.  What it raises is kept for the next
-        :meth:`flush` or :meth:`close`."""
+        has ended: after ``previous`` (the commit handed off before it on
+        this directory), the :meth:`flush` body.  What it raises is kept
+        for the next explicit :meth:`flush`."""
         if previous is not None:
             previous.join()
         try:
-            with span("store_commit"), self._lock:
+            with self._lock:
                 self._commit(pending)
         except Exception as exc:
             degraded("store.async-commit-failed", str(self.root), exc=exc)
             with self._lock:
                 self._failed = self._failed or exc
+        finally:
+            with _HANDED_OFF_LOCK:
+                if _HANDED_OFF.get(self._key) is threading.current_thread():
+                    del _HANDED_OFF[self._key]
 
     def _settle(self) -> None:
-        """Wait for the commit a deferred scope handed off last, and so
-        for every one before it (not under the lock: commits take it)."""
-        writer = self._writer
+        """Wait for the commit handed off last on this directory, by any
+        handle in this process, and so for every one before it (not under
+        the lock: commits take it)."""
+        with _HANDED_OFF_LOCK:
+            writer = _HANDED_OFF.get(self._key)
         if writer is not None:
             writer.join()
 
@@ -645,14 +673,14 @@ class DiskBehaviorStore:
 
         The plan engine wraps a whole inspection run in this.  Nesting is
         allowed; the outermost exit hands what is queued to a commit that
-        runs after the scope, on a thread of its own started in a copy of
-        the caller's context (so its ``store_commit`` span lands in the
-        caller's trace), after any commit handed off before it; a scope
-        that queued nothing starts none.  Appends are queued by
-        reference, so what they name must not change until that commit
-        ends.  A crash before it loses only what it had not committed (at
-        most an orphan segment, swept by gc) — those records simply
-        re-extract next session.
+        runs after the scope, on a thread of its own with an empty context
+        (it opens no span in a trace the caller may have handed back: its
+        seconds add to ``commit_s``), after any commit handed off before
+        it on this directory; a scope that queued nothing starts none.
+        Appends are queued by reference, so what they name must not change
+        until that commit ends.  A crash before it loses only what it had
+        not committed (at most an orphan segment, swept by gc) — those
+        records simply re-extract next session.
         """
         with self._lock:
             self._defer_depth += 1
@@ -662,17 +690,25 @@ class DiskBehaviorStore:
             with self._lock:
                 self._defer_depth -= 1
                 if self._defer_depth == 0 and self._pending_rows:
-                    writer = threading.Thread(
-                        target=contextvars.copy_context().run,
-                        args=(self._commit_after, self._writer,
-                              self._take_pending()),
-                        name="repro-store-commit")
-                    writer.start()      # a writer _settle finds is started
-                    self._writer = writer
+                    pending = self._take_pending()
+                    with _HANDED_OFF_LOCK:
+                        writer = threading.Thread(
+                            target=contextvars.Context().run,
+                            args=(self._commit_after,
+                                  _HANDED_OFF.get(self._key), pending),
+                            name="repro-store-commit")
+                        writer.start()  # a writer _settle finds is started
+                        _HANDED_OFF[self._key] = writer
 
     def drop(self, key: str) -> None:
-        """Remove one entry (the commit unlinks segments only it named)."""
+        """Remove one entry (the commit unlinks segments only it named);
+        first raises, as :meth:`flush`, what a handed-off commit raised."""
         self.flush()
+        self._drop(key)
+
+    def _drop(self, key: str) -> None:
+        """:meth:`drop` as a read drops an entry that failed validation."""
+        self._flush()
         with self._lock, self._dir.locked() as manifest:
             self._adopt(manifest)
             manifest["entries"].pop(key, None)
@@ -722,7 +758,9 @@ class DiskBehaviorStore:
 
     def stats(self) -> dict:
         """``bytes``: what live entries hold; ``file_bytes``: what the
-        ``files`` they sit in take on disk (what eviction budgets)."""
+        ``files`` they sit in take on disk (what eviction budgets);
+        ``commit_s``: seconds this handle's group commits took, whichever
+        thread ran them (a deferred scope's runs after its frame)."""
         self._settle()
         with self._lock:
             manifest = self._refresh()
@@ -736,13 +774,14 @@ class DiskBehaviorStore:
                     "appends": self.appends,
                     "commits": self._dir.commits,
                     "evictions": self.evictions,
-                    "invalid_dropped": self.invalid_dropped}
+                    "invalid_dropped": self.invalid_dropped,
+                    "commit_s": self.commit_s}
 
     def close(self) -> None:
         """Publish pending state — after waiting for a commit a deferred
-        scope handed off, raising what it raised, as :meth:`flush` does —
-        then release every cached reader and segment map
-        (:meth:`SegmentDirectory.prune`); the store stays usable
+        scope handed off, raising what one of this handle's raised, as
+        :meth:`flush` does — then release every cached reader and segment
+        map (:meth:`SegmentDirectory.prune`); the store stays usable
         afterwards (reads re-map on demand)."""
         try:
             self.flush()

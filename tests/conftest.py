@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -32,17 +31,6 @@ def pytest_configure(config):
     interval = os.environ.get("REPRO_SWITCH_INTERVAL")
     if interval:
         sys.setswitchinterval(float(interval))
-
-
-@pytest.fixture(autouse=True)
-def _store_commits_end_with_their_test():
-    """A store commit a test's statement left running (a stateless
-    ``inspect()`` over a store is never flushed) ends with that test, so
-    its files and ``os.fsync`` calls never land in the next one."""
-    yield
-    for thread in threading.enumerate():
-        if thread.name == "repro-store-commit":
-            thread.join()
 
 
 @pytest.fixture

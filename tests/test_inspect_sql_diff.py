@@ -242,51 +242,6 @@ class TestOrderByLimit:
                 == [list(map(type, want[c])) for c in want.columns]
         assert python_sorts == (5 if with_nans else 1)
 
-    @pytest.mark.parametrize("with_nans", [False, True])
-    def test_top_k_frame_is_the_whole_relations(self, session, monkeypatch,
-                                                with_nans):
-        """Without HAVING, ORDER BY + LIMIT builds S's object and catalog
-        columns at the kept rows only; the frame is still what the select
-        stage makes of the whole relation — ties and NaN keys included."""
-        from repro.db import executor, inspect_clause
-        from repro.util.frame import Frame
-        statements = [SQL_ALL.format(measures="corr, diff_means", tail=tail)
-                      for tail in ("LIMIT 4",
-                                   "ORDER BY S.unit_score DESC LIMIT 7",
-                                   "ORDER BY S.group_score LIMIT 11",
-                                   "ORDER BY S.hid DESC LIMIT 9",
-                                   "ORDER BY M.epoch LIMIT 5")]
-        wholes, queries = [], []
-        materialize, select = (inspect_clause._materialize_s,
-                               inspect_clause.select_columns)
-
-        def whole(*args):
-            cols, n, coded = materialize(*args)
-            if with_nans:
-                cols["S.unit_score"] = cols["S.unit_score"].copy()
-                cols["S.unit_score"][::3] = np.nan
-            wholes.append(({**cols, **{q: values[codes] for q, (values, codes)
-                                       in coded.items()}}, n))
-            return cols, n, coded
-
-        def query_of(cols, n, query, presorted=False):
-            queries.append(query)
-            return select(cols, n, query, presorted)
-
-        monkeypatch.setattr(inspect_clause, "_materialize_s", whole)
-        monkeypatch.setattr(inspect_clause, "select_columns", query_of)
-        for sql in statements:
-            got = session.sql(sql)
-            columns, _ = executor.select_columns(*wholes.pop(),
-                                                 queries.pop())
-            want = Frame({name: columns[name] for name in got.columns})
-            assert len(got) == len(want) > 0
-            # compared as text: NaN is not equal to itself
-            assert repr([got[c] for c in got.columns]) \
-                == repr([want[c] for c in want.columns])
-            assert [list(map(type, got[c])) for c in got.columns] \
-                == [list(map(type, want[c])) for c in want.columns]
-
 
 class TestAmbiguity:
     def test_ambiguous_where_reference_raises(self, session):

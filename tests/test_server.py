@@ -672,6 +672,24 @@ class TestServedTrace:
             "admission_wait", "statement", "encode", "send"))
         assert 0 < parts <= layers["query"]["total_s"]
 
+    def test_a_store_commit_after_the_frame_is_in_no_layer(
+            self, trained_sql_model, sql_workload, hyps, tmp_path):
+        """A cold store-backed query is answered before its commit runs:
+        the commit opens no span in the query's trace, which is folded
+        once the response is out, and its seconds are the store's."""
+        session = make_session(trained_sql_model, sql_workload, hyps,
+                               store_path=str(tmp_path / "store"))
+        with session, serve_in_thread(session) as server:
+            client = InspectClient("127.0.0.1", server.port)
+            for _ in range(2):     # cold, then memory-warm
+                client.query(INSPECT_SQL)
+            stats = client.stats()
+        layers = stats["layers"]
+        assert layers["query"]["calls"] == layers["statement"]["calls"] == 2
+        assert "store_commit" not in layers
+        store = stats["session"]["store"]
+        assert store["commits"] == 1 and store["commit_s"] > 0
+
     def test_result_envelope_is_what_an_old_client_reads(
             self, trained_sql_model, sql_workload, hyps):
         session = make_session(trained_sql_model, sql_workload, hyps)

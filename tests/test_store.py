@@ -634,15 +634,14 @@ class TestWarmInspect:
 
         counted = [_Counting("SELECT"), hyps[1]]
         cold_model = _CountingForwardModel(trained_sql_model)
-        config = self._config(tmp_path)
         cold = inspect([cold_model], sql_workload.dataset,
                        [CorrelationScore(), DiffMeansScore()], counted,
-                       config=config)
-        config.cache.store.flush()   # the run's commit ran after it
+                       config=self._config(tmp_path))
         assert cold_model.forward_calls > 0
         calls["hyp"] = 0
 
-        # a fresh session: new store handle, new (empty) memory tiers
+        # a fresh session: new store handle, new (empty) memory tiers; its
+        # first read waits for the commit the cold run left running
         warm_model = _CountingForwardModel(trained_sql_model)
         warm = inspect([warm_model], sql_workload.dataset,
                        [CorrelationScore(), DiffMeansScore()], counted,
@@ -676,7 +675,6 @@ class TestWarmInspect:
         cfg = self._config(tmp_path, early_stop=True, block_size=16)
         inspect([trained_sql_model], sql_workload.dataset,
                 [CorrelationScore()], hyps, config=cfg)
-        cfg.cache.store.flush()   # the run's commit ran after it
         store = DiskBehaviorStore(tmp_path)
         unit_keys = [k for k in store.keys() if k.startswith("unit/")]
         assert unit_keys
@@ -1324,21 +1322,20 @@ class TestCommitAfterReturn:
         """Two scopes end while the first one's commit is held before it
         starts: both return, and the commits then land in scope order,
         each row once."""
-        from repro.store import disk
         gate = threading.Event()
-        span = disk.span
+        commit_after = DiskBehaviorStore._commit_after
 
-        def held(name, *detail):    # the commit's span opens first
+        def held(*args):    # before the commit takes the store's lock
             assert gate.wait(30)
-            return span(name, *detail)
+            return commit_after(*args)
 
-        monkeypatch.setattr(disk, "span", held)
+        monkeypatch.setattr(DiskBehaviorStore, "_commit_after", held)
         store = DiskBehaviorStore(tmp_path)
         for key in "ab":
             with store.deferred_commits():
                 store.append(key, np.arange(4), np.full((4, 2), ord(key)),
                              n_records=4)
-        assert DiskBehaviorStore(tmp_path).keys() == []
+        assert not (tmp_path / "manifest.json").exists()
         gate.set()
         assert store.keys() == ["a", "b"]
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -1351,6 +1348,97 @@ class TestCommitAfterReturn:
         for key in "ab":
             assert np.array_equal(store.reader(key).rows(np.arange(4)),
                                   np.full((4, 2), ord(key)))
+
+    def test_a_new_handle_reads_after_the_commit_in_flight(self, tmp_path,
+                                                           monkeypatch):
+        """Another handle on the directory (a stateless ``inspect()`` on
+        a new store) waits for the commit this process handed off last:
+        its first read sees those rows, never the manifest before them."""
+        gate = threading.Event()
+        commit_after = DiskBehaviorStore._commit_after
+
+        def held(*args):
+            assert gate.wait(30)
+            return commit_after(*args)
+
+        monkeypatch.setattr(DiskBehaviorStore, "_commit_after", held)
+        store = DiskBehaviorStore(tmp_path)
+        with store.deferred_commits():
+            store.append("a", np.arange(4), np.ones((4, 2)), n_records=4)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(DiskBehaviorStore(tmp_path).keys()))
+        reader.start()
+        reader.join(0.2)
+        assert reader.is_alive() and not read   # waiting on the commit
+        gate.set()
+        reader.join(30)
+        assert read == [["a"]]
+
+    def test_only_an_explicit_call_raises_a_failed_commit(
+            self, tmp_path, monkeypatch):
+        """After a handed-off commit failed, a standalone append, an
+        overflowing scope and a read that drops a corrupt entry all
+        commit and raise nothing; the next ``flush()`` raises it, once."""
+        from repro.store import disk
+        store = DiskBehaviorStore(tmp_path)
+        store.append("torn", np.arange(4), np.ones((4, 8)), n_records=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(disk, "write_blob", write_blob_last_part_failing)
+            with store.deferred_commits():
+                store.append("lost", np.arange(4), np.ones((4, 8)),
+                             n_records=4)
+            assert store.keys() == ["torn"]     # the commit failed
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["entries"]["torn"]["shards"][0]["file"] = "missing.seg"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert store.readers(["torn"]) == [None]
+        store.append("kept", np.arange(4), np.zeros((4, 8)), n_records=4)
+        store.max_pending_bytes = 1
+        with store.deferred_commits():
+            store.append("over", np.arange(4), np.zeros((4, 8)),
+                         n_records=4)
+        assert store.keys() == ["kept", "over"]
+        with pytest.raises(OSError) as caught:
+            store.flush()
+        assert caught.value.errno == errno.ENOSPC
+        store.flush()
+
+    def test_a_statement_dropping_a_corrupt_entry_after_a_failed_commit(
+            self, tmp_path, monkeypatch, sql_workload, hyps):
+        """A session whose last commit failed runs a statement that finds
+        its unit entry corrupt: the entry is dropped and re-extracted, the
+        frame is the reference, and the commit's error waits for the next
+        ``flush()``."""
+        from repro.store import disk
+        path = tmp_path / "s"
+        statements = [ONE_MODEL_SQL.format(f"epoch_{i}") for i in range(2)]
+        references = self._references(sql_workload, hyps, statements,
+                                      n_models=2)
+        with self._session(sql_workload, hyps, path, n_models=2) as session:
+            session.sql(statements[0])      # epoch_0's rows and the panel
+        reset_degradation_counts()
+        session = self._session(sql_workload, hyps, path, n_models=2)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(disk, "write_blob",
+                              write_blob_last_part_failing)
+                assert session.sql(statements[1]) == references[1]
+                session.stats()     # its commit ran, and failed
+            assert degradation_counts()["store.async-commit-failed"] == 1
+            manifest = json.loads((path / "manifest.json").read_text())
+            (unit_key,) = [key for key in manifest["entries"]
+                           if not key.startswith("panel/")]
+            manifest["entries"][unit_key]["shards"][0]["file"] \
+                = "missing.seg"
+            (path / "manifest.json").write_text(json.dumps(manifest))
+            assert session.sql(statements[0]) == references[0]
+            assert session.stats()["store"]["invalid_dropped"] == 1
+            with pytest.raises(OSError) as caught:
+                session.store.flush()
+            assert caught.value.errno == errno.ENOSPC
+        finally:
+            session.close()
 
     @pytest.mark.parametrize("concurrent", [False, True])
     def test_two_cold_statements_commit_each_row_once(

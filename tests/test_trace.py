@@ -209,18 +209,20 @@ class TestStatementTrace:
                               scheduler, **kwargs) as session:
                 for first in (True, False):   # ..., then memory-warm
                     session.reset_counters()
+                    committed = (session.stats()["store"]["commit_s"]
+                                 if store else 0.0)
                     with tracing("statement") as root:
                         session.sql(INSPECT_SQL)
-                    if store:   # its commit runs after it
-                        session.store.flush()
                     counted = Counter()
                     for total in root.totals().values():
                         counted.update({name: total.get(name, 0)
                                         for name in TIER_COUNTERS})
                     assert +counted == +tier_counters(session)
-                    if store:   # only a statement that extracted commits
-                        assert ("store_commit" in base_names(root)) \
-                            == (cold and first)
+                    if store:   # a commit after the frame is in no trace
+                        assert "store_commit" not in base_names(root)
+                        # ... and only a statement that extracted commits
+                        assert (session.stats()["store"]["commit_s"]
+                                > committed) == (cold and first)
 
     def test_lead_and_join_land_on_the_statements_span(
             self, trained_sql_model, sql_workload, hyps):
@@ -371,12 +373,13 @@ class TestLifecycles:
                 frames = session.stream_sql(INSPECT_SQL)
                 next(frames)
                 frames.close()
-            session.store.flush()   # the scope's commit runs after it
             assert_closed(root)
             names = base_names(root)
             assert names["inspection"] == 1 and names["assemble"] == 1
             assert names["sweep"] == len(MIDS)     # one block's worth
-            assert names["store_commit"] == 1      # the scope still closed
+            # the scope still closed; its commit ran after, in no trace
+            assert "store_commit" not in names
+            assert session.stats()["store"]["commits"] == 1
             assert session.stats()["queries"]["streams_abandoned"] == 1
 
     @pytest.mark.parametrize("how", ["collector", "other_thread"])
