@@ -10,7 +10,7 @@ first, then fresh objects and a new session per run; cold: fresh objects and
 a store-less session per run; store: fresh objects and a session over a new
 empty store per run, under the scheduler the library picks — threads on
 two or more usable CPUs, serial on one; what ``cold_store`` times; set
-``REPRO_SCHEDULER`` to compare the three), times
+``REPRO_SCHEDULER`` to compare the two), times
 the statement ``--repeat`` times plainly and again under cProfile, and
 prints ms per statement both ways plus the top cumulative rows under
 ``src/repro``.  ``--rollup`` prints the statement's own trace instead
@@ -24,10 +24,9 @@ A store-backed statement commits after it returns, on a thread of its
 own and in no trace: its ``store_commit`` row (the store's ``commit_s``)
 is shown after the whole statement, as time after the frame, beside what
 ``close()`` then waited for it.
-Spans are timed on the thread that runs them: under a pool the
+Spans are timed on the thread that runs them: under the thread pool the
 ``sweep[model]`` rows overlap the calling thread's labelling and its
-``unit_extraction`` rows are the submission and the wait
-(``REPRO_SCHEDULER=processes`` is the thread pool too).  cProfile taxes
+``unit_extraction`` rows are the submission and the wait.  cProfile taxes
 Python calls, not numpy's inner loops, and sees the calling thread only.  Read the
 rows as proportions, take timings from ``benchmarks/e2e``.
 """

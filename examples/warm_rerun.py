@@ -15,11 +15,10 @@ from mmap reads: the extraction counters stay at zero and the scores are
 bit-identical.  ``--fresh`` wipes the store first; ``--gc BYTES`` applies
 a byte budget afterwards.
 
-``--scheduler processes`` is the thread scheduler under another name:
-same store layout, same scores, warm reruns unchanged.  The default
-(``auto``) lets :func:`repro.core.pipeline.default_scheduler` decide: threads on
-two or more usable CPUs (the store does not enter the choice), serial on
-one.
+``--scheduler serial`` or ``threads`` picks one: same store layout, same
+scores, warm reruns unchanged.  The default (``auto``) lets
+:func:`repro.core.pipeline.default_scheduler` decide: threads on two or
+more usable CPUs (the store does not enter the choice), serial on one.
 """
 
 import argparse
@@ -45,7 +44,7 @@ def main() -> None:
     parser.add_argument("--gc", type=int, metavar="BYTES", default=None,
                         help="apply a byte budget to the store afterwards")
     parser.add_argument("--scheduler", default="auto",
-                        choices=["auto", "serial", "threads", "processes"],
+                        choices=["auto", "serial", "threads"],
                         help="execution scheduler (auto: serial on one "
                              "usable CPU, threads otherwise)")
     args = parser.parse_args()

@@ -33,8 +33,7 @@ engine with the config exactly as given (no session resources).
 from repro.core.cache import HypothesisCache, UnitBehaviorCache
 from repro.core.groups import UnitGroup, all_units_group, layer_groups
 from repro.core.inspect import InspectConfig, inspect, top_units
-from repro.core.pipeline import (InspectionPlan, ProcessPoolScheduler,
-                                 Scheduler, SerialScheduler,
+from repro.core.pipeline import (InspectionPlan, Scheduler, SerialScheduler,
                                  ThreadPoolScheduler)
 from repro.core.saliency import saliency_frame, top_symbols
 from repro.session import InspectionQuery, Session
@@ -50,7 +49,6 @@ __all__ = [
     "InspectConfig",
     "InspectionPlan",
     "InspectionQuery",
-    "ProcessPoolScheduler",
     "Scheduler",
     "SerialScheduler",
     "Session",

@@ -147,10 +147,15 @@ async def _serve(session: Session, args) -> None:
 
 def serve_main(argv: list[str]) -> int:
     import asyncio
+    import signal
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
     with _open_session(args, parser) as session:
+        # asyncio turns SIGINT into a cancellation only while Python's own
+        # handler is installed; a child of a non-interactive shell's
+        # background job inherits SIGINT ignored, and would never stop
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             asyncio.run(_serve(session, args))
         except KeyboardInterrupt:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.cache import HypothesisCache, UnitBehaviorCache
-from repro.core.schedulers import _SCHEDULERS, Scheduler
+from repro.core.schedulers import Scheduler, _scheduler_class
 
 MODES = ("streaming", "materialized", "full")
 
@@ -40,15 +40,7 @@ class InspectConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.scheduler is not None and not isinstance(
-                self.scheduler, (str, Scheduler)):
-            raise TypeError("scheduler must be a name or Scheduler, "
-                            f"got {self.scheduler!r}")
-        if isinstance(self.scheduler, str) \
-                and self.scheduler not in _SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; expected one of "
-                f"{tuple(_SCHEDULERS)} or a Scheduler instance")
+        _scheduler_class(self.scheduler)
 
     def threshold_for(self, score_id: str) -> float:
         if isinstance(self.error_threshold, (int, float)):

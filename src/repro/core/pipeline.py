@@ -21,8 +21,7 @@ query-optimizable workload:
   thread-pool scheduler parallelizes unit extraction across (model,
   extractor) pairs and score updates across tasks (numpy releases the GIL,
   so multi-model workloads scale across cores) while producing bit-identical
-  results.  ``"processes"`` names the thread-pool scheduler too
-  (:class:`~repro.core.schedulers.ProcessPoolScheduler`).
+  results.
 
 The pieces live in :mod:`~repro.core.schedulers`, :mod:`~repro.core.config`,
 :mod:`~repro.core.source` and :mod:`~repro.core.plan`; this module is the
@@ -36,14 +35,13 @@ from __future__ import annotations
 from repro.core.config import (DEFAULT_THRESHOLDS, FALLBACK_THRESHOLD, MODES,
                                InspectConfig)
 from repro.core.plan import GroupMeasureOutcome, InspectionPlan, ScoreTask
-from repro.core.schedulers import (_SCHEDULERS, ProcessPoolScheduler,
-                                   Scheduler, SerialScheduler,
+from repro.core.schedulers import (_SCHEDULERS, Scheduler, SerialScheduler,
                                    ThreadPoolScheduler, _resolve_scheduler,
                                    default_scheduler)
 from repro.core.source import BehaviorSource
 
 __all__ = ["DEFAULT_THRESHOLDS", "FALLBACK_THRESHOLD", "MODES",
            "BehaviorSource", "GroupMeasureOutcome", "InspectConfig",
-           "InspectionPlan", "ProcessPoolScheduler", "Scheduler", "ScoreTask",
-           "SerialScheduler", "ThreadPoolScheduler", "_SCHEDULERS",
-           "_resolve_scheduler", "default_scheduler"]
+           "InspectionPlan", "Scheduler", "ScoreTask", "SerialScheduler",
+           "ThreadPoolScheduler", "_SCHEDULERS", "_resolve_scheduler",
+           "default_scheduler"]

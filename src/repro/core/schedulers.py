@@ -133,33 +133,15 @@ class ThreadPoolScheduler(Scheduler):
             pool.shutdown(wait=True)
 
 
-class ProcessPoolScheduler(ThreadPoolScheduler):
-    """The thread scheduler under the name ``"processes"``, which stays
-    selectable while the benchmark's replay opens it.
-
-    ``mp_context`` is accepted and unused: no work leaves the process, so
-    frames, counters and an abandoned run's sweeps are those of
-    ``threads``.
-    """
-
-    name = "processes"
-
-    def __init__(self, max_workers: int | None = None,
-                 mp_context: str | None = None):
-        super().__init__(max_workers)
-        self.mp_context = mp_context
-
-
 def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
     """The scheduler a session should run with on this machine.
 
     Selection rules:
 
-    * ``REPRO_SCHEDULER`` (``serial`` / ``threads`` / ``processes``)
-      overrides everything — the CI lever that forces the whole suite
-      through one scheduler.
-    * One usable CPU (:func:`usable_cpus`) gets the serial scheduler:
-      neither pool can win there, and GIL/spawn overhead makes both
+    * ``REPRO_SCHEDULER`` (``serial`` / ``threads``) overrides everything
+      — the CI lever that forces the whole suite through one scheduler.
+    * One usable CPU (:func:`usable_cpus`) gets the serial scheduler: the
+      pool cannot win there, and GIL and dispatch overhead make it
       strictly slower.
     * Anything else gets the thread pool — numpy releases the GIL for
       sweeps, scoring and multi-model extraction, and a store-backed
@@ -169,8 +151,7 @@ def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
       pool overlaps the checkpoints' sweeps with the labelling.
 
     ``store`` is unused (the benchmark's replay passes it): a store no
-    longer enters the choice.  ``processes`` is the thread pool under
-    another name (:class:`ProcessPoolScheduler`).
+    longer enters the choice.
     """
     forced = os.environ.get("REPRO_SCHEDULER", "").strip()
     if forced:
@@ -181,20 +162,30 @@ def default_scheduler(store: DiskBehaviorStore | None = None) -> Scheduler:
 
 
 _SCHEDULERS = {"serial": SerialScheduler, "threads": ThreadPoolScheduler,
-               "processes": ProcessPoolScheduler}
+               # an alias whose one user is benchmarks/e2e/replay.py::_pipeline
+               "processes": ThreadPoolScheduler}
+
+
+def _scheduler_class(spec) -> type[Scheduler] | None:
+    """The class a scheduler ``spec`` builds: serial for ``None``, the
+    ``_SCHEDULERS`` entry for a name, nothing (``None``) for an instance.
+    The one place a bad spec is refused: :class:`InspectConfig` checks it
+    when built, :func:`_resolve_scheduler` when a run resolves it."""
+    if isinstance(spec, Scheduler):
+        return None
+    if spec is None:
+        return SerialScheduler
+    if not isinstance(spec, str):
+        raise TypeError(f"scheduler must be a name or Scheduler, got {spec!r}")
+    try:
+        return _SCHEDULERS[spec]
+    except KeyError:
+        raise ValueError(
+            f"unknown scheduler {spec!r}; expected one of "
+            f"{tuple(_SCHEDULERS)} or a Scheduler instance") from None
 
 
 def _resolve_scheduler(spec) -> tuple[Scheduler, bool]:
     """Returns (scheduler, owned); owned schedulers are shut down after use."""
-    if spec is None:
-        return SerialScheduler(), True
-    if isinstance(spec, Scheduler):
-        return spec, False
-    if isinstance(spec, str):
-        try:
-            return _SCHEDULERS[spec](), True
-        except KeyError:
-            raise ValueError(
-                f"unknown scheduler {spec!r}; expected one of "
-                f"{tuple(_SCHEDULERS)} or a Scheduler instance") from None
-    raise TypeError(f"scheduler must be a name or Scheduler, got {spec!r}")
+    cls = _scheduler_class(spec)
+    return (spec, False) if cls is None else (cls(), True)

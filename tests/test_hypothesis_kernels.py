@@ -25,8 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro import (InspectConfig, ProcessPoolScheduler, SerialScheduler,
-                   Session, ThreadPoolScheduler)
+from repro import (InspectConfig, SerialScheduler, Session,
+                   ThreadPoolScheduler)
 from repro.core.cache import HypothesisCache, hyp_store_key
 from repro.data import generate_sql_workload
 from repro.data.datasets import PAD_CHAR, Dataset, Vocab
@@ -534,12 +534,11 @@ class TestCacheBlocks:
         cache.extract_block(hyps[:20] + solo, ds, np.arange(30, 60))
         assert cache.stats()["extractions"] == 34 and len(calls) == 3
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
     def test_a_cold_statement_extracts_hypotheses_times_blocks(
             self, trained_sql_model, sql_workload, hyps72, scheduler):
         schedulers = {"serial": SerialScheduler,
-                      "threads": lambda: ThreadPoolScheduler(2),
-                      "processes": lambda: ProcessPoolScheduler(2)}
+                      "threads": lambda: ThreadPoolScheduler(2)}
         hyps = pickle.loads(pickle.dumps(hyps72))       # never-used objects
         n_blocks = 2
         config = InspectConfig(early_stop=False, max_records=120,

@@ -60,7 +60,7 @@ def test_one_way_in_surface_is_pinned():
     fields = [f.name for f in dataclasses.fields(repro.InspectConfig)]
     assert len(fields) == 10
     assert not {"store", "prefetch", "sweep_gate"} & set(fields)
-    assert len(repro.__all__) == 20
+    assert len(repro.__all__) == 19
 
 
 def test_bench_and_example_imports_resolve():

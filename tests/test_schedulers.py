@@ -1,24 +1,26 @@
-"""The ``processes`` scheduler: the thread scheduler under another name.
+"""The schedulers: serial and the thread pool, and how a name picks one.
 
-The contract under test: a ``ProcessPoolScheduler`` run is bit-identical
+The contract under test: a ``ThreadPoolScheduler`` run is bit-identical
 to serial for ``run()``, ``.stream()``'s final frame and INSPECT SQL, with
-serial's tier counters and forward calls; whatever its ``mp_context``, it
-starts no process and pickles nothing, so a model or hypothesis that
-cannot pickle runs as under serial; an error the sweep raises propagates
-as under serial; and ``close()`` is idempotent, abandoned stream or not.
+serial's tier counters and forward calls; an error the sweep raises
+propagates as under serial; ``close()`` is idempotent, abandoned stream
+or not, and leaves no pool thread behind.  ``default_scheduler`` picks by
+usable CPUs unless ``REPRO_SCHEDULER`` names one, and every way of naming
+a scheduler resolves through one table, where ``"processes"`` is an alias
+of the thread pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import pickle
+import threading
 
 import numpy as np
 import pytest
 
-from repro import (DiskBehaviorStore, InspectConfig, ProcessPoolScheduler,
-                   SerialScheduler, Session, ThreadPoolScheduler)
+import repro
+from repro import (DiskBehaviorStore, InspectConfig, SerialScheduler,
+                   Session, ThreadPoolScheduler)
 from repro.core.pipeline import default_scheduler
 from repro.core.schedulers import usable_cpus
 from repro.extract import Extractor
@@ -63,7 +65,7 @@ TIER_COUNTERS = ("extractions", "hits", "misses", "disk_hits",
 
 
 # ----------------------------------------------------------------------
-# bit-identity: serial vs threads vs processes
+# bit-identity: serial vs threads
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     def test_run_identical_across_schedulers(self, trained_sql_model,
@@ -72,10 +74,7 @@ class TestBitIdentity:
                            scheduler=SerialScheduler())
         threads = run_frame(trained_sql_model, sql_workload, hyps,
                             scheduler=ThreadPoolScheduler(max_workers=2))
-        procs = run_frame(trained_sql_model, sql_workload, hyps,
-                          scheduler=ProcessPoolScheduler(max_workers=2))
         assert serial == threads
-        assert serial == procs
 
     def test_stream_final_frame_identical(self, trained_sql_model,
                                           sql_workload, hyps):
@@ -90,7 +89,7 @@ class TestBitIdentity:
             return frames[-1]
 
         assert final(SerialScheduler()) == final(
-            ProcessPoolScheduler(max_workers=2))
+            ThreadPoolScheduler(max_workers=2))
 
     def test_inspect_sql_identical(self, trained_sql_model, sql_workload,
                                    hyps):
@@ -100,37 +99,15 @@ class TestBitIdentity:
                 return s.sql(INSPECT_SQL)
 
         assert sql(SerialScheduler()) == sql(
-            ProcessPoolScheduler(max_workers=2))
+            ThreadPoolScheduler(max_workers=2))
 
-    @pytest.mark.parametrize("mp_context", ["fork", "spawn", "forkserver"])
-    def test_start_method_is_accepted_and_starts_nothing(
-            self, trained_sql_model, sql_workload, hyps, tmp_path,
-            mp_context):
-        """``mp_context`` is accepted and unused: the run starts no child
-        process and sweeps the model exactly as serial does."""
-        def run(scheduler, path):
-            counting = CountingForwardModel(trained_sql_model)
-            with make_session(counting, sql_workload, hyps,
-                              store_path=path, scheduler=scheduler) as s:
-                frame = (s.inspect("m0", "d0").hypotheses(hyps)
-                         .using("corr").run())
-                assert multiprocessing.active_children() == []
-            return frame, counting.forward_calls
-
-        reset_degradation_counts()
-        assert run(ProcessPoolScheduler(max_workers=2,
-                                        mp_context=mp_context),
-                   tmp_path / "procs") \
-            == run(SerialScheduler(), tmp_path / "serial")
-        assert degradation_counts() == {}
-
-    def test_cold_process_then_warm_serial_store_roundtrip(
+    def test_cold_threads_then_warm_serial_store_roundtrip(
             self, trained_sql_model, sql_workload, hyps, tmp_path):
-        """What a process-scheduler session commits is readable by a
-        later, unrelated serial session."""
+        """What a thread-pool session commits is readable by a later,
+        unrelated serial session."""
         cold = run_frame(trained_sql_model, sql_workload, hyps,
                          store_path=tmp_path / "store",
-                         scheduler=ProcessPoolScheduler(max_workers=2))
+                         scheduler=ThreadPoolScheduler(max_workers=2))
         counting = CountingForwardModel(trained_sql_model)
         warm = run_frame(counting, sql_workload, hyps,
                          store_path=tmp_path / "store",
@@ -140,43 +117,36 @@ class TestBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# lifecycle: no process, idempotent shutdown
+# lifecycle: no pool thread outlives close(), idempotent shutdown
 # ----------------------------------------------------------------------
 class TestLifecycle:
-    def test_no_process_before_or_after_close(self, trained_sql_model,
-                                              sql_workload, hyps):
-        session = make_session(
-            trained_sql_model, sql_workload, hyps,
-            scheduler=ProcessPoolScheduler(max_workers=2))
-        session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
-        assert multiprocessing.active_children() == []
-        session.close()
-        assert multiprocessing.active_children() == []
-
     def test_no_leaked_workers_after_abandoned_stream(
             self, trained_sql_model, sql_workload, hyps):
+        before = set(threading.enumerate())
         config = InspectConfig(mode="streaming", block_size=20,
                                early_stop=False, max_records=MAX_RECORDS)
+        scheduler = ThreadPoolScheduler(max_workers=2)
         session = make_session(trained_sql_model, sql_workload, hyps,
-                               config=config,
-                               scheduler=ProcessPoolScheduler(max_workers=2))
+                               config=config, scheduler=scheduler)
         stream = (session.inspect("m0", "d0").hypotheses(hyps)
                   .using("corr").stream())
         next(stream)
         stream.close()  # abandon mid-run
         session.close()
-        assert multiprocessing.active_children() == []
+        assert scheduler._pool is None
+        assert [t for t in set(threading.enumerate()) - before
+                if t.is_alive()] == []
 
     def test_close_is_idempotent(self, trained_sql_model, sql_workload,
                                  hyps):
-        scheduler = ProcessPoolScheduler(max_workers=2)
+        scheduler = ThreadPoolScheduler(max_workers=2)
         session = make_session(trained_sql_model, sql_workload, hyps,
                                scheduler=scheduler)
         session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
         session.close()
         session.close()
         scheduler.shutdown()  # third shutdown, directly: still a no-op
-        assert multiprocessing.active_children() == []
+        assert scheduler._pool is None
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +158,7 @@ class TestCounters:
         counting = CountingForwardModel(trained_sql_model)
         with make_session(counting, sql_workload, hyps,
                           store_path=tmp_path / "store",
-                          scheduler=ProcessPoolScheduler(max_workers=2)
+                          scheduler=ThreadPoolScheduler(max_workers=2)
                           ) as session:
             session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
             stats = session.stats()
@@ -221,8 +191,9 @@ class TestCounters:
             return frames, counts, counting.forward_calls
 
         serial = run(SerialScheduler(), tmp_path / "serial")
-        procs = run(ProcessPoolScheduler(max_workers=2), tmp_path / "procs")
-        assert procs == serial
+        threads = run(ThreadPoolScheduler(max_workers=2),
+                      tmp_path / "threads")
+        assert threads == serial
         assert serial[2] == MAX_RECORDS // 20
 
     def test_abandoned_after_block_one_swept_one_block(
@@ -231,7 +202,7 @@ class TestCounters:
                                early_stop=False, max_records=MAX_RECORDS)
         counting = CountingForwardModel(trained_sql_model)
         with make_session(counting, sql_workload, hyps, config=config,
-                          scheduler=ProcessPoolScheduler(max_workers=2)
+                          scheduler=ThreadPoolScheduler(max_workers=2)
                           ) as session:
             stream = (session.inspect("m0", "d0").hypotheses(hyps)
                       .using("corr").stream())
@@ -246,11 +217,11 @@ class TestCounters:
                                              sql_workload, hyps, tmp_path):
         run_frame(trained_sql_model, sql_workload, hyps,
                   store_path=tmp_path / "store",
-                  scheduler=ProcessPoolScheduler(max_workers=2))
+                  scheduler=ThreadPoolScheduler(max_workers=2))
         counting = CountingForwardModel(trained_sql_model)
         with make_session(counting, sql_workload, hyps,
                           store_path=tmp_path / "store",
-                          scheduler=ProcessPoolScheduler(max_workers=2)
+                          scheduler=ThreadPoolScheduler(max_workers=2)
                           ) as session:
             session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
             stats = session.stats()
@@ -261,28 +232,8 @@ class TestCounters:
 
 
 # ----------------------------------------------------------------------
-# nothing is pickled; what the sweep raises propagates
+# what the sweep raises propagates
 # ----------------------------------------------------------------------
-class _UnpicklableHypothesis:
-    """A hypothesis whose closure cannot be pickled."""
-
-    def __init__(self, inner):
-        self.name = inner.name
-        self._inner = inner
-        self._blocker = lambda: None  # defeats pickle
-
-    def extract(self, dataset, indices=None):
-        return self._inner.extract(dataset, indices)
-
-
-class _LambdaCarrier(CountingForwardModel):
-    """A model carrying an unpicklable attribute."""
-
-    def __init__(self, model):
-        super().__init__(model)
-        self.hook = lambda: None
-
-
 class _WrongRows(Extractor):
     """Sweeps the wrong number of rows."""
 
@@ -294,34 +245,6 @@ class _WrongRows(Extractor):
 
 
 class TestGracefulDegradation:
-    def test_unpicklable_hypothesis_still_identical(self, trained_sql_model,
-                                                    sql_workload):
-        base = sql_keyword_hypotheses(("SELECT", "FROM"))
-        wrapped = [_UnpicklableHypothesis(h) for h in base]
-        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
-            pickle.dumps(wrapped[0])
-        serial = run_frame(trained_sql_model, sql_workload, wrapped,
-                           scheduler=SerialScheduler())
-        reset_degradation_counts()
-        procs = run_frame(trained_sql_model, sql_workload, wrapped,
-                          scheduler=ProcessPoolScheduler(max_workers=2))
-        assert serial == procs
-        assert degradation_counts() == {}
-
-    def test_unpicklable_model_sweeps_as_under_serial(
-            self, trained_sql_model, sql_workload, hyps):
-        model = _LambdaCarrier(trained_sql_model)
-        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
-            pickle.dumps(model)
-        serial = run_frame(trained_sql_model, sql_workload, hyps,
-                           scheduler=SerialScheduler())
-        reset_degradation_counts()
-        procs = run_frame(model, sql_workload, hyps,
-                          scheduler=ProcessPoolScheduler(max_workers=2))
-        assert procs == serial
-        assert degradation_counts() == {}
-        assert model.forward_calls == 1
-
     def test_wrong_row_count_raises_as_under_serial(
             self, trained_sql_model, sql_workload, hyps):
         def error(scheduler):
@@ -332,7 +255,7 @@ class TestGracefulDegradation:
 
         want = error(SerialScheduler())
         reset_degradation_counts()
-        assert error(ProcessPoolScheduler(max_workers=2)) == want
+        assert error(ThreadPoolScheduler(max_workers=2)) == want
         assert degradation_counts() == {}    # raised, not worked around
 
 
@@ -343,12 +266,15 @@ class TestDefaultScheduler:
     """One usable CPU -> serial, otherwise threads; a store does not enter
     the choice, ``REPRO_SCHEDULER`` overrides it."""
 
-    @pytest.mark.parametrize("forced", ["serial", "threads", "processes"])
-    def test_env_override_wins(self, monkeypatch, fake_cpu_count, forced):
+    @pytest.mark.parametrize("forced,expected", [
+        ("serial", SerialScheduler), ("threads", ThreadPoolScheduler),
+        ("processes", ThreadPoolScheduler)])
+    def test_env_override_wins(self, monkeypatch, fake_cpu_count, forced,
+                               expected):
         monkeypatch.setenv("REPRO_SCHEDULER", forced)
         fake_cpu_count(4)
         with default_scheduler() as scheduler:
-            assert scheduler.name == forced
+            assert type(scheduler) is expected
 
     @pytest.mark.parametrize("cpus,expected", [(1, SerialScheduler),
                                                (4, ThreadPoolScheduler)])
@@ -371,7 +297,6 @@ class TestDefaultScheduler:
         assert usable_cpus() == 1
         assert isinstance(default_scheduler(), SerialScheduler)
         assert ThreadPoolScheduler().max_workers == 1
-        assert ProcessPoolScheduler().max_workers == 1
 
     def test_store_backed_default_is_bit_identical_and_commits_once(
             self, monkeypatch, tmp_path, fake_cpu_count, trained_sql_model,
@@ -403,3 +328,28 @@ class TestDefaultScheduler:
         assert frame == reference
         assert stats["hypothesis_cache"]["extractions"] == 0
         assert stats["unit_cache"]["extractions"] == 0
+
+
+# ----------------------------------------------------------------------
+# one table resolves every name
+# ----------------------------------------------------------------------
+class TestSchedulerNames:
+    """``Session(scheduler=)``, ``InspectConfig(scheduler=)`` and
+    ``REPRO_SCHEDULER`` resolve a name through one table, where
+    ``"processes"`` is an alias of the thread pool."""
+
+    def test_processes_names_the_thread_pool_everywhere(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        with Session(scheduler="processes") as session:
+            assert type(session.scheduler) is ThreadPoolScheduler
+        with Session(config=InspectConfig(scheduler="processes")) as session:
+            assert type(session.scheduler) is ThreadPoolScheduler
+        monkeypatch.setenv("REPRO_SCHEDULER", "processes")
+        with Session() as session:
+            assert type(session.scheduler) is ThreadPoolScheduler
+
+    def test_the_package_exports_two_scheduler_classes(self):
+        """No third class stands behind an alias."""
+        for names in (dir(repro), repro.__all__):
+            assert sorted(n for n in names if n.endswith("Scheduler")) \
+                == ["Scheduler", "SerialScheduler", "ThreadPoolScheduler"]

@@ -720,7 +720,7 @@ session.register_hypotheses(sql_keyword_hypotheses(("SELECT",)),
 
 class TestServeCli:
     @staticmethod
-    def _serve(*args: str):
+    def _serve(*args: str, **popen):
         import os
         import subprocess
         import sys
@@ -732,14 +732,14 @@ class TestServeCli:
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0", *args],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=env)
+            env=env, **popen)
 
-    def test_serves_until_interrupted(self, tmp_path):
+    def _serve_then_interrupt(self, tmp_path, **popen) -> None:
         import http.client
         import signal
         setup = tmp_path / "setup.py"
         setup.write_text(SERVE_SETUP, encoding="utf-8")
-        proc = self._serve("--setup", str(setup))
+        proc = self._serve("--setup", str(setup), **popen)
         try:
             line = proc.stdout.readline()
             assert "listening on" in line
@@ -761,6 +761,18 @@ class TestServeCli:
             if proc.poll() is None:
                 proc.kill()
             proc.communicate()
+
+    def test_serves_until_interrupted(self, tmp_path):
+        self._serve_then_interrupt(tmp_path)
+
+    def test_serves_until_interrupted_when_launched_ignoring_sigint(
+            self, tmp_path):
+        """A background job of a non-interactive shell starts with SIGINT
+        ignored; the server still stops on it."""
+        import signal
+        self._serve_then_interrupt(
+            tmp_path,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
 
     def test_a_missing_setup_script_exits_2(self, tmp_path):
         proc = self._serve("--setup", str(tmp_path / "missing.py"))

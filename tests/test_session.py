@@ -14,9 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro import (HypothesisCache, InspectConfig, ProcessPoolScheduler,
-                   SerialScheduler, Session, ThreadPoolScheduler,
-                   UnitBehaviorCache, inspect)
+from repro import (HypothesisCache, InspectConfig, SerialScheduler, Session,
+                   ThreadPoolScheduler, UnitBehaviorCache, inspect)
 from repro.db import Database
 from repro.db.inspect_clause import run_inspect_spec
 from repro.db.sqlparser import parse_sql
@@ -487,13 +486,13 @@ class TestNamedScheduler:
     one pool for the session's life, not one per statement."""
 
     @pytest.mark.parametrize("how", ["kwarg", "config"])
-    @pytest.mark.parametrize("name", ["threads", "processes"])
-    def test_built_once(self, name, how, trained_sql_model, sql_workload,
-                        hyps, monkeypatch):
+    def test_built_once(self, how, trained_sql_model, sql_workload, hyps,
+                        monkeypatch):
         from repro.core import pipeline
+        name = "threads"
         built = []
 
-        class Counting(pipeline._SCHEDULERS[name]):
+        class Counting(ThreadPoolScheduler):
             def __init__(self):
                 super().__init__()
                 built.append(self)
@@ -540,8 +539,7 @@ class TestOneScheduler:
     def test_the_sessions_scheduler_is_the_one_statements_run_on(
             self, how, monkeypatch):
         shut = []
-        for cls in (SerialScheduler, ThreadPoolScheduler,
-                    ProcessPoolScheduler):
+        for cls in (SerialScheduler, ThreadPoolScheduler):
             monkeypatch.setattr(
                 cls, "shutdown", lambda self, real=cls.shutdown: (
                     shut.append(self), real(self)))
@@ -640,8 +638,9 @@ class TestConfigResolution:
         assert not store.exists()
 
     def test_invalid_scheduler_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            InspectConfig(scheduler="bogus")
+        for typo in ("bogus", "thread"):
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                InspectConfig(scheduler=typo)
         with pytest.raises(TypeError, match="scheduler must be"):
             InspectConfig(scheduler=123)
 

@@ -599,7 +599,7 @@ class TestWarmInspect:
                                        seed=0, block_size=16))
         assert _frame_tuples(frame) == _frame_tuples(reference)
 
-    @pytest.mark.parametrize("scheduler", ["serial", "processes"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
     def test_tiers_on_two_stores_commit_once_each(
             self, tmp_path, scheduler, trained_sql_model, sql_workload,
             hyps):
@@ -748,11 +748,11 @@ class TestGroupCommit:
         assert (stats["files"], stats["commits"]) == (1, 1)
         assert stats["shards"] == stats["entries"] == 2
 
-    def test_cold_process_statement_fsyncs_twice(
+    def test_cold_threads_statement_fsyncs_twice(
             self, tmp_path, fsyncs, sql_workload, hyps72):
-        """As under threads: one segment and one manifest."""
+        """As under serial: one segment and one manifest."""
         with self._session(sql_workload, hyps72, tmp_path / "s",
-                           scheduler="processes") as session:
+                           scheduler="threads") as session:
             session.sql(EPOCHS_SQL)
             stats = session.stats()["store"]
         assert fsyncs() == 2
@@ -892,17 +892,17 @@ class TestGroupCommit:
         assert entry.matrix.flags.writeable
         assert (counts["disk_hits"], counts["extractions"]) == (n, 0)
 
-    def test_processes_store_reads_back_under_threads(
+    def test_threads_store_reads_back_under_serial(
             self, tmp_path, sql_workload, hyps72):
-        """What a process-scheduler session commits, a threads session
-        serves unchanged."""
+        """What a thread-pool session commits, a serial session serves
+        unchanged."""
         hyps = hyps72[:6]
         reference = self._reference(sql_workload, hyps)
         with self._session(sql_workload, hyps, tmp_path,
-                           scheduler="processes") as session:
+                           scheduler="threads") as session:
             assert session.sql(EPOCHS_SQL) == reference
         with self._session(sql_workload, hyps, tmp_path,
-                           scheduler="threads") as session:
+                           scheduler="serial") as session:
             frame = session.sql(EPOCHS_SQL)
             counts = session.stats()["unit_cache"]
         assert frame == reference

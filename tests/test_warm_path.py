@@ -208,7 +208,7 @@ def _shape(name: str, hyps72, dataset, model):
 
 
 @pytest.mark.parametrize("tier", ["memory", "store"])
-@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("scheduler", ["serial", "threads"])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_served_moments_keep_every_frame_bit_identical(
         shape, scheduler, tier, sql_workload, hyps72, trained_sql_model,
@@ -503,7 +503,7 @@ def test_block_local_states_are_the_summed_ones():
                      "linear_probe", "random", "majority"}
 
 
-@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("scheduler", ["serial", "threads"])
 def test_every_block_local_measure_folds_kept_stats(
         scheduler, sql_workload, hyps72, trained_sql_model, moment_sums):
     """One session runs each measure's statement twice: the warm run folds
@@ -767,7 +767,7 @@ def test_shape_cnn_save_load_round_trip(shapes_and_cnn, tmp_path):
                           model.activation_maps(shapes.images))
 
 
-def test_cnn_frame_under_processes_is_serials(shapes_and_cnn):
+def test_cnn_frame_under_threads_is_serials(shapes_and_cnn):
     shapes, model = shapes_and_cnn
     n_pixels = shapes.images.shape[1] * shapes.images.shape[2]
     symbols = np.repeat(np.arange(shapes.n_images)[:, None], n_pixels, axis=1)
@@ -785,7 +785,7 @@ def test_cnn_frame_under_processes_is_serials(shapes_and_cnn):
 
     serial = run("serial")
     before = degradation_counts()
-    pooled = run("processes")
+    pooled = run("threads")
     assert pooled == serial
     assert degradation_counts() == before
 
