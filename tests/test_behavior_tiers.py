@@ -594,7 +594,7 @@ class TestPanelServing:
         assert {name: counts[name] for name in expected} == expected
         return expected
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_subset_of_a_panel(self, scheduler, tmp_path, sql_workload,
                                hyps72, trained_sql_model):
         args = (sql_workload, trained_sql_model)
@@ -605,7 +605,7 @@ class TestPanelServing:
         assert got == {"extractions": 0, "disk_hits": 10 * 200}
         assert DiskBehaviorStore(tmp_path).stats()["entries"] == entries
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_superset_adds_a_panel_for_the_rest(self, scheduler, tmp_path,
                                                 sql_workload, hyps72,
                                                 trained_sql_model):
@@ -617,7 +617,7 @@ class TestPanelServing:
         got = self._probe(*args, hyps72, tmp_path, scheduler, n_records=200)
         assert got == {"extractions": 0, "disk_hits": 72 * 200}
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_overlapping_panels(self, scheduler, tmp_path, sql_workload,
                                 hyps72, trained_sql_model):
         args = (sql_workload, trained_sql_model)
@@ -630,7 +630,7 @@ class TestPanelServing:
         assert got == {"extractions": 30 * 2,
                        "disk_hits": 72 * 200 - 30 * 100}
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_early_stopping_leaves_narrower_panels(
             self, scheduler, tmp_path, sql_workload, hyps72,
             trained_sql_model):
@@ -648,7 +648,7 @@ class TestPanelServing:
                           measure="diff_means")
         assert (got["extractions"] > 0) == (not held.all())
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_run_abandoned_after_its_first_block(
             self, scheduler, tmp_path, sql_workload, hyps72,
             trained_sql_model):

@@ -534,11 +534,12 @@ class TestCacheBlocks:
         cache.extract_block(hyps[:20] + solo, ds, np.arange(30, 60))
         assert cache.stats()["extractions"] == 34 and len(calls) == 3
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_a_cold_statement_extracts_hypotheses_times_blocks(
             self, trained_sql_model, sql_workload, hyps72, scheduler):
         schedulers = {"serial": SerialScheduler,
-                      "threads": lambda: ThreadPoolScheduler(2)}
+                      "threads": lambda: ThreadPoolScheduler(2),
+                      "processes": lambda: "processes"}
         hyps = pickle.loads(pickle.dumps(hyps72))       # never-used objects
         n_blocks = 2
         config = InspectConfig(early_stop=False, max_records=120,

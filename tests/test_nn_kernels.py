@@ -463,7 +463,7 @@ class TestBlockSweepExtraction:
         assert serial[1] == threaded[1]
         assert serial[2] == threaded[2]
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_all_schedulers_match_serial_frames(self, sql_workload,
                                                 trained_sql_model,
                                                 scheduler):

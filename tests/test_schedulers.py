@@ -12,7 +12,9 @@ of the thread pool.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
 import threading
 
 import numpy as np
@@ -21,8 +23,10 @@ import pytest
 import repro
 from repro import (DiskBehaviorStore, InspectConfig, SerialScheduler,
                    Session, ThreadPoolScheduler)
+from repro.core import pipeline, schedulers
 from repro.core.pipeline import default_scheduler
-from repro.core.schedulers import usable_cpus
+from repro.core.schedulers import (_resolve_scheduler, _scheduler_class,
+                                   usable_cpus)
 from repro.extract import Extractor
 from repro.hypotheses.library import sql_keyword_hypotheses
 from repro.util.debuglog import degradation_counts, reset_degradation_counts
@@ -120,6 +124,21 @@ class TestBitIdentity:
 # lifecycle: no pool thread outlives close(), idempotent shutdown
 # ----------------------------------------------------------------------
 class TestLifecycle:
+    def test_no_pool_before_the_first_statement_or_after_close(
+            self, trained_sql_model, sql_workload, hyps):
+        """The pool starts on first use, never starts a child process,
+        and is gone after ``close()``."""
+        scheduler = ThreadPoolScheduler(max_workers=2)
+        session = make_session(trained_sql_model, sql_workload, hyps,
+                               scheduler=scheduler)
+        assert scheduler._pool is None
+        session.inspect("m0", "d0").hypotheses(hyps).using("corr").run()
+        assert scheduler._pool is not None
+        assert multiprocessing.active_children() == []
+        session.close()
+        assert scheduler._pool is None
+        assert multiprocessing.active_children() == []
+
     def test_no_leaked_workers_after_abandoned_stream(
             self, trained_sql_model, sql_workload, hyps):
         before = set(threading.enumerate())
@@ -234,6 +253,26 @@ class TestCounters:
 # ----------------------------------------------------------------------
 # what the sweep raises propagates
 # ----------------------------------------------------------------------
+class _UnpicklableHypothesis:
+    """A hypothesis whose closure cannot be pickled."""
+
+    def __init__(self, inner):
+        self.name = inner.name
+        self._inner = inner
+        self._blocker = lambda: None  # defeats pickle
+
+    def extract(self, dataset, indices=None):
+        return self._inner.extract(dataset, indices)
+
+
+class _LambdaCarrier(CountingForwardModel):
+    """A model carrying an unpicklable attribute."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self._blocker = lambda: None
+
+
 class _WrongRows(Extractor):
     """Sweeps the wrong number of rows."""
 
@@ -245,6 +284,37 @@ class _WrongRows(Extractor):
 
 
 class TestGracefulDegradation:
+    """No work leaves the process: what cannot be pickled runs on the pool
+    as it does inline."""
+
+    def test_unpicklable_hypothesis_still_identical(self, trained_sql_model,
+                                                    sql_workload):
+        base = sql_keyword_hypotheses(("SELECT", "FROM"))
+        wrapped = [_UnpicklableHypothesis(h) for h in base]
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(wrapped[0])
+        serial = run_frame(trained_sql_model, sql_workload, wrapped,
+                           scheduler=SerialScheduler())
+        reset_degradation_counts()
+        threads = run_frame(trained_sql_model, sql_workload, wrapped,
+                            scheduler=ThreadPoolScheduler(max_workers=2))
+        assert serial == threads
+        assert degradation_counts() == {}
+
+    def test_unpicklable_model_sweeps_as_under_serial(
+            self, trained_sql_model, sql_workload, hyps):
+        model = _LambdaCarrier(trained_sql_model)
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+            pickle.dumps(model)
+        serial = run_frame(trained_sql_model, sql_workload, hyps,
+                           scheduler=SerialScheduler())
+        reset_degradation_counts()
+        threads = run_frame(model, sql_workload, hyps,
+                            scheduler=ThreadPoolScheduler(max_workers=2))
+        assert threads == serial
+        assert degradation_counts() == {}
+        assert model.forward_calls == 1
+
     def test_wrong_row_count_raises_as_under_serial(
             self, trained_sql_model, sql_workload, hyps):
         def error(scheduler):
@@ -353,3 +423,48 @@ class TestSchedulerNames:
         for names in (dir(repro), repro.__all__):
             assert sorted(n for n in names if n.endswith("Scheduler")) \
                 == ["Scheduler", "SerialScheduler", "ThreadPoolScheduler"]
+
+    @pytest.mark.parametrize("spec,cls", [
+        (None, SerialScheduler), ("serial", SerialScheduler),
+        ("threads", ThreadPoolScheduler), ("processes", ThreadPoolScheduler)])
+    def test_a_name_builds_an_owned_scheduler_of_its_class(self, spec, cls):
+        assert _scheduler_class(spec) is cls
+        scheduler, owned = _resolve_scheduler(spec)
+        with scheduler:
+            assert (type(scheduler), owned) == (cls, True)
+
+    def test_an_instance_is_run_on_as_given_and_not_owned(self):
+        for instance in (SerialScheduler(), ThreadPoolScheduler(2)):
+            assert _scheduler_class(instance) is None
+            assert _resolve_scheduler(instance) == (instance, False)
+
+    @pytest.mark.parametrize("typo", ["bogus", "thread", "Threads", "SERIAL",
+                                      "process", ""])
+    def test_an_unknown_name_is_refused_everywhere(self, typo, monkeypatch):
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            InspectConfig(scheduler=typo)
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            Session(scheduler=typo)
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            _resolve_scheduler(typo)
+        if typo:        # an empty REPRO_SCHEDULER forces nothing
+            monkeypatch.setenv("REPRO_SCHEDULER", typo)
+            with pytest.raises(ValueError, match="unknown scheduler"):
+                default_scheduler()
+
+    @pytest.mark.parametrize("spec", [123, 1.5, ["threads"],
+                                      ThreadPoolScheduler],
+                             ids=["int", "float", "list", "class"])
+    def test_a_spec_that_is_no_name_or_instance_is_refused(self, spec):
+        for build in (lambda: InspectConfig(scheduler=spec),
+                      lambda: Session(scheduler=spec),
+                      lambda: _resolve_scheduler(spec)):
+            with pytest.raises(TypeError, match="scheduler must be"):
+                build()
+
+    def test_no_process_pool_class_or_start_method_is_left(self):
+        assert "ProcessPoolScheduler" not in dir(schedulers)
+        assert "ProcessPoolScheduler" not in dir(pipeline)
+        with pytest.raises(TypeError):
+            ThreadPoolScheduler(max_workers=2, mp_context="spawn")

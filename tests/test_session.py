@@ -486,10 +486,10 @@ class TestNamedScheduler:
     one pool for the session's life, not one per statement."""
 
     @pytest.mark.parametrize("how", ["kwarg", "config"])
-    def test_built_once(self, how, trained_sql_model, sql_workload, hyps,
-                        monkeypatch):
+    @pytest.mark.parametrize("name", ["threads", "processes"])
+    def test_built_once(self, name, how, trained_sql_model, sql_workload,
+                        hyps, monkeypatch):
         from repro.core import pipeline
-        name = "threads"
         built = []
 
         class Counting(ThreadPoolScheduler):

@@ -599,7 +599,7 @@ class TestWarmInspect:
                                        seed=0, block_size=16))
         assert _frame_tuples(frame) == _frame_tuples(reference)
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_tiers_on_two_stores_commit_once_each(
             self, tmp_path, scheduler, trained_sql_model, sql_workload,
             hyps):

@@ -165,7 +165,7 @@ class TestSpans:
 # what a statement crosses
 # ----------------------------------------------------------------------
 class TestStatementTrace:
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_warm_statement_crosses_exactly_these_spans(
             self, scheduler, trained_sql_model, sql_workload, hyps):
         with make_session(trained_sql_model, sql_workload, hyps,
@@ -182,7 +182,7 @@ class TestStatementTrace:
         # each folded kept statistics, and counted it where it did
         assert all(node.counters == {"stat_hits": 1} for node in scores)
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     def test_cold_statement_sweeps_once_per_block_and_model(
             self, scheduler, trained_sql_model, sql_workload, hyps):
         with make_session(trained_sql_model, sql_workload, hyps,
@@ -198,7 +198,7 @@ class TestStatementTrace:
                    and node.parent.parent is root for node in sweeps)
         assert all(node.duration > 0 for node in sweeps)
 
-    @pytest.mark.parametrize("scheduler", ["serial", "threads"])
+    @pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("store", [False, True])
     def test_span_counters_are_the_statements_tier_counters(
             self, scheduler, store, trained_sql_model, sql_workload, hyps,

@@ -208,7 +208,7 @@ def _shape(name: str, hyps72, dataset, model):
 
 
 @pytest.mark.parametrize("tier", ["memory", "store"])
-@pytest.mark.parametrize("scheduler", ["serial", "threads"])
+@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
 @pytest.mark.parametrize("shape", SHAPES)
 def test_served_moments_keep_every_frame_bit_identical(
         shape, scheduler, tier, sql_workload, hyps72, trained_sql_model,
@@ -503,7 +503,7 @@ def test_block_local_states_are_the_summed_ones():
                      "linear_probe", "random", "majority"}
 
 
-@pytest.mark.parametrize("scheduler", ["serial", "threads"])
+@pytest.mark.parametrize("scheduler", ["serial", "threads", "processes"])
 def test_every_block_local_measure_folds_kept_stats(
         scheduler, sql_workload, hyps72, trained_sql_model, moment_sums):
     """One session runs each measure's statement twice: the warm run folds
