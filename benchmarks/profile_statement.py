@@ -26,7 +26,12 @@ is shown after the whole statement, as time after the frame, beside what
 ``close()`` then waited for it.
 Spans are timed on the thread that runs them: under the thread pool the
 ``sweep[model]`` rows overlap the calling thread's labelling and its
-``unit_extraction`` rows are the submission and the wait.  cProfile taxes
+``unit_extraction`` rows are the submission and the wait.  In the cold
+and store regimes a ``sweep alone[model]`` row follows each
+``sweep[model]``: that model's sweep of the first block, timed on the
+calling thread after the runs with nothing else running (median of 5),
+beside the traced sweeps' mean per block over it — what running beside
+the labelling cost them, as a ratio.  cProfile taxes
 Python calls, not numpy's inner loops, and sees the calling thread only.  Read the
 rows as proportions, take timings from ``benchmarks/e2e``.
 """
@@ -37,24 +42,34 @@ import argparse
 import cProfile
 import pstats
 import shutil
+import statistics
 import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
 from repro import InspectConfig, Session
+from repro.core.cache import model_id
+from repro.core.plan import record_order
+from repro.extract.rnn import RnnActivationExtractor
 from repro.util.trace import tracing
 
 from .e2e import inputs, spec
 from .e2e.spans import SpanRecorder
 
 
-def _rollup(roots: list, after: list[tuple[float, float]]) -> None:
+def _rollup(roots: list, after: list[tuple[float, float]],
+            alone: dict[str, float]) -> None:
     """Mean ms per span name over the traced runs, nested as traced, with
-    the tier counters each moved per statement beside it; then, per run,
-    ``after``: the store commit its statement left and what ``close()``
-    waited for it."""
+    the tier counters each moved per statement beside it, and each
+    ``alone`` sweep (span name -> seconds) under its traced rows; then,
+    per run, ``after``: the store commit its statement left and what
+    ``close()`` waited for it."""
     merged: dict[str, list] = {}    # name -> [seconds, children, counters]
+    calls = Counter()
+    for root in roots:
+        calls.update({name: total["calls"]
+                      for name, total in root.totals().items()})
 
     def fold(level: dict, node) -> None:
         entry = level.setdefault(node.name, [0.0, {}, Counter()])
@@ -68,6 +83,11 @@ def _rollup(roots: list, after: list[tuple[float, float]]) -> None:
             moved = "".join(f"  {counter}={total / len(roots):g}"
                             for counter, total in sorted(counters.items()))
             print(f"{seconds * per:9.3f}  {indent}{name}{moved}")
+            if name in alone:
+                per_block = seconds / calls[name] / alone[name]
+                print(f"{alone[name] * 1e3:9.3f}  {indent}sweep alone"
+                      f"{name[len('sweep'):]}  per block "
+                      f"{per_block:.2f}x alone")
             show(children, indent + "  ")
 
     for root in roots:
@@ -127,6 +147,32 @@ def _runs(regime: str, scale: spec.Scale, sql: str, root: Path, repeat: int,
             shutil.rmtree(store)
 
 
+def _sweeps_alone(scale: spec.Scale, root: Path, names: set[str],
+                  repeat: int = 5) -> dict[str, float]:
+    """Seconds of each model's sweep of the statement's first block (span
+    name -> median of ``repeat``), for the models ``names`` traced, timed
+    on the calling thread with nothing else running: the raw sweep a cold
+    unit tier runs (:meth:`repro.core.cache.UnitBehaviorCache.extract`),
+    over fresh objects."""
+    objects = inputs.fresh_objects(scale, 0, root)
+    config = InspectConfig(early_stop=False)
+    first = record_order(config.seed, objects.n_records,
+                         config.shuffle)[:config.block_size]
+    symbols = objects.dataset.symbols[first]
+    extractor = RnnActivationExtractor()
+    alone = {}
+    for model in objects.models:
+        name = f"sweep[{model_id(model)}]"
+        if name in names:
+            times = []
+            for _ in range(repeat):
+                start = time.perf_counter()
+                extractor.raw_rows(model, symbols)
+                times.append(time.perf_counter() - start)
+            alone[name] = statistics.median(times)
+    return alone
+
+
 def _measure(runs, call) -> tuple[float, list]:
     """Mean ms per statement and each run's trace; only ``call(statement)``
     is inside the clock (and the root span)."""
@@ -160,13 +206,17 @@ def main(argv: list[str] | None = None) -> None:
         runs = (args.regime, scale, sql, root, args.repeat)
         after: list[tuple[float, float]] = []
         plain, roots = _measure(_runs(*runs, after), lambda run: run())
+        alone = {}
+        if args.regime in ("cold", "store"):
+            traced = {span.name for r in roots for span in r.walk()}
+            alone = _sweeps_alone(scale, root, traced)
         profiler = cProfile.Profile()
         profiled, _ = _measure(_runs(*runs, []), profiler.runcall)
     print(f"{args.statement} [{args.regime}, {args.scale}, "
           f"{args.repeat} runs]: {plain:.2f} ms per statement, "
           f"{profiled:.2f} ms under cProfile")
     if args.rollup:
-        _rollup(roots, after)
+        _rollup(roots, after, alone)
         return
     stats = pstats.Stats(profiler).stats
     rows = [(cum, tot, calls, f"{Path(path).name}:{line}({name})")

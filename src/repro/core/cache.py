@@ -217,8 +217,12 @@ class _Arena:
     cached hypothesis — held as ``(n_records, ns, capacity)`` so a record's
     ``ns`` rows move as one run, plus a ``(capacity, n_records)`` fill
     mask.  Columns are recycled: ``free`` lists the ones no hypothesis
-    owns.  Not thread-safe — the owning tier calls every method under its
-    lock.
+    owns.  A cell is read only where its mask is set (a block's cold
+    cells are written over before it leaves the tier), so the matrix
+    grows uninitialised: zeroing reused memory is a memset under the GIL,
+    which stalls every sweep in flight (≈ 1.5 ms for 1,024 records x 30
+    symbols x 72 columns).  Not thread-safe — the owning tier calls every
+    method under its lock.
     """
 
     def __init__(self, dataset_key: str, n_records: int, n_symbols: int):
@@ -238,7 +242,7 @@ class _Arena:
         if short > 0:
             n_records, n_symbols, old = self.cells.shape
             new = max(old + short, min(old + old // 2, ceiling))
-            cells = np.zeros((n_records, n_symbols, new))
+            cells = np.empty((n_records, n_symbols, new))
             cells[:, :, :old] = self.cells
             filled = np.zeros((new, n_records), dtype=bool)
             filled[:old] = self.filled
@@ -806,8 +810,9 @@ class UnitBehaviorCache(_ByteBoundedLRU):
 
     An entry's matrix spans the whole dataset at raw width (the fill mask
     is what makes partial streaming runs reusable), so ``max_bytes`` is
-    accounted at full-matrix size; zero pages stay virtual until rows are
-    actually written.
+    accounted at full-matrix size.  Only records the mask marks are ever
+    read, so the matrix is allocated uninitialised, as the hypothesis
+    arena is.
     """
 
     def __init__(self, max_bytes: int = 1024 * 1024 * 1024,
@@ -850,7 +855,7 @@ class UnitBehaviorCache(_ByteBoundedLRU):
             if whole:
                 units = units.take(rows_idx, axis=1)
             if entry.matrix is None:
-                entry.matrix = np.zeros(
+                entry.matrix = np.empty(
                     (units.shape[0], entry.filled.shape[0], entry.n_symbols),
                     dtype=units.dtype)
             entry.matrix[:, rows_idx] = units

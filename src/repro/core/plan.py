@@ -334,7 +334,9 @@ class InspectionPlan:
         A block's raw unit sweep is one future per extraction pair
         (:meth:`BehaviorSource.submit_sweeps`), submitted before the
         block's hypothesis extraction and gathered after it.  A pool
-        sweeps while the calling thread labels: the calling thread's
+        sweeps while the calling thread labels — and sums the block's
+        moments, where a task reads them — with array work, which leaves
+        the sweeps the GIL between their steps: the calling thread's
         ``unit_extraction`` spans hold only the submission and its
         ``wait_sweeps`` (each ``sweep[model]`` span, timed on its pool
         thread, hangs from the submission's).  An inline scheduler has
@@ -426,9 +428,15 @@ class InspectionPlan:
                     [t.active_cols for t in reading]))
                 if cols_union.shape[0] == n_hyps:
                     cols_union = None
+            width = n_hyps if cols_union is None else cols_union.shape[0]
+            # the caller sums the block's moments while the pool sweeps,
+            # if a task fed the whole block will read them
+            moments = any(t.active_cols.shape[0] == width
+                          and t.state is not None and t.state.uses_h_moments
+                          for t in reading)
             with gathering(sweeps) as gather:
                 h_block, h_moments = self.source.hypothesis_block(
-                    sl, columns=cols_union)
+                    sl, columns=cols_union, moments=moments)
                 with span("unit_extraction"), span("wait_sweeps"):
                     u_blocks = {gi: block for pair in gather()
                                 for gi, block in pair.items()}

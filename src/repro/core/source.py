@@ -218,7 +218,8 @@ class BehaviorSource:
                            for gi, block in pair.items()}
 
     def hypothesis_block(self, sl: slice,
-                         columns: np.ndarray | None = None) -> tuple:
+                         columns: np.ndarray | None = None,
+                         moments: bool = False) -> tuple:
         """Hypothesis behaviors for the slice, and their moments thunk
         (``None`` unless a hypothesis cache gathered the block).
 
@@ -226,6 +227,8 @@ class BehaviorSource:
         columns (the hypothesis-side mirror of ``hid_units``): frozen
         hypotheses are not re-evaluated for the remaining blocks.  Ignored
         when materialized — everything was extracted up front.
+        ``moments`` sums the block's moments here, on the calling thread,
+        for a caller whose score tasks will read them.
         """
         ns = self.dataset.n_symbols
         if self.materialize:
@@ -234,8 +237,11 @@ class BehaviorSource:
         hyps = (self.hypotheses if columns is None
                 else [self.hypotheses[int(c)] for c in columns])
         with span("hypothesis_extraction"):
-            return _extract_hypotheses(hyps, self.dataset,
-                                       self.order[sl], self.config.cache)
+            block, thunk = _extract_hypotheses(
+                hyps, self.dataset, self.order[sl], self.config.cache)
+            if moments and thunk is not None:
+                thunk()
+            return block, thunk
 
     def unit_blocks(self, sl: slice, groups: list[tuple[int, UnitGroup]]
                     ) -> dict[int, np.ndarray]:

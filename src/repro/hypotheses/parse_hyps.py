@@ -13,8 +13,9 @@ nesting depth (``h1`` in Figure 3).
 
 Parsing *and span extraction* are shared: a :class:`ParseProvider` parses
 each source string at most once per inspection run, and walks each tree
-once to build that source's **span index** (rule -> clipped, non-empty
-character spans).  Every (rule, encoding) hypothesis derived from the
+once, iteratively, to build that source's **span index**: three flat
+integer arrays — rule code, start, end — of its clipped, non-empty
+nonterminal spans.  Every (rule, encoding) hypothesis derived from the
 provider reads the index instead of re-walking the tree.  When the workload
 retains derivation trees from sampling, the provider reuses them instead of
 parsing (``mode="derivation"``), which is the cached-hypothesis setting of
@@ -23,11 +24,16 @@ Figure 9.
 The hypotheses cut from one provider are a **family**
 (:func:`repro.hypotheses.base.extract_columns`): the provider labels all of
 them over a block of windowed records in one pass
-(:meth:`ParseProvider.extract_block` — one label table, one gather over the
-dataset's ``(source_id, offset)`` columns), and a single hypothesis is the
-one-member call.  The table lives for that call; only the span index is
-kept: private, filled lazily under a lock, left out of pickles and rebuilt
-on demand.
+(:meth:`ParseProvider.extract_block`).  The touched sources' indexes are
+concatenated, one lookup array maps rule codes to label-table columns, a
+difference table and a ``cumsum`` render the labels, and one gather over
+the dataset's ``(source_id, offset)`` columns answers every member; a
+single hypothesis is the one-member call.  Past the walk, labelling a block
+is array work, which lets sweeps on a pool's threads run beside it (a
+Python loop here would hold the GIL they need between steps).  The table
+lives for that call; only the span index and its rule codes are kept:
+private, filled lazily under a lock, left out of pickles and rebuilt on
+demand.
 """
 
 from __future__ import annotations
@@ -77,14 +83,16 @@ class ParseProvider:
         self._init_derived()
 
     def _init_derived(self) -> None:
-        self._spans: dict[int, dict[str, np.ndarray]] = {}
+        # the span index: source id -> (3, k) rows of rule code, start, end
+        self._index: dict[int, np.ndarray] = {}
+        self._codes: dict[str, int] = {}    # rule -> its code in the index
         self._cache_key_memo: str | None = None
         # one parse and one tree walk per source, whichever thread asks
         self._lock = threading.Lock()
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
-        for derived in ("_spans", "_cache_key_memo", "_lock"):
+        for derived in ("_index", "_codes", "_cache_key_memo", "_lock"):
             del state[derived]
         return state
 
@@ -128,27 +136,18 @@ class ParseProvider:
         self._cache[source_id] = tree
         return tree
 
-    def spans_for(self, source_id: int) -> dict[str, np.ndarray]:
-        """The source's span index: rule -> ``(k, 2)`` array of ``[start,
-        end)`` spans, clipped to the source length, empty spans dropped.
-
-        Built by one walk over the source's tree and shared by every rule
-        and encoding.
-        """
-        with self._lock:
-            index = self._spans.get(source_id)
-            if index is None:
-                length = len(self.sources[source_id])
-                by_rule: dict[str, list[tuple[int, int]]] = {}
-                for node in self._tree_for(source_id).iter_nodes():
-                    end = min(node.end, length)
-                    if not node.terminal and end > node.start:
-                        by_rule.setdefault(node.symbol, []).append(
-                            (node.start, end))
-                index = {rule: np.array(spans, dtype=np.int64)
-                         for rule, spans in by_rule.items()}
-                self._spans[source_id] = index
-            return index
+    def _span_index(self, source_id: int) -> np.ndarray:
+        """The source's span index, for callers that hold the lock: its
+        nonterminal spans as ``(3, k)`` rows of rule code, start and end,
+        clipped to the source length, empty spans dropped.  Built by one
+        walk over the source's tree (:func:`_flat_spans`) and shared by
+        every rule and encoding."""
+        index = self._index.get(source_id)
+        if index is None:
+            index = self._index[source_id] = _flat_spans(
+                self._tree_for(source_id), len(self.sources[source_id]),
+                self._codes)
+        return index
 
     def extract_block(self, members: list["ParseTreeHypothesis"],
                       dataset: Dataset,
@@ -171,22 +170,20 @@ class ParseProvider:
         touched = touched.tolist()
         pairs = [(m.rule, m.encoding) for m in members]
         distinct = {pair: j for j, pair in enumerate(dict.fromkeys(pairs))}
-        rules = {rule: i for i, rule in enumerate(
-            dict.fromkeys(rule for rule, _ in distinct))}
-        # (encoding, rule) -> table column; -1 where no member asks
-        column = np.full((len(ENCODINGS), len(rules)), -1)
-        for (rule, encoding), j in distinct.items():
-            column[ENCODINGS.index(encoding), rules[rule]] = j
-        # every span of those rules in the touched sources, flat: span s
-        # lies in table row ``src[s]`` and, as a time / signal / depth
-        # label, in table column ``time[s]`` / ``signal[s]`` / ``depth[s]``
-        found = [index.get(rule, _NO_SPANS)
-                 for index in map(self.spans_for, touched) for rule in rules]
-        src, rule = np.divmod(
-            np.repeat(np.arange(len(found)), [len(sp) for sp in found]),
-            len(rules))
-        starts, ends = np.concatenate([_NO_SPANS, *found]).T
-        time, signal, depth = column[:, rule]
+        with self._lock:
+            found = [self._span_index(sid) for sid in touched]
+            # (encoding, rule code) -> table column; -1 where no member asks
+            column = np.full((len(ENCODINGS), len(self._codes)), -1)
+            for (rule, encoding), j in distinct.items():
+                if rule in self._codes:
+                    column[ENCODINGS.index(encoding), self._codes[rule]] = j
+        # every span of the touched sources, flat: span s lies in table row
+        # ``src[s]`` and, as a time / signal / depth label, in table column
+        # ``time[s]`` / ``signal[s]`` / ``depth[s]``
+        src = np.repeat(np.arange(len(found)),
+                        [index.shape[1] for index in found])
+        codes, starts, ends = np.concatenate([_NO_SPANS, *found], axis=1)
+        time, signal, depth = column[:, codes]
         width = max((len(self.sources[sid]) for sid in touched),
                     default=0) + 1
         table = np.zeros((len(touched), width, len(distinct)), np.int32)
@@ -200,11 +197,11 @@ class ParseProvider:
         at = np.flatnonzero(signal >= 0)
         table[src[at], starts[at], signal[at]] = 1
         table[src[at], ends[at] - 1, signal[at]] = 1
-        flags, _, counts = column
-        if (counts < 0).all():
+        encodings = [encoding for _, encoding in distinct]
+        if "depth" not in encodings:
             table = (table > 0).view(np.uint8)      # every label is 0 or 1
         else:
-            flags = flags[flags >= 0]
+            flags = [j for j, e in enumerate(encodings) if e == "time"]
             table[:, :, flags] = table[:, :, flags] > 0
         # window position -> source position; -1 and ``last`` both land on
         # the zero column, positions past a shorter source on its padding
@@ -216,7 +213,24 @@ class ParseProvider:
         return block
 
 
-_NO_SPANS = np.empty((0, 2), dtype=np.int64)
+_NO_SPANS = np.empty((3, 0), dtype=np.int64)
+
+
+def _flat_spans(tree: ParseNode, length: int,
+                codes: dict[str, int]) -> np.ndarray:
+    """``tree``'s span index (:meth:`ParseProvider._span_index`); a rule
+    met for the first time is given the next code.  One iterative walk,
+    in no particular order: every label is a sum or a flag over spans."""
+    rows, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        stack += node.children
+        if not node.terminal:
+            rows += (codes.setdefault(node.symbol, len(codes)), node.start,
+                     node.end)
+    index = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    np.minimum(index[2], length, out=index[2])
+    return index[:, index[2] > index[1]]
 
 
 class ParseTreeHypothesis(HypothesisFunction):

@@ -55,6 +55,9 @@ class MeasureState:
     #: a block-local state's statistics, attribute -> shape: "u" has no
     #: hypothesis axis, "h" is per hypothesis, "uh" per (unit, hypothesis)
     _STATS: dict[str, str] = {}
+    #: whether :meth:`block_stats` reads the ``h_moments`` it is handed: the
+    #: engine sums a block's moments ahead of scoring only for such a state
+    uses_h_moments = False
 
     def __init__(self, n_units: int, n_hyps: int):
         self.n_units = n_units

@@ -24,6 +24,7 @@ class _CorrState(MeasureState):
     def __init__(self, n_units: int, n_hyps: int, rank_transform: bool):
         super().__init__(n_units, n_hyps)
         self.rank_transform = rank_transform
+        self.uses_h_moments = not rank_transform    # ranks sum differently
 
     @staticmethod
     def _rank(x: np.ndarray) -> np.ndarray:
@@ -72,12 +73,11 @@ class _CorrState(MeasureState):
     def block_stats(self, units: np.ndarray, hyps: np.ndarray,
                     h_moments=None) -> tuple:
         """``(Σu, Σu², Σh, Σh², Σuh)``; ``h_moments`` stands in for
-        reducing ``hyps`` again, except under ranks, which sum
-        differently."""
+        reducing ``hyps`` again, except under ranks."""
         if self.rank_transform:
             units = self._rank(units)
             hyps = self._rank(hyps)
-        if h_moments is None or self.rank_transform:
+        if h_moments is None or not self.uses_h_moments:
             sum_h, sum_hh = hyps.sum(axis=0), (hyps**2).sum(axis=0)
         else:
             sum_h, sum_hh = h_moments()

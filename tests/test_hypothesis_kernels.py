@@ -17,6 +17,7 @@ one pass, see ``repro.hypotheses.base.extract_columns``) and is missing from
 per-record references.
 """
 
+import hashlib
 import pickle
 import sys
 import threading
@@ -24,12 +25,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (InspectConfig, SerialScheduler, Session,
                    ThreadPoolScheduler)
 from repro.core.cache import HypothesisCache, hyp_store_key
 from repro.data import generate_sql_workload
 from repro.data.datasets import PAD_CHAR, Dataset, Vocab
+from repro.extract.rnn import RnnActivationExtractor
 from repro.grammar.tree import ParseNode
 from repro.hypotheses import (CharSetHypothesis, FsmHypothesis,
                               FunctionHypothesis, HypothesisFunction,
@@ -42,6 +46,7 @@ from repro.hypotheses.base import extract_columns, validate_hypothesis_block
 from repro.hypotheses.fsm import FSM
 from repro.hypotheses.library import (CurrentCharHypothesis,
                                       sql_keyword_hypotheses)
+from repro.hypotheses import parse_hyps
 from repro.hypotheses.parse_hyps import ParseProvider, ParseTreeHypothesis
 
 
@@ -307,25 +312,29 @@ class TestShapes:
                 assert np.array_equal(got, want), hyp.name
 
 
+@pytest.fixture(scope="module")
+def edge_dataset(workload):
+    """Windows of the shortest, the longest and the first source at every
+    offset where a block formulation can slip: inside the left padding,
+    across either end, and past a shorter source's end."""
+    ns = 30
+    lengths = [len(q) for q in workload.queries]
+    short = int(np.argmin(lengths))
+    long = int(np.argmax(lengths))
+    meta = []
+    for sid in (short, long, 0):
+        n = lengths[sid]
+        for offset in (-ns - 4, -ns, -ns + 1, -7, 0, 3, n - ns - 1,
+                       n - ns, n - ns + 1, n - 5, n - 1, n, n + 9,
+                       max(lengths) - 2, max(lengths), max(lengths) + 40):
+            meta.append({"source_id": sid, "offset": offset})
+    symbols = np.zeros((len(meta), ns), dtype=np.int64)
+    return Dataset(symbols, workload.dataset.vocab, meta)
+
+
 class TestWindowsOverTheEdges:
     """Windows may start inside the left padding (negative offsets) and
     run past the end of their source."""
-
-    @pytest.fixture(scope="class")
-    def edge_dataset(self, workload):
-        ns = 30
-        lengths = [len(q) for q in workload.queries]
-        short = int(np.argmin(lengths))
-        long = int(np.argmax(lengths))
-        meta = []
-        for sid in (short, long, 0):
-            n = lengths[sid]
-            for offset in (-ns - 4, -ns, -ns + 1, -7, 0, 3, n - ns - 1,
-                           n - ns, n - ns + 1, n - 5, n - 1, n, n + 9,
-                           max(lengths) - 2, max(lengths), max(lengths) + 40):
-                meta.append({"source_id": sid, "offset": offset})
-        symbols = np.zeros((len(meta), ns), dtype=np.int64)
-        return Dataset(symbols, workload.dataset.vocab, meta)
 
     @pytest.mark.parametrize("mode", ["derivation", "reparse"])
     def test_every_offset_matches(self, workload, edge_dataset, mode):
@@ -636,32 +645,33 @@ class TestSpanIndex:
     def test_one_tree_walk_serves_every_rule_and_encoding(self, workload,
                                                           monkeypatch):
         walks = []
-        original = ParseNode.iter_nodes
+        original = parse_hyps._flat_spans
 
-        def counting(self):
-            walks.append(self)
-            return original(self)
+        def counting(tree, length, codes):
+            walks.append(id(tree))
+            return original(tree, length, codes)
 
         hyps = parse_hypotheses(workload, "derivation")
-        roots = {id(tree) for tree in workload.trees}
-        monkeypatch.setattr(ParseNode, "iter_nodes", counting)
+        monkeypatch.setattr(parse_hyps, "_flat_spans", counting)
         for hyp in hyps:
             hyp.extract(workload.dataset)
-        root_walks = [node for node in walks if id(node) in roots]
-        assert len(root_walks) == len(workload.queries)
+        assert sorted(walks) == sorted(map(id, workload.trees))
 
     def test_index_matches_spans_of(self, workload):
         provider = ParseProvider(workload.grammar, workload.queries,
                                  trees=workload.trees, mode="derivation")
         for sid, source in enumerate(workload.queries):
             tree = provider.tree_for(sid)
-            index = provider.spans_for(sid)
-            for rule in tree.node_types():
-                want = sorted((s, min(e, len(source)))
-                              for s, e in tree.spans_of(rule)
-                              if min(e, len(source)) > s)
-                got = sorted(map(tuple, index.get(rule, np.empty((0, 2)))))
-                assert got == want
+            with provider._lock:
+                codes, starts, ends = provider._span_index(sid)
+            rules = {code: rule for rule, code in provider._codes.items()}
+            got = sorted(zip(map(rules.get, codes.tolist()),
+                             starts.tolist(), ends.tolist()))
+            want = sorted((rule, s, min(e, len(source)))
+                          for rule in tree.node_types()
+                          for s, e in tree.spans_of(rule)
+                          if min(e, len(source)) > s)
+            assert got == want
 
     def test_reparse_parses_only_touched_sources_once(self, workload):
         hyps = parse_hypotheses(workload, "reparse")
@@ -675,18 +685,104 @@ class TestSpanIndex:
         assert hyps[0].provider.parse_count == len(workload.queries)
 
 
+def reference_labels(provider, members, dataset, indices):
+    """The family block as a per-record loop over ``ParseNode.spans_of``:
+    ``(n, ns, len(members))``, uint8, or int32 when a member counts
+    depth."""
+    counts = any(m.encoding == "depth" for m in members)
+    out = np.zeros((len(indices), dataset.n_symbols, len(members)),
+                   np.int32 if counts else np.uint8)
+    for r, index in enumerate(indices):
+        meta = dataset.meta[index]
+        source_id, offset = meta["source_id"], meta["offset"]
+        tree = provider.tree_for(source_id)
+        length = len(provider.sources[source_id])
+        for j, member in enumerate(members):
+            labels = np.zeros(length, np.int64)
+            for start, end in tree.spans_of(member.rule):
+                end = min(end, length)
+                if end <= start:
+                    continue
+                if member.encoding == "depth":
+                    labels[start:end] += 1
+                elif member.encoding == "time":
+                    labels[start:end] = 1
+                else:
+                    labels[start] = labels[end - 1] = 1
+            for t in range(dataset.n_symbols):
+                if 0 <= offset + t < length:
+                    out[r, t, j] = labels[offset + t]
+    return out
+
+
+@st.composite
+def label_blocks(draw, n_records):
+    """Record ids of one block: every record, a contiguous part, a
+    shuffled part, or ids scattered with repeats."""
+    kind = draw(st.sampled_from(["all", "part", "shuffled", "scattered"]))
+    if kind == "all":
+        return np.arange(n_records)
+    if kind == "scattered":
+        return np.array(draw(st.lists(st.integers(0, n_records - 1),
+                                      max_size=40)), dtype=int)
+    start = draw(st.integers(0, n_records))
+    stop = draw(st.integers(start, n_records))
+    if kind == "part":
+        return np.arange(start, stop)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).permutation(n_records)[start:stop]
+
+
+class TestFlatIndexLabels:
+    """The flat span index labels exactly what the trees say: every
+    family block equals, byte for byte and dtype for dtype, a reference
+    labeller built from ``ParseNode.spans_of`` alone."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_family_block_equals_the_reference(self, workload, edge_dataset,
+                                               data):
+        mode = data.draw(st.sampled_from(["derivation", "reparse"]))
+        dataset = data.draw(st.sampled_from([workload.dataset,
+                                             edge_dataset]))
+        # a fresh provider per example: rule codes are numbered in the
+        # order its walks meet them, which the block decides.  Sampled
+        # trees over sources cut short have spans past their source's end
+        cut = data.draw(st.integers(0, 4)) if mode == "derivation" else 0
+        hyps = grammar_hypotheses(
+            workload.grammar, [q[:len(q) - cut] for q in workload.queries],
+            workload.trees if mode == "derivation" else None,
+            encodings=ENCODINGS, mode=mode)
+        members = [hyps[j] for j in data.draw(st.lists(
+            st.integers(0, len(hyps) - 1), min_size=1, max_size=12))]
+        encodings = data.draw(st.sets(st.sampled_from(ENCODINGS),
+                                      min_size=1))
+        members = [m for m in members if m.encoding in encodings] \
+            or members[:1]
+        members += members[:data.draw(st.integers(0, 2))]    # repeats
+        indices = data.draw(label_blocks(dataset.n_records))
+        provider = hyps[0].provider
+        got = provider.extract_block(members, dataset, indices)
+        want = reference_labels(provider, members, dataset, indices)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestPickling:
     def test_derived_tables_stay_home(self, workload):
         hyps = parse_hypotheses(workload, "derivation")
         ds = workload.dataset
         want = [hyp.extract(ds) for hyp in hyps]
-        assert hyps[0].provider._spans
+        assert hyps[0].provider._index and hyps[0].provider._codes
         assert set(hyps[0].__getstate__()) == {
             "name", "categorical", "rule", "encoding", "provider"}
-        assert not {"_spans", "_cache_key_memo", "_lock"} & set(
+        assert not {"_index", "_codes", "_cache_key_memo", "_lock"} & set(
             hyps[0].provider.__getstate__())
         clones = pickle.loads(pickle.dumps(hyps))
-        assert clones[0].provider._spans == {}
+        assert clones[0].provider._index == {}
+        assert clones[0].provider._codes == {}
         for clone, rows in zip(clones, want):
             assert np.array_equal(clone.extract(ds), rows)
 
@@ -747,6 +843,114 @@ class TestStoreKeys:
                              KeywordHypothesis("SELECT").cache_key()) == (
             f"hyp/{dataset_key}/KeywordHypothesis(categorical=False, "
             "key...bbac0607aca05c80")
+
+    #: SHA-1 of each ``cache_key()`` of the benchmark-shaped hypothesis
+    #: set (every grammar rule in derivation mode, then the SQL keywords)
+    #: over :meth:`pinned_workload`, as stores written so far hold them
+    PINNED_HYPOTHESES = """
+    ffeff0575e71a8814078d611ab85c040c42a3c61 time:agg_expr
+    e8627f01624fd0074b975559c6e4aadc5a674eaf time:agg_fn
+    c64c0b0a356442e45e0ad730b57c5a5d37df2bee time:bool_op
+    63478fdc3b1bd1a47a9048df7504e5ea4ea37629 time:column_list
+    97e33f3685d8c4e28f26e9c814faeef0c370896a time:column_name
+    6eeee599747ab7b5117c228b9593aabadb7a59cd time:column_ref
+    e1d56a2fc6c43ac9cfe56f98c0766faf620e8f22 time:comp_op
+    0e9137753007ac9295928f760e1b22ee3413fdbb time:comparison
+    d91890fb35f11bc40bc3e5ddff64ed63cc9bba56 time:digit
+    e4c6cd7251864b9124ba0ccbc78e788789909f55 time:direction
+    9dceefdebcffddefca2e49a05b745e17c16ced02 time:from_clause
+    4eef02a426a48b84701bfbd080bd1b6afe23b026 time:group_clause
+    053d2e4806bae4f7735af136a724bf6e91ec0504 time:letter
+    93966c88c1e1f7b8d2d045f0eaaccb127bc4b577 time:limit_clause
+    4549bef46908884e335d17d0127d0d28ba227337 time:number
+    1ffedcfaff4be6f6490dac3964006d8ebd828511 time:opt_group
+    c883e7bc48a305dca220815ced84f4efa48fb438 time:opt_limit
+    6306cdc7ac21a847a51f49c9fd6b443b500fcd96 time:opt_order
+    bb95922222d56c46a770abb0025d12c0a984d4b2 time:opt_where
+    f27d7cf1bc235414efc4a05797302108dffbc7e2 time:order_clause
+    38e3304ad796c89976f6196d8fa478eb23e427f2 time:ordering_term
+    5304ba9f73b3d2dd3df4cdd7846b8752662accda time:predicate
+    d9de55a04be6bfe24fdc3f720f631dc1bfc73ea0 time:select_clause
+    b0843a7f6e62960d5d58515de6e49ab18eb54137 time:select_item
+    f08d3038c57c7f19b65d651b941da25203cc83e1 time:select_list
+    823b22243171f877ad54d69c3fe03bf0a8606add time:string_lit
+    18ff337e33cf9a81a31fc90536d239d2a56d438e time:table_list
+    60ceb405e3c82fa0f38ce181a1f97f4463858aa1 time:table_name
+    aee3d0f87dca2cd855297688654fa6dbb4e64928 time:value
+    684aa044fcca60bb13abbd72cfa046a60b102b77 time:where_clause
+    7943cab226bb7940983bdbf12ad1396db72e481f time:word
+    d85372a33483835d18ec85371b4d25987a7ad0ef signal:agg_expr
+    5242687e1dcaa19354957ace8084ad69ba379d58 signal:agg_fn
+    02e5e2dc29308428fc077da1a7e36cff8c9393ba signal:bool_op
+    cf9b475c7a25224c9e83ecbe7f84640f924c91f3 signal:column_list
+    5b7221744d343bebed47f37931fd5196e45162ae signal:column_name
+    1c620065df5cd4a967fdf97563055ec48fba9403 signal:column_ref
+    3046a86d6ab2892f0dec2aee3a8517774d713be7 signal:comp_op
+    22ec71f881d909c5ae823a8c42eaa0908c09fca2 signal:comparison
+    c0478fa16ad268c47a1ef3f4c12c54cca0bc7264 signal:digit
+    283574984d5838f1f5c198349cfb7559cb1e5015 signal:direction
+    ee96d9bf5d1857da1b3bd7155bb07e6ca433bcbd signal:from_clause
+    73b5196114b379d4d921b367711f35b70987bd40 signal:group_clause
+    3393b994a2fa7ee45a33e4c5776785122bb46f02 signal:letter
+    2e0196a79135cd5985d4abda2aba87b73be1a638 signal:limit_clause
+    412cec805928dbc0fb16984cc37c1810a51ea435 signal:number
+    bf695b8053a69c362a25e486ae974d430b22f094 signal:opt_group
+    d163a5404a6e12b18b06a23e8dd216ecbcb12000 signal:opt_limit
+    c1a3fa8f32eaf772dab9c8c4aa34664a12a0656f signal:opt_order
+    2397e433c33a7d5b986f32a43194b70d51fb1853 signal:opt_where
+    26c3a7a132ebed2731c44114b0a3158b24340ac4 signal:order_clause
+    b07c8173ef38f971ff845210478d29e388afccc9 signal:ordering_term
+    7169c10ced1b1ae87b0ba8a7a1c4acc4aa6a60e1 signal:predicate
+    f8ee1e7e1d1534c46a8e7891f174062c5dad7279 signal:select_clause
+    7b13b49efa1fa226dcff9f40f47c1b3334851150 signal:select_item
+    5c849b4077e5b4cb78905861df2781e57792a075 signal:select_list
+    089062546ab50c8c787b6b265db6bdbd9769b897 signal:string_lit
+    463f1879e51b88f47031a640dbeb4207a33094bf signal:table_list
+    8125f4095e55fddaaf35ab07793bc028a6e08820 signal:table_name
+    36cb500cbee835a0bba3a654b03fd814dad19a2a signal:value
+    ded2340c681b6f4d642869fd23f9615fdc7e7e06 signal:where_clause
+    c7e0c2aeaaa871ad85a2eec43b7f54795ba25286 signal:word
+    bbac0607aca05c80f6bbc1613365969c4bc65313 kw:SELECT
+    bba7902921cf3c154e241b0a2de20b654df1dac8 kw:FROM
+    ffc6e90c7138a57cc4be63a85a8cfc30e23b3150 kw:WHERE
+    0ff46525437604afebcb6d4c58699dccffe32031 kw:GROUP BY
+    3e93b17f47bf7c633952b8fa162a27b5370c0f15 kw:ORDER BY
+    93a1b4ba4503321dd836e0513ae05d11f50f6fd8 kw:LIMIT
+    ea4b16d251f38aa9176073e5fb08e3837b3cb7d7 kw:AND
+    4ce0be1d2db717ad0e874e42485185f010f750c9 kw:OR
+    306a979c59bb9c39b2bdccd349dfc6a7f5a1dc00 kw:ASC
+    1806ccd477b9e7a61e6d014bfc072d761a849680 kw:DESC
+"""
+    #: ... and of the LSTM extractor's behaviour and raw-sweep keys
+    PINNED_EXTRACTOR = ("14479766e13385336db20acb0c39142db544cfc2",
+                        "b177d0332506b8bc87b49967017063fe7720ccbf")
+
+    @staticmethod
+    def pinned_workload():
+        return generate_sql_workload("default", n_queries=8, window=30,
+                                     stride=5, seed=11)
+
+    def test_benchmark_identities_are_pinned(self):
+        """Provider state is private: building the span index (or any
+        derived table) moves no identity a store is keyed by."""
+        def digest(key):
+            return hashlib.sha1(key.encode()).hexdigest()
+
+        pinned = dict(line.split(maxsplit=1)[::-1] for line in
+                      self.PINNED_HYPOTHESES.strip().splitlines())
+        wl = self.pinned_workload()
+        for used in (False, True):
+            hyps = grammar_hypotheses(wl.grammar, wl.queries, wl.trees,
+                                      mode="derivation") \
+                + sql_keyword_hypotheses()
+            if used:
+                extract_columns(hyps, wl.dataset)
+                assert hyps[0].provider._index
+            assert len(hyps) == len(pinned) == 72
+            assert {h.name: digest(h.cache_key()) for h in hyps} == pinned
+        extractor = RnnActivationExtractor()
+        assert (digest(extractor.cache_key()),
+                digest(extractor.raw_key())) == self.PINNED_EXTRACTOR
 
     def test_provider_identity_is_rendered_once_and_ignores_use(self,
                                                                 workload):

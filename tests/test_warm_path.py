@@ -21,8 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro import (HypothesisCache, InspectConfig, Session, UnitGroup,
-                   inspect)
+from repro import (HypothesisCache, InspectConfig, Session,
+                   ThreadPoolScheduler, UnitGroup, inspect)
 from repro.core.cache import model_fingerprint
 from repro.data.datasets import Dataset, Vocab
 from repro.extract.base import Extractor
@@ -247,6 +247,47 @@ def test_served_moments_keep_every_frame_bit_identical(
         == computed["stat_misses"]
     assert _summed(moment_sums) == summed
     assert (summed > 0) == shares
+
+
+@pytest.mark.parametrize("measure", [CorrelationScore,
+                                     SpearmanCorrelationScore, JaccardScore])
+def test_the_statement_thread_sums_a_cold_blocks_moments(
+        measure, sql_workload, hyps72, trained_sql_model, monkeypatch):
+    """The calling thread sums a block's moments after labelling it, while
+    the pool still sweeps — so each block's thunk is first called on the
+    statement's own thread — and only where a score task reads them."""
+    from repro.core import source
+    real = source.block_moments
+    callers: list[list[int]] = []      # per thunk, the threads calling it
+
+    def spying(block):
+        thunk = real(block)
+        if thunk is None:
+            return None
+        called: list[int] = []
+        callers.append(called)
+
+        def spied():
+            called.append(threading.get_ident())
+            return thunk()
+        return spied
+    monkeypatch.setattr(source, "block_moments", spying)
+    # two score tasks, so the pool (not the caller) runs them
+    groups = [UnitGroup(model=trained_sql_model, name=f"g{g}",
+                        unit_ids=np.arange(8 * g, 8 * g + 8)) for g in (0, 1)]
+    config = InspectConfig(block_size=128, early_stop=False)
+    with Session(config=config, scheduler=ThreadPoolScheduler(2)) as session:
+        (session.inspect(dataset=sql_workload.dataset).using(measure())
+         .hypotheses(hyps72).where(groups=groups).run())
+    n_blocks = -(-sql_workload.dataset.n_records // 128)
+    assert len(callers) == n_blocks
+    if measure is CorrelationScore:
+        # the caller sums, then each task reads the same sums on the pool
+        assert all(len(called) == 3 and called[0] == threading.get_ident()
+                   and threading.get_ident() not in called[1:]
+                   for called in callers)
+    else:
+        assert all(called == [] for called in callers)
 
 
 def test_recycled_arena_column_never_serves_its_old_moments(
